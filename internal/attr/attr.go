@@ -206,8 +206,11 @@ func (v Value) Encode(dst []byte) []byte {
 	return dst
 }
 
-// GobEncode implements gob.GobEncoder via the order-preserving encoding, so
-// Values can travel in RPC messages despite having unexported fields.
+// GobEncode implements gob.GobEncoder via the order-preserving encoding.
+// No message the system sends or stores gob-encodes a Value any more (every
+// message carrying one has a binary form in proto/wire.go, which is also
+// the log record); GobEncode/GobDecode stay only because wirebench's
+// gob-vs-binary comparison encodes an UpdateReq with gob as its baseline.
 func (v Value) GobEncode() ([]byte, error) {
 	if !v.IsValid() {
 		return []byte{0}, nil

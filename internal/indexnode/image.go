@@ -10,33 +10,32 @@ import (
 	"propeller/internal/proto"
 )
 
-// This file defines the record-stream form of a group image: the chunked
-// wire format ACG transfers ship (MethodReceiveACGChunked) and the bytes
-// writeCheckpointLocked stores in shared storage. The image is a flat
-// sequence of self-framed records, so a sender can emit it in bounded
-// batches and a receiver can apply it incrementally from arbitrary chunk
-// boundaries — a multi-GB group never exists as one contiguous buffer on
-// either side. Legacy gob images (pre-record checkpoints) are recognized
-// by their first byte and decoded through the old path.
+// This file defines the group image: the one serialized form of a group's
+// durable state. It is what ACG transfers ship in chunks
+// (MethodReceiveACGChunked), what a same-node split hands to its new group,
+// and the bytes writeCheckpointLocked stores in shared storage. The image
+// is a flat sequence of self-framed records, so a sender can emit it in
+// bounded batches and a receiver can apply it incrementally from arbitrary
+// chunk boundaries — a multi-GB group never exists as one contiguous buffer
+// on either side of a transfer.
 //
 // Layout:
 //
 //	image   := magic(0xA7) record*
 //	record  := type(1B) uvarint(bodyLen) body
 //
-// Record types (unknown types are an error — the image is written and read
-// by the same codebase; version drift is handled by the magic byte):
+// Record types (unknown types and a wrong magic byte are errors — the image
+// is written and read by the same codebase, and no older deployed version
+// exists whose images would need reading):
 //
-//	recHeader  acg, epoch, flags(bit0=follower), replSeq   (uvarints)
+//	recHeader  proto.ReceiveACGStreamMeta wire body (acg, epoch, follower, replSeq)
 //	recFiles   count, then delta-coded sorted file ids
 //	recEdges   count, then (src, dst, weight) uvarint triples
 //	recIndex   index spec; subsequent recEntries belong to it
 //	recEntries count, then proto.IndexEntry wire encodings
-//	recWAL     raw framed WAL bytes (appended across records)
-//
-// gob's wire format length-prefixes every message with either a single
-// byte < 0x80 or a 0xF8..0xFF multi-byte marker, so 0xA7 can never open a
-// gob stream — the magic byte is an unambiguous format discriminator.
+//	recWAL     framed log records (wal.FrameRecord around proto.UpdateReq
+//	           wire bodies — the bytes Update appends), concatenated
+//	           across records
 const (
 	imageMagic = 0xA7
 
@@ -57,15 +56,6 @@ const (
 )
 
 var errImageTruncated = errors.New("indexnode: truncated group image")
-
-// imageHeader carries the non-payload fields of a group image — what the
-// gob format kept in ReceiveACGReq next to the data slices.
-type imageHeader struct {
-	acg      proto.ACGID
-	epoch    proto.Epoch
-	follower bool
-	replSeq  uint64
-}
 
 // imageWriter batches records and hands them to emit in ~imageBatchTarget
 // slices. The slice passed to emit is reused; emit must not retain it.
@@ -112,24 +102,14 @@ func appendImageSpec(dst []byte, spec proto.IndexSpec) []byte {
 // streamImageLocked serializes the group's durable state — membership,
 // causality edges, committed postings per index — as a record stream,
 // keeping only files accepted by filter (nil = all), delivered through
-// emit in bounded batches. The record-stream twin of imageLocked; callers
-// that need one contiguous buffer use imageBytesLocked. Caller holds g.mu
-// and must have committed the group if the image is meant to include every
-// acknowledged entry.
-func (n *Node) streamImageLocked(g *group, filter func(index.FileID) bool, hdr imageHeader, emit func([]byte) error) error {
+// emit in bounded batches; callers that need one contiguous buffer use
+// imageBytesLocked. Caller holds g.mu and must have committed the group if
+// the image is meant to include every acknowledged entry.
+func (n *Node) streamImageLocked(g *group, filter func(index.FileID) bool, hdr proto.ReceiveACGStreamMeta, emit func([]byte) error) error {
 	w := &imageWriter{emit: emit}
-	var scratch []byte
-
-	scratch = binary.AppendUvarint(scratch, uint64(hdr.acg))
-	scratch = binary.AppendUvarint(scratch, uint64(hdr.epoch))
-	var flags byte
-	if hdr.follower {
-		flags |= 1
-	}
-	scratch = append(scratch, flags)
-	scratch = binary.AppendUvarint(scratch, hdr.replSeq)
 	// The magic byte rides in front of the first batch.
 	w.buf = append(w.buf, imageMagic)
+	scratch := hdr.MarshalWire(nil)
 	if err := w.record(recHeader, scratch); err != nil {
 		return err
 	}
@@ -234,11 +214,12 @@ func flushEdges(w *imageWriter, scratch *[]byte, body []byte, count int) error {
 	return w.record(recEdges, *scratch)
 }
 
-// imageBytesLocked renders the record-stream image into one buffer — the
-// shared-storage checkpoint form. Caller holds g.mu.
-func (n *Node) imageBytesLocked(g *group, hdr imageHeader) ([]byte, error) {
+// imageBytesLocked renders the image (filtered as streamImageLocked) into
+// one buffer: the shared-storage checkpoint, and the half a same-node split
+// carries across to its new group. Caller holds g.mu.
+func (n *Node) imageBytesLocked(g *group, filter func(index.FileID) bool, hdr proto.ReceiveACGStreamMeta) ([]byte, error) {
 	var out []byte
-	err := n.streamImageLocked(g, nil, hdr, func(b []byte) error {
+	err := n.streamImageLocked(g, filter, hdr, func(b []byte) error {
 		out = append(out, b...)
 		return nil
 	})
@@ -257,13 +238,13 @@ type imageApplier struct {
 
 	buf      []byte // partial record carried across chunks
 	sawMagic bool
-	hdr      imageHeader
+	hdr      proto.ReceiveACGStreamMeta
 
 	curName  string
 	curInst  *inst
 	haveSpec bool
 	// touched collects KD instances that received entries: their disk
-	// images re-serialize once at finish, mirroring installImageLocked.
+	// images re-serialize once at finish.
 	touched map[string]*inst
 	walBuf  []byte
 }
@@ -330,7 +311,7 @@ func (a *imageApplier) applyOne(b []byte) (rest []byte, done bool, err error) {
 	body = body[:size]
 	switch typ {
 	case recHeader:
-		err = a.applyHeader(body)
+		err = a.hdr.UnmarshalWire(body)
 	case recFiles:
 		err = a.applyFiles(body)
 	case recEdges:
@@ -361,30 +342,6 @@ func imageString(b []byte) (string, []byte, error) {
 		return "", nil, errImageTruncated
 	}
 	return string(b[:ln]), b[ln:], nil
-}
-
-func (a *imageApplier) applyHeader(b []byte) error {
-	acg, b, err := imageUvarint(b)
-	if err != nil {
-		return err
-	}
-	epoch, b, err := imageUvarint(b)
-	if err != nil {
-		return err
-	}
-	if len(b) == 0 {
-		return errImageTruncated
-	}
-	flags := b[0]
-	seq, _, err := imageUvarint(b[1:])
-	if err != nil {
-		return err
-	}
-	a.hdr = imageHeader{
-		acg: proto.ACGID(acg), epoch: proto.Epoch(epoch),
-		follower: flags&1 != 0, replSeq: seq,
-	}
-	return nil
 }
 
 func (a *imageApplier) applyFiles(b []byte) error {
@@ -520,20 +477,14 @@ func (a *imageApplier) finish() (int, error) {
 	return a.n.replayWALLocked(a.g, a.walBuf, a.known)
 }
 
-// installImageBytesLocked applies a stored group image — record-stream or
-// legacy gob, discriminated by the magic byte — to a locked group,
-// skipping (index, file) pairs in known. The recovery and promotion read
-// path. Caller holds g.mu.
+// installImageBytesLocked applies a stored group image to a locked group,
+// skipping (index, file) pairs in known: the recovery and promotion read
+// path. An empty image is a group that was never checkpointed; anything
+// else must open with imageMagic or the install fails before it touches
+// the group. Caller holds g.mu.
 func (n *Node) installImageBytesLocked(g *group, raw []byte, known map[string]map[index.FileID]bool) error {
 	if len(raw) == 0 {
 		return nil
-	}
-	if raw[0] != imageMagic {
-		img, err := decodeGroupImage(raw)
-		if err != nil {
-			return err
-		}
-		return n.installImageLocked(g, img, known)
 	}
 	a := newImageApplier(n, g, known)
 	if err := a.feed(raw); err != nil {

@@ -10,6 +10,7 @@ import (
 	"propeller/internal/index"
 	"propeller/internal/proto"
 	"propeller/internal/rpc"
+	"propeller/internal/wal"
 )
 
 // seedMixedGroup populates one ACG on n with a B-tree index, a KD index
@@ -57,7 +58,7 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 		g.mu.Unlock()
 		t.Fatal(err)
 	}
-	raw, err := r.a.imageBytesLocked(g, imageHeader{acg: 1, replSeq: g.replSeq})
+	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: 1, ReplSeq: g.replSeq})
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +86,9 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 		dst.mu.Unlock()
 		t.Fatal(err)
 	}
-	if got := a.hdr; got.acg != 1 {
+	if got := a.hdr; got.ACG != 1 {
 		dst.mu.Unlock()
-		t.Fatalf("applied header acg = %d, want 1", got.acg)
+		t.Fatalf("applied header acg = %d, want 1", got.ACG)
 	}
 	if w := dst.graph.adj[0][1]; w != 7 {
 		dst.mu.Unlock()
@@ -122,7 +123,7 @@ func TestImageApplierRejectsTornStream(t *testing.T) {
 		g.mu.Unlock()
 		t.Fatal(err)
 	}
-	raw, err := r.a.imageBytesLocked(g, imageHeader{acg: 1})
+	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: 1})
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -142,36 +143,91 @@ func TestImageApplierRejectsTornStream(t *testing.T) {
 	}
 }
 
-// TestLegacyGobImageStillInstalls writes a gob-format checkpoint (what
-// older builds stored) into the shared store and recovers from it: the
-// magic-byte fallback keeps mixed-version clusters recoverable.
-func TestLegacyGobImageStillInstalls(t *testing.T) {
-	r := newTransferRig(t)
-	ctx := context.Background()
-	seedMixedGroup(t, r.a, 1, 20)
-
-	g := r.a.lockGroup(1)
-	if err := r.a.commitGroupLocked(g); err != nil {
-		g.mu.Unlock()
+// TestImageWALSectionReplaysLogFrames: an image's recWAL section holds log
+// frames in the log's own format, split across records at arbitrary points,
+// and installs through the node's one replay loop — pairs the group already
+// knows are skipped like any other install.
+func TestImageWALSectionReplaysLogFrames(t *testing.T) {
+	n, _ := newTestNode(t)
+	n.DeclareIndex(sizeSpec)
+	var frames []byte
+	for f := index.FileID(1); f <= 3; f++ {
+		req := proto.UpdateReq{ACG: 1, IndexName: "size", Entries: []proto.IndexEntry{{File: f, Value: attr.Int(int64(f))}}}
+		frames = append(frames, wal.FrameRecord(req.MarshalWire(nil))...)
+	}
+	var raw []byte
+	w := &imageWriter{buf: []byte{imageMagic}, emit: func(b []byte) error { raw = append(raw, b...); return nil }}
+	for _, part := range [][]byte{frames[:11], frames[11:]} {
+		if err := w.record(recWAL, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.flush(); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := encodeGroupImage(r.a.imageLocked(g, nil))
+
+	g, err := n.lockOrCreateGroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]map[index.FileID]bool{"size": {2: true}}
+	err = n.installImageBytesLocked(g, raw, known)
+	pending := len(g.pending["size"])
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.shared.Checkpoint(1, legacy)
-
-	r.b.DeclareIndex(proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"})
-	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
+	if pending != 2 {
+		t.Fatalf("recWAL install restored %d pending entries, want 2 (file 2 is known)", pending)
+	}
+	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(resp.Files) != 2 || resp.Files[0] != 1 || resp.Files[1] != 3 {
+		t.Fatalf("search after recWAL install = %v, want [1 3]", resp.Files)
+	}
+}
+
+// TestImageWithoutMagicIsRefused stores a CRC-valid checkpoint that does
+// not open with imageMagic: there is one image format, so recovery must
+// return an error rather than guess at another — and the shared store's
+// previous-generation fallback, which keys on the checkpoint's CRC and not
+// on its content, must still rescue the group once the bad image is also
+// torn.
+func TestImageWithoutMagicIsRefused(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedTransferGroup(t, r.a, 1, 20)
+	if _, err := r.a.FlushACG(ctx, proto.FlushACGReq{ACG: 1}); err != nil { // checkpoint generation 1
+		t.Fatal(err)
+	}
+	r.shared.Checkpoint(1, []byte("\x0Fnot a group image"))
+
+	if err := r.b.RecoverFromShared(ctx, 1); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("recover from a magic-less image = %v, want a bad-magic error", err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(resp.Files) != 0 {
+		t.Fatalf("refused image still installed %d files", len(resp.Files))
+	}
+
+	r.shared.TamperCheckpoint(1, func(raw []byte) []byte { return raw[:len(raw)-1] })
+	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
+		t.Fatalf("recover through the previous generation: %v", err)
+	}
+	if r.shared.FallbackLoads() == 0 {
+		t.Fatal("torn newest checkpoint did not fall back a generation")
+	}
+	resp, err = r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(resp.Files) != 20 {
-		t.Fatalf("recovered from gob image = %d files, want 20", len(resp.Files))
+		t.Fatalf("recovered from previous generation = %d files, want 20", len(resp.Files))
 	}
 }
 
@@ -207,7 +263,7 @@ func TestStreamedTransferReceiverMemoryBounded(t *testing.T) {
 		g.mu.Unlock()
 		t.Fatal(err)
 	}
-	raw, err := r.a.imageBytesLocked(g, imageHeader{acg: 1})
+	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: 1})
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,6 @@ package indexnode
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
@@ -407,7 +406,6 @@ func (n *Node) RegisterRPC(s *rpc.Server) {
 	rpc.HandleTyped(s, proto.MethodSearch, n.Search)
 	rpc.HandleTyped(s, proto.MethodFlushACG, n.FlushACG)
 	rpc.HandleTyped(s, proto.MethodCreateACG, n.CreateACG)
-	rpc.HandleTyped(s, proto.MethodReceiveACG, n.ReceiveACG)
 	rpc.HandleTyped(s, proto.MethodSplitACG, n.SplitACG)
 	rpc.HandleTyped(s, proto.MethodNodeStats, n.NodeStats)
 	rpc.HandleTyped(s, proto.MethodFollowerAppend, n.FollowerAppend)
@@ -649,8 +647,10 @@ func (n *Node) CreateACG(_ context.Context, req proto.CreateACGReq) (proto.Creat
 // and their WAL appends group-commit into shared device writes.
 //
 // Everything a commit can precompute happens before the group mutex is
-// taken (off-lock prepare): the WAL record is gob-encoded and CRC-framed,
-// and the index keys the batch apply will sort on are encoded. The
+// taken (off-lock prepare): the request's wire body — the log record, see
+// proto/wire.go — is marshalled and CRC-framed once, and the index keys the
+// batch apply will sort on are encoded. That one frame is what the group
+// log, the shared-store mirror and the follower stream all append. The
 // critical section holds only the in-memory log append and the coalescing
 // cache insert, so an update never lengthens a concurrent
 // commit-on-search stall on its group by more than that.
@@ -702,11 +702,7 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 			}
 		}
 	}
-	rec, err := encodeWALRecord(req)
-	if err != nil {
-		return proto.UpdateResp{}, err
-	}
-	framed := wal.FrameRecord(rec)
+	framed := wal.FrameRecord(req.MarshalWire(nil))
 	keys := prepareEntryKeys(spec, req.Entries)
 
 	g, err := n.lockOrCreateGroup(req.ACG)
@@ -1172,23 +1168,6 @@ func (n *Node) DropCaches() error {
 	return nil
 }
 
-// encodeWALRecord serializes an update for the group log.
-func encodeWALRecord(req proto.UpdateReq) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		return nil, fmt.Errorf("indexnode: encode wal record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeWALRecord(rec []byte) (proto.UpdateReq, error) {
-	var req proto.UpdateReq
-	if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&req); err != nil {
-		return proto.UpdateReq{}, fmt.Errorf("indexnode: decode wal record: %w", err)
-	}
-	return req, nil
-}
-
 // ACGImage serializes a group's authoritative causality graph to its
 // shared-storage form (the paper stores ACGs as regular files in the
 // underlying shared file system, §IV).
@@ -1262,27 +1241,7 @@ func (n *Node) RecoverGroup(id proto.ACGID, walImage []byte) (int, error) {
 		return 0, err
 	}
 	defer g.mu.Unlock()
-	recovered := 0
-	err = wal.ReplayBytes(walImage, func(rec []byte) bool {
-		req, derr := decodeWALRecord(rec)
-		if derr != nil {
-			return false
-		}
-		for _, e := range req.Entries {
-			g.files[e.File] = true
-			// Recovered entries carry no prepared key (the spec table may
-			// not be populated yet on a fresh node); the commit encodes
-			// them on demand.
-			n.addPendingLocked(g, req.IndexName, e, nil)
-		}
-		recovered += len(req.Entries)
-		return true
-	})
-	if err != nil && !errors.Is(err, wal.ErrCorrupt) {
-		return recovered, err
-	}
-	g.lastUpdate = n.cfg.Clock.Now()
-	return recovered, nil
+	return n.replayWALLocked(g, walImage, nil)
 }
 
 // NodeStats reports local statistics.

@@ -13,6 +13,7 @@ import (
 	"propeller/internal/proto"
 	"propeller/internal/simdisk"
 	"propeller/internal/vclock"
+	"propeller/internal/wal"
 )
 
 func newTestNode(t testing.TB, opts ...func(*Config)) (*Node, *vclock.Clock) {
@@ -373,6 +374,72 @@ func TestWALRecoveryTornTail(t *testing.T) {
 	}
 	if recovered != 2 {
 		t.Errorf("recovered %d, want the 2 intact records", recovered)
+	}
+}
+
+// TestReplayStopsAtUnparseableRecord: a frame whose CRC holds but whose body
+// is not an UpdateReq wire body (a version this build does not know, an
+// entry cut short) ends the replay at the last good record, exactly as a
+// torn tail does — nothing after it is trusted, nothing before it is lost.
+func TestReplayStopsAtUnparseableRecord(t *testing.T) {
+	rec := func(f index.FileID) []byte {
+		req := proto.UpdateReq{ACG: 1, IndexName: "size", Entries: []proto.IndexEntry{{File: f, Value: attr.Int(20 << 20)}}}
+		return req.MarshalWire(nil)
+	}
+	unknownVersion := rec(2)
+	unknownVersion[0] = 0x7F
+	cutEntry := rec(2)
+	cutEntry = cutEntry[:len(cutEntry)-3]
+	for name, bad := range map[string][]byte{"unknown version": unknownVersion, "truncated entry": cutEntry} {
+		img := wal.FrameRecord(rec(1))
+		img = append(img, wal.FrameRecord(bad)...)
+		img = append(img, wal.FrameRecord(rec(3))...)
+		n, _ := newTestNode(t)
+		n.DeclareIndex(sizeSpec)
+		recovered, err := n.RecoverGroup(1, img)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if recovered != 1 {
+			t.Errorf("%s: recovered %d entries, want only the 1 before the bad record", name, recovered)
+		}
+		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m"})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(resp.Files) != 1 || resp.Files[0] != 1 {
+			t.Errorf("%s: search after replay = %v, want [1]", name, resp.Files)
+		}
+	}
+}
+
+// TestReplayedEntriesDoNotAliasLog: the lazy cache outlives the buffer a
+// replay read from (an rpc frame, a shared-store copy), so restored strings
+// and coordinates must be copies.
+func TestReplayedEntriesDoNotAliasLog(t *testing.T) {
+	nameSpec := proto.IndexSpec{Name: "name", Type: proto.IndexBTree, Field: "name"}
+	locSpec := proto.IndexSpec{Name: "loc", Type: proto.IndexKD, Fields: []string{"x", "y"}}
+	byName := proto.UpdateReq{ACG: 1, IndexName: "name", Entries: []proto.IndexEntry{{File: 1, Value: attr.Str("report.pdf")}}}
+	byLoc := proto.UpdateReq{ACG: 1, IndexName: "loc", Entries: []proto.IndexEntry{{File: 1, KDCoords: []float64{3, 4}}}}
+	img := append(wal.FrameRecord(byName.MarshalWire(nil)), wal.FrameRecord(byLoc.MarshalWire(nil))...)
+
+	n, _ := newTestNode(t)
+	n.DeclareIndex(nameSpec)
+	n.DeclareIndex(locSpec)
+	if recovered, err := n.RecoverGroup(1, img); err != nil || recovered != 2 {
+		t.Fatalf("recovered %d entries, err %v; want 2", recovered, err)
+	}
+	for i := range img {
+		img[i] = 0xEE
+	}
+	for idx, q := range map[string]string{"name": "name=report.pdf", "loc": "x>=3 & x<=3 & y>=4 & y<=4"} {
+		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: idx, Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Files) != 1 || resp.Files[0] != 1 {
+			t.Errorf("%s after scribbling over the log bytes = %v, want [1]", idx, resp.Files)
+		}
 	}
 }
 

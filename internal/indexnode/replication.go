@@ -175,8 +175,8 @@ func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) 
 }
 
 // ReplicateACG executes one Master replicate order: commit the group, ship
-// its image to the destination as a follower copy (the same ReceiveACG
-// machinery migrations use, with the Follower flag set), report the
+// its image to the destination as a follower copy (the same chunked
+// transfer migrations use, with the Follower flag set), report the
 // seeding, and add the destination to the streaming ack set. The whole
 // sequence holds the group lock, so no acknowledged frame can slip between
 // the image and the start of the stream. Duplicate orders (the Master

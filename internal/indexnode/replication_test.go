@@ -1,6 +1,7 @@
 package indexnode
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -85,6 +86,45 @@ func TestReplicateACGSeedsFollowerAndStreams(t *testing.T) {
 	}
 }
 
+// TestLogMirrorAndFollowerHoldTheWireBody pins the one record format: the
+// frame Update builds — wal.FrameRecord around the request's wire body — is,
+// byte for byte, what the primary's log, the shared-store mirror and the
+// follower's log hold. No layer re-encodes.
+func TestLogMirrorAndFollowerHoldTheWireBody(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedTransferGroup(t, r.a, 1, 5)
+	seedFollower(t, r, 1) // commits both copies: their logs start empty
+	// A flush checkpoints: the mirror starts empty too.
+	if _, err := r.a.FlushACG(ctx, proto.FlushACGReq{ACG: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	req := proto.UpdateReq{
+		ACG: 1, IndexName: "size", Client: "tenant-3",
+		Entries: []proto.IndexEntry{{File: 70, Value: attr.Int(70)}, {File: 3, Delete: true}},
+	}
+	if _, err := r.a.Update(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	want := wal.FrameRecord(req.MarshalWire(nil))
+
+	primary, err := r.a.WALImage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := r.b.WALImage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mirror, _ := r.shared.Load(1)
+	for name, got := range map[string][]byte{"primary log": primary, "shared mirror": mirror, "follower log": follower} {
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s = %x\nwant framed wire body %x", name, got, want)
+		}
+	}
+}
+
 func TestFollowerRejectsDirectTrafficTyped(t *testing.T) {
 	r := newTransferRig(t)
 	ctx := context.Background()
@@ -110,15 +150,12 @@ func TestFollowerRejectsDirectTrafficTyped(t *testing.T) {
 	if err := r.b.PromoteACG(ctx, proto.PromoteOrder{ACG: 1, Seq: 5}); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := encodeWALRecord(proto.UpdateReq{
+	stale := proto.UpdateReq{
 		ACG: 1, IndexName: "size",
 		Entries: []proto.IndexEntry{{File: 100, Value: attr.Int(100)}},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if _, err := r.b.FollowerAppend(ctx, proto.FollowerAppendReq{
-		ACG: 1, Frames: wal.FrameRecord(rec), Seq: 6,
+		ACG: 1, Frames: wal.FrameRecord(stale.MarshalWire(nil)), Seq: 6,
 	}); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Errorf("stale primary's append = %v, want ErrStalePlacement", err)
 	}
@@ -130,14 +167,11 @@ func TestFollowerAppendDuplicateAndGap(t *testing.T) {
 	seedTransferGroup(t, r.a, 1, 5) // primary at stream position 5
 	seedFollower(t, r, 1)
 
-	rec, err := encodeWALRecord(proto.UpdateReq{
+	upd := proto.UpdateReq{
 		ACG: 1, IndexName: "size",
 		Entries: []proto.IndexEntry{{File: 50, Value: attr.Int(50)}},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	framed := wal.FrameRecord(rec)
+	framed := wal.FrameRecord(upd.MarshalWire(nil))
 
 	// A duplicate (already-applied position) is acknowledged as a no-op.
 	resp, err := r.b.FollowerAppend(ctx, proto.FollowerAppendReq{ACG: 1, Frames: framed, Seq: 5})

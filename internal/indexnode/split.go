@@ -70,18 +70,21 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 	}
 	sort.Strings(names)
 
-	// Ship the moved half. rep.Dest may be this very node (least-loaded);
-	// handle locally to avoid a self-dial. The remote path streams the
-	// filtered image in bounded chunks under the group lock — the same
-	// quiesce window the one-frame ship held, without one contiguous copy
-	// of the half on either side.
+	// Ship the moved half: the filtered image, rendered under the group
+	// lock — the quiesce window — and installed by the destination through
+	// installShippedImage. rep.Dest may be this very node (least-loaded);
+	// then the half crosses as one buffer instead of a self-dialed stream,
+	// and that is the only difference.
+	meta := proto.ReceiveACGStreamMeta{ACG: rep.NewACG, Epoch: rep.Epoch, ReplSeq: g.replSeq}
 	if rep.Dest == n.cfg.ID {
-		recv := n.imageLocked(g, filter)
-		recv.ACG = rep.NewACG
-		recv.Epoch = rep.Epoch
+		half, err := n.imageBytesLocked(g, filter, meta)
 		g.mu.Unlock()
-		n.noteEpoch(rep.Epoch)
-		if _, err := n.ReceiveACG(ctx, recv); err != nil {
+		if err != nil {
+			return proto.SplitACGResp{}, err
+		}
+		if err := n.installShippedImage(meta, func(feed func([]byte) error) error {
+			return feed(half)
+		}); err != nil {
 			return proto.SplitACGResp{}, err
 		}
 	} else {
@@ -94,7 +97,6 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 			g.mu.Unlock()
 			return proto.SplitACGResp{}, fmt.Errorf("indexnode split dial %s: %w", rep.Addr, err)
 		}
-		meta := proto.ReceiveACGStreamMeta{ACG: rep.NewACG, Epoch: rep.Epoch, ReplSeq: g.replSeq}
 		shipErr := n.shipGroupStreamLocked(ctx, peer, g, filter, meta)
 		g.mu.Unlock()
 		peer.Close() //nolint:errcheck // best-effort teardown
@@ -174,81 +176,62 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 	}, nil
 }
 
-// ReceiveACG installs a migrated group on this node: the destination half
-// of a background split or a live migration. The image's postings apply
-// through the commit engine's bulk paths, any shipped WAL replays into the
-// lazy cache, and the group is checkpointed so shared storage reflects its
-// new home. State the group already holds locally (traffic raced ahead of
-// the transfer) is never clobbered by the shipped image.
-func (n *Node) ReceiveACG(_ context.Context, req proto.ReceiveACGReq) (proto.ReceiveACGResp, error) {
-	n.clearReleased(req.ACG) // an explicit transfer-in overrides a tombstone
-	n.noteEpoch(req.Epoch)
-	g, err := n.lockOrCreateGroup(req.ACG)
+// receiveACGStream is the handler of MethodReceiveACGChunked: the
+// destination half of a background split, a live migration or a replica
+// seeding. The image arrives as a flow-controlled record stream, so the
+// receiver's transient footprint is one chunk plus one partial record — a
+// large group never materializes as a second contiguous copy here. Flow
+// control bounds how long a slow sender can stretch the install's quiesce
+// window, and other groups' traffic (and other streams on the same conn)
+// proceed throughout.
+func (n *Node) receiveACGStream(ctx context.Context, meta proto.ReceiveACGStreamMeta, st *rpc.ServerStream) (proto.ReceiveACGResp, error) {
+	err := n.installShippedImage(meta, func(feed func([]byte) error) error {
+		for {
+			chunk, err := st.Next(ctx)
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if err := feed(chunk); err != nil {
+				return err
+			}
+		}
+	})
+	return proto.ReceiveACGResp{OK: err == nil}, err
+}
+
+// installShippedImage installs a group image shipped to this node — the one
+// install every transfer-in takes, remote or same-node. source pushes the
+// image's chunks, in order, into the feed it is handed and returns once the
+// image is complete; records apply through the commit engine's bulk paths
+// as they complete (a stream that ends inside a record is refused), any
+// shipped WAL replays into the lazy cache, and the group is checkpointed so
+// shared storage reflects its new home. State the group already holds
+// locally (traffic raced ahead of the transfer) is never clobbered by the
+// shipped image. The group lock is held across the whole install.
+func (n *Node) installShippedImage(meta proto.ReceiveACGStreamMeta, source func(feed func(chunk []byte) error) error) error {
+	n.clearReleased(meta.ACG) // an explicit transfer-in overrides a tombstone
+	n.noteEpoch(meta.Epoch)
+	g, err := n.lockOrCreateGroup(meta.ACG)
 	if err != nil {
-		return proto.ReceiveACGResp{}, err
+		return err
 	}
 	defer g.mu.Unlock()
 	// A replica seeding ships the same image with the Follower flag: the
 	// copy installs identically but serves as a follower (stream-fed,
 	// mirror-untouched) from its replicated stream position onward.
-	g.follower = req.Follower
-	if req.ReplSeq > g.replSeq {
-		g.replSeq = req.ReplSeq
-	}
-	known := n.knownPairsLocked(g)
-	if err := n.installImageLocked(g, req, known); err != nil {
-		return proto.ReceiveACGResp{}, err
-	}
-	if len(req.WAL) > 0 {
-		if _, err := n.replayWALLocked(g, req.WAL, known); err != nil {
-			return proto.ReceiveACGResp{}, err
-		}
-	}
-	if err := n.checkpointLocked(g); err != nil {
-		return proto.ReceiveACGResp{}, err
-	}
-	return proto.ReceiveACGResp{OK: true}, nil
-}
-
-// receiveACGStream is the chunked form of ReceiveACG: the image arrives as
-// a flow-controlled record stream and applies incrementally, so the
-// receiver's transient footprint is one chunk plus one partial record — a
-// large group never materializes as a second contiguous copy here. The
-// group lock is held across the whole stream, the same quiesce the
-// single-frame install performs; flow control bounds how long a slow
-// sender can stretch that window, and other groups' traffic (and other
-// streams on the same conn) proceed throughout.
-func (n *Node) receiveACGStream(ctx context.Context, meta proto.ReceiveACGStreamMeta, st *rpc.ServerStream) (proto.ReceiveACGResp, error) {
-	n.clearReleased(meta.ACG) // an explicit transfer-in overrides a tombstone
-	n.noteEpoch(meta.Epoch)
-	g, err := n.lockOrCreateGroup(meta.ACG)
-	if err != nil {
-		return proto.ReceiveACGResp{}, err
-	}
-	defer g.mu.Unlock()
 	g.follower = meta.Follower
 	if meta.ReplSeq > g.replSeq {
 		g.replSeq = meta.ReplSeq
 	}
-	known := n.knownPairsLocked(g)
-	a := newImageApplier(n, g, known)
-	for {
-		chunk, err := st.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return proto.ReceiveACGResp{}, err
-		}
-		if err := a.feed(chunk); err != nil {
-			return proto.ReceiveACGResp{}, err
-		}
+	a := newImageApplier(n, g, n.knownPairsLocked(g))
+	if err := source(a.feed); err != nil {
+		return err
 	}
 	if _, err := a.finish(); err != nil {
-		return proto.ReceiveACGResp{}, err
+		return err
 	}
-	if err := n.checkpointLocked(g); err != nil {
-		return proto.ReceiveACGResp{}, err
-	}
-	return proto.ReceiveACGResp{OK: true}, nil
+	return n.checkpointLocked(g)
 }

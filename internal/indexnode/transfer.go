@@ -1,12 +1,9 @@
 package indexnode
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"sort"
 
 	"propeller/internal/index"
 	"propeller/internal/proto"
@@ -15,86 +12,14 @@ import (
 )
 
 // This file implements the node side of the placement control plane: live
-// group migration (TransferACG → peer ReceiveACG → Master MigrateReport),
-// stale-copy release (ReleaseACG), and failure-driven recovery from shared
-// storage (RecoverFromShared). The group image that moves between nodes is
-// the same record stream checkpointed to the shared store (see image.go),
-// so migration, split shipping and crash recovery all exercise one install
-// path; checkpoints written by older builds (gob) still load through the
-// legacy decoder, discriminated by the image magic byte.
-
-// imageLocked serializes the group's durable state — membership, causality
-// edges, committed postings per index — keeping only files accepted by
-// filter (nil = all). Caller holds g.mu and must have committed the group
-// if the image is meant to include every acknowledged entry.
-func (n *Node) imageLocked(g *group, filter func(index.FileID) bool) proto.ReceiveACGReq {
-	req := proto.ReceiveACGReq{ACG: g.id, ReplSeq: g.replSeq}
-	for _, f := range g.groupFilesSorted() {
-		if filter == nil || filter(f) {
-			req.Files = append(req.Files, f)
-		}
-	}
-	srcs := make([]index.FileID, 0, len(g.graph.adj))
-	for src := range g.graph.adj {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, src := range srcs {
-		if filter != nil && !filter(src) {
-			continue
-		}
-		m := g.graph.adj[src]
-		dsts := make([]index.FileID, 0, len(m))
-		for dst := range m {
-			dsts = append(dsts, dst)
-		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		for _, dst := range dsts {
-			if filter != nil && !filter(dst) {
-				continue
-			}
-			req.Edges = append(req.Edges, proto.ACGEdge{Src: src, Dst: dst, Weight: m[dst]})
-		}
-	}
-	names := make([]string, 0, len(g.postings))
-	for name := range g.postings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		spec, _ := n.lookupSpec(name)
-		mi := proto.MigratedIndex{Spec: spec}
-		for f, e := range g.postings[name] {
-			if filter == nil || filter(f) {
-				mi.Entries = append(mi.Entries, e)
-			}
-		}
-		sort.Slice(mi.Entries, func(i, j int) bool { return mi.Entries[i].File < mi.Entries[j].File })
-		if len(mi.Entries) > 0 {
-			req.Indexes = append(req.Indexes, mi)
-		}
-	}
-	return req
-}
-
-// encodeGroupImage renders the legacy gob image form. Nothing writes it
-// anymore (checkpoints and transfers use the record stream); it survives
-// for tests proving the mixed-version read path.
-func encodeGroupImage(req proto.ReceiveACGReq) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		return nil, fmt.Errorf("indexnode: encode group image %d: %w", req.ACG, err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeGroupImage(raw []byte) (proto.ReceiveACGReq, error) {
-	var req proto.ReceiveACGReq
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
-		return proto.ReceiveACGReq{}, fmt.Errorf("indexnode: decode group image: %w", err)
-	}
-	return req, nil
-}
+// group migration (TransferACG → peer receiveACGStream → Master
+// MigrateReport), stale-copy release (ReleaseACG), and failure-driven
+// recovery from shared storage (RecoverFromShared). The group image that
+// moves between nodes is the same record stream checkpointed to the shared
+// store (see image.go), so migration, split shipping, replica seeding and
+// crash recovery all exercise one install path. There is one image format
+// and one log-record format; no older deployed version exists to read
+// anything else, so nothing else is accepted.
 
 // checkpointLocked commits the group and writes its full image to shared
 // storage, truncating the group's mirrored WAL (the image now reflects
@@ -126,8 +51,8 @@ func (n *Node) checkpointLocked(g *group) error {
 // must have no pending entries (Checkpoint drops the mirrored WAL they
 // live in). Caller holds g.mu.
 func (n *Node) writeCheckpointLocked(g *group) error {
-	raw, err := n.imageBytesLocked(g, imageHeader{
-		acg: g.id, epoch: n.epoch(), replSeq: g.replSeq,
+	raw, err := n.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{
+		ACG: g.id, Epoch: n.epoch(), ReplSeq: g.replSeq,
 	})
 	if err != nil {
 		return err
@@ -140,15 +65,14 @@ func (n *Node) writeCheckpointLocked(g *group) error {
 // by filter; nil = all) to peer as a chunked MethodReceiveACGChunked
 // transfer: bounded frames other streams' traffic interleaves with, applied
 // incrementally on the receiver. The group stays locked — quiesced — for
-// the duration, exactly like the old single-frame ship. Caller holds g.mu.
+// the duration. Caller holds g.mu.
 func (n *Node) shipGroupStreamLocked(ctx context.Context, peer *rpc.Client, g *group,
 	filter func(index.FileID) bool, meta proto.ReceiveACGStreamMeta) error {
 	st, err := rpc.OpenStream(ctx, peer, proto.MethodReceiveACGChunked, meta)
 	if err != nil {
 		return err
 	}
-	hdr := imageHeader{acg: meta.ACG, epoch: meta.Epoch, follower: meta.Follower, replSeq: meta.ReplSeq}
-	serr := n.streamImageLocked(g, filter, hdr, func(b []byte) error {
+	serr := n.streamImageLocked(g, filter, meta, func(b []byte) error {
 		return st.Send(ctx, b)
 	})
 	if serr != nil {
@@ -193,53 +117,23 @@ func (n *Node) knownPairsLocked(g *group) map[string]map[index.FileID]bool {
 	return known
 }
 
-// installImageLocked merges a group image into g: membership and edges
-// union in, and each index's postings apply through the commit engine's
-// bulk path, skipping (index, file) pairs in known. Caller holds g.mu.
-func (n *Node) installImageLocked(g *group, img proto.ReceiveACGReq, known map[string]map[index.FileID]bool) error {
-	for _, f := range img.Files {
-		g.files[f] = true
-		delete(g.movedOut, f) // an authoritative install re-homes the file here
-	}
-	for _, e := range img.Edges {
-		g.graph.addEdge(e.Src, e.Dst, e.Weight)
-	}
-	for _, mi := range img.Indexes {
-		n.DeclareIndex(mi.Spec)
-		in, err := n.instFor(g, mi.Spec.Name)
-		if err != nil {
-			return err
-		}
-		run := make(map[index.FileID]pendingEntry, len(mi.Entries))
-		for _, e := range mi.Entries {
-			if known[mi.Spec.Name][e.File] {
-				continue
-			}
-			run[e.File] = pendingEntry{e: e}
-		}
-		if len(run) == 0 {
-			continue
-		}
-		if err := n.applyRunLocked(g, in, mi.Spec.Name, run); err != nil {
-			return err
-		}
-		if in.kd != nil {
-			in.kdImage = in.kd.Serialize()
-			in.kdResident = true
-		}
-	}
-	return nil
-}
-
-// replayWALLocked replays framed records into the group's lazy cache,
-// skipping (index, file) pairs in known. It tolerates a torn tail (the
-// acknowledgement guarantee covers intact records only) and returns the
-// number of entries restored. Caller holds g.mu.
+// replayWALLocked is the node's one replay loop: crash recovery, shared-
+// store recovery, promotion reconcile, follower appends and an image's
+// recWAL section all come through here. It replays framed records — each
+// the wire body of a proto.UpdateReq, exactly what Update framed — into the
+// group's lazy cache, skipping (index, file) pairs in known (nil = none).
+// A torn tail, or an intact frame whose body does not parse, stops the
+// replay at the last good record (the acknowledgement guarantee covers
+// intact records only). Restored entries carry no prepared key (the spec
+// table may not be populated yet on a fresh node; the commit encodes them
+// on demand) and never alias walBytes: UnmarshalWire copies every string
+// and coordinate it returns. Returns the number of entries restored.
+// Caller holds g.mu.
 func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[index.FileID]bool) (int, error) {
 	restored := 0
 	err := wal.ReplayBytes(walBytes, func(rec []byte) bool {
-		req, derr := decodeWALRecord(rec)
-		if derr != nil {
+		var req proto.UpdateReq
+		if req.UnmarshalWire(rec) != nil {
 			return false
 		}
 		for _, e := range req.Entries {

@@ -3,6 +3,7 @@ package indexnode
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"propeller/internal/attr"
@@ -348,5 +349,108 @@ func TestSplitFencesMovedFiles(t *testing.T) {
 		Entries: []proto.IndexEntry{{File: keep, Value: attr.Int(1234)}},
 	}); err != nil {
 		t.Fatalf("update for retained file = %v, want nil", err)
+	}
+}
+
+// TestSameNodeSplitMatchesRemoteSplit runs the same split twice — once with
+// the Master picking the peer as destination, once with it picking the
+// splitting node itself — and requires the new group to answer every index
+// identically. Both destinations install the filtered image through
+// installShippedImage; the same-node one merely skips the dial.
+func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
+	ctx := context.Background()
+	// The rig's groups are not Master-allocated, so they sit above the ids
+	// the Master will hand the split (it counts from 1).
+	const src, ballast proto.ACGID = 50, 51
+	searches := []proto.SearchReq{
+		{IndexName: "size", Query: "size>0", Limit: 3},
+		{IndexName: "size", Query: "size>0"},
+		{IndexName: "uid", Query: "uid=7"},
+		{IndexName: "loc", Query: "x>=0 & x<=100 & y<=0", Limit: 4},
+	}
+	run := func(sameNode bool) (proto.SplitACGResp, []proto.SearchResp) {
+		r := newTransferRig(t)
+		if sameNode {
+			// Load the peer so the splitting node is the least loaded.
+			seedTransferGroup(t, r.b, ballast, 100)
+			if err := r.b.Heartbeat(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.a.DeclareIndex(proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"})
+		r.a.DeclareIndex(proto.IndexSpec{Name: "uid", Type: proto.IndexHash, Field: "uid"})
+		r.a.DeclareIndex(proto.IndexSpec{Name: "loc", Type: proto.IndexKD, Fields: []string{"x", "y"}})
+		// Two dense causal clusters joined by one light edge, flushed first:
+		// a flush checkpoints, and the entries below must still be pending
+		// when the split starts.
+		var edges []proto.ACGEdge
+		for c := index.FileID(0); c < 2; c++ {
+			for i := index.FileID(0); i < 10; i++ {
+				edges = append(edges, proto.ACGEdge{Src: c*10 + i, Dst: c*10 + (i+1)%10, Weight: 100})
+			}
+		}
+		edges = append(edges, proto.ACGEdge{Src: 0, Dst: 10, Weight: 1})
+		if _, err := r.a.FlushACG(ctx, proto.FlushACGReq{ACG: src, Edges: edges}); err != nil {
+			t.Fatal(err)
+		}
+		for f := index.FileID(0); f < 20; f++ {
+			for _, req := range []proto.UpdateReq{
+				{IndexName: "size", Entries: []proto.IndexEntry{{File: f, Value: attr.Int(int64(f) + 1)}}},
+				{IndexName: "uid", Entries: []proto.IndexEntry{{File: f, Value: attr.Int(int64(f) % 3 * 7)}}},
+				{IndexName: "loc", Entries: []proto.IndexEntry{{File: f, KDCoords: []float64{float64(f), -float64(f)}}}},
+			} {
+				req.ACG = src
+				if _, err := r.a.Update(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if st, _ := r.a.NodeStats(ctx, proto.NodeStatsReq{}); st.CachedOps != 60 {
+			t.Fatalf("fixture has %d pending entries at split time, want 60", st.CachedOps)
+		}
+		if err := r.a.Heartbeat(ctx); err != nil { // master adopts src
+			t.Fatal(err)
+		}
+		split, err := r.a.SplitACG(ctx, proto.SplitACGReq{ACG: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dest := r.b
+		if sameNode {
+			dest = r.a
+		}
+		if split.NewACG == src || dest.getGroup(split.NewACG) == nil {
+			t.Fatalf("sameNode=%v: new acg %d did not land on %s", sameNode, split.NewACG, dest.cfg.ID)
+		}
+		var out []proto.SearchResp
+		for _, acg := range []proto.ACGID{split.NewACG, src} { // the moved half, then what stayed
+			host := dest
+			if acg == src {
+				host = r.a
+			}
+			for _, req := range searches {
+				req.ACGs = []proto.ACGID{acg}
+				resp, err := host.Search(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.CommitLatencyNanos, resp.Epoch = 0, 0 // timing and placement history differ by design
+				out = append(out, resp)
+			}
+		}
+		return split, out
+	}
+	remoteSplit, remote := run(false)
+	localSplit, local := run(true)
+	if remoteSplit.Moved == 0 || remoteSplit.Moved != localSplit.Moved {
+		t.Fatalf("moved %d files remotely, %d locally", remoteSplit.Moved, localSplit.Moved)
+	}
+	for i := range remote {
+		if !reflect.DeepEqual(remote[i], local[i]) {
+			t.Errorf("search %d: remote split answered %+v, same-node split %+v", i, remote[i], local[i])
+		}
+	}
+	if len(remote[1].Files) != remoteSplit.Moved {
+		t.Errorf("new group serves %d files, split moved %d", len(remote[1].Files), remoteSplit.Moved)
 	}
 }

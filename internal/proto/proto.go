@@ -163,8 +163,8 @@ type HeartbeatResp struct {
 	// recover orders).
 	PromoteACGs []PromoteOrder
 	// ReplicateACGs lists groups this node owns as primary that need a
-	// follower seeded: the node ships a group image to each destination via
-	// the ReceiveACG machinery and then streams acknowledged WAL frames to
+	// follower seeded: the node ships a group image to each destination
+	// (MethodReceiveACGChunked) and then streams acknowledged WAL frames to
 	// it. Re-issued until the follower's own heartbeat confirms the copy.
 	ReplicateACGs []MigrateOrder
 	// Epoch is the Master's current placement epoch.
@@ -399,26 +399,37 @@ const (
 	MethodSearch         = "in.Search"
 	MethodFlushACG       = "in.FlushACG"
 	MethodCreateACG      = "in.CreateACG"
-	MethodReceiveACG     = "in.ReceiveACG"
 	MethodSplitACG       = "in.SplitACG"
 	MethodNodeStats      = "in.NodeStats"
 	MethodFollowerAppend = "in.FollowerAppend"
-	// MethodReceiveACGChunked is the stream form of ReceiveACG: the group
-	// image arrives as a bounded chunk stream of self-framed records and is
-	// applied incrementally, so a large ACG never materializes as one frame
-	// (or one contiguous buffer) on the receiver.
+	// MethodReceiveACGChunked transfers an ACG to a new home node: the
+	// group image arrives as a bounded chunk stream of self-framed records
+	// and is applied incrementally, so a large ACG never materializes as
+	// one frame (or one contiguous buffer) on the receiver.
 	MethodReceiveACGChunked = "in.ReceiveACGChunked"
 )
 
-// ReceiveACGStreamMeta opens a chunked ACG transfer: the fields of
-// ReceiveACGReq that describe the move, minus the image payload — that
-// follows as chunk frames of image records (see indexnode's record
-// format). Semantics of Epoch, Follower and ReplSeq match ReceiveACGReq.
+// ReceiveACGStreamMeta opens a chunked ACG transfer — the destination of a
+// background split, of a live migration (TransferACG) or of a replica
+// seeding — and is the header record of the group image that follows as
+// chunk frames (see indexnode's image format). The same image doubles as
+// the group's shared-storage checkpoint: what a failure-driven recovery
+// loads before replaying the group's WAL.
 type ReceiveACGStreamMeta struct {
-	ACG      ACGID
-	Epoch    Epoch
+	ACG ACGID
+	// Epoch stamps the placement move that shipped this group.
+	Epoch Epoch
+	// Follower marks a replica-seeding transfer: the receiver installs the
+	// image as a follower copy — serves Lazy reads, rejects updates and
+	// strict searches with ErrStalePlacement, and never writes the group's
+	// shared-store mirror (that remains the primary's) — instead of taking
+	// primary ownership.
 	Follower bool
-	ReplSeq  uint64
+	// ReplSeq is the sender's replication stream position at image time;
+	// the receiver's follower stream resumes from it. Non-follower
+	// transfers carry it too so a migrated primary's sequence stays
+	// monotonic across moves.
+	ReplSeq uint64
 }
 
 // IndexEntry is one (file, value) posting for a named index.
@@ -568,40 +579,6 @@ type CreateACGReq struct {
 // CreateACGResp acknowledges creation.
 type CreateACGResp struct {
 	OK bool
-}
-
-// MigratedIndex carries one index's full contents during ACG migration.
-type MigratedIndex struct {
-	Spec    IndexSpec
-	Entries []IndexEntry
-}
-
-// ReceiveACGReq transfers an ACG to its new home node: the destination of a
-// background split, or of a live migration (TransferACG). The same gob
-// image doubles as the group's shared-storage checkpoint — what a
-// failure-driven recovery loads before replaying the group's WAL.
-type ReceiveACGReq struct {
-	ACG     ACGID
-	Files   []index.FileID
-	Edges   []ACGEdge
-	Indexes []MigratedIndex
-	// WAL carries the group's framed, un-checkpointed log so acknowledged-
-	// but-uncommitted entries survive the move (empty when the sender
-	// committed the group before imaging it).
-	WAL []byte
-	// Epoch stamps the placement move that shipped this group.
-	Epoch Epoch
-	// Follower marks a replica-seeding transfer: the receiver installs the
-	// image as a follower copy — serves Lazy reads, rejects updates and
-	// strict searches with ErrStalePlacement, and never writes the group's
-	// shared-store mirror (that remains the primary's) — instead of taking
-	// primary ownership.
-	Follower bool
-	// ReplSeq is the sender's replication stream position at image time;
-	// the receiver's follower stream resumes from it. Non-follower
-	// transfers carry it too so a migrated primary's sequence stays
-	// monotonic across moves.
-	ReplSeq uint64
 }
 
 // ReceiveACGResp acknowledges the transfer.

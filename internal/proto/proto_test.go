@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"propeller/internal/attr"
-	"propeller/internal/index"
 )
 
 func roundTrip[T any](t *testing.T, in T) T {
@@ -104,24 +103,5 @@ func TestSearchAndLookupGobRoundTrip(t *testing.T) {
 	})
 	if lr.Spec.Name != "size" || len(lr.Targets) != 1 || len(lr.Targets[0].ACGs) != 2 {
 		t.Errorf("lookup resp = %+v", lr)
-	}
-}
-
-func TestReceiveACGGobRoundTrip(t *testing.T) {
-	in := ReceiveACGReq{
-		ACG:   9,
-		Files: []index.FileID{1, 2},
-		Edges: []ACGEdge{{Src: 1, Dst: 2, Weight: 5}},
-		Indexes: []MigratedIndex{{
-			Spec:    IndexSpec{Name: "size", Type: IndexBTree, Field: "size"},
-			Entries: []IndexEntry{{File: 1, Value: attr.Int(7)}},
-		}},
-	}
-	out := roundTrip(t, in)
-	if out.ACG != 9 || len(out.Files) != 2 || out.Edges[0].Weight != 5 {
-		t.Errorf("receive req = %+v", out)
-	}
-	if len(out.Indexes) != 1 || !out.Indexes[0].Entries[0].Value.Equal(attr.Int(7)) {
-		t.Error("migrated index lost")
 	}
 }

@@ -2,9 +2,16 @@
 // the data plane sends millions of times — updates, searches, follower
 // appends — implements rpc's MarshalWire/UnmarshalWire pair here, so the
 // transport picks the binary form automatically; the cold control plane
-// (registration, heartbeats, placement) stays on gob and nothing breaks if
-// one side has not learned a message's binary form yet (the rpc codec byte
-// keeps both decodable on one connection).
+// (registration, heartbeats, placement) stays on gob, which costs those
+// ~25 rarely-sent messages no code at all.
+//
+// The UpdateReq encoding is more than a transport form: it is the Index
+// Node's log record. Node.Update frames MarshalWire's output once and that
+// frame is what the group WAL, the shared-store mirror, the follower
+// stream and a group image's WAL section hold; every replay decodes it
+// with UnmarshalWire. Changing UpdateReq's layout therefore changes the
+// durable format — bump wireV1 rather than reinterpret bytes (a replay
+// stops at a record whose version it does not know, as at a torn tail).
 //
 // Layout conventions: each message starts with a version byte (wireV1);
 // unsigned integers are uvarints, signed ones zigzag varints; strings and
@@ -29,10 +36,10 @@ import (
 	"propeller/internal/query"
 )
 
-// wireV1 versions each message's binary layout. A decoder seeing a newer
-// version refuses (the sender should have fallen back to gob for a peer
-// this old); trailing bytes after the known fields are ignored so future
-// appended fields stay compatible.
+// wireV1 versions each message's binary layout. A decoder seeing any other
+// version refuses: one version of this system is deployed, so there is no
+// older or newer layout to interpret. Trailing bytes after the known
+// fields are ignored.
 const wireV1 = 1
 
 // ErrWire reports a binary message that does not parse.
@@ -119,7 +126,7 @@ func countGuard(n uint64, b []byte, min int) error {
 }
 
 // appendValue encodes an attr.Value behind a uvarint length. The zero
-// (invalid) Value encodes as the single byte 0, mirroring its gob form.
+// (invalid) Value encodes as the single byte 0 (never a valid kind byte).
 func appendValue(dst []byte, v attr.Value) []byte {
 	if !v.IsValid() {
 		dst = binary.AppendUvarint(dst, 1)
@@ -162,9 +169,9 @@ const (
 	entryHasKD  byte = 1 << 1
 )
 
-// AppendWire appends e's binary encoding to dst. Exported because the ACG
-// image record streams (indexnode) reuse the exact entry layout, so a
-// migrated index and an update batch are byte-compatible.
+// AppendWire appends e's binary encoding to dst. Exported because the group
+// image (indexnode) reuses the exact entry layout, so a migrated index, an
+// update batch and a log record are byte-compatible.
 func (e IndexEntry) AppendWire(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(e.File))
 	var flags byte

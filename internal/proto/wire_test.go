@@ -37,7 +37,19 @@ func wireFixtures() map[string]wireMsg {
 			},
 		},
 		"UpdateReq/empty": &UpdateReq{},
-		"UpdateResp":      &UpdateResp{Cached: -3, Epoch: 77},
+		// The benchmark's ingest-shaped request: its wire body is, byte for
+		// byte, the record the Index Node's log, mirror and follower stream
+		// hold, so the log's decoder is fuzzed from a real record.
+		"UpdateReq/ingest": &UpdateReq{
+			ACG: 7, IndexName: "size", Client: "c0",
+			Entries: []IndexEntry{
+				{File: 100000, Value: attr.Int(4096)}, {File: 100001, Value: attr.Int(1 << 20)},
+				{File: 100002, Value: attr.Int(0)}, {File: 100003, Value: attr.Int(77)},
+				{File: 100004, Value: attr.Int(1 << 33)}, {File: 100005, Value: attr.Int(512)},
+				{File: 100006, Value: attr.Int(9)}, {File: 100007, Value: attr.Int(123456789)},
+			},
+		},
+		"UpdateResp": &UpdateResp{Cached: -3, Epoch: 77},
 		"SearchReq": &SearchReq{
 			ACGs: []ACGID{1, 5, 1 << 40}, IndexName: "inode",
 			Query: "size>8m & mtime<1week",
@@ -157,7 +169,7 @@ func fuzzMsgFor(tag byte) wireMsg {
 // don't matter).
 func FuzzWireDecode(f *testing.F) {
 	tags := map[string]byte{
-		"UpdateReq": 0, "UpdateReq/empty": 0, "UpdateResp": 1,
+		"UpdateReq": 0, "UpdateReq/empty": 0, "UpdateReq/ingest": 0, "UpdateResp": 1,
 		"SearchReq": 2, "SearchReq/empty": 2, "SearchResp": 3,
 		"SearchResp/empty": 3, "FollowerAppendReq": 4,
 		"FollowerAppendResp": 5, "ReceiveACGStreamMeta": 6,

@@ -153,11 +153,14 @@ func getPrefixed(b []byte) ([]byte, []byte, error) {
 }
 
 // Body codec tags. Every typed body begins with one codec byte so both
-// encodings coexist on one connection: hot messages that implement the
-// WireMarshaler/WireUnmarshaler pair travel hand-rolled binary, everything
-// else — the cold control plane — stays gob. A decoder that has not learned
-// a message's binary form still reads its gob form, which is what keeps
-// mixed-version conns working while messages migrate codec one at a time.
+// encodings coexist on one connection. The sender selects by something the
+// code observes, not by an option: a message that implements the
+// WireMarshaler/WireUnmarshaler pair — the data plane — travels hand-rolled
+// binary; everything else — the cold control plane, ~25 message types sent
+// once per heartbeat or per cache miss — travels gob, which gives each a
+// codec for zero lines. This file and the Master snapshot are the only
+// places gob still encodes anything the system runs on (CI holds the
+// import allow-list); logs, images and every data-plane frame are binary.
 const (
 	codecGob    byte = 0x01
 	codecBinary byte = 0x02

@@ -1,5 +1,7 @@
 // Package rpc is the message layer of the Propeller cluster: a minimal
-// method-dispatch RPC over net.Conn with gob-encoded bodies.
+// method-dispatch RPC over net.Conn with codec-tagged bodies (hand-rolled
+// binary for messages that implement WireMarshaler, gob for the rest — see
+// codec.go).
 //
 // It supports both real transports (TCP via net.Listen, in-process via
 // net.Pipe) and an optional virtual network cost model so cluster
@@ -11,7 +13,7 @@
 // the shape of the paper's "local RPC service" and node-to-node messaging.
 //
 // Servers register handlers with HandleTyped (a generic adapter that
-// gob-decodes the request and encodes the response); clients invoke them
+// decodes the request and encodes the response); clients invoke them
 // with the generic Call, matching requests to responses by sequence number
 // so many goroutines can share one connection.
 package rpc

@@ -38,7 +38,6 @@ import (
 	"propeller/internal/cluster"
 	"propeller/internal/index"
 	"propeller/internal/proto"
-	"propeller/internal/query"
 	"propeller/internal/rpc"
 )
 
@@ -337,32 +336,6 @@ func (c *Client) SearchStream(ctx context.Context, q Query) (*Stream, error) {
 		return nil, err
 	}
 	return &Stream{s: st}, nil
-}
-
-// SearchString runs a textual query against the named index.
-//
-// Deprecated: use Search with a Query — it adds context cancellation,
-// pagination, path scoping and typed predicates. This wrapper delegates to
-// Search with an unbounded context.
-func (c *Client) SearchString(indexName, queryStr string) (Result, error) {
-	return c.Search(context.Background(), Query{Index: indexName, Text: queryStr})
-}
-
-// SearchPath evaluates a dynamic query-directory path (the paper's
-// "/foo/bar/?size>1m" namespace syntax) against the named index. Scoping a
-// non-root directory requires a B-tree index over the "path" attribute
-// whose postings hold each file's path.
-//
-// Deprecated: use Search with Query{Path: dir, Text: predicate} — the
-// Path field subsumes the "/dir/?query" syntax and composes with
-// pagination and streaming. This wrapper delegates to Search with an
-// unbounded context.
-func (c *Client) SearchPath(indexName, pathQuery string) (Result, error) {
-	dir, raw, err := query.SplitQueryPath(pathQuery)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.Search(context.Background(), Query{Index: indexName, Text: raw, Path: dir})
 }
 
 // Open records a file open in the access-capture layer (the FUSE

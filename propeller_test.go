@@ -478,32 +478,27 @@ func TestPublicAPISearchPathAndPathScope(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// v2: Path field scopes the query directory.
-	res, err := cl.Search(ctx, propeller.Query{Index: "size", Text: "size>16m", Path: "/data/logs"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Files) != 2 || res.Files[0] != 0 || res.Files[1] != 1 {
-		t.Errorf("scoped search = %v, want [0 1]", res.Files)
-	}
-	// Deprecated wrapper: full "/dir/?query" syntax delegates to v2.
-	res, err = cl.SearchPath("size", "/data/logs/?size>16m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Files) != 2 || res.Files[0] != 0 || res.Files[1] != 1 {
-		t.Errorf("deprecated scoped search = %v, want [0 1]", res.Files)
+	// The Path field scopes the query directory (with or without the
+	// trailing slash the paper's "/dir/?query" syntax carries).
+	for _, dir := range []string{"/data/logs", "/data/logs/"} {
+		res, err := cl.Search(ctx, propeller.Query{Index: "size", Text: "size>16m", Path: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Files) != 2 || res.Files[0] != 0 || res.Files[1] != 1 {
+			t.Errorf("search scoped to %q = %v, want [0 1]", dir, res.Files)
+		}
 	}
 	// Root-scoped query matches everything.
-	res, err = cl.SearchPath("size", "/?size>16m")
+	res, err := cl.Search(ctx, propeller.Query{Index: "size", Text: "size>16m", Path: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Files) != 4 {
 		t.Errorf("root search = %v, want all 4", res.Files)
 	}
-	// Malformed paths error with the taxonomy.
-	if _, err := cl.SearchPath("size", "/no/query/component"); !errors.Is(err, propeller.ErrBadQuery) {
+	// A path with no query component errors with the taxonomy.
+	if _, err := cl.Search(ctx, propeller.Query{Index: "size", Path: "/no/query/component"}); !errors.Is(err, propeller.ErrBadQuery) {
 		t.Errorf("path without query = %v, want ErrBadQuery", err)
 	}
 }
@@ -520,14 +515,6 @@ func TestPublicAPISearchEmptyCluster(t *testing.T) {
 	}
 	if len(res.Files) != 0 {
 		t.Errorf("empty cluster search = %v", res.Files)
-	}
-	// Deprecated wrapper inherits the same behavior from internal/client.
-	res, err = cl.SearchString("size", "size>1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Files) != 0 {
-		t.Errorf("empty cluster legacy search = %v", res.Files)
 	}
 	// Streaming on an empty cluster: zero batches, no error.
 	st, err := cl.SearchStream(ctx, propeller.Query{Index: "size", Text: "size>1"})

@@ -4,7 +4,6 @@
 // deadlines and cancellation reach every RPC on the request path.
 //
 // Exemptions:
-//   - functions/methods documented as "Deprecated:" (the v1 wrappers)
 //   - io.Closer-style Close methods and error-getter Err methods
 //   - unexported identifiers and methods on unexported types
 //
@@ -78,9 +77,6 @@ func check(dir string) ([]string, error) {
 
 func checkFunc(fset *token.FileSet, fn *ast.FuncDecl) string {
 	if !fn.Name.IsExported() || exemptNames[fn.Name.Name] {
-		return ""
-	}
-	if fn.Doc != nil && strings.Contains(fn.Doc.Text(), "Deprecated:") {
 		return ""
 	}
 	// Methods on unexported receivers are not public API.

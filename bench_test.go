@@ -22,9 +22,7 @@ import (
 	"propeller/internal/indexnode"
 	"propeller/internal/pagestore"
 	"propeller/internal/proto"
-	"propeller/internal/searchbench"
 	"propeller/internal/simdisk"
-	"propeller/internal/updatebench"
 	"propeller/internal/vclock"
 )
 
@@ -255,115 +253,6 @@ func BenchmarkIndexNodeUpdateUnderHeavySearch(b *testing.B) {
 	<-done
 	b.ReportMetric(float64(worst.Nanoseconds()), "worst-ns")
 }
-
-// --- Streaming read-path benchmarks ---
-//
-// The cursor-seek acceptance bound lives here: page 10 of a paged
-// equality scan must cost what page 1 costs (the cursor resumes at
-// (value, After+1) instead of re-scanning the run), and every access
-// path must hold MaxRetained <= Limit. The scenario table (fixture
-// sizes, request shapes, cursor pages) is shared with tools/benchjson
-// through internal/searchbench, so the committed BENCH_search.json
-// baseline and these benchmarks measure the same workload.
-
-func benchScenario(b *testing.B, name string) {
-	b.Helper()
-	s, err := searchbench.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, req, err := s.Prepare()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var maxRetained int
-	for i := 0; i < b.N; i++ {
-		resp, err := n.Search(context.Background(), req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		maxRetained = resp.MaxRetained
-	}
-	b.ReportMetric(float64(maxRetained), "max-retained")
-}
-
-// BenchmarkSearchPagedBTreePage1 is the first page of a paged equality
-// scan over a long duplicate run.
-func BenchmarkSearchPagedBTreePage1(b *testing.B) { benchScenario(b, "btree_paged_eq_page1") }
-
-// BenchmarkSearchPagedBTreePage10 is the tenth page of the same scan. With
-// cursor seek this costs what page 1 costs; the scan-and-discard design it
-// replaces visited 10x the postings here.
-func BenchmarkSearchPagedBTreePage10(b *testing.B) { benchScenario(b, "btree_paged_eq_page10") }
-
-// BenchmarkSearchHashPointPaged is a paged hash point lookup over a long
-// duplicate chain (streamed through LookupEach).
-func BenchmarkSearchHashPointPaged(b *testing.B) { benchScenario(b, "hash_point_paged") }
-
-// BenchmarkSearchKDBoxPaged is a paged 2-D box query (streamed through
-// RangeSearchFunc; the box covers every predicate so residual evaluation
-// is skipped).
-func BenchmarkSearchKDBoxPaged(b *testing.B) { benchScenario(b, "kd_box_paged") }
-
-// BenchmarkSearchFanoutSerial forces the serial one-group-at-a-time pass
-// over 8 ACGs (the pre-fan-out behavior).
-func BenchmarkSearchFanoutSerial(b *testing.B) { benchScenario(b, "fanout_serial_8acg") }
-
-// BenchmarkSearchFanoutParallel runs the same pass through the bounded
-// worker pool (capped at GOMAXPROCS, so single-core machines see parity,
-// not a win).
-func BenchmarkSearchFanoutParallel(b *testing.B) { benchScenario(b, "fanout_parallel_8acg") }
-
-// --- Batched write-path (commit) benchmarks ---
-//
-// The commit engine's acceptance bound lives here: a commit window is
-// absorbed in bulk — coalesced per (index, file), applied through the
-// sorted bulk-merge index paths, with at most one K-D rebuild per commit.
-// The scenario table (fixture sizes, window shapes) is shared with
-// tools/benchjson through internal/updatebench, so the committed
-// BENCH_update.json baseline and these benchmarks measure the same
-// workload. The headline metric is ns/entry (wall time per acknowledged
-// entry absorbed).
-
-func benchUpdateScenario(b *testing.B, name string) {
-	b.Helper()
-	s, err := updatebench.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := s.Prepare()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.Op(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.EntriesPerOp), "ns/entry")
-}
-
-// BenchmarkUpdateCommitAppendOnly absorbs windows of fresh B-tree
-// postings (the sorted bulk-insert fast path).
-func BenchmarkUpdateCommitAppendOnly(b *testing.B) { benchUpdateScenario(b, "append_only_btree") }
-
-// BenchmarkUpdateCommitReindexHeavy re-indexes the same files many times
-// per window (the per-(index, file) coalescing fast path).
-func BenchmarkUpdateCommitReindexHeavy(b *testing.B) { benchUpdateScenario(b, "reindex_heavy_btree") }
-
-// BenchmarkUpdateCommitDeleteHeavyKD deletes and re-inserts K-D points in
-// bulk windows; the deferred-rebuild rule makes this one rebuild per
-// commit instead of one per delete.
-func BenchmarkUpdateCommitDeleteHeavyKD(b *testing.B) { benchUpdateScenario(b, "delete_heavy_kd") }
-
-// BenchmarkUpdateCommitMixed drives all three index structures across two
-// groups per window.
-func BenchmarkUpdateCommitMixed(b *testing.B) { benchUpdateScenario(b, "mixed") }
 
 // BenchmarkIndexNodeMixedParallelMultiACG interleaves searches with the
 // parallel update stream (one searcher op per 64 updates per worker),

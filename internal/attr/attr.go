@@ -206,32 +206,6 @@ func (v Value) Encode(dst []byte) []byte {
 	return dst
 }
 
-// GobEncode implements gob.GobEncoder via the order-preserving encoding.
-// No message the system sends or stores gob-encodes a Value any more (every
-// message carrying one has a binary form in proto/wire.go, which is also
-// the log record); GobEncode/GobDecode stay only because wirebench's
-// gob-vs-binary comparison encodes an UpdateReq with gob as its baseline.
-func (v Value) GobEncode() ([]byte, error) {
-	if !v.IsValid() {
-		return []byte{0}, nil
-	}
-	return v.Encode(nil), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (v *Value) GobDecode(b []byte) error {
-	if len(b) == 1 && b[0] == 0 {
-		*v = Value{}
-		return nil
-	}
-	dec, err := Decode(b)
-	if err != nil {
-		return err
-	}
-	*v = dec
-	return nil
-}
-
 // Decode parses a value previously produced by Encode, consuming the whole
 // buffer (the caller frames values externally).
 func Decode(b []byte) (Value, error) {

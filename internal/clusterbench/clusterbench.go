@@ -3,9 +3,11 @@
 // (which must be zero — the epoch-keyed client cache makes steady-state
 // traffic Master-free), the virtual cost of a live ACG migration and how
 // surgically it invalidates the client cache, and the virtual time and
-// completeness of a failure-driven recovery. tools/benchjson runs it and
-// commits the result as BENCH_cluster.json; CI gates on the two
-// correctness columns (warm_master_lookups == 0, lost_updates == 0).
+// completeness of a failure-driven recovery; RunReplication and
+// RunPartition add the fault-injected safety ledger (kills, partitions,
+// corruption). tools/benchjson runs all three, commits the result as
+// BENCH_cluster.json and gates on the correctness columns; the package's
+// own tests hold the same columns under `go test ./...`.
 //
 // All durations are virtual (vclock) — disk and network charges on the
 // simulated hardware — so the baseline is deterministic across machines.
@@ -52,9 +54,43 @@ const (
 	heartbeatLimit = 30 * time.Second
 )
 
+// scenarioTimeout bounds one scenario phase in wall-clock time. Every
+// phase finishes in seconds; the bound exists so that a call which would
+// otherwise wait forever (a wedged connection, a lost response) fails the
+// run with a deadline error naming the phase instead of hanging the gate.
+const scenarioTimeout = time.Minute
+
+// scenarioContext roots every call a scenario phase makes, so each one
+// carries a deadline.
+func scenarioContext() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), scenarioTimeout)
+}
+
+// lostAcked is the read-back every safety ledger ends with: one Strict
+// search over the whole "size" index, counting the acknowledged files it
+// does not return.
+func lostAcked(ctx context.Context, cl *client.Client, acked []index.FileID) (int, error) {
+	res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>0"})
+	if err != nil {
+		return 0, fmt.Errorf("verification search: %w", err)
+	}
+	found := make(map[index.FileID]bool, len(res.Files))
+	for _, f := range res.Files {
+		found[f] = true
+	}
+	lost := 0
+	for _, f := range acked {
+		if !found[f] {
+			lost++
+		}
+	}
+	return lost, nil
+}
+
 // Run executes the scenario and returns the measured baseline.
 func Run() (Result, error) {
-	ctx := context.Background()
+	ctx, cancel := scenarioContext()
+	defer cancel()
 	c, err := cluster.New(cluster.Config{
 		IndexNodes:       3,
 		HeartbeatTimeout: heartbeatLimit,

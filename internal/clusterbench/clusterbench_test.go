@@ -92,3 +92,44 @@ func TestRunReplicationDeterministicCorrectness(t *testing.T) {
 			r1.FollowerReadScaling, r1.SingleOwnerScaling)
 	}
 }
+
+// TestRunPartitionSafetyLedger runs the chaos scenario — partitioned
+// primary, control-plane isolation, corrupted frames, a tampered
+// checkpoint, a slow replica link — and requires every ledger column at
+// its gate value. It is here, not only behind benchjson -cluster-check,
+// so that a connection wedged by an injected fault fails `go test ./...`
+// (every call carries scenarioContext's deadline). The one wall-clock
+// gate, hedged p99 < unhedged p99, stays with benchjson.
+func TestRunPartitionSafetyLedger(t *testing.T) {
+	r, err := RunPartition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost := r.AckedLostAfterPartition + r.CorruptionAckedLost + r.CheckpointRecoveryLost; lost != 0 {
+		t.Errorf("acked updates lost = %d (partition %d, corruption %d, checkpoint %d), want 0",
+			lost, r.AckedLostAfterPartition, r.CorruptionAckedLost, r.CheckpointRecoveryLost)
+	}
+	if r.DualAcks != 0 {
+		t.Errorf("dual acks = %d, want 0 (a fenced zombie acked)", r.DualAcks)
+	}
+	if r.UntypedErrors != 0 {
+		t.Errorf("untyped errors = %d, want 0", r.UntypedErrors)
+	}
+	if r.LeaseRejects == 0 || r.SelfFenceRejects == 0 {
+		t.Errorf("lease rejects = %d, self-fence rejects = %d, want both > 0 (the fence never fired)",
+			r.LeaseRejects, r.SelfFenceRejects)
+	}
+	if r.PromotionsDuringIsolation != 0 || !r.HealedAfterLeaseRenewal {
+		t.Errorf("control-plane isolation: %d promotions (want 0), healed by renewal = %v (want true)",
+			r.PromotionsDuringIsolation, r.HealedAfterLeaseRenewal)
+	}
+	if r.CorruptedFrames == 0 {
+		t.Error("corrupted frames = 0, want > 0 (the fault never bit)")
+	}
+	if r.CheckpointFallbackLoads == 0 {
+		t.Error("checkpoint fallback loads = 0, want > 0")
+	}
+	if r.HedgedSearches == 0 {
+		t.Error("hedged searches = 0, want > 0")
+	}
+}

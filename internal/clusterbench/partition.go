@@ -116,7 +116,8 @@ func chaosClusterConfig(k int, net *chaosnet.Network) cluster.Config {
 // primary mid-workload, let the sweep promote its follower, heal, and
 // verify the safety ledger.
 func runPartitionFailover(r *PartitionResult) error {
-	ctx := context.Background()
+	ctx, cancel := scenarioContext()
+	defer cancel()
 	net := chaosnet.New(partitionSeed)
 	c, err := cluster.New(chaosClusterConfig(2, net))
 	if err != nil {
@@ -246,18 +247,8 @@ func runPartitionFailover(r *PartitionResult) error {
 		return fmt.Errorf("settle heartbeat after heal: %w", err)
 	}
 
-	res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>0"})
-	if err != nil {
-		return fmt.Errorf("verification search: %w", err)
-	}
-	found := make(map[index.FileID]bool, len(res.Files))
-	for _, f := range res.Files {
-		found[f] = true
-	}
-	for _, f := range ackedFiles {
-		if !found[f] {
-			r.AckedLostAfterPartition++
-		}
+	if r.AckedLostAfterPartition, err = lostAcked(ctx, cl, ackedFiles); err != nil {
+		return err
 	}
 	stats, err := c.Master().ClusterStats(ctx, proto.ClusterStatsReq{})
 	if err != nil {
@@ -279,7 +270,8 @@ func runPartitionFailover(r *PartitionResult) error {
 // self-fence at the lease bound — strictly before the sweep could promote
 // — and a healed link revives it with a renewal, zero placement changes.
 func runControlPlaneIsolation(r *PartitionResult) error {
-	ctx := context.Background()
+	ctx, cancel := scenarioContext()
+	defer cancel()
 	net := chaosnet.New(partitionSeed + 1)
 	c, err := cluster.New(chaosClusterConfig(2, net))
 	if err != nil {
@@ -361,7 +353,8 @@ func runControlPlaneIsolation(r *PartitionResult) error {
 // the server's decoder — it can never half-apply — so the client redials
 // and retries, and no acknowledged update is ever lost.
 func runFrameCorruption(r *PartitionResult) error {
-	ctx := context.Background()
+	ctx, cancel := scenarioContext()
+	defer cancel()
 	net := chaosnet.New(partitionSeed + 2)
 	c, err := cluster.New(chaosClusterConfig(1, net))
 	if err != nil {
@@ -414,18 +407,8 @@ func runFrameCorruption(r *PartitionResult) error {
 		}
 	}
 	net.ClearLinks()
-	res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>0"})
-	if err != nil {
-		return fmt.Errorf("verification search: %w", err)
-	}
-	found := make(map[index.FileID]bool, len(res.Files))
-	for _, f := range res.Files {
-		found[f] = true
-	}
-	for _, f := range ackedFiles {
-		if !found[f] {
-			r.CorruptionAckedLost++
-		}
+	if r.CorruptionAckedLost, err = lostAcked(ctx, cl, ackedFiles); err != nil {
+		return err
 	}
 	r.CorruptedFrames = net.Stats().Corrupts
 	return nil
@@ -436,7 +419,8 @@ func runFrameCorruption(r *PartitionResult) error {
 // the previous checkpoint generation plus full WAL replay — slower, never
 // wrong, never wedged.
 func runCheckpointCorruption(r *PartitionResult) error {
-	ctx := context.Background()
+	ctx, cancel := scenarioContext()
+	defer cancel()
 	c, err := cluster.New(replClusterConfig(1))
 	if err != nil {
 		return err
@@ -501,18 +485,8 @@ func runCheckpointCorruption(r *PartitionResult) error {
 	if err := c.Heartbeat(ctx); err != nil {
 		return fmt.Errorf("recovery heartbeat: %w", err)
 	}
-	res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>0"})
-	if err != nil {
-		return fmt.Errorf("verification search: %w", err)
-	}
-	found := make(map[index.FileID]bool, len(res.Files))
-	for _, f := range res.Files {
-		found[f] = true
-	}
-	for _, f := range ackedFiles {
-		if !found[f] {
-			r.CheckpointRecoveryLost++
-		}
+	if r.CheckpointRecoveryLost, err = lostAcked(ctx, cl, ackedFiles); err != nil {
+		return err
 	}
 	r.CheckpointFallbackLoads = c.Shared().FallbackLoads()
 	return nil
@@ -522,7 +496,8 @@ func runCheckpointCorruption(r *PartitionResult) error {
 // one replica; an unhedged control eats the link delay on every round that
 // rotates onto the slow replica, a hedging client races past it.
 func runHedgedReads(r *PartitionResult) error {
-	ctx := context.Background()
+	ctx, cancel := scenarioContext()
+	defer cancel()
 	net := chaosnet.New(partitionSeed + 3)
 	c, err := cluster.New(chaosClusterConfig(2, net))
 	if err != nil {

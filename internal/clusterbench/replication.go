@@ -89,7 +89,8 @@ func RunReplication() (ReplicationResult, error) {
 // runReplicationFaults drives the seeded kill/restart schedule through an
 // update workload and verifies the durability contract afterwards.
 func runReplicationFaults(r *ReplicationResult) error {
-	ctx := context.Background()
+	ctx, cancel := scenarioContext()
+	defer cancel()
 	c, err := cluster.New(replClusterConfig(replFactor))
 	if err != nil {
 		return err
@@ -203,18 +204,8 @@ func runReplicationFaults(r *ReplicationResult) error {
 	if err := c.Heartbeat(ctx); err != nil {
 		return fmt.Errorf("settle heartbeat: %w", err)
 	}
-	res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>0"})
-	if err != nil {
-		return fmt.Errorf("verification search: %w", err)
-	}
-	found := make(map[index.FileID]bool, len(res.Files))
-	for _, f := range res.Files {
-		found[f] = true
-	}
-	for _, f := range ackedFiles {
-		if !found[f] {
-			r.AckedLostAfterPromotion++
-		}
+	if r.AckedLostAfterPromotion, err = lostAcked(ctx, cl, ackedFiles); err != nil {
+		return err
 	}
 	stats, err := c.Master().ClusterStats(ctx, proto.ClusterStatsReq{})
 	if err != nil {
@@ -229,7 +220,8 @@ func runReplicationFaults(r *ReplicationResult) error {
 // replicated group, and the same workload on a single-owner cluster.
 func runFollowerReads(r *ReplicationResult) error {
 	scale := func(k int) (float64, []int64, error) {
-		ctx := context.Background()
+		ctx, cancel := scenarioContext()
+		defer cancel()
 		c, err := cluster.New(replClusterConfig(k))
 		if err != nil {
 			return 0, nil, err

@@ -513,3 +513,88 @@ func TestSearchHashContradictionDoesNotScan(t *testing.T) {
 		t.Errorf("contradiction counted as scan fallback (%d)", st.HashScanFallbacks)
 	}
 }
+
+// poolAccesses runs one search and returns its page and how many buffer
+// pool accesses (hits + misses) serving it cost.
+func poolAccesses(t *testing.T, n *Node, req proto.SearchReq) (proto.SearchResp, int64) {
+	t.Helper()
+	ctx := context.Background()
+	before, err := n.NodeStats(ctx, proto.NodeStatsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := n.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := n.NodeStats(ctx, proto.NodeStatsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, (after.PoolHits + after.PoolMisses) - (before.PoolHits + before.PoolMisses)
+}
+
+// TestSearchPageReadsIndependentOfDepth is the cursor-seek bound as a
+// count instead of a wall clock: over long duplicate runs (20 values ×
+// 2 000 postings across 2 ACGs), every page of a paged equality scan
+// resumes by seek at (value, After+1), so page 10 touches the index pages
+// page 1 touches — one descent per group plus the leaves holding the page
+// — where scan-and-discard from the start of the run touches more with
+// every page. And a hash point page, one bucket-chain walk, touches no
+// more pages than the B-tree equality page it competes with.
+func TestSearchPageReadsIndependentOfDepth(t *testing.T) {
+	const values, runs, limit = 20, 2000, 100
+	acgs := []proto.ACGID{1, 2}
+	n := newPagedNode(t, 0, acgs) // empty node with the "size" B-tree declared
+	for g, id := range acgs {
+		var entries []proto.IndexEntry
+		for v := 1; v <= values; v++ {
+			for r := 0; r < runs; r++ {
+				if (r+v)%len(acgs) == g { // every value's run spans both groups
+					entries = append(entries, proto.IndexEntry{File: index.FileID(r*values + v), Value: attr.Int(int64(v))})
+				}
+			}
+		}
+		if _, err := n.Update(context.Background(), proto.UpdateReq{ACG: id, IndexName: "size", Entries: entries}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size=7", Limit: limit}
+	if _, err := n.Search(context.Background(), req); err != nil { // commit both groups
+		t.Fatal(err)
+	}
+	var page1, page10 int64
+	for page := 1; page <= 10; page++ {
+		resp, reads := poolAccesses(t, n, req)
+		if len(resp.Files) != limit || !resp.More {
+			t.Fatalf("page %d: %d files, more=%v; the run must outlast page 10", page, len(resp.Files), resp.More)
+		}
+		if page == 1 {
+			if page1 = reads; page1 == 0 {
+				t.Fatal("page 1 touched no pool page; nothing is being measured")
+			}
+		}
+		page10 = reads
+		// A resumed page may straddle one leaf more per group than page 1
+		// happened to; anything beyond that is re-scanned run.
+		if slack := int64(len(acgs)); reads > page1+slack {
+			t.Errorf("page %d cost %d pool accesses, page 1 cost %d: paging cost grows with depth (want <= page 1 + %d)",
+				page, reads, page1, slack)
+		}
+		req.After, req.AfterSet = resp.Files[len(resp.Files)-1], true
+	}
+
+	h := newHashNode(t, 2000, 500)
+	hreq := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: "tag=7", Limit: limit}
+	if _, err := h.Search(context.Background(), hreq); err != nil { // commit
+		t.Fatal(err)
+	}
+	hresp, hashReads := poolAccesses(t, h, hreq)
+	if len(hresp.Files) != limit {
+		t.Fatalf("hash point page: %d files, want %d", len(hresp.Files), limit)
+	}
+	if hashReads > page1 {
+		t.Errorf("hash point page cost %d pool accesses, B-tree equality page cost %d (want hash <= B-tree)", hashReads, page1)
+	}
+	t.Logf("pool accesses: btree page 1 = %d, page 10 = %d, hash point page = %d", page1, page10, hashReads)
+}

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
-	"time"
-
-	"propeller/internal/attr"
 )
 
 func roundTrip[T any](t *testing.T, in T) T {
@@ -50,51 +47,11 @@ func TestIndexSpecDims(t *testing.T) {
 	}
 }
 
-func TestUpdateReqGobRoundTrip(t *testing.T) {
-	in := UpdateReq{
-		ACG:       7,
-		IndexName: "size",
-		Entries: []IndexEntry{
-			{File: 1, Value: attr.Int(42)},
-			{File: 2, Value: attr.Str("keyword")},
-			{File: 3, Value: attr.Time(time.Unix(1700000000, 1))},
-			{File: 4, KDCoords: []float64{1.5, -2.5}},
-			{File: 5, Delete: true},
-		},
-	}
-	out := roundTrip(t, in)
-	if out.ACG != in.ACG || out.IndexName != in.IndexName || len(out.Entries) != len(in.Entries) {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-	if !out.Entries[0].Value.Equal(attr.Int(42)) {
-		t.Error("int value lost")
-	}
-	if !out.Entries[1].Value.Equal(attr.Str("keyword")) {
-		t.Error("string value lost")
-	}
-	if !out.Entries[2].Value.Equal(attr.Time(time.Unix(1700000000, 1))) {
-		t.Error("time value lost")
-	}
-	if len(out.Entries[3].KDCoords) != 2 || out.Entries[3].KDCoords[1] != -2.5 {
-		t.Error("kd coords lost")
-	}
-	if !out.Entries[4].Delete {
-		t.Error("delete flag lost")
-	}
-	// Invalid (zero) values survive too — entry 4 and 5 carry none.
-	if out.Entries[4].Value.IsValid() {
-		t.Error("zero value should stay invalid")
-	}
-}
-
+// TestSearchAndLookupGobRoundTrip covers the control-plane half of a
+// search: the LookupIndex reply that names the fan-out targets travels gob.
+// (The data-plane messages — UpdateReq, SearchReq and the rest of wire.go —
+// have no gob form; TestWireRoundTrip is their round trip.)
 func TestSearchAndLookupGobRoundTrip(t *testing.T) {
-	sr := roundTrip(t, SearchReq{
-		ACGs: []ACGID{1, 2, 3}, IndexName: "size",
-		Query: "size>16m", NowUnixNano: 123456789,
-	})
-	if len(sr.ACGs) != 3 || sr.Query != "size>16m" {
-		t.Errorf("search req = %+v", sr)
-	}
 	lr := roundTrip(t, LookupIndexResp{
 		Spec: IndexSpec{Name: "size", Type: IndexBTree, Field: "size"},
 		Targets: []IndexTarget{

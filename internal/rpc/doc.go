@@ -12,6 +12,10 @@
 // server connection, a multiplexing client safe for concurrent Call use —
 // the shape of the paper's "local RPC service" and node-to-node messaging.
 //
+// A frame is len | crc32(len) | crc32(payload) | payload; a mismatch of
+// either checksum tears the connection with ErrFrameCorrupt (the layout
+// comment in rpc.go says why the length needs its own).
+//
 // Servers register handlers with HandleTyped (a generic adapter that
 // decodes the request and encodes the response); clients invoke them
 // with the generic Call, matching requests to responses by sequence number

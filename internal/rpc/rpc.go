@@ -47,12 +47,24 @@ const (
 // in tests and benchmarks.
 const StreamWindow = streamWindow
 
-// frameHeader is the wire prefix of every frame: 4-byte big-endian body
-// length + 4-byte CRC32 of the body. The checksum is what makes a
-// corrupted frame tear the connection instead of half-applying: without
-// it a flipped byte can still decode into a *different valid* request,
-// and the server would ack work the caller never sent.
-const frameHeader = 8
+// Frame layout on the wire:
+//
+//	len (4, big-endian) | crc32(len) (4) | crc32(payload) (4) | payload
+//
+// len counts everything after the first frameHeader bytes: the payload
+// checksum plus the payload. The length carries its own checksum because
+// it is trusted before the payload checksum can be reached: a corrupted
+// length that still looks plausible would otherwise leave the reader
+// waiting for bytes the peer never sends, wedging the connection and every
+// call multiplexed on it. With it, a bad length tears the connection
+// before a single payload byte is awaited. The payload checksum is what
+// makes a corrupted frame tear the connection instead of half-applying:
+// without it a flipped byte can still decode into a *different valid*
+// request, and the server would ack work the caller never sent.
+const (
+	frameHeader = 8 // len + crc32(len): the fixed, self-checked prologue
+	payloadSum  = 4 // crc32(payload), the first bytes len counts
+)
 
 // frame is one wire message. Inside the CRC envelope the body is the
 // hand-rolled binary layout of appendFrameBody — a kind byte, a uvarint
@@ -99,7 +111,7 @@ func writeFrame(w io.Writer, f *frame) error {
 	// conn boundary: fault-injecting wrappers (chaosnet) see whole frames
 	// and a partial header can never interleave with another writer's view.
 	bp := frameBufPool.Get().(*[]byte)
-	out := append((*bp)[:0], make([]byte, frameHeader)...)
+	out := append((*bp)[:0], make([]byte, frameHeader+payloadSum)...)
 	out = appendFrameBody(out, f)
 	defer func() {
 		if cap(out) <= pooledBufMax {
@@ -107,12 +119,13 @@ func writeFrame(w io.Writer, f *frame) error {
 		}
 		frameBufPool.Put(bp)
 	}()
-	n := len(out) - frameHeader
-	if n > maxFrame {
+	payload := out[frameHeader+payloadSum:]
+	if len(payload) > maxFrame {
 		return ErrFrameTooLarge
 	}
-	binary.BigEndian.PutUint32(out[:4], uint32(n))
-	binary.BigEndian.PutUint32(out[4:frameHeader], crc32.ChecksumIEEE(out[frameHeader:]))
+	binary.BigEndian.PutUint32(out[:4], uint32(payloadSum+len(payload)))
+	binary.BigEndian.PutUint32(out[4:frameHeader], crc32.ChecksumIEEE(out[:4]))
+	binary.BigEndian.PutUint32(out[frameHeader:], crc32.ChecksumIEEE(payload))
 	_, err := w.Write(out)
 	return err
 }
@@ -122,18 +135,27 @@ func readFrame(r io.Reader) (*frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
+	// The length is verified before it is believed: nothing below waits
+	// for a byte count a corrupted prefix invented.
+	if crc32.ChecksumIEEE(hdr[:4]) != binary.BigEndian.Uint32(hdr[4:]) {
+		return nil, fmt.Errorf("%w (length prefix)", ErrFrameCorrupt)
+	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxFrame {
+	if n > maxFrame+payloadSum {
 		return nil, ErrFrameTooLarge
+	}
+	if n < payloadSum {
+		return nil, fmt.Errorf("%w (length %d holds no payload checksum)", ErrFrameCorrupt, n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	if got := crc32.ChecksumIEEE(body); got != binary.BigEndian.Uint32(hdr[4:frameHeader]) {
+	payload := body[payloadSum:]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(body) {
 		return nil, ErrFrameCorrupt
 	}
-	return parseFrameBody(body)
+	return parseFrameBody(payload)
 }
 
 // NetProfile models the cluster interconnect (the paper uses a NetGear

@@ -1,9 +1,13 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -379,35 +383,85 @@ func TestServerOverloadConcurrencyLimit(t *testing.T) {
 	}
 }
 
-// TestReadFrameBounded feeds a length prefix far beyond maxFrame and
-// asserts the reader refuses with the typed error before allocating: a
-// corrupt (or hostile) prefix must never drive an unbounded allocation.
+// TestReadFrameBounded feeds a length prefix far beyond maxFrame — with a
+// valid length checksum, so the bound and not the corruption check is what
+// answers — and asserts the reader refuses with the typed error before
+// allocating: a hostile prefix must never drive an unbounded allocation.
 func TestReadFrameBounded(t *testing.T) {
-	var hdr [frameHeader]byte
-	writeLen := func(b *[frameHeader]byte, n uint32) {
-		b[0], b[1], b[2], b[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+	header := func(n uint32) io.Reader {
+		var hdr [frameHeader]byte
+		binary.BigEndian.PutUint32(hdr[:4], n)
+		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(hdr[:4]))
+		return bytes.NewReader(hdr[:])
 	}
-	writeLen(&hdr, 0xFFFFFFFF) // ~4 GiB claim
-	_, err := readFrame(strings.NewReader(string(hdr[:])))
-	if !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrame(header(0xFFFFFFFF)); !errors.Is(err, ErrFrameTooLarge) { // ~4 GiB claim
 		t.Fatalf("readFrame with 0xFFFFFFFF prefix: err = %v, want ErrFrameTooLarge", err)
 	}
 	// Just over the limit is refused too; just a header under it merely
 	// hits EOF on the missing body (the bound, not the decode, is under
 	// test).
-	writeLen(&hdr, maxFrame+1)
-	if _, err := readFrame(strings.NewReader(string(hdr[:]))); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrame(header(maxFrame + payloadSum + 1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("readFrame just over maxFrame: err = %v, want ErrFrameTooLarge", err)
 	}
-	writeLen(&hdr, 16)
-	if _, err := readFrame(strings.NewReader(string(hdr[:]))); errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("readFrame under maxFrame: err = %v, want a short-read error, not ErrFrameTooLarge", err)
+	if _, err := readFrame(header(16)); !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		t.Fatalf("readFrame under maxFrame: err = %v, want a short-read error", err)
+	}
+	// A checksummed length too short to hold the payload checksum is a
+	// frame no writer produces.
+	if _, err := readFrame(header(payloadSum - 1)); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("readFrame with length %d: err = %v, want ErrFrameCorrupt", payloadSum-1, err)
+	}
+}
+
+// frameOnlyReader serves exactly one frame's bytes and fails the test on a
+// read past them. An EOF there would hide the bug under test: on a live
+// connection the next byte never comes, so a reader that asks for more
+// than the frame holds waits forever.
+type frameOnlyReader struct {
+	t   *testing.T
+	raw []byte
+	off int
+}
+
+func (r *frameOnlyReader) Read(p []byte) (int, error) {
+	if r.off == len(r.raw) {
+		r.t.Fatalf("read past the end of the frame (%d bytes): on a live connection this read never returns", len(r.raw))
+	}
+	n := copy(p, r.raw[r.off:])
+	r.off += n
+	return n, nil
+}
+
+// TestReadFrameHeaderBitFlips: for a valid frame, every single-bit flip in
+// the fixed header makes readFrame return an error having consumed no
+// more bytes than the frame holds. The length bytes are the ones that
+// matter — a length flipped upward (still under maxFrame) used to be
+// believed, and the reader then waited for a body that was never sent.
+func TestReadFrameHeaderBitFlips(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, &frame{ID: 7, Method: "m", Body: []byte("payload")}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for bit := 0; bit < frameHeader*8; bit++ {
+		flipped := append([]byte(nil), raw...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		r := &frameOnlyReader{t: t, raw: flipped}
+		if _, err := readFrame(r); !errors.Is(err, ErrFrameCorrupt) {
+			t.Fatalf("header bit %d flipped: err = %v, want ErrFrameCorrupt", bit, err)
+		}
+		if r.off > frameHeader {
+			t.Fatalf("header bit %d flipped: reader consumed %d bytes, want the %d-byte header only", bit, r.off, frameHeader)
+		}
+	}
+	if _, err := readFrame(&frameOnlyReader{t: t, raw: raw}); err != nil {
+		t.Fatalf("pristine frame: %v", err)
 	}
 }
 
 // TestReadFrameChecksum proves the integrity property the corruption
-// fault model rests on: a frame with any body byte flipped is refused
-// with the typed checksum error — it can never gob-decode into a
+// fault model rests on: a frame with any body bit flipped is refused
+// with the typed checksum error — it can never decode into a
 // different valid message and get acked as work the caller never sent.
 func TestReadFrameChecksum(t *testing.T) {
 	var buf strings.Builder
@@ -415,11 +469,11 @@ func TestReadFrameChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := []byte(buf.String())
-	for i := frameHeader; i < len(raw); i++ {
+	for bit := frameHeader * 8; bit < len(raw)*8; bit++ {
 		flipped := append([]byte(nil), raw...)
-		flipped[i] ^= 0x01
+		flipped[bit/8] ^= 1 << (bit % 8)
 		if _, err := readFrame(strings.NewReader(string(flipped))); !errors.Is(err, ErrFrameCorrupt) {
-			t.Fatalf("readFrame with body byte %d flipped: err = %v, want ErrFrameCorrupt", i, err)
+			t.Fatalf("readFrame with body bit %d flipped: err = %v, want ErrFrameCorrupt", bit, err)
 		}
 	}
 	// The pristine frame still round-trips.

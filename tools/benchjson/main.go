@@ -1,195 +1,91 @@
-// Command benchjson runs the Index Node's read-path and write-path
-// benchmarks on the shared scenario tables and writes machine-readable
-// baselines — BENCH_search.json (internal/searchbench: ns/op, allocs/op,
-// bytes/op and the node-side retention peak per access path) and
-// BENCH_update.json (internal/updatebench: ns per acknowledged entry
-// absorbed per commit scenario) — so CI archives a perf trajectory for
-// both engines. The scenario tables live next to the fixtures and are
-// the same ones bench_test.go benchmarks, so the committed baselines and
-// the test-suite numbers always measure the same workloads.
+// Command benchjson runs the two suites the repo benchmark (benchmark/,
+// a closed loop on a healthy cluster) cannot stand in for, and writes their
+// machine-readable baselines. Neither gate compares wall-clock time against
+// a committed number, so both hold on any runner.
 //
-// With -check it enforces the cursor-seek regression bound: page 10 of a
-// paged B-tree equality scan must stay within 2x page 1 (plus a small
-// absolute grace for timer noise). Before cursor seek, page N re-scanned
-// the run from the start and page 10 cost ~10x page 1.
+// The cluster suite (internal/clusterbench → BENCH_cluster.json) is the
+// safety ledger, on a virtual-time cluster: warm-path Master RPC count,
+// migration cost, failure-recovery time; a seeded fault-injection run that
+// kills the primary mid-workload plus a follower-read fan-out measurement;
+// and the chaos run — partitions, control-plane isolation, corrupted
+// frames, a tampered checkpoint, a slow replica link. With -cluster-check
+// it enforces the correctness gates: a steady-state workload issues zero
+// Master lookups; a node kill, a primary kill, a partition, frame
+// corruption and checkpoint corruption each lose zero acknowledged
+// updates; failover is by promotion (never shared-store replay); a fenced
+// primary never acks; only typed errors surface; every injected fault
+// actually fired; and lazy follower reads scale past the single-owner
+// baseline while hedged ones beat the unhedged control.
 //
-// With -update-check it enforces the batch-commit regression bound: the
-// delete-heavy-KD commit scenario's ns/entry must stay within 2x the
-// committed BENCH_update.json baseline (read before it is overwritten,
-// plus an absolute grace). A regression to per-entry KD rebuilds costs
-// >100x the baseline, so the bound catches the failure mode with a wide
-// margin for machine variance.
-//
-// The third suite (internal/clusterbench → BENCH_cluster.json) measures
-// the placement control plane on a virtual-time cluster: warm-path Master
-// RPC count, migration cost, failure-recovery time, and the replicated
-// scenario — a seeded fault-injection run that kills the primary
-// mid-workload plus a follower-read fan-out measurement. With
-// -cluster-check it enforces the correctness gates: a steady-state
-// workload must issue zero Master lookups, a node kill must lose zero
-// acknowledged updates, a primary kill on a replicated group must lose
-// zero acknowledged updates via promotion (never shared-store replay)
-// while surfacing only typed errors, and lazy follower reads must scale
-// past the single-owner baseline.
-//
-// The fourth suite (internal/trafficbench → BENCH_traffic.json) replays an
-// open-loop schedule against a live TCP cluster: a fixed Poisson load, a
-// bursty 8× overload with a flooding tenant, and the max-sustainable-QPS
-// ladder. With -traffic-check it enforces the graceful-overload gates —
-// zero acknowledged writes lost in any trial, the overload run actually
-// shedding (the reflex engaged), and the overload p99 of completed ops
-// bounded by the same run's fixed-load p99 (times two, with an absolute
-// floor for machine noise) — invariants of the run itself, not wall-clock
-// baselines, so they hold on any runner.
-//
-// The fifth suite (internal/wirebench → BENCH_wire.json) measures the
-// wire transport: encode+decode ns/op and encoded bytes per message for
-// the hot Update/Search frames under both codecs (gob as the rpc layer
-// uses it — fresh encoder per message — versus the hand-rolled binary
-// format), plus one real chunk-streamed ACG migration reporting the
-// receiving server's peak stream buffering against the flow-control
-// window. With -wire-check it enforces the transport gates: for every
-// measured frame the binary codec must allocate at least 2x fewer
-// bytes/op and run at least 2x faster (encode+decode combined) than
-// gob, and never be larger on the wire; the migration receiver's peak
-// must stay within the window while the image itself is several windows
-// large. All ratios come from the same run, so the gates hold on any
-// runner.
+// The traffic suite (internal/trafficbench → BENCH_traffic.json) replays an
+// open-loop schedule against a live TCP cluster — a closed loop cannot
+// overload anything: a fixed Poisson load, a bursty 8× overload with a
+// flooding tenant, and the max-sustainable-QPS ladder. With -traffic-check
+// it enforces the graceful-overload gates — zero acknowledged writes lost
+// in any trial, the overload run actually shedding (the reflex engaged),
+// and the overload p99 of completed ops bounded by the same run's
+// fixed-load p99 (times two, with an absolute floor for machine noise) or
+// by the unbounded-admission control run.
 //
 // Usage:
 //
-//	go run ./tools/benchjson [-out BENCH_search.json] [-check]
-//	    [-update-out BENCH_update.json] [-update-check]
-//	    [-cluster-out BENCH_cluster.json] [-cluster-check]
+//	go run ./tools/benchjson [-cluster-out BENCH_cluster.json] [-cluster-check]
 //	    [-traffic-out BENCH_traffic.json] [-traffic-check]
-//	    [-wire-out BENCH_wire.json] [-wire-check]
 //
-// A bare invocation regenerates every baseline; passing flags for only
-// one suite runs only that suite (so `-out X -check` cannot silently
-// rewrite the committed update baseline, and vice versa).
+// A bare invocation regenerates both baselines; passing flags for only
+// one suite runs only that suite (so `-cluster-out X -cluster-check`
+// cannot silently rewrite the committed traffic baseline, and vice versa).
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"testing"
 
 	"propeller/internal/clusterbench"
-	"propeller/internal/searchbench"
 	"propeller/internal/trafficbench"
-	"propeller/internal/updatebench"
-	"propeller/internal/wirebench"
 )
 
-// result is one search benchmark row of BENCH_search.json.
-type result struct {
-	Name        string  `json:"name"`
-	Path        string  `json:"path"` // access path: btree, hash, kd, fanout
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Limit       int     `json:"limit"`
-	MaxRetained int     `json:"max_retained"`
-	Iterations  int     `json:"iterations"`
-}
-
-type document struct {
-	GeneratedBy string   `json:"generated_by"`
-	GoMaxProcs  int      `json:"gomaxprocs"`
-	Benchmarks  []result `json:"benchmarks"`
-	// Page10OverPage1 is the cursor-seek health ratio the -check flag
-	// enforces (<= 2 + grace).
-	Page10OverPage1 float64 `json:"page10_over_page1"`
-}
-
-// updateResult is one commit benchmark row of BENCH_update.json. The
-// headline column is NsPerEntry: wall time per acknowledged entry
-// absorbed into the durable indices.
-type updateResult struct {
-	Name         string  `json:"name"`
-	Kind         string  `json:"kind"` // dominant index: btree, hash, kd, mixed
-	NsPerOp      float64 `json:"ns_per_op"`
-	EntriesPerOp int     `json:"entries_per_op"`
-	NsPerEntry   float64 `json:"ns_per_entry"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	Iterations   int     `json:"iterations"`
-}
-
-type updateDocument struct {
-	GeneratedBy string         `json:"generated_by"`
-	GoMaxProcs  int            `json:"gomaxprocs"`
-	Benchmarks  []updateResult `json:"benchmarks"`
-	// DeleteHeavyKDNsPerEntry is the commit cost the -update-check flag
-	// bounds against the committed baseline (the one-rebuild-per-commit
-	// contract: a regression to per-entry rebuilds blows far past 2x).
-	DeleteHeavyKDNsPerEntry float64 `json:"delete_heavy_kd_ns_per_entry"`
-}
-
 func main() {
-	out := flag.String("out", "BENCH_search.json", "search baseline output path")
-	check := flag.Bool("check", false, "fail unless page-10 latency is within 2x page-1 (cursor-seek regression bound)")
-	updateOut := flag.String("update-out", "BENCH_update.json", "update (commit) baseline output path")
-	updateCheck := flag.Bool("update-check", false,
-		"fail unless delete-heavy-KD commit ns/entry is within 2x the committed baseline (batch-commit regression bound)")
-	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "placement control-plane baseline output path")
+	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "cluster safety-ledger baseline output path")
 	clusterCheck := flag.Bool("cluster-check", false,
-		"fail unless the warm data path issues zero Master lookups and a node kill loses zero acknowledged updates")
+		"fail unless every column of the safety ledger is at its gate value (zero acked-then-lost, zero dual acks, typed errors only, every fault fired)")
 	trafficOut := flag.String("traffic-out", "BENCH_traffic.json", "open-loop traffic baseline output path")
 	trafficCheck := flag.Bool("traffic-check", false,
 		"fail unless overload degrades gracefully: zero acked writes lost, sheds engaged, overload p99 bounded by fixed-load p99")
-	wireOut := flag.String("wire-out", "BENCH_wire.json", "wire transport baseline output path")
-	wireCheck := flag.Bool("wire-check", false,
-		"fail unless the binary codec allocates 2x fewer bytes/op and runs 2x faster than gob per frame and the migration receiver stays within the stream window")
 	flag.Parse()
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	sel := selectSuites(set)
-	if sel.Search {
-		runSearch(*out, *check)
-	}
-	if sel.Update {
-		runUpdate(*updateOut, *updateCheck)
-	}
 	if sel.Cluster {
 		runCluster(*clusterOut, *clusterCheck)
 	}
 	if sel.Traffic {
 		runTraffic(*trafficOut, *trafficCheck)
 	}
-	if sel.Wire {
-		runWire(*wireOut, *wireCheck)
-	}
 }
 
 // suiteSelection records which suites an invocation runs — and therefore
 // which baseline files it may write.
 type suiteSelection struct {
-	Search, Update, Cluster, Traffic, Wire bool
+	Cluster, Traffic bool
 }
 
 // selectSuites maps the set of explicitly passed flag names to the suites
 // to run. A suite runs when one of its flags was passed; a bare invocation
-// regenerates every baseline. Passing only one suite's flags must not
-// silently rewrite the others' committed baselines — a re-committed
-// machine-local baseline would move the CI gate — so an unselected suite
+// regenerates both baselines. Passing only one suite's flags must not
+// silently rewrite the other's committed baseline, so an unselected suite
 // never runs and never writes.
 func selectSuites(set map[string]bool) suiteSelection {
 	sel := suiteSelection{
-		Search:  set["out"] || set["check"],
-		Update:  set["update-out"] || set["update-check"],
 		Cluster: set["cluster-out"] || set["cluster-check"],
 		Traffic: set["traffic-out"] || set["traffic-check"],
-		Wire:    set["wire-out"] || set["wire-check"],
 	}
-	if !sel.Search && !sel.Update && !sel.Cluster && !sel.Traffic && !sel.Wire {
-		return suiteSelection{Search: true, Update: true, Cluster: true, Traffic: true, Wire: true}
+	if !sel.Cluster && !sel.Traffic {
+		return suiteSelection{Cluster: true, Traffic: true}
 	}
 	return sel
 }
@@ -377,114 +273,6 @@ func runTraffic(out string, check bool) {
 		out, r.MaxSustainableQPS, 100*r.Overload.ShedRate, r.Overload.AckedLost)
 }
 
-func runSearch(out string, check bool) {
-	doc := document{GeneratedBy: "tools/benchjson", GoMaxProcs: runtime.GOMAXPROCS(0)}
-	var page1, page10 float64
-	for _, s := range searchbench.Scenarios() {
-		row, err := runScenario(s)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Benchmarks = append(doc.Benchmarks, row)
-		switch s.Name {
-		case "btree_paged_eq_page1":
-			page1 = row.NsPerOp
-		case "btree_paged_eq_page10":
-			page10 = row.NsPerOp
-		}
-		fmt.Printf("%-24s %12.0f ns/op %8d allocs/op %6d max-retained\n",
-			row.Name, row.NsPerOp, row.AllocsPerOp, row.MaxRetained)
-	}
-	if page1 > 0 {
-		doc.Page10OverPage1 = page10 / page1
-	}
-
-	// The seek bound: page 10 must not scale with page number. The grace
-	// term absorbs timer noise on very fast pages. Gate before write, as
-	// in runUpdate: a failing diagnostic run must not leave regressed
-	// numbers on disk for a later commit to re-base the gate on.
-	const grace = 100e3 // 100us
-	if check && page10 > 2*page1+grace {
-		fatal(fmt.Errorf("cursor-seek regression: page10 %.0f ns/op > 2x page1 %.0f ns/op (+%.0f ns grace)",
-			page10, page1, grace))
-	}
-
-	writeJSON(out, doc)
-	fmt.Printf("wrote %s (page10/page1 = %.2f)\n", out, doc.Page10OverPage1)
-}
-
-func runUpdate(out string, check bool) {
-	// Read the committed baseline before overwriting it: the regression
-	// bound compares this run against what the repository ships. An
-	// explicit -update-check with no readable baseline is a hard failure
-	// — a silently skipped gate would let a deleted or corrupted baseline
-	// turn CI green; generate the initial baseline by running without the
-	// flag.
-	var baseline float64
-	if check {
-		prev, err := readUpdateBaseline(out)
-		if err != nil {
-			fatal(fmt.Errorf("-update-check requires a committed baseline: %w", err))
-		}
-		baseline = prev
-	}
-
-	doc := updateDocument{GeneratedBy: "tools/benchjson", GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for _, s := range updatebench.Scenarios() {
-		row, err := runUpdateScenario(s)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Benchmarks = append(doc.Benchmarks, row)
-		if s.Name == "delete_heavy_kd" {
-			doc.DeleteHeavyKDNsPerEntry = row.NsPerEntry
-		}
-		fmt.Printf("%-24s %12.0f ns/op %10.0f ns/entry %8d allocs/op\n",
-			row.Name, row.NsPerOp, row.NsPerEntry, row.AllocsPerOp)
-	}
-
-	// The gate is evaluated before the baseline file is overwritten: a
-	// failing diagnostic run must not leave the regressed numbers on disk
-	// where a later commit would silently re-base the gate on them.
-	//
-	// A check whose scenario vanished (renamed, dropped) must not pass
-	// vacuously with a zero measurement — that would disarm the gate.
-	if check && doc.DeleteHeavyKDNsPerEntry <= 0 {
-		fatal(fmt.Errorf("-update-check found no delete_heavy_kd measurement; the gated scenario is missing"))
-	}
-	// The batch-commit bound: one KD rebuild per commit. The wall-clock
-	// baseline is cross-machine, so the grace term is sized for runner
-	// variance (with it, a ~7x slower runner still passes) while staying
-	// an order of magnitude below the per-entry-rebuild failure mode
-	// (~1.3ms/entry, >100x the baseline) this gate exists to catch. The
-	// machine-independent form of the same contract — exactly one KD
-	// rebuild per delete-heavy commit — is enforced by the test suite via
-	// NodeStats.KDRebuilds.
-	const grace = 50e3 // 50us/entry
-	if check && doc.DeleteHeavyKDNsPerEntry > 2*baseline+grace {
-		fatal(fmt.Errorf("batch-commit regression: delete_heavy_kd %.0f ns/entry > 2x baseline %.0f ns/entry (+%.0f ns grace)",
-			doc.DeleteHeavyKDNsPerEntry, baseline, grace))
-	}
-
-	writeJSON(out, doc)
-	fmt.Printf("wrote %s (delete_heavy_kd = %.0f ns/entry)\n", out, doc.DeleteHeavyKDNsPerEntry)
-}
-
-func readUpdateBaseline(path string) (float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var doc updateDocument
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return 0, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if doc.DeleteHeavyKDNsPerEntry <= 0 {
-		return 0, fmt.Errorf("%s carries no delete_heavy_kd_ns_per_entry", path)
-	}
-	return doc.DeleteHeavyKDNsPerEntry, nil
-}
-
 func writeJSON(path string, doc any) {
 	raw, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -498,236 +286,4 @@ func writeJSON(path string, doc any) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchjson:", err)
 	os.Exit(1)
-}
-
-func runScenario(s searchbench.Scenario) (result, error) {
-	n, req, err := s.Prepare()
-	if err != nil {
-		return result{}, fmt.Errorf("%s: %w", s.Name, err)
-	}
-	ctx := context.Background()
-	var maxRetained int
-	var benchErr error
-	br := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			resp, err := n.Search(ctx, req)
-			if err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-			maxRetained = resp.MaxRetained
-		}
-	})
-	if benchErr != nil {
-		return result{}, fmt.Errorf("%s: %w", s.Name, benchErr)
-	}
-	return result{
-		Name:        s.Name,
-		Path:        s.AccessPath,
-		NsPerOp:     float64(br.NsPerOp()),
-		AllocsPerOp: br.AllocsPerOp(),
-		BytesPerOp:  br.AllocedBytesPerOp(),
-		Limit:       req.Limit,
-		MaxRetained: maxRetained,
-		Iterations:  br.N,
-	}, nil
-}
-
-// wireResult is one codec row of BENCH_wire.json: one message shape
-// under one codec. WireBytesPerMsg is the encoded size (the network
-// cost); the Enc/Dec ns and bytes columns are the CPU and allocation
-// cost per operation, the same bytes/op metric every other suite
-// reports.
-type wireResult struct {
-	Name            string  `json:"name"`
-	Codec           string  `json:"codec"` // gob, binary
-	WireBytesPerMsg int64   `json:"wire_bytes_per_msg"`
-	EncNsPerOp      float64 `json:"enc_ns_per_op"`
-	DecNsPerOp      float64 `json:"dec_ns_per_op"`
-	EncBytesPerOp   int64   `json:"enc_bytes_per_op"`
-	DecBytesPerOp   int64   `json:"dec_bytes_per_op"`
-	EncAllocsPerOp  int64   `json:"enc_allocs_per_op"`
-	DecAllocsPerOp  int64   `json:"dec_allocs_per_op"`
-	Iterations      int     `json:"iterations"`
-}
-
-// wireRatio is the per-frame gob/binary comparison the -wire-check flag
-// gates: allocated bytes/op and ns/op (encode+decode combined) must both
-// be >= 2, and the binary encoding must never be larger on the wire
-// (>= 1 — a payload-dominated frame like a string-heavy UpdateReq can't
-// shrink 2x by codec alone, but it must not grow). Ratios come from the
-// same run, so they are machine-independent.
-type wireRatio struct {
-	Name            string  `json:"name"`
-	WireBytesRatio  float64 `json:"gob_over_binary_wire_bytes"`
-	AllocBytesRatio float64 `json:"gob_over_binary_bytes_per_op"`
-	SpeedRatio      float64 `json:"gob_over_binary_enc_dec_ns"`
-}
-
-type wireDocument struct {
-	GeneratedBy string                    `json:"generated_by"`
-	GoMaxProcs  int                       `json:"gomaxprocs"`
-	Benchmarks  []wireResult              `json:"benchmarks"`
-	Ratios      []wireRatio               `json:"ratios"`
-	Migration   wirebench.MigrationResult `json:"migration"`
-}
-
-func runWire(out string, check bool) {
-	doc := wireDocument{GeneratedBy: "tools/benchjson", GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for _, s := range wirebench.Scenarios() {
-		gobRow, binRow, err := runWireScenario(s)
-		if err != nil {
-			fatal(err)
-		}
-		doc.Benchmarks = append(doc.Benchmarks, gobRow, binRow)
-		ratio := wireRatio{
-			Name:            s.Name,
-			WireBytesRatio:  float64(gobRow.WireBytesPerMsg) / float64(binRow.WireBytesPerMsg),
-			AllocBytesRatio: float64(gobRow.EncBytesPerOp+gobRow.DecBytesPerOp) / float64(binRow.EncBytesPerOp+binRow.DecBytesPerOp),
-			SpeedRatio:      (gobRow.EncNsPerOp + gobRow.DecNsPerOp) / (binRow.EncNsPerOp + binRow.DecNsPerOp),
-		}
-		doc.Ratios = append(doc.Ratios, ratio)
-		for _, row := range []wireResult{gobRow, binRow} {
-			fmt.Printf("%-24s %-7s %8d wire bytes %10.0f enc ns/op %10.0f dec ns/op %8d bytes/op\n",
-				row.Name, row.Codec, row.WireBytesPerMsg, row.EncNsPerOp, row.DecNsPerOp,
-				row.EncBytesPerOp+row.DecBytesPerOp)
-		}
-	}
-
-	mig, err := wirebench.RunMigration()
-	if err != nil {
-		fatal(err)
-	}
-	doc.Migration = mig
-	fmt.Printf("%-24s %8d image bytes %10d peak buffered %10d window (%d files)\n",
-		"migration_stream", mig.ImageBytes, mig.ReceiverPeakBytes, mig.WindowBytes, mig.FilesMoved)
-
-	// Transport gates, evaluated before the baseline is written (a
-	// failing run must not leave regressed numbers on disk for a later
-	// commit to re-base on). A check over zero scenarios must not pass
-	// vacuously — that would disarm the gate if the scenario table were
-	// emptied.
-	if check && len(doc.Ratios) == 0 {
-		fatal(fmt.Errorf("-wire-check found no codec scenarios; the gated table is empty"))
-	}
-	for _, r := range doc.Ratios {
-		if check && r.AllocBytesRatio < 2 {
-			fatal(fmt.Errorf("wire-alloc regression: %s binary encode+decode allocates only %.2fx fewer bytes/op than gob, want >= 2x", r.Name, r.AllocBytesRatio))
-		}
-		if check && r.SpeedRatio < 2 {
-			fatal(fmt.Errorf("wire-speed regression: %s binary encode+decode is only %.2fx faster than gob, want >= 2x", r.Name, r.SpeedRatio))
-		}
-		if check && r.WireBytesRatio < 1 {
-			fatal(fmt.Errorf("wire-size regression: %s binary encoding is %.2fx the size of gob on the wire, want never larger", r.Name, 1/r.WireBytesRatio))
-		}
-	}
-	// The memory-ceiling gate: the migrated image must dwarf the window
-	// (otherwise the bound is vacuous) while the receiver's buffering
-	// stays within it — the invariant that lets a small node accept an
-	// arbitrarily large group.
-	if check && mig.ImageBytes < 3*mig.WindowBytes {
-		fatal(fmt.Errorf("migration fixture regression: image %d bytes < 3x window %d; the ceiling gate is vacuous", mig.ImageBytes, mig.WindowBytes))
-	}
-	if check && (mig.ReceiverPeakBytes == 0 || mig.ReceiverPeakBytes > mig.WindowBytes) {
-		fatal(fmt.Errorf("migration memory regression: receiver peaked at %d buffered bytes, want in (0, window %d]", mig.ReceiverPeakBytes, mig.WindowBytes))
-	}
-
-	writeJSON(out, doc)
-	fmt.Printf("wrote %s (update_req binary = %.1fx fewer bytes/op, %.1fx faster; migration peak = %d/%d)\n",
-		out, doc.Ratios[0].AllocBytesRatio, doc.Ratios[0].SpeedRatio, mig.ReceiverPeakBytes, mig.WindowBytes)
-}
-
-// runWireScenario benchmarks one message shape under both codecs and
-// returns the gob row and the binary row.
-func runWireScenario(s wirebench.Scenario) (gobRow, binRow wireResult, err error) {
-	var buf bytes.Buffer
-	if err := wirebench.EncodeGob(&buf, s.Msg); err != nil {
-		return gobRow, binRow, fmt.Errorf("%s: gob encode: %w", s.Name, err)
-	}
-	gobRaw := append([]byte(nil), buf.Bytes()...)
-	binRaw := s.Msg.MarshalWire(nil)
-
-	var benchErr error
-	fail := func(b *testing.B, err error) {
-		if err != nil {
-			benchErr = err
-			b.FailNow()
-		}
-	}
-	gobEnc := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fail(b, wirebench.EncodeGob(&buf, s.Msg))
-		}
-	})
-	gobDec := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fail(b, wirebench.DecodeGob(gobRaw, s.New()))
-		}
-	})
-	binEnc := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		var dst []byte
-		for i := 0; i < b.N; i++ {
-			dst = s.Msg.MarshalWire(dst[:0])
-		}
-	})
-	binDec := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fail(b, s.New().UnmarshalWire(binRaw))
-		}
-	})
-	if benchErr != nil {
-		return gobRow, binRow, fmt.Errorf("%s: %w", s.Name, benchErr)
-	}
-
-	gobRow = wireResult{
-		Name: s.Name, Codec: "gob", WireBytesPerMsg: int64(len(gobRaw)),
-		EncNsPerOp: float64(gobEnc.NsPerOp()), DecNsPerOp: float64(gobDec.NsPerOp()),
-		EncBytesPerOp: gobEnc.AllocedBytesPerOp(), DecBytesPerOp: gobDec.AllocedBytesPerOp(),
-		EncAllocsPerOp: gobEnc.AllocsPerOp(), DecAllocsPerOp: gobDec.AllocsPerOp(),
-		Iterations: gobEnc.N,
-	}
-	binRow = wireResult{
-		Name: s.Name, Codec: "binary", WireBytesPerMsg: int64(len(binRaw)),
-		EncNsPerOp: float64(binEnc.NsPerOp()), DecNsPerOp: float64(binDec.NsPerOp()),
-		EncBytesPerOp: binEnc.AllocedBytesPerOp(), DecBytesPerOp: binDec.AllocedBytesPerOp(),
-		EncAllocsPerOp: binEnc.AllocsPerOp(), DecAllocsPerOp: binDec.AllocsPerOp(),
-		Iterations: binEnc.N,
-	}
-	return gobRow, binRow, nil
-}
-
-func runUpdateScenario(s updatebench.Scenario) (updateResult, error) {
-	r, err := s.Prepare()
-	if err != nil {
-		return updateResult{}, fmt.Errorf("%s: %w", s.Name, err)
-	}
-	var benchErr error
-	br := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := r.Op(); err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-		}
-	})
-	if benchErr != nil {
-		return updateResult{}, fmt.Errorf("%s: %w", s.Name, benchErr)
-	}
-	nsPerOp := float64(br.NsPerOp())
-	return updateResult{
-		Name:         s.Name,
-		Kind:         s.Kind,
-		NsPerOp:      nsPerOp,
-		EntriesPerOp: r.EntriesPerOp,
-		NsPerEntry:   nsPerOp / float64(r.EntriesPerOp),
-		AllocsPerOp:  br.AllocsPerOp(),
-		BytesPerOp:   br.AllocedBytesPerOp(),
-		Iterations:   br.N,
-	}, nil
 }

@@ -5,32 +5,24 @@ import "testing"
 // TestSuiteSelectionNeverRewritesUnselectedBaselines is the golden table
 // for the flag → suite mapping. The property under test: an invocation that
 // names only one suite's flags runs (and may therefore rewrite the
-// committed baseline of) exactly that suite — re-committing another suite's
-// machine-local numbers would silently move its CI gate. Only the bare
-// invocation regenerates everything.
+// committed baseline of) exactly that suite — the other suite's committed
+// numbers must not be replaced by machine-local ones nobody asked for.
+// Only the bare invocation regenerates both.
 func TestSuiteSelectionNeverRewritesUnselectedBaselines(t *testing.T) {
-	all := suiteSelection{Search: true, Update: true, Cluster: true, Traffic: true, Wire: true}
+	all := suiteSelection{Cluster: true, Traffic: true}
 	cases := []struct {
 		name string
 		set  []string
 		want suiteSelection
 	}{
 		{"bare", nil, all},
-		{"search_out", []string{"out"}, suiteSelection{Search: true}},
-		{"search_check", []string{"check"}, suiteSelection{Search: true}},
-		{"update_out", []string{"update-out"}, suiteSelection{Update: true}},
-		{"update_check", []string{"update-check"}, suiteSelection{Update: true}},
 		{"cluster_out", []string{"cluster-out"}, suiteSelection{Cluster: true}},
 		{"cluster_check", []string{"cluster-check"}, suiteSelection{Cluster: true}},
 		{"traffic_out", []string{"traffic-out"}, suiteSelection{Traffic: true}},
 		{"traffic_check", []string{"traffic-check"}, suiteSelection{Traffic: true}},
 		{"traffic_both", []string{"traffic-out", "traffic-check"}, suiteSelection{Traffic: true}},
-		{"wire_out", []string{"wire-out"}, suiteSelection{Wire: true}},
-		{"wire_check", []string{"wire-check"}, suiteSelection{Wire: true}},
-		{"two_suites", []string{"check", "cluster-check"}, suiteSelection{Search: true, Cluster: true}},
-		{"three_suites", []string{"out", "update-out", "traffic-out"},
-			suiteSelection{Search: true, Update: true, Traffic: true}},
-		{"all_explicit", []string{"check", "update-check", "cluster-check", "traffic-check", "wire-check"}, all},
+		{"two_suites", []string{"cluster-check", "traffic-out"}, all},
+		{"all_explicit", []string{"cluster-out", "cluster-check", "traffic-out", "traffic-check"}, all},
 		// An unrelated flag name selects nothing explicitly, so everything
 		// runs — the bare-invocation rule keys off suite flags only.
 		{"unknown_flag_only", []string{"verbose"}, all},

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"propeller/internal/attr"
 	"propeller/internal/pagestore"
@@ -30,95 +31,59 @@ const (
 	maxKeyLen = (pagestore.PageSize-nodeHeaderSize)/4 - 10
 )
 
-type bnode struct {
-	leaf     bool
-	next     uint64 // leaf chain
-	keys     [][]byte
-	children []uint64 // internal: len(keys)+1
+// nodeView reads one B+tree page in place: the header fields plus the
+// shared entry table (see slots). Keys come back as sub-slices of the page.
+type nodeView struct {
+	slots
+	leaf bool
+	next uint64 // leaf chain
 }
 
-func (n *bnode) encodedSize() int {
-	sz := nodeHeaderSize
-	for _, k := range n.keys {
-		sz += 2 + len(k)
+// parse points v at a page image, rejecting (ErrCorrupt) a key or an
+// internal node's child array that runs past the page.
+func (v *nodeView) parse(page []byte) error {
+	if err := v.slots.parse(page, 1, nodeHeaderSize, 0); err != nil {
+		return err
 	}
-	if !n.leaf {
-		sz += 8 * len(n.children)
+	v.leaf = page[0]&1 == 1
+	v.next = binary.BigEndian.Uint64(page[3:])
+	if !v.leaf && v.end()+8*(v.len()+1) > len(page) {
+		return ErrCorrupt
 	}
-	return sz
+	return nil
 }
 
-func (n *bnode) encode() ([]byte, error) {
-	buf := make([]byte, 0, n.encodedSize())
-	flags := byte(0)
-	if n.leaf {
-		flags = 1
-	}
-	buf = append(buf, flags)
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], uint16(len(n.keys)))
-	buf = append(buf, u16[:]...)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], n.next)
-	buf = append(buf, u64[:]...)
-	for _, k := range n.keys {
-		if len(k) > maxKeyLen {
-			return nil, ErrKeyTooLong
-		}
-		binary.BigEndian.PutUint16(u16[:], uint16(len(k)))
-		buf = append(buf, u16[:]...)
-		buf = append(buf, k...)
-	}
-	if !n.leaf {
-		if len(n.children) != len(n.keys)+1 {
-			return nil, fmt.Errorf("%w: internal node with %d keys, %d children",
-				ErrCorrupt, len(n.keys), len(n.children))
-		}
-		for _, c := range n.children {
-			binary.BigEndian.PutUint64(u64[:], c)
-			buf = append(buf, u64[:]...)
-		}
-	}
-	if len(buf) > pagestore.PageSize {
-		return nil, fmt.Errorf("%w: node encoding %d bytes exceeds page", ErrCorrupt, len(buf))
-	}
-	return buf, nil
+func (v *nodeView) key(i int) []byte { return v.body(i) }
+
+// child returns an internal node's i-th child page (0 <= i <= len()).
+func (v *nodeView) child(i int) uint64 {
+	return binary.BigEndian.Uint64(v.page[v.end()+8*i:])
 }
 
-func decodeNode(b []byte) (*bnode, error) {
-	if len(b) < nodeHeaderSize {
-		return nil, ErrCorrupt
-	}
-	n := &bnode{leaf: b[0]&1 == 1}
-	num := int(binary.BigEndian.Uint16(b[1:3]))
-	n.next = binary.BigEndian.Uint64(b[3:11])
-	off := nodeHeaderSize
-	n.keys = make([][]byte, 0, num)
-	for i := 0; i < num; i++ {
-		if off+2 > len(b) {
-			return nil, ErrCorrupt
-		}
-		kl := int(binary.BigEndian.Uint16(b[off : off+2]))
-		off += 2
-		if off+kl > len(b) {
-			return nil, ErrCorrupt
-		}
-		k := make([]byte, kl)
-		copy(k, b[off:off+kl])
-		n.keys = append(n.keys, k)
-		off += kl
-	}
-	if !n.leaf {
-		n.children = make([]uint64, 0, num+1)
-		for i := 0; i <= num; i++ {
-			if off+8 > len(b) {
-				return nil, ErrCorrupt
-			}
-			n.children = append(n.children, binary.BigEndian.Uint64(b[off:off+8]))
-			off += 8
+// search returns the position of the first key >= k and whether it equals
+// k.
+func (v *nodeView) search(k []byte) (int, bool) {
+	lo, hi := 0, v.len()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(v.key(mid), k) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return n, nil
+	return lo, lo < v.len() && bytes.Equal(v.key(lo), k)
+}
+
+// childFor returns the index of the child that owns key: separators are
+// copies of the first key of their right subtree, so an exact hit routes
+// right.
+func (v *nodeView) childFor(key []byte) int {
+	pos, found := v.search(key)
+	if found {
+		pos++
+	}
+	return pos
 }
 
 // BTree is a paged B+tree mapping attribute values to file ids. It supports
@@ -129,6 +94,9 @@ type BTree struct {
 	store *pagestore.Store
 	root  pagestore.PageID
 	count int
+	// w is the view every mutating path parses pages into (mutations are
+	// exclusive, so one is enough); cursors carry their own.
+	w nodeView
 }
 
 // NewBTree creates an empty B+tree on store.
@@ -138,7 +106,7 @@ func NewBTree(store *pagestore.Store) (*BTree, error) {
 		return nil, fmt.Errorf("btree root: %w", err)
 	}
 	t := &BTree{store: store, root: id}
-	if err := t.writeNode(id, &bnode{leaf: true, next: noPage}); err != nil {
+	if err := t.writeNode(id, true, noPage, nil, nil); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -150,23 +118,35 @@ func (t *BTree) Len() int { return t.count }
 // RootPage exposes the root page id (used by persistence tests).
 func (t *BTree) RootPage() pagestore.PageID { return t.root }
 
-func (t *BTree) readNode(id pagestore.PageID) (*bnode, error) {
-	raw, err := t.store.Read(id)
-	if err != nil {
-		return nil, fmt.Errorf("btree read page %d: %w", id, err)
-	}
-	return decodeNode(raw)
-}
-
-func (t *BTree) writeNode(id pagestore.PageID, n *bnode) error {
-	raw, err := n.encode()
+// view parses page id into v in place.
+func (t *BTree) view(v *nodeView, id pagestore.PageID) error {
+	raw, err := readPage(t.store, id)
 	if err != nil {
 		return err
 	}
-	if err := t.store.Write(id, raw); err != nil {
-		return fmt.Errorf("btree write page %d: %w", id, err)
+	return v.parse(raw)
+}
+
+// writeNode renders a node into a fresh page image and gives it to the
+// store. Only the paths that restructure a node (splits, separator
+// inserts, new roots) come here; leaf edits work on the image directly.
+func (t *BTree) writeNode(id pagestore.PageID, leaf bool, next uint64, keys [][]byte, children []uint64) error {
+	p := make([]byte, nodeHeaderSize, pagestore.PageSize)
+	if leaf {
+		p[0] = 1
 	}
-	return nil
+	binary.BigEndian.PutUint16(p[1:], uint16(len(keys)))
+	binary.BigEndian.PutUint64(p[3:], next)
+	for _, k := range keys {
+		p = append(binary.BigEndian.AppendUint16(p, uint16(len(k))), k...)
+	}
+	for _, c := range children {
+		p = binary.BigEndian.AppendUint64(p, c)
+	}
+	if len(p) > pagestore.PageSize {
+		return fmt.Errorf("%w: node encoding %d bytes exceeds page", ErrCorrupt, len(p))
+	}
+	return writePage(t.store, id, p[:pagestore.PageSize]) // the tail of a fresh page is zero
 }
 
 // Insert adds a (value, file) posting. Inserting the same posting twice is a
@@ -181,9 +161,8 @@ func (t *BTree) Insert(v attr.Value, f FileID) error {
 }
 
 // insertPrepared inserts a pre-encoded composite key via a full
-// root-to-leaf descent, splitting nodes as needed. The tree takes
-// ownership of key. It reports whether a new posting was added (false on
-// a duplicate).
+// root-to-leaf descent, splitting nodes as needed. It reports whether a
+// new posting was added (false on a duplicate).
 func (t *BTree) insertPrepared(key []byte) (bool, error) {
 	sepKey, newChild, inserted, err := t.insertAt(t.root, key)
 	if err != nil {
@@ -195,13 +174,8 @@ func (t *BTree) insertPrepared(key []byte) (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("btree grow root: %w", err)
 		}
-		root := &bnode{
-			leaf:     false,
-			next:     noPage,
-			keys:     [][]byte{sepKey},
-			children: []uint64{uint64(t.root), newChild},
-		}
-		if err := t.writeNode(newRootID, root); err != nil {
+		err = t.writeNode(newRootID, false, noPage, [][]byte{sepKey}, []uint64{uint64(t.root), newChild})
+		if err != nil {
 			return false, err
 		}
 		t.root = newRootID
@@ -215,124 +189,118 @@ func (t *BTree) insertPrepared(key []byte) (bool, error) {
 // insertAt inserts key under page id. If the node splits, it returns the
 // separator key and the new right sibling's page id (else noPage).
 func (t *BTree) insertAt(id pagestore.PageID, key []byte) (sep []byte, newChild uint64, inserted bool, err error) {
-	n, err := t.readNode(id)
+	raw, err := readPage(t.store, id)
 	if err != nil {
 		return nil, noPage, false, err
 	}
-	if n.leaf {
-		pos, found := searchKeys(n.keys, key)
+	v := &t.w
+	if err := v.parse(raw); err != nil {
+		return nil, noPage, false, err
+	}
+	if v.leaf {
+		pos, found := v.search(key)
 		if found {
 			return nil, noPage, false, nil // duplicate posting
 		}
-		n.keys = insertKey(n.keys, pos, key)
-		inserted = true
-	} else {
-		pos, found := searchKeys(n.keys, key)
-		childIdx := pos
-		if found {
-			childIdx = pos + 1
+		if v.fits(key) {
+			v.own()
+			v.insert(pos, key)
+			return nil, noPage, true, v.give(t.store, id)
 		}
-		csep, cnew, cins, cerr := t.insertAt(pagestore.PageID(n.children[childIdx]), key)
-		if cerr != nil {
-			return nil, noPage, false, cerr
-		}
-		inserted = cins
-		if cnew == noPage {
-			return nil, noPage, inserted, nil
-		}
-		// Child split: insert separator and new child pointer.
-		spos, _ := searchKeys(n.keys, csep)
-		n.keys = insertKey(n.keys, spos, csep)
-		n.children = append(n.children, 0)
-		copy(n.children[spos+2:], n.children[spos+1:])
-		n.children[spos+1] = cnew
+		sep, newChild, err = t.spliceNode(id, v, pos, key, noPage)
+		return sep, newChild, err == nil, err
 	}
+	csep, cnew, inserted, err := t.insertAt(pagestore.PageID(v.child(v.childFor(key))), key)
+	if err != nil || cnew == noPage {
+		return nil, noPage, inserted, err
+	}
+	// Child split: insert separator and new child pointer. The recursion
+	// reused the view; raw is immutable, so it parses back to this node.
+	if err := v.parse(raw); err != nil {
+		return nil, noPage, false, err
+	}
+	spos, _ := v.search(csep)
+	sep, newChild, err = t.spliceNode(id, v, spos, csep, cnew)
+	return sep, newChild, inserted, err
+}
 
-	if n.encodedSize() <= pagestore.PageSize {
-		return nil, noPage, inserted, t.writeNode(id, n)
+// spliceNode rewrites node id (parsed in v) with key inserted at pos and,
+// for an internal node, child inserted right of it. A node that no longer
+// fits its page splits in half: the separator and the new right sibling's
+// page id are returned (else noPage). The keys gathered here, separator
+// included, alias key or immutable page images; none is copied.
+func (t *BTree) spliceNode(id pagestore.PageID, v *nodeView, pos int, key []byte, child uint64) (sep []byte, right uint64, err error) {
+	keys := make([][]byte, 0, v.len()+1)
+	for i := 0; i < v.len(); i++ {
+		keys = append(keys, v.key(i))
 	}
-	// Split the node in half.
-	mid := len(n.keys) / 2
+	keys = slices.Insert(keys, pos, key)
+	var children []uint64
+	if !v.leaf {
+		for i := 0; i <= v.len(); i++ {
+			children = append(children, v.child(i))
+		}
+		children = slices.Insert(children, pos+1, child)
+	}
+	if v.end()+2+len(key)+8*len(children) <= pagestore.PageSize {
+		return nil, noPage, t.writeNode(id, v.leaf, v.next, keys, children)
+	}
+	mid := len(keys) / 2
 	rightID, err := t.store.Allocate()
 	if err != nil {
-		return nil, noPage, false, fmt.Errorf("btree split: %w", err)
+		return nil, noPage, fmt.Errorf("btree split: %w", err)
 	}
-	var right *bnode
-	if n.leaf {
-		right = &bnode{leaf: true, next: n.next}
-		right.keys = append(right.keys, n.keys[mid:]...)
-		n.keys = n.keys[:mid]
-		n.next = uint64(rightID)
-		sep = right.keys[0]
+	if v.leaf {
+		// The separator is copied up: it stays the right leaf's first key.
+		if err = t.writeNode(id, true, uint64(rightID), keys[:mid], nil); err == nil {
+			err = t.writeNode(rightID, true, v.next, keys[mid:], nil)
+		}
 	} else {
 		// Internal split: the middle key moves up (not copied).
-		sep = n.keys[mid]
-		right = &bnode{leaf: false, next: noPage}
-		right.keys = append(right.keys, n.keys[mid+1:]...)
-		right.children = append(right.children, n.children[mid+1:]...)
-		n.keys = n.keys[:mid]
-		n.children = n.children[:mid+1]
+		if err = t.writeNode(id, false, noPage, keys[:mid], children[:mid+1]); err == nil {
+			err = t.writeNode(rightID, false, noPage, keys[mid+1:], children[mid+1:])
+		}
 	}
-	if err := t.writeNode(id, n); err != nil {
-		return nil, noPage, false, err
-	}
-	if err := t.writeNode(rightID, right); err != nil {
-		return nil, noPage, false, err
-	}
-	return sep, uint64(rightID), inserted, nil
+	return keys[mid], uint64(rightID), err
 }
 
 // Delete removes the (value, file) posting. It returns ErrNotFound if the
 // posting is absent.
 func (t *BTree) Delete(v attr.Value, f FileID) error {
-	key := compositeKey(v, f)
-	leafID, err := t.findLeaf(key)
-	if err != nil {
-		return err
+	n, err := t.DeleteSorted([][]byte{compositeKey(v, f)})
+	if err == nil && n == 0 {
+		err = ErrNotFound
 	}
-	n, err := t.readNode(leafID)
-	if err != nil {
-		return err
-	}
-	pos, found := searchKeys(n.keys, key)
-	if !found {
-		return ErrNotFound
-	}
-	n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
-	if err := t.writeNode(leafID, n); err != nil {
-		return err
-	}
-	t.count--
-	return nil
+	return err
 }
 
 // leafWalk is the shared positioning state of the sorted bulk-merge
-// paths (InsertSorted / DeleteSorted): the currently loaded leaf, its
-// exclusive upper key bound from the descent (nil = +inf), and whether
-// the in-memory copy has unwritten changes. Sorted runs visit leaves
-// left to right, so each leaf is read and written at most once per run
-// instead of once per key. delta accumulates the staged posting-count
-// change and is folded into t.count only when the leaf is durably
-// written, so a failed flush never skews Len() against the retried run.
+// paths (InsertSorted / DeleteSorted): the leaf currently parsed in the
+// tree's view, its exclusive upper key bound from the descent (nil =
+// +inf), and whether the view holds unwritten edits (it then owns its
+// page — the first edit of a leaf copies it, later ones work in place).
+// Sorted runs visit leaves left to right, so each leaf is read and written
+// at most once per run instead of once per key. delta accumulates the
+// staged posting-count change and is folded into t.count only when the
+// leaf is durably written, so a failed flush never skews Len() against
+// the retried run.
 type leafWalk struct {
 	t      *BTree
 	id     pagestore.PageID
-	n      *bnode
 	high   []byte
 	loaded bool
-	dirty  bool
 	delta  int
 }
 
 // flush writes the current leaf back if it changed and forgets it.
 func (w *leafWalk) flush() error {
-	if w.loaded && w.dirty {
-		if err := w.t.writeNode(w.id, w.n); err != nil {
+	if w.loaded && w.t.w.owned {
+		if err := w.t.w.give(w.t.store, w.id); err != nil {
 			return err
 		}
 		w.t.count += w.delta
 	}
-	w.loaded, w.dirty, w.delta = false, false, 0
+	w.loaded, w.delta = false, 0
 	return nil
 }
 
@@ -345,15 +313,14 @@ func (w *leafWalk) position(key []byte) error {
 	if err := w.flush(); err != nil {
 		return err
 	}
-	id, high, err := w.t.findLeafHigh(key)
+	id, high, err := w.t.findLeafHigh(&w.t.w, key)
 	if err != nil {
 		return err
 	}
-	n, err := w.t.readNode(id)
-	if err != nil {
+	if err := w.t.view(&w.t.w, id); err != nil {
 		return err
 	}
-	w.id, w.n, w.high, w.loaded = id, n, high, true
+	w.id, w.high, w.loaded = id, high, true
 	return nil
 }
 
@@ -362,10 +329,10 @@ func (w *leafWalk) position(key []byte) error {
 // and one page write, so a sorted run costs O(leaves touched) page
 // writes instead of O(keys). Duplicates already in the tree are skipped.
 // A key that overflows its leaf falls back to the splitting descent for
-// that key alone. The tree takes ownership of the key slices. It returns
-// the number of new postings placed; on error the count may include keys
-// staged in a leaf whose flush failed (t.count itself only ever reflects
-// durably written leaves).
+// that key alone. Keys are copied into the pages; the caller keeps its
+// slices. It returns the number of new postings placed; on error the
+// count may include keys staged in a leaf whose flush failed (t.count
+// itself only ever reflects durably written leaves).
 func (t *BTree) InsertSorted(keys [][]byte) (int, error) {
 	inserted := 0
 	w := leafWalk{t: t}
@@ -379,15 +346,13 @@ func (t *BTree) InsertSorted(keys [][]byte) (int, error) {
 		if err := w.position(key); err != nil {
 			return inserted, err
 		}
-		pos, found := searchKeys(w.n.keys, key)
+		pos, found := t.w.search(key)
 		if found {
 			continue // duplicate posting
 		}
-		w.n.keys = insertKey(w.n.keys, pos, key)
-		if w.n.encodedSize() > pagestore.PageSize {
-			// The leaf must split: undo the staged insert, write what the
-			// walk has, and let the recursive descent handle the split.
-			w.n.keys = append(w.n.keys[:pos], w.n.keys[pos+1:]...)
+		if !t.w.fits(key) {
+			// The leaf must split: write what the walk has and let the
+			// recursive descent handle the split.
 			if err := w.flush(); err != nil {
 				return inserted, err
 			}
@@ -400,7 +365,8 @@ func (t *BTree) InsertSorted(keys [][]byte) (int, error) {
 			}
 			continue
 		}
-		w.dirty = true
+		t.w.own()
+		t.w.insert(pos, key)
 		w.delta++
 		inserted++
 	}
@@ -419,42 +385,40 @@ func (t *BTree) DeleteSorted(keys [][]byte) (int, error) {
 		if err := w.position(key); err != nil {
 			return deleted, err
 		}
-		pos, found := searchKeys(w.n.keys, key)
+		pos, found := t.w.search(key)
 		if !found {
 			continue
 		}
-		w.n.keys = append(w.n.keys[:pos], w.n.keys[pos+1:]...)
-		w.dirty = true
+		t.w.own()
+		t.w.remove(pos)
 		w.delta--
 		deleted++
 	}
 	return deleted, w.flush()
 }
 
-// findLeafHigh descends to the leaf that owns key and also returns the
-// leaf's exclusive upper key bound from the descent (nil = rightmost
-// leaf): every key strictly below the bound belongs to this leaf, which
-// is what lets sorted bulk runs reuse one leaf across adjacent keys.
-func (t *BTree) findLeafHigh(key []byte) (pagestore.PageID, []byte, error) {
+// findLeafHigh descends to the leaf that owns key (nil key = leftmost; a
+// nil key sorts before every real key, so it routes to child 0 at every
+// level), parsing each page on the way into v. It also returns the leaf's
+// exclusive upper key bound from the descent (nil = rightmost leaf): every
+// key strictly below the bound belongs to this leaf, which is what lets
+// sorted bulk runs reuse one leaf across adjacent keys. The bound aliases
+// an immutable page image.
+func (t *BTree) findLeafHigh(v *nodeView, key []byte) (pagestore.PageID, []byte, error) {
 	id := t.root
 	var high []byte
 	for {
-		n, err := t.readNode(id)
-		if err != nil {
+		if err := t.view(v, id); err != nil {
 			return 0, nil, err
 		}
-		if n.leaf {
+		if v.leaf {
 			return id, high, nil
 		}
-		pos, found := searchKeys(n.keys, key)
-		childIdx := pos
-		if found {
-			childIdx = pos + 1
+		c := v.childFor(key)
+		if c < v.len() {
+			high = v.key(c)
 		}
-		if childIdx < len(n.keys) {
-			high = n.keys[childIdx]
-		}
-		id = pagestore.PageID(n.children[childIdx])
+		id = pagestore.PageID(v.child(c))
 	}
 }
 
@@ -528,7 +492,8 @@ func (t *BTree) ScanRange(lo, hi *attr.Value, incLo, incHi bool, fn func(attr.Va
 // mid-scan). The zero Cursor is usable after Reset.
 type Cursor struct {
 	t   *BTree
-	n   *bnode
+	v   nodeView // the leaf under the cursor, read in place
+	on  bool     // v holds a leaf (false = unpositioned or exhausted)
 	idx int
 	// scratch backs the composite keys the typed Seek forms build, so
 	// repeated seeks during one scan do not allocate.
@@ -542,11 +507,12 @@ func (t *BTree) NewCursor() *Cursor {
 	return c
 }
 
-// Reset re-targets the cursor at t (keeping its scratch buffer) and leaves
-// it unpositioned.
+// Reset re-targets the cursor at t (keeping its scratch buffers) and leaves
+// it unpositioned, holding no page.
 func (c *Cursor) Reset(t *BTree) {
 	c.t = t
-	c.n = nil
+	c.v.page = nil
+	c.on = false
 	c.idx = 0
 }
 
@@ -558,18 +524,18 @@ func (c *Cursor) SeekFirst() error { return c.Seek(nil) }
 // (see AppendValueKey), so seeking to a bare value key (no file-id tail)
 // lands precisely on that value's first posting.
 func (c *Cursor) Seek(key []byte) error {
-	leafID, err := c.t.findLeaf(key)
+	c.on = false
+	leafID, _, err := c.t.findLeafHigh(&c.v, key)
 	if err != nil {
 		return err
 	}
-	n, err := c.t.readNode(leafID)
-	if err != nil {
+	if err := c.t.view(&c.v, leafID); err != nil {
 		return err
 	}
-	c.n = n
+	c.on = true
 	c.idx = 0
 	if key != nil {
-		c.idx, _ = searchKeys(n.keys, key)
+		c.idx, _ = c.v.search(key)
 	}
 	return nil
 }
@@ -601,81 +567,49 @@ func (c *Cursor) SeekEncodedComposite(valKey []byte, f FileID) error {
 
 // Next returns the posting under the cursor as (value key, file id) and
 // advances. ok is false when the scan is exhausted. The returned value key
-// (the AppendValueKey form) stays valid after further cursor movement;
-// byte-comparing value keys matches value order, so scans bound and group
-// postings without decoding.
+// (the AppendValueKey form) stays valid after further cursor movement — it
+// is a sub-slice of a page image, and the store never modifies an image
+// once published (a write installs a new one), so neither hopping to the
+// next leaf, re-seeking, nor a later commit can change its bytes. Scans
+// rely on this to remember the previous posting's value across Next
+// calls. Byte-comparing value keys matches value order, so scans bound and
+// group postings without decoding.
 func (c *Cursor) Next() (valKey []byte, f FileID, ok bool, err error) {
-	for {
-		if c.n == nil {
-			return nil, 0, false, nil
-		}
-		if c.idx < len(c.n.keys) {
-			k := c.n.keys[c.idx]
+	for c.on {
+		if c.idx < c.v.len() {
+			k := c.v.key(c.idx)
 			c.idx++
 			valKey, f, err = splitComposite(k)
 			return valKey, f, err == nil, err
 		}
 		// Leaf exhausted (possibly empty after lazy deletions): follow the
 		// sibling chain.
-		if c.n.next == noPage {
-			c.n = nil
-			return nil, 0, false, nil
+		if c.v.next == noPage {
+			break
 		}
-		n, err := c.t.readNode(pagestore.PageID(c.n.next))
-		if err != nil {
+		c.on = false
+		if err := c.t.view(&c.v, pagestore.PageID(c.v.next)); err != nil {
 			return nil, 0, false, err
 		}
-		c.n = n
-		c.idx = 0
+		c.on, c.idx = true, 0
 	}
-}
-
-// findLeaf descends to the leaf that would contain key (nil key =
-// leftmost; a nil key sorts before every real key, so the shared descent
-// routes it to child 0 at every level).
-func (t *BTree) findLeaf(key []byte) (pagestore.PageID, error) {
-	id, _, err := t.findLeafHigh(key)
-	return id, err
+	c.on = false
+	return nil, 0, false, nil
 }
 
 // Height returns the tree height (1 = a single leaf). Used in tests.
 func (t *BTree) Height() (int, error) {
+	var v nodeView
 	h := 1
 	id := t.root
 	for {
-		n, err := t.readNode(id)
-		if err != nil {
+		if err := t.view(&v, id); err != nil {
 			return 0, err
 		}
-		if n.leaf {
+		if v.leaf {
 			return h, nil
 		}
 		h++
-		id = pagestore.PageID(n.children[0])
+		id = pagestore.PageID(v.child(0))
 	}
-}
-
-// searchKeys returns the position of the first key >= k and whether it
-// equals k.
-func searchKeys(keys [][]byte, k []byte) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(keys) && bytes.Equal(keys[lo], k) {
-		return lo, true
-	}
-	return lo, false
-}
-
-func insertKey(keys [][]byte, pos int, k []byte) [][]byte {
-	keys = append(keys, nil)
-	copy(keys[pos+1:], keys[pos:])
-	keys[pos] = k
-	return keys
 }

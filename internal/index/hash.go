@@ -22,10 +22,17 @@ import (
 //	bytes 0..1  : entry count (uint16)
 //	bytes 2..9  : overflow page id (math.MaxUint64 = none)
 //	per entry   : keyLen uint16, value encoding, file id uint64
+//
+// Like BTree, a HashIndex is not safe for concurrent use: reads and writes
+// share the scratch below (the Index Node serialises access per ACG group).
 type HashIndex struct {
 	store   *pagestore.Store
 	buckets []pagestore.PageID
 	count   int
+
+	rd    bucketView  // the page a lookup or scan is walking
+	chain []chainPage // the chain a bulk mutation has loaded; views reused
+	body  []byte      // scratch: a lookup's value encoding, an insert's entry body
 }
 
 const hashHeaderSize = 2 + 8
@@ -41,7 +48,7 @@ func NewHashIndex(store *pagestore.Store, nBuckets int) (*HashIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hash bucket %d: %w", i, err)
 		}
-		if err := h.writeBucket(id, &hbucket{next: noPage}); err != nil {
+		if err := writePage(h.store, id, newBucketPage()); err != nil {
 			return nil, err
 		}
 		h.buckets[i] = id
@@ -55,93 +62,54 @@ func (h *HashIndex) Len() int { return h.count }
 // Buckets returns the number of bucket chains.
 func (h *HashIndex) Buckets() int { return len(h.buckets) }
 
-type hentry struct {
-	valEnc []byte
-	file   FileID
+// bucketView reads one bucket page in place (see slots): an entry's body
+// is its value encoding followed by the 8-byte file id.
+type bucketView struct {
+	slots
+	next uint64 // overflow chain
 }
 
-type hbucket struct {
-	next    uint64
-	entries []hentry
-}
-
-func (b *hbucket) encodedSize() int {
-	sz := hashHeaderSize
-	for _, e := range b.entries {
-		sz += 2 + len(e.valEnc) + 8
+// parse points b at a page image, rejecting (ErrCorrupt) an entry that runs
+// past the page.
+func (b *bucketView) parse(page []byte) error {
+	if err := b.slots.parse(page, 0, hashHeaderSize, 8); err != nil {
+		return err
 	}
-	return sz
+	b.next = binary.BigEndian.Uint64(page[2:])
+	return nil
 }
 
-func (b *hbucket) encode() ([]byte, error) {
-	buf := make([]byte, 0, b.encodedSize())
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], uint16(len(b.entries)))
-	buf = append(buf, u16[:]...)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], b.next)
-	buf = append(buf, u64[:]...)
-	for _, e := range b.entries {
-		if len(e.valEnc) > maxKeyLen {
-			return nil, ErrKeyTooLong
+// entry returns posting i; valEnc is a sub-slice of the page.
+func (b *bucketView) entry(i int) (valEnc []byte, f FileID) {
+	body := b.body(i)
+	cut := len(body) - 8
+	return body[:cut], FileID(binary.BigEndian.Uint64(body[cut:]))
+}
+
+// find returns the position of posting (valEnc, f), or -1.
+func (b *bucketView) find(valEnc []byte, f FileID) int {
+	for i := 0; i < b.len(); i++ {
+		if ve, file := b.entry(i); file == f && bytes.Equal(ve, valEnc) {
+			return i
 		}
-		binary.BigEndian.PutUint16(u16[:], uint16(len(e.valEnc)))
-		buf = append(buf, u16[:]...)
-		buf = append(buf, e.valEnc...)
-		binary.BigEndian.PutUint64(u64[:], uint64(e.file))
-		buf = append(buf, u64[:]...)
 	}
-	if len(buf) > pagestore.PageSize {
-		return nil, fmt.Errorf("%w: bucket %d bytes exceeds page", ErrCorrupt, len(buf))
-	}
-	return buf, nil
+	return -1
 }
 
-func decodeBucket(raw []byte) (*hbucket, error) {
-	if len(raw) < hashHeaderSize {
-		return nil, ErrCorrupt
-	}
-	b := &hbucket{}
-	num := int(binary.BigEndian.Uint16(raw[0:2]))
-	b.next = binary.BigEndian.Uint64(raw[2:10])
-	off := hashHeaderSize
-	b.entries = make([]hentry, 0, num)
-	for i := 0; i < num; i++ {
-		if off+2 > len(raw) {
-			return nil, ErrCorrupt
-		}
-		kl := int(binary.BigEndian.Uint16(raw[off : off+2]))
-		off += 2
-		if off+kl+8 > len(raw) {
-			return nil, ErrCorrupt
-		}
-		ve := make([]byte, kl)
-		copy(ve, raw[off:off+kl])
-		off += kl
-		f := FileID(binary.BigEndian.Uint64(raw[off : off+8]))
-		off += 8
-		b.entries = append(b.entries, hentry{valEnc: ve, file: f})
-	}
-	return b, nil
+// newBucketPage returns the image of an empty bucket with no overflow.
+func newBucketPage() []byte {
+	p := make([]byte, pagestore.PageSize)
+	binary.BigEndian.PutUint64(p[2:], noPage)
+	return p
 }
 
-func (h *HashIndex) readBucket(id pagestore.PageID) (*hbucket, error) {
-	raw, err := h.store.Read(id)
-	if err != nil {
-		return nil, fmt.Errorf("hash read page %d: %w", id, err)
-	}
-	return decodeBucket(raw)
-}
-
-func (h *HashIndex) writeBucket(id pagestore.PageID, b *hbucket) error {
-	raw, err := b.encode()
+// view parses page id into b in place.
+func (h *HashIndex) view(b *bucketView, id pagestore.PageID) error {
+	raw, err := readPage(h.store, id)
 	if err != nil {
 		return err
 	}
-	if err := h.store.Write(id, raw); err != nil {
-		return fmt.Errorf("hash write page %d: %w", id, err)
-	}
-	return nil
+	return b.parse(raw)
 }
 
 func (h *HashIndex) bucketSlot(valEnc []byte) int {
@@ -178,28 +146,27 @@ func (h *HashIndex) Lookup(v attr.Value) ([]FileID, error) {
 // materialized: point lookups through LookupEach buffer at most one bucket
 // page, so a paged search's collector is the only candidate buffer.
 func (h *HashIndex) LookupEach(v attr.Value, fn func(FileID) bool) error {
-	valEnc := v.Encode(make([]byte, 0, v.EncodedLen()))
-	id := h.bucketFor(valEnc)
+	h.body = v.Encode(h.body[:0])
+	id := h.bucketFor(h.body)
 	for {
-		b, err := h.readBucket(id)
-		if err != nil {
+		if err := h.view(&h.rd, id); err != nil {
 			return err
 		}
-		for _, e := range b.entries {
-			if bytes.Equal(e.valEnc, valEnc) && !fn(e.file) {
+		for i := 0; i < h.rd.len(); i++ {
+			if valEnc, f := h.rd.entry(i); bytes.Equal(valEnc, h.body) && !fn(f) {
 				return nil
 			}
 		}
-		if b.next == noPage {
+		if h.rd.next == noPage {
 			return nil
 		}
-		id = pagestore.PageID(b.next)
+		id = pagestore.PageID(h.rd.next)
 	}
 }
 
 // HashOp is one posting of a bulk hash mutation, carrying its prepared
 // value encoding (attr.Value.Encode) so batch paths never re-encode. The
-// index takes ownership of ValEnc on insert.
+// encoding is copied into the page; the caller keeps ValEnc.
 type HashOp struct {
 	ValEnc []byte
 	File   FileID
@@ -231,47 +198,58 @@ func (h *HashIndex) sortOpsBySlot(ops []HashOp) (order, slots []int) {
 	return order, slots
 }
 
-// chainPage is one loaded page of a bucket chain during a bulk mutation.
-// delta is the page's staged posting-count change, folded into h.count
-// only when the page is durably written (as leafWalk.delta does for the
-// B-tree), so a failed flush never skews Len() against a retried run.
+// chainPage is one loaded page of a bucket chain during a bulk mutation:
+// its view (which owns its page once edited) and the page's staged
+// posting-count change, folded into h.count only when the page is durably
+// written (as leafWalk.delta does for the B-tree), so a failed flush never
+// skews Len() against a retried run.
 type chainPage struct {
 	id    pagestore.PageID
-	b     *hbucket
-	dirty bool
+	b     bucketView
 	delta int
 }
 
-// loadChain reads a whole bucket chain into memory once.
-func (h *HashIndex) loadChain(head pagestore.PageID) ([]chainPage, error) {
-	var pages []chainPage
-	id := head
-	for {
-		b, err := h.readBucket(id)
-		if err != nil {
-			return nil, err
+// loadChain parses a whole bucket chain into h.chain once.
+func (h *HashIndex) loadChain(head pagestore.PageID) error {
+	h.chain = h.chain[:0]
+	for id := head; ; {
+		p := h.growChain(id)
+		if err := h.view(&p.b, id); err != nil {
+			return err
 		}
-		pages = append(pages, chainPage{id: id, b: b})
-		if b.next == noPage {
-			return pages, nil
+		if p.b.next == noPage {
+			return nil
 		}
-		id = pagestore.PageID(b.next)
+		id = pagestore.PageID(p.b.next)
 	}
 }
 
-// flushChain writes back the chain pages a bulk mutation touched,
-// folding each durably written page's staged count delta into h.count.
-func (h *HashIndex) flushChain(pages []chainPage) error {
-	for i := range pages {
-		if !pages[i].dirty {
+// growChain extends h.chain by one page, reusing a view (and its entry
+// table) left behind by an earlier, longer chain when there is one.
+func (h *HashIndex) growChain(id pagestore.PageID) *chainPage {
+	if len(h.chain) < cap(h.chain) {
+		h.chain = h.chain[:len(h.chain)+1]
+	} else {
+		h.chain = append(h.chain, chainPage{})
+	}
+	p := &h.chain[len(h.chain)-1]
+	p.id, p.delta = id, 0
+	return p
+}
+
+// flushChain writes back the chain pages a bulk mutation edited, folding
+// each durably written page's staged count delta into h.count.
+func (h *HashIndex) flushChain() error {
+	for i := range h.chain {
+		p := &h.chain[i]
+		if !p.b.owned {
 			continue
 		}
-		if err := h.writeBucket(pages[i].id, pages[i].b); err != nil {
+		if err := p.b.give(h.store, p.id); err != nil {
 			return err
 		}
-		pages[i].dirty = false
-		h.count += pages[i].delta
-		pages[i].delta = 0
+		h.count += p.delta
+		p.delta = 0
 	}
 	return nil
 }
@@ -281,23 +259,22 @@ func (h *HashIndex) flushChain(pages []chainPage) error {
 // once, applies mutate per op, and flushes each chain's dirty pages once
 // — including on the error path, so ops staged before a failing one are
 // still made durable (and counted) before the error surfaces.
-func (h *HashIndex) mutateChains(ops []HashOp, mutate func(pages *[]chainPage, op HashOp) error) error {
+func (h *HashIndex) mutateChains(ops []HashOp, mutate func(op HashOp) error) error {
 	order, slots := h.sortOpsBySlot(ops)
 	for gi := 0; gi < len(order); {
 		slot := slots[order[gi]]
-		pages, err := h.loadChain(h.buckets[slot])
-		if err != nil {
+		if err := h.loadChain(h.buckets[slot]); err != nil {
 			return err
 		}
 		for ; gi < len(order) && slots[order[gi]] == slot; gi++ {
-			if err := mutate(&pages, ops[order[gi]]); err != nil {
-				if ferr := h.flushChain(pages); ferr != nil {
+			if err := mutate(ops[order[gi]]); err != nil {
+				if ferr := h.flushChain(); ferr != nil {
 					return ferr
 				}
 				return err
 			}
 		}
-		if err := h.flushChain(pages); err != nil {
+		if err := h.flushChain(); err != nil {
 			return err
 		}
 	}
@@ -311,47 +288,46 @@ func (h *HashIndex) mutateChains(ops []HashOp, mutate func(pages *[]chainPage, o
 // count may include postings staged on a page whose flush failed.
 func (h *HashIndex) InsertBatch(ops []HashOp) (int, error) {
 	inserted := 0
-	err := h.mutateChains(ops, func(pages *[]chainPage, op HashOp) error {
+	err := h.mutateChains(ops, func(op HashOp) error {
 		if len(op.ValEnc) > maxKeyLen {
 			return ErrKeyTooLong
 		}
-		entrySize := 2 + len(op.ValEnc) + 8
-		for pi := range *pages {
-			for _, e := range (*pages)[pi].b.entries {
-				if e.file == op.File && bytes.Equal(e.valEnc, op.ValEnc) {
-					return nil // already present
-				}
+		for pi := range h.chain {
+			if h.chain[pi].b.find(op.ValEnc, op.File) >= 0 {
+				return nil // already present
 			}
 		}
-		for pi := range *pages {
-			p := &(*pages)[pi]
-			if p.b.encodedSize()+entrySize <= pagestore.PageSize {
-				p.b.entries = append(p.b.entries, hentry{valEnc: op.ValEnc, file: op.File})
-				p.dirty = true
-				p.delta++
-				inserted++
-				return nil
+		h.body = binary.BigEndian.AppendUint64(append(h.body[:0], op.ValEnc...), uint64(op.File))
+		var p *chainPage
+		for pi := range h.chain {
+			if h.chain[pi].b.fits(h.body) {
+				p = &h.chain[pi]
+				break
 			}
 		}
-		ovf, err := h.store.Allocate()
-		if err != nil {
-			return fmt.Errorf("hash overflow: %w", err)
+		if p == nil {
+			ovf, err := h.store.Allocate()
+			if err != nil {
+				return fmt.Errorf("hash overflow: %w", err)
+			}
+			// Durably initialize the overflow page before any page links to
+			// it: if a later flush fails, the chain must never point at an
+			// unwritten page — an empty-but-valid bucket is the safe residue.
+			if err := writePage(h.store, ovf, newBucketPage()); err != nil {
+				return err
+			}
+			last := &h.chain[len(h.chain)-1].b
+			last.own()
+			last.next = uint64(ovf)
+			binary.BigEndian.PutUint64(last.page[2:], last.next)
+			p = h.growChain(ovf)
+			if err := h.view(&p.b, ovf); err != nil {
+				return err
+			}
 		}
-		// Durably initialize the overflow page before any page links to
-		// it: if a later flush fails, the chain must never point at an
-		// unwritten page — an empty-but-valid bucket is the safe residue.
-		if err := h.writeBucket(ovf, &hbucket{next: noPage}); err != nil {
-			return err
-		}
-		last := &(*pages)[len(*pages)-1]
-		last.b.next = uint64(ovf)
-		last.dirty = true
-		*pages = append(*pages, chainPage{
-			id:    ovf,
-			b:     &hbucket{next: noPage, entries: []hentry{{valEnc: op.ValEnc, file: op.File}}},
-			dirty: true,
-			delta: 1,
-		})
+		p.b.own()
+		p.b.insert(p.b.len(), h.body)
+		p.delta++
 		inserted++
 		return nil
 	})
@@ -364,17 +340,15 @@ func (h *HashIndex) InsertBatch(ops []HashOp) (int, error) {
 // InsertBatch).
 func (h *HashIndex) DeleteBatch(ops []HashOp) (int, error) {
 	deleted := 0
-	err := h.mutateChains(ops, func(pages *[]chainPage, op HashOp) error {
-		for pi := range *pages {
-			p := &(*pages)[pi]
-			for ei, e := range p.b.entries {
-				if e.file == op.File && bytes.Equal(e.valEnc, op.ValEnc) {
-					p.b.entries = append(p.b.entries[:ei], p.b.entries[ei+1:]...)
-					p.dirty = true
-					p.delta--
-					deleted++
-					return nil
-				}
+	err := h.mutateChains(ops, func(op HashOp) error {
+		for pi := range h.chain {
+			p := &h.chain[pi]
+			if i := p.b.find(op.ValEnc, op.File); i >= 0 {
+				p.b.own()
+				p.b.remove(i)
+				p.delta--
+				deleted++
+				return nil
 			}
 		}
 		return nil
@@ -384,53 +358,35 @@ func (h *HashIndex) DeleteBatch(ops []HashOp) (int, error) {
 
 // Delete removes the (value, file) posting, returning ErrNotFound if absent.
 func (h *HashIndex) Delete(v attr.Value, f FileID) error {
-	valEnc := v.Encode(nil)
-	id := h.bucketFor(valEnc)
-	for {
-		b, err := h.readBucket(id)
-		if err != nil {
-			return err
-		}
-		for i, e := range b.entries {
-			if e.file == f && bytes.Equal(e.valEnc, valEnc) {
-				b.entries = append(b.entries[:i], b.entries[i+1:]...)
-				if err := h.writeBucket(id, b); err != nil {
-					return err
-				}
-				h.count--
-				return nil
-			}
-		}
-		if b.next == noPage {
-			return ErrNotFound
-		}
-		id = pagestore.PageID(b.next)
+	n, err := h.DeleteBatch([]HashOp{{ValEnc: v.Encode(nil), File: f}})
+	if err == nil && n == 0 {
+		err = ErrNotFound
 	}
+	return err
 }
 
 // Scan streams every posting to fn (order unspecified); fn returns false to
 // stop early.
 func (h *HashIndex) Scan(fn func(attr.Value, FileID) bool) error {
 	for _, head := range h.buckets {
-		id := head
-		for {
-			b, err := h.readBucket(id)
-			if err != nil {
+		for id := head; ; {
+			if err := h.view(&h.rd, id); err != nil {
 				return err
 			}
-			for _, e := range b.entries {
-				v, err := attr.Decode(e.valEnc)
+			for i := 0; i < h.rd.len(); i++ {
+				valEnc, f := h.rd.entry(i)
+				v, err := attr.Decode(valEnc)
 				if err != nil {
 					return err
 				}
-				if !fn(v, e.file) {
+				if !fn(v, f) {
 					return nil
 				}
 			}
-			if b.next == noPage {
+			if h.rd.next == noPage {
 				break
 			}
-			id = pagestore.PageID(b.next)
+			id = pagestore.PageID(h.rd.next)
 		}
 	}
 	return nil

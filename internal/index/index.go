@@ -12,7 +12,7 @@ package index
 import (
 	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 
 	"propeller/internal/attr"
 )
@@ -30,14 +30,8 @@ type Entry struct {
 // place, returning the shortened slice (the canonical result-set shape
 // shared by node-side pages and the client-side fan-out merge).
 func SortDedup(ids []FileID) []FileID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for i, f := range ids {
-		if i == 0 || f != ids[i-1] {
-			out = append(out, f)
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Errors shared by the index implementations.

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"propeller/internal/acg"
-	"propeller/internal/attr"
 	"propeller/internal/index"
 	"propeller/internal/metrics"
 	"propeller/internal/pagestore"
@@ -1419,22 +1418,4 @@ func (g *group) groupFilesSorted() []index.FileID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// attrValue resolves the current value of field for file within the group
-// by consulting committed postings of any index covering that field.
-// Caller holds g.mu.
-func (n *Node) attrValue(g *group, field string, f index.FileID) (attr.Value, bool) {
-	n.specMu.RLock()
-	defer n.specMu.RUnlock()
-	for name, post := range g.postings {
-		spec := n.specs[name]
-		if spec.Field != field || spec.Type == proto.IndexKD {
-			continue
-		}
-		if e, ok := post[f]; ok {
-			return e.Value, true
-		}
-	}
-	return attr.Value{}, false
 }

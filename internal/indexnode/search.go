@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,61 +95,53 @@ func (n *Node) Search(ctx context.Context, req proto.SearchReq) (proto.SearchRes
 // of postings is the most ever held. Cross-group duplicates are rejected
 // against the retained set (O(1) via a shadow membership map), so a
 // duplicate can never evict a genuine match. With limit <= 0 it degrades
-// to an unbounded accumulator (the v1 semantics).
+// to an unbounded accumulator (the v1 semantics). A collector lives inside
+// a pooled groupScanner; reset keeps its slice and membership map.
 type pageCollector struct {
 	limit    int
 	after    index.FileID
 	afterSet bool
 
-	heap        []index.FileID        // max-heap of the current page candidates
+	heap        []index.FileID        // max-heap of the page's candidates (limit <= 0: a plain list)
 	retained    map[index.FileID]bool // membership shadow of heap
-	all         []index.FileID        // unbounded mode
 	overflow    bool                  // a match beyond the page was seen
 	maxRetained int
 }
 
-func newPageCollector(req proto.SearchReq) *pageCollector {
-	c := &pageCollector{limit: req.Limit, after: req.After, afterSet: req.AfterSet}
-	if c.limit > 0 {
-		c.retained = make(map[index.FileID]bool, c.limit)
+// reset empties the collector for a new request, keeping its buffers.
+func (c *pageCollector) reset(req proto.SearchReq) {
+	if c.retained == nil {
+		c.retained = make(map[index.FileID]bool, max(req.Limit, 0))
 	}
-	return c
+	clear(c.retained)
+	*c = pageCollector{limit: req.Limit, after: req.After, afterSet: req.AfterSet,
+		heap: c.heap[:0], retained: c.retained}
 }
 
 func (c *pageCollector) add(f index.FileID) {
 	if c.afterSet && f <= c.after {
 		return
 	}
-	if c.limit <= 0 {
-		c.all = append(c.all, f)
-		if len(c.all) > c.maxRetained {
-			c.maxRetained = len(c.all)
-		}
-		return
-	}
-	if c.retained[f] {
+	switch {
+	case c.limit <= 0:
+		c.heap = append(c.heap, f)
+	case c.retained[f]:
 		return // duplicate of a retained candidate (cross-group); drop
-	}
-	if len(c.heap) < c.limit {
+	case len(c.heap) < c.limit:
 		c.heapPush(f)
 		c.retained[f] = true
-		if len(c.heap) > c.maxRetained {
-			c.maxRetained = len(c.heap)
-		}
-		return
-	}
-	switch root := c.heap[0]; {
-	case f < root:
+	case f < c.heap[0]:
 		// Displaces the current page maximum, which becomes a beyond-page
 		// match.
 		c.overflow = true
-		delete(c.retained, root)
+		delete(c.retained, c.heap[0])
 		c.heap[0] = f
 		c.retained[f] = true
 		c.siftDown(0)
 	default:
 		c.overflow = true // a match beyond this page exists
 	}
+	c.maxRetained = max(c.maxRetained, len(c.heap))
 }
 
 func (c *pageCollector) heapPush(f index.FileID) {
@@ -192,13 +185,10 @@ func (c *pageCollector) pageClosed(f index.FileID) bool {
 // page returns the collected files ascending and de-duplicated, plus
 // whether matches beyond the page exist. (The limited path is already
 // duplicate-free via the retained set; unlimited mode can still see a
-// file surface from two groups around merges.)
+// file surface from two groups around merges.) The slice is the
+// collector's own: a caller that outlives the collector copies it.
 func (c *pageCollector) page() (files []index.FileID, more bool) {
-	files = c.all
-	if c.limit > 0 {
-		files = c.heap
-	}
-	return index.SortDedup(files), c.overflow
+	return index.SortDedup(c.heap), c.overflow
 }
 
 // maxSearchFanout caps the per-request worker pool: enough to overlap
@@ -228,29 +218,36 @@ func (n *Node) searchFanout(nACGs int) int {
 
 // searchGroups runs one commit-and-query pass over the requested groups.
 // With more than one worker the ACGs fan out across a bounded pool: each
-// worker commits and scans whole groups under their own locks and feeds a
-// private pageCollector (no shared mutable state on the scan path), and
-// the per-worker pages — each at most Limit postings — merge through one
-// final collector. Results are identical to the serial pass regardless of
-// scheduling, because every collector keeps the smallest admissible ids.
+// worker commits and scans whole groups under their own locks and feeds
+// its scanner's private pageCollector (no shared mutable state on the
+// scan path), and the per-worker pages — each at most Limit postings —
+// merge through the first worker's collector. Results are identical to the
+// serial pass regardless of scheduling, because every collector keeps the
+// smallest admissible ids.
 func (n *Node) searchGroups(ctx context.Context, req proto.SearchReq, q query.Query) (proto.SearchResp, error) {
 	workers := n.searchFanout(len(req.ACGs))
+	scs := make([]*groupScanner, workers)
+	for w := range scs {
+		scs[w] = acquireScanner(n, q, req)
+	}
+	defer func() {
+		for _, sc := range scs {
+			sc.release()
+		}
+	}()
+	var resp proto.SearchResp
 	if workers <= 1 {
-		var resp proto.SearchResp
-		col := newPageCollector(req)
-		sc := newGroupScanner(n, q, req, col)
 		for _, id := range req.ACGs {
 			if err := ctx.Err(); err != nil {
 				return proto.SearchResp{}, fmt.Errorf("indexnode search acg %d: %w", id, perr.Ctx(err))
 			}
-			nanos, err := n.searchOneGroup(id, req, sc)
+			nanos, err := n.searchOneGroup(id, req, scs[0])
 			if err != nil {
 				return proto.SearchResp{}, err
 			}
 			resp.CommitLatencyNanos += nanos
 		}
-		resp.Files, resp.More = col.page()
-		resp.MaxRetained = col.maxRetained
+		scs[0].col.fill(&resp)
 		return resp, nil
 	}
 
@@ -269,14 +266,10 @@ func (n *Node) searchGroups(ctx context.Context, req proto.SearchReq, q query.Qu
 			cancel() // abort the other workers' remaining groups
 		})
 	}
-	cols := make([]*pageCollector, workers)
-	for w := 0; w < workers; w++ {
-		col := newPageCollector(req)
-		cols[w] = col
+	for _, sc := range scs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newGroupScanner(n, q, req, col)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(req.ACGs) {
@@ -311,31 +304,29 @@ func (n *Node) searchGroups(ctx context.Context, req proto.SearchReq, q query.Qu
 		return proto.SearchResp{}, firstErr
 	}
 
-	// Merge the per-worker pages. Feeding each worker's (sorted, deduped,
-	// <= Limit postings) page through a final collector re-applies the
-	// page budget and cross-worker dedup; any worker overflow means the
-	// total match count exceeds the page, so More carries over.
-	var resp proto.SearchResp
-	final := newPageCollector(req)
-	maxRetained, more := 0, false
-	for _, c := range cols {
-		files, m := c.page()
-		more = more || m
-		if c.maxRetained > maxRetained {
-			maxRetained = c.maxRetained
-		}
+	// Merge the per-worker pages. Feeding each other worker's (sorted,
+	// deduped, <= Limit postings) page through the first worker's collector
+	// re-applies the page budget and cross-worker dedup; any worker overflow
+	// means the total match count exceeds the page, so More carries over.
+	final := &scs[0].col
+	for _, sc := range scs[1:] {
+		files, more := sc.col.page()
+		final.overflow = final.overflow || more
+		final.maxRetained = max(final.maxRetained, sc.col.maxRetained)
 		for _, f := range files {
 			final.add(f)
 		}
 	}
-	resp.Files, resp.More = final.page()
-	resp.More = resp.More || more
-	if final.maxRetained > maxRetained {
-		maxRetained = final.maxRetained
-	}
-	resp.MaxRetained = maxRetained
+	final.fill(&resp)
 	resp.CommitLatencyNanos = commitNanos.Load()
 	return resp, nil
+}
+
+// fill copies the collected page into resp (the collector goes back to the
+// pool; the response must not alias it).
+func (c *pageCollector) fill(resp *proto.SearchResp) {
+	files, more := c.page()
+	resp.Files, resp.More, resp.MaxRetained = append([]index.FileID(nil), files...), more, c.maxRetained
 }
 
 // searchOneGroup commits (unless lazy) and queries one group as a single
@@ -382,42 +373,22 @@ func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScan
 const seekRunThreshold = 8
 
 // groupScanner executes one compiled query against successive groups,
-// feeding one collector. Its closures and scratch buffers are allocated
-// once per (worker, request) and reused for every group and candidate, so
-// the per-group hot loop allocates nothing beyond the page reads the
-// indices themselves perform.
+// feeding its own collector. Scanners are pooled: closures, the collector's
+// buffers, the B-tree cursor (with its page view) and the encoded bounds
+// survive from request to request, so a warm scan allocates nothing per
+// group or per candidate.
 type groupScanner struct {
-	n   *Node
-	q   query.Query
-	col *pageCollector
-
-	after    index.FileID
-	afterSet bool
-
-	// Per-group scan state, set by searchGroupLocked. curFile is the
-	// candidate under residual evaluation; skipResidual is set when the
-	// primary access path already proves every candidate it yields
-	// (KD-only box queries).
-	g            *group
-	in           *inst
-	name         string
-	curFile      index.FileID
-	skipResidual bool
+	scanState // what the pool must not keep: zeroed on release
+	col       pageCollector
+	// fields is where the residual finds each queried field's value in
+	// the current group, resolved on the group's first residual candidate
+	// (fieldsFor == g once done; cleared on entering a group).
+	fields []fieldSource
 
 	// Reused closures (built once in newGroupScanner).
 	emit     func(index.FileID) bool
 	scanEmit func(attr.Value, index.FileID) bool
 	getField func(string) (attr.Value, bool)
-
-	// Cached per-request interval for the index's field (every group of a
-	// request shares one index spec, so the intersection and its bound
-	// allocations happen once, not per group).
-	ivInit bool
-	ivOK   bool
-	iv     query.Interval
-	// Cached KD box (kdLo/kdHi below) and its exactness.
-	kdInit  bool
-	kdExact bool
 
 	// Reused scratch: B-tree cursor and encoded bounds, KD box.
 	cur          index.Cursor
@@ -425,20 +396,89 @@ type groupScanner struct {
 	kdLo, kdHi   []float64
 }
 
-func newGroupScanner(n *Node, q query.Query, req proto.SearchReq, col *pageCollector) *groupScanner {
-	sc := &groupScanner{n: n, q: q, col: col, after: req.After, afterSet: req.AfterSet}
+// scanState is a scanner's request- and group-scoped state.
+type scanState struct {
+	n        *Node
+	q        query.Query
+	after    index.FileID
+	afterSet bool
+
+	// Per-group scan state, set by searchGroupLocked. curFile is the
+	// candidate under residual evaluation; skipResidual is set while the
+	// access path running proves every candidate it yields (KD-only box
+	// queries, proven hash point lookups).
+	g            *group
+	in           *inst
+	name         string
+	curFile      index.FileID
+	skipResidual bool
+	fieldsFor    *group
+
+	// Cached per-request interval for the index's field (every group of a
+	// request shares one index spec, so the intersection and its bound
+	// allocations happen once, not per group), and provenKind: the kind tag
+	// of postings whose membership in that interval proves the whole query
+	// (0 = none; see fieldInterval).
+	ivInit     bool
+	ivOK       bool
+	iv         query.Interval
+	provenKind byte
+	// Cached KD box (kdLo/kdHi) and its exactness.
+	kdInit  bool
+	kdExact bool
+}
+
+// fieldSource is where one queried field's committed value lives in the
+// current group: a coordinate of the scanned KD index's points, and/or the
+// posting maps of the single-field indices over that field (the scanned
+// index's own first, so it agrees with what the scan just read).
+type fieldSource struct {
+	field string
+	kd    map[index.FileID]proto.IndexEntry
+	kdDim int
+	maps  []map[index.FileID]proto.IndexEntry
+}
+
+var scannerPool = sync.Pool{New: func() any { return newGroupScanner() }}
+
+// acquireScanner takes a scanner from the pool and points it at a request.
+func acquireScanner(n *Node, q query.Query, req proto.SearchReq) *groupScanner {
+	sc := scannerPool.Get().(*groupScanner)
+	sc.n, sc.q, sc.after, sc.afterSet = n, q, req.After, req.AfterSet
+	sc.col.reset(req)
+	return sc
+}
+
+// release returns the scanner to the pool, which must not pin a node, a
+// group, a query or a tree.
+func (sc *groupScanner) release() {
+	sc.scanState = scanState{}
+	clear(sc.fields[:cap(sc.fields)])
+	sc.cur.Reset(nil)
+	scannerPool.Put(sc)
+}
+
+func newGroupScanner() *groupScanner {
+	sc := &groupScanner{}
 	sc.getField = func(field string) (attr.Value, bool) {
-		if sc.in.kd != nil {
-			for i, kf := range sc.in.spec.Fields {
-				if kf != field {
-					continue
-				}
-				if e, ok := sc.g.postings[sc.name][sc.curFile]; ok && i < len(e.KDCoords) {
-					return attr.Float(e.KDCoords[i]), true
+		if sc.fieldsFor != sc.g {
+			sc.resolveFields()
+		}
+		for _, src := range sc.fields {
+			if src.field != field {
+				continue
+			}
+			if e, ok := src.kd[sc.curFile]; ok && src.kdDim < len(e.KDCoords) {
+				return attr.Float(e.KDCoords[src.kdDim]), true
+			}
+			for _, post := range src.maps {
+				if e, ok := post[sc.curFile]; ok {
+					return e.Value, true
 				}
 			}
+			break
 		}
-		return sc.n.attrValue(sc.g, field, sc.curFile)
+		return attr.Value{}, false
 	}
 	sc.emit = func(f index.FileID) bool {
 		if !sc.skipResidual {
@@ -454,6 +494,35 @@ func newGroupScanner(n *Node, q query.Query, req proto.SearchReq, col *pageColle
 	return sc
 }
 
+// resolveFields works out, once per (request, group), which committed
+// posting maps hold each queried field — one specMu acquisition and one
+// pass over the group's indices, so a residual candidate then costs one
+// map probe per predicate. Caller holds g.mu.
+func (sc *groupScanner) resolveFields() {
+	sc.fields, sc.fieldsFor = sc.fields[:0], sc.g
+	sc.n.specMu.RLock()
+	defer sc.n.specMu.RUnlock()
+	for _, p := range sc.q.Preds { // a field queried twice resolves twice; the first entry serves
+		src := fieldSource{field: p.Field}
+		if sc.in.kd != nil {
+			if d := slices.Index(sc.in.spec.Fields, p.Field); d >= 0 {
+				src.kd, src.kdDim = sc.g.postings[sc.name], d
+			}
+		}
+		for name, post := range sc.g.postings {
+			spec := sc.n.specs[name]
+			if spec.Field != p.Field || spec.Type == proto.IndexKD {
+				continue
+			}
+			src.maps = append(src.maps, post)
+			if name == sc.name {
+				src.maps[0], src.maps[len(src.maps)-1] = post, src.maps[0]
+			}
+		}
+		sc.fields = append(sc.fields, src)
+	}
+}
+
 // searchGroupLocked runs the query against one group using the named index
 // as the primary access path and the group's committed postings for the
 // residual predicates. Caller holds g.mu.
@@ -463,7 +532,7 @@ func (sc *groupScanner) searchGroupLocked(g *group, indexName string) error {
 		// The group never received postings for this index: no matches.
 		return nil
 	}
-	sc.g, sc.in, sc.name = g, in, indexName
+	sc.g, sc.in, sc.name, sc.fieldsFor = g, in, indexName, nil
 	sc.skipResidual = false
 	switch {
 	case in.bt != nil:
@@ -567,7 +636,11 @@ func (sc *groupScanner) scanBTree() error {
 			continue
 		}
 		prevSkip, skipRun = nil, 0
-		sc.emit(f)
+		if valEnc[0] == sc.provenKind {
+			sc.col.add(f) // inside the bounds, of the bounds' kind: proven
+		} else {
+			sc.emit(f)
+		}
 		// Equality runs yield ascending file ids, so once the page is full,
 		// the current id is at or beyond the page maximum and a beyond-page
 		// match is recorded (More stays truthful), nothing later in this
@@ -589,7 +662,12 @@ func (sc *groupScanner) scanHash() error {
 			return nil // contradictory predicates (x=5 & x=7): nothing matches
 		}
 		if iv.Lo != nil && iv.Hi != nil && iv.IncLo && iv.IncHi && iv.Lo.Equal(*iv.Hi) {
-			return sc.in.ht.LookupEach(*iv.Lo, sc.emit)
+			// A hit's value bytes equal the bound's encoding, kind tag
+			// included, so under the proven-predicate rule it is the query.
+			sc.skipResidual = sc.provenKind != 0
+			err := sc.in.ht.LookupEach(*iv.Lo, sc.emit)
+			sc.skipResidual = false
+			return err
 		}
 	}
 	sc.n.hashScanFallbacks.Inc()
@@ -598,11 +676,31 @@ func (sc *groupScanner) scanHash() error {
 
 // fieldInterval returns the query's interval for the index's field,
 // computed once per request (index specs are per-name constants, so every
-// group shares it).
+// group shares it), and sets provenKind — the proven-predicate rule. When
+// every predicate is on this field, the interval is Exact and its bounds
+// share one kind, the scan bounds are the query: a posting of that kind
+// inside them needs no residual check. Postings of any other kind still
+// take it, because encoded order is value order only within a kind (the
+// residual compares int, float and time numerically). Float bounds prove
+// nothing: -0 = +0 and NaN compares equal to everything, which byte order
+// does not reproduce.
 func (sc *groupScanner) fieldInterval() (query.Interval, bool) {
-	if !sc.ivInit {
-		sc.iv, sc.ivOK = sc.q.FieldInterval(sc.in.spec.Field)
-		sc.ivInit = true
+	if sc.ivInit {
+		return sc.iv, sc.ivOK
+	}
+	field := sc.in.spec.Field
+	sc.iv, sc.ivOK = sc.q.FieldInterval(field)
+	sc.ivInit = true
+	iv := sc.iv
+	if !sc.ivOK || !iv.Exact || slices.ContainsFunc(sc.q.Preds, func(p query.Predicate) bool { return p.Field != field }) {
+		return sc.iv, sc.ivOK
+	}
+	bound := iv.Lo
+	if bound == nil {
+		bound = iv.Hi
+	}
+	if k := bound.Kind(); k != attr.KindFloat && (iv.Hi == nil || iv.Hi.Kind() == k) {
+		sc.provenKind = byte(k)
 	}
 	return sc.iv, sc.ivOK
 }

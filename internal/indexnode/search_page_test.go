@@ -162,7 +162,8 @@ func TestSearchStructuredPreds(t *testing.T) {
 // retained non-root candidate must be dropped outright — not displace a
 // genuine match and shrink the page.
 func TestPageCollectorDuplicateBelowRoot(t *testing.T) {
-	col := newPageCollector(proto.SearchReq{Limit: 3})
+	var col, col2 pageCollector
+	col.reset(proto.SearchReq{Limit: 3})
 	for _, f := range []index.FileID{1, 3, 5} {
 		col.add(f)
 	}
@@ -175,7 +176,7 @@ func TestPageCollectorDuplicateBelowRoot(t *testing.T) {
 		t.Error("duplicate must not set overflow")
 	}
 	// A genuinely smaller candidate still displaces the root.
-	col2 := newPageCollector(proto.SearchReq{Limit: 2})
+	col2.reset(proto.SearchReq{Limit: 2})
 	for _, f := range []index.FileID{4, 6, 2} {
 		col2.add(f)
 	}

@@ -36,8 +36,11 @@ type Stats struct {
 // pool charges simulated disk latency, and evicting a dirty page charges a
 // writeback.
 //
-// Store is safe for concurrent use. Page data returned by Read is a copy;
-// mutations go through Write.
+// Store is safe for concurrent use. A page image is immutable once the
+// store holds it — Write installs a new buffer, it never edits the old one
+// — so the slice Read returns is shared, not copied: read-only, valid for
+// as long as the caller keeps it (later writes, evictions and Free only
+// drop the store's reference) and safe to read while others write the page.
 type Store struct {
 	disk     *simdisk.Disk
 	capacity int // max pages resident in the pool
@@ -54,10 +57,13 @@ type Store struct {
 
 type frame struct {
 	id         PageID
-	data       []byte
+	data       []byte // PageSize bytes, never modified once set
 	dirty      bool
 	prev, next *frame
 }
+
+// zeroPage is the shared image of every page never written.
+var zeroPage = make([]byte, PageSize)
 
 // New returns a Store whose buffer pool holds up to poolPages pages.
 // poolPages must be at least 1.
@@ -90,16 +96,16 @@ func (s *Store) Allocate() (PageID, error) {
 	id := s.nextID
 	s.nextID++
 	s.stats.Allocs++
-	s.backing[id] = nil // exists on disk, content written on eviction
-	f := &frame{id: id, data: make([]byte, PageSize), dirty: true}
+	s.backing[id] = zeroPage // exists on disk, content written on eviction
+	f := &frame{id: id, data: zeroPage, dirty: true}
 	if err := s.insertFrame(f); err != nil {
 		return 0, err
 	}
 	return id, nil
 }
 
-// Read returns a copy of the page contents, faulting it in from disk if it
-// is not resident.
+// Read returns the page's current image (PageSize bytes, the store's own:
+// do not modify), faulting it in from disk if it is not resident.
 func (s *Store) Read(id PageID) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -107,24 +113,29 @@ func (s *Store) Read(id PageID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, PageSize)
-	copy(out, f.data)
-	return out, nil
+	return f.data, nil
 }
 
-// Write replaces the page contents (data is copied; at most PageSize bytes
-// are used) and marks the page dirty.
+// Write replaces the page contents and marks the page dirty. A buffer of
+// exactly PageSize bytes is adopted as the new image: the caller gives it
+// up and must not modify it again. Any other length is copied into a fresh
+// page, zero-padded or cut to PageSize.
 func (s *Store) Write(id PageID, data []byte) error {
+	img := data
+	switch {
+	case len(data) == 0:
+		img = zeroPage
+	case len(data) != PageSize:
+		img = make([]byte, PageSize)
+		copy(img, data)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, err := s.fetch(id)
 	if err != nil {
 		return err
 	}
-	n := copy(f.data, data)
-	for i := n; i < PageSize; i++ {
-		f.data[i] = 0
-	}
+	f.data = img
 	f.dirty = true
 	return nil
 }
@@ -252,8 +263,7 @@ func (s *Store) fetch(id PageID) (*frame, error) {
 	if _, err := s.disk.Read(s.diskOffset(id), PageSize); err != nil {
 		return nil, fmt.Errorf("fault page %d: %w", id, err)
 	}
-	f := &frame{id: id, data: make([]byte, PageSize)}
-	copy(f.data, img)
+	f := &frame{id: id, data: img} // a clean frame aliases its backing image
 	if err := s.insertFrame(f); err != nil {
 		return nil, err
 	}
@@ -288,9 +298,7 @@ func (s *Store) writeback(f *frame) error {
 	if _, err := s.disk.Write(s.diskOffset(f.id), PageSize); err != nil {
 		return fmt.Errorf("writeback page %d: %w", f.id, err)
 	}
-	img := make([]byte, PageSize)
-	copy(img, f.data)
-	s.backing[f.id] = img
+	s.backing[f.id] = f.data // images are immutable: hand it over, no copy
 	f.dirty = false
 	s.stats.Writebacks++
 	return nil

@@ -238,3 +238,79 @@ func TestNumPages(t *testing.T) {
 		t.Errorf("NumPages = %d, want 10", got)
 	}
 }
+
+// TestBorrowedImagesAreImmutable pins the rule that lets Read hand out the
+// frame's own buffer: an image never changes once the store holds it. Each
+// reader keeps the slices it borrowed while a writer overwrites, evicts and
+// frees the same pages; a borrowed image must still be the uniform fill it
+// was when read (and -race must stay silent: the writer never touches a
+// buffer a reader can see).
+func TestBorrowedImagesAreImmutable(t *testing.T) {
+	s := newStore(t, 2) // two frames for six pages: constant eviction
+	var ids []PageID
+	for i := 0; i < 6; i++ {
+		id, err := s.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	uniform := func(img []byte) bool {
+		return len(img) == PageSize && bytes.Count(img, img[:1]) == PageSize
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			var held [][]byte
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, id := range ids {
+					img, err := s.Read(id)
+					if err != nil {
+						continue // freed by the writer
+					}
+					held = append(held, img)
+				}
+				for _, img := range held {
+					if !uniform(img) {
+						t.Error("a borrowed page image changed after it was read")
+						return
+					}
+				}
+				if len(held) > 64 {
+					held = held[:0]
+				}
+			}
+		}()
+	}
+	freed := map[PageID]bool{}
+	for round := 1; round <= 2000; round++ {
+		id := ids[round%len(ids)]
+		switch {
+		case freed[id]:
+		case round%500 == 0:
+			if err := s.Free(id); err != nil { // readers now get an error for it, not a race
+				t.Fatal(err)
+			}
+			freed[id] = true
+		case round%2 == 0:
+			if err := s.Write(id, bytes.Repeat([]byte{byte(round)}, PageSize)); err != nil { // adopted
+				t.Fatal(err)
+			}
+		default:
+			if err := s.Write(id, bytes.Repeat([]byte{byte(round)}, PageSize+1)); err != nil { // cut and copied
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	for r := 0; r < 3; r++ {
+		<-done
+	}
+}

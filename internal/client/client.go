@@ -7,15 +7,15 @@
 // The steady-state data path is Master-free: the client keeps an
 // epoch-keyed placement cache (file → mapping for updates, index → fan-out
 // targets for searches), so warm traffic goes straight to Index Nodes with
-// zero Master RPCs. Staleness is detected two ways and both trigger an
-// invalidate-and-retry bounded by placementRetries: a node rejects traffic
-// for a group it released (perr.ErrStalePlacement, or the connection to a
-// dead node fails), or a node's response quotes a placement epoch newer
-// than the one the cached fan-out was resolved at (a split, merge or
-// migration moved groups since). Only the moved entries are invalidated —
-// an update failure drops that group's file mappings, a search failure
-// drops that index's target list — so one migration never cold-starts the
-// whole cache.
+// zero Master RPCs. Staleness is detected two ways and both reach the one
+// retry decision (Client.classify / spend) as perr.ErrStalePlacement,
+// bounded by placementRetries: a node rejects traffic for a group it
+// released (or the connection to a dead node fails), or a node's response
+// quotes a placement epoch newer than the one the cached fan-out was
+// resolved at (a split, merge or migration moved groups since). Only the
+// moved entries are invalidated — an update failure drops that group's file
+// mappings, a search failure drops that index's target list — so one
+// migration never cold-starts the whole cache.
 //
 // All network-touching methods take a context.Context: its deadline travels
 // with every RPC (index nodes see it and bound their own work) and its
@@ -29,6 +29,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,12 +45,6 @@ import (
 	"propeller/internal/query"
 	"propeller/internal/rpc"
 )
-
-// ErrNoTargets is returned by the Master lookup when a search resolves to
-// zero index nodes. Search and SearchStream translate it to an empty result
-// — an empty cluster has no matches — so every caller (public API, cmd/
-// binaries, tests) gets that behavior from one place.
-var ErrNoTargets = errors.New("client: search resolved to no index nodes")
 
 // Config wires a Client.
 type Config struct {
@@ -193,17 +188,88 @@ func (c *Client) CacheStats() CacheStats {
 	}
 }
 
-// overloadBudget resolves Config.OverloadRetries (0 = default 3, negative
-// = disabled).
-func (c *Client) overloadBudget() int {
+// attempts is one request's retry state: the two finite budgets, the
+// backoff step, and what the round in progress has seen so far. Index and
+// Search each make one per call, classify every failed leg of a round
+// against it, and close the round with spend; every round spends at least
+// one budget, so a request terminates.
+type attempts struct {
+	placementLeft, overloadLeft, backoffStep int
+	overloaded, stale                        bool
+}
+
+// newAttempts opens a request's budgets: placementRetries, and
+// Config.OverloadRetries (0 = default 3, negative = disabled).
+func (c *Client) newAttempts() attempts {
+	a := attempts{placementLeft: placementRetries, overloadLeft: c.cfg.OverloadRetries}
 	switch {
-	case c.cfg.OverloadRetries < 0:
-		return 0
-	case c.cfg.OverloadRetries == 0:
-		return 3
-	default:
-		return c.cfg.OverloadRetries
+	case a.overloadLeft < 0:
+		a.overloadLeft = 0
+	case a.overloadLeft == 0:
+		a.overloadLeft = 3
 	}
+	return a
+}
+
+// classify is the one answer to "what does this error mean and do I try
+// again". It returns nil when the failed leg may be resent in the next
+// round: an overload shed with budget left resends as-is (placement is still
+// correct — the node rejected before doing any work — so the cache is not
+// touched); staleness with budget left runs the caller's invalidate (that
+// group's file mappings, or that index's targets) so the next round
+// re-resolves through the Master. Otherwise it returns the error to surface:
+// exhausted staleness typed through typedStale, everything else untouched.
+func (c *Client) classify(a *attempts, err error, invalidate func()) error {
+	switch {
+	case errors.Is(err, perr.ErrOverloaded) && a.overloadLeft > 0:
+		a.overloaded = true
+	case retryablePlacement(err) && a.placementLeft > 0:
+		a.stale = true
+		c.staleRetries.Inc()
+		invalidate()
+	case retryablePlacement(err):
+		return typedStale(err)
+	default:
+		return err
+	}
+	return nil
+}
+
+// spend closes a round some leg of which classify allowed to retry: an
+// overloaded round costs one overload retry and one backoff however many
+// legs were shed, a stale round one placement retry.
+func (c *Client) spend(ctx context.Context, a *attempts) error {
+	if a.overloaded {
+		a.overloadLeft--
+		c.overloadRetries.Inc()
+		if err := c.backoff(ctx, a.backoffStep); err != nil {
+			return err
+		}
+		a.backoffStep++
+	}
+	if a.stale {
+		a.placementLeft--
+	}
+	a.overloaded, a.stale = false, false
+	return nil
+}
+
+// fanOut runs leg(0) … leg(n-1) concurrently and returns when all have:
+// legs 0 … n-2 on goroutines and the last on the caller's, so a request with
+// one leg — every warm single-group Index call — spawns nothing.
+func fanOut(n int, leg func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			leg(i)
+		}()
+	}
+	if n > 0 {
+		leg(n - 1)
+	}
+	wg.Wait()
 }
 
 // backoff pauses before an overload retry: the injected Config.Backoff if
@@ -278,19 +344,15 @@ func retryablePlacement(err error) bool {
 }
 
 // invalidateACG drops every cached file mapping routed to the group —
-// exactly the entries a migration of that group moved — and returns how
-// many were dropped.
-func (c *Client) invalidateACG(id proto.ACGID) int {
+// exactly the entries a migration of that group moved.
+func (c *Client) invalidateACG(id proto.ACGID) {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
-	dropped := 0
 	for f, m := range c.fileCache {
 		if m.ACG == id {
 			delete(c.fileCache, f)
-			dropped++
 		}
 	}
-	return dropped
 }
 
 // invalidateIndex drops one index's cached search fan-out.
@@ -315,24 +377,34 @@ func (c *Client) Close() error {
 	return firstErr
 }
 
+// conn returns the cached connection to addr, dialing on first use. A
+// cached connection observed closed (peer loss, or torn down by a cancelled
+// mid-write call) is replaced — one expired deadline must not make a healthy
+// node unreachable forever. The dial runs with c.mu released: toward a
+// black-holed address it lasts until the caller's deadline, and calls to
+// healthy nodes (the hedge leg escaping that very node among them) must not
+// queue behind it. Callers racing to dial one address keep whichever
+// connection was stored first; the loser's is closed.
 func (c *Client) conn(ctx context.Context, addr string) (*rpc.Client, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if conn, ok := c.conns[addr]; ok {
-		if !conn.Closed() {
-			return conn, nil
-		}
-		// The cached connection died (peer loss, or torn down by a
-		// cancelled mid-write call). Evict and redial — one expired
-		// deadline must not make a healthy node unreachable forever.
-		delete(c.conns, addr)
+	cached := c.conns[addr]
+	c.mu.Unlock()
+	if cached != nil && !cached.Closed() {
+		return cached, nil
 	}
-	conn, err := c.cfg.Dial(ctx, addr)
+	dialed, err := c.cfg.Dial(ctx, addr)
 	if err != nil {
 		return nil, fmt.Errorf("client dial %s: %w", addr, err)
 	}
-	c.conns[addr] = conn
-	return conn, nil
+	c.mu.Lock()
+	if cached = c.conns[addr]; cached == nil || cached.Closed() {
+		c.conns[addr] = dialed
+		c.mu.Unlock()
+		return dialed, nil
+	}
+	c.mu.Unlock()
+	dialed.Close() //nolint:errcheck // the race's loser carried no call
+	return cached, nil
 }
 
 // --- File Access Management (ACG capture) ---
@@ -375,57 +447,36 @@ func (c *Client) FlushACG(ctx context.Context) error {
 			hints = append(hints, hint)
 		}
 	}
-	c.masterLookups.Inc()
-	resp, err := rpc.Call[proto.LookupFilesReq, proto.LookupFilesResp](
-		ctx, c.cfg.Master, proto.MethodLookupFiles,
-		proto.LookupFilesReq{Files: files, GroupHints: hints, Allocate: true})
+	mappings, err := c.lookupFiles(ctx, files, hints)
 	if err != nil {
 		return fmt.Errorf("client flush acg: %w", err)
 	}
-	c.noteEpoch(resp.Epoch)
-	where := make(map[index.FileID]proto.FileMapping, len(resp.Mappings))
-	c.pmu.Lock()
-	for _, m := range resp.Mappings {
-		where[m.File] = m
-		c.fileCache[m.File] = m // warm the placement cache in passing
-	}
-	c.pmu.Unlock()
 
-	// Partition edges and vertices by destination group.
+	// Partition vertices and edges by destination group.
 	type dest struct {
 		addr string
 		req  proto.FlushACGReq
 	}
+	where := make(map[index.FileID]*dest, len(files))
 	dests := make(map[proto.ACGID]*dest)
-	for _, comp := range comps {
-		for _, f := range comp {
-			m := where[f]
-			d := dests[m.ACG]
-			if d == nil {
-				d = &dest{addr: m.Addr, req: proto.FlushACGReq{ACG: m.ACG}}
-				dests[m.ACG] = d
-			}
-			d.req.Vertices = append(d.req.Vertices, f)
+	for i, m := range mappings {
+		d := dests[m.ACG]
+		if d == nil {
+			d = &dest{addr: m.Addr, req: proto.FlushACGReq{ACG: m.ACG}}
+			dests[m.ACG] = d
 		}
+		d.req.Vertices = append(d.req.Vertices, files[i])
+		where[files[i]] = d
 	}
-	for _, src := range g.Vertices() {
-		sm := where[src]
-		for _, dst := range g.Vertices() {
-			w := g.EdgeWeight(src, dst)
-			if w == 0 {
-				continue
-			}
-			dm := where[dst]
-			// Weak consistency: cross-group edges (possible when the Master
-			// already had the files in different groups) are dropped — they
-			// only affect partition quality, never search results.
-			if sm.ACG != dm.ACG {
-				continue
-			}
-			dests[sm.ACG].req.Edges = append(dests[sm.ACG].req.Edges,
-				proto.ACGEdge{Src: src, Dst: dst, Weight: w})
+	g.ForEachEdge(func(src, dst index.FileID, w int64) bool {
+		// Weak consistency: cross-group edges (possible when the Master
+		// already had the files in different groups) are dropped — they
+		// only affect partition quality, never search results.
+		if d := where[src]; d == where[dst] {
+			d.req.Edges = append(d.req.Edges, proto.ACGEdge{Src: src, Dst: dst, Weight: w})
 		}
-	}
+		return true
+	})
 	for _, d := range dests {
 		conn, err := c.conn(ctx, d.addr)
 		if err != nil {
@@ -462,31 +513,13 @@ type FileUpdate struct {
 	GroupHint uint64
 }
 
-// resolveFiles returns one mapping per update, served from the placement
-// cache when possible; only the misses cost a Master LookupFiles RPC.
-func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate) ([]proto.FileMapping, error) {
-	out := make([]proto.FileMapping, len(ups))
-	var missIdx []int
-	c.pmu.Lock()
-	for i, u := range ups {
-		if m, ok := c.fileCache[u.File]; ok {
-			out[i] = m
-		} else {
-			missIdx = append(missIdx, i)
-		}
-	}
-	c.pmu.Unlock()
-	c.fileHits.Add(int64(len(ups) - len(missIdx)))
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	c.fileMisses.Add(int64(len(missIdx)))
-	files := make([]index.FileID, len(missIdx))
-	hints := make([]uint64, len(missIdx))
-	for k, i := range missIdx {
-		files[k] = ups[i].File
-		hints[k] = ups[i].GroupHint
-	}
+// lookupFiles resolves files through the Master, allocating unknown ones
+// (hints parallels files; files sharing a hint are co-located), and returns
+// one mapping per file in request order. It is the only LookupFiles caller:
+// it counts the lookup, notes the epoch, warms the placement cache, and
+// rejects a file the Master did not answer for — routing by a zero mapping
+// would address ACG 0 on node "".
+func (c *Client) lookupFiles(ctx context.Context, files []index.FileID, hints []uint64) ([]proto.FileMapping, error) {
 	c.masterLookups.Inc()
 	resp, err := rpc.Call[proto.LookupFilesReq, proto.LookupFilesResp](
 		ctx, c.cfg.Master, proto.MethodLookupFiles,
@@ -499,15 +532,49 @@ func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate) ([]proto.Fi
 	for _, m := range resp.Mappings {
 		byFile[m.File] = m
 	}
+	out := make([]proto.FileMapping, len(files))
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
-	for _, i := range missIdx {
-		m, ok := byFile[ups[i].File]
+	for i, f := range files {
+		m, ok := byFile[f]
 		if !ok {
-			return nil, fmt.Errorf("client: master returned no mapping for file %d", ups[i].File)
+			return nil, fmt.Errorf("client: master returned no mapping for file %d", f)
 		}
 		out[i] = m
-		c.fileCache[m.File] = m
+		c.fileCache[f] = m
+	}
+	return out, nil
+}
+
+// resolveFiles returns one mapping per update, served from the placement
+// cache when possible; only the misses cost a Master lookup.
+func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate) ([]proto.FileMapping, error) {
+	out := make([]proto.FileMapping, len(ups))
+	var missIdx []int
+	var files []index.FileID
+	var hints []uint64
+	c.pmu.Lock()
+	for i, u := range ups {
+		if m, ok := c.fileCache[u.File]; ok {
+			out[i] = m
+		} else {
+			missIdx = append(missIdx, i)
+			files = append(files, u.File)
+			hints = append(hints, u.GroupHint)
+		}
+	}
+	c.pmu.Unlock()
+	c.fileHits.Add(int64(len(ups) - len(missIdx)))
+	if len(missIdx) == 0 {
+		return out, nil
+	}
+	c.fileMisses.Add(int64(len(missIdx)))
+	mappings, err := c.lookupFiles(ctx, files, hints)
+	if err != nil {
+		return nil, err
+	}
+	for k, i := range missIdx {
+		out[i] = mappings[k]
 	}
 	return out, nil
 }
@@ -515,123 +582,81 @@ func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate) ([]proto.Fi
 // Index sends a batch of indexing requests for the named index. Mappings
 // come from the epoch-keyed placement cache (warm batches cost zero Master
 // RPCs), updates are grouped by (Index Node, ACG) and sent in parallel —
-// the paper's batched parallel file-indexing path. A batch bounced with a
-// stale-placement rejection (or a dead connection) invalidates exactly that
-// group's cached mappings, re-resolves them, and resends just the affected
-// updates; acknowledged batches are never resent.
-//
-// A batch shed with perr.ErrOverloaded is different: placement is still
-// correct (the node rejected before doing any work), so the cache is left
-// intact and just the shed updates are resent after a backoff, bounded by
-// the overload budget. Overload can never lose data — a shed batch was
-// never acknowledged, and an acknowledged batch is never shed.
+// the paper's batched parallel file-indexing path. Each failed batch goes
+// through classify: a stale-placement rejection (or a dead connection)
+// invalidates exactly that group's cached mappings and the next round
+// re-resolves them; a batch shed with perr.ErrOverloaded is resent as-is
+// after the round's backoff. Only failed batches are resent — an
+// acknowledged batch never is, and overload can never lose data: a shed
+// batch was never acknowledged, and an acknowledged batch is never shed.
 func (c *Client) Index(ctx context.Context, indexName string, updates []FileUpdate) error {
-	if len(updates) == 0 {
-		return nil
+	type batch struct {
+		addr string
+		req  proto.UpdateReq
+		err  error
 	}
 	pending := updates
-	placementLeft := placementRetries
-	overloadLeft := c.overloadBudget()
-	backoffAttempt := 0
-	for {
+	a := c.newAttempts()
+	for len(pending) > 0 {
 		mappings, err := c.resolveFiles(ctx, pending)
 		if err != nil {
 			return fmt.Errorf("client index: %w", err)
 		}
-		type batch struct {
-			addr string
-			req  proto.UpdateReq
-			ups  []FileUpdate
+		// One batch per group, kept in ACG order so the error reported when
+		// several fail does not depend on arrival order.
+		var batches []batch
+		find := func(id proto.ACGID) (int, bool) {
+			k := sort.Search(len(batches), func(k int) bool { return batches[k].req.ACG >= id })
+			return k, k < len(batches) && batches[k].req.ACG == id
 		}
-		batches := make(map[proto.ACGID]*batch)
 		for i, m := range mappings {
-			b := batches[m.ACG]
-			if b == nil {
-				b = &batch{addr: m.Addr, req: proto.UpdateReq{
+			k, ok := find(m.ACG)
+			if !ok {
+				batches = slices.Insert(batches, k, batch{addr: m.Addr, req: proto.UpdateReq{
 					ACG: m.ACG, IndexName: indexName, Client: c.cfg.ID,
-				}}
-				batches[m.ACG] = b
+				}})
 			}
 			u := pending[i]
-			b.req.Entries = append(b.req.Entries, proto.IndexEntry{
+			batches[k].req.Entries = append(batches[k].req.Entries, proto.IndexEntry{
 				File: u.File, Value: u.Value, KDCoords: u.KDCoords, Delete: u.Delete,
 			})
-			b.ups = append(b.ups, u)
 		}
-
-		ids := make([]proto.ACGID, 0, len(batches))
-		for id := range batches {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-		var wg sync.WaitGroup
-		errs := make([]error, len(ids))
-		epochs := make([]proto.Epoch, len(ids))
-		for k, id := range ids {
-			b := batches[id]
+		fanOut(len(batches), func(k int) {
+			b := &batches[k]
 			conn, err := c.conn(ctx, b.addr)
-			if err != nil {
-				errs[k] = err // a dead node's dial failure retries like a stale batch
-				continue
+			if err == nil { // a dead node's dial failure retries like a stale batch
+				var resp proto.UpdateResp
+				resp, err = rpc.Call[proto.UpdateReq, proto.UpdateResp](ctx, conn, proto.MethodUpdate, b.req)
+				c.noteEpoch(resp.Epoch)
 			}
-			wg.Add(1)
-			go func(k int, b *batch, conn *rpc.Client) {
-				defer wg.Done()
-				resp, err := rpc.Call[proto.UpdateReq, proto.UpdateResp](ctx, conn, proto.MethodUpdate, b.req)
-				if err != nil {
-					errs[k] = err
-					return
-				}
-				epochs[k] = resp.Epoch
-			}(k, b, conn)
-		}
-		wg.Wait()
+			b.err = err
+		})
 
-		// Each failed batch is classified: overload resends as-is after a
-		// backoff (cache untouched), staleness invalidates exactly that
-		// group's mappings and re-resolves. Every retry round consumes at
-		// least one of the two finite budgets, so the loop terminates.
-		var failed []FileUpdate
-		overloaded, stale := false, false
-		for k, id := range ids {
-			if epochs[k] != 0 {
-				c.noteEpoch(epochs[k])
-			}
-			err := errs[k]
-			if err == nil {
+		failed := false
+		for _, b := range batches {
+			if b.err == nil {
 				continue
 			}
-			switch {
-			case errors.Is(err, perr.ErrOverloaded) && overloadLeft > 0:
-				overloaded = true
-			case retryablePlacement(err) && placementLeft > 0:
-				stale = true
-				c.staleRetries.Inc()
-				c.invalidateACG(id)
-			case retryablePlacement(err):
-				return fmt.Errorf("client index acg %d: %w", id, typedStale(err))
-			default:
-				return fmt.Errorf("client index acg %d: %w", id, err)
+			if err := c.classify(&a, b.err, func() { c.invalidateACG(b.req.ACG) }); err != nil {
+				return fmt.Errorf("client index acg %d: %w", b.req.ACG, err)
 			}
-			failed = append(failed, batches[id].ups...)
+			failed = true
 		}
-		if len(failed) == 0 {
+		if !failed {
 			return nil
 		}
-		if overloaded {
-			overloadLeft--
-			c.overloadRetries.Inc()
-			if err := c.backoff(ctx, backoffAttempt); err != nil {
-				return fmt.Errorf("client index: %w", err)
+		if err := c.spend(ctx, &a); err != nil {
+			return fmt.Errorf("client index: %w", err)
+		}
+		var resend []FileUpdate
+		for i, m := range mappings {
+			if k, _ := find(m.ACG); batches[k].err != nil {
+				resend = append(resend, pending[i])
 			}
-			backoffAttempt++
 		}
-		if stale {
-			placementLeft--
-		}
-		pending = failed
+		pending = resend
 	}
+	return nil
 }
 
 // Query is one search request: the single entry point for global searches,
@@ -691,33 +716,54 @@ func (c *Client) compile(q Query) ([]query.Predicate, time.Time, error) {
 	return preds, anchor, nil
 }
 
-// lookupTargets resolves the search fan-out, served from the placement
-// cache while the cached epoch is current (no placement change observed
-// since it was fetched). Zero targets yields ErrNoTargets, which Search and
-// SearchStream translate to an empty result in one place.
-func (c *Client) lookupTargets(ctx context.Context, indexName string) ([]proto.IndexTarget, []proto.GroupRoute, proto.Epoch, error) {
+// lookupTargets resolves the fan-out a search of q runs over and the epoch
+// it was resolved at, served from the placement cache while the cached epoch
+// is current (no placement change observed since it was fetched). A lazy
+// search gets its targets rebuilt over the replica sets — lazy reads accept
+// replica staleness; strict reads keep the primary-only targets. Zero
+// targets means no Index Node holds the index: Search and SearchStream
+// return empty, and the answer is not cached.
+func (c *Client) lookupTargets(ctx context.Context, q Query) (cachedTargets, error) {
 	c.pmu.Lock()
-	e := c.indexCache[indexName]
+	e := c.indexCache[q.Index]
 	c.pmu.Unlock()
 	if e != nil && uint64(e.epoch) >= c.maxEpoch.Load() {
 		c.indexHits.Inc()
-		return e.targets, e.routes, e.epoch, nil
+	} else {
+		c.indexMisses.Inc()
+		c.masterLookups.Inc()
+		lookup, err := rpc.Call[proto.LookupIndexReq, proto.LookupIndexResp](
+			ctx, c.cfg.Master, proto.MethodLookupIndex, proto.LookupIndexReq{IndexName: q.Index})
+		if err != nil {
+			return cachedTargets{}, fmt.Errorf("client search: %w", err)
+		}
+		c.noteEpoch(lookup.Epoch)
+		e = &cachedTargets{targets: lookup.Targets, routes: lookup.Routes, epoch: lookup.Epoch}
+		if len(e.targets) > 0 {
+			c.pmu.Lock()
+			c.indexCache[q.Index] = e
+			c.pmu.Unlock()
+		}
 	}
-	c.indexMisses.Inc()
-	c.masterLookups.Inc()
-	lookup, err := rpc.Call[proto.LookupIndexReq, proto.LookupIndexResp](
-		ctx, c.cfg.Master, proto.MethodLookupIndex, proto.LookupIndexReq{IndexName: indexName})
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("client search: %w", err)
+	t := *e
+	if q.Consistency == proto.ConsistencyLazy && len(t.routes) > 0 {
+		t.targets = c.replicaTargets(t.routes)
 	}
-	c.noteEpoch(lookup.Epoch)
-	if len(lookup.Targets) == 0 {
-		return nil, nil, 0, ErrNoTargets
+	return t, nil
+}
+
+// byNode adds group id, served by replica pick, to a fan-out under
+// construction: appended to pick's target, which is added on first use — the
+// one group→node fold. Targets stay in first-pick order; at cluster node
+// counts a linear probe is cheaper than the map it replaces.
+func byNode(targets []proto.IndexTarget, pick proto.ReplicaRef, id proto.ACGID) []proto.IndexTarget {
+	for i := range targets {
+		if targets[i].Node == pick.Node {
+			targets[i].ACGs = append(targets[i].ACGs, id)
+			return targets
+		}
 	}
-	c.pmu.Lock()
-	c.indexCache[indexName] = &cachedTargets{targets: lookup.Targets, routes: lookup.Routes, epoch: lookup.Epoch}
-	c.pmu.Unlock()
-	return lookup.Targets, lookup.Routes, lookup.Epoch, nil
+	return append(targets, proto.IndexTarget{Node: pick.Node, Addr: pick.Addr, ACGs: []proto.ACGID{id}})
 }
 
 // replicaTargets rebuilds a lazy search's fan-out over each group's
@@ -729,46 +775,43 @@ func (c *Client) lookupTargets(ctx context.Context, indexName string) ([]proto.I
 // degenerates to the primary, so the result is always a valid fan-out.
 func (c *Client) replicaTargets(routes []proto.GroupRoute) []proto.IndexTarget {
 	rotation := c.replicaRR.Add(1)
-	type agg struct {
-		addr string
-		acgs []proto.ACGID
-	}
-	byNode := make(map[proto.NodeID]*agg)
-	var order []proto.NodeID
+	var out []proto.IndexTarget
 	for i, rt := range routes {
 		pick := rt.Primary
-		if nReps := uint64(1 + len(rt.Followers)); nReps > 1 {
-			if k := (rotation + uint64(i)) % nReps; k > 0 {
-				pick = rt.Followers[k-1]
-			}
+		if k := (rotation + uint64(i)) % uint64(1+len(rt.Followers)); k > 0 {
+			pick = rt.Followers[k-1]
 		}
-		a := byNode[pick.Node]
-		if a == nil {
-			a = &agg{addr: pick.Addr}
-			byNode[pick.Node] = a
-			order = append(order, pick.Node)
-		}
-		a.acgs = append(a.acgs, rt.ACG)
-	}
-	out := make([]proto.IndexTarget, 0, len(order))
-	for _, id := range order {
-		out = append(out, proto.IndexTarget{Node: id, Addr: byNode[id].addr, ACGs: byNode[id].acgs})
+		out = byNode(out, pick, rt.ACG)
 	}
 	return out
 }
 
-// searchReq builds the per-node wire request for q.
-func (c *Client) searchReq(q Query, preds []query.Predicate, tgt proto.IndexTarget) proto.SearchReq {
-	return proto.SearchReq{
-		ACGs:        tgt.ACGs,
-		IndexName:   q.Index,
-		Preds:       preds,
-		Limit:       q.Limit,
-		After:       q.After,
-		AfterSet:    q.AfterSet,
-		Consistency: q.Consistency,
-		Client:      c.cfg.ID,
+// hedgeTargets builds the alternate fan-out a hedge races against a slow
+// leg: each of the leg's groups is re-routed to its first replica on a
+// node other than the slow one (a group whose copies all live on that
+// node keeps it — the hedge is then a plain duplicate request). Returns
+// nil when any group has no route, in which case the leg cannot hedge.
+func hedgeTargets(routes []proto.GroupRoute, acgs []proto.ACGID, avoid proto.NodeID) []proto.IndexTarget {
+	byACG := make(map[proto.ACGID]proto.GroupRoute, len(routes))
+	for _, rt := range routes {
+		byACG[rt.ACG] = rt
 	}
+	var out []proto.IndexTarget
+	for _, id := range acgs {
+		rt, ok := byACG[id]
+		if !ok {
+			return nil // a hedge that misses a group would return partial results
+		}
+		pick := rt.Primary
+		for _, f := range rt.Followers {
+			if pick.Node != avoid {
+				break
+			}
+			pick = f
+		}
+		out = byNode(out, pick, id)
+	}
+	return out
 }
 
 // SearchResult is the aggregated outcome of a distributed search.
@@ -793,172 +836,96 @@ type SearchResult struct {
 	Anchor time.Time
 }
 
-// hedgeTargets builds the alternate fan-out a hedge races against a slow
-// leg: each of the leg's groups is re-routed to its first replica on a
-// node other than the slow one (a group whose copies all live on that
-// node keeps it — the hedge is then a plain duplicate request). Returns
-// nil when any group has no route, in which case the leg cannot hedge.
-func (c *Client) hedgeTargets(routes []proto.GroupRoute, acgs []proto.ACGID, avoid proto.NodeID) []proto.IndexTarget {
-	byACG := make(map[proto.ACGID]proto.GroupRoute, len(routes))
-	for _, rt := range routes {
-		byACG[rt.ACG] = rt
+// searchNode sends q to one target: the one place a search request is
+// built and sent. It notes the placement epoch the node quotes.
+func (c *Client) searchNode(ctx context.Context, q Query, preds []query.Predicate, tgt proto.IndexTarget) (proto.SearchResp, error) {
+	conn, err := c.conn(ctx, tgt.Addr)
+	if err != nil {
+		return proto.SearchResp{}, err // a dead node: retried like a stale fan-out
 	}
-	type agg struct {
-		addr string
-		acgs []proto.ACGID
-	}
-	byNode := make(map[proto.NodeID]*agg)
-	var order []proto.NodeID
-	for _, id := range acgs {
-		rt, ok := byACG[id]
-		if !ok {
-			return nil // a hedge that misses a group would return partial results
-		}
-		pick := rt.Primary
-		for _, f := range rt.Followers {
-			if pick.Node != avoid {
-				break
-			}
-			pick = f
-		}
-		a := byNode[pick.Node]
-		if a == nil {
-			a = &agg{addr: pick.Addr}
-			byNode[pick.Node] = a
-			order = append(order, pick.Node)
-		}
-		a.acgs = append(a.acgs, id)
-	}
-	out := make([]proto.IndexTarget, 0, len(order))
-	for _, id := range order {
-		out = append(out, proto.IndexTarget{Node: id, Addr: byNode[id].addr, ACGs: byNode[id].acgs})
-	}
-	return out
+	resp, err := rpc.Call[proto.SearchReq, proto.SearchResp](ctx, conn, proto.MethodSearch, proto.SearchReq{
+		ACGs:        tgt.ACGs,
+		IndexName:   q.Index,
+		Preds:       preds,
+		Limit:       q.Limit,
+		After:       q.After,
+		AfterSet:    q.AfterSet,
+		Consistency: q.Consistency,
+		Client:      c.cfg.ID,
+	})
+	c.noteEpoch(resp.Epoch)
+	return resp, err
 }
 
-// searchLeg queries a (usually single-node) target list sequentially and
-// merges the responses — the hedge side of a raced leg.
-func (c *Client) searchLeg(ctx context.Context, q Query, preds []query.Predicate, targets []proto.IndexTarget) (proto.SearchResp, error) {
-	var merged proto.SearchResp
-	for _, tgt := range targets {
-		conn, err := c.conn(ctx, tgt.Addr)
-		if err != nil {
-			return proto.SearchResp{}, err
-		}
-		resp, err := rpc.Call[proto.SearchReq, proto.SearchResp](
-			ctx, conn, proto.MethodSearch, c.searchReq(q, preds, tgt))
-		if err != nil {
-			return proto.SearchResp{}, err
-		}
-		merged.Files = append(merged.Files, resp.Files...)
-		merged.More = merged.More || resp.More
-		if resp.Epoch > merged.Epoch {
-			merged.Epoch = resp.Epoch
-		}
-		merged.CommitLatencyNanos += resp.CommitLatencyNanos
-	}
-	return merged, nil
-}
-
-// searchFanout queries every target in parallel and merges the pages. It
-// also returns the newest placement epoch any node quoted, so the caller
-// can detect a fan-out resolved before a placement change.
-//
-// With hedging armed (lazy consistency, Config.HedgeDelay > 0, replica
-// routes known) a leg that has not answered within HedgeDelay of
-// wall-clock time races a second request against each group's next
-// replica; whichever leg answers first wins, and a losing leg that
-// eventually errors is ignored when the winner succeeded.
-func (c *Client) searchFanout(ctx context.Context, q Query, preds []query.Predicate, targets []proto.IndexTarget, routes []proto.GroupRoute) (SearchResult, proto.Epoch, error) {
-	var wg sync.WaitGroup
-	type nodeResult struct {
+// hedgedSearchNode is searchNode with a hedge: a leg that has not answered
+// within Config.HedgeDelay of wall-clock time races a second request against
+// each of its groups' next replica; whichever side answers first wins, and a
+// side that errors is ignored when the other succeeds (the hedge survives a
+// slow primary's partition error). The alternate legs go through
+// searchTargets with no routes, so a hedge never hedges again.
+func (c *Client) hedgedSearchNode(ctx context.Context, q Query, preds []query.Predicate, tgt proto.IndexTarget, routes []proto.GroupRoute) (proto.SearchResp, error) {
+	type result struct {
 		resp proto.SearchResp
 		err  error
 	}
-	hedged := c.cfg.HedgeDelay > 0 && q.Consistency == proto.ConsistencyLazy && len(routes) > 0
-	results := make([]nodeResult, len(targets))
-	for i, tgt := range targets {
-		conn, err := c.conn(ctx, tgt.Addr)
-		if err != nil {
-			results[i] = nodeResult{err: err} // dead node: retried like a stale fan-out
-			continue
-		}
-		wg.Add(1)
-		go func(i int, tgt proto.IndexTarget, conn *rpc.Client) {
-			defer wg.Done()
-			if !hedged {
-				resp, err := rpc.Call[proto.SearchReq, proto.SearchResp](
-					ctx, conn, proto.MethodSearch, c.searchReq(q, preds, tgt))
-				results[i] = nodeResult{resp: resp, err: err}
-				return
-			}
-			ch := make(chan nodeResult, 2) // buffered: the losing leg never blocks
-			go func() {
-				resp, err := rpc.Call[proto.SearchReq, proto.SearchResp](
-					ctx, conn, proto.MethodSearch, c.searchReq(q, preds, tgt))
-				ch <- nodeResult{resp: resp, err: err}
-			}()
-			timer := time.NewTimer(c.cfg.HedgeDelay)
-			defer timer.Stop()
-			select {
-			case r := <-ch:
-				results[i] = r
-				return
-			case <-timer.C:
-			}
-			alt := c.hedgeTargets(routes, tgt.ACGs, tgt.Node)
-			if alt == nil {
-				results[i] = <-ch // cannot hedge; wait the slow leg out
-				return
-			}
-			c.hedgedSearches.Inc()
-			go func() {
-				resp, err := c.searchLeg(ctx, q, preds, alt)
-				ch <- nodeResult{resp: resp, err: err}
-			}()
-			first := <-ch
-			if first.err == nil {
-				results[i] = first
-				return
-			}
-			// The first responder failed; the race is still undecided —
-			// the other leg may deliver (e.g. the hedge survives a slow
-			// primary's partition error).
-			if second := <-ch; second.err == nil {
-				results[i] = second
-			} else {
-				results[i] = first
-			}
-		}(i, tgt, conn)
+	ch := make(chan result, 2) // one send per side: the loser never blocks
+	go func() {
+		resp, err := c.searchNode(ctx, q, preds, tgt)
+		ch <- result{resp, err}
+	}()
+	timer := time.NewTimer(c.cfg.HedgeDelay)
+	defer timer.Stop()
+	select {
+	case r := <-ch:
+		return r.resp, r.err
+	case <-timer.C:
 	}
-	wg.Wait()
+	alt := hedgeTargets(routes, tgt.ACGs, tgt.Node)
+	if alt == nil {
+		r := <-ch // cannot hedge; wait the slow leg out
+		return r.resp, r.err
+	}
+	c.hedgedSearches.Inc()
+	go func() {
+		resp, err := c.searchTargets(ctx, q, preds, alt, nil)
+		ch <- result{resp, err}
+	}()
+	first := <-ch
+	if first.err != nil {
+		if second := <-ch; second.err == nil {
+			return second.resp, nil
+		}
+	}
+	return first.resp, first.err
+}
 
-	out := SearchResult{Nodes: len(targets)}
-	var maxEpoch proto.Epoch
-	var merged []index.FileID
-	for i, r := range results {
-		if r.err != nil {
-			return SearchResult{}, maxEpoch, fmt.Errorf("client search node %s: %w", targets[i].Node, r.err)
+// searchTargets queries every target in parallel and folds the responses
+// into one: files concatenated (unsorted), More if any node has more, the
+// newest placement epoch any node quoted, commit costs summed. Routes arm
+// hedging (lazy consistency and Config.HedgeDelay > 0 permitting): the
+// primary fan-out passes the replica routes, a hedge's alternate legs none.
+func (c *Client) searchTargets(ctx context.Context, q Query, preds []query.Predicate, targets []proto.IndexTarget, routes []proto.GroupRoute) (proto.SearchResp, error) {
+	hedged := c.cfg.HedgeDelay > 0 && q.Consistency == proto.ConsistencyLazy && len(routes) > 0
+	resps := make([]proto.SearchResp, len(targets))
+	errs := make([]error, len(targets))
+	fanOut(len(targets), func(i int) {
+		if hedged {
+			resps[i], errs[i] = c.hedgedSearchNode(ctx, q, preds, targets[i], routes)
+		} else {
+			resps[i], errs[i] = c.searchNode(ctx, q, preds, targets[i])
 		}
-		if r.resp.Epoch > maxEpoch {
-			maxEpoch = r.resp.Epoch
+	})
+	var out proto.SearchResp
+	for i, r := range resps {
+		if errs[i] != nil {
+			return proto.SearchResp{}, fmt.Errorf("client search node %s: %w", targets[i].Node, errs[i])
 		}
-		out.CommitLatency += time.Duration(r.resp.CommitLatencyNanos)
-		out.More = out.More || r.resp.More
-		merged = append(merged, r.resp.Files...)
+		out.Files = append(out.Files, r.Files...)
+		out.More = out.More || r.More
+		out.Epoch = max(out.Epoch, r.Epoch)
+		out.CommitLatencyNanos += r.CommitLatencyNanos
 	}
-	files := index.SortDedup(merged)
-	if q.Limit > 0 && len(files) > q.Limit {
-		// Nodes beyond the cut still have unconsumed matches; the cursor
-		// re-covers them on the next page.
-		files = files[:q.Limit]
-		out.More = true
-	}
-	out.Files = files
-	if out.More && len(out.Files) > 0 {
-		out.Next, out.NextSet = out.Files[len(out.Files)-1], true
-	}
-	return out, maxEpoch, nil
+	return out, nil
 }
 
 // Search runs a query: the fan-out targets come from the epoch-keyed
@@ -970,12 +937,14 @@ func (c *Client) searchFanout(ctx context.Context, q Query, preds []query.Predic
 // ascending, the last FileID of the page is a valid resume cursor on every
 // node.
 //
-// Staleness self-heals: a node rejecting the fan-out (released group, dead
-// connection) or quoting a newer placement epoch than the fan-out was
-// resolved at invalidates the cached targets and retries, bounded by
-// placementRetries. Overload self-heals differently: a shed fan-out leg
-// (perr.ErrOverloaded) is retried after a backoff with the cached targets
-// intact — placement is still correct — bounded by the overload budget.
+// A failed fan-out goes through classify. Staleness self-heals: a node
+// rejecting the fan-out (released group, dead connection) or quoting a newer
+// placement epoch than the fan-out was resolved at — a group may have moved
+// to a node that was not queried, so for either consistency the page cannot
+// be trusted — invalidates the cached targets and re-resolves, and surfaces
+// as perr.ErrStalePlacement once placementRetries are spent. Overload
+// self-heals differently: a shed leg is retried after a backoff with the
+// cached targets intact, bounded by the overload budget.
 //
 // An empty cluster (no index nodes holding the index) yields an empty
 // result, not an error. An unknown index name yields perr.ErrIndexNotFound.
@@ -984,54 +953,42 @@ func (c *Client) Search(ctx context.Context, q Query) (SearchResult, error) {
 	if err != nil {
 		return SearchResult{}, err
 	}
-	placementLeft := placementRetries
-	overloadLeft := c.overloadBudget()
-	backoffAttempt := 0
+	a := c.newAttempts()
 	for {
-		targets, routes, tepoch, err := c.lookupTargets(ctx, q.Index)
-		if errors.Is(err, ErrNoTargets) {
-			return SearchResult{}, nil // empty cluster: no matches
-		}
-		if err != nil {
+		t, err := c.lookupTargets(ctx, q)
+		if err != nil || len(t.targets) == 0 {
 			return SearchResult{}, err
 		}
-		if q.Consistency == proto.ConsistencyLazy && len(routes) > 0 {
-			// Lazy reads accept replica staleness, so fan out over the
-			// replica sets; strict reads keep the primary-only targets.
-			targets = c.replicaTargets(routes)
+		resp, err := c.searchTargets(ctx, q, preds, t.targets, t.routes)
+		if err == nil && resp.Epoch > t.epoch {
+			err = fmt.Errorf("client search: fan-out resolved at epoch %d, a node quotes %d: %w",
+				t.epoch, resp.Epoch, perr.ErrStalePlacement)
 		}
-		out, nodeEpoch, err := c.searchFanout(ctx, q, preds, targets, routes)
 		if err != nil {
-			switch {
-			case errors.Is(err, perr.ErrOverloaded) && overloadLeft > 0:
-				overloadLeft--
-				c.overloadRetries.Inc()
-				if berr := c.backoff(ctx, backoffAttempt); berr != nil {
-					return SearchResult{}, fmt.Errorf("client search: %w", berr)
-				}
-				backoffAttempt++
-				continue
-			case retryablePlacement(err) && placementLeft > 0:
-				placementLeft--
-				c.staleRetries.Inc()
-				c.invalidateIndex(q.Index)
-				continue
-			case retryablePlacement(err):
-				return SearchResult{}, typedStale(err)
+			if err := c.classify(&a, err, func() { c.invalidateIndex(q.Index) }); err != nil {
+				return SearchResult{}, err
 			}
-			return SearchResult{}, err
-		}
-		c.noteEpoch(nodeEpoch)
-		if nodeEpoch > tepoch && placementLeft > 0 {
-			// Some node has seen a newer placement than this fan-out was
-			// resolved at: a group may have moved to a node we did not
-			// query. Refetch and re-run so no acknowledged file is missed.
-			placementLeft--
-			c.staleRetries.Inc()
-			c.invalidateIndex(q.Index)
+			if err := c.spend(ctx, &a); err != nil {
+				return SearchResult{}, fmt.Errorf("client search: %w", err)
+			}
 			continue
 		}
-		out.Anchor = anchor
+		out := SearchResult{
+			Files:         index.SortDedup(resp.Files),
+			Nodes:         len(t.targets),
+			CommitLatency: time.Duration(resp.CommitLatencyNanos),
+			More:          resp.More,
+			Anchor:        anchor,
+		}
+		if q.Limit > 0 && len(out.Files) > q.Limit {
+			// Nodes beyond the cut still have unconsumed matches; the
+			// cursor re-covers them on the next page.
+			out.Files = out.Files[:q.Limit]
+			out.More = true
+		}
+		if out.More && len(out.Files) > 0 {
+			out.Next, out.NextSet = out.Files[len(out.Files)-1], true
+		}
 		return out, nil
 	}
 }
@@ -1045,8 +1002,6 @@ type Batch struct {
 	Files []index.FileID
 	// More reports the node has matches beyond its page budget.
 	More bool
-	// CommitLatency is the node's commit-on-search cost.
-	CommitLatency time.Duration
 }
 
 // Stream delivers per-node search batches in arrival order.
@@ -1087,54 +1042,33 @@ func (s *Stream) Err() error { return s.err }
 // drain into a buffered channel, so an abandoned stream leaks nothing.
 //
 // Unlike Search, a stream cannot transparently retry a stale fan-out —
-// batches were already delivered — so staleness (a released group, a dead
-// node, or a newer epoch in a batch) invalidates the cached targets and
-// surfaces on the stream; the caller's next call re-resolves and succeeds.
+// batches were already delivered — so it does not classify: staleness (a
+// released group, a dead node, or a newer epoch in a batch) invalidates the
+// cached targets and the error surfaces, or the batch is delivered, on the
+// stream; the caller's next call re-resolves and succeeds. Overload
+// surfaces as is.
 func (c *Client) SearchStream(ctx context.Context, q Query) (*Stream, error) {
 	preds, _, err := c.compile(q)
 	if err != nil {
 		return nil, err
 	}
-	targets, routes, tepoch, err := c.lookupTargets(ctx, q.Index)
-	if errors.Is(err, ErrNoTargets) {
-		return &Stream{}, nil // empty cluster: stream with zero batches
-	}
+	t, err := c.lookupTargets(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	if q.Consistency == proto.ConsistencyLazy && len(routes) > 0 {
-		targets = c.replicaTargets(routes)
-	}
-	s := &Stream{ch: make(chan streamItem, len(targets)), remaining: len(targets)}
-	for _, tgt := range targets {
-		conn, err := c.conn(ctx, tgt.Addr)
-		if err != nil {
-			if retryablePlacement(err) {
-				c.invalidateIndex(q.Index)
+	s := &Stream{ch: make(chan streamItem, len(t.targets)), remaining: len(t.targets)}
+	for _, tgt := range t.targets {
+		go func() {
+			resp, err := c.searchNode(ctx, q, preds, tgt)
+			if retryablePlacement(err) || resp.Epoch > t.epoch {
+				c.invalidateIndex(q.Index) // the next call re-resolves the fan-out
 			}
-			return nil, err
-		}
-		go func(tgt proto.IndexTarget, conn *rpc.Client) {
-			resp, err := rpc.Call[proto.SearchReq, proto.SearchResp](
-				ctx, conn, proto.MethodSearch, c.searchReq(q, preds, tgt))
 			if err != nil {
-				if retryablePlacement(err) {
-					c.invalidateIndex(q.Index)
-				}
 				s.ch <- streamItem{err: fmt.Errorf("client search node %s: %w", tgt.Node, err)}
 				return
 			}
-			c.noteEpoch(resp.Epoch)
-			if resp.Epoch > tepoch {
-				c.invalidateIndex(q.Index) // next call re-resolves the fan-out
-			}
-			s.ch <- streamItem{batch: Batch{
-				Node:          tgt.Node,
-				Files:         resp.Files,
-				More:          resp.More,
-				CommitLatency: time.Duration(resp.CommitLatencyNanos),
-			}}
-		}(tgt, conn)
+			s.ch <- streamItem{batch: Batch{Node: tgt.Node, Files: resp.Files, More: resp.More}}
+		}()
 	}
 	return s, nil
 }

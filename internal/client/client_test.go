@@ -3,6 +3,8 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -254,5 +256,117 @@ func TestConnCaching(t *testing.T) {
 	}
 	if c3.Closed() {
 		t.Error("redialed connection should be live")
+	}
+}
+
+// TestPartitionedDialDoesNotBlockHealthyNodes: a dial toward a black-holed
+// node lasts until the caller's deadline, and must hold no lock another
+// request needs — an Index to a healthy node and a Search that does not
+// involve the partitioned node complete while it hangs. Then the dial race:
+// two callers dialing one address end up sharing one connection and the
+// loser's is closed, not leaked.
+func TestPartitionedDialDoesNotBlockHealthyNodes(t *testing.T) {
+	ctx := context.Background()
+	r := newFlakyRig(t, Config{})
+	g1, g2 := r.warm(t, 2)
+	a, b := r.nodes[0].addr, r.nodes[1].addr
+	q := Query{Index: "size", Text: "size>=0"}
+
+	// Node a drops off the network: its cached connection dies and every
+	// redial black-holes. The Master has already routed searches around it.
+	rpc.HandleTyped(r.masterSrv, proto.MethodLookupIndex, func(ctx context.Context, req proto.LookupIndexReq) (proto.LookupIndexResp, error) {
+		resp, err := r.master.LookupIndex(ctx, req)
+		resp.Targets = slices.DeleteFunc(resp.Targets, func(tgt proto.IndexTarget) bool { return tgt.Addr == a })
+		return resp, err
+	})
+	r.cl.invalidateIndex("size")
+	hole := r.gate(a, true)
+	defer close(hole.release) // before Cleanup closes the client, whatever happens
+	if c, err := r.cl.conn(ctx, a); err != nil || c.Close() != nil {
+		t.Fatal("closing the cached connection to the partitioned node", err)
+	}
+	stuck := make(chan error, 1)
+	go func() { stuck <- r.cl.Index(ctx, "size", g1) }()
+	<-hole.entered
+
+	healthy := make(chan error, 2)
+	go func() { healthy <- r.cl.Index(ctx, "size", g2) }()
+	go func() {
+		res, err := r.cl.Search(ctx, q)
+		if err == nil && !slices.Equal(res.Files, r.nodes[1].files) {
+			err = fmt.Errorf("search files = %v, want %v", res.Files, r.nodes[1].files)
+		}
+		healthy <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-healthy:
+			if err != nil {
+				t.Errorf("request to a healthy node beside the hung dial: %v", err)
+			}
+		case <-stuck:
+			t.Fatal("the black-holed dial returned before it was released")
+		case <-time.After(5 * time.Second):
+			t.Fatal("a request to a healthy node queued behind the dial to the partitioned one")
+		}
+	}
+
+	// Two callers find b's connection dead and both redial.
+	if c, err := r.cl.conn(ctx, b); err != nil || c.Close() != nil {
+		t.Fatal("closing the cached connection to the healthy node", err)
+	}
+	race := r.gate(b, false)
+	before := len(r.dialed[b])
+	got := make(chan *rpc.Client, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			c, err := r.cl.conn(ctx, b)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- c
+		}()
+	}
+	<-race.entered
+	<-race.entered
+	close(race.release)
+	c1, c2 := <-got, <-got
+	if c1 != c2 || c1 == nil || c1.Closed() {
+		t.Fatalf("racing dials returned %p and %p (closed %v), want one live shared connection", c1, c2, c1 != nil && c1.Closed())
+	}
+	r.mu.Lock()
+	raced := r.dialed[b][before:]
+	r.mu.Unlock()
+	if len(raced) != 2 {
+		t.Fatalf("%d dials in the race, want 2", len(raced))
+	}
+	for _, c := range raced {
+		if c != c1 && !c.Closed() {
+			t.Error("the losing dial's connection was left open")
+		}
+	}
+}
+
+// TestFlushACGRejectsFileMasterDidNotMap: a file the Master's answer omits
+// is a typed error naming the file, not a flush routed by the zero mapping
+// (ACG 0 at address ""); nothing is dialed.
+func TestFlushACGRejectsFileMasterDidNotMap(t *testing.T) {
+	ctx := context.Background()
+	r := newFlakyRig(t, Config{})
+	rpc.HandleTyped(r.masterSrv, proto.MethodLookupFiles, func(ctx context.Context, req proto.LookupFilesReq) (proto.LookupFilesResp, error) {
+		resp, err := r.master.LookupFiles(ctx, req)
+		resp.Mappings = slices.DeleteFunc(resp.Mappings, func(m proto.FileMapping) bool { return m.File == 101 })
+		return resp, err
+	})
+	r.cl.Open(1, 100, acg.OpenRead)
+	r.cl.Open(1, 101, acg.OpenWrite)
+	r.cl.Open(1, 102, acg.OpenWrite)
+	r.cl.EndProcess(1)
+	err := r.cl.FlushACG(ctx)
+	if err == nil || !strings.Contains(err.Error(), "no mapping for file 101") {
+		t.Errorf("flush err = %v, want the unmapped file named", err)
+	}
+	if len(r.dials) != 0 {
+		t.Errorf("flush dialed %q before rejecting the lookup", r.dials)
 	}
 }

@@ -234,6 +234,72 @@ func TestSearchCancelMidFanout(t *testing.T) {
 	}
 }
 
+// TestSearchStreamStalePlacementSurfacesWithoutRetry: a stream has already
+// handed batches out, so it cannot re-run a stale fan-out the way Search
+// does. A leg rejected as stale surfaces on the stream; a batch quoting a
+// newer placement epoch is delivered; either way the cached fan-out is
+// dropped — the caller's next Search re-resolves it, one index miss — and
+// nothing is retried or counted as a retry inside the stream.
+func TestSearchStreamStalePlacementSurfacesWithoutRetry(t *testing.T) {
+	ctx := context.Background()
+	q := Query{Index: "size", Text: "size>=0"}
+	for _, tc := range []struct {
+		name    string
+		outcome flakyOutcome
+		wantErr error
+	}{
+		{"leg rejected as stale", outcomeStale, perr.ErrStalePlacement},
+		{"batch quoting a newer epoch", outcomeNewerEpoch, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFlakyRig(t, Config{})
+			r.warm(t, 2)
+			r.nodes[1].setScript(tc.outcome)
+			pre := r.cl.CacheStats()
+			preCalls := [2]int{r.nodes[0].snapshot().calls, r.nodes[1].snapshot().calls}
+
+			st, err := r.cl.SearchStream(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var files []index.FileID
+			for b, ok := st.Next(); ok; b, ok = st.Next() {
+				files = append(files, b.Files...)
+			}
+			if !errors.Is(st.Err(), tc.wantErr) {
+				t.Fatalf("stream err = %v, want %v", st.Err(), tc.wantErr)
+			}
+			if tc.wantErr == nil && len(files) != 4 {
+				t.Errorf("streamed files %v, want both nodes' batches delivered", files)
+			}
+			for n := range r.nodes {
+				// The stream may have stopped at the error with the other
+				// leg still in flight; it is never more than one call each.
+				if got := r.nodes[n].snapshot().calls - preCalls[n]; got > 1 || (n == 1 && got != 1) {
+					t.Errorf("node %d searched %d times inside the stream, want 1 (no retry)", n, got)
+				}
+			}
+			mid := r.cl.CacheStats()
+			if mid.StalePlacementRetries != pre.StalePlacementRetries || mid.MasterLookups != pre.MasterLookups {
+				t.Errorf("the stream retried or re-resolved: stale retries %d -> %d, master lookups %d -> %d",
+					pre.StalePlacementRetries, mid.StalePlacementRetries, pre.MasterLookups, mid.MasterLookups)
+			}
+
+			res, err := r.cl.Search(ctx, q)
+			if err != nil || len(res.Files) != 4 {
+				t.Fatalf("next search = %v, %v; want it to re-resolve and succeed", res.Files, err)
+			}
+			post := r.cl.CacheStats()
+			if got := post.IndexMisses - mid.IndexMisses; got != 1 {
+				t.Errorf("index misses on the next search = %d, want 1 (the stream dropped the cached fan-out)", got)
+			}
+			if post.StalePlacementRetries != mid.StalePlacementRetries {
+				t.Errorf("the next search needed %d stale retries, want 0", post.StalePlacementRetries-mid.StalePlacementRetries)
+			}
+		})
+	}
+}
+
 // TestSearchPagedAcrossNodes pages through a two-node index via the
 // client-level cursor and checks the global merge stays exact.
 func TestSearchPagedAcrossNodes(t *testing.T) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"propeller/internal/attr"
 	"propeller/internal/index"
@@ -361,5 +363,111 @@ func TestPeerConnCacheLRUEviction(t *testing.T) {
 	}
 	if st.PeerConnEvictions != 1 {
 		t.Fatalf("NodeStats.PeerConnEvictions = %d, want 1", st.PeerConnEvictions)
+	}
+}
+
+// TestPartitionedPeerDialDoesNotBlockHealthyPeers is the node-side twin of
+// the client's partition-dial test: peerConn runs under a group lock, so a
+// dial toward a partitioned follower that held peerMu until its deadline
+// would stall every other group's follower stream. Healthy peers — cached
+// and first-use — stay reachable while the dial hangs; and two callers
+// racing to dial one peer share one cached connection, the loser's closed.
+func TestPartitionedPeerDialDoesNotBlockHealthyPeers(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	n := r.a
+	entered := make(chan string)
+	release := map[string]chan struct{}{"blackhole": make(chan struct{}), "raced": make(chan struct{})}
+	var mu sync.Mutex
+	var raced []*rpc.Client // what the dials to "raced" returned
+	n.cfg.Dial = func(ctx context.Context, addr string) (*rpc.Client, error) {
+		if gate := release[addr]; gate != nil {
+			entered <- addr
+			select {
+			case <-gate:
+			case <-ctx.Done():
+			}
+			if addr == "blackhole" {
+				return nil, errors.New("dial blackhole: host unreachable")
+			}
+		}
+		cc, sc := rpc.Pipe()
+		r.servers["pipe:in-b"].ServeConn(sc)
+		c := rpc.NewClient(cc)
+		if addr == "raced" {
+			mu.Lock()
+			raced = append(raced, c)
+			mu.Unlock()
+		}
+		return c, nil
+	}
+	defer close(release["blackhole"]) // before the rig tears down, whatever happens
+
+	cached, err := n.peerConn(ctx, "cached-peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := make(chan error, 1)
+	go func() {
+		_, err := n.peerConn(ctx, "blackhole")
+		stuck <- err
+	}()
+	<-entered
+
+	healthy := make(chan error, 2)
+	for _, addr := range []string{"cached-peer", "fresh-peer"} {
+		go func() {
+			c, err := n.peerConn(ctx, addr)
+			if err == nil && addr == "cached-peer" && c != cached {
+				err = errors.New("cached peer was redialed")
+			}
+			healthy <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-healthy:
+			if err != nil {
+				t.Errorf("healthy peer beside the hung dial: %v", err)
+			}
+		case <-stuck:
+			t.Fatal("the black-holed dial returned before it was released")
+		case <-time.After(5 * time.Second):
+			t.Fatal("a healthy peer's connection queued behind the dial to the partitioned one")
+		}
+	}
+
+	got := make(chan *rpc.Client, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			c, err := n.peerConn(ctx, "raced")
+			if err != nil {
+				t.Error(err)
+			}
+			got <- c
+		}()
+	}
+	<-entered
+	<-entered
+	close(release["raced"])
+	c1, c2 := <-got, <-got
+	if c1 != c2 || c1 == nil || c1.Closed() {
+		t.Fatalf("racing dials returned %p and %p, want one live shared connection", c1, c2)
+	}
+	n.peerMu.Lock()
+	e := n.peers["raced"]
+	n.peerMu.Unlock()
+	if e == nil || e.c != c1 {
+		t.Fatal("the shared connection is not the cached one")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(raced) != 2 {
+		t.Fatalf("%d dials in the race, want 2", len(raced))
+	}
+	for _, c := range raced {
+		if c != c1 && !c.Closed() {
+			t.Error("the losing dial's connection was left open")
+		}
 	}
 }

@@ -27,24 +27,36 @@ const maxPeerConns = 32
 // peerConn returns a cached connection to a peer node, dialing on first
 // use. Follower streaming is per-update, so unlike the one-shot transfer
 // paths it must not pay a dial per call. A connection observed closed is
-// evicted and redialed. The cache is LRU-bounded at maxPeerConns: adding a
+// replaced by a redial. The cache is LRU-bounded at maxPeerConns: adding a
 // new peer at capacity closes the least-recently-used conn (counted in
 // NodeStats.PeerConnEvictions) — its peer redials on next use.
+//
+// The dial runs with peerMu released. Callers hold a group lock, and toward
+// a partitioned follower a dial lasts until the caller's deadline: holding
+// peerMu across it would stall the acks of every other group streaming to
+// healthy followers. Callers racing to dial one peer keep whichever
+// connection was stored first; the loser's is closed.
 func (n *Node) peerConn(ctx context.Context, addr string) (*rpc.Client, error) {
 	if n.cfg.Dial == nil {
 		return nil, fmt.Errorf("indexnode %s: no dialer for peer %s", n.cfg.ID, addr)
 	}
 	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	if e := n.peers[addr]; e != nil && !e.c.Closed() {
-		n.peerUse++
-		e.lastUse = n.peerUse
-		return e.c, nil
+	c := n.livePeerLocked(addr)
+	n.peerMu.Unlock()
+	if c != nil {
+		return c, nil
 	}
-	c, err := n.cfg.Dial(ctx, addr)
+	dialed, err := n.cfg.Dial(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
+	n.peerMu.Lock()
+	if c = n.livePeerLocked(addr); c != nil {
+		n.peerMu.Unlock()
+		dialed.Close() //nolint:errcheck // the race's loser carried no call
+		return c, nil
+	}
+	defer n.peerMu.Unlock()
 	if n.peers == nil {
 		n.peers = make(map[string]*peerEntry)
 	}
@@ -52,8 +64,20 @@ func (n *Node) peerConn(ctx context.Context, addr string) (*rpc.Client, error) {
 		n.evictLRUPeerLocked()
 	}
 	n.peerUse++
-	n.peers[addr] = &peerEntry{c: c, lastUse: n.peerUse}
-	return c, nil
+	n.peers[addr] = &peerEntry{c: dialed, lastUse: n.peerUse}
+	return dialed, nil
+}
+
+// livePeerLocked returns the cached connection to addr if it is still open,
+// stamped as just used; nil otherwise. Caller holds peerMu.
+func (n *Node) livePeerLocked(addr string) *rpc.Client {
+	e := n.peers[addr]
+	if e == nil || e.c.Closed() {
+		return nil
+	}
+	n.peerUse++
+	e.lastUse = n.peerUse
+	return e.c
 }
 
 // evictLRUPeerLocked closes and removes the least-recently-used cached

@@ -256,7 +256,8 @@ func BenchmarkIndexNodeUpdateUnderHeavySearch(b *testing.B) {
 
 // BenchmarkIndexNodeMixedParallelMultiACG interleaves searches with the
 // parallel update stream (one searcher op per 64 updates per worker),
-// exercising commit-on-search against live writers on other ACGs.
+// exercising strict reads (read-through, or commit-first past the bound)
+// against live writers on other ACGs.
 func BenchmarkIndexNodeMixedParallelMultiACG(b *testing.B) {
 	n := newBenchIndexNode(b)
 	var worker, file atomic.Int64

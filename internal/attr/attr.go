@@ -143,10 +143,17 @@ func (v Value) Compare(o Value) (int, error) {
 	}
 }
 
-// Equal reports whether v and o are the same kind and payload.
+// Equal reports whether v and o are the same kind and payload — the values
+// that encode to the same bytes. For floats that is bit equality, not
+// Compare's numeric one: NaN equals only NaN and -0 is not +0, because an
+// index keys a posting by its encoding and "did the key change" is what
+// callers ask.
 func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
 		return false
+	}
+	if v.kind == KindFloat {
+		return math.Float64bits(v.f) == math.Float64bits(o.f)
 	}
 	c, err := v.Compare(o)
 	return err == nil && c == 0

@@ -82,6 +82,36 @@ func TestCompareKindMismatch(t *testing.T) {
 	}
 }
 
+// TestEqualIsEncodingEquality: Equal answers "do these encode to the same
+// bytes", which for floats is not Compare's answer — an index that asked
+// Compare whether a re-indexed posting's key changed kept the old key of
+// every float re-indexed to NaN, and of -0 re-indexed to +0.
+func TestEqualIsEncodingEquality(t *testing.T) {
+	nan, negZero := Float(math.NaN()), Float(math.Copysign(0, -1))
+	for _, tt := range []struct {
+		a, b Value
+		want bool
+	}{
+		{nan, nan, true},
+		{nan, Float(1), false},
+		{Float(1), nan, false},
+		{Float(0), negZero, false},
+		{negZero, negZero, true},
+		{Float(2.5), Float(2.5), true},
+		{Int(2), Float(2), false},
+		{Int(2), Int(2), true},
+		{Str("a"), Str("a"), true},
+		{Time(time.Unix(0, 5)), Int(5), false},
+	} {
+		if got := tt.a.Equal(tt.b); got != tt.want {
+			t.Errorf("%v.Equal(%v) = %v, want %v", tt.a, tt.b, got, tt.want)
+		}
+		if same := bytes.Equal(tt.a.Encode(nil), tt.b.Encode(nil)); same != tt.want {
+			t.Errorf("%v and %v: encodings equal = %v, want %v", tt.a, tt.b, same, tt.want)
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	vals := []Value{
 		Int(0), Int(1), Int(-1), Int(math.MaxInt64), Int(math.MinInt64),

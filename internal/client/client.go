@@ -77,7 +77,7 @@ type Config struct {
 	// HedgeDelay arms hedged lazy reads: a lazy search leg that has not
 	// answered within this wall-clock delay races a second request against
 	// each group's next replica, and the first response wins. 0 disables
-	// hedging. Strict searches never hedge — commit-on-search is
+	// hedging. Strict searches never hedge — a strict read is
 	// primary-only.
 	HedgeDelay time.Duration
 }
@@ -687,8 +687,8 @@ type Query struct {
 	// searches carry the first page's anchor forward via
 	// SearchResult.Anchor so the match window cannot drift between pages.
 	Anchor time.Time
-	// Consistency selects strict (commit-on-search, default) or lazy
-	// reads.
+	// Consistency selects strict (sees every acknowledged update,
+	// default) or lazy reads.
 	Consistency proto.Consistency
 }
 
@@ -771,7 +771,7 @@ func byNode(targets []proto.IndexTarget, pick proto.ReplicaRef, id proto.ACGID) 
 // (rotation + i) mod (1 + followers), slot 0 being the primary, so
 // concurrent lazy readers of a hot group rotate across its copies instead
 // of converging on the primary. Strict searches never come here — a
-// follower cannot serve commit-on-search — and an unreplicated route
+// follower cannot serve a strict read — and an unreplicated route
 // degenerates to the primary, so the result is always a valid fan-out.
 func (c *Client) replicaTargets(routes []proto.GroupRoute) []proto.IndexTarget {
 	rotation := c.replicaRR.Add(1)
@@ -821,8 +821,9 @@ type SearchResult struct {
 	Files []index.FileID
 	// Nodes is the number of Index Nodes queried.
 	Nodes int
-	// CommitLatency is the summed virtual commit-on-search cost reported by
-	// the nodes.
+	// CommitLatency is the summed virtual commit cost reported by the
+	// nodes: non-zero only when a strict search had to commit a group
+	// before reading it (a cache longer than the node reads through).
 	CommitLatency time.Duration
 	// More reports that matches beyond this page exist.
 	More bool

@@ -296,7 +296,6 @@ func TestTickContinuesPastWedgedGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.addPendingLocked(g, "pt", proto.IndexEntry{File: 1, KDCoords: []float64{1, 2, 3}}, nil)
-	g.lastUpdate = n.cfg.Clock.Now()
 	g.mu.Unlock()
 	// Group 2 is healthy.
 	if _, err := n.Update(context.Background(), proto.UpdateReq{

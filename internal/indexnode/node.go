@@ -5,11 +5,12 @@
 //
 // The latency-critical design point is the lazy index cache: an indexing
 // request is acknowledged after a write-ahead-log append and an in-memory
-// cache insert; cached requests are committed to the durable index either
-// after a commit timeout (default 5 s) or synchronously before the next
-// file-search on the group — whichever comes first. Searches therefore see
-// strongly consistent results while normal I/O pays only the log-append
-// cost.
+// cache insert; cached requests are committed to the durable index after a
+// commit timeout (default 5 s, run from the cache's oldest entry) or when
+// the cache fills. A strict file-search does not wait for that: it reads
+// through the cache — the pending entry of a file over its committed
+// posting — so searches see strongly consistent results while normal I/O
+// pays only the log-append cost, and a search pays no commit (search.go).
 //
 // Concurrency model. ACG partitions are independent by design (updates
 // never fan out across groups), and the node's locking mirrors that: the
@@ -192,7 +193,16 @@ type group struct {
 	// acknowledged entries, not coalesced survivors).
 	pending      map[string]map[index.FileID]pendingEntry
 	pendingCount int
-	lastUpdate   time.Duration
+	// pendingSince is when the oldest uncommitted entry arrived — the first
+	// arrival since the last commit, which is what the commit timeout runs
+	// from (a later arrival must not push the deadline out).
+	pendingSince time.Duration
+	// readThrough marks the current cache generation as one a Strict search
+	// has read through (set by the read-through, cleared by every commit):
+	// until it commits, every Strict search of the group walks the whole
+	// cache, so its writers keep it short — they commit at readThroughBound
+	// instead of CacheLimit (commitIfDueLocked).
+	readThrough bool
 	// postings holds the latest committed posting per (index, file); it
 	// serves multi-predicate filtering and ACG migration.
 	postings map[string]map[index.FileID]proto.IndexEntry
@@ -272,6 +282,11 @@ type Node struct {
 	// hashScanFallbacks counts searches a hash index could not serve as a
 	// point lookup and silently degraded to a full-table scan.
 	hashScanFallbacks metrics.Counter
+	// strictReadThroughs counts per-group Strict reads that found entries
+	// pending and read through them; strictCommitsFirst counts those that
+	// found more than readThroughBound and committed first.
+	strictReadThroughs metrics.Counter
+	strictCommitsFirst metrics.Counter
 	// staleRejects counts requests refused because they targeted a
 	// released (tombstoned) group.
 	staleRejects metrics.Counter
@@ -651,8 +666,10 @@ func (n *Node) CreateACG(_ context.Context, req proto.CreateACGReq) (proto.Creat
 // batch apply will sort on are encoded. That one frame is what the group
 // log, the shared-store mirror and the follower stream all append. The
 // critical section holds only the in-memory log append and the coalescing
-// cache insert, so an update never lengthens a concurrent
-// commit-on-search stall on its group by more than that.
+// cache insert — plus, when the insert fills the cache, the batch commit
+// (commitIfDueLocked): every CacheLimit entries, or every readThroughBound
+// for a group whose cache strict searches are reading through, where the
+// writers pay small batch commits so that the readers pay none.
 func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateResp, error) {
 	// Admission runs before any work: a shed update was never logged or
 	// cached, so ErrOverloaded can never alias an acknowledged write.
@@ -678,8 +695,7 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 	// Reject unindexable entries before the acknowledgement: a value whose
 	// key exceeds the page bound, or a KD point whose dimensionality does
 	// not match the spec, would otherwise be accepted here and then fail
-	// every commit of the group, wedging its strict-consistency searches
-	// forever.
+	// every commit of the group, wedging it forever.
 	if spec.Type == proto.IndexKD {
 		dims := spec.Dims()
 		if dims == 0 {
@@ -752,14 +768,36 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 		}
 		n.addPendingLocked(g, req.IndexName, e, key)
 	}
-	g.lastUpdate = n.cfg.Clock.Now()
-
-	if n.cfg.DisableLazyCache || g.pendingCount >= n.cfg.CacheLimit {
-		if err := n.commitGroupLocked(g); err != nil {
-			return proto.UpdateResp{}, err
-		}
+	if err := n.commitIfDueLocked(g); err != nil {
+		return proto.UpdateResp{}, err
 	}
 	return proto.UpdateResp{Cached: g.pendingCount, Epoch: n.epoch()}, nil
+}
+
+// readThroughBound is the longest cache, in acknowledged entries, a Strict
+// search reads through instead of committing (search.go): a search that
+// finds more commits first, and the writers of a group that is being read
+// through commit at it. Read-through work is linear in the cache and commits
+// are cheaper per entry the larger they are; a 64 / 128 / 256 sweep
+// (ARCHITECTURE "Search-time consistency") found the search median flat
+// across the three, the tail better below and throughput better above.
+const readThroughBound = 128
+
+// commitIfDueLocked is the post-insert check of both paths that acknowledge
+// entries into the cache (Update, FollowerAppend): commit once the cache is
+// full. Full is CacheLimit — except for a cache generation Strict searches
+// are reading through, which every one of them walks end to end: its
+// writers pay a small batch commit every readThroughBound entries so that no
+// reader pays a commit at all. Caller holds g.mu.
+func (n *Node) commitIfDueLocked(g *group) error {
+	limit := n.cfg.CacheLimit
+	if g.readThrough {
+		limit = min(limit, readThroughBound)
+	}
+	if n.cfg.DisableLazyCache || g.pendingCount >= limit {
+		return n.commitGroupLocked(g)
+	}
+	return nil
 }
 
 // prepareEntryKeys encodes, outside any lock, the index keys a commit
@@ -806,6 +844,9 @@ func (n *Node) addPendingLocked(g *group, name string, e proto.IndexEntry, key [
 		n.coalescedEntries.Inc()
 	}
 	m[e.File] = pendingEntry{e: e, key: key}
+	if g.pendingCount == 0 {
+		g.pendingSince = n.cfg.Clock.Now()
+	}
 	g.pendingCount++
 }
 
@@ -837,10 +878,12 @@ func (n *Node) FlushACG(_ context.Context, req proto.FlushACGReq) (proto.FlushAC
 	return proto.FlushACGResp{OK: true}, nil
 }
 
-// Tick commits groups whose lazy cache has exceeded the commit timeout.
-// Deployments call it from a ticker; experiments call it after advancing
-// virtual time. Groups are visited one at a time, so a tick never stalls
-// traffic on ACGs it is not committing — and a wedged group never stalls
+// Tick commits groups whose lazy cache has exceeded the commit timeout,
+// measured from its oldest entry (the first arrival since the last commit):
+// however often a group is updated, a Lazy search of it trails by at most
+// one timeout. Deployments call it from a ticker; experiments call it after
+// advancing virtual time. Groups are visited one at a time, so a tick never
+// stalls traffic on ACGs it is not committing — and a wedged group never stalls
 // the sweep: its error is collected, counted in NodeStats.CommitFailures,
 // and the remaining groups still commit. The joined error reports every
 // failing group.
@@ -851,7 +894,7 @@ func (n *Node) Tick() error {
 		if !g.lockLive() {
 			continue
 		}
-		if g.pendingCount > 0 && now-g.lastUpdate >= n.cfg.CommitTimeout {
+		if g.pendingCount > 0 && now-g.pendingSince >= n.cfg.CommitTimeout {
 			if err := n.commitGroupLocked(g); err != nil {
 				errs = append(errs, fmt.Errorf("indexnode tick acg %d: %w", g.id, err))
 			}
@@ -920,7 +963,7 @@ func (n *Node) commitPendingLocked(g *group) error {
 	}
 	// Truncate before the commit is declared done: a failed truncate
 	// leaves pendingCount non-zero, so the retry triggers (Tick's
-	// pendingCount gate, commit-on-search) re-run this function — the
+	// pendingCount gate, the cache-limit check) re-run this function — the
 	// re-apply is a no-op over nil runs and the truncate and counters get
 	// their retry. Zeroing the count first would strand the applied
 	// window in the WAL and skip the accounting forever.
@@ -928,6 +971,7 @@ func (n *Node) commitPendingLocked(g *group) error {
 		return fmt.Errorf("indexnode: truncate wal: %w", err)
 	}
 	g.pendingCount = 0
+	g.readThrough = false
 	// Fully successful commit: the consumed names can go. (Until here
 	// they must stay, so a retry after a failed KD persist still finds
 	// the index in its names sweep; dropping them now keeps later
@@ -1278,6 +1322,8 @@ func (n *Node) NodeStats(_ context.Context, _ proto.NodeStatsReq) (proto.NodeSta
 	resp.KDRebuilds = n.kdRebuilds.Value()
 	resp.CoalescedEntries = n.coalescedEntries.Value()
 	resp.HashScanFallbacks = n.hashScanFallbacks.Value()
+	resp.StrictReadThroughs = n.strictReadThroughs.Value()
+	resp.StrictCommitsFirst = n.strictCommitsFirst.Value()
 	resp.PlacementEpoch = n.epoch()
 	resp.StalePlacementRejects = n.staleRejects.Value()
 	resp.GroupsMigratedOut = n.groupsMigrated.Value()

@@ -3,6 +3,7 @@ package indexnode
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,8 +58,8 @@ func TestUpdateThenSearchIsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The update is cached (lazy), but search must still see it
-	// (commit-on-search).
+	// The update is cached (lazy), but search must still see it (a strict
+	// search reads through the cache).
 	resp, err := n.Search(context.Background(), proto.SearchReq{
 		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m",
 	})
@@ -107,6 +108,42 @@ func TestLazyCacheCommitsOnTimeout(t *testing.T) {
 	}
 	if st, _ := n.NodeStats(context.Background(), proto.NodeStatsReq{}); st.CachedOps != 0 {
 		t.Error("tick after timeout should commit")
+	}
+}
+
+// TestCommitTimeoutRunsFromOldestEntry: the timeout is the cache's age, not
+// its idle time. A group updated more often than the timeout must still
+// commit once per timeout, or a Lazy search — which nothing else freshens
+// now that Strict searches do not commit — would trail without bound.
+func TestCommitTimeoutRunsFromOldestEntry(t *testing.T) {
+	n, clk := newTestNode(t, func(c *Config) { c.CacheLimit = 1 << 30 })
+	n.DeclareIndex(sizeSpec)
+	ctx := context.Background()
+	timeout := n.cfg.CommitTimeout
+	acked := map[index.FileID]time.Duration{} // file → virtual time of its ack
+	for step := 0; step < 6; step++ {         // 3× the timeout, an update every half of it
+		f := index.FileID(step + 1)
+		if _, err := n.Update(ctx, proto.UpdateReq{
+			ACG: 1, IndexName: "size", Entries: []proto.IndexEntry{{File: f, Value: attr.Int(int64(f))}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		acked[f] = clk.Now()
+		clk.Advance(timeout / 2)
+		if err := n.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := n.Search(ctx, proto.SearchReq{
+			ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0", Consistency: proto.ConsistencyLazy,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, at := range acked {
+			if clk.Now()-at >= timeout && !slices.Contains(resp.Files, f) {
+				t.Errorf("step %d: lazy search misses file %d, acknowledged %v ago (timeout %v)", step, f, clk.Now()-at, timeout)
+			}
+		}
 	}
 }
 

@@ -237,41 +237,62 @@ func TestProvenPredicateSkipEquivalence(t *testing.T) {
 // TestProvenScansTakeNoResidual pins that the rule fires on both paged
 // access paths: a provable query over postings of the bounds' kind never
 // resolves a posting map (the residual's first step), and the same scan
-// with a second field in the query does.
+// with a second field in the query does — whether the postings sit in the
+// committed index (the timeout committed them) or are still in the cache
+// and the search reads through it.
 func TestProvenScansTakeNoResidual(t *testing.T) {
-	r := newTransferRig(t)
-	for _, spec := range provenSpecs {
-		r.a.DeclareIndex(spec)
-	}
-	const acg = proto.ACGID(101)
-	for _, name := range []string{"v", "h", "w"} {
-		var entries []proto.IndexEntry
-		for f := range 50 {
-			entries = append(entries, proto.IndexEntry{File: index.FileID(f), Value: attr.Int(int64(f % 5))})
+	for _, committed := range []bool{true, false} {
+		r := newTransferRig(t)
+		for _, spec := range provenSpecs {
+			r.a.DeclareIndex(spec)
 		}
-		if _, err := r.a.Update(context.Background(), proto.UpdateReq{ACG: acg, IndexName: name, Entries: entries}); err != nil {
+		const acg = proto.ACGID(101)
+		for _, name := range []string{"v", "h", "w"} {
+			var entries []proto.IndexEntry
+			for f := range 40 {
+				entries = append(entries, proto.IndexEntry{File: index.FileID(f), Value: attr.Int(int64(f % 5))})
+			}
+			if _, err := r.a.Update(context.Background(), proto.UpdateReq{ACG: acg, IndexName: name, Entries: entries}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if committed {
+			r.clk.Advance(r.a.cfg.CommitTimeout)
+			if err := r.a.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resolved := func(indexName string, preds ...query.Predicate) (bool, int) {
+			req := proto.SearchReq{ACGs: []proto.ACGID{acg}, IndexName: indexName, Preds: preds}
+			sc := acquireScanner(r.a, query.Query{Preds: preds}, req)
+			defer sc.release()
+			if _, err := r.a.searchOneGroup(acg, req, sc); err != nil {
+				t.Fatal(err)
+			}
+			files, _ := sc.col.page()
+			return sc.fieldsFor != nil, len(files)
+		}
+		eq := func(field string) query.Predicate {
+			return query.Predicate{Field: field, Op: query.OpEq, Value: attr.Int(3)}
+		}
+		for _, tc := range []struct{ index, field string }{{"v", "v"}, {"h", "h"}} {
+			if took, n := resolved(tc.index, eq(tc.field)); took || n != 8 {
+				t.Errorf("committed=%v index %s, provable query: residual taken = %v, %d files (want false, 8)", committed, tc.index, took, n)
+			}
+			if took, n := resolved(tc.index, eq(tc.field), eq("w")); !took || n != 8 {
+				t.Errorf("committed=%v index %s, two-field query: residual taken = %v, %d files (want true, 8)", committed, tc.index, took, n)
+			}
+		}
+		st, err := r.a.NodeStats(context.Background(), proto.NodeStatsReq{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	resolved := func(indexName string, preds ...query.Predicate) (bool, int) {
-		req := proto.SearchReq{ACGs: []proto.ACGID{acg}, IndexName: indexName, Preds: preds}
-		sc := acquireScanner(r.a, query.Query{Preds: preds}, req)
-		defer sc.release()
-		if _, err := r.a.searchOneGroup(acg, req, sc); err != nil {
-			t.Fatal(err)
+		var wantCommits int64
+		if committed {
+			wantCommits = 1
 		}
-		files, _ := sc.col.page()
-		return sc.fieldsFor != nil, len(files)
-	}
-	eq := func(field string) query.Predicate {
-		return query.Predicate{Field: field, Op: query.OpEq, Value: attr.Int(3)}
-	}
-	for _, tc := range []struct{ index, field string }{{"v", "v"}, {"h", "h"}} {
-		if took, n := resolved(tc.index, eq(tc.field)); took || n != 10 {
-			t.Errorf("index %s, provable query: residual taken = %v, %d files (want false, 10)", tc.index, took, n)
-		}
-		if took, n := resolved(tc.index, eq(tc.field), eq("w")); !took || n != 10 {
-			t.Errorf("index %s, two-field query: residual taken = %v, %d files (want true, 10)", tc.index, took, n)
+		if st.Commits != wantCommits || st.StrictCommitsFirst != 0 {
+			t.Errorf("committed=%v: %d commits, %d of them by a search; want %d and 0", committed, st.Commits, st.StrictCommitsFirst, wantCommits)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestRaceMultiACGUpdateSearchTick(t *testing.T) {
 			}
 		}()
 	}
-	// Searchers spanning every ACG (commit-on-search against live writers).
+	// Searchers spanning every ACG (strict reads against live writers).
 	allACGs := make([]proto.ACGID, acgs)
 	for i := range allACGs {
 		allACGs[i] = proto.ACGID(i + 1)
@@ -121,6 +121,12 @@ func TestRaceMultiACGUpdateSearchTick(t *testing.T) {
 	}
 	if len(resp.Files) != writers*perWriter {
 		t.Errorf("final search = %d files, want %d", len(resp.Files), writers*perWriter)
+	}
+	// The final search read through whatever the last tick left cached; one
+	// more timeout commits it.
+	clk.Advance(6 * 1e9)
+	if err := n.Tick(); err != nil {
+		t.Fatal(err)
 	}
 	st, err := n.NodeStats(context.Background(), proto.NodeStatsReq{})
 	if err != nil {

@@ -145,9 +145,9 @@ func (n *Node) followerAppend(ctx context.Context, rep proto.ReplicaRef, id prot
 }
 
 // FollowerAppend applies one frame of a primary's replication stream to
-// this node's follower copy: local WAL append plus lazy-cache insert, the
-// same two steps the primary's own ack performs. Sequence numbers keep the
-// stream contiguous — a duplicate (re-sent frame) is acknowledged as a
+// this node's follower copy: local WAL append, lazy-cache insert and the
+// cache-limit check, the same steps the primary's own ack performs.
+// Sequence numbers keep the stream contiguous — a duplicate (re-sent frame) is acknowledged as a
 // no-op, a gap is refused so the primary cuts this follower and the Master
 // re-seeds it rather than let it silently diverge.
 func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) (proto.FollowerAppendResp, error) {
@@ -193,6 +193,13 @@ func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) 
 		if err := n.ensureSpec(ctx, name); err != nil {
 			return proto.FollowerAppendResp{}, err
 		}
+	}
+	// The same bound the primary's ack applies: without it a follower under
+	// a steady stream would never commit (nothing else does between ticks)
+	// and its cache and WAL would grow with the stream. A follower's commit
+	// never writes the shared mirror.
+	if err := n.commitIfDueLocked(g); err != nil {
+		return proto.FollowerAppendResp{}, fmt.Errorf("indexnode follower append: %w", err)
 	}
 	n.followerAppends.Inc()
 	return proto.FollowerAppendResp{Seq: g.replSeq, Epoch: n.epoch()}, nil

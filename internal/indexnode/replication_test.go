@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
@@ -284,5 +285,53 @@ func TestFollowerNeverWritesSharedMirror(t *testing.T) {
 	}
 	if r.shared.WALRecords(1) != walNow {
 		t.Errorf("follower commit moved the shared WAL (%d → %d records)", walNow, r.shared.WALRecords(1))
+	}
+}
+
+// TestFollowerCacheAndWALAreBounded: a follower applies the same cache
+// limit the primary's ack does. Without it nothing commits a follower
+// between ticks, and under a steady stream its cache and its WAL grow with
+// the stream.
+func TestFollowerCacheAndWALAreBounded(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	const limit = 64
+	r.a.cfg.CacheLimit, r.b.cfg.CacheLimit = limit, limit
+	seedTransferGroup(t, r.a, 1, 20)
+	seedFollower(t, r, 1)
+	for i := 0; i < 3*limit; i++ {
+		if _, err := r.a.Update(ctx, proto.UpdateReq{
+			ACG: 1, IndexName: "size",
+			Entries: []proto.IndexEntry{{File: index.FileID(i % 50), Value: attr.Int(int64(i))}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		g := r.b.lockGroup(1)
+		pending, walRecords := g.pendingCount, g.log.Len()
+		g.mu.Unlock()
+		if pending >= limit || walRecords >= limit {
+			t.Fatalf("after %d streamed entries the follower holds %d cached entries and %d WAL records (limit %d)",
+				i+1, pending, walRecords, limit)
+		}
+	}
+	st, err := r.b.NodeStats(ctx, proto.NodeStatsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FollowerAppends != 3*limit || st.Commits < 2 {
+		t.Errorf("follower applied %d frames in %d commits; want %d frames and at least 2 commits", st.FollowerAppends, st.Commits, 3*limit)
+	}
+	if r.shared.WALRecords(1) < limit {
+		t.Errorf("shared mirror holds %d WAL records: a follower's commit must not touch it", r.shared.WALRecords(1))
+	}
+	// What the follower committed is what the primary acknowledged.
+	lazy, err := r.b.Search(ctx, proto.SearchReq{
+		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=" + strconv.Itoa(3*limit-10), Consistency: proto.ConsistencyLazy,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lazy.Files) == 0 {
+		t.Error("the follower's committed index holds none of the stream's tail")
 	}
 }

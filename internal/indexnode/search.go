@@ -29,12 +29,12 @@ func compileQuery(req proto.SearchReq) (query.Query, error) {
 }
 
 // Search answers a file-search request over the given groups. Consistency:
-// under the default strict mode each group's lazy cache is committed
-// synchronously before the group is queried, so results always reflect
-// every acknowledged indexing request (the paper's commit-on-search rule);
-// lazy mode skips the commit and reads the durable indices as-is. Each
-// group is committed and queried under its own lock, so a search never
-// stalls traffic on unrelated ACGs.
+// under the default strict mode results always reflect every acknowledged
+// indexing request (the paper's rule), because each group is read through
+// its lazy cache — the committed index plus the pending entries over it,
+// see searchOneGroup — not because anything is committed; lazy mode reads
+// the committed indices as they are. Each group is queried under its own
+// lock, so a search never stalls traffic on unrelated ACGs.
 //
 // Pagination: with req.Limit > 0 the response holds at most Limit files —
 // the smallest matching FileIDs above the req.After cursor — and every
@@ -49,14 +49,14 @@ func compileQuery(req proto.SearchReq) (query.Query, error) {
 // Cancellation: the context is checked between groups; an expired deadline
 // or cancelled caller aborts the pass without scanning further groups.
 func (n *Node) Search(ctx context.Context, req proto.SearchReq) (proto.SearchResp, error) {
-	// Admission runs before the query compiles: a shed search did no
-	// commit-on-search work and holds no collector memory.
+	// Admission runs before the query compiles: a shed search did no work
+	// and holds no collector memory.
 	if err := n.adm.acquire(req.Client); err != nil {
 		n.searchesShed.Inc()
 		return proto.SearchResp{}, fmt.Errorf("indexnode %s search: %w", n.cfg.ID, err)
 	}
 	defer n.adm.release(req.Client)
-	// Lease fence for strict reads: commit-on-search promises the result
+	// Lease fence for strict reads: a strict read promises the result
 	// reflects every acknowledged update, but a fenced-off primary cannot
 	// know what a promoted successor has acknowledged since. Lazy reads
 	// are exempt — their contract already tolerates staleness, which is
@@ -192,7 +192,7 @@ func (c *pageCollector) page() (files []index.FileID, more bool) {
 }
 
 // maxSearchFanout caps the per-request worker pool: enough to overlap
-// per-group commits and page faults, small enough that a single request
+// per-group scans and page faults, small enough that a single request
 // cannot monopolize the node.
 const maxSearchFanout = 8
 
@@ -216,9 +216,9 @@ func (n *Node) searchFanout(nACGs int) int {
 	return w
 }
 
-// searchGroups runs one commit-and-query pass over the requested groups.
-// With more than one worker the ACGs fan out across a bounded pool: each
-// worker commits and scans whole groups under their own locks and feeds
+// searchGroups runs one pass over the requested groups. With more than one
+// worker the ACGs fan out across a bounded pool: each worker searches
+// whole groups (searchOneGroup) under their own locks and feeds
 // its scanner's private pageCollector (no shared mutable state on the
 // scan path), and the per-worker pages — each at most Limit postings —
 // merge through the first worker's collector. Results are identical to the
@@ -329,9 +329,15 @@ func (c *pageCollector) fill(resp *proto.SearchResp) {
 	resp.Files, resp.More, resp.MaxRetained = append([]index.FileID(nil), files...), more, c.maxRetained
 }
 
-// searchOneGroup commits (unless lazy) and queries one group as a single
-// critical section under the group's own lock, feeding matches into sc's
-// collector. It returns the virtual time the commit cost.
+// searchOneGroup queries one group as a single critical section under the
+// group's own lock, feeding matches into sc's collector. A Lazy search
+// reads the committed indices as they are. A Strict search must see every
+// acknowledged entry, and does so without committing: it reads through the
+// lazy cache (searchGroupLocked) — unless the cache holds more than
+// readThroughBound entries (after a bulk load, or when nobody has read the
+// group since its last large commit), where one batch commit is cheaper
+// than walking it; then it commits first and returns the virtual time that
+// cost. With nothing pending both are the Lazy path, one compare away.
 func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScanner) (commitNanos int64, err error) {
 	g := n.lockGroup(id)
 	if g == nil {
@@ -347,7 +353,8 @@ func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScan
 		return 0, nil
 	}
 	defer g.mu.Unlock()
-	if g.follower && req.Consistency != proto.ConsistencyLazy {
+	strict := req.Consistency != proto.ConsistencyLazy
+	if g.follower && strict {
 		// Strict reads stay primary-only: a follower serves its replication
 		// stream's view, which can trail the primary's acknowledged set.
 		// Lazy reads accept that staleness by definition and are served.
@@ -356,14 +363,23 @@ func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScan
 			"indexnode %s: acg %d is a follower replica (node epoch %d): %w",
 			n.cfg.ID, id, n.placementEpoch.Load(), perr.ErrStalePlacement)
 	}
-	if req.Consistency != proto.ConsistencyLazy {
+	readThrough := false
+	switch {
+	case !strict || g.pendingCount == 0:
+	case g.pendingCount > readThroughBound:
 		start := n.cfg.Clock.Now()
 		if err := n.commitGroupLocked(g); err != nil {
 			return 0, err
 		}
 		commitNanos = int64(n.cfg.Clock.Now() - start)
+		n.strictCommitsFirst.Inc()
+	default:
+		// From here to the next commit the group's writers keep the cache
+		// at most this long (commitIfDueLocked).
+		readThrough, g.readThrough = true, true
+		n.strictReadThroughs.Inc()
 	}
-	return commitNanos, sc.searchGroupLocked(g, req.IndexName)
+	return commitNanos, sc.searchGroupLocked(g, req.IndexName, readThrough)
 }
 
 // seekRunThreshold is how many consecutive same-value postings a B-tree
@@ -394,6 +410,15 @@ type groupScanner struct {
 	cur          index.Cursor
 	loBuf, hiBuf []byte
 	kdLo, kdHi   []float64
+
+	// runs is the cache being read through: the current group's non-empty
+	// pending runs on a read-through — the scanned index's own first, when
+	// it has one (ownRun) — and empty on every other search (the state
+	// every scan path tests). valBuf encodes a pending value for
+	// comparison with the scan bounds.
+	runs   []map[index.FileID]pendingEntry
+	ownRun bool
+	valBuf []byte
 }
 
 // scanState is a scanner's request- and group-scoped state.
@@ -428,15 +453,35 @@ type scanState struct {
 	kdExact bool
 }
 
-// fieldSource is where one queried field's committed value lives in the
-// current group: a coordinate of the scanned KD index's points, and/or the
-// posting maps of the single-field indices over that field (the scanned
-// index's own first, so it agrees with what the scan just read).
+// fieldSource is where one queried field's value lives in the current
+// group: a coordinate of the scanned KD index's points, and/or the postings
+// of the single-field indices over that field (the scanned index's own
+// first, so it agrees with what the scan just read).
 type fieldSource struct {
 	field string
-	kd    map[index.FileID]proto.IndexEntry
+	kd    postings
 	kdDim int
-	maps  []map[index.FileID]proto.IndexEntry
+	maps  []postings
+}
+
+// postings is one index's postings of the current group as a search sees
+// them: the committed map, and on a read-through the index's pending run
+// over it (nil otherwise).
+type postings struct {
+	committed map[index.FileID]proto.IndexEntry
+	pending   map[index.FileID]pendingEntry
+}
+
+// of returns f's merged posting: the pending entry when there is one — a
+// pending delete making the file absent — else the committed posting. This
+// is the posting the commit would leave, so reading through the cache
+// answers exactly as commit-then-search does.
+func (p postings) of(f index.FileID) (proto.IndexEntry, bool) {
+	if pe, ok := p.pending[f]; ok {
+		return pe.e, !pe.e.Delete
+	}
+	e, ok := p.committed[f]
+	return e, ok
 }
 
 var scannerPool = sync.Pool{New: func() any { return newGroupScanner() }}
@@ -454,6 +499,8 @@ func acquireScanner(n *Node, q query.Query, req proto.SearchReq) *groupScanner {
 func (sc *groupScanner) release() {
 	sc.scanState = scanState{}
 	clear(sc.fields[:cap(sc.fields)])
+	clear(sc.runs[:cap(sc.runs)])
+	sc.runs = sc.runs[:0]
 	sc.cur.Reset(nil)
 	scannerPool.Put(sc)
 }
@@ -468,11 +515,11 @@ func newGroupScanner() *groupScanner {
 			if src.field != field {
 				continue
 			}
-			if e, ok := src.kd[sc.curFile]; ok && src.kdDim < len(e.KDCoords) {
+			if e, ok := src.kd.of(sc.curFile); ok && src.kdDim < len(e.KDCoords) {
 				return attr.Float(e.KDCoords[src.kdDim]), true
 			}
 			for _, post := range src.maps {
-				if e, ok := post[sc.curFile]; ok {
+				if e, ok := post.of(sc.curFile); ok {
 					return e.Value, true
 				}
 			}
@@ -481,23 +528,56 @@ func newGroupScanner() *groupScanner {
 		return attr.Value{}, false
 	}
 	sc.emit = func(f index.FileID) bool {
-		if !sc.skipResidual {
-			sc.curFile = f
-			if !sc.q.Matches(sc.getField) {
-				return true
-			}
+		if !sc.pendingFile(f) {
+			sc.yield(f, sc.skipResidual)
 		}
-		sc.col.add(f)
 		return true
 	}
 	sc.scanEmit = func(_ attr.Value, f index.FileID) bool { return sc.emit(f) }
 	return sc
 }
 
-// resolveFields works out, once per (request, group), which committed
-// posting maps hold each queried field — one specMu acquisition and one
-// pass over the group's indices, so a residual candidate then costs one
-// map probe per predicate. Caller holds g.mu.
+// yield passes one candidate of the running access path to the collector:
+// as it is when the path proves the whole query for it, through the
+// residual predicates otherwise.
+func (sc *groupScanner) yield(f index.FileID, proven bool) {
+	if !proven {
+		sc.curFile = f
+		if !sc.q.Matches(sc.getField) {
+			return
+		}
+	}
+	sc.col.add(f)
+}
+
+// pendingFile reports whether the cache being read through holds an entry
+// for f, in any index: the scan of the committed index passes such a file
+// over — its committed postings are not what a commit would leave — and
+// scanPending judges it on its merged ones. Off a read-through there are no
+// runs and this is one length test.
+func (sc *groupScanner) pendingFile(f index.FileID) bool {
+	for _, run := range sc.runs {
+		if _, ok := run[f]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// postingsOf returns the named index's postings in the current group as
+// this search sees them. Caller holds g.mu.
+func (sc *groupScanner) postingsOf(name string) postings {
+	p := postings{committed: sc.g.postings[name]}
+	if len(sc.runs) > 0 {
+		p.pending = sc.g.pending[name]
+	}
+	return p
+}
+
+// resolveFields works out, once per (request, group), which postings hold
+// each queried field — one specMu acquisition and one pass over the spec
+// table, so a residual candidate then costs one map probe per predicate
+// (two on a read-through). Caller holds g.mu.
 func (sc *groupScanner) resolveFields() {
 	sc.fields, sc.fieldsFor = sc.fields[:0], sc.g
 	sc.n.specMu.RLock()
@@ -506,13 +586,16 @@ func (sc *groupScanner) resolveFields() {
 		src := fieldSource{field: p.Field}
 		if sc.in.kd != nil {
 			if d := slices.Index(sc.in.spec.Fields, p.Field); d >= 0 {
-				src.kd, src.kdDim = sc.g.postings[sc.name], d
+				src.kd, src.kdDim = sc.postingsOf(sc.name), d
 			}
 		}
-		for name, post := range sc.g.postings {
-			spec := sc.n.specs[name]
+		for name, spec := range sc.n.specs {
 			if spec.Field != p.Field || spec.Type == proto.IndexKD {
 				continue
+			}
+			post := sc.postingsOf(name)
+			if post.committed == nil && post.pending == nil {
+				continue // the group holds nothing for this index
 			}
 			src.maps = append(src.maps, post)
 			if name == sc.name {
@@ -524,26 +607,147 @@ func (sc *groupScanner) resolveFields() {
 }
 
 // searchGroupLocked runs the query against one group using the named index
-// as the primary access path and the group's committed postings for the
-// residual predicates. Caller holds g.mu.
-func (sc *groupScanner) searchGroupLocked(g *group, indexName string) error {
+// as the primary access path and the group's postings for the residual
+// predicates. Caller holds g.mu.
+//
+// With readThrough set the answer is the one commit-then-search would give,
+// computed without the commit, in two halves that share the access path's
+// bounds, the proven-predicate rule and the collector. The scan of the
+// committed index runs as ever, except that it passes over every file with
+// an entry in the cache (pendingFile). scanPending then judges each of
+// those files on its merged postings (postings.of).
+func (sc *groupScanner) searchGroupLocked(g *group, indexName string, readThrough bool) error {
+	sc.runs, sc.ownRun = sc.runs[:0], false
+	if readThrough {
+		// The scanned index's own run goes first (scanPending relies on it).
+		if own := g.pending[indexName]; len(own) > 0 {
+			sc.runs, sc.ownRun = append(sc.runs, own), true
+		}
+		for name, run := range g.pending {
+			if name != indexName && len(run) > 0 {
+				sc.runs = append(sc.runs, run)
+			}
+		}
+	}
 	in, ok := g.indexes[indexName]
 	if !ok {
-		// The group never received postings for this index: no matches.
-		return nil
+		if !sc.ownRun {
+			// The group never received postings for this index: no matches.
+			return nil
+		}
+		// Every posting the group has for this index is still in the cache.
+		// Materialize the (empty) index the commit would, so one path
+		// serves this too.
+		var err error
+		if in, err = sc.n.instFor(g, indexName); err != nil {
+			return err
+		}
 	}
 	sc.g, sc.in, sc.name, sc.fieldsFor = g, in, indexName, nil
 	sc.skipResidual = false
+	var err error
 	switch {
 	case in.bt != nil:
-		return sc.scanBTree()
+		err = sc.scanBTree()
 	case in.ht != nil:
-		return sc.scanHash()
+		err = sc.scanHash()
 	case in.kd != nil:
-		return sc.scanKD()
+		err = sc.scanKD()
 	default:
-		return fmt.Errorf("%q: %w", indexName, ErrUnknownIndex)
+		err = fmt.Errorf("%q: %w", indexName, ErrUnknownIndex)
 	}
+	if err == nil && len(sc.runs) > 0 {
+		sc.scanPending()
+	}
+	return err
+}
+
+// scanPending is the second half of a read-through: every file with an
+// entry in the cache is a candidate if its merged posting in the scanned
+// index exists and lies where the access path that just ran would have
+// found it — inside the B-tree scan's encoded bounds, equal to the hash
+// lookup's encoded value, inside the KD box — and is then proven or sent
+// through the residual exactly as a scanned candidate is. Linear in the
+// cache, which is why a Strict search reads through at most
+// readThroughBound entries. Caller holds g.mu; the access path has run, so
+// the bounds it cached (sc.iv with loBuf/hiBuf, the KD box) are set.
+func (sc *groupScanner) scanPending() {
+	scanned := sc.postingsOf(sc.name)
+	var point *attr.Value
+	if sc.in.ht != nil {
+		var none bool
+		if point, none = sc.hashLookup(); none {
+			return
+		}
+	}
+	kdProven := sc.in.kd != nil && sc.kdProves()
+	for i, run := range sc.runs {
+	files:
+		for f, pe := range run {
+			for _, earlier := range sc.runs[:i] {
+				if _, seen := earlier[f]; seen {
+					continue files // pending in two indices: judged once
+				}
+			}
+			// The merged posting in the scanned index: the entry in hand
+			// when this is that index's run, a lookup otherwise.
+			e, ok := pe.e, !pe.e.Delete
+			if i > 0 || !sc.ownRun {
+				e, ok = scanned.of(f)
+			}
+			if !ok {
+				continue
+			}
+			var found, proven bool
+			switch {
+			case sc.in.bt != nil:
+				sc.valBuf = index.AppendValueKey(sc.valBuf[:0], e.Value)
+				found, proven = sc.inBounds(sc.valBuf), sc.valBuf[0] == sc.provenKind
+			case sc.in.ht != nil && point != nil:
+				sc.valBuf = e.Value.Encode(sc.valBuf[:0])
+				found, proven = bytes.Equal(sc.valBuf, sc.loBuf), sc.provenKind != 0
+			case sc.in.ht != nil:
+				found = true // the full-table scan yields every posting
+			default:
+				found, proven = inBox(e.KDCoords, sc.kdLo, sc.kdHi), kdProven
+			}
+			if found {
+				sc.yield(f, proven)
+			}
+		}
+	}
+}
+
+// inBounds reports whether an encoded value key lies inside the B-tree
+// scan's bounds (scanBTree's own tests, for a key that is not in the tree).
+func (sc *groupScanner) inBounds(valKey []byte) bool {
+	if sc.iv.Lo != nil {
+		if c := bytes.Compare(valKey, sc.loBuf); c < 0 || (c == 0 && !sc.iv.IncLo) {
+			return false
+		}
+	}
+	if sc.iv.Hi != nil {
+		if c := bytes.Compare(valKey, sc.hiBuf); c > 0 || (c == 0 && !sc.iv.IncHi) {
+			return false
+		}
+	}
+	return true
+}
+
+// inBox reports whether a KD point lies inside the inclusive box, by
+// KDTree.RangeSearchFunc's own test (a NaN coordinate is outside nothing).
+// A point of the wrong dimensionality — one no commit could insert — is in
+// no box.
+func inBox(coords, lo, hi []float64) bool {
+	if len(coords) != len(lo) {
+		return false
+	}
+	for i, c := range coords {
+		if c < lo[i] || c > hi[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // scanBTree streams the index's postings in key order through the cursor.
@@ -558,9 +762,6 @@ func (sc *groupScanner) scanBTree() error {
 	if !ok {
 		iv = query.Interval{IncLo: true, IncHi: true} // full scan
 	}
-	if sc.afterSet && sc.after == math.MaxUint64 {
-		return nil // no file id can exceed the cursor
-	}
 	var loEnc, hiEnc []byte
 	if iv.Lo != nil {
 		sc.loBuf = index.AppendValueKey(sc.loBuf[:0], *iv.Lo)
@@ -569,6 +770,9 @@ func (sc *groupScanner) scanBTree() error {
 	if iv.Hi != nil {
 		sc.hiBuf = index.AppendValueKey(sc.hiBuf[:0], *iv.Hi)
 		hiEnc = sc.hiBuf
+	}
+	if sc.afterSet && sc.after == math.MaxUint64 {
+		return nil // no file id can exceed the cursor
 	}
 	eqScan := loEnc != nil && hiEnc != nil && iv.IncLo && iv.IncHi && bytes.Equal(loEnc, hiEnc)
 
@@ -636,10 +840,12 @@ func (sc *groupScanner) scanBTree() error {
 			continue
 		}
 		prevSkip, skipRun = nil, 0
-		if valEnc[0] == sc.provenKind {
+		switch {
+		case sc.pendingFile(f): // scanPending judges it, on its merged postings
+		case valEnc[0] == sc.provenKind:
 			sc.col.add(f) // inside the bounds, of the bounds' kind: proven
-		} else {
-			sc.emit(f)
+		default:
+			sc.yield(f, false)
 		}
 		// Equality runs yield ascending file ids, so once the page is full,
 		// the current id is at or beyond the page maximum and a beyond-page
@@ -656,22 +862,36 @@ func (sc *groupScanner) scanBTree() error {
 // counted in NodeStats.HashScanFallbacks so the degradation is observable
 // (the planner picked the wrong index, or the index should be a B-tree).
 func (sc *groupScanner) scanHash() error {
-	iv, ok := sc.fieldInterval()
-	if ok {
-		if iv.Empty() {
-			return nil // contradictory predicates (x=5 & x=7): nothing matches
-		}
-		if iv.Lo != nil && iv.Hi != nil && iv.IncLo && iv.IncHi && iv.Lo.Equal(*iv.Hi) {
-			// A hit's value bytes equal the bound's encoding, kind tag
-			// included, so under the proven-predicate rule it is the query.
-			sc.skipResidual = sc.provenKind != 0
-			err := sc.in.ht.LookupEach(*iv.Lo, sc.emit)
-			sc.skipResidual = false
-			return err
-		}
+	point, none := sc.hashLookup()
+	switch {
+	case none:
+		return nil // contradictory predicates (x=5 & x=7): nothing matches
+	case point != nil:
+		// A hit's value bytes equal the bound's encoding, kind tag
+		// included, so under the proven-predicate rule it is the query.
+		sc.loBuf = point.Encode(sc.loBuf[:0]) // scanPending compares against it
+		sc.skipResidual = sc.provenKind != 0
+		err := sc.in.ht.LookupEach(*point, sc.emit)
+		sc.skipResidual = false
+		return err
 	}
 	sc.n.hashScanFallbacks.Inc()
 	return sc.in.ht.Scan(sc.scanEmit)
+}
+
+// hashLookup is what a hash index can do for the query: nothing to find
+// (none), a point lookup of *point, or — point nil — only a full scan.
+func (sc *groupScanner) hashLookup() (point *attr.Value, none bool) {
+	iv, ok := sc.fieldInterval()
+	switch {
+	case !ok:
+		return nil, false
+	case iv.Empty():
+		return nil, true
+	case iv.Lo != nil && iv.Hi != nil && iv.IncLo && iv.IncHi && iv.Lo.Equal(*iv.Hi):
+		return iv.Lo, false
+	}
+	return nil, false
 }
 
 // fieldInterval returns the query's interval for the index's field,
@@ -717,10 +937,17 @@ func (sc *groupScanner) scanKD() error {
 		sc.kdExact = sc.kdBox()
 		sc.kdInit = true
 	}
-	sc.skipResidual = sc.kdExact && kdOnlyQuery(sc.q, sc.in.spec)
+	sc.skipResidual = sc.kdProves()
 	err := sc.in.kd.RangeSearchFunc(sc.kdLo, sc.kdHi, sc.emit)
 	sc.skipResidual = false
 	return err
+}
+
+// kdProves reports that a point inside the box needs no residual: the box
+// is exact and every queried field is one of its dimensions. Valid once
+// scanKD has built the box.
+func (sc *groupScanner) kdProves() bool {
+	return sc.kdExact && kdOnlyQuery(sc.q, sc.in.spec)
 }
 
 // kdBox fills sc.kdLo/sc.kdHi with the query's box over the index's

@@ -298,7 +298,9 @@ func newHashNode(t testing.TB, dup, distinct int) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(Config{ID: "hash-test", Store: store, Disk: disk, Clock: clk, CacheLimit: 1 << 30})
+	// The cache limit is the load's size: the one update below commits on
+	// its ack, so searches scan the hash index itself, not the cache.
+	n, err := New(Config{ID: "hash-test", Store: store, Disk: disk, Clock: clk, CacheLimit: dup + distinct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +373,16 @@ func TestSearchHashScanFallbackCounted(t *testing.T) {
 	if stats.HashScanFallbacks != 0 {
 		t.Fatalf("fresh node HashScanFallbacks = %d", stats.HashScanFallbacks)
 	}
+	if stats.Commits != 1 || stats.CachedOps != 0 {
+		t.Fatalf("the load left %d commits and %d cached entries; the searches below must scan the index", stats.Commits, stats.CachedOps)
+	}
 	// A point query does not count.
 	if _, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: "tag=7"}); err != nil {
 		t.Fatal(err)
 	}
 	// A range query cannot be served point-wise: full-table scan, counted.
-	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: "tag>5"})
+	rangeReq := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: "tag>5"}
+	resp, err := n.Search(ctx, rangeReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,10 +396,33 @@ func TestSearchHashScanFallbackCounted(t *testing.T) {
 	if stats.HashScanFallbacks != 1 {
 		t.Errorf("HashScanFallbacks = %d, want 1", stats.HashScanFallbacks)
 	}
+	// The same scan reading through a cache — one file re-indexed out of
+	// the range, one new file in it — is still one scan, counted once.
+	if _, err := n.Update(ctx, proto.UpdateReq{ACG: 1, IndexName: "tag", Entries: []proto.IndexEntry{
+		{File: 0, Value: attr.Int(1)}, {File: 500, Value: attr.Int(9)}, {File: 501, Value: attr.Int(2)},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = n.Search(ctx, rangeReq); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Files) != 20 || resp.Files[0] != 1 || resp.Files[len(resp.Files)-1] != 500 {
+		t.Fatalf("range-over-hash through the cache = %v, want files 1..19 and 500", resp.Files)
+	}
+	stats, err = n.NodeStats(ctx, proto.NodeStatsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.HashScanFallbacks != 2 || stats.StrictReadThroughs != 1 || stats.Commits != 1 {
+		t.Errorf("after the read-through: %d fallbacks, %d read-throughs, %d commits; want 2, 1, 1",
+			stats.HashScanFallbacks, stats.StrictReadThroughs, stats.Commits)
+	}
 }
 
-// TestSearchLazyConsistencySkipsCommit: a lazy read does not commit the
-// cache (pending updates invisible); a strict read commits and sees them.
+// TestSearchLazyConsistencySkipsCommit: a lazy read does not see the cache
+// (pending updates invisible); a strict read sees them by reading through
+// it, without committing — so a lazy read after a strict one still misses
+// them, until the commit timeout commits the cache.
 func TestSearchLazyConsistencySkipsCommit(t *testing.T) {
 	clk := vclock.New()
 	disk := simdisk.New(simdisk.Barracuda7200(), clk)
@@ -414,15 +443,19 @@ func TestSearchLazyConsistencySkipsCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	lazyReq := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0", Consistency: proto.ConsistencyLazy}
-	resp, err := n.Search(ctx, lazyReq)
-	if err != nil {
-		t.Fatal(err)
+	lazy := func() []index.FileID {
+		t.Helper()
+		resp, err := n.Search(ctx, lazyReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.CommitLatencyNanos != 0 {
+			t.Errorf("lazy search paid commit latency %d", resp.CommitLatencyNanos)
+		}
+		return resp.Files
 	}
-	if len(resp.Files) != 0 {
-		t.Errorf("lazy search saw uncommitted cache: %v", resp.Files)
-	}
-	if resp.CommitLatencyNanos != 0 {
-		t.Errorf("lazy search paid commit latency %d", resp.CommitLatencyNanos)
+	if files := lazy(); len(files) != 0 {
+		t.Errorf("lazy search saw uncommitted cache: %v", files)
 	}
 	strict, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0"})
 	if err != nil {
@@ -431,13 +464,22 @@ func TestSearchLazyConsistencySkipsCommit(t *testing.T) {
 	if len(strict.Files) != 1 || strict.Files[0] != 7 {
 		t.Errorf("strict search = %v, want [7]", strict.Files)
 	}
-	// Committed now: lazy sees it too.
-	resp, err = n.Search(ctx, lazyReq)
-	if err != nil {
+	if strict.CommitLatencyNanos != 0 {
+		t.Errorf("strict search of a one-entry cache paid commit latency %d: it should have read through", strict.CommitLatencyNanos)
+	}
+	if st, _ := n.NodeStats(ctx, proto.NodeStatsReq{}); st.Commits != 0 || st.CachedOps != 1 || st.StrictReadThroughs != 1 {
+		t.Errorf("after the strict search: %d commits, %d cached, %d read-throughs; want 0, 1, 1", st.Commits, st.CachedOps, st.StrictReadThroughs)
+	}
+	if files := lazy(); len(files) != 0 {
+		t.Errorf("lazy search after a strict one = %v: the strict search committed", files)
+	}
+	// The commit timeout is what makes the entry durable-index state.
+	clk.Advance(5 * time.Second)
+	if err := n.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Files) != 1 {
-		t.Errorf("lazy search after commit = %v, want [7]", resp.Files)
+	if files := lazy(); len(files) != 1 {
+		t.Errorf("lazy search after the timeout commit = %v, want [7]", files)
 	}
 }
 

@@ -149,9 +149,6 @@ func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[i
 	if err != nil && !errors.Is(err, wal.ErrCorrupt) {
 		return restored, err
 	}
-	if restored > 0 {
-		g.lastUpdate = n.cfg.Clock.Now()
-	}
 	return restored, nil
 }
 

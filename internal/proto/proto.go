@@ -468,13 +468,16 @@ type Consistency uint8
 
 // Consistency modes.
 const (
-	// ConsistencyStrict commits each group's lazy cache before querying it
-	// (the paper's commit-on-search rule): results reflect every
-	// acknowledged update. The default.
+	// ConsistencyStrict results reflect every acknowledged update (the
+	// paper's search-consistency rule): the node reads through each group's
+	// lazy cache, pending entries over committed postings, and commits
+	// first only when the cache is longer than it reads through. The
+	// default.
 	ConsistencyStrict Consistency = iota
-	// ConsistencyLazy skips the cache commit and queries the durable
-	// indices as-is: faster, but acknowledged-yet-uncommitted updates (up
-	// to one commit timeout old) may be missing.
+	// ConsistencyLazy queries the committed indices as they are: faster,
+	// but acknowledged-yet-uncommitted updates (up to one commit timeout
+	// old) may be missing — also right after a strict read, which does not
+	// empty the cache.
 	ConsistencyLazy
 )
 
@@ -512,7 +515,8 @@ type SearchReq struct {
 	// After / AfterSet form the resume cursor (exclusive lower bound).
 	After    index.FileID
 	AfterSet bool
-	// Consistency selects strict (commit-on-search) or lazy reads.
+	// Consistency selects strict (read through the lazy cache) or lazy
+	// (committed indices only) reads.
 	Consistency Consistency
 	// Client identifies the submitting tenant for per-client fairness in
 	// the node's admission queue (empty = anonymous, pooled as one tenant).
@@ -523,7 +527,10 @@ type SearchReq struct {
 type SearchResp struct {
 	Files []index.FileID
 	// CommitLatencyNanos reports the virtual time spent committing cached
-	// updates before the search (consistency cost; Figure 10). A serial
+	// updates before the search (consistency cost; Figure 10). Non-zero
+	// only on a commit-first read — a strict search that found more entries
+	// pending in some group than it reads through; the usual strict read
+	// commits nothing and reports 0. A serial
 	// pass sums the per-group commit windows exactly; a parallel fan-out
 	// reports the slowest worker's window (overlapped windows on the
 	// shared clock cannot be summed without double-counting). The
@@ -665,6 +672,14 @@ type NodeStatsResp struct {
 	// A growing value means a query mix the hash index cannot serve — the
 	// field wants a B-tree.
 	HashScanFallbacks int64
+	// StrictReadThroughs counts per-group Strict reads that found entries
+	// in the lazy cache and answered by reading through them;
+	// StrictCommitsFirst counts those that found more than the node reads
+	// through and committed the group first (a request spanning N groups
+	// counts up to N). Beside steady writers the second should stay flat:
+	// the writers of a group that is being read keep its cache short.
+	StrictReadThroughs int64
+	StrictCommitsFirst int64
 	// PerACGCommits breaks Commits down by group, exposing per-partition
 	// commit activity (independent partitions should commit independently).
 	// Groups merged away have their counts folded into the merge

@@ -3,7 +3,7 @@
 //
 // Propeller keeps file indices always up to date by indexing *inline*: an
 // indexing request is acknowledged after a write-ahead-log append and a
-// cache insert, and every search commits the relevant caches first, so
+// cache insert, and every search reads through the relevant caches, so
 // search results are strongly consistent with acknowledged updates. Index
 // scale is kept small by partitioning along Access-Causality Graphs: files
 // an application reads and writes together share a partition, so updates
@@ -30,6 +30,7 @@ package propeller
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"propeller/internal/acg"
@@ -88,6 +89,11 @@ type Options struct {
 type Service struct {
 	c   *cluster.Cluster
 	now func() time.Time
+
+	// tickMu guards ticked, the wall time up to which Tick has advanced the
+	// deployment's virtual clock.
+	tickMu sync.Mutex
+	ticked time.Time
 }
 
 // StartLocal boots a Propeller deployment. The context gates entry (a
@@ -112,19 +118,28 @@ func StartLocal(ctx context.Context, opts Options) (*Service, error) {
 	if now == nil {
 		now = time.Now
 	}
-	return &Service{c: c, now: now}, nil
+	return &Service{c: c, now: now, ticked: time.Now()}, nil
 }
 
 // MasterAddr returns the Master Node's dialable address.
 func (s *Service) MasterAddr() string { return s.c.MasterAddr() }
 
-// Tick runs the lazy-cache timeout check on every node. Long-running
-// deployments call this from a ticker; short programs may ignore it
-// (searches commit caches on demand anyway).
+// Tick runs the lazy-cache timeout check on every node: a group whose
+// oldest uncommitted update is older than the commit timeout is committed.
+// The nodes keep virtual time, so Tick first advances it by the wall time
+// since the previous Tick (or since StartLocal). Long-running deployments
+// call this from a ticker — it is what bounds how far a Lazy search trails;
+// short programs that only search Strict may ignore it (a Strict search
+// reads through the cache and needs no commit).
 func (s *Service) Tick(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	s.tickMu.Lock()
+	now := time.Now()
+	s.c.Clock().Advance(now.Sub(s.ticked))
+	s.ticked = now
+	s.tickMu.Unlock()
 	return s.c.Tick()
 }
 

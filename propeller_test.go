@@ -531,7 +531,7 @@ func TestPublicAPISearchEmptyCluster(t *testing.T) {
 
 func TestPublicAPILazyConsistency(t *testing.T) {
 	ctx := context.Background()
-	_, cl := startService(t, propeller.Options{})
+	svc, cl := startService(t, propeller.Options{CommitTimeout: time.Millisecond})
 	if err := cl.CreateIndex(ctx, propeller.BTreeIndex("size", "size")); err != nil {
 		t.Fatal(err)
 	}
@@ -540,12 +540,16 @@ func TestPublicAPILazyConsistency(t *testing.T) {
 	}
 	// The update sits in the lazy cache. A lazy read may miss it; a strict
 	// read must see it.
-	lazyRes, err := cl.Search(ctx, propeller.Query{Index: "size", Text: "size>0", Consistency: propeller.Lazy})
-	if err != nil {
-		t.Fatal(err)
+	lazy := func() []propeller.FileID {
+		t.Helper()
+		res, err := cl.Search(ctx, propeller.Query{Index: "size", Text: "size>0", Consistency: propeller.Lazy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Files
 	}
-	if len(lazyRes.Files) != 0 {
-		t.Errorf("lazy search before commit = %v, want [] (cache not committed)", lazyRes.Files)
+	if files := lazy(); len(files) != 0 {
+		t.Errorf("lazy search before commit = %v, want [] (cache not committed)", files)
 	}
 	strictRes, err := cl.Search(ctx, propeller.Query{Index: "size", Text: "size>0"})
 	if err != nil {
@@ -554,13 +558,18 @@ func TestPublicAPILazyConsistency(t *testing.T) {
 	if len(strictRes.Files) != 1 {
 		t.Errorf("strict search = %v, want [1]", strictRes.Files)
 	}
-	// After the strict search committed, lazy reads see it too.
-	lazyRes, err = cl.Search(ctx, propeller.Query{Index: "size", Text: "size>0", Consistency: propeller.Lazy})
-	if err != nil {
+	// The strict search read through the cache and committed nothing: a
+	// lazy read after it still misses the entry.
+	if files := lazy(); len(files) != 0 {
+		t.Errorf("lazy search after a strict one = %v, want [] (a strict search does not commit)", files)
+	}
+	// Past the commit timeout, Tick commits it and lazy reads see it too.
+	time.Sleep(2 * time.Millisecond)
+	if err := svc.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(lazyRes.Files) != 1 {
-		t.Errorf("lazy search after commit = %v, want [1]", lazyRes.Files)
+	if files := lazy(); len(files) != 1 {
+		t.Errorf("lazy search after the timeout commit = %v, want [1]", files)
 	}
 }
 

@@ -18,13 +18,16 @@ type Consistency uint8
 
 // Consistency modes.
 const (
-	// Strict commits each group's lazy index cache before querying it, so
-	// results reflect every acknowledged update (the paper's
-	// commit-on-search rule). The default.
+	// Strict results reflect every acknowledged update (the paper's
+	// search-consistency rule): the search reads through each group's lazy
+	// index cache — pending entries over committed postings — rather than
+	// committing it. The default.
 	Strict Consistency = iota
-	// Lazy skips the cache commit and reads the durable indices as-is:
-	// faster under write-heavy load, but updates acknowledged within the
-	// last commit timeout may be missing from results.
+	// Lazy reads only the committed indices: faster under write-heavy
+	// load, but updates acknowledged within the last commit timeout may be
+	// missing from results. Strict reads through the cache without
+	// emptying it, so a Lazy read after a Strict one may still not see an
+	// entry the Strict one returned.
 	Lazy
 )
 

@@ -6,38 +6,42 @@
 //	propeller-bench -exp tab3
 //	propeller-bench -exp all -scale 2.0
 //
-// Scale multiplies the harness's default dataset sizes (see EXPERIMENTS.md
-// for the default-vs-paper mapping).
+// Scale multiplies the harness's default dataset sizes; the output at a
+// small fixed scale is committed under
+// internal/experiments/testdata/golden/ (ARCHITECTURE.md, "Paper tables").
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 
 	"propeller/internal/experiments"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "propeller-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("propeller-bench", flag.ContinueOnError)
 	var (
-		expID = flag.String("exp", "all", "experiment id (or 'all')")
-		scale = flag.Float64("scale", 1.0, "dataset scale multiplier")
-		seed  = flag.Int64("seed", 42, "random seed")
-		list  = flag.Bool("list", false, "list experiments and exit")
+		expID = fs.String("exp", "all", "experiment id (or 'all')")
+		scale = fs.Float64("scale", 1.0, "dataset scale multiplier")
+		seed  = fs.Int64("seed", 42, "random seed")
+		list  = fs.Bool("list", false, "list experiments and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-14s %s\n", e.ID, e.Title)
+			fmt.Fprintf(out, "%-14s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
@@ -55,24 +59,12 @@ func run() error {
 	}
 
 	for _, e := range toRun {
-		fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
+		fmt.Fprintf(out, "=== %s: %s ===\n", e.ID, e.Title)
 		res, err := e.Run(opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		fmt.Print(res.Text)
-		if len(res.Metrics) > 0 {
-			keys := make([]string, 0, len(res.Metrics))
-			for k := range res.Metrics {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Println("headline metrics:")
-			for _, k := range keys {
-				fmt.Printf("  %-32s %.4g\n", k, res.Metrics[k])
-			}
-		}
-		fmt.Println()
+		fmt.Fprintf(out, "%s\n", res.Render())
 	}
 	return nil
 }

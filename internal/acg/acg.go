@@ -11,9 +11,7 @@
 package acg
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"propeller/internal/index"
@@ -146,32 +144,6 @@ func (g *Graph) ForEachEdge(fn func(src, dst index.FileID, w int64) bool) {
 	}
 }
 
-// Merge folds other into g (used when a client flushes its cached ACG to an
-// Index Node's authoritative graph). ACGs are weakly consistent by design:
-// lost or duplicated merges degrade partition quality, never search results.
-func (g *Graph) Merge(other *Graph) {
-	other.mu.RLock()
-	type edge struct {
-		src, dst index.FileID
-		w        int64
-	}
-	edges := make([]edge, 0, 64)
-	verts := make([]index.FileID, 0, len(other.adj))
-	for src, m := range other.adj {
-		verts = append(verts, src)
-		for dst, w := range m {
-			edges = append(edges, edge{src, dst, w})
-		}
-	}
-	other.mu.RUnlock()
-	for _, v := range verts {
-		g.AddVertex(v)
-	}
-	for _, e := range edges {
-		g.AddEdge(e.src, e.dst, e.w)
-	}
-}
-
 // Undirected returns a symmetric adjacency view with weights summed across
 // both directions. Partitioning treats the ACG as undirected: an index
 // co-access is costly whichever direction caused it.
@@ -266,33 +238,4 @@ func (g *Graph) Subgraph(files []index.FileID) *Graph {
 		}
 	}
 	return sub
-}
-
-// DOT renders the graph in Graphviz format (used to regenerate Figure 7).
-func (g *Graph) DOT(name string) string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	srcs := make([]index.FileID, 0, len(g.adj))
-	for s := range g.adj {
-		srcs = append(srcs, s)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, s := range srcs {
-		if len(g.adj[s]) == 0 && g.in[s] == 0 {
-			fmt.Fprintf(&b, "  f%d;\n", s)
-			continue
-		}
-		dsts := make([]index.FileID, 0, len(g.adj[s]))
-		for d := range g.adj[s] {
-			dsts = append(dsts, d)
-		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		for _, d := range dsts {
-			fmt.Fprintf(&b, "  f%d -> f%d [weight=%d];\n", s, d, g.adj[s][d])
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -2,7 +2,6 @@ package acg
 
 import (
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -82,24 +81,6 @@ func TestUndirectedSymmetric(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, b := NewGraph(), NewGraph()
-	a.AddEdge(1, 2, 1)
-	b.AddEdge(1, 2, 2)
-	b.AddEdge(3, 4, 5)
-	b.AddVertex(9)
-	a.Merge(b)
-	if a.EdgeWeight(1, 2) != 3 {
-		t.Errorf("merged weight = %d, want 3", a.EdgeWeight(1, 2))
-	}
-	if a.EdgeWeight(3, 4) != 5 {
-		t.Errorf("merged new edge = %d, want 5", a.EdgeWeight(3, 4))
-	}
-	if a.NumVertices() != 5 {
-		t.Errorf("merged vertices = %d, want 5", a.NumVertices())
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	g := NewGraph()
 	g.AddEdge(1, 2, 1)
@@ -114,18 +95,6 @@ func TestSubgraph(t *testing.T) {
 	}
 	if sub.EdgeWeight(3, 4) != 0 {
 		t.Error("subgraph must drop edges crossing the cut")
-	}
-}
-
-func TestDOT(t *testing.T) {
-	g := NewGraph()
-	g.AddEdge(1, 2, 3)
-	g.AddVertex(5)
-	dot := g.DOT("thrift")
-	for _, want := range []string{"digraph \"thrift\"", "f1 -> f2 [weight=3];", "f5;"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, dot)
-		}
 	}
 }
 

@@ -61,7 +61,7 @@ func (s *Scanner) Search(q query.Query) []index.FileID {
 
 	var out []index.FileID
 	for _, fa := range files {
-		if q.MatchesFile(fa) {
+		if q.Matches(fa.Attr) {
 			out = append(out, fa.ID)
 		}
 	}

@@ -97,9 +97,6 @@ func NewInjector(c *cluster.Cluster, seed int64, updates, kills, restarts int,
 	return in, nil
 }
 
-// Events returns the full schedule (victims unresolved until fired).
-func (in *Injector) Events() []FaultEvent { return in.events }
-
 // Advance fires every event scheduled at or before update number
 // updateNo and returns the fired events with victims resolved. The
 // caller owns what happens next (heartbeat rounds, settling, timing) —

@@ -1,18 +1,20 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§V). Each experiment is registered under the id used in
-// DESIGN.md and EXPERIMENTS.md (fig1, fig2a, tab3, ...), runs on simulated
-// substrates with deterministic virtual time, and reports the same
-// rows/series the paper does.
+// evaluation (§V). Each experiment is registered under the paper's own id
+// (fig1, fig2a, tab3, ...), runs on simulated substrates with deterministic
+// virtual time, and reports the same rows/series the paper does.
 //
 // Experiments default to a laptop-friendly scale (the paper's datasets
 // reach 100 million files); Options.Scale multiplies dataset sizes, so the
 // shape — who wins, by what factor, where crossovers fall — is what is
-// reproduced, not absolute wall-clock numbers. See EXPERIMENTS.md for the
-// paper-vs-measured record.
+// reproduced, not absolute wall-clock numbers. The measured record is
+// testdata/golden/<id>.txt: every experiment's output at a small fixed
+// scale, pinned byte for byte by TestGolden.
 package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -41,17 +43,36 @@ func (o Options) scaled(n int) int {
 	return v
 }
 
-// Result carries an experiment's rendered output and headline metrics
-// (consumed by the root benchmarks via testing.B.ReportMetric).
+// Result carries an experiment's rendered output and headline metrics.
 type Result struct {
-	// Text is the formatted tables/series, ready to print.
+	// Text is the formatted tables/series. Virtual time only: the same
+	// Options produce the same bytes.
 	Text string
 	// Metrics holds headline numbers keyed by short names.
 	Metrics map[string]float64
+	// wallClock holds lines measured on the host's clock, which differ
+	// from run to run: printed, never pinned.
+	wallClock string
 }
 
 func (r *Result) addf(format string, args ...any) {
 	r.Text += fmt.Sprintf(format, args...)
+}
+
+// Render is the one rendering of a result, what propeller-bench prints
+// and TestGolden pins: the tables, then any wall-clock lines, then the
+// headline metrics sorted by name.
+func (r *Result) Render() string {
+	var b strings.Builder
+	b.WriteString(r.Text)
+	b.WriteString(r.wallClock)
+	if len(r.Metrics) > 0 {
+		b.WriteString("headline metrics:\n")
+		for _, k := range slices.Sorted(maps.Keys(r.Metrics)) {
+			fmt.Fprintf(&b, "  %-32s %.4g\n", k, r.Metrics[k])
+		}
+	}
+	return b.String()
 }
 
 func (r *Result) metric(name string, v float64) {
@@ -117,5 +138,4 @@ func init() { //nolint:gochecknoinits // single deterministic registry setup
 	register(Experiment{ID: "abl-partition", Title: "Ablation: ACG vs naive partitioners", Run: runAblPartition})
 	register(Experiment{ID: "abl-lazycache", Title: "Ablation: lazy index cache on/off", Run: runAblLazyCache})
 	register(Experiment{ID: "abl-klrefine", Title: "Ablation: KL refinement on/off", Run: runAblKLRefine})
-	register(Experiment{ID: "abl-kdpaged", Title: "Future work: paged on-disk KD-tree vs whole-image load", Run: runAblKDPaged})
 }

@@ -117,7 +117,7 @@ func runTab5(opts Options) (*Result, error) {
 		// Ground truth.
 		var relevant []index.FileID
 		for _, fa := range ns.Files() {
-			if q.MatchesFile(fa) {
+			if q.Matches(fa.Attr) {
 				relevant = append(relevant, fa.ID)
 			}
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"propeller/internal/acg"
@@ -54,7 +55,9 @@ func runTab1(opts Options) (*Result, error) {
 
 // runTab2 reproduces Table II: ACG statistics of three compile traces and
 // the quality of the multilevel 2-way partition of each trace's largest
-// connected component (vertex counts, partition time, balance, cut %).
+// connected component (vertex counts, balance, cut %). The paper's
+// "partition time" column is the one wall-clock measurement of the
+// reproduction, so it is reported beside the table, not in it.
 func runTab2(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	profiles := []workload.CompileProfile{
@@ -67,8 +70,9 @@ func runTab2(opts Options) (*Result, error) {
 	res.addf("Table II: file access-causality partitioning (multilevel 2-way, METIS-style)\n")
 	tbl := &metrics.Table{Header: []string{
 		"application", "vertices", "edges", "total weight",
-		"partition time", "partition sizes", "cut weight (%)",
+		"partition sizes", "cut weight (%)",
 	}}
+	var times []string
 	for _, p := range profiles {
 		reg := workload.NewPathIDs()
 		builder := acg.NewBuilder()
@@ -106,14 +110,15 @@ func runTab2(opts Options) (*Result, error) {
 			fmt.Sprintf("%d", g.NumVertices()),
 			fmt.Sprintf("%d", g.NumEdges()),
 			fmt.Sprintf("%d", total),
-			elapsed.Round(time.Microsecond).String(),
 			fmt.Sprintf("%d/%d", len(bis.A), len(bis.B)),
 			fmt.Sprintf("%d (%.2f%%)", bis.CutWeight, cutPct),
 		)
+		times = append(times, fmt.Sprintf("%s %s", p.Name, elapsed.Round(time.Microsecond)))
 		res.metric(p.Name+"_cut_pct", cutPct)
 		res.metric(p.Name+"_balance", bis.Balance)
 	}
 	res.addf("%s\n", tbl.String())
+	res.wallClock = fmt.Sprintf("partition time (this host's wall clock): %s\n\n", strings.Join(times, ", "))
 	return res, nil
 }
 

@@ -180,7 +180,8 @@ func (b *sqlBaseline) loadDataset(ds *vfs.Dataset) error {
 func runFig8(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	// Harness default: 100k and 200k files stand in for the paper's 50M and
-	// 100M (the shape is scale-relative; see EXPERIMENTS.md).
+	// 100M (the shape is scale-relative; testdata/golden/fig8.txt is the
+	// measured record).
 	dsSizes := []int{opts.scaled(100000), opts.scaled(200000)}
 	updatesPerProc := opts.scaled(2000)
 	writers := []int{1, 2, 4, 8, 16}

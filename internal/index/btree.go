@@ -115,9 +115,6 @@ func NewBTree(store *pagestore.Store) (*BTree, error) {
 // Len returns the number of postings in the tree.
 func (t *BTree) Len() int { return t.count }
 
-// RootPage exposes the root page id (used by persistence tests).
-func (t *BTree) RootPage() pagestore.PageID { return t.root }
-
 // view parses page id into v in place.
 func (t *BTree) view(v *nodeView, id pagestore.PageID) error {
 	raw, err := readPage(t.store, id)

@@ -59,9 +59,6 @@ func NewHashIndex(store *pagestore.Store, nBuckets int) (*HashIndex, error) {
 // Len returns the number of postings.
 func (h *HashIndex) Len() int { return h.count }
 
-// Buckets returns the number of bucket chains.
-func (h *HashIndex) Buckets() int { return len(h.buckets) }
-
 // bucketView reads one bucket page in place (see slots): an entry's body
 // is its value encoding followed by the 8-byte file id.
 type bucketView struct {

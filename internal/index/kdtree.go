@@ -1,12 +1,8 @@
 package index
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
-
-	"propeller/internal/simdisk"
 )
 
 // Point is a K-dimensional point associated with a file. Propeller's
@@ -20,8 +16,8 @@ type Point struct {
 
 // KDTree is a k-dimensional tree over Points. Per the paper (§V-E) the
 // prototype stores the K-D-tree serialized and loads it wholly into RAM to
-// answer a query; Serialize/LoadKDTree model exactly that, charging the
-// whole-tree read to the simulated disk.
+// answer a query; the owner of a tree models exactly that by charging
+// ImageLen bytes to the simulated disk.
 //
 // KDTree is not safe for concurrent mutation.
 type KDTree struct {
@@ -76,12 +72,6 @@ func buildBalanced(pts []Point, depth, dims int) *kdnode {
 	}
 }
 
-// Dims returns the dimensionality.
-func (t *KDTree) Dims() int { return t.dims }
-
-// Len returns the number of points.
-func (t *KDTree) Len() int { return t.size }
-
 // Insert adds a point (standard unbalanced insertion).
 func (t *KDTree) Insert(p Point) error {
 	if len(p.Coords) != t.dims {
@@ -103,17 +93,6 @@ func insertNode(n *kdnode, p Point, depth, dims int) *kdnode {
 		n.right = insertNode(n.right, p, depth+1, dims)
 	}
 	return n
-}
-
-// RangeSearch returns the files of all points inside the axis-aligned box
-// [lo[i], hi[i]] (inclusive on both ends).
-func (t *KDTree) RangeSearch(lo, hi []float64) ([]FileID, error) {
-	var out []FileID
-	err := t.RangeSearchFunc(lo, hi, func(f FileID) bool {
-		out = append(out, f)
-		return true
-	})
-	return out, err
 }
 
 // RangeSearchFunc streams the files of all points inside the axis-aligned
@@ -153,139 +132,11 @@ func rangeSearchFunc(n *kdnode, lo, hi []float64, depth, dims int, fn func(FileI
 	return true
 }
 
-// Nearest returns the file of the point closest to q in Euclidean distance,
-// or ErrNotFound for an empty tree.
-func (t *KDTree) Nearest(q []float64) (FileID, error) {
-	if len(q) != t.dims {
-		return 0, fmt.Errorf("kdtree: query dims %d, want %d", len(q), t.dims)
-	}
-	if t.root == nil {
-		return 0, ErrNotFound
-	}
-	best := t.root
-	bestDist := math.Inf(1)
-	nearest(t.root, q, 0, t.dims, &best, &bestDist)
-	return best.point.File, nil
-}
-
-func nearest(n *kdnode, q []float64, depth, dims int, best **kdnode, bestDist *float64) {
-	if n == nil {
-		return
-	}
-	if d := sqDist(n.point.Coords, q); d < *bestDist {
-		*bestDist = d
-		*best = n
-	}
-	axis := depth % dims
-	diff := q[axis] - n.point.Coords[axis]
-	near, far := n.left, n.right
-	if diff > 0 {
-		near, far = n.right, n.left
-	}
-	nearest(near, q, depth+1, dims, best, bestDist)
-	if diff*diff < *bestDist {
-		nearest(far, q, depth+1, dims, best, bestDist)
-	}
-}
-
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
-// Serialize encodes the tree (pre-order) to a compact byte slice.
-func (t *KDTree) Serialize() []byte {
-	buf := make([]byte, 0, 16+t.size*(8*t.dims+9))
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(t.dims))
-	buf = append(buf, u32[:]...)
-	binary.BigEndian.PutUint32(u32[:], uint32(t.size))
-	buf = append(buf, u32[:]...)
-	buf = serializeNode(t.root, t.dims, buf)
-	return buf
-}
-
-func serializeNode(n *kdnode, dims int, buf []byte) []byte {
-	if n == nil {
-		return append(buf, 0)
-	}
-	buf = append(buf, 1)
-	var u64 [8]byte
-	for i := 0; i < dims; i++ {
-		binary.BigEndian.PutUint64(u64[:], math.Float64bits(n.point.Coords[i]))
-		buf = append(buf, u64[:]...)
-	}
-	binary.BigEndian.PutUint64(u64[:], uint64(n.point.File))
-	buf = append(buf, u64[:]...)
-	buf = serializeNode(n.left, dims, buf)
-	return serializeNode(n.right, dims, buf)
-}
-
-// DeserializeKDTree reconstructs a tree produced by Serialize.
-func DeserializeKDTree(raw []byte) (*KDTree, error) {
-	if len(raw) < 8 {
-		return nil, ErrCorrupt
-	}
-	dims := int(binary.BigEndian.Uint32(raw[0:4]))
-	size := int(binary.BigEndian.Uint32(raw[4:8]))
-	if dims < 1 {
-		return nil, ErrCorrupt
-	}
-	off := 8
-	root, off, err := deserializeNode(raw, off, dims)
-	if err != nil {
-		return nil, err
-	}
-	if off != len(raw) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(raw)-off)
-	}
-	return &KDTree{dims: dims, root: root, size: size}, nil
-}
-
-func deserializeNode(raw []byte, off, dims int) (*kdnode, int, error) {
-	if off >= len(raw) {
-		return nil, 0, ErrCorrupt
-	}
-	tag := raw[off]
-	off++
-	if tag == 0 {
-		return nil, off, nil
-	}
-	need := 8*dims + 8
-	if off+need > len(raw) {
-		return nil, 0, ErrCorrupt
-	}
-	p := Point{Coords: make([]float64, dims)}
-	for i := 0; i < dims; i++ {
-		p.Coords[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[off : off+8]))
-		off += 8
-	}
-	p.File = FileID(binary.BigEndian.Uint64(raw[off : off+8]))
-	off += 8
-	n := &kdnode{point: p}
-	var err error
-	n.left, off, err = deserializeNode(raw, off, dims)
-	if err != nil {
-		return nil, 0, err
-	}
-	n.right, off, err = deserializeNode(raw, off, dims)
-	if err != nil {
-		return nil, 0, err
-	}
-	return n, off, nil
-}
-
-// LoadKDTree models the prototype's cold-query path: the serialized tree is
-// read from disk in full (charging the simulated disk) and deserialized.
-func LoadKDTree(raw []byte, disk *simdisk.Disk, offset int64) (*KDTree, error) {
-	if disk != nil {
-		if _, err := disk.Read(offset, int64(len(raw))); err != nil {
-			return nil, fmt.Errorf("kdtree load: %w", err)
-		}
-	}
-	return DeserializeKDTree(raw)
+// ImageLen is the size in bytes of the tree's on-disk image — a pre-order
+// walk: dims and size (4 bytes each), per point a tag byte, dims float64
+// coordinates and the file id, and a nil tag for each of the size+1 empty
+// child slots. The image itself is never built; what the prototype's
+// whole-tree load and per-commit persist cost is its length.
+func (t *KDTree) ImageLen() int {
+	return 9 + t.size*(8*t.dims+10)
 }

@@ -1,15 +1,23 @@
 package index
 
 import (
-	"errors"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"propeller/internal/simdisk"
-	"propeller/internal/vclock"
 )
+
+// rangeSearch collects a box query's stream.
+func rangeSearch(kd *KDTree, lo, hi []float64) ([]FileID, error) {
+	var out []FileID
+	err := kd.RangeSearchFunc(lo, hi, func(f FileID) bool {
+		out = append(out, f)
+		return true
+	})
+	return out, err
+}
 
 func TestKDTreeBadDims(t *testing.T) {
 	if _, err := NewKDTree(0); err == nil {
@@ -22,18 +30,8 @@ func TestKDTreeBadDims(t *testing.T) {
 	if err := kd.Insert(Point{Coords: []float64{1}, File: 1}); err == nil {
 		t.Fatal("wrong-dim insert should be rejected")
 	}
-	if _, err := kd.RangeSearch([]float64{0}, []float64{1, 2}); err == nil {
+	if _, err := rangeSearch(kd, []float64{0}, []float64{1, 2}); err == nil {
 		t.Fatal("wrong-dim box should be rejected")
-	}
-	if _, err := kd.Nearest([]float64{0}); err == nil {
-		t.Fatal("wrong-dim query should be rejected")
-	}
-}
-
-func TestKDTreeEmptyNearest(t *testing.T) {
-	kd, _ := NewKDTree(2)
-	if _, err := kd.Nearest([]float64{0, 0}); !errors.Is(err, ErrNotFound) {
-		t.Errorf("err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -47,7 +45,7 @@ func TestKDTreeRangeSearch(t *testing.T) {
 			}
 		}
 	}
-	got, err := kd.RangeSearch([]float64{2, 3}, []float64{4, 5})
+	got, err := rangeSearch(kd, []float64{2, 3}, []float64{4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,27 +60,6 @@ func TestKDTreeRangeSearch(t *testing.T) {
 	}
 }
 
-func TestKDTreeNearest(t *testing.T) {
-	kd, _ := NewKDTree(2)
-	pts := []Point{
-		{Coords: []float64{0, 0}, File: 1},
-		{Coords: []float64{10, 10}, File: 2},
-		{Coords: []float64{5, 4}, File: 3},
-	}
-	for _, p := range pts {
-		if err := kd.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := kd.Nearest([]float64{6, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Errorf("Nearest = %d, want 3", got)
-	}
-}
-
 func TestKDTreeBuildBalanced(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := make([]Point, 1000)
@@ -93,10 +70,10 @@ func TestKDTreeBuildBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kd.Len() != 1000 {
-		t.Fatalf("Len = %d", kd.Len())
+	if kd.size != 1000 {
+		t.Fatalf("Len = %d", kd.size)
 	}
-	got, err := kd.RangeSearch([]float64{0, 0}, []float64{1, 1})
+	got, err := rangeSearch(kd, []float64{0, 0}, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +103,7 @@ func TestKDTreeMatchesLinearScan(t *testing.T) {
 		}
 		lo := []float64{float64(rawLo[0]), float64(rawLo[1])}
 		hi := []float64{lo[0] + float64(uint8(rawHi[0]))/4, lo[1] + float64(uint8(rawHi[1]))/4}
-		got, err := kd.RangeSearch(lo, hi)
+		got, err := rangeSearch(kd, lo, hi)
 		if err != nil {
 			return false
 		}
@@ -154,78 +131,65 @@ func TestKDTreeMatchesLinearScan(t *testing.T) {
 	}
 }
 
-func TestKDTreeSerializeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := make([]Point, 500)
-	for i := range pts {
-		pts[i] = Point{Coords: []float64{rng.Float64() * 100, rng.Float64() * 100}, File: FileID(i)}
+// serializeKD is the image encoder the Index Node used to keep a copy of
+// (pre-order; nil children as a zero tag), retained as the oracle for
+// ImageLen: the disk is charged for the length of exactly these bytes.
+func serializeKD(t *KDTree) []byte {
+	buf := binary.BigEndian.AppendUint32(nil, uint32(t.dims))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(t.size))
+	var walk func(n *kdnode)
+	walk = func(n *kdnode) {
+		if n == nil {
+			buf = append(buf, 0)
+			return
+		}
+		buf = append(buf, 1)
+		for i := 0; i < t.dims; i++ {
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(n.point.Coords[i]))
+		}
+		buf = binary.BigEndian.AppendUint64(buf, uint64(n.point.File))
+		walk(n.left)
+		walk(n.right)
 	}
-	kd, err := BuildKDTree(2, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := kd.Serialize()
-	back, err := DeserializeKDTree(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != kd.Len() || back.Dims() != kd.Dims() {
-		t.Fatalf("metadata mismatch: %d/%d vs %d/%d", back.Len(), back.Dims(), kd.Len(), kd.Dims())
-	}
-	a, err := kd.RangeSearch([]float64{20, 20}, []float64{60, 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := back.RangeSearch([]float64{20, 20}, []float64{60, 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Errorf("range results differ after round trip: %d vs %d", len(a), len(b))
-	}
+	walk(t.root)
+	return buf
 }
 
-func TestKDTreeDeserializeCorrupt(t *testing.T) {
-	cases := [][]byte{nil, {1, 2, 3}, make([]byte, 9)}
-	for _, c := range cases {
-		if _, err := DeserializeKDTree(c); err == nil {
-			t.Errorf("DeserializeKDTree(%v) should fail", c)
+func TestKDTreeImageLenMatchesSerializer(t *testing.T) {
+	check := func(what string, kd *KDTree) {
+		t.Helper()
+		if got, want := kd.ImageLen(), len(serializeKD(kd)); got != want {
+			t.Errorf("%s (%d dims, %d points): ImageLen = %d, serialized image is %d bytes",
+				what, kd.dims, kd.size, got, want)
 		}
 	}
-	// Trailing garbage.
-	kd, _ := NewKDTree(1)
-	if err := kd.Insert(Point{Coords: []float64{1}, File: 1}); err != nil {
-		t.Fatal(err)
-	}
-	raw := append(kd.Serialize(), 0xFF)
-	if _, err := DeserializeKDTree(raw); err == nil {
-		t.Error("trailing bytes should fail")
-	}
-}
-
-func TestLoadKDTreeChargesDisk(t *testing.T) {
-	kd, _ := NewKDTree(2)
-	for i := 0; i < 100; i++ {
-		if err := kd.Insert(Point{Coords: []float64{float64(i), float64(i)}, File: FileID(i)}); err != nil {
+	rng := rand.New(rand.NewSource(3))
+	for dims := 1; dims <= 4; dims++ {
+		kd, err := NewKDTree(dims)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	raw := kd.Serialize()
-	clk := vclock.New()
-	disk := simdisk.New(simdisk.Barracuda7200(), clk)
-	back, err := LoadKDTree(raw, disk, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 100 {
-		t.Errorf("loaded tree Len = %d", back.Len())
-	}
-	if clk.Now() == 0 {
-		t.Error("LoadKDTree should charge disk time")
-	}
-	// nil disk is allowed (pure deserialize).
-	if _, err := LoadKDTree(raw, nil, 0); err != nil {
-		t.Errorf("LoadKDTree without disk: %v", err)
+		check("empty", kd)
+		var pts []Point
+		for i := 0; i < 1+rng.Intn(300); i++ {
+			p := Point{Coords: make([]float64, dims), File: FileID(i)}
+			for d := range p.Coords {
+				p.Coords[d] = rng.Float64() * 100
+			}
+			pts = append(pts, p)
+			if err := kd.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				check("one point", kd)
+			}
+		}
+		check("after Insert", kd)
+		built, err := BuildKDTree(dims, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("after BuildKDTree", built)
 	}
 }
 
@@ -241,7 +205,7 @@ func TestRangeSearchFuncStreamsAndStopsEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := []float64{20, 0}, []float64{80, 5}
-	want, err := kd.RangeSearch(lo, hi)
+	want, err := rangeSearch(kd, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}

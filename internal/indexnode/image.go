@@ -243,14 +243,11 @@ type imageApplier struct {
 	curName  string
 	curInst  *inst
 	haveSpec bool
-	// touched collects KD instances that received entries: their disk
-	// images re-serialize once at finish.
-	touched map[string]*inst
-	walBuf  []byte
+	walBuf   []byte
 }
 
 func newImageApplier(n *Node, g *group, known map[string]map[index.FileID]bool) *imageApplier {
-	return &imageApplier{n: n, g: g, known: known, touched: make(map[string]*inst)}
+	return &imageApplier{n: n, g: g, known: known}
 }
 
 // feed consumes one chunk of the record stream, applying every record that
@@ -420,7 +417,6 @@ func (a *imageApplier) applyIndex(b []byte) error {
 		return err
 	}
 	a.curName, a.curInst, a.haveSpec = spec.Name, in, true
-	a.touched[spec.Name] = in
 	return nil
 }
 
@@ -455,21 +451,15 @@ func (a *imageApplier) applyEntries(b []byte) error {
 	return a.n.applyRunLocked(a.g, a.curInst, a.curName, run)
 }
 
-// finish completes the install: rejects a torn stream, re-serializes the
-// KD images entries landed in, and replays any shipped WAL into the lazy
-// cache. Returns the number of WAL entries restored.
+// finish completes the install: rejects a torn stream and replays any
+// shipped WAL into the lazy cache. Returns the number of WAL entries
+// restored.
 func (a *imageApplier) finish() (int, error) {
 	if !a.sawMagic {
 		return 0, errImageTruncated
 	}
 	if len(a.buf) > 0 {
 		return 0, errImageTruncated
-	}
-	for _, in := range a.touched {
-		if in.kd != nil {
-			in.kdImage = in.kd.Serialize()
-			in.kdResident = true
-		}
 	}
 	if len(a.walBuf) == 0 {
 		return 0, nil

@@ -98,10 +98,6 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 			unlock()
 			return err
 		}
-		if in.kd != nil {
-			in.kdImage = in.kd.Serialize()
-			in.kdResident = true
-		}
 	}
 	// Shared storage follows the merge: dst's image now includes src's
 	// postings, and src's state is gone everywhere.

@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"propeller/internal/acg"
 	"propeller/internal/index"
 	"propeller/internal/metrics"
 	"propeller/internal/pagestore"
@@ -136,10 +135,10 @@ type inst struct {
 	bt   *index.BTree
 	ht   *index.HashIndex
 	kd   *index.KDTree
-	// kdImage is the serialized KD-tree; kdResident tracks whether the
-	// prototype's whole-tree RAM load has been paid since the last cache
-	// drop (§V-E).
-	kdImage    []byte
+	// The prototype keeps a KD-tree on disk as one image at kdOffset and
+	// loads it whole to answer a query (§V-E). Only that cost is modelled
+	// — kd.ImageLen() bytes written at a commit, read at a cold load;
+	// kdResident says the load has been paid since the last cache drop.
 	kdResident bool
 	kdOffset   int64
 }
@@ -910,7 +909,7 @@ func acgLabel(id proto.ACGID) string { return strconv.FormatUint(uint64(id), 10)
 // commitGroupLocked merges the group's pending cache into its durable
 // indices with batch semantics: each index's coalesced run (one surviving
 // entry per file) is applied through the sorted bulk paths, and KD
-// indices rebuild and re-serialize at most once per commit. Caller holds
+// indices rebuild and persist at most once per commit. Caller holds
 // g.mu.
 func (n *Node) commitGroupLocked(g *group) error {
 	if g.pendingCount == 0 {
@@ -945,20 +944,18 @@ func (n *Node) commitPendingLocked(g *group) error {
 		}
 		// Keep the name key (with an empty run): a retry after a failed
 		// KD-image persist below must still find the index in its names
-		// sweep and re-serialize it, or the WAL would eventually truncate
+		// sweep and persist it, or the WAL would eventually truncate
 		// with a stale durable image.
 		g.pending[name] = nil
 	}
-	// KD indices re-serialize once per commit (not per entry).
-	for _, name := range names {
-		if in := g.indexes[name]; in != nil && in.kd != nil {
-			in.kdImage = in.kd.Serialize()
-			if n.cfg.Disk != nil {
-				if _, err := n.cfg.Disk.Write(in.kdOffset, int64(len(in.kdImage))); err != nil {
+	// KD indices persist their image once per commit (not per entry).
+	if n.cfg.Disk != nil {
+		for _, name := range names {
+			if in := g.indexes[name]; in != nil && in.kd != nil {
+				if _, err := n.cfg.Disk.Write(in.kdOffset, int64(in.kd.ImageLen())); err != nil {
 					return fmt.Errorf("indexnode: persist kd image: %w", err)
 				}
 			}
-			in.kdResident = true
 		}
 	}
 	// Truncate before the commit is declared done: a failed truncate
@@ -975,7 +972,7 @@ func (n *Node) commitPendingLocked(g *group) error {
 	// Fully successful commit: the consumed names can go. (Until here
 	// they must stay, so a retry after a failed KD persist still finds
 	// the index in its names sweep; dropping them now keeps later
-	// KD-free windows from re-serializing an unchanged tree.)
+	// KD-free windows from persisting an unchanged tree again.)
 	for _, name := range names {
 		delete(g.pending, name)
 	}
@@ -1040,6 +1037,8 @@ func (n *Node) applyRunLocked(g *group, in *inst, name string, run map[index.Fil
 					name, f, len(pe.e.KDCoords), dims)
 			}
 		}
+		// The run is applied to the tree in RAM.
+		in.kdResident = true
 		// Fold the run into the postings map first; rebuild once at the
 		// end only if a point was removed or actually moved (a
 		// delete-heavy commit costs one O(n log n) rebuild, not one per
@@ -1069,13 +1068,6 @@ func (n *Node) applyRunLocked(g *group, in *inst, name string, run map[index.Fil
 		}
 		if rebuild {
 			return n.rebuildKD(g, in, name)
-		}
-		if len(fresh) > 0 {
-			// The serialized image is stale the moment the tree mutates;
-			// a cold load in the window before the commit re-serializes
-			// (ensureKDResidentLocked falls back to serializing the live
-			// tree when the image is nil) must never resurrect it.
-			in.kdImage = nil
 		}
 		for _, f := range fresh {
 			if err := in.kd.Insert(index.Point{Coords: run[f].e.KDCoords, File: f}); err != nil {
@@ -1183,10 +1175,6 @@ func (n *Node) rebuildKD(g *group, in *inst, name string) error {
 		return fmt.Errorf("indexnode: rebuild kd %q: %w", name, err)
 	}
 	in.kd = kd
-	// Invalidate the serialized image: it no longer matches the tree, and
-	// a cold load before the caller re-serializes must rebuild from the
-	// live tree instead of resurrecting the pre-rebuild points.
-	in.kdImage = nil
 	n.kdRebuilds.Inc()
 	return nil
 }
@@ -1208,57 +1196,6 @@ func (n *Node) DropCaches() error {
 		}
 		g.mu.Unlock()
 	}
-	return nil
-}
-
-// ACGImage serializes a group's authoritative causality graph to its
-// shared-storage form (the paper stores ACGs as regular files in the
-// underlying shared file system, §IV).
-func (n *Node) ACGImage(id proto.ACGID) ([]byte, error) {
-	g := n.lockGroup(id)
-	if g == nil {
-		return nil, fmt.Errorf("acg %d: %w", id, ErrUnknownACG)
-	}
-	out := acg.NewGraph()
-	for f := range g.files {
-		out.AddVertex(f)
-	}
-	for src, m := range g.graph.adj {
-		for dst, w := range m {
-			out.AddEdge(src, dst, w)
-		}
-	}
-	g.mu.Unlock()
-	if n.cfg.Disk != nil {
-		img := out.Serialize()
-		if _, err := n.cfg.Disk.AppendLog(int64(len(img))); err != nil {
-			return nil, fmt.Errorf("indexnode: persist acg %d: %w", id, err)
-		}
-		return img, nil
-	}
-	return out.Serialize(), nil
-}
-
-// LoadACGImage restores a group's causality graph from a shared-storage
-// image (used when a replacement node adopts a crashed node's groups).
-func (n *Node) LoadACGImage(id proto.ACGID, img []byte) error {
-	restored, err := acg.Deserialize(img)
-	if err != nil {
-		return fmt.Errorf("indexnode: load acg %d: %w", id, err)
-	}
-	n.clearReleased(id) // explicit adoption overrides any tombstone
-	g, err := n.lockOrCreateGroup(id)
-	if err != nil {
-		return err
-	}
-	defer g.mu.Unlock()
-	for _, v := range restored.Vertices() {
-		g.files[v] = true
-	}
-	restored.ForEachEdge(func(src, dst index.FileID, w int64) bool {
-		g.graph.addEdge(src, dst, w)
-		return true
-	})
 	return nil
 }
 

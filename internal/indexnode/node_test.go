@@ -516,6 +516,49 @@ func TestDropCachesMakesSearchesColdThenWarm(t *testing.T) {
 	}
 }
 
+// TestColdKDSearchReadsExactlyTheImage pins the §V-E cost model now that
+// no serialized image exists: after a cache drop the first KD search reads
+// the whole tree's image length from the disk, and a warm one reads nothing.
+func TestColdKDSearchReadsExactlyTheImage(t *testing.T) {
+	n, _ := newTestNode(t, func(c *Config) { c.CacheLimit = 100 })
+	n.DeclareIndex(proto.IndexSpec{Name: "pt", Type: proto.IndexKD, Fields: []string{"x", "y"}})
+	var entries []proto.IndexEntry
+	for i := 0; i < 300; i++ {
+		entries = append(entries, proto.IndexEntry{File: index.FileID(i), KDCoords: []float64{float64(i), float64(i % 7)}})
+	}
+	if _, err := n.Update(context.Background(), proto.UpdateReq{ACG: 1, IndexName: "pt", Entries: entries}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	g := n.lockGroup(1)
+	imageLen := int64(g.indexes["pt"].kd.ImageLen())
+	g.mu.Unlock()
+	if want := int64(9 + 300*(8*2+10)); imageLen != want {
+		t.Fatalf("ImageLen = %d, want %d (the bulk update should have committed all 300 points)", imageLen, want)
+	}
+
+	search := func() int64 {
+		t.Helper()
+		before := n.cfg.Disk.Stats().BytesRead
+		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "pt", Query: "x>=100 & x<200"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Files) != 100 {
+			t.Fatalf("box returned %d files, want 100", len(resp.Files))
+		}
+		return n.cfg.Disk.Stats().BytesRead - before
+	}
+	if cold := search(); cold != imageLen {
+		t.Errorf("cold KD search read %d bytes, want the image's %d", cold, imageLen)
+	}
+	if warm := search(); warm != 0 {
+		t.Errorf("warm KD search read %d bytes, want 0", warm)
+	}
+}
+
 func TestNodeStatsFields(t *testing.T) {
 	n, _ := newTestNode(t)
 	n.DeclareIndex(sizeSpec)
@@ -534,45 +577,6 @@ func TestNodeStatsFields(t *testing.T) {
 	}
 	if len(st.IndexSpecs) != 1 {
 		t.Errorf("specs = %v", st.IndexSpecs)
-	}
-}
-
-func TestACGImagePersistence(t *testing.T) {
-	n, _ := newTestNode(t)
-	n.DeclareIndex(sizeSpec)
-	if _, err := n.FlushACG(context.Background(), proto.FlushACGReq{
-		ACG:      1,
-		Edges:    []proto.ACGEdge{{Src: 1, Dst: 2, Weight: 4}, {Src: 2, Dst: 3, Weight: 1}},
-		Vertices: []index.FileID{9},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	img, err := n.ACGImage(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.ACGImage(42); !errors.Is(err, ErrUnknownACG) {
-		t.Errorf("unknown group = %v", err)
-	}
-
-	// A replacement node restores the graph from shared storage.
-	n2, _ := newTestNode(t)
-	if err := n2.LoadACGImage(1, img); err != nil {
-		t.Fatal(err)
-	}
-	n2.mu.Lock()
-	g := n2.groups[1]
-	w := g.graph.adj[1][2]
-	nFiles := len(g.files)
-	n2.mu.Unlock()
-	if w != 4 {
-		t.Errorf("restored edge weight = %d, want 4", w)
-	}
-	if nFiles != 4 { // 1,2,3 plus isolated 9
-		t.Errorf("restored files = %d, want 4", nFiles)
-	}
-	if err := n2.LoadACGImage(2, []byte("junk")); err == nil {
-		t.Error("junk image should fail")
 	}
 }
 

@@ -1020,16 +1020,11 @@ func (n *Node) ensureKDResidentLocked(in *inst) error {
 	if in.kdResident {
 		return nil
 	}
-	img := in.kdImage
-	if img == nil {
-		img = in.kd.Serialize()
-		in.kdImage = img
+	if n.cfg.Disk != nil {
+		if _, err := n.cfg.Disk.Read(in.kdOffset, int64(in.kd.ImageLen())); err != nil {
+			return fmt.Errorf("indexnode: load kd image: %w", err)
+		}
 	}
-	kd, err := index.LoadKDTree(img, n.cfg.Disk, in.kdOffset)
-	if err != nil {
-		return err
-	}
-	in.kd = kd
 	in.kdResident = true
 	return nil
 }

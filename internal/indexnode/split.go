@@ -138,13 +138,6 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 		if err := n.applyRunLocked(g, in, name, run); err != nil {
 			return proto.SplitACGResp{}, err
 		}
-		// Re-serialize the shrunk KD image now: commits only serialize
-		// indices with pending entries, so a stale image here would
-		// resurrect the moved points at the next cold load.
-		if in.kd != nil {
-			in.kdImage = in.kd.Serialize()
-			in.kdResident = true
-		}
 	}
 	if g.movedOut == nil {
 		g.movedOut = make(map[index.FileID]bool, len(moveSet))

@@ -1154,21 +1154,6 @@ func (m *Master) ClusterStats(_ context.Context, _ proto.ClusterStatsReq) (proto
 	return resp, nil
 }
 
-// AliveNodes returns the nodes whose last heartbeat is within the timeout.
-func (m *Master) AliveNodes() []proto.NodeID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.cfg.Clock.Now()
-	var out []proto.NodeID
-	for id, n := range m.nodes {
-		if !n.dead && now-n.lastSeen <= m.cfg.HeartbeatTimeout {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // PlacementEpoch returns the current placement epoch.
 func (m *Master) PlacementEpoch() proto.Epoch {
 	m.mu.Lock()

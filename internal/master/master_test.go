@@ -294,24 +294,6 @@ func TestMergeReportAcrossNodesRejected(t *testing.T) {
 	}
 }
 
-func TestAliveNodes(t *testing.T) {
-	m := newTestMaster(t, "a", "b")
-	alive := m.AliveNodes()
-	if len(alive) != 2 {
-		t.Errorf("alive = %v", alive)
-	}
-	// Advance virtual time past the timeout; only a heartbeating node stays
-	// alive.
-	m.cfg.Clock.Advance(m.cfg.HeartbeatTimeout * 2)
-	if _, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	alive = m.AliveNodes()
-	if len(alive) != 1 || alive[0] != "a" {
-		t.Errorf("alive after timeout = %v, want [a]", alive)
-	}
-}
-
 func TestLookupFilesReassignsFromUnregisteredNode(t *testing.T) {
 	// Satellite fix: a mapping pointing at a node the Master no longer
 	// knows (e.g. after a metadata restore before every node re-registered)

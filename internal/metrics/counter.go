@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -84,17 +83,5 @@ func (s *CounterSet) Snapshot() map[string]int64 {
 	for label, c := range s.counters {
 		out[label] = c.Value()
 	}
-	return out
-}
-
-// Labels returns the sorted label names in the set.
-func (s *CounterSet) Labels() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.counters))
-	for label := range s.counters {
-		out = append(out, label)
-	}
-	sort.Strings(out)
 	return out
 }

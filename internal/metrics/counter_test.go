@@ -50,8 +50,8 @@ func TestCounterSetFold(t *testing.T) {
 	if dst.Value() != 12 {
 		t.Fatalf("cached dst handle = %d, want 12", dst.Value())
 	}
-	if labels := s.Labels(); len(labels) != 1 || labels[0] != "dst" {
-		t.Fatalf("labels after fold = %v, want [dst]", labels)
+	if snap := s.Snapshot(); len(snap) != 1 || snap["dst"] != 12 {
+		t.Fatalf("set after fold = %v, want only dst", snap)
 	}
 	// Folding an absent src is a no-op.
 	s.Fold("dst", "ghost")
@@ -85,8 +85,9 @@ func TestCounterSetConcurrentGet(t *testing.T) {
 	if total != workers*100 {
 		t.Errorf("total = %d, want %d", total, workers*100)
 	}
-	labels := s.Labels()
-	if len(labels) != 4 || labels[0] != "acg-0" || labels[3] != "acg-3" {
-		t.Errorf("labels = %v", labels)
+	for _, label := range []string{"acg-0", "acg-1", "acg-2", "acg-3"} {
+		if snap[label] != 2*100 {
+			t.Errorf("%s = %d, want 200 (labels: %v)", label, snap[label], snap)
+		}
 	}
 }

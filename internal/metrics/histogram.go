@@ -118,32 +118,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(h.max)
 }
 
-// Merge folds o's samples into h (o is left unchanged).
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || h == o {
-		return
-	}
-	o.mu.Lock()
-	counts, count, sum, mn, mx := o.counts, o.count, o.sum, o.min, o.max
-	o.mu.Unlock()
-	if count == 0 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || mn < h.min {
-		h.min = mn
-	}
-	if h.count == 0 || mx > h.max {
-		h.max = mx
-	}
-	h.count += count
-	h.sum += sum
-}
-
 // HistSummary is a latency digest with the tail the overload gates watch.
 type HistSummary struct {
 	Count               int64

@@ -65,35 +65,6 @@ func TestHistogramQuantilesTrackExactRecorder(t *testing.T) {
 	check("p999", got.P999, samples[len(samples)*999/1000])
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 1; i <= 100; i++ {
-		a.Record(time.Duration(i) * time.Millisecond)
-	}
-	for i := 101; i <= 200; i++ {
-		b.Record(time.Duration(i) * time.Millisecond)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d, want 200", a.Count())
-	}
-	s := a.Summarize()
-	if s.Min != time.Millisecond || s.Max != 200*time.Millisecond {
-		t.Errorf("min/max = %v/%v, want 1ms/200ms", s.Min, s.Max)
-	}
-	p50 := float64(s.P50)
-	if p50 < float64(95*time.Millisecond) || p50 > float64(110*time.Millisecond) {
-		t.Errorf("merged p50 = %v, want ~100ms", s.P50)
-	}
-	// Merging an empty histogram is a no-op; self-merge is too.
-	a.Merge(NewHistogram())
-	a.Merge(a)
-	a.Merge(nil)
-	if a.Count() != 200 {
-		t.Fatalf("count after no-op merges = %d, want 200", a.Count())
-	}
-}
-
 func TestHistogramConcurrentRecord(t *testing.T) {
 	h := NewHistogram()
 	var wg sync.WaitGroup

@@ -144,13 +144,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // FormatSeries renders series as aligned columns (x then one y per series).
 func FormatSeries(xLabel string, series ...*Series) string {
 	if len(series) == 0 {

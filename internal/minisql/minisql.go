@@ -27,7 +27,6 @@ import (
 // Errors returned by the engine.
 var (
 	ErrTableExists   = errors.New("minisql: table already exists")
-	ErrUnknownTable  = errors.New("minisql: unknown table")
 	ErrUnknownColumn = errors.New("minisql: unknown column")
 	ErrRowExists     = errors.New("minisql: duplicate primary key")
 	ErrRowNotFound   = errors.New("minisql: row not found")
@@ -137,17 +136,6 @@ func (db *DB) CreateTable(schema Schema, indexCols []string) (*Table, error) {
 		t.indexes[col] = bt
 	}
 	db.tables[schema.Table] = t
-	return t, nil
-}
-
-// Table returns a table by name.
-func (db *DB) Table(name string) (*Table, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("%q: %w", name, ErrUnknownTable)
-	}
 	return t, nil
 }
 

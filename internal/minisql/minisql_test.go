@@ -47,12 +47,6 @@ func TestCreateTableValidation(t *testing.T) {
 	if _, err := db.CreateTable(Schema{Table: "x"}, []string{"nope"}); !errors.Is(err, ErrUnknownColumn) {
 		t.Errorf("bad index column = %v", err)
 	}
-	if _, err := db.Table("files"); err != nil {
-		t.Errorf("Table lookup: %v", err)
-	}
-	if _, err := db.Table("ghost"); !errors.Is(err, ErrUnknownTable) {
-		t.Errorf("ghost table = %v", err)
-	}
 }
 
 func TestInsertSelect(t *testing.T) {

@@ -219,13 +219,6 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// ResetStats zeroes the counters.
-func (s *Store) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = Stats{}
-}
-
 // NumPages returns the number of allocated pages.
 func (s *Store) NumPages() int {
 	s.mu.Lock()

@@ -19,7 +19,6 @@ import (
 
 	"propeller/internal/attr"
 	"propeller/internal/perr"
-	"propeller/internal/vfs"
 )
 
 // Op is a comparison operator.
@@ -321,29 +320,6 @@ func compareCoerced(a, b attr.Value) (int, error) {
 		}
 	}
 	return a.Compare(b) // will surface the kind mismatch
-}
-
-// AttrGetter adapts vfs.FileAttrs to the Matches lookup interface.
-func AttrGetter(fa vfs.FileAttrs) func(string) (attr.Value, bool) {
-	return func(field string) (attr.Value, bool) {
-		switch field {
-		case "size":
-			return attr.Int(fa.Size), true
-		case "mtime":
-			return attr.Time(fa.MTime), true
-		case "uid":
-			return attr.Int(fa.UID), true
-		case "keyword":
-			return attr.Str(fa.Keyword), true
-		default:
-			return attr.Value{}, false
-		}
-	}
-}
-
-// MatchesFile evaluates the query against a file's inode attributes.
-func (q Query) MatchesFile(fa vfs.FileAttrs) bool {
-	return q.Matches(AttrGetter(fa))
 }
 
 // Range converts the predicates on field into a half-open scan interval for

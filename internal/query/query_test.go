@@ -132,7 +132,7 @@ func TestMatchesFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", tt.q, err)
 		}
-		if got := q.MatchesFile(fa); got != tt.want {
+		if got := q.Matches(fa.Attr); got != tt.want {
 			t.Errorf("%q matches = %v, want %v", tt.q, got, tt.want)
 		}
 	}
@@ -194,7 +194,7 @@ func TestSizePredicateProperty(t *testing.T) {
 		}
 		q := Query{Preds: []Predicate{{Field: "size", Op: OpGt, Value: attr.Int(bound)}}}
 		fa := vfs.FileAttrs{Size: size}
-		return q.MatchesFile(fa) == (size > bound)
+		return q.Matches(fa.Attr) == (size > bound)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -196,7 +196,7 @@ func (e *Engine) Query(q query.Query) []index.FileID {
 	}
 	var out []index.FileID
 	for _, fa := range snap {
-		if q.MatchesFile(fa) {
+		if q.Matches(fa.Attr) {
 			out = append(out, fa.ID)
 		}
 	}

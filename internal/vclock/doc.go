@@ -7,9 +7,7 @@
 // the host machine, while preserving the relative shapes the paper reports.
 //
 // A Clock only ever moves forward: Advance charges a duration, AdvanceTo
-// jumps to a later instant, Now reads the current virtual time. For
-// modelling parallel workers whose time overlaps, Fork creates per-worker
-// child clocks and MergeMax joins them at the slowest worker — a
-// fork/join barrier in virtual time. Clocks are safe for concurrent use;
-// the Index Node's parallel ACG paths all charge one shared clock.
+// jumps to a later instant, Now reads the current virtual time. Clocks are
+// safe for concurrent use; the Index Node's parallel ACG paths all charge
+// one shared clock.
 package vclock

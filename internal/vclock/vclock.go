@@ -9,9 +9,7 @@ import (
 // to use and starts at virtual time zero. Clock is safe for concurrent use.
 //
 // Concurrency model: each logical thread of execution (a simulated process,
-// an index-node worker) advances the clock by charging durations. For
-// parallel workers, use per-worker child clocks (Fork) and merge with
-// MergeMax, which models perfectly overlapped parallel work.
+// an index-node worker) advances the clock by charging durations.
 type Clock struct {
 	mu  sync.Mutex
 	now time.Duration
@@ -50,25 +48,6 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 		c.now = t
 	}
 	return c.now
-}
-
-// Fork returns a child clock that starts at the parent's current time.
-// Children are used to model parallel workers whose time overlaps.
-func (c *Clock) Fork() *Clock {
-	return &Clock{now: c.Now()}
-}
-
-// MergeMax advances the clock to the latest time among the given children.
-// It models a fork/join barrier: the join completes when the slowest worker
-// finishes.
-func (c *Clock) MergeMax(children ...*Clock) time.Duration {
-	latest := c.Now()
-	for _, ch := range children {
-		if t := ch.Now(); t > latest {
-			latest = t
-		}
-	}
-	return c.AdvanceTo(latest)
 }
 
 // Reset rewinds the clock to zero. Intended for test and experiment setup

@@ -55,32 +55,6 @@ func TestAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestForkAndMergeMax(t *testing.T) {
-	c := New()
-	c.Advance(time.Second)
-
-	w1 := c.Fork()
-	w2 := c.Fork()
-	if w1.Now() != time.Second || w2.Now() != time.Second {
-		t.Fatalf("forked clocks should start at parent time")
-	}
-	w1.Advance(3 * time.Second)
-	w2.Advance(7 * time.Second)
-
-	got := c.MergeMax(w1, w2)
-	if want := 8 * time.Second; got != want {
-		t.Errorf("MergeMax = %v, want %v", got, want)
-	}
-}
-
-func TestMergeMaxEmpty(t *testing.T) {
-	c := New()
-	c.Advance(time.Second)
-	if got := c.MergeMax(); got != time.Second {
-		t.Errorf("MergeMax() with no children = %v, want 1s", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := New()
 	c.Advance(time.Minute)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"time"
 
+	"propeller/internal/attr"
 	"propeller/internal/index"
 )
 
@@ -43,6 +44,23 @@ type FileAttrs struct {
 	MTime   time.Time
 	UID     int64
 	Keyword string // dominant path keyword (the sample app name)
+}
+
+// Attr looks one indexed attribute up by field name: the getter
+// query.Query.Matches evaluates a predicate list against.
+func (fa FileAttrs) Attr(field string) (attr.Value, bool) {
+	switch field {
+	case "size":
+		return attr.Int(fa.Size), true
+	case "mtime":
+		return attr.Time(fa.MTime), true
+	case "uid":
+		return attr.Int(fa.UID), true
+	case "keyword":
+		return attr.Str(fa.Keyword), true
+	default:
+		return attr.Value{}, false
+	}
 }
 
 // Dataset is an implicit, deterministic namespace of N files produced by

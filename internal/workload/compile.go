@@ -49,8 +49,8 @@ func GitProfile() CompileProfile {
 
 // LinuxProfile approximates a kernel build scaled by factor (1.0 would be
 // the paper's 62k-file graph with ~6M edges; the default harness runs
-// scale 0.15 to keep the graph laptop-sized while preserving its shape —
-// see DESIGN.md §3).
+// scale 0.15 to keep the graph laptop-sized while preserving its shape;
+// docs/ARCHITECTURE.md, "Paper tables").
 func LinuxProfile(scale float64) CompileProfile {
 	if scale <= 0 {
 		scale = 0.15

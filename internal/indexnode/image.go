@@ -448,7 +448,7 @@ func (a *imageApplier) applyEntries(b []byte) error {
 	// The commit engine's bulk path — sorted index mutations, postings
 	// advance only after index success — applies each completed record as
 	// it arrives, so a transfer's memory cost is one record, not the image.
-	return a.n.applyRunLocked(a.g, a.curInst, a.curName, run)
+	return a.n.applyRunLocked(a.g, a.curInst, &pendingRun{name: a.curName, byFile: run})
 }
 
 // finish completes the install: rejects a torn stream and replays any

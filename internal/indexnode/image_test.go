@@ -174,7 +174,7 @@ func TestImageWALSectionReplaysLogFrames(t *testing.T) {
 	}
 	known := map[string]map[index.FileID]bool{"size": {2: true}}
 	err = n.installImageBytesLocked(g, raw, known)
-	pending := len(g.pending["size"])
+	pending := len(g.run("size").byFile)
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		for f, e := range gs.postings[name] {
 			run[f] = pendingEntry{e: e}
 		}
-		if err := n.applyRunLocked(gd, in, name, run); err != nil {
+		if err := n.applyRunLocked(gd, in, &pendingRun{name: name, byFile: run}); err != nil {
 			unlock()
 			return err
 		}

@@ -39,11 +39,9 @@
 package indexnode
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -143,17 +141,6 @@ type inst struct {
 	kdOffset   int64
 }
 
-// pendingEntry is one coalesced, prepared lazy-cache entry: the latest
-// acknowledged update for its (index, file) pair, plus the index key the
-// commit will need — encoded outside the group lock at acknowledgement
-// time (composite key for B-tree postings, value encoding for hash
-// postings; nil for KD entries, deletes, and WAL-recovered entries,
-// which are keyed at commit).
-type pendingEntry struct {
-	e   proto.IndexEntry
-	key []byte
-}
-
 // group is one ACG partition and its indices. Every field below mu is
 // protected by it; a group is only ever mutated by the goroutine holding
 // its lock, so operations on different ACGs never contend.
@@ -184,24 +171,26 @@ type group struct {
 	graph    *groupGraph
 	// indexes by name.
 	indexes map[string]*inst
-	// pending is the lazy index cache, coalesced per (index, file) with
-	// last-write-wins: a file re-indexed many times inside one commit
+	// pending is the lazy index cache (pending.go): one run per index the
+	// group has seen, sorted by name, coalesced per (index, file) with
+	// last-write-wins — a file re-indexed many times inside one commit
 	// window holds one pending entry and costs one index mutation at
 	// commit. pendingCount still counts acknowledged arrivals (the cache
 	// limit, UpdateResp.Cached and CommitEntries all speak in
 	// acknowledged entries, not coalesced survivors).
-	pending      map[string]map[index.FileID]pendingEntry
+	pending      []*pendingRun
 	pendingCount int
 	// pendingSince is when the oldest uncommitted entry arrived — the first
 	// arrival since the last commit, which is what the commit timeout runs
 	// from (a later arrival must not push the deadline out).
 	pendingSince time.Duration
-	// readThrough marks the current cache generation as one a Strict search
-	// has read through (set by the read-through, cleared by every commit):
-	// until it commits, every Strict search of the group walks the whole
-	// cache, so its writers keep it short — they commit at readThroughBound
-	// instead of CacheLimit (commitIfDueLocked).
-	readThrough bool
+	// cacheOrder says whether the current cache generation is kept in key
+	// order, and on whose account (pending.go).
+	cacheOrder cacheOrder
+	// early is how many entries short of CacheLimit the current cache
+	// generation ends: the group's share (Node.commitShare) for a generation
+	// a Strict search started, zero for every other (pending.go).
+	early int
 	// postings holds the latest committed posting per (index, file); it
 	// serves multi-predicate filtering and ACG migration.
 	postings map[string]map[index.FileID]proto.IndexEntry
@@ -282,10 +271,12 @@ type Node struct {
 	// point lookup and silently degraded to a full-table scan.
 	hashScanFallbacks metrics.Counter
 	// strictReadThroughs counts per-group Strict reads that found entries
-	// pending and read through them; strictCommitsFirst counts those that
-	// found more than readThroughBound and committed first.
+	// pending, kept in order, and read through them; strictCommitsFirst
+	// counts those that found a cache nobody had kept in order and committed
+	// it first. pendingJudged counts the entries read-throughs looked at.
 	strictReadThroughs metrics.Counter
 	strictCommitsFirst metrics.Counter
+	pendingJudged      metrics.Counter
 	// staleRejects counts requests refused because they targeted a
 	// released (tombstoned) group.
 	staleRejects metrics.Counter
@@ -574,6 +565,9 @@ func (n *Node) lockOrCreateGroup(id proto.ACGID) (*group, error) {
 	}
 }
 
+// acgLabel is the metrics label for a group.
+func acgLabel(id proto.ACGID) string { return strconv.FormatUint(uint64(id), 10) }
+
 // newGroupLocked builds an empty group. Caller holds n.mu. The per-ACG
 // counter handles are resolved here, once, so commits never format labels
 // or take the counter-set lock.
@@ -585,9 +579,9 @@ func (n *Node) newGroupLocked(id proto.ACGID) *group {
 		files:            make(map[index.FileID]bool),
 		graph:            newGroupGraph(),
 		indexes:          make(map[string]*inst),
-		pending:          make(map[string]map[index.FileID]pendingEntry),
 		postings:         make(map[string]map[index.FileID]proto.IndexEntry),
 		log:              wal.NewGroupCommit(n.walGC),
+		cacheOrder:       orderedOnCredit,
 	}
 }
 
@@ -665,10 +659,9 @@ func (n *Node) CreateACG(_ context.Context, req proto.CreateACGReq) (proto.Creat
 // batch apply will sort on are encoded. That one frame is what the group
 // log, the shared-store mirror and the follower stream all append. The
 // critical section holds only the in-memory log append and the coalescing
-// cache insert — plus, when the insert fills the cache, the batch commit
-// (commitIfDueLocked): every CacheLimit entries, or every readThroughBound
-// for a group whose cache strict searches are reading through, where the
-// writers pay small batch commits so that the readers pay none.
+// cache insert (in key order when the group is being read, so its Strict
+// searches can seek the cache) — plus, every CacheLimit entries, the batch
+// commit (commitIfDueLocked).
 func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateResp, error) {
 	// Admission runs before any work: a shed update was never logged or
 	// cached, so ErrOverloaded can never alias an acknowledged write.
@@ -773,82 +766,6 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 	return proto.UpdateResp{Cached: g.pendingCount, Epoch: n.epoch()}, nil
 }
 
-// readThroughBound is the longest cache, in acknowledged entries, a Strict
-// search reads through instead of committing (search.go): a search that
-// finds more commits first, and the writers of a group that is being read
-// through commit at it. Read-through work is linear in the cache and commits
-// are cheaper per entry the larger they are; a 64 / 128 / 256 sweep
-// (ARCHITECTURE "Search-time consistency") found the search median flat
-// across the three, the tail better below and throughput better above.
-const readThroughBound = 128
-
-// commitIfDueLocked is the post-insert check of both paths that acknowledge
-// entries into the cache (Update, FollowerAppend): commit once the cache is
-// full. Full is CacheLimit — except for a cache generation Strict searches
-// are reading through, which every one of them walks end to end: its
-// writers pay a small batch commit every readThroughBound entries so that no
-// reader pays a commit at all. Caller holds g.mu.
-func (n *Node) commitIfDueLocked(g *group) error {
-	limit := n.cfg.CacheLimit
-	if g.readThrough {
-		limit = min(limit, readThroughBound)
-	}
-	if n.cfg.DisableLazyCache || g.pendingCount >= limit {
-		return n.commitGroupLocked(g)
-	}
-	return nil
-}
-
-// prepareEntryKeys encodes, outside any lock, the index keys a commit
-// will need for entries: composite (value, file) keys for B-tree
-// postings, bare value encodings for hash postings. Deletes keep a nil
-// key — they are keyed by the committed posting's old value, known only
-// at commit — and KD entries need none (they apply into the postings map
-// and the tree is built from points).
-func prepareEntryKeys(spec proto.IndexSpec, entries []proto.IndexEntry) [][]byte {
-	switch spec.Type {
-	case proto.IndexBTree:
-		keys := make([][]byte, len(entries))
-		for i, e := range entries {
-			if e.Delete {
-				continue
-			}
-			keys[i] = index.AppendCompositeKey(make([]byte, 0, 2*e.Value.EncodedLen()+10), e.Value, e.File)
-		}
-		return keys
-	case proto.IndexHash:
-		keys := make([][]byte, len(entries))
-		for i, e := range entries {
-			if e.Delete {
-				continue
-			}
-			keys[i] = e.Value.Encode(nil)
-		}
-		return keys
-	default:
-		return nil
-	}
-}
-
-// addPendingLocked inserts one acknowledged entry into the group's
-// coalescing cache (last-write-wins per (index, file)). Caller holds
-// g.mu.
-func (n *Node) addPendingLocked(g *group, name string, e proto.IndexEntry, key []byte) {
-	m := g.pending[name]
-	if m == nil {
-		m = make(map[index.FileID]pendingEntry)
-		g.pending[name] = m
-	}
-	if _, ok := m[e.File]; ok {
-		n.coalescedEntries.Inc()
-	}
-	m[e.File] = pendingEntry{e: e, key: key}
-	if g.pendingCount == 0 {
-		g.pendingSince = n.cfg.Clock.Now()
-	}
-	g.pendingCount++
-}
-
 // FlushACG merges a client-captured causality fragment into the group's
 // authoritative graph. Causality edges travel outside the WAL, so with a
 // shared store configured the group is checkpointed afterwards — the graph
@@ -877,308 +794,6 @@ func (n *Node) FlushACG(_ context.Context, req proto.FlushACGReq) (proto.FlushAC
 	return proto.FlushACGResp{OK: true}, nil
 }
 
-// Tick commits groups whose lazy cache has exceeded the commit timeout,
-// measured from its oldest entry (the first arrival since the last commit):
-// however often a group is updated, a Lazy search of it trails by at most
-// one timeout. Deployments call it from a ticker; experiments call it after
-// advancing virtual time. Groups are visited one at a time, so a tick never
-// stalls traffic on ACGs it is not committing — and a wedged group never stalls
-// the sweep: its error is collected, counted in NodeStats.CommitFailures,
-// and the remaining groups still commit. The joined error reports every
-// failing group.
-func (n *Node) Tick() error {
-	now := n.cfg.Clock.Now()
-	var errs []error
-	for _, g := range n.groupsSnapshot() {
-		if !g.lockLive() {
-			continue
-		}
-		if g.pendingCount > 0 && now-g.pendingSince >= n.cfg.CommitTimeout {
-			if err := n.commitGroupLocked(g); err != nil {
-				errs = append(errs, fmt.Errorf("indexnode tick acg %d: %w", g.id, err))
-			}
-		}
-		g.mu.Unlock()
-	}
-	return errors.Join(errs...)
-}
-
-// acgLabel is the metrics label for a group.
-func acgLabel(id proto.ACGID) string { return strconv.FormatUint(uint64(id), 10) }
-
-// commitGroupLocked merges the group's pending cache into its durable
-// indices with batch semantics: each index's coalesced run (one surviving
-// entry per file) is applied through the sorted bulk paths, and KD
-// indices rebuild and persist at most once per commit. Caller holds
-// g.mu.
-func (n *Node) commitGroupLocked(g *group) error {
-	if g.pendingCount == 0 {
-		return nil
-	}
-	err := n.commitPendingLocked(g)
-	if err != nil {
-		n.commitFailures.Inc()
-	}
-	return err
-}
-
-func (n *Node) commitPendingLocked(g *group) error {
-	start := n.cfg.Clock.Now()
-	committed := int64(g.pendingCount)
-	names := make([]string, 0, len(g.pending))
-	for name := range g.pending {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		run := g.pending[name]
-		if len(run) == 0 {
-			continue
-		}
-		in, err := n.instFor(g, name)
-		if err != nil {
-			return err
-		}
-		if err := n.applyRunLocked(g, in, name, run); err != nil {
-			return err
-		}
-		// Keep the name key (with an empty run): a retry after a failed
-		// KD-image persist below must still find the index in its names
-		// sweep and persist it, or the WAL would eventually truncate
-		// with a stale durable image.
-		g.pending[name] = nil
-	}
-	// KD indices persist their image once per commit (not per entry).
-	if n.cfg.Disk != nil {
-		for _, name := range names {
-			if in := g.indexes[name]; in != nil && in.kd != nil {
-				if _, err := n.cfg.Disk.Write(in.kdOffset, int64(in.kd.ImageLen())); err != nil {
-					return fmt.Errorf("indexnode: persist kd image: %w", err)
-				}
-			}
-		}
-	}
-	// Truncate before the commit is declared done: a failed truncate
-	// leaves pendingCount non-zero, so the retry triggers (Tick's
-	// pendingCount gate, the cache-limit check) re-run this function — the
-	// re-apply is a no-op over nil runs and the truncate and counters get
-	// their retry. Zeroing the count first would strand the applied
-	// window in the WAL and skip the accounting forever.
-	if err := g.log.Truncate(); err != nil {
-		return fmt.Errorf("indexnode: truncate wal: %w", err)
-	}
-	g.pendingCount = 0
-	g.readThrough = false
-	// Fully successful commit: the consumed names can go. (Until here
-	// they must stay, so a retry after a failed KD persist still finds
-	// the index in its names sweep; dropping them now keeps later
-	// KD-free windows from persisting an unchanged tree again.)
-	for _, name := range names {
-		delete(g.pending, name)
-	}
-	n.commits.Inc()
-	n.commitEntries.Add(committed)
-	n.commitNanos.Add(int64(n.cfg.Clock.Now() - start))
-	g.acgCommits.Inc()
-	g.acgCommitEntries.Add(committed)
-	// Compact the shared-storage mirror once its WAL has grown past the
-	// threshold: without this, a long-lived group that never splits or
-	// migrates would accumulate its entire update history there, and
-	// recovery replay time would grow with cluster age. The cost — one
-	// group-image serialization — is amortized over the threshold's worth
-	// of acknowledged records, never paid per commit. Followers never
-	// touch the mirror — the primary owns it; a follower checkpointing
-	// would race the primary's appends.
-	if n.cfg.Shared != nil && !g.follower && n.cfg.Shared.WALRecords(g.id) >= sharedWALCheckpointRecords {
-		if err := n.writeCheckpointLocked(g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sharedWALCheckpointRecords is the mirrored-WAL length at which the
-// commit path folds a group's shared-storage history into a fresh
-// checkpoint.
-const sharedWALCheckpointRecords = 4096
-
-// applyRunLocked merges one coalesced run — at most one entry per file,
-// the last acknowledged write for that (index, file) — into the named
-// index and the group's committed postings. Files are visited in
-// ascending id order, which both makes the apply deterministic and feeds
-// the sorted bulk index paths. Equivalence contract (property-tested):
-// the index state after a batched apply is identical to replaying the
-// acknowledged entries one at a time, because each file's intermediate
-// values would have been deleted again before the commit ended. Caller
-// holds g.mu.
-func (n *Node) applyRunLocked(g *group, in *inst, name string, run map[index.FileID]pendingEntry) error {
-	post := g.postings[name]
-	if post == nil {
-		post = make(map[index.FileID]proto.IndexEntry, len(run))
-		g.postings[name] = post
-	}
-	files := make([]index.FileID, 0, len(run))
-	for f := range run {
-		files = append(files, f)
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i] < files[j] })
-
-	if in.kd != nil {
-		// KD: validate every point's dimensionality up front, before any
-		// state advances — with all points valid, neither the incremental
-		// inserts nor a rebuild from (inductively valid) postings can
-		// fail, so the postings-first ordering below cannot strand the
-		// tree behind the map on a retry. (Update rejects bad dims at ack
-		// time; this guards entries that arrived by WAL recovery.)
-		dims := in.spec.Dims()
-		for _, f := range files {
-			if pe := run[f]; !pe.e.Delete && len(pe.e.KDCoords) != dims {
-				return fmt.Errorf("indexnode: kd %q file %d: point has %d coords, want %d",
-					name, f, len(pe.e.KDCoords), dims)
-			}
-		}
-		// The run is applied to the tree in RAM.
-		in.kdResident = true
-		// Fold the run into the postings map first; rebuild once at the
-		// end only if a point was removed or actually moved (a
-		// delete-heavy commit costs one O(n log n) rebuild, not one per
-		// entry, and a re-ack with unchanged coordinates costs nothing).
-		// A pure insert window keeps the incremental insert path —
-		// fresh files only, since the tree already holds the unmoved
-		// points.
-		rebuild := false
-		var fresh []index.FileID
-		for _, f := range files {
-			pe := run[f]
-			if pe.e.Delete {
-				if _, ok := post[f]; ok {
-					delete(post, f)
-					rebuild = true
-				}
-				continue
-			}
-			if old, ok := post[f]; ok {
-				if !slices.Equal(old.KDCoords, pe.e.KDCoords) {
-					rebuild = true // re-index moved the point
-				}
-			} else {
-				fresh = append(fresh, f)
-			}
-			post[f] = pe.e
-		}
-		if rebuild {
-			return n.rebuildKD(g, in, name)
-		}
-		for _, f := range fresh {
-			if err := in.kd.Insert(index.Point{Coords: run[f].e.KDCoords, File: f}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// B-tree / hash: split the run into old-posting removals and new
-	// insertions, then apply each side in bulk so adjacent keys share
-	// descents and page writes. The postings map is only advanced after
-	// the index mutations succeed: the bulk paths are idempotent
-	// (DeleteSorted skips absent keys, InsertSorted skips duplicates), so
-	// a retry after a partial failure re-derives the same ops from the
-	// unchanged postings and self-heals instead of diverging.
-	var delKeys, insKeys [][]byte
-	var delOps, insOps []index.HashOp
-	var putFiles, dropFiles []index.FileID
-	for _, f := range files {
-		pe := run[f]
-		old, had := post[f]
-		if pe.e.Delete {
-			if !had {
-				continue // deleting an unindexed posting is a no-op
-			}
-			dropFiles = append(dropFiles, f)
-			if in.bt != nil {
-				delKeys = append(delKeys, index.AppendCompositeKey(nil, old.Value, f))
-			} else {
-				delOps = append(delOps, index.HashOp{ValEnc: old.Value.Encode(nil), File: f})
-			}
-			continue
-		}
-		putFiles = append(putFiles, f)
-		if had && !old.Value.Equal(pe.e.Value) {
-			if in.bt != nil {
-				delKeys = append(delKeys, index.AppendCompositeKey(nil, old.Value, f))
-			} else {
-				delOps = append(delOps, index.HashOp{ValEnc: old.Value.Encode(nil), File: f})
-			}
-		}
-		// The insert is staged even when the committed posting already
-		// carries this exact value: the bulk paths skip duplicates, and
-		// the unconditional re-insert heals an index entry lost to a
-		// previously failed partial apply (map and index must reconverge
-		// on retry, not trust each other).
-		key := pe.key
-		if key == nil { // WAL-recovered entries carry no prepared key
-			if in.bt != nil {
-				key = index.AppendCompositeKey(nil, pe.e.Value, f)
-			} else {
-				key = pe.e.Value.Encode(nil)
-			}
-		}
-		if in.bt != nil {
-			insKeys = append(insKeys, key)
-		} else {
-			insOps = append(insOps, index.HashOp{ValEnc: key, File: f})
-		}
-	}
-	if in.bt != nil {
-		sortKeys(delKeys)
-		sortKeys(insKeys)
-		if _, err := in.bt.DeleteSorted(delKeys); err != nil {
-			return err
-		}
-		if _, err := in.bt.InsertSorted(insKeys); err != nil {
-			return err
-		}
-	} else {
-		if _, err := in.ht.DeleteBatch(delOps); err != nil {
-			return err
-		}
-		if _, err := in.ht.InsertBatch(insOps); err != nil {
-			return err
-		}
-	}
-	for _, f := range dropFiles {
-		delete(post, f)
-	}
-	for _, f := range putFiles {
-		post[f] = run[f].e
-	}
-	return nil
-}
-
-// sortKeys orders encoded keys ascending (the bulk-path precondition).
-func sortKeys(keys [][]byte) {
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
-}
-
-// rebuildKD reconstructs a KD index from current postings (after deletes
-// or re-indexed points). The batch commit engine calls this at most once
-// per (KD index, commit) — n.kdRebuilds counts invocations, which is how
-// tests pin that contract. Caller holds g.mu.
-func (n *Node) rebuildKD(g *group, in *inst, name string) error {
-	dims := in.spec.Dims()
-	pts := make([]index.Point, 0, len(g.postings[name]))
-	for f, e := range g.postings[name] {
-		pts = append(pts, index.Point{Coords: e.KDCoords, File: f})
-	}
-	kd, err := index.BuildKDTree(dims, pts)
-	if err != nil {
-		return fmt.Errorf("indexnode: rebuild kd %q: %w", name, err)
-	}
-	in.kd = kd
-	n.kdRebuilds.Inc()
-	return nil
-}
-
 // DropCaches models a cold start: the buffer pool is emptied and KD images
 // become non-resident, so the next queries pay the full disk cost.
 func (n *Node) DropCaches() error {
@@ -1197,31 +812,6 @@ func (n *Node) DropCaches() error {
 		g.mu.Unlock()
 	}
 	return nil
-}
-
-// WALImage returns the group's current log image (what would sit in shared
-// storage at a crash).
-func (n *Node) WALImage(id proto.ACGID) ([]byte, error) {
-	g := n.lockGroup(id)
-	if g == nil {
-		return nil, fmt.Errorf("acg %d: %w", id, ErrUnknownACG)
-	}
-	defer g.mu.Unlock()
-	return g.log.Bytes(), nil
-}
-
-// RecoverGroup replays a WAL image into the group's cache (crash recovery:
-// acknowledged-but-uncommitted updates are not lost). A torn tail stops the
-// replay at the last intact record, which is exactly the guarantee the
-// acknowledgement made.
-func (n *Node) RecoverGroup(id proto.ACGID, walImage []byte) (int, error) {
-	n.clearReleased(id) // explicit recovery overrides any tombstone
-	g, err := n.lockOrCreateGroup(id)
-	if err != nil {
-		return 0, err
-	}
-	defer g.mu.Unlock()
-	return n.replayWALLocked(g, walImage, nil)
 }
 
 // NodeStats reports local statistics.

@@ -2,6 +2,9 @@ package indexnode
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -234,5 +237,153 @@ func TestRaceMergeDoesNotLoseAcknowledgedUpdates(t *testing.T) {
 	if len(resp.Files) != writers*perWriter {
 		t.Errorf("final search = %d files, want %d (acknowledged update lost to a merge)",
 			len(resp.Files), writers*perWriter)
+	}
+}
+
+// TestOrderedRunWritersSearchersAndTick is the ordered pending run under
+// -race: one group, four writers re-indexing their own files (values and
+// deletes), each reading its own acknowledged write back with a Strict
+// search, searchers paging range windows beside them, and a ticker forcing
+// timeout commits — with a CacheLimit the writers cross many times, so
+// generations kept in order, generations nobody read and the commits
+// between them all interleave. An acknowledged write must be visible to the
+// Strict search that follows it, whichever of those states it lands in.
+func TestOrderedRunWritersSearchersAndTick(t *testing.T) {
+	n, clk := newTestNode(t, func(c *Config) { c.CacheLimit = 300 })
+	n.DeclareIndex(sizeSpec)
+	ctx := context.Background()
+	const writers, perWriter, rounds, space = 4, 120, 60, 1000
+	var wg sync.WaitGroup
+	errCh := make(chan error, writers+3)
+	stop := make(chan struct{})
+	latest := make([][]int64, writers) // writer → its files' values (-1: deleted); each writer's own
+	for w := range writers {
+		latest[w] = make([]int64, perWriter)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(w)))
+			for i := range latest[w] {
+				latest[w][i] = -1
+			}
+			for range rounds {
+				var entries []proto.IndexEntry
+				for range 8 {
+					i := rnd.Intn(perWriter)
+					e := proto.IndexEntry{File: index.FileID(w*perWriter + i)}
+					if latest[w][i] = int64(rnd.Intn(space)); rnd.Intn(6) == 0 {
+						latest[w][i], e.Delete = -1, true
+					} else {
+						e.Value = attr.Int(latest[w][i])
+					}
+					entries = append(entries, e)
+				}
+				if _, err := n.Update(ctx, proto.UpdateReq{ACG: 1, IndexName: "size", Entries: entries}); err != nil {
+					errCh <- err
+					return
+				}
+				// Read the last entry's file back: present at its value, or gone.
+				i := int(entries[7].File) - w*perWriter
+				lo := max(latest[w][i], 0)
+				resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size",
+					Query: fmt.Sprintf("size>=%d & size<=%d", lo, lo)})
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if _, found := slices.BinarySearch(resp.Files, entries[7].File); found != (latest[w][i] >= 0) {
+					errCh <- fmt.Errorf("writer %d: file %d acknowledged at %d, Strict search of that value found it: %v",
+						w, entries[7].File, latest[w][i], found)
+					return
+				}
+			}
+		}()
+	}
+	background := func(fn func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fn(); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	for r := range 2 {
+		lo := 0
+		background(func() error {
+			lo = (lo + 37*(r+1)) % space
+			req := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size",
+				Query: fmt.Sprintf("size>%d & size<%d", lo, lo+space/10), Limit: 5}
+			for {
+				resp, err := n.Search(ctx, req)
+				if err != nil || !resp.More {
+					return err
+				}
+				req.After, req.AfterSet = resp.Files[len(resp.Files)-1], true
+			}
+		})
+	}
+	background(func() error {
+		clk.Advance(n.cfg.CommitTimeout / 3) // every third tick finds the cache's oldest entry timed out
+		return n.Tick()
+	})
+	writersDone := make(chan struct{})
+	go func() {
+		defer close(writersDone)
+		for {
+			st, err := n.NodeStats(ctx, proto.NodeStatsReq{})
+			if err != nil || st.CommitEntries+int64(st.CachedOps) >= writers*rounds*8 {
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	select {
+	case <-writersDone:
+	case err := <-errCh:
+		close(stop)
+		wg.Wait()
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+
+	var want []index.FileID
+	for w := range latest {
+		for i, v := range latest[w] {
+			if v >= 0 {
+				want = append(want, index.FileID(w*perWriter+i))
+			}
+		}
+	}
+	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(resp.Files, want) {
+		t.Errorf("final Strict search: %d files, the writers left %d", len(resp.Files), len(want))
+	}
+	st, err := n.NodeStats(ctx, proto.NodeStatsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Commits < 4 || st.StrictReadThroughs == 0 {
+		t.Errorf("%d commits, %d read-throughs: the writers were to cross CacheLimit several times beside readers", st.Commits, st.StrictReadThroughs)
 	}
 }

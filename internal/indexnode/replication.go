@@ -189,8 +189,8 @@ func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) 
 	// A streamed frame may name an index this follower never served;
 	// resolve the spec now so the follower's own commits (Tick, Lazy reads
 	// after promotion) never wedge on an unknown name.
-	for name := range g.pending {
-		if err := n.ensureSpec(ctx, name); err != nil {
+	for _, run := range g.pending {
+		if err := n.ensureSpec(ctx, run.name); err != nil {
 			return proto.FollowerAppendResp{}, err
 		}
 	}
@@ -299,8 +299,8 @@ func (n *Node) PromoteACG(ctx context.Context, ord proto.PromoteOrder) error {
 	if g.replSeq < ord.Seq {
 		g.replSeq = ord.Seq
 	}
-	for name := range g.pending {
-		if err := n.ensureSpec(ctx, name); err != nil {
+	for _, run := range g.pending {
+		if err := n.ensureSpec(ctx, run.name); err != nil {
 			return fmt.Errorf("indexnode promote acg %d: %w", ord.ACG, err)
 		}
 	}

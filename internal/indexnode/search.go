@@ -332,12 +332,17 @@ func (c *pageCollector) fill(resp *proto.SearchResp) {
 // searchOneGroup queries one group as a single critical section under the
 // group's own lock, feeding matches into sc's collector. A Lazy search
 // reads the committed indices as they are. A Strict search must see every
-// acknowledged entry, and does so without committing: it reads through the
-// lazy cache (searchGroupLocked) — unless the cache holds more than
-// readThroughBound entries (after a bulk load, or when nobody has read the
-// group since its last large commit), where one batch commit is cheaper
-// than walking it; then it commits first and returns the virtual time that
-// cost. With nothing pending both are the Lazy path, one compare away.
+// acknowledged entry, and never sorts to do so: it reads through a cache
+// that was kept in order (searchGroupLocked), whatever its length, and
+// commits one that was not — after a bulk load, a promotion, a recovery, a
+// replay, or when nobody read the group during its last cache generation —
+// returning the virtual time that cost. Either way it leaves the group
+// marked as being read, so the writers keep the next entries in order (a
+// commit that ends a generation nobody read through clears the mark again,
+// commitPendingLocked); the generation the search itself begins — in every
+// group of its fan-out at once — ends early by the group's share, so the
+// groups do not commit in step afterwards (startReadGenerationLocked). With
+// nothing pending the search itself is the Lazy path.
 func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScanner) (commitNanos int64, err error) {
 	g := n.lockGroup(id)
 	if g == nil {
@@ -365,18 +370,21 @@ func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScan
 	}
 	readThrough := false
 	switch {
-	case !strict || g.pendingCount == 0:
-	case g.pendingCount > readThroughBound:
+	case !strict:
+	case g.pendingCount == 0:
+		if g.cacheOrder < ordered { // an empty cache is in order
+			n.startReadGenerationLocked(g)
+		}
+	case g.cacheOrder == unordered:
 		start := n.cfg.Clock.Now()
 		if err := n.commitGroupLocked(g); err != nil {
 			return 0, err
 		}
 		commitNanos = int64(n.cfg.Clock.Now() - start)
 		n.strictCommitsFirst.Inc()
+		n.startReadGenerationLocked(g)
 	default:
-		// From here to the next commit the group's writers keep the cache
-		// at most this long (commitIfDueLocked).
-		readThrough, g.readThrough = true, true
+		readThrough, g.cacheOrder = true, orderedRead
 		n.strictReadThroughs.Inc()
 	}
 	return commitNanos, sc.searchGroupLocked(g, req.IndexName, readThrough)
@@ -411,14 +419,8 @@ type groupScanner struct {
 	loBuf, hiBuf []byte
 	kdLo, kdHi   []float64
 
-	// runs is the cache being read through: the current group's non-empty
-	// pending runs on a read-through — the scanned index's own first, when
-	// it has one (ownRun) — and empty on every other search (the state
-	// every scan path tests). valBuf encodes a pending value for
-	// comparison with the scan bounds.
-	runs   []map[index.FileID]pendingEntry
-	ownRun bool
-	valBuf []byte
+	// seekBuf holds the key a read-through seeks the pending run to.
+	seekBuf []byte
 }
 
 // scanState is a scanner's request- and group-scoped state.
@@ -438,6 +440,12 @@ type scanState struct {
 	curFile      index.FileID
 	skipResidual bool
 	fieldsFor    *group
+	// reading is set on a read-through: postings then resolve to a file's
+	// pending entry over its committed one (postingsOf). own is the scanned
+	// index's pending run when it holds anything — nil on every other
+	// search, the state every scan path tests.
+	reading bool
+	own     *pendingRun
 
 	// Cached per-request interval for the index's field (every group of a
 	// request shares one index spec, so the intersection and its bound
@@ -499,8 +507,6 @@ func acquireScanner(n *Node, q query.Query, req proto.SearchReq) *groupScanner {
 func (sc *groupScanner) release() {
 	sc.scanState = scanState{}
 	clear(sc.fields[:cap(sc.fields)])
-	clear(sc.runs[:cap(sc.runs)])
-	sc.runs = sc.runs[:0]
 	sc.cur.Reset(nil)
 	scannerPool.Put(sc)
 }
@@ -550,26 +556,29 @@ func (sc *groupScanner) yield(f index.FileID, proven bool) {
 	sc.col.add(f)
 }
 
-// pendingFile reports whether the cache being read through holds an entry
-// for f, in any index: the scan of the committed index passes such a file
-// over — its committed postings are not what a commit would leave — and
-// scanPending judges it on its merged ones. Off a read-through there are no
-// runs and this is one length test.
+// pendingFile reports whether the scanned index's pending run holds an
+// entry for f: the scan of the committed index passes such a file over —
+// its committed posting is not what a commit would leave — and scanPending
+// finds it in the run if it is still anywhere. A file pending in another
+// index only is not passed over: its posting in this one is committed, so
+// the scan is where it is found, and the residual reads the other index's
+// pending entry (postings.of). Off a read-through this is one nil test.
 func (sc *groupScanner) pendingFile(f index.FileID) bool {
-	for _, run := range sc.runs {
-		if _, ok := run[f]; ok {
-			return true
-		}
+	if sc.own == nil {
+		return false
 	}
-	return false
+	_, ok := sc.own.byFile[f]
+	return ok
 }
 
 // postingsOf returns the named index's postings in the current group as
 // this search sees them. Caller holds g.mu.
 func (sc *groupScanner) postingsOf(name string) postings {
 	p := postings{committed: sc.g.postings[name]}
-	if len(sc.runs) > 0 {
-		p.pending = sc.g.pending[name]
+	if sc.reading {
+		if run := sc.g.run(name); run != nil {
+			p.pending = run.byFile
+		}
 	}
 	return p
 }
@@ -610,28 +619,23 @@ func (sc *groupScanner) resolveFields() {
 // as the primary access path and the group's postings for the residual
 // predicates. Caller holds g.mu.
 //
-// With readThrough set the answer is the one commit-then-search would give,
-// computed without the commit, in two halves that share the access path's
-// bounds, the proven-predicate rule and the collector. The scan of the
-// committed index runs as ever, except that it passes over every file with
-// an entry in the cache (pendingFile). scanPending then judges each of
-// those files on its merged postings (postings.of).
+// With readThrough set (the cache is kept in order) the answer is the one
+// commit-then-search would give, computed without the commit, in two halves
+// that share the access path's bounds, the proven-predicate rule, the
+// residual over merged postings (postings.of) and the collector. The scan
+// of the committed index runs as ever, except that it passes over every
+// file with an entry in the index's own pending run (pendingFile).
+// scanPending then finds the run's live entries inside the same bounds.
 func (sc *groupScanner) searchGroupLocked(g *group, indexName string, readThrough bool) error {
-	sc.runs, sc.ownRun = sc.runs[:0], false
+	sc.reading, sc.own = readThrough, nil
 	if readThrough {
-		// The scanned index's own run goes first (scanPending relies on it).
-		if own := g.pending[indexName]; len(own) > 0 {
-			sc.runs, sc.ownRun = append(sc.runs, own), true
-		}
-		for name, run := range g.pending {
-			if name != indexName && len(run) > 0 {
-				sc.runs = append(sc.runs, run)
-			}
+		if run := g.run(indexName); run != nil && len(run.byFile) > 0 {
+			sc.own = run
 		}
 	}
 	in, ok := g.indexes[indexName]
 	if !ok {
-		if !sc.ownRun {
+		if sc.own == nil {
 			// The group never received postings for this index: no matches.
 			return nil
 		}
@@ -656,82 +660,80 @@ func (sc *groupScanner) searchGroupLocked(g *group, indexName string, readThroug
 	default:
 		err = fmt.Errorf("%q: %w", indexName, ErrUnknownIndex)
 	}
-	if err == nil && len(sc.runs) > 0 {
-		sc.scanPending()
+	if err == nil && sc.own != nil {
+		sc.n.pendingJudged.Add(int64(sc.scanPending()))
 	}
 	return err
 }
 
-// scanPending is the second half of a read-through: every file with an
-// entry in the cache is a candidate if its merged posting in the scanned
-// index exists and lies where the access path that just ran would have
-// found it — inside the B-tree scan's encoded bounds, equal to the hash
-// lookup's encoded value, inside the KD box — and is then proven or sent
-// through the residual exactly as a scanned candidate is. Linear in the
-// cache, which is why a Strict search reads through at most
-// readThroughBound entries. Caller holds g.mu; the access path has run, so
-// the bounds it cached (sc.iv with loBuf/hiBuf, the KD box) are set.
-func (sc *groupScanner) scanPending() {
-	scanned := sc.postingsOf(sc.name)
-	var point *attr.Value
-	if sc.in.ht != nil {
-		var none bool
-		if point, none = sc.hashLookup(); none {
-			return
+// scanPending is the second half of a read-through: the live entries of the
+// scanned index's pending run that lie where the access path that just ran
+// would have found them — inside the B-tree scan's encoded bounds, equal to
+// the hash lookup's encoded value, inside the KD box — are candidates,
+// proven or sent through the residual exactly as scanned candidates are.
+// B-tree and hash runs are in key order and are sought, so the work is the
+// entries inside the bounds and one beyond, whatever the run's length
+// — the count it returns, kept in n.pendingJudged; a KD run is walked, which
+// costs less than the tree rebuild its commit would. Caller holds g.mu; the
+// access path has run, so the bounds it cached (sc.iv with loBuf/hiBuf, the
+// KD box) are set.
+func (sc *groupScanner) scanPending() (judged int) {
+	order := &sc.own.order
+	switch {
+	case sc.in.bt != nil:
+		// Composite keys are (value key || file), and value keys are
+		// prefix-free: every key of the value lo sorts above lo's bare value
+		// key and below that key followed by nine bytes no file id spells.
+		ci, i := 0, 0
+		if sc.iv.Lo != nil {
+			sc.seekBuf = append(sc.seekBuf[:0], sc.loBuf...)
+			if !sc.iv.IncLo {
+				sc.seekBuf = append(sc.seekBuf, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0)
+			}
+			ci, i = order.seek(sc.seekBuf, 0)
 		}
-	}
-	kdProven := sc.in.kd != nil && sc.kdProves()
-	for i, run := range sc.runs {
-	files:
-		for f, pe := range run {
-			for _, earlier := range sc.runs[:i] {
-				if _, seen := earlier[f]; seen {
-					continue files // pending in two indices: judged once
+		for ; ci < len(order.chunks); ci, i = ci+1, 0 {
+			for _, k := range order.chunks[ci][i:] {
+				judged++
+				valKey := k.key[:len(k.key)-8]
+				if sc.iv.Hi != nil {
+					if c := bytes.Compare(valKey, sc.hiBuf); c > 0 || (c == 0 && !sc.iv.IncHi) {
+						return judged // the run is sorted; nothing further is inside
+					}
 				}
+				sc.yield(k.file, valKey[0] == sc.provenKind)
 			}
-			// The merged posting in the scanned index: the entry in hand
-			// when this is that index's run, a lookup otherwise.
-			e, ok := pe.e, !pe.e.Delete
-			if i > 0 || !sc.ownRun {
-				e, ok = scanned.of(f)
+		}
+	case sc.in.ht != nil:
+		point, none := sc.hashLookup()
+		if none {
+			return 0
+		}
+		ci, i := 0, 0
+		if point != nil {
+			ci, i = order.seek(sc.loBuf, 0) // scanHash left the point's encoding there
+		}
+		for ; ci < len(order.chunks); ci, i = ci+1, 0 {
+			for _, k := range order.chunks[ci][i:] {
+				judged++
+				if point != nil && !bytes.Equal(k.key, sc.loBuf) {
+					return judged
+				}
+				// A posting of the point's value is proven as a hit of the
+				// lookup is; the full-table scan proves nothing.
+				sc.yield(k.file, point != nil && sc.provenKind != 0)
 			}
-			if !ok {
-				continue
-			}
-			var found, proven bool
-			switch {
-			case sc.in.bt != nil:
-				sc.valBuf = index.AppendValueKey(sc.valBuf[:0], e.Value)
-				found, proven = sc.inBounds(sc.valBuf), sc.valBuf[0] == sc.provenKind
-			case sc.in.ht != nil && point != nil:
-				sc.valBuf = e.Value.Encode(sc.valBuf[:0])
-				found, proven = bytes.Equal(sc.valBuf, sc.loBuf), sc.provenKind != 0
-			case sc.in.ht != nil:
-				found = true // the full-table scan yields every posting
-			default:
-				found, proven = inBox(e.KDCoords, sc.kdLo, sc.kdHi), kdProven
-			}
-			if found {
+		}
+	default:
+		proven := sc.kdProves()
+		for f, pe := range sc.own.byFile {
+			judged++
+			if !pe.e.Delete && inBox(pe.e.KDCoords, sc.kdLo, sc.kdHi) {
 				sc.yield(f, proven)
 			}
 		}
 	}
-}
-
-// inBounds reports whether an encoded value key lies inside the B-tree
-// scan's bounds (scanBTree's own tests, for a key that is not in the tree).
-func (sc *groupScanner) inBounds(valKey []byte) bool {
-	if sc.iv.Lo != nil {
-		if c := bytes.Compare(valKey, sc.loBuf); c < 0 || (c == 0 && !sc.iv.IncLo) {
-			return false
-		}
-	}
-	if sc.iv.Hi != nil {
-		if c := bytes.Compare(valKey, sc.hiBuf); c > 0 || (c == 0 && !sc.iv.IncHi) {
-			return false
-		}
-	}
-	return true
+	return judged
 }
 
 // inBox reports whether a KD point lies inside the inclusive box, by

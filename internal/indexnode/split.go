@@ -135,7 +135,7 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 		if err != nil {
 			return proto.SplitACGResp{}, err
 		}
-		if err := n.applyRunLocked(g, in, name, run); err != nil {
+		if err := n.applyRunLocked(g, in, &pendingRun{name: name, byFile: run}); err != nil {
 			return proto.SplitACGResp{}, err
 		}
 	}

@@ -109,12 +109,37 @@ func (n *Node) knownPairsLocked(g *group) map[string]map[index.FileID]bool {
 			note(name, f)
 		}
 	}
-	for name, run := range g.pending {
-		for f := range run {
-			note(name, f)
+	for _, run := range g.pending {
+		for f := range run.byFile {
+			note(run.name, f)
 		}
 	}
 	return known
+}
+
+// WALImage returns the group's current log image (what would sit in shared
+// storage at a crash).
+func (n *Node) WALImage(id proto.ACGID) ([]byte, error) {
+	g := n.lockGroup(id)
+	if g == nil {
+		return nil, fmt.Errorf("acg %d: %w", id, ErrUnknownACG)
+	}
+	defer g.mu.Unlock()
+	return g.log.Bytes(), nil
+}
+
+// RecoverGroup replays a WAL image into the group's cache (crash recovery:
+// acknowledged-but-uncommitted updates are not lost). A torn tail stops the
+// replay at the last intact record, which is exactly the guarantee the
+// acknowledgement made.
+func (n *Node) RecoverGroup(id proto.ACGID, walImage []byte) (int, error) {
+	n.clearReleased(id) // explicit recovery overrides any tombstone
+	g, err := n.lockOrCreateGroup(id)
+	if err != nil {
+		return 0, err
+	}
+	defer g.mu.Unlock()
+	return n.replayWALLocked(g, walImage, nil)
 }
 
 // replayWALLocked is the node's one replay loop: crash recovery, shared-
@@ -126,7 +151,8 @@ func (n *Node) knownPairsLocked(g *group) map[string]map[index.FileID]bool {
 // replay at the last good record (the acknowledgement guarantee covers
 // intact records only). Restored entries carry no prepared key (the spec
 // table may not be populated yet on a fresh node; the commit encodes them
-// on demand) and never alias walBytes: UnmarshalWire copies every string
+// on demand) — so a cache that was kept in order no longer is, and its next
+// Strict search commits it — and never alias walBytes: UnmarshalWire copies every string
 // and coordinate it returns. Returns the number of entries restored.
 // Caller holds g.mu.
 func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[index.FileID]bool) (int, error) {
@@ -141,6 +167,7 @@ func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[i
 				continue
 			}
 			g.files[e.File] = true
+			g.dropOrderLocked() // unkeyed entries: nobody sorts a replay
 			n.addPendingLocked(g, req.IndexName, e, nil)
 			restored++
 		}
@@ -272,8 +299,8 @@ func (n *Node) RecoverFromShared(ctx context.Context, id proto.ACGID) error {
 	// WAL-replayed entries may name indexes this node has never served
 	// (the dead owner learned them; we did not). Resolve the specs now —
 	// the re-checkpoint below commits the replayed entries and needs them.
-	for name := range g.pending {
-		if err := n.ensureSpec(ctx, name); err != nil {
+	for _, run := range g.pending {
+		if err := n.ensureSpec(ctx, run.name); err != nil {
 			return fmt.Errorf("indexnode recover acg %d: %w", id, err)
 		}
 	}

@@ -673,11 +673,14 @@ type NodeStatsResp struct {
 	// field wants a B-tree.
 	HashScanFallbacks int64
 	// StrictReadThroughs counts per-group Strict reads that found entries
-	// in the lazy cache and answered by reading through them;
-	// StrictCommitsFirst counts those that found more than the node reads
-	// through and committed the group first (a request spanning N groups
-	// counts up to N). Beside steady writers the second should stay flat:
-	// the writers of a group that is being read keep its cache short.
+	// in the lazy cache, kept in key order by their writers, and answered
+	// by reading through them; StrictCommitsFirst counts those that found a
+	// cache nobody had kept in order — a bulk load's remainder, a promoted
+	// or recovered copy's replayed log, the first read of a group after a
+	// cache generation nobody read — and committed the group first (a
+	// request spanning N groups counts up to N). Beside steady readers and
+	// writers the second stays flat: the writers of a group that is being
+	// read keep its cache in order.
 	StrictReadThroughs int64
 	StrictCommitsFirst int64
 	// PerACGCommits breaks Commits down by group, exposing per-partition

@@ -11,14 +11,22 @@ import (
 	"propeller/internal/pagestore"
 )
 
-// node layout within a page:
+// node layout within a page (slotted, see slots):
 //
 //	byte 0        : flags (1 = leaf)
 //	bytes 1..2    : numKeys (uint16)
 //	bytes 3..10   : next sibling page id for leaves (math.MaxUint64 = none)
-//	then per key  : keyLen uint16, key bytes
+//	then          : the keys back to back, in key order
 //	internal nodes additionally store numKeys+1 child page ids (uint64)
 //	               after the keys
+//	page end      : the key directory, growing down: slot i (uint16, at
+//	               PageSize-2*(i+1)) is the offset just past key i
+//
+// A key costs its bytes plus one directory slot, so opening a node reads the
+// header (and, for the child array of an internal node, one slot), and a
+// search reads two slots per probe; nothing walks the keys. A slot that
+// does not describe a key between the header and the directory surfaces as
+// ErrCorrupt from the accessor that read it.
 //
 // Keys are composite (value encoding || file id), so every key is unique and
 // internal separators are exact copies of leaf keys (a B+tree in the
@@ -32,58 +40,44 @@ const (
 )
 
 // nodeView reads one B+tree page in place: the header fields plus the
-// shared entry table (see slots). Keys come back as sub-slices of the page.
+// shared slot directory (see slots). Keys come back as sub-slices of the
+// page.
 type nodeView struct {
 	slots
 	leaf bool
-	next uint64 // leaf chain
+	kids int // internal nodes: offset of the child array
 }
 
-// parse points v at a page image, rejecting (ErrCorrupt) a key or an
-// internal node's child array that runs past the page.
-func (v *nodeView) parse(page []byte) error {
-	if err := v.slots.parse(page, 1, nodeHeaderSize, 0); err != nil {
+// open points v at a page image, rejecting (ErrCorrupt) a directory or an
+// internal node's child array that does not fit behind the keys.
+func (v *nodeView) open(page []byte) error {
+	if err := v.slots.open(page, nodeHeaderSize, 0); err != nil {
 		return err
 	}
-	v.leaf = page[0]&1 == 1
-	v.next = binary.BigEndian.Uint64(page[3:])
-	if !v.leaf && v.end()+8*(v.len()+1) > len(page) {
-		return ErrCorrupt
+	if v.leaf = page[0]&1 == 1; v.leaf {
+		return nil
 	}
-	return nil
+	var err error
+	if v.kids, err = v.last(); err == nil && v.kids+8*(v.len()+1) > v.dir() {
+		err = ErrCorrupt
+	}
+	return err
 }
-
-func (v *nodeView) key(i int) []byte { return v.body(i) }
 
 // child returns an internal node's i-th child page (0 <= i <= len()).
 func (v *nodeView) child(i int) uint64 {
-	return binary.BigEndian.Uint64(v.page[v.end()+8*i:])
-}
-
-// search returns the position of the first key >= k and whether it equals
-// k.
-func (v *nodeView) search(k []byte) (int, bool) {
-	lo, hi := 0, v.len()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(v.key(mid), k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < v.len() && bytes.Equal(v.key(lo), k)
+	return binary.BigEndian.Uint64(v.page[v.kids+8*i:])
 }
 
 // childFor returns the index of the child that owns key: separators are
 // copies of the first key of their right subtree, so an exact hit routes
 // right.
-func (v *nodeView) childFor(key []byte) int {
-	pos, found := v.search(key)
+func (v *nodeView) childFor(key []byte) (int, error) {
+	pos, found, err := v.search(key)
 	if found {
 		pos++
 	}
-	return pos
+	return pos, err
 }
 
 // BTree is a paged B+tree mapping attribute values to file ids. It supports
@@ -94,7 +88,7 @@ type BTree struct {
 	store *pagestore.Store
 	root  pagestore.PageID
 	count int
-	// w is the view every mutating path parses pages into (mutations are
+	// w is the view every mutating path opens pages in (mutations are
 	// exclusive, so one is enough); cursors carry their own.
 	w nodeView
 }
@@ -115,51 +109,61 @@ func NewBTree(store *pagestore.Store) (*BTree, error) {
 // Len returns the number of postings in the tree.
 func (t *BTree) Len() int { return t.count }
 
-// view parses page id into v in place.
+// view opens page id in v.
 func (t *BTree) view(v *nodeView, id pagestore.PageID) error {
 	raw, err := readPage(t.store, id)
 	if err != nil {
 		return err
 	}
-	return v.parse(raw)
+	return v.open(raw)
+}
+
+// nodeSize returns the bytes a node takes in its page: header, keys, one
+// directory slot per key, child ids.
+func nodeSize(keys [][]byte, children []uint64) int {
+	size := nodeHeaderSize + 2*len(keys) + 8*len(children)
+	for _, k := range keys {
+		size += len(k)
+	}
+	return size
 }
 
 // writeNode renders a node into a fresh page image and gives it to the
 // store. Only the paths that restructure a node (splits, separator
 // inserts, new roots) come here; leaf edits work on the image directly.
 func (t *BTree) writeNode(id pagestore.PageID, leaf bool, next uint64, keys [][]byte, children []uint64) error {
-	p := make([]byte, nodeHeaderSize, pagestore.PageSize)
+	if size := nodeSize(keys, children); size > pagestore.PageSize {
+		return fmt.Errorf("%w: node encoding %d bytes exceeds page", ErrCorrupt, size)
+	}
+	p := make([]byte, pagestore.PageSize)
 	if leaf {
 		p[0] = 1
 	}
 	binary.BigEndian.PutUint16(p[1:], uint16(len(keys)))
 	binary.BigEndian.PutUint64(p[3:], next)
+	off, dir := nodeHeaderSize, len(p)
 	for _, k := range keys {
-		p = append(binary.BigEndian.AppendUint16(p, uint16(len(k))), k...)
+		off += copy(p[off:], k)
+		dir -= 2
+		binary.BigEndian.PutUint16(p[dir:], uint16(off))
 	}
 	for _, c := range children {
-		p = binary.BigEndian.AppendUint64(p, c)
+		binary.BigEndian.PutUint64(p[off:], c)
+		off += 8
 	}
-	if len(p) > pagestore.PageSize {
-		return fmt.Errorf("%w: node encoding %d bytes exceeds page", ErrCorrupt, len(p))
-	}
-	return writePage(t.store, id, p[:pagestore.PageSize]) // the tail of a fresh page is zero
+	return writePage(t.store, id, p)
 }
 
 // Insert adds a (value, file) posting. Inserting the same posting twice is a
-// no-op.
+// no-op. It is a sorted run of one key.
 func (t *BTree) Insert(v attr.Value, f FileID) error {
-	key := compositeKey(v, f)
-	if len(key) > maxKeyLen {
-		return ErrKeyTooLong
-	}
-	_, err := t.insertPrepared(key)
+	_, err := t.InsertSorted([][]byte{compositeKey(v, f)})
 	return err
 }
 
-// insertPrepared inserts a pre-encoded composite key via a full
-// root-to-leaf descent, splitting nodes as needed. It reports whether a
-// new posting was added (false on a duplicate).
+// insertPrepared inserts a pre-encoded composite key whose leaf has no room
+// for it, via a full root-to-leaf descent that splits nodes as needed. It
+// reports whether a new posting was added (false on a duplicate).
 func (t *BTree) insertPrepared(key []byte) (bool, error) {
 	sepKey, newChild, inserted, err := t.insertAt(t.root, key)
 	if err != nil {
@@ -186,42 +190,41 @@ func (t *BTree) insertPrepared(key []byte) (bool, error) {
 // insertAt inserts key under page id. If the node splits, it returns the
 // separator key and the new right sibling's page id (else noPage).
 func (t *BTree) insertAt(id pagestore.PageID, key []byte) (sep []byte, newChild uint64, inserted bool, err error) {
-	raw, err := readPage(t.store, id)
-	if err != nil {
-		return nil, noPage, false, err
-	}
 	v := &t.w
-	if err := v.parse(raw); err != nil {
+	if err := t.view(v, id); err != nil {
 		return nil, noPage, false, err
 	}
+	raw := v.page
 	if v.leaf {
-		pos, found := v.search(key)
-		if found {
-			return nil, noPage, false, nil // duplicate posting
-		}
-		if v.fits(key) {
-			v.own()
-			v.insert(pos, key)
-			return nil, noPage, true, v.give(t.store, id)
+		pos, found, err := v.search(key)
+		if err != nil || found {
+			return nil, noPage, false, err // found: duplicate posting
 		}
 		sep, newChild, err = t.spliceNode(id, v, pos, key, noPage)
 		return sep, newChild, err == nil, err
 	}
-	csep, cnew, inserted, err := t.insertAt(pagestore.PageID(v.child(v.childFor(key))), key)
+	c, err := v.childFor(key)
+	if err != nil {
+		return nil, noPage, false, err
+	}
+	csep, cnew, inserted, err := t.insertAt(pagestore.PageID(v.child(c)), key)
 	if err != nil || cnew == noPage {
 		return nil, noPage, inserted, err
 	}
 	// Child split: insert separator and new child pointer. The recursion
-	// reused the view; raw is immutable, so it parses back to this node.
-	if err := v.parse(raw); err != nil {
+	// reused the view; raw is immutable, so it opens back to this node.
+	if err := v.open(raw); err != nil {
 		return nil, noPage, false, err
 	}
-	spos, _ := v.search(csep)
+	spos, _, err := v.search(csep)
+	if err != nil {
+		return nil, noPage, false, err
+	}
 	sep, newChild, err = t.spliceNode(id, v, spos, csep, cnew)
 	return sep, newChild, inserted, err
 }
 
-// spliceNode rewrites node id (parsed in v) with key inserted at pos and,
+// spliceNode rewrites node id (open in v) with key inserted at pos and,
 // for an internal node, child inserted right of it. A node that no longer
 // fits its page splits in half: the separator and the new right sibling's
 // page id are returned (else noPage). The keys gathered here, separator
@@ -229,7 +232,11 @@ func (t *BTree) insertAt(id pagestore.PageID, key []byte) (sep []byte, newChild 
 func (t *BTree) spliceNode(id pagestore.PageID, v *nodeView, pos int, key []byte, child uint64) (sep []byte, right uint64, err error) {
 	keys := make([][]byte, 0, v.len()+1)
 	for i := 0; i < v.len(); i++ {
-		keys = append(keys, v.key(i))
+		k, err := v.body(i)
+		if err != nil {
+			return nil, noPage, err
+		}
+		keys = append(keys, k)
 	}
 	keys = slices.Insert(keys, pos, key)
 	var children []uint64
@@ -239,7 +246,7 @@ func (t *BTree) spliceNode(id pagestore.PageID, v *nodeView, pos int, key []byte
 		}
 		children = slices.Insert(children, pos+1, child)
 	}
-	if v.end()+2+len(key)+8*len(children) <= pagestore.PageSize {
+	if nodeSize(keys, children) <= pagestore.PageSize {
 		return nil, noPage, t.writeNode(id, v.leaf, v.next, keys, children)
 	}
 	mid := len(keys) / 2
@@ -272,7 +279,7 @@ func (t *BTree) Delete(v attr.Value, f FileID) error {
 }
 
 // leafWalk is the shared positioning state of the sorted bulk-merge
-// paths (InsertSorted / DeleteSorted): the leaf currently parsed in the
+// paths (InsertSorted / DeleteSorted): the leaf currently open in the
 // tree's view, its exclusive upper key bound from the descent (nil =
 // +inf), and whether the view holds unwritten edits (it then owns its
 // page — the first edit of a leaf copies it, later ones work in place).
@@ -314,9 +321,6 @@ func (w *leafWalk) position(key []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := w.t.view(&w.t.w, id); err != nil {
-		return err
-	}
 	w.id, w.high, w.loaded = id, high, true
 	return nil
 }
@@ -343,11 +347,18 @@ func (t *BTree) InsertSorted(keys [][]byte) (int, error) {
 		if err := w.position(key); err != nil {
 			return inserted, err
 		}
-		pos, found := t.w.search(key)
+		pos, found, err := t.w.search(key)
+		if err != nil {
+			return inserted, err
+		}
 		if found {
 			continue // duplicate posting
 		}
-		if !t.w.fits(key) {
+		fits, err := t.w.insert(pos, key)
+		if err != nil {
+			return inserted, err
+		}
+		if !fits {
 			// The leaf must split: write what the walk has and let the
 			// recursive descent handle the split.
 			if err := w.flush(); err != nil {
@@ -362,8 +373,6 @@ func (t *BTree) InsertSorted(keys [][]byte) (int, error) {
 			}
 			continue
 		}
-		t.w.own()
-		t.w.insert(pos, key)
 		w.delta++
 		inserted++
 	}
@@ -382,12 +391,16 @@ func (t *BTree) DeleteSorted(keys [][]byte) (int, error) {
 		if err := w.position(key); err != nil {
 			return deleted, err
 		}
-		pos, found := t.w.search(key)
+		pos, found, err := t.w.search(key)
+		if err != nil {
+			return deleted, err
+		}
 		if !found {
 			continue
 		}
-		t.w.own()
-		t.w.remove(pos)
+		if err := t.w.remove(pos); err != nil {
+			return deleted, err
+		}
 		w.delta--
 		deleted++
 	}
@@ -396,7 +409,8 @@ func (t *BTree) DeleteSorted(keys [][]byte) (int, error) {
 
 // findLeafHigh descends to the leaf that owns key (nil key = leftmost; a
 // nil key sorts before every real key, so it routes to child 0 at every
-// level), parsing each page on the way into v. It also returns the leaf's
+// level), opening each page on the way in v, which it leaves on the leaf:
+// a seek costs one pool access per level. It also returns the leaf's
 // exclusive upper key bound from the descent (nil = rightmost leaf): every
 // key strictly below the bound belongs to this leaf, which is what lets
 // sorted bulk runs reuse one leaf across adjacent keys. The bound aliases
@@ -411,18 +425,17 @@ func (t *BTree) findLeafHigh(v *nodeView, key []byte) (pagestore.PageID, []byte,
 		if v.leaf {
 			return id, high, nil
 		}
-		c := v.childFor(key)
+		c, err := v.childFor(key)
+		if err != nil {
+			return 0, nil, err
+		}
 		if c < v.len() {
-			high = v.key(c)
+			if high, err = v.body(c); err != nil {
+				return 0, nil, err
+			}
 		}
 		id = pagestore.PageID(v.child(c))
 	}
-}
-
-// SearchEq returns the files whose indexed value equals v, in file-id order.
-func (t *BTree) SearchEq(v attr.Value) ([]FileID, error) {
-	lo := v
-	return t.SearchRange(&lo, &lo, true, true)
 }
 
 // SearchRange returns the files whose value lies in the interval defined by
@@ -444,10 +457,8 @@ func (t *BTree) ScanRange(lo, hi *attr.Value, incLo, incHi bool, fn func(attr.Va
 	var loKey []byte
 	if lo != nil {
 		loKey = AppendValueKey(nil, *lo)
-		if err := cur.Seek(loKey); err != nil {
-			return err
-		}
-	} else if err := cur.SeekFirst(); err != nil {
+	}
+	if err := cur.Seek(loKey); err != nil { // a nil key seeks the leftmost posting
 		return err
 	}
 	var hiKey []byte
@@ -507,10 +518,7 @@ func (t *BTree) NewCursor() *Cursor {
 // Reset re-targets the cursor at t (keeping its scratch buffers) and leaves
 // it unpositioned, holding no page.
 func (c *Cursor) Reset(t *BTree) {
-	c.t = t
-	c.v.page = nil
-	c.on = false
-	c.idx = 0
+	*c = Cursor{t: t, scratch: c.scratch}
 }
 
 // SeekFirst positions the cursor at the tree's smallest posting.
@@ -522,19 +530,12 @@ func (c *Cursor) SeekFirst() error { return c.Seek(nil) }
 // lands precisely on that value's first posting.
 func (c *Cursor) Seek(key []byte) error {
 	c.on = false
-	leafID, _, err := c.t.findLeafHigh(&c.v, key)
-	if err != nil {
+	if _, _, err := c.t.findLeafHigh(&c.v, key); err != nil {
 		return err
 	}
-	if err := c.t.view(&c.v, leafID); err != nil {
-		return err
-	}
-	c.on = true
-	c.idx = 0
-	if key != nil {
-		c.idx, _ = c.v.search(key)
-	}
-	return nil
+	idx, _, err := c.v.search(key)
+	c.idx, c.on = idx, err == nil
+	return err
 }
 
 // SeekValue positions the cursor at the first posting whose value is >= v.
@@ -543,22 +544,13 @@ func (c *Cursor) SeekValue(v attr.Value) error {
 	return c.Seek(c.scratch)
 }
 
-// SeekComposite positions the cursor at the first posting >= (v, f). This
-// is the paged-scan resume point: a page cursor at file id `after` within
-// an equality run restarts at (v, after+1) instead of re-scanning the run.
-func (c *Cursor) SeekComposite(v attr.Value, f FileID) error {
-	c.scratch = appendCompositeKey(c.scratch[:0], v, f)
-	return c.Seek(c.scratch)
-}
-
-// SeekEncodedComposite is SeekComposite for a value key as returned by
-// Next (the form scans use mid-flight, where keys are handled without
-// decoding).
+// SeekEncodedComposite positions the cursor at the first posting >=
+// (valKey, f), valKey a value key as returned by Next (the form scans use
+// mid-flight, where keys are handled without decoding). This is the
+// paged-scan resume point: a page cursor at file id `after` within an
+// equality run restarts at (v, after+1) instead of re-scanning the run.
 func (c *Cursor) SeekEncodedComposite(valKey []byte, f FileID) error {
-	c.scratch = append(c.scratch[:0], valKey...)
-	var tail [8]byte
-	binary.BigEndian.PutUint64(tail[:], uint64(f))
-	c.scratch = append(c.scratch, tail[:]...)
+	c.scratch = binary.BigEndian.AppendUint64(append(c.scratch[:0], valKey...), uint64(f))
 	return c.Seek(c.scratch)
 }
 
@@ -574,7 +566,10 @@ func (c *Cursor) SeekEncodedComposite(valKey []byte, f FileID) error {
 func (c *Cursor) Next() (valKey []byte, f FileID, ok bool, err error) {
 	for c.on {
 		if c.idx < c.v.len() {
-			k := c.v.key(c.idx)
+			k, err := c.v.body(c.idx)
+			if err != nil {
+				return nil, 0, false, err
+			}
 			c.idx++
 			valKey, f, err = splitComposite(k)
 			return valKey, f, err == nil, err
@@ -592,21 +587,4 @@ func (c *Cursor) Next() (valKey []byte, f FileID, ok bool, err error) {
 	}
 	c.on = false
 	return nil, 0, false, nil
-}
-
-// Height returns the tree height (1 = a single leaf). Used in tests.
-func (t *BTree) Height() (int, error) {
-	var v nodeView
-	h := 1
-	id := t.root
-	for {
-		if err := t.view(&v, id); err != nil {
-			return 0, err
-		}
-		if v.leaf {
-			return h, nil
-		}
-		h++
-		id = pagestore.PageID(v.child(0))
-	}
 }

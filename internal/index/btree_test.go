@@ -34,6 +34,27 @@ func newTestBTree(t testing.TB) *BTree {
 	return bt
 }
 
+// searchEq returns the files whose indexed value equals v, in file-id order.
+func searchEq(bt *BTree, v attr.Value) ([]FileID, error) {
+	return bt.SearchRange(&v, &v, true, true)
+}
+
+// treeHeight returns the tree's height (1 = a single leaf).
+func treeHeight(t testing.TB, bt *BTree) int {
+	t.Helper()
+	var v nodeView
+	h := 1
+	for id := bt.root; ; h++ {
+		if err := bt.view(&v, id); err != nil {
+			t.Fatal(err)
+		}
+		if v.leaf {
+			return h
+		}
+		id = pagestore.PageID(v.child(0))
+	}
+}
+
 func TestBTreeInsertSearchEq(t *testing.T) {
 	bt := newTestBTree(t)
 	for i := 0; i < 100; i++ {
@@ -44,7 +65,7 @@ func TestBTreeInsertSearchEq(t *testing.T) {
 	if bt.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", bt.Len())
 	}
-	got, err := bt.SearchEq(attr.Int(3))
+	got, err := searchEq(bt, attr.Int(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +102,7 @@ func TestBTreeDelete(t *testing.T) {
 	if err := bt.Delete(attr.Int(1), 10); err != nil {
 		t.Fatal(err)
 	}
-	got, err := bt.SearchEq(attr.Int(1))
+	got, err := searchEq(bt, attr.Int(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +201,7 @@ func TestBTreeScanEarlyStop(t *testing.T) {
 
 func TestBTreeGrowsHeight(t *testing.T) {
 	bt := newTestBTree(t)
-	h0, err := bt.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h0 != 1 {
+	if h0 := treeHeight(t, bt); h0 != 1 {
 		t.Fatalf("empty tree height = %d, want 1", h0)
 	}
 	for i := 0; i < 20000; i++ {
@@ -192,11 +209,7 @@ func TestBTreeGrowsHeight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h, err := bt.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 2 {
+	if h := treeHeight(t, bt); h < 2 {
 		t.Errorf("20k keys should split the root; height = %d", h)
 	}
 	// All keys still reachable.
@@ -217,7 +230,7 @@ func TestBTreeStringKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := bt.SearchEq(attr.Str("kernel"))
+	got, err := searchEq(bt, attr.Str("kernel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,18 +324,34 @@ func BenchmarkBTreeInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkBTreeSearchEq(b *testing.B) {
-	bt := newTestBTree(b)
-	for i := 0; i < 100000; i++ {
-		if err := bt.Insert(attr.Int(int64(i)), FileID(i)); err != nil {
-			b.Fatal(err)
-		}
+// sortedIntKeys returns the composite keys of postings (i, i), i < n, which
+// are already in key order.
+func sortedIntKeys(n int) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = compositeKey(attr.Int(int64(i)), FileID(i))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bt.SearchEq(attr.Int(int64(i % 100000))); err != nil {
-			b.Fatal(err)
-		}
+	return keys
+}
+
+// BenchmarkCursorSeek is a B-tree point seek at three fills: a leaf of a
+// few keys, a full leaf, and a two-level tree of full leaves.
+func BenchmarkCursorSeek(b *testing.B) {
+	for _, n := range []int{16, 400, 40000} {
+		b.Run(fmt.Sprintf("postings=%d", n), func(b *testing.B) {
+			bt := newTestBTree(b)
+			if _, err := bt.InsertSorted(sortedIntKeys(n)); err != nil {
+				b.Fatal(err)
+			}
+			cur := bt.NewCursor()
+			i := 0
+			for b.Loop() {
+				if err := cur.SeekValue(attr.Int(int64(i * 7919 % n))); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
 	}
 }
 
@@ -371,8 +400,9 @@ func TestCursorIteratesInKeyOrder(t *testing.T) {
 	}
 }
 
-// TestCursorSeekComposite: SeekComposite lands on the first posting at or
-// after (value, file), resuming mid-run — the paged-scan resume point.
+// TestCursorSeekComposite: a seek to a composite key lands on the first
+// posting at or after (value, file), resuming mid-run — the paged-scan
+// resume point.
 func TestCursorSeekComposite(t *testing.T) {
 	bt := newTestBTree(t)
 	for i := 0; i < 500; i++ {
@@ -385,15 +415,15 @@ func TestCursorSeekComposite(t *testing.T) {
 	}
 	cur := bt.NewCursor()
 	// Resume after file 100: first posting is (7, 102).
-	if err := cur.SeekComposite(attr.Int(7), 101); err != nil {
+	if err := cur.Seek(compositeKey(attr.Int(7), 101)); err != nil {
 		t.Fatal(err)
 	}
 	_, f, ok, err := cur.Next()
 	if err != nil || !ok || f != 102 {
-		t.Fatalf("Next after SeekComposite(7,101) = %d ok=%v err=%v, want 102", f, ok, err)
+		t.Fatalf("Next after Seek(7,101) = %d ok=%v err=%v, want 102", f, ok, err)
 	}
 	// Seeking past the run lands on the next value's first posting.
-	if err := cur.SeekComposite(attr.Int(7), 999); err != nil {
+	if err := cur.Seek(compositeKey(attr.Int(7), 999)); err != nil {
 		t.Fatal(err)
 	}
 	valKey, f, ok, err := cur.Next()
@@ -408,7 +438,7 @@ func TestCursorSeekComposite(t *testing.T) {
 		t.Fatalf("seek past run landed on (%v, %d), want (9, 1)", v, f)
 	}
 	// Seeking past everything exhausts the cursor.
-	if err := cur.SeekComposite(attr.Int(9), 2); err != nil {
+	if err := cur.Seek(compositeKey(attr.Int(9), 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok, err := cur.Next(); ok || err != nil {
@@ -471,7 +501,7 @@ func TestScanRangeStringPrefixLowerBound(t *testing.T) {
 	if err := bt.Insert(attr.Str("ab"), 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := bt.SearchEq(attr.Str("ab"))
+	got, err := searchEq(bt, attr.Str("ab"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +516,7 @@ func TestScanRangeStringPrefixLowerBound(t *testing.T) {
 		t.Fatalf("SearchRange(ab..) = %v, want [1]", got)
 	}
 	// The prefix posting is still reachable below the bound.
-	got, err = bt.SearchEq(attr.Str("a"))
+	got, err = searchEq(bt, attr.Str("a"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,12 @@ import (
 	"propeller/internal/attr"
 )
 
+// Entry is one (attribute value, file) posting of a test's input.
+type Entry struct {
+	Key  attr.Value
+	File FileID
+}
+
 // collectAll drains a tree's postings in key order as (value, file) pairs.
 func collectAll(t *testing.T, bt *BTree) []Entry {
 	t.Helper()

@@ -2,10 +2,11 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"propeller/internal/attr"
 	"propeller/internal/pagestore"
@@ -17,11 +18,19 @@ import (
 // (Propeller's per-ACG indices are small; the paper splits ACGs past 50 k
 // files long before a resize would matter).
 //
-// Bucket page layout:
+// Bucket page layout (slotted, see slots):
 //
 //	bytes 0..1  : entry count (uint16)
 //	bytes 2..9  : overflow page id (math.MaxUint64 = none)
-//	per entry   : keyLen uint16, value encoding, file id uint64
+//	then        : the entries back to back — value encoding, file id uint64
+//	page end    : the entry directory, growing down: slot i (uint16, at
+//	              PageSize-2*(i+1)) is the offset just past entry i
+//
+// Each page of a chain keeps its entries in (value, file) order, as a leaf
+// does, so a lookup, a duplicate check and a delete binary-search every
+// chain page through the search leaves use instead of comparing every
+// entry; the chain as a whole is in no order (an insert goes to the first
+// page with room).
 //
 // Like BTree, a HashIndex is not safe for concurrent use: reads and writes
 // share the scratch below (the Index Node serialises access per ACG group).
@@ -31,8 +40,8 @@ type HashIndex struct {
 	count   int
 
 	rd    bucketView  // the page a lookup or scan is walking
-	chain []chainPage // the chain a bulk mutation has loaded; views reused
-	body  []byte      // scratch: a lookup's value encoding, an insert's entry body
+	chain []chainPage // the chain a bulk mutation has loaded
+	body  []byte      // scratch: the entry body a lookup or a mutation searches for
 }
 
 const hashHeaderSize = 2 + 8
@@ -61,36 +70,22 @@ func (h *HashIndex) Len() int { return h.count }
 
 // bucketView reads one bucket page in place (see slots): an entry's body
 // is its value encoding followed by the 8-byte file id.
-type bucketView struct {
-	slots
-	next uint64 // overflow chain
-}
-
-// parse points b at a page image, rejecting (ErrCorrupt) an entry that runs
-// past the page.
-func (b *bucketView) parse(page []byte) error {
-	if err := b.slots.parse(page, 0, hashHeaderSize, 8); err != nil {
-		return err
-	}
-	b.next = binary.BigEndian.Uint64(page[2:])
-	return nil
-}
+type bucketView struct{ slots }
 
 // entry returns posting i; valEnc is a sub-slice of the page.
-func (b *bucketView) entry(i int) (valEnc []byte, f FileID) {
-	body := b.body(i)
+func (b *bucketView) entry(i int) (valEnc []byte, f FileID, err error) {
+	body, err := b.body(i)
+	if err != nil {
+		return nil, 0, err
+	}
 	cut := len(body) - 8
-	return body[:cut], FileID(binary.BigEndian.Uint64(body[cut:]))
+	return body[:cut], FileID(binary.BigEndian.Uint64(body[cut:])), nil
 }
 
-// find returns the position of posting (valEnc, f), or -1.
-func (b *bucketView) find(valEnc []byte, f FileID) int {
-	for i := 0; i < b.len(); i++ {
-		if ve, file := b.entry(i); file == f && bytes.Equal(ve, valEnc) {
-			return i
-		}
-	}
-	return -1
+// appendEntry appends the body of posting (valEnc, f) — what a bucket page
+// stores and what search takes.
+func appendEntry(dst, valEnc []byte, f FileID) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, valEnc...), uint64(f))
 }
 
 // newBucketPage returns the image of an empty bucket with no overflow.
@@ -100,13 +95,13 @@ func newBucketPage() []byte {
 	return p
 }
 
-// view parses page id into b in place.
+// view opens page id in b.
 func (h *HashIndex) view(b *bucketView, id pagestore.PageID) error {
 	raw, err := readPage(h.store, id)
 	if err != nil {
 		return err
 	}
-	return b.parse(raw)
+	return b.open(raw, hashHeaderSize, 8)
 }
 
 func (h *HashIndex) bucketSlot(valEnc []byte) int {
@@ -115,12 +110,8 @@ func (h *HashIndex) bucketSlot(valEnc []byte) int {
 	return int(hs.Sum64() % uint64(len(h.buckets)))
 }
 
-func (h *HashIndex) bucketFor(valEnc []byte) pagestore.PageID {
-	return h.buckets[h.bucketSlot(valEnc)]
-}
-
 // Insert adds a (value, file) posting. Duplicate postings are no-ops.
-// It runs through the batch path, whose duplicate check scans the whole
+// It runs through the batch path, whose duplicate check searches the whole
 // chain before placing (a page-at-a-time walk could re-insert a posting
 // living later in the chain into room a delete freed earlier).
 func (h *HashIndex) Insert(v attr.Value, f FileID) error {
@@ -139,18 +130,31 @@ func (h *HashIndex) Lookup(v attr.Value) ([]FileID, error) {
 }
 
 // LookupEach streams the files whose indexed value equals v to fn, one at
-// a time in chain order; fn returns false to stop early. Nothing is
-// materialized: point lookups through LookupEach buffer at most one bucket
-// page, so a paged search's collector is the only candidate buffer.
+// a time — chain page by chain page, in file order within a page; fn
+// returns false to stop early. Nothing is materialized: point lookups
+// through LookupEach buffer at most one bucket page, so a paged search's
+// collector is the only candidate buffer.
 func (h *HashIndex) LookupEach(v attr.Value, fn func(FileID) bool) error {
-	h.body = v.Encode(h.body[:0])
-	id := h.bucketFor(h.body)
+	h.body = binary.BigEndian.AppendUint64(v.Encode(h.body[:0]), 0) // the value's run starts at file 0
+	valEnc := h.body[:len(h.body)-8]
+	id := h.buckets[h.bucketSlot(valEnc)]
 	for {
 		if err := h.view(&h.rd, id); err != nil {
 			return err
 		}
-		for i := 0; i < h.rd.len(); i++ {
-			if valEnc, f := h.rd.entry(i); bytes.Equal(valEnc, h.body) && !fn(f) {
+		i, _, err := h.rd.search(h.body)
+		if err != nil {
+			return err
+		}
+		for ; i < h.rd.len(); i++ {
+			ve, f, err := h.rd.entry(i)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(ve, valEnc) {
+				break
+			}
+			if !fn(f) {
 				return nil
 			}
 		}
@@ -182,15 +186,14 @@ func (h *HashIndex) sortOpsBySlot(ops []HashOp) (order, slots []int) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if slots[i] != slots[j] {
-			return slots[i] < slots[j]
+	slices.SortFunc(order, func(i, j int) int {
+		if c := cmp.Compare(slots[i], slots[j]); c != 0 {
+			return c
 		}
 		if c := bytes.Compare(ops[i].ValEnc, ops[j].ValEnc); c != 0 {
-			return c < 0
+			return c
 		}
-		return ops[i].File < ops[j].File
+		return cmp.Compare(ops[i].File, ops[j].File)
 	})
 	return order, slots
 }
@@ -203,10 +206,11 @@ func (h *HashIndex) sortOpsBySlot(ops []HashOp) (order, slots []int) {
 type chainPage struct {
 	id    pagestore.PageID
 	b     bucketView
+	at    int // where the posting being inserted sorts in this page
 	delta int
 }
 
-// loadChain parses a whole bucket chain into h.chain once.
+// loadChain opens a whole bucket chain in h.chain once.
 func (h *HashIndex) loadChain(head pagestore.PageID) error {
 	h.chain = h.chain[:0]
 	for id := head; ; {
@@ -221,17 +225,10 @@ func (h *HashIndex) loadChain(head pagestore.PageID) error {
 	}
 }
 
-// growChain extends h.chain by one page, reusing a view (and its entry
-// table) left behind by an earlier, longer chain when there is one.
+// growChain extends h.chain by one page.
 func (h *HashIndex) growChain(id pagestore.PageID) *chainPage {
-	if len(h.chain) < cap(h.chain) {
-		h.chain = h.chain[:len(h.chain)+1]
-	} else {
-		h.chain = append(h.chain, chainPage{})
-	}
-	p := &h.chain[len(h.chain)-1]
-	p.id, p.delta = id, 0
-	return p
+	h.chain = append(h.chain, chainPage{id: id})
+	return &h.chain[len(h.chain)-1]
 }
 
 // flushChain writes back the chain pages a bulk mutation edited, folding
@@ -280,25 +277,33 @@ func (h *HashIndex) mutateChains(ops []HashOp, mutate func(op HashOp) error) err
 
 // InsertBatch bulk-inserts postings: ops sharing a bucket chain share one
 // chain read and one write per touched page, instead of paying the chain
-// walk per posting. Duplicate postings are skipped (the check scans the
-// whole chain). It returns the number of postings placed; on error the
-// count may include postings staged on a page whose flush failed.
+// walk per posting. Duplicate postings are skipped (the check searches
+// every page of the chain). It returns the number of postings placed; on
+// error the count may include postings staged on a page whose flush failed.
 func (h *HashIndex) InsertBatch(ops []HashOp) (int, error) {
 	inserted := 0
 	err := h.mutateChains(ops, func(op HashOp) error {
 		if len(op.ValEnc) > maxKeyLen {
 			return ErrKeyTooLong
 		}
-		for pi := range h.chain {
-			if h.chain[pi].b.find(op.ValEnc, op.File) >= 0 {
-				return nil // already present
+		h.body = appendEntry(h.body[:0], op.ValEnc, op.File)
+		for pi := range h.chain { // the whole chain is searched before the posting is placed
+			c := &h.chain[pi]
+			pos, found, err := c.b.search(h.body)
+			if err != nil || found {
+				return err // found: already present
 			}
+			c.at = pos
 		}
-		h.body = binary.BigEndian.AppendUint64(append(h.body[:0], op.ValEnc...), uint64(op.File))
-		var p *chainPage
+		var p *chainPage // the first page with room takes it, where it sorts
 		for pi := range h.chain {
-			if h.chain[pi].b.fits(h.body) {
-				p = &h.chain[pi]
+			c := &h.chain[pi]
+			fits, err := c.b.insert(c.at, h.body)
+			if err != nil {
+				return err
+			}
+			if fits {
+				p = c
 				break
 			}
 		}
@@ -321,9 +326,10 @@ func (h *HashIndex) InsertBatch(ops []HashOp) (int, error) {
 			if err := h.view(&p.b, ovf); err != nil {
 				return err
 			}
+			if _, err := p.b.insert(0, h.body); err != nil {
+				return err
+			}
 		}
-		p.b.own()
-		p.b.insert(p.b.len(), h.body)
 		p.delta++
 		inserted++
 		return nil
@@ -338,11 +344,17 @@ func (h *HashIndex) InsertBatch(ops []HashOp) (int, error) {
 func (h *HashIndex) DeleteBatch(ops []HashOp) (int, error) {
 	deleted := 0
 	err := h.mutateChains(ops, func(op HashOp) error {
+		h.body = appendEntry(h.body[:0], op.ValEnc, op.File)
 		for pi := range h.chain {
 			p := &h.chain[pi]
-			if i := p.b.find(op.ValEnc, op.File); i >= 0 {
-				p.b.own()
-				p.b.remove(i)
+			i, found, err := p.b.search(h.body)
+			if err != nil {
+				return err
+			}
+			if found {
+				if err := p.b.remove(i); err != nil {
+					return err
+				}
 				p.delta--
 				deleted++
 				return nil
@@ -371,7 +383,10 @@ func (h *HashIndex) Scan(fn func(attr.Value, FileID) bool) error {
 				return err
 			}
 			for i := 0; i < h.rd.len(); i++ {
-				valEnc, f := h.rd.entry(i)
+				valEnc, f, err := h.rd.entry(i)
+				if err != nil {
+					return err
+				}
 				v, err := attr.Decode(valEnc)
 				if err != nil {
 					return err

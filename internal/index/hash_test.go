@@ -2,6 +2,8 @@ package index
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,5 +255,97 @@ func TestLookupEachStreamsAndStopsEarly(t *testing.T) {
 	}
 	if len(all) != len(streamed) {
 		t.Errorf("Lookup = %d files, LookupEach = %d", len(all), len(streamed))
+	}
+}
+
+// TestHashChainWithHolesMatchesModel: on one chain several pages long, with
+// a stripe deleted out of its first pages, every lookup finds exactly the
+// model's files, and re-inserting a posting that lives later in the chain
+// is a no-op — it must not land a second time in the room the deletes freed
+// in front of it.
+func TestHashChainWithHolesMatchesModel(t *testing.T) {
+	h := newTestHash(t, 1)
+	const values, postings = 40, 1500
+	model := map[int64][]FileID{}
+	for i := 0; i < postings; i++ {
+		v := int64(i % values)
+		if err := h.Insert(attr.Int(v), FileID(i)); err != nil {
+			t.Fatal(err)
+		}
+		model[v] = append(model[v], FileID(i))
+	}
+	if err := h.loadChain(h.buckets[0]); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.chain) < 3 {
+		t.Fatalf("chain of %d pages; the test needs postings behind the holes", len(h.chain))
+	}
+	check := func(when string) {
+		t.Helper()
+		n := 0
+		for v, want := range model {
+			got, err := h.Lookup(attr.Int(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(got) // a value's files come page by page
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: Lookup(%d) = %v, model %v", when, v, got, want)
+			}
+			n += len(want)
+		}
+		if h.Len() != n {
+			t.Fatalf("%s: Len = %d, model holds %d", when, h.Len(), n)
+		}
+	}
+	check("after the inserts")
+	for i := 100; i < 400; i++ { // all in the chain's first page
+		v := int64(i % values)
+		if err := h.Delete(attr.Int(v), FileID(i)); err != nil {
+			t.Fatal(err)
+		}
+		model[v] = slices.DeleteFunc(model[v], func(f FileID) bool { return f == FileID(i) })
+	}
+	check("after the deletes")
+	for i := postings - 200; i < postings; i++ { // all behind the holes
+		if err := h.Insert(attr.Int(int64(i%values)), FileID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after re-inserting postings that live later in the chain")
+	for i := postings; i < postings+200; i++ { // new postings fill the holes
+		v := int64(i % values)
+		if err := h.Insert(attr.Int(v), FileID(i)); err != nil {
+			t.Fatal(err)
+		}
+		model[v] = append(model[v], FileID(i))
+	}
+	check("after refilling the holes")
+}
+
+// BenchmarkHashLookup is a point lookup at three fills of one bucket chain:
+// a few postings, a full page, and a chain of ten pages.
+func BenchmarkHashLookup(b *testing.B) {
+	for _, n := range []int{16, 400, 4000} {
+		b.Run(fmt.Sprintf("postings=%d", n), func(b *testing.B) {
+			h := newTestHash(b, 1)
+			ops := make([]HashOp, n)
+			for i := range ops {
+				ops[i] = HashOp{ValEnc: attr.Int(int64(i)).Encode(nil), File: FileID(i)}
+			}
+			if _, err := h.InsertBatch(ops); err != nil {
+				b.Fatal(err)
+			}
+			i, hits := 0, 0
+			for b.Loop() {
+				if err := h.LookupEach(attr.Int(int64(i*7919%n)), func(FileID) bool { hits++; return true }); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+			if hits != i {
+				b.Fatalf("%d lookups found %d postings", i, hits)
+			}
+		})
 	}
 }

@@ -20,12 +20,6 @@ import (
 // FileID identifies a file in the namespace (an inode number).
 type FileID uint64
 
-// Entry is one (attribute value, file) posting.
-type Entry struct {
-	Key  attr.Value
-	File FileID
-}
-
 // SortDedup sorts ids ascending and compacts adjacent duplicates in
 // place, returning the shortened slice (the canonical result-set shape
 // shared by node-side pages and the client-side fan-out merge).
@@ -49,25 +43,15 @@ var (
 // raw `encoding || file id` concatenation gets wrong (the prefix value's
 // file-id tail can sort past the longer value).
 func compositeKey(v attr.Value, f FileID) []byte {
-	return appendCompositeKey(make([]byte, 0, 2*v.EncodedLen()+valueKeyTermLen+8), v, f)
+	return AppendCompositeKey(make([]byte, 0, 2*v.EncodedLen()+valueKeyTermLen+8), v, f)
 }
 
-// appendCompositeKey appends the composite encoding of (value, file) to
-// dst, reusing its capacity (the hot-path form: a caller-held scratch
-// buffer makes repeated key construction allocation-free).
-func appendCompositeKey(dst []byte, v attr.Value, f FileID) []byte {
-	dst = AppendValueKey(dst, v)
-	var tail [8]byte
-	binary.BigEndian.PutUint64(tail[:], uint64(f))
-	return append(dst, tail[:]...)
-}
-
-// AppendCompositeKey is the exported form of the composite (value, file)
-// key encoding, used by callers that prepare B-tree keys ahead of a bulk
-// apply (e.g. the Index Node encodes pending-cache keys outside the group
+// AppendCompositeKey appends the composite encoding of (value, file) to
+// dst, reusing its capacity. Callers prepare B-tree keys with it ahead of a
+// bulk apply (the Index Node encodes pending-cache keys outside the group
 // lock and feeds them to BTree.InsertSorted/DeleteSorted at commit).
 func AppendCompositeKey(dst []byte, v attr.Value, f FileID) []byte {
-	return appendCompositeKey(dst, v, f)
+	return binary.BigEndian.AppendUint64(AppendValueKey(dst, v), uint64(f))
 }
 
 // valueKeyTermLen is the length of the string value-key terminator.

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -8,66 +9,129 @@ import (
 )
 
 // slots is how both paged indices read and edit a page in place — there is
-// no decoded node. A page is a fixed header followed by entries, each a
-// uint16 length, that many key bytes and a fixed-width tail (nothing for a
-// B-tree key, the 8-byte file id for a hash posting). parse checks every
-// length against the page, so accessors index unchecked, and fills only the
-// offs table, whose capacity is kept: walking a warm pool allocates nothing.
+// no decoded node. A page is slotted: a header that ends with the entry
+// count (uint16) and the id of the page chained behind this one, then the
+// entries back to back in key order (key bytes and a fixed-width tail —
+// nothing for a B-tree key, the 8-byte file id for a hash posting), and at
+// the far end of the page a directory that grows towards them, one uint16
+// per entry:
+//
+//	page[PageSize-2*(i+1):] = offset just past entry i
+//
+// Entry i therefore lies between directory slot i-1 (the header's end for
+// i = 0) and slot i, at the two bytes per entry a length prefix would cost,
+// and appending an entry moves nothing. open reads the header and is done:
+// nothing walks the entries, or touches the directory, to open a page. A
+// slot is checked where it is read — body, last, insert and remove return
+// ErrCorrupt for an offset that runs backwards, into the header or into the
+// directory — so arbitrary bytes never index out of the page.
 //
 // The page is normally the store's own immutable image (Store.Read), so
 // the sub-slices body returns stay valid however long the caller keeps
-// them. own swaps in a private copy that insert and remove may edit; give
-// hands that copy to the store and goes back to borrowing it.
+// them. The first insert or remove swaps in a private copy (own) and later
+// ones edit that; give hands the copy to the store and goes back to
+// borrowing it.
 type slots struct {
-	page     []byte
-	offs     []uint16 // offs[i] = offset of entry i's length prefix; offs[n] = end of the entries
-	countOff int      // where the header keeps the entry count (uint16)
-	tail     int
-	owned    bool
+	page  []byte
+	hdr   int // where the entries start
+	tail  int
+	n     int    // entries
+	next  uint64 // the page chained behind this one: leaf sibling, bucket overflow
+	owned bool
 }
 
-// parse points s at page, whose header is hdr bytes with the entry count
-// at countOff. It returns ErrCorrupt if the header or any entry runs past
-// the page.
-func (s *slots) parse(page []byte, countOff, hdr, tail int) error {
-	if len(page) < hdr || len(page) > pagestore.PageSize {
+// open points s at page, whose header is hdr bytes. It returns ErrCorrupt
+// unless the page is a full image with room for the directory its count
+// implies.
+func (s *slots) open(page []byte, hdr, tail int) error {
+	if len(page) != pagestore.PageSize {
 		return ErrCorrupt
 	}
-	s.page, s.countOff, s.tail, s.owned = page, countOff, tail, false
-	s.offs = s.offs[:0]
-	off := hdr
-	for n := int(binary.BigEndian.Uint16(page[countOff:])); n > 0; n-- {
-		if off+2 > len(page) {
-			return ErrCorrupt
-		}
-		s.offs = append(s.offs, uint16(off))
-		off += 2 + int(binary.BigEndian.Uint16(page[off:])) + tail
-		if off > len(page) {
-			return ErrCorrupt
-		}
+	n := int(binary.BigEndian.Uint16(page[hdr-10:]))
+	if len(page)-2*n < hdr {
+		return ErrCorrupt
 	}
-	s.offs = append(s.offs, uint16(off))
+	*s = slots{page: page, hdr: hdr, tail: tail, n: n, next: binary.BigEndian.Uint64(page[hdr-8:])}
 	return nil
 }
 
 // len returns the number of entries.
-func (s *slots) len() int { return len(s.offs) - 1 }
+func (s *slots) len() int { return s.n }
 
-// end returns the offset just past the last entry.
-func (s *slots) end() int { return int(s.offs[len(s.offs)-1]) }
+// dir returns the offset of the directory, which is where free space ends.
+func (s *slots) dir() int { return len(s.page) - 2*s.n }
 
-// body returns entry i without its length prefix: key bytes, then tail.
-func (s *slots) body(i int) []byte { return s.page[int(s.offs[i])+2 : s.offs[i+1]] }
+// off returns directory slot i: the offset just past entry i.
+func (s *slots) off(i int) int {
+	return int(binary.BigEndian.Uint16(s.page[len(s.page)-2*(i+1):]))
+}
 
-// own makes the page a private, full-size copy that insert and remove may
-// edit. It is a no-op on a page already owned.
-func (s *slots) own() {
-	if s.owned {
-		return
+func (s *slots) setOff(i, off int) {
+	binary.BigEndian.PutUint16(s.page[len(s.page)-2*(i+1):], uint16(off))
+}
+
+// start returns where entry i begins (for i = len(), where the next would).
+func (s *slots) start(i int) int {
+	if i == 0 {
+		return s.hdr
 	}
-	p := make([]byte, pagestore.PageSize)
-	copy(p, s.page)
-	s.page, s.owned = p, true
+	return s.off(i - 1)
+}
+
+// body returns entry i: key bytes, then tail.
+func (s *slots) body(i int) ([]byte, error) {
+	lo, hi := s.start(i), s.off(i)
+	if lo < s.hdr || hi-lo < s.tail || hi > s.dir() {
+		return nil, ErrCorrupt
+	}
+	return s.page[lo:hi], nil
+}
+
+// last returns the offset just past the last entry, which is where free
+// space begins.
+func (s *slots) last() (int, error) {
+	end := s.start(s.n)
+	if end < s.hdr || end > s.dir() {
+		return 0, ErrCorrupt
+	}
+	return end, nil
+}
+
+// search returns the position of the first entry >= k and whether it equals
+// k. Entries order by key bytes, then by tail, which for a B-tree key (no
+// tail) is plain byte order and for a hash posting is (value, file) order —
+// value encodings are not prefix-free, so the pair is not the byte order of
+// the whole body. k carries a tail like any entry.
+func (s *slots) search(k []byte) (pos int, found bool, err error) {
+	cut := len(k) - s.tail
+	lo, hi := 0, s.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		b, err := s.body(mid)
+		if err != nil {
+			return 0, false, err
+		}
+		bcut := len(b) - s.tail
+		c := bytes.Compare(b[:bcut], k[:cut])
+		if c == 0 {
+			c = bytes.Compare(b[bcut:], k[cut:])
+		}
+		if c < 0 {
+			lo = mid + 1
+		} else {
+			// Entries are unique, so an equal one is where the search ends.
+			hi, found = mid, c == 0
+		}
+	}
+	return lo, found, nil
+}
+
+// own makes the page a private copy that may be edited. It is a no-op on
+// a page already owned.
+func (s *slots) own() {
+	if !s.owned {
+		s.page, s.owned = bytes.Clone(s.page), true
+	}
 }
 
 // give makes the owned, edited page the store's new image of page id.
@@ -93,35 +157,48 @@ func writePage(store *pagestore.Store, id pagestore.PageID, page []byte) error {
 	return nil
 }
 
-// fits reports whether an entry with this body fits after the last one.
-// Only pages with nothing behind their entries (leaves, buckets) grow.
-func (s *slots) fits(body []byte) bool { return s.end()+2+len(body) <= pagestore.PageSize }
-
-// insert places body (key bytes, then tail) before entry pos. The page
-// must be owned and the entry must fit.
-func (s *slots) insert(pos int, body []byte) {
-	at, sz := int(s.offs[pos]), 2+len(body)
-	copy(s.page[at+sz:], s.page[at:s.end()])
-	binary.BigEndian.PutUint16(s.page[at:], uint16(len(body)-s.tail))
-	copy(s.page[at+2:], body)
-	s.offs = append(s.offs, 0)
-	copy(s.offs[pos+1:], s.offs[pos:])
-	for i := pos + 1; i < len(s.offs); i++ {
-		s.offs[i] += uint16(sz)
+// insert places body (key bytes, then tail) before entry pos. It reports
+// false, and changes nothing, when the entry and its directory slot do not
+// fit between the last entry and the directory. Only pages with nothing
+// behind their entries (leaves, buckets) grow.
+func (s *slots) insert(pos int, body []byte) (bool, error) {
+	end, err := s.last()
+	at, sz := s.start(pos), len(body)
+	if err != nil || at < s.hdr || at > end {
+		return false, ErrCorrupt
 	}
-	binary.BigEndian.PutUint16(s.page[s.countOff:], uint16(s.len()))
+	if end+sz+2 > s.dir() {
+		return false, nil
+	}
+	s.own()
+	copy(s.page[at+sz:], s.page[at:end])
+	copy(s.page[at:], body)
+	for i := s.n; i > pos; i-- {
+		s.setOff(i, s.off(i-1)+sz)
+	}
+	s.setOff(pos, at+sz)
+	s.n++
+	binary.BigEndian.PutUint16(s.page[s.hdr-10:], uint16(s.n))
+	return true, nil
 }
 
-// remove deletes entry pos from an owned page and zeroes the bytes it
+// remove deletes entry pos and zeroes the bytes and the directory slot it
 // frees, so a page's image depends only on its entries.
-func (s *slots) remove(pos int) {
-	at, next, end := int(s.offs[pos]), int(s.offs[pos+1]), s.end()
+func (s *slots) remove(pos int) error {
+	end, err := s.last()
+	at, next := s.start(pos), s.off(pos)
+	if err != nil || at < s.hdr || next < at || next > end {
+		return ErrCorrupt
+	}
+	s.own()
 	sz := next - at
 	copy(s.page[at:], s.page[next:end])
 	clear(s.page[end-sz : end])
-	s.offs = append(s.offs[:pos], s.offs[pos+1:]...)
-	for i := pos; i < len(s.offs); i++ {
-		s.offs[i] -= uint16(sz)
+	for i := pos; i < s.n-1; i++ {
+		s.setOff(i, s.off(i+1)-sz)
 	}
-	binary.BigEndian.PutUint16(s.page[s.countOff:], uint16(s.len()))
+	s.setOff(s.n-1, 0)
+	s.n--
+	binary.BigEndian.PutUint16(s.page[s.hdr-10:], uint16(s.n))
+	return nil
 }

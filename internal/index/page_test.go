@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,245 +12,333 @@ import (
 	"propeller/internal/pagestore"
 )
 
-// The decoders the page views replaced, kept as the fuzzers' oracle: a
-// view must accept exactly the pages these accept and read the same keys,
-// children and sibling out of them.
+// The fuzzers' oracle is the decoder the page views do without: it walks
+// the whole directory and accepts a page only if every slot describes an
+// entry between the header and the directory. A view checks a slot
+// when it reads it, so reading every entry through a view must fail exactly
+// when the oracle does, and must read the same entries when it does not.
 
-type oracleNode struct {
-	leaf     bool
-	next     uint64
-	keys     [][]byte
-	children []uint64
+type oraclePage struct {
+	entries  [][]byte // key bytes, then tail
+	children []uint64 // internal B-tree nodes only
 }
 
-func oracleDecodeNode(b []byte) (*oracleNode, error) {
-	if len(b) < nodeHeaderSize {
+// oracleDecode walks a page whose header is hdr bytes, ending with the entry
+// count and the next page's id; kids says whether count+1 child ids follow
+// the entries.
+func oracleDecode(p []byte, hdr, tail int, kids bool) (*oraclePage, error) {
+	if len(p) != pagestore.PageSize {
 		return nil, ErrCorrupt
 	}
-	n := &oracleNode{leaf: b[0]&1 == 1}
-	num := int(binary.BigEndian.Uint16(b[1:3]))
-	n.next = binary.BigEndian.Uint64(b[3:11])
-	off := nodeHeaderSize
-	for i := 0; i < num; i++ {
-		if off+2 > len(b) {
-			return nil, ErrCorrupt
-		}
-		kl := int(binary.BigEndian.Uint16(b[off : off+2]))
-		off += 2
-		if off+kl > len(b) {
-			return nil, ErrCorrupt
-		}
-		n.keys = append(n.keys, bytes.Clone(b[off:off+kl]))
-		off += kl
+	num := int(binary.BigEndian.Uint16(p[hdr-10:]))
+	dir := len(p) - 2*num
+	if dir < hdr {
+		return nil, ErrCorrupt
 	}
-	if !n.leaf {
+	slot := func(i int) int { return int(binary.BigEndian.Uint16(p[len(p)-2*(i+1):])) }
+	out, off := &oraclePage{}, hdr
+	for i := 0; i < num; i++ {
+		end := slot(i)
+		if end < off+tail || end > dir {
+			return nil, ErrCorrupt
+		}
+		out.entries = append(out.entries, p[off:end])
+		off = end
+	}
+	if kids {
+		if off+8*(num+1) > dir {
+			return nil, ErrCorrupt
+		}
 		for i := 0; i <= num; i++ {
-			if off+8 > len(b) {
-				return nil, ErrCorrupt
-			}
-			n.children = append(n.children, binary.BigEndian.Uint64(b[off:off+8]))
-			off += 8
+			out.children = append(out.children, binary.BigEndian.Uint64(p[off+8*i:]))
 		}
 	}
-	return n, nil
+	return out, nil
 }
 
-type oracleEntry struct {
-	valEnc []byte
-	file   FileID
-}
-
-func oracleDecodeBucket(raw []byte) (next uint64, entries []oracleEntry, err error) {
-	if len(raw) < hashHeaderSize {
-		return 0, nil, ErrCorrupt
-	}
-	num := int(binary.BigEndian.Uint16(raw[0:2]))
-	next = binary.BigEndian.Uint64(raw[2:10])
-	off := hashHeaderSize
-	for i := 0; i < num; i++ {
-		if off+2 > len(raw) {
-			return 0, nil, ErrCorrupt
-		}
-		kl := int(binary.BigEndian.Uint16(raw[off : off+2]))
-		off += 2
-		if off+kl+8 > len(raw) {
-			return 0, nil, ErrCorrupt
-		}
-		entries = append(entries, oracleEntry{
-			valEnc: bytes.Clone(raw[off : off+kl]),
-			file:   FileID(binary.BigEndian.Uint64(raw[off+kl:])),
-		})
-		off += kl + 8
-	}
-	return next, entries, nil
-}
-
-// nodePage renders a node page by hand (numKeys is written as given, so a
-// seed can lie about it); cut truncates the image.
-func nodePage(leaf bool, numKeys int, next uint64, keys [][]byte, children []uint64, cut int) []byte {
-	p := make([]byte, nodeHeaderSize)
-	if leaf {
-		p[0] = 1
-	}
-	binary.BigEndian.PutUint64(p[3:], next)
-	for _, k := range keys {
-		p = append(binary.BigEndian.AppendUint16(p, uint16(len(k))), k...)
-	}
-	for _, c := range children {
-		p = binary.BigEndian.AppendUint64(p, c)
-	}
-	binary.BigEndian.PutUint16(p[1:], uint16(numKeys))
-	if cut >= 0 && cut < len(p) {
-		p = p[:cut]
-	}
+// pageOf lays a fuzz input out as the store would hold it: head at the
+// front of a zeroed page, dir flush against its end (slot 0 last).
+func pageOf(head, dir []byte) []byte {
+	p := make([]byte, pagestore.PageSize)
+	copy(p, head)
+	copy(p[max(0, len(p)-len(dir)):], dir)
 	return p
+}
+
+// slotted renders the two ends of a page by hand: hdr (a header with the
+// count already in it), the bodies back to back and extra behind them; and
+// the directory, offs as given (so a seed can lie) or, when nil, the true
+// ones.
+func slotted(hdr []byte, bodies [][]byte, extra []byte, offs []int) (head, dir []byte) {
+	head = bytes.Clone(hdr)
+	var ends []int
+	for _, b := range bodies {
+		head = append(head, b...)
+		ends = append(ends, len(head))
+	}
+	head = append(head, extra...)
+	if offs == nil {
+		offs = ends
+	}
+	for i := len(offs) - 1; i >= 0; i-- {
+		dir = binary.BigEndian.AppendUint16(dir, uint16(offs[i]))
+	}
+	return head, dir
+}
+
+func nodeHeader(leaf bool, numKeys int, next uint64) []byte {
+	h := make([]byte, nodeHeaderSize)
+	if leaf {
+		h[0] = 1
+	}
+	binary.BigEndian.PutUint16(h[1:], uint16(numKeys))
+	binary.BigEndian.PutUint64(h[3:], next)
+	return h
+}
+
+func childBytes(children ...uint64) (out []byte) {
+	for _, c := range children {
+		out = binary.BigEndian.AppendUint64(out, c)
+	}
+	return out
+}
+
+// readAll reads every entry of an open page the way a full scan does.
+func (s *slots) readAll() ([][]byte, error) {
+	var out [][]byte
+	for i := 0; i < s.len(); i++ {
+		b, err := s.body(i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b)
+	}
+	return out, nil
+}
+
+// pokeSlots drives every read and edit path of an open page with probe
+// keys: whatever the page holds, each returns a result or ErrCorrupt and
+// none indexes out of the page. Probes carry the page's tail.
+func pokeSlots(t *testing.T, s *slots, probes [][]byte) {
+	t.Helper()
+	corrupt := func(what string, err error) {
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v, want nil or ErrCorrupt", what, err)
+		}
+	}
+	for _, k := range probes {
+		pos, found, err := s.search(k)
+		corrupt("search", err)
+		if err == nil && found {
+			if b, err := s.body(pos); err != nil || !bytes.Equal(b, k) {
+				t.Fatalf("search(%x) found position %d holding %x (err %v)", k, pos, b, err)
+			}
+		}
+	}
+	for _, k := range probes {
+		for _, pos := range []int{0, s.len() / 2, s.len()} {
+			e := *s // edits own their page: s keeps the borrowed one
+			_, err := e.insert(pos, k)
+			corrupt("insert", err)
+			if pos < e.len() {
+				corrupt("remove", e.remove(pos))
+			}
+		}
+	}
 }
 
 func FuzzNodeView(f *testing.F) {
 	k1, k2 := compositeKey(attr.Int(7), 1), compositeKey(attr.Str("a\x00b"), 2)
-	whole := nodePage(true, 2, noPage, [][]byte{k1, k2}, nil, -1)
-	f.Add(whole)
-	f.Add(append(bytes.Clone(whole), make([]byte, pagestore.PageSize-len(whole))...)) // as the store holds it
-	f.Add([]byte{})
-	f.Add(whole[:nodeHeaderSize-1])                                            // header cut short
-	f.Add(whole[:nodeHeaderSize+1])                                            // key length cut in half
-	f.Add(whole[:nodeHeaderSize+2+len(k1)-3])                                  // key body cut short
-	f.Add(nodePage(true, 900, noPage, [][]byte{k1, k2}, nil, -1))              // numKeys past the entries
-	f.Add(nodePage(true, 65535, 3, nil, nil, -1))                              // numKeys past the page
-	f.Add(nodePage(false, 2, noPage, [][]byte{k1, k2}, []uint64{4, 5, 6}, -1)) // sound internal node
-	f.Add(nodePage(false, 2, noPage, [][]byte{k1, k2}, []uint64{4, 5}, -1))    // one child short
-	f.Add(nodePage(false, 2, noPage, [][]byte{k1, k2}, []uint64{4, 5, 6}, 60)) // child array cut mid-id
-	f.Add(append(nodePage(true, 1, 9, nil, nil, -1), 0xFF, 0xFF, 1, 2, 3))     // key length past the page
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > pagestore.PageSize {
-			data = data[:pagestore.PageSize] // the store only ever holds PageSize images
-		}
-		want, wantErr := oracleDecodeNode(data)
+	keys := [][]byte{k1, k2}
+	end1, end2 := nodeHeaderSize+len(k1), nodeHeaderSize+len(k1)+len(k2)
+	add := func(head, dir []byte) { f.Add(head, dir) }
+	add(slotted(nodeHeader(true, 2, noPage), keys, nil, nil))                             // sound leaf
+	add(slotted(nodeHeader(true, 0, noPage), nil, nil, nil))                              // empty leaf
+	add(nil, nil)                                                                         // a zero page
+	add(slotted(nodeHeader(false, 2, noPage), keys, childBytes(4, 5, 6), nil))            // sound internal node
+	add(slotted(nodeHeader(true, 900, noPage), keys, nil, nil))                           // numKeys past the directory: slots of zeroes
+	add(slotted(nodeHeader(true, 65535, 3), nil, nil, nil))                               // directory larger than the page
+	add(slotted(nodeHeader(true, 4091, noPage), keys, nil, nil))                          // directory running into the header
+	add(slotted(nodeHeader(true, 2, noPage), keys, nil, []int{end2, end1}))               // an offset pointing backwards
+	add(slotted(nodeHeader(true, 2, noPage), keys, nil, []int{end1, 0xFFFF}))             // last offset past the page
+	add(slotted(nodeHeader(true, 2, noPage), keys, nil, []int{0xFFF0, end2}))             // inner offset past the entries
+	add(slotted(nodeHeader(true, 2, noPage), keys, nil, []int{3, end2}))                  // an offset into the header
+	add(slotted(nodeHeader(true, 2, noPage), keys, nil, []int{end1, pagestore.PageSize})) // entries running into the directory
+	add(slotted(nodeHeader(false, 2, noPage), keys, nil, []int{end1, pagestore.PageSize - 4 - 16}))
+	add(slotted(nodeHeader(true, 2, noPage), [][]byte{k2, k1}, nil, nil)) // sound but unsorted
+	f.Fuzz(func(t *testing.T, head, dir []byte) {
+		page := pageOf(head, dir)
+		want, wantErr := oracleDecode(page, nodeHeaderSize, 0, page[0]&1 == 0)
 		var v nodeView
-		err := v.parse(data)
-		if (err != nil) != (wantErr != nil) {
+		err := v.open(page)
+		var got [][]byte
+		if err == nil {
+			got, err = v.readAll()
+		}
+		if (err != nil) != (wantErr != nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
 			t.Fatalf("view err = %v, decoder err = %v", err, wantErr)
 		}
-		if err != nil {
+		if v.page == nil {
 			return
 		}
-		if v.leaf != want.leaf || v.next != want.next || v.len() != len(want.keys) {
-			t.Fatalf("view leaf=%v next=%d keys=%d, decoder leaf=%v next=%d keys=%d",
-				v.leaf, v.next, v.len(), want.leaf, want.next, len(want.keys))
-		}
-		for i, k := range want.keys {
-			if !bytes.Equal(v.key(i), k) {
-				t.Fatalf("key %d: view %x, decoder %x", i, v.key(i), k)
+		probes := [][]byte{nil, k1, k2, head}
+		if err == nil {
+			if want.children != nil == v.leaf || v.next != binary.BigEndian.Uint64(page[3:]) || !slices.EqualFunc(got, want.entries, bytes.Equal) {
+				t.Fatalf("view leaf=%v next=%d keys=%x, decoder children=%v keys=%x", v.leaf, v.next, got, want.children, want.entries)
+			}
+			for i, c := range want.children {
+				if v.child(i) != c {
+					t.Fatalf("child %d: view %d, decoder %d", i, v.child(i), c)
+				}
+			}
+			probes = append(probes, got...)
+			if slices.IsSortedFunc(got, bytes.Compare) {
+				for i, k := range got {
+					if pos, found, err := v.search(k); err != nil || !found || !bytes.Equal(got[pos], k) {
+						t.Fatalf("search(key %d) = %d, %v, %v on a sound sorted page", i, pos, found, err)
+					}
+				}
 			}
 		}
-		for i, c := range want.children {
-			if v.child(i) != c {
-				t.Fatalf("child %d: view %d, decoder %d", i, v.child(i), c)
+		// On a page that opened, sound or not, every path stays in bounds.
+		for _, k := range probes {
+			if _, err := v.childFor(k); err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("childFor: %v", err)
 			}
 		}
-		// search must stay in bounds on arbitrary (unsorted) keys too.
-		for _, k := range want.keys {
-			v.search(k)
-			v.childFor(k)
+		if v.leaf {
+			pokeSlots(t, &v.slots, probes)
 		}
 	})
 }
 
 func FuzzBucketView(f *testing.F) {
-	page := newBucketPage()
-	var b bucketView
-	if err := b.parse(page); err != nil {
-		f.Fatal(err)
+	var bodies [][]byte
+	for i, v := range []attr.Value{attr.Int(7), attr.Float(2.5), attr.Str("a\x00b")} { // in (value, file) order
+		bodies = append(bodies, appendEntry(nil, v.Encode(nil), FileID(i+1)))
 	}
-	b.own()
-	for i, v := range []attr.Value{attr.Int(7), attr.Str("a\x00b"), attr.Float(2.5)} {
-		b.insert(b.len(), binary.BigEndian.AppendUint64(v.Encode(nil), uint64(i+1)))
+	hdr := func(n int, next uint64) []byte {
+		return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint16(nil, uint16(n)), next)
 	}
-	whole := b.page[:b.end()]
-	f.Add(bytes.Clone(b.page))
-	f.Add(bytes.Clone(whole))
-	f.Add([]byte{})
-	f.Add(bytes.Clone(whole[:hashHeaderSize-1])) // header cut short
-	f.Add(bytes.Clone(whole[:hashHeaderSize+1])) // key length cut in half
-	f.Add(bytes.Clone(whole[:len(whole)-3]))     // last file id cut short
-	lying := bytes.Clone(whole)
-	binary.BigEndian.PutUint16(lying, 4000) // count past the entries
-	f.Add(lying)
-	long := bytes.Clone(whole)
-	binary.BigEndian.PutUint16(long[hashHeaderSize:], 0xFFFF) // key length past the page
-	f.Add(long)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > pagestore.PageSize {
-			data = data[:pagestore.PageSize]
-		}
-		wantNext, want, wantErr := oracleDecodeBucket(data)
+	e1 := hashHeaderSize + len(bodies[0])
+	e2 := e1 + len(bodies[1])
+	e3 := e2 + len(bodies[2])
+	add := func(head, dir []byte) { f.Add(head, dir) }
+	add(slotted(hdr(3, noPage), bodies, nil, nil))                                                        // sound bucket
+	add(slotted(hdr(0, 9), nil, nil, nil))                                                                // empty, with an overflow page
+	add(nil, nil)                                                                                         // a zero page
+	add(slotted(hdr(4000, noPage), bodies, nil, nil))                                                     // count past the directory
+	add(slotted(hdr(4092, noPage), bodies, nil, nil))                                                     // directory running into the header
+	add(slotted(hdr(3, noPage), bodies, nil, []int{e1, e3, e2}))                                          // an offset pointing backwards
+	add(slotted(hdr(3, noPage), bodies, nil, []int{e1, e2, 0xFFFF}))                                      // an offset past the page
+	add(slotted(hdr(3, noPage), bodies, nil, []int{4, e2, e3}))                                           // an offset into the header
+	add(slotted(hdr(3, noPage), bodies, nil, []int{e1, e1 + 5, e3}))                                      // an entry shorter than a file id
+	add(slotted(hdr(3, noPage), bodies, nil, []int{e1, e2, pagestore.PageSize - 4}))                      // entries running into the directory
+	add(slotted(hdr(3, noPage), [][]byte{bodies[2], bodies[0], bodies[1]}, nil, nil))                     // sound but unsorted
+	add(slotted(hdr(2, noPage), [][]byte{appendEntry(nil, attr.Str("a").Encode(nil), 0x6200000000000000), // whole-body byte order
+		appendEntry(nil, attr.Str("ab").Encode(nil), 1)}, nil, nil)) // is not (value, file) order
+	f.Fuzz(func(t *testing.T, head, dir []byte) {
+		page := pageOf(head, dir)
+		want, wantErr := oracleDecode(page, hashHeaderSize, 8, false)
 		var v bucketView
-		err := v.parse(data)
-		if (err != nil) != (wantErr != nil) {
+		err := v.open(page, hashHeaderSize, 8)
+		var got [][]byte
+		if err == nil {
+			got, err = v.readAll()
+		}
+		if (err != nil) != (wantErr != nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
 			t.Fatalf("view err = %v, decoder err = %v", err, wantErr)
 		}
-		if err != nil {
+		if v.page == nil {
 			return
 		}
-		if v.next != wantNext || v.len() != len(want) {
-			t.Fatalf("view next=%d entries=%d, decoder next=%d entries=%d", v.next, v.len(), wantNext, len(want))
+		probes := slices.Clone(bodies)
+		if len(head) >= 8 {
+			probes = append(probes, head)
 		}
-		for i, e := range want {
-			valEnc, file := v.entry(i)
-			if !bytes.Equal(valEnc, e.valEnc) || file != e.file {
-				t.Fatalf("entry %d: view (%x, %d), decoder (%x, %d)", i, valEnc, file, e.valEnc, e.file)
+		if err == nil {
+			if v.next != binary.BigEndian.Uint64(page[2:]) || !slices.EqualFunc(got, want.entries, bytes.Equal) {
+				t.Fatalf("view next=%d entries=%x, decoder entries=%x", v.next, got, want.entries)
 			}
-			if v.find(e.valEnc, e.file) < 0 {
-				t.Fatalf("entry %d not found by find", i)
+			for i, e := range got {
+				valEnc, file, err := v.entry(i)
+				if err != nil || !bytes.Equal(appendEntry(nil, valEnc, file), e) {
+					t.Fatalf("entry %d = (%x, %d, %v), body %x", i, valEnc, file, err, e)
+				}
+			}
+			probes = append(probes, got...)
+			if slices.IsSortedFunc(got, cmpEntries) {
+				for i, e := range got {
+					if pos, found, err := v.search(e); err != nil || !found || !bytes.Equal(got[pos], e) {
+						t.Fatalf("search(entry %d) = %d, %v, %v on a sound sorted page", i, pos, found, err)
+					}
+				}
 			}
 		}
+		pokeSlots(t, &v.slots, probes)
 	})
 }
 
+// cmpEntries is (value, file) order on bucket entry bodies, written the
+// long way round.
+func cmpEntries(a, b []byte) int {
+	if c := bytes.Compare(a[:len(a)-8], b[:len(b)-8]); c != 0 {
+		return c
+	}
+	return bytes.Compare(a[len(a)-8:], b[len(b)-8:])
+}
+
 // TestSlotsEditsMatchModel: any sequence of in-place inserts and removes
-// leaves a page that parses back to exactly the model's entries, with
-// every freed byte zeroed (a page's image depends only on its entries).
+// leaves a page that reads back exactly the model's entries, and whose
+// image is the one a fresh page gets from those entries alone — every freed
+// byte and directory slot zeroed (a page's image depends only on its
+// entries).
 func TestSlotsEditsMatchModel(t *testing.T) {
 	for _, tail := range []int{0, 8} {
 		r := rand.New(rand.NewSource(int64(tail) + 1))
 		var s slots
-		if err := s.parse(make([]byte, pagestore.PageSize), 0, hashHeaderSize, tail); err != nil {
+		if err := s.open(make([]byte, pagestore.PageSize), hashHeaderSize, tail); err != nil {
 			t.Fatal(err)
 		}
-		s.own()
 		var model [][]byte
 		for step := 0; step < 4000; step++ {
 			if len(model) > 0 && r.Intn(3) == 0 {
 				pos := r.Intn(len(model))
-				s.remove(pos)
+				if err := s.remove(pos); err != nil {
+					t.Fatal(err)
+				}
 				model = slices.Delete(model, pos, pos+1)
 			} else {
 				body := make([]byte, tail+r.Intn(40))
 				r.Read(body)
-				if !s.fits(body) {
-					continue
-				}
 				pos := r.Intn(len(model) + 1)
-				s.insert(pos, body)
-				model = slices.Insert(model, pos, body)
+				if fits, err := s.insert(pos, body); err != nil {
+					t.Fatal(err)
+				} else if fits {
+					model = slices.Insert(model, pos, body)
+				}
 			}
 			if step%97 != 0 {
 				continue
 			}
-			var back slots
-			if err := back.parse(s.page, 0, hashHeaderSize, tail); err != nil {
-				t.Fatalf("tail %d step %d: edited page does not parse: %v", tail, step, err)
+			var back, fresh slots
+			if err := back.open(s.page, hashHeaderSize, tail); err != nil {
+				t.Fatalf("tail %d step %d: edited page does not open: %v", tail, step, err)
 			}
-			if back.len() != len(model) || !slices.Equal(back.offs, s.offs) {
-				t.Fatalf("tail %d step %d: %d entries (offs %v), model %d (offs %v)", tail, step, back.len(), back.offs, len(model), s.offs)
+			got, err := back.readAll()
+			if err != nil || !slices.EqualFunc(got, model, bytes.Equal) {
+				t.Fatalf("tail %d step %d: page reads %d entries (err %v), model has %d", tail, step, len(got), err, len(model))
 			}
-			for i, want := range model {
-				if !bytes.Equal(back.body(i), want) {
-					t.Fatalf("tail %d step %d entry %d: %x, want %x", tail, step, i, back.body(i), want)
+			if err := fresh.open(make([]byte, pagestore.PageSize), hashHeaderSize, tail); err != nil {
+				t.Fatal(err)
+			}
+			for i, body := range model {
+				if fits, err := fresh.insert(i, body); err != nil || !fits {
+					t.Fatalf("tail %d step %d: the model's entries do not fit a fresh page (err %v)", tail, step, err)
 				}
 			}
-			if rest := s.page[s.end():]; !bytes.Equal(rest, make([]byte, len(rest))) {
-				t.Fatalf("tail %d step %d: bytes past the entries are not zero", tail, step)
+			if !bytes.Equal(s.page, fresh.page) {
+				t.Fatalf("tail %d step %d: the edited image differs from a fresh page holding the same entries", tail, step)
 			}
 		}
 	}
@@ -285,7 +374,7 @@ func TestWarmReadsAllocateNothing(t *testing.T) {
 	if _, err := ht.InsertBatch(ops); err != nil {
 		t.Fatal(err)
 	}
-	if h, _ := bt.Height(); h < 2 {
+	if h := treeHeight(t, bt); h < 2 {
 		t.Fatalf("height %d: the walk must cross leaves", h)
 	}
 
@@ -312,7 +401,7 @@ func TestWarmReadsAllocateNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	walk() // warm: the cursor's entry table and scratch key grow once
+	walk() // warm: the cursor's scratch key grows once
 	lookup()
 	rows, hits = 0, 0
 	if n := testing.AllocsPerRun(20, walk); n != 0 {

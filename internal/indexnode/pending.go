@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"propeller/internal/attr"
 	"propeller/internal/index"
@@ -476,7 +475,7 @@ func (n *Node) applyKDRunLocked(g *group, in *inst, run *pendingRun, post map[in
 
 // sortKeys orders encoded keys ascending (the bulk-path precondition).
 func sortKeys(keys [][]byte) {
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	slices.SortFunc(keys, bytes.Compare)
 }
 
 // rebuildKD reconstructs a KD index from current postings (after deletes

@@ -125,12 +125,16 @@ func (c *pageCollector) add(f index.FileID) {
 	switch {
 	case c.limit <= 0:
 		c.heap = append(c.heap, f)
+	case c.pageClosed(f):
+		// No probe of the retained set: the full page's maximum itself is
+		// a duplicate, anything above it a match beyond this page.
+		c.overflow = c.overflow || f > c.heap[0]
 	case c.retained[f]:
 		return // duplicate of a retained candidate (cross-group); drop
 	case len(c.heap) < c.limit:
 		c.heapPush(f)
 		c.retained[f] = true
-	case f < c.heap[0]:
+	default:
 		// Displaces the current page maximum, which becomes a beyond-page
 		// match.
 		c.overflow = true
@@ -138,8 +142,6 @@ func (c *pageCollector) add(f index.FileID) {
 		c.heap[0] = f
 		c.retained[f] = true
 		c.siftDown(0)
-	default:
-		c.overflow = true // a match beyond this page exists
 	}
 	c.maxRetained = max(c.maxRetained, len(c.heap))
 }

@@ -106,11 +106,14 @@ type Client struct {
 	mu    sync.Mutex
 	conns map[string]*rpc.Client
 
-	// pmu guards the placement cache. maxEpoch is the newest placement
-	// epoch observed on any response; a cached fan-out older than it is
-	// refetched before use.
+	// pmu guards the placement cache: each file's group, and each group's
+	// route — so a file costs a map entry of two words, and invalidating a
+	// group forgets one route. A file whose group has no route is a miss.
+	// maxEpoch is the newest placement epoch observed on any response; a
+	// cached fan-out older than it is refetched before use.
 	pmu        sync.Mutex
-	fileCache  map[index.FileID]proto.FileMapping
+	fileACG    map[index.FileID]proto.ACGID
+	routes     map[proto.ACGID]route
 	indexCache map[string]*cachedTargets
 	maxEpoch   atomic.Uint64
 
@@ -128,6 +131,13 @@ type Client struct {
 	hedgedSearches  metrics.Counter
 }
 
+// route is where a group lives, as of a placement epoch.
+type route struct {
+	node  proto.NodeID
+	addr  string
+	epoch proto.Epoch
+}
+
 // New returns a Client.
 func New(cfg Config) (*Client, error) {
 	if cfg.Master == nil {
@@ -143,7 +153,8 @@ func New(cfg Config) (*Client, error) {
 		cfg:        cfg,
 		builder:    acg.NewBuilder(),
 		conns:      make(map[string]*rpc.Client),
-		fileCache:  make(map[index.FileID]proto.FileMapping),
+		fileACG:    make(map[index.FileID]proto.ACGID),
+		routes:     make(map[proto.ACGID]route),
 		indexCache: make(map[string]*cachedTargets),
 	}, nil
 }
@@ -343,16 +354,13 @@ func retryablePlacement(err error) bool {
 		errors.Is(err, syscall.ECONNREFUSED)
 }
 
-// invalidateACG drops every cached file mapping routed to the group —
-// exactly the entries a migration of that group moved.
+// invalidateACG drops the group's cached route: every file cached in the
+// group — exactly the files a migration or split of it moved — misses and
+// re-resolves through the Master.
 func (c *Client) invalidateACG(id proto.ACGID) {
 	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	for f, m := range c.fileCache {
-		if m.ACG == id {
-			delete(c.fileCache, f)
-		}
-	}
+	delete(c.routes, id)
+	c.pmu.Unlock()
 }
 
 // invalidateIndex drops one index's cached search fan-out.
@@ -541,9 +549,21 @@ func (c *Client) lookupFiles(ctx context.Context, files []index.FileID, hints []
 			return nil, fmt.Errorf("client: master returned no mapping for file %d", f)
 		}
 		out[i] = m
-		c.fileCache[f] = m
+		c.fileACG[f] = m.ACG
+		c.routes[m.ACG] = route{node: m.Node, addr: m.Addr, epoch: m.Epoch}
 	}
 	return out, nil
+}
+
+// cachedMapping returns f's mapping from the placement cache. Caller holds
+// c.pmu.
+func (c *Client) cachedMapping(f index.FileID) (proto.FileMapping, bool) {
+	id, ok := c.fileACG[f]
+	if !ok {
+		return proto.FileMapping{}, false
+	}
+	rt, ok := c.routes[id]
+	return proto.FileMapping{File: f, ACG: id, Node: rt.node, Addr: rt.addr, Epoch: rt.epoch}, ok
 }
 
 // resolveFiles returns one mapping per update, served from the placement
@@ -555,7 +575,7 @@ func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate) ([]proto.Fi
 	var hints []uint64
 	c.pmu.Lock()
 	for i, u := range ups {
-		if m, ok := c.fileCache[u.File]; ok {
+		if m, ok := c.cachedMapping(u.File); ok {
 			out[i] = m
 		} else {
 			missIdx = append(missIdx, i)

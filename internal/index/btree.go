@@ -503,6 +503,11 @@ type Cursor struct {
 	v   nodeView // the leaf under the cursor, read in place
 	on  bool     // v holds a leaf (false = unpositioned or exhausted)
 	idx int
+	// high is the leaf's exclusive upper key bound from the descent that
+	// found it (nil = rightmost), valid while descended is set: a leaf
+	// reached along the sibling chain has no known bound.
+	high      []byte
+	descended bool
 	// scratch backs the composite keys the typed Seek forms build, so
 	// repeated seeks during one scan do not allocate.
 	scratch []byte
@@ -530,12 +535,43 @@ func (c *Cursor) SeekFirst() error { return c.Seek(nil) }
 // lands precisely on that value's first posting.
 func (c *Cursor) Seek(key []byte) error {
 	c.on = false
-	if _, _, err := c.t.findLeafHigh(&c.v, key); err != nil {
+	_, high, err := c.t.findLeafHigh(&c.v, key)
+	if err != nil {
 		return err
 	}
+	c.high, c.descended = high, true
 	idx, _, err := c.v.search(key)
 	c.idx, c.on = idx, err == nil
 	return err
+}
+
+// SeekAhead is Seek for a caller whose seek keys never descend: a key the
+// leaf under the cursor covers — below the bound of the descent that found
+// it (the earlier seek keys put it above the floor), or between its first
+// and last key — is searched in that leaf, without a descent. A sorted run
+// of point reads (a forward index read file by file) then visits each leaf
+// about once.
+func (c *Cursor) SeekAhead(key []byte) error {
+	if n := c.v.len(); c.on && n > 0 {
+		inside := c.descended && (c.high == nil || bytes.Compare(key, c.high) < 0)
+		if !inside {
+			first, err := c.v.body(0)
+			if err != nil {
+				return err
+			}
+			last, err := c.v.body(n - 1)
+			if err != nil {
+				return err
+			}
+			inside = bytes.Compare(first, key) <= 0 && bytes.Compare(key, last) <= 0
+		}
+		if inside {
+			idx, _, err := c.v.search(key)
+			c.idx = idx
+			return err
+		}
+	}
+	return c.Seek(key)
 }
 
 // SeekValue positions the cursor at the first posting whose value is >= v.
@@ -564,27 +600,38 @@ func (c *Cursor) SeekEncodedComposite(valKey []byte, f FileID) error {
 // calls. Byte-comparing value keys matches value order, so scans bound and
 // group postings without decoding.
 func (c *Cursor) Next() (valKey []byte, f FileID, ok bool, err error) {
+	k, ok, err := c.NextKey()
+	if !ok {
+		return nil, 0, false, err
+	}
+	valKey, f, err = splitComposite(k)
+	return valKey, f, err == nil, err
+}
+
+// NextKey returns the whole key under the cursor and advances: the form a
+// tree whose keys are not (value, file) composites reads. The key is a
+// sub-slice of an immutable page image, valid as Next's value key is.
+func (c *Cursor) NextKey() (key []byte, ok bool, err error) {
 	for c.on {
 		if c.idx < c.v.len() {
 			k, err := c.v.body(c.idx)
 			if err != nil {
-				return nil, 0, false, err
+				return nil, false, err
 			}
 			c.idx++
-			valKey, f, err = splitComposite(k)
-			return valKey, f, err == nil, err
+			return k, true, nil
 		}
 		// Leaf exhausted (possibly empty after lazy deletions): follow the
 		// sibling chain.
 		if c.v.next == noPage {
 			break
 		}
-		c.on = false
+		c.on, c.descended = false, false
 		if err := c.t.view(&c.v, pagestore.PageID(c.v.next)); err != nil {
-			return nil, 0, false, err
+			return nil, false, err
 		}
 		c.on, c.idx = true, 0
 	}
 	c.on = false
-	return nil, 0, false, nil
+	return nil, false, nil
 }

@@ -75,7 +75,15 @@ func AppendValueKey(dst []byte, v attr.Value) []byte {
 		return v.Encode(dst)
 	}
 	var tmp [24]byte
-	raw := v.Encode(tmp[:0])
+	return AppendEncodedKey(dst, v.Encode(tmp[:0]))
+}
+
+// AppendEncodedKey appends the value key of a value given as its encoding
+// (attr.Value.Encode): what AppendValueKey appends, without decoding.
+func AppendEncodedKey(dst, raw []byte) []byte {
+	if len(raw) == 0 || attr.Kind(raw[0]) != attr.KindString {
+		return append(dst, raw...)
+	}
 	for _, b := range raw {
 		if b == 0x00 {
 			dst = append(dst, 0x00, 0xFF)

@@ -182,6 +182,13 @@ func (s *slots) insert(pos int, body []byte) (bool, error) {
 	return true, nil
 }
 
+// overwrite replaces entry pos, which the caller has read, by body of the
+// same length and the same place in the order: in place, moving nothing.
+func (s *slots) overwrite(pos int, body []byte) {
+	s.own()
+	copy(s.page[s.start(pos):], body)
+}
+
 // remove deletes entry pos and zeroes the bytes and the directory slot it
 // frees, so a page's image depends only on its entries.
 func (s *slots) remove(pos int) error {

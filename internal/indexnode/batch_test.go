@@ -62,9 +62,27 @@ func groupPostings(t *testing.T, n *Node, id proto.ACGID, name string) map[index
 		return nil
 	}
 	defer g.mu.Unlock()
-	out := make(map[index.FileID]proto.IndexEntry, len(g.postings[name]))
-	for f, e := range g.postings[name] {
-		out[f] = e
+	return committedPostings(t, n, g, name)
+}
+
+// committedPostings reads one index's committed postings out of a locked
+// group's forward index.
+func committedPostings(t *testing.T, n *Node, g *group, name string) map[index.FileID]proto.IndexEntry {
+	t.Helper()
+	out := make(map[index.FileID]proto.IndexEntry)
+	spec, _ := n.lookupSpec(name)
+	err := scanForwardLocked(g, func(f index.FileID, ord uint16, payload []byte) bool {
+		if n.ordName(ord) == name {
+			e, err := fwdEntry(spec.Type == proto.IndexKD, f, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[f] = e
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

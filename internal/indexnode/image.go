@@ -62,6 +62,7 @@ var errImageTruncated = errors.New("indexnode: truncated group image")
 type imageWriter struct {
 	buf  []byte
 	emit func([]byte) error
+	rec  []byte // scratch for one record's body
 }
 
 func (w *imageWriter) record(typ byte, body []byte) error {
@@ -173,39 +174,66 @@ func (n *Node) streamImageLocked(g *group, filter func(index.FileID) bool, hdr p
 		}
 	}
 
-	names := make([]string, 0, len(g.postings))
-	for name := range g.postings {
+	names := make([]string, 0, len(g.indexes))
+	for name := range g.indexes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		post := g.postings[name]
-		ids := make([]index.FileID, 0, len(post))
-		for f := range post {
-			if filter == nil || filter(f) {
-				ids = append(ids, f)
-			}
-		}
-		if len(ids) == 0 {
-			continue
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		spec, _ := n.lookupSpec(name)
-		if err := w.record(recIndex, appendImageSpec(scratch[:0], spec)); err != nil {
+		if err := w.postings(g, g.indexes[name], filter); err != nil {
 			return err
-		}
-		for start := 0; start < len(ids); start += entriesPerRecord {
-			run := ids[start:min(start+entriesPerRecord, len(ids))]
-			scratch = binary.AppendUvarint(scratch[:0], uint64(len(run)))
-			for _, f := range run {
-				scratch = post[f].AppendWire(scratch)
-			}
-			if err := w.record(recEntries, scratch); err != nil {
-				return err
-			}
 		}
 	}
 	return w.flush()
+}
+
+// postings writes one index's committed postings that filter accepts —
+// its recIndex record, then recEntries of entriesPerRecord — streamed from
+// a scan of the forward index, which holds them in file order. An index
+// without such postings writes nothing. Caller holds g.mu.
+func (w *imageWriter) postings(g *group, in *inst, filter func(index.FileID) bool) error {
+	var (
+		body    []byte // the entries of the recEntries record being built
+		count   int
+		started bool
+		err     error
+	)
+	serr := scanForwardLocked(g, func(f index.FileID, ord uint16, payload []byte) bool {
+		if ord != in.ord || (filter != nil && !filter(f)) {
+			return true
+		}
+		var e proto.IndexEntry
+		if e, err = fwdEntry(in.kd != nil, f, payload); err != nil {
+			return false
+		}
+		if !started {
+			if err = w.record(recIndex, appendImageSpec(nil, in.spec)); err != nil {
+				return false
+			}
+			started = true
+		}
+		body = e.AppendWire(body)
+		if count++; count == entriesPerRecord {
+			err = w.entries(&body, &count)
+		}
+		return err == nil
+	})
+	if serr != nil {
+		return serr
+	}
+	if err == nil && count > 0 {
+		err = w.entries(&body, &count)
+	}
+	return err
+}
+
+// entries writes the count entries encoded in body as one recEntries
+// record and empties body.
+func (w *imageWriter) entries(body *[]byte, count *int) error {
+	rec := binary.AppendUvarint(w.rec[:0], uint64(*count))
+	w.rec = append(rec, *body...)
+	*body, *count = (*body)[:0], 0
+	return w.record(recEntries, w.rec)
 }
 
 func flushEdges(w *imageWriter, scratch *[]byte, body []byte, count int) error {
@@ -241,7 +269,6 @@ type imageApplier struct {
 	hdr      proto.ReceiveACGStreamMeta
 
 	curName  string
-	curInst  *inst
 	haveSpec bool
 	walBuf   []byte
 }
@@ -412,11 +439,10 @@ func (a *imageApplier) applyIndex(b []byte) error {
 		spec.Fields = append(spec.Fields, f)
 	}
 	a.n.DeclareIndex(spec)
-	in, err := a.n.instFor(a.g, spec.Name)
-	if err != nil {
+	if _, err := a.n.instFor(a.g, spec.Name); err != nil {
 		return err
 	}
-	a.curName, a.curInst, a.haveSpec = spec.Name, in, true
+	a.curName, a.haveSpec = spec.Name, true
 	return nil
 }
 
@@ -445,10 +471,11 @@ func (a *imageApplier) applyEntries(b []byte) error {
 	if len(run) == 0 {
 		return nil
 	}
-	// The commit engine's bulk path — sorted index mutations, postings
-	// advance only after index success — applies each completed record as
-	// it arrives, so a transfer's memory cost is one record, not the image.
-	return a.n.applyRunLocked(a.g, a.curInst, &pendingRun{name: a.curName, byFile: run})
+	// The commit engine's bulk path — sorted index mutations, the forward
+	// index advancing only after index success — applies each completed
+	// record as it arrives, so a transfer's memory cost is one record, not
+	// the image.
+	return a.n.applyRunsLocked(a.g, []*pendingRun{{name: a.curName, byFile: run}})
 }
 
 // finish completes the install: rejects a torn stream and replays any

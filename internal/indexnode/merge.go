@@ -3,7 +3,8 @@ package indexnode
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"propeller/internal/index"
 	"propeller/internal/proto"
@@ -76,28 +77,16 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		}
 	}
 	// Re-apply src's postings into dst's indices. Committed postings are
-	// already one-per-file, i.e. a coalesced run, so they merge through
-	// the same bulk apply the commit engine uses (one KD rebuild per
-	// index, sorted bulk B-tree/hash merges).
-	names := make([]string, 0, len(gs.postings))
-	for name := range gs.postings {
-		names = append(names, name)
+	// already one-per-file, i.e. coalesced runs, so they merge through the
+	// same bulk apply the commit engine uses (one KD rebuild per index,
+	// sorted bulk B-tree/hash merges, one forward walk).
+	runs, err := n.forwardRunsLocked(gs)
+	if err == nil {
+		err = n.applyRunsLocked(gd, runs)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		in, err := n.instFor(gd, name)
-		if err != nil {
-			unlock()
-			return err
-		}
-		run := make(map[index.FileID]pendingEntry, len(gs.postings[name]))
-		for f, e := range gs.postings[name] {
-			run[f] = pendingEntry{e: e}
-		}
-		if err := n.applyRunLocked(gd, in, &pendingRun{name: name, byFile: run}); err != nil {
-			unlock()
-			return err
-		}
+	if err != nil {
+		unlock()
+		return err
 	}
 	// Shared storage follows the merge: dst's image now includes src's
 	// postings, and src's state is gone everywhere.
@@ -135,6 +124,33 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		n.noteEpoch(rep.Epoch)
 	}
 	return nil
+}
+
+// forwardRunsLocked reads a group's committed postings back as runs, one
+// per index, sorted by name. Caller holds g.mu.
+func (n *Node) forwardRunsLocked(g *group) ([]*pendingRun, error) {
+	var runs []*pendingRun
+	byOrd := make(map[uint16]*pendingRun)
+	var err error
+	serr := scanForwardLocked(g, func(f index.FileID, ord uint16, payload []byte) bool {
+		run := byOrd[ord]
+		if run == nil {
+			run = &pendingRun{name: n.ordName(ord), byFile: make(map[index.FileID]pendingEntry)}
+			byOrd[ord] = run
+			runs = append(runs, run)
+		}
+		var e proto.IndexEntry
+		if e, err = fwdEntry(g.indexes[run.name].kd != nil, f, payload); err != nil {
+			return false
+		}
+		run.byFile[f] = pendingEntry{e: e}
+		return true
+	})
+	if serr != nil {
+		return nil, serr
+	}
+	slices.SortFunc(runs, func(a, b *pendingRun) int { return strings.Compare(a.name, b.name) })
+	return runs, err
 }
 
 // CompactGroups merges adjacent small groups on this node until every

@@ -130,15 +130,20 @@ func (c Config) withDefaults() Config {
 // inst is one materialized index inside a group.
 type inst struct {
 	spec proto.IndexSpec
-	bt   *index.BTree
-	ht   *index.HashIndex
-	kd   *index.KDTree
+	// ord is the index's node-local ordinal, its part of a forward key.
+	ord uint16
+	bt  *index.BTree
+	ht  *index.HashIndex
+	kd  *index.KDTree
 	// The prototype keeps a KD-tree on disk as one image at kdOffset and
 	// loads it whole to answer a query (§V-E). Only that cost is modelled
 	// — kd.ImageLen() bytes written at a commit, read at a cold load;
 	// kdResident says the load has been paid since the last cache drop.
 	kdResident bool
 	kdOffset   int64
+	// kdStale marks a KD tree a failed commit may have left behind the
+	// forward index: the next commit of the index rebuilds it from there.
+	kdStale bool
 }
 
 // group is one ACG partition and its indices. Every field below mu is
@@ -191,10 +196,12 @@ type group struct {
 	// generation ends: the group's share (Node.commitShare) for a generation
 	// a Strict search started, zero for every other (pending.go).
 	early int
-	// postings holds the latest committed posting per (index, file); it
-	// serves multi-predicate filtering and ACG migration.
-	postings map[string]map[index.FileID]proto.IndexEntry
-	log      *wal.Log
+	// fwd is the forward index: the latest committed posting per (file,
+	// index), in pages (forward.go). It serves residual predicates, commits'
+	// old-posting removals, KD rebuilds and group images. Nil until the
+	// group's first commit.
+	fwd *index.BTree
+	log *wal.Log
 
 	// follower marks this copy of the group as a replica: it accepts only
 	// the primary's replication stream (FollowerAppend), rejects direct
@@ -245,12 +252,20 @@ type Node struct {
 	// detect a merge moving files between their per-group snapshots.
 	mergeEpoch atomic.Int64
 
-	// specMu guards the index spec table.
-	specMu sync.RWMutex
-	specs  map[string]proto.IndexSpec
+	// specMu guards the index spec table and the ordinals the node gives
+	// index names in declaration order (forward keys carry them; they never
+	// leave the node).
+	specMu   sync.RWMutex
+	specs    map[string]proto.IndexSpec
+	ords     map[string]uint16
+	ordNames []string
 
 	// nextOff allocates simdisk offsets for KD images.
 	nextOff atomic.Int64
+
+	// scratch is the commit working storage kept between commits (nil
+	// while a commit holds it; pending.go).
+	scratch atomic.Pointer[commitScratch]
 
 	// stats (lock-free; hot paths must not share a cache line with locks).
 	commits       metrics.Counter
@@ -390,6 +405,7 @@ func New(cfg Config) (*Node, error) {
 		groups:   make(map[proto.ACGID]*group),
 		released: make(map[proto.ACGID]proto.Epoch),
 		specs:    make(map[string]proto.IndexSpec),
+		ords:     make(map[string]uint16),
 	}
 	n.nextOff.Store(1 << 40) // KD images live past the page region
 	if cfg.MaxInflight > 0 {
@@ -421,8 +437,13 @@ func (n *Node) RegisterRPC(s *rpc.Server) {
 func (n *Node) DeclareIndex(spec proto.IndexSpec) {
 	n.specMu.Lock()
 	defer n.specMu.Unlock()
-	if _, ok := n.specs[spec.Name]; !ok {
-		n.specs[spec.Name] = spec
+	if _, ok := n.specs[spec.Name]; ok {
+		return
+	}
+	n.specs[spec.Name] = spec
+	if len(n.ordNames) < 1<<16 { // a forward key has two bytes for it
+		n.ords[spec.Name] = uint16(len(n.ordNames))
+		n.ordNames = append(n.ordNames, spec.Name)
 	}
 }
 
@@ -579,7 +600,6 @@ func (n *Node) newGroupLocked(id proto.ACGID) *group {
 		files:            make(map[index.FileID]bool),
 		graph:            newGroupGraph(),
 		indexes:          make(map[string]*inst),
-		postings:         make(map[string]map[index.FileID]proto.IndexEntry),
 		log:              wal.NewGroupCommit(n.walGC),
 		cacheOrder:       orderedOnCredit,
 	}
@@ -604,11 +624,17 @@ func (n *Node) instFor(g *group, name string) (*inst, error) {
 	if in, ok := g.indexes[name]; ok {
 		return in, nil
 	}
-	spec, ok := n.lookupSpec(name)
+	n.specMu.RLock()
+	spec, ok := n.specs[name]
+	ord, hasOrd := n.ords[name]
+	n.specMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%q: %w", name, ErrUnknownIndex)
 	}
-	in := &inst{spec: spec}
+	if !hasOrd {
+		return nil, fmt.Errorf("indexnode: index %q: node holds %d index names, the most a forward key can name", name, 1<<16)
+	}
+	in := &inst{spec: spec, ord: ord}
 	var err error
 	switch spec.Type {
 	case proto.IndexBTree:

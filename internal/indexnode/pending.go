@@ -3,11 +3,11 @@ package indexnode
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 
-	"propeller/internal/attr"
 	"propeller/internal/index"
 	"propeller/internal/proto"
 )
@@ -109,7 +109,7 @@ func (g *group) dropOrderLocked() {
 // (value, file) keys for B-tree postings, bare value encodings for hash
 // postings. Deletes keep a nil key — they are keyed by the committed
 // posting's old value, known only at commit — and KD entries need none
-// (they apply into the postings map and the tree is built from points).
+// (the tree is built from points).
 func prepareEntryKeys(spec proto.IndexSpec, entries []proto.IndexEntry) [][]byte {
 	switch spec.Type {
 	case proto.IndexBTree:
@@ -232,17 +232,16 @@ func (n *Node) commitGroupLocked(g *group) error {
 func (n *Node) commitPendingLocked(g *group) error {
 	start := n.cfg.Clock.Now()
 	committed := int64(g.pendingCount)
+	runs := make([]*pendingRun, 0, len(g.pending))
 	for _, run := range g.pending {
-		if len(run.byFile) == 0 {
-			continue
+		if len(run.byFile) > 0 {
+			runs = append(runs, run)
 		}
-		in, err := n.instFor(g, run.name)
-		if err != nil {
-			return err
-		}
-		if err := n.applyRunLocked(g, in, run); err != nil {
-			return err
-		}
+	}
+	if err := n.applyRunsLocked(g, runs); err != nil {
+		return err
+	}
+	for _, run := range runs {
 		run.lastFiles, run.applied = len(run.byFile), true
 		run.byFile, run.order = nil, orderedRun{}
 	}
@@ -304,173 +303,316 @@ func (n *Node) commitPendingLocked(g *group) error {
 // checkpoint.
 const sharedWALCheckpointRecords = 4096
 
-// applyRunLocked merges one coalesced run — at most one entry per file,
-// the last acknowledged write for that (index, file) — into its index and
-// the group's committed postings. A run that has an order has all of it —
-// the key of every live entry, sorted (addPendingLocked keeps it whole,
+// applyRunsLocked merges coalesced runs — at most one entry per file in
+// each, the last acknowledged write for that (index, file) — into their
+// indices and the group's forward index, in one sorted walk of the forward
+// index for all of them (forward.go). A run that has an order has all of it
+// — the key of every live entry, sorted (addPendingLocked keeps it whole,
 // dropOrderLocked drops it whole) — and its inserts are read off it;
 // otherwise they are gathered from the entries and sorted here (split,
 // merge and image install apply such runs directly). Equivalence contract
 // (property-tested): the index state after a batched apply is identical to
 // replaying the acknowledged entries one at a time, because each file's
 // intermediate values would have been deleted again before the commit
-// ended. Caller holds g.mu.
-func (n *Node) applyRunLocked(g *group, in *inst, run *pendingRun) error {
-	post := g.postings[run.name]
-	if post == nil {
-		post = make(map[index.FileID]proto.IndexEntry, len(run.byFile))
-		g.postings[run.name] = post
+// ended.
+//
+// The walk stages its forward edits and reports the postings they replace;
+// the B-tree and hash removals and insertions are applied from those, and
+// only then are the forward edits written. The bulk paths are idempotent
+// (DeleteSorted skips absent keys, InsertSorted skips duplicates), so a
+// retry after a partial failure re-derives the same ops from a forward
+// index that has not moved — or has, past the point where the indices
+// already match it — and self-heals instead of diverging. Every live
+// entry's insert is staged even when the committed posting already carries
+// that exact value, which heals an index entry lost to a previously failed
+// partial apply (forward and index must reconverge on retry, not trust each
+// other). A KD tree is changed last, from the written forward index, and
+// a failure before it finishes leaves it marked for a rebuild. Caller holds
+// g.mu.
+func (n *Node) applyRunsLocked(g *group, runs []*pendingRun) error {
+	if len(runs) == 0 {
+		return nil
 	}
-	if in.kd != nil {
-		return n.applyKDRunLocked(g, in, run, post)
-	}
-
-	// B-tree / hash: split the run into old-posting removals and new
-	// insertions, then apply each side in bulk so adjacent keys share
-	// descents and page writes. The order the entries are visited in does
-	// not matter: B-tree keys are sorted before they are applied and the
-	// hash paths order their ops by bucket themselves. The postings map is
-	// only advanced after the index mutations succeed: the bulk paths are
-	// idempotent (DeleteSorted skips absent keys, InsertSorted skips
-	// duplicates), so a retry after a partial failure re-derives the same
-	// ops from the unchanged postings and self-heals instead of diverging.
-	//
-	// Every live entry's insert is staged even when the committed posting
-	// already carries that exact value: the bulk paths skip duplicates, and
-	// the unconditional re-insert heals an index entry lost to a previously
-	// failed partial apply (map and index must reconverge on retry, not
-	// trust each other).
-	var delKeys, insKeys [][]byte // B-tree
-	var delOps, insOps []index.HashOp
-	keyOf := func(v attr.Value, f index.FileID) []byte {
-		if in.bt != nil {
-			return index.AppendCompositeKey(nil, v, f)
+	ins := make([]*inst, len(runs))
+	for r, run := range runs {
+		in, err := n.instFor(g, run.name)
+		if err != nil {
+			return err
 		}
-		return v.Encode(nil)
-	}
-	stage := func(keys *[][]byte, ops *[]index.HashOp, key []byte, f index.FileID) {
-		if in.bt != nil {
-			*keys = append(*keys, key)
-		} else {
-			*ops = append(*ops, index.HashOp{ValEnc: key, File: f})
+		if err := checkKDRun(in, run); err != nil {
+			return err
 		}
+		ins[r] = in
 	}
-	inOrder := run.order.len() > 0
-	if inOrder {
-		if in.bt != nil {
-			insKeys = make([][]byte, 0, run.order.len())
-		} else {
-			insOps = make([]index.HashOp, 0, run.order.len())
-		}
-		for _, chunk := range run.order.chunks {
-			for _, k := range chunk {
-				stage(&insKeys, &insOps, k.key, k.file)
+	fwd, err := n.forwardLocked(g)
+	if err != nil {
+		return err
+	}
+	s := n.takeScratch()
+	defer n.keepScratch(s)
+	s.stage(runs, ins)
+	merge, err := fwd.MergePrefixed(fwdPrefixLen, s.keys, s.noteOld)
+	if err != nil {
+		return err
+	}
+	for r, in := range ins {
+		if in.kd == nil {
+			if err := s.applyIndex(r, in, runs[r]); err != nil {
+				return err
 			}
 		}
 	}
-	for f, pe := range run.byFile {
-		if old, had := post[f]; had && (pe.e.Delete || !old.Value.Equal(pe.e.Value)) {
-			stage(&delKeys, &delOps, keyOf(old.Value, f), f)
+	rebuild := make([]bool, len(runs))
+	for r, in := range ins {
+		if in.kd != nil {
+			rebuild[r] = in.kdStale || s.kdMoved(r)
+			in.kdStale, in.kdResident = true, true // the run is applied to the tree in RAM
 		}
-		if pe.e.Delete || inOrder {
+	}
+	if err := merge.Apply(); err != nil {
+		return err
+	}
+	for r, in := range ins {
+		if in.kd == nil {
 			continue
 		}
-		key := pe.key
-		if key == nil { // WAL-recovered entries carry no prepared key
-			key = keyOf(pe.e.Value, f)
-		}
-		stage(&insKeys, &insOps, key, f)
-	}
-	if in.bt != nil {
-		sortKeys(delKeys)
-		if !inOrder {
-			sortKeys(insKeys)
-		}
-		if _, err := in.bt.DeleteSorted(delKeys); err != nil {
-			return err
-		}
-		if _, err := in.bt.InsertSorted(insKeys); err != nil {
-			return err
-		}
-	} else {
-		if _, err := in.ht.DeleteBatch(delOps); err != nil {
-			return err
-		}
-		if _, err := in.ht.InsertBatch(insOps); err != nil {
-			return err
-		}
-	}
-	for f, pe := range run.byFile {
-		if pe.e.Delete {
-			delete(post, f)
+		if rebuild[r] {
+			if err := n.rebuildKD(g, in); err != nil {
+				return err
+			}
 		} else {
-			post[f] = pe.e
+			// Only fresh files: the tree already holds every unmoved point.
+			// Files ascend, which makes the tree's shape — and with it the
+			// order of every later answer's page reads — the same on every
+			// run.
+			for i := range s.ops {
+				if op := &s.ops[i]; int(op.run) == r && op.oldLen < 0 && op.hi > op.lo+fwdPrefixLen {
+					if err := in.kd.Insert(index.Point{Coords: runs[r].byFile[op.file].e.KDCoords, File: op.file}); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		in.kdStale = false
+	}
+	return nil
+}
+
+// checkKDRun validates every point of a KD run up front, before any state
+// advances, so a run that would fail half way never starts. (Update rejects
+// bad dims at ack time; this guards entries that arrived by WAL recovery.)
+func checkKDRun(in *inst, run *pendingRun) error {
+	if in.kd == nil {
+		return nil
+	}
+	dims := in.spec.Dims()
+	for f, pe := range run.byFile {
+		if !pe.e.Delete && len(pe.e.KDCoords) != dims {
+			return fmt.Errorf("indexnode: kd %q file %d: point has %d coords, want %d",
+				run.name, f, len(pe.e.KDCoords), dims)
 		}
 	}
 	return nil
 }
 
-// applyKDRunLocked is applyRunLocked for a KD index: the run folds into the
-// postings map, and the tree takes the fresh points incrementally or is
-// rebuilt once. Files are visited in ascending id order, which makes the
-// tree's shape — and with it the order of every later answer's page reads —
-// the same on every run. Caller holds g.mu.
-func (n *Node) applyKDRunLocked(g *group, in *inst, run *pendingRun, post map[index.FileID]proto.IndexEntry) error {
-	files := make([]index.FileID, 0, len(run.byFile))
-	for f := range run.byFile {
-		files = append(files, f)
+// commitScratch is the working storage of one applyRunsLocked, kept for the
+// node's next commit so its staging is not regrown every time: one forward
+// edit per (run, file), sorted, with its key and the payload it replaced
+// in two arenas, and the index keys the commit builds in a third.
+type commitScratch struct {
+	ops  []fwdOp
+	keys [][]byte // forward edit keys, in ops order
+	fwd  []byte   // the bytes of keys
+	old  []byte   // payloads the edits replaced, back to back
+	main []byte   // index keys built here: old postings' removals, unprepared inserts
+
+	del, ins       [][]byte // one B-tree run's removals and insertions
+	delOps, insOps []index.HashOp
+}
+
+// fwdOp is one forward edit: run's entry for file, its key at fwd[lo:hi]
+// (prefix only for a delete), the index key Update prepared for it, and
+// the payload it replaced at old[oldLo:oldLo+oldLen] (oldLen < 0: none).
+type fwdOp struct {
+	file     index.FileID
+	prepared []byte
+	lo, hi   int32
+	oldLo    int32
+	oldLen   int32
+	ord      uint16
+	run      uint16
+}
+
+// takeScratch returns the node's kept commit scratch, or a new one while a
+// concurrent commit holds it.
+func (n *Node) takeScratch() *commitScratch {
+	if s := n.scratch.Swap(nil); s != nil {
+		return s
 	}
-	slices.Sort(files)
-	// Validate every point's dimensionality up front, before any state
-	// advances — with all points valid, neither the incremental inserts nor
-	// a rebuild from (inductively valid) postings can fail, so the
-	// postings-first ordering below cannot strand the tree behind the map
-	// on a retry. (Update rejects bad dims at ack time; this guards entries
-	// that arrived by WAL recovery.)
-	dims := in.spec.Dims()
-	for _, f := range files {
-		if pe := run.byFile[f]; !pe.e.Delete && len(pe.e.KDCoords) != dims {
-			return fmt.Errorf("indexnode: kd %q file %d: point has %d coords, want %d",
-				run.name, f, len(pe.e.KDCoords), dims)
+	return new(commitScratch)
+}
+
+// keepScratch clears what would pin pending entries and keeps s for the
+// next commit — one per node, and only if it is about what a commit of
+// CacheLimit entries needs, so what a node holds between commits is
+// bounded by that, not by how many commits ran at once or by the largest
+// merge it ever applied.
+func (n *Node) keepScratch(s *commitScratch) {
+	if cap(s.ops) > 2*n.cfg.CacheLimit {
+		return
+	}
+	clear(s.ops)
+	clear(s.ins[:cap(s.ins)])
+	clear(s.insOps[:cap(s.insOps)])
+	n.scratch.CompareAndSwap(nil, s)
+}
+
+// stage builds the forward edits of runs, sorted by (file, index ordinal):
+// the order of the forward index, so one walk visits each leaf once.
+func (s *commitScratch) stage(runs []*pendingRun, ins []*inst) {
+	count, size := 0, 0
+	for r, run := range runs {
+		for _, pe := range run.byFile {
+			count++
+			size += fwdPrefixLen
+			if !pe.e.Delete {
+				size += fwdPayloadLen(ins[r].kd != nil, pe.e)
+			}
 		}
 	}
-	// The run is applied to the tree in RAM.
-	in.kdResident = true
-	// Fold the run into the postings map first; rebuild once at the end
-	// only if a point was removed or actually moved (a delete-heavy commit
-	// costs one O(n log n) rebuild, not one per entry, and a re-ack with
-	// unchanged coordinates costs nothing). A pure insert window keeps the
-	// incremental insert path — fresh files only, since the tree already
-	// holds the unmoved points.
-	rebuild := false
-	var fresh []index.FileID
-	for _, f := range files {
-		pe := run.byFile[f]
-		if pe.e.Delete {
-			if _, ok := post[f]; ok {
-				delete(post, f)
-				rebuild = true
+	s.ops, s.fwd = slices.Grow(s.ops[:0], count), slices.Grow(s.fwd[:0], size)
+	for r, run := range runs {
+		in := ins[r]
+		for f, pe := range run.byFile {
+			lo := int32(len(s.fwd))
+			s.fwd = appendFwdPrefix(s.fwd, f, in.ord)
+			if !pe.e.Delete {
+				s.fwd = appendFwdPayload(s.fwd, in.kd != nil, pe.e)
 			}
+			s.ops = append(s.ops, fwdOp{file: f, prepared: pe.key, lo: lo, hi: int32(len(s.fwd)), ord: in.ord, run: uint16(r)})
+		}
+	}
+	slices.SortFunc(s.ops, func(a, b fwdOp) int {
+		if c := cmp.Compare(a.file, b.file); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ord, b.ord)
+	})
+	s.keys, s.old, s.main = slices.Grow(s.keys[:0], count), s.old[:0], s.main[:0]
+	for _, op := range s.ops {
+		s.keys = append(s.keys, s.fwd[op.lo:op.hi])
+	}
+}
+
+// noteOld records the payload forward edit i replaced.
+func (s *commitScratch) noteOld(i int, payload []byte) {
+	op := &s.ops[i]
+	op.oldLo, op.oldLen = int32(len(s.old)), -1
+	if payload != nil {
+		s.old = append(s.old, payload...)
+		op.oldLen = int32(len(payload))
+	}
+}
+
+// oldOf returns the payload op replaced, nil if it replaced none.
+func (s *commitScratch) oldOf(op *fwdOp) []byte {
+	if op.oldLen < 0 {
+		return nil
+	}
+	return s.old[op.oldLo : op.oldLo+op.oldLen]
+}
+
+// applyIndex applies run r's share of the edits to its B-tree or hash
+// index: a removal of the replaced posting when the entry deletes or moves
+// it, and an insertion of every live entry.
+func (s *commitScratch) applyIndex(r int, in *inst, run *pendingRun) error {
+	inOrder := run.order.len() > 0
+	s.del, s.ins, s.delOps, s.insOps = s.del[:0], s.ins[:0], s.delOps[:0], s.insOps[:0]
+	if inOrder {
+		for _, chunk := range run.order.chunks {
+			for _, k := range chunk {
+				s.stageIndexKey(in, false, k.key, k.file)
+			}
+		}
+	}
+	for i := range s.ops {
+		op := &s.ops[i]
+		if int(op.run) != r {
 			continue
 		}
-		if old, ok := post[f]; ok {
-			if !slices.Equal(old.KDCoords, pe.e.KDCoords) {
-				rebuild = true // re-index moved the point
+		payload := s.keys[i][fwdPrefixLen:]
+		deleted := len(payload) == 0
+		if old := s.oldOf(op); old != nil && (deleted || !bytes.Equal(old, payload)) {
+			if in.bt != nil {
+				old = s.compositeKey(old, op.file)
 			}
-		} else {
-			fresh = append(fresh, f)
+			s.stageIndexKey(in, true, old, op.file)
 		}
-		post[f] = pe.e
+		if deleted || inOrder {
+			continue
+		}
+		key := op.prepared
+		switch {
+		case key != nil:
+		case in.bt != nil: // WAL-recovered entries carry no prepared key
+			key = s.compositeKey(payload, op.file)
+		default:
+			key = payload
+		}
+		s.stageIndexKey(in, false, key, op.file)
 	}
-	if rebuild {
-		return n.rebuildKD(g, in, run.name)
-	}
-	for _, f := range fresh {
-		if err := in.kd.Insert(index.Point{Coords: run.byFile[f].e.KDCoords, File: f}); err != nil {
+	if in.bt != nil {
+		sortKeys(s.del)
+		if !inOrder {
+			sortKeys(s.ins)
+		}
+		if _, err := in.bt.DeleteSorted(s.del); err != nil {
 			return err
 		}
+		_, err := in.bt.InsertSorted(s.ins)
+		return err
 	}
-	return nil
+	if _, err := in.ht.DeleteBatch(s.delOps); err != nil {
+		return err
+	}
+	_, err := in.ht.InsertBatch(s.insOps)
+	return err
+}
+
+// stageIndexKey adds one removal (del) or insertion to the run being
+// applied: a composite key for a B-tree, a value encoding for a hash index.
+func (s *commitScratch) stageIndexKey(in *inst, del bool, key []byte, f index.FileID) {
+	switch {
+	case in.bt != nil && del:
+		s.del = append(s.del, key)
+	case in.bt != nil:
+		s.ins = append(s.ins, key)
+	case del:
+		s.delOps = append(s.delOps, index.HashOp{ValEnc: key, File: f})
+	default:
+		s.insOps = append(s.insOps, index.HashOp{ValEnc: key, File: f})
+	}
+}
+
+// compositeKey builds, in the arena, the B-tree key of the value encoded as
+// enc for file f. (A key sliced before the arena last grew stays valid: its
+// old array is never written again.)
+func (s *commitScratch) compositeKey(enc []byte, f index.FileID) []byte {
+	lo := len(s.main)
+	s.main = binary.BigEndian.AppendUint64(index.AppendEncodedKey(s.main, enc), uint64(f))
+	return s.main[lo:]
+}
+
+// kdMoved reports whether KD run r deletes a committed point or moves one,
+// which takes a rebuild; a run that only adds points inserts them.
+func (s *commitScratch) kdMoved(r int) bool {
+	for i := range s.ops {
+		op := &s.ops[i]
+		if int(op.run) == r && op.oldLen >= 0 && !bytes.Equal(s.oldOf(op), s.keys[i][fwdPrefixLen:]) {
+			return true
+		}
+	}
+	return false
 }
 
 // sortKeys orders encoded keys ascending (the bulk-path precondition).
@@ -478,19 +620,25 @@ func sortKeys(keys [][]byte) {
 	slices.SortFunc(keys, bytes.Compare)
 }
 
-// rebuildKD reconstructs a KD index from current postings (after deletes
+// rebuildKD reconstructs a KD index from the forward index (after deletes
 // or re-indexed points). The batch commit engine calls this at most once
 // per (KD index, commit) — n.kdRebuilds counts invocations, which is how
 // tests pin that contract. Caller holds g.mu.
-func (n *Node) rebuildKD(g *group, in *inst, name string) error {
-	dims := in.spec.Dims()
-	pts := make([]index.Point, 0, len(g.postings[name]))
-	for f, e := range g.postings[name] {
-		pts = append(pts, index.Point{Coords: e.KDCoords, File: f})
-	}
-	kd, err := index.BuildKDTree(dims, pts)
+func (n *Node) rebuildKD(g *group, in *inst) error {
+	var pts []index.Point
+	err := scanForwardLocked(g, func(f index.FileID, ord uint16, payload []byte) bool {
+		if ord == in.ord {
+			e, _ := fwdEntry(true, f, payload)
+			pts = append(pts, index.Point{Coords: e.KDCoords, File: f})
+		}
+		return true
+	})
 	if err != nil {
-		return fmt.Errorf("indexnode: rebuild kd %q: %w", name, err)
+		return err
+	}
+	kd, err := index.BuildKDTree(in.spec.Dims(), pts)
+	if err != nil {
+		return fmt.Errorf("indexnode: rebuild kd %q: %w", in.spec.Name, err)
 	}
 	in.kd = kd
 	n.kdRebuilds.Inc()

@@ -236,7 +236,7 @@ func TestProvenPredicateSkipEquivalence(t *testing.T) {
 
 // TestProvenScansTakeNoResidual pins that the rule fires on both paged
 // access paths: a provable query over postings of the bounds' kind never
-// resolves a posting map (the residual's first step), and the same scan
+// resolves the queried fields' postings (the residual's first step), and the same scan
 // with a second field in the query does — whether the postings sit in the
 // committed index (the timeout committed them) or are still in the cache
 // and the search reads through it.

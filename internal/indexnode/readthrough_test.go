@@ -129,7 +129,7 @@ func (tw *rtTwins) onePostingPerFile(where string) {
 					err := in.bt.ScanRange(nil, nil, true, true, func(v attr.Value, f index.FileID) bool {
 						if old, dup := seen[f]; dup {
 							tw.t.Errorf("%s: node %s acg %d index %s holds file %d twice (%v and %v; posting %v)",
-								where, n.cfg.ID, g.id, name, f, old, v, g.postings[name][f].Value)
+								where, n.cfg.ID, g.id, name, f, old, v, committedPostings(tw.t, n, g, name)[f].Value)
 						}
 						seen[f] = v
 						return true

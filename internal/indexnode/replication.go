@@ -287,8 +287,11 @@ func (n *Node) PromoteACG(ctx context.Context, ord proto.PromoteOrder) error {
 	}
 	if n.cfg.Shared != nil {
 		if checkpoint, walBytes, ok := n.cfg.Shared.Load(ord.ACG); ok {
-			known := n.knownPairsLocked(g)
-			if err := n.installImageBytesLocked(g, checkpoint, known); err != nil {
+			known, err := n.knownPairsLocked(g)
+			if err == nil {
+				err = n.installImageBytesLocked(g, checkpoint, known)
+			}
+			if err != nil {
 				return fmt.Errorf("indexnode promote acg %d: %w", ord.ACG, err)
 			}
 			if _, err := n.replayWALLocked(g, walBytes, known); err != nil {

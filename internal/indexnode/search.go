@@ -407,23 +407,38 @@ type groupScanner struct {
 	scanState // what the pool must not keep: zeroed on release
 	col       pageCollector
 	// fields is where the residual finds each queried field's value in
-	// the current group, resolved on the group's first residual candidate
-	// (fieldsFor == g once done; cleared on entering a group).
-	fields []fieldSource
+	// the current group, one per predicate, resolved on the group's first
+	// residual candidate (fieldsFor == g once done; cleared on entering a
+	// group). predEnc holds each predicate's value encoding, for the
+	// residual's byte compares (predBuf backs it).
+	fields  []fieldSource
+	predEnc [][]byte
+	predBuf []byte
+
+	// batch holds the candidates awaiting the residual: they are judged
+	// residualBatch at a time, sorted by file, so the forward index is read
+	// in its own order — each leaf once per batch — through fwd. fwdKeys
+	// holds the forward keys of the candidate being judged.
+	batch   []index.FileID
+	fwd     index.Cursor
+	fwdKeys [][]byte
 
 	// Reused closures (built once in newGroupScanner).
 	emit     func(index.FileID) bool
 	scanEmit func(attr.Value, index.FileID) bool
-	getField func(string) (attr.Value, bool)
 
 	// Reused scratch: B-tree cursor and encoded bounds, KD box.
 	cur          index.Cursor
 	loBuf, hiBuf []byte
 	kdLo, kdHi   []float64
 
-	// seekBuf holds the key a read-through seeks the pending run to.
+	// seekBuf holds the key a read-through seeks the pending run to, or
+	// the forward index to.
 	seekBuf []byte
 }
+
+// residualBatch bounds the candidates awaiting the residual in one group.
+const residualBatch = 1024
 
 // scanState is a scanner's request- and group-scoped state.
 type scanState struct {
@@ -432,22 +447,27 @@ type scanState struct {
 	after    index.FileID
 	afterSet bool
 
-	// Per-group scan state, set by searchGroupLocked. curFile is the
-	// candidate under residual evaluation; skipResidual is set while the
-	// access path running proves every candidate it yields (KD-only box
-	// queries, proven hash point lookups).
+	// Per-group scan state, set by searchGroupLocked. skipResidual is set
+	// while the access path running proves every candidate it yields
+	// (KD-only box queries, proven hash point lookups). fwdFile is the file
+	// whose forward keys fwdKeys holds (fwdRead false: none yet). emitErr
+	// is a residual's failure inside a callback scan, which stops it.
 	g            *group
 	in           *inst
 	name         string
-	curFile      index.FileID
 	skipResidual bool
 	fieldsFor    *group
+	fwdFile      index.FileID
+	fwdRead      bool
+	emitErr      error
 	// reading is set on a read-through: postings then resolve to a file's
 	// pending entry over its committed one (postingsOf). own is the scanned
 	// index's pending run when it holds anything — nil on every other
 	// search, the state every scan path tests.
 	reading bool
 	own     *pendingRun
+	// predsEncoded says predEnc holds this request's predicate encodings.
+	predsEncoded bool
 
 	// Cached per-request interval for the index's field (every group of a
 	// request shares one index spec, so the intersection and its bound
@@ -464,34 +484,53 @@ type scanState struct {
 }
 
 // fieldSource is where one queried field's value lives in the current
-// group: a coordinate of the scanned KD index's points, and/or the postings
-// of the single-field indices over that field (the scanned index's own
-// first, so it agrees with what the scan just read).
+// group: a coordinate of the scanned KD index's points (kdOK), and/or the
+// postings of the single-field indices over that field (the scanned
+// index's own first, so it agrees with what the scan just read).
 type fieldSource struct {
-	field string
 	kd    postings
+	kdOK  bool
 	kdDim int
 	maps  []postings
 }
 
 // postings is one index's postings of the current group as a search sees
-// them: the committed map, and on a read-through the index's pending run
-// over it (nil otherwise).
+// them: the committed ones in the forward index under its ordinal, and on
+// a read-through the index's pending run over them (nil otherwise).
 type postings struct {
-	committed map[index.FileID]proto.IndexEntry
-	pending   map[index.FileID]pendingEntry
+	ord     uint16
+	pending map[index.FileID]pendingEntry
+}
+
+// posting is a file's merged posting in one index: a pending entry, or the
+// committed posting's forward payload (committed set, e zero).
+type posting struct {
+	e         proto.IndexEntry
+	payload   []byte
+	committed bool
+}
+
+// coord returns coordinate d of a KD posting, if the point has one.
+func (p posting) coord(d int) (float64, bool) {
+	switch {
+	case p.committed && d < len(p.payload)/8:
+		return kdCoord(p.payload, d), true
+	case !p.committed && d < len(p.e.KDCoords):
+		return p.e.KDCoords[d], true
+	}
+	return 0, false
 }
 
 // of returns f's merged posting: the pending entry when there is one — a
 // pending delete making the file absent — else the committed posting. This
 // is the posting the commit would leave, so reading through the cache
 // answers exactly as commit-then-search does.
-func (p postings) of(f index.FileID) (proto.IndexEntry, bool) {
+func (sc *groupScanner) of(p postings, f index.FileID) (posting, bool, error) {
 	if pe, ok := p.pending[f]; ok {
-		return pe.e, !pe.e.Delete
+		return posting{e: pe.e}, !pe.e.Delete, nil
 	}
-	e, ok := p.committed[f]
-	return e, ok
+	payload, ok, err := sc.committed(f, p.ord)
+	return posting{payload: payload, committed: true}, ok, err
 }
 
 var scannerPool = sync.Pool{New: func() any { return newGroupScanner() }}
@@ -509,37 +548,19 @@ func acquireScanner(n *Node, q query.Query, req proto.SearchReq) *groupScanner {
 func (sc *groupScanner) release() {
 	sc.scanState = scanState{}
 	clear(sc.fields[:cap(sc.fields)])
+	clear(sc.fwdKeys[:cap(sc.fwdKeys)])
 	sc.cur.Reset(nil)
+	sc.fwd.Reset(nil)
 	scannerPool.Put(sc)
 }
 
 func newGroupScanner() *groupScanner {
 	sc := &groupScanner{}
-	sc.getField = func(field string) (attr.Value, bool) {
-		if sc.fieldsFor != sc.g {
-			sc.resolveFields()
-		}
-		for _, src := range sc.fields {
-			if src.field != field {
-				continue
-			}
-			if e, ok := src.kd.of(sc.curFile); ok && src.kdDim < len(e.KDCoords) {
-				return attr.Float(e.KDCoords[src.kdDim]), true
-			}
-			for _, post := range src.maps {
-				if e, ok := post.of(sc.curFile); ok {
-					return e.Value, true
-				}
-			}
-			break
-		}
-		return attr.Value{}, false
-	}
 	sc.emit = func(f index.FileID) bool {
 		if !sc.pendingFile(f) {
-			sc.yield(f, sc.skipResidual)
+			sc.emitErr = sc.yield(f, sc.skipResidual)
 		}
-		return true
+		return sc.emitErr == nil
 	}
 	sc.scanEmit = func(_ attr.Value, f index.FileID) bool { return sc.emit(f) }
 	return sc
@@ -547,15 +568,137 @@ func newGroupScanner() *groupScanner {
 
 // yield passes one candidate of the running access path to the collector:
 // as it is when the path proves the whole query for it, through the
-// residual predicates otherwise.
-func (sc *groupScanner) yield(f index.FileID, proven bool) {
-	if !proven {
-		sc.curFile = f
-		if !sc.q.Matches(sc.getField) {
-			return
+// residual predicates otherwise — which waits in the batch until it is
+// full or the group's scan ends (judgeBatch).
+func (sc *groupScanner) yield(f index.FileID, proven bool) error {
+	if proven {
+		sc.col.add(f)
+		return nil
+	}
+	sc.batch = append(sc.batch, f)
+	if len(sc.batch) < residualBatch {
+		return nil
+	}
+	return sc.judgeBatch()
+}
+
+// judgeBatch runs the residual over the waiting candidates in file order,
+// the forward index's, and passes the matches to the collector. The order
+// the collector sees its candidates in does not change the page it keeps.
+func (sc *groupScanner) judgeBatch() error {
+	if len(sc.batch) == 0 {
+		return nil
+	}
+	slices.Sort(sc.batch)
+	sc.fwd.Reset(sc.g.fwd) // the batch's first seek descends
+	sc.fwdRead = false
+	for _, f := range sc.batch {
+		ok, err := sc.residual(f)
+		if err != nil {
+			return err
+		}
+		if ok {
+			sc.col.add(f)
 		}
 	}
-	sc.col.add(f)
+	sc.batch = sc.batch[:0]
+	return nil
+}
+
+// residual reports whether candidate f satisfies every predicate on its
+// merged postings. Caller holds g.mu.
+func (sc *groupScanner) residual(f index.FileID) (bool, error) {
+	if sc.fieldsFor != sc.g {
+		sc.resolveFields()
+	}
+	for i, p := range sc.q.Preds {
+		ok, err := sc.holds(i, p, f)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// holds reports whether f satisfies predicate i: on its coordinate of the
+// scanned KD index if it has one, else on its posting in the first index
+// over the field that has one.
+func (sc *groupScanner) holds(i int, p query.Predicate, f index.FileID) (bool, error) {
+	src := &sc.fields[i]
+	if src.kdOK {
+		post, ok, err := sc.of(src.kd, f)
+		if err != nil {
+			return false, err
+		}
+		if c, has := post.coord(src.kdDim); ok && has {
+			return p.Eval(attr.Float(c)), nil
+		}
+	}
+	for _, m := range src.maps {
+		post, ok, err := sc.of(m, f)
+		switch {
+		case err != nil:
+			return false, err
+		case !ok:
+			continue
+		case post.committed:
+			return sc.holdsEncoded(i, p, post.payload), nil
+		}
+		return p.Eval(post.e.Value), nil
+	}
+	return false, nil
+}
+
+// holdsEncoded is predicate i's verdict on a committed value, kept in its
+// encoding. Encodings of one kind order as their values do for ints, times
+// and strings, so those compare as bytes; kinds that differ with a string
+// on either side never compare; a float, or numbers of different kinds,
+// decode for the typed compare.
+func (sc *groupScanner) holdsEncoded(i int, p query.Predicate, enc []byte) bool {
+	if len(enc) == 0 {
+		return false
+	}
+	k, pk := attr.Kind(enc[0]), p.Value.Kind()
+	switch {
+	case k == pk && (k == attr.KindInt || k == attr.KindTime || k == attr.KindString):
+		return p.Accepts(bytes.Compare(enc, sc.predEnc[i]))
+	case k != pk && (k == attr.KindString || pk == attr.KindString):
+		return false
+	}
+	v, err := attr.Decode(enc)
+	return err == nil && p.Eval(v)
+}
+
+// committed returns f's forward payload for the index of ordinal ord. A
+// candidate's forward keys are read once, by one seek, for all its fields.
+func (sc *groupScanner) committed(f index.FileID, ord uint16) ([]byte, bool, error) {
+	if sc.g.fwd == nil {
+		return nil, false, nil
+	}
+	if !sc.fwdRead || sc.fwdFile != f {
+		sc.fwdKeys = sc.fwdKeys[:0]
+		sc.seekBuf = appendFwdPrefix(sc.seekBuf[:0], f, 0)
+		if err := sc.fwd.SeekAhead(sc.seekBuf); err != nil {
+			return nil, false, err
+		}
+		for {
+			key, ok, err := sc.fwd.NextKey()
+			if err != nil {
+				return nil, false, err
+			}
+			if !ok || fwdFile(key) != f {
+				break
+			}
+			sc.fwdKeys = append(sc.fwdKeys, key)
+		}
+		sc.fwdFile, sc.fwdRead = f, true
+	}
+	for _, key := range sc.fwdKeys {
+		if fwdOrd(key) == ord {
+			return key[fwdPrefixLen:], true, nil
+		}
+	}
+	return nil, false, nil
 }
 
 // pendingFile reports whether the scanned index's pending run holds an
@@ -573,39 +716,44 @@ func (sc *groupScanner) pendingFile(f index.FileID) bool {
 	return ok
 }
 
-// postingsOf returns the named index's postings in the current group as
-// this search sees them. Caller holds g.mu.
-func (sc *groupScanner) postingsOf(name string) postings {
-	p := postings{committed: sc.g.postings[name]}
+// postingsOf returns the postings of the named index, of ordinal ord, in
+// the current group as this search sees them, and whether the group holds
+// any. Caller holds g.mu.
+func (sc *groupScanner) postingsOf(name string, ord uint16) (postings, bool) {
+	p := postings{ord: ord}
 	if sc.reading {
 		if run := sc.g.run(name); run != nil {
 			p.pending = run.byFile
 		}
 	}
-	return p
+	_, committed := sc.g.indexes[name] // materialized by the commit that gave it postings
+	return p, committed || p.pending != nil
 }
 
 // resolveFields works out, once per (request, group), which postings hold
 // each queried field — one specMu acquisition and one pass over the spec
-// table, so a residual candidate then costs one map probe per predicate
-// (two on a read-through). Caller holds g.mu.
+// table, so a residual candidate then costs a forward lookup per predicate
+// (and a map probe on a read-through) — and, once per request, encodes the
+// predicates' values. Caller holds g.mu.
 func (sc *groupScanner) resolveFields() {
 	sc.fields, sc.fieldsFor = sc.fields[:0], sc.g
 	sc.n.specMu.RLock()
 	defer sc.n.specMu.RUnlock()
-	for _, p := range sc.q.Preds { // a field queried twice resolves twice; the first entry serves
-		src := fieldSource{field: p.Field}
+	for _, p := range sc.q.Preds { // a field queried twice resolves twice
+		var src fieldSource
 		if sc.in.kd != nil {
 			if d := slices.Index(sc.in.spec.Fields, p.Field); d >= 0 {
-				src.kd, src.kdDim = sc.postingsOf(sc.name), d
+				src.kd, _ = sc.postingsOf(sc.name, sc.in.ord)
+				src.kdOK, src.kdDim = true, d
 			}
 		}
 		for name, spec := range sc.n.specs {
-			if spec.Field != p.Field || spec.Type == proto.IndexKD {
+			ord, hasOrd := sc.n.ords[name]
+			if spec.Field != p.Field || spec.Type == proto.IndexKD || !hasOrd {
 				continue
 			}
-			post := sc.postingsOf(name)
-			if post.committed == nil && post.pending == nil {
+			post, held := sc.postingsOf(name, ord)
+			if !held {
 				continue // the group holds nothing for this index
 			}
 			src.maps = append(src.maps, post)
@@ -614,6 +762,15 @@ func (sc *groupScanner) resolveFields() {
 			}
 		}
 		sc.fields = append(sc.fields, src)
+	}
+	if !sc.predsEncoded {
+		sc.predBuf, sc.predEnc = sc.predBuf[:0], sc.predEnc[:0]
+		for _, p := range sc.q.Preds {
+			start := len(sc.predBuf)
+			sc.predBuf = p.Value.Encode(sc.predBuf)
+			sc.predEnc = append(sc.predEnc, sc.predBuf[start:]) // an earlier one keeps its array if this one grows
+		}
+		sc.predsEncoded = true
 	}
 }
 
@@ -650,7 +807,7 @@ func (sc *groupScanner) searchGroupLocked(g *group, indexName string, readThroug
 		}
 	}
 	sc.g, sc.in, sc.name, sc.fieldsFor = g, in, indexName, nil
-	sc.skipResidual = false
+	sc.skipResidual, sc.emitErr, sc.batch = false, nil, sc.batch[:0]
 	var err error
 	switch {
 	case in.bt != nil:
@@ -662,8 +819,16 @@ func (sc *groupScanner) searchGroupLocked(g *group, indexName string, readThroug
 	default:
 		err = fmt.Errorf("%q: %w", indexName, ErrUnknownIndex)
 	}
+	if err == nil {
+		err = sc.emitErr
+	}
 	if err == nil && sc.own != nil {
-		sc.n.pendingJudged.Add(int64(sc.scanPending()))
+		var judged int
+		judged, err = sc.scanPending()
+		sc.n.pendingJudged.Add(int64(judged))
+	}
+	if err == nil {
+		err = sc.judgeBatch()
 	}
 	return err
 }
@@ -679,7 +844,7 @@ func (sc *groupScanner) searchGroupLocked(g *group, indexName string, readThroug
 // costs less than the tree rebuild its commit would. Caller holds g.mu; the
 // access path has run, so the bounds it cached (sc.iv with loBuf/hiBuf, the
 // KD box) are set.
-func (sc *groupScanner) scanPending() (judged int) {
+func (sc *groupScanner) scanPending() (judged int, err error) {
 	order := &sc.own.order
 	switch {
 	case sc.in.bt != nil:
@@ -700,16 +865,18 @@ func (sc *groupScanner) scanPending() (judged int) {
 				valKey := k.key[:len(k.key)-8]
 				if sc.iv.Hi != nil {
 					if c := bytes.Compare(valKey, sc.hiBuf); c > 0 || (c == 0 && !sc.iv.IncHi) {
-						return judged // the run is sorted; nothing further is inside
+						return judged, nil // the run is sorted; nothing further is inside
 					}
 				}
-				sc.yield(k.file, valKey[0] == sc.provenKind)
+				if err := sc.yield(k.file, valKey[0] == sc.provenKind); err != nil {
+					return judged, err
+				}
 			}
 		}
 	case sc.in.ht != nil:
 		point, none := sc.hashLookup()
 		if none {
-			return 0
+			return 0, nil
 		}
 		ci, i := 0, 0
 		if point != nil {
@@ -719,11 +886,13 @@ func (sc *groupScanner) scanPending() (judged int) {
 			for _, k := range order.chunks[ci][i:] {
 				judged++
 				if point != nil && !bytes.Equal(k.key, sc.loBuf) {
-					return judged
+					return judged, nil
 				}
 				// A posting of the point's value is proven as a hit of the
 				// lookup is; the full-table scan proves nothing.
-				sc.yield(k.file, point != nil && sc.provenKind != 0)
+				if err := sc.yield(k.file, point != nil && sc.provenKind != 0); err != nil {
+					return judged, err
+				}
 			}
 		}
 	default:
@@ -731,11 +900,13 @@ func (sc *groupScanner) scanPending() (judged int) {
 		for f, pe := range sc.own.byFile {
 			judged++
 			if !pe.e.Delete && inBox(pe.e.KDCoords, sc.kdLo, sc.kdHi) {
-				sc.yield(f, proven)
+				if err := sc.yield(f, proven); err != nil {
+					return judged, err
+				}
 			}
 		}
 	}
-	return judged
+	return judged, nil
 }
 
 // inBox reports whether a KD point lies inside the inclusive box, by
@@ -849,12 +1020,23 @@ func (sc *groupScanner) scanBTree() error {
 		case valEnc[0] == sc.provenKind:
 			sc.col.add(f) // inside the bounds, of the bounds' kind: proven
 		default:
-			sc.yield(f, false)
+			if err := sc.yield(f, false); err != nil {
+				return err
+			}
+			// An equality scan judges as soon as its waiting candidates
+			// could fill what is left of the page, so the stop below comes
+			// as early as it would one candidate at a time.
+			if eqScan && sc.col.limit > 0 && len(sc.batch) > sc.col.limit-len(sc.col.heap) {
+				if err := sc.judgeBatch(); err != nil {
+					return err
+				}
+			}
 		}
 		// Equality runs yield ascending file ids, so once the page is full,
 		// the current id is at or beyond the page maximum and a beyond-page
 		// match is recorded (More stays truthful), nothing later in this
-		// group can change the page.
+		// group can change the page — the candidates still waiting for the
+		// residual sort below the current one and only shrink the page.
 		if eqScan && sc.col.overflow && sc.col.pageClosed(f) {
 			return nil
 		}
@@ -932,7 +1114,7 @@ func (sc *groupScanner) fieldInterval() (query.Interval, bool) {
 // scanKD streams the box query through the KD tree. When the box captures
 // the whole query exactly — every predicate is on a KD-covered field with
 // numeric bounds the interval represents completely — residual evaluation
-// is skipped outright: no per-candidate posting-map lookups at all.
+// is skipped outright: no per-candidate forward lookups at all.
 func (sc *groupScanner) scanKD() error {
 	if err := sc.n.ensureKDResidentLocked(sc.in); err != nil {
 		return err

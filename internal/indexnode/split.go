@@ -64,11 +64,6 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 		moveSet[f] = true
 	}
 	filter := func(f index.FileID) bool { return moveSet[f] }
-	names := make([]string, 0, len(g.postings))
-	for name := range g.postings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 
 	// Ship the moved half: the filtered image, rendered under the group
 	// lock — the quiesce window — and installed by the destination through
@@ -115,29 +110,27 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 		return proto.SplitACGResp{}, fmt.Errorf("acg %d merged during split: %w", req.ACG, ErrUnknownACG)
 	}
 	defer g.mu.Unlock()
+	// Remove the moved postings through the commit engine's bulk apply: a
+	// run of delete entries per index gets the same sorted B-tree /
+	// chain-batched hash removals, the single KD rebuild, and the
+	// forward-advances-only-after-index-success retry contract as any
+	// commit — one copy of the invariant. A delete of a file an index has
+	// no posting for is no edit.
+	names := make([]string, 0, len(g.indexes))
+	for name := range g.indexes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	runs := make([]*pendingRun, 0, len(names))
 	for _, name := range names {
-		// Remove the moved postings through the commit engine's bulk
-		// apply: a run of delete entries gets the same sorted B-tree /
-		// chain-batched hash removals, the single KD rebuild, and the
-		// postings-advance-only-after-index-success retry contract as any
-		// commit — one copy of the invariant.
-		post := g.postings[name]
 		run := make(map[index.FileID]pendingEntry, len(moveSet))
 		for f := range moveSet {
-			if _, ok := post[f]; ok {
-				run[f] = pendingEntry{e: proto.IndexEntry{File: f, Delete: true}}
-			}
+			run[f] = pendingEntry{e: proto.IndexEntry{File: f, Delete: true}}
 		}
-		if len(run) == 0 {
-			continue
-		}
-		in, err := n.instFor(g, name)
-		if err != nil {
-			return proto.SplitACGResp{}, err
-		}
-		if err := n.applyRunLocked(g, in, &pendingRun{name: name, byFile: run}); err != nil {
-			return proto.SplitACGResp{}, err
-		}
+		runs = append(runs, &pendingRun{name: name, byFile: run})
+	}
+	if err := n.applyRunsLocked(g, runs); err != nil {
+		return proto.SplitACGResp{}, err
 	}
 	if g.movedOut == nil {
 		g.movedOut = make(map[index.FileID]bool, len(moveSet))
@@ -219,7 +212,11 @@ func (n *Node) installShippedImage(meta proto.ReceiveACGStreamMeta, source func(
 	if meta.ReplSeq > g.replSeq {
 		g.replSeq = meta.ReplSeq
 	}
-	a := newImageApplier(n, g, n.knownPairsLocked(g))
+	known, err := n.knownPairsLocked(g)
+	if err != nil {
+		return err
+	}
+	a := newImageApplier(n, g, known)
 	if err := source(a.feed); err != nil {
 		return err
 	}

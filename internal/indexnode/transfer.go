@@ -93,9 +93,11 @@ func (n *Node) shipGroupStreamLocked(ctx context.Context, peer *rpc.Client, g *g
 // an opinion on — committed postings or pending entries. Recovery and
 // transfer installs skip these: anything the live group already holds is
 // newer than what shared storage or a migration payload carries, and stale
-// state must never clobber fresher acknowledged writes. Caller holds g.mu.
-func (n *Node) knownPairsLocked(g *group) map[string]map[index.FileID]bool {
-	known := make(map[string]map[index.FileID]bool, len(g.postings)+len(g.pending))
+// state must never clobber fresher acknowledged writes. The snapshot is
+// taken before the install, whose own postings must not count. Caller
+// holds g.mu.
+func (n *Node) knownPairsLocked(g *group) (map[string]map[index.FileID]bool, error) {
+	known := make(map[string]map[index.FileID]bool, len(g.indexes)+len(g.pending))
 	note := func(name string, f index.FileID) {
 		m := known[name]
 		if m == nil {
@@ -104,17 +106,16 @@ func (n *Node) knownPairsLocked(g *group) map[string]map[index.FileID]bool {
 		}
 		m[f] = true
 	}
-	for name, post := range g.postings {
-		for f := range post {
-			note(name, f)
-		}
-	}
+	err := scanForwardLocked(g, func(f index.FileID, ord uint16, _ []byte) bool {
+		note(n.ordName(ord), f)
+		return true
+	})
 	for _, run := range g.pending {
 		for f := range run.byFile {
 			note(run.name, f)
 		}
 	}
-	return known
+	return known, err
 }
 
 // WALImage returns the group's current log image (what would sit in shared
@@ -289,8 +290,11 @@ func (n *Node) RecoverFromShared(ctx context.Context, id proto.ACGID) error {
 		n.groupsRecovered.Inc()
 		return nil
 	}
-	known := n.knownPairsLocked(g)
-	if err := n.installImageBytesLocked(g, checkpoint, known); err != nil {
+	known, err := n.knownPairsLocked(g)
+	if err == nil {
+		err = n.installImageBytesLocked(g, checkpoint, known)
+	}
+	if err != nil {
 		return fmt.Errorf("indexnode recover acg %d: %w", id, err)
 	}
 	if _, err := n.replayWALLocked(g, walBytes, known); err != nil {

@@ -659,7 +659,7 @@ type NodeStatsResp struct {
 	CommitFailures int64
 	// KDRebuilds counts full K-D tree reconstructions. The batch commit
 	// engine performs at most one per (KD index, commit) — deletes and
-	// re-indexed points are folded into the postings map first and the
+	// re-indexed points are folded into the forward index first and the
 	// tree is rebuilt once, instead of once per entry.
 	KDRebuilds int64
 	// CoalescedEntries counts acknowledged entries superseded in the lazy

@@ -1,9 +1,10 @@
 // Hand-rolled binary wire codec for the hot-path messages. Every request
 // the data plane sends millions of times — updates, searches, follower
-// appends — implements rpc's MarshalWire/UnmarshalWire pair here, so the
+// appends, and the file lookups a client makes for every new file it
+// indexes — implements rpc's MarshalWire/UnmarshalWire pair here, so the
 // transport picks the binary form automatically; the cold control plane
-// (registration, heartbeats, placement) stays on gob, which costs those
-// ~25 rarely-sent messages no code at all.
+// (registration, heartbeats, index placement) stays on gob, which costs
+// those ~25 rarely-sent messages no code at all.
 //
 // The UpdateReq encoding is more than a transport form: it is the Index
 // Node's log record. Node.Update frames MarshalWire's output once and that
@@ -594,6 +595,177 @@ func (r *ReceiveACGStreamMeta) UnmarshalWire(data []byte) error {
 	r.Follower = b[0]&1 != 0
 	if r.ReplSeq, _, err = getUvarint(b[1:]); err != nil {
 		return err
+	}
+	return nil
+}
+
+// --- LookupFilesReq / LookupFilesResp ----------------------------------
+
+// Lookup flag bits.
+const lookupAllocate byte = 1 << 0
+
+// MarshalWire implements rpc.WireMarshaler.
+func (r *LookupFilesReq) MarshalWire(dst []byte) []byte {
+	dst = append(dst, wireV1)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Files)))
+	for _, f := range r.Files {
+		dst = binary.AppendUvarint(dst, uint64(f))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(r.GroupHints)))
+	for _, h := range r.GroupHints {
+		dst = binary.AppendUvarint(dst, h)
+	}
+	var flags byte
+	if r.Allocate {
+		flags |= lookupAllocate
+	}
+	return append(dst, flags)
+}
+
+// UnmarshalWire implements rpc.WireUnmarshaler.
+func (r *LookupFilesReq) UnmarshalWire(data []byte) error {
+	*r = LookupFilesReq{}
+	b, err := checkVersion(data)
+	if err != nil {
+		return err
+	}
+	if r.Files, b, err = getUvarints[index.FileID](b); err != nil {
+		return err
+	}
+	if r.GroupHints, b, err = getUvarints[uint64](b); err != nil {
+		return err
+	}
+	if len(b) == 0 {
+		return wireErr("truncated lookup flags")
+	}
+	r.Allocate = b[0]&lookupAllocate != 0
+	return nil
+}
+
+// getUvarints reads a count-prefixed uvarint list (nil when empty).
+func getUvarints[T ~uint64](b []byte) ([]T, []byte, error) {
+	n, b, err := getUvarint(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := countGuard(n, b, 1); err != nil {
+		return nil, nil, err
+	}
+	if n == 0 {
+		return nil, b, nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		var v uint64
+		if v, b, err = getUvarint(b); err != nil {
+			return nil, nil, err
+		}
+		out[i] = T(v)
+	}
+	return out, b, nil
+}
+
+// MarshalWire implements rpc.WireMarshaler. The files of a lookup share a
+// handful of groups, so each distinct route — (ACG, node, address, epoch) —
+// travels once and each file carries its route's index.
+func (r *LookupFilesResp) MarshalWire(dst []byte) []byte {
+	dst = append(dst, wireV1)
+	dst = binary.AppendUvarint(dst, uint64(r.Epoch))
+	type route struct {
+		acg        ACGID
+		node, addr string
+		epoch      Epoch
+	}
+	var routes []route
+	seen := make(map[route]int)
+	idx := make([]int, len(r.Mappings))
+	for i, m := range r.Mappings {
+		rt := route{m.ACG, string(m.Node), m.Addr, m.Epoch}
+		k, ok := seen[rt]
+		if !ok {
+			k = len(routes)
+			seen[rt] = k
+			routes = append(routes, rt)
+		}
+		idx[i] = k
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(routes)))
+	for _, rt := range routes {
+		dst = binary.AppendUvarint(dst, uint64(rt.acg))
+		dst = appendString(dst, rt.node)
+		dst = appendString(dst, rt.addr)
+		dst = binary.AppendUvarint(dst, uint64(rt.epoch))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(r.Mappings)))
+	for i, m := range r.Mappings {
+		dst = binary.AppendUvarint(dst, uint64(m.File))
+		dst = binary.AppendUvarint(dst, uint64(idx[i]))
+	}
+	return dst
+}
+
+// UnmarshalWire implements rpc.WireUnmarshaler. Mappings of one route share
+// its strings.
+func (r *LookupFilesResp) UnmarshalWire(data []byte) error {
+	*r = LookupFilesResp{}
+	b, err := checkVersion(data)
+	if err != nil {
+		return err
+	}
+	var v uint64
+	if v, b, err = getUvarint(b); err != nil {
+		return err
+	}
+	r.Epoch = Epoch(v)
+	var n uint64
+	if n, b, err = getUvarint(b); err != nil {
+		return err
+	}
+	if err := countGuard(n, b, 4); err != nil {
+		return err
+	}
+	routes := make([]FileMapping, n)
+	for i := range routes {
+		rt := &routes[i]
+		if v, b, err = getUvarint(b); err != nil {
+			return err
+		}
+		rt.ACG = ACGID(v)
+		var node string
+		if node, b, err = getString(b); err != nil {
+			return err
+		}
+		rt.Node = NodeID(node)
+		if rt.Addr, b, err = getString(b); err != nil {
+			return err
+		}
+		if v, b, err = getUvarint(b); err != nil {
+			return err
+		}
+		rt.Epoch = Epoch(v)
+	}
+	if n, b, err = getUvarint(b); err != nil {
+		return err
+	}
+	if err := countGuard(n, b, 2); err != nil {
+		return err
+	}
+	if n > 0 {
+		r.Mappings = make([]FileMapping, n)
+	}
+	for i := range r.Mappings {
+		var f, k uint64
+		if f, b, err = getUvarint(b); err != nil {
+			return err
+		}
+		if k, b, err = getUvarint(b); err != nil {
+			return err
+		}
+		if k >= uint64(len(routes)) {
+			return wireErr("mapping names a route past the list")
+		}
+		r.Mappings[i] = routes[k]
+		r.Mappings[i].File = index.FileID(f)
 	}
 	return nil
 }

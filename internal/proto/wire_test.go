@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"propeller/internal/attr"
 	"propeller/internal/index"
@@ -72,6 +73,47 @@ func wireFixtures() map[string]wireMsg {
 		"ReceiveACGStreamMeta": &ReceiveACGStreamMeta{
 			ACG: 11, Epoch: 4, Follower: true, ReplSeq: 999,
 		},
+		"LookupFilesReq": &LookupFilesReq{
+			Files: []index.FileID{1 << 30, 7, 8}, GroupHints: []uint64{3, 0, 3}, Allocate: true,
+		},
+		"LookupFilesReq/empty": &LookupFilesReq{},
+		// Two groups on one node, one of them quoted at an older epoch too:
+		// three routes for five files.
+		"LookupFilesResp": &LookupFilesResp{
+			Epoch: 9,
+			Mappings: []FileMapping{
+				{File: 5, ACG: 2, Node: "in-00", Addr: "127.0.0.1:7171", Epoch: 9},
+				{File: 1 << 40, ACG: 3, Node: "in-00", Addr: "127.0.0.1:7171", Epoch: 9},
+				{File: 6, ACG: 2, Node: "in-00", Addr: "127.0.0.1:7171", Epoch: 9},
+				{File: 7, ACG: 2, Node: "in-00", Addr: "127.0.0.1:7171", Epoch: 8},
+				{File: 8, ACG: 3, Node: "in-00", Addr: "127.0.0.1:7171", Epoch: 9},
+			},
+		},
+		"LookupFilesResp/empty": &LookupFilesResp{},
+	}
+}
+
+// TestLookupFilesRespSendsEachRouteOnce pins the response layout: a route
+// shared by many files costs its strings once, and the files that share
+// it decode sharing them too.
+func TestLookupFilesRespSendsEachRouteOnce(t *testing.T) {
+	resp := LookupFilesResp{Epoch: 4}
+	for f := range 100 {
+		resp.Mappings = append(resp.Mappings, FileMapping{File: index.FileID(f), ACG: ACGID(f % 2), Node: "node-with-a-long-name", Addr: "10.0.0.1:7171", Epoch: 4})
+	}
+	raw := resp.MarshalWire(nil)
+	if n := bytes.Count(raw, []byte("10.0.0.1:7171")); n != 2 {
+		t.Fatalf("the address travels %d times for 2 routes", n)
+	}
+	var got LookupFilesResp
+	if err := got.UnmarshalWire(raw); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, resp) {
+		t.Fatal("round trip mismatch")
+	}
+	if unsafe.StringData(got.Mappings[0].Addr) != unsafe.StringData(got.Mappings[98].Addr) {
+		t.Error("mappings of one route decode to separate copies of its address")
 	}
 }
 
@@ -157,6 +199,10 @@ func fuzzMsgFor(tag byte) wireMsg {
 		return &FollowerAppendResp{}
 	case 6:
 		return &ReceiveACGStreamMeta{}
+	case 7:
+		return &LookupFilesReq{}
+	case 8:
+		return &LookupFilesResp{}
 	default:
 		return nil
 	}
@@ -173,6 +219,8 @@ func FuzzWireDecode(f *testing.F) {
 		"SearchReq": 2, "SearchReq/empty": 2, "SearchResp": 3,
 		"SearchResp/empty": 3, "FollowerAppendReq": 4,
 		"FollowerAppendResp": 5, "ReceiveACGStreamMeta": 6,
+		"LookupFilesReq": 7, "LookupFilesReq/empty": 7,
+		"LookupFilesResp": 8, "LookupFilesResp/empty": 8,
 	}
 	for name, msg := range wireFixtures() {
 		f.Add(append([]byte{tags[name]}, msg.MarshalWire(nil)...))

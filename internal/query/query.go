@@ -263,39 +263,39 @@ func (q Query) String() string {
 func (q Query) Matches(get func(field string) (attr.Value, bool)) bool {
 	for _, p := range q.Preds {
 		v, ok := get(p.Field)
-		if !ok {
-			return false
-		}
-		c, err := compareCoerced(v, p.Value)
-		if err != nil {
-			return false
-		}
-		switch p.Op {
-		case OpEq:
-			if c != 0 {
-				return false
-			}
-		case OpLt:
-			if c >= 0 {
-				return false
-			}
-		case OpLe:
-			if c > 0 {
-				return false
-			}
-		case OpGt:
-			if c <= 0 {
-				return false
-			}
-		case OpGe:
-			if c < 0 {
-				return false
-			}
-		default:
+		if !ok || !p.Eval(v) {
 			return false
 		}
 	}
 	return true
+}
+
+// Eval reports whether v satisfies p. Numeric kinds compare coerced; any
+// other pair of kinds that differ never satisfies a predicate.
+func (p Predicate) Eval(v attr.Value) bool {
+	c, err := compareCoerced(v, p.Value)
+	return err == nil && p.Accepts(c)
+}
+
+// Accepts reports whether a value that compares c (negative, zero,
+// positive) against p.Value satisfies p: what Eval concludes once the
+// comparison is made, for a caller that compared another way (encoded
+// bytes of one kind).
+func (p Predicate) Accepts(c int) bool {
+	switch p.Op {
+	case OpEq:
+		return c == 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
+	case OpGe:
+		return c >= 0
+	default:
+		return false
+	}
 }
 
 // compareCoerced compares two values, coercing across numeric kinds (int,

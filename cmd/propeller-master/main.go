@@ -8,12 +8,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -39,53 +42,99 @@ func run() error {
 
 	m := master.New(master.Config{SplitThreshold: *splitThreshold})
 	if *snapshotPath != "" {
-		if img, err := os.ReadFile(*snapshotPath); err == nil {
-			if err := m.LoadMetadata(img); err != nil {
-				return fmt.Errorf("restore snapshot: %w", err)
-			}
-			log.Printf("restored metadata from %s", *snapshotPath)
+		if err := restore(m, *snapshotPath); err != nil {
+			return err
 		}
 	}
-
-	srv := rpc.NewServer()
-	m.RegisterRPC(srv)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
 	}
 	log.Printf("master listening on %s", ln.Addr())
-
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	return serve(m, ln, *snapshotPath, *snapshotEvery, stop)
+}
+
+// restore loads the snapshot at path into m. Only a missing file means a
+// fresh start: any other failure fails the start, because a Master that
+// started empty would overwrite the snapshot with its empty state at the
+// next tick.
+func restore(m *master.Master, path string) error {
+	img, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err == nil {
+		err = m.LoadMetadata(img)
+	}
+	if err != nil {
+		return fmt.Errorf("restore snapshot: %w", err)
+	}
+	log.Printf("restored metadata from %s", path)
+	return nil
+}
+
+// serve runs the Master's RPC server on ln until stop fires, writing the
+// snapshot (when path is set) every interval and once more after the server
+// has closed, so no mapping handed out before shutdown is lost.
+func serve(m *master.Master, ln net.Listener, path string, every time.Duration, stop <-chan os.Signal) error {
+	srv := rpc.NewServer()
+	m.RegisterRPC(srv)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		srv.Serve(ln)
 	}()
-
-	ticker := time.NewTicker(*snapshotEvery)
+	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
-			if *snapshotPath == "" {
+			if path == "" {
 				continue
 			}
-			img, err := m.SnapshotMetadata()
-			if err != nil {
+			if err := writeSnapshot(m, path); err != nil {
 				log.Printf("snapshot: %v", err)
-				continue
-			}
-			if err := os.WriteFile(*snapshotPath, img, 0o644); err != nil {
-				log.Printf("snapshot write: %v", err)
 			}
 		case <-stop:
 			log.Printf("shutting down")
-			if err := srv.Close(); err != nil {
-				return err
-			}
+			err := srv.Close()
 			<-done
-			return nil
+			if path != "" {
+				err = errors.Join(err, writeSnapshot(m, path))
+			}
+			return err
 		}
 	}
+}
+
+// writeSnapshot replaces the snapshot at path without truncating it in
+// place: the image goes to a temporary file in the same directory, is
+// synced, and is renamed over the old one, so a crash mid-write leaves the
+// previous snapshot loadable.
+func writeSnapshot(m *master.Master, path string) error {
+	img, err := m.SnapshotMetadata()
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // fails harmlessly once renamed
+	_, err = tmp.Write(img)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

@@ -20,20 +20,26 @@
 // from shared storage (checkpoint + WAL replay) on their next heartbeat.
 // With RebalanceRatio set, an overloaded reporting node is ordered to
 // migrate its hottest group to the least-loaded peer.
+//
+// The Master's durable state is one value with one record per group: its
+// primary, replica set, and at most one order in flight. A node's groups
+// are derived from those records, and the metadata snapshot is the state
+// value itself.
 package master
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
 	"propeller/internal/index"
-	"propeller/internal/metrics"
 	"propeller/internal/perr"
 	"propeller/internal/proto"
 	"propeller/internal/rpc"
@@ -96,11 +102,14 @@ func (c Config) withDefaults() Config {
 }
 
 type nodeInfo struct {
-	id       proto.NodeID
-	addr     string
-	capacity int64
+	id proto.NodeID
+	// addr is empty until the node registers; until then it is neither
+	// routed to nor placed on.
+	addr string
+	// files is the node's load: the file count its last heartbeat reported,
+	// adjusted as groups land on or leave it since. Which groups it holds is
+	// not stored here: they are the records whose primary it is.
 	files    int64
-	acgs     map[proto.ACGID]bool
 	lastSeen time.Duration
 	// queueDepth is the admission-queue depth the node reported in its
 	// last heartbeat — the load signal that lets the rebalancer react to
@@ -117,108 +126,125 @@ type nodeInfo struct {
 
 // replicaInfo tracks one follower copy of a group.
 type replicaInfo struct {
-	node proto.NodeID
-	// seeded means the copy provably exists: the primary reported the ship
+	Node proto.NodeID
+	// Seeded means the copy provably exists: the primary reported the ship
 	// done (ReplicateReport) or the follower itself heartbeat-reported the
 	// group. Only seeded followers appear in routes and promotion picks; a
 	// follower the primary cut from its ack set flips back to unseeded and
 	// is re-seeded on a later heartbeat.
-	seeded bool
-	// seq is the follower's last heartbeat-reported replication position.
-	seq uint64
+	Seeded bool
+	// Seq is the follower's last heartbeat-reported replication position.
+	Seq uint64
 }
 
+// orderKind names the order a group has in flight.
+type orderKind uint8
+
+const (
+	noOrder      orderKind = iota
+	recoverOrder           // the primary adopts the group from shared storage
+	promoteOrder           // the primary takes over from its follower copy
+	migrateOrder           // the primary ships the group to Dest
+)
+
+// pendingOrder is the one order a group has in flight. A recover or
+// promote order rides every heartbeat of the group's primary until its
+// report proves the adoption — both are idempotent, so a lost reply or a
+// failed attempt cannot strand the group. A migration rides one heartbeat
+// of the primary; the primary still reporting the group on a later one
+// proves the transfer failed (nodes execute orders before their next
+// heartbeat), and the group re-arms. Every move of a group replaces its
+// order, so no two can be in flight at once.
+type pendingOrder struct {
+	Kind      orderKind
+	Promote   proto.PromoteOrder // promoteOrder
+	Dest      proto.NodeID       // migrateOrder
+	Delivered bool               // migrateOrder: handed to the primary
+}
+
+// acgInfo is the Master's one record of a group.
 type acgInfo struct {
-	id    proto.ACGID
-	node  proto.NodeID
-	files int64
-	// replicas is the group's follower set in placement order.
-	replicas []*replicaInfo
-	// seq is the primary's last heartbeat-reported replication position —
+	ID proto.ACGID
+	// Node is the group's primary.
+	Node  proto.NodeID
+	Files int64
+	// Replicas is the group's follower set in placement order. It never
+	// names the primary: a group never follows itself.
+	Replicas []*replicaInfo
+	// Seq is the primary's last heartbeat-reported replication position —
 	// the watermark a promoted follower must reach (reconciling the
 	// shared-store tail if behind) before serving as primary.
-	seq uint64
+	Seq     uint64
+	Pending pendingOrder
 }
 
 // replicaOn returns the group's replica entry for the given node, nil if
 // the node is not a registered follower.
 func (a *acgInfo) replicaOn(n proto.NodeID) *replicaInfo {
-	for _, r := range a.replicas {
-		if r.node == n {
+	for _, r := range a.Replicas {
+		if r.Node == n {
 			return r
 		}
 	}
 	return nil
 }
 
+// removeReplica strips a node from the group's replica set; reports
+// whether a seeded (route-visible) replica was removed.
+func (a *acgInfo) removeReplica(node proto.NodeID) bool {
+	for i, r := range a.Replicas {
+		if r.Node == node {
+			a.Replicas = slices.Delete(a.Replicas, i, i+1)
+			return r.Seeded
+		}
+	}
+	return false
+}
+
+// state is the Master's durable metadata and, gob-encoded as it is, its
+// snapshot. Node load and liveness are not in it: they are rebuilt from
+// the records, re-registrations and heartbeats.
+type state struct {
+	FileToACG map[index.FileID]proto.ACGID
+	HintToACG map[uint64]proto.ACGID
+	ACGs      map[proto.ACGID]*acgInfo
+	Specs     map[string]proto.IndexSpec
+	NextACG   proto.ACGID
+	// Epoch is the global placement version: bumped on every placement
+	// change and stamped on lookups, heartbeat replies and reports. A
+	// restored Master never hands out an older epoch than clients have
+	// seen, or their staleness detection would invert.
+	Epoch proto.Epoch
+}
+
+func newState() state {
+	return state{
+		FileToACG: make(map[index.FileID]proto.ACGID),
+		HintToACG: make(map[uint64]proto.ACGID),
+		ACGs:      make(map[proto.ACGID]*acgInfo),
+		Specs:     make(map[string]proto.IndexSpec),
+		NextACG:   1,
+	}
+}
+
 // Master is the metadata and coordination server.
 type Master struct {
 	cfg Config
 
-	mu        sync.Mutex
-	nodes     map[proto.NodeID]*nodeInfo
-	acgs      map[proto.ACGID]*acgInfo
-	fileToACG map[index.FileID]proto.ACGID
-	hintToACG map[uint64]proto.ACGID
-	specs     map[string]proto.IndexSpec
-	nextACG   proto.ACGID
-	// epoch is the global placement version: bumped on every placement
-	// change and stamped on lookups, heartbeat replies and reports.
-	epoch proto.Epoch
-	// migrating tracks in-flight migration orders (ACG → ordered
-	// destination) so the rebalancer never double-orders a move; entries
-	// clear on MigrateReport, when a failure sweep re-places the group, or
-	// when a delivered order's source is seen still owning the group on a
-	// later heartbeat (the transfer failed — the group re-arms).
-	migrating map[proto.ACGID]proto.NodeID
-	// migrateDelivered marks orders handed to their source node; a source
-	// that heartbeats still owning a delivered group proves the transfer
-	// failed, because nodes execute orders before their next heartbeat.
-	migrateDelivered map[proto.ACGID]bool
-	// migrateOrders queues per-node migration instructions to ride the
-	// node's next heartbeat reply.
-	migrateOrders map[proto.NodeID][]proto.MigrateOrder
-	// pendingRecover tracks groups re-placed by the failure path whose new
-	// owner has not yet reported them. Recover orders are re-issued on
-	// every heartbeat until the owner's report proves the adoption — an
-	// at-least-once protocol (RecoverFromShared is idempotent), so a lost
-	// reply or a transient recovery failure cannot strand a group empty.
-	pendingRecover map[proto.ACGID]proto.NodeID
-	// pendingPromote tracks promotions whose new primary has not yet
-	// reported the group as primary. Promote orders are re-issued on every
-	// heartbeat until then (PromoteACG is idempotent). A group is in at
-	// most one of pendingPromote / pendingRecover: promotion and replay are
-	// alternative failover paths, never issued together.
-	pendingPromote map[proto.ACGID]promotePending
+	mu sync.Mutex
+	state
+	// nodes has an entry for every node a record names: registration adds
+	// one, and so does restoring a record that names a node not yet
+	// re-registered.
+	nodes map[proto.NodeID]*nodeInfo
 
-	migrationsOrdered metrics.Counter
-	recoveries        metrics.Counter
-	promotions        metrics.Counter
-}
-
-// promotePending is an unconfirmed promotion: the order re-issued on each
-// of the new primary's heartbeats until its report proves adoption.
-type promotePending struct {
-	node  proto.NodeID
-	order proto.PromoteOrder
+	// ClusterStats counters; a restart resets them.
+	migrationsOrdered, recoveries, promotions int64
 }
 
 // New returns a Master with the given configuration.
 func New(cfg Config) *Master {
-	return &Master{
-		cfg:              cfg.withDefaults(),
-		nodes:            make(map[proto.NodeID]*nodeInfo),
-		acgs:             make(map[proto.ACGID]*acgInfo),
-		fileToACG:        make(map[index.FileID]proto.ACGID),
-		hintToACG:        make(map[uint64]proto.ACGID),
-		specs:            make(map[string]proto.IndexSpec),
-		nextACG:          1,
-		migrating:        make(map[proto.ACGID]proto.NodeID),
-		migrateDelivered: make(map[proto.ACGID]bool),
-		migrateOrders:    make(map[proto.NodeID][]proto.MigrateOrder),
-		pendingRecover:   make(map[proto.ACGID]proto.NodeID),
-		pendingPromote:   make(map[proto.ACGID]promotePending),
-	}
+	return &Master{cfg: cfg.withDefaults(), state: newState(), nodes: make(map[proto.NodeID]*nodeInfo)}
 }
 
 // RegisterRPC installs the Master's methods on an RPC server.
@@ -242,13 +268,8 @@ func (m *Master) RegisterNode(_ context.Context, req proto.RegisterNodeReq) (pro
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := m.nodes[req.Node]
-	if n == nil {
-		n = &nodeInfo{id: req.Node, acgs: make(map[proto.ACGID]bool)}
-		m.nodes[req.Node] = n
-	}
+	n := m.expectLocked(req.Node)
 	n.addr = req.Addr
-	n.capacity = req.CapacityFiles
 	n.lastSeen = m.cfg.Clock.Now()
 	n.dead = false
 	return proto.RegisterNodeResp{OK: true}, nil
@@ -264,7 +285,7 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := m.nodes[req.Node]
-	if n == nil {
+	if n == nil || n.addr == "" {
 		return proto.HeartbeatResp{}, fmt.Errorf("%w: %s", ErrUnknownNode, req.Node)
 	}
 	n.lastSeen = m.cfg.Clock.Now()
@@ -274,43 +295,47 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 	var resp proto.HeartbeatResp
 	var total int64
 	for _, am := range req.ACGs {
-		info := m.acgs[am.ACG]
+		info := m.ACGs[am.ACG]
 		switch {
+		case info == nil && (am.Follower || am.ACG < m.NextACG):
+			// A follower copy of a group the Master does not track, or a
+			// copy of a group it allocated and has since retired (merged
+			// away): drop it. Follower copies are never adopted as
+			// primaries, and a retired group never comes back.
+			resp.DropACGs = append(resp.DropACGs, am.ACG)
+			continue
 		case info == nil:
-			if am.Follower {
-				// A follower copy of a group the Master no longer tracks
-				// (merged away, or a master restart dropped it): follower
-				// copies are never adopted as primaries — drop it.
-				resp.DropACGs = append(resp.DropACGs, am.ACG)
-				continue
-			}
 			// A group the Master has never placed (a standalone node
 			// joining with local groups): adopt it. Adoption is a placement
 			// change — cached search fan-outs are missing this group and
 			// must learn to refetch.
-			info = &acgInfo{id: am.ACG, node: req.Node}
-			m.acgs[am.ACG] = info
-			n.acgs[am.ACG] = true
-			m.epoch++
+			info = &acgInfo{ID: am.ACG, Node: req.Node}
+			m.ACGs[am.ACG] = info
+			m.Epoch++
 		case am.Follower:
 			if rep := info.replicaOn(req.Node); rep != nil {
 				// A registered follower confirms its copy: the seeding is
 				// proven durable and the replica joins Lazy routes.
-				if !rep.seeded {
-					rep.seeded = true
-					m.epoch++
+				if !rep.Seeded {
+					rep.Seeded = true
+					m.Epoch++
 				}
-				rep.seq = am.ReplSeq
-			} else if info.node != req.Node {
+				rep.Seq = am.ReplSeq
+			} else if info.Node != req.Node {
 				// A follower copy the Master no longer wants (replica set
 				// shrank or moved): drop it.
 				resp.DropACGs = append(resp.DropACGs, am.ACG)
+			} else if info.Pending.Kind != promoteOrder {
+				// The primary holds only a follower copy: a recovery, or a
+				// deposed primary's late seeding, landed on one. A promote
+				// order makes it serve — it reconciles from shared storage
+				// as a recovery would. (With a promotion already pending,
+				// the node has not executed it yet; it re-rides this reply.)
+				info.Pending = m.promotionLocked(info)
 			}
-			// info.node == req.Node: the node was promoted but has not
-			// executed the promote order yet — it re-rides this reply.
 			continue
-		case info.node != req.Node:
-			if m.migrating[am.ACG] == req.Node {
+		case info.Node != req.Node:
+			if p := info.Pending; p.Kind == migrateOrder && p.Dest == req.Node {
 				// The reporter is the in-flight *destination* of this very
 				// group: it installed the image and the source's rebind
 				// report is still on its way. Dropping here would tombstone
@@ -325,42 +350,35 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 			// owner keeps serving. A reporter claiming primacy while
 			// registered as a follower lost a placement race — strip its
 			// replica entry along with the drop.
-			m.removeReplicaLocked(info, req.Node)
+			if info.removeReplica(req.Node) {
+				m.Epoch++
+			}
 			resp.DropACGs = append(resp.DropACGs, am.ACG)
 			continue
 		}
 		// The rightful owner reports the group: a pending recovery or
-		// promotion is proven complete, and a delivered-but-unexecuted
-		// migration order is proven failed (nodes execute orders before
-		// their next heartbeat), so the group re-arms for future moves.
-		delete(m.pendingRecover, am.ACG)
-		if pp, ok := m.pendingPromote[am.ACG]; ok && pp.node == req.Node {
-			delete(m.pendingPromote, am.ACG)
+		// promotion is proven complete, and a delivered migration is proven
+		// failed, so the group re-arms for future moves.
+		if p := info.Pending; p.Kind != migrateOrder || p.Delivered {
+			info.Pending = pendingOrder{}
 		}
-		if m.migrateDelivered[am.ACG] {
-			delete(m.migrating, am.ACG)
-			delete(m.migrateDelivered, am.ACG)
-		}
-		info.files = am.Files
-		info.seq = am.ReplSeq
+		info.Files = am.Files
+		info.Seq = am.ReplSeq
 		// Reconcile the ack set: a seeded follower absent from the
 		// primary's streaming list was cut after a failed append (or the
 		// primary changed without inheriting it) — it is stale until
 		// re-seeded, so pull it out of routes and promotion picks.
-		for _, rep := range info.replicas {
-			if rep.seeded && !containsNode(am.Followers, rep.node) {
-				rep.seeded = false
-				m.epoch++
+		for _, rep := range info.Replicas {
+			if rep.Seeded && !slices.Contains(am.Followers, rep.Node) {
+				rep.Seeded = false
+				m.Epoch++
 			}
 		}
 		m.ensureReplicasLocked(info)
-		for _, rep := range info.replicas {
-			if rep.seeded {
-				continue
-			}
-			if d := m.nodes[rep.node]; d != nil && !d.dead {
+		for _, rep := range info.Replicas {
+			if d := m.liveLocked(rep.Node); d != nil && !rep.Seeded {
 				resp.ReplicateACGs = append(resp.ReplicateACGs, proto.MigrateOrder{
-					ACG: am.ACG, Dest: rep.node, Addr: d.addr,
+					ACG: am.ACG, Dest: rep.Node, Addr: d.addr,
 				})
 			}
 		}
@@ -371,21 +389,26 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 	}
 	n.files = total
 	m.rebalanceLocked(n, &resp)
-	// Deliver orders. Recoveries ride first so an adopted group is
-	// installed before any later order could touch it; they are re-issued
-	// every heartbeat until the owner's report confirms the adoption.
-	for _, a := range m.sortedPendingRecoverLocked(req.Node) {
-		resp.RecoverACGs = append(resp.RecoverACGs, a)
+	// Deliver the orders pending on this node's groups, by group id.
+	for _, info := range m.groupsOnLocked(req.Node) {
+		switch p := &info.Pending; p.Kind {
+		case recoverOrder:
+			resp.RecoverACGs = append(resp.RecoverACGs, info.ID)
+		case promoteOrder:
+			resp.PromoteACGs = append(resp.PromoteACGs, p.Promote)
+		case migrateOrder:
+			if p.Delivered {
+				continue
+			}
+			if d := m.liveLocked(p.Dest); d != nil {
+				resp.MigrateACGs = append(resp.MigrateACGs, proto.MigrateOrder{ACG: info.ID, Dest: p.Dest, Addr: d.addr})
+				p.Delivered = true
+			} else {
+				*p = pendingOrder{} // the destination died first: the move is moot
+			}
+		}
 	}
-	for _, a := range m.sortedPendingPromoteLocked(req.Node) {
-		resp.PromoteACGs = append(resp.PromoteACGs, m.pendingPromote[a].order)
-	}
-	resp.MigrateACGs = append(resp.MigrateACGs, m.migrateOrders[req.Node]...)
-	delete(m.migrateOrders, req.Node)
-	for _, o := range resp.MigrateACGs {
-		m.migrateDelivered[o.ACG] = true
-	}
-	resp.Epoch = m.epoch
+	resp.Epoch = m.Epoch
 	if m.cfg.EnableFailover {
 		// Grant a primary lease exactly as long as the failure-detection
 		// timeout: the node self-fences at >= lease while the sweep
@@ -396,52 +419,59 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 	return resp, nil
 }
 
-// sortedPendingRecoverLocked lists the groups awaiting recovery by node,
-// ascending. Caller holds m.mu.
-func (m *Master) sortedPendingRecoverLocked(node proto.NodeID) []proto.ACGID {
-	var out []proto.ACGID
-	for a, owner := range m.pendingRecover {
-		if owner == node {
-			out = append(out, a)
+// liveLocked returns the named node if it is registered and alive, else
+// nil. Caller holds m.mu.
+func (m *Master) liveLocked(id proto.NodeID) *nodeInfo {
+	if n := m.nodes[id]; n != nil && !n.dead && n.addr != "" {
+		return n
+	}
+	return nil
+}
+
+// expectLocked returns the named node's entry, adding one that has not
+// registered — no address, liveness clock started now — if it has none.
+// Caller holds m.mu.
+func (m *Master) expectLocked(id proto.NodeID) *nodeInfo {
+	n := m.nodes[id]
+	if n == nil {
+		n = &nodeInfo{id: id, lastSeen: m.cfg.Clock.Now()}
+		m.nodes[id] = n
+	}
+	return n
+}
+
+// groupsOnLocked derives a node's groups from the records, by id. Caller
+// holds m.mu.
+func (m *Master) groupsOnLocked(node proto.NodeID) []*acgInfo {
+	var out []*acgInfo
+	for _, info := range m.ACGs {
+		if info.Node == node {
+			out = append(out, info)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.SortFunc(out, func(a, b *acgInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-// sortedPendingPromoteLocked lists the groups awaiting promotion by node,
-// ascending. Caller holds m.mu.
-func (m *Master) sortedPendingPromoteLocked(node proto.NodeID) []proto.ACGID {
-	var out []proto.ACGID
-	for a, pp := range m.pendingPromote {
-		if pp.node == node {
-			out = append(out, a)
+// followersLocked lists a group's seeded followers on alive nodes — the
+// ack set a promoted primary streams to, and a route's Lazy readers.
+// Caller holds m.mu.
+func (m *Master) followersLocked(info *acgInfo) []proto.ReplicaRef {
+	var out []proto.ReplicaRef
+	for _, r := range info.Replicas {
+		if d := m.liveLocked(r.Node); d != nil && r.Seeded {
+			out = append(out, proto.ReplicaRef{Node: r.Node, Addr: d.addr})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-func containsNode(list []proto.NodeID, n proto.NodeID) bool {
-	for _, id := range list {
-		if id == n {
-			return true
-		}
-	}
-	return false
-}
-
-// removeReplicaLocked strips a node from a group's replica set; reports
-// whether a seeded (route-visible) replica was removed. Caller holds m.mu.
-func (m *Master) removeReplicaLocked(info *acgInfo, node proto.NodeID) bool {
-	for i, r := range info.replicas {
-		if r.node == node {
-			seeded := r.seeded
-			info.replicas = append(info.replicas[:i], info.replicas[i+1:]...)
-			return seeded
-		}
-	}
-	return false
+// promotionLocked is the order that makes a group's primary serve from its
+// follower copy: the stream position it must reach, and its live seeded
+// followers as the new ack set. Caller holds m.mu.
+func (m *Master) promotionLocked(info *acgInfo) pendingOrder {
+	return pendingOrder{Kind: promoteOrder,
+		Promote: proto.PromoteOrder{ACG: info.ID, Seq: info.Seq, Followers: m.followersLocked(info)}}
 }
 
 // ensureReplicasLocked tops a group's follower set up to ReplicationFactor-1
@@ -449,19 +479,11 @@ func (m *Master) removeReplicaLocked(info *acgInfo, node proto.NodeID) bool {
 // New entries start unseeded; the owning primary's next heartbeat carries
 // the replicate order that ships the copy. Caller holds m.mu.
 func (m *Master) ensureReplicasLocked(info *acgInfo) {
-	want := m.cfg.ReplicationFactor - 1
-	if want <= 0 || len(info.replicas) >= want {
-		return
-	}
-	taken := make(map[proto.NodeID]bool, len(info.replicas)+1)
-	taken[info.node] = true
-	for _, r := range info.replicas {
-		taken[r.node] = true
-	}
-	for len(info.replicas) < want {
+	for len(info.Replicas) < m.cfg.ReplicationFactor-1 {
 		var best *nodeInfo
-		for _, cand := range m.sortedNodesLocked() {
-			if cand.dead || taken[cand.id] {
+		for _, id := range slices.Sorted(maps.Keys(m.nodes)) {
+			cand := m.liveLocked(id)
+			if cand == nil || id == info.Node || info.replicaOn(id) != nil {
 				continue
 			}
 			if best == nil || cand.files < best.files {
@@ -471,8 +493,7 @@ func (m *Master) ensureReplicasLocked(info *acgInfo) {
 		if best == nil {
 			return // not enough alive nodes; topped up when one joins
 		}
-		info.replicas = append(info.replicas, &replicaInfo{node: best.id})
-		taken[best.id] = true
+		info.Replicas = append(info.Replicas, &replicaInfo{Node: best.id})
 	}
 }
 
@@ -483,18 +504,27 @@ func (m *Master) ensureReplicasLocked(info *acgInfo) {
 // replay. Caller holds m.mu.
 func (m *Master) bestFollowerLocked(info *acgInfo) *replicaInfo {
 	var best *replicaInfo
-	for _, r := range info.replicas {
-		if !r.seeded {
+	for _, r := range info.Replicas {
+		if !r.Seeded || m.liveLocked(r.Node) == nil {
 			continue
 		}
-		if n := m.nodes[r.node]; n == nil || n.dead {
-			continue
-		}
-		if best == nil || r.seq > best.seq || (r.seq == best.seq && r.node < best.node) {
+		if best == nil || r.Seq > best.Seq || (r.Seq == best.Seq && r.Node < best.Node) {
 			best = r
 		}
 	}
 	return best
+}
+
+// moveLocked is the one step that moves a group to a new primary: the load
+// moves with it, the new primary leaves the replica set, p replaces
+// whatever order was in flight, and the epoch is bumped. Caller holds m.mu.
+func (m *Master) moveLocked(info *acgInfo, dest *nodeInfo, p pendingOrder) {
+	m.nodes[info.Node].files -= info.Files
+	dest.files += info.Files
+	info.Node = dest.id
+	info.removeReplica(dest.id)
+	info.Pending = p
+	m.Epoch++
 }
 
 // promoteLocked fails a group over to one of its seeded followers in a
@@ -506,33 +536,11 @@ func (m *Master) bestFollowerLocked(info *acgInfo) *replicaInfo {
 // primary reconciles only the acknowledged tail it may have missed.
 // Caller holds m.mu.
 func (m *Master) promoteLocked(info *acgInfo, chosen *replicaInfo) {
-	dest := m.nodes[chosen.node]
-	if old := m.nodes[info.node]; old != nil {
-		delete(old.acgs, info.id)
-		old.files -= info.files
-	}
-	m.removeReplicaLocked(info, chosen.node)
-	info.node = dest.id
-	dest.acgs[info.id] = true
-	dest.files += info.files
+	dest := m.nodes[chosen.Node]
+	m.moveLocked(info, dest, pendingOrder{})
+	info.Pending = m.promotionLocked(info)
 	dest.promotions++
-	// Any in-flight migration or replay of this group is superseded.
-	delete(m.migrating, info.id)
-	delete(m.migrateDelivered, info.id)
-	m.scrubMigrateOrdersLocked(info.id)
-	delete(m.pendingRecover, info.id)
-	m.epoch++
-	m.promotions.Inc()
-	ord := proto.PromoteOrder{ACG: info.id, Seq: info.seq}
-	for _, r := range info.replicas {
-		if !r.seeded {
-			continue
-		}
-		if n := m.nodes[r.node]; n != nil && !n.dead {
-			ord.Followers = append(ord.Followers, proto.ReplicaRef{Node: r.node, Addr: n.addr})
-		}
-	}
-	m.pendingPromote[info.id] = promotePending{node: dest.id, order: ord}
+	m.promotions++
 	// Top the follower set back up; the replacement seeds from the new
 	// primary once it has adopted the group.
 	m.ensureReplicasLocked(info)
@@ -547,12 +555,7 @@ func (m *Master) sweepLocked() {
 		return
 	}
 	now := m.cfg.Clock.Now()
-	ids := make([]proto.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(m.nodes)) {
 		n := m.nodes[id]
 		if n.dead || now-n.lastSeen <= m.cfg.HeartbeatTimeout {
 			continue
@@ -560,50 +563,29 @@ func (m *Master) sweepLocked() {
 		n.dead = true
 		// Strip the dead node from every replica set first: promotion must
 		// not pick it, and routes must stop reading from it.
-		for _, a := range m.sortedAllACGsLocked() {
-			if m.removeReplicaLocked(m.acgs[a], id) {
-				m.epoch++
+		for _, info := range m.ACGs {
+			if info.removeReplica(id) {
+				m.Epoch++
 			}
 		}
-		acgs := make([]proto.ACGID, 0, len(n.acgs))
-		for a := range n.acgs {
-			acgs = append(acgs, a)
-		}
-		sort.Slice(acgs, func(i, j int) bool { return acgs[i] < acgs[j] })
-		for _, a := range acgs {
+		for _, info := range m.groupsOnLocked(id) {
 			// With no alive node to take the group, leave it bound: the
 			// mapping re-resolves (and re-sweeps) when a node returns.
-			if err := m.reassignLocked(a); err != nil {
+			if m.reassignLocked(info) != nil {
 				break
 			}
 		}
 	}
 }
 
-// sortedAllACGsLocked returns every tracked group id, ascending. Caller
-// holds m.mu.
-func (m *Master) sortedAllACGsLocked() []proto.ACGID {
-	out := make([]proto.ACGID, 0, len(m.acgs))
-	for a := range m.acgs {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // reassignLocked fails one group over after its owner died. With a live
 // seeded follower the failover is a promotion — one epoch bump, no
-// shared-store replay (the replica-aware path; a pending replay for the
-// group is cancelled so the two paths never double-issue). Only when every
-// replica is gone does it fall back to re-placing the group on the
-// least-loaded alive node with a recover order (the new owner restores the
-// group from shared storage — the last-resort replay path). Caller holds
-// m.mu.
-func (m *Master) reassignLocked(id proto.ACGID) error {
-	info := m.acgs[id]
-	if info == nil {
-		return fmt.Errorf("acg %d: %w", id, ErrUnknownACG)
-	}
+// shared-store replay. Only when every replica is gone does it fall back
+// to re-placing the group on the least-loaded alive node with a recover
+// order (the new owner restores the group from shared storage — the
+// last-resort replay path). Either way the move replaces any order in
+// flight. Caller holds m.mu.
+func (m *Master) reassignLocked(info *acgInfo) error {
 	if rep := m.bestFollowerLocked(info); rep != nil {
 		m.promoteLocked(info, rep)
 		return nil
@@ -612,43 +594,9 @@ func (m *Master) reassignLocked(id proto.ACGID) error {
 	if dest == nil {
 		return ErrNoNodes
 	}
-	if old := m.nodes[info.node]; old != nil {
-		delete(old.acgs, id)
-		old.files -= info.files
-	}
-	info.node = dest.id
-	dest.acgs[id] = true
-	dest.files += info.files
-	// Any in-flight migration or promotion of this group is moot: its
-	// source is gone and no promotable follower survives.
-	delete(m.migrating, id)
-	delete(m.migrateDelivered, id)
-	m.scrubMigrateOrdersLocked(id)
-	delete(m.pendingPromote, id)
-	m.epoch++
-	m.recoveries.Inc()
-	// Pending until the new owner's heartbeat reports the group; recover
-	// orders are re-issued every beat until then.
-	m.pendingRecover[id] = dest.id
+	m.moveLocked(info, dest, pendingOrder{Kind: recoverOrder})
+	m.recoveries++
 	return nil
-}
-
-// scrubMigrateOrdersLocked removes queued (undelivered) migration orders
-// for a group whose placement just changed under them. Caller holds m.mu.
-func (m *Master) scrubMigrateOrdersLocked(id proto.ACGID) {
-	for node, orders := range m.migrateOrders {
-		kept := orders[:0]
-		for _, o := range orders {
-			if o.ACG != id {
-				kept = append(kept, o)
-			}
-		}
-		if len(kept) == 0 {
-			delete(m.migrateOrders, node)
-		} else {
-			m.migrateOrders[node] = kept
-		}
-	}
 }
 
 // minRebalanceQueueDepth is the absolute queue depth below which queue
@@ -669,8 +617,8 @@ const minRebalanceQueueDepth = 4
 //     shallowest-queue peer, and the file-gap constraint is waived: the
 //     point is to shift request load even when file counts are balanced.
 //
-// At most one order per heartbeat, so load drains without thrashing.
-// Caller holds m.mu.
+// At most one order per heartbeat, so load drains without thrashing; it
+// rides this heartbeat's reply. Caller holds m.mu.
 func (m *Master) rebalanceLocked(n *nodeInfo, resp *proto.HeartbeatResp) {
 	if m.cfg.RebalanceRatio <= 0 || n.dead {
 		return
@@ -678,8 +626,9 @@ func (m *Master) rebalanceLocked(n *nodeInfo, resp *proto.HeartbeatResp) {
 	var alive int
 	var totalFiles, totalDepth int64
 	var fileDest, queueDest *nodeInfo
-	for _, cand := range m.sortedNodesLocked() {
-		if cand.dead {
+	for _, id := range slices.Sorted(maps.Keys(m.nodes)) {
+		cand := m.liveLocked(id)
+		if cand == nil {
 			continue
 		}
 		alive++
@@ -712,61 +661,27 @@ func (m *Master) rebalanceLocked(n *nodeInfo, resp *proto.HeartbeatResp) {
 		dest = queueDest
 	}
 	gap := n.files - dest.files
-	splitting := make(map[proto.ACGID]bool, len(resp.SplitACGs))
-	for _, a := range resp.SplitACGs {
-		splitting[a] = true
-	}
 	// Hottest movable group; ties break on the smaller id for determinism.
 	// A file-driven move must strictly improve file balance; a queue-driven
-	// move only needs a non-empty group to carry load to the quiet peer.
+	// move only needs a non-empty group to carry load to the quiet peer. A
+	// group with an order in flight, or about to split, stays put.
 	var pick *acgInfo
-	for _, a := range m.sortedACGsLocked(n) {
-		info := m.acgs[a]
-		if info.files <= 0 || (fileHot && info.files >= gap) {
+	for _, info := range m.groupsOnLocked(n.id) {
+		if info.Files <= 0 || (fileHot && info.Files >= gap) {
 			continue
 		}
-		if m.migrating[a] != "" || splitting[a] || m.pendingRecover[a] != "" {
+		if info.Pending.Kind != noOrder || slices.Contains(resp.SplitACGs, info.ID) {
 			continue
 		}
-		if _, promoting := m.pendingPromote[a]; promoting {
-			continue
-		}
-		if pick == nil || info.files > pick.files {
+		if pick == nil || info.Files > pick.Files {
 			pick = info
 		}
 	}
 	if pick == nil {
 		return
 	}
-	m.migrating[pick.id] = dest.id
-	m.migrationsOrdered.Inc()
-	resp.MigrateACGs = append(resp.MigrateACGs, proto.MigrateOrder{
-		ACG: pick.id, Dest: dest.id, Addr: dest.addr,
-	})
-}
-
-// sortedNodesLocked returns the nodes ordered by id. Caller holds m.mu.
-func (m *Master) sortedNodesLocked() []*nodeInfo {
-	ids := make([]proto.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]*nodeInfo, len(ids))
-	for i, id := range ids {
-		out[i] = m.nodes[id]
-	}
-	return out
-}
-
-// sortedACGsLocked returns a node's groups ordered by id. Caller holds m.mu.
-func (m *Master) sortedACGsLocked(n *nodeInfo) []proto.ACGID {
-	out := make([]proto.ACGID, 0, len(n.acgs))
-	for a := range n.acgs {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	pick.Pending = pendingOrder{Kind: migrateOrder, Dest: dest.id}
+	m.migrationsOrdered++
 }
 
 // LookupFiles resolves each file to its ACG and Index Node, allocating new
@@ -787,7 +702,7 @@ func (m *Master) LookupFiles(_ context.Context, req proto.LookupFilesReq) (proto
 		if i < len(req.GroupHints) {
 			hint = req.GroupHints[i]
 		}
-		id, ok := m.fileToACG[f]
+		id, ok := m.FileToACG[f]
 		if !ok {
 			if !req.Allocate {
 				return proto.LookupFilesResp{}, fmt.Errorf("file %d: %w", f, ErrFileUnmapped)
@@ -798,65 +713,69 @@ func (m *Master) LookupFiles(_ context.Context, req proto.LookupFilesReq) (proto
 				return proto.LookupFilesResp{}, err
 			}
 		}
-		info := m.acgs[id]
-		node := m.nodes[info.node]
-		if node == nil || node.dead {
-			if err := m.reassignLocked(id); err != nil {
-				return proto.LookupFilesResp{}, fmt.Errorf("acg %d on lost node %s: %w", id, info.node, err)
+		info := m.ACGs[id]
+		node := m.liveLocked(info.Node)
+		if node == nil {
+			if err := m.reassignLocked(info); err != nil {
+				return proto.LookupFilesResp{}, fmt.Errorf("acg %d on lost node %s: %w", id, info.Node, err)
 			}
-			node = m.nodes[info.node]
+			node = m.nodes[info.Node]
 		}
 		resp.Mappings = append(resp.Mappings, proto.FileMapping{
-			File: f, ACG: id, Node: node.id, Addr: node.addr, Epoch: m.epoch,
+			File: f, ACG: id, Node: node.id, Addr: node.addr, Epoch: m.Epoch,
 		})
 	}
-	resp.Epoch = m.epoch
+	resp.Epoch = m.Epoch
 	return resp, nil
 }
 
 // assignLocked places file f into an ACG (existing hint group or a new one
 // on the least-loaded node). Caller holds m.mu.
 func (m *Master) assignLocked(f index.FileID, hint uint64) (proto.ACGID, error) {
-	if hint != 0 {
-		if id, ok := m.hintToACG[hint]; ok {
-			m.fileToACG[f] = id
-			m.acgs[id].files++
-			m.nodes[m.acgs[id].node].files++
-			return id, nil
-		}
+	if info := m.ACGs[m.HintToACG[hint]]; hint != 0 && info != nil {
+		m.FileToACG[f] = info.ID
+		info.Files++
+		m.nodes[info.Node].files++
+		return info.ID, nil
 	}
 	node := m.leastLoadedLocked()
 	if node == nil {
 		return 0, ErrNoNodes
 	}
-	id := m.nextACG
-	m.nextACG++
-	m.acgs[id] = &acgInfo{id: id, node: node.id, files: 1}
-	node.acgs[id] = true
-	node.files++
-	m.fileToACG[f] = id
+	info := m.placeLocked(node, 1)
+	m.FileToACG[f] = info.ID
 	if hint != 0 {
-		m.hintToACG[hint] = id
+		m.HintToACG[hint] = info.ID
 	}
-	// Reserve the new group's follower slots now; the owning primary's
-	// next heartbeat carries the replicate orders that seed them.
-	m.ensureReplicasLocked(m.acgs[id])
 	// A new group is a placement change: clients holding cached search
 	// fan-outs learn (via the epoch on their own update acks) that the
 	// fan-out may now be missing a group.
-	m.epoch++
-	return id, nil
+	m.Epoch++
+	return info.ID, nil
+}
+
+// placeLocked records a new group of the given size on node and reserves
+// its follower slots now; the primary's next heartbeat carries the
+// replicate orders that seed them. The caller bumps the epoch. Caller
+// holds m.mu.
+func (m *Master) placeLocked(node *nodeInfo, files int64) *acgInfo {
+	for m.ACGs[m.NextACG] != nil {
+		m.NextACG++ // an adopted group holds this id
+	}
+	info := &acgInfo{ID: m.NextACG, Node: node.id, Files: files}
+	m.NextACG++
+	m.ACGs[info.ID] = info
+	node.files += files
+	m.ensureReplicasLocked(info)
+	return info
 }
 
 // leastLoadedLocked returns the alive node with the fewest files (dead
 // nodes never receive placements). Caller holds m.mu.
 func (m *Master) leastLoadedLocked() *nodeInfo {
 	var best *nodeInfo
-	for _, n := range m.sortedNodesLocked() {
-		if n.dead {
-			continue
-		}
-		if best == nil || n.files < best.files {
+	for _, id := range slices.Sorted(maps.Keys(m.nodes)) {
+		if n := m.liveLocked(id); n != nil && (best == nil || n.files < best.files) {
 			best = n
 		}
 	}
@@ -870,47 +789,27 @@ func (m *Master) leastLoadedLocked() *nodeInfo {
 func (m *Master) LookupIndex(_ context.Context, req proto.LookupIndexReq) (proto.LookupIndexResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	spec, ok := m.specs[req.IndexName]
+	spec, ok := m.Specs[req.IndexName]
 	if !ok {
 		return proto.LookupIndexResp{}, fmt.Errorf("%q: %w", req.IndexName, ErrUnknownIndex)
 	}
+	ids := slices.Sorted(maps.Keys(m.ACGs))
 	byNode := make(map[proto.NodeID][]proto.ACGID)
-	for id, info := range m.acgs {
-		byNode[info.node] = append(byNode[info.node], id)
+	for _, id := range ids {
+		byNode[m.ACGs[id].Node] = append(byNode[m.ACGs[id].Node], id)
 	}
-	resp := proto.LookupIndexResp{Spec: spec, Epoch: m.epoch}
-	ids := make([]proto.NodeID, 0, len(byNode))
-	for id := range byNode {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, nid := range ids {
-		acgs := byNode[nid]
-		sort.Slice(acgs, func(i, j int) bool { return acgs[i] < acgs[j] })
-		resp.Targets = append(resp.Targets, proto.IndexTarget{
-			Node: nid, Addr: m.nodes[nid].addr, ACGs: acgs,
-		})
+	resp := proto.LookupIndexResp{Spec: spec, Epoch: m.Epoch}
+	for _, nid := range slices.Sorted(maps.Keys(byNode)) {
+		resp.Targets = append(resp.Targets, proto.IndexTarget{Node: nid, Addr: m.nodes[nid].addr, ACGs: byNode[nid]})
 	}
 	// With replication on, also stamp per-group replica routes so Lazy
 	// searches can spread across seeded followers. Targets above stays
 	// primary-only: strict reads and updates never touch a follower.
 	if m.cfg.ReplicationFactor > 1 {
-		for _, id := range m.sortedAllACGsLocked() {
-			info := m.acgs[id]
-			pn := m.nodes[info.node]
-			if pn == nil {
-				continue
-			}
-			rt := proto.GroupRoute{ACG: id, Primary: proto.ReplicaRef{Node: info.node, Addr: pn.addr}}
-			for _, r := range info.replicas {
-				if !r.seeded {
-					continue
-				}
-				if fn := m.nodes[r.node]; fn != nil && !fn.dead {
-					rt.Followers = append(rt.Followers, proto.ReplicaRef{Node: r.node, Addr: fn.addr})
-				}
-			}
-			resp.Routes = append(resp.Routes, rt)
+		for _, id := range ids {
+			info := m.ACGs[id]
+			resp.Routes = append(resp.Routes, proto.GroupRoute{ACG: id,
+				Primary: proto.ReplicaRef{Node: info.Node, Addr: m.nodes[info.Node].addr}, Followers: m.followersLocked(info)})
 		}
 	}
 	return resp, nil
@@ -923,10 +822,10 @@ func (m *Master) CreateIndex(_ context.Context, req proto.CreateIndexReq) (proto
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.specs[req.Spec.Name]; ok {
+	if _, ok := m.Specs[req.Spec.Name]; ok {
 		return proto.CreateIndexResp{}, fmt.Errorf("%q: %w", req.Spec.Name, ErrIndexExists)
 	}
-	m.specs[req.Spec.Name] = req.Spec
+	m.Specs[req.Spec.Name] = req.Spec
 	return proto.CreateIndexResp{OK: true}, nil
 }
 
@@ -936,7 +835,7 @@ func (m *Master) CreateIndex(_ context.Context, req proto.CreateIndexReq) (proto
 func (m *Master) SplitReport(_ context.Context, req proto.SplitReportReq) (proto.SplitReportResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := m.acgs[req.OldACG]
+	old := m.ACGs[req.OldACG]
 	if old == nil {
 		return proto.SplitReportResp{}, fmt.Errorf("acg %d: %w", req.OldACG, ErrUnknownACG)
 	}
@@ -944,65 +843,51 @@ func (m *Master) SplitReport(_ context.Context, req proto.SplitReportReq) (proto
 	if dest == nil {
 		return proto.SplitReportResp{}, ErrNoNodes
 	}
-	id := m.nextACG
-	m.nextACG++
-	m.acgs[id] = &acgInfo{id: id, node: dest.id, files: int64(len(req.SideB))}
-	dest.acgs[id] = true
-	dest.files += int64(len(req.SideB))
-	m.ensureReplicasLocked(m.acgs[id])
+	moved := int64(len(req.SideB))
+	info := m.placeLocked(dest, moved)
 	for _, f := range req.SideB {
-		m.fileToACG[f] = id
+		m.FileToACG[f] = info.ID
 	}
-	old.files -= int64(len(req.SideB))
-	if src := m.nodes[old.node]; src != nil {
-		src.files -= int64(len(req.SideB))
-	}
-	m.epoch++
-	return proto.SplitReportResp{NewACG: id, Dest: dest.id, Addr: dest.addr, Epoch: m.epoch}, nil
+	old.Files -= moved
+	m.nodes[old.Node].files -= moved
+	m.Epoch++
+	return proto.SplitReportResp{NewACG: info.ID, Dest: dest.id, Addr: dest.addr, Epoch: m.Epoch}, nil
 }
 
 // MergeReport finalizes a node-local group merge: every file mapped to Src
-// is rebound to Dst and the Src group is retired.
+// is rebound to Dst and the Src group is retired, with any order it had in
+// flight. Its follower copies report as unknown and get drop orders.
 func (m *Master) MergeReport(_ context.Context, req proto.MergeReportReq) (proto.MergeReportResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	src, dst := m.acgs[req.Src], m.acgs[req.Dst]
+	src, dst := m.ACGs[req.Src], m.ACGs[req.Dst]
 	if src == nil {
 		return proto.MergeReportResp{}, fmt.Errorf("acg %d: %w", req.Src, ErrUnknownACG)
 	}
 	if dst == nil {
 		return proto.MergeReportResp{}, fmt.Errorf("acg %d: %w", req.Dst, ErrUnknownACG)
 	}
-	if src.node != dst.node {
+	if src.Node != req.Node || dst.Node != req.Node {
 		return proto.MergeReportResp{}, fmt.Errorf(
-			"master: merge across nodes (%s vs %s) is not supported", src.node, dst.node)
+			"master: merge reported by %q of groups on %s and %s: only a node-local merge is supported",
+			req.Node, src.Node, dst.Node)
 	}
 	moved := 0
-	for f, id := range m.fileToACG {
+	for f, id := range m.FileToACG {
 		if id == req.Src {
-			m.fileToACG[f] = req.Dst
+			m.FileToACG[f] = req.Dst
 			moved++
 		}
 	}
-	for h, id := range m.hintToACG {
+	for h, id := range m.HintToACG {
 		if id == req.Src {
-			m.hintToACG[h] = req.Dst
+			m.HintToACG[h] = req.Dst
 		}
 	}
-	dst.files += src.files
-	delete(m.acgs, req.Src)
-	if n := m.nodes[src.node]; n != nil {
-		delete(n.acgs, req.Src)
-	}
-	// The retired group can no longer be migrated, recovered or promoted;
-	// its follower copies report as unknown and get drop orders.
-	delete(m.migrating, req.Src)
-	delete(m.migrateDelivered, req.Src)
-	delete(m.pendingRecover, req.Src)
-	delete(m.pendingPromote, req.Src)
-	m.scrubMigrateOrdersLocked(req.Src)
-	m.epoch++
-	return proto.MergeReportResp{Moved: moved, Epoch: m.epoch}, nil
+	dst.Files += src.Files
+	delete(m.ACGs, req.Src)
+	m.Epoch++
+	return proto.MergeReportResp{Moved: moved, Epoch: m.Epoch}, nil
 }
 
 // MigrateReport finalizes a live migration: the source node has shipped the
@@ -1010,38 +895,26 @@ func (m *Master) MergeReport(_ context.Context, req proto.MergeReportReq) (proto
 // placement and bumps the epoch. Only after this returns does the source
 // release its copy — on any error the source keeps serving and the
 // destination's orphan copy is reconciled away by the double-ownership
-// guard at its next heartbeat.
+// guard at its next heartbeat. The remaining followers re-seed from the new
+// primary: its first heartbeat omits them from its ack set, which unseeds
+// them and queues replicate orders.
 func (m *Master) MigrateReport(_ context.Context, req proto.MigrateReportReq) (proto.MigrateReportResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	info := m.acgs[req.ACG]
+	info := m.ACGs[req.ACG]
 	if info == nil {
 		return proto.MigrateReportResp{}, fmt.Errorf("acg %d: %w", req.ACG, ErrUnknownACG)
 	}
-	if info.node != req.Node {
+	if info.Node != req.Node {
 		return proto.MigrateReportResp{}, fmt.Errorf(
-			"master: migrate report for acg %d from %s, but %s owns it", req.ACG, req.Node, info.node)
+			"master: migrate report for acg %d from %s, but %s owns it", req.ACG, req.Node, info.Node)
 	}
-	dest := m.nodes[req.Dest]
-	if dest == nil || dest.dead {
+	dest := m.liveLocked(req.Dest)
+	if dest == nil {
 		return proto.MigrateReportResp{}, fmt.Errorf("%w: %s", ErrUnknownNode, req.Dest)
 	}
-	if src := m.nodes[info.node]; src != nil {
-		delete(src.acgs, req.ACG)
-		src.files -= info.files
-	}
-	info.node = dest.id
-	// The destination can no longer be a follower of the group it now
-	// owns. The remaining followers re-seed from the new primary: its
-	// first heartbeat omits them from its ack set, which unseeds them and
-	// queues replicate orders.
-	m.removeReplicaLocked(info, dest.id)
-	dest.acgs[req.ACG] = true
-	dest.files += info.files
-	delete(m.migrating, req.ACG)
-	delete(m.migrateDelivered, req.ACG)
-	m.epoch++
-	return proto.MigrateReportResp{Epoch: m.epoch}, nil
+	m.moveLocked(info, dest, pendingOrder{})
+	return proto.MigrateReportResp{Epoch: m.Epoch}, nil
 }
 
 // ReplicateReport marks a follower copy seeded: the primary shipped the
@@ -1054,51 +927,47 @@ func (m *Master) MigrateReport(_ context.Context, req proto.MigrateReportReq) (p
 func (m *Master) ReplicateReport(_ context.Context, req proto.ReplicateReportReq) (proto.ReplicateReportResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	info := m.acgs[req.ACG]
+	info := m.ACGs[req.ACG]
 	if info == nil {
 		return proto.ReplicateReportResp{}, fmt.Errorf("acg %d: %w", req.ACG, ErrUnknownACG)
 	}
-	if info.node == req.Node {
-		if rep := info.replicaOn(req.Dest); rep != nil && !rep.seeded {
-			rep.seeded = true
-			rep.seq = info.seq
-			m.epoch++
+	if info.Node == req.Node {
+		if rep := info.replicaOn(req.Dest); rep != nil && !rep.Seeded {
+			rep.Seeded = true
+			rep.Seq = info.Seq
+			m.Epoch++
 		}
 	}
-	return proto.ReplicateReportResp{Epoch: m.epoch}, nil
+	return proto.ReplicateReportResp{Epoch: m.Epoch}, nil
 }
 
 // OrderMigration queues a migration of one group to the named destination;
 // the order rides the owning node's next heartbeat reply. Used by operators
-// and tests to force a move outside the rebalancer's policy.
+// and tests to force a move outside the rebalancer's policy. A group with
+// an order already in flight is refused.
 func (m *Master) OrderMigration(id proto.ACGID, dest proto.NodeID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	info := m.acgs[id]
+	info := m.ACGs[id]
 	if info == nil {
 		return fmt.Errorf("acg %d: %w", id, ErrUnknownACG)
 	}
-	d := m.nodes[dest]
-	if d == nil || d.dead {
+	if m.liveLocked(dest) == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, dest)
 	}
-	if info.node == dest {
+	if info.Node == dest {
 		return nil // already home
 	}
-	if m.migrating[id] != "" {
-		return fmt.Errorf("master: acg %d already migrating to %s", id, m.migrating[id])
+	switch p := info.Pending; p.Kind {
+	case migrateOrder:
+		return fmt.Errorf("master: acg %d already migrating to %s", id, p.Dest)
+	case recoverOrder:
+		return fmt.Errorf("master: acg %d awaiting recovery on %s", id, info.Node)
+	case promoteOrder:
+		return fmt.Errorf("master: acg %d awaiting promotion on %s", id, info.Node)
 	}
-	if m.pendingRecover[id] != "" {
-		return fmt.Errorf("master: acg %d awaiting recovery on %s", id, m.pendingRecover[id])
-	}
-	if pp, ok := m.pendingPromote[id]; ok {
-		return fmt.Errorf("master: acg %d awaiting promotion on %s", id, pp.node)
-	}
-	m.migrating[id] = dest
-	m.migrationsOrdered.Inc()
-	m.migrateOrders[info.node] = append(m.migrateOrders[info.node], proto.MigrateOrder{
-		ACG: id, Dest: dest, Addr: d.addr,
-	})
+	info.Pending = pendingOrder{Kind: migrateOrder, Dest: dest}
+	m.migrationsOrdered++
 	return nil
 }
 
@@ -1107,30 +976,33 @@ func (m *Master) ClusterStats(_ context.Context, _ proto.ClusterStatsReq) (proto
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var resp proto.ClusterStatsResp
+	owned := make(map[proto.NodeID]int)
 	followerGroups := make(map[proto.NodeID]int)
 	lagFrames := make(map[proto.NodeID]int64)
-	for _, info := range m.acgs {
+	for _, info := range m.ACGs {
+		owned[info.Node]++
 		replicated := false
-		for _, r := range info.replicas {
-			if !r.seeded {
+		for _, r := range info.Replicas {
+			if !r.Seeded {
 				continue
 			}
 			replicated = true
-			followerGroups[r.node]++
-			if info.seq > r.seq {
-				lagFrames[r.node] += int64(info.seq - r.seq)
+			followerGroups[r.Node]++
+			if info.Seq > r.Seq {
+				lagFrames[r.Node] += int64(info.Seq - r.Seq)
 			}
 		}
 		if replicated {
 			resp.ReplicatedGroups++
 		}
 	}
-	for _, n := range m.sortedNodesLocked() {
+	for _, id := range slices.Sorted(maps.Keys(m.nodes)) {
+		n := m.nodes[id]
 		resp.Nodes = append(resp.Nodes, proto.NodeStats{
-			Node: n.id, Addr: n.addr, ACGs: len(n.acgs), Files: n.files,
+			Node: id, Addr: n.addr, ACGs: owned[id], Files: n.files,
 			QueueDepth:       n.queueDepth,
-			FollowerGroups:   followerGroups[n.id],
-			ReplicaLagFrames: lagFrames[n.id],
+			FollowerGroups:   followerGroups[id],
+			ReplicaLagFrames: lagFrames[id],
 			Promotions:       n.promotions,
 		})
 		resp.Files += n.files
@@ -1138,18 +1010,13 @@ func (m *Master) ClusterStats(_ context.Context, _ proto.ClusterStatsReq) (proto
 			resp.DeadNodes++
 		}
 	}
-	resp.ACGs = len(m.acgs)
-	resp.PlacementEpoch = m.epoch
-	resp.MigrationsOrdered = m.migrationsOrdered.Value()
-	resp.Recoveries = m.recoveries.Value()
-	resp.Promotions = m.promotions.Value()
-	names := make([]string, 0, len(m.specs))
-	for name := range m.specs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		resp.Indexes = append(resp.Indexes, m.specs[name])
+	resp.ACGs = len(m.ACGs)
+	resp.PlacementEpoch = m.Epoch
+	resp.MigrationsOrdered = m.migrationsOrdered
+	resp.Recoveries = m.recoveries
+	resp.Promotions = m.promotions
+	for _, name := range slices.Sorted(maps.Keys(m.Specs)) {
+		resp.Indexes = append(resp.Indexes, m.Specs[name])
 	}
 	return resp, nil
 }
@@ -1158,145 +1025,52 @@ func (m *Master) ClusterStats(_ context.Context, _ proto.ClusterStatsReq) (proto
 func (m *Master) PlacementEpoch() proto.Epoch {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.epoch
+	return m.Epoch
 }
 
-// metaSnapshot is the gob image of the Master's durable metadata.
-type metaSnapshot struct {
-	FileToACG map[index.FileID]proto.ACGID
-	ACGNodes  map[proto.ACGID]proto.NodeID
-	ACGFiles  map[proto.ACGID]int64
-	Specs     map[string]proto.IndexSpec
-	NextACG   proto.ACGID
-	HintToACG map[uint64]proto.ACGID
-	// Epoch persists the placement version: a restored Master must never
-	// hand out an older epoch than clients have already seen, or their
-	// staleness detection would invert.
-	Epoch proto.Epoch
-	// PendingRecover persists unconfirmed failure-path reassignments so a
-	// Master restart cannot strand a group on an owner that never received
-	// (or never completed) its recover order.
-	PendingRecover map[proto.ACGID]proto.NodeID
-	// ACGReplicas / ACGSeqs persist each group's follower set and the
-	// primary's last reported stream position; PendingPromote persists
-	// unconfirmed promotions, for the same never-strand reason as
-	// PendingRecover.
-	ACGReplicas    map[proto.ACGID][]replicaMeta
-	ACGSeqs        map[proto.ACGID]uint64
-	PendingPromote map[proto.ACGID]promoteMeta
-}
-
-// replicaMeta is the gob image of one replica entry.
-type replicaMeta struct {
-	Node   proto.NodeID
-	Seeded bool
-	Seq    uint64
-}
-
-// promoteMeta is the gob image of one unconfirmed promotion.
-type promoteMeta struct {
-	Node  proto.NodeID
-	Order proto.PromoteOrder
-}
-
-// SnapshotMetadata serializes the durable metadata (the paper flushes the
-// file-to-ACG mappings to shared storage periodically to survive crashes).
+// SnapshotMetadata serializes the durable metadata — the state value
+// itself, file→group map, placements, replica sets, pending orders and
+// epoch (the paper flushes the file-to-ACG mappings to shared storage
+// periodically to survive crashes).
 func (m *Master) SnapshotMetadata() ([]byte, error) {
 	m.mu.Lock()
-	snap := metaSnapshot{
-		FileToACG:      make(map[index.FileID]proto.ACGID, len(m.fileToACG)),
-		ACGNodes:       make(map[proto.ACGID]proto.NodeID, len(m.acgs)),
-		ACGFiles:       make(map[proto.ACGID]int64, len(m.acgs)),
-		Specs:          make(map[string]proto.IndexSpec, len(m.specs)),
-		NextACG:        m.nextACG,
-		HintToACG:      make(map[uint64]proto.ACGID, len(m.hintToACG)),
-		Epoch:          m.epoch,
-		PendingRecover: make(map[proto.ACGID]proto.NodeID, len(m.pendingRecover)),
-		ACGReplicas:    make(map[proto.ACGID][]replicaMeta, len(m.acgs)),
-		ACGSeqs:        make(map[proto.ACGID]uint64, len(m.acgs)),
-		PendingPromote: make(map[proto.ACGID]promoteMeta, len(m.pendingPromote)),
-	}
-	for f, a := range m.fileToACG {
-		snap.FileToACG[f] = a
-	}
-	for id, info := range m.acgs {
-		snap.ACGNodes[id] = info.node
-		snap.ACGFiles[id] = info.files
-		if info.seq != 0 {
-			snap.ACGSeqs[id] = info.seq
-		}
-		for _, r := range info.replicas {
-			snap.ACGReplicas[id] = append(snap.ACGReplicas[id], replicaMeta{
-				Node: r.node, Seeded: r.seeded, Seq: r.seq,
-			})
-		}
-	}
-	for a, pp := range m.pendingPromote {
-		snap.PendingPromote[a] = promoteMeta{Node: pp.node, Order: pp.order}
-	}
-	for n, s := range m.specs {
-		snap.Specs[n] = s
-	}
-	for h, a := range m.hintToACG {
-		snap.HintToACG[h] = a
-	}
-	for a, node := range m.pendingRecover {
-		snap.PendingRecover[a] = node
-	}
-	m.mu.Unlock()
-
+	defer m.mu.Unlock()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&m.state); err != nil {
 		return nil, fmt.Errorf("master snapshot: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// LoadMetadata restores a snapshot (crash recovery). Index Nodes must
-// re-register afterwards; their heartbeats repopulate liveness.
+// LoadMetadata restores a snapshot (crash recovery) and rebuilds what is
+// volatile from it. Index Nodes must re-register afterwards; their
+// heartbeats repopulate liveness.
 func (m *Master) LoadMetadata(img []byte) error {
-	var snap metaSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&snap); err != nil {
+	s := newState()
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&s); err != nil {
 		return fmt.Errorf("master load: %w", err)
+	}
+	for f, id := range s.FileToACG {
+		if s.ACGs[id] == nil {
+			return fmt.Errorf("master load: file %d maps to acg %d, which has no record", f, id)
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.fileToACG = snap.FileToACG
-	m.specs = snap.Specs
-	m.nextACG = snap.NextACG
-	m.hintToACG = snap.HintToACG
-	if snap.Epoch > m.epoch {
-		m.epoch = snap.Epoch
-	}
-	m.pendingRecover = make(map[proto.ACGID]proto.NodeID, len(snap.PendingRecover))
-	for a, node := range snap.PendingRecover {
-		m.pendingRecover[a] = node
-	}
-	// Rebuild per-node load accounting from scratch: the snapshot's
-	// placements are authoritative, and stale load totals would misguide
-	// the least-loaded placement and the rebalancer after a restore.
+	s.Epoch = max(s.Epoch, m.Epoch)
+	m.state = s
+	// Rebuild per-node load from the restored placements: stale totals
+	// would misguide the least-loaded placement and the rebalancer. A node
+	// a record names that has not re-registered is neither routed to nor
+	// placed on; if it stays silent past the timeout, the sweep fails it
+	// over like any other.
 	for _, n := range m.nodes {
-		n.acgs = make(map[proto.ACGID]bool)
 		n.files = 0
 	}
-	m.acgs = make(map[proto.ACGID]*acgInfo, len(snap.ACGNodes))
-	for id, node := range snap.ACGNodes {
-		info := &acgInfo{id: id, node: node, files: snap.ACGFiles[id], seq: snap.ACGSeqs[id]}
-		for _, r := range snap.ACGReplicas[id] {
-			info.replicas = append(info.replicas, &replicaInfo{
-				node: r.Node, seeded: r.Seeded, seq: r.Seq,
-			})
-		}
-		m.acgs[id] = info
-		if n := m.nodes[node]; n != nil {
-			n.acgs[id] = true
-			n.files += snap.ACGFiles[id]
-		}
-	}
-	m.pendingPromote = make(map[proto.ACGID]promotePending, len(snap.PendingPromote))
-	for a, pp := range snap.PendingPromote {
-		if _, ok := m.acgs[a]; ok {
-			m.pendingPromote[a] = promotePending{node: pp.Node, order: pp.Order}
+	for _, info := range m.ACGs {
+		m.expectLocked(info.Node).files += info.Files
+		for _, r := range info.Replicas {
+			m.expectLocked(r.Node)
 		}
 	}
 	return nil

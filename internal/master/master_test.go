@@ -704,11 +704,11 @@ func TestRebalancerOverloadReactsToQueueDepth(t *testing.T) {
 	}
 	var aOwned, bOwned []proto.ACGMeta
 	m.mu.Lock()
-	for id, info := range m.acgs {
-		if info.node == "a" {
+	for id, info := range m.ACGs {
+		if info.Node == "a" {
 			aOwned = append(aOwned, proto.ACGMeta{ACG: id, Files: 100})
 		} else {
-			bOwned = append(bOwned, proto.ACGMeta{ACG: id, Files: 200 / int64(len(m.acgs)-1)})
+			bOwned = append(bOwned, proto.ACGMeta{ACG: id, Files: 200 / int64(len(m.ACGs)-1)})
 		}
 	}
 	m.mu.Unlock()
@@ -778,8 +778,8 @@ func TestRebalancerOverloadIgnoresShallowQueues(t *testing.T) {
 	}
 	var mine []proto.ACGMeta
 	m.mu.Lock()
-	for id, info := range m.acgs {
-		if info.node == "a" {
+	for id, info := range m.ACGs {
+		if info.Node == "a" {
 			mine = append(mine, proto.ACGMeta{ACG: id, Files: 100})
 		}
 	}

@@ -712,10 +712,11 @@ type Query struct {
 	Consistency proto.Consistency
 }
 
-// compile resolves the query's predicate set — parsed text plus
-// structured predicates plus the path scope — and the anchor time the
-// text was parsed against (for cursor continuity across pages).
-func (c *Client) compile(q Query) ([]query.Predicate, time.Time, error) {
+// compile resolves the query into the search request every target is sent
+// — its predicate set is the parsed text plus the structured predicates plus
+// the path scope; a target's groups are filled in per leg — and the anchor
+// time the text was parsed against (for cursor continuity across pages).
+func (c *Client) compile(q Query) (proto.SearchReq, time.Time, error) {
 	anchor := q.Anchor
 	if anchor.IsZero() {
 		anchor = c.cfg.Now()
@@ -725,15 +726,23 @@ func (c *Client) compile(q Query) ([]query.Predicate, time.Time, error) {
 	if q.Text != "" {
 		parsed, err := query.Parse(q.Text, anchor)
 		if err != nil {
-			return nil, anchor, err
+			return proto.SearchReq{}, anchor, err
 		}
 		preds = append(preds, parsed.Preds...)
 	}
 	if len(preds) == 0 {
-		return nil, anchor, fmt.Errorf("%w: query has no predicates", query.ErrSyntax)
+		return proto.SearchReq{}, anchor, fmt.Errorf("%w: query has no predicates", query.ErrSyntax)
 	}
 	preds = append(preds, query.PathScopePreds(q.Path)...)
-	return preds, anchor, nil
+	return proto.SearchReq{
+		IndexName:   q.Index,
+		Preds:       preds,
+		Limit:       q.Limit,
+		After:       q.After,
+		AfterSet:    q.AfterSet,
+		Consistency: q.Consistency,
+		Client:      c.cfg.ID,
+	}, anchor, nil
 }
 
 // lookupTargets resolves the fan-out a search of q runs over and the epoch
@@ -857,23 +866,15 @@ type SearchResult struct {
 	Anchor time.Time
 }
 
-// searchNode sends q to one target: the one place a search request is
-// built and sent. It notes the placement epoch the node quotes.
-func (c *Client) searchNode(ctx context.Context, q Query, preds []query.Predicate, tgt proto.IndexTarget) (proto.SearchResp, error) {
+// searchNode sends req to one target's groups: the one place a search
+// request is sent. It notes the placement epoch the node quotes.
+func (c *Client) searchNode(ctx context.Context, req proto.SearchReq, tgt proto.IndexTarget) (proto.SearchResp, error) {
 	conn, err := c.conn(ctx, tgt.Addr)
 	if err != nil {
 		return proto.SearchResp{}, err // a dead node: retried like a stale fan-out
 	}
-	resp, err := rpc.Call[proto.SearchReq, proto.SearchResp](ctx, conn, proto.MethodSearch, proto.SearchReq{
-		ACGs:        tgt.ACGs,
-		IndexName:   q.Index,
-		Preds:       preds,
-		Limit:       q.Limit,
-		After:       q.After,
-		AfterSet:    q.AfterSet,
-		Consistency: q.Consistency,
-		Client:      c.cfg.ID,
-	})
+	req.ACGs = tgt.ACGs
+	resp, err := rpc.Call[proto.SearchReq, proto.SearchResp](ctx, conn, proto.MethodSearch, req)
 	c.noteEpoch(resp.Epoch)
 	return resp, err
 }
@@ -884,14 +885,14 @@ func (c *Client) searchNode(ctx context.Context, q Query, preds []query.Predicat
 // side that errors is ignored when the other succeeds (the hedge survives a
 // slow primary's partition error). The alternate legs go through
 // searchTargets with no routes, so a hedge never hedges again.
-func (c *Client) hedgedSearchNode(ctx context.Context, q Query, preds []query.Predicate, tgt proto.IndexTarget, routes []proto.GroupRoute) (proto.SearchResp, error) {
+func (c *Client) hedgedSearchNode(ctx context.Context, req proto.SearchReq, tgt proto.IndexTarget, routes []proto.GroupRoute) (proto.SearchResp, error) {
 	type result struct {
 		resp proto.SearchResp
 		err  error
 	}
 	ch := make(chan result, 2) // one send per side: the loser never blocks
 	go func() {
-		resp, err := c.searchNode(ctx, q, preds, tgt)
+		resp, err := c.searchNode(ctx, req, tgt)
 		ch <- result{resp, err}
 	}()
 	timer := time.NewTimer(c.cfg.HedgeDelay)
@@ -908,7 +909,7 @@ func (c *Client) hedgedSearchNode(ctx context.Context, q Query, preds []query.Pr
 	}
 	c.hedgedSearches.Inc()
 	go func() {
-		resp, err := c.searchTargets(ctx, q, preds, alt, nil)
+		resp, err := c.searchTargets(ctx, req, alt, nil)
 		ch <- result{resp, err}
 	}()
 	first := <-ch
@@ -920,31 +921,43 @@ func (c *Client) hedgedSearchNode(ctx context.Context, q Query, preds []query.Pr
 	return first.resp, first.err
 }
 
-// searchTargets queries every target in parallel and folds the responses
-// into one: files concatenated (unsorted), More if any node has more, the
-// newest placement epoch any node quoted, commit costs summed. Routes arm
-// hedging (lazy consistency and Config.HedgeDelay > 0 permitting): the
-// primary fan-out passes the replica routes, a hedge's alternate legs none.
-func (c *Client) searchTargets(ctx context.Context, q Query, preds []query.Predicate, targets []proto.IndexTarget, routes []proto.GroupRoute) (proto.SearchResp, error) {
-	hedged := c.cfg.HedgeDelay > 0 && q.Consistency == proto.ConsistencyLazy && len(routes) > 0
-	resps := make([]proto.SearchResp, len(targets))
-	errs := make([]error, len(targets))
-	fanOut(len(targets), func(i int) {
+// searchLeg is one target's answer in a fan-out.
+type searchLeg struct {
+	resp proto.SearchResp
+	err  error
+}
+
+// searchTargets sends req to every target in parallel and folds the
+// responses into one: files concatenated (unsorted) into one slice of the
+// exact size, More if any node has more, the newest placement epoch any
+// node quoted, commit costs summed. Routes arm hedging (lazy consistency
+// and Config.HedgeDelay > 0 permitting): the primary fan-out passes the
+// replica routes, a hedge's alternate legs none.
+func (c *Client) searchTargets(ctx context.Context, req proto.SearchReq, targets []proto.IndexTarget, routes []proto.GroupRoute) (proto.SearchResp, error) {
+	hedged := c.cfg.HedgeDelay > 0 && req.Consistency == proto.ConsistencyLazy && len(routes) > 0
+	legs := make([]searchLeg, len(targets))
+	fanOut(len(legs), func(i int) {
+		l := &legs[i]
 		if hedged {
-			resps[i], errs[i] = c.hedgedSearchNode(ctx, q, preds, targets[i], routes)
+			l.resp, l.err = c.hedgedSearchNode(ctx, req, targets[i], routes)
 		} else {
-			resps[i], errs[i] = c.searchNode(ctx, q, preds, targets[i])
+			l.resp, l.err = c.searchNode(ctx, req, targets[i])
 		}
 	})
 	var out proto.SearchResp
-	for i, r := range resps {
-		if errs[i] != nil {
-			return proto.SearchResp{}, fmt.Errorf("client search node %s: %w", targets[i].Node, errs[i])
+	n := 0
+	for i, l := range legs {
+		if l.err != nil {
+			return proto.SearchResp{}, fmt.Errorf("client search node %s: %w", targets[i].Node, l.err)
 		}
-		out.Files = append(out.Files, r.Files...)
-		out.More = out.More || r.More
-		out.Epoch = max(out.Epoch, r.Epoch)
-		out.CommitLatencyNanos += r.CommitLatencyNanos
+		n += len(l.resp.Files)
+		out.More = out.More || l.resp.More
+		out.Epoch = max(out.Epoch, l.resp.Epoch)
+		out.CommitLatencyNanos += l.resp.CommitLatencyNanos
+	}
+	out.Files = make([]index.FileID, 0, n)
+	for _, l := range legs {
+		out.Files = append(out.Files, l.resp.Files...)
 	}
 	return out, nil
 }
@@ -970,7 +983,7 @@ func (c *Client) searchTargets(ctx context.Context, q Query, preds []query.Predi
 // An empty cluster (no index nodes holding the index) yields an empty
 // result, not an error. An unknown index name yields perr.ErrIndexNotFound.
 func (c *Client) Search(ctx context.Context, q Query) (SearchResult, error) {
-	preds, anchor, err := c.compile(q)
+	req, anchor, err := c.compile(q)
 	if err != nil {
 		return SearchResult{}, err
 	}
@@ -980,7 +993,7 @@ func (c *Client) Search(ctx context.Context, q Query) (SearchResult, error) {
 		if err != nil || len(t.targets) == 0 {
 			return SearchResult{}, err
 		}
-		resp, err := c.searchTargets(ctx, q, preds, t.targets, t.routes)
+		resp, err := c.searchTargets(ctx, req, t.targets, t.routes)
 		if err == nil && resp.Epoch > t.epoch {
 			err = fmt.Errorf("client search: fan-out resolved at epoch %d, a node quotes %d: %w",
 				t.epoch, resp.Epoch, perr.ErrStalePlacement)
@@ -1069,7 +1082,7 @@ func (s *Stream) Err() error { return s.err }
 // stream; the caller's next call re-resolves and succeeds. Overload
 // surfaces as is.
 func (c *Client) SearchStream(ctx context.Context, q Query) (*Stream, error) {
-	preds, _, err := c.compile(q)
+	req, _, err := c.compile(q)
 	if err != nil {
 		return nil, err
 	}
@@ -1080,7 +1093,7 @@ func (c *Client) SearchStream(ctx context.Context, q Query) (*Stream, error) {
 	s := &Stream{ch: make(chan streamItem, len(t.targets)), remaining: len(t.targets)}
 	for _, tgt := range t.targets {
 		go func() {
-			resp, err := c.searchNode(ctx, q, preds, tgt)
+			resp, err := c.searchNode(ctx, req, tgt)
 			if retryablePlacement(err) || resp.Epoch > t.epoch {
 				c.invalidateIndex(q.Index) // the next call re-resolves the fan-out
 			}

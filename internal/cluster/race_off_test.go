@@ -1,0 +1,65 @@
+//go:build !race
+
+package cluster
+
+import (
+	"context"
+	"testing"
+
+	"propeller/internal/attr"
+	"propeller/internal/client"
+	"propeller/internal/index"
+	"propeller/internal/proto"
+)
+
+// TestWarmPointLookupAllocs pins what a warm point lookup allocates end to
+// end, client and both Index Nodes together: a B-tree equality search of a
+// 2-node pipe cluster, 8 groups a node, at the default fan-out
+// (AllocsPerRun runs at one P, so each node's pass is its serial path).
+// What is left is the query's parse and predicate set, the two round trips
+// (read buffers, each call's request and response, the node's request
+// decode and handler goroutine) and the answer: each node's page, its
+// decode, and the client's merge. Not under the race detector, which
+// inflates allocation counts.
+func TestWarmPointLookupAllocs(t *testing.T) {
+	const budget = 36 // measured 34
+	_, cl := bootCluster(t, Config{IndexNodes: 2})
+	ctx := context.Background()
+	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
+		t.Fatal(err)
+	}
+	// 16 groups of 50 files; value f mod 200, so an equality matches four
+	// files in four groups.
+	for g := 0; g < 16; g++ {
+		var updates []client.FileUpdate
+		for i := 0; i < 50; i++ {
+			f := g*50 + i
+			updates = append(updates, client.FileUpdate{
+				File: index.FileID(f), Value: attr.Int(int64(f % 200)), GroupHint: uint64(g) + 1,
+			})
+		}
+		if err := cl.Index(ctx, "size", updates); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := cl.ClusterStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range stats.Nodes {
+		if n.ACGs != 8 {
+			t.Fatalf("node %s holds %d groups, want 8", n.Node, n.ACGs)
+		}
+	}
+	q := client.Query{Index: "size", Text: "size=123", Limit: 100}
+	allocs := testing.AllocsPerRun(200, func() {
+		res, err := cl.Search(ctx, q)
+		if err != nil || len(res.Files) != 4 {
+			t.Fatalf("search = %v, %v; want 4 files", res.Files, err)
+		}
+	})
+	t.Logf("%.1f allocations a point lookup", allocs)
+	if allocs > budget {
+		t.Errorf("a warm point lookup allocates %.1f times, want at most %d", allocs, budget)
+	}
+}

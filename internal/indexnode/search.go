@@ -219,99 +219,41 @@ func (n *Node) searchFanout(nACGs int) int {
 }
 
 // searchGroups runs one pass over the requested groups. With more than one
-// worker the ACGs fan out across a bounded pool: each worker searches
-// whole groups (searchOneGroup) under their own locks and feeds
-// its scanner's private pageCollector (no shared mutable state on the
-// scan path), and the per-worker pages — each at most Limit postings —
-// merge through the first worker's collector. Results are identical to the
+// worker the ACGs fan out across a bounded pool: each worker claims whole
+// groups (searchOneGroup), searches them under their own locks and feeds
+// its scanner's private pageCollector (no shared mutable state on the scan
+// path), and the per-worker pages — each at most Limit postings — merge
+// through the first worker's collector. Results are identical to the
 // serial pass regardless of scheduling, because every collector keeps the
-// smallest admissible ids.
+// smallest admissible ids. The calling goroutine is worker 0, so a serial
+// pass starts no goroutine.
 func (n *Node) searchGroups(ctx context.Context, req proto.SearchReq, q query.Query) (proto.SearchResp, error) {
+	p := passPool.Get().(*searchPass)
+	defer p.release()
+	p.n, p.ctx, p.req = n, ctx, req
 	workers := n.searchFanout(len(req.ACGs))
-	scs := make([]*groupScanner, workers)
-	for w := range scs {
-		scs[w] = acquireScanner(n, q, req)
+	for range workers {
+		p.scs = append(p.scs, acquireScanner(n, q, req))
 	}
-	defer func() {
-		for _, sc := range scs {
-			sc.release()
-		}
-	}()
-	var resp proto.SearchResp
-	if workers <= 1 {
-		for _, id := range req.ACGs {
-			if err := ctx.Err(); err != nil {
-				return proto.SearchResp{}, fmt.Errorf("indexnode search acg %d: %w", id, perr.Ctx(err))
-			}
-			nanos, err := n.searchOneGroup(id, req, scs[0])
-			if err != nil {
-				return proto.SearchResp{}, err
-			}
-			resp.CommitLatencyNanos += nanos
-		}
-		scs[0].col.fill(&resp)
-		return resp, nil
-	}
-
-	var (
-		next        atomic.Int64 // index of the next ACG to claim
-		commitNanos atomic.Int64
-		wg          sync.WaitGroup
-		errOnce     sync.Once
-		firstErr    error
-	)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel() // abort the other workers' remaining groups
-		})
-	}
-	for _, sc := range scs {
-		wg.Add(1)
+	p.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(req.ACGs) {
-					return
-				}
-				id := req.ACGs[i]
-				if err := cctx.Err(); err != nil {
-					fail(fmt.Errorf("indexnode search acg %d: %w", id, perr.Ctx(err)))
-					return
-				}
-				nanos, err := n.searchOneGroup(id, req, sc)
-				if err != nil {
-					fail(err)
-					return
-				}
-				// Commit windows of concurrent workers overlap on the shared
-				// virtual clock (one worker's window includes the others'
-				// charges), so summing them would over-report. Keep the
-				// slowest window — the fork/join model the virtual clock
-				// prescribes for parallel work.
-				for {
-					cur := commitNanos.Load()
-					if nanos <= cur || commitNanos.CompareAndSwap(cur, nanos) {
-						break
-					}
-				}
-			}
+			defer p.wg.Done()
+			p.run(w)
 		}()
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return proto.SearchResp{}, firstErr
+	p.run(0)
+	p.wg.Wait()
+	if p.err != nil {
+		return proto.SearchResp{}, p.err
 	}
 
 	// Merge the per-worker pages. Feeding each other worker's (sorted,
 	// deduped, <= Limit postings) page through the first worker's collector
 	// re-applies the page budget and cross-worker dedup; any worker overflow
 	// means the total match count exceeds the page, so More carries over.
-	final := &scs[0].col
-	for _, sc := range scs[1:] {
+	final := &p.scs[0].col
+	for _, sc := range p.scs[1:] {
 		files, more := sc.col.page()
 		final.overflow = final.overflow || more
 		final.maxRetained = max(final.maxRetained, sc.col.maxRetained)
@@ -319,9 +261,90 @@ func (n *Node) searchGroups(ctx context.Context, req proto.SearchReq, q query.Qu
 			final.add(f)
 		}
 	}
+	var resp proto.SearchResp
 	final.fill(&resp)
-	resp.CommitLatencyNanos = commitNanos.Load()
+	resp.CommitLatencyNanos = p.commitNanos.Load()
 	return resp, nil
+}
+
+// searchPass is one request's pass over its groups, shared by its workers:
+// a scanner per worker, the claim counter, the commit window, and the stop
+// flag with the first error. Passes are pooled, so a search allocates no
+// coordination state. The request is held by value: a pointer to the
+// caller's would move it to the heap.
+type searchPass struct {
+	n   *Node
+	ctx context.Context
+	req proto.SearchReq
+	scs []*groupScanner
+
+	next        atomic.Int64 // index of the next ACG to claim
+	commitNanos atomic.Int64
+	// stop ends every worker's claims once one fails; the worker that sets
+	// it first records err, which is read after the join.
+	stop atomic.Bool
+	err  error
+	wg   sync.WaitGroup
+}
+
+var passPool = sync.Pool{New: func() any { return new(searchPass) }}
+
+// run is worker w: it claims groups until none is left, the context ends,
+// or a worker fails.
+func (p *searchPass) run(w int) {
+	sc := p.scs[w]
+	for !p.stop.Load() {
+		i := int(p.next.Add(1)) - 1
+		if i >= len(p.req.ACGs) {
+			return
+		}
+		id := p.req.ACGs[i]
+		if err := p.ctx.Err(); err != nil {
+			p.fail(fmt.Errorf("indexnode search acg %d: %w", id, perr.Ctx(err)))
+			return
+		}
+		nanos, err := p.n.searchOneGroup(id, p.req, sc)
+		if err != nil {
+			p.fail(err)
+			return
+		}
+		p.noteCommit(nanos)
+	}
+}
+
+func (p *searchPass) fail(err error) {
+	if p.stop.CompareAndSwap(false, true) {
+		p.err = err
+	}
+}
+
+// noteCommit records one group's commit window. A serial pass's windows
+// follow one another and sum. Concurrent workers' windows overlap on the
+// shared virtual clock (one worker's window includes the others' charges),
+// so summing them would over-report: keep the slowest window — the
+// fork/join model the virtual clock prescribes for parallel work.
+func (p *searchPass) noteCommit(nanos int64) {
+	if len(p.scs) == 1 {
+		p.commitNanos.Add(nanos)
+		return
+	}
+	for {
+		cur := p.commitNanos.Load()
+		if nanos <= cur || p.commitNanos.CompareAndSwap(cur, nanos) {
+			return
+		}
+	}
+}
+
+// release returns the scanners and the pass to their pools; the pass must
+// not pin a node, a context or a request.
+func (p *searchPass) release() {
+	for i, sc := range p.scs {
+		sc.release()
+		p.scs[i] = nil
+	}
+	*p = searchPass{scs: p.scs[:0]}
+	passPool.Put(p)
 }
 
 // fill copies the collected page into resp (the collector goes back to the

@@ -331,7 +331,8 @@ func (q Query) Range(field string) (lo, hi *attr.Value, incLo, incHi, ok bool) {
 }
 
 // Interval is the scan interval implied by a query's predicates on one
-// field (nil bound = unbounded).
+// field (nil bound = unbounded). A bound points at the value of the
+// predicate it came from, so it is valid while the query's predicates are.
 type Interval struct {
 	Lo, Hi       *attr.Value
 	IncLo, IncHi bool
@@ -350,12 +351,13 @@ type Interval struct {
 // scans nothing.
 func (q Query) FieldInterval(field string) (iv Interval, ok bool) {
 	iv = Interval{IncLo: true, IncHi: true, Exact: true}
-	for _, p := range q.Preds {
+	for i := range q.Preds {
+		p := &q.Preds[i]
 		if p.Field != field {
 			continue
 		}
 		ok = true
-		v := p.Value
+		v := &p.Value
 		switch p.Op {
 		case OpEq:
 			iv.tightenLo(v, true)
@@ -389,12 +391,12 @@ func (iv Interval) Empty() bool {
 }
 
 // tightenLo raises the lower bound to (v, inc) if that is stricter.
-func (iv *Interval) tightenLo(v attr.Value, inc bool) {
+func (iv *Interval) tightenLo(v *attr.Value, inc bool) {
 	if iv.Lo == nil {
-		iv.Lo, iv.IncLo = &v, inc
+		iv.Lo, iv.IncLo = v, inc
 		return
 	}
-	c, err := compareCoerced(v, *iv.Lo)
+	c, err := compareCoerced(*v, *iv.Lo)
 	if err != nil {
 		// Incomparable kinds: keep the older bound (loosest safe choice)
 		// and let the residual pass enforce this predicate.
@@ -402,22 +404,22 @@ func (iv *Interval) tightenLo(v attr.Value, inc bool) {
 		return
 	}
 	if c > 0 || (c == 0 && !inc && iv.IncLo) {
-		iv.Lo, iv.IncLo = &v, inc
+		iv.Lo, iv.IncLo = v, inc
 	}
 }
 
 // tightenHi lowers the upper bound to (v, inc) if that is stricter.
-func (iv *Interval) tightenHi(v attr.Value, inc bool) {
+func (iv *Interval) tightenHi(v *attr.Value, inc bool) {
 	if iv.Hi == nil {
-		iv.Hi, iv.IncHi = &v, inc
+		iv.Hi, iv.IncHi = v, inc
 		return
 	}
-	c, err := compareCoerced(v, *iv.Hi)
+	c, err := compareCoerced(*v, *iv.Hi)
 	if err != nil {
 		iv.Exact = false
 		return
 	}
 	if c < 0 || (c == 0 && !inc && iv.IncHi) {
-		iv.Hi, iv.IncHi = &v, inc
+		iv.Hi, iv.IncHi = v, inc
 	}
 }

@@ -41,10 +41,12 @@ const flagFinal uint8 = 0x01
 var errMalformedFrame = errors.New("rpc: malformed frame")
 
 // appendFrameBody appends the binary encoding of f (everything inside the
-// CRC envelope) to dst. A zero Kind encodes as kindRequest so existing
-// construction sites — and tests — that build request frames field-by-field
-// keep working.
-func appendFrameBody(dst []byte, f *frame) []byte {
+// CRC envelope) to dst, and reports where the body starts in the result. A
+// frame that carries a message marshals it here, straight after the
+// kind-specific fields, in place of Body. A zero Kind encodes as kindRequest
+// so construction sites — and tests — that build request frames
+// field-by-field keep working.
+func appendFrameBody(dst []byte, f *frame) (out []byte, bodyAt int, err error) {
 	k := f.Kind
 	if k == 0 {
 		k = kindRequest
@@ -56,76 +58,80 @@ func appendFrameBody(dst []byte, f *frame) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(f.Method)))
 		dst = append(dst, f.Method...)
 		dst = binary.AppendUvarint(dst, uint64(f.TimeoutNanos))
-		dst = append(dst, f.Body...)
 	case kindResponse:
 		dst = append(dst, f.ErrCode)
 		dst = binary.AppendUvarint(dst, uint64(len(f.ErrMsg)))
 		dst = append(dst, f.ErrMsg...)
-		dst = append(dst, f.Body...)
 	case kindChunk:
 		dst = append(dst, f.Flags)
-		dst = append(dst, f.Body...)
 	case kindWindow:
 		dst = binary.AppendUvarint(dst, uint64(f.Window))
+		return dst, len(dst), nil // no body
 	case kindCancel:
+		return dst, len(dst), nil
 	}
-	return dst
+	bodyAt = len(dst)
+	if f.msg != nil {
+		dst, err = appendBody(dst, f.msg)
+		return dst, bodyAt, err
+	}
+	return append(dst, f.Body...), bodyAt, nil
 }
 
 // parseFrameBody decodes a frame body produced by appendFrameBody. The
 // returned frame's Body aliases b, which readFrame allocates per frame, so
 // no reuse hazard exists. An unknown kind byte parses to a frame with only
 // Kind and ID set; dispatch loops skip it.
-func parseFrameBody(b []byte) (*frame, error) {
+func parseFrameBody(b []byte) (frame, error) {
 	if len(b) == 0 {
-		return nil, fmt.Errorf("rpc decode: empty body: %w", errMalformedFrame)
+		return frame{}, fmt.Errorf("rpc decode: empty body: %w", errMalformedFrame)
 	}
-	f := &frame{Kind: b[0]}
+	f := frame{Kind: b[0]}
 	b = b[1:]
 	var err error
 	if f.ID, b, err = getUvarint(b); err != nil {
-		return nil, err
+		return frame{}, err
 	}
 	switch f.Kind {
 	case kindRequest, kindStreamOpen:
 		var m []byte
 		if m, b, err = getPrefixed(b); err != nil {
-			return nil, err
+			return frame{}, err
 		}
 		f.Method = string(m)
 		var t uint64
 		if t, b, err = getUvarint(b); err != nil {
-			return nil, err
+			return frame{}, err
 		}
 		if t > math.MaxInt64 {
-			return nil, fmt.Errorf("rpc decode: timeout overflow: %w", errMalformedFrame)
+			return frame{}, fmt.Errorf("rpc decode: timeout overflow: %w", errMalformedFrame)
 		}
 		f.TimeoutNanos = int64(t)
 		f.Body = b
 	case kindResponse:
 		if len(b) < 1 {
-			return nil, fmt.Errorf("rpc decode: truncated response: %w", errMalformedFrame)
+			return frame{}, fmt.Errorf("rpc decode: truncated response: %w", errMalformedFrame)
 		}
 		f.ErrCode = b[0]
 		var m []byte
 		if m, b, err = getPrefixed(b[1:]); err != nil {
-			return nil, err
+			return frame{}, err
 		}
 		f.ErrMsg = string(m)
 		f.Body = b
 	case kindChunk:
 		if len(b) < 1 {
-			return nil, fmt.Errorf("rpc decode: truncated chunk: %w", errMalformedFrame)
+			return frame{}, fmt.Errorf("rpc decode: truncated chunk: %w", errMalformedFrame)
 		}
 		f.Flags = b[0]
 		f.Body = b[1:]
 	case kindWindow:
 		var w uint64
 		if w, _, err = getUvarint(b); err != nil {
-			return nil, err
+			return frame{}, err
 		}
 		if w > math.MaxInt32 {
-			return nil, fmt.Errorf("rpc decode: window overflow: %w", errMalformedFrame)
+			return frame{}, fmt.Errorf("rpc decode: window overflow: %w", errMalformedFrame)
 		}
 		f.Window = uint32(w)
 	case kindCancel:
@@ -179,35 +185,32 @@ type WireUnmarshaler interface {
 	UnmarshalWire(data []byte) error
 }
 
-// Pools for the gob cold path. Only the byte carriers are pooled: a
+// gobRdrPool recycles the readers the gob cold path decodes through. A
 // gob.Encoder/Decoder pair is deliberately rebuilt per message because gob
 // streams are stateful — an encoder sends each type's descriptor once per
 // *stream*, so an encoder reused across independent frames would omit
-// descriptors the remote frame-scoped decoder has never seen. Pooling the
-// buffer and reader still removes the dominant per-call garbage (the grown
-// backing arrays); the encoder structs themselves are small.
-var (
-	gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	gobRdrPool = sync.Pool{New: func() any { return bytes.NewReader(nil) }}
-)
+// descriptors the remote frame-scoped decoder has never seen. Encoding needs
+// no pool: it appends to the frame's own pooled buffer.
+var gobRdrPool = sync.Pool{New: func() any { return bytes.NewReader(nil) }}
 
-// encodeBody serializes v (a pointer) into a codec-tagged body.
-func encodeBody(v any) ([]byte, error) {
+// appendBody appends the codec-tagged encoding of v (a pointer) to dst.
+func appendBody(dst []byte, v any) ([]byte, error) {
 	if m, ok := v.(WireMarshaler); ok {
-		return m.MarshalWire([]byte{codecBinary}), nil
+		return m.MarshalWire(append(dst, codecBinary)), nil
 	}
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.WriteByte(codecGob)
-	err := gob.NewEncoder(buf).Encode(v)
-	if err != nil {
-		gobBufPool.Put(buf)
-		return nil, err
+	w := appendWriter{append(dst, codecGob)}
+	if err := gob.NewEncoder(&w).Encode(v); err != nil {
+		return dst, fmt.Errorf("rpc: encode %T: %w", v, err)
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	gobBufPool.Put(buf)
-	return out, nil
+	return w.b, nil
+}
+
+// appendWriter is the io.Writer gob encodes through: it appends to b.
+type appendWriter struct{ b []byte }
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
 }
 
 // decodeBody deserializes a codec-tagged body into v (a pointer).

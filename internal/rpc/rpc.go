@@ -19,11 +19,15 @@ import (
 // Errors returned by the RPC layer.
 var (
 	ErrClientClosed  = errors.New("rpc: client closed")
-	ErrServerClosed  = errors.New("rpc: server closed")
 	ErrNoSuchMethod  = errors.New("rpc: no such method")
 	ErrFrameTooLarge = errors.New("rpc: frame exceeds limit")
 	ErrFrameCorrupt  = errors.New("rpc: frame checksum mismatch")
 )
+
+// errUnsent marks a frame that could not be composed — over maxFrame, or a
+// message its codec refuses. writeFrame reports it before writing a byte, so
+// the connection is intact and the peer saw nothing.
+var errUnsent = errors.New("rpc: frame not sent")
 
 // maxFrame bounds a single message (16 MiB). Large transfers — ACG
 // migration images — travel as bounded chunk streams, so this ceiling
@@ -93,7 +97,13 @@ type frame struct {
 	Flags uint8
 	// Window is the credit grant of a kindWindow frame, in bytes.
 	Window uint32
-	Body   []byte
+	// Body is the codec-tagged body: what a parsed frame carries, and what
+	// a raw frame (a chunk, a test's hand-built request) sends.
+	Body []byte
+	// msg, when set, is the message (a pointer) a typed call, response or
+	// stream open sends: writeFrame marshals it straight into the frame in
+	// place of Body, so a body is encoded once and never copied.
+	msg any
 }
 
 // frameBufPool recycles the scratch buffers writeFrame composes frames in.
@@ -106,54 +116,60 @@ var frameBufPool = sync.Pool{New: func() any {
 
 const pooledBufMax = 1 << 20
 
-func writeFrame(w io.Writer, f *frame) error {
+// writeFrame composes f in a pooled buffer and sends it in one Write. It
+// returns the body's length, which is what a virtual network charges. A
+// frame that cannot be composed fails with errUnsent before a byte is
+// written.
+func writeFrame(w io.Writer, f *frame) (int, error) {
 	// The header and body go out in one Write so a frame is atomic at the
 	// conn boundary: fault-injecting wrappers (chaosnet) see whole frames
 	// and a partial header can never interleave with another writer's view.
 	bp := frameBufPool.Get().(*[]byte)
-	out := append((*bp)[:0], make([]byte, frameHeader+payloadSum)...)
-	out = appendFrameBody(out, f)
+	out, bodyAt, err := appendFrameBody(append((*bp)[:0], make([]byte, frameHeader+payloadSum)...), f)
 	defer func() {
 		if cap(out) <= pooledBufMax {
 			*bp = out[:0]
 		}
 		frameBufPool.Put(bp)
 	}()
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", errUnsent, err)
+	}
 	payload := out[frameHeader+payloadSum:]
 	if len(payload) > maxFrame {
-		return ErrFrameTooLarge
+		return 0, fmt.Errorf("%w: %w", errUnsent, ErrFrameTooLarge)
 	}
 	binary.BigEndian.PutUint32(out[:4], uint32(payloadSum+len(payload)))
 	binary.BigEndian.PutUint32(out[4:frameHeader], crc32.ChecksumIEEE(out[:4]))
 	binary.BigEndian.PutUint32(out[frameHeader:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(out)
-	return err
+	_, err = w.Write(out)
+	return len(out) - bodyAt, err
 }
 
-func readFrame(r io.Reader) (*frame, error) {
+func readFrame(r io.Reader) (frame, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return frame{}, err
 	}
 	// The length is verified before it is believed: nothing below waits
 	// for a byte count a corrupted prefix invented.
 	if crc32.ChecksumIEEE(hdr[:4]) != binary.BigEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("%w (length prefix)", ErrFrameCorrupt)
+		return frame{}, fmt.Errorf("%w (length prefix)", ErrFrameCorrupt)
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if n > maxFrame+payloadSum {
-		return nil, ErrFrameTooLarge
+		return frame{}, ErrFrameTooLarge
 	}
 	if n < payloadSum {
-		return nil, fmt.Errorf("%w (length %d holds no payload checksum)", ErrFrameCorrupt, n)
+		return frame{}, fmt.Errorf("%w (length %d holds no payload checksum)", ErrFrameCorrupt, n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		return frame{}, err
 	}
 	payload := body[payloadSum:]
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(body) {
-		return nil, ErrFrameCorrupt
+		return frame{}, ErrFrameCorrupt
 	}
 	return parseFrameBody(payload)
 }
@@ -180,9 +196,11 @@ func (p NetProfile) cost(n int) time.Duration {
 	return d
 }
 
-// Handler serves one method: codec-tagged body in, codec-tagged body out.
-// The context carries the calling side's deadline (when one was set).
-type Handler func(ctx context.Context, body []byte) ([]byte, error)
+// handler serves one request: it decodes the codec-tagged body, runs the
+// method and answers request id on sc itself (respond), so the messages it
+// decodes into and marshals from are done with once it returns. The context
+// carries the calling side's deadline (when one was set).
+type handler func(ctx context.Context, sc *serverConn, id uint64, body []byte)
 
 // Server dispatches incoming frames to registered handlers.
 type Server struct {
@@ -198,8 +216,8 @@ type Server struct {
 	streamPeak atomic.Int64
 
 	mu             sync.Mutex
-	handlers       map[string]Handler
-	streamHandlers map[string]StreamHandler
+	handlers       map[string]handler
+	streamHandlers map[string]streamHandler
 	lns            []net.Listener
 	conns          map[net.Conn]struct{}
 	closed         bool
@@ -230,21 +248,14 @@ func WithMaxConcurrent(n int) ServerOption {
 // NewServer returns an empty server.
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
-		handlers:       make(map[string]Handler),
-		streamHandlers: make(map[string]StreamHandler),
+		handlers:       make(map[string]handler),
+		streamHandlers: make(map[string]streamHandler),
 		conns:          make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
 		o(s)
 	}
 	return s
-}
-
-// Handle registers a raw handler for method.
-func (s *Server) Handle(method string, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[method] = h
 }
 
 // StreamBufferedPeak reports the most bytes any single inbound stream has
@@ -266,21 +277,30 @@ func (s *Server) noteStreamBuffered(n int64) {
 // HandleTyped registers a handler with typed request/response. Messages
 // implementing the wire codec travel hand-rolled binary; the rest gob.
 func HandleTyped[Req, Resp any](s *Server, method string, fn func(context.Context, Req) (Resp, error)) {
-	s.Handle(method, func(ctx context.Context, body []byte) ([]byte, error) {
-		var req Req
-		if err := decodeBody(body, &req); err != nil {
-			return nil, fmt.Errorf("rpc %s: decode request: %w", method, err)
+	// A request is decoded into, and its response marshalled from, a box
+	// pooled per method: the codec reaches both through an interface, so a
+	// box of the handler's own would be allocated for every request.
+	type box struct {
+		req  Req
+		resp Resp
+	}
+	boxes := sync.Pool{New: func() any { return new(box) }}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.handlers[method] = func(ctx context.Context, sc *serverConn, id uint64, body []byte) {
+		b := boxes.Get().(*box)
+		defer func() {
+			*b = box{}
+			boxes.Put(b)
+		}()
+		var err error
+		if err = decodeBody(body, &b.req); err != nil {
+			err = fmt.Errorf("rpc %s: decode request: %w", method, err)
+		} else {
+			b.resp, err = fn(ctx, b.req)
 		}
-		resp, err := fn(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		out, err := encodeBody(&resp)
-		if err != nil {
-			return nil, fmt.Errorf("rpc %s: encode response: %w", method, err)
-		}
-		return out, nil
-	})
+		sc.respond(id, &b.resp, err)
+	}
 }
 
 // Serve accepts connections from ln until the server or listener closes.
@@ -334,7 +354,8 @@ func (s *Server) trackConn(conn net.Conn) {
 
 // serverConn is the per-connection state the reader loop shares with
 // handler goroutines: the write lock serializing response, window and shed
-// frames, and the registry of open inbound streams chunks are routed to.
+// frames, the registry of open inbound streams chunks are routed to, and
+// the handler goroutines the reader joins before the connection closes.
 type serverConn struct {
 	srv  *Server
 	conn net.Conn
@@ -343,12 +364,46 @@ type serverConn struct {
 
 	mu      sync.Mutex
 	streams map[uint64]*ServerStream
+
+	handlers sync.WaitGroup
 }
 
 func (sc *serverConn) write(f *frame) error {
 	sc.writeMu.Lock()
 	defer sc.writeMu.Unlock()
-	return writeFrame(sc.conn, f)
+	_, err := writeFrame(sc.conn, f)
+	return err
+}
+
+// respond answers request or stream id: with msg when err is nil, else with
+// err's message and taxonomy code. A response that cannot be framed — over
+// maxFrame, or a message its codec refuses — is answered with that failure
+// and its code instead, so the caller never waits out its deadline for a
+// reply that was never sent. A failed write is a dead connection, which
+// the caller's reader reports.
+func (sc *serverConn) respond(id uint64, msg any, err error) {
+	if err == nil {
+		if err = sc.write(&frame{Kind: kindResponse, ID: id, msg: msg}); !errors.Is(err, errUnsent) {
+			return
+		}
+	}
+	_ = sc.write(&frame{Kind: kindResponse, ID: id, ErrMsg: err.Error(), ErrCode: perr.CodeOf(err)})
+}
+
+// serve is request id's handler goroutine: it runs h under the caller's
+// remaining budget when the request carries one.
+func (sc *serverConn) serve(h handler, id uint64, timeoutNanos int64, body []byte) {
+	defer sc.handlers.Done()
+	if sem := sc.srv.sem; sem != nil {
+		defer func() { <-sem }()
+	}
+	ctx := context.Background()
+	if timeoutNanos > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutNanos))
+		defer cancel()
+	}
+	h(ctx, sc, id, body)
 }
 
 func (sc *serverConn) getStream(id uint64) *ServerStream {
@@ -370,7 +425,7 @@ func (sc *serverConn) removeStream(id uint64) {
 }
 
 // failAll tears every open stream down when the connection dies, waking
-// handlers blocked in Next so the reqWG join in connLoop cannot deadlock.
+// handlers blocked in Next so the handlers join in connLoop cannot deadlock.
 func (sc *serverConn) failAll(err error) {
 	sc.mu.Lock()
 	sts := make([]*ServerStream, 0, len(sc.streams))
@@ -389,18 +444,15 @@ func (sc *serverConn) failAll(err error) {
 // handler. The typed code crosses the wire, so clients treat it exactly
 // like an application shed: retry after backoff, never a placement fault.
 func (sc *serverConn) shed(id uint64) {
-	shedErr := fmt.Errorf("rpc: server at concurrency limit %d: %w",
-		cap(sc.srv.sem), perr.ErrOverloaded)
-	_ = sc.write(&frame{Kind: kindResponse, ID: id,
-		ErrMsg: shedErr.Error(), ErrCode: perr.CodeOf(shedErr)})
+	sc.respond(id, nil, fmt.Errorf("rpc: server at concurrency limit %d: %w",
+		cap(sc.srv.sem), perr.ErrOverloaded))
 }
 
 func (s *Server) connLoop(conn net.Conn) {
 	sc := &serverConn{srv: s, conn: conn, streams: make(map[uint64]*ServerStream)}
-	var reqWG sync.WaitGroup
 	defer func() {
 		sc.failAll(io.ErrUnexpectedEOF)
-		reqWG.Wait()
+		sc.handlers.Wait()
 	}()
 	for {
 		f, err := readFrame(conn)
@@ -412,6 +464,10 @@ func (s *Server) connLoop(conn net.Conn) {
 			s.mu.Lock()
 			h, ok := s.handlers[f.Method]
 			s.mu.Unlock()
+			if !ok {
+				sc.respond(f.ID, nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, f.Method))
+				continue
+			}
 			if s.sem != nil {
 				select {
 				case s.sem <- struct{}{}:
@@ -422,29 +478,8 @@ func (s *Server) connLoop(conn net.Conn) {
 					continue
 				}
 			}
-			reqWG.Add(1)
-			go func(f *frame) {
-				defer reqWG.Done()
-				if s.sem != nil {
-					defer func() { <-s.sem }()
-				}
-				ctx := context.Background()
-				if f.TimeoutNanos > 0 {
-					var cancel context.CancelFunc
-					ctx, cancel = context.WithTimeout(ctx, time.Duration(f.TimeoutNanos))
-					defer cancel()
-				}
-				resp := &frame{Kind: kindResponse, ID: f.ID}
-				if !ok {
-					resp.ErrMsg = ErrNoSuchMethod.Error() + ": " + f.Method
-				} else if body, err := h(ctx, f.Body); err != nil {
-					resp.ErrMsg = err.Error()
-					resp.ErrCode = perr.CodeOf(err)
-				} else {
-					resp.Body = body
-				}
-				_ = sc.write(resp)
-			}(f)
+			sc.handlers.Add(1)
+			go sc.serve(h, f.ID, f.TimeoutNanos, f.Body)
 		case kindStreamOpen:
 			s.mu.Lock()
 			h, ok := s.streamHandlers[f.Method]
@@ -463,8 +498,7 @@ func (s *Server) connLoop(conn net.Conn) {
 				if s.sem != nil {
 					<-s.sem
 				}
-				_ = sc.write(&frame{Kind: kindResponse, ID: f.ID,
-					ErrMsg: ErrNoSuchMethod.Error() + ": " + f.Method})
+				sc.respond(f.ID, nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, f.Method))
 				continue
 			}
 			// The stream and its context are created on the reader
@@ -476,27 +510,21 @@ func (s *Server) connLoop(conn net.Conn) {
 			}
 			st := newServerStream(sc, f.ID, f.Body, ctx, cancel)
 			sc.addStream(st)
-			reqWG.Add(1)
-			go func(f *frame, st *ServerStream) {
-				defer reqWG.Done()
+			sc.handlers.Add(1)
+			go func() {
+				defer sc.handlers.Done()
 				if s.sem != nil {
 					defer func() { <-s.sem }()
 				}
 				defer st.cancel()
-				resp := &frame{Kind: kindResponse, ID: f.ID}
-				if body, err := h(st.ctx, st.meta, st); err != nil {
-					resp.ErrMsg = err.Error()
-					resp.ErrCode = perr.CodeOf(err)
-				} else {
-					resp.Body = body
-				}
+				msg, err := h(st.ctx, st.meta, st)
 				// Unregister before responding: once the client sees the
 				// response it may reuse nothing, and any late chunks are
 				// dropped as unknown-stream frames.
 				sc.removeStream(f.ID)
 				st.discard()
-				_ = sc.write(resp)
-			}(f, st)
+				sc.respond(f.ID, msg, err)
+			}()
 		case kindChunk:
 			st := sc.getStream(f.ID)
 			if st == nil {
@@ -557,7 +585,14 @@ type Client struct {
 	writeMu sync.Mutex
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan *frame
+	// pending maps each in-flight call to the slot its response is
+	// delivered into. free holds the slots calls may reuse: a slot goes
+	// back only once its caller has received its own response, so nothing
+	// else can ever send into it. A slot whose call was abandoned
+	// (cancelled, failed write) may still receive that call's late reply,
+	// and one the reader closed is spent; both are dropped, never reused.
+	pending map[uint64]chan frame
+	free    []chan frame
 	streams map[uint64]*ClientStream
 	closed  bool
 	readErr error
@@ -590,7 +625,7 @@ func WithConnWrapper(wrap func(net.Conn) net.Conn) ClientOption {
 func NewClient(conn net.Conn, opts ...ClientOption) *Client {
 	c := &Client{
 		conn:    conn,
-		pending: make(map[uint64]chan *frame),
+		pending: make(map[uint64]chan frame),
 		streams: make(map[uint64]*ClientStream),
 		done:    make(chan struct{}),
 	}
@@ -649,10 +684,10 @@ func (c *Client) readLoop() {
 		switch f.Kind {
 		case kindResponse:
 			c.mu.Lock()
-			if ch, ok := c.pending[f.ID]; ok {
+			if slot, ok := c.pending[f.ID]; ok {
 				delete(c.pending, f.ID)
 				c.mu.Unlock()
-				ch <- f
+				slot <- f // 1-buffered, one response per id: never blocks
 				continue
 			}
 			s := c.streams[f.ID]
@@ -683,19 +718,20 @@ func (c *Client) readLoop() {
 // cleared, so it can never abort another call's healthy write; in the
 // common case — ctx still live when the write returns — no goroutine runs
 // at all. A write aborted mid-frame leaves a torn stream, so the
-// connection is closed — it was wedged anyway.
-func (c *Client) writeFrameCtx(ctx context.Context, req *frame) error {
+// connection is closed — it was wedged anyway. It returns writeFrame's body
+// length.
+func (c *Client) writeFrameCtx(ctx context.Context, f *frame) (int, error) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if ctx.Done() == nil {
-		return writeFrame(c.conn, req)
+		return writeFrame(c.conn, f)
 	}
 	fired := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
 		defer close(fired)
 		_ = c.conn.SetWriteDeadline(time.Now())
 	})
-	err := writeFrame(c.conn, req)
+	n, err := writeFrame(c.conn, f)
 	if !stop() {
 		<-fired
 		_ = c.conn.SetWriteDeadline(time.Time{})
@@ -703,14 +739,14 @@ func (c *Client) writeFrameCtx(ctx context.Context, req *frame) error {
 	if err != nil && ctx.Err() != nil {
 		_ = c.conn.Close()
 	}
-	return err
+	return n, err
 }
 
-// call performs a raw request/response exchange. A cancelled or expired
-// context abandons the in-flight call immediately (the response, if it ever
-// arrives, is dropped by the read loop; a write blocked on a stalled
-// connection is unblocked via a write deadline).
-func (c *Client) call(ctx context.Context, method string, body []byte) ([]byte, error) {
+// call sends msg (a pointer) as a request and waits for the response body.
+// A cancelled or expired context abandons the in-flight call immediately
+// (the response, if it ever arrives, lands in a slot nobody reuses; a write
+// blocked on a stalled connection is unblocked via a write deadline).
+func (c *Client) call(ctx context.Context, method string, msg any) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(err))
 	}
@@ -721,42 +757,46 @@ func (c *Client) call(ctx context.Context, method string, body []byte) ([]byte, 
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan *frame, 1)
-	c.pending[id] = ch
+	var slot chan frame
+	if n := len(c.free); n > 0 {
+		slot, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		slot = make(chan frame, 1)
+	}
+	c.pending[id] = slot
 	c.mu.Unlock()
 
-	req := &frame{Kind: kindRequest, ID: id, Method: method, Body: body}
+	req := frame{Kind: kindRequest, ID: id, Method: method, msg: msg}
 	if dl, ok := ctx.Deadline(); ok {
 		if remaining := time.Until(dl); remaining > 0 {
 			req.TimeoutNanos = int64(remaining)
 		}
 	}
-	err := c.writeFrameCtx(ctx, req)
+	n, err := c.writeFrameCtx(ctx, &req)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.abandon(id)
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			err = perr.Ctx(ctxErr)
 		}
 		return nil, fmt.Errorf("rpc call %s: %w", method, err)
 	}
 	if c.clock != nil {
-		c.clock.Advance(c.profile.cost(len(body)))
+		c.clock.Advance(c.profile.cost(n))
 	}
-	var resp *frame
+	var resp frame
 	var ok bool
 	select {
-	case resp, ok = <-ch:
+	case resp, ok = <-slot:
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.abandon(id)
 		return nil, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(ctx.Err()))
 	}
 	if !ok {
 		return nil, fmt.Errorf("rpc call %s: connection lost: %w", method, ErrClientClosed)
 	}
+	c.mu.Lock()
+	c.free = append(c.free, slot) // its own response received: empty, and nobody else's
+	c.mu.Unlock()
 	if c.clock != nil {
 		c.clock.Advance(c.profile.cost(len(resp.Body)))
 	}
@@ -766,18 +806,23 @@ func (c *Client) call(ctx context.Context, method string, body []byte) ([]byte, 
 	return resp.Body, nil
 }
 
+// abandon unregisters call id. Its slot is dropped with it: the reader may
+// already hold the reply and deliver it there.
+func (c *Client) abandon(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
+}
+
 // Call performs a typed request/response exchange: messages implementing
 // the wire codec (MarshalWire/UnmarshalWire) travel hand-rolled binary,
 // anything else gob — the codec byte in the body keeps both decodable on
-// the same connection. The context's deadline travels with the request and
-// its cancellation abandons the call.
+// the same connection. The request is marshalled straight into its frame.
+// The context's deadline travels with the request and its cancellation
+// abandons the call.
 func Call[Req, Resp any](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
 	var resp Resp
-	body, err := encodeBody(&req)
-	if err != nil {
-		return resp, fmt.Errorf("rpc %s: encode request: %w", method, err)
-	}
-	out, err := c.call(ctx, method, body)
+	out, err := c.call(ctx, method, &req)
 	if err != nil {
 		return resp, err
 	}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -439,7 +440,7 @@ func (r *frameOnlyReader) Read(p []byte) (int, error) {
 // believed, and the reader then waited for a body that was never sent.
 func TestReadFrameHeaderBitFlips(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &frame{ID: 7, Method: "m", Body: []byte("payload")}); err != nil {
+	if _, err := writeFrame(&buf, &frame{ID: 7, Method: "m", Body: []byte("payload")}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -465,7 +466,7 @@ func TestReadFrameHeaderBitFlips(t *testing.T) {
 // different valid message and get acked as work the caller never sent.
 func TestReadFrameChecksum(t *testing.T) {
 	var buf strings.Builder
-	if err := writeFrame(&buf, &frame{ID: 7, Method: "m", Body: []byte("payload")}); err != nil {
+	if _, err := writeFrame(&buf, &frame{ID: 7, Method: "m", Body: []byte("payload")}); err != nil {
 		t.Fatal(err)
 	}
 	raw := []byte(buf.String())
@@ -490,8 +491,137 @@ func TestReadFrameChecksum(t *testing.T) {
 func TestWriteFrameTooLarge(t *testing.T) {
 	var sink strings.Builder
 	f := &frame{Method: "big", Body: make([]byte, maxFrame+1)}
-	if err := writeFrame(&sink, f); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := writeFrame(&sink, f); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("writeFrame oversized: err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// unencodable is a response gob refuses: it skips a func field, and a
+// struct with nothing else has no fields to send.
+type unencodable struct{ F func() }
+
+// TestFrameResponseTooLargeAnswers: a response that cannot be framed — over
+// maxFrame, or a message its codec refuses — is answered with that failure
+// at once, on a unary call and on a stream, instead of being dropped to
+// leave the caller waiting out its deadline; the connection then serves the
+// next call.
+func TestFrameResponseTooLargeAnswers(t *testing.T) {
+	s := NewServer()
+	HandleTyped(s, "big", func(context.Context, echoReq) ([]byte, error) {
+		return make([]byte, maxFrame), nil
+	})
+	HandleTyped(s, "unencodable", func(context.Context, echoReq) (unencodable, error) {
+		return unencodable{F: func() {}}, nil
+	})
+	HandleStreamTyped(s, "bigstream", func(ctx context.Context, _ sumMeta, st *ServerStream) ([]byte, error) {
+		for {
+			if _, err := st.Next(ctx); err == io.EOF {
+				return make([]byte, maxFrame), nil
+			} else if err != nil {
+				return nil, err
+			}
+		}
+	})
+	HandleTyped(s, "echo", func(_ context.Context, r echoReq) (echoResp, error) {
+		return echoResp(r), nil
+	})
+	c := startPipeServer(t, s)
+	calls := []struct {
+		name, want string
+		call       func(ctx context.Context) error
+	}{
+		{"over maxFrame", ErrFrameTooLarge.Error(), func(ctx context.Context) error {
+			_, err := Call[echoReq, []byte](ctx, c, "big", echoReq{})
+			return err
+		}},
+		{"refused by gob", "no exported fields", func(ctx context.Context) error {
+			_, err := Call[echoReq, unencodable](ctx, c, "unencodable", echoReq{})
+			return err
+		}},
+		{"stream over maxFrame", ErrFrameTooLarge.Error(), func(ctx context.Context) error {
+			st, err := OpenStream(ctx, c, "bigstream", sumMeta{})
+			if err != nil {
+				return err
+			}
+			_, err = FinishStream[[]byte](ctx, st)
+			return err
+		}},
+	}
+	for i, tc := range calls {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		start := time.Now()
+		err := tc.call(ctx)
+		cancel()
+		if err == nil || errors.Is(err, perr.ErrTimeout) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v after %v; want the %q failure answered at once",
+				tc.name, err, time.Since(start).Round(time.Millisecond), tc.want)
+		}
+		resp, err := Call[echoReq, echoResp](context.Background(), c, "echo", echoReq{N: i})
+		if err != nil || resp.N != i {
+			t.Fatalf("%s: the next call on the connection = %+v, %v", tc.name, resp, err)
+		}
+	}
+}
+
+// TestMuxAbandonedCallSlot: a call abandoned in flight gives up its response
+// slot for good. Call A is held by its handler and cancelled; call B goes
+// out on the same client while A's reply is still to come, and must wait in
+// a slot other than A's; A's late reply is then released beside B's, and B
+// gets B's answer.
+func TestMuxAbandonedCallSlot(t *testing.T) {
+	type hold struct {
+		started chan string
+		release chan struct{}
+	}
+	var cur atomic.Pointer[hold]
+	s := NewServer()
+	HandleTyped(s, "hold", func(_ context.Context, r echoReq) (echoResp, error) {
+		h := cur.Load()
+		h.started <- r.Msg
+		<-h.release
+		return echoResp(r), nil
+	})
+	c := startPipeServer(t, s)
+	// latestSlot is the slot of the call issued last, still in flight.
+	latestSlot := func() chan frame {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.pending[c.nextID]
+	}
+	for i := 0; i < 1000; i++ {
+		h := &hold{started: make(chan string, 2), release: make(chan struct{})}
+		cur.Store(h)
+		ctxA, cancelA := context.WithCancel(context.Background())
+		errA := make(chan error, 1)
+		go func() {
+			_, err := Call[echoReq, echoResp](ctxA, c, "hold", echoReq{Msg: "A", N: i})
+			errA <- err
+		}()
+		<-h.started
+		slotA := latestSlot()
+		cancelA()
+		if err := <-errA; !errors.Is(err, context.Canceled) {
+			close(h.release)
+			t.Fatalf("iteration %d: cancelled call A = %v, want context.Canceled", i, err)
+		}
+		type result struct {
+			resp echoResp
+			err  error
+		}
+		resB := make(chan result, 1)
+		go func() {
+			resp, err := Call[echoReq, echoResp](context.Background(), c, "hold", echoReq{Msg: "B", N: i})
+			resB <- result{resp, err}
+		}()
+		<-h.started
+		slotB := latestSlot()
+		close(h.release)
+		if slotB == slotA {
+			t.Fatalf("iteration %d: call B waits in the slot call A abandoned", i)
+		}
+		if r := <-resB; r.err != nil || r.resp.Msg != "B" || r.resp.N != i {
+			t.Fatalf("iteration %d: call B = %+v, %v; want B's own answer", i, r.resp, r.err)
+		}
 	}
 }
 

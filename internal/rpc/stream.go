@@ -29,16 +29,10 @@ var (
 	ErrStreamDone = errors.New("rpc: stream finished by server")
 )
 
-// StreamHandler serves one inbound stream: decode meta, drain chunks via
-// st.Next, return the codec-tagged terminal response body.
-type StreamHandler func(ctx context.Context, meta []byte, st *ServerStream) ([]byte, error)
-
-// HandleStream registers a raw stream handler for method.
-func (s *Server) HandleStream(method string, h StreamHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.streamHandlers[method] = h
-}
+// streamHandler serves one inbound stream: decode meta, drain chunks via
+// st.Next, return the terminal response message (a pointer the connection
+// marshals into the response frame).
+type streamHandler func(ctx context.Context, meta []byte, st *ServerStream) (any, error)
 
 // HandleStreamTyped registers a stream handler with typed open-metadata and
 // terminal response. Chunks stay raw bytes: stream payloads frame
@@ -46,7 +40,9 @@ func (s *Server) HandleStream(method string, h StreamHandler) {
 // chunk would buy nothing.
 func HandleStreamTyped[Meta, Resp any](s *Server, method string,
 	fn func(ctx context.Context, meta Meta, st *ServerStream) (Resp, error)) {
-	s.HandleStream(method, func(ctx context.Context, meta []byte, st *ServerStream) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.streamHandlers[method] = func(ctx context.Context, meta []byte, st *ServerStream) (any, error) {
 		var m Meta
 		if err := decodeBody(meta, &m); err != nil {
 			return nil, fmt.Errorf("rpc %s: decode stream meta: %w", method, err)
@@ -55,12 +51,8 @@ func HandleStreamTyped[Meta, Resp any](s *Server, method string,
 		if err != nil {
 			return nil, err
 		}
-		out, err := encodeBody(&resp)
-		if err != nil {
-			return nil, fmt.Errorf("rpc %s: encode stream response: %w", method, err)
-		}
-		return out, nil
-	})
+		return &resp, nil
+	}
 }
 
 // ServerStream is the receive side of one inbound stream. The reader loop
@@ -201,14 +193,6 @@ type ClientStream struct {
 // context's deadline travels in the open frame and bounds the server-side
 // handler, exactly like a unary call.
 func OpenStream[Meta any](ctx context.Context, c *Client, method string, meta Meta) (*ClientStream, error) {
-	body, err := encodeBody(&meta)
-	if err != nil {
-		return nil, fmt.Errorf("rpc stream %s: encode meta: %w", method, err)
-	}
-	return c.openStream(ctx, method, body)
-}
-
-func (c *Client) openStream(ctx context.Context, method string, meta []byte) (*ClientStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("rpc stream %s: %w", method, perr.Ctx(err))
 	}
@@ -227,13 +211,14 @@ func (c *Client) openStream(ctx context.Context, method string, meta []byte) (*C
 	c.streams[s.id] = s
 	c.mu.Unlock()
 
-	open := &frame{Kind: kindStreamOpen, ID: s.id, Method: method, Body: meta}
+	open := &frame{Kind: kindStreamOpen, ID: s.id, Method: method, msg: &meta}
 	if dl, ok := ctx.Deadline(); ok {
 		if remaining := time.Until(dl); remaining > 0 {
 			open.TimeoutNanos = int64(remaining)
 		}
 	}
-	if err := c.writeFrameCtx(ctx, open); err != nil {
+	n, err := c.writeFrameCtx(ctx, open)
+	if err != nil {
 		c.mu.Lock()
 		delete(c.streams, s.id)
 		c.mu.Unlock()
@@ -243,7 +228,7 @@ func (c *Client) openStream(ctx context.Context, method string, meta []byte) (*C
 		return nil, fmt.Errorf("rpc stream %s: %w", method, err)
 	}
 	if c.clock != nil {
-		c.clock.Advance(c.profile.cost(len(meta)))
+		c.clock.Advance(c.profile.cost(n))
 	}
 	return s, nil
 }
@@ -257,11 +242,11 @@ func (s *ClientStream) signal() {
 
 // finish records the server's terminal response (called from the reader
 // loop).
-func (s *ClientStream) finish(f *frame) {
+func (s *ClientStream) finish(f frame) {
 	s.mu.Lock()
 	if !s.settled {
 		s.settled = true
-		s.term = f
+		s.term = &f
 		close(s.done)
 	}
 	s.mu.Unlock()
@@ -331,7 +316,7 @@ func (s *ClientStream) Send(ctx context.Context, p []byte) error {
 		if err := s.take(ctx, n); err != nil {
 			return fmt.Errorf("rpc stream %s: %w", s.method, err)
 		}
-		if err := s.c.writeFrameCtx(ctx, &frame{Kind: kindChunk, ID: s.id, Body: p[:n]}); err != nil {
+		if _, err := s.c.writeFrameCtx(ctx, &frame{Kind: kindChunk, ID: s.id, Body: p[:n]}); err != nil {
 			s.abort()
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				err = perr.Ctx(ctxErr)
@@ -356,7 +341,7 @@ func (s *ClientStream) CloseSend(ctx context.Context) error {
 	}
 	s.closedSend = true
 	s.mu.Unlock()
-	if err := s.c.writeFrameCtx(ctx, &frame{Kind: kindChunk, ID: s.id, Flags: flagFinal}); err != nil {
+	if _, err := s.c.writeFrameCtx(ctx, &frame{Kind: kindChunk, ID: s.id, Flags: flagFinal}); err != nil {
 		return fmt.Errorf("rpc stream %s: close: %w", s.method, err)
 	}
 	return nil
@@ -423,6 +408,6 @@ func (s *ClientStream) abort() {
 	if registered && !closed {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
-		_ = s.c.writeFrameCtx(ctx, &frame{Kind: kindCancel, ID: s.id})
+		_, _ = s.c.writeFrameCtx(ctx, &frame{Kind: kindCancel, ID: s.id})
 	}
 }

@@ -356,11 +356,7 @@ func TestStreamWindowOverrunTearsConn(t *testing.T) {
 	defer srv.Close()
 	defer cc.Close()
 
-	meta, err := encodeBody(&sumMeta{})
-	if err != nil {
-		t.Fatalf("encode meta: %v", err)
-	}
-	if err := writeFrame(cc, &frame{Kind: kindStreamOpen, ID: 1, Method: "t.sit", Body: meta}); err != nil {
+	if _, err := writeFrame(cc, &frame{Kind: kindStreamOpen, ID: 1, Method: "t.sit", msg: &sumMeta{}}); err != nil {
 		t.Fatalf("write open: %v", err)
 	}
 	// Overrun the window without ever receiving credit.
@@ -372,7 +368,7 @@ func TestStreamWindowOverrunTearsConn(t *testing.T) {
 			break
 		}
 		_ = cc.SetWriteDeadline(time.Now().Add(time.Second))
-		if err := writeFrame(cc, &frame{Kind: kindChunk, ID: 1, Body: chunk}); err != nil {
+		if _, err := writeFrame(cc, &frame{Kind: kindChunk, ID: 1, Body: chunk}); err != nil {
 			torn = true // server stopped reading: pipe write fails
 			break
 		}
@@ -438,7 +434,7 @@ func TestFrameBinaryLayoutRoundTrip(t *testing.T) {
 	}
 	for _, want := range frames {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, want); err != nil {
+		if _, err := writeFrame(&buf, want); err != nil {
 			t.Fatalf("writeFrame kind %d: %v", want.Kind, err)
 		}
 		got, err := readFrame(&buf)
@@ -469,7 +465,8 @@ func TestFrameUnknownKindSkipped(t *testing.T) {
 	if err := func() error {
 		c.writeMu.Lock()
 		defer c.writeMu.Unlock()
-		return writeFrame(c.conn, &frame{Kind: 0x7F, ID: 99})
+		_, err := writeFrame(c.conn, &frame{Kind: 0x7F, ID: 99})
+		return err
 	}(); err != nil {
 		t.Fatalf("write unknown-kind frame: %v", err)
 	}

@@ -64,22 +64,20 @@ type linkKey struct{ src, dst string }
 // every affected connection — no redial needed, which is what lets a
 // healed partition resume on the connections that lived through it.
 type Network struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	cutOut map[string]bool
-	cutIn  map[string]bool
-	links  map[linkKey]Faults
-	stats  Stats
+	mu    sync.Mutex
+	rng   *rand.Rand
+	cut   map[string]bool // endpoints partitioned in both directions
+	links map[linkKey]Faults
+	stats Stats
 }
 
 // New returns a fault-free network whose probabilistic faults draw from
 // the given seed.
 func New(seed int64) *Network {
 	return &Network{
-		rng:    rand.New(rand.NewSource(seed)),
-		cutOut: make(map[string]bool),
-		cutIn:  make(map[string]bool),
-		links:  make(map[linkKey]Faults),
+		rng:   rand.New(rand.NewSource(seed)),
+		cut:   make(map[string]bool),
+		links: make(map[linkKey]Faults),
 	}
 }
 
@@ -93,41 +91,14 @@ func (n *Network) Wrap(src, dst string, c net.Conn) net.Conn {
 func (n *Network) Partition(name string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cutOut[name] = true
-	n.cutIn[name] = true
-}
-
-// PartitionOutbound cuts only the endpoint's outbound direction (it can
-// hear but not be heard) — the asymmetric half of a one-way link.
-func (n *Network) PartitionOutbound(name string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cutOut[name] = true
-}
-
-// PartitionInbound cuts only the endpoint's inbound direction (it can be
-// heard but hears nothing).
-func (n *Network) PartitionInbound(name string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cutIn[name] = true
-}
-
-// Heal removes the endpoint-level partition of name (link-level faults
-// set via SetLink/CutLink persist until cleared).
-func (n *Network) Heal(name string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.cutOut, name)
-	delete(n.cutIn, name)
+	n.cut[name] = true
 }
 
 // HealAll removes every endpoint-level partition.
 func (n *Network) HealAll() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cutOut = make(map[string]bool)
-	n.cutIn = make(map[string]bool)
+	n.cut = make(map[string]bool)
 }
 
 // SetLink installs a fault mix on the directed link src → dst,
@@ -178,7 +149,7 @@ func (n *Network) plan(src, dst string, p []byte) action {
 	defer n.mu.Unlock()
 	var act action
 	f := n.links[linkKey{src, dst}]
-	if f.Cut || n.cutOut[src] || n.cutIn[dst] {
+	if f.Cut || n.cut[src] || n.cut[dst] {
 		act.cut = true
 		n.stats.Cuts++
 		return act

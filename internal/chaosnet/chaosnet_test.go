@@ -58,29 +58,9 @@ func TestPartitionCutsAndHeals(t *testing.T) {
 	if c.Closed() {
 		t.Fatal("a cut write must not kill the client; the conn heals in place")
 	}
-	cn.Heal("node")
+	cn.HealAll()
 	if err := ping(c, 3); err != nil {
 		t.Fatalf("ping after heal on the same conn: %v", err)
-	}
-}
-
-func TestAsymmetricPartitionBlocksOneDirection(t *testing.T) {
-	cn := New(1)
-	c := startPair(t, cn, "client", "node", nil)
-	// Outbound-cut source cannot send.
-	cn.PartitionOutbound("client")
-	if err := ping(c, 1); !errors.Is(err, syscall.ECONNRESET) {
-		t.Fatalf("outbound-cut ping: err = %v, want ECONNRESET", err)
-	}
-	cn.Heal("client")
-	// Inbound-cut destination cannot be reached either.
-	cn.PartitionInbound("node")
-	if err := ping(c, 2); !errors.Is(err, syscall.ECONNRESET) {
-		t.Fatalf("inbound-cut ping: err = %v, want ECONNRESET", err)
-	}
-	cn.Heal("node")
-	if err := ping(c, 3); err != nil {
-		t.Fatalf("ping after heal: %v", err)
 	}
 }
 

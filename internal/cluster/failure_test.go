@@ -12,6 +12,7 @@ import (
 	"propeller/internal/indexnode"
 	"propeller/internal/pagestore"
 	"propeller/internal/proto"
+	"propeller/internal/sharedstore"
 	"propeller/internal/simdisk"
 	"propeller/internal/vclock"
 )
@@ -76,63 +77,59 @@ func TestMasterCrashRecovery(t *testing.T) {
 
 // TestIndexNodeCrashRecovery kills an index node after acknowledged (but
 // uncommitted) updates and proves a replacement node recovers them from the
-// WAL image on shared storage — the guarantee behind the acknowledgement.
+// WAL mirrored on shared storage — the guarantee behind the
+// acknowledgement.
 func TestIndexNodeCrashRecovery(t *testing.T) {
-	clk := vclock.New()
-	disk := simdisk.New(simdisk.Barracuda7200(), clk)
-	store, err := pagestore.New(disk, 1024)
-	if err != nil {
-		t.Fatal(err)
+	shared := sharedstore.New()
+	newNode := func(id proto.NodeID) *indexnode.Node {
+		clk := vclock.New()
+		disk := simdisk.New(simdisk.Barracuda7200(), clk)
+		store, err := pagestore.New(disk, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := indexnode.New(indexnode.Config{
+			ID: id, Store: store, Disk: disk, Clock: clk, CacheLimit: 1 << 20, Shared: shared,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
 	}
-	node, err := indexnode.New(indexnode.Config{
-		ID: "in-a", Store: store, Disk: disk, Clock: clk, CacheLimit: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	node := newNode("in-a")
 	spec := proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}
 	node.DeclareIndex(spec)
 	for i := 0; i < 50; i++ {
-		if _, err := node.Update(context.Background(), proto.UpdateReq{
+		if _, err := node.Update(ctx, proto.UpdateReq{
 			ACG: 1, IndexName: "size",
 			Entries: []proto.IndexEntry{{File: index.FileID(i), Value: attr.Int(int64(i) << 20)}},
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := node.NodeStats(context.Background(), proto.NodeStatsReq{})
+	st, err := node.NodeStats(ctx, proto.NodeStatsReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.CachedOps != 50 {
 		t.Fatalf("expected all 50 updates cached (uncommitted), got %d", st.CachedOps)
 	}
-	// The WAL image lives on shared storage at crash time.
-	img, err := node.WALImage(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Replacement node on fresh hardware.
-	clk2 := vclock.New()
-	disk2 := simdisk.New(simdisk.Barracuda7200(), clk2)
-	store2, err := pagestore.New(disk2, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node2, err := indexnode.New(indexnode.Config{ID: "in-b", Store: store2, Disk: disk2, Clock: clk2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Replacement node on fresh hardware; only shared storage survives.
+	node2 := newNode("in-b")
 	node2.DeclareIndex(spec)
-	recovered, err := node2.RecoverGroup(1, img)
+	if err := node2.RecoverFromShared(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	st, err = node2.NodeStats(ctx, proto.NodeStatsReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recovered != 50 {
-		t.Fatalf("recovered %d updates, want 50", recovered)
+	if st.CommitEntries != 50 {
+		t.Fatalf("recovered %d updates, want 50", st.CommitEntries)
 	}
-	resp, err := node2.Search(context.Background(), proto.SearchReq{
+	resp, err := node2.Search(ctx, proto.SearchReq{
 		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m",
 	})
 	if err != nil {
@@ -140,6 +137,46 @@ func TestIndexNodeCrashRecovery(t *testing.T) {
 	}
 	if len(resp.Files) != 33 { // 17..49
 		t.Errorf("recovered search = %d files, want 33", len(resp.Files))
+	}
+}
+
+// TestMergeTombstoneReroutesWarmClientWrite: a merge retires its source
+// group behind a tombstone. A client whose placement cache predates the
+// merge writes to the retired id; the node refuses it with the typed
+// stale-placement error, the client re-resolves and the write lands in the
+// surviving group, where a Strict search finds it. Without the tombstone
+// the write recreates the source, is acknowledged there, and no search
+// sees it — and the next heartbeat's drop order deletes it.
+func TestMergeTombstoneReroutesWarmClientWrite(t *testing.T) {
+	c, cl := bootCluster(t, Config{IndexNodes: 1})
+	ctx := context.Background()
+	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
+		t.Fatal(err)
+	}
+	var updates []client.FileUpdate
+	for i := 0; i < 4; i++ { // four one-file groups
+		updates = append(updates, client.FileUpdate{File: index.FileID(i), Value: attr.Int(int64(i) + 1), GroupHint: uint64(i) + 1})
+	}
+	if err := cl.Index(ctx, "size", updates); err != nil {
+		t.Fatal(err)
+	}
+	if merges, err := c.Compact(ctx, 8); err != nil || merges != 3 {
+		t.Fatalf("compact = %d merges, %v; want 3", merges, err)
+	}
+	if err := cl.Index(ctx, "size", []client.FileUpdate{{File: 3, Value: attr.Int(1000)}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, when := range []string{"before the next heartbeat", "after it"} {
+		res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>=1000"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Files) != 1 || res.Files[0] != 3 {
+			t.Fatalf("%s: Strict search size>=1000 = %v, want [3] (an acknowledged write was lost)", when, res.Files)
+		}
+		if err := c.Heartbeat(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -255,8 +255,8 @@ func TestHashDeleteBatchMatchesDelete(t *testing.T) {
 	ghosts := append([]Entry(nil), victims...)
 	ghosts = append(ghosts, Entry{Key: attr.Int(12345), File: 54321})
 	for _, e := range victims {
-		if err := ref.Delete(e.Key, e.File); err != nil {
-			t.Fatal(err)
+		if found, err := deleteOne(ref, e.Key, e.File); err != nil || !found {
+			t.Fatalf("delete (%v, %d) = %v, %v; want found", e.Key, e.File, found, err)
 		}
 	}
 	deleted, err := bulk.DeleteBatch(hashOps(ghosts))

@@ -365,15 +365,6 @@ func (h *HashIndex) DeleteBatch(ops []HashOp) (int, error) {
 	return deleted, err
 }
 
-// Delete removes the (value, file) posting, returning ErrNotFound if absent.
-func (h *HashIndex) Delete(v attr.Value, f FileID) error {
-	n, err := h.DeleteBatch([]HashOp{{ValEnc: v.Encode(nil), File: f}})
-	if err == nil && n == 0 {
-		err = ErrNotFound
-	}
-	return err
-}
-
 // Scan streams every posting to fn (order unspecified); fn returns false to
 // stop early.
 func (h *HashIndex) Scan(fn func(attr.Value, FileID) bool) error {

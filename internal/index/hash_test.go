@@ -68,6 +68,13 @@ func TestHashDuplicateInsertIsNoop(t *testing.T) {
 	}
 }
 
+// deleteOne removes one posting through DeleteBatch and reports whether it
+// was present.
+func deleteOne(h *HashIndex, v attr.Value, f FileID) (bool, error) {
+	n, err := h.DeleteBatch([]HashOp{{ValEnc: v.Encode(nil), File: f}})
+	return n == 1, err
+}
+
 func TestHashDelete(t *testing.T) {
 	h := newTestHash(t, 4)
 	if err := h.Insert(attr.Str("k"), 1); err != nil {
@@ -76,8 +83,8 @@ func TestHashDelete(t *testing.T) {
 	if err := h.Insert(attr.Str("k"), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Delete(attr.Str("k"), 1); err != nil {
-		t.Fatal(err)
+	if found, err := deleteOne(h, attr.Str("k"), 1); err != nil || !found {
+		t.Fatalf("delete = %v, %v; want found", found, err)
 	}
 	got, err := h.Lookup(attr.Str("k"))
 	if err != nil {
@@ -86,8 +93,8 @@ func TestHashDelete(t *testing.T) {
 	if len(got) != 1 || got[0] != 2 {
 		t.Errorf("after delete Lookup = %v, want [2]", got)
 	}
-	if err := h.Delete(attr.Str("k"), 1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete = %v, want ErrNotFound", err)
+	if found, err := deleteOne(h, attr.Str("k"), 1); err != nil || found {
+		t.Errorf("double delete = %v, %v; want not found", found, err)
 	}
 }
 
@@ -171,11 +178,7 @@ func TestHashMatchesModel(t *testing.T) {
 				}
 				m[k] = true
 			} else {
-				err := h.Delete(v, fid)
-				if m[k] && err != nil {
-					return false
-				}
-				if !m[k] && !errors.Is(err, ErrNotFound) {
+				if found, err := deleteOne(h, v, fid); err != nil || found != m[k] {
 					return false
 				}
 				delete(m, k)
@@ -301,8 +304,8 @@ func TestHashChainWithHolesMatchesModel(t *testing.T) {
 	check("after the inserts")
 	for i := 100; i < 400; i++ { // all in the chain's first page
 		v := int64(i % values)
-		if err := h.Delete(attr.Int(v), FileID(i)); err != nil {
-			t.Fatal(err)
+		if found, err := deleteOne(h, attr.Int(v), FileID(i)); err != nil || !found {
+			t.Fatalf("delete (%d, %d) = %v, %v; want found", v, i, found, err)
 		}
 		model[v] = slices.DeleteFunc(model[v], func(f FileID) bool { return f == FileID(i) })
 	}

@@ -106,7 +106,8 @@ func TestSearchFanoutCancelledContext(t *testing.T) {
 
 // TestRaceParallelFanout drives the parallel fan-out against live writers,
 // mergers and a ticker. Run under -race: the per-worker collectors and the
-// per-group critical sections must keep every access inside a lock.
+// per-group critical sections must keep every access inside a lock. Writers
+// and searchers follow the merges as clients follow the Master's rebind.
 func TestRaceParallelFanout(t *testing.T) {
 	n, clk := newTestNode(t, func(c *Config) {
 		c.CacheLimit = 64
@@ -121,6 +122,7 @@ func TestRaceParallelFanout(t *testing.T) {
 	for i := range allACGs {
 		allACGs[i] = proto.ACGID(i + 1)
 	}
+	var m mergeMap
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers+8)
 	stop := make(chan struct{})
@@ -131,7 +133,7 @@ func TestRaceParallelFanout(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				f := index.FileID(w*perWriter + i)
-				if _, err := n.Update(context.Background(), proto.UpdateReq{
+				if err := m.update(context.Background(), n, proto.UpdateReq{
 					ACG: proto.ACGID(int(f)%acgs + 1), IndexName: "size",
 					Entries: []proto.IndexEntry{{File: f, Value: attr.Int(int64(f)%13 + 1)}},
 				}); err != nil {
@@ -160,21 +162,20 @@ func TestRaceParallelFanout(t *testing.T) {
 	}
 	// Paged and unlimited parallel searches across every ACG.
 	background(func() error {
-		_, err := n.Search(context.Background(), proto.SearchReq{
+		_, err := m.search(context.Background(), n, proto.SearchReq{
 			ACGs: allACGs, IndexName: "size", Query: "size>0", Limit: 16,
 		})
 		return err
 	})
 	background(func() error {
-		_, err := n.Search(context.Background(), proto.SearchReq{
+		_, err := m.search(context.Background(), n, proto.SearchReq{
 			ACGs: allACGs, IndexName: "size", Query: "size=5",
 		})
 		return err
 	})
 	// Merger and ticker stress the dead-group and commit paths mid-pass.
 	background(func() error {
-		_, err := n.CompactGroups(context.Background(), 4)
-		return err
+		return m.compact(context.Background(), n, 4)
 	})
 	background(func() error {
 		clk.Advance(6 * 1e9)
@@ -201,7 +202,7 @@ func TestRaceParallelFanout(t *testing.T) {
 
 	// Every acknowledged update must be visible, exactly once, through the
 	// parallel pass.
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: allACGs, IndexName: "size", Query: "size>0"})
+	resp, err := m.search(context.Background(), n, proto.SearchReq{ACGs: allACGs, IndexName: "size", Query: "size>0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func (fr *fwdRig) checkAll(when string, full bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.installImageBytesLocked(fg, image, nil); err != nil {
+		if err := fresh.adoptLocked(context.Background(), fg, storedImage(image), nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, spec := range fwdSpecs {

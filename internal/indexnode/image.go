@@ -13,7 +13,8 @@ import (
 // This file defines the group image: the one serialized form of a group's
 // durable state. It is what ACG transfers ship in chunks
 // (MethodReceiveACGChunked), what a same-node split hands to its new group,
-// and the bytes writeCheckpointLocked stores in shared storage. The image
+// what a merge streams from its source into its destination, and the bytes
+// writeCheckpointLocked stores in shared storage. The image
 // is a flat sequence of self-framed records, so a sender can emit it in
 // bounded batches and a receiver can apply it incrementally from arbitrary
 // chunk boundaries — a multi-GB group never exists as one contiguous buffer
@@ -33,9 +34,6 @@ import (
 //	recEdges   count, then (src, dst, weight) uvarint triples
 //	recIndex   index spec; subsequent recEntries belong to it
 //	recEntries count, then proto.IndexEntry wire encodings
-//	recWAL     framed log records (wal.FrameRecord around proto.UpdateReq
-//	           wire bodies — the bytes Update appends), concatenated
-//	           across records
 const (
 	imageMagic = 0xA7
 
@@ -44,7 +42,6 @@ const (
 	recEdges   = 3
 	recIndex   = 4
 	recEntries = 5
-	recWAL     = 6
 
 	// imageBatchTarget is the flush threshold for the writer's record
 	// buffer: emit() sees batches of roughly this size (a record can
@@ -257,8 +254,8 @@ func (n *Node) imageBytesLocked(g *group, filter func(index.FileID) bool, hdr pr
 // imageApplier applies a record-stream image to a locked group, fed one
 // chunk at a time with no alignment between chunk and record boundaries.
 // Records apply as soon as they complete, so the applier's footprint is
-// one partial record plus accumulated WAL bytes — never the whole image.
-// Caller holds g.mu across every feed and the finish.
+// one partial record — never the whole image. Caller holds g.mu across
+// every feed and the finish.
 type imageApplier struct {
 	n     *Node
 	g     *group
@@ -270,7 +267,6 @@ type imageApplier struct {
 
 	curName  string
 	haveSpec bool
-	walBuf   []byte
 }
 
 func newImageApplier(n *Node, g *group, known map[string]map[index.FileID]bool) *imageApplier {
@@ -344,8 +340,6 @@ func (a *imageApplier) applyOne(b []byte) (rest []byte, done bool, err error) {
 		err = a.applyIndex(body)
 	case recEntries:
 		err = a.applyEntries(body)
-	case recWAL:
-		a.walBuf = append(a.walBuf, body...)
 	default:
 		err = fmt.Errorf("indexnode: group image: unknown record type %d", typ)
 	}
@@ -478,35 +472,11 @@ func (a *imageApplier) applyEntries(b []byte) error {
 	return a.n.applyRunsLocked(a.g, []*pendingRun{{name: a.curName, byFile: run}})
 }
 
-// finish completes the install: rejects a torn stream and replays any
-// shipped WAL into the lazy cache. Returns the number of WAL entries
-// restored.
-func (a *imageApplier) finish() (int, error) {
-	if !a.sawMagic {
-		return 0, errImageTruncated
+// finish completes the install: it rejects a torn stream, one that never
+// opened or that ends inside a record.
+func (a *imageApplier) finish() error {
+	if !a.sawMagic || len(a.buf) > 0 {
+		return errImageTruncated
 	}
-	if len(a.buf) > 0 {
-		return 0, errImageTruncated
-	}
-	if len(a.walBuf) == 0 {
-		return 0, nil
-	}
-	return a.n.replayWALLocked(a.g, a.walBuf, a.known)
-}
-
-// installImageBytesLocked applies a stored group image to a locked group,
-// skipping (index, file) pairs in known: the recovery and promotion read
-// path. An empty image is a group that was never checkpointed; anything
-// else must open with imageMagic or the install fails before it touches
-// the group. Caller holds g.mu.
-func (n *Node) installImageBytesLocked(g *group, raw []byte, known map[string]map[index.FileID]bool) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	a := newImageApplier(n, g, known)
-	if err := a.feed(raw); err != nil {
-		return err
-	}
-	_, err := a.finish()
-	return err
+	return nil
 }

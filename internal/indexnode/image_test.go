@@ -12,7 +12,6 @@ import (
 	"propeller/internal/index"
 	"propeller/internal/proto"
 	"propeller/internal/rpc"
-	"propeller/internal/wal"
 )
 
 // seedMixedGroup populates one ACG on n with a B-tree index, a KD index
@@ -84,7 +83,7 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 			t.Fatalf("feed at offset %d: %v", off, err)
 		}
 	}
-	if _, err := a.finish(); err != nil {
+	if err := a.finish(); err != nil {
 		dst.mu.Unlock()
 		t.Fatal(err)
 	}
@@ -140,54 +139,8 @@ func TestImageApplierRejectsTornStream(t *testing.T) {
 	if err := a.feed(raw[:len(raw)-3]); err != nil {
 		t.Fatalf("feeding a clean prefix should buffer, got %v", err)
 	}
-	if _, err := a.finish(); !errors.Is(err, errImageTruncated) {
+	if err := a.finish(); !errors.Is(err, errImageTruncated) {
 		t.Fatalf("finish on torn stream = %v, want errImageTruncated", err)
-	}
-}
-
-// TestImageWALSectionReplaysLogFrames: an image's recWAL section holds log
-// frames in the log's own format, split across records at arbitrary points,
-// and installs through the node's one replay loop — pairs the group already
-// knows are skipped like any other install.
-func TestImageWALSectionReplaysLogFrames(t *testing.T) {
-	n, _ := newTestNode(t)
-	n.DeclareIndex(sizeSpec)
-	var frames []byte
-	for f := index.FileID(1); f <= 3; f++ {
-		req := proto.UpdateReq{ACG: 1, IndexName: "size", Entries: []proto.IndexEntry{{File: f, Value: attr.Int(int64(f))}}}
-		frames = append(frames, wal.FrameRecord(req.MarshalWire(nil))...)
-	}
-	var raw []byte
-	w := &imageWriter{buf: []byte{imageMagic}, emit: func(b []byte) error { raw = append(raw, b...); return nil }}
-	for _, part := range [][]byte{frames[:11], frames[11:]} {
-		if err := w.record(recWAL, part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	g, err := n.lockOrCreateGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	known := map[string]map[index.FileID]bool{"size": {2: true}}
-	err = n.installImageBytesLocked(g, raw, known)
-	pending := len(g.run("size").byFile)
-	g.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pending != 2 {
-		t.Fatalf("recWAL install restored %d pending entries, want 2 (file 2 is known)", pending)
-	}
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Files) != 2 || resp.Files[0] != 1 || resp.Files[1] != 3 {
-		t.Fatalf("search after recWAL install = %v, want [1 3]", resp.Files)
 	}
 }
 

@@ -3,8 +3,6 @@ package indexnode
 import (
 	"context"
 	"fmt"
-	"slices"
-	"strings"
 
 	"propeller/internal/index"
 	"propeller/internal/proto"
@@ -14,12 +12,15 @@ import (
 // MergeACGs folds group src into group dst on this node (the §IV node task
 // of "merging small [indices]" to prevent fragmentation from many tiny
 // groups). Both groups must be local; the Master is informed so file
-// mappings rebind. Postings, causality edges and membership all move.
+// mappings rebind. Postings, causality edges and membership all move: dst
+// adopts src's image as an arrival adopts a shipped one, and src leaves
+// behind a tombstone, so a client whose cache predates the merge gets
+// perr.ErrStalePlacement and re-resolves instead of recreating src.
 //
 // Locking: this is the only path that holds two group locks at once
 // (ascending ACGID order; n.mergeMu serializes merges so that cannot
 // deadlock). The registry lock is held only for the lookup and the final
-// delete, so traffic on unrelated ACGs never waits out a merge's commits
+// leave, so traffic on unrelated ACGs never waits out a merge's commits
 // and posting moves.
 func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 	if dst == src {
@@ -46,7 +47,11 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		second.mu.Unlock()
 		first.mu.Unlock()
 	}
-	// Commit both so postings are authoritative.
+	if gd.dead || gs.dead { // left this node between the lookup and the lock
+		unlock()
+		return fmt.Errorf("acg %d or %d: %w", dst, src, ErrUnknownACG)
+	}
+	// Commit both: an image carries committed postings only.
 	if err := n.commitGroupLocked(gd); err != nil {
 		unlock()
 		return err
@@ -55,14 +60,18 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		unlock()
 		return err
 	}
-	// Move membership and causality. Files the destination had fenced
-	// (split away earlier) are legitimately re-homed by the merge's
-	// rebind; fences the source carried follow it, unless the
-	// destination owns the file.
-	for f := range gs.files {
-		gd.files[f] = true
-		delete(gd.movedOut, f)
+	// src's image streams straight into dst's adopt step, which re-homes
+	// src's files (clearing dst's fences on them) and ends in dst's
+	// checkpoint: shared storage follows the merge.
+	err := n.adoptLocked(ctx, gd, func(feed func([]byte) error) error {
+		return n.streamImageLocked(gs, nil, proto.ReceiveACGStreamMeta{ACG: src}, feed)
+	}, nil)
+	if err != nil {
+		unlock()
+		return err
 	}
+	// Fences src carried (files it split away earlier) follow it, unless
+	// dst owns the file.
 	for f := range gs.movedOut {
 		if !gd.files[f] {
 			if gd.movedOut == nil {
@@ -71,46 +80,14 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 			gd.movedOut[f] = true
 		}
 	}
-	for a, m := range gs.graph.adj {
-		for b, w := range m {
-			gd.graph.addEdge(a, b, w)
-		}
-	}
-	// Re-apply src's postings into dst's indices. Committed postings are
-	// already one-per-file, i.e. coalesced runs, so they merge through the
-	// same bulk apply the commit engine uses (one KD rebuild per index,
-	// sorted bulk B-tree/hash merges, one forward walk).
-	runs, err := n.forwardRunsLocked(gs)
-	if err == nil {
-		err = n.applyRunsLocked(gd, runs)
-	}
-	if err != nil {
-		unlock()
-		return err
-	}
-	// Shared storage follows the merge: dst's image now includes src's
-	// postings, and src's state is gone everywhere.
-	if err := n.checkpointLocked(gd); err != nil {
-		unlock()
-		return err
-	}
 	if n.cfg.Shared != nil {
 		n.cfg.Shared.Drop(src)
 	}
-	// Mark the drained group dead before dropping it from the registry:
-	// a caller that resolved the pointer before this merge and is blocked
-	// on its lock must re-resolve rather than mutate the orphan. Taking
-	// n.mu here while holding group locks is safe — no path acquires a
-	// group lock while holding n.mu (lock ordering rule 2).
-	gs.dead = true
-	n.mu.Lock()
-	delete(n.groups, src)
-	n.mu.Unlock()
-	// Fold src's per-ACG counters into dst so the per-group breakdown
-	// keeps summing to the node totals and retired labels are reclaimed
-	// (gd's cached handles stay valid: Fold reuses dst's counter object).
+	n.leave(src, gs, n.epoch())
+	// Fold src's per-ACG counter into dst so the per-group breakdown keeps
+	// summing to the node total and the retired label is reclaimed (gd's
+	// cached handle stays valid: Fold reuses dst's counter object).
 	n.acgCommits.Fold(acgLabel(dst), acgLabel(src))
-	n.acgCommitEntries.Fold(acgLabel(dst), acgLabel(src))
 	n.mergeEpoch.Add(1)
 	unlock()
 
@@ -124,33 +101,6 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		n.noteEpoch(rep.Epoch)
 	}
 	return nil
-}
-
-// forwardRunsLocked reads a group's committed postings back as runs, one
-// per index, sorted by name. Caller holds g.mu.
-func (n *Node) forwardRunsLocked(g *group) ([]*pendingRun, error) {
-	var runs []*pendingRun
-	byOrd := make(map[uint16]*pendingRun)
-	var err error
-	serr := scanForwardLocked(g, func(f index.FileID, ord uint16, payload []byte) bool {
-		run := byOrd[ord]
-		if run == nil {
-			run = &pendingRun{name: n.ordName(ord), byFile: make(map[index.FileID]pendingEntry)}
-			byOrd[ord] = run
-			runs = append(runs, run)
-		}
-		var e proto.IndexEntry
-		if e, err = fwdEntry(g.indexes[run.name].kd != nil, f, payload); err != nil {
-			return false
-		}
-		run.byFile[f] = pendingEntry{e: e}
-		return true
-	})
-	if serr != nil {
-		return nil, serr
-	}
-	slices.SortFunc(runs, func(a, b *pendingRun) int { return strings.Compare(a.name, b.name) })
-	return runs, err
 }
 
 // CompactGroups merges adjacent small groups on this node until every

@@ -2,12 +2,98 @@ package indexnode
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"propeller/internal/attr"
 	"propeller/internal/index"
+	"propeller/internal/perr"
 	"propeller/internal/proto"
 )
+
+// mergeMap follows merged-away ids to their survivors, as the Master's
+// rebind does for a client: a merge tombstones its source, so traffic
+// addressed to it must re-route. Safe for concurrent use.
+type mergeMap struct {
+	mu   sync.Mutex
+	into map[proto.ACGID]proto.ACGID
+}
+
+// compact is CompactGroups with every merge recorded.
+func (m *mergeMap) compact(ctx context.Context, n *Node, minFiles int) error {
+	for {
+		var small []proto.ACGID
+		for _, g := range n.groupsSnapshot() {
+			if g.lockLive() {
+				if len(g.files) < minFiles {
+					small = append(small, g.id)
+				}
+				g.mu.Unlock()
+			}
+		}
+		if len(small) < 2 {
+			return nil
+		}
+		if err := n.MergeACGs(ctx, small[0], small[1]); err != nil {
+			return err
+		}
+		m.mu.Lock()
+		if m.into == nil {
+			m.into = make(map[proto.ACGID]proto.ACGID)
+		}
+		m.into[small[1]] = small[0]
+		m.mu.Unlock()
+	}
+}
+
+// resolve returns the ids the groups in ids were merged into, sorted and
+// without duplicates.
+func (m *mergeMap) resolve(ids ...proto.ACGID) []proto.ACGID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]proto.ACGID, 0, len(ids))
+	for _, id := range ids {
+		for {
+			dst, merged := m.into[id]
+			if !merged {
+				break
+			}
+			id = dst
+		}
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// update sends req to the group its ACG was merged into, re-resolving when
+// a merge retires that group before the write lands.
+func (m *mergeMap) update(ctx context.Context, n *Node, req proto.UpdateReq) error {
+	for {
+		req.ACG = m.resolve(req.ACG)[0]
+		_, err := n.Update(ctx, req)
+		if !errors.Is(err, perr.ErrStalePlacement) {
+			return err
+		}
+		runtime.Gosched() // the merge is recorded once MergeACGs returns
+	}
+}
+
+// search runs req over the groups its ACGs were merged into, the same way.
+func (m *mergeMap) search(ctx context.Context, n *Node, req proto.SearchReq) (proto.SearchResp, error) {
+	acgs := req.ACGs
+	for {
+		req.ACGs = m.resolve(acgs...)
+		resp, err := n.Search(ctx, req)
+		if !errors.Is(err, perr.ErrStalePlacement) {
+			return resp, err
+		}
+		runtime.Gosched()
+	}
+}
 
 func seedGroup(t *testing.T, n *Node, g proto.ACGID, lo, hi int) {
 	t.Helper()
@@ -43,13 +129,16 @@ func TestMergeACGs(t *testing.T) {
 	if len(resp.Files) != 19 { // file 0 has size 0
 		t.Errorf("post-merge search = %d files, want 19", len(resp.Files))
 	}
-	// The retired group returns nothing.
-	resp, err = n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Query: "size>0"})
-	if err != nil {
-		t.Fatal(err)
+	// The retired group is tombstoned: traffic addressed to it is refused
+	// typed, so a client whose cache predates the merge re-resolves instead
+	// of recreating the group.
+	if _, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Query: "size>0"}); !errors.Is(err, perr.ErrStalePlacement) {
+		t.Errorf("search of the retired group = %v, want ErrStalePlacement", err)
 	}
-	if len(resp.Files) != 0 {
-		t.Errorf("retired group returned %v", resp.Files)
+	if _, err := n.Update(context.Background(), proto.UpdateReq{
+		ACG: 2, IndexName: "size", Entries: []proto.IndexEntry{{File: 15, Value: attr.Int(1)}},
+	}); !errors.Is(err, perr.ErrStalePlacement) {
+		t.Errorf("update of the retired group = %v, want ErrStalePlacement", err)
 	}
 }
 
@@ -134,14 +223,17 @@ func TestCompactAllSearchable(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		seedGroup(t, n, proto.ACGID(g+1), g*5, g*5+5)
 	}
-	if _, err := n.CompactGroups(context.Background(), 100); err != nil {
+	var m mergeMap
+	if err := m.compact(context.Background(), n, 100); err != nil {
 		t.Fatal(err)
 	}
-	// Search across all original group ids still finds everything (stale
-	// ids return empty, the survivor returns all).
-	resp, err := n.Search(context.Background(), proto.SearchReq{
-		ACGs: []proto.ACGID{1, 2, 3, 4}, IndexName: "size", Query: "size>0",
-	})
+	// Retired ids are refused typed; the groups they were merged into
+	// return everything, once.
+	all := proto.SearchReq{ACGs: []proto.ACGID{1, 2, 3, 4}, IndexName: "size", Query: "size>0"}
+	if _, err := n.Search(context.Background(), all); !errors.Is(err, perr.ErrStalePlacement) {
+		t.Errorf("search naming retired groups = %v, want ErrStalePlacement", err)
+	}
+	resp, err := m.search(context.Background(), n, all)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,12 @@
 //     merges, the only operations holding two group locks at once (taken
 //     in ascending ACGID order).
 //  2. n.mu (registry) is held only for map access — never while acquiring
-//     a group lock. Because of that, MergeACGs may take n.mu while holding
-//     group locks (its delete step) without deadlock.
+//     a group lock. Because of that, leave may take n.mu while its caller
+//     holds group locks (a merge holds two) without deadlock.
 //  3. group.mu before n.specMu. Never acquire a group lock while holding
 //     the spec table lock.
 //
-// A group removed from the registry by a merge is marked dead under its
+// A group removed from the registry (leave) is marked dead under its
 // lock; lockLive/lockGroup/lockOrCreateGroup encapsulate the re-resolve
 // protocol so no caller ever mutates an orphaned group. Multi-group
 // searches re-run when n.mergeEpoch moves during the pass, so a concurrent
@@ -152,17 +152,17 @@ type inst struct {
 type group struct {
 	id proto.ACGID
 
-	// acgCommits/acgCommitEntries are this group's per-ACG counter
-	// handles, resolved once at creation so the commit path does no label
-	// formatting or counter-set lookups. Immutable after creation.
-	acgCommits       *metrics.Counter
-	acgCommitEntries *metrics.Counter
+	// acgCommits is this group's per-ACG counter handle, resolved once at
+	// creation so the commit path does no label formatting or counter-set
+	// lookups. Immutable after creation.
+	acgCommits *metrics.Counter
 
 	mu sync.Mutex
-	// dead marks a group that MergeACGs drained and removed from the
-	// registry. A caller that resolved the pointer before the merge and
-	// locked it after must not mutate the orphan: check dead (lockLive)
-	// first and re-resolve through the registry.
+	// dead marks a group that left this node (leave): a migration, a drop
+	// order or a merge removed it from the registry. A caller that
+	// resolved the pointer before and locked it after must not mutate the
+	// orphan: check dead (lockLive) first and re-resolve through the
+	// registry.
 	dead  bool
 	files map[index.FileID]bool
 	// movedOut fences files a split migrated to another group: the Master
@@ -206,7 +206,7 @@ type group struct {
 	// follower marks this copy of the group as a replica: it accepts only
 	// the primary's replication stream (FollowerAppend), rejects direct
 	// updates and strict searches with perr.ErrStalePlacement, and never
-	// writes the shared-store mirror. Cleared by PromoteACG.
+	// writes the shared-store mirror. Cleared by a promotion or recovery.
 	follower bool
 	// replSeq is the replication stream position: on a primary it counts
 	// acknowledged updates (bumped whether or not followers exist, so a
@@ -232,8 +232,8 @@ type Node struct {
 	// group's own lock (see the package comment for the lock ordering).
 	mu     sync.RWMutex
 	groups map[proto.ACGID]*group
-	// released are placement tombstones: groups this node transferred away
-	// or was ordered to drop, keyed to the epoch of the move. Traffic
+	// released are placement tombstones: groups that left this node
+	// (leave), keyed to the epoch of the move. Traffic
 	// routed here by a stale placement cache is rejected with
 	// perr.ErrStalePlacement instead of silently recreating the group —
 	// the split-brain guard's node-side half. Guarded by mu.
@@ -329,9 +329,8 @@ type Node struct {
 	// adm is the bounded admission queue shared by Update and Search
 	// (nil-safe; nil when MaxInflight is 0).
 	adm *admission
-	// per-ACG commit/entry counters, labelled by decimal ACGID.
-	acgCommits       metrics.CounterSet
-	acgCommitEntries metrics.CounterSet
+	// per-ACG commit counters, labelled by decimal ACGID.
+	acgCommits metrics.CounterSet
 
 	// peerMu guards peers, the cached connections this node's primaries
 	// stream replication frames over (per-update path; dial once, evict on
@@ -550,8 +549,8 @@ func (n *Node) releasedEpoch(id proto.ACGID) (proto.Epoch, bool) {
 	return ep, ok
 }
 
-// clearReleased removes id's tombstone (the node is re-adopting the group
-// under an explicit order: recovery, transfer-in, or provisioning).
+// clearReleased removes id's tombstone: the group is entering this node
+// under an explicit order (enter).
 func (n *Node) clearReleased(id proto.ACGID) {
 	n.mu.Lock()
 	delete(n.released, id)
@@ -590,18 +589,17 @@ func (n *Node) lockOrCreateGroup(id proto.ACGID) (*group, error) {
 func acgLabel(id proto.ACGID) string { return strconv.FormatUint(uint64(id), 10) }
 
 // newGroupLocked builds an empty group. Caller holds n.mu. The per-ACG
-// counter handles are resolved here, once, so commits never format labels
+// counter handle is resolved here, once, so commits never format labels
 // or take the counter-set lock.
 func (n *Node) newGroupLocked(id proto.ACGID) *group {
 	return &group{
-		id:               id,
-		acgCommits:       n.acgCommits.Get(acgLabel(id)),
-		acgCommitEntries: n.acgCommitEntries.Get(acgLabel(id)),
-		files:            make(map[index.FileID]bool),
-		graph:            newGroupGraph(),
-		indexes:          make(map[string]*inst),
-		log:              wal.NewGroupCommit(n.walGC),
-		cacheOrder:       orderedOnCredit,
+		id:         id,
+		acgCommits: n.acgCommits.Get(acgLabel(id)),
+		files:      make(map[index.FileID]bool),
+		graph:      newGroupGraph(),
+		indexes:    make(map[string]*inst),
+		log:        wal.NewGroupCommit(n.walGC),
+		cacheOrder: orderedOnCredit,
 	}
 }
 
@@ -659,18 +657,18 @@ func (n *Node) instFor(g *group, name string) (*inst, error) {
 	return in, nil
 }
 
-// CreateACG provisions a group with pre-declared membership. An explicit
-// provisioning order overrides any release tombstone.
-func (n *Node) CreateACG(_ context.Context, req proto.CreateACGReq) (proto.CreateACGResp, error) {
-	n.clearReleased(req.ACG)
-	g, err := n.lockOrCreateGroup(req.ACG)
-	if err != nil {
-		return proto.CreateACGResp{}, err
+// CreateACG provisions a group with pre-declared membership, entering it
+// with no image. An explicit provisioning order overrides any release
+// tombstone.
+func (n *Node) CreateACG(ctx context.Context, req proto.CreateACGReq) (proto.CreateACGResp, error) {
+	members := func(g *group) {
+		for _, f := range req.Files {
+			g.files[f] = true
+			delete(g.movedOut, f)
+		}
 	}
-	defer g.mu.Unlock()
-	for _, f := range req.Files {
-		g.files[f] = true
-		delete(g.movedOut, f)
+	if err := n.enter(ctx, req.ACG, 0, members, nil, nil); err != nil {
+		return proto.CreateACGResp{}, err
 	}
 	return proto.CreateACGResp{OK: true}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"propeller/internal/index"
 	"propeller/internal/pagestore"
 	"propeller/internal/proto"
+	"propeller/internal/sharedstore"
 	"propeller/internal/simdisk"
 	"propeller/internal/vclock"
 	"propeller/internal/wal"
@@ -348,6 +349,53 @@ func TestSearchBadQuery(t *testing.T) {
 	}
 }
 
+// logBytes returns group id's log image: what its shared mirror holds at a
+// crash.
+func logBytes(t testing.TB, n *Node, id proto.ACGID) []byte {
+	t.Helper()
+	g := n.lockGroup(id)
+	if g == nil {
+		t.Fatalf("acg %d: %v", id, ErrUnknownACG)
+	}
+	defer g.mu.Unlock()
+	return g.log.Bytes()
+}
+
+// replayLog replays framed log records into group id's lazy cache through
+// the node's one replay loop and returns the number of entries restored.
+func replayLog(t testing.TB, n *Node, id proto.ACGID, img []byte) int {
+	t.Helper()
+	g, err := n.lockOrCreateGroup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.mu.Unlock()
+	restored, err := n.replayWALLocked(g, img, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// recoverFromLog has a fresh node recover group 1 from a shared store whose
+// mirror holds img and no checkpoint (a group that was never checkpointed),
+// and returns it with the number of entries recovery committed.
+func recoverFromLog(t *testing.T, img []byte) (*Node, int64) {
+	t.Helper()
+	shared := sharedstore.New()
+	shared.AppendWAL(1, img)
+	n, _ := newTestNode(t, func(c *Config) { c.Shared = shared })
+	n.DeclareIndex(sizeSpec)
+	if err := n.RecoverFromShared(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	st, err := n.NodeStats(context.Background(), proto.NodeStatsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, st.CommitEntries
+}
+
 func TestWALRecovery(t *testing.T) {
 	n, _ := newTestNode(t)
 	n.DeclareIndex(sizeSpec)
@@ -360,21 +408,9 @@ func TestWALRecovery(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	img, err := n.WALImage(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.WALImage(99); !errors.Is(err, ErrUnknownACG) {
-		t.Errorf("bogus wal image = %v", err)
-	}
 
-	// "Crash": a fresh node replays the log and serves consistent results.
-	n2, _ := newTestNode(t)
-	n2.DeclareIndex(sizeSpec)
-	recovered, err := n2.RecoverGroup(1, img)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// "Crash": a fresh node recovers the log and serves consistent results.
+	n2, recovered := recoverFromLog(t, logBytes(t, n, 1))
 	if recovered != 2 {
 		t.Fatalf("recovered %d entries, want 2", recovered)
 	}
@@ -398,18 +434,8 @@ func TestWALRecoveryTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	img, err := n.WALImage(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := img[:len(img)-3]
-	n2, _ := newTestNode(t)
-	n2.DeclareIndex(sizeSpec)
-	recovered, err := n2.RecoverGroup(1, torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovered != 2 {
+	img := logBytes(t, n, 1)
+	if _, recovered := recoverFromLog(t, img[:len(img)-3]); recovered != 2 {
 		t.Errorf("recovered %d, want the 2 intact records", recovered)
 	}
 }
@@ -433,11 +459,7 @@ func TestReplayStopsAtUnparseableRecord(t *testing.T) {
 		img = append(img, wal.FrameRecord(rec(3))...)
 		n, _ := newTestNode(t)
 		n.DeclareIndex(sizeSpec)
-		recovered, err := n.RecoverGroup(1, img)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if recovered != 1 {
+		if recovered := replayLog(t, n, 1, img); recovered != 1 {
 			t.Errorf("%s: recovered %d entries, want only the 1 before the bad record", name, recovered)
 		}
 		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m"})
@@ -463,8 +485,8 @@ func TestReplayedEntriesDoNotAliasLog(t *testing.T) {
 	n, _ := newTestNode(t)
 	n.DeclareIndex(nameSpec)
 	n.DeclareIndex(locSpec)
-	if recovered, err := n.RecoverGroup(1, img); err != nil || recovered != 2 {
-		t.Fatalf("recovered %d entries, err %v; want 2", recovered, err)
+	if recovered := replayLog(t, n, 1, img); recovered != 2 {
+		t.Fatalf("recovered %d entries, want 2", recovered)
 	}
 	for i := range img {
 		img[i] = 0xEE

@@ -281,7 +281,6 @@ func (n *Node) commitPendingLocked(g *group) error {
 	n.commitEntries.Add(committed)
 	n.commitNanos.Add(int64(n.cfg.Clock.Now() - start))
 	g.acgCommits.Inc()
-	g.acgCommitEntries.Add(committed)
 	// Compact the shared-storage mirror once its WAL has grown past the
 	// threshold: without this, a long-lived group that never splits or
 	// migrates would accumulate its entire update history there, and

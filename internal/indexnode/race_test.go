@@ -161,15 +161,20 @@ func TestRaceMultiACGUpdateSearchTick(t *testing.T) {
 
 // TestRaceMergeDoesNotLoseAcknowledgedUpdates pits writers against a
 // concurrent merger. A group can be merged away between a writer's registry
-// lookup and its lock; the dead-group re-resolve protocol must route the
-// write to a live group so every acknowledged update stays reachable.
+// lookup and its lock; the dead-group re-resolve protocol must then refuse
+// the write typed (the source is tombstoned), never accept it into an
+// orphan or a recreated group, so every acknowledged update stays
+// reachable. The writers follow the merges as a client follows the
+// Master's rebind.
 func TestRaceMergeDoesNotLoseAcknowledgedUpdates(t *testing.T) {
 	n, _ := newTestNode(t)
 	n.DeclareIndex(sizeSpec)
+	ctx := context.Background()
 
 	const acgs = 4
 	const writers = 4
 	const perWriter = 120
+	var m mergeMap
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers+1)
 	stop := make(chan struct{})
@@ -180,7 +185,7 @@ func TestRaceMergeDoesNotLoseAcknowledgedUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				f := index.FileID(w*perWriter + i)
-				if _, err := n.Update(context.Background(), proto.UpdateReq{
+				if err := m.update(ctx, n, proto.UpdateReq{
 					ACG: proto.ACGID(w%acgs + 1), IndexName: "size",
 					Entries: []proto.IndexEntry{{File: f, Value: attr.Int(int64(f) + 1)}},
 				}); err != nil {
@@ -200,7 +205,7 @@ func TestRaceMergeDoesNotLoseAcknowledgedUpdates(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := n.CompactGroups(context.Background(), 1<<30); err != nil {
+			if err := m.compact(ctx, n, 1<<30); err != nil {
 				errCh <- err
 				return
 			}
@@ -211,7 +216,7 @@ func TestRaceMergeDoesNotLoseAcknowledgedUpdates(t *testing.T) {
 	go func() {
 		defer close(writersDone)
 		for {
-			st, err := n.NodeStats(context.Background(), proto.NodeStatsReq{})
+			st, err := n.NodeStats(ctx, proto.NodeStatsReq{})
 			if err != nil || st.Files >= writers*perWriter {
 				return
 			}
@@ -225,12 +230,9 @@ func TestRaceMergeDoesNotLoseAcknowledgedUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every acknowledged update must be reachable through some live group.
-	allACGs := make([]proto.ACGID, acgs)
-	for i := range allACGs {
-		allACGs[i] = proto.ACGID(i + 1)
-	}
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: allACGs, IndexName: "size", Query: "size>0"})
+	// Every acknowledged update must be reachable through some live group,
+	// exactly once.
+	resp, err := m.search(ctx, n, proto.SearchReq{ACGs: []proto.ACGID{1, 2, 3, 4}, IndexName: "size", Query: "size>0"})
 	if err != nil {
 		t.Fatal(err)
 	}

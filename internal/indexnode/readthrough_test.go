@@ -409,13 +409,7 @@ func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
 			tw.update(g2, 12)
 			before := commitsFirst()
 			tw.both(func(r *transferRig) {
-				image, err := r.a.WALImage(g2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := r.a.RecoverGroup(g2, image); err != nil {
-					t.Fatal(err)
-				}
+				replayLog(t, r.a, g2, logBytes(t, r.a, g2))
 			})
 			tw.compare(0)
 			if commitsFirst() == before {

@@ -13,11 +13,11 @@ import (
 // streams every acknowledged WAL frame to its follower replicas
 // synchronously (ReplicateACG seeds a copy, streamToFollowersLocked keeps
 // it caught up, FollowerAppend is the receiving half), and a Master promote
-// order turns a follower into the primary without replaying shared storage
-// (PromoteACG). Acknowledged durability for a replicated group is primary
-// WAL append + shared-store mirror + follower appends; a follower whose
-// append fails is cut from the ack set and re-seeded by the Master, with
-// the shared mirror covering the gap.
+// order turns a follower into the primary in place, reconciling only the
+// tail it missed (PromoteACG). Acknowledged durability for a replicated
+// group is primary WAL append + shared-store mirror + follower appends; a
+// follower whose append fails is cut from the ack set and re-seeded by the
+// Master, with the shared mirror covering the gap.
 
 // maxPeerConns caps the peer connection cache. A node that has streamed to
 // many peers over its lifetime (reshuffled follower sets, churned
@@ -25,11 +25,14 @@ import (
 const maxPeerConns = 32
 
 // peerConn returns a cached connection to a peer node, dialing on first
-// use. Follower streaming is per-update, so unlike the one-shot transfer
-// paths it must not pay a dial per call. A connection observed closed is
-// replaced by a redial. The cache is LRU-bounded at maxPeerConns: adding a
-// new peer at capacity closes the least-recently-used conn (counted in
-// NodeStats.PeerConnEvictions) — its peer redials on next use.
+// use; it is the node's one way to reach a peer — follower streaming,
+// replica seeding, migrations and split shipping all share it. Follower
+// streaming is per-update, so it must not pay a dial per call. A
+// connection observed closed is replaced by a redial; a caller whose call
+// on it fails drops it (dropPeer). The cache is LRU-bounded at
+// maxPeerConns: adding a new peer at capacity closes the least-recently-
+// used conn (counted in NodeStats.PeerConnEvictions) — its peer redials on
+// next use.
 //
 // The dial runs with peerMu released. Callers hold a group lock, and toward
 // a partitioned follower a dial lasts until the caller's deadline: holding
@@ -261,56 +264,35 @@ func (n *Node) ReplicateACG(ctx context.Context, ord proto.MigrateOrder) error {
 }
 
 // PromoteACG executes one Master promote order: this node's follower copy
-// of the group becomes the primary in place — no shared-store replay on
-// this path. The surviving replica set rides the order and becomes the new
-// ack set. Before serving, the copy reconciles the acknowledged tail it
-// may have missed (frames acked after it was cut, or after the dead
-// primary's last heartbeat, exist in the shared mirror but possibly
-// nowhere else alive); the known-pairs skip makes that an incremental
-// catch-up over the copy's own state, not a replay into an empty group.
-// Idempotent: the Master re-issues the order until this node's heartbeat
-// reports the group as primary.
+// of the group becomes the primary in place — no replay into an empty
+// group on this path. The surviving replica set rides the order and
+// becomes the new ack set. Before serving, the copy reconciles the
+// acknowledged tail it may have missed (frames acked after it was cut, or
+// after the dead primary's last heartbeat, exist in the shared mirror but
+// possibly nowhere else alive): it enters as any arrival does, and the
+// known-pairs skip makes that an incremental catch-up over the copy's own
+// state. Its closing checkpoint takes over the shared mirror: from here
+// this node's acks write it. Idempotent: the Master re-issues the order
+// until this node's heartbeat reports the group as primary.
 func (n *Node) PromoteACG(ctx context.Context, ord proto.PromoteOrder) error {
-	n.clearReleased(ord.ACG) // an explicit promotion overrides a tombstone
-	g, err := n.lockOrCreateGroup(ord.ACG)
-	if err != nil {
-		return err
-	}
-	defer g.mu.Unlock()
-	wasFollower := g.follower
-	g.follower = false
-	g.reps = g.reps[:0]
-	for _, r := range ord.Followers {
-		if r.Node != n.cfg.ID {
-			g.reps = append(g.reps, r)
-		}
-	}
+	var checkpoint, walBytes []byte
 	if n.cfg.Shared != nil {
-		if checkpoint, walBytes, ok := n.cfg.Shared.Load(ord.ACG); ok {
-			known, err := n.knownPairsLocked(g)
-			if err == nil {
-				err = n.installImageBytesLocked(g, checkpoint, known)
-			}
-			if err != nil {
-				return fmt.Errorf("indexnode promote acg %d: %w", ord.ACG, err)
-			}
-			if _, err := n.replayWALLocked(g, walBytes, known); err != nil {
-				return fmt.Errorf("indexnode promote acg %d wal: %w", ord.ACG, err)
+		checkpoint, walBytes, _ = n.cfg.Shared.Load(ord.ACG)
+	}
+	wasFollower := false
+	promote := func(g *group) {
+		wasFollower = g.follower
+		g.follower = false
+		g.reps = g.reps[:0]
+		for _, r := range ord.Followers {
+			if r.Node != n.cfg.ID {
+				g.reps = append(g.reps, r)
 			}
 		}
+		g.replSeq = max(g.replSeq, ord.Seq)
 	}
-	if g.replSeq < ord.Seq {
-		g.replSeq = ord.Seq
-	}
-	for _, run := range g.pending {
-		if err := n.ensureSpec(ctx, run.name); err != nil {
-			return fmt.Errorf("indexnode promote acg %d: %w", ord.ACG, err)
-		}
-	}
-	// Commit and take over the shared mirror: from here this node's acks
-	// write it, and the fresh checkpoint folds in the reconciled tail.
-	if err := n.checkpointLocked(g); err != nil {
-		return err
+	if err := n.enter(ctx, ord.ACG, 0, promote, storedImage(checkpoint), walBytes); err != nil {
+		return fmt.Errorf("indexnode promote acg %d: %w", ord.ACG, err)
 	}
 	if wasFollower {
 		n.promotions.Inc()

@@ -110,14 +110,7 @@ func TestLogMirrorAndFollowerHoldTheWireBody(t *testing.T) {
 	}
 	want := wal.FrameRecord(req.MarshalWire(nil))
 
-	primary, err := r.a.WALImage(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	follower, err := r.b.WALImage(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary, follower := logBytes(t, r.a, 1), logBytes(t, r.b, 1)
 	_, mirror, _ := r.shared.Load(1)
 	for name, got := range map[string][]byte{"primary log": primary, "shared mirror": mirror, "follower log": follower} {
 		if !bytes.Equal(got, want) {

@@ -51,6 +51,7 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 	if err != nil {
 		return proto.SplitACGResp{}, fmt.Errorf("indexnode split report: %w", err)
 	}
+	n.noteEpoch(rep.Epoch)
 
 	// Build the migration payload (the shared group-image serializer,
 	// filtered to the moved half). The group may have been merged away
@@ -66,10 +67,10 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 	filter := func(f index.FileID) bool { return moveSet[f] }
 
 	// Ship the moved half: the filtered image, rendered under the group
-	// lock — the quiesce window — and installed by the destination through
-	// installShippedImage. rep.Dest may be this very node (least-loaded);
-	// then the half crosses as one buffer instead of a self-dialed stream,
-	// and that is the only difference.
+	// lock — the quiesce window — and entering the destination as a
+	// shipped image. rep.Dest may be this very node (least-loaded); then
+	// the half crosses as one buffer instead of a self-dialed stream, and
+	// that is the only difference.
 	meta := proto.ReceiveACGStreamMeta{ACG: rep.NewACG, Epoch: rep.Epoch, ReplSeq: g.replSeq}
 	if rep.Dest == n.cfg.ID {
 		half, err := n.imageBytesLocked(g, filter, meta)
@@ -77,26 +78,19 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 		if err != nil {
 			return proto.SplitACGResp{}, err
 		}
-		if err := n.installShippedImage(meta, func(feed func([]byte) error) error {
-			return feed(half)
-		}); err != nil {
+		if err := n.enter(ctx, meta.ACG, meta.Epoch, shippedRole(meta), storedImage(half), nil); err != nil {
 			return proto.SplitACGResp{}, err
 		}
 	} else {
-		if n.cfg.Dial == nil {
-			g.mu.Unlock()
-			return proto.SplitACGResp{}, fmt.Errorf("indexnode split: no dialer for peer %s", rep.Dest)
-		}
-		peer, err := n.cfg.Dial(ctx, rep.Addr)
+		peer, err := n.peerConn(ctx, rep.Addr)
 		if err != nil {
 			g.mu.Unlock()
 			return proto.SplitACGResp{}, fmt.Errorf("indexnode split dial %s: %w", rep.Addr, err)
 		}
 		shipErr := n.shipGroupStreamLocked(ctx, peer, g, filter, meta)
 		g.mu.Unlock()
-		peer.Close() //nolint:errcheck // best-effort teardown
-		n.noteEpoch(rep.Epoch)
 		if shipErr != nil {
+			n.dropPeer(rep.Addr)
 			return proto.SplitACGResp{}, fmt.Errorf("indexnode migrate to %s: %w", rep.Dest, shipErr)
 		}
 	}
@@ -164,14 +158,14 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 
 // receiveACGStream is the handler of MethodReceiveACGChunked: the
 // destination half of a background split, a live migration or a replica
-// seeding. The image arrives as a flow-controlled record stream, so the
-// receiver's transient footprint is one chunk plus one partial record — a
-// large group never materializes as a second contiguous copy here. Flow
-// control bounds how long a slow sender can stretch the install's quiesce
-// window, and other groups' traffic (and other streams on the same conn)
-// proceed throughout.
+// seeding, entering this node as a shipped image. The image arrives as a
+// flow-controlled record stream, so the receiver's transient footprint is
+// one chunk plus one partial record — a large group never materializes as
+// a second contiguous copy here. Flow control bounds how long a slow
+// sender can stretch the install's quiesce window, and other groups'
+// traffic (and other streams on the same conn) proceed throughout.
 func (n *Node) receiveACGStream(ctx context.Context, meta proto.ReceiveACGStreamMeta, st *rpc.ServerStream) (proto.ReceiveACGResp, error) {
-	err := n.installShippedImage(meta, func(feed func([]byte) error) error {
+	err := n.enter(ctx, meta.ACG, meta.Epoch, shippedRole(meta), func(feed func([]byte) error) error {
 		for {
 			chunk, err := st.Next(ctx)
 			if err == io.EOF {
@@ -184,44 +178,6 @@ func (n *Node) receiveACGStream(ctx context.Context, meta proto.ReceiveACGStream
 				return err
 			}
 		}
-	})
+	}, nil)
 	return proto.ReceiveACGResp{OK: err == nil}, err
-}
-
-// installShippedImage installs a group image shipped to this node — the one
-// install every transfer-in takes, remote or same-node. source pushes the
-// image's chunks, in order, into the feed it is handed and returns once the
-// image is complete; records apply through the commit engine's bulk paths
-// as they complete (a stream that ends inside a record is refused), any
-// shipped WAL replays into the lazy cache, and the group is checkpointed so
-// shared storage reflects its new home. State the group already holds
-// locally (traffic raced ahead of the transfer) is never clobbered by the
-// shipped image. The group lock is held across the whole install.
-func (n *Node) installShippedImage(meta proto.ReceiveACGStreamMeta, source func(feed func(chunk []byte) error) error) error {
-	n.clearReleased(meta.ACG) // an explicit transfer-in overrides a tombstone
-	n.noteEpoch(meta.Epoch)
-	g, err := n.lockOrCreateGroup(meta.ACG)
-	if err != nil {
-		return err
-	}
-	defer g.mu.Unlock()
-	// A replica seeding ships the same image with the Follower flag: the
-	// copy installs identically but serves as a follower (stream-fed,
-	// mirror-untouched) from its replicated stream position onward.
-	g.follower = meta.Follower
-	if meta.ReplSeq > g.replSeq {
-		g.replSeq = meta.ReplSeq
-	}
-	known, err := n.knownPairsLocked(g)
-	if err != nil {
-		return err
-	}
-	a := newImageApplier(n, g, known)
-	if err := source(a.feed); err != nil {
-		return err
-	}
-	if _, err := a.finish(); err != nil {
-		return err
-	}
-	return n.checkpointLocked(g)
 }

@@ -11,22 +11,29 @@ import (
 	"propeller/internal/wal"
 )
 
-// This file implements the node side of the placement control plane: live
-// group migration (TransferACG → peer receiveACGStream → Master
-// MigrateReport), stale-copy release (ReleaseACG), and failure-driven
-// recovery from shared storage (RecoverFromShared). The group image that
-// moves between nodes is the same record stream checkpointed to the shared
-// store (see image.go), so migration, split shipping, replica seeding and
-// crash recovery all exercise one install path. There is one image format
-// and one log-record format; no older deployed version exists to read
-// anything else, so nothing else is accepted.
+// This file implements the node side of the placement control plane. A
+// group enters a node one way and leaves it one way:
+//
+//   - enter is every arrival: a transfer-in, a replica seeding, a split's
+//     new half (receiveACGStream, or SplitACG when the half stays here),
+//     recovery from shared storage (RecoverFromShared), a promotion
+//     (PromoteACG) and provisioning (CreateACG). MergeACGs, which already
+//     holds the destination's lock, runs the same adopt step on it.
+//   - leave is every departure: a migration's source once the Master has
+//     rebound the group (TransferACG), a drop order (ReleaseACG) and a
+//     merge's source (MergeACGs). It always tombstones the id.
+//
+// The image that moves is the record stream checkpointed to the shared
+// store (see image.go). There is one image format and one log-record
+// format; no older deployed version exists to read anything else, so
+// nothing else is accepted.
 
 // checkpointLocked commits the group and writes its full image to shared
 // storage, truncating the group's mirrored WAL (the image now reflects
 // every record it held). Called at placement events — split, merge,
-// migration, transfer-in, recovery, causality flush — and, size-triggered,
-// from the commit path (see sharedWALCheckpointRecords). No-op without a
-// shared store. Caller holds g.mu.
+// arrival, causality flush — and, size-triggered, from the commit path
+// (see sharedWALCheckpointRecords). No-op without a shared store. Caller
+// holds g.mu.
 func (n *Node) checkpointLocked(g *group) error {
 	if n.cfg.Shared == nil {
 		return nil
@@ -89,13 +96,107 @@ func (n *Node) shipGroupStreamLocked(ctx context.Context, peer *rpc.Client, g *g
 	return err
 }
 
+// imageSource pushes an image's chunks, in order, into the feed it is
+// handed and returns once the image is complete.
+type imageSource func(feed func(chunk []byte) error) error
+
+// storedImage is the source of an image held whole: a shared-store
+// checkpoint or a same-node split's half. It is nil for an empty image, a
+// group that was never checkpointed, which installs nothing.
+func storedImage(raw []byte) imageSource {
+	if len(raw) == 0 {
+		return nil
+	}
+	return func(feed func([]byte) error) error { return feed(raw) }
+}
+
+// shippedRole is the role a shipped image names: a replica seeding's copy
+// serves as a follower (stream-fed, mirror-untouched) from its replicated
+// stream position onward, any other copy as the primary.
+func shippedRole(meta proto.ReceiveACGStreamMeta) func(*group) {
+	return func(g *group) {
+		g.follower = meta.Follower
+		g.replSeq = max(g.replSeq, meta.ReplSeq)
+	}
+}
+
+// enter is the one way a group arrives on this node. The order is explicit,
+// so it clears any tombstone on the id; it notes the order's epoch (0 for
+// orders that carry none), locks the group or creates it, lets setRole set
+// what the order names — the copy's role, and a provisioning order's
+// membership — and adopts image and walBytes into it (adoptLocked). The
+// group lock is held across the whole arrival.
+func (n *Node) enter(ctx context.Context, id proto.ACGID, epoch proto.Epoch, setRole func(*group), image imageSource, walBytes []byte) error {
+	n.clearReleased(id)
+	n.noteEpoch(epoch)
+	g, err := n.lockOrCreateGroup(id)
+	if err != nil {
+		return err
+	}
+	defer g.mu.Unlock()
+	setRole(g)
+	return n.adoptLocked(ctx, g, image, walBytes)
+}
+
+// adoptLocked installs what an arriving group brings into g: the image's
+// records as they complete, through the commit engine's bulk paths (a
+// stream that ends inside a record is refused), then walBytes replayed
+// into the lazy cache. Both skip the (index, file) pairs g held before the
+// adopt began: anything the live group holds — traffic that raced ahead of
+// the order — is newer than what an image or the mirror carries, and stale
+// state must never clobber fresher acknowledged writes. A nil image
+// installs nothing. Replayed entries may name indexes this node has never
+// served, so their specs are resolved before the closing checkpoint
+// commits them; the checkpoint makes shared storage reflect the group's
+// new home. Caller holds g.mu.
+func (n *Node) adoptLocked(ctx context.Context, g *group, image imageSource, walBytes []byte) error {
+	known, err := n.knownPairsLocked(g)
+	if err != nil {
+		return err
+	}
+	if image != nil {
+		a := newImageApplier(n, g, known)
+		if err := image(a.feed); err != nil {
+			return err
+		}
+		if err := a.finish(); err != nil {
+			return err
+		}
+	}
+	if _, err := n.replayWALLocked(g, walBytes, known); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	for _, run := range g.pending {
+		if err := n.ensureSpec(ctx, run.name); err != nil {
+			return err
+		}
+	}
+	return n.checkpointLocked(g)
+}
+
+// leave is the one way a group leaves this node. Under one registry hold it
+// marks the group dead (a caller blocked on its lock re-resolves instead of
+// mutating the orphan), removes it from the registry and tombstones the id
+// at epoch, so traffic routed here by a stale placement cache gets
+// perr.ErrStalePlacement and never recreates the group. g is the group,
+// locked by the caller, or nil when the node holds no copy; then only the
+// tombstone is written, unless a copy arrived meanwhile.
+func (n *Node) leave(id proto.ACGID, g *group, epoch proto.Epoch) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if g != nil {
+		g.dead = true
+		delete(n.groups, id)
+	} else if n.groups[id] != nil {
+		return
+	}
+	n.released[id] = epoch
+}
+
 // knownPairsLocked snapshots the (index, file) pairs this group already has
-// an opinion on — committed postings or pending entries. Recovery and
-// transfer installs skip these: anything the live group already holds is
-// newer than what shared storage or a migration payload carries, and stale
-// state must never clobber fresher acknowledged writes. The snapshot is
-// taken before the install, whose own postings must not count. Caller
-// holds g.mu.
+// an opinion on — committed postings or pending entries. The snapshot is
+// taken before an adopt, whose own postings must not count. Caller holds
+// g.mu.
 func (n *Node) knownPairsLocked(g *group) (map[string]map[index.FileID]bool, error) {
 	known := make(map[string]map[index.FileID]bool, len(g.indexes)+len(g.pending))
 	note := func(name string, f index.FileID) {
@@ -118,44 +219,18 @@ func (n *Node) knownPairsLocked(g *group) (map[string]map[index.FileID]bool, err
 	return known, err
 }
 
-// WALImage returns the group's current log image (what would sit in shared
-// storage at a crash).
-func (n *Node) WALImage(id proto.ACGID) ([]byte, error) {
-	g := n.lockGroup(id)
-	if g == nil {
-		return nil, fmt.Errorf("acg %d: %w", id, ErrUnknownACG)
-	}
-	defer g.mu.Unlock()
-	return g.log.Bytes(), nil
-}
-
-// RecoverGroup replays a WAL image into the group's cache (crash recovery:
-// acknowledged-but-uncommitted updates are not lost). A torn tail stops the
-// replay at the last intact record, which is exactly the guarantee the
-// acknowledgement made.
-func (n *Node) RecoverGroup(id proto.ACGID, walImage []byte) (int, error) {
-	n.clearReleased(id) // explicit recovery overrides any tombstone
-	g, err := n.lockOrCreateGroup(id)
-	if err != nil {
-		return 0, err
-	}
-	defer g.mu.Unlock()
-	return n.replayWALLocked(g, walImage, nil)
-}
-
-// replayWALLocked is the node's one replay loop: crash recovery, shared-
-// store recovery, promotion reconcile, follower appends and an image's
-// recWAL section all come through here. It replays framed records — each
-// the wire body of a proto.UpdateReq, exactly what Update framed — into the
-// group's lazy cache, skipping (index, file) pairs in known (nil = none).
-// A torn tail, or an intact frame whose body does not parse, stops the
-// replay at the last good record (the acknowledgement guarantee covers
-// intact records only). Restored entries carry no prepared key (the spec
-// table may not be populated yet on a fresh node; the commit encodes them
-// on demand) — so a cache that was kept in order no longer is, and its next
-// Strict search commits it — and never alias walBytes: UnmarshalWire copies every string
-// and coordinate it returns. Returns the number of entries restored.
-// Caller holds g.mu.
+// replayWALLocked is the node's one replay loop: an arrival's mirrored WAL
+// and a follower's streamed frames both come through here. It replays
+// framed records — each the wire body of a proto.UpdateReq, exactly what
+// Update framed — into the group's lazy cache, skipping (index, file) pairs
+// in known (nil = none). A torn tail, or an intact frame whose body does
+// not parse, stops the replay at the last good record (the acknowledgement
+// guarantee covers intact records only). Restored entries carry no
+// prepared key (the spec table may not be populated yet on a fresh node;
+// the commit encodes them on demand) — so a cache that was kept in order no
+// longer is, and its next Strict search commits it — and never alias
+// walBytes: UnmarshalWire copies every string and coordinate it returns.
+// Returns the number of entries restored. Caller holds g.mu.
 func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[index.FileID]bool) (int, error) {
 	restored := 0
 	err := wal.ReplayBytes(walBytes, func(rec []byte) bool {
@@ -182,20 +257,19 @@ func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[i
 
 // TransferACG executes one migration order: quiesce the group under its own
 // lock (updates and searches on it block, traffic on every other ACG is
-// untouched), commit so the image is complete, checkpoint shared storage,
-// ship the image to the destination, report the move to the Master, and
-// only then release the local copy behind an epoch tombstone. Any failure
-// before the Master's rebind leaves this node the owner (the destination's
-// orphan copy is reconciled away by the double-ownership guard).
+// untouched), commit so the image is complete, ship the image to the
+// destination — whose arrival ends in its own checkpoint of the shared
+// store before the ship returns — report the move to the Master, and only
+// then leave. Any failure before the Master's rebind leaves this node the
+// owner, with its mirror holding every acknowledged update (the
+// destination's orphan copy is reconciled away by the double-ownership
+// guard).
 func (n *Node) TransferACG(ctx context.Context, ord proto.MigrateOrder) error {
 	if ord.Dest == n.cfg.ID {
 		return nil // already home
 	}
 	if n.cfg.Master == nil {
 		return ErrNoMaster
-	}
-	if n.cfg.Dial == nil {
-		return fmt.Errorf("indexnode transfer: no dialer for peer %s", ord.Dest)
 	}
 	g := n.lockGroup(ord.ACG)
 	if g == nil {
@@ -208,21 +282,13 @@ func (n *Node) TransferACG(ctx context.Context, ord proto.MigrateOrder) error {
 	if err := n.commitGroupLocked(g); err != nil {
 		return err
 	}
-	epoch := n.epoch()
-	if n.cfg.Shared != nil {
-		// Shared storage stays authoritative across the move: if the
-		// destination dies right after installing, recovery reads this.
-		if err := n.writeCheckpointLocked(g); err != nil {
-			return err
-		}
-	}
-	peer, err := n.cfg.Dial(ctx, ord.Addr)
+	peer, err := n.peerConn(ctx, ord.Addr)
 	if err != nil {
 		return fmt.Errorf("indexnode transfer dial %s: %w", ord.Addr, err)
 	}
-	defer peer.Close() //nolint:errcheck // best-effort teardown
-	meta := proto.ReceiveACGStreamMeta{ACG: g.id, Epoch: epoch, ReplSeq: g.replSeq}
+	meta := proto.ReceiveACGStreamMeta{ACG: g.id, Epoch: n.epoch(), ReplSeq: g.replSeq}
 	if err := n.shipGroupStreamLocked(ctx, peer, g, nil, meta); err != nil {
+		n.dropPeer(ord.Addr)
 		return fmt.Errorf("indexnode transfer acg %d to %s: %w", ord.ACG, ord.Dest, err)
 	}
 	rep, err := rpc.Call[proto.MigrateReportReq, proto.MigrateReportResp](
@@ -232,13 +298,7 @@ func (n *Node) TransferACG(ctx context.Context, ord proto.MigrateOrder) error {
 		return fmt.Errorf("indexnode migrate report: %w", err)
 	}
 	n.noteEpoch(rep.Epoch)
-	// Release: the group dies under its lock, the registry forgets it, and
-	// the tombstone turns stale-routed traffic into ErrStalePlacement.
-	g.dead = true
-	n.mu.Lock()
-	delete(n.groups, ord.ACG)
-	n.released[ord.ACG] = rep.Epoch
-	n.mu.Unlock()
+	n.leave(ord.ACG, g, rep.Epoch)
 	n.groupsMigrated.Inc()
 	return nil
 }
@@ -249,20 +309,10 @@ func (n *Node) TransferACG(ctx context.Context, ord proto.MigrateOrder) error {
 func (n *Node) ReleaseACG(id proto.ACGID, epoch proto.Epoch) {
 	n.noteEpoch(epoch)
 	g := n.lockGroup(id)
-	if g == nil {
-		n.mu.Lock()
-		if _, exists := n.groups[id]; !exists {
-			n.released[id] = epoch
-		}
-		n.mu.Unlock()
-		return
+	if g != nil {
+		defer g.mu.Unlock()
 	}
-	g.dead = true
-	n.mu.Lock()
-	delete(n.groups, id)
-	n.released[id] = epoch
-	n.mu.Unlock()
-	g.mu.Unlock()
+	n.leave(id, g, epoch)
 }
 
 // RecoverFromShared adopts a group from shared storage (a Master recover
@@ -270,46 +320,17 @@ func (n *Node) ReleaseACG(id proto.ACGID, epoch proto.Epoch) {
 // the mirrored WAL is replayed into the lazy cache — restoring every
 // acknowledged-but-uncommitted update, the paper's recovery guarantee —
 // and the group is re-checkpointed so a second failure recovers from a
-// compact image. State the group already holds locally (a client re-routed
-// here before the order arrived) is never clobbered by the older shared
-// copy.
+// compact image. The copy serves as the primary, even one that was a
+// follower here. A group with nothing durable existed in metadata only (no
+// acknowledged updates); owning it empty is correct.
 func (n *Node) RecoverFromShared(ctx context.Context, id proto.ACGID) error {
 	if n.cfg.Shared == nil {
 		return fmt.Errorf("indexnode %s: no shared store to recover acg %d from", n.cfg.ID, id)
 	}
-	checkpoint, walBytes, ok := n.cfg.Shared.Load(id)
-	n.clearReleased(id)
-	g, err := n.lockOrCreateGroup(id)
-	if err != nil {
-		return err
-	}
-	defer g.mu.Unlock()
-	if !ok {
-		// Nothing durable: the group existed in metadata only (no
-		// acknowledged updates). Owning an empty group is correct.
-		n.groupsRecovered.Inc()
-		return nil
-	}
-	known, err := n.knownPairsLocked(g)
-	if err == nil {
-		err = n.installImageBytesLocked(g, checkpoint, known)
-	}
-	if err != nil {
+	checkpoint, walBytes, _ := n.cfg.Shared.Load(id)
+	primary := func(g *group) { g.follower = false }
+	if err := n.enter(ctx, id, 0, primary, storedImage(checkpoint), walBytes); err != nil {
 		return fmt.Errorf("indexnode recover acg %d: %w", id, err)
-	}
-	if _, err := n.replayWALLocked(g, walBytes, known); err != nil {
-		return fmt.Errorf("indexnode recover acg %d wal: %w", id, err)
-	}
-	// WAL-replayed entries may name indexes this node has never served
-	// (the dead owner learned them; we did not). Resolve the specs now —
-	// the re-checkpoint below commits the replayed entries and needs them.
-	for _, run := range g.pending {
-		if err := n.ensureSpec(ctx, run.name); err != nil {
-			return fmt.Errorf("indexnode recover acg %d: %w", id, err)
-		}
-	}
-	if err := n.checkpointLocked(g); err != nil {
-		return err
 	}
 	n.groupsRecovered.Inc()
 	return nil

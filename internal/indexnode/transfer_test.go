@@ -238,6 +238,42 @@ func TestRecoverDoesNotClobberFresherLocalState(t *testing.T) {
 	}
 }
 
+// TestRecoverOrderMakesFollowerCopyPrimary: a recover order landing on a
+// node that holds a follower copy of the group turns that copy into the
+// primary. The Master has re-placed the group there, so the next Update
+// must be accepted — not refused as addressed to a follower until a later
+// promote order arrives.
+func TestRecoverOrderMakesFollowerCopyPrimary(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedTransferGroup(t, r.a, 1, 5)
+	if err := r.a.ReplicateACG(ctx, proto.MigrateOrder{ACG: 1, Dest: r.b.cfg.ID, Addr: "pipe:in-b"}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Node A "dies"; the Master orders B, which holds the follower copy,
+	// to recover the group.
+	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.b.Update(ctx, proto.UpdateReq{
+		ACG: 1, IndexName: "size",
+		Entries: []proto.IndexEntry{{File: 50, Value: attr.Int(50)}},
+	}); err != nil {
+		t.Fatalf("update after the recover order = %v, want it accepted", err)
+	}
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Files) != 6 {
+		t.Fatalf("strict search on the recovered copy = %d files, want 6", len(resp.Files))
+	}
+	if st, _ := r.b.NodeStats(ctx, proto.NodeStatsReq{}); st.FollowerGroups != 0 {
+		t.Fatalf("node b still reports %d follower groups", st.FollowerGroups)
+	}
+}
+
 func TestReleaseACGTombstoneAndReadoption(t *testing.T) {
 	r := newTransferRig(t)
 	ctx := context.Background()
@@ -355,8 +391,8 @@ func TestSplitFencesMovedFiles(t *testing.T) {
 // TestSameNodeSplitMatchesRemoteSplit runs the same split twice — once with
 // the Master picking the peer as destination, once with it picking the
 // splitting node itself — and requires the new group to answer every index
-// identically. Both destinations install the filtered image through
-// installShippedImage; the same-node one merely skips the dial.
+// identically. Both destinations enter the filtered image as a shipped
+// image; the same-node one merely skips the dial.
 func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 	ctx := context.Background()
 	// The rig's groups are not Master-allocated, so they sit above the ids

@@ -140,13 +140,6 @@ func (d *Disk) Stats() Stats {
 	return d.stats
 }
 
-// ResetStats clears the accumulated statistics (head position is kept).
-func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
-}
-
 // Close marks the disk closed; subsequent I/O fails with ErrClosed.
 func (d *Disk) Close() error {
 	d.mu.Lock()

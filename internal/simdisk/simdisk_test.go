@@ -148,17 +148,6 @@ func TestClosedDisk(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	d := New(testProfile(), vclock.New())
-	if _, err := d.Read(0, 4096); err != nil {
-		t.Fatal(err)
-	}
-	d.ResetStats()
-	if st := d.Stats(); st.Reads != 0 || st.BusyTime != 0 {
-		t.Errorf("stats not reset: %+v", st)
-	}
-}
-
 func TestProfilesSane(t *testing.T) {
 	for _, p := range []Profile{Barracuda7200(), Laptop5400()} {
 		if p.SeekAvg <= p.SeekTrack {

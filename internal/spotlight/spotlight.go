@@ -153,20 +153,6 @@ func (e *Engine) AdvanceTo(now time.Duration) {
 	}
 }
 
-// Rebuilding reports whether a rebuild window covers virtual time t.
-func (e *Engine) Rebuilding(t time.Duration) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return t < e.rebuildUntil
-}
-
-// SnapshotLen returns the committed index size.
-func (e *Engine) SnapshotLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.snapshot)
-}
-
 // Query runs a search against the committed snapshot, charging the latency
 // model to the clock, and returns the matching files. During a rebuild
 // window the result is empty (the paper measured recall dropping to 0).

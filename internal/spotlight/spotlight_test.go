@@ -2,6 +2,7 @@ package spotlight
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -54,8 +55,8 @@ func TestInitialCrawlIndexesEverything(t *testing.T) {
 	ns := seedNamespace(t, 100)
 	clk := vclock.New()
 	e := newEngine(t, ns, clk, nil)
-	if e.SnapshotLen() != 100 {
-		t.Fatalf("snapshot = %d, want 100", e.SnapshotLen())
+	if got := e.Query(mustParse(t, "size>=0")); len(got) != 100 {
+		t.Fatalf("snapshot = %d files, want 100", len(got))
 	}
 	got := e.Query(mustParse(t, "size>50m"))
 	if len(got) != 49 { // sizes 51..99 MB
@@ -68,26 +69,17 @@ func TestChangesInvisibleUntilCrawl(t *testing.T) {
 	clk := vclock.New()
 	e := newEngine(t, ns, clk, nil)
 	// A new large file appears after the initial crawl.
-	if _, err := ns.Create("/docs/new", 100<<20, testNow, 1000); err != nil {
+	fresh, err := ns.Create("/docs/new", 100<<20, testNow, 1000)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.Query(mustParse(t, "size>50m"))
-	for _, f := range got {
-		if fa, _ := ns.StatID(f); fa.Path == "/docs/new" {
-			t.Fatal("uncrawled file should be invisible (staleness)")
-		}
+	if slices.Contains(e.Query(mustParse(t, "size>50m")), fresh.ID) {
+		t.Fatal("uncrawled file should be invisible (staleness)")
 	}
 	// After the crawl interval it becomes visible.
 	clk.Advance(11 * time.Second)
 	e.AdvanceTo(clk.Now())
-	got = e.Query(mustParse(t, "size>50m"))
-	found := false
-	for _, f := range got {
-		if fa, err := ns.StatID(f); err == nil && fa.Path == "/docs/new" {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(e.Query(mustParse(t, "size>50m")), fresh.ID) {
 		t.Error("crawled file should be visible")
 	}
 }
@@ -133,18 +125,13 @@ func TestRebuildWindowDropsRecallToZero(t *testing.T) {
 	}
 	clk.Advance(11 * time.Second)
 	e.AdvanceTo(clk.Now())
-	if !e.Rebuilding(clk.Now()) {
-		t.Fatal("burst should trigger a rebuild window")
-	}
+	// The burst opened a rebuild window: every file matches, none returns.
 	got := e.Query(mustParse(t, "size>0"))
 	if len(got) != 0 {
 		t.Errorf("queries during rebuild must return nothing, got %d", len(got))
 	}
 	// Past the window, results return.
 	clk.Advance(time.Duration(ns.Len()) * 10 * time.Millisecond)
-	if e.Rebuilding(clk.Now()) {
-		t.Fatal("rebuild window should have passed")
-	}
 	got = e.Query(mustParse(t, "size>0"))
 	if len(got) == 0 {
 		t.Error("post-rebuild queries should return results")

@@ -134,28 +134,6 @@ func (ns *Namespace) Delete(path string, at time.Time) error {
 	return nil
 }
 
-// Stat returns the attributes of path.
-func (ns *Namespace) Stat(path string) (FileAttrs, error) {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	id, ok := ns.byPath[path]
-	if !ok {
-		return FileAttrs{}, fmt.Errorf("stat %q: %w", path, ErrNotExist)
-	}
-	return *ns.byID[id], nil
-}
-
-// StatID returns the attributes of a file id.
-func (ns *Namespace) StatID(id index.FileID) (FileAttrs, error) {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	fa, ok := ns.byID[id]
-	if !ok {
-		return FileAttrs{}, fmt.Errorf("stat id %d: %w", id, ErrNotExist)
-	}
-	return *fa, nil
-}
-
 // Len returns the number of files.
 func (ns *Namespace) Len() int {
 	ns.mu.RLock()

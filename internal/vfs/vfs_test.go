@@ -134,15 +134,8 @@ func TestNamespaceCRUD(t *testing.T) {
 	if _, err := ns.Create("/a/b.txt", 1, now, 1); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate create = %v, want ErrExists", err)
 	}
-	got, err := ns.Stat("/a/b.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != fa.ID {
-		t.Error("stat mismatch")
-	}
-	if _, err := ns.StatID(fa.ID); err != nil {
-		t.Errorf("StatID: %v", err)
+	if files := ns.Files(); len(files) != 1 || files[0].ID != fa.ID {
+		t.Errorf("files after create = %+v", files)
 	}
 	upd, err := ns.WriteFile("/a/b.txt", 2048, now.Add(time.Hour))
 	if err != nil {
@@ -154,8 +147,8 @@ func TestNamespaceCRUD(t *testing.T) {
 	if err := ns.Delete("/a/b.txt", now); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ns.Stat("/a/b.txt"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("stat deleted = %v, want ErrNotExist", err)
+	if ns.Len() != 0 {
+		t.Errorf("%d files after delete, want 0", ns.Len())
 	}
 	if err := ns.Delete("/a/b.txt", now); !errors.Is(err, ErrNotExist) {
 		t.Errorf("double delete = %v", err)

@@ -206,7 +206,7 @@ func TestGroupCommitLogReplayIntact(t *testing.T) {
 		}
 	}
 	var got [][]byte
-	if err := l.Replay(func(rec []byte) bool {
+	if err := ReplayBytes(l.Bytes(), func(rec []byte) bool {
 		cp := make([]byte, len(rec))
 		copy(cp, rec)
 		got = append(got, cp)

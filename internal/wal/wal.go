@@ -121,24 +121,6 @@ func (l *Log) Len() int {
 	return l.count
 }
 
-// SizeBytes returns the encoded log size.
-func (l *Log) SizeBytes() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}
-
-// Replay streams every intact record to fn in append order. A corrupt or
-// torn record stops the replay with ErrCorrupt after delivering the intact
-// prefix; fn returning false stops early without error.
-func (l *Log) Replay(fn func(rec []byte) bool) error {
-	l.mu.Lock()
-	data := make([]byte, len(l.buf))
-	copy(data, l.buf)
-	l.mu.Unlock()
-	return ReplayBytes(data, fn)
-}
-
 // ReplayBytes replays a serialized log image (used to recover a crashed
 // node's log from shared storage).
 func ReplayBytes(data []byte, fn func(rec []byte) bool) error {

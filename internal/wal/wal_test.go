@@ -23,7 +23,7 @@ func TestAppendReplay(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", l.Len(), len(recs))
 	}
 	var got [][]byte
-	if err := l.Replay(func(r []byte) bool {
+	if err := ReplayBytes(l.Bytes(), func(r []byte) bool {
 		cp := make([]byte, len(r))
 		copy(cp, r)
 		got = append(got, cp)
@@ -62,7 +62,7 @@ func TestAppendFramedMatchesAppend(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", framed.Len(), len(recs))
 	}
 	var got [][]byte
-	if err := framed.Replay(func(r []byte) bool {
+	if err := ReplayBytes(framed.Bytes(), func(r []byte) bool {
 		cp := make([]byte, len(r))
 		copy(cp, r)
 		got = append(got, cp)
@@ -100,7 +100,7 @@ func TestReplayEarlyStop(t *testing.T) {
 		}
 	}
 	n := 0
-	if err := l.Replay(func([]byte) bool { n++; return n < 3 }); err != nil {
+	if err := ReplayBytes(l.Bytes(), func([]byte) bool { n++; return n < 3 }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {
@@ -151,8 +151,8 @@ func TestTruncate(t *testing.T) {
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 0 || l.SizeBytes() != 0 {
-		t.Errorf("after truncate Len=%d Size=%d", l.Len(), l.SizeBytes())
+	if l.Len() != 0 || len(l.Bytes()) != 0 {
+		t.Errorf("after truncate Len=%d Size=%d", l.Len(), len(l.Bytes()))
 	}
 }
 
@@ -195,7 +195,7 @@ func TestReplayMatchesHistory(t *testing.T) {
 			}
 		}
 		i := 0
-		err := l.Replay(func(r []byte) bool {
+		err := ReplayBytes(l.Bytes(), func(r []byte) bool {
 			if i >= len(recs) || !bytes.Equal(r, recs[i]) {
 				i = -1 << 30
 				return false

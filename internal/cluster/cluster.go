@@ -44,8 +44,6 @@ type Config struct {
 	Clock *vclock.Clock
 	// UseTCP runs all transports over loopback TCP instead of pipes.
 	UseTCP bool
-	// DisableLazyCache forces synchronous commits (ablation).
-	DisableLazyCache bool
 	// CacheLimit is each node's pending-entry bound before forced commit.
 	CacheLimit int
 	// SearchFanout bounds each node's multi-ACG search worker pool
@@ -203,10 +201,9 @@ func (c *Cluster) bootNode(i int) (*indexnode.Node, *simdisk.Disk, *pagestore.St
 		Dial: func(ctx context.Context, addr string) (*rpc.Client, error) {
 			return c.DialFrom(ctx, name, addr)
 		},
-		DisableLazyCache: c.cfg.DisableLazyCache,
-		SearchFanout:     c.cfg.SearchFanout,
-		MaxInflight:      c.cfg.MaxInflight,
-		Shared:           c.shared,
+		SearchFanout: c.cfg.SearchFanout,
+		MaxInflight:  c.cfg.MaxInflight,
+		Shared:       c.shared,
 	})
 	if err != nil {
 		return nil, nil, nil, "", err

@@ -562,3 +562,66 @@ func TestRestartNodeRejoinsEmpty(t *testing.T) {
 		t.Error("restarted node should have been re-seeded as a follower")
 	}
 }
+
+// TestCompactSkipsFollowerCopies: compaction on a node that holds a
+// follower copy merges only the node's primaries. A follower copy folded
+// into a local group would take the group's shared-store mirror with it,
+// though its live primary serves elsewhere, and the primary's death would
+// then have nothing to fail over from.
+func TestCompactSkipsFollowerCopies(t *testing.T) {
+	c, cl := bootCluster(t, Config{
+		IndexNodes:        2,
+		HeartbeatTimeout:  30 * time.Second,
+		ReplicationFactor: 2,
+		CacheLimit:        1 << 20,
+	})
+	ctx := context.Background()
+	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
+		t.Fatal(err)
+	}
+	index40 := func(lo int) {
+		t.Helper()
+		var updates []client.FileUpdate
+		for i := lo; i < lo+40; i++ {
+			updates = append(updates, client.FileUpdate{
+				File: index.FileID(i), Value: attr.Int(int64(i) + 1), GroupHint: uint64(i%40/20) + 1,
+			})
+		}
+		if err := cl.Index(ctx, "size", updates); err != nil {
+			t.Fatal(err)
+		}
+	}
+	index40(0)
+	if err := c.Heartbeat(ctx); err != nil { // seed the followers
+		t.Fatal(err)
+	}
+	look, err := c.Master().LookupFiles(ctx, proto.LookupFilesReq{Files: []index.FileID{20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, primary := look.Mappings[0].ACG, nodeIndexByID(t, c, look.Mappings[0].Node)
+	if _, err := c.Nodes()[1-primary].CompactGroups(ctx, 1000); err != nil {
+		t.Errorf("compaction on the follower's node: %v", err)
+	}
+	if checkpoint, walBytes, _ := c.Shared().Load(src); len(checkpoint)+len(walBytes) == 0 {
+		t.Fatalf("compaction dropped the shared-store mirror of acg %d, whose primary is alive", src)
+	}
+	index40(40)
+
+	if err := c.KillNode(primary); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		c.Clock().Advance(20 * time.Second)
+		if err := c.Heartbeat(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Files) != 80 {
+		t.Fatalf("strict read-back after the primary's death = %d files, want all 80 acked", len(res.Files))
+	}
+}

@@ -157,9 +157,12 @@ func runAblLazyCache(opts Options) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
+		limit := 1 << 30
+		if disable {
+			limit = 1 // every update commits before it is acknowledged
+		}
 		node, err := indexnode.New(indexnode.Config{
-			ID: "abl", Store: store, Disk: disk, Clock: clk,
-			DisableLazyCache: disable, CacheLimit: 1 << 30,
+			ID: "abl", Store: store, Disk: disk, Clock: clk, CacheLimit: limit,
 			SearchFanout: 1, // deterministic virtual-time charges
 		})
 		if err != nil {

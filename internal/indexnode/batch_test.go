@@ -118,7 +118,7 @@ func TestBatchedCommitMatchesPerEntryReplay(t *testing.T) {
 			// Batched: everything lands in one commit window per group.
 			batched, bclk := newTestNode(t, func(c *Config) { c.CacheLimit = 1 << 30 })
 			// Per-entry: one entry per update, committed synchronously.
-			perEntry, _ := newTestNode(t, func(c *Config) { c.DisableLazyCache = true })
+			perEntry, _ := newTestNode(t, func(c *Config) { c.CacheLimit = 1 })
 			for _, spec := range batchSpecs {
 				batched.DeclareIndex(spec)
 				perEntry.DeclareIndex(spec)

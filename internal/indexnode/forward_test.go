@@ -329,13 +329,13 @@ func TestForwardIndexMatchesModel(t *testing.T) {
 			if err := r.a.Heartbeat(ctx); err != nil {
 				t.Fatal(err)
 			}
-			split, err := r.a.SplitACG(ctx, proto.SplitACGReq{ACG: g1})
+			newACG, _, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: g1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, n := range []*Node{r.a, r.b} {
-				if g := n.lockGroup(split.NewACG); g != nil {
-					fr.where[split.NewACG], fr.files[split.NewACG] = n, g.groupFilesSorted()
+				if g := n.lockGroup(newACG); g != nil {
+					fr.where[newACG], fr.files[newACG] = n, g.groupFilesSorted()
 					g.mu.Unlock()
 				}
 			}
@@ -343,9 +343,9 @@ func TestForwardIndexMatchesModel(t *testing.T) {
 			fr.files[g1] = g.groupFilesSorted()
 			g.mu.Unlock()
 			for name, byFile := range fr.committed[g1] {
-				for _, f := range fr.files[split.NewACG] {
+				for _, f := range fr.files[newACG] {
 					if e, ok := byFile[f]; ok {
-						note(fr.committed, split.NewACG, name, e)
+						note(fr.committed, newACG, name, e)
 						delete(byFile, f)
 					}
 				}

@@ -227,7 +227,7 @@ func TestStreamedTransferReceiverMemoryBounded(t *testing.T) {
 		t.Fatalf("image is %d bytes; want > %d to make the bound meaningful", len(raw), 3*rpc.StreamWindow)
 	}
 
-	if err := r.a.TransferACG(ctx, proto.MigrateOrder{ACG: 1, Dest: "in-b", Addr: "pipe:in-b"}); err != nil {
+	if err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: `tag>=""`})

@@ -11,11 +11,12 @@ import (
 
 // MergeACGs folds group src into group dst on this node (the §IV node task
 // of "merging small [indices]" to prevent fragmentation from many tiny
-// groups). Both groups must be local; the Master is informed so file
-// mappings rebind. Postings, causality edges and membership all move: dst
-// adopts src's image as an arrival adopts a shipped one, and src leaves
-// behind a tombstone, so a client whose cache predates the merge gets
-// perr.ErrStalePlacement and re-resolves instead of recreating src.
+// groups). Both groups must be primary copies on this node; the Master is
+// informed so file mappings rebind. Postings, causality edges and
+// membership all move: dst adopts src's image as an arrival adopts a
+// shipped one, and src leaves behind a tombstone, so a client whose cache
+// predates the merge gets perr.ErrStalePlacement and re-resolves instead of
+// recreating src.
 //
 // Locking: this is the only path that holds two group locks at once
 // (ascending ACGID order; n.mergeMu serializes merges so that cannot
@@ -50,6 +51,12 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 	if gd.dead || gs.dead { // left this node between the lookup and the lock
 		unlock()
 		return fmt.Errorf("acg %d or %d: %w", dst, src, ErrUnknownACG)
+	}
+	if gd.follower || gs.follower {
+		// A follower copy is not this node's to fold: its primary serves the
+		// group elsewhere, and the merge would drop that primary's mirror.
+		unlock()
+		return fmt.Errorf("indexnode: merge acg %d into %d: only primary copies merge", src, dst)
 	}
 	// Commit both: an image carries committed postings only.
 	if err := n.commitGroupLocked(gd); err != nil {
@@ -103,8 +110,8 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 	return nil
 }
 
-// CompactGroups merges adjacent small groups on this node until every
-// group (except possibly the last) holds at least minFiles files or no
+// CompactGroups merges adjacent small primary groups on this node until
+// every one (except possibly the last) holds at least minFiles files or no
 // further merge is possible. It returns the number of merges performed.
 func (n *Node) CompactGroups(ctx context.Context, minFiles int) (int, error) {
 	if minFiles < 1 {
@@ -117,7 +124,7 @@ func (n *Node) CompactGroups(ctx context.Context, minFiles int) (int, error) {
 			if !g.lockLive() {
 				continue
 			}
-			if len(g.files) < minFiles {
+			if !g.follower && len(g.files) < minFiles {
 				small = append(small, g.id)
 			}
 			g.mu.Unlock()

@@ -157,6 +157,35 @@ func TestMergeACGsErrors(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesFollowerCopies: a merge naming a follower copy is refused
+// before it changes anything. Both copies stay as they were, and so does the
+// shared-store mirror, which belongs to the group's primary elsewhere.
+func TestMergeRefusesFollowerCopies(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedTransferGroup(t, r.a, 1, 5)
+	seedFollower(t, r, 1)
+	seedTransferGroup(t, r.b, 2, 5)
+	for _, pair := range [][2]proto.ACGID{{2, 1}, {1, 2}} {
+		if err := r.b.MergeACGs(ctx, pair[0], pair[1]); err == nil {
+			t.Errorf("merge of acg %d into %d succeeded with a follower copy", pair[1], pair[0])
+		}
+	}
+	if checkpoint, walBytes, _ := r.shared.Load(1); len(checkpoint)+len(walBytes) == 0 {
+		t.Error("the refused merge dropped acg 1's shared-store mirror")
+	}
+	for id, follower := range map[proto.ACGID]bool{1: true, 2: false} {
+		g := r.b.lockGroup(id)
+		if g == nil {
+			t.Fatalf("acg %d left node b", id)
+		}
+		if g.follower != follower || len(g.files) != 5 {
+			t.Errorf("acg %d on b: follower %v with %d files, want %v with 5", id, g.follower, len(g.files), follower)
+		}
+		g.mu.Unlock()
+	}
+}
+
 func TestMergePreservesCausality(t *testing.T) {
 	n, _ := newTestNode(t)
 	n.DeclareIndex(sizeSpec)

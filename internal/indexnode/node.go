@@ -82,7 +82,8 @@ type Config struct {
 	// CommitTimeout is the lazy-cache timeout (virtual time; paper: 5 s).
 	CommitTimeout time.Duration
 	// CacheLimit forces a commit when a group's cache holds this many
-	// pending entries.
+	// pending entries (1 commits every update synchronously: the ablation
+	// without the lazy cache).
 	CacheLimit int
 	// SplitThreshold is the group size that triggers a background split.
 	SplitThreshold int
@@ -91,8 +92,6 @@ type Config struct {
 	Master *rpc.Client
 	// Dial opens connections to peer Index Nodes for ACG migration.
 	Dial Dialer
-	// DisableLazyCache commits every update synchronously (ablation).
-	DisableLazyCache bool
 	// SearchFanout bounds the worker pool a multi-ACG search fans out
 	// over (0 = GOMAXPROCS capped at 8; 1 = serial pass).
 	SearchFanout int
@@ -424,8 +423,6 @@ func (n *Node) RegisterRPC(s *rpc.Server) {
 	rpc.HandleTyped(s, proto.MethodUpdate, n.Update)
 	rpc.HandleTyped(s, proto.MethodSearch, n.Search)
 	rpc.HandleTyped(s, proto.MethodFlushACG, n.FlushACG)
-	rpc.HandleTyped(s, proto.MethodCreateACG, n.CreateACG)
-	rpc.HandleTyped(s, proto.MethodSplitACG, n.SplitACG)
 	rpc.HandleTyped(s, proto.MethodNodeStats, n.NodeStats)
 	rpc.HandleTyped(s, proto.MethodFollowerAppend, n.FollowerAppend)
 	rpc.HandleStreamTyped(s, proto.MethodReceiveACGChunked, n.receiveACGStream)
@@ -655,22 +652,6 @@ func (n *Node) instFor(g *group, name string) (*inst, error) {
 	}
 	g.indexes[name] = in
 	return in, nil
-}
-
-// CreateACG provisions a group with pre-declared membership, entering it
-// with no image. An explicit provisioning order overrides any release
-// tombstone.
-func (n *Node) CreateACG(ctx context.Context, req proto.CreateACGReq) (proto.CreateACGResp, error) {
-	members := func(g *group) {
-		for _, f := range req.Files {
-			g.files[f] = true
-			delete(g.movedOut, f)
-		}
-	}
-	if err := n.enter(ctx, req.ACG, 0, members, nil, nil); err != nil {
-		return proto.CreateACGResp{}, err
-	}
-	return proto.CreateACGResp{OK: true}, nil
 }
 
 // Update is the file-indexing fast path: WAL append + cache insert. Only
@@ -924,10 +905,7 @@ func (n *Node) leaseExpired() bool {
 }
 
 // Heartbeat sends one heartbeat to the Master and executes the orders the
-// reply carries, in dependency order: recoveries first (adopt groups whose
-// owner died), then drops of stale copies this node no longer owns, then
-// promotions (a follower copy takes over as primary), then splits, then
-// migrations off this node, then replica seedings. All of them are the
+// reply carries, in the reply's sequence (proto.OrderKind). They are the
 // Master's only way to act on a node — it never dials.
 func (n *Node) Heartbeat(ctx context.Context) error {
 	if n.cfg.Master == nil {
@@ -967,40 +945,39 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 		n.leaseGranted.Store(int64(n.cfg.Clock.Now()))
 		n.leaseDuration.Store(resp.LeaseNanos)
 	}
-	// A failed recovery must not abort its sibling orders: the Master
-	// re-issues recover orders every heartbeat until the owner's report
-	// proves the adoption, so the right behavior is to keep going and
-	// surface the joined errors.
+	// A failed recovery or promotion must not abort its sibling orders: the
+	// Master re-issues both every heartbeat until the owner's report proves
+	// the adoption, so the right behavior is to keep going and surface the
+	// joined errors. A failed split, migration or seeding skips the later
+	// orders of its own kind in this reply; the Master re-issues them.
 	var errs []error
-	for _, id := range resp.RecoverACGs {
-		if err := n.RecoverFromShared(ctx, id); err != nil {
-			errs = append(errs, fmt.Errorf("indexnode recover order %d: %w", id, err))
+	var failed uint32 // bit k: an order of kind k failed
+	for _, o := range resp.Orders {
+		if failed&(1<<o.Kind) != 0 {
+			continue
 		}
-	}
-	for _, id := range resp.DropACGs {
-		n.ReleaseACG(id, resp.Epoch)
-	}
-	for _, ord := range resp.PromoteACGs {
-		if err := n.PromoteACG(ctx, ord); err != nil {
-			errs = append(errs, fmt.Errorf("indexnode promote order %d: %w", ord.ACG, err))
+		var err error
+		switch o.Kind {
+		case proto.OrderRecover:
+			err = n.RecoverFromShared(ctx, o.ACG)
+		case proto.OrderDrop:
+			n.ReleaseACG(o.ACG, resp.Epoch)
+		case proto.OrderPromote:
+			err = n.PromoteACG(ctx, o)
+		case proto.OrderSplit:
+			_, _, err = n.SplitACG(ctx, o)
+		case proto.OrderMigrate:
+			err = n.TransferACG(ctx, o)
+		case proto.OrderReplicate:
+			err = n.ReplicateACG(ctx, o)
+		default:
+			err = errors.New("unknown order kind")
 		}
-	}
-	for _, id := range resp.SplitACGs {
-		if _, err := n.SplitACG(ctx, proto.SplitACGReq{ACG: id}); err != nil {
-			errs = append(errs, fmt.Errorf("indexnode split order %d: %w", id, err))
-			break
-		}
-	}
-	for _, ord := range resp.MigrateACGs {
-		if err := n.TransferACG(ctx, ord); err != nil {
-			errs = append(errs, fmt.Errorf("indexnode migrate order %d → %s: %w", ord.ACG, ord.Dest, err))
-			break
-		}
-	}
-	for _, ord := range resp.ReplicateACGs {
-		if err := n.ReplicateACG(ctx, ord); err != nil {
-			errs = append(errs, fmt.Errorf("indexnode replicate order %d → %s: %w", ord.ACG, ord.Dest, err))
-			break
+		if err != nil {
+			errs = append(errs, fmt.Errorf("indexnode %v order %d: %w", o.Kind, o.ACG, err))
+			if o.Kind >= proto.OrderSplit {
+				failed |= 1 << o.Kind
+			}
 		}
 	}
 	return errors.Join(errs...)

@@ -165,7 +165,7 @@ func TestCacheLimitForcesCommit(t *testing.T) {
 }
 
 func TestDisableLazyCacheAblation(t *testing.T) {
-	n, _ := newTestNode(t, func(c *Config) { c.DisableLazyCache = true })
+	n, _ := newTestNode(t, func(c *Config) { c.CacheLimit = 1 })
 	n.DeclareIndex(sizeSpec)
 	if _, err := n.Update(context.Background(), proto.UpdateReq{
 		ACG: 1, IndexName: "size",
@@ -607,7 +607,7 @@ func TestHeartbeatWithoutMaster(t *testing.T) {
 	if err := n.Heartbeat(context.Background()); !errors.Is(err, ErrNoMaster) {
 		t.Errorf("err = %v, want ErrNoMaster", err)
 	}
-	if _, err := n.SplitACG(context.Background(), proto.SplitACGReq{ACG: 1}); !errors.Is(err, ErrNoMaster) {
+	if _, _, err := n.SplitACG(context.Background(), proto.Order{Kind: proto.OrderSplit, ACG: 1}); !errors.Is(err, ErrNoMaster) {
 		t.Errorf("split err = %v, want ErrNoMaster", err)
 	}
 }

@@ -181,7 +181,7 @@ func (n *Node) addPendingLocked(g *group, name string, e proto.IndexEntry, key [
 // holds CacheLimit entries — the group's share fewer in the one generation
 // a Strict search started (startReadGenerationLocked). Caller holds g.mu.
 func (n *Node) commitIfDueLocked(g *group) error {
-	if n.cfg.DisableLazyCache || g.pendingCount >= n.cfg.CacheLimit-g.early {
+	if g.pendingCount >= n.cfg.CacheLimit-g.early {
 		return n.commitGroupLocked(g)
 	}
 	return nil

@@ -200,11 +200,11 @@ func TestProvenPredicateSkipEquivalence(t *testing.T) {
 			if err := r.a.Heartbeat(ctx); err != nil {
 				t.Fatal(err)
 			}
-			split, err := r.a.SplitACG(ctx, proto.SplitACGReq{ACG: g1})
+			_, moved, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: g1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if split.Moved == 0 {
+			if moved == 0 {
 				t.Fatal("split moved nothing")
 			}
 			traffic(150, r.a, r.b)
@@ -219,7 +219,7 @@ func TestProvenPredicateSkipEquivalence(t *testing.T) {
 			g := r.a.lockGroup(g2)
 			seq := g.replSeq
 			g.mu.Unlock()
-			if err := r.b.PromoteACG(ctx, proto.PromoteOrder{ACG: g2, Seq: seq}); err != nil {
+			if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: g2, Seq: seq}); err != nil {
 				t.Fatal(err)
 			}
 			for range 60 {

@@ -350,14 +350,14 @@ func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
 				if err := r.a.Heartbeat(ctx); err != nil {
 					t.Fatal(err)
 				}
-				split, err := r.a.SplitACG(ctx, proto.SplitACGReq{ACG: g1})
+				acg, moved, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: g1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if split.Moved == 0 {
+				if moved == 0 {
 					t.Fatal("split moved nothing")
 				}
-				newACG[i] = split.NewACG
+				newACG[i] = acg
 			}
 			if newACG[0] != newACG[1] {
 				t.Fatalf("the rigs split differently: new group %d vs %d", newACG[0], newACG[1])
@@ -423,7 +423,7 @@ func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
 				g := r.a.lockGroup(g2)
 				seq := g.replSeq
 				g.mu.Unlock()
-				if err := r.b.PromoteACG(ctx, proto.PromoteOrder{ACG: g2, Seq: seq}); err != nil {
+				if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: g2, Seq: seq}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -856,7 +856,7 @@ func TestBulkLoadThenReadOnlyReadsCommitted(t *testing.T) {
 		if st, _ := r.b.NodeStats(ctx, proto.NodeStatsReq{}); st.CachedOps == 0 {
 			t.Fatal("the follower's cache is empty; the stream did not reach it")
 		}
-		if err := r.b.PromoteACG(ctx, proto.PromoteOrder{ACG: acg, Seq: seq}); err != nil {
+		if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: acg, Seq: seq}); err != nil {
 			t.Fatal(err)
 		}
 		readOnly(t, r.b, []proto.ACGID{acg}, 0) // the promotion's checkpoint committed the stream

@@ -216,50 +216,47 @@ func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) 
 // the image and the start of the stream. Duplicate orders (the Master
 // re-issues until the follower confirms) are no-ops once the destination
 // is in the ack set.
-func (n *Node) ReplicateACG(ctx context.Context, ord proto.MigrateOrder) error {
-	if ord.Dest == n.cfg.ID {
+func (n *Node) ReplicateACG(ctx context.Context, o proto.Order) error {
+	if o.Dest.Node == n.cfg.ID {
 		return nil // a group never follows itself
 	}
-	g := n.lockGroup(ord.ACG)
+	g, err := n.lockOrdered(o.ACG)
 	if g == nil {
-		if _, gone := n.releasedEpoch(ord.ACG); gone {
-			return nil // released under a stale order
-		}
-		return fmt.Errorf("acg %d: %w", ord.ACG, ErrUnknownACG)
+		return err
 	}
 	defer g.mu.Unlock()
 	if g.follower {
 		return nil // only primaries seed; a stale order raced a promotion
 	}
 	for _, rep := range g.reps {
-		if rep.Node == ord.Dest {
+		if rep.Node == o.Dest.Node {
 			return nil // already streaming (duplicate order)
 		}
 	}
 	if err := n.commitGroupLocked(g); err != nil {
 		return err
 	}
-	peer, err := n.peerConn(ctx, ord.Addr)
+	peer, err := n.peerConn(ctx, o.Dest.Addr)
 	if err != nil {
-		return fmt.Errorf("indexnode replicate dial %s: %w", ord.Addr, err)
+		return fmt.Errorf("indexnode replicate dial %s: %w", o.Dest.Addr, err)
 	}
 	meta := proto.ReceiveACGStreamMeta{
 		ACG: g.id, Epoch: n.epoch(), Follower: true, ReplSeq: g.replSeq,
 	}
 	if err := n.shipGroupStreamLocked(ctx, peer, g, nil, meta); err != nil {
-		n.dropPeer(ord.Addr)
-		return fmt.Errorf("indexnode replicate acg %d to %s: %w", ord.ACG, ord.Dest, err)
+		n.dropPeer(o.Dest.Addr)
+		return fmt.Errorf("indexnode replicate acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 	}
 	if n.cfg.Master != nil {
 		// Best-effort: a lost report just delays the seeded mark until the
 		// follower's own heartbeat proves the copy.
 		if rep, err := rpc.Call[proto.ReplicateReportReq, proto.ReplicateReportResp](
 			ctx, n.cfg.Master, proto.MethodReplicateReport,
-			proto.ReplicateReportReq{Node: n.cfg.ID, ACG: ord.ACG, Dest: ord.Dest}); err == nil {
+			proto.ReplicateReportReq{Node: n.cfg.ID, ACG: o.ACG, Dest: o.Dest.Node}); err == nil {
 			n.noteEpoch(rep.Epoch)
 		}
 	}
-	g.reps = append(g.reps, proto.ReplicaRef{Node: ord.Dest, Addr: ord.Addr})
+	g.reps = append(g.reps, o.Dest)
 	return nil
 }
 
@@ -274,25 +271,25 @@ func (n *Node) ReplicateACG(ctx context.Context, ord proto.MigrateOrder) error {
 // state. Its closing checkpoint takes over the shared mirror: from here
 // this node's acks write it. Idempotent: the Master re-issues the order
 // until this node's heartbeat reports the group as primary.
-func (n *Node) PromoteACG(ctx context.Context, ord proto.PromoteOrder) error {
+func (n *Node) PromoteACG(ctx context.Context, o proto.Order) error {
 	var checkpoint, walBytes []byte
 	if n.cfg.Shared != nil {
-		checkpoint, walBytes, _ = n.cfg.Shared.Load(ord.ACG)
+		checkpoint, walBytes, _ = n.cfg.Shared.Load(o.ACG)
 	}
 	wasFollower := false
 	promote := func(g *group) {
 		wasFollower = g.follower
 		g.follower = false
 		g.reps = g.reps[:0]
-		for _, r := range ord.Followers {
+		for _, r := range o.Followers {
 			if r.Node != n.cfg.ID {
 				g.reps = append(g.reps, r)
 			}
 		}
-		g.replSeq = max(g.replSeq, ord.Seq)
+		g.replSeq = max(g.replSeq, o.Seq)
 	}
-	if err := n.enter(ctx, ord.ACG, 0, promote, storedImage(checkpoint), walBytes); err != nil {
-		return fmt.Errorf("indexnode promote acg %d: %w", ord.ACG, err)
+	if err := n.enter(ctx, o.ACG, 0, promote, storedImage(checkpoint), walBytes); err != nil {
+		return fmt.Errorf("indexnode promote acg %d: %w", o.ACG, err)
 	}
 	if wasFollower {
 		n.promotions.Inc()

@@ -19,8 +19,8 @@ import (
 // ReplicateACG order the Master's heartbeat reply would carry.
 func seedFollower(t *testing.T, r *transferRig, acg proto.ACGID) {
 	t.Helper()
-	if err := r.a.ReplicateACG(context.Background(), proto.MigrateOrder{
-		ACG: acg, Dest: r.b.cfg.ID, Addr: "pipe:in-b",
+	if err := r.a.ReplicateACG(context.Background(), proto.Order{
+		Kind: proto.OrderReplicate, ACG: acg, Dest: proto.ReplicaRef{Node: r.b.cfg.ID, Addr: "pipe:in-b"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFollowerRejectsDirectTrafficTyped(t *testing.T) {
 	}
 	// And a stale primary's stream is refused typed once the copy is no
 	// longer a follower (zombie-primary fencing).
-	if err := r.b.PromoteACG(ctx, proto.PromoteOrder{ACG: 1, Seq: 5}); err != nil {
+	if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: 1, Seq: 5}); err != nil {
 		t.Fatal(err)
 	}
 	stale := proto.UpdateReq{
@@ -216,7 +216,7 @@ func TestPromoteACGReconcilesAcknowledgedTail(t *testing.T) {
 
 	// The primary dies; the Master promotes the (cut) follower with the
 	// primary's last *reported* position — which predates the cut tail.
-	if err := r.b.PromoteACG(ctx, proto.PromoteOrder{ACG: 1, Seq: seq}); err != nil {
+	if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: 1, Seq: seq}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{

@@ -12,31 +12,33 @@ import (
 	"propeller/internal/rpc"
 )
 
-// SplitACG background-partitions an oversized group into two balanced
-// sub-graphs with minimal cut (§III), reports the split to the Master to
-// get the new group's id and destination node, migrates the moved half, and
-// removes it locally.
-func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.SplitACGResp, error) {
+// SplitACG executes one split order: it background-partitions an oversized
+// group into two balanced sub-graphs with minimal cut (§III), reports the
+// split to the Master to get the new group's id and destination node,
+// migrates the moved half, and removes it locally. It returns the new group
+// and the number of files moved to it; a group that already left this node
+// moves none.
+func (n *Node) SplitACG(ctx context.Context, o proto.Order) (newACG proto.ACGID, moved int, err error) {
 	if n.cfg.Master == nil {
-		return proto.SplitACGResp{}, ErrNoMaster
+		return 0, 0, ErrNoMaster
 	}
 	// Commit so postings reflect every acknowledged update before they
 	// migrate. Only this group is locked: the background split leaves
 	// traffic on every other ACG untouched.
-	g := n.lockGroup(req.ACG)
+	g, err := n.lockOrdered(o.ACG)
 	if g == nil {
-		return proto.SplitACGResp{}, fmt.Errorf("acg %d: %w", req.ACG, ErrUnknownACG)
+		return 0, 0, err
 	}
 	if err := n.commitGroupLocked(g); err != nil {
 		g.mu.Unlock()
-		return proto.SplitACGResp{}, err
+		return 0, 0, err
 	}
 	pg := partition.Graph{Adj: g.graph.undirected(g.files)}
 	g.mu.Unlock()
 
-	res, err := partition.Bisect(pg, partition.Options{Seed: int64(req.ACG)})
+	res, err := partition.Bisect(pg, partition.Options{Seed: int64(o.ACG)})
 	if err != nil {
-		return proto.SplitACGResp{}, fmt.Errorf("indexnode split %d: %w", req.ACG, err)
+		return 0, 0, fmt.Errorf("indexnode split %d: %w", o.ACG, err)
 	}
 	sideB := make([]index.FileID, 0, len(res.B))
 	for _, v := range res.B {
@@ -47,9 +49,9 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 	// Master assigns the new group and destination.
 	rep, err := rpc.Call[proto.SplitReportReq, proto.SplitReportResp](
 		ctx, n.cfg.Master, proto.MethodSplitReport,
-		proto.SplitReportReq{Node: n.cfg.ID, OldACG: req.ACG, SideB: sideB})
+		proto.SplitReportReq{Node: n.cfg.ID, OldACG: o.ACG, SideB: sideB})
 	if err != nil {
-		return proto.SplitACGResp{}, fmt.Errorf("indexnode split report: %w", err)
+		return 0, 0, fmt.Errorf("indexnode split report: %w", err)
 	}
 	n.noteEpoch(rep.Epoch)
 
@@ -58,7 +60,7 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 	// while the partitioner ran outside the lock; treat that as the group
 	// disappearing under the split order.
 	if !g.lockLive() {
-		return proto.SplitACGResp{}, fmt.Errorf("acg %d merged during split: %w", req.ACG, ErrUnknownACG)
+		return 0, 0, fmt.Errorf("acg %d merged during split: %w", o.ACG, ErrUnknownACG)
 	}
 	moveSet := make(map[index.FileID]bool, len(sideB))
 	for _, f := range sideB {
@@ -76,22 +78,22 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 		half, err := n.imageBytesLocked(g, filter, meta)
 		g.mu.Unlock()
 		if err != nil {
-			return proto.SplitACGResp{}, err
+			return 0, 0, err
 		}
 		if err := n.enter(ctx, meta.ACG, meta.Epoch, shippedRole(meta), storedImage(half), nil); err != nil {
-			return proto.SplitACGResp{}, err
+			return 0, 0, err
 		}
 	} else {
 		peer, err := n.peerConn(ctx, rep.Addr)
 		if err != nil {
 			g.mu.Unlock()
-			return proto.SplitACGResp{}, fmt.Errorf("indexnode split dial %s: %w", rep.Addr, err)
+			return 0, 0, fmt.Errorf("indexnode split dial %s: %w", rep.Addr, err)
 		}
 		shipErr := n.shipGroupStreamLocked(ctx, peer, g, filter, meta)
 		g.mu.Unlock()
 		if shipErr != nil {
 			n.dropPeer(rep.Addr)
-			return proto.SplitACGResp{}, fmt.Errorf("indexnode migrate to %s: %w", rep.Dest, shipErr)
+			return 0, 0, fmt.Errorf("indexnode migrate to %s: %w", rep.Dest, shipErr)
 		}
 	}
 
@@ -101,7 +103,7 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 	// postings resolve at the next commit/search; closing that window
 	// fully needs routing-level fencing, as under the old global lock.)
 	if !g.lockLive() {
-		return proto.SplitACGResp{}, fmt.Errorf("acg %d merged during split: %w", req.ACG, ErrUnknownACG)
+		return 0, 0, fmt.Errorf("acg %d merged during split: %w", o.ACG, ErrUnknownACG)
 	}
 	defer g.mu.Unlock()
 	// Remove the moved postings through the commit engine's bulk apply: a
@@ -124,7 +126,7 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 		runs = append(runs, &pendingRun{name: name, byFile: run})
 	}
 	if err := n.applyRunsLocked(g, runs); err != nil {
-		return proto.SplitACGResp{}, err
+		return 0, 0, err
 	}
 	if g.movedOut == nil {
 		g.movedOut = make(map[index.FileID]bool, len(moveSet))
@@ -148,12 +150,10 @@ func (n *Node) SplitACG(ctx context.Context, req proto.SplitACGReq) (proto.Split
 	// the pre-split state would resurrect the moved files into this group,
 	// forking ownership with the new ACG.
 	if err := n.checkpointLocked(g); err != nil {
-		return proto.SplitACGResp{}, err
+		return 0, 0, err
 	}
 	n.splitsDone.Inc()
-	return proto.SplitACGResp{
-		Moved: len(sideB), NewACG: rep.NewACG, CutWeight: res.CutWeight,
-	}, nil
+	return rep.NewACG, len(sideB), nil
 }
 
 // receiveACGStream is the handler of MethodReceiveACGChunked: the

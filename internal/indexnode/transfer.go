@@ -16,9 +16,9 @@ import (
 //
 //   - enter is every arrival: a transfer-in, a replica seeding, a split's
 //     new half (receiveACGStream, or SplitACG when the half stays here),
-//     recovery from shared storage (RecoverFromShared), a promotion
-//     (PromoteACG) and provisioning (CreateACG). MergeACGs, which already
-//     holds the destination's lock, runs the same adopt step on it.
+//     recovery from shared storage (RecoverFromShared) and a promotion
+//     (PromoteACG). MergeACGs, which already holds the destination's lock,
+//     runs the same adopt step on it.
 //   - leave is every departure: a migration's source once the Master has
 //     rebound the group (TransferACG), a drop order (ReleaseACG) and a
 //     merge's source (MergeACGs). It always tombstones the id.
@@ -123,9 +123,8 @@ func shippedRole(meta proto.ReceiveACGStreamMeta) func(*group) {
 // enter is the one way a group arrives on this node. The order is explicit,
 // so it clears any tombstone on the id; it notes the order's epoch (0 for
 // orders that carry none), locks the group or creates it, lets setRole set
-// what the order names — the copy's role, and a provisioning order's
-// membership — and adopts image and walBytes into it (adoptLocked). The
-// group lock is held across the whole arrival.
+// the copy's role the order names, and adopts image and walBytes into it
+// (adoptLocked). The group lock is held across the whole arrival.
 func (n *Node) enter(ctx context.Context, id proto.ACGID, epoch proto.Epoch, setRole func(*group), image imageSource, walBytes []byte) error {
 	n.clearReleased(id)
 	n.noteEpoch(epoch)
@@ -191,6 +190,21 @@ func (n *Node) leave(id proto.ACGID, g *group, epoch proto.Epoch) {
 		return
 	}
 	n.released[id] = epoch
+}
+
+// lockOrdered starts every order that acts on a group already here —
+// migrate, replicate, split and drop: it returns the group locked, or nil
+// and no error when the id is tombstoned — the group left this node, so the
+// order is done (a duplicate, or made moot by a later move). A group the
+// node neither holds nor released is ErrUnknownACG.
+func (n *Node) lockOrdered(id proto.ACGID) (*group, error) {
+	if g := n.lockGroup(id); g != nil {
+		return g, nil
+	}
+	if _, gone := n.releasedEpoch(id); gone {
+		return nil, nil
+	}
+	return nil, fmt.Errorf("acg %d: %w", id, ErrUnknownACG)
 }
 
 // knownPairsLocked snapshots the (index, file) pairs this group already has
@@ -264,53 +278,54 @@ func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[i
 // owner, with its mirror holding every acknowledged update (the
 // destination's orphan copy is reconciled away by the double-ownership
 // guard).
-func (n *Node) TransferACG(ctx context.Context, ord proto.MigrateOrder) error {
-	if ord.Dest == n.cfg.ID {
+func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
+	if o.Dest.Node == n.cfg.ID {
 		return nil // already home
 	}
 	if n.cfg.Master == nil {
 		return ErrNoMaster
 	}
-	g := n.lockGroup(ord.ACG)
+	g, err := n.lockOrdered(o.ACG)
 	if g == nil {
-		if _, gone := n.releasedEpoch(ord.ACG); gone {
-			return nil // already transferred (duplicate order)
-		}
-		return fmt.Errorf("acg %d: %w", ord.ACG, ErrUnknownACG)
+		return err
 	}
 	defer g.mu.Unlock()
 	if err := n.commitGroupLocked(g); err != nil {
 		return err
 	}
-	peer, err := n.peerConn(ctx, ord.Addr)
+	peer, err := n.peerConn(ctx, o.Dest.Addr)
 	if err != nil {
-		return fmt.Errorf("indexnode transfer dial %s: %w", ord.Addr, err)
+		return fmt.Errorf("indexnode transfer dial %s: %w", o.Dest.Addr, err)
 	}
 	meta := proto.ReceiveACGStreamMeta{ACG: g.id, Epoch: n.epoch(), ReplSeq: g.replSeq}
 	if err := n.shipGroupStreamLocked(ctx, peer, g, nil, meta); err != nil {
-		n.dropPeer(ord.Addr)
-		return fmt.Errorf("indexnode transfer acg %d to %s: %w", ord.ACG, ord.Dest, err)
+		n.dropPeer(o.Dest.Addr)
+		return fmt.Errorf("indexnode transfer acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 	}
 	rep, err := rpc.Call[proto.MigrateReportReq, proto.MigrateReportResp](
 		ctx, n.cfg.Master, proto.MethodMigrateReport,
-		proto.MigrateReportReq{Node: n.cfg.ID, ACG: ord.ACG, Dest: ord.Dest})
+		proto.MigrateReportReq{Node: n.cfg.ID, ACG: o.ACG, Dest: o.Dest.Node})
 	if err != nil {
 		return fmt.Errorf("indexnode migrate report: %w", err)
 	}
 	n.noteEpoch(rep.Epoch)
-	n.leave(ord.ACG, g, rep.Epoch)
+	n.leave(o.ACG, g, rep.Epoch)
 	n.groupsMigrated.Inc()
 	return nil
 }
 
 // ReleaseACG drops the node's copy of a group it no longer owns (a Master
 // drop order: the group was migrated or recovered elsewhere while this node
-// was silent) and tombstones the id at the given epoch. Idempotent.
+// was silent) and tombstones the id at the given epoch, even with no copy
+// here. Idempotent.
 func (n *Node) ReleaseACG(id proto.ACGID, epoch proto.Epoch) {
 	n.noteEpoch(epoch)
-	g := n.lockGroup(id)
-	if g != nil {
+	g, err := n.lockOrdered(id)
+	switch {
+	case g != nil:
 		defer g.mu.Unlock()
+	case err == nil:
+		return // already released
 	}
 	n.leave(id, g, epoch)
 }

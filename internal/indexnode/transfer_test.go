@@ -116,7 +116,7 @@ func TestTransferACGMovesGroupAndTombstonesSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := r.a.TransferACG(ctx, proto.MigrateOrder{ACG: 1, Dest: "in-b", Addr: "pipe:in-b"}); err != nil {
+	if err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,7 +162,7 @@ func TestTransferACGMovesGroupAndTombstonesSource(t *testing.T) {
 	}
 
 	// A duplicate order is idempotent.
-	if err := r.a.TransferACG(ctx, proto.MigrateOrder{ACG: 1, Dest: "in-b", Addr: "pipe:in-b"}); err != nil {
+	if err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
 		t.Fatalf("duplicate transfer order = %v, want nil", err)
 	}
 }
@@ -247,7 +247,7 @@ func TestRecoverOrderMakesFollowerCopyPrimary(t *testing.T) {
 	r := newTransferRig(t)
 	ctx := context.Background()
 	seedTransferGroup(t, r.a, 1, 5)
-	if err := r.a.ReplicateACG(ctx, proto.MigrateOrder{ACG: 1, Dest: r.b.cfg.ID, Addr: "pipe:in-b"}); err != nil {
+	if err := r.a.ReplicateACG(ctx, proto.Order{Kind: proto.OrderReplicate, ACG: 1, Dest: proto.ReplicaRef{Node: r.b.cfg.ID, Addr: "pipe:in-b"}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -339,11 +339,11 @@ func TestSplitFencesMovedFiles(t *testing.T) {
 	if err := r.a.Heartbeat(ctx); err != nil { // master adopts ACG 1
 		t.Fatal(err)
 	}
-	split, err := r.a.SplitACG(ctx, proto.SplitACGReq{ACG: 1})
+	_, n, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if split.Moved == 0 {
+	if n == 0 {
 		t.Fatal("split moved nothing")
 	}
 	// Identify a moved file: one no longer served by the old group.
@@ -404,7 +404,7 @@ func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 		{IndexName: "uid", Query: "uid=7"},
 		{IndexName: "loc", Query: "x>=0 & x<=100 & y<=0", Limit: 4},
 	}
-	run := func(sameNode bool) (proto.SplitACGResp, []proto.SearchResp) {
+	run := func(sameNode bool) (int, []proto.SearchResp) {
 		r := newTransferRig(t)
 		if sameNode {
 			// Load the peer so the splitting node is the least loaded.
@@ -447,7 +447,7 @@ func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 		if err := r.a.Heartbeat(ctx); err != nil { // master adopts src
 			t.Fatal(err)
 		}
-		split, err := r.a.SplitACG(ctx, proto.SplitACGReq{ACG: src})
+		newACG, moved, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: src})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,11 +455,11 @@ func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 		if sameNode {
 			dest = r.a
 		}
-		if split.NewACG == src || dest.getGroup(split.NewACG) == nil {
-			t.Fatalf("sameNode=%v: new acg %d did not land on %s", sameNode, split.NewACG, dest.cfg.ID)
+		if newACG == src || dest.getGroup(newACG) == nil {
+			t.Fatalf("sameNode=%v: new acg %d did not land on %s", sameNode, newACG, dest.cfg.ID)
 		}
 		var out []proto.SearchResp
-		for _, acg := range []proto.ACGID{split.NewACG, src} { // the moved half, then what stayed
+		for _, acg := range []proto.ACGID{newACG, src} { // the moved half, then what stayed
 			host := dest
 			if acg == src {
 				host = r.a
@@ -474,19 +474,19 @@ func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 				out = append(out, resp)
 			}
 		}
-		return split, out
+		return moved, out
 	}
-	remoteSplit, remote := run(false)
-	localSplit, local := run(true)
-	if remoteSplit.Moved == 0 || remoteSplit.Moved != localSplit.Moved {
-		t.Fatalf("moved %d files remotely, %d locally", remoteSplit.Moved, localSplit.Moved)
+	remoteMoved, remote := run(false)
+	localMoved, local := run(true)
+	if remoteMoved == 0 || remoteMoved != localMoved {
+		t.Fatalf("moved %d files remotely, %d locally", remoteMoved, localMoved)
 	}
 	for i := range remote {
 		if !reflect.DeepEqual(remote[i], local[i]) {
 			t.Errorf("search %d: remote split answered %+v, same-node split %+v", i, remote[i], local[i])
 		}
 	}
-	if len(remote[1].Files) != remoteSplit.Moved {
-		t.Errorf("new group serves %d files, split moved %d", len(remote[1].Files), remoteSplit.Moved)
+	if len(remote[1].Files) != remoteMoved {
+		t.Errorf("new group serves %d files, split moved %d", len(remote[1].Files), remoteMoved)
 	}
 }

@@ -117,7 +117,7 @@ type nodeInfo struct {
 	queueDepth int
 	// dead marks a node the liveness sweep declared failed; its groups were
 	// re-placed. A heartbeat or re-registration revives it (its stale group
-	// copies are reconciled away via DropACGs orders).
+	// copies are reconciled away by drop orders).
 	dead bool
 	// promotions counts follower→primary promotions performed onto this
 	// node (surfaced in ClusterStats).
@@ -137,31 +137,6 @@ type replicaInfo struct {
 	Seq uint64
 }
 
-// orderKind names the order a group has in flight.
-type orderKind uint8
-
-const (
-	noOrder      orderKind = iota
-	recoverOrder           // the primary adopts the group from shared storage
-	promoteOrder           // the primary takes over from its follower copy
-	migrateOrder           // the primary ships the group to Dest
-)
-
-// pendingOrder is the one order a group has in flight. A recover or
-// promote order rides every heartbeat of the group's primary until its
-// report proves the adoption — both are idempotent, so a lost reply or a
-// failed attempt cannot strand the group. A migration rides one heartbeat
-// of the primary; the primary still reporting the group on a later one
-// proves the transfer failed (nodes execute orders before their next
-// heartbeat), and the group re-arms. Every move of a group replaces its
-// order, so no two can be in flight at once.
-type pendingOrder struct {
-	Kind      orderKind
-	Promote   proto.PromoteOrder // promoteOrder
-	Dest      proto.NodeID       // migrateOrder
-	Delivered bool               // migrateOrder: handed to the primary
-}
-
 // acgInfo is the Master's one record of a group.
 type acgInfo struct {
 	ID proto.ACGID
@@ -174,9 +149,20 @@ type acgInfo struct {
 	// Seq is the primary's last heartbeat-reported replication position —
 	// the watermark a promoted follower must reach (reconciling the
 	// shared-store tail if behind) before serving as primary.
-	Seq     uint64
-	Pending pendingOrder
+	Seq uint64
+	// Pending is the one order the group has in flight (Kind 0: none), as
+	// the primary's heartbeat reply carries it. A recover or promote order
+	// rides every heartbeat of the primary until its report proves the
+	// adoption; both are idempotent. A migration, its Dest address filled
+	// in at delivery, rides one (Delivered): the primary still reporting the
+	// group on a later one proves the transfer failed, and the group
+	// re-arms. Every move of a group replaces its order.
+	Pending   proto.Order
+	Delivered bool
 }
+
+// setPending replaces the group's order in flight.
+func (a *acgInfo) setPending(o proto.Order) { a.Pending, a.Delivered = o, false }
 
 // replicaOn returns the group's replica entry for the given node, nil if
 // the node is not a registered follower.
@@ -276,11 +262,11 @@ func (m *Master) RegisterNode(_ context.Context, req proto.RegisterNodeReq) (pro
 }
 
 // Heartbeat refreshes node status and returns the Master's orders for the
-// reporting node: splits of oversized groups, recoveries of groups
-// re-placed here by the failure sweep, migrations off an overloaded node,
-// and drops of stale copies the node no longer owns. Each heartbeat also
-// drives the liveness sweep, so failure detection needs no separate timer —
-// any surviving node's heartbeat notices the silent ones.
+// reporting node as one list: drops of stale copies, splits of oversized
+// groups and seedings of missing followers, derived from the report, and
+// the order each of its groups has in flight. Each heartbeat also drives
+// the liveness sweep, so failure detection needs no separate timer — any
+// surviving node's heartbeat notices the silent ones.
 func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.HeartbeatResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -293,6 +279,9 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 	n.queueDepth = req.QueueDepth
 	m.sweepLocked()
 	var resp proto.HeartbeatResp
+	order := func(kind proto.OrderKind, id proto.ACGID) {
+		resp.Orders = append(resp.Orders, proto.Order{Kind: kind, ACG: id})
+	}
 	var total int64
 	for _, am := range req.ACGs {
 		info := m.ACGs[am.ACG]
@@ -302,7 +291,7 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 			// copy of a group it allocated and has since retired (merged
 			// away): drop it. Follower copies are never adopted as
 			// primaries, and a retired group never comes back.
-			resp.DropACGs = append(resp.DropACGs, am.ACG)
+			order(proto.OrderDrop, am.ACG)
 			continue
 		case info == nil:
 			// A group the Master has never placed (a standalone node
@@ -324,18 +313,18 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 			} else if info.Node != req.Node {
 				// A follower copy the Master no longer wants (replica set
 				// shrank or moved): drop it.
-				resp.DropACGs = append(resp.DropACGs, am.ACG)
-			} else if info.Pending.Kind != promoteOrder {
+				order(proto.OrderDrop, am.ACG)
+			} else if info.Pending.Kind != proto.OrderPromote {
 				// The primary holds only a follower copy: a recovery, or a
 				// deposed primary's late seeding, landed on one. A promote
 				// order makes it serve — it reconciles from shared storage
 				// as a recovery would. (With a promotion already pending,
 				// the node has not executed it yet; it re-rides this reply.)
-				info.Pending = m.promotionLocked(info)
+				info.setPending(m.promotionLocked(info))
 			}
 			continue
 		case info.Node != req.Node:
-			if p := info.Pending; p.Kind == migrateOrder && p.Dest == req.Node {
+			if p := info.Pending; p.Kind == proto.OrderMigrate && p.Dest.Node == req.Node {
 				// The reporter is the in-flight *destination* of this very
 				// group: it installed the image and the source's rebind
 				// report is still on its way. Dropping here would tombstone
@@ -353,14 +342,14 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 			if info.removeReplica(req.Node) {
 				m.Epoch++
 			}
-			resp.DropACGs = append(resp.DropACGs, am.ACG)
+			order(proto.OrderDrop, am.ACG)
 			continue
 		}
 		// The rightful owner reports the group: a pending recovery or
 		// promotion is proven complete, and a delivered migration is proven
 		// failed, so the group re-arms for future moves.
-		if p := info.Pending; p.Kind != migrateOrder || p.Delivered {
-			info.Pending = pendingOrder{}
+		if info.Pending.Kind != proto.OrderMigrate || info.Delivered {
+			info.setPending(proto.Order{})
 		}
 		info.Files = am.Files
 		info.Seq = am.ReplSeq
@@ -377,37 +366,40 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 		m.ensureReplicasLocked(info)
 		for _, rep := range info.Replicas {
 			if d := m.liveLocked(rep.Node); d != nil && !rep.Seeded {
-				resp.ReplicateACGs = append(resp.ReplicateACGs, proto.MigrateOrder{
-					ACG: am.ACG, Dest: rep.Node, Addr: d.addr,
-				})
+				resp.Orders = append(resp.Orders, proto.Order{Kind: proto.OrderReplicate, ACG: am.ACG,
+					Dest: proto.ReplicaRef{Node: rep.Node, Addr: d.addr}})
 			}
 		}
 		total += am.Files
 		if am.Files > m.cfg.SplitThreshold {
-			resp.SplitACGs = append(resp.SplitACGs, am.ACG)
+			order(proto.OrderSplit, am.ACG)
 		}
 	}
 	n.files = total
-	m.rebalanceLocked(n, &resp)
+	m.rebalanceLocked(n, resp.Orders)
 	// Deliver the orders pending on this node's groups, by group id.
 	for _, info := range m.groupsOnLocked(req.Node) {
-		switch p := &info.Pending; p.Kind {
-		case recoverOrder:
-			resp.RecoverACGs = append(resp.RecoverACGs, info.ID)
-		case promoteOrder:
-			resp.PromoteACGs = append(resp.PromoteACGs, p.Promote)
-		case migrateOrder:
-			if p.Delivered {
+		o := info.Pending
+		switch o.Kind {
+		case 0:
+			continue
+		case proto.OrderMigrate:
+			if info.Delivered {
 				continue
 			}
-			if d := m.liveLocked(p.Dest); d != nil {
-				resp.MigrateACGs = append(resp.MigrateACGs, proto.MigrateOrder{ACG: info.ID, Dest: p.Dest, Addr: d.addr})
-				p.Delivered = true
-			} else {
-				*p = pendingOrder{} // the destination died first: the move is moot
+			d := m.liveLocked(o.Dest.Node)
+			if d == nil {
+				info.setPending(proto.Order{}) // the destination died first: the move is moot
+				continue
 			}
+			o.Dest.Addr = d.addr
+			info.Delivered = true
 		}
+		resp.Orders = append(resp.Orders, o)
 	}
+	// The node runs the list in order: by kind, each kind in the order it
+	// was added.
+	slices.SortStableFunc(resp.Orders, func(a, b proto.Order) int { return cmp.Compare(a.Kind, b.Kind) })
 	resp.Epoch = m.Epoch
 	if m.cfg.EnableFailover {
 		// Grant a primary lease exactly as long as the failure-detection
@@ -469,9 +461,8 @@ func (m *Master) followersLocked(info *acgInfo) []proto.ReplicaRef {
 // promotionLocked is the order that makes a group's primary serve from its
 // follower copy: the stream position it must reach, and its live seeded
 // followers as the new ack set. Caller holds m.mu.
-func (m *Master) promotionLocked(info *acgInfo) pendingOrder {
-	return pendingOrder{Kind: promoteOrder,
-		Promote: proto.PromoteOrder{ACG: info.ID, Seq: info.Seq, Followers: m.followersLocked(info)}}
+func (m *Master) promotionLocked(info *acgInfo) proto.Order {
+	return proto.Order{Kind: proto.OrderPromote, ACG: info.ID, Seq: info.Seq, Followers: m.followersLocked(info)}
 }
 
 // ensureReplicasLocked tops a group's follower set up to ReplicationFactor-1
@@ -518,12 +509,12 @@ func (m *Master) bestFollowerLocked(info *acgInfo) *replicaInfo {
 // moveLocked is the one step that moves a group to a new primary: the load
 // moves with it, the new primary leaves the replica set, p replaces
 // whatever order was in flight, and the epoch is bumped. Caller holds m.mu.
-func (m *Master) moveLocked(info *acgInfo, dest *nodeInfo, p pendingOrder) {
+func (m *Master) moveLocked(info *acgInfo, dest *nodeInfo, p proto.Order) {
 	m.nodes[info.Node].files -= info.Files
 	dest.files += info.Files
 	info.Node = dest.id
 	info.removeReplica(dest.id)
-	info.Pending = p
+	info.setPending(p)
 	m.Epoch++
 }
 
@@ -537,8 +528,8 @@ func (m *Master) moveLocked(info *acgInfo, dest *nodeInfo, p pendingOrder) {
 // Caller holds m.mu.
 func (m *Master) promoteLocked(info *acgInfo, chosen *replicaInfo) {
 	dest := m.nodes[chosen.Node]
-	m.moveLocked(info, dest, pendingOrder{})
-	info.Pending = m.promotionLocked(info)
+	m.moveLocked(info, dest, proto.Order{})
+	info.setPending(m.promotionLocked(info))
 	dest.promotions++
 	m.promotions++
 	// Top the follower set back up; the replacement seeds from the new
@@ -594,7 +585,7 @@ func (m *Master) reassignLocked(info *acgInfo) error {
 	if dest == nil {
 		return ErrNoNodes
 	}
-	m.moveLocked(info, dest, pendingOrder{Kind: recoverOrder})
+	m.moveLocked(info, dest, proto.Order{Kind: proto.OrderRecover, ACG: info.ID})
 	m.recoveries++
 	return nil
 }
@@ -618,8 +609,9 @@ const minRebalanceQueueDepth = 4
 //     point is to shift request load even when file counts are balanced.
 //
 // At most one order per heartbeat, so load drains without thrashing; it
-// rides this heartbeat's reply. Caller holds m.mu.
-func (m *Master) rebalanceLocked(n *nodeInfo, resp *proto.HeartbeatResp) {
+// rides this heartbeat's reply, whose derived orders so far are orders.
+// Caller holds m.mu.
+func (m *Master) rebalanceLocked(n *nodeInfo, orders []proto.Order) {
 	if m.cfg.RebalanceRatio <= 0 || n.dead {
 		return
 	}
@@ -670,7 +662,8 @@ func (m *Master) rebalanceLocked(n *nodeInfo, resp *proto.HeartbeatResp) {
 		if info.Files <= 0 || (fileHot && info.Files >= gap) {
 			continue
 		}
-		if info.Pending.Kind != noOrder || slices.Contains(resp.SplitACGs, info.ID) {
+		splitting := func(o proto.Order) bool { return o.Kind == proto.OrderSplit && o.ACG == info.ID }
+		if info.Pending.Kind != 0 || slices.ContainsFunc(orders, splitting) {
 			continue
 		}
 		if pick == nil || info.Files > pick.Files {
@@ -680,7 +673,7 @@ func (m *Master) rebalanceLocked(n *nodeInfo, resp *proto.HeartbeatResp) {
 	if pick == nil {
 		return
 	}
-	pick.Pending = pendingOrder{Kind: migrateOrder, Dest: dest.id}
+	pick.setPending(migration(pick.ID, dest.id))
 	m.migrationsOrdered++
 }
 
@@ -913,7 +906,7 @@ func (m *Master) MigrateReport(_ context.Context, req proto.MigrateReportReq) (p
 	if dest == nil {
 		return proto.MigrateReportResp{}, fmt.Errorf("%w: %s", ErrUnknownNode, req.Dest)
 	}
-	m.moveLocked(info, dest, pendingOrder{})
+	m.moveLocked(info, dest, proto.Order{})
 	return proto.MigrateReportResp{Epoch: m.Epoch}, nil
 }
 
@@ -959,16 +952,22 @@ func (m *Master) OrderMigration(id proto.ACGID, dest proto.NodeID) error {
 		return nil // already home
 	}
 	switch p := info.Pending; p.Kind {
-	case migrateOrder:
-		return fmt.Errorf("master: acg %d already migrating to %s", id, p.Dest)
-	case recoverOrder:
+	case proto.OrderMigrate:
+		return fmt.Errorf("master: acg %d already migrating to %s", id, p.Dest.Node)
+	case proto.OrderRecover:
 		return fmt.Errorf("master: acg %d awaiting recovery on %s", id, info.Node)
-	case promoteOrder:
+	case proto.OrderPromote:
 		return fmt.Errorf("master: acg %d awaiting promotion on %s", id, info.Node)
 	}
-	info.Pending = pendingOrder{Kind: migrateOrder, Dest: dest}
+	info.setPending(migration(id, dest))
 	m.migrationsOrdered++
 	return nil
+}
+
+// migration is the pending order that moves a group to dest; the
+// destination's address is filled in when the order is delivered.
+func migration(id proto.ACGID, dest proto.NodeID) proto.Order {
+	return proto.Order{Kind: proto.OrderMigrate, ACG: id, Dest: proto.ReplicaRef{Node: dest}}
 }
 
 // ClusterStats summarizes the cluster.

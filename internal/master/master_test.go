@@ -23,6 +23,18 @@ func newTestMaster(t *testing.T, nodes ...string) *Master {
 	return m
 }
 
+// ordersOf is how the tests read a heartbeat reply: its orders of one
+// kind, in reply order.
+func ordersOf(hb proto.HeartbeatResp, kind proto.OrderKind) []proto.Order {
+	var out []proto.Order
+	for _, o := range hb.Orders {
+		if o.Kind == kind {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
 func TestRegisterNodeValidation(t *testing.T) {
 	m := New(Config{})
 	if _, err := m.RegisterNode(context.Background(), proto.RegisterNodeReq{}); err == nil {
@@ -135,8 +147,8 @@ func TestHeartbeatOrdersSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.SplitACGs) != 1 || hb.SplitACGs[0] != 1 {
-		t.Errorf("split orders = %v, want [1]", hb.SplitACGs)
+	if len(ordersOf(hb, proto.OrderSplit)) != 1 || ordersOf(hb, proto.OrderSplit)[0].ACG != 1 {
+		t.Errorf("split orders = %v, want [1]", ordersOf(hb, proto.OrderSplit))
 	}
 	if _, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "ghost"}); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("ghost heartbeat = %v", err)
@@ -329,8 +341,8 @@ func TestLookupFilesReassignsFromUnregisteredNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.RecoverACGs) != 1 || hb.RecoverACGs[0] != resp.Mappings[0].ACG {
-		t.Fatalf("recover orders = %v, want [%d]", hb.RecoverACGs, resp.Mappings[0].ACG)
+	if len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != resp.Mappings[0].ACG {
+		t.Fatalf("recover orders = %v, want [%d]", ordersOf(hb, proto.OrderRecover), resp.Mappings[0].ACG)
 	}
 	st, err := m2.ClusterStats(context.Background(), proto.ClusterStatsReq{})
 	if err != nil {
@@ -370,10 +382,10 @@ func TestHeartbeatRejectsDoubleOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.DropACGs) != 1 || hb.DropACGs[0] != acg {
-		t.Fatalf("drop orders = %v, want [%d]", hb.DropACGs, acg)
+	if len(ordersOf(hb, proto.OrderDrop)) != 1 || ordersOf(hb, proto.OrderDrop)[0].ACG != acg {
+		t.Fatalf("drop orders = %v, want [%d]", ordersOf(hb, proto.OrderDrop), acg)
 	}
-	if len(hb.SplitACGs) != 0 {
+	if len(ordersOf(hb, proto.OrderSplit)) != 0 {
 		t.Error("a disowned report must not trigger split orders")
 	}
 	after, err := m.LookupFiles(context.Background(), proto.LookupFilesReq{Files: []index.FileID{1}})
@@ -416,8 +428,8 @@ func TestSweepReassignsDeadNodesGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.RecoverACGs) != len(onA) {
-		t.Fatalf("recover orders = %v, want %v", hb.RecoverACGs, onA)
+	if len(ordersOf(hb, proto.OrderRecover)) != len(onA) {
+		t.Fatalf("recover orders = %v, want %v", ordersOf(hb, proto.OrderRecover), onA)
 	}
 	st, err := m.ClusterStats(context.Background(), proto.ClusterStatsReq{})
 	if err != nil {
@@ -446,8 +458,8 @@ func TestSweepReassignsDeadNodesGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.DropACGs) != 1 || back.DropACGs[0] != onA[0] {
-		t.Errorf("returning node drop orders = %v, want [%d]", back.DropACGs, onA[0])
+	if len(ordersOf(back, proto.OrderDrop)) != 1 || ordersOf(back, proto.OrderDrop)[0].ACG != onA[0] {
+		t.Errorf("returning node drop orders = %v, want [%d]", ordersOf(back, proto.OrderDrop), onA[0])
 	}
 }
 
@@ -482,12 +494,12 @@ func TestRebalancerOrdersHottestGroupOffOverloadedNode(t *testing.T) {
 	// heartbeat report from a for a group owned by b yields a drop order
 	// instead. Assert on whatever migration order came back: it must move
 	// a group a owns to b and improve balance.
-	if len(hb.MigrateACGs) != 1 {
-		t.Fatalf("migrate orders = %+v, want exactly 1", hb.MigrateACGs)
+	if len(ordersOf(hb, proto.OrderMigrate)) != 1 {
+		t.Fatalf("migrate orders = %+v, want exactly 1", ordersOf(hb, proto.OrderMigrate))
 	}
-	ord := hb.MigrateACGs[0]
-	if ord.Dest != "b" {
-		t.Errorf("order dest = %s, want b", ord.Dest)
+	ord := ordersOf(hb, proto.OrderMigrate)[0]
+	if ord.Dest.Node != "b" {
+		t.Errorf("order dest = %s, want b", ord.Dest.Node)
 	}
 	st, err := m.ClusterStats(context.Background(), proto.ClusterStatsReq{})
 	if err != nil {
@@ -507,8 +519,8 @@ func TestRebalancerOrdersHottestGroupOffOverloadedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb2.MigrateACGs) != 1 || hb2.MigrateACGs[0].ACG != ord.ACG {
-		t.Errorf("failed transfer should re-arm and re-order %d, got %+v", ord.ACG, hb2.MigrateACGs)
+	if len(ordersOf(hb2, proto.OrderMigrate)) != 1 || ordersOf(hb2, proto.OrderMigrate)[0].ACG != ord.ACG {
+		t.Errorf("failed transfer should re-arm and re-order %d, got %+v", ord.ACG, ordersOf(hb2, proto.OrderMigrate))
 	}
 	// MigrateReport rebinds and clears the in-flight mark.
 	epochBefore := m.PlacementEpoch()
@@ -582,8 +594,8 @@ func TestMigrationDestHeartbeatNotDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range hb.DropACGs {
-		if d == acg {
+	for _, d := range ordersOf(hb, proto.OrderDrop) {
+		if d.ACG == acg {
 			t.Fatal("in-flight migration destination ordered to drop the group it just received")
 		}
 	}
@@ -622,8 +634,8 @@ func TestRecoverOrdersReissuedUntilReported(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(hb.RecoverACGs) != 1 || hb.RecoverACGs[0] != acg {
-			t.Fatalf("round %d recover orders = %v, want [%d]", round, hb.RecoverACGs, acg)
+		if len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != acg {
+			t.Fatalf("round %d recover orders = %v, want [%d]", round, ordersOf(hb, proto.OrderRecover), acg)
 		}
 	}
 	// The owner's report confirms the adoption; no further orders.
@@ -632,8 +644,8 @@ func TestRecoverOrdersReissuedUntilReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.RecoverACGs) != 0 {
-		t.Fatalf("post-report recover orders = %v, want none", hb.RecoverACGs)
+	if len(ordersOf(hb, proto.OrderRecover)) != 0 {
+		t.Fatalf("post-report recover orders = %v, want none", ordersOf(hb, proto.OrderRecover))
 	}
 }
 
@@ -678,8 +690,8 @@ func TestPendingRecoverSurvivesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.RecoverACGs) != 1 || hb.RecoverACGs[0] != acg {
-		t.Fatalf("restored master recover orders = %v, want [%d]", hb.RecoverACGs, acg)
+	if len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != acg {
+		t.Fatalf("restored master recover orders = %v, want [%d]", ordersOf(hb, proto.OrderRecover), acg)
 	}
 }
 
@@ -729,26 +741,26 @@ func TestRebalancerOverloadReactsToQueueDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.MigrateACGs) != 0 {
-		t.Fatalf("balanced b heartbeat ordered %+v", hb.MigrateACGs)
+	if len(ordersOf(hb, proto.OrderMigrate)) != 0 {
+		t.Fatalf("balanced b heartbeat ordered %+v", ordersOf(hb, proto.OrderMigrate))
 	}
 	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "a", ACGs: aOwned})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.MigrateACGs) != 0 {
-		t.Fatalf("file-balanced, queue-quiet heartbeat ordered %+v", hb.MigrateACGs)
+	if len(ordersOf(hb, proto.OrderMigrate)) != 0 {
+		t.Fatalf("file-balanced, queue-quiet heartbeat ordered %+v", ordersOf(hb, proto.OrderMigrate))
 	}
 	// Same file counts, but now a reports a deep admission queue.
 	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "a", ACGs: aOwned, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.MigrateACGs) != 1 {
-		t.Fatalf("queue-hot heartbeat orders = %+v, want exactly 1", hb.MigrateACGs)
+	if len(ordersOf(hb, proto.OrderMigrate)) != 1 {
+		t.Fatalf("queue-hot heartbeat orders = %+v, want exactly 1", ordersOf(hb, proto.OrderMigrate))
 	}
-	if hb.MigrateACGs[0].Dest != "b" {
-		t.Errorf("queue-driven order dest = %s, want the shallow peer b", hb.MigrateACGs[0].Dest)
+	if ordersOf(hb, proto.OrderMigrate)[0].Dest.Node != "b" {
+		t.Errorf("queue-driven order dest = %s, want the shallow peer b", ordersOf(hb, proto.OrderMigrate)[0].Dest.Node)
 	}
 	st, err := m.ClusterStats(context.Background(), proto.ClusterStatsReq{})
 	if err != nil {
@@ -789,8 +801,8 @@ func TestRebalancerOverloadIgnoresShallowQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.MigrateACGs) != 0 {
+	if len(ordersOf(hb, proto.OrderMigrate)) != 0 {
 		t.Errorf("shallow queue (depth %d) ordered a migration: %+v",
-			minRebalanceQueueDepth-1, hb.MigrateACGs)
+			minRebalanceQueueDepth-1, ordersOf(hb, proto.OrderMigrate))
 	}
 }

@@ -38,11 +38,11 @@ func TestReplayedGroupIsReplicatedAgain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 && (len(hb.RecoverACGs) != 1 || hb.RecoverACGs[0] != id) {
-			t.Fatalf("recover orders = %v, want [%d]", hb.RecoverACGs, id)
+		if i == 0 && (len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != id) {
+			t.Fatalf("recover orders = %v, want [%d]", ordersOf(hb, proto.OrderRecover), id)
 		}
-		for _, o := range hb.ReplicateACGs {
-			if o.Dest == other {
+		for _, o := range ordersOf(hb, proto.OrderReplicate) {
+			if o.Dest.Node == other {
 				t.Fatalf("heartbeat %d tells primary %s to replicate acg %d to itself", i, other, o.ACG)
 			}
 		}
@@ -54,8 +54,8 @@ func TestReplayedGroupIsReplicatedAgain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.ReplicateACGs) != 1 || hb.ReplicateACGs[0].Dest != owner {
-		t.Fatalf("replicate orders after %s returned = %+v, want one to %s", owner, hb.ReplicateACGs, owner)
+	if len(ordersOf(hb, proto.OrderReplicate)) != 1 || ordersOf(hb, proto.OrderReplicate)[0].Dest.Node != owner {
+		t.Fatalf("replicate orders after %s returned = %+v, want one to %s", owner, ordersOf(hb, proto.OrderReplicate), owner)
 	}
 }
 

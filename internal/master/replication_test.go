@@ -58,11 +58,11 @@ func TestHeartbeatOrdersReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.ReplicateACGs) != 1 {
-		t.Fatalf("replicate orders = %v, want exactly one (k=2)", hb.ReplicateACGs)
+	if len(ordersOf(hb, proto.OrderReplicate)) != 1 {
+		t.Fatalf("replicate orders = %v, want exactly one (k=2)", ordersOf(hb, proto.OrderReplicate))
 	}
-	ord := hb.ReplicateACGs[0]
-	if ord.ACG != id || ord.Dest == owner {
+	ord := ordersOf(hb, proto.OrderReplicate)[0]
+	if ord.ACG != id || ord.Dest.Node == owner {
 		t.Fatalf("bad replicate order %+v (owner %s)", ord, owner)
 	}
 
@@ -79,7 +79,7 @@ func TestHeartbeatOrdersReplication(t *testing.T) {
 
 	epochBefore := look.Epoch
 	rep, err := m.ReplicateReport(context.Background(), proto.ReplicateReportReq{
-		Node: owner, ACG: id, Dest: ord.Dest})
+		Node: owner, ACG: id, Dest: ord.Dest.Node})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestHeartbeatOrdersReplication(t *testing.T) {
 	for _, rt := range look.Routes {
 		if rt.ACG == id {
 			for _, f := range rt.Followers {
-				if f.Node == ord.Dest {
+				if f.Node == ord.Dest.Node {
 					seeded = true
 				}
 			}
@@ -106,12 +106,12 @@ func TestHeartbeatOrdersReplication(t *testing.T) {
 
 	// The order is not re-issued once the replica is registered and seeded.
 	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{
-		Node: owner, ACGs: []proto.ACGMeta{{ACG: id, Files: 1, Followers: []proto.NodeID{ord.Dest}}}})
+		Node: owner, ACGs: []proto.ACGMeta{{ACG: id, Files: 1, Followers: []proto.NodeID{ord.Dest.Node}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.ReplicateACGs) != 0 {
-		t.Errorf("seeded replica re-ordered: %v", hb.ReplicateACGs)
+	if len(ordersOf(hb, proto.OrderReplicate)) != 0 {
+		t.Errorf("seeded replica re-ordered: %v", ordersOf(hb, proto.OrderReplicate))
 	}
 }
 
@@ -132,11 +132,11 @@ func TestPromotionPicksMostCaughtUpFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.ReplicateACGs) != 2 {
-		t.Fatalf("replicate orders = %v, want two (k=3)", hb.ReplicateACGs)
+	if len(ordersOf(hb, proto.OrderReplicate)) != 2 {
+		t.Fatalf("replicate orders = %v, want two (k=3)", ordersOf(hb, proto.OrderReplicate))
 	}
-	for _, ord := range hb.ReplicateACGs {
-		if _, err := m.ReplicateReport(ctx, proto.ReplicateReportReq{Node: "a", ACG: id, Dest: ord.Dest}); err != nil {
+	for _, ord := range ordersOf(hb, proto.OrderReplicate) {
+		if _, err := m.ReplicateReport(ctx, proto.ReplicateReportReq{Node: "a", ACG: id, Dest: ord.Dest.Node}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,21 +178,21 @@ func TestPromotionPicksMostCaughtUpFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hbB.PromoteACGs) != 0 {
-		t.Errorf("promotion went to the lagging follower b: %+v", hbB.PromoteACGs)
+	if len(ordersOf(hbB, proto.OrderPromote)) != 0 {
+		t.Errorf("promotion went to the lagging follower b: %+v", ordersOf(hbB, proto.OrderPromote))
 	}
-	if len(hbB.RecoverACGs) != 0 {
-		t.Errorf("recover orders issued despite a live follower: %v", hbB.RecoverACGs)
+	if len(ordersOf(hbB, proto.OrderRecover)) != 0 {
+		t.Errorf("recover orders issued despite a live follower: %v", ordersOf(hbB, proto.OrderRecover))
 	}
 	hbC, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "c", ACGs: []proto.ACGMeta{
 		{ACG: id, Follower: true, ReplSeq: 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hbC.PromoteACGs) != 1 {
-		t.Fatalf("most-caught-up follower c got %d promote orders, want 1", len(hbC.PromoteACGs))
+	if len(ordersOf(hbC, proto.OrderPromote)) != 1 {
+		t.Fatalf("most-caught-up follower c got %d promote orders, want 1", len(ordersOf(hbC, proto.OrderPromote)))
 	}
-	ord := hbC.PromoteACGs[0]
+	ord := ordersOf(hbC, proto.OrderPromote)[0]
 	if ord.ACG != id {
 		t.Errorf("promote order for acg %d, want %d", ord.ACG, id)
 	}
@@ -226,16 +226,16 @@ func TestPromotionPicksMostCaughtUpFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hbC2.PromoteACGs) != 1 {
-		t.Errorf("unadopted promote order not re-issued: %v", hbC2.PromoteACGs)
+	if len(ordersOf(hbC2, proto.OrderPromote)) != 1 {
+		t.Errorf("unadopted promote order not re-issued: %v", ordersOf(hbC2, proto.OrderPromote))
 	}
 	hbC3, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "c", ACGs: []proto.ACGMeta{
 		{ACG: id, Files: 1, ReplSeq: 10}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hbC3.PromoteACGs) != 0 {
-		t.Errorf("adopted promote order still re-issued: %v", hbC3.PromoteACGs)
+	if len(ordersOf(hbC3, proto.OrderPromote)) != 0 {
+		t.Errorf("adopted promote order still re-issued: %v", ordersOf(hbC3, proto.OrderPromote))
 	}
 	// Mappings resolve to the promoted primary.
 	look, err := m.LookupFiles(ctx, proto.LookupFilesReq{Files: []index.FileID{1}})
@@ -267,11 +267,11 @@ func TestPromotionFallsBackToReplayWhenNoFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.PromoteACGs) != 0 {
-		t.Errorf("promotion ordered with no seeded follower: %+v", hb.PromoteACGs)
+	if len(ordersOf(hb, proto.OrderPromote)) != 0 {
+		t.Errorf("promotion ordered with no seeded follower: %+v", ordersOf(hb, proto.OrderPromote))
 	}
-	if len(hb.RecoverACGs) != 1 || hb.RecoverACGs[0] != id {
-		t.Errorf("recover orders = %v, want [%d]", hb.RecoverACGs, id)
+	if len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != id {
+		t.Errorf("recover orders = %v, want [%d]", ordersOf(hb, proto.OrderRecover), id)
 	}
 	st, err := m.ClusterStats(ctx, proto.ClusterStatsReq{})
 	if err != nil {
@@ -293,7 +293,7 @@ func TestCutFollowerUnseededAndReseeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dest := hb.ReplicateACGs[0].Dest
+	dest := ordersOf(hb, proto.OrderReplicate)[0].Dest.Node
 	if _, err := m.ReplicateReport(ctx, proto.ReplicateReportReq{Node: owner, ACG: id, Dest: dest}); err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +322,8 @@ func TestCutFollowerUnseededAndReseeded(t *testing.T) {
 	if st.PlacementEpoch <= epochBefore {
 		t.Error("unseeding a cut follower should bump the epoch")
 	}
-	if len(hb.ReplicateACGs) != 1 || hb.ReplicateACGs[0].Dest != dest {
-		t.Errorf("cut follower not re-ordered for seeding: %v", hb.ReplicateACGs)
+	if len(ordersOf(hb, proto.OrderReplicate)) != 1 || ordersOf(hb, proto.OrderReplicate)[0].Dest.Node != dest {
+		t.Errorf("cut follower not re-ordered for seeding: %v", ordersOf(hb, proto.OrderReplicate))
 	}
 }
 
@@ -337,7 +337,7 @@ func TestReplicationSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dest := hb.ReplicateACGs[0].Dest
+	dest := ordersOf(hb, proto.OrderReplicate)[0].Dest.Node
 	if _, err := m.ReplicateReport(ctx, proto.ReplicateReportReq{Node: owner, ACG: id, Dest: dest}); err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +371,8 @@ func TestReplicationSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb2.PromoteACGs) != 1 || hb2.PromoteACGs[0].ACG != id || hb2.PromoteACGs[0].Seq != 7 {
-		t.Fatalf("restored master promote orders = %+v, want acg %d seq 7", hb2.PromoteACGs, id)
+	if len(ordersOf(hb2, proto.OrderPromote)) != 1 || ordersOf(hb2, proto.OrderPromote)[0].ACG != id || ordersOf(hb2, proto.OrderPromote)[0].Seq != 7 {
+		t.Fatalf("restored master promote orders = %+v, want acg %d seq 7", ordersOf(hb2, proto.OrderPromote), id)
 	}
 	st, err := m2.ClusterStats(ctx, proto.ClusterStatsReq{})
 	if err != nil {
@@ -398,7 +398,7 @@ func TestMigrationRefusedDuringPendingPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dest := hb.ReplicateACGs[0].Dest
+	dest := ordersOf(hb, proto.OrderReplicate)[0].Dest.Node
 	if _, err := m.ReplicateReport(ctx, proto.ReplicateReportReq{Node: owner, ACG: id, Dest: dest}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -264,24 +265,27 @@ func (w *world) heartbeat(n *simNode) {
 		w.logf("heartbeat %s: %v", n.id, err)
 		return
 	}
-	w.logf("heartbeat %s %v → recover %v drop %v promote %v split %v migrate %v replicate %v epoch %d",
-		n.id, req.ACGs, resp.RecoverACGs, resp.DropACGs, resp.PromoteACGs, resp.SplitACGs,
-		resp.MigrateACGs, resp.ReplicateACGs, resp.Epoch)
-	v = viewOf(w.m)
-	for _, o := range resp.ReplicateACGs {
-		if o.Dest == n.id {
-			w.failf("heartbeat reply tells %s, the primary of acg %d, to replicate to itself", n.id, o.ACG)
-		}
+	w.logf("heartbeat %s %v → orders %v epoch %d", n.id, req.ACGs, resp.Orders, resp.Epoch)
+	if !slices.IsSortedFunc(resp.Orders, func(a, b proto.Order) int { return cmp.Compare(a.Kind, b.Kind) }) {
+		w.failf("heartbeat reply to %s lists its orders out of execution sequence: %v", n.id, resp.Orders)
 	}
-	for _, o := range resp.MigrateACGs {
-		if dest, ok := w.forced[o.ACG]; ok && dest == o.Dest {
-			delete(w.forced, o.ACG)
-			continue
-		}
-		gap, files := v.load[n.id]-v.load[o.Dest], v.groups[o.ACG].files
-		if files <= 0 || files >= gap {
-			w.failf("rebalance moves acg %d (%d files) %s → %s across a gap of %d: it does not narrow",
-				o.ACG, files, n.id, o.Dest, gap)
+	v = viewOf(w.m)
+	for _, o := range resp.Orders {
+		switch dest := o.Dest.Node; o.Kind {
+		case proto.OrderReplicate:
+			if dest == n.id {
+				w.failf("heartbeat reply tells %s, the primary of acg %d, to replicate to itself", n.id, o.ACG)
+			}
+		case proto.OrderMigrate:
+			if forced, ok := w.forced[o.ACG]; ok && forced == dest {
+				delete(w.forced, o.ACG)
+				continue
+			}
+			gap, files := v.load[n.id]-v.load[dest], v.groups[o.ACG].files
+			if files <= 0 || files >= gap {
+				w.failf("rebalance moves acg %d (%d files) %s → %s across a gap of %d: it does not narrow",
+					o.ACG, files, n.id, dest, gap)
+			}
 		}
 	}
 	if w.fails() {
@@ -291,9 +295,9 @@ func (w *world) heartbeat(n *simNode) {
 	n.inbox = &resp
 }
 
-// execute runs the orders the node holds, in a real node's order: recover,
-// drop, promote, split, migrate, replicate; a failed split, migration or
-// seeding stops the rest of its kind.
+// execute runs the orders the node holds as a real node does: in the
+// reply's sequence, a failed recovery or promotion skipping nothing and a
+// failed split, migration or seeding skipping the later orders of its kind.
 func (w *world) execute(n *simNode) {
 	resp := n.inbox
 	if resp == nil {
@@ -301,50 +305,50 @@ func (w *world) execute(n *simNode) {
 	}
 	n.inbox, n.busy = nil, true
 	defer func() { n.busy = false }()
-	for _, id := range resp.RecoverACGs {
-		if w.fails() {
-			w.logf("%s fails to recover acg %d", n.id, id)
+	failed := map[proto.OrderKind]bool{}
+	for _, o := range resp.Orders {
+		if failed[o.Kind] {
 			continue
 		}
-		// The shared image installs into whatever copy the node holds.
-		if n.copies[id] == nil {
-			n.install(id, &simCopy{})
-		}
-	}
-	for _, id := range resp.DropACGs {
-		n.release(id)
-	}
-	for _, o := range resp.PromoteACGs {
-		if w.fails() {
-			w.logf("%s fails to promote acg %d", n.id, o.ACG)
-			continue
-		}
-		c := n.copies[o.ACG]
-		if c == nil {
-			c = &simCopy{}
-			n.install(o.ACG, c)
-		}
-		c.follower, c.reps, c.seq = false, nil, max(c.seq, o.Seq)
-		for _, r := range o.Followers {
-			if r.Node != n.id {
-				c.reps = append(c.reps, r.Node)
+		ok := true
+		switch o.Kind {
+		case proto.OrderRecover:
+			if w.fails() {
+				w.logf("%s fails to recover acg %d", n.id, o.ACG)
+				continue
 			}
+			// The shared image installs into whatever copy the node holds.
+			if n.copies[o.ACG] == nil {
+				n.install(o.ACG, &simCopy{})
+			}
+		case proto.OrderDrop:
+			n.release(o.ACG)
+		case proto.OrderPromote:
+			if w.fails() {
+				w.logf("%s fails to promote acg %d", n.id, o.ACG)
+				continue
+			}
+			c := n.copies[o.ACG]
+			if c == nil {
+				c = &simCopy{}
+				n.install(o.ACG, c)
+			}
+			c.follower, c.reps, c.seq = false, nil, max(c.seq, o.Seq)
+			for _, r := range o.Followers {
+				if r.Node != n.id {
+					c.reps = append(c.reps, r.Node)
+				}
+			}
+		case proto.OrderSplit:
+			ok = w.split(n, o.ACG)
+		case proto.OrderMigrate:
+			ok = w.migrate(n, o)
+		case proto.OrderReplicate:
+			ok = w.replicate(n, o)
+		default:
+			w.failf("%s holds an order of unknown kind: %+v", n.id, o)
 		}
-	}
-	for _, id := range resp.SplitACGs {
-		if !w.split(n, id) {
-			break
-		}
-	}
-	for _, o := range resp.MigrateACGs {
-		if !w.migrate(n, o) {
-			break
-		}
-	}
-	for _, o := range resp.ReplicateACGs {
-		if !w.replicate(n, o) {
-			break
-		}
+		failed[o.Kind] = !ok
 	}
 }
 
@@ -386,16 +390,16 @@ func (w *world) split(n *simNode, id proto.ACGID) bool {
 	return true
 }
 
-func (w *world) migrate(n *simNode, o proto.MigrateOrder) bool {
+func (w *world) migrate(n *simNode, o proto.Order) bool {
 	c := n.copies[o.ACG]
-	if o.Dest == n.id || c == nil {
+	if o.Dest.Node == n.id || c == nil {
 		return true
 	}
 	if w.fails() {
-		w.logf("%s fails to ship acg %d to %s", n.id, o.ACG, o.Dest)
+		w.logf("%s fails to ship acg %d to %s", n.id, o.ACG, o.Dest.Node)
 		return false
 	}
-	dest := w.node(o.Dest)
+	dest := w.node(o.Dest.Node)
 	w.transfer(dest, o.ACG, &simCopy{seq: c.seq})
 	if dest.up && !dest.busy && w.rng.Intn(2) == 0 {
 		w.heartbeat(dest) // the destination's heartbeat races the report
@@ -404,8 +408,8 @@ func (w *world) migrate(n *simNode, o proto.MigrateOrder) bool {
 		w.logf("%s: migrate report for acg %d lost", n.id, o.ACG)
 		return false
 	}
-	_, err := w.m.MigrateReport(context.Background(), proto.MigrateReportReq{Node: n.id, ACG: o.ACG, Dest: o.Dest})
-	w.logf("%s migrates acg %d to %s (%v)", n.id, o.ACG, o.Dest, err)
+	_, err := w.m.MigrateReport(context.Background(), proto.MigrateReportReq{Node: n.id, ACG: o.ACG, Dest: dest.id})
+	w.logf("%s migrates acg %d to %s (%v)", n.id, o.ACG, dest.id, err)
 	if err != nil || w.fails() {
 		return false // refused, or the reply was lost: the source keeps its copy
 	}
@@ -413,22 +417,22 @@ func (w *world) migrate(n *simNode, o proto.MigrateOrder) bool {
 	return true
 }
 
-func (w *world) replicate(n *simNode, o proto.MigrateOrder) bool {
-	c := n.copies[o.ACG]
-	if o.Dest == n.id || c == nil || c.follower || slices.Contains(c.reps, o.Dest) {
+func (w *world) replicate(n *simNode, o proto.Order) bool {
+	c, dest := n.copies[o.ACG], o.Dest.Node
+	if dest == n.id || c == nil || c.follower || slices.Contains(c.reps, dest) {
 		return true
 	}
 	if w.fails() {
-		w.logf("%s fails to seed acg %d on %s", n.id, o.ACG, o.Dest)
+		w.logf("%s fails to seed acg %d on %s", n.id, o.ACG, dest)
 		return false
 	}
-	w.transfer(w.node(o.Dest), o.ACG, &simCopy{follower: true, seq: c.seq})
+	w.transfer(w.node(dest), o.ACG, &simCopy{follower: true, seq: c.seq})
 	if w.reaches(n) {
 		// Best effort: the follower's own heartbeat proves the copy too.
-		_, err := w.m.ReplicateReport(context.Background(), proto.ReplicateReportReq{Node: n.id, ACG: o.ACG, Dest: o.Dest})
-		w.logf("%s seeds acg %d on %s (%v)", n.id, o.ACG, o.Dest, err)
+		_, err := w.m.ReplicateReport(context.Background(), proto.ReplicateReportReq{Node: n.id, ACG: o.ACG, Dest: dest})
+		w.logf("%s seeds acg %d on %s (%v)", n.id, o.ACG, dest, err)
 	}
-	c.reps = append(c.reps, o.Dest)
+	c.reps = append(c.reps, dest)
 	return true
 }
 
@@ -603,8 +607,7 @@ func (w *world) settle() {
 				continue
 			}
 			w.heartbeat(n)
-			if r := n.inbox; r != nil && len(r.RecoverACGs)+len(r.DropACGs)+len(r.PromoteACGs)+len(r.SplitACGs)+
-				len(r.MigrateACGs)+len(r.ReplicateACGs) > 0 {
+			if r := n.inbox; r != nil && len(r.Orders) > 0 {
 				quiet = false
 			}
 			w.execute(n)
@@ -723,8 +726,8 @@ func viewOf(m *Master) view {
 		for _, r := range info.Replicas {
 			g.replicas = append(g.replicas, replicaView{node: r.Node, seeded: r.Seeded, seq: r.Seq})
 		}
-		if info.Pending.Kind != noOrder {
-			g.pending = fmt.Sprintf("%+v", info.Pending)
+		if info.Pending.Kind != 0 {
+			g.pending = fmt.Sprintf("%+v delivered=%v", info.Pending, info.Delivered)
 		}
 		v.groups[id] = g
 	}

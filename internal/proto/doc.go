@@ -8,8 +8,8 @@
 // Group (an index partition), an IndexSpec declares a named B-tree, hash or
 // K-D index over file attributes, and the request/response pairs cover the
 // three planes of the system — data (UpdateReq/SearchReq), causality
-// (FlushACGReq, CreateACGReq, ReceiveACGStreamMeta) and control
-// (HeartbeatReq, SplitACGReq, NodeStatsReq and friends). Method name
+// (FlushACGReq, ReceiveACGStreamMeta) and control (HeartbeatReq, whose
+// reply carries the Master's Orders, NodeStatsReq and friends). Method name
 // constants bind each pair to its rpc dispatch label.
 //
 // Everything here is plain data: no methods with behaviour, no internal

@@ -129,8 +129,6 @@ type ACGMeta struct {
 type HeartbeatReq struct {
 	Node NodeID
 	ACGs []ACGMeta
-	// FreeFiles is the remaining capacity.
-	FreeFiles int64
 	// QueueDepth is the number of requests in the node's admission queue
 	// (in-flight Update/Search handlers) at heartbeat time — the load
 	// signal the rebalancer uses to move groups off queue-hot nodes even
@@ -143,30 +141,10 @@ type HeartbeatReq struct {
 
 // HeartbeatResp carries Master instructions back to the node.
 type HeartbeatResp struct {
-	// SplitACGs lists groups the Master wants partitioned (grown past the
-	// threshold).
-	SplitACGs []ACGID
-	// RecoverACGs lists groups the Master re-placed onto this node after
-	// their previous owner died: the node adopts each from shared storage
-	// (checkpoint image + WAL replay), the paper's recovery path.
-	RecoverACGs []ACGID
-	// MigrateACGs lists groups the Master wants moved off this node (load
-	// rebalancing); the node runs the TransferACG protocol for each.
-	MigrateACGs []MigrateOrder
-	// DropACGs lists groups this node reported but no longer owns — they
-	// were migrated or recovered elsewhere while the node was silent. The
-	// node releases its stale copy (the current owner has the data).
-	DropACGs []ACGID
-	// PromoteACGs lists follower groups on this node the Master promoted to
-	// primary after their previous primary died. Re-issued every heartbeat
-	// until the node reports the group as primary (at-least-once, like
-	// recover orders).
-	PromoteACGs []PromoteOrder
-	// ReplicateACGs lists groups this node owns as primary that need a
-	// follower seeded: the node ships a group image to each destination
-	// (MethodReceiveACGChunked) and then streams acknowledged WAL frames to
-	// it. Re-issued until the follower's own heartbeat confirms the copy.
-	ReplicateACGs []MigrateOrder
+	// Orders is everything the Master wants of this node, in the sequence
+	// the node executes it: sorted by Kind, in the Master's order within a
+	// kind.
+	Orders []Order
 	// Epoch is the Master's current placement epoch.
 	Epoch Epoch
 	// LeaseNanos is the primary lease the Master grants with this reply:
@@ -180,24 +158,70 @@ type HeartbeatResp struct {
 	LeaseNanos int64
 }
 
-// MigrateOrder instructs a node to transfer one of its groups to a peer
-// (or, as a replicate order, to seed a follower copy there).
-type MigrateOrder struct {
-	ACG  ACGID
-	Dest NodeID
-	Addr string
+// OrderKind names what an order tells a node to do. The kinds are numbered
+// in the sequence a node executes them: a group must exist before it can be
+// split, moved or copied, and a stale copy goes before anything ships.
+type OrderKind uint8
+
+// Order kinds.
+const (
+	// OrderRecover: the Master re-placed the group onto this node after its
+	// previous owner died; the node adopts it from shared storage
+	// (checkpoint image + WAL replay), the paper's recovery path. Re-issued
+	// every heartbeat until the node reports the group as its primary.
+	OrderRecover OrderKind = iota + 1
+	// OrderDrop: the node reported a copy it no longer holds a place for —
+	// the group moved or was retired while the node was silent. The node
+	// releases the copy (the current owner has the data).
+	OrderDrop
+	// OrderPromote: the node's follower copy becomes the primary after the
+	// previous primary died. Re-issued like a recover order.
+	OrderPromote
+	// OrderSplit: the group grew past the split threshold; the node
+	// partitions it.
+	OrderSplit
+	// OrderMigrate: the node ships the group to Dest and hands it over (load
+	// rebalancing or an operator's move).
+	OrderMigrate
+	// OrderReplicate: the node ships the group's image to Dest as a
+	// follower copy and then streams acknowledged WAL frames to it.
+	// Re-issued until the follower's own heartbeat confirms the copy.
+	OrderReplicate
+)
+
+// String implements fmt.Stringer.
+func (k OrderKind) String() string {
+	switch k {
+	case OrderRecover:
+		return "recover"
+	case OrderDrop:
+		return "drop"
+	case OrderPromote:
+		return "promote"
+	case OrderSplit:
+		return "split"
+	case OrderMigrate:
+		return "migrate"
+	case OrderReplicate:
+		return "replicate"
+	default:
+		return "unknown"
+	}
 }
 
-// PromoteOrder instructs a node to promote its follower copy of a group to
-// primary.
-type PromoteOrder struct {
-	ACG ACGID
-	// Seq is the dead primary's last heartbeat-reported replication
-	// sequence. A promoting follower behind it provably missed acknowledged
-	// frames and reconciles the shared-store WAL tail before serving.
+// Order is one instruction a heartbeat reply carries.
+type Order struct {
+	Kind OrderKind
+	ACG  ACGID
+	// Dest is where a migrate or replicate order ships the group.
+	Dest ReplicaRef
+	// Seq (promote) is the dead primary's last heartbeat-reported
+	// replication sequence. A promoting follower behind it provably missed
+	// acknowledged frames and reconciles the shared-store WAL tail before
+	// serving.
 	Seq uint64
-	// Followers is the surviving replica set: the new primary adopts it as
-	// its streaming ack set.
+	// Followers (promote) is the surviving replica set: the new primary
+	// adopts it as its streaming ack set.
 	Followers []ReplicaRef
 }
 
@@ -398,8 +422,6 @@ const (
 	MethodUpdate         = "in.Update"
 	MethodSearch         = "in.Search"
 	MethodFlushACG       = "in.FlushACG"
-	MethodCreateACG      = "in.CreateACG"
-	MethodSplitACG       = "in.SplitACG"
 	MethodNodeStats      = "in.NodeStats"
 	MethodFollowerAppend = "in.FollowerAppend"
 	// MethodReceiveACGChunked transfers an ACG to a new home node: the
@@ -576,36 +598,9 @@ type FlushACGResp struct {
 	OK bool
 }
 
-// CreateACGReq provisions an empty group on the node.
-type CreateACGReq struct {
-	ACG ACGID
-	// Files pre-declares group membership.
-	Files []index.FileID
-}
-
-// CreateACGResp acknowledges creation.
-type CreateACGResp struct {
-	OK bool
-}
-
 // ReceiveACGResp acknowledges the transfer.
 type ReceiveACGResp struct {
 	OK bool
-}
-
-// SplitACGReq instructs the node to background-partition an oversized group.
-type SplitACGReq struct {
-	ACG ACGID
-}
-
-// SplitACGResp reports the result of the split.
-type SplitACGResp struct {
-	// Moved is the number of files migrated to the new group.
-	Moved int
-	// NewACG is the id the Master assigned.
-	NewACG ACGID
-	// CutWeight is the partition cut (inter-group accesses).
-	CutWeight int64
 }
 
 // FollowerAppendReq streams one acknowledged WAL frame from a group's

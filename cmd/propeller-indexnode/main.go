@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -20,6 +21,7 @@ import (
 
 	"propeller/internal/indexnode"
 	"propeller/internal/pagestore"
+	"propeller/internal/perr"
 	"propeller/internal/proto"
 	"propeller/internal/rpc"
 	"propeller/internal/simdisk"
@@ -40,7 +42,7 @@ func run() error {
 		masterAddr    = flag.String("master", "127.0.0.1:7070", "master node address")
 		poolPages     = flag.Int("pool-pages", 32768, "buffer pool pages (8 KiB each)")
 		commitTimeout = flag.Duration("commit-timeout", 5*time.Second, "lazy index-cache timeout")
-		heartbeat     = flag.Duration("heartbeat", 5*time.Second, "heartbeat interval")
+		interval      = flag.Duration("heartbeat", 5*time.Second, "heartbeat interval")
 	)
 	flag.Parse()
 
@@ -75,11 +77,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := rpc.Call[proto.RegisterNodeReq, proto.RegisterNodeResp](
-		context.Background(), masterConn, proto.MethodRegisterNode, proto.RegisterNodeReq{
-			Node: proto.NodeID(*id), Addr: "tcp:" + ln.Addr().String(), CapacityFiles: 1 << 40,
-		}); err != nil {
-		return fmt.Errorf("register with master: %w", err)
+	reg := proto.RegisterNodeReq{Node: proto.NodeID(*id), Addr: "tcp:" + ln.Addr().String(), CapacityFiles: 1 << 40}
+	if err := register(context.Background(), masterConn, reg); err != nil {
+		return err
 	}
 	log.Printf("index node %s listening on %s (master %s)", *id, ln.Addr(), *masterAddr)
 
@@ -91,18 +91,18 @@ func run() error {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	ticker := time.NewTicker(*heartbeat)
+	ticker := time.NewTicker(*interval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
 			// The virtual clock tracks wall time in live deployments so
 			// the commit timeout fires.
-			clk.Advance(*heartbeat)
+			clk.Advance(*interval)
 			if err := node.Tick(); err != nil {
 				log.Printf("tick: %v", err)
 			}
-			if err := node.Heartbeat(context.Background()); err != nil {
+			if err := heartbeat(context.Background(), node, masterConn, reg); err != nil {
 				log.Printf("heartbeat: %v", err)
 			}
 		case <-stop:
@@ -114,4 +114,27 @@ func run() error {
 			return nil
 		}
 	}
+}
+
+// register announces the node to the Master.
+func register(ctx context.Context, master *rpc.Client, reg proto.RegisterNodeReq) error {
+	if _, err := rpc.Call[proto.RegisterNodeReq, proto.RegisterNodeResp](
+		ctx, master, proto.MethodRegisterNode, reg); err != nil {
+		return fmt.Errorf("register with master: %w", err)
+	}
+	return nil
+}
+
+// heartbeat runs one heartbeat. A Master that no longer knows the node
+// restarted from a snapshot since it registered: the node registers again
+// and heartbeats once more.
+func heartbeat(ctx context.Context, node *indexnode.Node, master *rpc.Client, reg proto.RegisterNodeReq) error {
+	err := node.Heartbeat(ctx)
+	if !errors.Is(err, perr.ErrUnknownNode) {
+		return err
+	}
+	if err := register(ctx, master, reg); err != nil {
+		return err
+	}
+	return node.Heartbeat(ctx)
 }

@@ -18,6 +18,7 @@ import (
 	"propeller/internal/indexnode"
 	"propeller/internal/master"
 	"propeller/internal/pagestore"
+	"propeller/internal/perr"
 	"propeller/internal/proto"
 	"propeller/internal/rpc"
 	"propeller/internal/sharedstore"
@@ -218,12 +219,16 @@ func (c *Cluster) bootNode(i int) (*indexnode.Node, *simdisk.Disk, *pagestore.St
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
-	if _, err := c.master.RegisterNode(context.Background(), proto.RegisterNodeReq{
-		Node: node.ID(), Addr: addr, CapacityFiles: 1 << 40,
-	}); err != nil {
+	if err := c.register(node.ID(), addr); err != nil {
 		return nil, nil, nil, "", err
 	}
 	return node, disk, store, addr, nil
+}
+
+// register announces a node at addr to the Master.
+func (c *Cluster) register(id proto.NodeID, addr string) error {
+	_, err := c.master.RegisterNode(context.Background(), proto.RegisterNodeReq{Node: id, Addr: addr, CapacityFiles: 1 << 40})
+	return err
 }
 
 // expose publishes an RPC server under a dialable address.
@@ -429,13 +434,20 @@ func (c *Cluster) Tick() error {
 // recoveries, drops). With failover enabled this round is also the failure
 // detector — the first surviving reporter triggers the sweep that
 // re-places a dead node's groups, and later reporters in the same round
-// pick up their recover orders.
+// pick up their recover orders. A node the Master no longer knows (it
+// restarted from a snapshot) registers again and heartbeats once more.
 func (c *Cluster) Heartbeat(ctx context.Context) error {
 	for i, n := range c.nodes {
 		if !c.alive(i) {
 			continue
 		}
-		if err := n.Heartbeat(ctx); err != nil {
+		err := n.Heartbeat(ctx)
+		if errors.Is(err, perr.ErrUnknownNode) {
+			if err = c.register(n.ID(), c.nodeAddrs[i]); err == nil {
+				err = n.Heartbeat(ctx)
+			}
+		}
+		if err != nil {
 			return err
 		}
 	}

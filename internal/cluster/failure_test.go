@@ -10,6 +10,7 @@ import (
 	"propeller/internal/client"
 	"propeller/internal/index"
 	"propeller/internal/indexnode"
+	"propeller/internal/master"
 	"propeller/internal/pagestore"
 	"propeller/internal/proto"
 	"propeller/internal/sharedstore"
@@ -537,6 +538,56 @@ func TestRebalanceDrainsOverloadedNode(t *testing.T) {
 	}
 	if len(res.Files) != 200 {
 		t.Fatalf("post-rebalance search = %d files, want 200", len(res.Files))
+	}
+}
+
+// TestMasterRestartNodesRegisterAgain: a Master restarted from its own
+// snapshot holds every group but no node's address, so it refuses their
+// heartbeats. The cluster's heartbeat round registers each node again and
+// heartbeats once more, and the nodes get their orders: here, the split
+// of a group that grew past the threshold before the restart.
+func TestMasterRestartNodesRegisterAgain(t *testing.T) {
+	c, cl := bootCluster(t, Config{IndexNodes: 2, SplitThreshold: 10})
+	ctx := context.Background()
+	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
+		t.Fatal(err)
+	}
+	var updates []client.FileUpdate
+	for f := index.FileID(0); f < 12; f++ {
+		updates = append(updates, client.FileUpdate{File: f, Value: attr.Int(int64(f) + 1), GroupHint: 1})
+	}
+	if err := cl.Index(ctx, "size", updates); err != nil {
+		t.Fatal(err)
+	}
+	img, err := c.Master().SnapshotMetadata()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := master.New(master.Config{SplitThreshold: 10, Clock: c.Clock()})
+	if err := restarted.LoadMetadata(img); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	restarted.RegisterRPC(c.servers[c.masterAddr]) // the old Master's address now serves the new one
+	c.mu.Unlock()
+	c.master = restarted
+
+	if err := c.Heartbeat(ctx); err != nil {
+		t.Fatalf("heartbeat round after the restart: %v", err)
+	}
+	st, err := cl.ClusterStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Nodes) != 2 || st.Nodes[0].Addr == "" || st.Nodes[1].Addr == "" || st.ACGs != 2 {
+		t.Errorf("after one round: nodes %+v, %d groups; want both registered and the group split", st.Nodes, st.ACGs)
+	}
+	res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Files) != 12 {
+		t.Errorf("search after the restart = %d files, want 12", len(res.Files))
 	}
 }
 

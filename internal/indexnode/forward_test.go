@@ -329,8 +329,9 @@ func TestForwardIndexMatchesModel(t *testing.T) {
 			if err := r.a.Heartbeat(ctx); err != nil {
 				t.Fatal(err)
 			}
-			newACG, _, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: g1})
-			if err != nil {
+			split := r.orderSplit(t, r.a, g1)
+			newACG := split.Into
+			if _, err := r.a.SplitACG(ctx, split); err != nil {
 				t.Fatal(err)
 			}
 			for _, n := range []*Node{r.a, r.b} {

@@ -6,17 +6,20 @@ import (
 
 	"propeller/internal/index"
 	"propeller/internal/proto"
-	"propeller/internal/rpc"
 )
 
 // MergeACGs folds group src into group dst on this node (the §IV node task
 // of "merging small [indices]" to prevent fragmentation from many tiny
-// groups). Both groups must be primary copies on this node; the Master is
-// informed so file mappings rebind. Postings, causality edges and
-// membership all move: dst adopts src's image as an arrival adopts a
-// shipped one, and src leaves behind a tombstone, so a client whose cache
-// predates the merge gets perr.ErrStalePlacement and re-resolves instead of
-// recreating src.
+// groups). Both groups must be primary copies on this node. The merge is
+// reported to the Master, so file mappings rebind, before anything
+// changes: a refused or lost report leaves both groups as they were. A
+// src still here after the Master applied the report (its reply was lost,
+// or the fold failed) is in the next heartbeat, and the reply orders the
+// merge again.
+// Postings, causality edges and membership all move: dst adopts src's
+// image as an arrival adopts a shipped one, and src leaves behind a
+// tombstone, so a client whose cache predates the merge gets
+// perr.ErrStalePlacement and re-resolves instead of recreating src.
 //
 // Locking: this is the only path that holds two group locks at once
 // (ascending ACGID order; n.mergeMu serializes merges so that cannot
@@ -36,6 +39,9 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		return fmt.Errorf("acg %d: %w", dst, ErrUnknownACG)
 	}
 	if gs == nil {
+		if _, gone := n.releasedEpoch(src); gone {
+			return nil // folded (or moved away) already: a repeated order is done
+		}
 		return fmt.Errorf("acg %d: %w", src, ErrUnknownACG)
 	}
 	first, second := gd, gs
@@ -64,6 +70,10 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		return err
 	}
 	if err := n.commitGroupLocked(gs); err != nil {
+		unlock()
+		return err
+	}
+	if _, err := n.report(ctx, proto.Order{Kind: proto.OrderMerge, ACG: src, Into: dst}, nil); err != nil {
 		unlock()
 		return err
 	}
@@ -97,16 +107,6 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 	n.acgCommits.Fold(acgLabel(dst), acgLabel(src))
 	n.mergeEpoch.Add(1)
 	unlock()
-
-	if n.cfg.Master != nil {
-		rep, err := rpc.Call[proto.MergeReportReq, proto.MergeReportResp](
-			ctx, n.cfg.Master, proto.MethodMergeReport,
-			proto.MergeReportReq{Node: n.cfg.ID, Dst: dst, Src: src})
-		if err != nil {
-			return fmt.Errorf("indexnode merge report: %w", err)
-		}
-		n.noteEpoch(rep.Epoch)
-	}
 	return nil
 }
 

@@ -23,8 +23,9 @@
 // Lock ordering (violations deadlock):
 //
 //  1. n.mergeMu is outermost and taken only by MergeACGs; it serializes
-//     merges, the only operations holding two group locks at once (taken
-//     in ascending ACGID order).
+//     merges, which hold two group locks at once (taken in ascending ACGID
+//     order). The only other holder of two is a same-node split, whose new
+//     half no other path can name before the split reports it.
 //  2. n.mu (registry) is held only for map access — never while acquiring
 //     a group lock. Because of that, leave may take n.mu while its caller
 //     holds group locks (a merge holds two) without deadlock.
@@ -948,8 +949,8 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 	// A failed recovery or promotion must not abort its sibling orders: the
 	// Master re-issues both every heartbeat until the owner's report proves
 	// the adoption, so the right behavior is to keep going and surface the
-	// joined errors. A failed split, migration or seeding skips the later
-	// orders of its own kind in this reply; the Master re-issues them.
+	// joined errors. A failed split, migration, seeding or merge skips the
+	// later orders of its own kind in this reply; the Master re-issues them.
 	var errs []error
 	var failed uint32 // bit k: an order of kind k failed
 	for _, o := range resp.Orders {
@@ -965,11 +966,13 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 		case proto.OrderPromote:
 			err = n.PromoteACG(ctx, o)
 		case proto.OrderSplit:
-			_, _, err = n.SplitACG(ctx, o)
+			_, err = n.SplitACG(ctx, o)
 		case proto.OrderMigrate:
 			err = n.TransferACG(ctx, o)
 		case proto.OrderReplicate:
 			err = n.ReplicateACG(ctx, o)
+		case proto.OrderMerge:
+			err = n.MergeACGs(ctx, o.Into, o.ACG)
 		default:
 			err = errors.New("unknown order kind")
 		}

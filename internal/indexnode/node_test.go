@@ -607,7 +607,7 @@ func TestHeartbeatWithoutMaster(t *testing.T) {
 	if err := n.Heartbeat(context.Background()); !errors.Is(err, ErrNoMaster) {
 		t.Errorf("err = %v, want ErrNoMaster", err)
 	}
-	if _, _, err := n.SplitACG(context.Background(), proto.Order{Kind: proto.OrderSplit, ACG: 1}); !errors.Is(err, ErrNoMaster) {
+	if _, err := n.SplitACG(context.Background(), proto.Order{Kind: proto.OrderSplit, ACG: 1}); !errors.Is(err, ErrNoMaster) {
 		t.Errorf("split err = %v, want ErrNoMaster", err)
 	}
 }

@@ -30,7 +30,7 @@ func TestHeartbeatRunsOrdersInSequence(t *testing.T) {
 		{Kind: proto.OrderRecover, ACG: 5},
 		{Kind: proto.OrderDrop, ACG: 6},
 		{Kind: proto.OrderPromote, ACG: 7},
-		{Kind: proto.OrderSplit, ACG: 5},
+		{Kind: proto.OrderSplit, ACG: 5, Into: 20, Dest: proto.ReplicaRef{Node: "in-s"}},
 		{Kind: proto.OrderMigrate, ACG: 6, Dest: b},
 		{Kind: proto.OrderMigrate, ACG: 8, Dest: b},
 		{Kind: proto.OrderMigrate, ACG: 2, Dest: proto.ReplicaRef{Node: "in-x", Addr: "pipe:in-x"}},
@@ -43,26 +43,15 @@ func TestHeartbeatRunsOrdersInSequence(t *testing.T) {
 	// reports the orders send back, in arrival order.
 	var mu sync.Mutex
 	var reports []string
-	logReport := func(kind string, id proto.ACGID) {
-		mu.Lock()
-		defer mu.Unlock()
-		reports = append(reports, fmt.Sprintf("%s %d", kind, id))
-	}
 	script := rpc.NewServer()
 	rpc.HandleTyped(script, proto.MethodHeartbeat, func(context.Context, proto.HeartbeatReq) (proto.HeartbeatResp, error) {
 		return reply, nil
 	})
-	rpc.HandleTyped(script, proto.MethodSplitReport, func(_ context.Context, req proto.SplitReportReq) (proto.SplitReportResp, error) {
-		logReport("split", req.OldACG)
-		return proto.SplitReportResp{NewACG: 20, Dest: "in-s"}, nil
-	})
-	rpc.HandleTyped(script, proto.MethodMigrateReport, func(_ context.Context, req proto.MigrateReportReq) (proto.MigrateReportResp, error) {
-		logReport("migrate", req.ACG)
-		return proto.MigrateReportResp{}, nil
-	})
-	rpc.HandleTyped(script, proto.MethodReplicateReport, func(_ context.Context, req proto.ReplicateReportReq) (proto.ReplicateReportResp, error) {
-		logReport("replicate", req.ACG)
-		return proto.ReplicateReportResp{}, nil
+	rpc.HandleTyped(script, proto.MethodReport, func(_ context.Context, req proto.ReportReq) (proto.ReportResp, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		reports = append(reports, fmt.Sprintf("%v %d", req.Order.Kind, req.Order.ACG))
+		return proto.ReportResp{}, nil
 	})
 	mc, sc := rpc.Pipe()
 	script.ServeConn(sc)

@@ -200,7 +200,7 @@ func TestProvenPredicateSkipEquivalence(t *testing.T) {
 			if err := r.a.Heartbeat(ctx); err != nil {
 				t.Fatal(err)
 			}
-			_, moved, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: g1})
+			moved, err := r.a.SplitACG(ctx, r.orderSplit(t, r.a, g1))
 			if err != nil {
 				t.Fatal(err)
 			}

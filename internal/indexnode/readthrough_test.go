@@ -350,7 +350,9 @@ func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
 				if err := r.a.Heartbeat(ctx); err != nil {
 					t.Fatal(err)
 				}
-				acg, moved, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: g1})
+				split := r.orderSplit(t, r.a, g1)
+				acg := split.Into
+				moved, err := r.a.SplitACG(ctx, split)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -247,15 +247,9 @@ func (n *Node) ReplicateACG(ctx context.Context, o proto.Order) error {
 		n.dropPeer(o.Dest.Addr)
 		return fmt.Errorf("indexnode replicate acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 	}
-	if n.cfg.Master != nil {
-		// Best-effort: a lost report just delays the seeded mark until the
-		// follower's own heartbeat proves the copy.
-		if rep, err := rpc.Call[proto.ReplicateReportReq, proto.ReplicateReportResp](
-			ctx, n.cfg.Master, proto.MethodReplicateReport,
-			proto.ReplicateReportReq{Node: n.cfg.ID, ACG: o.ACG, Dest: o.Dest.Node}); err == nil {
-			n.noteEpoch(rep.Epoch)
-		}
-	}
+	// Best-effort: a lost report just delays the seeded mark until the
+	// follower's own heartbeat proves the copy.
+	_, _ = n.report(ctx, o, nil)
 	g.reps = append(g.reps, o.Dest)
 	return nil
 }

@@ -13,32 +13,33 @@ import (
 )
 
 // SplitACG executes one split order: it background-partitions an oversized
-// group into two balanced sub-graphs with minimal cut (§III), reports the
-// split to the Master to get the new group's id and destination node,
-// migrates the moved half, and removes it locally. It returns the new group
-// and the number of files moved to it; a group that already left this node
-// moves none.
-func (n *Node) SplitACG(ctx context.Context, o proto.Order) (newACG proto.ACGID, moved int, err error) {
+// group into two balanced sub-graphs with minimal cut (§III), ships the
+// moved half to o.Dest as group o.Into, reports the split to the Master,
+// and only then removes the half locally. A failed ship or a refused
+// report leaves the group whole and the Master still routing its files
+// here. It returns the number of files moved; a group that already left
+// this node moves none.
+func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err error) {
 	if n.cfg.Master == nil {
-		return 0, 0, ErrNoMaster
+		return 0, ErrNoMaster
 	}
 	// Commit so postings reflect every acknowledged update before they
 	// migrate. Only this group is locked: the background split leaves
 	// traffic on every other ACG untouched.
 	g, err := n.lockOrdered(o.ACG)
 	if g == nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := n.commitGroupLocked(g); err != nil {
 		g.mu.Unlock()
-		return 0, 0, err
+		return 0, err
 	}
 	pg := partition.Graph{Adj: g.graph.undirected(g.files)}
 	g.mu.Unlock()
 
 	res, err := partition.Bisect(pg, partition.Options{Seed: int64(o.ACG)})
 	if err != nil {
-		return 0, 0, fmt.Errorf("indexnode split %d: %w", o.ACG, err)
+		return 0, fmt.Errorf("indexnode split %d: %w", o.ACG, err)
 	}
 	sideB := make([]index.FileID, 0, len(res.B))
 	for _, v := range res.B {
@@ -46,66 +47,46 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (newACG proto.ACGID,
 	}
 	sort.Slice(sideB, func(i, j int) bool { return sideB[i] < sideB[j] })
 
-	// Master assigns the new group and destination.
-	rep, err := rpc.Call[proto.SplitReportReq, proto.SplitReportResp](
-		ctx, n.cfg.Master, proto.MethodSplitReport,
-		proto.SplitReportReq{Node: n.cfg.ID, OldACG: o.ACG, SideB: sideB})
-	if err != nil {
-		return 0, 0, fmt.Errorf("indexnode split report: %w", err)
-	}
-	n.noteEpoch(rep.Epoch)
-
-	// Build the migration payload (the shared group-image serializer,
-	// filtered to the moved half). The group may have been merged away
-	// while the partitioner ran outside the lock; treat that as the group
-	// disappearing under the split order.
+	// The group stays locked from the image to the trim, or an update
+	// landing between them would be trimmed unshipped. It may have been
+	// merged away while the partitioner ran outside the lock.
 	if !g.lockLive() {
-		return 0, 0, fmt.Errorf("acg %d merged during split: %w", o.ACG, ErrUnknownACG)
+		return 0, fmt.Errorf("acg %d merged during split: %w", o.ACG, ErrUnknownACG)
 	}
+	defer g.mu.Unlock()
 	moveSet := make(map[index.FileID]bool, len(sideB))
 	for _, f := range sideB {
 		moveSet[f] = true
 	}
 	filter := func(f index.FileID) bool { return moveSet[f] }
 
-	// Ship the moved half: the filtered image, rendered under the group
-	// lock — the quiesce window — and entering the destination as a
-	// shipped image. rep.Dest may be this very node (least-loaded); then
+	// Ship the moved half: the filtered image, entering the destination as
+	// a shipped image. o.Dest may be this very node (least-loaded); then
 	// the half crosses as one buffer instead of a self-dialed stream, and
 	// that is the only difference.
-	meta := proto.ReceiveACGStreamMeta{ACG: rep.NewACG, Epoch: rep.Epoch, ReplSeq: g.replSeq}
-	if rep.Dest == n.cfg.ID {
+	meta := proto.ReceiveACGStreamMeta{ACG: o.Into, Epoch: n.epoch(), ReplSeq: g.replSeq}
+	if o.Dest.Node == n.cfg.ID {
 		half, err := n.imageBytesLocked(g, filter, meta)
-		g.mu.Unlock()
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		if err := n.enter(ctx, meta.ACG, meta.Epoch, shippedRole(meta), storedImage(half), nil); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	} else {
-		peer, err := n.peerConn(ctx, rep.Addr)
+		peer, err := n.peerConn(ctx, o.Dest.Addr)
 		if err != nil {
-			g.mu.Unlock()
-			return 0, 0, fmt.Errorf("indexnode split dial %s: %w", rep.Addr, err)
+			return 0, fmt.Errorf("indexnode split dial %s: %w", o.Dest.Addr, err)
 		}
-		shipErr := n.shipGroupStreamLocked(ctx, peer, g, filter, meta)
-		g.mu.Unlock()
-		if shipErr != nil {
-			n.dropPeer(rep.Addr)
-			return 0, 0, fmt.Errorf("indexnode migrate to %s: %w", rep.Dest, shipErr)
+		if err := n.shipGroupStreamLocked(ctx, peer, g, filter, meta); err != nil {
+			n.dropPeer(o.Dest.Addr)
+			return 0, fmt.Errorf("indexnode split acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 		}
+	}
+	if _, err := n.report(ctx, o, sideB); err != nil {
+		return 0, err
 	}
 
-	// Remove the moved half locally. (An update for a moved file arriving
-	// while the migration RPC was in flight can still land in this group's
-	// cache — the Master has already rebound the file, so stale-routed
-	// postings resolve at the next commit/search; closing that window
-	// fully needs routing-level fencing, as under the old global lock.)
-	if !g.lockLive() {
-		return 0, 0, fmt.Errorf("acg %d merged during split: %w", o.ACG, ErrUnknownACG)
-	}
-	defer g.mu.Unlock()
 	// Remove the moved postings through the commit engine's bulk apply: a
 	// run of delete entries per index gets the same sorted B-tree /
 	// chain-batched hash removals, the single KD rebuild, and the
@@ -126,7 +107,7 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (newACG proto.ACGID,
 		runs = append(runs, &pendingRun{name: name, byFile: run})
 	}
 	if err := n.applyRunsLocked(g, runs); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if g.movedOut == nil {
 		g.movedOut = make(map[index.FileID]bool, len(moveSet))
@@ -150,10 +131,10 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (newACG proto.ACGID,
 	// the pre-split state would resurrect the moved files into this group,
 	// forking ownership with the new ACG.
 	if err := n.checkpointLocked(g); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	n.splitsDone.Inc()
-	return rep.NewACG, len(sideB), nil
+	return len(sideB), nil
 }
 
 // receiveACGStream is the handler of MethodReceiveACGChunked: the

@@ -23,6 +23,10 @@ import (
 //     rebound the group (TransferACG), a drop order (ReleaseACG) and a
 //     merge's source (MergeACGs). It always tombstones the id.
 //
+// Every order that moves data follows one rule: ship, then report, then
+// change local state. report is the one call to the Master; a refused or
+// lost report leaves nothing to undo.
+//
 // The image that moves is the record stream checkpointed to the shared
 // store (see image.go). There is one image format and one log-record
 // format; no older deployed version exists to read anything else, so
@@ -302,16 +306,29 @@ func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
 		n.dropPeer(o.Dest.Addr)
 		return fmt.Errorf("indexnode transfer acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 	}
-	rep, err := rpc.Call[proto.MigrateReportReq, proto.MigrateReportResp](
-		ctx, n.cfg.Master, proto.MethodMigrateReport,
-		proto.MigrateReportReq{Node: n.cfg.ID, ACG: o.ACG, Dest: o.Dest.Node})
+	epoch, err := n.report(ctx, o, nil)
 	if err != nil {
-		return fmt.Errorf("indexnode migrate report: %w", err)
+		return err
 	}
-	n.noteEpoch(rep.Epoch)
-	n.leave(o.ACG, g, rep.Epoch)
+	n.leave(o.ACG, g, epoch)
 	n.groupsMigrated.Inc()
 	return nil
+}
+
+// report tells the Master this node carried out o (files: a split's moved
+// half) and notes and returns the reply's epoch. A node without a Master
+// has nobody to tell.
+func (n *Node) report(ctx context.Context, o proto.Order, files []index.FileID) (proto.Epoch, error) {
+	if n.cfg.Master == nil {
+		return n.epoch(), nil
+	}
+	rep, err := rpc.Call[proto.ReportReq, proto.ReportResp](ctx, n.cfg.Master, proto.MethodReport,
+		proto.ReportReq{Node: n.cfg.ID, Order: o, Files: files})
+	if err != nil {
+		return 0, fmt.Errorf("indexnode %v report for acg %d: %w", o.Kind, o.ACG, err)
+	}
+	n.noteEpoch(rep.Epoch)
+	return rep.Epoch, nil
 }
 
 // ReleaseACG drops the node's copy of a group it no longer owns (a Master

@@ -80,6 +80,27 @@ func newTransferRig(t *testing.T) *transferRig {
 	return &transferRig{m: m, a: mkNode("in-a"), b: mkNode("in-b"), shared: shared, clk: clk, servers: servers}
 }
 
+// orderSplit has the rig's Master order acg split, as it does when the
+// group's owner reports it over the split threshold, and returns the
+// order as the owner's heartbeat reply carries it. The report names the
+// group alone, at a size past the default threshold, so the owner counts
+// as the most loaded node when the Master picks the destination.
+func (r *transferRig) orderSplit(t *testing.T, owner *Node, acg proto.ACGID) proto.Order {
+	t.Helper()
+	hb, err := r.m.Heartbeat(context.Background(), proto.HeartbeatReq{
+		Node: owner.cfg.ID, ACGs: []proto.ACGMeta{{ACG: acg, Files: 1 << 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range hb.Orders {
+		if o.Kind == proto.OrderSplit && o.ACG == acg {
+			return o
+		}
+	}
+	t.Fatalf("no split order for acg %d in %+v", acg, hb.Orders)
+	return proto.Order{}
+}
+
 func seedTransferGroup(t *testing.T, n *Node, acg proto.ACGID, files int) {
 	t.Helper()
 	n.DeclareIndex(proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"})
@@ -339,7 +360,7 @@ func TestSplitFencesMovedFiles(t *testing.T) {
 	if err := r.a.Heartbeat(ctx); err != nil { // master adopts ACG 1
 		t.Fatal(err)
 	}
-	_, n, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: 1})
+	n, err := r.a.SplitACG(ctx, r.orderSplit(t, r.a, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,9 +428,11 @@ func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 	run := func(sameNode bool) (int, []proto.SearchResp) {
 		r := newTransferRig(t)
 		if sameNode {
-			// Load the peer so the splitting node is the least loaded.
-			seedTransferGroup(t, r.b, ballast, 100)
-			if err := r.b.Heartbeat(ctx); err != nil {
+			// Report the peer loaded past the splitting node, so the
+			// splitting node is the least loaded. (The ballast's own split
+			// order is never run.)
+			if _, err := r.m.Heartbeat(ctx, proto.HeartbeatReq{
+				Node: r.b.cfg.ID, ACGs: []proto.ACGMeta{{ACG: ballast, Files: 1 << 21}}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -447,7 +470,9 @@ func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 		if err := r.a.Heartbeat(ctx); err != nil { // master adopts src
 			t.Fatal(err)
 		}
-		newACG, moved, err := r.a.SplitACG(ctx, proto.Order{Kind: proto.OrderSplit, ACG: src})
+		split := r.orderSplit(t, r.a, src)
+		newACG := split.Into
+		moved, err := r.a.SplitACG(ctx, split)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,8 +49,9 @@ import (
 // Errors returned by the Master.
 var (
 	ErrNoNodes     = errors.New("master: no index nodes registered")
-	ErrUnknownNode = errors.New("master: unknown node")
 	ErrIndexExists = errors.New("master: index name already exists")
+	// ErrUnknownNode tells a node, across the RPC boundary, to register again.
+	ErrUnknownNode = fmt.Errorf("master: unknown node (%w)", perr.ErrUnknownNode)
 	// ErrUnknownIndex wraps the public taxonomy's ErrIndexNotFound so
 	// clients can dispatch with errors.Is across the RPC boundary.
 	ErrUnknownIndex = fmt.Errorf("master: unknown index (%w)", perr.ErrIndexNotFound)
@@ -128,7 +129,7 @@ type nodeInfo struct {
 type replicaInfo struct {
 	Node proto.NodeID
 	// Seeded means the copy provably exists: the primary reported the ship
-	// done (ReplicateReport) or the follower itself heartbeat-reported the
+	// done (Report) or the follower itself heartbeat-reported the
 	// group. Only seeded followers appear in routes and promotion picks; a
 	// follower the primary cut from its ack set flips back to unseeded and
 	// is re-seeded on a later heartbeat.
@@ -153,10 +154,11 @@ type acgInfo struct {
 	// Pending is the one order the group has in flight (Kind 0: none), as
 	// the primary's heartbeat reply carries it. A recover or promote order
 	// rides every heartbeat of the primary until its report proves the
-	// adoption; both are idempotent. A migration, its Dest address filled
-	// in at delivery, rides one (Delivered): the primary still reporting the
-	// group on a later one proves the transfer failed, and the group
-	// re-arms. Every move of a group replaces its order.
+	// adoption; both are idempotent. A migration or a split, its Dest
+	// address filled in at delivery, rides one (Delivered) and ends with
+	// the primary's Report; the primary reporting the group on a later
+	// heartbeat first proves the order failed, and the group re-arms. Every
+	// move of a group replaces its order.
 	Pending   proto.Order
 	Delivered bool
 }
@@ -195,7 +197,11 @@ type state struct {
 	HintToACG map[uint64]proto.ACGID
 	ACGs      map[proto.ACGID]*acgInfo
 	Specs     map[string]proto.IndexSpec
-	NextACG   proto.ACGID
+	// Merged maps the source of each merge the Master applied to the group
+	// it folds into, until that group's primary proves the fold done by
+	// heartbeating without the source.
+	Merged  map[proto.ACGID]proto.ACGID
+	NextACG proto.ACGID
 	// Epoch is the global placement version: bumped on every placement
 	// change and stamped on lookups, heartbeat replies and reports. A
 	// restored Master never hands out an older epoch than clients have
@@ -209,6 +215,7 @@ func newState() state {
 		HintToACG: make(map[uint64]proto.ACGID),
 		ACGs:      make(map[proto.ACGID]*acgInfo),
 		Specs:     make(map[string]proto.IndexSpec),
+		Merged:    make(map[proto.ACGID]proto.ACGID),
 		NextACG:   1,
 	}
 }
@@ -240,10 +247,7 @@ func (m *Master) RegisterRPC(s *rpc.Server) {
 	rpc.HandleTyped(s, proto.MethodLookupFiles, m.LookupFiles)
 	rpc.HandleTyped(s, proto.MethodLookupIndex, m.LookupIndex)
 	rpc.HandleTyped(s, proto.MethodCreateIndex, m.CreateIndex)
-	rpc.HandleTyped(s, proto.MethodSplitReport, m.SplitReport)
-	rpc.HandleTyped(s, proto.MethodMergeReport, m.MergeReport)
-	rpc.HandleTyped(s, proto.MethodMigrateReport, m.MigrateReport)
-	rpc.HandleTyped(s, proto.MethodReplicateReport, m.ReplicateReport)
+	rpc.HandleTyped(s, proto.MethodReport, m.Report)
 	rpc.HandleTyped(s, proto.MethodClusterStats, m.ClusterStats)
 }
 
@@ -262,11 +266,12 @@ func (m *Master) RegisterNode(_ context.Context, req proto.RegisterNodeReq) (pro
 }
 
 // Heartbeat refreshes node status and returns the Master's orders for the
-// reporting node as one list: drops of stale copies, splits of oversized
-// groups and seedings of missing followers, derived from the report, and
-// the order each of its groups has in flight. Each heartbeat also drives
-// the liveness sweep, so failure detection needs no separate timer — any
-// surviving node's heartbeat notices the silent ones.
+// reporting node as one list: drops of stale copies, seedings of missing
+// followers and merges left unfolded, derived from the report, and the
+// order each of its groups has in flight, an oversized group's split among
+// them. Each heartbeat also drives the liveness sweep, so failure detection
+// needs no separate timer — any surviving node's heartbeat notices the
+// silent ones.
 func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.HeartbeatResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -283,14 +288,25 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 		resp.Orders = append(resp.Orders, proto.Order{Kind: kind, ACG: id})
 	}
 	var total int64
+	var oversized []*acgInfo
 	for _, am := range req.ACGs {
 		info := m.ACGs[am.ACG]
 		switch {
 		case info == nil && (am.Follower || am.ACG < m.NextACG):
+			if !am.Follower && m.splittingIntoLocked(am.ACG, req.Node) {
+				continue // a split's destination; the source's report places it
+			}
+			if into := m.ACGs[m.Merged[am.ACG]]; into != nil && into.Node == req.Node && !am.Follower {
+				// A retired merge source its node still holds (the reply was
+				// lost, or the fold failed after it): the node finishes it.
+				resp.Orders = append(resp.Orders, proto.Order{Kind: proto.OrderMerge, ACG: am.ACG, Into: into.ID})
+				continue
+			}
 			// A follower copy of a group the Master does not track, or a
 			// copy of a group it allocated and has since retired (merged
-			// away): drop it. Follower copies are never adopted as
-			// primaries, and a retired group never comes back.
+			// away) or never placed (a failed split's half): drop it.
+			// Follower copies are never adopted as primaries, and a
+			// retired group never comes back.
 			order(proto.OrderDrop, am.ACG)
 			continue
 		case info == nil:
@@ -346,9 +362,9 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 			continue
 		}
 		// The rightful owner reports the group: a pending recovery or
-		// promotion is proven complete, and a delivered migration is proven
-		// failed, so the group re-arms for future moves.
-		if info.Pending.Kind != proto.OrderMigrate || info.Delivered {
+		// promotion is proven complete, and a delivered migration or split
+		// is proven failed, so the group re-arms for future moves.
+		if !deliveredOnce(info.Pending.Kind) || info.Delivered {
 			info.setPending(proto.Order{})
 		}
 		info.Files = am.Files
@@ -371,19 +387,35 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 			}
 		}
 		total += am.Files
-		if am.Files > m.cfg.SplitThreshold {
-			order(proto.OrderSplit, am.ACG)
+		if am.Files > m.cfg.SplitThreshold && info.Pending.Kind == 0 {
+			oversized = append(oversized, info)
 		}
 	}
 	n.files = total
-	m.rebalanceLocked(n, resp.Orders)
+	// The primary of the group merged into proves the fold by reporting
+	// without the source.
+	for src, id := range m.Merged {
+		if into := m.ACGs[id]; into == nil || into.Node == req.Node &&
+			!slices.ContainsFunc(req.ACGs, func(am proto.ACGMeta) bool { return am.ACG == src && !am.Follower }) {
+			delete(m.Merged, src)
+		}
+	}
+	// An oversized group splits onto the least-loaded node, counting this
+	// report, as a new group whose id is reserved now.
+	for _, info := range oversized {
+		if dest := m.leastLoadedLocked(); dest != nil {
+			info.setPending(proto.Order{Kind: proto.OrderSplit, ACG: info.ID,
+				Into: m.newIDLocked(), Dest: proto.ReplicaRef{Node: dest.id}})
+		}
+	}
+	m.rebalanceLocked(n)
 	// Deliver the orders pending on this node's groups, by group id.
 	for _, info := range m.groupsOnLocked(req.Node) {
 		o := info.Pending
-		switch o.Kind {
-		case 0:
+		switch {
+		case o.Kind == 0:
 			continue
-		case proto.OrderMigrate:
+		case deliveredOnce(o.Kind):
 			if info.Delivered {
 				continue
 			}
@@ -409,6 +441,23 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 		resp.LeaseNanos = int64(m.cfg.HeartbeatTimeout)
 	}
 	return resp, nil
+}
+
+// deliveredOnce reports whether a pending order of this kind rides one
+// reply and ends with a Report, rather than riding every reply.
+func deliveredOnce(k proto.OrderKind) bool {
+	return k == proto.OrderSplit || k == proto.OrderMigrate
+}
+
+// splittingIntoLocked reports whether node is the destination of a
+// delivered split whose moved half becomes group id. Caller holds m.mu.
+func (m *Master) splittingIntoLocked(id proto.ACGID, node proto.NodeID) bool {
+	for _, info := range m.ACGs {
+		if p := info.Pending; p.Kind == proto.OrderSplit && info.Delivered && p.Into == id && p.Dest.Node == node {
+			return true
+		}
+	}
+	return false
 }
 
 // liveLocked returns the named node if it is registered and alive, else
@@ -609,9 +658,8 @@ const minRebalanceQueueDepth = 4
 //     point is to shift request load even when file counts are balanced.
 //
 // At most one order per heartbeat, so load drains without thrashing; it
-// rides this heartbeat's reply, whose derived orders so far are orders.
-// Caller holds m.mu.
-func (m *Master) rebalanceLocked(n *nodeInfo, orders []proto.Order) {
+// rides this heartbeat's reply. Caller holds m.mu.
+func (m *Master) rebalanceLocked(n *nodeInfo) {
 	if m.cfg.RebalanceRatio <= 0 || n.dead {
 		return
 	}
@@ -656,14 +704,10 @@ func (m *Master) rebalanceLocked(n *nodeInfo, orders []proto.Order) {
 	// Hottest movable group; ties break on the smaller id for determinism.
 	// A file-driven move must strictly improve file balance; a queue-driven
 	// move only needs a non-empty group to carry load to the quiet peer. A
-	// group with an order in flight, or about to split, stays put.
+	// group with an order in flight (a split among them) stays put.
 	var pick *acgInfo
 	for _, info := range m.groupsOnLocked(n.id) {
-		if info.Files <= 0 || (fileHot && info.Files >= gap) {
-			continue
-		}
-		splitting := func(o proto.Order) bool { return o.Kind == proto.OrderSplit && o.ACG == info.ID }
-		if info.Pending.Kind != 0 || slices.ContainsFunc(orders, splitting) {
+		if info.Files <= 0 || (fileHot && info.Files >= gap) || info.Pending.Kind != 0 {
 			continue
 		}
 		if pick == nil || info.Files > pick.Files {
@@ -735,7 +779,7 @@ func (m *Master) assignLocked(f index.FileID, hint uint64) (proto.ACGID, error) 
 	if node == nil {
 		return 0, ErrNoNodes
 	}
-	info := m.placeLocked(node, 1)
+	info := m.placeLocked(node, m.newIDLocked(), 1)
 	m.FileToACG[f] = info.ID
 	if hint != 0 {
 		m.HintToACG[hint] = info.ID
@@ -747,17 +791,22 @@ func (m *Master) assignLocked(f index.FileID, hint uint64) (proto.ACGID, error) 
 	return info.ID, nil
 }
 
-// placeLocked records a new group of the given size on node and reserves
-// its follower slots now; the primary's next heartbeat carries the
-// replicate orders that seed them. The caller bumps the epoch. Caller
-// holds m.mu.
-func (m *Master) placeLocked(node *nodeInfo, files int64) *acgInfo {
+// newIDLocked reserves the next free group id. Caller holds m.mu.
+func (m *Master) newIDLocked() proto.ACGID {
 	for m.ACGs[m.NextACG] != nil {
 		m.NextACG++ // an adopted group holds this id
 	}
-	info := &acgInfo{ID: m.NextACG, Node: node.id, Files: files}
 	m.NextACG++
-	m.ACGs[info.ID] = info
+	return m.NextACG - 1
+}
+
+// placeLocked records a new group of the given id and size on node and
+// reserves its follower slots now; the primary's next heartbeat carries
+// the replicate orders that seed them. The caller bumps the epoch. Caller
+// holds m.mu.
+func (m *Master) placeLocked(node *nodeInfo, id proto.ACGID, files int64) *acgInfo {
+	info := &acgInfo{ID: id, Node: node.id, Files: files}
+	m.ACGs[id] = info
 	node.files += files
 	m.ensureReplicasLocked(info)
 	return info
@@ -822,116 +871,94 @@ func (m *Master) CreateIndex(_ context.Context, req proto.CreateIndexReq) (proto
 	return proto.CreateIndexResp{OK: true}, nil
 }
 
-// SplitReport finalizes a background split: the Master allocates the new
-// group id on the least-loaded node, rebinds the moved files, and tells the
-// splitting node where to migrate.
-func (m *Master) SplitReport(_ context.Context, req proto.SplitReportReq) (proto.SplitReportResp, error) {
+// Report applies an order a node carried out; the node changes its own
+// state only once this returns. A migration rebinds the group to Dest
+// (the remaining followers re-seed from the new primary: its first
+// heartbeat omits them from its ack set). A seeding marks the follower
+// seeded a round before its own heartbeat would. A split places its moved
+// half on Dest as group Into and rebinds the moved files. A merge rebinds
+// every file of ACG to Into and retires ACG with any order it had in
+// flight; its follower copies report as unknown and get drop orders. Until
+// the fold is proven, the merge is accepted again (its reply was lost) and
+// Into neither moves nor merges away. A report from a node that does not
+// own the group, or of a split that is not the order in flight, is
+// refused, and the reporter keeps its state.
+func (m *Master) Report(_ context.Context, req proto.ReportReq) (proto.ReportResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := m.ACGs[req.OldACG]
-	if old == nil {
-		return proto.SplitReportResp{}, fmt.Errorf("acg %d: %w", req.OldACG, ErrUnknownACG)
+	o := req.Order
+	info := m.ACGs[o.ACG]
+	if into := m.ACGs[m.Merged[o.ACG]]; o.Kind == proto.OrderMerge && into != nil && into.ID == o.Into && into.Node == req.Node {
+		return proto.ReportResp{Epoch: m.Epoch}, nil
 	}
-	dest := m.leastLoadedLocked()
-	if dest == nil {
-		return proto.SplitReportResp{}, ErrNoNodes
-	}
-	moved := int64(len(req.SideB))
-	info := m.placeLocked(dest, moved)
-	for _, f := range req.SideB {
-		m.FileToACG[f] = info.ID
-	}
-	old.Files -= moved
-	m.nodes[old.Node].files -= moved
-	m.Epoch++
-	return proto.SplitReportResp{NewACG: info.ID, Dest: dest.id, Addr: dest.addr, Epoch: m.Epoch}, nil
-}
-
-// MergeReport finalizes a node-local group merge: every file mapped to Src
-// is rebound to Dst and the Src group is retired, with any order it had in
-// flight. Its follower copies report as unknown and get drop orders.
-func (m *Master) MergeReport(_ context.Context, req proto.MergeReportReq) (proto.MergeReportResp, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	src, dst := m.ACGs[req.Src], m.ACGs[req.Dst]
-	if src == nil {
-		return proto.MergeReportResp{}, fmt.Errorf("acg %d: %w", req.Src, ErrUnknownACG)
-	}
-	if dst == nil {
-		return proto.MergeReportResp{}, fmt.Errorf("acg %d: %w", req.Dst, ErrUnknownACG)
-	}
-	if src.Node != req.Node || dst.Node != req.Node {
-		return proto.MergeReportResp{}, fmt.Errorf(
-			"master: merge reported by %q of groups on %s and %s: only a node-local merge is supported",
-			req.Node, src.Node, dst.Node)
-	}
-	moved := 0
-	for f, id := range m.FileToACG {
-		if id == req.Src {
-			m.FileToACG[f] = req.Dst
-			moved++
-		}
-	}
-	for h, id := range m.HintToACG {
-		if id == req.Src {
-			m.HintToACG[h] = req.Dst
-		}
-	}
-	dst.Files += src.Files
-	delete(m.ACGs, req.Src)
-	m.Epoch++
-	return proto.MergeReportResp{Moved: moved, Epoch: m.Epoch}, nil
-}
-
-// MigrateReport finalizes a live migration: the source node has shipped the
-// group image to Dest and Dest installed it; the Master rebinds the
-// placement and bumps the epoch. Only after this returns does the source
-// release its copy — on any error the source keeps serving and the
-// destination's orphan copy is reconciled away by the double-ownership
-// guard at its next heartbeat. The remaining followers re-seed from the new
-// primary: its first heartbeat omits them from its ack set, which unseeds
-// them and queues replicate orders.
-func (m *Master) MigrateReport(_ context.Context, req proto.MigrateReportReq) (proto.MigrateReportResp, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	info := m.ACGs[req.ACG]
 	if info == nil {
-		return proto.MigrateReportResp{}, fmt.Errorf("acg %d: %w", req.ACG, ErrUnknownACG)
+		return proto.ReportResp{}, fmt.Errorf("acg %d: %w", o.ACG, ErrUnknownACG)
 	}
 	if info.Node != req.Node {
-		return proto.MigrateReportResp{}, fmt.Errorf(
-			"master: migrate report for acg %d from %s, but %s owns it", req.ACG, req.Node, info.Node)
+		return proto.ReportResp{}, fmt.Errorf(
+			"master: %v report for acg %d from %s, but %s owns it", o.Kind, o.ACG, req.Node, info.Node)
 	}
-	dest := m.liveLocked(req.Dest)
-	if dest == nil {
-		return proto.MigrateReportResp{}, fmt.Errorf("%w: %s", ErrUnknownNode, req.Dest)
+	if o.Kind != proto.OrderReplicate && slices.Contains(slices.Collect(maps.Values(m.Merged)), o.ACG) {
+		return proto.ReportResp{}, fmt.Errorf("master: acg %d cannot %v before a merge into it is folded", o.ACG, o.Kind)
 	}
-	m.moveLocked(info, dest, proto.Order{})
-	return proto.MigrateReportResp{Epoch: m.Epoch}, nil
-}
-
-// ReplicateReport marks a follower copy seeded: the primary shipped the
-// group image to Dest and Dest installed it. The seeded replica enters
-// Lazy routes and the promotion candidate pool a round earlier than its
-// own heartbeat would confirm it. Reports that lost a placement race (the
-// reporter no longer owns the group, or Dest left the replica set) are
-// acknowledged without effect — the heartbeat protocol reconciles the
-// stray copy.
-func (m *Master) ReplicateReport(_ context.Context, req proto.ReplicateReportReq) (proto.ReplicateReportResp, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	info := m.ACGs[req.ACG]
-	if info == nil {
-		return proto.ReplicateReportResp{}, fmt.Errorf("acg %d: %w", req.ACG, ErrUnknownACG)
-	}
-	if info.Node == req.Node {
-		if rep := info.replicaOn(req.Dest); rep != nil && !rep.Seeded {
+	dest := m.liveLocked(o.Dest.Node)
+	switch o.Kind {
+	case proto.OrderMigrate:
+		if dest == nil {
+			return proto.ReportResp{}, fmt.Errorf("master: migrate destination %s is not alive", o.Dest.Node)
+		}
+		m.moveLocked(info, dest, proto.Order{})
+	case proto.OrderReplicate:
+		if rep := info.replicaOn(o.Dest.Node); rep != nil && !rep.Seeded {
 			rep.Seeded = true
 			rep.Seq = info.Seq
 			m.Epoch++
 		}
+	case proto.OrderSplit:
+		if p := info.Pending; p.Kind != proto.OrderSplit || p.Into != o.Into || p.Dest.Node != o.Dest.Node {
+			return proto.ReportResp{}, fmt.Errorf("master: split of acg %d into %d on %s is not the order in flight (%+v)",
+				o.ACG, o.Into, o.Dest.Node, p)
+		}
+		if dest == nil {
+			return proto.ReportResp{}, fmt.Errorf("master: split destination %s is not alive", o.Dest.Node)
+		}
+		moved := int64(len(req.Files))
+		m.placeLocked(dest, o.Into, moved)
+		for _, f := range req.Files {
+			m.FileToACG[f] = o.Into
+		}
+		info.Files -= moved
+		m.nodes[info.Node].files -= moved
+		info.setPending(proto.Order{})
+		m.Epoch++
+	case proto.OrderMerge:
+		into := m.ACGs[o.Into]
+		if into == nil {
+			return proto.ReportResp{}, fmt.Errorf("acg %d: %w", o.Into, ErrUnknownACG)
+		}
+		if into.Node != req.Node {
+			return proto.ReportResp{}, fmt.Errorf(
+				"master: merge into acg %d reported by %s, but %s owns it: only a node-local merge is supported",
+				o.Into, req.Node, into.Node)
+		}
+		for f, id := range m.FileToACG {
+			if id == o.ACG {
+				m.FileToACG[f] = o.Into
+			}
+		}
+		for h, id := range m.HintToACG {
+			if id == o.ACG {
+				m.HintToACG[h] = o.Into
+			}
+		}
+		into.Files += info.Files
+		delete(m.ACGs, o.ACG)
+		m.Merged[o.ACG] = o.Into
+		m.Epoch++
+	default:
+		return proto.ReportResp{}, fmt.Errorf("master: a node cannot report a %v order", o.Kind)
 	}
-	return proto.ReplicateReportResp{Epoch: m.Epoch}, nil
+	return proto.ReportResp{Epoch: m.Epoch}, nil
 }
 
 // OrderMigration queues a migration of one group to the named destination;
@@ -951,13 +978,8 @@ func (m *Master) OrderMigration(id proto.ACGID, dest proto.NodeID) error {
 	if info.Node == dest {
 		return nil // already home
 	}
-	switch p := info.Pending; p.Kind {
-	case proto.OrderMigrate:
-		return fmt.Errorf("master: acg %d already migrating to %s", id, p.Dest.Node)
-	case proto.OrderRecover:
-		return fmt.Errorf("master: acg %d awaiting recovery on %s", id, info.Node)
-	case proto.OrderPromote:
-		return fmt.Errorf("master: acg %d awaiting promotion on %s", id, info.Node)
+	if p := info.Pending; p.Kind != 0 {
+		return fmt.Errorf("master: acg %d has a %v order in flight: %+v", id, p.Kind, p)
 	}
 	info.setPending(migration(id, dest))
 	m.migrationsOrdered++

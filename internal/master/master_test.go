@@ -23,6 +23,12 @@ func newTestMaster(t *testing.T, nodes ...string) *Master {
 	return m
 }
 
+// report is how the tests hand the Master a node's report of an order it
+// carried out (files: a split's moved half).
+func report(m *Master, node proto.NodeID, o proto.Order, files ...index.FileID) (proto.ReportResp, error) {
+	return m.Report(context.Background(), proto.ReportReq{Node: node, Order: o, Files: files})
+}
+
 // ordersOf is how the tests read a heartbeat reply: its orders of one
 // kind, in reply order.
 func ordersOf(hb proto.HeartbeatResp, kind proto.OrderKind) []proto.Order {
@@ -148,14 +154,28 @@ func TestHeartbeatOrdersSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ordersOf(hb, proto.OrderSplit)) != 1 || ordersOf(hb, proto.OrderSplit)[0].ACG != 1 {
-		t.Errorf("split orders = %v, want [1]", ordersOf(hb, proto.OrderSplit))
+		t.Fatalf("split orders = %v, want [1]", ordersOf(hb, proto.OrderSplit))
+	}
+	split := ordersOf(hb, proto.OrderSplit)[0]
+	if split.Into <= 1 || split.Dest != (proto.ReplicaRef{Node: "a", Addr: "pipe:a"}) {
+		t.Errorf("split order = %+v, want a fresh Into shipped to a", split)
+	}
+	// The split is delivered once. The owner reporting the group again
+	// without having reported the split proves it failed: the group
+	// re-arms, and a new split names a new id.
+	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "a", ACGs: []proto.ACGMeta{{ACG: 1, Files: 500}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := ordersOf(hb, proto.OrderSplit); len(again) != 1 || again[0].Into == split.Into {
+		t.Errorf("re-armed split orders = %+v, want one into a new id", again)
 	}
 	if _, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "ghost"}); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("ghost heartbeat = %v", err)
 	}
 }
 
-func TestSplitReportRebindsFiles(t *testing.T) {
+func TestReportSplitRebindsFiles(t *testing.T) {
 	m := newTestMaster(t, "a", "b")
 	files := []index.FileID{1, 2, 3, 4}
 	hints := []uint64{9, 9, 9, 9}
@@ -163,24 +183,42 @@ func TestSplitReportRebindsFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldACG := resp.Mappings[0].ACG
-	rep, err := m.SplitReport(context.Background(), proto.SplitReportReq{
-		Node: resp.Mappings[0].Node, OldACG: oldACG, SideB: []index.FileID{3, 4},
-	})
+	oldACG, owner := resp.Mappings[0].ACG, resp.Mappings[0].Node
+	hb, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: owner, ACGs: []proto.ACGMeta{{ACG: oldACG, Files: 500}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.NewACG == oldACG {
+	if len(ordersOf(hb, proto.OrderSplit)) != 1 {
+		t.Fatalf("split orders = %+v, want 1", ordersOf(hb, proto.OrderSplit))
+	}
+	split := ordersOf(hb, proto.OrderSplit)[0]
+	// A report that does not match the order in flight is refused.
+	wrong := split
+	wrong.Into++
+	if _, err := report(m, owner, wrong, 3, 4); err == nil {
+		t.Error("split into an id the Master did not reserve was accepted")
+	}
+	rep, err := report(m, owner, split, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split.Into == oldACG {
 		t.Error("new group must differ")
 	}
 	after, err := m.LookupFiles(context.Background(), proto.LookupFilesReq{Files: files})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Mappings[0].ACG != oldACG || after.Mappings[2].ACG != rep.NewACG {
+	if after.Mappings[0].ACG != oldACG || after.Mappings[2].ACG != split.Into || after.Mappings[2].Node != split.Dest.Node {
 		t.Errorf("rebind wrong: %+v", after.Mappings)
 	}
-	if _, err := m.SplitReport(context.Background(), proto.SplitReportReq{OldACG: 9999}); !errors.Is(err, ErrUnknownACG) {
+	if after.Epoch != rep.Epoch {
+		t.Errorf("report epoch %d, lookup epoch %d", rep.Epoch, after.Epoch)
+	}
+	if _, err := report(m, owner, split, 3, 4); err == nil {
+		t.Error("a split reported twice was accepted twice")
+	}
+	if _, err := report(m, owner, proto.Order{Kind: proto.OrderSplit, ACG: 9999}); !errors.Is(err, ErrUnknownACG) {
 		t.Errorf("bogus split = %v", err)
 	}
 }
@@ -243,7 +281,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMergeReport(t *testing.T) {
+func TestReportMerge(t *testing.T) {
 	m := newTestMaster(t, "a")
 	resp, err := m.LookupFiles(context.Background(), proto.LookupFilesReq{
 		Files:      []index.FileID{1, 2, 3, 4},
@@ -254,12 +292,17 @@ func TestMergeReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst, src := resp.Mappings[0].ACG, resp.Mappings[2].ACG
-	rep, err := m.MergeReport(context.Background(), proto.MergeReportReq{Node: "a", Dst: dst, Src: src})
-	if err != nil {
+	if _, err := report(m, "a", proto.Order{Kind: proto.OrderMerge, ACG: src, Into: dst}); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Moved != 2 {
-		t.Errorf("moved = %d, want 2", rep.Moved)
+	rebound := 0
+	for _, id := range m.FileToACG {
+		if id == dst {
+			rebound++
+		}
+	}
+	if rebound != 4 || m.ACGs[dst].Files != 4 {
+		t.Errorf("files mapped to dst = %d, its file count %d; want 4 and 4", rebound, m.ACGs[dst].Files)
 	}
 	after, err := m.LookupFiles(context.Background(), proto.LookupFilesReq{Files: []index.FileID{3, 4}})
 	if err != nil {
@@ -277,16 +320,76 @@ func TestMergeReport(t *testing.T) {
 	if st.ACGs != 1 {
 		t.Errorf("groups = %d, want 1", st.ACGs)
 	}
-	// Error paths.
-	if _, err := m.MergeReport(context.Background(), proto.MergeReportReq{Dst: dst, Src: 999}); !errors.Is(err, ErrUnknownACG) {
+	// Error paths, once a heartbeat without src proves the fold.
+	if _, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "a",
+		ACGs: []proto.ACGMeta{{ACG: dst, Files: 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := report(m, "a", proto.Order{Kind: proto.OrderMerge, ACG: 999, Into: dst}); !errors.Is(err, ErrUnknownACG) {
 		t.Errorf("unknown src = %v", err)
 	}
-	if _, err := m.MergeReport(context.Background(), proto.MergeReportReq{Dst: 999, Src: dst}); !errors.Is(err, ErrUnknownACG) {
+	if _, err := report(m, "a", proto.Order{Kind: proto.OrderMerge, ACG: dst, Into: 999}); !errors.Is(err, ErrUnknownACG) {
 		t.Errorf("unknown dst = %v", err)
 	}
 }
 
-func TestMergeReportAcrossNodesRejected(t *testing.T) {
+// TestReportMergeLostReplyOrdersFold: the Master applied a merge, but the
+// node never saw the reply (or its fold failed afterwards) and still holds
+// the source. A second report of the merge is accepted, the node's
+// heartbeat that lists the source gets the merge back as an order instead
+// of a drop, and the group merged into does not move until a heartbeat
+// without the source proves the fold done.
+func TestReportMergeLostReplyOrdersFold(t *testing.T) {
+	m := newTestMaster(t, "a")
+	ctx := context.Background()
+	resp, err := m.LookupFiles(ctx, proto.LookupFilesReq{
+		Files: []index.FileID{1, 2}, GroupHints: []uint64{1, 2}, Allocate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RegisterNode(ctx, proto.RegisterNodeReq{Node: "b", Addr: "pipe:b"}); err != nil {
+		t.Fatal(err)
+	}
+	dst, src := resp.Mappings[0].ACG, resp.Mappings[1].ACG
+	merge := proto.Order{Kind: proto.OrderMerge, ACG: src, Into: dst}
+	if _, err := report(m, "a", merge); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := report(m, "a", merge); err != nil {
+		t.Errorf("the merge reported again after a lost reply: %v", err)
+	}
+	if _, err := report(m, "a", proto.Order{Kind: proto.OrderMigrate, ACG: dst, Dest: proto.ReplicaRef{Node: "b"}}); err == nil {
+		t.Error("the group merged into moved before the fold was proven")
+	}
+	heartbeat := func(ids ...proto.ACGID) proto.HeartbeatResp {
+		t.Helper()
+		req := proto.HeartbeatReq{Node: "a"}
+		for _, id := range ids {
+			req.ACGs = append(req.ACGs, proto.ACGMeta{ACG: id, Files: 1})
+		}
+		hb, err := m.Heartbeat(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hb
+	}
+	hb := heartbeat(dst, src)
+	if got := ordersOf(hb, proto.OrderMerge); len(got) != 1 || got[0].ACG != src || got[0].Into != dst || len(ordersOf(hb, proto.OrderDrop)) != 0 {
+		t.Fatalf("heartbeat still holding the source: orders %+v, want the merge and no drop", hb.Orders)
+	}
+	hb = heartbeat(dst)
+	if len(hb.Orders) != 0 {
+		t.Errorf("heartbeat after the fold: orders %+v, want none", hb.Orders)
+	}
+	if _, err := report(m, "a", merge); err == nil {
+		t.Error("the merge reported again after the fold was proven")
+	}
+	if hb = heartbeat(dst, src); len(ordersOf(hb, proto.OrderDrop)) != 1 {
+		t.Errorf("a source reported after its fold was proven: orders %+v, want a drop", hb.Orders)
+	}
+}
+
+func TestReportMergeAcrossNodesRejected(t *testing.T) {
 	m := newTestMaster(t, "a", "b")
 	resp, err := m.LookupFiles(context.Background(), proto.LookupFilesReq{
 		Files:      []index.FileID{1, 2},
@@ -299,9 +402,8 @@ func TestMergeReportAcrossNodesRejected(t *testing.T) {
 	if resp.Mappings[0].Node == resp.Mappings[1].Node {
 		t.Skip("placement did not split nodes")
 	}
-	if _, err := m.MergeReport(context.Background(), proto.MergeReportReq{
-		Dst: resp.Mappings[0].ACG, Src: resp.Mappings[1].ACG,
-	}); err == nil {
+	merge := proto.Order{Kind: proto.OrderMerge, ACG: resp.Mappings[1].ACG, Into: resp.Mappings[0].ACG}
+	if _, err := report(m, resp.Mappings[1].Node, merge); err == nil {
 		t.Error("cross-node merge should be rejected")
 	}
 }
@@ -522,9 +624,9 @@ func TestRebalancerOrdersHottestGroupOffOverloadedNode(t *testing.T) {
 	if len(ordersOf(hb2, proto.OrderMigrate)) != 1 || ordersOf(hb2, proto.OrderMigrate)[0].ACG != ord.ACG {
 		t.Errorf("failed transfer should re-arm and re-order %d, got %+v", ord.ACG, ordersOf(hb2, proto.OrderMigrate))
 	}
-	// MigrateReport rebinds and clears the in-flight mark.
+	// The migration's report rebinds and clears the in-flight mark.
 	epochBefore := m.PlacementEpoch()
-	rep, err := m.MigrateReport(context.Background(), proto.MigrateReportReq{Node: "a", ACG: ord.ACG, Dest: "b"})
+	rep, err := report(m, "a", ord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +634,7 @@ func TestRebalancerOrdersHottestGroupOffOverloadedNode(t *testing.T) {
 		t.Error("migrate report must bump the epoch")
 	}
 	// A report from a non-owner is rejected.
-	if _, err := m.MigrateReport(context.Background(), proto.MigrateReportReq{Node: "a", ACG: ord.ACG, Dest: "b"}); err == nil {
+	if _, err := report(m, "a", ord); err == nil {
 		t.Error("migrate report from non-owner should fail")
 	}
 }
@@ -562,7 +664,7 @@ func TestSnapshotPreservesEpoch(t *testing.T) {
 
 func TestMigrationDestHeartbeatNotDropped(t *testing.T) {
 	// Mid-migration race: the destination installed the group and
-	// heartbeats before the source's MigrateReport lands. The
+	// heartbeats before the source's report lands. The
 	// double-ownership guard must NOT order the legitimate new owner to
 	// drop it — that would tombstone the group the moment the rebind
 	// arrives, wedging it in a permanent stale-placement loop.
@@ -584,8 +686,9 @@ func TestMigrationDestHeartbeatNotDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deliver the order to the source.
-	if _, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{
-		Node: src, ACGs: []proto.ACGMeta{{ACG: acg, Files: 1}}}); err != nil {
+	srcHB, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{
+		Node: src, ACGs: []proto.ACGMeta{{ACG: acg, Files: 1}}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The destination reports the group it just received, pre-rebind.
@@ -600,7 +703,7 @@ func TestMigrationDestHeartbeatNotDropped(t *testing.T) {
 		}
 	}
 	// The rebind still lands cleanly.
-	if _, err := m.MigrateReport(context.Background(), proto.MigrateReportReq{Node: src, ACG: acg, Dest: dest}); err != nil {
+	if _, err := report(m, src, ordersOf(srcHB, proto.OrderMigrate)[0]); err != nil {
 		t.Fatal(err)
 	}
 }

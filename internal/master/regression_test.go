@@ -59,10 +59,10 @@ func TestReplayedGroupIsReplicatedAgain(t *testing.T) {
 	}
 }
 
-// TestMergeReportFromNonOwnerRefused: a node back from a silence can hold
+// TestReportMergeFromNonOwnerRefused: a node back from a silence can hold
 // stale copies of two groups that failed over to one peer. Its merge report
 // must not retire a group the peer still serves.
-func TestMergeReportFromNonOwnerRefused(t *testing.T) {
+func TestReportMergeFromNonOwnerRefused(t *testing.T) {
 	m := newTestMaster(t, "a")
 	ctx := context.Background()
 	resp, err := m.LookupFiles(ctx, proto.LookupFilesReq{
@@ -70,12 +70,11 @@ func TestMergeReportFromNonOwnerRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := proto.MergeReportReq{Node: "b", Dst: resp.Mappings[0].ACG, Src: resp.Mappings[1].ACG}
-	if _, err := m.MergeReport(ctx, req); err == nil {
+	merge := proto.Order{Kind: proto.OrderMerge, ACG: resp.Mappings[1].ACG, Into: resp.Mappings[0].ACG}
+	if _, err := report(m, "b", merge); err == nil {
 		t.Fatal("merge reported by a node owning neither group was accepted")
 	}
-	req.Node = "a"
-	if _, err := m.MergeReport(ctx, req); err != nil {
+	if _, err := report(m, "a", merge); err != nil {
 		t.Fatalf("the owner's merge report: %v", err)
 	}
 }

@@ -43,7 +43,7 @@ func placeGroup(t *testing.T, m *Master, f index.FileID, hint uint64) (proto.ACG
 }
 
 // TestHeartbeatOrdersReplication: a primary's heartbeat gets replicate
-// orders up to k-1 distinct followers; a ReplicateReport marks the replica
+// orders up to k-1 distinct followers; a replicate report marks the replica
 // seeded with an epoch bump, and the seeded follower appears in Routes.
 func TestHeartbeatOrdersReplication(t *testing.T) {
 	m := newReplicatedMaster(t, 2, "a", "b", "c")
@@ -78,8 +78,7 @@ func TestHeartbeatOrdersReplication(t *testing.T) {
 	}
 
 	epochBefore := look.Epoch
-	rep, err := m.ReplicateReport(context.Background(), proto.ReplicateReportReq{
-		Node: owner, ACG: id, Dest: ord.Dest.Node})
+	rep, err := report(m, owner, ord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestPromotionPicksMostCaughtUpFollower(t *testing.T) {
 		t.Fatalf("replicate orders = %v, want two (k=3)", ordersOf(hb, proto.OrderReplicate))
 	}
 	for _, ord := range ordersOf(hb, proto.OrderReplicate) {
-		if _, err := m.ReplicateReport(ctx, proto.ReplicateReportReq{Node: "a", ACG: id, Dest: ord.Dest.Node}); err != nil {
+		if _, err := report(m, "a", ord); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +253,7 @@ func TestPromotionFallsBackToReplayWhenNoFollower(t *testing.T) {
 	id, owner := placeGroup(t, m, 1, 1)
 	ctx := context.Background()
 	// The primary heartbeats but the replica never seeds (the follower
-	// node never confirms, no ReplicateReport arrives).
+	// node never confirms, no replicate report arrives).
 	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: owner, ACGs: []proto.ACGMeta{{ACG: id, Files: 1}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +292,9 @@ func TestCutFollowerUnseededAndReseeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dest := ordersOf(hb, proto.OrderReplicate)[0].Dest.Node
-	if _, err := m.ReplicateReport(ctx, proto.ReplicateReportReq{Node: owner, ACG: id, Dest: dest}); err != nil {
+	ord := ordersOf(hb, proto.OrderReplicate)[0]
+	dest := ord.Dest.Node
+	if _, err := report(m, owner, ord); err != nil {
 		t.Fatal(err)
 	}
 	st, err := m.ClusterStats(ctx, proto.ClusterStatsReq{})
@@ -337,8 +337,9 @@ func TestReplicationSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dest := ordersOf(hb, proto.OrderReplicate)[0].Dest.Node
-	if _, err := m.ReplicateReport(ctx, proto.ReplicateReportReq{Node: owner, ACG: id, Dest: dest}); err != nil {
+	ord := ordersOf(hb, proto.OrderReplicate)[0]
+	dest := ord.Dest.Node
+	if _, err := report(m, owner, ord); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: owner, ACGs: []proto.ACGMeta{
@@ -398,8 +399,9 @@ func TestMigrationRefusedDuringPendingPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dest := ordersOf(hb, proto.OrderReplicate)[0].Dest.Node
-	if _, err := m.ReplicateReport(ctx, proto.ReplicateReportReq{Node: owner, ACG: id, Dest: dest}); err != nil {
+	ord := ordersOf(hb, proto.OrderReplicate)[0]
+	dest := ord.Dest.Node
+	if _, err := report(m, owner, ord); err != nil {
 		t.Fatal(err)
 	}
 	m.cfg.Clock.Advance(60 * time.Second)

@@ -3,6 +3,7 @@ package master
 import (
 	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"maps"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"propeller/internal/index"
+	"propeller/internal/perr"
 	"propeller/internal/proto"
 	"propeller/internal/vclock"
 )
@@ -83,6 +85,10 @@ type simNode struct {
 	// busy is set while the node runs a reply's orders: one loop sends its
 	// heartbeats and runs their orders, so it sends none meanwhile.
 	busy bool
+	// unfolded maps each source whose merge the Master applied but the node
+	// has not folded (the reply was lost) to the group it folds into, while
+	// the node still owns that group. Its acked updates live only here.
+	unfolded map[proto.ACGID]proto.ACGID
 }
 
 func (n *simNode) install(id proto.ACGID, c *simCopy) {
@@ -92,6 +98,7 @@ func (n *simNode) install(id proto.ACGID, c *simCopy) {
 
 func (n *simNode) release(id proto.ACGID) {
 	delete(n.copies, id)
+	delete(n.unfolded, id)
 	n.released[id] = true
 }
 
@@ -144,6 +151,7 @@ func runSchedule(seed int64) (err error) {
 		w.nodes = append(w.nodes, &simNode{
 			id: proto.NodeID(fmt.Sprintf("n%d", i)), up: true,
 			copies: map[proto.ACGID]*simCopy{}, released: map[proto.ACGID]bool{},
+			unfolded: map[proto.ACGID]proto.ACGID{},
 		})
 	}
 	w.m = New(w.cfg)
@@ -261,6 +269,13 @@ func (w *world) heartbeat(n *simNode) {
 		req.ACGs = append(req.ACGs, am)
 	}
 	resp, err := w.m.Heartbeat(context.Background(), req)
+	if errors.Is(err, perr.ErrUnknownNode) {
+		// The Master restarted without the node's record: the node
+		// registers again and heartbeats once more.
+		w.logf("heartbeat %s: %v", n.id, err)
+		w.register(w.m, n)
+		resp, err = w.m.Heartbeat(context.Background(), req)
+	}
 	if err != nil {
 		w.logf("heartbeat %s: %v", n.id, err)
 		return
@@ -272,6 +287,12 @@ func (w *world) heartbeat(n *simNode) {
 	v = viewOf(w.m)
 	for _, o := range resp.Orders {
 		switch dest := o.Dest.Node; o.Kind {
+		case proto.OrderDrop:
+			// A stale seeding that turned the source into a follower copy is
+			// an open hazard (a late transfer-in), not checked here.
+			if into, ok := n.unfolded[o.ACG]; ok && v.groups[into].primary == n.id && n.copies[o.ACG] != nil && !n.copies[o.ACG].follower {
+				w.failf("heartbeat reply tells %s to drop acg %d, merged into its acg %d but not folded", n.id, o.ACG, into)
+			}
 		case proto.OrderReplicate:
 			if dest == n.id {
 				w.failf("heartbeat reply tells %s, the primary of acg %d, to replicate to itself", n.id, o.ACG)
@@ -340,11 +361,13 @@ func (w *world) execute(n *simNode) {
 				}
 			}
 		case proto.OrderSplit:
-			ok = w.split(n, o.ACG)
+			ok = w.split(n, o)
 		case proto.OrderMigrate:
 			ok = w.migrate(n, o)
 		case proto.OrderReplicate:
 			ok = w.replicate(n, o)
+		case proto.OrderMerge:
+			ok = w.fold(n, o)
 		default:
 			w.failf("%s holds an order of unknown kind: %+v", n.id, o)
 		}
@@ -364,30 +387,42 @@ func (w *world) transfer(n *simNode, id proto.ACGID, c *simCopy) {
 // through.
 func (w *world) reaches(n *simNode) bool { return n.up && !w.fails() }
 
-func (w *world) split(n *simNode, id proto.ACGID) bool {
-	c := n.copies[id]
-	if c == nil || !w.reaches(n) {
+// split ships the moved half of a group to the order's destination as
+// the order's new group, then reports; the group keeps every file until
+// the Master accepts.
+func (w *world) split(n *simNode, o proto.Order) bool {
+	c := n.copies[o.ACG]
+	if c == nil {
 		return false
 	}
 	var mine []index.FileID
 	v := viewOf(w.m)
 	for f, a := range v.files {
-		if a == id {
+		if a == o.ACG {
 			mine = append(mine, f)
 		}
 	}
 	if len(mine) < 2 {
 		return true
 	}
-	slices.Sort(mine)
-	side := mine[len(mine)/2:]
-	rep, err := w.m.SplitReport(context.Background(), proto.SplitReportReq{Node: n.id, OldACG: id, SideB: side})
-	w.logf("%s splits acg %d: %d files → acg %d on %s (%v)", n.id, id, len(side), rep.NewACG, rep.Dest, err)
-	if err != nil {
+	if w.fails() {
+		w.logf("%s fails to ship acg %d's half to %s", n.id, o.ACG, o.Dest.Node)
 		return false
 	}
-	w.transfer(w.node(rep.Dest), rep.NewACG, &simCopy{seq: c.seq})
-	return true
+	slices.Sort(mine)
+	side := mine[len(mine)/2:]
+	dest := w.node(o.Dest.Node)
+	w.transfer(dest, o.Into, &simCopy{seq: c.seq})
+	if dest.up && !dest.busy && w.rng.Intn(2) == 0 {
+		w.heartbeat(dest) // the destination's heartbeat races the report
+	}
+	if !w.reaches(n) {
+		w.logf("%s: split report for acg %d lost", n.id, o.ACG)
+		return false
+	}
+	_, err := w.m.Report(context.Background(), proto.ReportReq{Node: n.id, Order: o, Files: side})
+	w.logf("%s splits acg %d: %d files → acg %d on %s (%v)", n.id, o.ACG, len(side), o.Into, dest.id, err)
+	return err == nil && !w.fails() // refused, or the reply was lost
 }
 
 func (w *world) migrate(n *simNode, o proto.Order) bool {
@@ -408,8 +443,11 @@ func (w *world) migrate(n *simNode, o proto.Order) bool {
 		w.logf("%s: migrate report for acg %d lost", n.id, o.ACG)
 		return false
 	}
-	_, err := w.m.MigrateReport(context.Background(), proto.MigrateReportReq{Node: n.id, ACG: o.ACG, Dest: dest.id})
+	_, err := w.m.Report(context.Background(), proto.ReportReq{Node: n.id, Order: o})
 	w.logf("%s migrates acg %d to %s (%v)", n.id, o.ACG, dest.id, err)
+	if err == nil && slices.Contains(slices.Collect(maps.Values(n.unfolded)), o.ACG) {
+		w.failf("acg %d migrated off %s before a merge into it was folded", o.ACG, n.id)
+	}
 	if err != nil || w.fails() {
 		return false // refused, or the reply was lost: the source keeps its copy
 	}
@@ -429,7 +467,7 @@ func (w *world) replicate(n *simNode, o proto.Order) bool {
 	w.transfer(w.node(dest), o.ACG, &simCopy{follower: true, seq: c.seq})
 	if w.reaches(n) {
 		// Best effort: the follower's own heartbeat proves the copy too.
-		_, err := w.m.ReplicateReport(context.Background(), proto.ReplicateReportReq{Node: n.id, ACG: o.ACG, Dest: dest})
+		_, err := w.m.Report(context.Background(), proto.ReportReq{Node: n.id, Order: o})
 		w.logf("%s seeds acg %d on %s (%v)", n.id, o.ACG, dest, err)
 	}
 	c.reps = append(c.reps, dest)
@@ -498,8 +536,7 @@ func (w *world) orderMigration(dest *simNode) {
 	}
 }
 
-// merge folds one primary copy the node holds into another once the Master
-// agrees both groups are the node's.
+// merge folds one primary copy the node holds into another.
 func (w *world) merge(n *simNode) {
 	var mine []proto.ACGID
 	for _, id := range slices.Sorted(maps.Keys(n.copies)) {
@@ -507,34 +544,50 @@ func (w *world) merge(n *simNode) {
 			mine = append(mine, id)
 		}
 	}
-	if len(mine) < 2 || !w.reaches(n) {
+	if len(mine) < 2 {
 		return
 	}
 	i := w.rng.Intn(len(mine) - 1)
-	dst, src := mine[i], mine[i+1]
-	_, err := w.m.MergeReport(context.Background(), proto.MergeReportReq{Node: n.id, Dst: dst, Src: src})
-	w.logf("%s merges acg %d into %d: %v", n.id, src, dst, err)
-	if err != nil {
-		return
-	}
-	delete(n.copies, src)
-	w.retired[src] = true
+	w.fold(n, proto.Order{Kind: proto.OrderMerge, ACG: mine[i+1], Into: mine[i]})
 }
 
-// restart snapshots the Master, boots a new one, re-registers the nodes
-// that are up and loads the snapshot; the new Master must hold the state
-// the old one did.
+// fold reports a merge and, once the Master accepts it and the reply
+// arrives, removes the source. With the reply lost the source stays until
+// the Master orders the merge again.
+func (w *world) fold(n *simNode, o proto.Order) bool {
+	if c := n.copies[o.ACG]; c == nil || c.follower {
+		return true
+	}
+	if !w.reaches(n) {
+		w.logf("%s: merge report for acg %d lost", n.id, o.ACG)
+		return false
+	}
+	_, err := w.m.Report(context.Background(), proto.ReportReq{Node: n.id, Order: o})
+	w.logf("%s merges acg %d into %d: %v", n.id, o.ACG, o.Into, err)
+	if err != nil {
+		return false
+	}
+	w.retired[o.ACG] = true
+	if w.fails() {
+		w.logf("%s: merge reply for acg %d lost", n.id, o.ACG)
+		n.unfolded[o.ACG] = o.Into
+		return false
+	}
+	delete(n.copies, o.ACG)
+	delete(n.unfolded, o.ACG)
+	return true
+}
+
+// restart snapshots the Master, boots a new one and loads the snapshot;
+// the new Master must hold the state the old one did. No node is
+// registered with it: each registers again when its next heartbeat is
+// refused.
 func (w *world) restart() {
 	img, err := w.m.SnapshotMetadata()
 	if err != nil {
 		w.failf("snapshot: %v", err)
 	}
 	m := New(w.cfg)
-	for _, n := range w.nodes {
-		if n.up {
-			w.register(m, n)
-		}
-	}
 	if err := m.LoadMetadata(img); err != nil {
 		w.failf("load: %v", err)
 	}
@@ -552,6 +605,16 @@ func (w *world) checkStep() {
 	}
 	if v.epoch == w.last.epoch && !v.samePlacement(w.last) {
 		w.failf("placement changed at epoch %d without a bump:\n  was %+v\n  now %+v", v.epoch, w.last.groups, v.groups)
+	}
+	for _, n := range w.nodes {
+		for src, into := range n.unfolded {
+			if v.groups[into].primary != n.id {
+				// The group failed over without the source's updates: the
+				// fold can no longer happen (an open hazard, not checked).
+				w.logf("%s: acg %d left before acg %d folded into it", n.id, into, src)
+				delete(n.unfolded, src)
+			}
+		}
 	}
 	for id, g := range v.groups {
 		if w.retired[id] {
@@ -577,12 +640,6 @@ func (w *world) settle() {
 	w.logf("settle")
 	if !slices.ContainsFunc(w.nodes, func(n *simNode) bool { return n.up }) {
 		w.nodes[0].up = true
-	}
-	// Every up node registers: a restarted Master may not know it yet.
-	for _, n := range w.nodes {
-		if n.up {
-			w.register(w.m, n)
-		}
 	}
 	for round := 0; ; round++ {
 		if round == 50 {
@@ -670,6 +727,7 @@ type view struct {
 	next   proto.ACGID
 	files  map[index.FileID]proto.ACGID
 	hints  map[uint64]proto.ACGID
+	merged map[proto.ACGID]proto.ACGID
 	groups map[proto.ACGID]groupView
 	load   map[proto.NodeID]int64
 }
@@ -691,7 +749,7 @@ type replicaView struct {
 // sameState compares the durable state: everything but the nodes' load.
 func (v view) sameState(o view) bool {
 	return v.epoch == o.epoch && v.next == o.next && maps.Equal(v.files, o.files) &&
-		maps.Equal(v.hints, o.hints) && maps.EqualFunc(v.groups, o.groups, func(a, b groupView) bool {
+		maps.Equal(v.hints, o.hints) && maps.Equal(v.merged, o.merged) && maps.EqualFunc(v.groups, o.groups, func(a, b groupView) bool {
 		return a.primary == b.primary && a.files == b.files && a.seq == b.seq &&
 			slices.Equal(a.replicas, b.replicas) && a.pending == b.pending
 	})
@@ -719,6 +777,7 @@ func viewOf(m *Master) view {
 	defer m.mu.Unlock()
 	v := view{
 		epoch: m.Epoch, next: m.NextACG, files: maps.Clone(m.FileToACG), hints: maps.Clone(m.HintToACG),
+		merged: maps.Clone(m.Merged),
 		groups: map[proto.ACGID]groupView{}, load: map[proto.NodeID]int64{},
 	}
 	for id, info := range m.ACGs {

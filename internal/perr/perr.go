@@ -40,6 +40,10 @@ var (
 	// must NOT invalidate their cache — the op was never accepted and can
 	// be retried after backoff with no risk of data loss.
 	ErrOverloaded = errors.New("propeller: overloaded")
+	// ErrUnknownNode reports a node the Master holds no registration for:
+	// it restarted from a snapshot since the node registered. The node
+	// registers again and retries.
+	ErrUnknownNode = errors.New("propeller: unknown node")
 )
 
 // Wire codes. Code 0 is a generic error with no taxonomy mapping.
@@ -50,6 +54,7 @@ const (
 	codeTimeout        uint8 = 3
 	codeStalePlacement uint8 = 4
 	codeOverloaded     uint8 = 5
+	codeUnknownNode    uint8 = 6
 )
 
 // CodeOf flattens err to its taxonomy wire code (0 when the chain carries
@@ -68,6 +73,8 @@ func CodeOf(err error) uint8 {
 		return codeStalePlacement
 	case errors.Is(err, ErrOverloaded):
 		return codeOverloaded
+	case errors.Is(err, ErrUnknownNode):
+		return codeUnknownNode
 	default:
 		return codeGeneric
 	}
@@ -98,6 +105,8 @@ func FromWire(code uint8, msg string) error {
 		return &wireError{ErrStalePlacement, msg}
 	case codeOverloaded:
 		return &wireError{ErrOverloaded, msg}
+	case codeUnknownNode:
+		return &wireError{ErrUnknownNode, msg}
 	default:
 		return errors.New(msg)
 	}

@@ -16,6 +16,7 @@ func TestCodeRoundTrip(t *testing.T) {
 		{ErrTimeout},
 		{ErrStalePlacement},
 		{ErrOverloaded},
+		{ErrUnknownNode},
 	}
 	for _, c := range cases {
 		wrapped := fmt.Errorf("layer context: %w", c.sentinel)

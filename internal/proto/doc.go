@@ -9,7 +9,8 @@
 // K-D index over file attributes, and the request/response pairs cover the
 // three planes of the system — data (UpdateReq/SearchReq), causality
 // (FlushACGReq, ReceiveACGStreamMeta) and control (HeartbeatReq, whose
-// reply carries the Master's Orders, NodeStatsReq and friends). Method name
+// reply carries the Master's Orders, ReportReq, which hands a carried-out
+// Order back, NodeStatsReq and friends). Method name
 // constants bind each pair to its rpc dispatch label.
 //
 // Everything here is plain data: no methods with behaviour, no internal

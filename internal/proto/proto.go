@@ -80,16 +80,13 @@ type FileMapping struct {
 
 // Master method names.
 const (
-	MethodRegisterNode    = "master.RegisterNode"
-	MethodHeartbeat       = "master.Heartbeat"
-	MethodLookupFiles     = "master.LookupFiles"
-	MethodLookupIndex     = "master.LookupIndex"
-	MethodCreateIndex     = "master.CreateIndex"
-	MethodSplitReport     = "master.SplitReport"
-	MethodMergeReport     = "master.MergeReport"
-	MethodMigrateReport   = "master.MigrateReport"
-	MethodReplicateReport = "master.ReplicateReport"
-	MethodClusterStats    = "master.ClusterStats"
+	MethodRegisterNode = "master.RegisterNode"
+	MethodHeartbeat    = "master.Heartbeat"
+	MethodLookupFiles  = "master.LookupFiles"
+	MethodLookupIndex  = "master.LookupIndex"
+	MethodCreateIndex  = "master.CreateIndex"
+	MethodReport       = "master.Report"
+	MethodClusterStats = "master.ClusterStats"
 )
 
 // RegisterNodeReq announces an Index Node to the Master.
@@ -178,7 +175,7 @@ const (
 	// previous primary died. Re-issued like a recover order.
 	OrderPromote
 	// OrderSplit: the group grew past the split threshold; the node
-	// partitions it.
+	// partitions it and ships the moved half to Dest as group Into.
 	OrderSplit
 	// OrderMigrate: the node ships the group to Dest and hands it over (load
 	// rebalancing or an operator's move).
@@ -187,6 +184,10 @@ const (
 	// follower copy and then streams acknowledged WAL frames to it.
 	// Re-issued until the follower's own heartbeat confirms the copy.
 	OrderReplicate
+	// OrderMerge: the node folds group ACG into its group Into, and reports
+	// it. The Master sends it only to a node that still reports ACG after
+	// the Master applied the merge: the node finishes the fold.
+	OrderMerge
 )
 
 // String implements fmt.Stringer.
@@ -204,17 +205,24 @@ func (k OrderKind) String() string {
 		return "migrate"
 	case OrderReplicate:
 		return "replicate"
+	case OrderMerge:
+		return "merge"
 	default:
 		return "unknown"
 	}
 }
 
-// Order is one instruction a heartbeat reply carries.
+// Order is one instruction a heartbeat reply carries, and what a node
+// reports once it has carried one out.
 type Order struct {
 	Kind OrderKind
 	ACG  ACGID
-	// Dest is where a migrate or replicate order ships the group.
+	// Dest is where a migrate, replicate or split order ships the group (a
+	// split: its moved half).
 	Dest ReplicaRef
+	// Into is the group a split's moved half becomes, or the group a
+	// merge's source folds into.
+	Into ACGID
 	// Seq (promote) is the dead primary's last heartbeat-reported
 	// replication sequence. A promoting follower behind it provably missed
 	// acknowledged frames and reconciles the shared-store WAL tail before
@@ -295,74 +303,21 @@ type CreateIndexResp struct {
 	OK bool
 }
 
-// SplitReportReq tells the Master an Index Node finished partitioning an
-// oversized ACG in the background. SideB lists the files that moved to the
-// new group.
-type SplitReportReq struct {
-	Node   NodeID
-	OldACG ACGID
-	SideB  []index.FileID
+// ReportReq tells the Master a node carried out Order: it shipped a
+// migration, a seeding or a split's moved half, or folded a merge's source
+// into Order.Into. The node changes its own state only once the Master
+// accepts, so a refused or lost report leaves nothing to undo.
+type ReportReq struct {
+	Node  NodeID
+	Order Order
+	// Files (split) lists the files that moved to Order.Into.
+	Files []index.FileID
 }
 
-// SplitReportResp assigns the new ACG an id and a destination node.
-type SplitReportResp struct {
-	NewACG ACGID
-	Dest   NodeID
-	Addr   string
-	// Epoch is the placement epoch after the split's rebind (the splitting
-	// node adopts it immediately, so searches routed by pre-split caches
-	// notice the move in the same round).
-	Epoch Epoch
-}
-
-// MergeReportReq tells the Master an Index Node folded group Src into Dst
-// (both local to the node) to prevent index fragmentation from many tiny
-// groups (§III clusters small components; nodes may merge later).
-type MergeReportReq struct {
-	Node NodeID
-	Dst  ACGID
-	Src  ACGID
-}
-
-// MergeReportResp acknowledges the rebinding.
-type MergeReportResp struct {
-	// Moved is the number of file mappings rebound from Src to Dst.
-	Moved int
-	// Epoch is the placement epoch after the rebind.
-	Epoch Epoch
-}
-
-// MigrateReportReq tells the Master a node finished transferring one of its
-// groups to Dest (the TransferACG protocol shipped the image and the
-// destination installed it). The Master rebinds the placement and bumps the
-// epoch; only then does the source release its copy.
-type MigrateReportReq struct {
-	Node NodeID
-	ACG  ACGID
-	Dest NodeID
-}
-
-// MigrateReportResp acknowledges the rebinding.
-type MigrateReportResp struct {
-	// Epoch is the placement epoch after the move; the source stamps it on
-	// the released group's tombstone so stale traffic learns how far behind
-	// it is.
-	Epoch Epoch
-}
-
-// ReplicateReportReq tells the Master a primary finished seeding a follower
-// copy of one of its groups onto Dest (the image shipped and installed).
-// The follower's own heartbeat is the durable confirmation; this report
-// just marks the replica seeded a round earlier so routes pick it up.
-type ReplicateReportReq struct {
-	Node NodeID
-	ACG  ACGID
-	Dest NodeID
-}
-
-// ReplicateReportResp acknowledges the seeding.
-type ReplicateReportResp struct {
-	// Epoch is the placement epoch after the replica set change.
+// ReportResp acknowledges a report.
+type ReportResp struct {
+	// Epoch is the placement epoch after the report's change; a migration's
+	// source stamps it on the tombstone its copy leaves.
 	Epoch Epoch
 }
 

@@ -103,8 +103,7 @@ type Client struct {
 	cfg     Config
 	builder *acg.Builder
 
-	mu    sync.Mutex
-	conns map[string]*rpc.Client
+	conns rpc.ConnCache // Index Node connections by address
 
 	// pmu guards the placement cache: each file's group, and each group's
 	// route — so a file costs a map entry of two words, and invalidating a
@@ -152,7 +151,6 @@ func New(cfg Config) (*Client, error) {
 	return &Client{
 		cfg:        cfg,
 		builder:    acg.NewBuilder(),
-		conns:      make(map[string]*rpc.Client),
 		fileACG:    make(map[index.FileID]proto.ACGID),
 		routes:     make(map[proto.ACGID]route),
 		indexCache: make(map[string]*cachedTargets),
@@ -372,47 +370,15 @@ func (c *Client) invalidateIndex(name string) {
 
 // Close closes all cached Index Node connections (the Master connection is
 // owned by the caller).
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var firstErr error
-	for addr, conn := range c.conns {
-		if err := conn.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		delete(c.conns, addr)
-	}
-	return firstErr
-}
+func (c *Client) Close() error { return c.conns.Close() }
 
-// conn returns the cached connection to addr, dialing on first use. A
-// cached connection observed closed (peer loss, or torn down by a cancelled
-// mid-write call) is replaced — one expired deadline must not make a healthy
-// node unreachable forever. The dial runs with c.mu released: toward a
-// black-holed address it lasts until the caller's deadline, and calls to
-// healthy nodes (the hedge leg escaping that very node among them) must not
-// queue behind it. Callers racing to dial one address keep whichever
-// connection was stored first; the loser's is closed.
+// conn returns the cached connection to addr, dialling it on first use.
 func (c *Client) conn(ctx context.Context, addr string) (*rpc.Client, error) {
-	c.mu.Lock()
-	cached := c.conns[addr]
-	c.mu.Unlock()
-	if cached != nil && !cached.Closed() {
-		return cached, nil
-	}
-	dialed, err := c.cfg.Dial(ctx, addr)
+	conn, err := c.conns.Get(ctx, addr, c.cfg.Dial)
 	if err != nil {
 		return nil, fmt.Errorf("client dial %s: %w", addr, err)
 	}
-	c.mu.Lock()
-	if cached = c.conns[addr]; cached == nil || cached.Closed() {
-		c.conns[addr] = dialed
-		c.mu.Unlock()
-		return dialed, nil
-	}
-	c.mu.Unlock()
-	dialed.Close() //nolint:errcheck // the race's loser carried no call
-	return cached, nil
+	return conn, nil
 }
 
 // --- File Access Management (ACG capture) ---

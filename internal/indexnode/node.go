@@ -269,7 +269,6 @@ type Node struct {
 
 	// stats (lock-free; hot paths must not share a cache line with locks).
 	commits       metrics.Counter
-	commitNanos   metrics.Counter
 	commitEntries metrics.Counter
 	splitsDone    metrics.Counter
 	// commitFailures counts commits that returned an error (a wedged
@@ -332,22 +331,10 @@ type Node struct {
 	// per-ACG commit counters, labelled by decimal ACGID.
 	acgCommits metrics.CounterSet
 
-	// peerMu guards peers, the cached connections this node's primaries
-	// stream replication frames over (per-update path; dial once, evict on
-	// failure), LRU-bounded at maxPeerConns. peerUse is the monotonic
-	// recency clock; peerConnEvictions counts capacity evictions.
-	peerMu  sync.Mutex
-	peers   map[string]*peerEntry
-	peerUse uint64
-	// peerConnEvictions counts peer connections closed by LRU capacity
-	// eviction (not failure drops); surfaced in NodeStats.
-	peerConnEvictions metrics.Counter
-}
-
-// peerEntry is one cached peer connection with its LRU recency stamp.
-type peerEntry struct {
-	c       *rpc.Client
-	lastUse uint64
+	// peers caches the connections this node's primaries stream
+	// replication frames over (per-update path; dial once, drop on
+	// failure), LRU-bounded; its evictions surface in NodeStats.
+	peers rpc.ConnCache
 }
 
 // groupGraph is the node-side authoritative ACG of a group (plain adjacency;
@@ -861,7 +848,7 @@ func (n *Node) NodeStats(_ context.Context, _ proto.NodeStatsReq) (proto.NodeSta
 	resp.StalePlacementRejects = n.staleRejects.Value()
 	resp.GroupsMigratedOut = n.groupsMigrated.Value()
 	resp.GroupsRecovered = n.groupsRecovered.Value()
-	resp.PeerConnEvictions = n.peerConnEvictions.Value()
+	resp.PeerConnEvictions = n.peers.Evictions()
 	resp.FollowerAppends = n.followerAppends.Value()
 	resp.FollowerCuts = n.followerCuts.Value()
 	resp.Promotions = n.promotions.Value()

@@ -349,18 +349,6 @@ func TestSearchBadQuery(t *testing.T) {
 	}
 }
 
-// logBytes returns group id's log image: what its shared mirror holds at a
-// crash.
-func logBytes(t testing.TB, n *Node, id proto.ACGID) []byte {
-	t.Helper()
-	g := n.lockGroup(id)
-	if g == nil {
-		t.Fatalf("acg %d: %v", id, ErrUnknownACG)
-	}
-	defer g.mu.Unlock()
-	return g.log.Bytes()
-}
-
 // replayLog replays framed log records into group id's lazy cache through
 // the node's one replay loop and returns the number of entries restored.
 func replayLog(t testing.TB, n *Node, id proto.ACGID, img []byte) int {
@@ -377,13 +365,10 @@ func replayLog(t testing.TB, n *Node, id proto.ACGID, img []byte) int {
 	return restored
 }
 
-// recoverFromLog has a fresh node recover group 1 from a shared store whose
-// mirror holds img and no checkpoint (a group that was never checkpointed),
-// and returns it with the number of entries recovery committed.
-func recoverFromLog(t *testing.T, img []byte) (*Node, int64) {
+// recoverFromShared has a fresh node recover group 1 from shared, and
+// returns it with the number of entries recovery committed.
+func recoverFromShared(t *testing.T, shared *sharedstore.Store) (*Node, int64) {
 	t.Helper()
-	shared := sharedstore.New()
-	shared.AppendWAL(1, img)
 	n, _ := newTestNode(t, func(c *Config) { c.Shared = shared })
 	n.DeclareIndex(sizeSpec)
 	if err := n.RecoverFromShared(context.Background(), 1); err != nil {
@@ -396,8 +381,12 @@ func recoverFromLog(t *testing.T, img []byte) (*Node, int64) {
 	return n, st.CommitEntries
 }
 
+// TestWALRecovery runs Update → shared mirror → RecoverFromShared end to
+// end: the acknowledged records a crashed node mirrored are what a fresh
+// node replays.
 func TestWALRecovery(t *testing.T) {
-	n, _ := newTestNode(t)
+	shared := sharedstore.New()
+	n, _ := newTestNode(t, func(c *Config) { c.Shared = shared })
 	n.DeclareIndex(sizeSpec)
 	if _, err := n.Update(context.Background(), proto.UpdateReq{
 		ACG: 1, IndexName: "size",
@@ -409,8 +398,8 @@ func TestWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Crash": a fresh node recovers the log and serves consistent results.
-	n2, recovered := recoverFromLog(t, logBytes(t, n, 1))
+	// "Crash": a fresh node recovers the mirror and serves consistent results.
+	n2, recovered := recoverFromShared(t, shared)
 	if recovered != 2 {
 		t.Fatalf("recovered %d entries, want 2", recovered)
 	}
@@ -423,8 +412,11 @@ func TestWALRecovery(t *testing.T) {
 	}
 }
 
+// TestWALRecoveryTornTail: a crash mid-write leaves the mirror's last
+// record cut short; recovery replays the intact records before it.
 func TestWALRecoveryTornTail(t *testing.T) {
-	n, _ := newTestNode(t)
+	shared := sharedstore.New()
+	n, _ := newTestNode(t, func(c *Config) { c.Shared = shared })
 	n.DeclareIndex(sizeSpec)
 	for i := 0; i < 3; i++ {
 		if _, err := n.Update(context.Background(), proto.UpdateReq{
@@ -434,8 +426,13 @@ func TestWALRecoveryTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	img := logBytes(t, n, 1)
-	if _, recovered := recoverFromLog(t, img[:len(img)-3]); recovered != 2 {
+	checkpoint, mirror, _ := shared.Load(1)
+	if checkpoint != nil {
+		t.Fatal("the group was checkpointed: recovery would not replay its updates")
+	}
+	torn := sharedstore.New()
+	torn.AppendWAL(1, mirror[:len(mirror)-3])
+	if _, recovered := recoverFromShared(t, torn); recovered != 2 {
 		t.Errorf("recovered %d, want the 2 intact records", recovered)
 	}
 }

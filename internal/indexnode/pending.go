@@ -230,7 +230,6 @@ func (n *Node) commitGroupLocked(g *group) error {
 }
 
 func (n *Node) commitPendingLocked(g *group) error {
-	start := n.cfg.Clock.Now()
 	committed := int64(g.pendingCount)
 	runs := make([]*pendingRun, 0, len(g.pending))
 	for _, run := range g.pending {
@@ -279,7 +278,6 @@ func (n *Node) commitPendingLocked(g *group) error {
 	}
 	n.commits.Inc()
 	n.commitEntries.Add(committed)
-	n.commitNanos.Add(int64(n.cfg.Clock.Now() - start))
 	g.acgCommits.Inc()
 	// Compact the shared-storage mirror once its WAL has grown past the
 	// threshold: without this, a long-lived group that never splits or

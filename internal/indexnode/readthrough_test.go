@@ -395,7 +395,7 @@ func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
 			delete(tw.owner, g3)
 			tw.traffic(150, 0, 1)
 
-			// Crash recovery: g2's log replays into its cache. The entries
+			// Crash recovery: g2's mirrored log replays into its cache. The entries
 			// are the ones already there, but nobody sorts a replay, so the
 			// next Strict search of g2 commits them.
 			commitsFirst := func() (total int64) {
@@ -411,7 +411,8 @@ func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
 			tw.update(g2, 12)
 			before := commitsFirst()
 			tw.both(func(r *transferRig) {
-				replayLog(t, r.a, g2, logBytes(t, r.a, g2))
+				_, mirror, _ := r.shared.Load(g2)
+				replayLog(t, r.a, g2, mirror)
 			})
 			tw.compare(0)
 			if commitsFirst() == before {

@@ -19,99 +19,19 @@ import (
 // follower whose append fails is cut from the ack set and re-seeded by the
 // Master, with the shared mirror covering the gap.
 
-// maxPeerConns caps the peer connection cache. A node that has streamed to
-// many peers over its lifetime (reshuffled follower sets, churned
-// placements) would otherwise pin one multiplexed conn per peer forever.
-const maxPeerConns = 32
-
-// peerConn returns a cached connection to a peer node, dialing on first
-// use; it is the node's one way to reach a peer — follower streaming,
-// replica seeding, migrations and split shipping all share it. Follower
-// streaming is per-update, so it must not pay a dial per call. A
-// connection observed closed is replaced by a redial; a caller whose call
-// on it fails drops it (dropPeer). The cache is LRU-bounded at
-// maxPeerConns: adding a new peer at capacity closes the least-recently-
-// used conn (counted in NodeStats.PeerConnEvictions) — its peer redials on
-// next use.
-//
-// The dial runs with peerMu released. Callers hold a group lock, and toward
-// a partitioned follower a dial lasts until the caller's deadline: holding
-// peerMu across it would stall the acks of every other group streaming to
-// healthy followers. Callers racing to dial one peer keep whichever
-// connection was stored first; the loser's is closed.
+// peerConn returns the cached connection to a peer node, dialling it
+// through cfg.Dial on first use; it is the node's one way to reach a peer —
+// follower streaming, replica seeding, migrations and split shipping all
+// share it. Follower streaming is per-update, so it must not pay a dial per
+// call. A caller whose call on the connection fails drops it (peers.Drop).
+// Callers hold a group lock, so the cache dials unlocked: a dial toward a
+// partitioned follower must not stall the acks of groups streaming to
+// healthy ones.
 func (n *Node) peerConn(ctx context.Context, addr string) (*rpc.Client, error) {
 	if n.cfg.Dial == nil {
 		return nil, fmt.Errorf("indexnode %s: no dialer for peer %s", n.cfg.ID, addr)
 	}
-	n.peerMu.Lock()
-	c := n.livePeerLocked(addr)
-	n.peerMu.Unlock()
-	if c != nil {
-		return c, nil
-	}
-	dialed, err := n.cfg.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	n.peerMu.Lock()
-	if c = n.livePeerLocked(addr); c != nil {
-		n.peerMu.Unlock()
-		dialed.Close() //nolint:errcheck // the race's loser carried no call
-		return c, nil
-	}
-	defer n.peerMu.Unlock()
-	if n.peers == nil {
-		n.peers = make(map[string]*peerEntry)
-	}
-	for len(n.peers) >= maxPeerConns {
-		n.evictLRUPeerLocked()
-	}
-	n.peerUse++
-	n.peers[addr] = &peerEntry{c: dialed, lastUse: n.peerUse}
-	return dialed, nil
-}
-
-// livePeerLocked returns the cached connection to addr if it is still open,
-// stamped as just used; nil otherwise. Caller holds peerMu.
-func (n *Node) livePeerLocked(addr string) *rpc.Client {
-	e := n.peers[addr]
-	if e == nil || e.c.Closed() {
-		return nil
-	}
-	n.peerUse++
-	e.lastUse = n.peerUse
-	return e.c
-}
-
-// evictLRUPeerLocked closes and removes the least-recently-used cached
-// peer connection. Caller holds peerMu and has checked the cache is
-// non-empty.
-func (n *Node) evictLRUPeerLocked() {
-	var victim string
-	var oldest uint64
-	first := true
-	for addr, e := range n.peers {
-		if first || e.lastUse < oldest {
-			victim, oldest, first = addr, e.lastUse, false
-		}
-	}
-	if e := n.peers[victim]; e != nil {
-		e.c.Close() //nolint:errcheck // best-effort teardown
-		delete(n.peers, victim)
-		n.peerConnEvictions.Inc()
-	}
-}
-
-// dropPeer evicts (and closes) a cached peer connection after a failed
-// call, so the next use redials instead of reusing a broken pipe. Failure
-// drops are not LRU evictions and do not count as such.
-func (n *Node) dropPeer(addr string) {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	if e := n.peers[addr]; e != nil {
-		e.c.Close() //nolint:errcheck // best-effort teardown
-		delete(n.peers, addr)
-	}
+	return n.peers.Get(ctx, addr, n.cfg.Dial)
 }
 
 // streamToFollowersLocked streams one acknowledged framed WAL record to
@@ -128,7 +48,7 @@ func (n *Node) streamToFollowersLocked(ctx context.Context, g *group, framed []b
 	for _, rep := range g.reps {
 		if err := n.followerAppend(ctx, rep, g.id, framed, g.replSeq); err != nil {
 			n.followerCuts.Inc()
-			n.dropPeer(rep.Addr)
+			n.peers.Drop(rep.Addr)
 			continue
 		}
 		kept = append(kept, rep)
@@ -244,7 +164,7 @@ func (n *Node) ReplicateACG(ctx context.Context, o proto.Order) error {
 		ACG: g.id, Epoch: n.epoch(), Follower: true, ReplSeq: g.replSeq,
 	}
 	if err := n.shipGroupStreamLocked(ctx, peer, g, nil, meta); err != nil {
-		n.dropPeer(o.Dest.Addr)
+		n.peers.Drop(o.Dest.Addr)
 		return fmt.Errorf("indexnode replicate acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 	}
 	// Best-effort: a lost report just delays the seeded mark until the

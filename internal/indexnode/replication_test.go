@@ -12,6 +12,7 @@ import (
 	"propeller/internal/index"
 	"propeller/internal/perr"
 	"propeller/internal/proto"
+	"propeller/internal/rpc"
 	"propeller/internal/wal"
 )
 
@@ -89,8 +90,9 @@ func TestReplicateACGSeedsFollowerAndStreams(t *testing.T) {
 
 // TestLogMirrorAndFollowerHoldTheWireBody pins the one record format: the
 // frame Update builds — wal.FrameRecord around the request's wire body — is,
-// byte for byte, what the primary's log, the shared-store mirror and the
-// follower's log hold. No layer re-encodes.
+// byte for byte, what the shared-store mirror holds and what the follower's
+// append handler receives. No layer re-encodes, and each copy's log counts
+// the record once.
 func TestLogMirrorAndFollowerHoldTheWireBody(t *testing.T) {
 	r := newTransferRig(t)
 	ctx := context.Background()
@@ -100,6 +102,19 @@ func TestLogMirrorAndFollowerHoldTheWireBody(t *testing.T) {
 	if _, err := r.a.FlushACG(ctx, proto.FlushACGReq{ACG: 1}); err != nil {
 		t.Fatal(err)
 	}
+	// The follower's server records every frame its append handler gets.
+	var streamed [][]byte
+	rpc.HandleTyped(r.servers["pipe:in-b"], proto.MethodFollowerAppend,
+		func(ctx context.Context, req proto.FollowerAppendReq) (proto.FollowerAppendResp, error) {
+			streamed = append(streamed, bytes.Clone(req.Frames))
+			return r.b.FollowerAppend(ctx, req)
+		})
+	logLen := func(n *Node) int {
+		g := n.lockGroup(1)
+		defer g.mu.Unlock()
+		return g.log.Len()
+	}
+	primaryLen, followerLen := logLen(r.a), logLen(r.b)
 
 	req := proto.UpdateReq{
 		ACG: 1, IndexName: "size", Client: "tenant-3",
@@ -110,12 +125,18 @@ func TestLogMirrorAndFollowerHoldTheWireBody(t *testing.T) {
 	}
 	want := wal.FrameRecord(req.MarshalWire(nil))
 
-	primary, follower := logBytes(t, r.a, 1), logBytes(t, r.b, 1)
 	_, mirror, _ := r.shared.Load(1)
-	for name, got := range map[string][]byte{"primary log": primary, "shared mirror": mirror, "follower log": follower} {
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s = %x\nwant framed wire body %x", name, got, want)
-		}
+	if !bytes.Equal(mirror, want) {
+		t.Errorf("shared mirror = %x\nwant framed wire body %x", mirror, want)
+	}
+	if len(streamed) != 1 || !bytes.Equal(streamed[0], want) {
+		t.Errorf("follower append frames = %x\nwant one framed wire body %x", streamed, want)
+	}
+	if got := logLen(r.a); got != primaryLen+1 {
+		t.Errorf("primary log Len = %d, want %d", got, primaryLen+1)
+	}
+	if got := logLen(r.b); got != followerLen+1 {
+		t.Errorf("follower log Len = %d, want %d", got, followerLen+1)
 	}
 }
 

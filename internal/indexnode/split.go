@@ -79,7 +79,7 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 			return 0, fmt.Errorf("indexnode split dial %s: %w", o.Dest.Addr, err)
 		}
 		if err := n.shipGroupStreamLocked(ctx, peer, g, filter, meta); err != nil {
-			n.dropPeer(o.Dest.Addr)
+			n.peers.Drop(o.Dest.Addr)
 			return 0, fmt.Errorf("indexnode split acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 		}
 	}

@@ -303,7 +303,7 @@ func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
 	}
 	meta := proto.ReceiveACGStreamMeta{ACG: g.id, Epoch: n.epoch(), ReplSeq: g.replSeq}
 	if err := n.shipGroupStreamLocked(ctx, peer, g, nil, meta); err != nil {
-		n.dropPeer(o.Dest.Addr)
+		n.peers.Drop(o.Dest.Addr)
 		return fmt.Errorf("indexnode transfer acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 	}
 	epoch, err := n.report(ctx, o, nil)

@@ -8,9 +8,9 @@
 //
 // The UpdateReq encoding is more than a transport form: it is the Index
 // Node's log record. Node.Update frames MarshalWire's output once and that
-// frame is what the group WAL, the shared-store mirror, the follower
-// stream and a group image's WAL section hold; every replay decodes it
-// with UnmarshalWire. Changing UpdateReq's layout therefore changes the
+// frame is what the shared-store mirror holds and the follower stream
+// carries (a group's mirrored WAL travels beside its image, not inside
+// it); every replay decodes it with UnmarshalWire. Changing UpdateReq's layout therefore changes the
 // durable format — bump wireV1 rather than reinterpret bytes (a replay
 // stops at a record whose version it does not know, as at a torn tail).
 //

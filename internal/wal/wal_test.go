@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -11,22 +10,29 @@ import (
 	"propeller/internal/vclock"
 )
 
-func TestAppendReplay(t *testing.T) {
-	l := New(nil)
-	recs := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc"), {}}
+// image is a log image: the records framed by FrameRecord, back to back, as
+// the shared-storage mirror concatenates them.
+func image(recs ...[]byte) []byte {
+	var img []byte
 	for _, r := range recs {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
+		img = append(img, FrameRecord(r)...)
 	}
-	if l.Len() != len(recs) {
-		t.Fatalf("Len = %d, want %d", l.Len(), len(recs))
-	}
+	return img
+}
+
+// diskLog is a group-commit log over a fresh simulated disk, as an Index
+// Node's groups have.
+func diskLog() (*Log, *simdisk.Disk, *vclock.Clock) {
+	clk := vclock.New()
+	disk := simdisk.New(simdisk.Barracuda7200(), clk)
+	return NewGroupCommit(NewGroupCommitter(disk)), disk, clk
+}
+
+func TestAppendReplay(t *testing.T) {
+	recs := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc"), {}}
 	var got [][]byte
-	if err := ReplayBytes(l.Bytes(), func(r []byte) bool {
-		cp := make([]byte, len(r))
-		copy(cp, r)
-		got = append(got, cp)
+	if err := ReplayBytes(image(recs...), func(r []byte) bool {
+		got = append(got, append([]byte(nil), r...))
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -41,66 +47,33 @@ func TestAppendReplay(t *testing.T) {
 	}
 }
 
-// TestAppendFramedMatchesAppend checks the off-lock prepare contract:
-// framing a record with FrameRecord and appending the frame yields a log
-// byte-identical to the locked Append path, replayable record for record.
-func TestAppendFramedMatchesAppend(t *testing.T) {
-	plain, framed := New(nil), New(nil)
-	recs := [][]byte{[]byte("x"), {}, []byte("a longer record with content")}
-	for _, r := range recs {
-		if err := plain.Append(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := framed.AppendFramed(FrameRecord(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(plain.Bytes(), framed.Bytes()) {
-		t.Fatal("AppendFramed log image differs from Append")
-	}
-	if framed.Len() != len(recs) {
-		t.Fatalf("Len = %d, want %d", framed.Len(), len(recs))
-	}
-	var got [][]byte
-	if err := ReplayBytes(framed.Bytes(), func(r []byte) bool {
-		cp := make([]byte, len(r))
-		copy(cp, r)
-		got = append(got, cp)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if !bytes.Equal(got[i], recs[i]) {
-			t.Errorf("record %d = %q, want %q", i, got[i], recs[i])
-		}
-	}
-}
-
-// TestAppendFramedChargesDisk checks a framed append still pays the
-// sequential device charge the acknowledgement promises.
+// TestAppendFramedChargesDisk checks a framed append counts its record and
+// pays the sequential device charge the acknowledgement promises: one
+// device write of exactly the frame's bytes.
 func TestAppendFramedChargesDisk(t *testing.T) {
-	clk := vclock.New()
-	disk := simdisk.New(simdisk.Barracuda7200(), clk)
-	l := New(disk)
-	before := clk.Now()
-	if err := l.AppendFramed(FrameRecord(make([]byte, 256))); err != nil {
+	l, disk, clk := diskLog()
+	framed := FrameRecord(make([]byte, 256))
+	if err := l.AppendFramed(framed); err != nil {
 		t.Fatal(err)
 	}
-	if clk.Now() <= before {
+	if clk.Now() == 0 {
 		t.Fatal("framed append charged no device time")
+	}
+	if st := disk.Stats(); st.Writes != 1 || st.BytesWrite != int64(len(framed)) {
+		t.Errorf("disk stats = %+v, want one write of %d bytes", st, len(framed))
+	}
+	if l.Len() != 1 {
+		t.Errorf("Len = %d, want 1", l.Len())
 	}
 }
 
 func TestReplayEarlyStop(t *testing.T) {
-	l := New(nil)
+	var recs [][]byte
 	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, []byte{byte(i)})
 	}
 	n := 0
-	if err := ReplayBytes(l.Bytes(), func([]byte) bool { n++; return n < 3 }); err != nil {
+	if err := ReplayBytes(image(recs...), func([]byte) bool { n++; return n < 3 }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {
@@ -109,14 +82,7 @@ func TestReplayEarlyStop(t *testing.T) {
 }
 
 func TestTornTailDetected(t *testing.T) {
-	l := New(nil)
-	if err := l.Append([]byte("intact")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append([]byte("will-be-torn")); err != nil {
-		t.Fatal(err)
-	}
-	img := l.Bytes()
+	img := image([]byte("intact"), []byte("will-be-torn"))
 	torn := img[:len(img)-5] // cut mid-record
 	var got []string
 	err := ReplayBytes(torn, func(r []byte) bool {
@@ -132,35 +98,41 @@ func TestTornTailDetected(t *testing.T) {
 }
 
 func TestBitFlipDetected(t *testing.T) {
-	l := New(nil)
-	if err := l.Append([]byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	img := l.Bytes()
+	img := image([]byte("payload"))
 	img[len(img)-1] ^= 0xFF
 	if err := ReplayBytes(img, func([]byte) bool { return true }); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestTruncate checks a commit's truncate zeroes the count and charges the
+// device flush, and that the log counts again from zero afterwards.
 func TestTruncate(t *testing.T) {
-	l := New(nil)
-	if err := l.Append([]byte("x")); err != nil {
+	l, _, clk := diskLog()
+	if err := l.AppendFramed(FrameRecord([]byte("x"))); err != nil {
 		t.Fatal(err)
 	}
+	before := clk.Now()
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 0 || len(l.Bytes()) != 0 {
-		t.Errorf("after truncate Len=%d Size=%d", l.Len(), len(l.Bytes()))
+	if l.Len() != 0 {
+		t.Errorf("after truncate Len = %d", l.Len())
+	}
+	if clk.Now() == before {
+		t.Error("truncate charged no device flush")
+	}
+	if err := l.AppendFramed(FrameRecord([]byte("y"))); err != nil {
+		t.Fatal(err)
+	}
+	if l.Len() != 1 {
+		t.Errorf("after truncate and one append Len = %d, want 1", l.Len())
 	}
 }
 
 func TestAppendChargesSequentialDisk(t *testing.T) {
-	clk := vclock.New()
-	d := simdisk.New(simdisk.Barracuda7200(), clk)
-	l := New(d)
-	if err := l.Append(make([]byte, 1024)); err != nil {
+	l, disk, clk := diskLog()
+	if err := l.AppendFramed(FrameRecord(make([]byte, 1024))); err != nil {
 		t.Fatal(err)
 	}
 	lat := clk.Now()
@@ -170,32 +142,16 @@ func TestAppendChargesSequentialDisk(t *testing.T) {
 	if lat > 1000000 { // 1ms
 		t.Errorf("append latency %v should be sub-millisecond (sequential)", lat)
 	}
-}
-
-func TestClosed(t *testing.T) {
-	l := New(nil)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
-		t.Errorf("append after close = %v", err)
-	}
-	if err := l.Truncate(); !errors.Is(err, ErrClosed) {
-		t.Errorf("truncate after close = %v", err)
+	if st := disk.Stats(); st.Seeks != 0 || st.Sequential != 1 {
+		t.Errorf("disk stats = %+v, want one sequential access and no seek", st)
 	}
 }
 
-// Property: any sequence of appended records replays identically.
+// Property: any sequence of framed records replays identically.
 func TestReplayMatchesHistory(t *testing.T) {
 	f := func(recs [][]byte) bool {
-		l := New(nil)
-		for _, r := range recs {
-			if err := l.Append(r); err != nil {
-				return false
-			}
-		}
 		i := 0
-		err := ReplayBytes(l.Bytes(), func(r []byte) bool {
+		err := ReplayBytes(image(recs...), func(r []byte) bool {
 			if i >= len(recs) || !bytes.Equal(r, recs[i]) {
 				i = -1 << 30
 				return false
@@ -220,11 +176,11 @@ func TestReplayBytesEmptyAndGarbage(t *testing.T) {
 }
 
 func BenchmarkAppend(b *testing.B) {
-	l := New(nil)
-	rec := []byte(fmt.Sprintf("%0128d", 7))
+	l, _, _ := diskLog()
+	framed := FrameRecord(make([]byte, 128))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.Append(rec); err != nil {
+		if err := l.AppendFramed(framed); err != nil {
 			b.Fatal(err)
 		}
 	}

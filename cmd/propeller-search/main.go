@@ -13,8 +13,8 @@
 //
 // Searches honor -timeout (a context deadline that travels with every
 // RPC), -limit/-after (cursor pagination; the printed "next after=N" value
-// resumes the following page), -lazy (skip commit-on-search) and -stream
-// (print per-node batches as index nodes respond instead of waiting for
+// resumes the following page), -lazy (read committed postings only, not
+// the lazy cache) and -stream (print per-node batches as index nodes respond instead of waiting for
 // the slowest node).
 package main
 
@@ -48,7 +48,7 @@ func run(args []string) error {
 	timeout := fs.Duration("timeout", 0, "request deadline (0 = none)")
 	limit := fs.Int("limit", 0, "max files per search page (0 = unlimited)")
 	after := fs.Int64("after", -1, "resume cursor: only files with id > after (-1 = from the top)")
-	lazy := fs.Bool("lazy", false, "lazy reads: skip commit-on-search (may miss very recent updates)")
+	lazy := fs.Bool("lazy", false, "lazy reads: committed postings only, not the lazy cache (may miss very recent updates)")
 	stream := fs.Bool("stream", false, "stream per-node batches as they arrive")
 	if err := fs.Parse(args); err != nil {
 		return err

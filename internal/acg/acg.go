@@ -11,26 +11,27 @@
 package acg
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
 	"propeller/internal/index"
+	"propeller/internal/partition"
 )
 
-// Graph is a directed weighted access-causality graph. Methods are safe for
-// concurrent use (clients update ACGs from interleaved process events).
+// Graph is a directed weighted access-causality graph: the one clients
+// capture into, an Index Node keeps per group, and a split partitions.
+// Methods are safe for concurrent use (clients update ACGs from interleaved
+// process events).
 type Graph struct {
 	mu  sync.RWMutex
 	adj map[index.FileID]map[index.FileID]int64 // src -> dst -> weight
-	in  map[index.FileID]int                    // in-degree counts for vertex tracking
 }
 
 // NewGraph returns an empty ACG.
 func NewGraph() *Graph {
-	return &Graph{
-		adj: make(map[index.FileID]map[index.FileID]int64),
-		in:  make(map[index.FileID]int),
-	}
+	return &Graph{adj: make(map[index.FileID]map[index.FileID]int64)}
 }
 
 // AddVertex ensures file is present even with no edges (an isolated file is
@@ -45,9 +46,6 @@ func (g *Graph) ensureVertex(f index.FileID) {
 	if _, ok := g.adj[f]; !ok {
 		g.adj[f] = make(map[index.FileID]int64)
 	}
-	if _, ok := g.in[f]; !ok {
-		g.in[f] = 0
-	}
 }
 
 // AddEdge increments the weight of src → dst by w (w <= 0 is ignored;
@@ -60,9 +58,6 @@ func (g *Graph) AddEdge(src, dst index.FileID, w int64) {
 	defer g.mu.Unlock()
 	g.ensureVertex(src)
 	g.ensureVertex(dst)
-	if g.adj[src][dst] == 0 {
-		g.in[dst]++
-	}
 	g.adj[src][dst] += w
 }
 
@@ -116,26 +111,30 @@ func (g *Graph) Vertices() []index.FileID {
 	return out
 }
 
-// ForEachEdge streams every directed edge to fn in deterministic order; fn
-// returns false to stop early.
+// ForEachEdge streams every directed edge to fn in (src, dst) order; fn
+// returns false to stop early. A graph with no edges allocates nothing.
 func (g *Graph) ForEachEdge(fn func(src, dst index.FileID, w int64) bool) {
 	g.mu.RLock()
 	type edge struct {
 		src, dst index.FileID
 		w        int64
 	}
-	edges := make([]edge, 0, 64)
+	n := 0
+	for _, m := range g.adj {
+		n += len(m)
+	}
+	edges := make([]edge, 0, n)
 	for src, m := range g.adj {
 		for dst, w := range m {
 			edges = append(edges, edge{src, dst, w})
 		}
 	}
 	g.mu.RUnlock()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].src != edges[j].src {
-			return edges[i].src < edges[j].src
+	slices.SortFunc(edges, func(a, b edge) int {
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return edges[i].dst < edges[j].dst
+		return cmp.Compare(a.dst, b.dst)
 	})
 	for _, e := range edges {
 		if !fn(e.src, e.dst, e.w) {
@@ -144,45 +143,55 @@ func (g *Graph) ForEachEdge(fn func(src, dst index.FileID, w int64) bool) {
 	}
 }
 
-// Undirected returns a symmetric adjacency view with weights summed across
-// both directions. Partitioning treats the ACG as undirected: an index
-// co-access is costly whichever direction caused it.
-func (g *Graph) Undirected() map[index.FileID]map[index.FileID]int64 {
+// Undirected returns the view partitioning works on: every file of over is
+// a vertex, and an edge between two of them weighs the sum of both
+// directions (an index co-access is costly whichever direction caused it).
+// Edges to files outside over are left out.
+func (g *Graph) Undirected(over []index.FileID) partition.Graph {
+	u := make(partition.Graph, len(over))
+	for _, f := range over {
+		u[f] = make(map[index.FileID]int64)
+	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	u := make(map[index.FileID]map[index.FileID]int64, len(g.adj))
-	add := func(a, b index.FileID, w int64) {
-		if u[a] == nil {
-			u[a] = make(map[index.FileID]int64)
-		}
-		u[a][b] += w
-	}
-	for src := range g.adj {
-		if u[src] == nil {
-			u[src] = make(map[index.FileID]int64)
-		}
-	}
-	for src, m := range g.adj {
-		for dst, w := range m {
-			add(src, dst, w)
-			add(dst, src, w)
+	for src, row := range u {
+		for dst, w := range g.adj[src] {
+			if col := u[dst]; col != nil {
+				row[dst] += w
+				col[src] += w
+			}
 		}
 	}
 	return u
 }
 
+// Remove deletes files from the graph with every edge that touches them.
+func (g *Graph) Remove(files []index.FileID) {
+	gone := make(map[index.FileID]bool, len(files))
+	for _, f := range files {
+		gone[f] = true
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, f := range files {
+		delete(g.adj, f)
+	}
+	for _, m := range g.adj {
+		for dst := range m {
+			if gone[dst] {
+				delete(m, dst)
+			}
+		}
+	}
+}
+
 // ConnectedComponents returns the weakly connected components, each sorted
 // by file id, ordered by descending size then by smallest member.
 func (g *Graph) ConnectedComponents() [][]index.FileID {
-	u := g.Undirected()
+	verts := g.Vertices()
+	u := g.Undirected(verts)
 	seen := make(map[index.FileID]bool, len(u))
 	var comps [][]index.FileID
-	// Deterministic iteration order.
-	verts := make([]index.FileID, 0, len(u))
-	for v := range u {
-		verts = append(verts, v)
-	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
 	for _, start := range verts {
 		if seen[start] {
 			continue
@@ -211,31 +220,4 @@ func (g *Graph) ConnectedComponents() [][]index.FileID {
 		return comps[i][0] < comps[j][0]
 	})
 	return comps
-}
-
-// Subgraph returns the induced directed subgraph over the given files.
-func (g *Graph) Subgraph(files []index.FileID) *Graph {
-	in := make(map[index.FileID]bool, len(files))
-	for _, f := range files {
-		in[f] = true
-	}
-	sub := NewGraph()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	for _, f := range files {
-		if _, ok := g.adj[f]; ok {
-			sub.ensureVertex(f)
-		}
-	}
-	for src, m := range g.adj {
-		if !in[src] {
-			continue
-		}
-		for dst, w := range m {
-			if in[dst] {
-				sub.AddEdge(src, dst, w)
-			}
-		}
-	}
-	return sub
 }

@@ -75,26 +75,37 @@ func TestUndirectedSymmetric(t *testing.T) {
 	g := NewGraph()
 	g.AddEdge(1, 2, 3)
 	g.AddEdge(2, 1, 4)
-	u := g.Undirected()
+	u := g.Undirected([]index.FileID{1, 2})
 	if u[1][2] != 7 || u[2][1] != 7 {
 		t.Errorf("undirected weights = %d/%d, want 7/7", u[1][2], u[2][1])
 	}
 }
 
-func TestSubgraph(t *testing.T) {
+func TestUndirectedOverSubset(t *testing.T) {
 	g := NewGraph()
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(3, 4, 1)
-	sub := g.Subgraph([]index.FileID{1, 2, 3})
-	if sub.NumVertices() != 3 {
-		t.Errorf("subgraph vertices = %d, want 3", sub.NumVertices())
+	u := g.Undirected([]index.FileID{1, 2, 3, 9})
+	if len(u) != 4 || len(u[9]) != 0 {
+		t.Errorf("view = %v, want vertices 1 2 3 and an edgeless 9", u)
 	}
-	if sub.EdgeWeight(1, 2) != 1 || sub.EdgeWeight(2, 3) != 1 {
-		t.Error("subgraph should keep internal edges")
+	if u[1][2] != 1 || u[2][1] != 1 || u[2][3] != 1 || u[3][2] != 1 {
+		t.Errorf("view = %v, want the internal edges both ways", u)
 	}
-	if sub.EdgeWeight(3, 4) != 0 {
-		t.Error("subgraph must drop edges crossing the cut")
+	if _, ok := u[3][4]; ok {
+		t.Error("the view must drop edges leaving over")
+	}
+}
+
+func TestRemove(t *testing.T) {
+	g := NewGraph()
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(2, 3, 2)
+	g.AddEdge(3, 1, 4)
+	g.Remove([]index.FileID{3})
+	if g.NumVertices() != 2 || g.NumEdges() != 1 || g.EdgeWeight(1, 2) != 1 {
+		t.Errorf("V=%d E=%d weight(1->2)=%d, want 2/1/1", g.NumVertices(), g.NumEdges(), g.EdgeWeight(1, 2))
 	}
 }
 
@@ -227,86 +238,5 @@ func TestBuilderTakeGraph(t *testing.T) {
 	b.Open(1, 3, OpenWrite)
 	if b.Graph().EdgeWeight(1, 3) != 1 || b.Graph().EdgeWeight(2, 3) != 1 {
 		t.Error("sessions must survive TakeGraph")
-	}
-}
-
-func TestClusterComponents(t *testing.T) {
-	comps := [][]index.FileID{
-		{1, 2, 3},        // 3
-		{10, 11},         // 2
-		{20},             // 1
-		{30, 31, 32, 33}, // 4
-	}
-	groups := ClusterComponents(comps, 5)
-	total := 0
-	for _, g := range groups {
-		if len(g) > 5 {
-			// only allowed if a single component exceeds the threshold
-			t.Errorf("group %v exceeds threshold without being one component", g)
-		}
-		total += len(g)
-	}
-	if total != 10 {
-		t.Errorf("clustered %d files, want 10", total)
-	}
-	if len(groups) > 3 {
-		t.Errorf("FFD should pack into <= 3 groups, got %d", len(groups))
-	}
-}
-
-func TestClusterOversizedComponentPassesThrough(t *testing.T) {
-	big := make([]index.FileID, 10)
-	for i := range big {
-		big[i] = index.FileID(i)
-	}
-	groups := ClusterComponents([][]index.FileID{big, {100}}, 5)
-	found := false
-	for _, g := range groups {
-		if len(g) == 10 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("oversized component should pass through as its own group")
-	}
-}
-
-func TestClusterDefaultThreshold(t *testing.T) {
-	groups := ClusterComponents([][]index.FileID{{1}, {2}}, 0)
-	if len(groups) != 1 {
-		t.Errorf("default threshold should pack tiny components together, got %d groups", len(groups))
-	}
-}
-
-// Property: clustering preserves the exact multiset of files.
-func TestClusterPreservesFiles(t *testing.T) {
-	f := func(sizes []uint8, threshold uint8) bool {
-		var comps [][]index.FileID
-		next := index.FileID(0)
-		want := map[index.FileID]bool{}
-		for _, s := range sizes {
-			n := int(s%50) + 1
-			var c []index.FileID
-			for i := 0; i < n; i++ {
-				c = append(c, next)
-				want[next] = true
-				next++
-			}
-			comps = append(comps, c)
-		}
-		groups := ClusterComponents(comps, int(threshold%64)+1)
-		got := map[index.FileID]bool{}
-		for _, g := range groups {
-			for _, f := range g {
-				if got[f] {
-					return false // duplicate
-				}
-				got[f] = true
-			}
-		}
-		return len(got) == len(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }

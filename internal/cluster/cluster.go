@@ -191,14 +191,13 @@ func (c *Cluster) bootNode(i int) (*indexnode.Node, *simdisk.Disk, *pagestore.St
 		return nil, nil, nil, "", err
 	}
 	node, err := indexnode.New(indexnode.Config{
-		ID:             proto.NodeID(name),
-		Store:          store,
-		Disk:           disk,
-		Clock:          c.clock,
-		CommitTimeout:  c.cfg.CommitTimeout,
-		CacheLimit:     c.cfg.CacheLimit,
-		SplitThreshold: c.cfg.SplitThreshold,
-		Master:         masterConn,
+		ID:            proto.NodeID(name),
+		Store:         store,
+		Disk:          disk,
+		Clock:         c.clock,
+		CommitTimeout: c.cfg.CommitTimeout,
+		CacheLimit:    c.cfg.CacheLimit,
+		Master:        masterConn,
 		Dial: func(ctx context.Context, addr string) (*rpc.Client, error) {
 			return c.DialFrom(ctx, name, addr)
 		},

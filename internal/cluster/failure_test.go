@@ -229,8 +229,9 @@ func TestRepeatedSplitsUnderLoad(t *testing.T) {
 	}
 }
 
-// TestCommitLatencyReported verifies the commit-on-search cost is surfaced
-// to clients (used by the Figure 10 analysis).
+// TestCommitLatencyReported verifies that a strict search reports the commit
+// it pays first — for a cache no writer kept in order — to clients (used by
+// the Figure 10 analysis).
 func TestCommitLatencyReported(t *testing.T) {
 	c, cl := bootCluster(t, Config{IndexNodes: 1, CacheLimit: 1 << 20})
 	if err := cl.CreateIndex(context.Background(), proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {

@@ -173,8 +173,9 @@ func runFig1(opts Options) (*Result, error) {
 
 // runFig11 reproduces Figure 11: recall and query latency on a dynamic
 // namespace for Spotlight vs Propeller at 1/2/5 files per second.
-// Propeller's recall is pinned at 100% (inline indexing + commit-on-search)
-// and its latency sits well below the crawler's.
+// Propeller's recall is pinned at 100% (inline indexing + strict searches
+// that read through the lazy cache) and its latency sits well below the
+// crawler's.
 func runFig11(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	res := &Result{}
@@ -185,7 +186,7 @@ func runFig11(opts Options) (*Result, error) {
 	for _, fps := range []int{1, 2, 5} {
 		// The base namespace approximates the paper's 89k-file Ubuntu
 		// snapshot import: big enough that the crawler's per-file scan
-		// cost exceeds Propeller's commit-on-search cost.
+		// cost exceeds the cost of Propeller's strict search.
 		dr, err := dynamicRun{
 			fps: fps, duration: duration, withPropeller: true, queryStr: "size>16m",
 			baseFiles: opts.scaled(45000), seed: opts.Seed,

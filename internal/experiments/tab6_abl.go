@@ -83,24 +83,13 @@ func runTab6(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// compileGraph returns the undirected adjacency of the largest component of
-// a compile-trace ACG.
+// compileGraph returns the undirected view of the largest component of a
+// compile-trace ACG.
 func compileGraph(p workload.CompileProfile) partition.Graph {
-	reg := workload.NewPathIDs()
 	b := acg.NewBuilder()
-	p.Trace(b, reg)
+	p.Trace(b, workload.NewPathIDs())
 	g := b.Graph()
-	largest := g.ConnectedComponents()[0]
-	sub := g.Subgraph(largest)
-	adj := make(map[uint64]map[uint64]int64)
-	for src, m := range sub.Undirected() {
-		row := make(map[uint64]int64, len(m))
-		for dst, w := range m {
-			row[uint64(dst)] = w
-		}
-		adj[uint64(src)] = row
-	}
-	return partition.Graph{Adj: adj}
+	return g.Undirected(g.ConnectedComponents()[0])
 }
 
 // runAblPartition compares the multilevel ACG partitioner against the naive
@@ -122,8 +111,8 @@ func runAblPartition(opts Options) (*Result, error) {
 		rnd := partition.RandomBisect(g, opts.Seed)
 		// Static metadata attribute (a pseudo file size uncorrelated with
 		// access causality — the SmartStore-style criterion).
-		attrs := make(map[uint64]int64, len(g.Adj))
-		for v := range g.Adj {
+		attrs := make(map[index.FileID]int64, len(g))
+		for v := range g {
 			attrs[v] = int64(v * 2654435761 % 1000003)
 		}
 		att := partition.AttributeBisect(g, attrs)

@@ -79,20 +79,10 @@ func runTab2(opts Options) (*Result, error) {
 		p.Trace(builder, reg)
 		g := builder.Graph()
 
-		comps := g.ConnectedComponents()
-		largest := comps[0]
-		sub := g.Subgraph(largest)
-		adj := make(map[uint64]map[uint64]int64, len(largest))
-		for src, m := range sub.Undirected() {
-			row := make(map[uint64]int64, len(m))
-			for dst, w := range m {
-				row[uint64(dst)] = w
-			}
-			adj[uint64(src)] = row
-		}
+		largest := g.Undirected(g.ConnectedComponents()[0])
 
 		start := time.Now()
-		bis, err := partition.Bisect(partition.Graph{Adj: adj}, partition.Options{Seed: opts.Seed})
+		bis, err := partition.Bisect(largest, partition.Options{Seed: opts.Seed})
 		if err != nil {
 			return nil, err
 		}

@@ -496,8 +496,8 @@ func (t *BTree) ScanRange(lo, hi *attr.Value, incLo, incHi bool, fn func(attr.Va
 // the streaming access primitive behind every scan: position it with a Seek
 // method, then pull postings with Next — no candidate set is ever
 // materialized. A cursor is invalidated by tree mutation (Propeller scans
-// under the group lock, after commit-on-search, so nothing mutates
-// mid-scan). The zero Cursor is usable after Reset.
+// under the group lock, so nothing mutates mid-scan). The zero Cursor is
+// usable after Reset.
 type Cursor struct {
 	t   *BTree
 	v   nodeView // the leaf under the cursor, read in place

@@ -131,39 +131,26 @@ func (n *Node) streamImageLocked(g *group, filter func(index.FileID) bool, hdr p
 		}
 	}
 
-	srcs := make([]index.FileID, 0, len(g.graph.adj))
-	for src := range g.graph.adj {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
 	scratch = scratch[:0]
 	edges := 0
 	var edgeBody []byte
-	for _, src := range srcs {
-		if filter != nil && !filter(src) {
-			continue
+	var err error
+	g.graph.ForEachEdge(func(src, dst index.FileID, weight int64) bool {
+		if filter != nil && (!filter(src) || !filter(dst)) {
+			return true
 		}
-		m := g.graph.adj[src]
-		dsts := make([]index.FileID, 0, len(m))
-		for dst := range m {
-			dsts = append(dsts, dst)
+		edgeBody = binary.AppendUvarint(edgeBody, uint64(src))
+		edgeBody = binary.AppendUvarint(edgeBody, uint64(dst))
+		edgeBody = binary.AppendUvarint(edgeBody, uint64(weight))
+		edges++
+		if edges == entriesPerRecord {
+			err = flushEdges(w, &scratch, edgeBody, edges)
+			edgeBody, edges = edgeBody[:0], 0
 		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		for _, dst := range dsts {
-			if filter != nil && !filter(dst) {
-				continue
-			}
-			edgeBody = binary.AppendUvarint(edgeBody, uint64(src))
-			edgeBody = binary.AppendUvarint(edgeBody, uint64(dst))
-			edgeBody = binary.AppendUvarint(edgeBody, uint64(m[dst]))
-			edges++
-			if edges == entriesPerRecord {
-				if err := flushEdges(w, &scratch, edgeBody, edges); err != nil {
-					return err
-				}
-				edgeBody, edges = edgeBody[:0], 0
-			}
-		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	if edges > 0 {
 		if err := flushEdges(w, &scratch, edgeBody, edges); err != nil {
@@ -403,7 +390,7 @@ func (a *imageApplier) applyEdges(b []byte) error {
 		if w, b, err = imageUvarint(b); err != nil {
 			return err
 		}
-		a.g.graph.addEdge(index.FileID(src), index.FileID(dst), int64(w))
+		a.g.graph.AddEdge(index.FileID(src), index.FileID(dst), int64(w))
 	}
 	return nil
 }

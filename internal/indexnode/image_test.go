@@ -92,7 +92,7 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 		dst.mu.Unlock()
 		t.Fatalf("applied header acg = %d, want 1", got.ACG)
 	}
-	if w := dst.graph.adj[0][1]; w != 7 {
+	if w := dst.graph.EdgeWeight(0, 1); w != 7 {
 		dst.mu.Unlock()
 		t.Fatalf("edge 0->1 weight = %d, want 7", w)
 	}

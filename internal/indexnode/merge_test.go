@@ -200,7 +200,7 @@ func TestMergePreservesCausality(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.mu.Lock()
-	w := n.groups[1].graph.adj[5][6]
+	w := n.groups[1].graph.EdgeWeight(5, 6)
 	n.mu.Unlock()
 	if w != 3 {
 		t.Errorf("merged edge weight = %d, want 3", w)

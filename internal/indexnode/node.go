@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"propeller/internal/acg"
 	"propeller/internal/index"
 	"propeller/internal/metrics"
 	"propeller/internal/pagestore"
@@ -86,8 +87,6 @@ type Config struct {
 	// pending entries (1 commits every update synchronously: the ablation
 	// without the lazy cache).
 	CacheLimit int
-	// SplitThreshold is the group size that triggers a background split.
-	SplitThreshold int
 	// Master connects to the Master Node (nil for standalone single-node
 	// operation).
 	Master *rpc.Client
@@ -117,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheLimit <= 0 {
 		c.CacheLimit = 8192
-	}
-	if c.SplitThreshold <= 0 {
-		c.SplitThreshold = 50000
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.New()
@@ -173,7 +169,7 @@ type group struct {
 	// client re-resolves. Nil until a split moves files away; entries
 	// clear when an authoritative install re-homes a file here.
 	movedOut map[index.FileID]bool
-	graph    *groupGraph
+	graph    *acg.Graph
 	// indexes by name.
 	indexes map[string]*inst
 	// pending is the lazy index cache (pending.go): one run per index the
@@ -270,7 +266,6 @@ type Node struct {
 	// stats (lock-free; hot paths must not share a cache line with locks).
 	commits       metrics.Counter
 	commitEntries metrics.Counter
-	splitsDone    metrics.Counter
 	// commitFailures counts commits that returned an error (a wedged
 	// group retried every tick keeps counting — the growth rate is the
 	// alarm).
@@ -335,48 +330,6 @@ type Node struct {
 	// replication frames over (per-update path; dial once, drop on
 	// failure), LRU-bounded; its evictions surface in NodeStats.
 	peers rpc.ConnCache
-}
-
-// groupGraph is the node-side authoritative ACG of a group (plain adjacency;
-// the acg package's builder lives on clients).
-type groupGraph struct {
-	adj map[index.FileID]map[index.FileID]int64
-}
-
-func newGroupGraph() *groupGraph {
-	return &groupGraph{adj: make(map[index.FileID]map[index.FileID]int64)}
-}
-
-func (g *groupGraph) addEdge(src, dst index.FileID, w int64) {
-	if src == dst || w <= 0 {
-		return
-	}
-	if g.adj[src] == nil {
-		g.adj[src] = make(map[index.FileID]int64)
-	}
-	g.adj[src][dst] += w
-}
-
-func (g *groupGraph) undirected(files map[index.FileID]bool) map[uint64]map[uint64]int64 {
-	u := make(map[uint64]map[uint64]int64, len(files))
-	for f := range files {
-		u[uint64(f)] = make(map[uint64]int64)
-	}
-	add := func(a, b index.FileID, w int64) {
-		if u[uint64(a)] == nil {
-			u[uint64(a)] = make(map[uint64]int64)
-		}
-		u[uint64(a)][uint64(b)] += w
-	}
-	for src, m := range g.adj {
-		for dst, w := range m {
-			if files[src] && files[dst] {
-				add(src, dst, w)
-				add(dst, src, w)
-			}
-		}
-	}
-	return u
 }
 
 // New returns an Index Node.
@@ -581,7 +534,7 @@ func (n *Node) newGroupLocked(id proto.ACGID) *group {
 		id:         id,
 		acgCommits: n.acgCommits.Get(acgLabel(id)),
 		files:      make(map[index.FileID]bool),
-		graph:      newGroupGraph(),
+		graph:      acg.NewGraph(),
 		indexes:    make(map[string]*inst),
 		log:        wal.NewGroupCommit(n.walGC),
 		cacheOrder: orderedOnCredit,
@@ -779,7 +732,7 @@ func (n *Node) FlushACG(_ context.Context, req proto.FlushACGReq) (proto.FlushAC
 		g.files[e.Dst] = true
 		delete(g.movedOut, e.Src)
 		delete(g.movedOut, e.Dst)
-		g.graph.addEdge(e.Src, e.Dst, e.Weight)
+		g.graph.AddEdge(e.Src, e.Dst, e.Weight)
 	}
 	if err := n.checkpointLocked(g); err != nil {
 		return proto.FlushACGResp{}, err

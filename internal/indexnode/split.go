@@ -34,18 +34,14 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 		g.mu.Unlock()
 		return 0, err
 	}
-	pg := partition.Graph{Adj: g.graph.undirected(g.files)}
+	view := g.graph.Undirected(g.groupFilesSorted())
 	g.mu.Unlock()
 
-	res, err := partition.Bisect(pg, partition.Options{Seed: int64(o.ACG)})
+	res, err := partition.Bisect(view, partition.Options{Seed: int64(o.ACG)})
 	if err != nil {
 		return 0, fmt.Errorf("indexnode split %d: %w", o.ACG, err)
 	}
-	sideB := make([]index.FileID, 0, len(res.B))
-	for _, v := range res.B {
-		sideB = append(sideB, index.FileID(v))
-	}
-	sort.Slice(sideB, func(i, j int) bool { return sideB[i] < sideB[j] })
+	sideB := res.B // ascending
 
 	// The group stays locked from the image to the trim, or an update
 	// landing between them would be trimmed unshipped. It may have been
@@ -112,20 +108,13 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 	if g.movedOut == nil {
 		g.movedOut = make(map[index.FileID]bool, len(moveSet))
 	}
+	g.graph.Remove(sideB)
 	for f := range moveSet {
 		delete(g.files, f)
-		delete(g.graph.adj, f)
 		// Fence the moved file: a warm client's pre-split mapping must get
 		// ErrStalePlacement here, not a silently accepted write the new
 		// owner never sees.
 		g.movedOut[f] = true
-	}
-	for _, m := range g.graph.adj {
-		for dst := range m {
-			if moveSet[dst] {
-				delete(m, dst)
-			}
-		}
 	}
 	// Refresh the shrunk group's shared-storage image: a recovery replaying
 	// the pre-split state would resurrect the moved files into this group,
@@ -133,7 +122,6 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 	if err := n.checkpointLocked(g); err != nil {
 		return 0, err
 	}
-	n.splitsDone.Inc()
 	return len(sideB), nil
 }
 

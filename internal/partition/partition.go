@@ -19,53 +19,39 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"propeller/internal/index"
 )
 
-// Graph is an undirected weighted graph keyed by opaque vertex ids. Adj must
-// be symmetric (Adj[a][b] == Adj[b][a]); Bisect verifies and returns an
-// error otherwise. VWeight gives optional vertex weights (nil = every vertex
-// weighs 1).
-type Graph struct {
-	Adj     map[uint64]map[uint64]int64
-	VWeight map[uint64]int64
-}
+// Graph is an undirected weighted graph over files: Graph[a][b] is the
+// weight of edge a-b, every vertex weighs 1, and the adjacency must be
+// symmetric (Graph[a][b] == Graph[b][a]); Bisect verifies and returns an
+// error otherwise. acg.Graph.Undirected builds one.
+type Graph map[index.FileID]map[index.FileID]int64
 
 // Options tunes Bisect.
 type Options struct {
-	// MaxImbalance is the allowed ratio of the heavier side to the ideal
-	// half weight (METIS default ~1.03; we default to 1.1).
-	MaxImbalance float64
-	// CoarsenTo stops coarsening when at most this many vertices remain.
-	CoarsenTo int
-	// RefinePasses bounds KL passes per uncoarsening level.
-	RefinePasses int
 	// Seed makes the randomized phases deterministic.
 	Seed int64
 	// DisableRefine skips KL refinement (ablation).
 	DisableRefine bool
-	// GrowTries is the number of greedy-growing seeds tried.
-	GrowTries int
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxImbalance <= 1 {
-		o.MaxImbalance = 1.1
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 64
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 6
-	}
-	if o.GrowTries <= 0 {
-		o.GrowTries = 4
-	}
-	return o
-}
+const (
+	// maxImbalance is the allowed ratio of the heavier side to the ideal
+	// half weight (METIS default ~1.03).
+	maxImbalance = 1.1
+	// coarsenTo stops coarsening when at most this many vertices remain.
+	coarsenTo = 64
+	// refinePasses bounds KL passes per uncoarsening level.
+	refinePasses = 6
+	// growTries is the number of greedy-growing seeds tried.
+	growTries = 4
+)
 
 // Result is a bisection.
 type Result struct {
-	A, B      []uint64
+	A, B      []index.FileID
 	CutWeight int64
 	// Balance is heavierSideWeight / idealHalfWeight (1.0 = perfect).
 	Balance float64
@@ -94,18 +80,13 @@ type arc struct {
 
 // Bisect splits g into two balanced halves minimizing cut weight.
 func Bisect(g Graph, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	if len(g.Adj) == 0 {
+	if len(g) == 0 {
 		return Result{}, ErrEmptyGraph
 	}
 
 	// Index vertices deterministically.
-	ids := make([]uint64, 0, len(g.Adj))
-	for v := range g.Adj {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	idx := make(map[uint64]int, len(ids))
+	ids := sortedIDs(g)
+	idx := make(map[index.FileID]int, len(ids))
 	for i, v := range ids {
 		idx[v] = i
 	}
@@ -114,15 +95,9 @@ func Bisect(g Graph, opts Options) (Result, error) {
 	base.adj = make([][]arc, base.n)
 	base.vwt = make([]int64, base.n)
 	for i, v := range ids {
-		w := int64(1)
-		if g.VWeight != nil {
-			if vw, ok := g.VWeight[v]; ok && vw > 0 {
-				w = vw
-			}
-		}
-		base.vwt[i] = w
-		nbrs := g.Adj[v]
-		keys := make([]uint64, 0, len(nbrs))
+		base.vwt[i] = 1
+		nbrs := g[v]
+		keys := make([]index.FileID, 0, len(nbrs))
 		for u := range nbrs {
 			keys = append(keys, u)
 		}
@@ -135,7 +110,7 @@ func Bisect(g Graph, opts Options) (Result, error) {
 			if j == i {
 				continue // ignore self loops
 			}
-			if g.Adj[u][v] != nbrs[u] {
+			if g[u][v] != nbrs[u] {
 				return Result{}, fmt.Errorf("%w: %d-%d", ErrNotSymmetric, v, u)
 			}
 			base.adj[i] = append(base.adj[i], arc{to: j, w: nbrs[u]})
@@ -147,7 +122,7 @@ func Bisect(g Graph, opts Options) (Result, error) {
 	// 1. Coarsen.
 	levels := []*level{base}
 	cur := base
-	for cur.n > opts.CoarsenTo {
+	for cur.n > coarsenTo {
 		next := coarsen(cur, rng)
 		if next.n >= cur.n*9/10 {
 			break // diminishing returns; stop coarsening
@@ -157,7 +132,7 @@ func Bisect(g Graph, opts Options) (Result, error) {
 	}
 
 	// 2. Initial partition on the coarsest level.
-	part := initialPartition(cur, rng, opts)
+	part := initialPartition(cur, rng)
 
 	// 3. Uncoarsen and refine.
 	for li := len(levels) - 1; li >= 0; li-- {
@@ -174,31 +149,21 @@ func Bisect(g Graph, opts Options) (Result, error) {
 			part = fine
 		}
 		if !opts.DisableRefine {
-			klRefine(lv, part, opts)
+			klRefine(lv, part)
 		}
 	}
 
 	// Assemble result.
 	var res Result
-	var wA, wB int64
 	for i, side := range part {
 		if side == 0 {
 			res.A = append(res.A, ids[i])
-			wA += base.vwt[i]
 		} else {
 			res.B = append(res.B, ids[i])
-			wB += base.vwt[i]
 		}
 	}
 	res.CutWeight = cutOf(base, part)
-	total := wA + wB
-	heavier := wA
-	if wB > heavier {
-		heavier = wB
-	}
-	if total > 0 {
-		res.Balance = float64(heavier) / (float64(total) / 2)
-	}
+	res.Balance = balance(len(res.A), len(res.B))
 	return res, nil
 }
 
@@ -286,7 +251,7 @@ func coarsen(lv *level, rng *rand.Rand) *level {
 
 // initialPartition greedily grows region A from several seeds and keeps the
 // best balanced cut.
-func initialPartition(lv *level, rng *rand.Rand, opts Options) []int {
+func initialPartition(lv *level, rng *rand.Rand) []int {
 	var total int64
 	for _, w := range lv.vwt {
 		total += w
@@ -295,7 +260,7 @@ func initialPartition(lv *level, rng *rand.Rand, opts Options) []int {
 
 	bestPart := []int(nil)
 	bestCut := int64(-1)
-	tries := opts.GrowTries
+	tries := growTries
 	if tries > lv.n {
 		tries = lv.n
 	}
@@ -358,12 +323,12 @@ func initialPartition(lv *level, rng *rand.Rand, opts Options) []int {
 }
 
 // klRefine runs Kernighan–Lin boundary passes in place.
-func klRefine(lv *level, part []int, opts Options) {
+func klRefine(lv *level, part []int) {
 	var total int64
 	for _, w := range lv.vwt {
 		total += w
 	}
-	maxSide := int64(float64(total) / 2 * opts.MaxImbalance)
+	maxSide := int64(float64(total) / 2 * maxImbalance)
 
 	sideWeight := func() (int64, int64) {
 		var a, b int64
@@ -420,7 +385,7 @@ func klRefine(lv *level, part []int, opts Options) {
 		}
 	}
 
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		wA, wB := sideWeight()
 		// gains[v] = external - internal edge weight.
 		gains := make([]int64, lv.n)
@@ -516,9 +481,9 @@ func cutOf(lv *level, part []int) int64 {
 
 // CutWeight computes the weight of edges crossing the given 2-coloring of
 // graph g (sideOf maps every vertex to 0 or 1).
-func CutWeight(g Graph, sideOf map[uint64]int) int64 {
+func CutWeight(g Graph, sideOf map[index.FileID]int) int64 {
 	var cut int64
-	for v, nbrs := range g.Adj {
+	for v, nbrs := range g {
 		for u, w := range nbrs {
 			if u > v && sideOf[u] != sideOf[v] {
 				cut += w
@@ -530,11 +495,7 @@ func CutWeight(g Graph, sideOf map[uint64]int) int64 {
 
 // RandomBisect splits vertices into two random halves (ablation baseline).
 func RandomBisect(g Graph, seed int64) Result {
-	ids := make([]uint64, 0, len(g.Adj))
-	for v := range g.Adj {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedIDs(g)
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	return assembleSplit(g, ids)
@@ -543,55 +504,48 @@ func RandomBisect(g Graph, seed int64) Result {
 // OrderBisect splits vertices in id order (a proxy for namespace-based
 // partitioning where ids are assigned in directory-walk order).
 func OrderBisect(g Graph) Result {
-	ids := make([]uint64, 0, len(g.Adj))
-	for v := range g.Adj {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return assembleSplit(g, ids)
+	return assembleSplit(g, sortedIDs(g))
 }
 
 // AttributeBisect splits vertices at the median of a static metadata
 // attribute (file size, mtime, ...) — the SmartStore-style partitioning
 // the paper contrasts with access-causality partitioning (§III). Vertices
 // missing from attrs sort as zero.
-func AttributeBisect(g Graph, attrs map[uint64]int64) Result {
-	ids := make([]uint64, 0, len(g.Adj))
-	for v := range g.Adj {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		ai, aj := attrs[ids[i]], attrs[ids[j]]
-		if ai != aj {
-			return ai < aj
-		}
-		return ids[i] < ids[j]
-	})
+func AttributeBisect(g Graph, attrs map[index.FileID]int64) Result {
+	ids := sortedIDs(g)
+	sort.SliceStable(ids, func(i, j int) bool { return attrs[ids[i]] < attrs[ids[j]] })
 	return assembleSplit(g, ids)
 }
 
-func assembleSplit(g Graph, ids []uint64) Result {
+// sortedIDs returns g's vertices in ascending order.
+func sortedIDs(g Graph) []index.FileID {
+	ids := make([]index.FileID, 0, len(g))
+	for v := range g {
+		ids = append(ids, v)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// assembleSplit cuts ids at its midpoint: the first half is side A.
+func assembleSplit(g Graph, ids []index.FileID) Result {
 	mid := len(ids) / 2
-	sideOf := make(map[uint64]int, len(ids))
-	res := Result{}
-	for i, v := range ids {
-		if i < mid {
-			sideOf[v] = 0
-			res.A = append(res.A, v)
-		} else {
-			sideOf[v] = 1
-			res.B = append(res.B, v)
-		}
+	sideOf := make(map[index.FileID]int, len(ids))
+	res := Result{A: ids[:mid:mid], B: ids[mid:]}
+	for _, v := range res.B {
+		sideOf[v] = 1
 	}
 	sort.Slice(res.A, func(i, j int) bool { return res.A[i] < res.A[j] })
 	sort.Slice(res.B, func(i, j int) bool { return res.B[i] < res.B[j] })
 	res.CutWeight = CutWeight(g, sideOf)
-	if len(ids) > 0 {
-		heavier := len(res.A)
-		if len(res.B) > heavier {
-			heavier = len(res.B)
-		}
-		res.Balance = float64(heavier) / (float64(len(ids)) / 2)
-	}
+	res.Balance = balance(len(res.A), len(res.B))
 	return res
+}
+
+// balance is the heavier side's vertex count over the ideal half.
+func balance(a, b int) float64 {
+	if a+b == 0 {
+		return 0
+	}
+	return float64(max(a, b)) / (float64(a+b) / 2)
 }

@@ -5,19 +5,21 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"propeller/internal/index"
 )
 
 // buildGraph constructs a symmetric Graph from an edge list.
 func buildGraph(edges [][3]int64) Graph {
-	g := Graph{Adj: make(map[uint64]map[uint64]int64)}
-	add := func(a, b uint64, w int64) {
-		if g.Adj[a] == nil {
-			g.Adj[a] = make(map[uint64]int64)
+	g := Graph{}
+	add := func(a, b index.FileID, w int64) {
+		if g[a] == nil {
+			g[a] = make(map[index.FileID]int64)
 		}
-		g.Adj[a][b] += w
+		g[a][b] += w
 	}
 	for _, e := range edges {
-		a, b, w := uint64(e[0]), uint64(e[1]), e[2]
+		a, b, w := index.FileID(e[0]), index.FileID(e[1]), e[2]
 		add(a, b, w)
 		add(b, a, w)
 	}
@@ -47,10 +49,10 @@ func TestBisectEmptyGraph(t *testing.T) {
 }
 
 func TestBisectAsymmetricRejected(t *testing.T) {
-	g := Graph{Adj: map[uint64]map[uint64]int64{
+	g := Graph{
 		1: {2: 5},
 		2: {1: 3},
-	}}
+	}
 	if _, err := Bisect(g, Options{}); !errors.Is(err, ErrNotSymmetric) {
 		t.Errorf("err = %v, want ErrNotSymmetric", err)
 	}
@@ -86,15 +88,15 @@ func TestBisectBalancedWithinTolerance(t *testing.T) {
 		edges = append(edges, [3]int64{a, b, int64(1 + rng.Intn(20))})
 	}
 	g := buildGraph(edges)
-	res, err := Bisect(g, Options{Seed: 7, MaxImbalance: 1.1})
+	res, err := Bisect(g, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Balance > 1.15 {
 		t.Errorf("balance %f exceeds tolerance", res.Balance)
 	}
-	if len(res.A)+len(res.B) != len(g.Adj) {
-		t.Errorf("partition loses vertices: %d+%d != %d", len(res.A), len(res.B), len(g.Adj))
+	if len(res.A)+len(res.B) != len(g) {
+		t.Errorf("partition loses vertices: %d+%d != %d", len(res.A), len(res.B), len(g))
 	}
 }
 
@@ -129,7 +131,7 @@ func TestBisectBeatsRandomOnClusteredGraph(t *testing.T) {
 }
 
 func TestBisectSingletonAndPair(t *testing.T) {
-	g := Graph{Adj: map[uint64]map[uint64]int64{7: {}}}
+	g := Graph{7: {}}
 	res, err := Bisect(g, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -164,27 +166,6 @@ func TestBisectDisconnectedGraph(t *testing.T) {
 	}
 	if len(res.A) != 3 || len(res.B) != 3 {
 		t.Errorf("sides %d/%d, want 3/3", len(res.A), len(res.B))
-	}
-}
-
-func TestBisectVertexWeights(t *testing.T) {
-	// One heavy vertex should balance against many light ones.
-	g := buildGraph([][3]int64{{1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1}})
-	g.VWeight = map[uint64]int64{1: 4, 2: 1, 3: 1, 4: 1, 5: 1}
-	res, err := Bisect(g, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	weigh := func(side []uint64) int64 {
-		var w int64
-		for _, v := range side {
-			w += g.VWeight[v]
-		}
-		return w
-	}
-	wa, wb := weigh(res.A), weigh(res.B)
-	if wa < 3 || wb < 3 {
-		t.Errorf("weighted balance off: %d vs %d", wa, wb)
 	}
 }
 
@@ -256,7 +237,7 @@ func TestAttributeBisect(t *testing.T) {
 	// Causal pairs have *alternating* attribute values, so the attribute
 	// median separates exactly the files that are accessed together.
 	g := buildGraph([][3]int64{{1, 2, 10}, {3, 4, 10}})
-	attrs := map[uint64]int64{1: 0, 2: 100, 3: 1, 4: 101}
+	attrs := map[index.FileID]int64{1: 0, 2: 100, 3: 1, 4: 101}
 	res := AttributeBisect(g, attrs)
 	if len(res.A) != 2 || len(res.B) != 2 {
 		t.Fatalf("sides %d/%d", len(res.A), len(res.B))
@@ -273,7 +254,7 @@ func TestAttributeBisect(t *testing.T) {
 
 func TestCutWeight(t *testing.T) {
 	g := buildGraph([][3]int64{{1, 2, 3}, {2, 3, 4}})
-	cut := CutWeight(g, map[uint64]int{1: 0, 2: 0, 3: 1})
+	cut := CutWeight(g, map[index.FileID]int{1: 0, 2: 0, 3: 1})
 	if cut != 4 {
 		t.Errorf("cut = %d, want 4", cut)
 	}
@@ -301,14 +282,14 @@ func TestBisectIsPartitionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		seen := map[uint64]int{}
+		seen := map[index.FileID]int{}
 		for _, v := range res.A {
 			seen[v]++
 		}
 		for _, v := range res.B {
 			seen[v]++
 		}
-		if len(seen) != len(g.Adj) {
+		if len(seen) != len(g) {
 			return false
 		}
 		for _, n := range seen {
@@ -317,7 +298,7 @@ func TestBisectIsPartitionProperty(t *testing.T) {
 			}
 		}
 		var total int64
-		for v, nbrs := range g.Adj {
+		for v, nbrs := range g {
 			for u, w := range nbrs {
 				if u > v {
 					total += w

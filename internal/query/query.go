@@ -322,6 +322,20 @@ func compareCoerced(a, b attr.Value) (int, error) {
 	return a.Compare(b) // will surface the kind mismatch
 }
 
+// PathScopePreds returns the range predicates that bracket exactly the
+// subtree of dir on the "path" attribute: [dir+"/", dir+"/\xff"). A root or
+// empty dir needs no scoping and yields nil.
+func PathScopePreds(dir string) []Predicate {
+	if dir == "" || dir == "/" {
+		return nil
+	}
+	dir = strings.TrimSuffix(dir, "/")
+	return []Predicate{
+		{Field: "path", Op: OpGe, Value: attr.Str(dir + "/")},
+		{Field: "path", Op: OpLt, Value: attr.Str(dir + "/\xff")},
+	}
+}
+
 // Range converts the predicates on field into a half-open scan interval for
 // a B+tree (lo/hi nil = unbounded). It returns ok=false when the field has
 // no predicate in the query.

@@ -50,31 +50,6 @@ func TestParseErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestParseQueryPathErrorTaxonomy covers the query-directory form.
-func TestParseQueryPathErrorTaxonomy(t *testing.T) {
-	cases := []string{
-		"/no/query/component",
-		"/data/?",          // empty predicate
-		"/data/?size>>1m",  // malformed predicate
-		"/data/?(size>1m",  // unclosed paren
-		"/data/?mtime<1yb", // bad unit
-	}
-	for _, input := range cases {
-		if _, err := ParseQueryPath(input, errNow); !errors.Is(err, perr.ErrBadQuery) {
-			t.Errorf("ParseQueryPath(%q) err = %v, want perr.ErrBadQuery", input, err)
-		}
-	}
-	// SplitQueryPath alone accepts a well-formed path and defers predicate
-	// validation.
-	dir, raw, err := SplitQueryPath("/data/logs/?size>1m")
-	if err != nil || dir != "/data/logs" || raw != "size>1m" {
-		t.Errorf("SplitQueryPath = (%q, %q, %v)", dir, raw, err)
-	}
-	if _, _, err := SplitQueryPath("no-query"); !errors.Is(err, perr.ErrBadQuery) {
-		t.Errorf("SplitQueryPath without /? = %v, want ErrBadQuery", err)
-	}
-}
-
 // TestValidFieldStillAcceptsRealFields guards against over-tight field
 // validation: every attribute name in the test corpus must keep parsing.
 func TestValidFieldStillAcceptsRealFields(t *testing.T) {

@@ -288,3 +288,29 @@ func TestIntervalEmpty(t *testing.T) {
 		}
 	}
 }
+
+func TestPathScopePreds(t *testing.T) {
+	for _, dir := range []string{"/data/logs", "/data/logs/"} {
+		q := Query{Preds: PathScopePreds(dir)}
+		tests := []struct {
+			path string
+			want bool
+		}{
+			{"/data/logs/a.log", true},
+			{"/data/logs/sub/b.log", true},
+			{"/data/logsx/a.log", false},
+			{"/other", false},
+		}
+		for _, tt := range tests {
+			get := func(string) (attr.Value, bool) { return attr.Str(tt.path), true }
+			if got := q.Matches(get); got != tt.want {
+				t.Errorf("scope %q matches %q = %v, want %v", dir, tt.path, got, tt.want)
+			}
+		}
+	}
+	for _, root := range []string{"", "/"} {
+		if preds := PathScopePreds(root); preds != nil {
+			t.Errorf("PathScopePreds(%q) = %v, want no scoping", root, preds)
+		}
+	}
+}

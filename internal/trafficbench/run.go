@@ -282,8 +282,8 @@ func (h *Harness) RunTrial(ctx context.Context, ops []Op) (TrialResult, error) {
 	return r, nil
 }
 
-// audit verifies every acked file is visible to a strict (commit-on-search)
-// read after the storm. The auditing client retries through residual load —
+// audit verifies every acked file is visible to a strict read (one that
+// sees the lazy cache) after the storm. The auditing client retries through residual load —
 // overload may delay the audit, never excuse a loss.
 func (h *Harness) audit(ctx context.Context, acked map[index.FileID]bool) (int, error) {
 	if len(acked) == 0 {

@@ -579,6 +579,7 @@ func (c *Client) Index(ctx context.Context, indexName string, updates []FileUpda
 	type batch struct {
 		addr string
 		req  proto.UpdateReq
+		n    int // entries
 		err  error
 	}
 	pending := updates
@@ -595,13 +596,22 @@ func (c *Client) Index(ctx context.Context, indexName string, updates []FileUpda
 			k := sort.Search(len(batches), func(k int) bool { return batches[k].req.ACG >= id })
 			return k, k < len(batches) && batches[k].req.ACG == id
 		}
-		for i, m := range mappings {
+		for _, m := range mappings {
 			k, ok := find(m.ACG)
 			if !ok {
 				batches = slices.Insert(batches, k, batch{addr: m.Addr, req: proto.UpdateReq{
 					ACG: m.ACG, IndexName: indexName, Client: c.cfg.ID,
 				}})
 			}
+			batches[k].n++
+		}
+		// Each batch's entries are its share of one array, sized up front.
+		entries := make([]proto.IndexEntry, len(mappings))
+		for k := range batches {
+			batches[k].req.Entries, entries = entries[:0:batches[k].n], entries[batches[k].n:]
+		}
+		for i, m := range mappings {
+			k, _ := find(m.ACG)
 			u := pending[i]
 			batches[k].req.Entries = append(batches[k].req.Entries, proto.IndexEntry{
 				File: u.File, Value: u.Value, KDCoords: u.KDCoords, Delete: u.Delete,

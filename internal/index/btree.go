@@ -129,29 +129,24 @@ func nodeSize(keys [][]byte, children []uint64) int {
 }
 
 // writeNode renders a node into a fresh page image and gives it to the
-// store. Only the paths that restructure a node (splits, separator
-// inserts, new roots) come here; leaf edits work on the image directly.
+// store. The paths that restructure a node (splits, separator inserts, new
+// roots) come here; a bulk run rebuilds a leaf through mergeLeaf.
 func (t *BTree) writeNode(id pagestore.PageID, leaf bool, next uint64, keys [][]byte, children []uint64) error {
 	if size := nodeSize(keys, children); size > pagestore.PageSize {
 		return fmt.Errorf("%w: node encoding %d bytes exceeds page", ErrCorrupt, size)
 	}
-	p := make([]byte, pagestore.PageSize)
+	b := newPageBuild(nodeHeaderSize)
 	if leaf {
-		p[0] = 1
+		b.page[0] = 1
 	}
-	binary.BigEndian.PutUint16(p[1:], uint16(len(keys)))
-	binary.BigEndian.PutUint64(p[3:], next)
-	off, dir := nodeHeaderSize, len(p)
 	for _, k := range keys {
-		off += copy(p[off:], k)
-		dir -= 2
-		binary.BigEndian.PutUint16(p[dir:], uint16(off))
+		b.add(k, nil)
 	}
 	for _, c := range children {
-		binary.BigEndian.PutUint64(p[off:], c)
-		off += 8
+		binary.BigEndian.PutUint64(b.page[b.off:], c)
+		b.off += 8
 	}
-	return writePage(t.store, id, p)
+	return writePage(t.store, id, b.finish(nodeHeaderSize, next))
 }
 
 // Insert adds a (value, file) posting. Inserting the same posting twice is a
@@ -249,7 +244,7 @@ func (t *BTree) spliceNode(id pagestore.PageID, v *nodeView, pos int, key []byte
 	if nodeSize(keys, children) <= pagestore.PageSize {
 		return nil, noPage, t.writeNode(id, v.leaf, v.next, keys, children)
 	}
-	mid := len(keys) / 2
+	mid := splitAt(keys, children)
 	rightID, err := t.store.Allocate()
 	if err != nil {
 		return nil, noPage, fmt.Errorf("btree split: %w", err)
@@ -268,6 +263,29 @@ func (t *BTree) spliceNode(id pagestore.PageID, v *nodeView, pos int, key []byte
 	return keys[mid], uint64(rightID), err
 }
 
+// splitAt returns the key an overflowing node splits at: the middle one,
+// unless keys of uneven length would leave a half too big for its page —
+// then the first key at which the left half holds as many bytes as the
+// right. (An internal node's key there moves up; a leaf's is copied.)
+func splitAt(keys [][]byte, children []uint64) int {
+	halves := func(mid int) (left, right int) {
+		if children == nil {
+			return nodeSize(keys[:mid], nil), nodeSize(keys[mid:], nil)
+		}
+		return nodeSize(keys[:mid], children[:mid+1]), nodeSize(keys[mid+1:], children[mid+1:])
+	}
+	mid := len(keys) / 2
+	if left, right := halves(mid); left <= pagestore.PageSize && right <= pagestore.PageSize {
+		return mid
+	}
+	for mid = 1; mid < len(keys)-1; mid++ {
+		if left, right := halves(mid); left >= right {
+			break
+		}
+	}
+	return mid
+}
+
 // Delete removes the (value, file) posting. It returns ErrNotFound if the
 // posting is absent.
 func (t *BTree) Delete(v attr.Value, f FileID) error {
@@ -278,133 +296,255 @@ func (t *BTree) Delete(v attr.Value, f FileID) error {
 	return err
 }
 
-// leafWalk is the shared positioning state of the sorted bulk-merge
-// paths (InsertSorted / DeleteSorted): the leaf currently open in the
-// tree's view, its exclusive upper key bound from the descent (nil =
-// +inf), and whether the view holds unwritten edits (it then owns its
-// page — the first edit of a leaf copies it, later ones work in place).
-// Sorted runs visit leaves left to right, so each leaf is read and written
-// at most once per run instead of once per key. delta accumulates the
-// staged posting-count change and is folded into t.count only when the
-// leaf is durably written, so a failed flush never skews Len() against
-// the retried run.
-type leafWalk struct {
-	t      *BTree
-	id     pagestore.PageID
-	high   []byte
-	loaded bool
-	delta  int
-}
-
-// flush writes the current leaf back if it changed and forgets it.
-func (w *leafWalk) flush() error {
-	if w.loaded && w.t.w.owned {
-		if err := w.t.w.give(w.t.store, w.id); err != nil {
-			return err
-		}
-		w.t.count += w.delta
-	}
-	w.loaded, w.delta = false, 0
-	return nil
-}
-
-// position ensures the loaded leaf is the one that owns key, flushing
-// and re-descending only when key moves past the current leaf's bound.
-func (w *leafWalk) position(key []byte) error {
-	if w.loaded && (w.high == nil || bytes.Compare(key, w.high) < 0) {
-		return nil
-	}
-	if err := w.flush(); err != nil {
-		return err
-	}
-	id, high, err := w.t.findLeafHigh(&w.t.w, key)
-	if err != nil {
-		return err
-	}
-	w.id, w.high, w.loaded = id, high, true
-	return nil
-}
-
 // InsertSorted bulk-inserts pre-encoded composite keys, which must be in
-// ascending byte order. Keys that land in the same leaf share one descent
-// and one page write, so a sorted run costs O(leaves touched) page
-// writes instead of O(keys). Duplicates already in the tree are skipped.
-// A key that overflows its leaf falls back to the splitting descent for
-// that key alone. Keys are copied into the pages; the caller keeps its
-// slices. It returns the number of new postings placed; on error the
-// count may include keys staged in a leaf whose flush failed (t.count
-// itself only ever reflects durably written leaves).
+// ascending byte order: ApplySorted with no deletes. It returns the number
+// of new postings placed.
 func (t *BTree) InsertSorted(keys [][]byte) (int, error) {
-	inserted := 0
-	w := leafWalk{t: t}
-	for _, key := range keys {
-		if len(key) > maxKeyLen {
-			if err := w.flush(); err != nil {
-				return inserted, err
-			}
-			return inserted, ErrKeyTooLong
-		}
-		if err := w.position(key); err != nil {
-			return inserted, err
-		}
-		pos, found, err := t.w.search(key)
-		if err != nil {
-			return inserted, err
-		}
-		if found {
-			continue // duplicate posting
-		}
-		fits, err := t.w.insert(pos, key)
-		if err != nil {
-			return inserted, err
-		}
-		if !fits {
-			// The leaf must split: write what the walk has and let the
-			// recursive descent handle the split.
-			if err := w.flush(); err != nil {
-				return inserted, err
-			}
-			ok, err := t.insertPrepared(key)
-			if err != nil {
-				return inserted, err
-			}
-			if ok {
-				inserted++
-			}
-			continue
-		}
-		w.delta++
-		inserted++
-	}
-	return inserted, w.flush()
+	_, inserted, err := t.ApplySorted(nil, keys)
+	return inserted, err
 }
 
 // DeleteSorted bulk-removes pre-encoded composite keys, which must be in
-// ascending byte order; absent keys are skipped (the caller's coalesced
-// run may race a no-op delete). Like InsertSorted, keys sharing a leaf
-// share one descent and one write. It returns the number of postings
-// removed (same staged-on-error caveat as InsertSorted).
+// ascending byte order: ApplySorted with no inserts. It returns the number
+// of postings removed.
 func (t *BTree) DeleteSorted(keys [][]byte) (int, error) {
-	deleted := 0
-	w := leafWalk{t: t}
-	for _, key := range keys {
-		if err := w.position(key); err != nil {
-			return deleted, err
+	deleted, _, err := t.ApplySorted(keys, nil)
+	return deleted, err
+}
+
+// ApplySorted removes the postings del names and then places those ins
+// names — pre-encoded composite keys, each run in ascending byte order — in
+// one pass over the leaves. Each leaf either run touches is found by one
+// descent, read in place and rebuilt once into a fresh image by a merge of
+// its entries with the run's keys (leafMerge): one page copy, where editing
+// the page key by key would shift it and renumber its directory for every
+// key. The outcome is the one-key
+// sequence's — every delete, then every insert — to the byte: absent
+// deletes and duplicate inserts are skipped, a key deleted and inserted
+// ends present, and a leaf the inserts would overflow takes them one by one
+// as far as they fit and then splits through the per-key descent
+// (insertPrepared), where a one-key insert would split it. Keys are copied
+// into the pages; the caller keeps its slices. An insert longer than a key
+// may be fails the run before anything changes. It returns the postings
+// removed and placed; on error the counts may include a leaf whose write
+// failed (Len only ever counts written leaves), and the same run applied
+// again completes the job.
+func (t *BTree) ApplySorted(del, ins [][]byte) (deleted, inserted int, err error) {
+	for _, k := range ins {
+		if len(k) > maxKeyLen {
+			return 0, 0, ErrKeyTooLong
 		}
-		pos, found, err := t.w.search(key)
-		if err != nil {
-			return deleted, err
-		}
-		if !found {
-			continue
-		}
-		if err := t.w.remove(pos); err != nil {
-			return deleted, err
-		}
-		w.delta--
-		deleted++
 	}
-	return deleted, w.flush()
+	defer func() { t.w = nodeView{} }() // its page may be an image the run replaced
+	for len(del) > 0 || len(ins) > 0 {
+		id, high, err := t.findLeafHigh(&t.w, nextKey(del, ins))
+		if err != nil {
+			return deleted, inserted, err
+		}
+		d, i := below(del, high), below(ins, high)
+		nd, ni, taken, err := t.mergeLeaf(id, leafMerge{v: &t.w, del: del[:d], ins: ins[:i]})
+		deleted, inserted = deleted+nd, inserted+ni
+		if err != nil {
+			return deleted, inserted, err
+		}
+		del, ins = del[d:], ins[taken:]
+	}
+	return deleted, inserted, nil
+}
+
+// nextKey returns the smaller of the two runs' first keys.
+func nextKey(del, ins [][]byte) []byte {
+	if len(ins) == 0 || len(del) > 0 && bytes.Compare(del[0], ins[0]) < 0 {
+		return del[0]
+	}
+	return ins[0]
+}
+
+// below returns how many of the ascending keys sort below high (nil =
+// +inf): the share of a run that falls in a leaf with that bound.
+func below(keys [][]byte, high []byte) int {
+	if high == nil {
+		return len(keys)
+	}
+	n, _ := slices.BinarySearchFunc(keys, high, bytes.Compare)
+	return n
+}
+
+// leafMerge walks a leaf merged with the deletes and inserts that fall in
+// it (ascending runs), a step at a time: a stretch of the leaf's entries
+// no key touches, then at most one key an insert places — a fresh key, or
+// a deleted one put back. Each key is sought from where the last one was
+// found, and the entries between two keys are one stretch, so a walk costs
+// a few comparisons a key however full the leaf, and rebuilding the leaf
+// from it copies each stretch in one piece. deleted counts the
+// entries the deletes took out. A copy of a leafMerge walks again from
+// where the copy was made.
+type leafMerge struct {
+	v        *nodeView
+	del, ins [][]byte
+	i        int // the leaf's next entry
+	deleted  int
+}
+
+// mergeStep is one step of a leafMerge: the leaf's entries [lo, hi), kept,
+// and then key, if put.
+type mergeStep struct {
+	lo, hi int
+	key    []byte
+	put    bool
+}
+
+// next returns the walk's next step; ok is false past the leaf's end.
+func (m *leafMerge) next() (st mergeStep, ok bool, err error) {
+	for {
+		if len(m.del) == 0 && len(m.ins) == 0 {
+			st.lo, st.hi = m.i, m.v.len()
+			m.i = st.hi
+			return st, st.hi > st.lo, nil
+		}
+		key := nextKey(m.del, m.ins)
+		pos, found, err := m.v.seek(m.i, key)
+		if err != nil {
+			return st, false, err
+		}
+		st.lo, st.hi, m.i = m.i, pos, pos
+		gone := len(m.del) > 0 && bytes.Equal(m.del[0], key)
+		if gone {
+			takeFirst(&m.del)
+			if gone = found; gone {
+				m.deleted++
+				m.i++
+			}
+		}
+		if len(m.ins) > 0 && bytes.Equal(m.ins[0], key) {
+			takeFirst(&m.ins)
+			st.key, st.put = key, gone || !found // else a duplicate: the entry stays
+		}
+		if st.put || st.hi > st.lo {
+			return st, true, nil
+		}
+	}
+}
+
+// size returns the bytes the step adds to a page: its stretch of entries
+// and their directory slots, then its key and slot. It trusts the leaf's
+// directory; copyRange checks it.
+func (st mergeStep) size(v *nodeView) int {
+	n := v.start(st.hi) - v.start(st.lo) + 2*(st.hi-st.lo)
+	if st.put {
+		n += len(st.key) + 2
+	}
+	return n
+}
+
+// takeFirst removes the first key of an ascending run, with any copies of
+// it behind, and returns it.
+func takeFirst(run *[][]byte) []byte {
+	k := (*run)[0]
+	for len(*run) > 0 && bytes.Equal((*run)[0], k) {
+		*run = (*run)[1:]
+	}
+	return k
+}
+
+// mergeLeaf applies m — the deletes and inserts that fall in leaf id, which
+// is open in m.v — and returns the postings removed and placed, and how
+// many of m's inserts it used up: all of them, unless the leaf split, when
+// those after the key that split it are left for the caller to place in
+// whichever leaf now owns them. Every walk stops once the leaf is full, so
+// a run far longer than a leaf holds (a bulk load) costs a leaf's worth of
+// walking per split, not the whole run's.
+func (t *BTree) mergeLeaf(id pagestore.PageID, m leafMerge) (deleted, placed, taken int, err error) {
+	size := nodeHeaderSize // the edited leaf's bytes, as far as the walk has come
+	for walk := m; size <= pagestore.PageSize; {
+		st, ok, err := walk.next()
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if !ok {
+			if deleted = walk.deleted; deleted == 0 && placed == 0 {
+				return 0, 0, len(m.ins), nil
+			}
+			return deleted, placed, len(m.ins), t.buildLeaf(id, m, placed, placed-deleted)
+		}
+		size += st.size(m.v)
+		if st.put {
+			placed++
+		}
+	}
+	// The inserts overflow the leaf. One key at a time they would fill what
+	// the deletes leave of it up to the first that does not fit, and that one
+	// would split it.
+	size = nodeHeaderSize
+	for gone := (leafMerge{v: m.v, del: m.del}); ; {
+		st, ok, err := gone.next()
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if !ok {
+			deleted = gone.deleted
+			break
+		}
+		size += st.size(m.v)
+	}
+	var split []byte
+	fit := 0
+cut:
+	for walk := m; ; {
+		st, ok, err := walk.next()
+		switch {
+		case err != nil:
+			return 0, 0, 0, err
+		case !ok: // not on a sound leaf: the same walk just found them too long
+			return 0, 0, 0, ErrCorrupt
+		case !st.put:
+		case size+len(st.key)+2 > pagestore.PageSize:
+			split, taken = st.key, len(m.ins)-len(walk.ins)
+			break cut
+		default:
+			size += len(st.key) + 2
+			fit++
+		}
+	}
+	if err := t.buildLeaf(id, m, fit, fit-deleted); err != nil {
+		return deleted, fit, taken, err
+	}
+	ok, err := t.insertPrepared(split)
+	if ok {
+		fit++
+	}
+	return deleted, fit, taken, err
+}
+
+// buildLeaf writes leaf id as m leaves it with only its first fit placed
+// keys, in one fresh image, and moves Len by delta once it is written.
+func (t *BTree) buildLeaf(id pagestore.PageID, m leafMerge, fit, delta int) error {
+	b := newPageBuild(nodeHeaderSize)
+	b.page[0] = 1
+	for {
+		if fit == 0 {
+			m.ins = nil // the rest go in after the split, or are duplicates
+		}
+		st, ok, err := m.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := b.copyRange(&m.v.slots, st.lo, st.hi); err != nil {
+			return err
+		}
+		if st.put {
+			b.add(st.key, nil)
+			fit--
+		}
+	}
+	if err := writePage(t.store, id, b.finish(nodeHeaderSize, m.v.next)); err != nil {
+		return err
+	}
+	t.count += delta
+	return nil
 }
 
 // findLeafHigh descends to the leaf that owns key (nil key = leftmost; a

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +253,27 @@ func TestBTreeKeyTooLong(t *testing.T) {
 	long := make([]byte, pagestore.PageSize)
 	if err := bt.Insert(attr.Str(string(long)), 1); !errors.Is(err, ErrKeyTooLong) {
 		t.Errorf("err = %v, want ErrKeyTooLong", err)
+	}
+}
+
+// TestBTreeSplitsUnevenKeys: a leaf of a few short keys and long ones
+// splits where both halves fit their pages, not at the middle key, whose
+// right half would hold every long key and overflow.
+func TestBTreeSplitsUnevenKeys(t *testing.T) {
+	bt := newTestBTree(t)
+	for i := range 10 {
+		if err := bt.Insert(attr.Int(int64(i)), FileID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 6 {
+		long := attr.Str(strings.Repeat(string(rune('a'+i)), 2020))
+		if err := bt.Insert(long, FileID(i)); err != nil {
+			t.Fatalf("long key %d: %v", i, err)
+		}
+	}
+	if got := collectAll(t, bt); len(got) != 16 || bt.Len() != 16 {
+		t.Fatalf("the tree holds %d postings (Len %d), want 16", len(got), bt.Len())
 	}
 }
 

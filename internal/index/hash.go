@@ -57,7 +57,7 @@ func NewHashIndex(store *pagestore.Store, nBuckets int) (*HashIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hash bucket %d: %w", i, err)
 		}
-		if err := writePage(h.store, id, newBucketPage()); err != nil {
+		if err := writePage(h.store, id, emptyBucket); err != nil {
 			return nil, err
 		}
 		h.buckets[i] = id
@@ -88,12 +88,13 @@ func appendEntry(dst, valEnc []byte, f FileID) []byte {
 	return binary.BigEndian.AppendUint64(append(dst, valEnc...), uint64(f))
 }
 
-// newBucketPage returns the image of an empty bucket with no overflow.
-func newBucketPage() []byte {
+// emptyBucket is the image of an empty bucket with no overflow, shared by
+// every such page: the store never edits an image it holds.
+var emptyBucket = func() []byte {
 	p := make([]byte, pagestore.PageSize)
 	binary.BigEndian.PutUint64(p[2:], noPage)
 	return p
-}
+}()
 
 // view opens page id in b.
 func (h *HashIndex) view(b *bucketView, id pagestore.PageID) error {
@@ -173,42 +174,52 @@ type HashOp struct {
 	File   FileID
 }
 
-// sortOpsBySlot orders ops by bucket slot (then value, then file, for
-// determinism) so every ops run visits each bucket chain exactly once.
-// It returns the visit order plus the per-op slots, so each op's FNV
-// hash is computed exactly once.
-func (h *HashIndex) sortOpsBySlot(ops []HashOp) (order, slots []int) {
-	slots = make([]int, len(ops))
+// opRef is one op of a bulk mutation, by its index in the ops, with the
+// bucket slot it hashes to.
+type opRef struct{ slot, op int32 }
+
+// bySlot orders ops by bucket slot, then value, then file: each chain's ops
+// in a row, in the order its pages keep their entries. Each op's FNV hash
+// is computed once.
+func (h *HashIndex) bySlot(ops []HashOp) []opRef {
+	refs := make([]opRef, len(ops))
 	for i, op := range ops {
-		slots[i] = h.bucketSlot(op.ValEnc)
+		refs[i] = opRef{slot: int32(h.bucketSlot(op.ValEnc)), op: int32(i)}
 	}
-	order = make([]int, len(ops))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(i, j int) int {
-		if c := cmp.Compare(slots[i], slots[j]); c != 0 {
+	slices.SortFunc(refs, func(a, b opRef) int {
+		if c := cmp.Compare(a.slot, b.slot); c != 0 {
 			return c
 		}
-		if c := bytes.Compare(ops[i].ValEnc, ops[j].ValEnc); c != 0 {
-			return c
-		}
-		return cmp.Compare(ops[i].File, ops[j].File)
+		return cmpPosting(ops[a.op], ops[b.op].ValEnc, ops[b.op].File)
 	})
-	return order, slots
+	return refs
 }
 
-// chainPage is one loaded page of a bucket chain during a bulk mutation:
-// its view (which owns its page once edited) and the page's staged
-// posting-count change, folded into h.count only when the page is durably
-// written (as leafWalk.delta does for the B-tree), so a failed flush never
-// skews Len() against a retried run.
-type chainPage struct {
-	id    pagestore.PageID
-	b     bucketView
-	at    int // where the posting being inserted sorts in this page
-	delta int
+// cmpPosting orders a posting against (valEnc, f) as bucket pages do: by
+// value encoding, then file.
+func cmpPosting(op HashOp, valEnc []byte, f FileID) int {
+	if c := bytes.Compare(op.ValEnc, valEnc); c != 0 {
+		return c
+	}
+	return cmp.Compare(op.File, f)
 }
+
+// chainPage is one page of the bucket chain a bulk mutation has loaded: its
+// view, which borrows the store's image, and the edits staged on it — the
+// entries the run deletes and the inserts it takes — which flushChain
+// writes as one fresh image.
+type chainPage struct {
+	id       pagestore.PageID
+	b        bucketView
+	size     int       // the staged page's bytes: header, entries, directory
+	gone     []int32   // positions of the entries deleted, ascending
+	adds     []hashAdd // the inserts placed here, in entry order
+	relinked bool      // b.next now names an overflow page the run added
+}
+
+// hashAdd is an insert a chain page takes: the op, by its index in the
+// ops, and the position among the page's entries it sorts before.
+type hashAdd struct{ op, at int32 }
 
 // loadChain opens a whole bucket chain in h.chain once.
 func (h *HashIndex) loadChain(head pagestore.PageID) error {
@@ -218,6 +229,11 @@ func (h *HashIndex) loadChain(head pagestore.PageID) error {
 		if err := h.view(&p.b, id); err != nil {
 			return err
 		}
+		end, err := p.b.last()
+		if err != nil {
+			return err
+		}
+		p.size = end + 2*p.b.len()
 		if p.b.next == noPage {
 			return nil
 		}
@@ -225,143 +241,236 @@ func (h *HashIndex) loadChain(head pagestore.PageID) error {
 	}
 }
 
-// growChain extends h.chain by one page.
+// growChain extends h.chain by one page with nothing staged.
 func (h *HashIndex) growChain(id pagestore.PageID) *chainPage {
 	h.chain = append(h.chain, chainPage{id: id})
 	return &h.chain[len(h.chain)-1]
 }
 
-// flushChain writes back the chain pages a bulk mutation edited, folding
-// each durably written page's staged count delta into h.count.
-func (h *HashIndex) flushChain() error {
-	for i := range h.chain {
-		p := &h.chain[i]
-		if !p.b.owned {
+// find returns the chain page holding the posting whose entry body is
+// body, and its position there; -1 if no page holds it or the run deletes
+// it. A chain holds a posting at most once.
+func (h *HashIndex) find(body []byte) (page int, pos int32, err error) {
+	for pi := range h.chain {
+		p := &h.chain[pi]
+		at, found, err := p.b.search(body)
+		switch {
+		case err != nil:
+			return -1, 0, err
+		case !found:
 			continue
 		}
-		if err := p.b.give(h.store, p.id); err != nil {
-			return err
+		if _, gone := slices.BinarySearch(p.gone, int32(at)); gone {
+			return -1, 0, nil
 		}
-		h.count += p.delta
-		p.delta = 0
+		return pi, int32(at), nil
 	}
-	return nil
+	return -1, 0, nil
 }
 
-// mutateChains is the shared chain-at-a-time scaffolding of the bulk
-// mutation paths: it groups ops by bucket slot, loads each touched chain
-// once, applies mutate per op, and flushes each chain's dirty pages once
-// — including on the error path, so ops staged before a failing one are
-// still made durable (and counted) before the error surfaces.
-func (h *HashIndex) mutateChains(ops []HashOp, mutate func(op HashOp) error) error {
-	order, slots := h.sortOpsBySlot(ops)
-	for gi := 0; gi < len(order); {
-		slot := slots[order[gi]]
-		if err := h.loadChain(h.buckets[slot]); err != nil {
-			return err
-		}
-		for ; gi < len(order) && slots[order[gi]] == slot; gi++ {
-			if err := mutate(ops[order[gi]]); err != nil {
-				if ferr := h.flushChain(); ferr != nil {
-					return ferr
-				}
-				return err
-			}
-		}
-		if err := h.flushChain(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// InsertBatch bulk-inserts postings: ops sharing a bucket chain share one
-// chain read and one write per touched page, instead of paying the chain
-// walk per posting. Duplicate postings are skipped (the check searches
-// every page of the chain). It returns the number of postings placed; on
-// error the count may include postings staged on a page whose flush failed.
-func (h *HashIndex) InsertBatch(ops []HashOp) (int, error) {
-	inserted := 0
-	err := h.mutateChains(ops, func(op HashOp) error {
+// ApplyBatch removes the postings del names and then places those ins
+// names, a bucket chain at a time: ops are grouped by chain, each touched
+// chain is read once, its deletes and then its inserts are staged — an
+// insert goes to the first page with room, where it sorts, after a
+// duplicate check of the whole chain — and each page they edit is written
+// once, as a fresh image merged from its surviving entries and the inserts
+// it took. The outcome is the one-key sequence's — every delete, then every
+// insert, chains in slot order and each chain's ops in (value, file) order
+// — to the byte: absent deletes and duplicate inserts are skipped and a
+// posting deleted and inserted ends present. Value encodings are copied
+// into the pages; the caller keeps its ops. An insert longer than a key may
+// be fails the run before anything changes. It returns the postings removed
+// and placed; on error the counts may include a page whose write failed
+// (Len only ever counts written pages).
+func (h *HashIndex) ApplyBatch(del, ins []HashOp) (deleted, inserted int, err error) {
+	for _, op := range ins {
 		if len(op.ValEnc) > maxKeyLen {
-			return ErrKeyTooLong
+			return 0, 0, ErrKeyTooLong
+		}
+	}
+	dr, ir := h.bySlot(del), h.bySlot(ins)
+	for len(dr) > 0 || len(ir) > 0 {
+		slot := int32(len(h.buckets))
+		if len(dr) > 0 {
+			slot = dr[0].slot
+		}
+		if len(ir) > 0 {
+			slot = min(slot, ir[0].slot)
+		}
+		nd, ni := runLen(dr, slot), runLen(ir, slot)
+		d, i, err := h.stageChain(h.buckets[slot], del, dr[:nd], ins, ir[:ni])
+		// What was staged is written even when staging failed part way.
+		if ferr := h.flushChain(ins); ferr != nil {
+			err = ferr
+		}
+		deleted, inserted = deleted+d, inserted+i
+		if err != nil {
+			return deleted, inserted, err
+		}
+		dr, ir = dr[nd:], ir[ni:]
+	}
+	return deleted, inserted, nil
+}
+
+// runLen returns how many of refs, from the first, hash to slot.
+func runLen(refs []opRef, slot int32) int {
+	n := 0
+	for n < len(refs) && refs[n].slot == slot {
+		n++
+	}
+	return n
+}
+
+// stageChain loads the chain at head and stages on it the deletes dr and
+// then the inserts ir name (each in entry order), returning how many of
+// each take effect.
+func (h *HashIndex) stageChain(head pagestore.PageID, del []HashOp, dr []opRef, ins []HashOp, ir []opRef) (deleted, inserted int, err error) {
+	if err := h.loadChain(head); err != nil {
+		return 0, 0, err
+	}
+	for _, r := range dr {
+		op := del[r.op]
+		h.body = appendEntry(h.body[:0], op.ValEnc, op.File)
+		pi, pos, err := h.find(h.body)
+		if err != nil {
+			return deleted, inserted, err
+		}
+		if pi >= 0 {
+			p := &h.chain[pi]
+			if p.gone == nil { // sized for the chain's deletes: one allocation
+				p.gone = make([]int32, 0, len(dr))
+			}
+			p.gone = append(p.gone, pos)
+			p.size -= len(h.body) + 2
+			deleted++
+		}
+	}
+	for n, r := range ir {
+		op := ins[r.op]
+		if n > 0 && cmpPosting(ins[ir[n-1].op], op.ValEnc, op.File) == 0 {
+			continue // the same insert twice
 		}
 		h.body = appendEntry(h.body[:0], op.ValEnc, op.File)
-		for pi := range h.chain { // the whole chain is searched before the posting is placed
-			c := &h.chain[pi]
-			pos, found, err := c.b.search(h.body)
-			if err != nil || found {
-				return err // found: already present
-			}
-			c.at = pos
+		pi, _, err := h.find(h.body)
+		if err != nil {
+			return deleted, inserted, err
 		}
-		var p *chainPage // the first page with room takes it, where it sorts
+		if pi >= 0 {
+			continue // already present
+		}
+		var p *chainPage // the first page with room takes it
 		for pi := range h.chain {
-			c := &h.chain[pi]
-			fits, err := c.b.insert(c.at, h.body)
-			if err != nil {
-				return err
-			}
-			if fits {
+			if c := &h.chain[pi]; c.size+len(h.body)+2 <= pagestore.PageSize {
 				p = c
 				break
 			}
 		}
 		if p == nil {
-			ovf, err := h.store.Allocate()
-			if err != nil {
-				return fmt.Errorf("hash overflow: %w", err)
-			}
-			// Durably initialize the overflow page before any page links to
-			// it: if a later flush fails, the chain must never point at an
-			// unwritten page — an empty-but-valid bucket is the safe residue.
-			if err := writePage(h.store, ovf, newBucketPage()); err != nil {
-				return err
-			}
-			last := &h.chain[len(h.chain)-1].b
-			last.own()
-			last.next = uint64(ovf)
-			binary.BigEndian.PutUint64(last.page[2:], last.next)
-			p = h.growChain(ovf)
-			if err := h.view(&p.b, ovf); err != nil {
-				return err
-			}
-			if _, err := p.b.insert(0, h.body); err != nil {
-				return err
+			if p, err = h.overflow(); err != nil {
+				return deleted, inserted, err
 			}
 		}
-		p.delta++
+		at, _, err := p.b.search(h.body)
+		if err != nil {
+			return deleted, inserted, err
+		}
+		if p.adds == nil {
+			p.adds = make([]hashAdd, 0, len(ir))
+		}
+		p.adds = append(p.adds, hashAdd{op: r.op, at: int32(at)})
+		p.size += len(h.body) + 2
 		inserted++
-		return nil
-	})
+	}
+	return deleted, inserted, nil
+}
+
+// overflow chains a new, empty page behind the loaded chain and returns it.
+func (h *HashIndex) overflow() (*chainPage, error) {
+	ovf, err := h.store.Allocate()
+	if err != nil {
+		return nil, fmt.Errorf("hash overflow: %w", err)
+	}
+	// Durably initialize the overflow page before any page links to it: if a
+	// later write fails, the chain must never point at an unwritten page —
+	// an empty-but-valid bucket is the safe residue.
+	if err := writePage(h.store, ovf, emptyBucket); err != nil {
+		return nil, err
+	}
+	last := &h.chain[len(h.chain)-1]
+	last.b.next, last.relinked = uint64(ovf), true
+	p := h.growChain(ovf)
+	if err := h.view(&p.b, ovf); err != nil {
+		return nil, err
+	}
+	p.size = hashHeaderSize
+	return p, nil
+}
+
+// flushChain writes each page of the loaded chain the run edited, in
+// chain order, and folds each written page's posting-count change into
+// h.count, so a failed write never skews Len() against a retried run.
+func (h *HashIndex) flushChain(ins []HashOp) error {
+	for i := range h.chain {
+		p := &h.chain[i]
+		if len(p.gone) == 0 && len(p.adds) == 0 && !p.relinked {
+			continue
+		}
+		img, err := p.build(ins)
+		if err != nil {
+			return err
+		}
+		if err := writePage(h.store, p.id, img); err != nil {
+			return err
+		}
+		h.count += len(p.adds) - len(p.gone)
+	}
+	clear(h.chain) // neither the images the run replaced nor its staging stay alive
+	return nil
+}
+
+// build merges the page's surviving entries with the inserts it took into
+// one fresh image: the stretches of entries between two edits are copied
+// whole.
+func (p *chainPage) build(ins []HashOp) ([]byte, error) {
+	b := newPageBuild(hashHeaderSize)
+	var tail [8]byte
+	gone, adds, i := p.gone, p.adds, 0
+	for {
+		edit := p.b.len() // where the next edit is
+		if len(gone) > 0 {
+			edit = min(edit, int(gone[0]))
+		}
+		if len(adds) > 0 {
+			edit = min(edit, int(adds[0].at))
+		}
+		if err := b.copyRange(&p.b.slots, i, edit); err != nil {
+			return nil, err
+		}
+		switch i = edit; {
+		case len(adds) > 0 && int(adds[0].at) == i: // an insert goes before the entry it sorts before
+			op := ins[adds[0].op]
+			adds = adds[1:]
+			b.add(op.ValEnc, binary.BigEndian.AppendUint64(tail[:0], uint64(op.File)))
+		case len(gone) > 0 && int(gone[0]) == i:
+			gone = gone[1:]
+			i++
+		default:
+			return b.finish(hashHeaderSize, p.b.next), nil
+		}
+	}
+}
+
+// InsertBatch bulk-inserts postings: ApplyBatch with no deletes. It returns
+// the number of postings placed.
+func (h *HashIndex) InsertBatch(ops []HashOp) (int, error) {
+	_, inserted, err := h.ApplyBatch(nil, ops)
 	return inserted, err
 }
 
-// DeleteBatch bulk-removes postings with the same chain-at-a-time page
-// amortization as InsertBatch; absent postings are skipped. It returns
-// the number of postings removed (same staged-on-error caveat as
-// InsertBatch).
+// DeleteBatch bulk-removes postings: ApplyBatch with no inserts. It
+// returns the number of postings removed.
 func (h *HashIndex) DeleteBatch(ops []HashOp) (int, error) {
-	deleted := 0
-	err := h.mutateChains(ops, func(op HashOp) error {
-		h.body = appendEntry(h.body[:0], op.ValEnc, op.File)
-		for pi := range h.chain {
-			p := &h.chain[pi]
-			i, found, err := p.b.search(h.body)
-			if err != nil {
-				return err
-			}
-			if found {
-				if err := p.b.remove(i); err != nil {
-					return err
-				}
-				p.delta--
-				deleted++
-				return nil
-			}
-		}
-		return nil
-	})
+	deleted, _, err := h.ApplyBatch(ops, nil)
 	return deleted, err
 }
 

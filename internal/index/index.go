@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
+	"strings"
 
 	"propeller/internal/attr"
 )
@@ -43,7 +44,7 @@ var (
 // raw `encoding || file id` concatenation gets wrong (the prefix value's
 // file-id tail can sort past the longer value).
 func compositeKey(v attr.Value, f FileID) []byte {
-	return AppendCompositeKey(make([]byte, 0, 2*v.EncodedLen()+valueKeyTermLen+8), v, f)
+	return AppendCompositeKey(make([]byte, 0, CompositeKeyLen(v)), v, f)
 }
 
 // AppendCompositeKey appends the composite encoding of (value, file) to
@@ -100,17 +101,17 @@ func AppendEncodedKey(dst, raw []byte) []byte {
 // value is rejected synchronously instead of surfacing as a commit
 // failure long after the caller was told the update succeeded.
 func CompositeKeyFits(v attr.Value) bool {
+	return CompositeKeyLen(v) <= maxKeyLen
+}
+
+// CompositeKeyLen returns the length of the composite key of (v, any
+// file): what AppendCompositeKey appends.
+func CompositeKeyLen(v attr.Value) int {
 	n := v.EncodedLen()
 	if v.Kind() == attr.KindString {
-		s := v.AsString()
-		for i := 0; i < len(s); i++ {
-			if s[i] == 0x00 {
-				n++ // escaped to two bytes
-			}
-		}
-		n += valueKeyTermLen
+		n += strings.Count(v.AsString(), "\x00") + valueKeyTermLen // each 0x00 escapes to two bytes
 	}
-	return n+8 <= maxKeyLen
+	return n + 8
 }
 
 // decodeValueKey reverses AppendValueKey: strings are unescaped and

@@ -29,8 +29,8 @@ import (
 // The page is normally the store's own immutable image (Store.Read), so
 // the sub-slices body returns stay valid however long the caller keeps
 // them. The first insert or remove swaps in a private copy (own) and later
-// ones edit that; give hands the copy to the store and goes back to
-// borrowing it.
+// ones edit that. A batch that edits a page wholesale does not edit it at
+// all: it writes a fresh image in one pass (pageBuild).
 type slots struct {
 	page  []byte
 	hdr   int // where the entries start
@@ -103,8 +103,32 @@ func (s *slots) last() (int, error) {
 // value encodings are not prefix-free, so the pair is not the byte order of
 // the whole body. k carries a tail like any entry.
 func (s *slots) search(k []byte) (pos int, found bool, err error) {
+	return s.searchIn(0, s.n, k)
+}
+
+// seek is search for a k that sorts at or after entry from: it probes the
+// entries from, from+1, from+3, from+7, ... and binary-searches the step
+// that passes k, so a k d entries on costs O(log d) comparisons. A sorted
+// run walking a page finds each next key in a few.
+func (s *slots) seek(from int, k []byte) (pos int, found bool, err error) {
+	lo := from
+	for step := 1; lo+step <= s.n; step *= 2 {
+		probe := lo + step - 1
+		at, _, err := s.searchIn(probe, probe+1, k)
+		if err != nil {
+			return 0, false, err
+		}
+		if at == probe { // the probe sorts at or after k
+			return s.searchIn(lo, probe+1, k)
+		}
+		lo += step
+	}
+	return s.searchIn(lo, s.n, k)
+}
+
+// searchIn is search over entries [lo, hi), where k's place is known to be.
+func (s *slots) searchIn(lo, hi int, k []byte) (pos int, found bool, err error) {
 	cut := len(k) - s.tail
-	lo, hi := 0, s.n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		b, err := s.body(mid)
@@ -132,12 +156,6 @@ func (s *slots) own() {
 	if !s.owned {
 		s.page, s.owned = bytes.Clone(s.page), true
 	}
-}
-
-// give makes the owned, edited page the store's new image of page id.
-func (s *slots) give(store *pagestore.Store, id pagestore.PageID) error {
-	s.owned = false
-	return writePage(store, id, s.page)
 }
 
 // readPage borrows the store's image of page id: one pool access, no copy.
@@ -208,4 +226,67 @@ func (s *slots) remove(pos int) error {
 	s.n--
 	binary.BigEndian.PutUint16(s.page[s.hdr-10:], uint16(s.n))
 	return nil
+}
+
+// pageBuild writes a fresh page image entry by entry, in order: nothing
+// behind an entry ever moves, so each costs its copy and one directory
+// slot. The image is the one slot edits leave with the same entries — free
+// space zeroed, the same directory — so a page rebuilt in one pass and a
+// page edited key by key are byte for byte the same. The caller sizes the
+// entries to fit.
+type pageBuild struct {
+	page []byte
+	off  int // where the next entry goes
+	n    int
+}
+
+// newPageBuild starts an empty image whose header is hdr bytes.
+func newPageBuild(hdr int) pageBuild {
+	return pageBuild{page: make([]byte, pagestore.PageSize), off: hdr}
+}
+
+// add appends an entry: body, then tail (a hash posting's file id; nil for
+// a B-tree key).
+func (b *pageBuild) add(body, tail []byte) {
+	b.off += copy(b.page[b.off:], body)
+	b.off += copy(b.page[b.off:], tail)
+	b.n++
+	binary.BigEndian.PutUint16(b.page[len(b.page)-2*b.n:], uint16(b.off))
+}
+
+// copyRange appends entries [lo, hi) of s: their bytes in one copy, their
+// directory slots moved by how far they moved. It returns ErrCorrupt if
+// s's directory does not describe those entries in order between its
+// header and its directory, or if they do not fit.
+func (b *pageBuild) copyRange(s *slots, lo, hi int) error {
+	switch {
+	case lo == hi:
+		return nil
+	case lo > hi:
+		return ErrCorrupt
+	}
+	from, end := s.start(lo), s.off(hi-1)
+	if from < s.hdr || end < from || end > s.dir() || b.off+end-from+2*(b.n+hi-lo) > len(b.page) {
+		return ErrCorrupt
+	}
+	shift, at := b.off-from, from
+	for i := lo; i < hi; i++ {
+		next := s.off(i)
+		if next-at < s.tail || next > end {
+			return ErrCorrupt
+		}
+		at = next
+		b.n++
+		binary.BigEndian.PutUint16(b.page[len(b.page)-2*b.n:], uint16(next+shift))
+	}
+	b.off += copy(b.page[b.off:], s.page[from:end])
+	return nil
+}
+
+// finish writes the header's entry count and chained page id (the last ten
+// of its hdr bytes, as slots reads them) and returns the image.
+func (b *pageBuild) finish(hdr int, next uint64) []byte {
+	binary.BigEndian.PutUint16(b.page[hdr-10:], uint16(b.n))
+	binary.BigEndian.PutUint64(b.page[hdr-8:], next)
+	return b.page
 }

@@ -117,8 +117,9 @@ func (s *slots) readAll() ([][]byte, error) {
 }
 
 // pokeSlots drives every read and edit path of an open page with probe
-// keys: whatever the page holds, each returns a result or ErrCorrupt and
-// none indexes out of the page. Probes carry the page's tail.
+// keys, and copies its entries into a fresh build: whatever the page
+// holds, each returns a result or ErrCorrupt and none indexes out of the
+// page. Probes carry the page's tail.
 func pokeSlots(t *testing.T, s *slots, probes [][]byte) {
 	t.Helper()
 	corrupt := func(what string, err error) {
@@ -144,6 +145,10 @@ func pokeSlots(t *testing.T, s *slots, probes [][]byte) {
 				corrupt("remove", e.remove(pos))
 			}
 		}
+	}
+	for _, r := range [][2]int{{0, s.len()}, {0, s.len() / 2}, {s.len() / 2, s.len()}, {s.len(), 0}} {
+		b := newPageBuild(s.hdr)
+		corrupt("copyRange", b.copyRange(s, r[0], r[1]))
 	}
 }
 

@@ -389,3 +389,72 @@ func TestCoalescingCollapsesReindexWindow(t *testing.T) {
 		t.Fatalf("final value lookup = %v, want [1]", files)
 	}
 }
+
+// BenchmarkCommitCacheLimit prices one commit of a CacheLimit's worth of
+// entries, 8 192, into a group of 12 500 files, shaped like the repository
+// benchmark's ingest: 70 % of the entries re-index size (a B-tree), 20 %
+// uid (a hash index with a skewed value spread), 10 % churn — files created
+// on size, and the ones the commit before created deleted. Entries arrive
+// eight to an Update, as a client batches them; the acknowledgements are
+// untimed, so ns/op, B/op and allocs/op are the commit alone.
+func BenchmarkCommitCacheLimit(b *testing.B) {
+	const files, limit, space, perCall = 12500, 8192, 1 << 20, 8
+	const sizes, uids = limit * 7 / 10, limit * 2 / 10
+	const churn = (limit - sizes - uids) / 2
+	n, _ := newTestNode(b, func(c *Config) { c.CacheLimit = 2 * limit }) // commits run only when called
+	n.DeclareIndex(sizeSpec)
+	n.DeclareIndex(proto.IndexSpec{Name: "uid", Type: proto.IndexHash, Field: "uid"})
+	ctx := context.Background()
+	rnd := rand.New(rand.NewSource(1))
+	uid := func() attr.Value { return attr.Int(int64(rnd.ExpFloat64() * 100)) }
+	ack := func(name string, entries []proto.IndexEntry) {
+		for len(entries) > 0 {
+			k := min(perCall, len(entries))
+			if _, err := n.Update(ctx, proto.UpdateReq{ACG: 1, IndexName: name, Entries: entries[:k]}); err != nil {
+				b.Fatal(err)
+			}
+			entries = entries[k:]
+		}
+	}
+	commit := func() {
+		g := n.lockGroup(1)
+		err := n.commitGroupLocked(g)
+		g.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	churnFile := func(gen, i int) index.FileID { return index.FileID(1<<32 + gen*churn + i) }
+	var size, hash []proto.IndexEntry
+	for f := range files {
+		size = append(size, proto.IndexEntry{File: index.FileID(f), Value: attr.Int(int64(rnd.Intn(space)))})
+		hash = append(hash, proto.IndexEntry{File: index.FileID(f), Value: uid()})
+	}
+	for i := range churn {
+		size = append(size, proto.IndexEntry{File: churnFile(0, i), Value: attr.Int(int64(rnd.Intn(space)))})
+	}
+	ack("size", size)
+	ack("uid", hash)
+	commit()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for gen := 1; gen <= b.N; gen++ {
+		b.StopTimer()
+		size, hash = size[:0], hash[:0]
+		for range sizes {
+			size = append(size, proto.IndexEntry{File: index.FileID(rnd.Intn(files)), Value: attr.Int(int64(rnd.Intn(space)))})
+		}
+		for i := range churn {
+			size = append(size,
+				proto.IndexEntry{File: churnFile(gen, i), Value: attr.Int(int64(rnd.Intn(space)))},
+				proto.IndexEntry{File: churnFile(gen-1, i), Delete: true})
+		}
+		for range uids {
+			hash = append(hash, proto.IndexEntry{File: index.FileID(rnd.Intn(files)), Value: uid()})
+		}
+		ack("size", size)
+		ack("uid", hash)
+		b.StartTimer()
+		commit()
+	}
+}

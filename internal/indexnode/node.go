@@ -601,8 +601,9 @@ func (n *Node) instFor(g *group, name string) (*inst, error) {
 //
 // Everything a commit can precompute happens before the group mutex is
 // taken (off-lock prepare): the request's wire body — the log record, see
-// proto/wire.go — is marshalled and CRC-framed once, and the index keys the
-// batch apply will sort on are encoded. That one frame is what the group
+// proto/wire.go — is marshalled once, straight into its CRC frame, and the
+// index keys the batch apply will sort on are encoded into one buffer.
+// That one frame is what the group
 // log, the shared-store mirror and the follower stream all append. The
 // critical section holds only the in-memory log append and the coalescing
 // cache insert (in key order when the group is being read, so its Strict
@@ -655,7 +656,7 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 			}
 		}
 	}
-	framed := wal.FrameRecord(req.MarshalWire(nil))
+	framed := wal.SealFrame(req.MarshalWire(wal.NewFrame(req.WireLen())))
 	keys := prepareEntryKeys(spec, req.Entries)
 
 	g, err := n.lockOrCreateGroup(req.ACG)

@@ -107,32 +107,38 @@ func (g *group) dropOrderLocked() {
 // prepareEntryKeys encodes, outside any lock, the index keys a commit
 // will need for entries — and a cache kept in order sorts by: composite
 // (value, file) keys for B-tree postings, bare value encodings for hash
-// postings. Deletes keep a nil key — they are keyed by the committed
-// posting's old value, known only at commit — and KD entries need none
-// (the tree is built from points).
+// postings — into one buffer of their total size. Deletes keep a nil key —
+// they are keyed by the committed posting's old value, known only at
+// commit — and KD entries need none (the tree is built from points).
 func prepareEntryKeys(spec proto.IndexSpec, entries []proto.IndexEntry) [][]byte {
-	switch spec.Type {
-	case proto.IndexBTree:
-		keys := make([][]byte, len(entries))
-		for i, e := range entries {
-			if e.Delete {
-				continue
-			}
-			keys[i] = index.AppendCompositeKey(make([]byte, 0, 2*e.Value.EncodedLen()+10), e.Value, e.File)
-		}
-		return keys
-	case proto.IndexHash:
-		keys := make([][]byte, len(entries))
-		for i, e := range entries {
-			if e.Delete {
-				continue
-			}
-			keys[i] = e.Value.Encode(nil)
-		}
-		return keys
-	default:
+	btree := spec.Type == proto.IndexBTree
+	if !btree && spec.Type != proto.IndexHash {
 		return nil
 	}
+	size := 0
+	for _, e := range entries {
+		switch {
+		case e.Delete:
+		case btree:
+			size += index.CompositeKeyLen(e.Value)
+		default:
+			size += e.Value.EncodedLen()
+		}
+	}
+	keys, arena := make([][]byte, len(entries)), make([]byte, 0, size)
+	for i, e := range entries {
+		if e.Delete {
+			continue
+		}
+		lo := len(arena)
+		if btree {
+			arena = index.AppendCompositeKey(arena, e.Value, e.File)
+		} else {
+			arena = e.Value.Encode(arena)
+		}
+		keys[i] = arena[lo:len(arena):len(arena)]
+	}
+	return keys
 }
 
 // addPendingLocked inserts one acknowledged entry into the group's
@@ -316,7 +322,7 @@ const sharedWALCheckpointRecords = 4096
 // The walk stages its forward edits and reports the postings they replace;
 // the B-tree and hash removals and insertions are applied from those, and
 // only then are the forward edits written. The bulk paths are idempotent
-// (DeleteSorted skips absent keys, InsertSorted skips duplicates), so a
+// (ApplySorted and ApplyBatch skip absent deletes and duplicate inserts), so a
 // retry after a partial failure re-derives the same ops from a forward
 // index that has not moved — or has, past the point where the indices
 // already match it — and self-heals instead of diverging. Every live
@@ -521,7 +527,8 @@ func (s *commitScratch) oldOf(op *fwdOp) []byte {
 
 // applyIndex applies run r's share of the edits to its B-tree or hash
 // index: a removal of the replaced posting when the entry deletes or moves
-// it, and an insertion of every live entry.
+// it, and an insertion of every live entry — both in one pass over the
+// index, which rebuilds each page they touch once.
 func (s *commitScratch) applyIndex(r int, in *inst, run *pendingRun) error {
 	inOrder := run.order.len() > 0
 	s.del, s.ins, s.delOps, s.insOps = s.del[:0], s.ins[:0], s.delOps[:0], s.insOps[:0]
@@ -563,16 +570,10 @@ func (s *commitScratch) applyIndex(r int, in *inst, run *pendingRun) error {
 		if !inOrder {
 			sortKeys(s.ins)
 		}
-		if _, err := in.bt.DeleteSorted(s.del); err != nil {
-			return err
-		}
-		_, err := in.bt.InsertSorted(s.ins)
+		_, _, err := in.bt.ApplySorted(s.del, s.ins)
 		return err
 	}
-	if _, err := in.ht.DeleteBatch(s.delOps); err != nil {
-		return err
-	}
-	_, err := in.ht.InsertBatch(s.insOps)
+	_, _, err := in.ht.ApplyBatch(s.delOps, s.insOps)
 	return err
 }
 

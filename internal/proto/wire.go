@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"propeller/internal/attr"
 	"propeller/internal/index"
@@ -242,6 +243,27 @@ func (r *UpdateReq) MarshalWire(dst []byte) []byte {
 	}
 	return dst
 }
+
+// WireLen returns the exact length MarshalWire appends for r, so the
+// record can be marshalled into a buffer of its final size (the Index Node
+// marshals each update straight into its WAL frame).
+func (r *UpdateReq) WireLen() int {
+	n := 1 + uvarintLen(uint64(r.ACG)) + stringLen(r.IndexName) + stringLen(r.Client) + uvarintLen(uint64(len(r.Entries)))
+	for _, e := range r.Entries {
+		v := e.Value.EncodedLen() // 1 for the zero Value, as appendValue writes it
+		n += uvarintLen(uint64(e.File)) + 1 + uvarintLen(uint64(v)) + v
+		if len(e.KDCoords) > 0 {
+			n += uvarintLen(uint64(len(e.KDCoords))) + 8*len(e.KDCoords)
+		}
+	}
+	return n
+}
+
+// uvarintLen returns the bytes binary.AppendUvarint spends on x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// stringLen returns the bytes appendString spends on s.
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 // UnmarshalWire implements rpc.WireUnmarshaler.
 func (r *UpdateReq) UnmarshalWire(data []byte) error {

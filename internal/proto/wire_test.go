@@ -181,6 +181,28 @@ func TestWireRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+// TestUpdateReqWireLen: WireLen is the length MarshalWire appends — what
+// lets the Index Node marshal a record straight into its frame — for every
+// update fixture and for values and counts across varint boundaries.
+func TestUpdateReqWireLen(t *testing.T) {
+	var reqs []*UpdateReq
+	for _, msg := range wireFixtures() {
+		if u, ok := msg.(*UpdateReq); ok {
+			reqs = append(reqs, u)
+		}
+	}
+	big := &UpdateReq{ACG: 1 << 35, IndexName: string(make([]byte, 200)), Client: "c"}
+	for i := range 130 {
+		big.Entries = append(big.Entries, IndexEntry{File: index.FileID(1) << (i % 64), Value: attr.Str(string(make([]byte, i*3)))})
+	}
+	reqs = append(reqs, big)
+	for i, r := range reqs {
+		if got, want := r.WireLen(), len(r.MarshalWire(nil)); got != want {
+			t.Errorf("request %d: WireLen = %d, MarshalWire wrote %d bytes", i, got, want)
+		}
+	}
+}
+
 // fuzzTags maps a leading tag byte to a fresh message of each binary type,
 // so one fuzz corpus covers every decoder.
 func fuzzMsgFor(tag byte) wireMsg {
@@ -240,6 +262,9 @@ func FuzzWireDecode(f *testing.F) {
 			return
 		}
 		first := msg.MarshalWire(nil)
+		if u, ok := msg.(*UpdateReq); ok && u.WireLen() != len(first) {
+			t.Fatalf("WireLen = %d, MarshalWire wrote %d bytes", u.WireLen(), len(first))
+		}
 		again := fuzzMsgFor(data[0])
 		if err := again.UnmarshalWire(first); err != nil {
 			t.Fatalf("canonical bytes failed to decode: %v\nbytes: %x", err, first)

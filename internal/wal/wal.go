@@ -41,13 +41,27 @@ const recordHeader = 4 + 4 // length + crc
 // FrameRecord returns a record's on-log framing — the length + CRC header
 // followed by the record bytes. It takes no locks, so callers can prepare
 // an append entirely outside their own critical sections and hand the
-// frame to AppendFramed while locked (the Index Node frames WAL records
-// before taking the group mutex).
+// frame to AppendFramed while locked.
 func FrameRecord(rec []byte) []byte {
-	framed := make([]byte, recordHeader, recordHeader+len(rec))
-	binary.BigEndian.PutUint32(framed[0:4], uint32(len(rec)))
-	binary.BigEndian.PutUint32(framed[4:8], crc32.ChecksumIEEE(rec))
-	return append(framed, rec...)
+	return SealFrame(append(NewFrame(len(rec)), rec...))
+}
+
+// NewFrame returns the start of a frame for a record of size bytes: the
+// header's room, reserved, and capacity for exactly the record behind it.
+// A caller that builds the record by appending it there (the Index Node
+// marshals each update straight into its frame) and then calls SealFrame
+// gets FrameRecord's frame without a copy of the record.
+func NewFrame(size int) []byte {
+	return make([]byte, recordHeader, recordHeader+size)
+}
+
+// SealFrame fills in the header NewFrame reserved from the record appended
+// behind it, and returns the frame.
+func SealFrame(frame []byte) []byte {
+	rec := frame[recordHeader:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(rec)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(rec))
+	return frame
 }
 
 // AppendFramed counts a record already framed by FrameRecord and charges

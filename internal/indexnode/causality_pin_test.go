@@ -82,7 +82,7 @@ func TestCausalityImagesAndSplitPinned(t *testing.T) {
 		if err := r.a.commitGroupLocked(g); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := r.a.imageBytesLocked(g, filter, proto.ReceiveACGStreamMeta{ACG: src, ReplSeq: g.replSeq})
+		raw, err := r.a.imageBytesLocked(g, filter, proto.ReceiveACGMeta{ACG: src, ReplSeq: g.replSeq})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -191,17 +191,24 @@ func (fr *fwdRig) checkAll(when string, full bool) {
 			g.mu.Unlock()
 			continue
 		}
-		image, err := n.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: acg})
+		image, err := n.imageBytesLocked(g, nil, proto.ReceiveACGMeta{ACG: acg})
 		g.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
 		fresh, _ := newTestNode(t)
-		fg, err := fresh.lockOrCreateGroup(acg)
+		fg, _, err := fresh.lockOrCreateGroup(acg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.adoptLocked(context.Background(), fg, storedImage(image), nil); err != nil {
+		a, err := fresh.newImageApplier(fg)
+		if err == nil {
+			err = a.feed(image)
+		}
+		if err == nil {
+			err = fresh.adoptLocked(context.Background(), a, nil)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, spec := range fwdSpecs {

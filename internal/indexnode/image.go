@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"propeller/internal/index"
@@ -11,14 +12,14 @@ import (
 )
 
 // This file defines the group image: the one serialized form of a group's
-// durable state. It is what ACG transfers ship in chunks
-// (MethodReceiveACGChunked), what a same-node split hands to its new group,
-// what a merge streams from its source into its destination, and the bytes
-// writeCheckpointLocked stores in shared storage. The image
-// is a flat sequence of self-framed records, so a sender can emit it in
-// bounded batches and a receiver can apply it incrementally from arbitrary
-// chunk boundaries — a multi-GB group never exists as one contiguous buffer
-// on either side of a transfer.
+// durable state. It is what ACG transfers ship, one chunk a call
+// (MethodReceiveACGChunk), what a same-node split streams into its new
+// group, what a merge streams from its source into its destination, and
+// the bytes writeCheckpointLocked stores in shared storage. The image is a
+// flat sequence of self-framed records, so a sender can emit it in bounded
+// chunks and a receiver can apply it incrementally from arbitrary chunk
+// boundaries — a multi-GB group never exists as one contiguous buffer on
+// either side of a transfer.
 //
 // Layout:
 //
@@ -29,7 +30,7 @@ import (
 // is written and read by the same codebase, and no older deployed version
 // exists whose images would need reading):
 //
-//	recHeader  proto.ReceiveACGStreamMeta wire body (acg, epoch, follower, replSeq)
+//	recHeader  proto.ReceiveACGMeta wire body (acg, epoch, follower, replSeq)
 //	recFiles   count, then delta-coded sorted file ids
 //	recEdges   count, then (src, dst, weight) uvarint triples
 //	recIndex   index spec; subsequent recEntries belong to it
@@ -43,10 +44,10 @@ const (
 	recIndex   = 4
 	recEntries = 5
 
-	// imageBatchTarget is the flush threshold for the writer's record
-	// buffer: emit() sees batches of roughly this size (a record can
-	// overshoot it; the rpc layer re-splits into ≤ maxChunk frames).
-	imageBatchTarget = 64 << 10
+	// imageChunk is the size of the chunks the writer emits (the last one
+	// may be shorter): the bytes one transfer call carries, and so the most
+	// of a transfer its receiver holds besides one partial record.
+	imageChunk = 256 << 10
 	// entriesPerRecord bounds one recEntries record (and one bulk apply
 	// run on the receiver).
 	entriesPerRecord = 512
@@ -54,8 +55,10 @@ const (
 
 var errImageTruncated = errors.New("indexnode: truncated group image")
 
-// imageWriter batches records and hands them to emit in ~imageBatchTarget
-// slices. The slice passed to emit is reused; emit must not retain it.
+// imageWriter batches records and hands them to emit in imageChunk slices,
+// cut wherever the chunk ends. The slice passed to emit is reused; emit
+// must not retain it. A writer without emit collects the whole image in
+// buf.
 type imageWriter struct {
 	buf  []byte
 	emit func([]byte) error
@@ -63,17 +66,30 @@ type imageWriter struct {
 }
 
 func (w *imageWriter) record(typ byte, body []byte) error {
+	// Grow by doubling: a checkpoint collects its whole image here, and
+	// append's gentler growth for large slices would copy it several times
+	// over.
+	if need := len(w.buf) + 1 + binary.MaxVarintLen64 + len(body); need > cap(w.buf) {
+		w.buf = slices.Grow(w.buf, max(need, 2*cap(w.buf))-len(w.buf))
+	}
 	w.buf = append(w.buf, typ)
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(body)))
 	w.buf = append(w.buf, body...)
-	if len(w.buf) >= imageBatchTarget {
-		return w.flush()
+	if w.emit == nil {
+		return nil
 	}
+	off := 0
+	for ; len(w.buf)-off >= imageChunk; off += imageChunk {
+		if err := w.emit(w.buf[off : off+imageChunk]); err != nil {
+			return err
+		}
+	}
+	w.buf = w.buf[:copy(w.buf, w.buf[off:])]
 	return nil
 }
 
 func (w *imageWriter) flush() error {
-	if len(w.buf) == 0 {
+	if len(w.buf) == 0 || w.emit == nil {
 		return nil
 	}
 	err := w.emit(w.buf)
@@ -100,11 +116,22 @@ func appendImageSpec(dst []byte, spec proto.IndexSpec) []byte {
 // streamImageLocked serializes the group's durable state — membership,
 // causality edges, committed postings per index — as a record stream,
 // keeping only files accepted by filter (nil = all), delivered through
-// emit in bounded batches; callers that need one contiguous buffer use
+// emit in imageChunk slices; callers that need one contiguous buffer use
 // imageBytesLocked. Caller holds g.mu and must have committed the group if
 // the image is meant to include every acknowledged entry.
-func (n *Node) streamImageLocked(g *group, filter func(index.FileID) bool, hdr proto.ReceiveACGStreamMeta, emit func([]byte) error) error {
-	w := &imageWriter{emit: emit}
+func (n *Node) streamImageLocked(g *group, filter func(index.FileID) bool, hdr proto.ReceiveACGMeta, emit func([]byte) error) error {
+	return n.writeImageLocked(&imageWriter{emit: emit}, g, filter, hdr)
+}
+
+// imageBytesLocked renders the image (filtered as streamImageLocked) into
+// one buffer: the shared-storage checkpoint. Caller holds g.mu.
+func (n *Node) imageBytesLocked(g *group, filter func(index.FileID) bool, hdr proto.ReceiveACGMeta) ([]byte, error) {
+	w := &imageWriter{}
+	err := n.writeImageLocked(w, g, filter, hdr)
+	return w.buf, err
+}
+
+func (n *Node) writeImageLocked(w *imageWriter, g *group, filter func(index.FileID) bool, hdr proto.ReceiveACGMeta) error {
 	// The magic byte rides in front of the first batch.
 	w.buf = append(w.buf, imageMagic)
 	scratch := hdr.MarshalWire(nil)
@@ -226,43 +253,40 @@ func flushEdges(w *imageWriter, scratch *[]byte, body []byte, count int) error {
 	return w.record(recEdges, *scratch)
 }
 
-// imageBytesLocked renders the image (filtered as streamImageLocked) into
-// one buffer: the shared-storage checkpoint, and the half a same-node split
-// carries across to its new group. Caller holds g.mu.
-func (n *Node) imageBytesLocked(g *group, filter func(index.FileID) bool, hdr proto.ReceiveACGStreamMeta) ([]byte, error) {
-	var out []byte
-	err := n.streamImageLocked(g, filter, hdr, func(b []byte) error {
-		out = append(out, b...)
-		return nil
-	})
-	return out, err
-}
-
 // imageApplier applies a record-stream image to a locked group, fed one
 // chunk at a time with no alignment between chunk and record boundaries.
 // Records apply as soon as they complete, so the applier's footprint is
-// one partial record — never the whole image. Caller holds g.mu across
-// every feed and the finish.
+// one partial record — never the whole image. Its records skip the
+// (index, file) pairs the group held when the applier started (known).
+// Caller holds g.mu across every feed and the finish.
 type imageApplier struct {
 	n     *Node
 	g     *group
 	known map[string]map[index.FileID]bool
 
 	buf      []byte // partial record carried across chunks
+	fed      bool   // an image began: finish must see it whole
 	sawMagic bool
-	hdr      proto.ReceiveACGStreamMeta
+	hdr      proto.ReceiveACGMeta
 
 	curName  string
 	haveSpec bool
 }
 
-func newImageApplier(n *Node, g *group, known map[string]map[index.FileID]bool) *imageApplier {
-	return &imageApplier{n: n, g: g, known: known}
+// newImageApplier starts an applier into g, snapshotting the pairs g
+// already holds. Caller holds g.mu.
+func (n *Node) newImageApplier(g *group) (*imageApplier, error) {
+	known, err := n.knownPairsLocked(g)
+	if err != nil {
+		return nil, err
+	}
+	return &imageApplier{n: n, g: g, known: known}, nil
 }
 
 // feed consumes one chunk of the record stream, applying every record that
 // completes within it.
 func (a *imageApplier) feed(chunk []byte) error {
+	a.fed = true
 	b := chunk
 	if len(a.buf) > 0 {
 		a.buf = append(a.buf, chunk...)
@@ -459,10 +483,11 @@ func (a *imageApplier) applyEntries(b []byte) error {
 	return a.n.applyRunsLocked(a.g, []*pendingRun{{name: a.curName, byFile: run}})
 }
 
-// finish completes the install: it rejects a torn stream, one that never
-// opened or that ends inside a record.
+// finish completes the install: it rejects a torn image, one that began
+// but never opened or that ends inside a record. An applier never fed — an
+// arrival without an image — installs nothing.
 func (a *imageApplier) finish() error {
-	if !a.sawMagic || len(a.buf) > 0 {
+	if a.fed && (!a.sawMagic || len(a.buf) > 0) {
 		return errImageTruncated
 	}
 	return nil

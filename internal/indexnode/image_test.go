@@ -2,6 +2,7 @@ package indexnode
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"strconv"
 	"strings"
@@ -60,7 +61,7 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 		g.mu.Unlock()
 		t.Fatal(err)
 	}
-	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: 1, ReplSeq: g.replSeq})
+	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGMeta{ACG: 1, ReplSeq: g.replSeq})
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +70,15 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 		t.Fatalf("image starts with 0x%02x, want magic 0x%02x", raw[0], imageMagic)
 	}
 
-	dst, err := r.b.lockOrCreateGroup(2)
+	dst, _, err := r.b.lockOrCreateGroup(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newImageApplier(r.b, dst, nil)
+	a, err := r.b.newImageApplier(dst)
+	if err != nil {
+		dst.mu.Unlock()
+		t.Fatal(err)
+	}
 	for off := 0; off < len(raw); off += 7 {
 		end := off + 7
 		if end > len(raw) {
@@ -125,18 +130,21 @@ func TestImageApplierRejectsTornStream(t *testing.T) {
 		g.mu.Unlock()
 		t.Fatal(err)
 	}
-	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: 1})
+	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGMeta{ACG: 1})
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dst, err := r.b.lockOrCreateGroup(3)
+	dst, _, err := r.b.lockOrCreateGroup(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.mu.Unlock()
-	a := newImageApplier(r.b, dst, nil)
+	a, err := r.b.newImageApplier(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := a.feed(raw[:len(raw)-3]); err != nil {
 		t.Fatalf("feeding a clean prefix should buffer, got %v", err)
 	}
@@ -187,45 +195,31 @@ func TestImageWithoutMagicIsRefused(t *testing.T) {
 	}
 }
 
-// TestStreamedTransferReceiverMemoryBounded migrates a group whose image is
-// several times the flow-control window and asserts the receiving server
-// never buffered more than the window for the stream: the receiver applies
-// incrementally, so its transient footprint is set by rpc geometry, not by
-// group size.
-func TestStreamedTransferReceiverMemoryBounded(t *testing.T) {
+// TestTransferReceiverMemoryBounded migrates a group whose image is several
+// chunks long and asserts the receiver never held more of it at once than
+// one chunk plus the partial record carried into it: the receiver applies
+// each chunk as its call arrives, so its transient footprint is set by the
+// chunk size, not by group size.
+func TestTransferReceiverMemoryBounded(t *testing.T) {
 	r := newTransferRig(t)
 	ctx := context.Background()
-	r.a.DeclareIndex(proto.IndexSpec{Name: "tag", Type: proto.IndexBTree, Field: "tag"})
-	// ~128 bytes of value per entry, 24k entries in batches: > 3 MiB of
-	// image against a 1 MiB window.
-	pad := strings.Repeat("v", 120)
-	const batch, batches = 256, 120
-	for b := 0; b < batches; b++ {
-		entries := make([]proto.IndexEntry, batch)
-		for i := range entries {
-			f := index.FileID(b*batch + i)
-			entries[i] = proto.IndexEntry{File: f, Value: attr.Str(pad + string(rune('a'+b%26)))}
-		}
-		if _, err := r.a.Update(ctx, proto.UpdateReq{ACG: 1, IndexName: "tag", Entries: entries}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// ~128 bytes of value per entry, 30k entries: > 3 MiB of image against
+	// a 256 KiB chunk.
+	const batches = 120
+	seedPaddedGroup(t, r.a, 1, batches)
 	if err := r.a.Heartbeat(ctx); err != nil {
 		t.Fatal(err)
 	}
-
-	g := r.a.lockGroup(1)
-	if err := r.a.commitGroupLocked(g); err != nil {
-		g.mu.Unlock()
-		t.Fatal(err)
+	raw := groupImage(t, r.a, 1)
+	if len(raw) < 3*imageChunk {
+		t.Fatalf("image is %d bytes; want > %d to make the bound meaningful", len(raw), 3*imageChunk)
 	}
-	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: 1})
-	g.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) < 3*rpc.StreamWindow {
-		t.Fatalf("image is %d bytes; want > %d to make the bound meaningful", len(raw), 3*rpc.StreamWindow)
+	maxRecord := 0
+	for b := raw[1:]; len(b) > 0; {
+		size, k := binary.Uvarint(b[1:])
+		n := 1 + k + int(size)
+		maxRecord = max(maxRecord, n)
+		b = b[n:]
 	}
 
 	if err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
@@ -235,17 +229,17 @@ func TestStreamedTransferReceiverMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Files) != batch*batches {
-		t.Fatalf("post-transfer search = %d files, want %d", len(resp.Files), batch*batches)
+	if len(resp.Files) != 256*batches {
+		t.Fatalf("post-transfer search = %d files, want %d", len(resp.Files), 256*batches)
 	}
 
-	peak := r.servers["pipe:in-b"].StreamBufferedPeak()
-	if peak == 0 {
-		t.Fatal("receiver recorded no stream buffering; transfer did not stream")
+	peak := r.b.xferPeak.Load()
+	if peak < imageChunk {
+		t.Fatalf("receiver held at most %d bytes at once; the transfer did not move in %d-byte chunks", peak, imageChunk)
 	}
-	if peak > rpc.StreamWindow {
-		t.Fatalf("receiver stream buffering peaked at %d bytes, want <= window %d (image was %d)",
-			peak, rpc.StreamWindow, len(raw))
+	if peak > imageChunk+int64(maxRecord) {
+		t.Fatalf("receiver held %d bytes at once, want <= one chunk (%d) plus one record (%d); the image was %d",
+			peak, imageChunk, maxRecord, len(raw))
 	}
 }
 

@@ -80,9 +80,13 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 	// src's image streams straight into dst's adopt step, which re-homes
 	// src's files (clearing dst's fences on them) and ends in dst's
 	// checkpoint: shared storage follows the merge.
-	err := n.adoptLocked(ctx, gd, func(feed func([]byte) error) error {
-		return n.streamImageLocked(gs, nil, proto.ReceiveACGStreamMeta{ACG: src}, feed)
-	}, nil)
+	a, err := n.newImageApplier(gd)
+	if err == nil {
+		err = n.streamImageLocked(gs, nil, proto.ReceiveACGMeta{ACG: src}, a.feed)
+	}
+	if err == nil {
+		err = n.adoptLocked(ctx, a, nil)
+	}
 	if err != nil {
 		unlock()
 		return err

@@ -31,6 +31,9 @@
 //     holds group locks (a merge holds two) without deadlock.
 //  3. group.mu before n.specMu. Never acquire a group lock while holding
 //     the spec table lock.
+//  4. An inbound transfer's own lock before the lock of the group it
+//     holds across calls; n.xferMu is held only for the table's map
+//     access (transfer.go).
 //
 // A group removed from the registry (leave) is marked dead under its
 // lock; lockLive/lockGroup/lockOrCreateGroup encapsulate the re-resolve
@@ -330,6 +333,12 @@ type Node struct {
 	// replication frames over (per-update path; dial once, drop on
 	// failure), LRU-bounded; its evictions surface in NodeStats.
 	peers rpc.ConnCache
+
+	// xfers are the open inbound transfers, by group (transfer.go);
+	// xferPeak is the most image bytes one chunk call has held at once.
+	xferMu   sync.Mutex
+	xfers    map[proto.ACGID]*transferIn
+	xferPeak atomic.Int64
 }
 
 // New returns an Index Node.
@@ -345,6 +354,7 @@ func New(cfg Config) (*Node, error) {
 		released: make(map[proto.ACGID]proto.Epoch),
 		specs:    make(map[string]proto.IndexSpec),
 		ords:     make(map[string]uint16),
+		xfers:    make(map[proto.ACGID]*transferIn),
 	}
 	n.nextOff.Store(1 << 40) // KD images live past the page region
 	if cfg.MaxInflight > 0 {
@@ -366,7 +376,7 @@ func (n *Node) RegisterRPC(s *rpc.Server) {
 	rpc.HandleTyped(s, proto.MethodFlushACG, n.FlushACG)
 	rpc.HandleTyped(s, proto.MethodNodeStats, n.NodeStats)
 	rpc.HandleTyped(s, proto.MethodFollowerAppend, n.FollowerAppend)
-	rpc.HandleStreamTyped(s, proto.MethodReceiveACGChunked, n.receiveACGStream)
+	rpc.HandleTyped(s, proto.MethodReceiveACGChunk, n.receiveACGChunk)
 }
 
 // DeclareIndex makes an index spec known to the node (normally learned from
@@ -446,30 +456,31 @@ func (n *Node) lockGroup(id proto.ACGID) *group {
 }
 
 // getOrCreateGroup returns the group, creating it on demand (groups are
-// provisioned lazily on first contact, the Master having routed here). A
+// provisioned lazily on first contact, the Master having routed here), and
+// whether it did. A
 // released (tombstoned) id is refused with perr.ErrStalePlacement: traffic
 // routed by a stale placement cache must not resurrect a group this node
 // no longer owns. The tombstone check shares the registry write lock with
 // creation, so a concurrent release can never interleave with it.
-func (n *Node) getOrCreateGroup(id proto.ACGID) (*group, error) {
+func (n *Node) getOrCreateGroup(id proto.ACGID) (*group, bool, error) {
 	n.mu.RLock()
 	g := n.groups[id]
 	n.mu.RUnlock()
 	if g != nil {
-		return g, nil
+		return g, false, nil
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if g = n.groups[id]; g != nil {
-		return g, nil
+		return g, false, nil
 	}
 	if ep, ok := n.released[id]; ok {
 		n.staleRejects.Inc()
-		return nil, n.staleErr(id, ep)
+		return nil, false, n.staleErr(id, ep)
 	}
 	g = n.newGroupLocked(id)
 	n.groups[id] = g
-	return g, nil
+	return g, true, nil
 }
 
 // staleErr is the typed stale-placement rejection, carrying the epoch of
@@ -508,17 +519,18 @@ func (n *Node) noteEpoch(e proto.Epoch) {
 // epoch returns the node's placement-epoch watermark.
 func (n *Node) epoch() proto.Epoch { return proto.Epoch(n.placementEpoch.Load()) }
 
-// lockOrCreateGroup returns the group locked, creating it if absent. The
-// retry loop covers a concurrent merge deleting the group between lookup
-// and lock. Released ids yield perr.ErrStalePlacement.
-func (n *Node) lockOrCreateGroup(id proto.ACGID) (*group, error) {
+// lockOrCreateGroup returns the group locked, creating it if absent, and
+// whether it did. The retry loop covers a concurrent merge deleting the
+// group between lookup and lock. Released ids yield
+// perr.ErrStalePlacement.
+func (n *Node) lockOrCreateGroup(id proto.ACGID) (*group, bool, error) {
 	for {
-		g, err := n.getOrCreateGroup(id)
+		g, created, err := n.getOrCreateGroup(id)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if g.lockLive() {
-			return g, nil
+			return g, created, nil
 		}
 	}
 }
@@ -659,7 +671,7 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 	framed := wal.SealFrame(req.MarshalWire(wal.NewFrame(req.WireLen())))
 	keys := prepareEntryKeys(spec, req.Entries)
 
-	g, err := n.lockOrCreateGroup(req.ACG)
+	g, _, err := n.lockOrCreateGroup(req.ACG)
 	if err != nil {
 		return proto.UpdateResp{}, err
 	}
@@ -719,7 +731,7 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 // a recovery restores must include them (the paper stores ACGs as regular
 // files in the shared file system).
 func (n *Node) FlushACG(_ context.Context, req proto.FlushACGReq) (proto.FlushACGResp, error) {
-	g, err := n.lockOrCreateGroup(req.ACG)
+	g, _, err := n.lockOrCreateGroup(req.ACG)
 	if err != nil {
 		return proto.FlushACGResp{}, err
 	}

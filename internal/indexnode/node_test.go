@@ -353,7 +353,7 @@ func TestSearchBadQuery(t *testing.T) {
 // the node's one replay loop and returns the number of entries restored.
 func replayLog(t testing.TB, n *Node, id proto.ACGID, img []byte) int {
 	t.Helper()
-	g, err := n.lockOrCreateGroup(id)
+	g, _, err := n.lockOrCreateGroup(id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,8 +129,8 @@ func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) 
 }
 
 // ReplicateACG executes one Master replicate order: commit the group, ship
-// its image to the destination as a follower copy (the same chunked
-// transfer migrations use, with the Follower flag set), report the
+// its image to the destination as a follower copy (the same chunk calls
+// migrations use, with the Follower flag set), report the
 // seeding, and add the destination to the streaming ack set. The whole
 // sequence holds the group lock, so no acknowledged frame can slip between
 // the image and the start of the stream. Duplicate orders (the Master
@@ -160,10 +160,10 @@ func (n *Node) ReplicateACG(ctx context.Context, o proto.Order) error {
 	if err != nil {
 		return fmt.Errorf("indexnode replicate dial %s: %w", o.Dest.Addr, err)
 	}
-	meta := proto.ReceiveACGStreamMeta{
+	meta := proto.ReceiveACGMeta{
 		ACG: g.id, Epoch: n.epoch(), Follower: true, ReplSeq: g.replSeq,
 	}
-	if err := n.shipGroupStreamLocked(ctx, peer, g, nil, meta); err != nil {
+	if err := n.shipGroupLocked(ctx, peer, g, nil, meta); err != nil {
 		n.peers.Drop(o.Dest.Addr)
 		return fmt.Errorf("indexnode replicate acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 	}

@@ -3,13 +3,11 @@ package indexnode
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 
 	"propeller/internal/index"
 	"propeller/internal/partition"
 	"propeller/internal/proto"
-	"propeller/internal/rpc"
 )
 
 // SplitACG executes one split order: it background-partitions an oversized
@@ -58,15 +56,14 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 
 	// Ship the moved half: the filtered image, entering the destination as
 	// a shipped image. o.Dest may be this very node (least-loaded); then
-	// the half crosses as one buffer instead of a self-dialed stream, and
-	// that is the only difference.
-	meta := proto.ReceiveACGStreamMeta{ACG: o.Into, Epoch: n.epoch(), ReplSeq: g.replSeq}
+	// the image streams straight into the new group instead of through
+	// self-dialed calls, and that is the only difference.
+	meta := proto.ReceiveACGMeta{ACG: o.Into, Epoch: n.epoch(), ReplSeq: g.replSeq}
 	if o.Dest.Node == n.cfg.ID {
-		half, err := n.imageBytesLocked(g, filter, meta)
-		if err != nil {
-			return 0, err
+		half := func(feed func([]byte) error) error {
+			return n.streamImageLocked(g, filter, meta, feed)
 		}
-		if err := n.enter(ctx, meta.ACG, meta.Epoch, shippedRole(meta), storedImage(half), nil); err != nil {
+		if err := n.enter(ctx, meta.ACG, meta.Epoch, shippedRole(meta), half, nil); err != nil {
 			return 0, err
 		}
 	} else {
@@ -74,7 +71,7 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 		if err != nil {
 			return 0, fmt.Errorf("indexnode split dial %s: %w", o.Dest.Addr, err)
 		}
-		if err := n.shipGroupStreamLocked(ctx, peer, g, filter, meta); err != nil {
+		if err := n.shipGroupLocked(ctx, peer, g, filter, meta); err != nil {
 			n.peers.Drop(o.Dest.Addr)
 			return 0, fmt.Errorf("indexnode split acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 		}
@@ -123,30 +120,4 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 		return 0, err
 	}
 	return len(sideB), nil
-}
-
-// receiveACGStream is the handler of MethodReceiveACGChunked: the
-// destination half of a background split, a live migration or a replica
-// seeding, entering this node as a shipped image. The image arrives as a
-// flow-controlled record stream, so the receiver's transient footprint is
-// one chunk plus one partial record — a large group never materializes as
-// a second contiguous copy here. Flow control bounds how long a slow
-// sender can stretch the install's quiesce window, and other groups'
-// traffic (and other streams on the same conn) proceed throughout.
-func (n *Node) receiveACGStream(ctx context.Context, meta proto.ReceiveACGStreamMeta, st *rpc.ServerStream) (proto.ReceiveACGResp, error) {
-	err := n.enter(ctx, meta.ACG, meta.Epoch, shippedRole(meta), func(feed func([]byte) error) error {
-		for {
-			chunk, err := st.Next(ctx)
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := feed(chunk); err != nil {
-				return err
-			}
-		}
-	}, nil)
-	return proto.ReceiveACGResp{OK: err == nil}, err
 }

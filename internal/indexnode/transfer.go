@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"propeller/internal/index"
+	"propeller/internal/perr"
 	"propeller/internal/proto"
 	"propeller/internal/rpc"
 	"propeller/internal/wal"
@@ -14,11 +17,12 @@ import (
 // This file implements the node side of the placement control plane. A
 // group enters a node one way and leaves it one way:
 //
-//   - enter is every arrival: a transfer-in, a replica seeding, a split's
-//     new half (receiveACGStream, or SplitACG when the half stays here),
-//     recovery from shared storage (RecoverFromShared) and a promotion
-//     (PromoteACG). MergeACGs, which already holds the destination's lock,
-//     runs the same adopt step on it.
+//   - arrive and adoptLocked are every arrival: a transfer-in, a replica
+//     seeding, a split's new half (receiveACGChunk, one chunk a call, or
+//     enter when the half stays here), recovery from shared storage
+//     (RecoverFromShared) and a promotion (PromoteACG). MergeACGs, which
+//     already holds the destination's lock, runs the same adopt step on
+//     it.
 //   - leave is every departure: a migration's source once the Master has
 //     rebound the group (TransferACG), a drop order (ReleaseACG) and a
 //     merge's source (MergeACGs). It always tombstones the id.
@@ -62,7 +66,7 @@ func (n *Node) checkpointLocked(g *group) error {
 // must have no pending entries (Checkpoint drops the mirrored WAL they
 // live in). Caller holds g.mu.
 func (n *Node) writeCheckpointLocked(g *group) error {
-	raw, err := n.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{
+	raw, err := n.imageBytesLocked(g, nil, proto.ReceiveACGMeta{
 		ACG: g.id, Epoch: n.epoch(), ReplSeq: g.replSeq,
 	})
 	if err != nil {
@@ -72,32 +76,37 @@ func (n *Node) writeCheckpointLocked(g *group) error {
 	return nil
 }
 
-// shipGroupStreamLocked ships the group's image (filtered to files accepted
-// by filter; nil = all) to peer as a chunked MethodReceiveACGChunked
-// transfer: bounded frames other streams' traffic interleaves with, applied
-// incrementally on the receiver. The group stays locked — quiesced — for
-// the duration. Caller holds g.mu.
-func (n *Node) shipGroupStreamLocked(ctx context.Context, peer *rpc.Client, g *group,
-	filter func(index.FileID) bool, meta proto.ReceiveACGStreamMeta) error {
-	st, err := rpc.OpenStream(ctx, peer, proto.MethodReceiveACGChunked, meta)
+// shipGroupLocked ships the group's image (filtered to files accepted by
+// filter; nil = all) to peer as a sequence of MethodReceiveACGChunk calls
+// of one imageChunk each. One call is in flight at a time, so the chunks
+// reach the receiver in order, and each waits until the next is cut so
+// that the last one carries Done. Each call waits at most transferIdle:
+// a receiver that stops answering frees this group too. The group stays
+// locked — quiesced — for the duration. Caller holds g.mu.
+func (n *Node) shipGroupLocked(ctx context.Context, peer *rpc.Client, g *group,
+	filter func(index.FileID) bool, meta proto.ReceiveACGMeta) error {
+	req := proto.ReceiveACGChunkReq{Meta: meta}
+	send := func(done bool) error {
+		cctx, cancel := context.WithTimeout(ctx, transferIdle)
+		defer cancel()
+		req.Done = done
+		_, err := rpc.Call[proto.ReceiveACGChunkReq, proto.ReceiveACGChunkResp](cctx, peer, proto.MethodReceiveACGChunk, req)
+		req.Offset += uint64(len(req.Data))
+		return err
+	}
+	err := n.streamImageLocked(g, filter, meta, func(chunk []byte) error {
+		if req.Data != nil {
+			if err := send(false); err != nil {
+				return err
+			}
+		}
+		req.Data = append(req.Data[:0], chunk...)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	serr := n.streamImageLocked(g, filter, meta, func(b []byte) error {
-		return st.Send(ctx, b)
-	})
-	if serr != nil {
-		// A mid-image send failure settles the stream; the terminal error
-		// (a typed refusal from the receiver) is more precise than ours.
-		// A torn prefix cannot install: the receiver's applier rejects a
-		// stream that half-closes inside a record.
-		if _, ferr := rpc.FinishStream[proto.ReceiveACGResp](ctx, st); ferr != nil {
-			return ferr
-		}
-		return serr
-	}
-	_, err = rpc.FinishStream[proto.ReceiveACGResp](ctx, st)
-	return err
+	return send(true)
 }
 
 // imageSource pushes an image's chunks, in order, into the feed it is
@@ -105,8 +114,8 @@ func (n *Node) shipGroupStreamLocked(ctx context.Context, peer *rpc.Client, g *g
 type imageSource func(feed func(chunk []byte) error) error
 
 // storedImage is the source of an image held whole: a shared-store
-// checkpoint or a same-node split's half. It is nil for an empty image, a
-// group that was never checkpointed, which installs nothing.
+// checkpoint. It is nil for an empty image, a group that was never
+// checkpointed, which installs nothing.
 func storedImage(raw []byte) imageSource {
 	if len(raw) == 0 {
 		return nil
@@ -117,56 +126,68 @@ func storedImage(raw []byte) imageSource {
 // shippedRole is the role a shipped image names: a replica seeding's copy
 // serves as a follower (stream-fed, mirror-untouched) from its replicated
 // stream position onward, any other copy as the primary.
-func shippedRole(meta proto.ReceiveACGStreamMeta) func(*group) {
+func shippedRole(meta proto.ReceiveACGMeta) func(*group) {
 	return func(g *group) {
 		g.follower = meta.Follower
 		g.replSeq = max(g.replSeq, meta.ReplSeq)
 	}
 }
 
-// enter is the one way a group arrives on this node. The order is explicit,
-// so it clears any tombstone on the id; it notes the order's epoch (0 for
-// orders that carry none), locks the group or creates it, lets setRole set
-// the copy's role the order names, and adopts image and walBytes into it
-// (adoptLocked). The group lock is held across the whole arrival.
-func (n *Node) enter(ctx context.Context, id proto.ACGID, epoch proto.Epoch, setRole func(*group), image imageSource, walBytes []byte) error {
+// arrive is the first half of every arrival. The order is explicit, so it
+// clears any tombstone on the id; it notes the order's epoch (0 for orders
+// that carry none), locks the group or creates it, lets setRole set the
+// copy's role the order names, and starts the applier the image feeds,
+// snapshotting the pairs the group already holds. The group stays locked
+// until the arrival ends; created says the arrival made it.
+func (n *Node) arrive(id proto.ACGID, epoch proto.Epoch, setRole func(*group)) (a *imageApplier, created bool, err error) {
 	n.clearReleased(id)
 	n.noteEpoch(epoch)
-	g, err := n.lockOrCreateGroup(id)
+	g, created, err := n.lockOrCreateGroup(id)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	defer g.mu.Unlock()
 	setRole(g)
-	return n.adoptLocked(ctx, g, image, walBytes)
+	if a, err = n.newImageApplier(g); err != nil {
+		g.mu.Unlock()
+		return nil, false, err
+	}
+	return a, created, nil
 }
 
-// adoptLocked installs what an arriving group brings into g: the image's
-// records as they complete, through the commit engine's bulk paths (a
-// stream that ends inside a record is refused), then walBytes replayed
-// into the lazy cache. Both skip the (index, file) pairs g held before the
-// adopt began: anything the live group holds — traffic that raced ahead of
-// the order — is newer than what an image or the mirror carries, and stale
-// state must never clobber fresher acknowledged writes. A nil image
-// installs nothing. Replayed entries may name indexes this node has never
-// served, so their specs are resolved before the closing checkpoint
-// commits them; the checkpoint makes shared storage reflect the group's
-// new home. Caller holds g.mu.
-func (n *Node) adoptLocked(ctx context.Context, g *group, image imageSource, walBytes []byte) error {
-	known, err := n.knownPairsLocked(g)
+// enter is an arrival run in one go: a recovery, a promotion or a
+// same-node split's new half. It arrives, feeds the image in and adopts
+// it with walBytes. A failed enter keeps the group and what it applied;
+// the Master re-issues the order.
+func (n *Node) enter(ctx context.Context, id proto.ACGID, epoch proto.Epoch, setRole func(*group), image imageSource, walBytes []byte) error {
+	a, _, err := n.arrive(id, epoch, setRole)
 	if err != nil {
 		return err
 	}
+	defer a.g.mu.Unlock()
 	if image != nil {
-		a := newImageApplier(n, g, known)
 		if err := image(a.feed); err != nil {
 			return err
 		}
-		if err := a.finish(); err != nil {
-			return err
-		}
 	}
-	if _, err := n.replayWALLocked(g, walBytes, known); err != nil {
+	return n.adoptLocked(ctx, a, walBytes)
+}
+
+// adoptLocked completes what an arriving group brings into a.g once a has
+// been fed its image: it refuses an image that ends inside a record, then
+// replays walBytes into the lazy cache. Both skip the (index, file) pairs
+// the group held before the applier started: anything the live group
+// holds — traffic that raced ahead of the order — is newer than what an
+// image or the mirror carries, and stale state must never clobber fresher
+// acknowledged writes. Replayed entries may name indexes this node has
+// never served, so their specs are resolved before the closing checkpoint
+// commits them; the checkpoint makes shared storage reflect the group's
+// new home. Caller holds a.g.mu.
+func (n *Node) adoptLocked(ctx context.Context, a *imageApplier, walBytes []byte) error {
+	if err := a.finish(); err != nil {
+		return err
+	}
+	g := a.g
+	if _, err := n.replayWALLocked(g, walBytes, a.known); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	for _, run := range g.pending {
@@ -175,6 +196,157 @@ func (n *Node) adoptLocked(ctx context.Context, g *group, image imageSource, wal
 		}
 	}
 	return n.checkpointLocked(g)
+}
+
+// transferIdle bounds how long an open inbound transfer waits for its next
+// chunk, and how long a sender waits for a chunk's answer. A transfer holds
+// its group's lock between calls, and Tick and Heartbeat lock every group,
+// so a sender that dies mid-transfer must not hold that lock for longer.
+// A real-time timer reaps the transfer, not Tick: a Tick blocked on the
+// held lock would never reach a reaper inside itself.
+var transferIdle = 5 * time.Second
+
+// transferIn is one open inbound transfer: the applier its chunks feed,
+// whose group it holds locked from the first chunk to the last.
+type transferIn struct {
+	// mu serializes the transfer's chunks, its end and its idle timer.
+	mu sync.Mutex
+	a  *imageApplier // nil once the transfer ended
+	// created says the transfer made the group, so one that fails drops it.
+	created bool
+	id      proto.ACGID
+	epoch   proto.Epoch
+	next    uint64 // the offset the next chunk must start at
+	last    time.Time
+	idle    *time.Timer
+}
+
+// receiveACGChunk is the handler of MethodReceiveACGChunk: one call of a
+// group entering this node as a shipped image — the destination half of a
+// background split, a live migration or a replica seeding. Each chunk
+// feeds the transfer's applier, so the receiver holds one chunk plus one
+// partial record, never the image; Done adopts the group and ends the
+// transfer. Other groups' traffic proceeds throughout.
+func (n *Node) receiveACGChunk(ctx context.Context, req proto.ReceiveACGChunkReq) (proto.ReceiveACGChunkResp, error) {
+	t, err := n.transferFor(req)
+	if err != nil {
+		return proto.ReceiveACGChunkResp{}, err
+	}
+	defer t.mu.Unlock()
+	held := int64(len(t.a.buf) + len(req.Data))
+	for cur := n.xferPeak.Load(); held > cur; cur = n.xferPeak.Load() {
+		if n.xferPeak.CompareAndSwap(cur, held) {
+			break
+		}
+	}
+	err = t.a.feed(req.Data)
+	if err == nil && req.Done {
+		err = n.adoptLocked(ctx, t.a, nil)
+	}
+	if err != nil || req.Done {
+		n.endTransfer(t, err)
+		return proto.ReceiveACGChunkResp{}, err
+	}
+	t.next += uint64(len(req.Data))
+	t.last = time.Now()
+	t.idle.Reset(transferIdle)
+	return proto.ReceiveACGChunkResp{}, nil
+}
+
+// transferFor returns the open transfer req is the next chunk of, locked.
+// Offset 0 opens one (openTransfer). Any other chunk must carry the next
+// byte of the open transfer at its epoch; it is refused otherwise, and a
+// wrong offset at that epoch ends the transfer, whose sender restarts
+// from zero when the Master re-issues the order.
+func (n *Node) transferFor(req proto.ReceiveACGChunkReq) (*transferIn, error) {
+	if req.Offset == 0 {
+		return n.openTransfer(req.Meta)
+	}
+	n.xferMu.Lock()
+	t := n.xfers[req.Meta.ACG]
+	n.xferMu.Unlock()
+	if t != nil {
+		t.mu.Lock()
+		if t.a != nil && t.epoch == req.Meta.Epoch && t.next == req.Offset {
+			return t, nil
+		}
+	}
+	err := fmt.Errorf("indexnode %s: acg %d transfer at epoch %d has no chunk at offset %d: %w",
+		n.cfg.ID, req.Meta.ACG, req.Meta.Epoch, req.Offset, perr.ErrStalePlacement)
+	if t != nil {
+		if t.a != nil && t.epoch == req.Meta.Epoch {
+			n.endTransfer(t, err) // this transfer, at the wrong offset
+		}
+		t.mu.Unlock()
+	}
+	return nil, err
+}
+
+// openTransfer begins a transfer at meta's epoch, returned locked. It
+// supersedes an open transfer of the same group at the same or an older
+// epoch (a sender whose earlier attempt was cut restarts from zero) and is
+// refused beside a newer one.
+func (n *Node) openTransfer(meta proto.ReceiveACGMeta) (*transferIn, error) {
+	n.xferMu.Lock()
+	old := n.xfers[meta.ACG]
+	if old != nil && old.epoch > meta.Epoch {
+		n.xferMu.Unlock()
+		return nil, fmt.Errorf("indexnode %s: acg %d transfer at epoch %d superseded by epoch %d: %w",
+			n.cfg.ID, meta.ACG, meta.Epoch, old.epoch, perr.ErrStalePlacement)
+	}
+	t := &transferIn{id: meta.ACG, epoch: meta.Epoch}
+	t.mu.Lock() // new: nobody else can hold it yet
+	n.xfers[meta.ACG] = t
+	n.xferMu.Unlock()
+	if old != nil {
+		old.mu.Lock()
+		if old.a != nil {
+			n.endTransfer(old, errors.New("superseded"))
+		}
+		old.mu.Unlock()
+	}
+	a, created, err := n.arrive(meta.ACG, meta.Epoch, shippedRole(meta))
+	if err != nil {
+		n.endTransfer(t, err)
+		t.mu.Unlock()
+		return nil, err
+	}
+	t.a, t.created, t.last = a, created, time.Now()
+	t.idle = time.AfterFunc(transferIdle, func() { n.expireTransfer(t) })
+	return t, nil
+}
+
+// expireTransfer ends t if no chunk reached it for transferIdle.
+func (n *Node) expireTransfer(t *transferIn) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.a != nil && time.Since(t.last) >= transferIdle {
+		n.endTransfer(t, errors.New("idle"))
+	}
+}
+
+// endTransfer ends t the one way, whatever ends it — its last chunk, a
+// refusal, a newer transfer or the idle timer: t leaves the table, and the
+// group it holds, if it began, is unlocked. On a failure (err set)
+// a group the transfer created leaves again, so no partial copy stays
+// registered; a group that was here keeps what it had and what the
+// transfer applied. Caller holds t.mu.
+func (n *Node) endTransfer(t *transferIn, err error) {
+	n.xferMu.Lock()
+	if n.xfers[t.id] == t {
+		delete(n.xfers, t.id)
+	}
+	n.xferMu.Unlock()
+	a := t.a
+	if a == nil {
+		return
+	}
+	t.a = nil
+	t.idle.Stop()
+	if err != nil && t.created {
+		n.leave(t.id, a.g, t.epoch)
+	}
+	a.g.mu.Unlock()
 }
 
 // leave is the one way a group leaves this node. Under one registry hold it
@@ -301,8 +473,8 @@ func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
 	if err != nil {
 		return fmt.Errorf("indexnode transfer dial %s: %w", o.Dest.Addr, err)
 	}
-	meta := proto.ReceiveACGStreamMeta{ACG: g.id, Epoch: n.epoch(), ReplSeq: g.replSeq}
-	if err := n.shipGroupStreamLocked(ctx, peer, g, nil, meta); err != nil {
+	meta := proto.ReceiveACGMeta{ACG: g.id, Epoch: n.epoch(), ReplSeq: g.replSeq}
+	if err := n.shipGroupLocked(ctx, peer, g, nil, meta); err != nil {
 		n.peers.Drop(o.Dest.Addr)
 		return fmt.Errorf("indexnode transfer acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 	}

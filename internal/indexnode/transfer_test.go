@@ -3,8 +3,13 @@ package indexnode
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"propeller/internal/attr"
 	"propeller/internal/index"
@@ -26,9 +31,11 @@ type transferRig struct {
 	a, b   *Node
 	shared *sharedstore.Store
 	clk    *vclock.Clock
-	// servers by pipe address, so tests can read rpc-server stats (e.g.
-	// StreamBufferedPeak on the receiving side of a chunked transfer).
+	// servers by pipe address, so a test can stand in a server of its own.
 	servers map[string]*rpc.Server
+	// wrap, when set, interposes on the client end of every connection
+	// dialled from then on, to addr.
+	wrap func(addr string, c net.Conn) net.Conn
 }
 
 func newTransferRig(t *testing.T) *transferRig {
@@ -39,14 +46,17 @@ func newTransferRig(t *testing.T) *transferRig {
 	masterSrv := rpc.NewServer()
 	m.RegisterRPC(masterSrv)
 
-	servers := map[string]*rpc.Server{"pipe:master": masterSrv}
+	r := &transferRig{m: m, shared: shared, clk: clk, servers: map[string]*rpc.Server{"pipe:master": masterSrv}}
 	dial := func(_ context.Context, addr string) (*rpc.Client, error) {
-		srv, ok := servers[addr]
+		srv, ok := r.servers[addr]
 		if !ok {
 			return nil, errors.New("unknown addr " + addr)
 		}
 		cc, sc := rpc.Pipe()
 		srv.ServeConn(sc)
+		if r.wrap != nil {
+			cc = r.wrap(addr, cc)
+		}
 		return rpc.NewClient(cc), nil
 	}
 
@@ -69,7 +79,7 @@ func newTransferRig(t *testing.T) *transferRig {
 		}
 		srv := rpc.NewServer()
 		n.RegisterRPC(srv)
-		servers["pipe:"+string(id)] = srv
+		r.servers["pipe:"+string(id)] = srv
 		if _, err := m.RegisterNode(context.Background(), proto.RegisterNodeReq{
 			Node: id, Addr: "pipe:" + string(id), CapacityFiles: 1 << 30,
 		}); err != nil {
@@ -77,7 +87,8 @@ func newTransferRig(t *testing.T) *transferRig {
 		}
 		return n
 	}
-	return &transferRig{m: m, a: mkNode("in-a"), b: mkNode("in-b"), shared: shared, clk: clk, servers: servers}
+	r.a, r.b = mkNode("in-a"), mkNode("in-b")
+	return r
 }
 
 // orderSplit has the rig's Master order acg split, as it does when the
@@ -513,5 +524,316 @@ func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 	}
 	if len(remote[1].Files) != remoteMoved {
 		t.Errorf("new group serves %d files, split moved %d", len(remote[1].Files), remoteMoved)
+	}
+}
+
+// shortTransferIdle lowers the transfer idle bound for one test.
+func shortTransferIdle(t *testing.T, d time.Duration) {
+	old := transferIdle
+	transferIdle = d
+	t.Cleanup(func() { transferIdle = old })
+}
+
+// seedPaddedGroup acknowledges batches×256 entries of ~128-byte values into
+// acg on n: about 40 KiB of image a batch.
+func seedPaddedGroup(t *testing.T, n *Node, acg proto.ACGID, batches int) {
+	t.Helper()
+	n.DeclareIndex(proto.IndexSpec{Name: "tag", Type: proto.IndexBTree, Field: "tag"})
+	pad := strings.Repeat("v", 120)
+	for b := 0; b < batches; b++ {
+		entries := make([]proto.IndexEntry, 256)
+		for i := range entries {
+			entries[i] = proto.IndexEntry{File: index.FileID(b*256 + i), Value: attr.Str(pad + string(rune('a'+b%26)))}
+		}
+		if _, err := n.Update(context.Background(), proto.UpdateReq{ACG: acg, IndexName: "tag", Entries: entries}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// groupImage commits acg on n and returns its image.
+func groupImage(t *testing.T, n *Node, acg proto.ACGID) []byte {
+	t.Helper()
+	g := n.lockGroup(acg)
+	defer g.mu.Unlock()
+	if err := n.commitGroupLocked(g); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := n.imageBytesLocked(g, nil, proto.ReceiveACGMeta{ACG: acg, ReplSeq: g.replSeq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// inTime runs fn and fails the test unless it returns, without error,
+// within five seconds.
+func inTime(t *testing.T, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s still blocked after 5s", what)
+	}
+}
+
+// cutConn closes its connection when a write past the first `after` is
+// attempted: the peer sees the connection die between two frames.
+type cutConn struct {
+	net.Conn
+	after  int
+	writes int
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if c.writes++; c.writes > c.after {
+		_ = c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+// TestTransferCutMidwayFreesReceiver cuts the connection after a
+// migration's first chunk call. The receiver holds the group's lock for
+// the open transfer until the idle bound reaps it; then Tick and Heartbeat
+// return, and the receiver holds no copy of the group the transfer
+// created — the source still owns it and serves every update.
+func TestTransferCutMidwayFreesReceiver(t *testing.T) {
+	shortTransferIdle(t, 200*time.Millisecond)
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedPaddedGroup(t, r.a, 1, 12)
+	if err := r.a.Heartbeat(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(groupImage(t, r.a, 1)); n <= imageChunk {
+		t.Fatalf("image is %d bytes; want more than one %d-byte chunk", n, imageChunk)
+	}
+	r.wrap = func(addr string, c net.Conn) net.Conn {
+		if addr != "pipe:in-b" {
+			return c
+		}
+		return &cutConn{Conn: c, after: 1}
+	}
+	if err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err == nil {
+		t.Fatal("a transfer over a connection cut midway succeeded")
+	}
+	inTime(t, "Tick on the receiver", r.b.Tick)
+	// Checked before the heartbeat, whose reply would drop an orphan copy.
+	if g := r.b.getGroup(1); g != nil {
+		t.Fatalf("the receiver still holds the partial group (%d files) the cut transfer created", len(g.files))
+	}
+	inTime(t, "Heartbeat on the receiver", func() error { return r.b.Heartbeat(ctx) })
+	resp, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: `tag>=""`})
+	if err != nil || len(resp.Files) != 12*256 {
+		t.Fatalf("source after the failed transfer = %d files, %v; want %d", len(resp.Files), err, 12*256)
+	}
+}
+
+// TestTransferChunkEpochsAndOffsets drives the chunk calls by hand: a
+// stale-epoch Offset 0 is refused beside an open transfer; a newer epoch
+// supersedes it, installs, and the superseded transfer's next chunk is
+// refused; a wrong offset ends its transfer, so even the right next chunk
+// is then refused, and the group that was already here keeps what it had.
+func TestTransferChunkEpochsAndOffsets(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedTransferGroup(t, r.a, 1, 20)
+	raw := groupImage(t, r.a, 1)
+	half := len(raw) / 2
+	peer, err := r.a.peerConn(ctx, "pipe:in-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := func(epoch proto.Epoch, from, to int, done bool) error {
+		_, err := rpc.Call[proto.ReceiveACGChunkReq, proto.ReceiveACGChunkResp](ctx, peer, proto.MethodReceiveACGChunk,
+			proto.ReceiveACGChunkReq{Meta: proto.ReceiveACGMeta{ACG: 1, Epoch: epoch}, Offset: uint64(from), Data: raw[from:to], Done: done})
+		return err
+	}
+	search := func() int {
+		t.Helper()
+		var n int
+		inTime(t, "search on the receiver", func() error {
+			resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+			n = len(resp.Files)
+			return err
+		})
+		return n
+	}
+
+	if err := chunk(5, 0, half, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := chunk(4, 0, half, false); !errors.Is(err, perr.ErrStalePlacement) {
+		t.Fatalf("Offset 0 at a stale epoch = %v, want ErrStalePlacement", err)
+	}
+	if err := chunk(6, 0, len(raw), true); err != nil {
+		t.Fatalf("a newer epoch's transfer = %v, want it to supersede and install", err)
+	}
+	if n := search(); n != 20 {
+		t.Fatalf("receiver serves %d files after the superseding transfer, want 20", n)
+	}
+	if err := chunk(5, half, len(raw), true); !errors.Is(err, perr.ErrStalePlacement) {
+		t.Fatalf("the superseded transfer's next chunk = %v, want ErrStalePlacement", err)
+	}
+
+	if err := chunk(7, 0, half, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := chunk(7, half+1, len(raw), true); !errors.Is(err, perr.ErrStalePlacement) {
+		t.Fatalf("a chunk at the wrong offset = %v, want ErrStalePlacement", err)
+	}
+	if err := chunk(7, half, len(raw), true); !errors.Is(err, perr.ErrStalePlacement) {
+		t.Fatalf("the next chunk of a transfer a wrong offset ended = %v, want ErrStalePlacement", err)
+	}
+	if n := search(); n != 20 {
+		t.Fatalf("receiver serves %d files after the ended transfer, want the 20 it had", n)
+	}
+}
+
+// TestTransferUnansweredChunkFreesSender ships a group to a receiver that
+// never answers: the sender's chunk call gives up at the idle bound, and
+// the group's lock is free again.
+func TestTransferUnansweredChunkFreesSender(t *testing.T) {
+	shortTransferIdle(t, 200*time.Millisecond)
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedTransferGroup(t, r.a, 1, 5)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	mute := rpc.NewServer()
+	rpc.HandleTyped(mute, proto.MethodReceiveACGChunk, func(context.Context, proto.ReceiveACGChunkReq) (proto.ReceiveACGChunkResp, error) {
+		<-release
+		return proto.ReceiveACGChunkResp{}, nil
+	})
+	r.servers["pipe:mute"] = mute
+	inTime(t, "TransferACG to a receiver that never answers", func() error {
+		err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-mute", Addr: "pipe:mute"}})
+		if !errors.Is(err, perr.ErrTimeout) {
+			return fmt.Errorf("err = %v, want ErrTimeout", err)
+		}
+		return nil
+	})
+	inTime(t, "Update on the group after the transfer gave up", func() error {
+		_, err := r.a.Update(ctx, proto.UpdateReq{ACG: 1, IndexName: "size",
+			Entries: []proto.IndexEntry{{File: 50, Value: attr.Int(50)}}})
+		return err
+	})
+}
+
+// TestTransferOpenBetweenChunksBlocksNoOtherTraffic holds a transfer to B
+// open between two chunks. Updates and searches on B's other groups, and a
+// follower append over the very connection the transfer's calls use, go
+// through meanwhile; the transfer then completes.
+func TestTransferOpenBetweenChunksBlocksNoOtherTraffic(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedTransferGroup(t, r.a, 1, 20)
+	seedTransferGroup(t, r.a, 3, 5)
+	seedTransferGroup(t, r.b, 2, 5)
+	if err := r.a.ReplicateACG(ctx, proto.Order{Kind: proto.OrderReplicate, ACG: 3, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
+		t.Fatal(err)
+	}
+	raw := groupImage(t, r.a, 1)
+	half := len(raw) / 2
+	peer, err := r.a.peerConn(ctx, "pipe:in-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := func(from, to int, done bool) error {
+		_, err := rpc.Call[proto.ReceiveACGChunkReq, proto.ReceiveACGChunkResp](ctx, peer, proto.MethodReceiveACGChunk,
+			proto.ReceiveACGChunkReq{Meta: proto.ReceiveACGMeta{ACG: 1}, Offset: uint64(from), Data: raw[from:to], Done: done})
+		return err
+	}
+	if err := chunk(0, half, false); err != nil {
+		t.Fatal(err)
+	}
+
+	inTime(t, "Update on another group of the receiver", func() error {
+		_, err := r.b.Update(ctx, proto.UpdateReq{ACG: 2, IndexName: "size",
+			Entries: []proto.IndexEntry{{File: 9, Value: attr.Int(9)}}})
+		return err
+	})
+	inTime(t, "Search on another group of the receiver", func() error {
+		resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Query: "size>=0"})
+		if err == nil && len(resp.Files) != 6 {
+			err = fmt.Errorf("%d files, want 6", len(resp.Files))
+		}
+		return err
+	})
+	followerSeq := func() uint64 {
+		g := r.b.lockGroup(3)
+		defer g.mu.Unlock()
+		return g.replSeq
+	}
+	before := followerSeq()
+	inTime(t, "Update replicated over the transfer's connection", func() error {
+		_, err := r.a.Update(ctx, proto.UpdateReq{ACG: 3, IndexName: "size",
+			Entries: []proto.IndexEntry{{File: 9, Value: attr.Int(9)}}})
+		return err
+	})
+	if after := followerSeq(); after != before+1 {
+		t.Fatalf("the follower copy on the receiver applied up to %d → %d, want one more", before, after)
+	}
+
+	if err := chunk(half, len(raw), true); err != nil {
+		t.Fatalf("the transfer's last chunk = %v, want the transfer still open", err)
+	}
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	if err != nil || len(resp.Files) != 20 {
+		t.Fatalf("transferred group on the receiver = %d files, %v; want 20", len(resp.Files), err)
+	}
+}
+
+// TestTransferConcurrentSendersSettle runs several senders of one group at
+// once, each at its own epoch and in three chunks. Whatever interleaving
+// the superseding takes, every refusal is typed, the newest epoch
+// installs, and no transfer is left holding the group.
+func TestTransferConcurrentSendersSettle(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedTransferGroup(t, r.a, 1, 20)
+	raw := groupImage(t, r.a, 1)
+	cuts := []int{0, len(raw) / 3, 2 * len(raw) / 3, len(raw)}
+	const senders = 4
+	errs := make([]error, senders+1)
+	var wg sync.WaitGroup
+	for epoch := 1; epoch <= senders; epoch++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i+1 < len(cuts) && errs[epoch] == nil; i++ {
+				_, errs[epoch] = r.b.receiveACGChunk(ctx, proto.ReceiveACGChunkReq{
+					Meta:   proto.ReceiveACGMeta{ACG: 1, Epoch: proto.Epoch(epoch)},
+					Offset: uint64(cuts[i]), Data: raw[cuts[i]:cuts[i+1]], Done: i+2 == len(cuts),
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	for epoch, err := range errs[1:] {
+		if err != nil && !errors.Is(err, perr.ErrStalePlacement) {
+			t.Errorf("sender at epoch %d: untyped refusal %v", epoch+1, err)
+		}
+	}
+	if errs[senders] != nil {
+		t.Errorf("the newest sender (epoch %d) was refused: %v", senders, errs[senders])
+	}
+	inTime(t, "search after the senders settled", func() error {
+		resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+		if err == nil && len(resp.Files) != 20 {
+			err = fmt.Errorf("%d files, want 20", len(resp.Files))
+		}
+		return err
+	})
+	r.b.xferMu.Lock()
+	defer r.b.xferMu.Unlock()
+	if len(r.b.xfers) != 0 {
+		t.Fatalf("%d transfers still open after every sender finished", len(r.b.xfers))
 	}
 }

@@ -8,7 +8,7 @@
 // Group (an index partition), an IndexSpec declares a named B-tree, hash or
 // K-D index over file attributes, and the request/response pairs cover the
 // three planes of the system — data (UpdateReq/SearchReq), causality
-// (FlushACGReq, ReceiveACGStreamMeta) and control (HeartbeatReq, whose
+// (FlushACGReq, ReceiveACGChunkReq) and control (HeartbeatReq, whose
 // reply carries the Master's Orders, ReportReq, which hands a carried-out
 // Order back, NodeStatsReq and friends). Method name
 // constants bind each pair to its rpc dispatch label.

@@ -379,20 +379,36 @@ const (
 	MethodFlushACG       = "in.FlushACG"
 	MethodNodeStats      = "in.NodeStats"
 	MethodFollowerAppend = "in.FollowerAppend"
-	// MethodReceiveACGChunked transfers an ACG to a new home node: the
-	// group image arrives as a bounded chunk stream of self-framed records
-	// and is applied incrementally, so a large ACG never materializes as
-	// one frame (or one contiguous buffer) on the receiver.
-	MethodReceiveACGChunked = "in.ReceiveACGChunked"
+	// MethodReceiveACGChunk carries one chunk of an ACG transfer to the
+	// group's new home node: the group image arrives as a sequence of
+	// calls, one bounded chunk of self-framed records each, and is applied
+	// incrementally, so a large ACG never materializes as one frame (or one
+	// contiguous buffer) on the receiver.
+	MethodReceiveACGChunk = "in.ReceiveACGChunk"
 )
 
-// ReceiveACGStreamMeta opens a chunked ACG transfer — the destination of a
-// background split, of a live migration (TransferACG) or of a replica
-// seeding — and is the header record of the group image that follows as
-// chunk frames (see indexnode's image format). The same image doubles as
+// ReceiveACGChunkReq is one call of an ACG transfer, after Raft's
+// InstallSnapshot: Data is the image's bytes from Offset on, and Done marks
+// the last of them. The sender has one call in flight at a time, so the
+// chunks of a transfer reach the receiver in order. Offset 0 opens the
+// transfer; every later call must carry the next byte at the same epoch.
+type ReceiveACGChunkReq struct {
+	Meta   ReceiveACGMeta
+	Offset uint64
+	Data   []byte
+	Done   bool
+}
+
+// ReceiveACGChunkResp acknowledges one chunk; it carries nothing.
+type ReceiveACGChunkResp struct{}
+
+// ReceiveACGMeta names an ACG transfer — the destination of a background
+// split, of a live migration (TransferACG) or of a replica seeding — and is
+// the header record of the group image its chunks carry (see indexnode's
+// image format). The same image doubles as
 // the group's shared-storage checkpoint: what a failure-driven recovery
 // loads before replaying the group's WAL.
-type ReceiveACGStreamMeta struct {
+type ReceiveACGMeta struct {
 	ACG ACGID
 	// Epoch stamps the placement move that shipped this group.
 	Epoch Epoch
@@ -550,11 +566,6 @@ type FlushACGReq struct {
 
 // FlushACGResp acknowledges the merge.
 type FlushACGResp struct {
-	OK bool
-}
-
-// ReceiveACGResp acknowledges the transfer.
-type ReceiveACGResp struct {
 	OK bool
 }
 

@@ -578,11 +578,14 @@ func (r *FollowerAppendResp) UnmarshalWire(data []byte) error {
 	return nil
 }
 
-// --- ReceiveACGStreamMeta ----------------------------------------------
+// --- ReceiveACGMeta ----------------------------------------------
 
 // MarshalWire implements rpc.WireMarshaler.
-func (r *ReceiveACGStreamMeta) MarshalWire(dst []byte) []byte {
-	dst = append(dst, wireV1)
+func (r *ReceiveACGMeta) MarshalWire(dst []byte) []byte {
+	return r.appendFields(append(dst, wireV1))
+}
+
+func (r *ReceiveACGMeta) appendFields(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.ACG))
 	dst = binary.AppendUvarint(dst, uint64(r.Epoch))
 	var flags byte
@@ -595,30 +598,85 @@ func (r *ReceiveACGStreamMeta) MarshalWire(dst []byte) []byte {
 }
 
 // UnmarshalWire implements rpc.WireUnmarshaler.
-func (r *ReceiveACGStreamMeta) UnmarshalWire(data []byte) error {
-	*r = ReceiveACGStreamMeta{}
+func (r *ReceiveACGMeta) UnmarshalWire(data []byte) error {
 	b, err := checkVersion(data)
 	if err != nil {
 		return err
 	}
-	var acg uint64
-	if acg, b, err = getUvarint(b); err != nil {
-		return err
+	_, err = r.parseFields(b)
+	return err
+}
+
+// parseFields decodes what appendFields wrote and returns the bytes after
+// it.
+func (r *ReceiveACGMeta) parseFields(b []byte) ([]byte, error) {
+	*r = ReceiveACGMeta{}
+	acg, b, err := getUvarint(b)
+	if err != nil {
+		return nil, err
 	}
 	r.ACG = ACGID(acg)
 	var epoch uint64
 	if epoch, b, err = getUvarint(b); err != nil {
-		return err
+		return nil, err
 	}
 	r.Epoch = Epoch(epoch)
 	if len(b) == 0 {
-		return wireErr("truncated stream meta flags")
+		return nil, wireErr("truncated transfer meta flags")
 	}
 	r.Follower = b[0]&1 != 0
-	if r.ReplSeq, _, err = getUvarint(b[1:]); err != nil {
+	r.ReplSeq, b, err = getUvarint(b[1:])
+	return b, err
+}
+
+// --- ReceiveACGChunkReq / ReceiveACGChunkResp ---------------------------
+
+// MarshalWire implements rpc.WireMarshaler.
+func (r *ReceiveACGChunkReq) MarshalWire(dst []byte) []byte {
+	dst = r.Meta.appendFields(append(dst, wireV1))
+	dst = binary.AppendUvarint(dst, r.Offset)
+	var flags byte
+	if r.Done {
+		flags |= 1
+	}
+	return appendBytes(append(dst, flags), r.Data)
+}
+
+// UnmarshalWire implements rpc.WireUnmarshaler. Data aliases data: the rpc
+// layer reads every frame into a buffer of its own, and the receiver copies
+// what it keeps of a chunk.
+func (r *ReceiveACGChunkReq) UnmarshalWire(data []byte) error {
+	*r = ReceiveACGChunkReq{}
+	b, err := checkVersion(data)
+	if err != nil {
 		return err
 	}
+	if b, err = r.Meta.parseFields(b); err != nil {
+		return err
+	}
+	if r.Offset, b, err = getUvarint(b); err != nil {
+		return err
+	}
+	if len(b) == 0 {
+		return wireErr("truncated chunk flags")
+	}
+	r.Done = b[0]&1 != 0
+	if r.Data, _, err = getBytesRef(b[1:]); err != nil {
+		return err
+	}
+	if len(r.Data) == 0 {
+		r.Data = nil
+	}
 	return nil
+}
+
+// MarshalWire implements rpc.WireMarshaler.
+func (r *ReceiveACGChunkResp) MarshalWire(dst []byte) []byte { return append(dst, wireV1) }
+
+// UnmarshalWire implements rpc.WireUnmarshaler.
+func (r *ReceiveACGChunkResp) UnmarshalWire(data []byte) error {
+	_, err := checkVersion(data)
+	return err
 }
 
 // --- LookupFilesReq / LookupFilesResp ----------------------------------

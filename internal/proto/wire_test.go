@@ -70,9 +70,15 @@ func wireFixtures() map[string]wireMsg {
 		"SearchResp/empty":   &SearchResp{},
 		"FollowerAppendReq":  &FollowerAppendReq{ACG: 6, Seq: 19, Epoch: 2, Frames: []byte{0, 1, 2, 0xFF}},
 		"FollowerAppendResp": &FollowerAppendResp{Seq: 20, Epoch: 3},
-		"ReceiveACGStreamMeta": &ReceiveACGStreamMeta{
+		"ReceiveACGMeta": &ReceiveACGMeta{
 			ACG: 11, Epoch: 4, Follower: true, ReplSeq: 999,
 		},
+		"ReceiveACGChunkReq": &ReceiveACGChunkReq{
+			Meta:   ReceiveACGMeta{ACG: 12, Epoch: 5, ReplSeq: 40},
+			Offset: 256 << 10, Data: []byte{0xA7, 1, 3, 0, 0xFF}, Done: true,
+		},
+		"ReceiveACGChunkReq/empty": &ReceiveACGChunkReq{},
+		"ReceiveACGChunkResp":      &ReceiveACGChunkResp{},
 		"LookupFilesReq": &LookupFilesReq{
 			Files: []index.FileID{1 << 30, 7, 8}, GroupHints: []uint64{3, 0, 3}, Allocate: true,
 		},
@@ -220,11 +226,15 @@ func fuzzMsgFor(tag byte) wireMsg {
 	case 5:
 		return &FollowerAppendResp{}
 	case 6:
-		return &ReceiveACGStreamMeta{}
+		return &ReceiveACGMeta{}
 	case 7:
 		return &LookupFilesReq{}
 	case 8:
 		return &LookupFilesResp{}
+	case 9:
+		return &ReceiveACGChunkReq{}
+	case 10:
+		return &ReceiveACGChunkResp{}
 	default:
 		return nil
 	}
@@ -240,9 +250,11 @@ func FuzzWireDecode(f *testing.F) {
 		"UpdateReq": 0, "UpdateReq/empty": 0, "UpdateReq/ingest": 0, "UpdateResp": 1,
 		"SearchReq": 2, "SearchReq/empty": 2, "SearchResp": 3,
 		"SearchResp/empty": 3, "FollowerAppendReq": 4,
-		"FollowerAppendResp": 5, "ReceiveACGStreamMeta": 6,
+		"FollowerAppendResp": 5, "ReceiveACGMeta": 6,
 		"LookupFilesReq": 7, "LookupFilesReq/empty": 7,
 		"LookupFilesResp": 8, "LookupFilesResp/empty": 8,
+		"ReceiveACGChunkReq": 9, "ReceiveACGChunkReq/empty": 9,
+		"ReceiveACGChunkResp": 10,
 	}
 	for name, msg := range wireFixtures() {
 		f.Add(append([]byte{tags[name]}, msg.MarshalWire(nil)...))
@@ -274,4 +286,17 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("re-marshal is not canonical\nfirst:  %x\nsecond: %x", first, second)
 		}
 	})
+}
+
+// TestReceiveACGChunkDataPastBody: a chunk whose Data length runs past the
+// body is refused, not read short or past the end.
+func TestReceiveACGChunkDataPastBody(t *testing.T) {
+	raw := (&ReceiveACGChunkReq{Meta: ReceiveACGMeta{ACG: 3}, Offset: 9, Data: []byte("abcd")}).MarshalWire(nil)
+	var r ReceiveACGChunkReq
+	if err := r.UnmarshalWire(raw[:len(raw)-1]); err == nil {
+		t.Fatalf("decoded a chunk whose data runs past the body: %+v", r)
+	}
+	if err := r.UnmarshalWire(raw); err != nil || string(r.Data) != "abcd" || r.Offset != 9 {
+		t.Fatalf("whole chunk = %+v, %v", r, err)
+	}
 }

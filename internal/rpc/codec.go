@@ -16,24 +16,9 @@ import (
 const (
 	// kindRequest is a unary request: id, method, timeout, body.
 	kindRequest uint8 = 0x01
-	// kindResponse terminates a request or a stream: id, error, body.
+	// kindResponse answers a request: id, error, body.
 	kindResponse uint8 = 0x02
-	// kindStreamOpen opens a client→server chunk stream: id, method,
-	// timeout, metadata body.
-	kindStreamOpen uint8 = 0x03
-	// kindChunk carries one bounded payload chunk on an open stream.
-	// flagFinal marks the sender's half-close.
-	kindChunk uint8 = 0x04
-	// kindWindow returns flow-control credit (consumed bytes) to a
-	// stream's sender.
-	kindWindow uint8 = 0x05
-	// kindCancel abandons a stream from the client side.
-	kindCancel uint8 = 0x06
 )
-
-// flagFinal on a kindChunk frame marks the sender's half-close: no more
-// chunks follow and the server handler's Next drains to io.EOF.
-const flagFinal uint8 = 0x01
 
 // errMalformedFrame reports a frame body that passed the CRC but does not
 // parse — a protocol bug or version skew, never random corruption (the
@@ -54,7 +39,7 @@ func appendFrameBody(dst []byte, f *frame) (out []byte, bodyAt int, err error) {
 	dst = append(dst, k)
 	dst = binary.AppendUvarint(dst, f.ID)
 	switch k {
-	case kindRequest, kindStreamOpen:
+	case kindRequest:
 		dst = binary.AppendUvarint(dst, uint64(len(f.Method)))
 		dst = append(dst, f.Method...)
 		dst = binary.AppendUvarint(dst, uint64(f.TimeoutNanos))
@@ -62,13 +47,6 @@ func appendFrameBody(dst []byte, f *frame) (out []byte, bodyAt int, err error) {
 		dst = append(dst, f.ErrCode)
 		dst = binary.AppendUvarint(dst, uint64(len(f.ErrMsg)))
 		dst = append(dst, f.ErrMsg...)
-	case kindChunk:
-		dst = append(dst, f.Flags)
-	case kindWindow:
-		dst = binary.AppendUvarint(dst, uint64(f.Window))
-		return dst, len(dst), nil // no body
-	case kindCancel:
-		return dst, len(dst), nil
 	}
 	bodyAt = len(dst)
 	if f.msg != nil {
@@ -93,7 +71,7 @@ func parseFrameBody(b []byte) (frame, error) {
 		return frame{}, err
 	}
 	switch f.Kind {
-	case kindRequest, kindStreamOpen:
+	case kindRequest:
 		var m []byte
 		if m, b, err = getPrefixed(b); err != nil {
 			return frame{}, err
@@ -119,22 +97,6 @@ func parseFrameBody(b []byte) (frame, error) {
 		}
 		f.ErrMsg = string(m)
 		f.Body = b
-	case kindChunk:
-		if len(b) < 1 {
-			return frame{}, fmt.Errorf("rpc decode: truncated chunk: %w", errMalformedFrame)
-		}
-		f.Flags = b[0]
-		f.Body = b[1:]
-	case kindWindow:
-		var w uint64
-		if w, _, err = getUvarint(b); err != nil {
-			return frame{}, err
-		}
-		if w > math.MaxInt32 {
-			return frame{}, fmt.Errorf("rpc decode: window overflow: %w", errMalformedFrame)
-		}
-		f.Window = uint32(w)
-	case kindCancel:
 	}
 	return f, nil
 }

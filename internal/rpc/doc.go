@@ -19,5 +19,7 @@
 // Servers register handlers with HandleTyped (a generic adapter that
 // decodes the request and encodes the response); clients invoke them
 // with the generic Call, matching requests to responses by sequence number
-// so many goroutines can share one connection.
+// so many goroutines can share one connection. A call is the only shape: a
+// payload too large for one frame (an ACG image) moves as a sequence of
+// calls, one bounded chunk each.
 package rpc

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"propeller/internal/perr"
@@ -30,26 +29,9 @@ var (
 var errUnsent = errors.New("rpc: frame not sent")
 
 // maxFrame bounds a single message (16 MiB). Large transfers — ACG
-// migration images — travel as bounded chunk streams, so this ceiling
-// shrank from 64 MiB when streaming landed rather than growing with group
-// size.
+// migration images — travel as a sequence of calls of one bounded chunk
+// each, so the ceiling does not grow with group size.
 const maxFrame = 16 << 20
-
-// Stream flow-control geometry. A sender may have at most streamWindow
-// un-acknowledged bytes in flight per stream, in chunks of at most
-// maxChunk, so (a) receiver buffering per stream is bounded by the window
-// regardless of the transfer's total size and (b) no single frame holds the
-// connection's write lock long enough to head-of-line-block another
-// stream's frames.
-const (
-	maxChunk     = 256 << 10
-	streamWindow = 1 << 20
-)
-
-// StreamWindow exports the per-stream flow-control window so callers can
-// assert receiver-side memory bounds (StreamBufferedPeak ≤ StreamWindow)
-// in tests and benchmarks.
-const StreamWindow = streamWindow
 
 // Frame layout on the wire:
 //
@@ -72,12 +54,12 @@ const (
 
 // frame is one wire message. Inside the CRC envelope the body is the
 // hand-rolled binary layout of appendFrameBody — a kind byte, a uvarint
-// stream/request id, then kind-specific fields — not gob: frame overhead is
+// request id, then kind-specific fields — not gob: frame overhead is
 // paid on every message, so it is the first thing the binary codec
 // replaced.
 type frame struct {
-	// Kind selects the layout (kindRequest, kindResponse, kindStreamOpen,
-	// kindChunk, kindWindow, kindCancel). Zero encodes as kindRequest.
+	// Kind selects the layout (kindRequest, kindResponse). Zero encodes as
+	// kindRequest.
 	Kind   uint8
 	ID     uint64
 	Method string
@@ -93,15 +75,11 @@ type frame struct {
 	// ignores the request's own transit time, erring longer, and the
 	// caller still enforces its exact deadline locally).
 	TimeoutNanos int64
-	// Flags carries kindChunk flags (flagFinal).
-	Flags uint8
-	// Window is the credit grant of a kindWindow frame, in bytes.
-	Window uint32
 	// Body is the codec-tagged body: what a parsed frame carries, and what
-	// a raw frame (a chunk, a test's hand-built request) sends.
+	// a raw frame (a test's hand-built request) sends.
 	Body []byte
-	// msg, when set, is the message (a pointer) a typed call, response or
-	// stream open sends: writeFrame marshals it straight into the frame in
+	// msg, when set, is the message (a pointer) a typed call or response
+	// sends: writeFrame marshals it straight into the frame in
 	// place of Body, so a body is encoded once and never copied.
 	msg any
 }
@@ -209,19 +187,12 @@ type Server struct {
 	// NewServer.
 	sem chan struct{}
 
-	// streamPeak is the high-water mark of bytes buffered by any single
-	// inbound stream, across the server's lifetime. Benchmarks and tests
-	// read it to prove a migration's receiver memory stays bounded by the
-	// flow-control window, never the transfer size.
-	streamPeak atomic.Int64
-
-	mu             sync.Mutex
-	handlers       map[string]handler
-	streamHandlers map[string]streamHandler
-	lns            []net.Listener
-	conns          map[net.Conn]struct{}
-	closed         bool
-	wg             sync.WaitGroup
+	mu       sync.Mutex
+	handlers map[string]handler
+	lns      []net.Listener
+	conns    map[net.Conn]struct{}
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // ServerOption configures a Server.
@@ -233,10 +204,8 @@ type ServerOption func(*Server)
 // spawning a handler — the transport-level backstop under application
 // admission control (which sheds with context about queues and tenants;
 // this guard only stops a flood of frames from exhausting goroutines and
-// memory before the application ever sees them). Stream opens count
-// against the same limit; a stream's chunks do not (the flow-control
-// window already bounds them). n <= 0 leaves the server unbounded (the
-// default).
+// memory before the application ever sees them). n <= 0 leaves the server
+// unbounded (the default).
 func WithMaxConcurrent(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
@@ -248,30 +217,13 @@ func WithMaxConcurrent(n int) ServerOption {
 // NewServer returns an empty server.
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
-		handlers:       make(map[string]handler),
-		streamHandlers: make(map[string]streamHandler),
-		conns:          make(map[net.Conn]struct{}),
+		handlers: make(map[string]handler),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
 		o(s)
 	}
 	return s
-}
-
-// StreamBufferedPeak reports the most bytes any single inbound stream has
-// had buffered at once — the receiver-side memory ceiling of chunked
-// transfers.
-func (s *Server) StreamBufferedPeak() int64 {
-	return s.streamPeak.Load()
-}
-
-func (s *Server) noteStreamBuffered(n int64) {
-	for {
-		cur := s.streamPeak.Load()
-		if n <= cur || s.streamPeak.CompareAndSwap(cur, n) {
-			return
-		}
-	}
 }
 
 // HandleTyped registers a handler with typed request/response. Messages
@@ -353,17 +305,13 @@ func (s *Server) trackConn(conn net.Conn) {
 }
 
 // serverConn is the per-connection state the reader loop shares with
-// handler goroutines: the write lock serializing response, window and shed
-// frames, the registry of open inbound streams chunks are routed to, and
-// the handler goroutines the reader joins before the connection closes.
+// handler goroutines: the write lock serializing response and shed frames,
+// and the handler goroutines the reader joins before the connection closes.
 type serverConn struct {
 	srv  *Server
 	conn net.Conn
 
 	writeMu sync.Mutex
-
-	mu      sync.Mutex
-	streams map[uint64]*ServerStream
 
 	handlers sync.WaitGroup
 }
@@ -375,7 +323,7 @@ func (sc *serverConn) write(f *frame) error {
 	return err
 }
 
-// respond answers request or stream id: with msg when err is nil, else with
+// respond answers request id: with msg when err is nil, else with
 // err's message and taxonomy code. A response that cannot be framed — over
 // maxFrame, or a message its codec refuses — is answered with that failure
 // and its code instead, so the caller never waits out its deadline for a
@@ -406,40 +354,6 @@ func (sc *serverConn) serve(h handler, id uint64, timeoutNanos int64, body []byt
 	h(ctx, sc, id, body)
 }
 
-func (sc *serverConn) getStream(id uint64) *ServerStream {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.streams[id]
-}
-
-func (sc *serverConn) addStream(st *ServerStream) {
-	sc.mu.Lock()
-	sc.streams[st.id] = st
-	sc.mu.Unlock()
-}
-
-func (sc *serverConn) removeStream(id uint64) {
-	sc.mu.Lock()
-	delete(sc.streams, id)
-	sc.mu.Unlock()
-}
-
-// failAll tears every open stream down when the connection dies, waking
-// handlers blocked in Next so the handlers join in connLoop cannot deadlock.
-func (sc *serverConn) failAll(err error) {
-	sc.mu.Lock()
-	sts := make([]*ServerStream, 0, len(sc.streams))
-	for _, st := range sc.streams {
-		sts = append(sts, st)
-	}
-	sc.streams = make(map[uint64]*ServerStream)
-	sc.mu.Unlock()
-	for _, st := range sts {
-		st.fail(err)
-		st.cancel()
-	}
-}
-
 // shed answers a frame with the typed overload error without spawning a
 // handler. The typed code crosses the wire, so clients treat it exactly
 // like an application shed: retry after backoff, never a placement fault.
@@ -449,103 +363,37 @@ func (sc *serverConn) shed(id uint64) {
 }
 
 func (s *Server) connLoop(conn net.Conn) {
-	sc := &serverConn{srv: s, conn: conn, streams: make(map[uint64]*ServerStream)}
-	defer func() {
-		sc.failAll(io.ErrUnexpectedEOF)
-		sc.handlers.Wait()
-	}()
+	sc := &serverConn{srv: s, conn: conn}
+	defer sc.handlers.Wait()
 	for {
 		f, err := readFrame(conn)
 		if err != nil {
 			return
 		}
-		switch f.Kind {
-		case kindRequest:
-			s.mu.Lock()
-			h, ok := s.handlers[f.Method]
-			s.mu.Unlock()
-			if !ok {
-				sc.respond(f.ID, nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, f.Method))
-				continue
-			}
-			if s.sem != nil {
-				select {
-				case s.sem <- struct{}{}:
-				default:
-					// Concurrency limit exhausted: shed on the reader
-					// goroutine without spawning a handler.
-					sc.shed(f.ID)
-					continue
-				}
-			}
-			sc.handlers.Add(1)
-			go sc.serve(h, f.ID, f.TimeoutNanos, f.Body)
-		case kindStreamOpen:
-			s.mu.Lock()
-			h, ok := s.streamHandlers[f.Method]
-			s.mu.Unlock()
-			if s.sem != nil {
-				select {
-				case s.sem <- struct{}{}:
-				default:
-					sc.shed(f.ID)
-					continue
-				}
-			}
-			if !ok {
-				// No stream registered and no stream created: chunks that
-				// may already be in flight drop as unknown-stream frames.
-				if s.sem != nil {
-					<-s.sem
-				}
-				sc.respond(f.ID, nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, f.Method))
-				continue
-			}
-			// The stream and its context are created on the reader
-			// goroutine, before any later frame for this id can arrive, so
-			// a fast kindCancel can never race an unregistered stream.
-			ctx, cancel := context.WithCancel(context.Background())
-			if f.TimeoutNanos > 0 {
-				ctx, cancel = context.WithTimeout(context.Background(), time.Duration(f.TimeoutNanos))
-			}
-			st := newServerStream(sc, f.ID, f.Body, ctx, cancel)
-			sc.addStream(st)
-			sc.handlers.Add(1)
-			go func() {
-				defer sc.handlers.Done()
-				if s.sem != nil {
-					defer func() { <-s.sem }()
-				}
-				defer st.cancel()
-				msg, err := h(st.ctx, st.meta, st)
-				// Unregister before responding: once the client sees the
-				// response it may reuse nothing, and any late chunks are
-				// dropped as unknown-stream frames.
-				sc.removeStream(f.ID)
-				st.discard()
-				sc.respond(f.ID, msg, err)
-			}()
-		case kindChunk:
-			st := sc.getStream(f.ID)
-			if st == nil {
-				continue // stream finished or cancelled; late chunk
-			}
-			if !st.push(f.Body, f.Flags&flagFinal != 0) {
-				// The peer overran its flow-control window: protocol
-				// violation, tear the connection (the defer fails all
-				// streams and joins handlers).
-				return
-			}
-		case kindCancel:
-			if st := sc.getStream(f.ID); st != nil {
-				sc.removeStream(f.ID)
-				st.fail(ErrStreamCanceled)
-				st.cancel()
-			}
-		default:
-			// Unknown frame kind: a newer peer speaking a frame type this
-			// build predates. Skipping it keeps the conn alive.
+		if f.Kind != kindRequest {
+			// A newer peer's frame type this build predates: skipping it
+			// keeps the conn alive.
+			continue
 		}
+		s.mu.Lock()
+		h, ok := s.handlers[f.Method]
+		s.mu.Unlock()
+		if !ok {
+			sc.respond(f.ID, nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, f.Method))
+			continue
+		}
+		if s.sem != nil {
+			select {
+			case s.sem <- struct{}{}:
+			default:
+				// Concurrency limit exhausted: shed on the reader goroutine
+				// without spawning a handler.
+				sc.shed(f.ID)
+				continue
+			}
+		}
+		sc.handlers.Add(1)
+		go sc.serve(h, f.ID, f.TimeoutNanos, f.Body)
 	}
 }
 
@@ -575,8 +423,7 @@ func (s *Server) Close() error {
 }
 
 // Client is a multiplexing RPC client over one connection: concurrent
-// calls and chunk streams interleave frame-by-frame, each routed by id in
-// the reader loop. Safe for concurrent use.
+// calls interleave frame-by-frame, each routed by id in the reader loop. Safe for concurrent use.
 type Client struct {
 	conn    net.Conn
 	clock   *vclock.Clock // optional virtual network cost
@@ -593,7 +440,6 @@ type Client struct {
 	// and one the reader closed is spent; both are dropped, never reused.
 	pending map[uint64]chan frame
 	free    []chan frame
-	streams map[uint64]*ClientStream
 	closed  bool
 	readErr error
 	done    chan struct{}
@@ -626,7 +472,6 @@ func NewClient(conn net.Conn, opts ...ClientOption) *Client {
 	c := &Client{
 		conn:    conn,
 		pending: make(map[uint64]chan frame),
-		streams: make(map[uint64]*ClientStream),
 		done:    make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -665,47 +510,23 @@ func (c *Client) readLoop() {
 				close(ch)
 				delete(c.pending, id)
 			}
-			sts := make([]*ClientStream, 0, len(c.streams))
-			for id, s := range c.streams {
-				sts = append(sts, s)
-				delete(c.streams, id)
-			}
 			c.closed = true
 			c.mu.Unlock()
-			for _, s := range sts {
-				s.fail(fmt.Errorf("connection lost: %w", ErrClientClosed))
-			}
 			// Release the descriptor now: callers that observe Closed()
 			// evict and redial, and nothing else would close this conn
 			// (Close()'s already-closed branch returns early).
 			_ = c.conn.Close()
 			return
 		}
-		switch f.Kind {
-		case kindResponse:
-			c.mu.Lock()
-			if slot, ok := c.pending[f.ID]; ok {
-				delete(c.pending, f.ID)
-				c.mu.Unlock()
-				slot <- f // 1-buffered, one response per id: never blocks
-				continue
-			}
-			s := c.streams[f.ID]
-			delete(c.streams, f.ID)
-			c.mu.Unlock()
-			if s != nil {
-				s.finish(f)
-			}
-		case kindWindow:
-			c.mu.Lock()
-			s := c.streams[f.ID]
-			c.mu.Unlock()
-			if s != nil {
-				s.grant(int(f.Window))
-			}
-		default:
-			// Clients receive only responses and window grants today;
-			// anything else is a newer peer's frame type. Skip it.
+		if f.Kind != kindResponse {
+			continue // a newer peer's frame type: skip it
+		}
+		c.mu.Lock()
+		slot, ok := c.pending[f.ID]
+		delete(c.pending, f.ID)
+		c.mu.Unlock()
+		if ok {
+			slot <- f // 1-buffered, one response per id: never blocks
 		}
 	}
 }

@@ -502,8 +502,8 @@ type unencodable struct{ F func() }
 
 // TestFrameResponseTooLargeAnswers: a response that cannot be framed — over
 // maxFrame, or a message its codec refuses — is answered with that failure
-// at once, on a unary call and on a stream, instead of being dropped to
-// leave the caller waiting out its deadline; the connection then serves the
+// at once instead of being dropped to leave the caller waiting out its
+// deadline; the connection then serves the
 // next call.
 func TestFrameResponseTooLargeAnswers(t *testing.T) {
 	s := NewServer()
@@ -512,15 +512,6 @@ func TestFrameResponseTooLargeAnswers(t *testing.T) {
 	})
 	HandleTyped(s, "unencodable", func(context.Context, echoReq) (unencodable, error) {
 		return unencodable{F: func() {}}, nil
-	})
-	HandleStreamTyped(s, "bigstream", func(ctx context.Context, _ sumMeta, st *ServerStream) ([]byte, error) {
-		for {
-			if _, err := st.Next(ctx); err == io.EOF {
-				return make([]byte, maxFrame), nil
-			} else if err != nil {
-				return nil, err
-			}
-		}
 	})
 	HandleTyped(s, "echo", func(_ context.Context, r echoReq) (echoResp, error) {
 		return echoResp(r), nil
@@ -536,14 +527,6 @@ func TestFrameResponseTooLargeAnswers(t *testing.T) {
 		}},
 		{"refused by gob", "no exported fields", func(ctx context.Context) error {
 			_, err := Call[echoReq, unencodable](ctx, c, "unencodable", echoReq{})
-			return err
-		}},
-		{"stream over maxFrame", ErrFrameTooLarge.Error(), func(ctx context.Context) error {
-			st, err := OpenStream(ctx, c, "bigstream", sumMeta{})
-			if err != nil {
-				return err
-			}
-			_, err = FinishStream[[]byte](ctx, st)
 			return err
 		}},
 	}
@@ -676,5 +659,57 @@ func TestWithConnWrapper(t *testing.T) {
 	defer mu.Unlock()
 	if writes != calls {
 		t.Fatalf("wrapper saw %d writes for %d calls; writeFrame must issue one Write per frame", writes, calls)
+	}
+}
+
+// TestFrameBinaryLayoutRoundTrip round-trips every frame kind through the
+// binary frame codec directly.
+func TestFrameBinaryLayoutRoundTrip(t *testing.T) {
+	frames := []*frame{
+		{Kind: kindRequest, ID: 1, Method: "in.Update", TimeoutNanos: 12345, Body: []byte("req")},
+		{Kind: kindResponse, ID: 2, ErrCode: 5, ErrMsg: "overloaded", Body: nil},
+		{Kind: kindResponse, ID: 3, Body: []byte("payload")},
+		{Kind: kindRequest, ID: 4, Method: "in.ReceiveACGChunk", Body: bytes.Repeat([]byte("x"), 256<<10)},
+	}
+	for _, want := range frames {
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, want); err != nil {
+			t.Fatalf("writeFrame kind %d: %v", want.Kind, err)
+		}
+		got, err := readFrame(&buf)
+		if err != nil {
+			t.Fatalf("readFrame kind %d: %v", want.Kind, err)
+		}
+		if got.Kind != want.Kind || got.ID != want.ID || got.Method != want.Method ||
+			got.ErrMsg != want.ErrMsg || got.ErrCode != want.ErrCode ||
+			got.TimeoutNanos != want.TimeoutNanos || !bytes.Equal(got.Body, want.Body) {
+			t.Fatalf("kind %d round trip: got %+v, want %+v", want.Kind, got, want)
+		}
+	}
+}
+
+// TestFrameUnknownKindSkipped feeds the server a frame kind from the
+// future and checks the connection survives to serve the next request.
+func TestFrameUnknownKindSkipped(t *testing.T) {
+	srv := NewServer()
+	HandleTyped(srv, "t.echo", func(_ context.Context, s string) (string, error) { return s, nil })
+	cc, sc := Pipe()
+	srv.ServeConn(sc)
+	defer srv.Close()
+	c := NewClient(cc)
+	defer c.Close()
+
+	// A raw future-kind frame straight onto the conn, racing nothing.
+	if err := func() error {
+		c.writeMu.Lock()
+		defer c.writeMu.Unlock()
+		_, err := writeFrame(c.conn, &frame{Kind: 0x7F, ID: 99})
+		return err
+	}(); err != nil {
+		t.Fatalf("write unknown-kind frame: %v", err)
+	}
+	got, err := Call[string, string](context.Background(), c, "t.echo", "still-alive")
+	if err != nil || got != "still-alive" {
+		t.Fatalf("call after unknown frame: got %q, err %v", got, err)
 	}
 }

@@ -5,6 +5,9 @@
 // Usage:
 //
 //	propeller-indexnode -id in-00 -listen 0.0.0.0:7071 -master host:7070
+//
+// With -debug-addr set, the stdlib net/http/pprof and expvar handlers are
+// served on that address, under /debug/.
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"propeller/internal/debugserve"
 	"propeller/internal/indexnode"
 	"propeller/internal/pagestore"
 	"propeller/internal/perr"
@@ -29,28 +33,41 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop); err != nil {
 		fmt.Fprintln(os.Stderr, "propeller-indexnode:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run starts the Index Node with the command-line args and serves until
+// stop fires.
+func run(args []string, stop <-chan os.Signal) error {
+	flags := flag.NewFlagSet("propeller-indexnode", flag.ExitOnError)
 	var (
-		id            = flag.String("id", "in-00", "node id (unique per cluster)")
-		listen        = flag.String("listen", "127.0.0.1:7071", "TCP listen address")
-		masterAddr    = flag.String("master", "127.0.0.1:7070", "master node address")
-		poolPages     = flag.Int("pool-pages", 32768, "buffer pool pages (8 KiB each)")
-		commitTimeout = flag.Duration("commit-timeout", 5*time.Second, "lazy index-cache timeout")
-		interval      = flag.Duration("heartbeat", 5*time.Second, "heartbeat interval")
+		id            = flags.String("id", "in-00", "node id (unique per cluster)")
+		listen        = flags.String("listen", "127.0.0.1:7071", "TCP listen address")
+		masterAddr    = flags.String("master", "127.0.0.1:7070", "master node address")
+		poolPages     = flags.Int("pool-pages", 32768, "buffer pool pages (8 KiB each)")
+		commitTimeout = flags.Duration("commit-timeout", 5*time.Second, "lazy index-cache timeout")
+		interval      = flags.Duration("heartbeat", 5*time.Second, "heartbeat interval")
+		debugAddr     = flags.String("debug-addr", "", "HTTP address for the pprof and expvar handlers (empty = off)")
 	)
-	flag.Parse()
+	flags.Parse(args) //nolint:errcheck // ExitOnError
 
 	masterConn, err := rpc.Dial(*masterAddr)
 	if err != nil {
 		return fmt.Errorf("dial master: %w", err)
 	}
 	defer masterConn.Close() //nolint:errcheck // process exit path
+	if *debugAddr != "" {
+		dl, err := debugserve.Listen(*debugAddr)
+		if err != nil {
+			return err
+		}
+		defer dl.Close() //nolint:errcheck // process exit path
+	}
 
 	clk := vclock.New()
 	disk := simdisk.New(simdisk.Barracuda7200(), clk)
@@ -89,8 +106,6 @@ func run() error {
 		srv.Serve(ln)
 	}()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	ticker := time.NewTicker(*interval)
 	defer ticker.Stop()
 	for {

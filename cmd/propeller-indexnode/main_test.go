@@ -2,10 +2,12 @@ package main
 
 import (
 	"context"
+	"net"
 	"sync/atomic"
 	"testing"
 
 	"propeller/internal/attr"
+	"propeller/internal/debugserve/debugtest"
 	"propeller/internal/index"
 	"propeller/internal/indexnode"
 	"propeller/internal/master"
@@ -91,4 +93,18 @@ func TestHeartbeatRegistersAgainAfterMasterRestart(t *testing.T) {
 	if ns, err := node.NodeStats(ctx, proto.NodeStatsReq{}); err != nil || ns.ACGs != 2 || ns.Files != 6 {
 		t.Errorf("node stats = %+v, %v; want 6 files in 2 groups", ns, err)
 	}
+}
+
+// TestDebugAddrServesPprofAndExpvar: with -debug-addr the Index Node logs
+// the address it bound and serves the pprof and expvar handlers there.
+func TestDebugAddrServesPprofAndExpvar(t *testing.T) {
+	srv := rpc.NewServer()
+	master.New(master.Config{}).RegisterRPC(srv)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { _ = srv.Close() })
+	debugtest.Check(t, run, "-listen", "127.0.0.1:0", "-master", ln.Addr().String(), "-heartbeat", "1h")
 }

@@ -5,6 +5,9 @@
 // Usage:
 //
 //	propeller-master -listen 0.0.0.0:7070 -split-threshold 50000
+//
+// With -debug-addr set, the stdlib net/http/pprof and expvar handlers are
+// served on that address, under /debug/.
 package main
 
 import (
@@ -20,25 +23,32 @@ import (
 	"syscall"
 	"time"
 
+	"propeller/internal/debugserve"
 	"propeller/internal/master"
 	"propeller/internal/rpc"
 )
 
 func main() {
-	if err := run(); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop); err != nil {
 		fmt.Fprintln(os.Stderr, "propeller-master:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run starts the Master with the command-line args and serves until stop
+// fires.
+func run(args []string, stop <-chan os.Signal) error {
+	flags := flag.NewFlagSet("propeller-master", flag.ExitOnError)
 	var (
-		listen         = flag.String("listen", "127.0.0.1:7070", "TCP listen address")
-		splitThreshold = flag.Int64("split-threshold", 50000, "ACG size that triggers a split")
-		snapshotEvery  = flag.Duration("snapshot-every", time.Minute, "metadata snapshot interval")
-		snapshotPath   = flag.String("snapshot", "", "metadata snapshot file on shared storage (empty = disabled)")
+		listen         = flags.String("listen", "127.0.0.1:7070", "TCP listen address")
+		splitThreshold = flags.Int64("split-threshold", 50000, "ACG size that triggers a split")
+		snapshotEvery  = flags.Duration("snapshot-every", time.Minute, "metadata snapshot interval")
+		snapshotPath   = flags.String("snapshot", "", "metadata snapshot file on shared storage (empty = disabled)")
+		debugAddr      = flags.String("debug-addr", "", "HTTP address for the pprof and expvar handlers (empty = off)")
 	)
-	flag.Parse()
+	flags.Parse(args) //nolint:errcheck // ExitOnError
 
 	m := master.New(master.Config{SplitThreshold: *splitThreshold})
 	if *snapshotPath != "" {
@@ -46,13 +56,18 @@ func run() error {
 			return err
 		}
 	}
+	if *debugAddr != "" {
+		dl, err := debugserve.Listen(*debugAddr)
+		if err != nil {
+			return err
+		}
+		defer dl.Close() //nolint:errcheck // process exit path
+	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
 	}
 	log.Printf("master listening on %s", ln.Addr())
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	return serve(m, ln, *snapshotPath, *snapshotEvery, stop)
 }
 

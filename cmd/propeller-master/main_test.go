@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"propeller/internal/debugserve/debugtest"
 	"propeller/internal/index"
 	"propeller/internal/master"
 	"propeller/internal/proto"
@@ -112,4 +113,10 @@ func TestShutdownWritesFinalSnapshot(t *testing.T) {
 	if !mapsFile1(t, path) {
 		t.Fatal("mapping made before shutdown missing from the snapshot")
 	}
+}
+
+// TestDebugAddrServesPprofAndExpvar: with -debug-addr the Master logs the
+// address it bound and serves the pprof and expvar handlers there.
+func TestDebugAddrServesPprofAndExpvar(t *testing.T) {
+	debugtest.Check(t, run, "-listen", "127.0.0.1:0")
 }

@@ -326,7 +326,8 @@ func TestApplyBatchMatchesOneKeyAtATime(t *testing.T) {
 }
 
 // FuzzApplySorted reads a base and a delete and an insert run out of the
-// input and holds both one-pass paths to the one-key sequence's pages.
+// input and holds both one-pass paths to the one-key sequence's pages;
+// then it grows the hash index and holds it to a model of its postings.
 // Each three bytes are one posting: the first says which sets it joins
 // (base, deletes, inserts — any of them), the second its value, the third
 // its file. The first 256 postings count: long string values split leaves
@@ -358,7 +359,14 @@ func FuzzApplySorted(f *testing.F) {
 			slices.SortFunc(run, bytes.Compare)
 		}
 		checkApplySorted(t, base, del, ins)
-		checkApplyBatch(t, 2, hbase, hdel, hins)
+		h := checkApplyBatch(t, 2, hbase, hdel, hins)
+		m := hashModel{}
+		m.apply(nil, hbase)
+		m.apply(hdel, hins)
+		if err := h.Grow(); err != nil {
+			t.Fatal(err)
+		}
+		checkHashModel(t, h, m)
 	})
 }
 
@@ -370,5 +378,66 @@ func TestCompositeKeyLen(t *testing.T) {
 		if got, want := CompositeKeyLen(v), len(AppendCompositeKey(nil, v, 7)); got != want {
 			t.Errorf("%v: CompositeKeyLen = %d, AppendCompositeKey appends %d", v, got, want)
 		}
+	}
+}
+
+// TestAppendTreeApplyMatchesOneKeyAtATime holds an append tree's one-pass
+// path to its one-key sequence, page for page, as the test above does a
+// midpoint tree's: runs that append past the last key, which split at the
+// append point, with a few keys among the base, which split at the middle;
+// and random runs.
+func TestAppendTreeApplyMatchesOneKeyAtATime(t *testing.T) {
+	newTree := func() *BTree {
+		bt, err := NewAppendBTree(newTestStore(t, 4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bt
+	}
+	check := func(base, del, ins [][]byte) {
+		t.Helper()
+		one, ref := newTree(), newTree()
+		for _, bt := range []*BTree{one, ref} {
+			if _, err := bt.InsertSorted(base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := one.ApplySorted(del, ins); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range del {
+			if _, err := ref.DeleteSorted([][]byte{k}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range ins {
+			if _, err := ref.InsertSorted([][]byte{k}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if one.Len() != ref.Len() || one.root != ref.root {
+			t.Fatalf("one pass: Len %d, root %d; one key at a time: %d, %d", one.Len(), one.root, ref.Len(), ref.root)
+		}
+		samePages(t, one.store, ref.store)
+	}
+	r := rand.New(rand.NewSource(4))
+	for range randomRuns() / 3 {
+		n := r.Intn(3000)
+		key := func(i int) []byte { return compositeKey(attr.Int(int64(i)), FileID(i)) }
+		var base, del, ins [][]byte
+		for i := range n {
+			base = append(base, key(2*i))
+			if r.Intn(20) == 0 {
+				del = append(del, key(2*i))
+			}
+			if r.Intn(50) == 0 {
+				ins = append(ins, key(2*i+1))
+			}
+		}
+		for i := range r.Intn(3000) {
+			ins = append(ins, key(2*n+i))
+		}
+		check(base, del, ins)
+		check(btreeRuns(r, r.Intn(1500)))
 	}
 }

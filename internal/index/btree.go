@@ -32,6 +32,15 @@ import (
 // internal separators are exact copies of leaf keys (a B+tree in the
 // "copy-up" style). Deletion is lazy: entries are removed from leaves but
 // underfull nodes are not merged, matching common production B+trees.
+//
+// A node that overflows splits at its middle key, which leaves both halves
+// half full: where keys land at random, later inserts fill them. A tree
+// whose keys arrive in ascending order (NewAppendBTree) would leave every
+// leaf behind the append point half full for good, so there an insert past
+// the last key of the rightmost leaf splits at the append point instead —
+// the full leaf stays as it was and the key starts a new one (SQLite's
+// balance_quick). Internal nodes, and keys that land mid-leaf, split at
+// the middle in every tree.
 const (
 	nodeHeaderSize = 1 + 2 + 8
 	noPage         = uint64(math.MaxUint64)
@@ -88,9 +97,15 @@ type BTree struct {
 	store *pagestore.Store
 	root  pagestore.PageID
 	count int
+	// appends: keys arrive in ascending order, so the rightmost leaf splits
+	// where they go (see the layout notes above).
+	appends bool
 	// w is the view every mutating path opens pages in (mutations are
 	// exclusive, so one is enough); cursors carry their own.
 	w nodeView
+	// spare is a leaf image a bulk run built and did not need (the leaf did
+	// not change, or overflowed): the run's next leaf is built in it.
+	spare []byte
 }
 
 // NewBTree creates an empty B+tree on store.
@@ -104,6 +119,17 @@ func NewBTree(store *pagestore.Store) (*BTree, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// NewAppendBTree creates an empty B+tree on store for keys that arrive in
+// ascending order: an insert past the rightmost leaf's last key that
+// overflows it starts a new leaf, leaving the full one as it was.
+func NewAppendBTree(store *pagestore.Store) (*BTree, error) {
+	t, err := NewBTree(store)
+	if err == nil {
+		t.appends = true
+	}
+	return t, err
 }
 
 // Len returns the number of postings in the tree.
@@ -221,9 +247,10 @@ func (t *BTree) insertAt(id pagestore.PageID, key []byte) (sep []byte, newChild 
 
 // spliceNode rewrites node id (open in v) with key inserted at pos and,
 // for an internal node, child inserted right of it. A node that no longer
-// fits its page splits in half: the separator and the new right sibling's
-// page id are returned (else noPage). The keys gathered here, separator
-// included, alias key or immutable page images; none is copied.
+// fits its page splits — at the middle, or at an append tree's append
+// point — and the separator and the new right sibling's page id are
+// returned (else noPage). The keys gathered here, separator included,
+// alias key or immutable page images; none is copied.
 func (t *BTree) spliceNode(id pagestore.PageID, v *nodeView, pos int, key []byte, child uint64) (sep []byte, right uint64, err error) {
 	keys := make([][]byte, 0, v.len()+1)
 	for i := 0; i < v.len(); i++ {
@@ -245,6 +272,9 @@ func (t *BTree) spliceNode(id pagestore.PageID, v *nodeView, pos int, key []byte
 		return nil, noPage, t.writeNode(id, v.leaf, v.next, keys, children)
 	}
 	mid := splitAt(keys, children)
+	if t.appends && v.leaf && v.next == noPage && pos == v.len() {
+		mid = pos // past the rightmost leaf's last key: the key starts a new leaf
+	}
 	rightID, err := t.store.Allocate()
 	if err != nil {
 		return nil, noPage, fmt.Errorf("btree split: %w", err)
@@ -335,7 +365,7 @@ func (t *BTree) ApplySorted(del, ins [][]byte) (deleted, inserted int, err error
 			return 0, 0, ErrKeyTooLong
 		}
 	}
-	defer func() { t.w = nodeView{} }() // its page may be an image the run replaced
+	defer func() { t.w, t.spare = nodeView{}, nil }() // w's page may be an image the run replaced
 	for len(del) > 0 || len(ins) > 0 {
 		id, high, err := t.findLeafHigh(&t.w, nextKey(del, ins))
 		if err != nil {
@@ -402,21 +432,33 @@ func (m *leafMerge) next() (st mergeStep, ok bool, err error) {
 			m.i = st.hi
 			return st, st.hi > st.lo, nil
 		}
-		key := nextKey(m.del, m.ins)
+		c := -1 // the next key is deleted (c <= 0), inserted (c >= 0), or both
+		switch {
+		case len(m.del) == 0:
+			c = 1
+		case len(m.ins) > 0:
+			c = bytes.Compare(m.del[0], m.ins[0])
+		}
+		var key []byte
+		if c <= 0 {
+			key = m.del[0]
+		} else {
+			key = m.ins[0]
+		}
 		pos, found, err := m.v.seek(m.i, key)
 		if err != nil {
 			return st, false, err
 		}
 		st.lo, st.hi, m.i = m.i, pos, pos
-		gone := len(m.del) > 0 && bytes.Equal(m.del[0], key)
-		if gone {
+		gone := false
+		if c <= 0 {
 			takeFirst(&m.del)
 			if gone = found; gone {
 				m.deleted++
 				m.i++
 			}
 		}
-		if len(m.ins) > 0 && bytes.Equal(m.ins[0], key) {
+		if c >= 0 {
 			takeFirst(&m.ins)
 			st.key, st.put = key, gone || !found // else a duplicate: the entry stays
 		}
@@ -451,24 +493,38 @@ func takeFirst(run *[][]byte) []byte {
 // is open in m.v — and returns the postings removed and placed, and how
 // many of m's inserts it used up: all of them, unless the leaf split, when
 // those after the key that split it are left for the caller to place in
-// whichever leaf now owns them. Every walk stops once the leaf is full, so
-// a run far longer than a leaf holds (a bulk load) costs a leaf's worth of
-// walking per split, not the whole run's.
+// whichever leaf now owns them. The leaf is rebuilt as the walk goes, and
+// written at its end; every walk stops once the leaf is full, so a run far
+// longer than a leaf holds (a bulk load) costs a leaf's worth of walking
+// per split, not the whole run's.
 func (t *BTree) mergeLeaf(id pagestore.PageID, m leafMerge) (deleted, placed, taken int, err error) {
+	b := t.leafBuild()
 	size := nodeHeaderSize // the edited leaf's bytes, as far as the walk has come
-	for walk := m; size <= pagestore.PageSize; {
+	for walk := m; ; {
 		st, ok, err := walk.next()
 		if err != nil {
 			return 0, 0, 0, err
 		}
 		if !ok {
 			if deleted = walk.deleted; deleted == 0 && placed == 0 {
+				t.spare = b.page
 				return 0, 0, len(m.ins), nil
 			}
-			return deleted, placed, len(m.ins), t.buildLeaf(id, m, placed, placed-deleted)
+			if err := writePage(t.store, id, b.finish(nodeHeaderSize, m.v.next)); err != nil {
+				return deleted, placed, len(m.ins), err
+			}
+			t.count += placed - deleted
+			return deleted, placed, len(m.ins), nil
 		}
-		size += st.size(m.v)
+		if size += st.size(m.v); size > pagestore.PageSize {
+			t.spare = b.page
+			break
+		}
+		if err := b.copyRange(&m.v.slots, st.lo, st.hi); err != nil {
+			return 0, 0, 0, err
+		}
 		if st.put {
+			b.add(st.key, nil)
 			placed++
 		}
 	}
@@ -516,11 +572,24 @@ cut:
 	return deleted, fit, taken, err
 }
 
+// leafBuild starts a leaf image: in the run's spare image, zeroed, or a
+// fresh one.
+func (t *BTree) leafBuild() pageBuild {
+	b := pageBuild{page: t.spare, off: nodeHeaderSize}
+	if b.page == nil {
+		b = newPageBuild(nodeHeaderSize)
+	} else {
+		clear(b.page)
+		t.spare = nil
+	}
+	b.page[0] = 1
+	return b
+}
+
 // buildLeaf writes leaf id as m leaves it with only its first fit placed
 // keys, in one fresh image, and moves Len by delta once it is written.
 func (t *BTree) buildLeaf(id pagestore.PageID, m leafMerge, fit, delta int) error {
-	b := newPageBuild(nodeHeaderSize)
-	b.page[0] = 1
+	b := t.leafBuild()
 	for {
 		if fit == 0 {
 			m.ins = nil // the rest go in after the split, or are duplicates
@@ -641,8 +710,11 @@ func (t *BTree) ScanRange(lo, hi *attr.Value, incLo, incHi bool, fn func(attr.Va
 type Cursor struct {
 	t   *BTree
 	v   nodeView // the leaf under the cursor, read in place
-	on  bool     // v holds a leaf (false = unpositioned or exhausted)
+	on  bool     // v holds a leaf (false = unpositioned, or a seek or hop failed)
 	idx int
+	// from is where the last seek landed in v (0 once the cursor has moved
+	// on to a later leaf): a later, larger seek key sorts at or after it.
+	from int
 	// high is the leaf's exclusive upper key bound from the descent that
 	// found it (nil = rightmost), valid while descended is set: a leaf
 	// reached along the sibling chain has no known bound.
@@ -681,20 +753,21 @@ func (c *Cursor) Seek(key []byte) error {
 	}
 	c.high, c.descended = high, true
 	idx, _, err := c.v.search(key)
-	c.idx, c.on = idx, err == nil
+	c.idx, c.from, c.on = idx, idx, err == nil
 	return err
 }
 
 // SeekAhead is Seek for a caller whose seek keys never descend: a key the
 // leaf under the cursor covers — below the bound of the descent that found
 // it (the earlier seek keys put it above the floor), or between its first
-// and last key — is searched in that leaf, without a descent. A sorted run
-// of point reads (a forward index read file by file) then visits each leaf
-// about once.
+// and last key — is sought in that leaf from where the last seek landed,
+// without a descent. A sorted run of point reads (a forward index read
+// file by file) then visits each leaf about once, and finds each key a few
+// comparisons on from the last.
 func (c *Cursor) SeekAhead(key []byte) error {
-	if n := c.v.len(); c.on && n > 0 {
+	if n := c.v.len(); c.on {
 		inside := c.descended && (c.high == nil || bytes.Compare(key, c.high) < 0)
-		if !inside {
+		if !inside && n > 0 {
 			first, err := c.v.body(0)
 			if err != nil {
 				return err
@@ -706,12 +779,32 @@ func (c *Cursor) SeekAhead(key []byte) error {
 			inside = bytes.Compare(first, key) <= 0 && bytes.Compare(key, last) <= 0
 		}
 		if inside {
-			idx, _, err := c.v.search(key)
-			c.idx = idx
+			idx, _, err := c.v.seek(c.from, key)
+			c.idx, c.from = idx, idx
 			return err
 		}
 	}
 	return c.Seek(key)
+}
+
+// SeekPrefix is SeekAhead(prefix) for a tree whose keys are unique in
+// their leading bytes (one key per prefix, as a forward index keeps one per
+// (file, index)): it returns the key that carries prefix, nil if there is
+// none, and leaves the cursor after it. The key may lie past the leaf that
+// owns prefix only when that leaf's upper bound carries prefix too, so the
+// cursor walks on — over any leaves lazy deletes emptied — only then.
+func (c *Cursor) SeekPrefix(prefix []byte) ([]byte, error) {
+	if err := c.SeekAhead(prefix); err != nil {
+		return nil, err
+	}
+	if c.idx == c.v.len() && (c.high == nil || !bytes.HasPrefix(c.high, prefix)) {
+		return nil, nil
+	}
+	key, ok, err := c.NextKey()
+	if !ok || !bytes.HasPrefix(key, prefix) {
+		return nil, err
+	}
+	return key, nil
 }
 
 // SeekValue positions the cursor at the first posting whose value is >= v.
@@ -762,7 +855,8 @@ func (c *Cursor) NextKey() (key []byte, ok bool, err error) {
 			return k, true, nil
 		}
 		// Leaf exhausted (possibly empty after lazy deletions): follow the
-		// sibling chain.
+		// sibling chain. Past the rightmost leaf the cursor stays on it, so
+		// a SeekAhead past the last key searches it instead of descending.
 		if c.v.next == noPage {
 			break
 		}
@@ -770,8 +864,7 @@ func (c *Cursor) NextKey() (key []byte, ok bool, err error) {
 		if err := c.t.view(&c.v, pagestore.PageID(c.v.next)); err != nil {
 			return nil, false, err
 		}
-		c.on, c.idx = true, 0
+		c.on, c.idx, c.from = true, 0, 0
 	}
-	c.on = false
 	return nil, false, nil
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -54,6 +55,28 @@ func treeHeight(t testing.TB, bt *BTree) int {
 		}
 		id = pagestore.PageID(v.child(0))
 	}
+}
+
+// treePages returns how many pages the tree holds, walking it level by
+// level.
+func treePages(t testing.TB, bt *BTree) int {
+	t.Helper()
+	var v nodeView
+	pages, level := 0, []pagestore.PageID{bt.root}
+	for len(level) > 0 {
+		pages += len(level)
+		var below []pagestore.PageID
+		for _, id := range level {
+			if err := bt.view(&v, id); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; !v.leaf && i <= v.len(); i++ {
+				below = append(below, pagestore.PageID(v.child(i)))
+			}
+		}
+		level = below
+	}
+	return pages
 }
 
 func TestBTreeInsertSearchEq(t *testing.T) {
@@ -602,6 +625,111 @@ func TestCompositeKeyOrderMatchesPairOrder(t *testing.T) {
 		}
 		if !v.Equal(values[p.vi]) || f != p.f {
 			t.Errorf("round trip (%v,%d) = (%v,%d)", values[p.vi], p.f, v, f)
+		}
+	}
+}
+
+// prefixKey builds a test key: a 4-byte prefix, then the payload.
+func prefixKey(p uint32, payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, p), payload...)
+}
+
+// TestSeekAheadMatchesSeek pins SeekAhead to Seek: over ascending seek
+// keys, dense and sparse, present and absent, the keys a cursor yields after
+// either are the same, and dense seeks descend less than once a leaf.
+func TestSeekAheadMatchesSeek(t *testing.T) {
+	bt := newTestBTree(t)
+	var keys [][]byte
+	for p := uint32(0); p < 20000; p += 2 {
+		keys = append(keys, prefixKey(p, []byte{byte(p), 1, 2, 3, 4, 5, 6}))
+	}
+	if _, err := bt.InsertSorted(keys); err != nil {
+		t.Fatal(err)
+	}
+	rnd := rand.New(rand.NewSource(1))
+	for _, stride := range []int{1, 3, 40, 900} {
+		ahead, fresh := bt.NewCursor(), bt.NewCursor()
+		before := bt.store.Stats()
+		seeks := 0
+		for p := rnd.Intn(stride); p < 20100; p += 1 + rnd.Intn(stride) {
+			seek := binary.BigEndian.AppendUint32(nil, uint32(p))
+			if err := ahead.SeekAhead(seek); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Seek(seek); err != nil {
+				t.Fatal(err)
+			}
+			for range 2 {
+				a, aok, aerr := ahead.NextKey()
+				f, fok, ferr := fresh.NextKey()
+				if aerr != nil || ferr != nil || aok != fok || !bytes.Equal(a, f) {
+					t.Fatalf("stride %d, seek %d: SeekAhead yields %x (%v), Seek %x (%v)", stride, p, a, aerr, f, ferr)
+				}
+			}
+			seeks++
+		}
+		if stride == 1 {
+			after := bt.store.Stats()
+			// Both cursors read: Seek a descent a seek, SeekAhead about a
+			// leaf per leaf.
+			if reads := after.Hits + after.Misses - before.Hits - before.Misses; reads > int64(seeks)*int64(treeHeight(t, bt))+int64(seeks)/4 {
+				t.Errorf("stride 1: %d page reads for %d seeks on both cursors", reads, seeks)
+			}
+		}
+	}
+}
+
+// TestAppendTreeFillsLeaves: keys loaded in ascending order — one at a time
+// or as one sorted run — fill an append tree's leaves: every leaf but the
+// last is at least 95 % full, 48 pages in all. A tree that splits at the
+// middle leaves them half full, and takes exactly the 94 pages it always
+// took.
+func TestAppendTreeFillsLeaves(t *testing.T) {
+	keys := make([][]byte, 20000)
+	for i := range keys {
+		keys[i] = compositeKey(attr.Int(int64(i)), FileID(i))
+	}
+	for _, appends := range []bool{true, false} {
+		for _, oneRun := range []bool{true, false} {
+			bt := newTestBTree(t)
+			if appends {
+				var err error
+				if bt, err = NewAppendBTree(newTestStore(t, 4096)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if oneRun {
+				if _, err := bt.InsertSorted(keys); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, k := range keys {
+					if _, err := bt.InsertSorted([][]byte{k}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			pages := treePages(t, bt)
+			if want := map[bool]int{true: 48, false: 94}[appends]; pages != want {
+				t.Errorf("append tree %v, one run %v: %d pages, want %d", appends, oneRun, pages, want)
+			}
+			if !appends {
+				continue
+			}
+			ids, _ := leaves(t, bt)
+			var v nodeView
+			for _, id := range ids[:len(ids)-1] {
+				if err := bt.view(&v, id); err != nil {
+					t.Fatal(err)
+				}
+				end, err := v.last()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fill := float64(end+2*v.len()) / pagestore.PageSize; fill < 0.95 {
+					t.Fatalf("append tree (one run %v): leaf %d is %.0f %% full", oneRun, id, 100*fill)
+				}
+			}
 		}
 	}
 }

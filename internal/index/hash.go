@@ -14,9 +14,20 @@ import (
 
 // HashIndex is a paged bucket-chained hash table mapping attribute values to
 // file ids. It supports exact-match lookups only; range queries are the
-// B+tree's and K-D-tree's job. The bucket directory is fixed at creation
-// (Propeller's per-ACG indices are small; the paper splits ACGs past 50 k
-// files long before a resize would matter).
+// B+tree's and K-D-tree's job.
+//
+// The bucket directory grows by linear hashing (Litwin, VLDB 1980): a
+// round starts with R chains and Grow splits them in order, one at a time,
+// each into itself and a chain appended at the end, until there are 2R
+// and the next round starts. A value's chain is its FNV hash mod R, or mod
+// 2R where that chain has split. One split rewrites one chain, so no
+// resize ever stalls a commit, and an index can start at one bucket and
+// keep ¾ of a page of postings per bucket however large it grows. The
+// postings of a value too hot for any split to divide (one uid for a whole
+// group) still count, so they grow the directory too; the chains they
+// leave empty all hold the one shared empty image (emptyBucket), so they
+// cost the store no page image of their own. The directory (each chain's
+// first page id) is held in RAM only.
 //
 // Bucket page layout (slotted, see slots):
 //
@@ -36,8 +47,10 @@ import (
 // share the scratch below (the Index Node serialises access per ACG group).
 type HashIndex struct {
 	store   *pagestore.Store
-	buckets []pagestore.PageID
+	buckets []pagestore.PageID // the directory: each chain's first page
+	split   int                // the next chain Grow splits; the round began with len(buckets)-split
 	count   int
+	bytes   int // what the postings take of their pages: entries and directory slots
 
 	rd    bucketView  // the page a lookup or scan is walking
 	chain []chainPage // the chain a bulk mutation has loaded
@@ -46,7 +59,8 @@ type HashIndex struct {
 
 const hashHeaderSize = 2 + 8
 
-// NewHashIndex creates a hash index with nBuckets bucket chains.
+// NewHashIndex creates a hash index with nBuckets bucket chains, which
+// Grow adds to.
 func NewHashIndex(store *pagestore.Store, nBuckets int) (*HashIndex, error) {
 	if nBuckets < 1 {
 		return nil, fmt.Errorf("hash index: %d buckets, need >= 1", nBuckets)
@@ -105,10 +119,19 @@ func (h *HashIndex) view(b *bucketView, id pagestore.PageID) error {
 	return b.open(raw, hashHeaderSize, 8)
 }
 
+// bucketSlot returns the chain a value encoding hashes to.
 func (h *HashIndex) bucketSlot(valEnc []byte) int {
+	sum, round := hashOf(valEnc), uint64(len(h.buckets)-h.split)
+	if slot := sum % round; slot >= uint64(h.split) {
+		return int(slot)
+	}
+	return int(sum % (2 * round)) // its chain has split this round
+}
+
+func hashOf(valEnc []byte) uint64 {
 	hs := fnv.New64a()
 	hs.Write(valEnc) //nolint:errcheck // fnv never errors
-	return int(hs.Sum64() % uint64(len(h.buckets)))
+	return hs.Sum64()
 }
 
 // Insert adds a (value, file) posting. Duplicate postings are no-ops.
@@ -212,6 +235,7 @@ type chainPage struct {
 	id       pagestore.PageID
 	b        bucketView
 	size     int       // the staged page's bytes: header, entries, directory
+	was      int       // and its bytes when loaded
 	gone     []int32   // positions of the entries deleted, ascending
 	adds     []hashAdd // the inserts placed here, in entry order
 	relinked bool      // b.next now names an overflow page the run added
@@ -234,6 +258,7 @@ func (h *HashIndex) loadChain(head pagestore.PageID) error {
 			return err
 		}
 		p.size = end + 2*p.b.len()
+		p.was = p.size
 		if p.b.next == noPage {
 			return nil
 		}
@@ -402,13 +427,14 @@ func (h *HashIndex) overflow() (*chainPage, error) {
 	if err := h.view(&p.b, ovf); err != nil {
 		return nil, err
 	}
-	p.size = hashHeaderSize
+	p.size, p.was = hashHeaderSize, hashHeaderSize
 	return p, nil
 }
 
 // flushChain writes each page of the loaded chain the run edited, in
-// chain order, and folds each written page's posting-count change into
-// h.count, so a failed write never skews Len() against a retried run.
+// chain order, and folds each written page's posting-count and byte changes
+// into h.count and h.bytes, so a failed write never skews Len() or Grow
+// against a retried run.
 func (h *HashIndex) flushChain(ins []HashOp) error {
 	for i := range h.chain {
 		p := &h.chain[i]
@@ -423,6 +449,7 @@ func (h *HashIndex) flushChain(ins []HashOp) error {
 			return err
 		}
 		h.count += len(p.adds) - len(p.gone)
+		h.bytes += p.size - p.was
 	}
 	clear(h.chain) // neither the images the run replaced nor its staging stay alive
 	return nil
@@ -458,6 +485,118 @@ func (p *chainPage) build(ins []HashOp) ([]byte, error) {
 			return b.finish(hashHeaderSize, p.b.next), nil
 		}
 	}
+}
+
+// Grow splits chains, one at a time, while the postings would fill more
+// than ¾ of one page per chain. ApplyBatch never grows the directory, so a
+// batch lands in the chains it hashed to; the caller grows it after.
+func (h *HashIndex) Grow() error {
+	for 4*h.bytes > 3*len(h.buckets)*(pagestore.PageSize-hashHeaderSize) {
+		if err := h.splitNext(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// splitNext splits chain h.split into itself and a new last chain: each
+// half's postings, sorted, are packed into full pages, the chain's own
+// pages first and new ones only once they run out, and a page left over is
+// freed. A half with no postings is one page holding the shared empty
+// image. The chain's pages are rewritten in place, so a split is not
+// atomic: a write that fails part way can leave chain h.split without the
+// postings that were moving. A store fails a write only once it or its
+// disk is closed, and then every later read of the index fails as well.
+func (h *HashIndex) splitNext() error {
+	round := len(h.buckets) - h.split
+	if err := h.loadChain(h.buckets[h.split]); err != nil {
+		return err
+	}
+	var halves [2][]HashOp // the postings that stay, and those that move
+	for i := range h.chain {
+		b := &h.chain[i].b
+		for e := 0; e < b.len(); e++ {
+			valEnc, f, err := b.entry(e)
+			if err != nil {
+				return err
+			}
+			half := 0
+			if hashOf(valEnc)%uint64(2*round) != uint64(h.split) {
+				half = 1
+			}
+			halves[half] = append(halves[half], HashOp{ValEnc: valEnc, File: f})
+		}
+	}
+	spare := make([]pagestore.PageID, len(h.chain))
+	for i := range h.chain {
+		spare[i] = h.chain[i].id
+	}
+	clear(h.chain)
+	var heads [2]pagestore.PageID
+	var ids []pagestore.PageID
+	var imgs [][]byte
+	for half, ops := range halves {
+		slices.SortFunc(ops, func(a, b HashOp) int { return cmpPosting(a, b.ValEnc, b.File) })
+		cuts := packCuts(ops)
+		first := len(ids)
+		for range cuts {
+			if len(spare) == 0 {
+				id, err := h.store.Allocate()
+				if err != nil {
+					return fmt.Errorf("hash split: %w", err)
+				}
+				spare = append(spare, id)
+			}
+			ids, spare = append(ids, spare[0]), spare[1:]
+		}
+		heads[half] = ids[first]
+		if len(ops) == 0 {
+			imgs = append(imgs, emptyBucket)
+			continue
+		}
+		var tail [8]byte
+		for c, lo := range cuts {
+			hi, next := len(ops), noPage
+			if c+1 < len(cuts) {
+				hi, next = cuts[c+1], uint64(ids[first+c+1])
+			}
+			b := newPageBuild(hashHeaderSize)
+			for _, op := range ops[lo:hi] {
+				b.add(op.ValEnc, binary.BigEndian.AppendUint64(tail[:0], uint64(op.File)))
+			}
+			imgs = append(imgs, b.finish(hashHeaderSize, next))
+		}
+	}
+	for i, img := range imgs {
+		if err := writePage(h.store, ids[i], img); err != nil {
+			return err
+		}
+	}
+	for _, id := range spare {
+		if err := h.store.Free(id); err != nil {
+			return fmt.Errorf("hash split: %w", err)
+		}
+	}
+	h.buckets[h.split] = heads[0]
+	h.buckets = append(h.buckets, heads[1])
+	if h.split++; h.split == round {
+		h.split = 0 // every chain of the round has split: the next round starts
+	}
+	return nil
+}
+
+// packCuts cuts sorted postings into pages, each filled as far as it goes,
+// and returns where each page's postings start: one empty page for none.
+func packCuts(ops []HashOp) []int {
+	cuts, size := []int{0}, hashHeaderSize
+	for i, op := range ops {
+		n := len(op.ValEnc) + 8 + 2
+		if size+n > pagestore.PageSize {
+			cuts, size = append(cuts, i), hashHeaderSize
+		}
+		size += n
+	}
+	return cuts
 }
 
 // InsertBatch bulk-inserts postings: ApplyBatch with no deletes. It returns

@@ -3,11 +3,14 @@ package index
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"propeller/internal/attr"
+	"propeller/internal/pagestore"
 )
 
 func newTestHash(t testing.TB, buckets int) *HashIndex {
@@ -351,4 +354,217 @@ func BenchmarkHashLookup(b *testing.B) {
 			}
 		})
 	}
+}
+
+// hashModel is what a hash index must hold: value encoding → files.
+type hashModel map[string]map[FileID]bool
+
+func (m hashModel) apply(del, ins []HashOp) {
+	for _, op := range del {
+		delete(m[string(op.ValEnc)], op.File)
+	}
+	for _, op := range ins {
+		if m[string(op.ValEnc)] == nil {
+			m[string(op.ValEnc)] = map[FileID]bool{}
+		}
+		m[string(op.ValEnc)][op.File] = true
+	}
+}
+
+// checkHashModel holds h to the model: a lookup of every value the model
+// has seen yields exactly its files, once each; a scan yields every posting
+// once; Len counts them; and the store holds exactly the pages the
+// directory's chains link, each linked once.
+func checkHashModel(t testing.TB, h *HashIndex, m hashModel) {
+	t.Helper()
+	total := 0
+	for enc, want := range m {
+		v, err := attr.Decode([]byte(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[FileID]bool{}
+		err = h.LookupEach(v, func(f FileID) bool {
+			if got[f] || !want[f] {
+				t.Fatalf("lookup %v yields file %d twice or not in the model", v, f)
+			}
+			got[f] = true
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("lookup %v yields %d files, the model %d", v, len(got), len(want))
+		}
+		total += len(want)
+	}
+	seen := map[string]bool{}
+	err := h.Scan(func(v attr.Value, f FileID) bool {
+		key := fmt.Sprint(string(v.Encode(nil)), f)
+		if seen[key] || !m[string(v.Encode(nil))][f] {
+			t.Fatalf("scan yields (%v, %d) twice or not in the model", v, f)
+		}
+		seen[key] = true
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != total || h.Len() != total {
+		t.Fatalf("scan yields %d postings, Len %d, the model holds %d", len(seen), h.Len(), total)
+	}
+	linked := map[pagestore.PageID]bool{}
+	var b bucketView
+	for _, head := range h.buckets {
+		for id := head; ; {
+			if linked[id] {
+				t.Fatalf("page %d is linked twice", id)
+			}
+			linked[id] = true
+			if err := h.view(&b, id); err != nil {
+				t.Fatal(err)
+			}
+			if b.next == noPage {
+				break
+			}
+			id = pagestore.PageID(b.next)
+		}
+	}
+	if h.store.NumPages() != len(linked) {
+		t.Fatalf("the store holds %d pages, the directory links %d", h.store.NumPages(), len(linked))
+	}
+}
+
+// TestHashGrowMatchesModel drives rounds of random batches — fresh
+// postings, deletes of present and absent ones, and a hot value whose
+// postings no split can divide — each followed by Grow, into an index that
+// starts at one bucket, and holds it to a model after every round.
+func TestHashGrowMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		h, m := newTestHash(t, 1), hashModel{}
+		hot := attr.Str(strings.Repeat("hot", 20)).Encode(nil)
+		var present []HashOp
+		splits := 0
+		for round := range 60 {
+			var del, ins []HashOp
+			for range r.Intn(300) {
+				op := HashOp{ValEnc: testValue(r).Encode(nil), File: FileID(r.Intn(5000))}
+				if r.Intn(8) == 0 {
+					op.ValEnc = hot
+				}
+				ins = append(ins, op)
+			}
+			for range r.Intn(150) {
+				if len(present) > 0 && r.Intn(3) > 0 {
+					del = append(del, present[r.Intn(len(present))])
+				} else {
+					del = append(del, HashOp{ValEnc: testValue(r).Encode(nil), File: FileID(r.Intn(5000))})
+				}
+			}
+			if _, _, err := h.ApplyBatch(del, ins); err != nil {
+				t.Fatal(err)
+			}
+			m.apply(del, ins)
+			before := len(h.buckets)
+			if err := h.Grow(); err != nil {
+				t.Fatal(err)
+			}
+			splits += len(h.buckets) - before
+			checkHashModel(t, h, m)
+			if round%10 == 0 {
+				present = present[:0]
+				for enc, files := range m {
+					for f := range files {
+						present = append(present, HashOp{ValEnc: []byte(enc), File: f})
+					}
+				}
+				slices.SortFunc(present, func(a, b HashOp) int { return cmpPosting(a, b.ValEnc, b.File) })
+			}
+		}
+		if splits < 8 {
+			t.Fatalf("seed %d: %d splits: the index hardly grew", seed, splits)
+		}
+	}
+}
+
+// TestHashSplitFreesEmptiedPages: a chain many pages long whose postings
+// were mostly deleted splits into as few pages as its postings fill; the
+// pages it no longer links go back to the store.
+func TestHashSplitFreesEmptiedPages(t *testing.T) {
+	h, m := newTestHash(t, 1), hashModel{}
+	hot := attr.Str(strings.Repeat("hot", 20)).Encode(nil)
+	var ins, del []HashOp
+	for f := range 1500 {
+		ins = append(ins, HashOp{ValEnc: hot, File: FileID(f)})
+		if f%15 != 0 {
+			del = append(del, ins[f])
+		}
+	}
+	for _, run := range [][2][]HashOp{{nil, ins}, {del, nil}} {
+		if _, _, err := h.ApplyBatch(run[0], run[1]); err != nil {
+			t.Fatal(err)
+		}
+		m.apply(run[0], run[1])
+	}
+	chain := h.store.NumPages()
+	if err := h.Grow(); err != nil {
+		t.Fatal(err)
+	}
+	checkHashModel(t, h, m)
+	if len(h.buckets) != 2 || h.store.NumPages() != 2 || chain < 10 {
+		t.Fatalf("a %d-page chain holding one page of postings split into %d chains of %d pages; want 2 of 2",
+			chain, len(h.buckets), h.store.NumPages())
+	}
+}
+
+// TestHashSingleValueAddsNoImages: a field with one value for every file
+// — one uid for a whole group — has postings no split can divide. They
+// still grow the directory, but every chain a split leaves empty holds the
+// shared empty image, so the index holds no more page images of its own
+// than a fixed 64-bucket directory does.
+func TestHashSingleValueAddsNoImages(t *testing.T) {
+	fixed, grown := newTestHash(t, 64), newTestHash(t, 1)
+	one := attr.Int(1000).Encode(nil)
+	for f := 0; f < 12500; f += 8 {
+		var ins []HashOp
+		for g := f; g < min(f+8, 12500); g++ {
+			ins = append(ins, HashOp{ValEnc: one, File: FileID(g)})
+		}
+		for _, h := range []*HashIndex{fixed, grown} {
+			if _, _, err := h.ApplyBatch(nil, ins); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := grown.Grow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	own := func(h *HashIndex) (n int) {
+		for _, head := range h.buckets {
+			for id := head; ; {
+				img, err := h.store.Read(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &img[0] != &emptyBucket[0] {
+					n++
+				}
+				if err := h.view(&h.rd, id); err != nil {
+					t.Fatal(err)
+				}
+				if h.rd.next == noPage {
+					break
+				}
+				id = pagestore.PageID(h.rd.next)
+			}
+		}
+		return n
+	}
+	if own(grown) > own(fixed) || grown.Len() != 12500 || len(grown.buckets) < 2 {
+		t.Fatalf("one value in 12 500 postings: %d buckets holding %d page images of their own, 64 fixed buckets %d; Len %d",
+			len(grown.buckets), own(grown), own(fixed), grown.Len())
+	}
+	t.Logf("%d buckets holding %d page images of their own, 64 fixed buckets %d", len(grown.buckets), own(grown), own(fixed))
 }

@@ -22,22 +22,20 @@ import (
 // i = 0) and slot i, at the two bytes per entry a length prefix would cost,
 // and appending an entry moves nothing. open reads the header and is done:
 // nothing walks the entries, or touches the directory, to open a page. A
-// slot is checked where it is read — body, last, insert and remove return
-// ErrCorrupt for an offset that runs backwards, into the header or into the
-// directory — so arbitrary bytes never index out of the page.
+// slot is checked where it is read — body and last return ErrCorrupt for
+// an offset that runs backwards, into the header or into the directory —
+// so arbitrary bytes never index out of the page.
 //
-// The page is normally the store's own immutable image (Store.Read), so
-// the sub-slices body returns stay valid however long the caller keeps
-// them. The first insert or remove swaps in a private copy (own) and later
-// ones edit that. A batch that edits a page wholesale does not edit it at
-// all: it writes a fresh image in one pass (pageBuild).
+// The page is the store's own immutable image (Store.Read), so the
+// sub-slices body returns stay valid however long the caller keeps them.
+// Nothing edits a page in place: every edit writes a fresh image in one
+// pass (pageBuild).
 type slots struct {
-	page  []byte
-	hdr   int // where the entries start
-	tail  int
-	n     int    // entries
-	next  uint64 // the page chained behind this one: leaf sibling, bucket overflow
-	owned bool
+	page []byte
+	hdr  int // where the entries start
+	tail int
+	n    int    // entries
+	next uint64 // the page chained behind this one: leaf sibling, bucket overflow
 }
 
 // open points s at page, whose header is hdr bytes. It returns ErrCorrupt
@@ -64,10 +62,6 @@ func (s *slots) dir() int { return len(s.page) - 2*s.n }
 // off returns directory slot i: the offset just past entry i.
 func (s *slots) off(i int) int {
 	return int(binary.BigEndian.Uint16(s.page[len(s.page)-2*(i+1):]))
-}
-
-func (s *slots) setOff(i, off int) {
-	binary.BigEndian.PutUint16(s.page[len(s.page)-2*(i+1):], uint16(off))
 }
 
 // start returns where entry i begins (for i = len(), where the next would).
@@ -150,14 +144,6 @@ func (s *slots) searchIn(lo, hi int, k []byte) (pos int, found bool, err error) 
 	return lo, found, nil
 }
 
-// own makes the page a private copy that may be edited. It is a no-op on
-// a page already owned.
-func (s *slots) own() {
-	if !s.owned {
-		s.page, s.owned = bytes.Clone(s.page), true
-	}
-}
-
 // readPage borrows the store's image of page id: one pool access, no copy.
 func readPage(store *pagestore.Store, id pagestore.PageID) ([]byte, error) {
 	raw, err := store.Read(id)
@@ -175,65 +161,10 @@ func writePage(store *pagestore.Store, id pagestore.PageID, page []byte) error {
 	return nil
 }
 
-// insert places body (key bytes, then tail) before entry pos. It reports
-// false, and changes nothing, when the entry and its directory slot do not
-// fit between the last entry and the directory. Only pages with nothing
-// behind their entries (leaves, buckets) grow.
-func (s *slots) insert(pos int, body []byte) (bool, error) {
-	end, err := s.last()
-	at, sz := s.start(pos), len(body)
-	if err != nil || at < s.hdr || at > end {
-		return false, ErrCorrupt
-	}
-	if end+sz+2 > s.dir() {
-		return false, nil
-	}
-	s.own()
-	copy(s.page[at+sz:], s.page[at:end])
-	copy(s.page[at:], body)
-	for i := s.n; i > pos; i-- {
-		s.setOff(i, s.off(i-1)+sz)
-	}
-	s.setOff(pos, at+sz)
-	s.n++
-	binary.BigEndian.PutUint16(s.page[s.hdr-10:], uint16(s.n))
-	return true, nil
-}
-
-// overwrite replaces entry pos, which the caller has read, by body of the
-// same length and the same place in the order: in place, moving nothing.
-func (s *slots) overwrite(pos int, body []byte) {
-	s.own()
-	copy(s.page[s.start(pos):], body)
-}
-
-// remove deletes entry pos and zeroes the bytes and the directory slot it
-// frees, so a page's image depends only on its entries.
-func (s *slots) remove(pos int) error {
-	end, err := s.last()
-	at, next := s.start(pos), s.off(pos)
-	if err != nil || at < s.hdr || next < at || next > end {
-		return ErrCorrupt
-	}
-	s.own()
-	sz := next - at
-	copy(s.page[at:], s.page[next:end])
-	clear(s.page[end-sz : end])
-	for i := pos; i < s.n-1; i++ {
-		s.setOff(i, s.off(i+1)-sz)
-	}
-	s.setOff(s.n-1, 0)
-	s.n--
-	binary.BigEndian.PutUint16(s.page[s.hdr-10:], uint16(s.n))
-	return nil
-}
-
 // pageBuild writes a fresh page image entry by entry, in order: nothing
 // behind an entry ever moves, so each costs its copy and one directory
-// slot. The image is the one slot edits leave with the same entries — free
-// space zeroed, the same directory — so a page rebuilt in one pass and a
-// page edited key by key are byte for byte the same. The caller sizes the
-// entries to fit.
+// slot. Free space stays zeroed, so a page's image depends only on its
+// entries. The caller sizes the entries to fit.
 type pageBuild struct {
 	page []byte
 	off  int // where the next entry goes

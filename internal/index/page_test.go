@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -116,10 +115,10 @@ func (s *slots) readAll() ([][]byte, error) {
 	return out, nil
 }
 
-// pokeSlots drives every read and edit path of an open page with probe
-// keys, and copies its entries into a fresh build: whatever the page
-// holds, each returns a result or ErrCorrupt and none indexes out of the
-// page. Probes carry the page's tail.
+// pokeSlots drives every read path of an open page with probe keys, and
+// copies its entries into a fresh build: whatever the page holds, each
+// returns a result or ErrCorrupt and none indexes out of the page. Probes
+// carry the page's tail.
 func pokeSlots(t *testing.T, s *slots, probes [][]byte) {
 	t.Helper()
 	corrupt := func(what string, err error) {
@@ -133,16 +132,6 @@ func pokeSlots(t *testing.T, s *slots, probes [][]byte) {
 		if err == nil && found {
 			if b, err := s.body(pos); err != nil || !bytes.Equal(b, k) {
 				t.Fatalf("search(%x) found position %d holding %x (err %v)", k, pos, b, err)
-			}
-		}
-	}
-	for _, k := range probes {
-		for _, pos := range []int{0, s.len() / 2, s.len()} {
-			e := *s // edits own their page: s keeps the borrowed one
-			_, err := e.insert(pos, k)
-			corrupt("insert", err)
-			if pos < e.len() {
-				corrupt("remove", e.remove(pos))
 			}
 		}
 	}
@@ -291,62 +280,6 @@ func cmpEntries(a, b []byte) int {
 		return c
 	}
 	return bytes.Compare(a[len(a)-8:], b[len(b)-8:])
-}
-
-// TestSlotsEditsMatchModel: any sequence of in-place inserts and removes
-// leaves a page that reads back exactly the model's entries, and whose
-// image is the one a fresh page gets from those entries alone — every freed
-// byte and directory slot zeroed (a page's image depends only on its
-// entries).
-func TestSlotsEditsMatchModel(t *testing.T) {
-	for _, tail := range []int{0, 8} {
-		r := rand.New(rand.NewSource(int64(tail) + 1))
-		var s slots
-		if err := s.open(make([]byte, pagestore.PageSize), hashHeaderSize, tail); err != nil {
-			t.Fatal(err)
-		}
-		var model [][]byte
-		for step := 0; step < 4000; step++ {
-			if len(model) > 0 && r.Intn(3) == 0 {
-				pos := r.Intn(len(model))
-				if err := s.remove(pos); err != nil {
-					t.Fatal(err)
-				}
-				model = slices.Delete(model, pos, pos+1)
-			} else {
-				body := make([]byte, tail+r.Intn(40))
-				r.Read(body)
-				pos := r.Intn(len(model) + 1)
-				if fits, err := s.insert(pos, body); err != nil {
-					t.Fatal(err)
-				} else if fits {
-					model = slices.Insert(model, pos, body)
-				}
-			}
-			if step%97 != 0 {
-				continue
-			}
-			var back, fresh slots
-			if err := back.open(s.page, hashHeaderSize, tail); err != nil {
-				t.Fatalf("tail %d step %d: edited page does not open: %v", tail, step, err)
-			}
-			got, err := back.readAll()
-			if err != nil || !slices.EqualFunc(got, model, bytes.Equal) {
-				t.Fatalf("tail %d step %d: page reads %d entries (err %v), model has %d", tail, step, len(got), err, len(model))
-			}
-			if err := fresh.open(make([]byte, pagestore.PageSize), hashHeaderSize, tail); err != nil {
-				t.Fatal(err)
-			}
-			for i, body := range model {
-				if fits, err := fresh.insert(i, body); err != nil || !fits {
-					t.Fatalf("tail %d step %d: the model's entries do not fit a fresh page (err %v)", tail, step, err)
-				}
-			}
-			if !bytes.Equal(s.page, fresh.page) {
-				t.Fatalf("tail %d step %d: the edited image differs from a fresh page holding the same entries", tail, step)
-			}
-		}
-	}
 }
 
 // TestWarmReadsAllocateNothing pins the read path's allocation count on a

@@ -76,10 +76,11 @@ func fwdEntry(kd bool, f index.FileID, payload []byte) (proto.IndexEntry, error)
 }
 
 // forwardLocked returns the group's forward index, creating it on first
-// use. Caller holds g.mu.
+// use: an append tree, since its keys lead with the file id and files
+// arrive in ascending order. Caller holds g.mu.
 func (n *Node) forwardLocked(g *group) (*index.BTree, error) {
 	if g.fwd == nil {
-		t, err := index.NewBTree(n.cfg.Store)
+		t, err := index.NewAppendBTree(n.cfg.Store)
 		if err != nil {
 			return nil, err
 		}

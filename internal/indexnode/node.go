@@ -588,7 +588,7 @@ func (n *Node) instFor(g *group, name string) (*inst, error) {
 	case proto.IndexBTree:
 		in.bt, err = index.NewBTree(n.cfg.Store)
 	case proto.IndexHash:
-		in.ht, err = index.NewHashIndex(n.cfg.Store, 64)
+		in.ht, err = index.NewHashIndex(n.cfg.Store, 1) // commits grow it
 	case proto.IndexKD:
 		dims := spec.Dims()
 		if dims == 0 {

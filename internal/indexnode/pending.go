@@ -308,10 +308,10 @@ const sharedWALCheckpointRecords = 4096
 
 // applyRunsLocked merges coalesced runs — at most one entry per file in
 // each, the last acknowledged write for that (index, file) — into their
-// indices and the group's forward index, in one sorted walk of the forward
-// index for all of them (forward.go). A run that has an order has all of it
-// — the key of every live entry, sorted (addPendingLocked keeps it whole,
-// dropOrderLocked drops it whole) — and its inserts are read off it;
+// indices and the group's forward index (forward.go). A run that has an
+// order has all of it — the key of every live entry, sorted
+// (addPendingLocked keeps it whole, dropOrderLocked drops it whole) — and
+// its inserts are read off it;
 // otherwise they are gathered from the entries and sorted here (split,
 // merge and image install apply such runs directly). Equivalence contract
 // (property-tested): the index state after a batched apply is identical to
@@ -319,9 +319,11 @@ const sharedWALCheckpointRecords = 4096
 // intermediate values would have been deleted again before the commit
 // ended.
 //
-// The walk stages its forward edits and reports the postings they replace;
-// the B-tree and hash removals and insertions are applied from those, and
-// only then are the forward edits written. The bulk paths are idempotent
+// One cursor pass over the forward index, in the edits' (file, index)
+// order, reads the postings they replace; the B-tree and hash removals and
+// insertions are applied from those (each hash index then grows its
+// directory), and only then are the forward edits written, as one
+// ApplySorted of the keys that change. The bulk paths are idempotent
 // (ApplySorted and ApplyBatch skip absent deletes and duplicate inserts), so a
 // retry after a partial failure re-derives the same ops from a forward
 // index that has not moved — or has, past the point where the indices
@@ -354,14 +356,18 @@ func (n *Node) applyRunsLocked(g *group, runs []*pendingRun) error {
 	s := n.takeScratch()
 	defer n.keepScratch(s)
 	s.stage(runs, ins)
-	merge, err := fwd.MergePrefixed(fwdPrefixLen, s.keys, s.noteOld)
-	if err != nil {
+	if err := s.readOld(fwd); err != nil {
 		return err
 	}
 	for r, in := range ins {
 		if in.kd == nil {
 			if err := s.applyIndex(r, in, runs[r]); err != nil {
 				return err
+			}
+			if in.ht != nil {
+				if err := in.ht.Grow(); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -372,7 +378,7 @@ func (n *Node) applyRunsLocked(g *group, runs []*pendingRun) error {
 			in.kdStale, in.kdResident = true, true // the run is applied to the tree in RAM
 		}
 	}
-	if err := merge.Apply(); err != nil {
+	if err := s.applyForward(fwd); err != nil {
 		return err
 	}
 	for r, in := range ins {
@@ -389,7 +395,7 @@ func (n *Node) applyRunsLocked(g *group, runs []*pendingRun) error {
 			// order of every later answer's page reads — the same on every
 			// run.
 			for i := range s.ops {
-				if op := &s.ops[i]; int(op.run) == r && op.oldLen < 0 && op.hi > op.lo+fwdPrefixLen {
+				if op := &s.ops[i]; int(op.run) == r && s.olds[i] == nil && op.hi > op.lo+fwdPrefixLen {
 					if err := in.kd.Insert(index.Point{Coords: runs[r].byFile[op.file].e.KDCoords, File: op.file}); err != nil {
 						return err
 					}
@@ -420,28 +426,29 @@ func checkKDRun(in *inst, run *pendingRun) error {
 
 // commitScratch is the working storage of one applyRunsLocked, kept for the
 // node's next commit so its staging is not regrown every time: one forward
-// edit per (run, file), sorted, with its key and the payload it replaced
-// in two arenas, and the index keys the commit builds in a third.
+// edit per (run, file), sorted, with its key in one arena, and the index
+// keys the commit builds in another.
 type commitScratch struct {
 	ops  []fwdOp
 	keys [][]byte // forward edit keys, in ops order
 	fwd  []byte   // the bytes of keys
-	old  []byte   // payloads the edits replaced, back to back
-	main []byte   // index keys built here: old postings' removals, unprepared inserts
+	// olds holds, in ops order, the committed key each edit replaces (nil:
+	// none): a sub-slice of an immutable page image, so it stays valid
+	// while the commit rewrites the tree.
+	olds [][]byte
+	main []byte // index keys built here: old postings' removals, unprepared inserts
+	cur  index.Cursor
 
-	del, ins       [][]byte // one B-tree run's removals and insertions
+	del, ins       [][]byte // one B-tree run's removals and insertions, then the forward index's
 	delOps, insOps []index.HashOp
 }
 
 // fwdOp is one forward edit: run's entry for file, its key at fwd[lo:hi]
-// (prefix only for a delete), the index key Update prepared for it, and
-// the payload it replaced at old[oldLo:oldLo+oldLen] (oldLen < 0: none).
+// (prefix only for a delete), and the index key Update prepared for it.
 type fwdOp struct {
 	file     index.FileID
 	prepared []byte
 	lo, hi   int32
-	oldLo    int32
-	oldLen   int32
 	ord      uint16
 	run      uint16
 }
@@ -465,8 +472,12 @@ func (n *Node) keepScratch(s *commitScratch) {
 		return
 	}
 	clear(s.ops)
+	clear(s.olds)
+	clear(s.del[:cap(s.del)])
 	clear(s.ins[:cap(s.ins)])
+	clear(s.delOps[:cap(s.delOps)])
 	clear(s.insOps[:cap(s.insOps)])
+	s.cur.Reset(nil)
 	n.scratch.CompareAndSwap(nil, s)
 }
 
@@ -501,28 +512,55 @@ func (s *commitScratch) stage(runs []*pendingRun, ins []*inst) {
 		}
 		return cmp.Compare(a.ord, b.ord)
 	})
-	s.keys, s.old, s.main = slices.Grow(s.keys[:0], count), s.old[:0], s.main[:0]
+	s.keys, s.main = slices.Grow(s.keys[:0], count), s.main[:0]
 	for _, op := range s.ops {
 		s.keys = append(s.keys, s.fwd[op.lo:op.hi])
 	}
 }
 
-// noteOld records the payload forward edit i replaced.
-func (s *commitScratch) noteOld(i int, payload []byte) {
-	op := &s.ops[i]
-	op.oldLo, op.oldLen = int32(len(s.old)), -1
-	if payload != nil {
-		s.old = append(s.old, payload...)
-		op.oldLen = int32(len(payload))
+// readOld finds the committed key each forward edit replaces, the one
+// that carries the edit's prefix. The prefixes ascend, so one cursor reads
+// them off the leaves left to right, each leaf about once.
+func (s *commitScratch) readOld(fwd *index.BTree) error {
+	s.cur.Reset(fwd)
+	s.olds = slices.Grow(s.olds[:0], len(s.keys))
+	for _, edit := range s.keys {
+		key, err := s.cur.SeekPrefix(edit[:fwdPrefixLen])
+		if err != nil {
+			return err
+		}
+		s.olds = append(s.olds, key)
 	}
+	return nil
 }
 
-// oldOf returns the payload op replaced, nil if it replaced none.
-func (s *commitScratch) oldOf(op *fwdOp) []byte {
-	if op.oldLen < 0 {
+// oldOf returns the payload edit i replaced, nil if it replaced none.
+func (s *commitScratch) oldOf(i int) []byte {
+	if s.olds[i] == nil {
 		return nil
 	}
-	return s.old[op.oldLo : op.oldLo+op.oldLen]
+	return s.olds[i][fwdPrefixLen:]
+}
+
+// applyForward writes the forward edits as one sorted edit of the keys that
+// change: each replaced key out, each live edit's key in, unless the two
+// are the same.
+func (s *commitScratch) applyForward(fwd *index.BTree) error {
+	s.del, s.ins = s.del[:0], s.ins[:0]
+	for i, key := range s.keys {
+		old := s.olds[i]
+		if bytes.Equal(old, key) {
+			continue
+		}
+		if old != nil {
+			s.del = append(s.del, old)
+		}
+		if len(key) > fwdPrefixLen {
+			s.ins = append(s.ins, key)
+		}
+	}
+	_, _, err := fwd.ApplySorted(s.del, s.ins)
+	return err
 }
 
 // applyIndex applies run r's share of the edits to its B-tree or hash
@@ -546,7 +584,7 @@ func (s *commitScratch) applyIndex(r int, in *inst, run *pendingRun) error {
 		}
 		payload := s.keys[i][fwdPrefixLen:]
 		deleted := len(payload) == 0
-		if old := s.oldOf(op); old != nil && (deleted || !bytes.Equal(old, payload)) {
+		if old := s.oldOf(i); old != nil && (deleted || !bytes.Equal(old, payload)) {
 			if in.bt != nil {
 				old = s.compositeKey(old, op.file)
 			}
@@ -606,7 +644,7 @@ func (s *commitScratch) compositeKey(enc []byte, f index.FileID) []byte {
 func (s *commitScratch) kdMoved(r int) bool {
 	for i := range s.ops {
 		op := &s.ops[i]
-		if int(op.run) == r && op.oldLen >= 0 && !bytes.Equal(s.oldOf(op), s.keys[i][fwdPrefixLen:]) {
+		if int(op.run) == r && s.olds[i] != nil && !bytes.Equal(s.oldOf(i), s.keys[i][fwdPrefixLen:]) {
 			return true
 		}
 	}

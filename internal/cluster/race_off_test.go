@@ -63,3 +63,42 @@ func TestWarmPointLookupAllocs(t *testing.T) {
 		t.Errorf("a warm point lookup allocates %.1f times, want at most %d", allocs, budget)
 	}
 }
+
+// TestWarmReplicatedUpdateAllocs pins what a warm update of a 2-way
+// replicated group allocates end to end: the client's call, the primary's
+// ack — frame, WAL append, mirror, cache insert — the follower stream's one
+// call (its sender, request and reply; the batch buffer is reused) and the
+// follower's apply. The pin has no slack: a sender that stopped reusing
+// its batch buffer would add one. Not under the race detector, which
+// inflates allocation counts.
+func TestWarmReplicatedUpdateAllocs(t *testing.T) {
+	const budget = 36 // measured 36
+	c, cl := bootCluster(t, Config{IndexNodes: 2, ReplicationFactor: 2, CacheLimit: 1 << 20})
+	ctx := context.Background()
+	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
+		t.Fatal(err)
+	}
+	update := []client.FileUpdate{{File: 7, Value: attr.Int(7), GroupHint: 1}}
+	if err := cl.Index(ctx, "size", update); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Heartbeat(ctx); err != nil { // seeds the follower
+		t.Fatal(err)
+	}
+	stats, err := cl.ClusterStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ReplicatedGroups != 1 {
+		t.Fatalf("ReplicatedGroups = %d, want 1", stats.ReplicatedGroups)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := cl.Index(ctx, "size", update); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations a replicated update", allocs)
+	if allocs > budget {
+		t.Errorf("a warm replicated update allocates %.1f times, want at most %d", allocs, budget)
+	}
+}

@@ -34,6 +34,10 @@
 //  4. An inbound transfer's own lock before the lock of the group it
 //     holds across calls; n.xferMu is held only for the table's map
 //     access (transfer.go).
+//  5. group.mu before a replica's mu (replication.go). A replica's sender
+//     takes only its own lock, so g.mu is never held while waiting on a
+//     follower: Update waits for its followers' watermark after releasing
+//     the group.
 //
 // A group removed from the registry (leave) is marked dead under its
 // lock; lockLive/lockGroup/lockOrCreateGroup encapsulate the re-resolve
@@ -207,17 +211,24 @@ type group struct {
 	// updates and strict searches with perr.ErrStalePlacement, and never
 	// writes the shared-store mirror. Cleared by a promotion or recovery.
 	follower bool
-	// replSeq is the replication stream position: on a primary it counts
-	// acknowledged updates (bumped whether or not followers exist, so a
-	// later replica seeding starts from a true position); on a follower it
-	// is the last contiguously applied stream sequence. Carried in images
-	// so it survives migration and seeding.
+	// replSeq is the replication stream position: on a primary it numbers
+	// the frames Update appends (bumped whether or not followers exist, so
+	// a later replica seeding starts from a true position) — the last one
+	// may still await its followers' watermark; on a follower it is the
+	// last contiguously applied stream sequence. Carried in images so it
+	// survives migration and seeding.
 	replSeq uint64
-	// reps is the primary's streaming ack set — the followers every
-	// acknowledged frame is synchronously appended to. A failed append
-	// cuts the follower here; the Master notices it missing from the next
-	// heartbeat's Followers list and re-seeds it. Empty on followers.
-	reps []proto.ReplicaRef
+	// reps is the primary's streaming ack set: one replica (replication.go)
+	// per follower, each queueing the frames Update enqueues under mu and
+	// confirming them off it. A failed append cuts the follower; the
+	// Master notices it missing from the next heartbeat's Followers list
+	// and re-seeds it. The slice is replaced, never edited in place, so an
+	// Update may range over its own copy after releasing mu. Empty on
+	// followers.
+	reps []*replica
+	// commitQueued says a follower copy's due commit waits for its
+	// goroutine (commitFollowerLocked).
+	commitQueued bool
 }
 
 // Node is an Index Node.
@@ -330,8 +341,9 @@ type Node struct {
 	acgCommits metrics.CounterSet
 
 	// peers caches the connections this node's primaries stream
-	// replication frames over (per-update path; dial once, drop on
-	// failure), LRU-bounded; its evictions surface in NodeStats.
+	// replication frames over (per-update path; dial once, drop when a
+	// call goes unanswered), LRU-bounded; its evictions surface in
+	// NodeStats.
 	peers rpc.ConnCache
 
 	// xfers are the open inbound transfers, by group (transfer.go);
@@ -617,10 +629,12 @@ func (n *Node) instFor(g *group, name string) (*inst, error) {
 // index keys the batch apply will sort on are encoded into one buffer.
 // That one frame is what the group
 // log, the shared-store mirror and the follower stream all append. The
-// critical section holds only the in-memory log append and the coalescing
-// cache insert (in key order when the group is being read, so its Strict
-// searches can seek the cache) — plus, every CacheLimit entries, the batch
-// commit (commitIfDueLocked).
+// critical section holds only the log append, the mirror, the frame's
+// enqueue on each follower's stream and the coalescing cache insert (in
+// key order when the group is being read, so its Strict searches can seek
+// the cache) — plus, every CacheLimit entries, the batch commit
+// (commitIfDueLocked). A replicated group's ack then waits, off the lock,
+// until every follower still in the ack set has confirmed the frame.
 func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateResp, error) {
 	// Admission runs before any work: a shed update was never logged or
 	// cached, so ErrOverloaded can never alias an acknowledged write.
@@ -675,13 +689,28 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 	if err != nil {
 		return proto.UpdateResp{}, err
 	}
-	defer g.mu.Unlock()
+	resp, seq, reps, err := n.updateLocked(g, req, framed, keys)
+	g.mu.Unlock()
+	if err != nil {
+		return proto.UpdateResp{}, err
+	}
+	for _, r := range reps {
+		r.waitAcked(seq)
+	}
+	resp.Epoch = n.epoch()
+	return resp, nil
+}
+
+// updateLocked is Update's critical section. It returns the frame's stream
+// sequence and the ack set the frame was enqueued on. Caller holds g.mu.
+func (n *Node) updateLocked(g *group, req proto.UpdateReq, framed []byte, keys [][]byte) (
+	resp proto.UpdateResp, seq uint64, reps []*replica, err error) {
 	if g.follower {
 		// Follower copies accept only the primary's replication stream; a
 		// direct update here is a client routed by a stale (or replica)
 		// target.
 		n.staleRejects.Inc()
-		return proto.UpdateResp{}, fmt.Errorf(
+		return resp, 0, nil, fmt.Errorf(
 			"indexnode %s: acg %d is a follower replica (node epoch %d): %w",
 			n.cfg.ID, req.ACG, n.placementEpoch.Load(), perr.ErrStalePlacement)
 	}
@@ -689,27 +718,28 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 		for _, e := range req.Entries {
 			if g.movedOut[e.File] {
 				n.staleRejects.Inc()
-				return proto.UpdateResp{}, fmt.Errorf(
+				return resp, 0, nil, fmt.Errorf(
 					"indexnode %s: file %d split away from acg %d (node epoch %d): %w",
 					n.cfg.ID, e.File, req.ACG, n.placementEpoch.Load(), perr.ErrStalePlacement)
 			}
 		}
 	}
 	if err := g.log.AppendFramed(framed); err != nil {
-		return proto.UpdateResp{}, fmt.Errorf("indexnode update: %w", err)
+		return resp, 0, nil, fmt.Errorf("indexnode update: %w", err)
 	}
 	// Mirror the acknowledged record to shared storage: the durability the
 	// ack promises must survive this node, not just this process.
 	if n.cfg.Shared != nil {
 		n.cfg.Shared.AppendWAL(g.id, framed)
 	}
-	// Stream the acknowledged frame to the follower ack set before
-	// acknowledging: acked durability = primary append + shared mirror +
-	// follower appends. The sequence bumps on every ack (replicated or
-	// not) so a replica seeded later starts from a true stream position.
+	// Enqueue the frame on every follower's stream; Update waits for their
+	// watermark after releasing the group: acked durability = primary
+	// append + shared mirror + follower appends. The sequence bumps on
+	// every ack (replicated or not) so a replica seeded later starts from a
+	// true stream position.
 	g.replSeq++
-	if len(g.reps) > 0 {
-		n.streamToFollowersLocked(ctx, g, framed)
+	for _, r := range g.reps {
+		n.enqueue(r, framed, g.replSeq)
 	}
 	for i, e := range req.Entries {
 		g.files[e.File] = true
@@ -720,9 +750,9 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 		n.addPendingLocked(g, req.IndexName, e, key)
 	}
 	if err := n.commitIfDueLocked(g); err != nil {
-		return proto.UpdateResp{}, err
+		return resp, 0, nil, err
 	}
-	return proto.UpdateResp{Cached: g.pendingCount, Epoch: n.epoch()}, nil
+	return proto.UpdateResp{Cached: g.pendingCount}, g.replSeq, g.reps, nil
 }
 
 // FlushACG merges a client-captured causality fragment into the group's
@@ -879,8 +909,9 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 			// The primary's ack set doubles as the Master's cut detector: a
 			// registered replica missing here was cut (or never inherited
 			// after a migration) and gets unseeded and re-seeded.
-			for _, rep := range g.reps {
-				am.Followers = append(am.Followers, rep.Node)
+			g.pruneRepsLocked()
+			for _, r := range g.reps {
+				am.Followers = append(am.Followers, r.ref.Node)
 			}
 		}
 		req.ACGs = append(req.ACGs, am)

@@ -208,6 +208,56 @@ func TestFollowerAppendDuplicateAndGap(t *testing.T) {
 	if resp.Seq != 6 {
 		t.Errorf("append returned seq %d, want 6", resp.Seq)
 	}
+
+	// A batch that overlaps the applied position (positions 5–8, a re-send
+	// after a lost reply) applies only its unseen suffix, 7 and 8: two
+	// records in the follower's WAL, two frames applied.
+	var batch []byte
+	for f := 55; f <= 58; f++ {
+		u := proto.UpdateReq{ACG: 1, IndexName: "size", Entries: []proto.IndexEntry{{File: index.FileID(f), Value: attr.Int(int64(f))}}}
+		batch = append(batch, wal.FrameRecord(u.MarshalWire(nil))...)
+	}
+	g := r.b.lockGroup(1)
+	logBefore := g.log.Len()
+	g.mu.Unlock()
+	before, _ := r.b.NodeStats(ctx, proto.NodeStatsReq{})
+	resp, err = r.b.FollowerAppend(ctx, proto.FollowerAppendReq{ACG: 1, Frames: batch, Seq: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Seq != 8 {
+		t.Errorf("overlapping batch returned seq %d, want 8", resp.Seq)
+	}
+	after, _ := r.b.NodeStats(ctx, proto.NodeStatsReq{})
+	g = r.b.lockGroup(1)
+	logGrew, f55, f57 := g.log.Len()-logBefore, g.pendingHas("size", 55), g.pendingHas("size", 57)
+	g.mu.Unlock()
+	if logGrew != 2 || after.FollowerAppends-before.FollowerAppends != 2 {
+		t.Errorf("overlapping batch grew the WAL by %d records and applied %d frames, want 2 and 2",
+			logGrew, after.FollowerAppends-before.FollowerAppends)
+	}
+	if f55 || !f57 {
+		t.Errorf("after the overlapping batch file 55 pending = %v, file 57 = %v; want only the suffix (57) applied", f55, f57)
+	}
+	// A batch that starts past the next position (10 when 9 is next) is
+	// refused whole.
+	if _, err := r.b.FollowerAppend(ctx, proto.FollowerAppendReq{ACG: 1, Frames: batch, Seq: 10}); err == nil {
+		t.Error("a batch past a stream gap should be refused")
+	}
+	if resp, err := r.b.FollowerAppend(ctx, proto.FollowerAppendReq{ACG: 1, Seq: 9}); err != nil || resp.Seq != 8 {
+		t.Errorf("after the refused batch the follower is at %d (%v), want 8", resp.Seq, err)
+	}
+}
+
+// pendingHas reports whether the group's cache holds an entry for file in
+// the named index. Caller holds g.mu.
+func (g *group) pendingHas(name string, file index.FileID) bool {
+	run := g.run(name)
+	if run == nil {
+		return false
+	}
+	_, ok := run.byFile[file]
+	return ok
 }
 
 // TestPromoteACGReconcilesAcknowledgedTail is the loss-window guard: a
@@ -302,10 +352,10 @@ func TestFollowerNeverWritesSharedMirror(t *testing.T) {
 	}
 }
 
-// TestFollowerCacheAndWALAreBounded: a follower applies the same cache
-// limit the primary's ack does. Without it nothing commits a follower
-// between ticks, and under a steady stream its cache and its WAL grow with
-// the stream.
+// TestFollowerCacheAndWALAreBounded: a follower commits at the same cache
+// limit the primary's ack does, after its reply, and inline at twice the
+// limit. Without it nothing commits a follower between ticks, and under a
+// steady stream its cache and its WAL grow with the stream.
 func TestFollowerCacheAndWALAreBounded(t *testing.T) {
 	r := newTransferRig(t)
 	ctx := context.Background()
@@ -323,9 +373,9 @@ func TestFollowerCacheAndWALAreBounded(t *testing.T) {
 		g := r.b.lockGroup(1)
 		pending, walRecords := g.pendingCount, g.log.Len()
 		g.mu.Unlock()
-		if pending >= limit || walRecords >= limit {
-			t.Fatalf("after %d streamed entries the follower holds %d cached entries and %d WAL records (limit %d)",
-				i+1, pending, walRecords, limit)
+		if pending >= 2*limit || walRecords >= 2*limit {
+			t.Fatalf("after %d streamed entries the follower holds %d cached entries and %d WAL records (bound %d)",
+				i+1, pending, walRecords, 2*limit)
 		}
 	}
 	st, err := r.b.NodeStats(ctx, proto.NodeStatsReq{})
@@ -338,9 +388,10 @@ func TestFollowerCacheAndWALAreBounded(t *testing.T) {
 	if r.shared.WALRecords(1) < limit {
 		t.Errorf("shared mirror holds %d WAL records: a follower's commit must not touch it", r.shared.WALRecords(1))
 	}
-	// What the follower committed is what the primary acknowledged.
+	// What the follower committed is what the primary acknowledged: all
+	// but its last 2 × limit entries at least.
 	lazy, err := r.b.Search(ctx, proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=" + strconv.Itoa(3*limit-10), Consistency: proto.ConsistencyLazy,
+		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=" + strconv.Itoa(limit), Consistency: proto.ConsistencyLazy,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 			return 0, fmt.Errorf("indexnode split dial %s: %w", o.Dest.Addr, err)
 		}
 		if err := n.shipGroupLocked(ctx, peer, g, filter, meta); err != nil {
-			n.peers.Drop(o.Dest.Addr)
+			n.dropPeer(o.Dest.Addr, err)
 			return 0, fmt.Errorf("indexnode split acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 		}
 	}

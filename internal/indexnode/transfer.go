@@ -199,9 +199,10 @@ func (n *Node) adoptLocked(ctx context.Context, a *imageApplier, walBytes []byte
 }
 
 // transferIdle bounds how long an open inbound transfer waits for its next
-// chunk, and how long a sender waits for a chunk's answer. A transfer holds
-// its group's lock between calls, and Tick and Heartbeat lock every group,
-// so a sender that dies mid-transfer must not hold that lock for longer.
+// chunk, and how long a sender waits for a chunk's or a follower append's
+// answer. A transfer holds its group's lock between calls, and Tick and
+// Heartbeat lock every group, so a sender that dies mid-transfer must not
+// hold that lock for longer.
 // A real-time timer reaps the transfer, not Tick: a Tick blocked on the
 // held lock would never reach a reaper inside itself.
 var transferIdle = 5 * time.Second
@@ -353,10 +354,14 @@ func (n *Node) endTransfer(t *transferIn, err error) {
 // marks the group dead (a caller blocked on its lock re-resolves instead of
 // mutating the orphan), removes it from the registry and tombstones the id
 // at epoch, so traffic routed here by a stale placement cache gets
-// perr.ErrStalePlacement and never recreates the group. g is the group,
+// perr.ErrStalePlacement and never recreates the group. The group's
+// follower stream is cut: a departed copy streams nothing. g is the group,
 // locked by the caller, or nil when the node holds no copy; then only the
 // tombstone is written, unless a copy arrived meanwhile.
 func (n *Node) leave(id proto.ACGID, g *group, epoch proto.Epoch) {
+	if g != nil {
+		g.cutStreamLocked()
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if g != nil {
@@ -453,7 +458,8 @@ func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[i
 // then leave. Any failure before the Master's rebind leaves this node the
 // owner, with its mirror holding every acknowledged update (the
 // destination's orphan copy is reconciled away by the double-ownership
-// guard).
+// guard). The group's follower stream runs on until leave cuts it: the
+// image already holds every frame the stream carries.
 func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
 	if o.Dest.Node == n.cfg.ID {
 		return nil // already home
@@ -475,7 +481,7 @@ func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
 	}
 	meta := proto.ReceiveACGMeta{ACG: g.id, Epoch: n.epoch(), ReplSeq: g.replSeq}
 	if err := n.shipGroupLocked(ctx, peer, g, nil, meta); err != nil {
-		n.peers.Drop(o.Dest.Addr)
+		n.dropPeer(o.Dest.Addr, err)
 		return fmt.Errorf("indexnode transfer acg %d to %s: %w", o.ACG, o.Dest.Node, err)
 	}
 	epoch, err := n.report(ctx, o, nil)

@@ -569,19 +569,23 @@ type FlushACGResp struct {
 	OK bool
 }
 
-// FollowerAppendReq streams one acknowledged WAL frame from a group's
-// primary to one follower. Appends are synchronous on the update path:
-// acknowledged durability is primary WAL append + shared-store mirror +
-// follower appends. Seq numbers frames contiguously; a follower seeing a
-// gap (it missed frames) refuses, the primary cuts it from the ack set, and
-// the Master re-seeds it.
+// FollowerAppendReq streams a run of WAL frames from a group's primary to
+// one follower: every frame that queued on the (group, follower) stream
+// while its previous call was in flight. An update's ack waits until each
+// follower has confirmed its frame: acknowledged durability is primary WAL
+// append + shared-store mirror + follower appends. Seq numbers frames
+// contiguously; a follower seeing a gap (it missed frames) refuses, the
+// primary cuts it from the ack set, and the Master re-seeds it.
 type FollowerAppendReq struct {
 	ACG ACGID
-	// Frames is one framed WAL record (the exact bytes the primary
-	// appended locally and mirrored to shared storage).
+	// Frames is a run of framed WAL records, each the exact bytes the
+	// primary appended locally and mirrored to shared storage, in stream
+	// order.
 	Frames []byte
-	// Seq is this frame's sequence; the follower accepts iff its applied
-	// position is exactly Seq-1 (== Seq is an idempotent duplicate).
+	// Seq is the first frame's sequence. The follower applies the frames
+	// past its applied position and refuses the call if Seq is beyond the
+	// next one (frames at or below its position are idempotent
+	// duplicates).
 	Seq uint64
 	// Epoch is the newest placement epoch the primary has seen.
 	Epoch Epoch

@@ -16,9 +16,11 @@ const ConnCacheSize = 32
 // shared by every later call: a client's connections to Index Nodes and a
 // node's connections to its peers. A cached connection observed closed
 // (peer loss, or torn down by a cancelled mid-write call) is replaced by a
-// redial, and a caller whose call on it failed drops it (Drop). Adding an
-// address to a full cache closes the least-recently-used connection,
-// counted by Evictions; its address redials on next use.
+// redial, and a caller whose call on it went unanswered drops it (Drop; a
+// refusal the peer sent leaves the connection to the other calls sharing
+// it, see Answered). Adding an address to a full cache closes the
+// least-recently-used connection, counted by Evictions; its address
+// redials on next use.
 //
 // Dials run with the cache unlocked: toward a black-holed address a dial
 // lasts until the caller's deadline, and calls to healthy addresses must
@@ -95,9 +97,9 @@ func (cc *ConnCache) liveLocked(addr string) *Client {
 	return e.c
 }
 
-// Drop closes and forgets the connection to addr after a failed call, so
-// the next Get redials instead of reusing a broken pipe. A drop is not an
-// eviction and is not counted as one.
+// Drop closes and forgets the connection to addr after a call on it went
+// unanswered, so the next Get redials instead of reusing a broken pipe. A
+// drop is not an eviction and is not counted as one.
 func (cc *ConnCache) Drop(addr string) {
 	cc.mu.Lock()
 	e := cc.conns[addr]

@@ -622,9 +622,26 @@ func (c *Client) call(ctx context.Context, method string, msg any) ([]byte, erro
 		c.clock.Advance(c.profile.cost(len(resp.Body)))
 	}
 	if resp.ErrMsg != "" {
-		return nil, perr.FromWire(resp.ErrCode, resp.ErrMsg)
+		return nil, &remoteError{perr.FromWire(resp.ErrCode, resp.ErrMsg)}
 	}
 	return resp.Body, nil
+}
+
+// remoteError is an error the peer sent as its reply: the call completed,
+// and the connection it travelled is as healthy as it was before.
+type remoteError struct{ err error }
+
+func (e *remoteError) Error() string { return e.err.Error() }
+func (e *remoteError) Unwrap() error { return e.err }
+
+// Answered reports whether err is a reply the peer sent — a refusal it
+// meant — rather than a call that got no answer: a closed client, a failed
+// write or an expired deadline. The connection of an answered call is
+// intact and stays in use; one whose call went unanswered may be wedged,
+// and its user drops it from a ConnCache.
+func Answered(err error) bool {
+	var r *remoteError
+	return errors.As(err, &r)
 }
 
 // abandon unregisters call id. Its slot is dropped with it: the reader may

@@ -110,6 +110,9 @@ func TestTaxonomyErrorsSurviveTheWire(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "ghost") {
 		t.Errorf("remote message lost: %v", err)
 	}
+	if !Answered(err) {
+		t.Errorf("a handler's error is the peer's answer: Answered(%v) = false", err)
+	}
 	_, err = Call[echoReq, echoResp](context.Background(), c, "badquery", echoReq{})
 	if !errors.Is(err, perr.ErrBadQuery) {
 		t.Errorf("err = %v, want ErrBadQuery across the wire", err)
@@ -138,6 +141,9 @@ func TestCallCancellation(t *testing.T) {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		if Answered(err) {
+			t.Errorf("a cancelled call got no answer: Answered(%v) = true", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled call never returned")
@@ -253,8 +259,8 @@ func TestClientClosedCallFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = s.Close()
-	if _, err := Call[echoReq, echoResp](context.Background(), c, "x", echoReq{}); err == nil {
-		t.Error("call on closed client should fail")
+	if _, err := Call[echoReq, echoResp](context.Background(), c, "x", echoReq{}); err == nil || Answered(err) {
+		t.Errorf("call on closed client = %v, want an unanswered failure", err)
 	}
 }
 

@@ -64,15 +64,38 @@ func SealFrame(frame []byte) []byte {
 	return frame
 }
 
-// AppendFramed counts a record already framed by FrameRecord and charges
-// its sequential write, batched with every concurrent appender on the
-// committer. It returns once the batch holding the record is on the device.
+// AppendFramed counts the records of a run of frames built by FrameRecord
+// (one, or a follower's streamed batch) and charges their sequential write,
+// batched with every concurrent appender on the committer. It returns once
+// the batch holding them is on the device.
 func (l *Log) AppendFramed(framed []byte) error {
-	l.count.Add(1)
+	l.count.Add(int64(Records(framed)))
 	if err := l.gc.Append(int64(len(framed))); err != nil {
 		return fmt.Errorf("wal append: %w", err)
 	}
 	return nil
+}
+
+// Records returns how many whole frames a run of frames holds, reading
+// only their length headers.
+func Records(frames []byte) int {
+	_, n := SkipRecords(frames, len(frames))
+	return n
+}
+
+// SkipRecords returns frames past its first k whole frames, and how many it
+// skipped: fewer than k when the run holds fewer.
+func SkipRecords(frames []byte, k int) ([]byte, int) {
+	n := 0
+	for n < k && len(frames) >= recordHeader {
+		size := recordHeader + int(binary.BigEndian.Uint32(frames[0:4]))
+		if size > len(frames) {
+			break
+		}
+		frames = frames[size:]
+		n++
+	}
+	return frames, n
 }
 
 // Len returns the number of records appended since the last Truncate.

@@ -65,6 +65,21 @@ func TestAppendFramedChargesDisk(t *testing.T) {
 	if l.Len() != 1 {
 		t.Errorf("Len = %d, want 1", l.Len())
 	}
+	// A run of frames — a follower's streamed batch — counts each record,
+	// and SkipRecords steps over whole frames only.
+	run := image([]byte("a"), []byte("bb"), []byte("ccc"))
+	if err := l.AppendFramed(run); err != nil {
+		t.Fatal(err)
+	}
+	if l.Len() != 4 {
+		t.Errorf("Len after a three-frame run = %d, want 4", l.Len())
+	}
+	if rest, n := SkipRecords(run, 2); n != 2 || !bytes.Equal(rest, FrameRecord([]byte("ccc"))) {
+		t.Errorf("SkipRecords(run, 2) = %x, %d; want the third frame, 2", rest, n)
+	}
+	if rest, n := SkipRecords(run[:len(run)-1], 5); n != 2 || Records(rest) != 0 {
+		t.Errorf("SkipRecords over a torn third frame skipped %d, left %d records; want 2 and 0", n, Records(rest))
+	}
 }
 
 func TestReplayEarlyStop(t *testing.T) {

@@ -47,12 +47,6 @@ type Config struct {
 	UseTCP bool
 	// CacheLimit is each node's pending-entry bound before forced commit.
 	CacheLimit int
-	// SearchFanout bounds each node's multi-ACG search worker pool
-	// (0 = the node default: GOMAXPROCS capped at 8; 1 = serial pass).
-	// Virtual-time experiment drivers pin 1 so their simulated disk
-	// charges — and therefore their printed tables — are byte-identical
-	// across runs; deployments keep the parallel default.
-	SearchFanout int
 	// HeartbeatTimeout enables the failure control plane: nodes are wired
 	// to a shared store (WAL mirroring + checkpoints), and the Master's
 	// liveness sweep marks nodes silent past this virtual duration dead and
@@ -201,9 +195,8 @@ func (c *Cluster) bootNode(i int) (*indexnode.Node, *simdisk.Disk, *pagestore.St
 		Dial: func(ctx context.Context, addr string) (*rpc.Client, error) {
 			return c.DialFrom(ctx, name, addr)
 		},
-		SearchFanout: c.cfg.SearchFanout,
-		MaxInflight:  c.cfg.MaxInflight,
-		Shared:       c.shared,
+		MaxInflight: c.cfg.MaxInflight,
+		Shared:      c.shared,
 	})
 	if err != nil {
 		return nil, nil, nil, "", err

@@ -14,13 +14,12 @@ import (
 
 // TestWarmPointLookupAllocs pins what a warm point lookup allocates end to
 // end, client and both Index Nodes together: a B-tree equality search of a
-// 2-node pipe cluster, 8 groups a node, at the default fan-out
-// (AllocsPerRun runs at one P, so each node's pass is its serial path).
-// What is left is the query's parse and predicate set, the two round trips
-// (read buffers, each call's request and response, the node's request
-// decode and handler goroutine) and the answer: each node's page, its
-// decode, and the client's merge. Not under the race detector, which
-// inflates allocation counts.
+// 2-node pipe cluster, 8 groups a node, each node scanning its groups in
+// one pass on the handler's goroutine. What is left is the query's parse
+// and predicate set, the two round trips (read buffers, each call's
+// request and response, the node's request decode and handler goroutine)
+// and the answer: each node's page, its decode, and the client's merge.
+// Not under the race detector, which inflates allocation counts.
 func TestWarmPointLookupAllocs(t *testing.T) {
 	const budget = 36 // measured 34
 	_, cl := bootCluster(t, Config{IndexNodes: 2})

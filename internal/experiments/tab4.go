@@ -52,7 +52,6 @@ func runTab4(opts Options) (*Result, error) {
 				// speedups.
 				PoolPagesPerNode: dsSize / 400,
 				NetProfile:       rpc.GigabitLAN(),
-				SearchFanout:     1, // deterministic virtual-time charges
 			})
 			if err != nil {
 				return nil, err

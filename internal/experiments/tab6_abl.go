@@ -67,7 +67,7 @@ func runTab6(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	node, err := indexnode.New(indexnode.Config{ID: "pm", Store: store, Disk: disk, Clock: clock, SearchFanout: 1})
+	node, err := indexnode.New(indexnode.Config{ID: "pm", Store: store, Disk: disk, Clock: clock})
 	if err != nil {
 		return nil, err
 	}
@@ -150,10 +150,7 @@ func runAblLazyCache(opts Options) (*Result, error) {
 		if disable {
 			limit = 1 // every update commits before it is acknowledged
 		}
-		node, err := indexnode.New(indexnode.Config{
-			ID: "abl", Store: store, Disk: disk, Clock: clk, CacheLimit: limit,
-			SearchFanout: 1, // deterministic virtual-time charges
-		})
+		node, err := indexnode.New(indexnode.Config{ID: "abl", Store: store, Disk: disk, Clock: clk, CacheLimit: limit})
 		if err != nil {
 			return 0, err
 		}

@@ -43,8 +43,6 @@ func newSingleNode(poolPages int, cacheLimit int) (*singleNode, error) {
 	node, err := indexnode.New(indexnode.Config{
 		ID: "in-single", Store: store, Disk: disk, Clock: clk,
 		CommitTimeout: 5 * time.Second, CacheLimit: cacheLimit,
-		// Serial search pass keeps simulated disk charges deterministic.
-		SearchFanout: 1,
 	})
 	if err != nil {
 		return nil, err

@@ -109,7 +109,6 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 	// summing to the node total and the retired label is reclaimed (gd's
 	// cached handle stays valid: Fold reuses dst's counter object).
 	n.acgCommits.Fold(acgLabel(dst), acgLabel(src))
-	n.mergeEpoch.Add(1)
 	unlock()
 	return nil
 }

@@ -142,6 +142,43 @@ func TestMergeACGs(t *testing.T) {
 	}
 }
 
+// TestMergeMidPassRefusesTheSource: a search pass visits its groups one at
+// a time, so a merge can land between two of them. Read dst, merge src
+// into dst, then read src: src's files now sit in the dst already read,
+// and the source's tombstone refuses the read typed, so the client
+// re-resolves instead of taking a short page. The other order reads src's
+// files twice, and the collector keeps each once.
+func TestMergeMidPassRefusesTheSource(t *testing.T) {
+	const dst, src = proto.ACGID(1), proto.ACGID(2)
+	for _, order := range [][2]proto.ACGID{{dst, src}, {src, dst}} {
+		n, _ := newTestNode(t)
+		n.DeclareIndex(sizeSpec)
+		seedGroup(t, n, dst, 0, 10)
+		seedGroup(t, n, src, 10, 20)
+		req := proto.SearchReq{ACGs: order[:], IndexName: "size", Query: "size>0"}
+		q, err := compileQuery(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := acquireScanner(n, q, req)
+		if _, err := n.searchOneGroup(order[0], req, sc); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.MergeACGs(context.Background(), dst, src); err != nil {
+			t.Fatal(err)
+		}
+		_, err = n.searchOneGroup(order[1], req, sc)
+		files, _ := sc.col.page()
+		switch {
+		case order[1] == src && !errors.Is(err, perr.ErrStalePlacement):
+			t.Errorf("read of the merged-away source = %v, want ErrStalePlacement", err)
+		case order[1] == dst && (err != nil || len(files) != 19): // file 0 has size 0
+			t.Errorf("read of the destination after the source = %d files, %v; want 19, nil", len(files), err)
+		}
+		sc.release()
+	}
+}
+
 func TestMergeACGsErrors(t *testing.T) {
 	n, _ := newTestNode(t)
 	n.DeclareIndex(sizeSpec)

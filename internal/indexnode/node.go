@@ -41,9 +41,7 @@
 //
 // A group removed from the registry (leave) is marked dead under its
 // lock; lockLive/lockGroup/lockOrCreateGroup encapsulate the re-resolve
-// protocol so no caller ever mutates an orphaned group. Multi-group
-// searches re-run when n.mergeEpoch moves during the pass, so a concurrent
-// merge cannot make acknowledged files vanish from a result set.
+// protocol so no caller ever mutates an orphaned group.
 package indexnode
 
 import (
@@ -99,9 +97,6 @@ type Config struct {
 	Master *rpc.Client
 	// Dial opens connections to peer Index Nodes for ACG migration.
 	Dial Dialer
-	// SearchFanout bounds the worker pool a multi-ACG search fans out
-	// over (0 = GOMAXPROCS capped at 8; 1 = serial pass).
-	SearchFanout int
 	// MaxInflight bounds the admission queue: at most this many
 	// Update/Search handlers run at once, the rest are shed with
 	// perr.ErrOverloaded before any work (0 = unbounded, no admission
@@ -258,9 +253,6 @@ type Node struct {
 	// mergeMu serializes merges (the only operations locking two groups),
 	// keeping the registry lock out of the merge data path.
 	mergeMu sync.Mutex
-	// mergeEpoch counts completed merges; multi-group searches use it to
-	// detect a merge moving files between their per-group snapshots.
-	mergeEpoch atomic.Int64
 
 	// specMu guards the index spec table and the ordinals the node gives
 	// index names in declaration order (forward keys carry them; they never
@@ -898,7 +890,6 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 	req := proto.HeartbeatReq{
 		Node:       n.cfg.ID,
 		QueueDepth: n.adm.depth(),
-		Shed:       n.updatesShed.Value() + n.searchesShed.Value(),
 	}
 	for _, g := range n.groupsSnapshot() {
 		if !g.lockLive() {

@@ -389,3 +389,107 @@ func TestOrderedRunWritersSearchersAndTick(t *testing.T) {
 		t.Errorf("%d commits, %d read-throughs: the writers were to cross CacheLimit several times beside readers", st.Commits, st.StrictReadThroughs)
 	}
 }
+
+// TestRaceSearchesFollowMerges drives concurrent multi-group searches
+// against live writers, a merger and a ticker. Run under -race: each
+// search's per-group critical sections must keep every access inside a
+// lock. Writers and searchers follow the merges as clients follow the
+// Master's rebind.
+func TestRaceSearchesFollowMerges(t *testing.T) {
+	n, clk := newTestNode(t, func(c *Config) { c.CacheLimit = 64 })
+	n.DeclareIndex(sizeSpec)
+
+	const acgs = 8
+	const writers = 4
+	const perWriter = 120
+	allACGs := make([]proto.ACGID, acgs)
+	for i := range allACGs {
+		allACGs[i] = proto.ACGID(i + 1)
+	}
+	var m mergeMap
+	var wg sync.WaitGroup
+	errCh := make(chan error, writers+8)
+	stop := make(chan struct{})
+
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				f := index.FileID(w*perWriter + i)
+				if err := m.update(context.Background(), n, proto.UpdateReq{
+					ACG: proto.ACGID(int(f)%acgs + 1), IndexName: "size",
+					Entries: []proto.IndexEntry{{File: f, Value: attr.Int(int64(f)%13 + 1)}},
+				}); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}(w)
+	}
+	background := func(fn func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fn(); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	// Paged and unlimited searches across every ACG.
+	background(func() error {
+		_, err := m.search(context.Background(), n, proto.SearchReq{
+			ACGs: allACGs, IndexName: "size", Query: "size>0", Limit: 16,
+		})
+		return err
+	})
+	background(func() error {
+		_, err := m.search(context.Background(), n, proto.SearchReq{
+			ACGs: allACGs, IndexName: "size", Query: "size=5",
+		})
+		return err
+	})
+	// Merger and ticker stress the dead-group and commit paths mid-pass.
+	background(func() error {
+		return m.compact(context.Background(), n, 4)
+	})
+	background(func() error {
+		clk.Advance(6 * 1e9)
+		return n.Tick()
+	})
+
+	writersDone := make(chan struct{})
+	go func() {
+		defer close(writersDone)
+		for {
+			st, err := n.NodeStats(context.Background(), proto.NodeStatsReq{})
+			if err != nil || st.Files >= writers*perWriter {
+				return
+			}
+		}
+	}()
+	<-writersDone
+	close(stop)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+
+	// Every acknowledged update must be visible, exactly once.
+	resp, err := m.search(context.Background(), n, proto.SearchReq{ACGs: allACGs, IndexName: "size", Query: "size>0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Files) != writers*perWriter {
+		t.Errorf("final search = %d files, want %d", len(resp.Files), writers*perWriter)
+	}
+}

@@ -189,9 +189,9 @@ func (tw *rtTwins) preds(spec proto.IndexSpec) []query.Predicate {
 	return out
 }
 
-// search answers req on one rig's node with the given fan-out. On the
-// reference rig every requested group is committed first.
-func (tw *rtTwins) search(r *transferRig, which, fanout int, req proto.SearchReq) proto.SearchResp {
+// search answers req on one rig's node. On the reference rig every
+// requested group is committed first.
+func (tw *rtTwins) search(r *transferRig, which int, req proto.SearchReq) proto.SearchResp {
 	n := tw.node(r, which)
 	for _, id := range req.ACGs {
 		g := n.lockGroup(id)
@@ -209,7 +209,6 @@ func (tw *rtTwins) search(r *transferRig, which, fanout int, req proto.SearchReq
 			tw.t.Fatal(err)
 		}
 	}
-	n.cfg.SearchFanout = fanout
 	resp, err := n.Search(context.Background(), req)
 	if err != nil {
 		tw.t.Fatalf("search %s %v: %v", req.IndexName, req.Preds, err)
@@ -238,9 +237,8 @@ func (tw *rtTwins) compare(which int) {
 	req := proto.SearchReq{ACGs: acgs, IndexName: spec.Name, Preds: tw.preds(spec),
 		Limit: []int{0, 1, 3, 16}[tw.rnd.Intn(4)]}
 	for page := 0; ; page++ {
-		got := tw.search(tw.rt, which, 1, req)
-		par := tw.search(tw.rt, which, 4, req)
-		want := tw.search(tw.ref, which, 1, req)
+		got := tw.search(tw.rt, which, req)
+		want := tw.search(tw.ref, which, req)
 		describe := func() string {
 			return fmt.Sprintf("node %d index %s %v limit %d page %d after %d/%v",
 				which, spec.Name, req.Preds, req.Limit, page, req.After, req.AfterSet)
@@ -249,11 +247,8 @@ func (tw *rtTwins) compare(which int) {
 			t.Fatalf("%s:\n read-through      %v more=%v retained=%d\n commit-then-read  %v more=%v retained=%d",
 				describe(), got.Files, got.More, got.MaxRetained, want.Files, want.More, want.MaxRetained)
 		}
-		if !slices.Equal(par.Files, got.Files) || par.More != got.More {
-			t.Fatalf("%s: parallel fan-out %v more=%v, serial %v more=%v", describe(), par.Files, par.More, got.Files, got.More)
-		}
-		if req.Limit > 0 && (got.MaxRetained > req.Limit || par.MaxRetained > req.Limit) {
-			t.Fatalf("%s: retained %d / %d postings, limit %d", describe(), got.MaxRetained, par.MaxRetained, req.Limit)
+		if req.Limit > 0 && got.MaxRetained > req.Limit {
+			t.Fatalf("%s: retained %d postings, limit %d", describe(), got.MaxRetained, req.Limit)
 		}
 		tw.pages++
 		if !got.More || page > 40 {
@@ -289,9 +284,8 @@ func (tw *rtTwins) traffic(steps int, nodes ...int) {
 // index that exists only in the cache, before and after a split, a merge
 // a crash-recovery replay and a follower promotion — a search that reads
 // through the cache returns the page a search of the committed state
-// returns: same files, same More, same collector high-water mark, and the
-// same again under the parallel fan-out. Both ways a Strict search has of
-// seeing the cache must have run: reading through a long run its writers
+// returns: same files, same More, same collector high-water mark. Both
+// ways a Strict search has of seeing the cache must have run: reading through a long run its writers
 // kept in order, and committing one nobody did — what a replay, a
 // promotion, a split and a merge leave behind.
 func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
@@ -325,7 +319,7 @@ func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
 			tw.owner[g4], tw.files[g4] = 0, []index.FileID{104000, 104001, 104002}
 			only := proto.SearchReq{ACGs: []proto.ACGID{g4}, IndexName: "w",
 				Preds: []query.Predicate{{Field: "w", Op: query.OpGe, Value: attr.Int(5)}}}
-			if got := tw.search(tw.rt, 0, 1, only); !slices.Equal(got.Files, []index.FileID{104000}) {
+			if got := tw.search(tw.rt, 0, only); !slices.Equal(got.Files, []index.FileID{104000}) {
 				t.Fatalf("search of an index with only pending entries = %v, want [104000]", got.Files)
 			}
 

@@ -5,10 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"propeller/internal/attr"
@@ -43,8 +41,12 @@ func compileQuery(req proto.SearchReq) (query.Query, error) {
 // page of postings (resp.MaxRetained). resp.More signals that another
 // page exists.
 //
-// Parallelism: multi-ACG requests fan out across a bounded worker pool
-// (per-worker collectors, merged at the end); see searchGroups.
+// One pass: the groups are scanned one after another on the handler's own
+// goroutine (searchGroups). A merge that lands mid-pass cannot hide files:
+// it tombstones its source under both group locks, so a pass that reaches
+// the source afterwards gets perr.ErrStalePlacement and the client
+// re-resolves, and one that read the source first finds its files again
+// in the destination, where the collector drops the duplicates.
 //
 // Cancellation: the context is checked between groups; an expired deadline
 // or cancelled caller aborts the pass without scanning further groups.
@@ -72,22 +74,7 @@ func (n *Node) Search(ctx context.Context, req proto.SearchReq) (proto.SearchRes
 	if err != nil {
 		return proto.SearchResp{}, err
 	}
-	// A merge landing mid-pass can move files from a not-yet-visited group
-	// into an already-visited one, making acknowledged files vanish from
-	// the result — impossible under any serial order. Re-run the pass when
-	// the merge epoch moved; merges are rare, so one pass is the norm (the
-	// retry bound only guards against a pathological merge loop).
-	for attempt := 0; ; attempt++ {
-		epoch := n.mergeEpoch.Load()
-		resp, err := n.searchGroups(ctx, req, q)
-		if err != nil {
-			return proto.SearchResp{}, err
-		}
-		if n.mergeEpoch.Load() == epoch || attempt >= 3 {
-			resp.Epoch = n.epoch()
-			return resp, nil
-		}
-	}
+	return n.searchGroups(ctx, req, q)
 }
 
 // pageCollector accumulates matching FileIDs under a page budget: the
@@ -193,158 +180,28 @@ func (c *pageCollector) page() (files []index.FileID, more bool) {
 	return index.SortDedup(c.heap), c.overflow
 }
 
-// maxSearchFanout caps the per-request worker pool: enough to overlap
-// per-group scans and page faults, small enough that a single request
-// cannot monopolize the node.
-const maxSearchFanout = 8
-
-// searchFanout returns the worker count for a pass over nACGs groups:
-// Config.SearchFanout when set, else GOMAXPROCS capped at maxSearchFanout,
-// never more than one worker per group.
-func (n *Node) searchFanout(nACGs int) int {
-	w := n.cfg.SearchFanout
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > maxSearchFanout {
-			w = maxSearchFanout
-		}
-	}
-	if w > nACGs {
-		w = nACGs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// searchGroups runs one pass over the requested groups. With more than one
-// worker the ACGs fan out across a bounded pool: each worker claims whole
-// groups (searchOneGroup), searches them under their own locks and feeds
-// its scanner's private pageCollector (no shared mutable state on the scan
-// path), and the per-worker pages — each at most Limit postings — merge
-// through the first worker's collector. Results are identical to the
-// serial pass regardless of scheduling, because every collector keeps the
-// smallest admissible ids. The calling goroutine is worker 0, so a serial
-// pass starts no goroutine.
+// searchGroups runs one pass over the requested groups on the calling
+// goroutine: one pooled scanner visits them in request order, each under
+// its own lock (searchOneGroup), so a search holds at most one group lock
+// at a time. The commit windows of a Strict search's groups follow one
+// another on the virtual clock and sum.
 func (n *Node) searchGroups(ctx context.Context, req proto.SearchReq, q query.Query) (proto.SearchResp, error) {
-	p := passPool.Get().(*searchPass)
-	defer p.release()
-	p.n, p.ctx, p.req = n, ctx, req
-	workers := n.searchFanout(len(req.ACGs))
-	for range workers {
-		p.scs = append(p.scs, acquireScanner(n, q, req))
-	}
-	p.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer p.wg.Done()
-			p.run(w)
-		}()
-	}
-	p.run(0)
-	p.wg.Wait()
-	if p.err != nil {
-		return proto.SearchResp{}, p.err
-	}
-
-	// Merge the per-worker pages. Feeding each other worker's (sorted,
-	// deduped, <= Limit postings) page through the first worker's collector
-	// re-applies the page budget and cross-worker dedup; any worker overflow
-	// means the total match count exceeds the page, so More carries over.
-	final := &p.scs[0].col
-	for _, sc := range p.scs[1:] {
-		files, more := sc.col.page()
-		final.overflow = final.overflow || more
-		final.maxRetained = max(final.maxRetained, sc.col.maxRetained)
-		for _, f := range files {
-			final.add(f)
-		}
-	}
+	sc := acquireScanner(n, q, req)
+	defer sc.release()
 	var resp proto.SearchResp
-	final.fill(&resp)
-	resp.CommitLatencyNanos = p.commitNanos.Load()
-	return resp, nil
-}
-
-// searchPass is one request's pass over its groups, shared by its workers:
-// a scanner per worker, the claim counter, the commit window, and the stop
-// flag with the first error. Passes are pooled, so a search allocates no
-// coordination state. The request is held by value: a pointer to the
-// caller's would move it to the heap.
-type searchPass struct {
-	n   *Node
-	ctx context.Context
-	req proto.SearchReq
-	scs []*groupScanner
-
-	next        atomic.Int64 // index of the next ACG to claim
-	commitNanos atomic.Int64
-	// stop ends every worker's claims once one fails; the worker that sets
-	// it first records err, which is read after the join.
-	stop atomic.Bool
-	err  error
-	wg   sync.WaitGroup
-}
-
-var passPool = sync.Pool{New: func() any { return new(searchPass) }}
-
-// run is worker w: it claims groups until none is left, the context ends,
-// or a worker fails.
-func (p *searchPass) run(w int) {
-	sc := p.scs[w]
-	for !p.stop.Load() {
-		i := int(p.next.Add(1)) - 1
-		if i >= len(p.req.ACGs) {
-			return
+	for _, id := range req.ACGs {
+		if err := ctx.Err(); err != nil {
+			return proto.SearchResp{}, fmt.Errorf("indexnode search acg %d: %w", id, perr.Ctx(err))
 		}
-		id := p.req.ACGs[i]
-		if err := p.ctx.Err(); err != nil {
-			p.fail(fmt.Errorf("indexnode search acg %d: %w", id, perr.Ctx(err)))
-			return
-		}
-		nanos, err := p.n.searchOneGroup(id, p.req, sc)
+		nanos, err := n.searchOneGroup(id, req, sc)
 		if err != nil {
-			p.fail(err)
-			return
+			return proto.SearchResp{}, err
 		}
-		p.noteCommit(nanos)
+		resp.CommitLatencyNanos += nanos
 	}
-}
-
-func (p *searchPass) fail(err error) {
-	if p.stop.CompareAndSwap(false, true) {
-		p.err = err
-	}
-}
-
-// noteCommit records one group's commit window. A serial pass's windows
-// follow one another and sum. Concurrent workers' windows overlap on the
-// shared virtual clock (one worker's window includes the others' charges),
-// so summing them would over-report: keep the slowest window — the
-// fork/join model the virtual clock prescribes for parallel work.
-func (p *searchPass) noteCommit(nanos int64) {
-	if len(p.scs) == 1 {
-		p.commitNanos.Add(nanos)
-		return
-	}
-	for {
-		cur := p.commitNanos.Load()
-		if nanos <= cur || p.commitNanos.CompareAndSwap(cur, nanos) {
-			return
-		}
-	}
-}
-
-// release returns the scanners and the pass to their pools; the pass must
-// not pin a node, a context or a request.
-func (p *searchPass) release() {
-	for i, sc := range p.scs {
-		sc.release()
-		p.scs[i] = nil
-	}
-	*p = searchPass{scs: p.scs[:0]}
-	passPool.Put(p)
+	sc.col.fill(&resp)
+	resp.Epoch = n.epoch()
+	return resp, nil
 }
 
 // fill copies the collected page into resp (the collector goes back to the

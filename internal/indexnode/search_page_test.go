@@ -483,7 +483,7 @@ func TestSearchLazyConsistencySkipsCommit(t *testing.T) {
 	}
 }
 
-// TestSearchCancelledContext: an already-cancelled context aborts the
+// TestSearchCancelledContext: a cancelled or expired context aborts the
 // group pass with the taxonomy error.
 func TestSearchCancelledContext(t *testing.T) {
 	acgs := []proto.ACGID{1, 2}
@@ -501,6 +501,43 @@ func TestSearchCancelledContext(t *testing.T) {
 	if !errors.Is(err, perr.ErrTimeout) {
 		t.Errorf("expired search err = %v, want perr.ErrTimeout", err)
 	}
+}
+
+// TestSearchFanoutCancelledContext: the context is checked before each
+// group of the pass, so a caller cancelled before the pass scans nothing
+// and one cancelled mid-pass scans no further group.
+func TestSearchFanoutCancelledContext(t *testing.T) {
+	acgs := []proto.ACGID{1, 2, 3, 4}
+	n, _ := newTestNode(t, func(c *Config) { c.CacheLimit = 1 << 30 })
+	n.DeclareIndex(sizeSpec)
+	loadDuplicateHeavy(t, n, acgs, 10, 10)
+	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size>0"}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := n.Search(ctx, req); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled search err = %v, want context.Canceled", err)
+	}
+	// Cancelled once two groups are scanned: the check before the third
+	// group ends the pass.
+	mid := &cancelAfter{Context: context.Background(), after: 2}
+	if _, err := n.Search(mid, req); !errors.Is(err, context.Canceled) || mid.checks != 3 {
+		t.Errorf("search cancelled after two groups: err = %v after %d checks, want context.Canceled after 3", err, mid.checks)
+	}
+}
+
+// cancelAfter is a context that reports itself cancelled from its
+// (after+1)-th Err call on.
+type cancelAfter struct {
+	context.Context
+	after, checks int
+}
+
+func (c *cancelAfter) Err() error {
+	c.checks++
+	if c.checks > c.after {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestSearchStringPrefixBoundOnBTree: the node-side cursor scan has the
@@ -640,4 +677,76 @@ func TestSearchPageReadsIndependentOfDepth(t *testing.T) {
 		t.Errorf("hash point page cost %d pool accesses, B-tree equality page cost %d (want hash <= B-tree)", hashReads, page1)
 	}
 	t.Logf("pool accesses: btree page 1 = %d, page 10 = %d, hash point page = %d", page1, page10, hashReads)
+}
+
+// loadDuplicateHeavy seeds groups with runs postings per value: value v
+// (1..values) carries files {v, values+v, 2*values+v, ...}, spread
+// round-robin over the ACGs. Duplicate-heavy runs are where cursor seek
+// and run skipping earn their keep.
+func loadDuplicateHeavy(t testing.TB, n *Node, acgs []proto.ACGID, values, runs int) {
+	t.Helper()
+	ctx := context.Background()
+	for g, id := range acgs {
+		var entries []proto.IndexEntry
+		for v := 1; v <= values; v++ {
+			for r := 0; r < runs; r++ {
+				if (r+v)%len(acgs) != g {
+					continue // every value's run spans every group
+				}
+				entries = append(entries, proto.IndexEntry{File: index.FileID(r*values + v), Value: attr.Int(int64(v))})
+			}
+		}
+		if _, err := n.Update(ctx, proto.UpdateReq{ACG: id, IndexName: "size", Entries: entries}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSearchPagedEqualitySeekEquivalence: paging an equality scan over a
+// long duplicate run (the cursor-seek fast path) must reproduce exactly
+// the unpaged result, page by page, under the page budget.
+func TestSearchPagedEqualitySeekEquivalence(t *testing.T) {
+	acgs := []proto.ACGID{1, 2}
+	n, _ := newTestNode(t, func(c *Config) { c.CacheLimit = 1 << 30 })
+	n.DeclareIndex(sizeSpec)
+	loadDuplicateHeavy(t, n, acgs, 20, 200) // value 7 carries 200 postings
+	ctx := context.Background()
+
+	full, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size=7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Files) != 200 {
+		t.Fatalf("unpaged equality = %d files, want 200", len(full.Files))
+	}
+
+	const limit = 16
+	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size=7", Limit: limit}
+	var paged []index.FileID
+	for pages := 0; ; pages++ {
+		resp, err := n.Search(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Files) > limit || resp.MaxRetained > limit {
+			t.Fatalf("page %d: %d files, MaxRetained %d, budget %d",
+				pages, len(resp.Files), resp.MaxRetained, limit)
+		}
+		paged = append(paged, resp.Files...)
+		if !resp.More {
+			break
+		}
+		req.After, req.AfterSet = resp.Files[len(resp.Files)-1], true
+		if pages > len(full.Files)/limit+5 {
+			t.Fatal("pagination does not terminate")
+		}
+	}
+	if len(paged) != len(full.Files) {
+		t.Fatalf("paged union = %d files, unpaged = %d", len(paged), len(full.Files))
+	}
+	for i := range paged {
+		if paged[i] != full.Files[i] {
+			t.Fatalf("page-by-page divergence at %d: %d vs %d", i, paged[i], full.Files[i])
+		}
+	}
 }

@@ -131,9 +131,6 @@ type HeartbeatReq struct {
 	// signal the rebalancer uses to move groups off queue-hot nodes even
 	// when file counts look balanced.
 	QueueDepth int
-	// Shed counts requests the node's admission control has rejected with
-	// ErrOverloaded since it started (monotonic).
-	Shed int64
 }
 
 // HeartbeatResp carries Master instructions back to the node.
@@ -521,26 +518,20 @@ type SearchResp struct {
 	Files []index.FileID
 	// CommitLatencyNanos reports the virtual time spent committing cached
 	// updates before the search (consistency cost; Figure 10). Non-zero
-	// only on a commit-first read — a strict search that found more entries
-	// pending in some group than it reads through; the usual strict read
-	// commits nothing and reports 0. A serial
-	// pass sums the per-group commit windows exactly; a parallel fan-out
-	// reports the slowest worker's window (overlapped windows on the
-	// shared clock cannot be summed without double-counting). The
-	// experiment harness pins the serial pass, so figures always see the
-	// exact sum.
+	// only when a Strict search committed a group's cache that no writer
+	// kept in order — after a bulk load, a promotion, a recovery or replay,
+	// or a cache generation nobody read through; the usual Strict read
+	// reads through the cache, commits nothing and reports 0. The windows
+	// of every group the search committed are summed.
 	CommitLatencyNanos int64
 	// More reports that matches beyond Limit exist (resume with the last
 	// returned FileID as the cursor).
 	More bool
-	// MaxRetained is the peak number of postings any single collector
+	// MaxRetained is the peak number of postings the node's collector
 	// buffered while serving this request. Every access path — B-tree
 	// range scan, hash point lookup, KD box query — streams candidates
 	// one at a time into a bounded collector, so with Limit > 0 this
 	// never exceeds the page size (how tests verify the per-page budget).
-	// A multi-ACG search may fan out over a bounded worker pool with one
-	// collector per worker; aggregate transient buffering is then at most
-	// the fan-out width (<= 8) times this value.
 	MaxRetained int
 	// Epoch is the newest placement epoch the node has seen. A value newer
 	// than the epoch the client resolved its fan-out at proves the cached

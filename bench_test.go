@@ -14,6 +14,7 @@ import (
 	"propeller/internal/indexnode"
 	"propeller/internal/pagestore"
 	"propeller/internal/proto"
+	"propeller/internal/query"
 	"propeller/internal/simdisk"
 	"propeller/internal/vclock"
 )
@@ -25,6 +26,9 @@ import (
 // testing.B's parallel workers with each worker on its own ACG.
 
 const benchACGs = 16
+
+// sizeAboveZero is the parsed "size>0" the search benchmarks send.
+var sizeAboveZero = []query.Predicate{{Field: "size", Op: query.OpGt, Value: attr.Int(0)}}
 
 func newBenchIndexNode(b *testing.B) *indexnode.Node {
 	b.Helper()
@@ -106,7 +110,7 @@ func BenchmarkIndexNodeUpdateUnderHeavySearch(b *testing.B) {
 	if _, err := n.Update(context.Background(), proto.UpdateReq{ACG: hot, IndexName: "size", Entries: entries}); err != nil {
 		b.Fatal(err)
 	}
-	hotQuery := proto.SearchReq{ACGs: []proto.ACGID{hot}, IndexName: "size", Query: "size>0"}
+	hotQuery := proto.SearchReq{ACGs: []proto.ACGID{hot}, IndexName: "size", Preds: sizeAboveZero}
 	if _, err := n.Search(context.Background(), hotQuery); err != nil { // commit the hot group
 		b.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func BenchmarkIndexNodeMixedParallelMultiACG(b *testing.B) {
 			i++
 			if i%64 == 0 {
 				if _, err := n.Search(context.Background(), proto.SearchReq{
-					ACGs: []proto.ACGID{id}, IndexName: "size", Query: "size>0",
+					ACGs: []proto.ACGID{id}, IndexName: "size", Preds: sizeAboveZero,
 				}); err != nil {
 					b.Fatal(err)
 				}

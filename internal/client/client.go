@@ -57,10 +57,6 @@ type Config struct {
 	// Now supplies the reference time for relative query predicates
 	// (defaults to time.Now).
 	Now func() time.Time
-	// ID identifies this client as a tenant to Index Node admission
-	// queues: fairness shares are carved per distinct ID. Empty means
-	// anonymous (all anonymous clients pool as one tenant).
-	ID string
 	// OverloadRetries bounds the backoff-and-retry rounds a request
 	// performs when a node sheds it with perr.ErrOverloaded. Overload is
 	// not a placement fault: the cache stays intact and the op is simply
@@ -600,7 +596,7 @@ func (c *Client) Index(ctx context.Context, indexName string, updates []FileUpda
 			k, ok := find(m.ACG)
 			if !ok {
 				batches = slices.Insert(batches, k, batch{addr: m.Addr, req: proto.UpdateReq{
-					ACG: m.ACG, IndexName: indexName, Client: c.cfg.ID,
+					ACG: m.ACG, IndexName: indexName,
 				}})
 			}
 			batches[k].n++
@@ -717,7 +713,6 @@ func (c *Client) compile(q Query) (proto.SearchReq, time.Time, error) {
 		After:       q.After,
 		AfterSet:    q.AfterSet,
 		Consistency: q.Consistency,
-		Client:      c.cfg.ID,
 	}, anchor, nil
 }
 

@@ -330,7 +330,6 @@ func TestPlacementCachePropertyUnderOverload(t *testing.T) {
 		overloadBudget := 1 + rng.Intn(4)
 		var backoffs int64
 		r := newFlakyRig(t, Config{
-			ID:              "prop-tenant",
 			OverloadRetries: overloadBudget,
 			Backoff:         func(int) { backoffs++ },
 		})

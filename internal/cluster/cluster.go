@@ -59,12 +59,8 @@ type Config struct {
 	// overloaded heartbeating node is ordered to migrate its hottest group
 	// to the least-loaded peer. 0 disables.
 	RebalanceRatio float64
-	// MaxInflight bounds each node's admission queue: at most this many
-	// Update/Search handlers run at once per node, the rest shed with
-	// perr.ErrOverloaded (0 = unbounded, no admission control). It also
-	// arms each node's RPC transport backstop at 4× this bound, so a flood
-	// of frames sheds at frame-read time even when the scheduler starves
-	// the application handlers (the reflex a single-core host relies on).
+	// MaxInflight is each node's indexnode.Config.MaxInflight: the client
+	// calls a node holds, from frame read to reply (0 = no admission).
 	MaxInflight int
 	// ReplicationFactor is the k in k-way group replication: every ACG
 	// keeps one primary plus up to k-1 streaming followers on distinct
@@ -201,11 +197,7 @@ func (c *Cluster) bootNode(i int) (*indexnode.Node, *simdisk.Disk, *pagestore.St
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
-	var srvOpts []rpc.ServerOption
-	if c.cfg.MaxInflight > 0 {
-		srvOpts = append(srvOpts, rpc.WithMaxConcurrent(4*c.cfg.MaxInflight))
-	}
-	srv := rpc.NewServer(srvOpts...)
+	srv := rpc.NewServer()
 	node.RegisterRPC(srv)
 	addr, err := c.expose(name, srv)
 	if err != nil {
@@ -317,8 +309,8 @@ func (c *Cluster) NewClient(now func() time.Time) (*client.Client, error) {
 	return c.NewClientWith(client.Config{Now: now})
 }
 
-// NewClientWith returns a client with caller-tuned knobs (tenant ID,
-// overload retry policy, backoff); the Master connection and Dial are
+// NewClientWith returns a client with caller-tuned knobs (overload retry
+// policy, backoff, reference clock); the Master connection and Dial are
 // wired by the cluster, overriding whatever cfg carries.
 func (c *Cluster) NewClientWith(cfg client.Config) (*client.Client, error) {
 	masterConn, err := c.Dial(context.Background(), c.masterAddr)

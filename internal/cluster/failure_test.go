@@ -13,6 +13,7 @@ import (
 	"propeller/internal/master"
 	"propeller/internal/pagestore"
 	"propeller/internal/proto"
+	"propeller/internal/query"
 	"propeller/internal/sharedstore"
 	"propeller/internal/simdisk"
 	"propeller/internal/vclock"
@@ -131,7 +132,8 @@ func TestIndexNodeCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered %d updates, want 50", st.CommitEntries)
 	}
 	resp, err := node2.Search(ctx, proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m",
+		ACGs: []proto.ACGID{1}, IndexName: "size",
+		Preds: []query.Predicate{{Field: "size", Op: query.OpGt, Value: attr.Int(16 << 20)}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"propeller/internal/index"
 	"propeller/internal/perr"
 	"propeller/internal/proto"
+	"propeller/internal/query"
 )
 
 // leaseCluster boots a failover-enabled cluster with one indexed group and
@@ -73,7 +74,8 @@ func TestLeaseExpiryFencesPrimary(t *testing.T) {
 	if _, err := node.Update(ctx, update); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Fatalf("update past the lease = %v, want ErrStalePlacement", err)
 	}
-	strict := proto.SearchReq{IndexName: "size", ACGs: []proto.ACGID{1}, Query: "size>=1"}
+	strict := proto.SearchReq{IndexName: "size", ACGs: []proto.ACGID{1},
+		Preds: []query.Predicate{{Field: "size", Op: query.OpGe, Value: attr.Int(1)}}}
 	if _, err := node.Search(ctx, strict); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Fatalf("strict search past the lease = %v, want ErrStalePlacement", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"propeller/internal/index"
 	"propeller/internal/perr"
 	"propeller/internal/proto"
+	"propeller/internal/query"
 )
 
 // PartitionResult is the committed baseline for the partition-tolerance
@@ -205,7 +206,8 @@ func runPartitionFailover(r *PartitionResult) error {
 	// Strict reads must fence identically (they promise every ack, and the
 	// successor's acks are invisible here).
 	if _, err := zombie.Search(ctx, proto.SearchReq{
-		IndexName: "size", ACGs: []proto.ACGID{probeACG}, Query: "size>0",
+		IndexName: "size", ACGs: []proto.ACGID{probeACG},
+		Preds: []query.Predicate{{Field: "size", Op: query.OpGt, Value: attr.Int(0)}},
 	}); !errors.Is(err, perr.ErrStalePlacement) {
 		r.UntypedErrors++
 	}

@@ -79,9 +79,13 @@ func propellerSearchNamespace(sn *singleNode, ns *vfs.Namespace, groupSize int, 
 	for g := 0; g < nGroups; g++ {
 		acgs = append(acgs, proto.ACGID(g+1))
 	}
+	parsed, err := query.Parse(q, refTime)
+	if err != nil {
+		return nil, 0, err
+	}
 	before := sn.clock.Now()
 	resp, err := sn.node.Search(context.Background(), proto.SearchReq{
-		ACGs: acgs, IndexName: "size", Query: q, NowUnixNano: refTime.UnixNano(),
+		ACGs: acgs, IndexName: "size", Preds: parsed.Preds,
 	})
 	if err != nil {
 		return nil, 0, err

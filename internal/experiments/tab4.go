@@ -10,6 +10,7 @@ import (
 	"propeller/internal/cluster"
 	"propeller/internal/metrics"
 	"propeller/internal/proto"
+	"propeller/internal/query"
 	"propeller/internal/rpc"
 	"propeller/internal/vfs"
 )
@@ -29,6 +30,10 @@ func runTab4(opts Options) (*Result, error) {
 	nodeCounts := []int{1, 2, 4, 6, 8}
 	const groupSize = 1000
 	const q = "size>16m"
+	parsed, err := query.Parse(q, refTime)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{}
 	res.addf("Table IV / Figure 9: cluster file-search latency (virtual s), query %q\n", q)
@@ -101,8 +106,7 @@ func runTab4(opts Options) (*Result, error) {
 					n := c.Nodes()[nodeByID[tgt.Node]]
 					before := c.Clock().Now()
 					resp, err := n.Search(context.Background(), proto.SearchReq{
-						ACGs: tgt.ACGs, IndexName: "size", Query: q,
-						NowUnixNano: refTime.UnixNano(),
+						ACGs: tgt.ACGs, IndexName: "size", Preds: parsed.Preds,
 					})
 					if err != nil {
 						return 0, 0, err

@@ -103,9 +103,13 @@ func (s *singleNode) search(ds *vfs.Dataset, groupSize int, indexName, q string)
 	for g := 0; g < ds.NumGroups(groupSize); g++ {
 		acgs = append(acgs, proto.ACGID(g+1))
 	}
+	parsed, err := query.Parse(q, refTime)
+	if err != nil {
+		return 0, 0, err
+	}
 	start := s.clock.Now()
 	resp, err := s.node.Search(context.Background(), proto.SearchReq{
-		ACGs: acgs, IndexName: indexName, Query: q, NowUnixNano: refTime.UnixNano(),
+		ACGs: acgs, IndexName: indexName, Preds: parsed.Preds,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -381,6 +385,10 @@ func runFig10(opts Options) (*Result, error) {
 		return nil, err
 	}
 	sn.declareInodeIndexes()
+	bigFiles, err := query.Parse("size>1m", refTime)
+	if err != nil {
+		return nil, err
+	}
 	propUpd := metrics.NewRecorder()
 	propSearch := metrics.NewRecorder()
 	for i := 0; i < totalOps; i++ {
@@ -402,8 +410,7 @@ func runFig10(opts Options) (*Result, error) {
 		if (i+1)%searchEvery == 0 {
 			before := sn.clock.Now()
 			if _, err := sn.node.Search(context.Background(), proto.SearchReq{
-				ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>1m",
-				NowUnixNano: refTime.UnixNano(),
+				ACGs: []proto.ACGID{1}, IndexName: "size", Preds: bigFiles.Preds,
 			}); err != nil {
 				return nil, err
 			}

@@ -2,55 +2,80 @@ package indexnode
 
 import (
 	"fmt"
+	"net"
 	"sync"
 
 	"propeller/internal/metrics"
 	"propeller/internal/perr"
 )
 
-// admission is the node's bounded admission queue. Every Update/Search
-// handler acquires a slot before doing any work and releases it when the
-// handler returns; when the node is at its limit (or a tenant above its
-// fair share while the queue is congested) the request is shed with
-// perr.ErrOverloaded before any WAL append or index read, so a shed op is
-// never acknowledged and never loses data.
+// admission is the node's one admission decision, asked on the rpc reader
+// (rpc.Admitter) before a handler is spawned or a body decoded. It counts
+// client Update and Search calls from frame read to reply written, and
+// refuses one with perr.ErrOverloaded when the node holds its limit (or
+// the tenant its fair share while the queue is congested): a shed update
+// is never logged or acknowledged. Every other method is the cluster's own
+// traffic, bounded by its sender (one call in flight per follower stream
+// or transfer), and is never counted or shed: a refused FollowerAppend
+// would cut the follower. A tenant is the connection a call arrived on —
+// the reader knows it, while a name would sit in the undecoded body.
 //
-// Fairness: below half the limit every request is admitted (no bookkeeping
-// penalty on an idle node). Above it, a client holding at least its fair
-// share is shed even though free slots remain, so one hot tenant
-// saturating the node cannot starve light tenants out of the remaining
-// capacity. The share divisor counts the tenants in the queue plus one —
-// a share is always reserved for a newcomer, otherwise a lone flooder
-// would legitimately own every slot and a light tenant's first op would
-// bounce off the hard limit.
+// Fairness: below half the limit every call is admitted. Above it, a
+// tenant holding at least its fair share is shed even though free slots
+// remain, so one hot tenant cannot starve light ones. The share divisor
+// counts the tenants in the queue plus one — a share is always reserved
+// for a newcomer, otherwise a lone flooder would legitimately own every
+// slot and a light tenant's first op would bounce off the hard limit.
 type admission struct {
-	limit int // 0 = admission disabled
+	limit int // > 0 (a node without MaxInflight has no admission)
+	// sheds counts the refusals of each method admission counts (set by
+	// New: Update and Search).
+	sheds map[string]*metrics.Counter
 
 	mu       sync.Mutex
 	inflight int
-	// perClient counts the in-queue ops of each tenant ("" = anonymous,
-	// pooled as one tenant).
-	perClient map[string]int
+	perConn  map[net.Conn]int // admitted calls per tenant
 
 	// fairnessSheds counts rejections issued below the hard limit because
-	// the tenant was over its fair share; the callers count total sheds
-	// per handler (updatesShed/searchesShed) when acquire fails.
+	// the tenant was over its fair share.
 	fairnessSheds *metrics.Counter
 }
 
 func newAdmission(limit int, fairnessSheds *metrics.Counter) *admission {
 	return &admission{
 		limit:         limit,
-		perClient:     make(map[string]int),
+		perConn:       make(map[net.Conn]int),
 		fairnessSheds: fairnessSheds,
 	}
 }
 
-// acquire claims a queue slot for client, or rejects with
+// Admit implements rpc.Admitter: a client call claims a slot for its
+// connection or is refused; any other call is admitted uncounted.
+func (a *admission) Admit(conn net.Conn, method string) error {
+	shed, ok := a.sheds[method]
+	if !ok {
+		return nil
+	}
+	if err := a.acquire(conn); err != nil {
+		shed.Inc()
+		return fmt.Errorf("indexnode %s: %w", method, err)
+	}
+	return nil
+}
+
+// Done implements rpc.Admitter: a client call's slot is free once its
+// reply is written.
+func (a *admission) Done(conn net.Conn, method string) {
+	if _, ok := a.sheds[method]; ok {
+		a.release(conn)
+	}
+}
+
+// acquire claims a queue slot for tenant, or rejects with
 // perr.ErrOverloaded. A nil admission (no limit configured) admits
 // everything.
-func (a *admission) acquire(client string) error {
-	if a == nil || a.limit <= 0 {
+func (a *admission) acquire(tenant net.Conn) error {
+	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
@@ -63,43 +88,43 @@ func (a *admission) acquire(client string) error {
 		// Congested: enforce fair shares. The divisor counts the tenants
 		// in the queue (plus this one if absent) plus one reserved
 		// newcomer share.
-		tenants := len(a.perClient)
-		if a.perClient[client] == 0 {
+		tenants := len(a.perConn)
+		if a.perConn[tenant] == 0 {
 			tenants++
 		}
 		share := a.limit / (tenants + 1)
 		if share < 1 {
 			share = 1
 		}
-		if a.perClient[client] >= share {
+		if a.perConn[tenant] >= share {
 			a.fairnessSheds.Inc()
-			return fmt.Errorf("client %q over fair share (%d of %d slots, share %d): %w",
-				client, a.perClient[client], a.limit, share, perr.ErrOverloaded)
+			return fmt.Errorf("tenant over fair share (%d of %d slots, share %d): %w",
+				a.perConn[tenant], a.limit, share, perr.ErrOverloaded)
 		}
 	}
 	a.inflight++
-	a.perClient[client]++
+	a.perConn[tenant]++
 	return nil
 }
 
-// release returns client's slot.
-func (a *admission) release(client string) {
-	if a == nil || a.limit <= 0 {
+// release returns tenant's slot.
+func (a *admission) release(tenant net.Conn) {
+	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.inflight--
-	if a.perClient[client] <= 1 {
-		delete(a.perClient, client) // keep the tenant census current
+	if a.perConn[tenant] <= 1 {
+		delete(a.perConn, tenant) // keep the tenant census current
 	} else {
-		a.perClient[client]--
+		a.perConn[tenant]--
 	}
 }
 
 // depth returns the current queue depth (in-flight admitted ops).
 func (a *admission) depth() int {
-	if a == nil || a.limit <= 0 {
+	if a == nil {
 		return 0
 	}
 	a.mu.Lock()

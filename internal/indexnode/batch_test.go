@@ -169,21 +169,21 @@ func TestBatchedCommitMatchesPerEntryReplay(t *testing.T) {
 			// Every access path answers identically: B-tree range scan,
 			// hash point lookups, KD box query.
 			queries := []proto.SearchReq{
-				{ACGs: acgs, IndexName: "size", Query: "size>=0"},
-				{ACGs: acgs, IndexName: "size", Query: "size>10 & size<30"},
-				{ACGs: acgs, IndexName: "pt", Query: "x>=0 & y>=0"},
-				{ACGs: acgs, IndexName: "pt", Query: "x>10 & y<40"},
+				{ACGs: acgs, IndexName: "size", Preds: textPreds("size>=0")},
+				{ACGs: acgs, IndexName: "size", Preds: textPreds("size>10 & size<30")},
+				{ACGs: acgs, IndexName: "pt", Preds: textPreds("x>=0 & y>=0")},
+				{ACGs: acgs, IndexName: "pt", Preds: textPreds("x>10 & y<40")},
 			}
 			for v := 0; v < 40; v++ {
 				queries = append(queries, proto.SearchReq{
-					ACGs: acgs, IndexName: "tag", Query: fmt.Sprintf("tag=%d", v),
+					ACGs: acgs, IndexName: "tag", Preds: textPreds(fmt.Sprintf("tag=%d", v)),
 				})
 			}
 			for _, q := range queries {
 				got := searchFiles(t, batched, q)
 				want := searchFiles(t, perEntry, q)
 				if !sameFiles(got, want) {
-					t.Fatalf("query %q: %v vs %v", q.Query, got, want)
+					t.Fatalf("query %v: %v vs %v", q.Preds, got, want)
 				}
 			}
 
@@ -262,7 +262,7 @@ func TestDeleteHeavyKDCommitRebuildsOnce(t *testing.T) {
 	}
 	// And the index answers correctly after the single rebuild.
 	resp, err := n.Search(context.Background(), proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "pt", Query: "x>=0 & y>=0",
+		ACGs: []proto.ACGID{1}, IndexName: "pt", Preds: textPreds("x>=0 & y>=0"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestTickContinuesPastWedgedGroup(t *testing.T) {
 	if st.CachedOps != 1 {
 		t.Fatalf("CachedOps = %d, want 1 (only the wedged group's entry)", st.CachedOps)
 	}
-	if files := searchFiles(t, n, proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Query: "size=7"}); len(files) != 1 || files[0] != 2 {
+	if files := searchFiles(t, n, proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Preds: textPreds("size=7")}); len(files) != 1 || files[0] != 2 {
 		t.Fatalf("healthy group's commit lost: search = %v", files)
 	}
 }
@@ -378,13 +378,13 @@ func TestCoalescingCollapsesReindexWindow(t *testing.T) {
 	// Only the final value survives in the index.
 	for r := 0; r < rounds-1; r++ {
 		if files := searchFiles(t, n, proto.SearchReq{
-			ACGs: []proto.ACGID{1}, IndexName: "size", Query: fmt.Sprintf("size=%d", r),
+			ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds(fmt.Sprintf("size=%d", r)),
 		}); len(files) != 0 {
 			t.Fatalf("intermediate value %d still indexed: %v", r, files)
 		}
 	}
 	if files := searchFiles(t, n, proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "size", Query: fmt.Sprintf("size=%d", rounds-1),
+		ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds(fmt.Sprintf("size=%d", rounds-1)),
 	}); len(files) != 1 || files[0] != 1 {
 		t.Fatalf("final value lookup = %v, want [1]", files)
 	}

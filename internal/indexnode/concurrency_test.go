@@ -53,7 +53,7 @@ func TestConcurrentUpdatesAndSearches(t *testing.T) {
 				}
 				resp, err := n.Search(context.Background(), proto.SearchReq{
 					ACGs:      []proto.ACGID{1, 2, 3, 4},
-					IndexName: "size", Query: "size>0",
+					IndexName: "size", Preds: textPreds("size>0"),
 				})
 				if err != nil {
 					errCh <- err
@@ -97,7 +97,7 @@ func TestConcurrentUpdatesAndSearches(t *testing.T) {
 	}
 
 	resp, err := n.Search(context.Background(), proto.SearchReq{
-		ACGs: []proto.ACGID{1, 2, 3, 4}, IndexName: "size", Query: "size>0",
+		ACGs: []proto.ACGID{1, 2, 3, 4}, IndexName: "size", Preds: textPreds("size>0"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -418,7 +418,7 @@ func TestResidualReadsForwardLeavesNotCandidates(t *testing.T) {
 	reads := func(text string) (int64, int) {
 		t.Helper()
 		before := n.cfg.Store.Stats()
-		resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: text})
+		resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds(text)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,7 +489,7 @@ func BenchmarkResidualTwoField(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: queries[i%len(queries)]})
+		resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds(queries[i%len(queries)])})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -545,7 +545,7 @@ func TestForwardKDRebuildRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "pt", Query: "x<0"})
+	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "pt", Preds: textPreds("x<0")})
 	if err != nil {
 		t.Fatal(err)
 	}

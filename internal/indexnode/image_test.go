@@ -103,14 +103,14 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 	}
 	dst.mu.Unlock()
 
-	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Query: "size>=0"})
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Preds: textPreds("size>=0")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Files) != 30 {
 		t.Fatalf("b-tree search after install = %d files, want 30", len(resp.Files))
 	}
-	resp, err = r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "loc", Query: "x>=5 & x<=9 & y<=0"})
+	resp, err = r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "loc", Preds: textPreds("x>=5 & x<=9 & y<=0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestImageWithoutMagicIsRefused(t *testing.T) {
 	if err := r.b.RecoverFromShared(ctx, 1); err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("recover from a magic-less image = %v, want a bad-magic error", err)
 	}
-	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestImageWithoutMagicIsRefused(t *testing.T) {
 	if r.shared.FallbackLoads() == 0 {
 		t.Fatal("torn newest checkpoint did not fall back a generation")
 	}
-	resp, err = r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	resp, err = r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestTransferReceiverMemoryBounded(t *testing.T) {
 	if err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: `tag>=""`})
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Preds: textPreds(`tag>=""`)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"propeller/internal/index"
 	"propeller/internal/perr"
 	"propeller/internal/proto"
+	"propeller/internal/query"
 )
 
 // mergeMap follows merged-away ids to their survivors, as the Master's
@@ -122,7 +123,7 @@ func TestMergeACGs(t *testing.T) {
 		t.Fatalf("after merge: groups=%d files=%d, want 1/20", st.ACGs, st.Files)
 	}
 	// All postings live in the surviving group.
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0"})
+	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestMergeACGs(t *testing.T) {
 	// The retired group is tombstoned: traffic addressed to it is refused
 	// typed, so a client whose cache predates the merge re-resolves instead
 	// of recreating the group.
-	if _, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Query: "size>0"}); !errors.Is(err, perr.ErrStalePlacement) {
+	if _, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Preds: textPreds("size>0")}); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Errorf("search of the retired group = %v, want ErrStalePlacement", err)
 	}
 	if _, err := n.Update(context.Background(), proto.UpdateReq{
@@ -155,19 +156,15 @@ func TestMergeMidPassRefusesTheSource(t *testing.T) {
 		n.DeclareIndex(sizeSpec)
 		seedGroup(t, n, dst, 0, 10)
 		seedGroup(t, n, src, 10, 20)
-		req := proto.SearchReq{ACGs: order[:], IndexName: "size", Query: "size>0"}
-		q, err := compileQuery(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := acquireScanner(n, q, req)
+		req := proto.SearchReq{ACGs: order[:], IndexName: "size", Preds: textPreds("size>0")}
+		sc := acquireScanner(n, query.Query{Preds: req.Preds}, req)
 		if _, err := n.searchOneGroup(order[0], req, sc); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.MergeACGs(context.Background(), dst, src); err != nil {
 			t.Fatal(err)
 		}
-		_, err = n.searchOneGroup(order[1], req, sc)
+		_, err := n.searchOneGroup(order[1], req, sc)
 		files, _ := sc.col.page()
 		switch {
 		case order[1] == src && !errors.Is(err, perr.ErrStalePlacement):
@@ -295,7 +292,7 @@ func TestCompactAllSearchable(t *testing.T) {
 	}
 	// Retired ids are refused typed; the groups they were merged into
 	// return everything, once.
-	all := proto.SearchReq{ACGs: []proto.ACGID{1, 2, 3, 4}, IndexName: "size", Query: "size>0"}
+	all := proto.SearchReq{ACGs: []proto.ACGID{1, 2, 3, 4}, IndexName: "size", Preds: textPreds("size>0")}
 	if _, err := n.Search(context.Background(), all); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Errorf("search naming retired groups = %v, want ErrStalePlacement", err)
 	}

@@ -97,12 +97,14 @@ type Config struct {
 	Master *rpc.Client
 	// Dial opens connections to peer Index Nodes for ACG migration.
 	Dial Dialer
-	// MaxInflight bounds the admission queue: at most this many
-	// Update/Search handlers run at once, the rest are shed with
-	// perr.ErrOverloaded before any work (0 = unbounded, no admission
-	// control). Above half the limit per-client fairness kicks in: a
-	// tenant holding its fair share of the queue is shed even while free
-	// slots remain.
+	// MaxInflight bounds the client calls the node holds: at most this many
+	// Update and Search calls, counted from the frame's read to the reply's
+	// write, and the rest are refused with perr.ErrOverloaded on the rpc
+	// reader before any work (0 = unbounded, no admission control; see
+	// RegisterRPC). Above half the limit per-connection fairness kicks in:
+	// a connection holding its fair share is shed even while free slots
+	// remain. The node's own traffic (follower stream, transfers, control
+	// calls) is never counted or shed.
 	MaxInflight int
 	// Shared is the cluster's shared storage (the paper's distributed file
 	// system): WAL appends are mirrored there and group images
@@ -326,7 +328,7 @@ type Node struct {
 	updatesShed   metrics.Counter
 	searchesShed  metrics.Counter
 	fairnessSheds metrics.Counter
-	// adm is the bounded admission queue shared by Update and Search
+	// adm is the admission RegisterRPC installs on the rpc reader
 	// (nil-safe; nil when MaxInflight is 0).
 	adm *admission
 	// per-ACG commit counters, labelled by decimal ACGID.
@@ -363,6 +365,7 @@ func New(cfg Config) (*Node, error) {
 	n.nextOff.Store(1 << 40) // KD images live past the page region
 	if cfg.MaxInflight > 0 {
 		n.adm = newAdmission(cfg.MaxInflight, &n.fairnessSheds)
+		n.adm.sheds = map[string]*metrics.Counter{proto.MethodUpdate: &n.updatesShed, proto.MethodSearch: &n.searchesShed}
 	}
 	return n, nil
 }
@@ -373,8 +376,12 @@ func (n *Node) ID() proto.NodeID { return n.cfg.ID }
 // WALStats reports the node's WAL group-commit batching counters.
 func (n *Node) WALStats() wal.GroupCommitStats { return n.walGC.Stats() }
 
-// RegisterRPC installs the node's methods on an RPC server.
+// RegisterRPC installs the node's methods on an RPC server, and its
+// admission as the server's admitter when MaxInflight bounds it.
 func (n *Node) RegisterRPC(s *rpc.Server) {
+	if n.adm != nil {
+		s.SetAdmitter(n.adm)
+	}
 	rpc.HandleTyped(s, proto.MethodUpdate, n.Update)
 	rpc.HandleTyped(s, proto.MethodSearch, n.Search)
 	rpc.HandleTyped(s, proto.MethodFlushACG, n.FlushACG)
@@ -628,13 +635,6 @@ func (n *Node) instFor(g *group, name string) (*inst, error) {
 // (commitIfDueLocked). A replicated group's ack then waits, off the lock,
 // until every follower still in the ack set has confirmed the frame.
 func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateResp, error) {
-	// Admission runs before any work: a shed update was never logged or
-	// cached, so ErrOverloaded can never alias an acknowledged write.
-	if err := n.adm.acquire(req.Client); err != nil {
-		n.updatesShed.Inc()
-		return proto.UpdateResp{}, fmt.Errorf("indexnode %s update: %w", n.cfg.ID, err)
-	}
-	defer n.adm.release(req.Client)
 	// Lease fence: an un-renewed primary lease means the Master may have
 	// promoted a successor — acking here could fork history (the dual-ack
 	// the replication bench counts). Refuse before any durable work so

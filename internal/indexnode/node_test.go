@@ -11,7 +11,9 @@ import (
 	"propeller/internal/attr"
 	"propeller/internal/index"
 	"propeller/internal/pagestore"
+	"propeller/internal/perr"
 	"propeller/internal/proto"
+	"propeller/internal/query"
 	"propeller/internal/sharedstore"
 	"propeller/internal/simdisk"
 	"propeller/internal/vclock"
@@ -35,6 +37,19 @@ func newTestNode(t testing.TB, opts ...func(*Config)) (*Node, *vclock.Clock) {
 		t.Fatal(err)
 	}
 	return n, clk
+}
+
+// textPreds parses a query's text as a client does, against the zero Unix
+// time, into the predicates a SearchReq carries.
+func textPreds(text string) []query.Predicate { return textPredsAt(text, time.Unix(0, 0)) }
+
+// textPredsAt parses text with its relative predicates anchored at now.
+func textPredsAt(text string, now time.Time) []query.Predicate {
+	q, err := query.Parse(text, now)
+	if err != nil {
+		panic(err)
+	}
+	return q.Preds
 }
 
 var sizeSpec = proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}
@@ -62,7 +77,7 @@ func TestUpdateThenSearchIsConsistent(t *testing.T) {
 	// The update is cached (lazy), but search must still see it (a strict
 	// search reads through the cache).
 	resp, err := n.Search(context.Background(), proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m",
+		ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>16m"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +150,7 @@ func TestCommitTimeoutRunsFromOldestEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp, err := n.Search(ctx, proto.SearchReq{
-			ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0", Consistency: proto.ConsistencyLazy,
+			ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>0"), Consistency: proto.ConsistencyLazy,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +207,7 @@ func TestReindexReplacesValue(t *testing.T) {
 	}
 	put(10)
 	put(50 << 20) // file grew: re-index
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m"})
+	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>16m")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +215,7 @@ func TestReindexReplacesValue(t *testing.T) {
 		t.Errorf("files = %v, want [1]", resp.Files)
 	}
 	// Old value must be gone.
-	resp, err = n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size<1k"})
+	resp, err = n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size<1k")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +239,7 @@ func TestDeletePosting(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m"})
+	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>16m")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +269,7 @@ func TestSearchMultiPredicate(t *testing.T) {
 	}
 	resp, err := n.Search(context.Background(), proto.SearchReq{
 		ACGs: []proto.ACGID{1}, IndexName: "size",
-		Query: "size>4m & uid=1001", NowUnixNano: base.UnixNano(),
+		Preds: textPredsAt("size>4m & uid=1001", base),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +292,7 @@ func TestHashIndexPointQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "keyword", Query: "keyword:firefox"})
+	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "keyword", Preds: textPreds("keyword:firefox")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +322,7 @@ func TestKDIndexBoxQuery(t *testing.T) {
 	// size > 8 MiB and modified within the last week.
 	resp, err := n.Search(context.Background(), proto.SearchReq{
 		ACGs: []proto.ACGID{1}, IndexName: "inode",
-		Query: "size>8m & mtime<1week", NowUnixNano: base.UnixNano(),
+		Preds: textPredsAt("size>8m & mtime<1week", base),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +332,7 @@ func TestKDIndexBoxQuery(t *testing.T) {
 	// within week -> 0..6 => {5,6}.
 	resp2, err := n.Search(context.Background(), proto.SearchReq{
 		ACGs: []proto.ACGID{1}, IndexName: "inode",
-		Query: "size>4m & mtime<1week", NowUnixNano: base.UnixNano(),
+		Preds: textPredsAt("size>4m & mtime<1week", base),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +348,7 @@ func TestKDIndexBoxQuery(t *testing.T) {
 func TestSearchUnknownGroupIsEmpty(t *testing.T) {
 	n, _ := newTestNode(t)
 	n.DeclareIndex(sizeSpec)
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{42}, IndexName: "size", Query: "size>1"})
+	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{42}, IndexName: "size", Preds: textPreds("size>1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +357,13 @@ func TestSearchUnknownGroupIsEmpty(t *testing.T) {
 	}
 }
 
+// TestSearchBadQuery: a node parses nothing, so the one malformed search it
+// can receive is one with no predicates, and it refuses that typed.
 func TestSearchBadQuery(t *testing.T) {
 	n, _ := newTestNode(t)
-	if _, err := n.Search(context.Background(), proto.SearchReq{Query: "not a query"}); err == nil {
-		t.Error("bad query should error")
+	_, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size"})
+	if !errors.Is(err, perr.ErrBadQuery) {
+		t.Errorf("a search with no predicates = %v, want perr.ErrBadQuery", err)
 	}
 }
 
@@ -403,7 +421,7 @@ func TestWALRecovery(t *testing.T) {
 	if recovered != 2 {
 		t.Fatalf("recovered %d entries, want 2", recovered)
 	}
-	resp, err := n2.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m"})
+	resp, err := n2.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>16m")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +477,7 @@ func TestReplayStopsAtUnparseableRecord(t *testing.T) {
 		if recovered := replayLog(t, n, 1, img); recovered != 1 {
 			t.Errorf("%s: recovered %d entries, want only the 1 before the bad record", name, recovered)
 		}
-		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>16m"})
+		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>16m")})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -489,7 +507,7 @@ func TestReplayedEntriesDoNotAliasLog(t *testing.T) {
 		img[i] = 0xEE
 	}
 	for idx, q := range map[string]string{"name": "name=report.pdf", "loc": "x>=3 & x<=3 & y>=4 & y<=4"} {
-		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: idx, Query: q})
+		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: idx, Preds: textPreds(q)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -510,20 +528,20 @@ func TestDropCachesMakesSearchesColdThenWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Commit + warm up.
-	if _, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0"}); err != nil {
+	if _, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>0")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 	before := clk.Now()
-	if _, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0"}); err != nil {
+	if _, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>0")}); err != nil {
 		t.Fatal(err)
 	}
 	cold := clk.Now() - before
 
 	before = clk.Now()
-	if _, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0"}); err != nil {
+	if _, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>0")}); err != nil {
 		t.Fatal(err)
 	}
 	warm := clk.Now() - before
@@ -561,7 +579,7 @@ func TestColdKDSearchReadsExactlyTheImage(t *testing.T) {
 	search := func() int64 {
 		t.Helper()
 		before := n.cfg.Disk.Stats().BytesRead
-		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "pt", Query: "x>=100 & x<200"})
+		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "pt", Preds: textPreds("x>=100 & x<200")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -630,7 +648,7 @@ func TestUpdateRejectsOversizeValueBeforeAck(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "kw", Query: "kw=ok"})
+	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "kw", Preds: textPreds("kw=ok")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,6 +97,16 @@ func TestGroupPagesAreFull(t *testing.T) {
 	}
 }
 
+// stageKeys stages one forward edit of each key, in order, as stage does.
+func stageKeys(s *commitScratch, keys [][]byte) {
+	s.ops, s.fwd = make([]fwdOp, len(keys)), nil
+	for i, k := range keys {
+		s.ops[i].lo = int32(len(s.fwd))
+		s.fwd = append(s.fwd, k...)
+		s.ops[i].hi = int32(len(s.fwd))
+	}
+}
+
 // TestReadOldMatchesModel holds the commit's forward edit to a model over
 // random rounds of (file, index) edits — payloads of every width, deletes
 // that empty whole leaves, re-keys of a leaf's first key, whose prefix
@@ -122,20 +132,21 @@ func TestReadOldMatchesModel(t *testing.T) {
 		}
 		slices.Sort(prefixes)
 		prefixes = slices.Compact(prefixes)
-		s.ops, s.keys = make([]fwdOp, len(prefixes)), make([][]byte, len(prefixes))
+		keys := make([][]byte, len(prefixes))
 		for i, p := range prefixes {
-			s.keys[i] = []byte(p)
+			keys[i] = []byte(p)
 			if r.Intn(4) > 0 || round > 100 {
 				payload := make([]byte, 1+r.Intn(60))
 				r.Read(payload)
-				s.keys[i] = append(s.keys[i], payload...)
+				keys[i] = append(keys[i], payload...)
 			}
 		}
 		if round > 100 && round%2 == 0 {
-			for i := range s.keys {
-				s.keys[i] = s.keys[i][:fwdPrefixLen] // delete them all
+			for i := range keys {
+				keys[i] = keys[i][:fwdPrefixLen] // delete them all
 			}
 		}
+		stageKeys(&s, keys)
 		if err := s.readOld(fwd); err != nil {
 			t.Fatal(err)
 		}
@@ -148,8 +159,8 @@ func TestReadOldMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, p := range prefixes {
-			if delete(model, p); len(s.keys[i]) > fwdPrefixLen {
-				model[p] = s.keys[i]
+			if delete(model, p); len(keys[i]) > fwdPrefixLen {
+				model[p] = keys[i]
 			}
 		}
 		want := slices.Collect(maps.Values(model))
@@ -208,10 +219,12 @@ func TestReadOldSkipsEmptiedLeaves(t *testing.T) {
 	if _, err := fwd.DeleteSorted(gone); err != nil {
 		t.Fatal(err)
 	}
-	var s commitScratch
+	var keys [][]byte
 	for f := range index.FileID(500) {
-		s.keys = append(s.keys, key(2000+f))
+		keys = append(keys, key(2000+f))
 	}
+	var s commitScratch
+	stageKeys(&s, keys)
 	if reads := pagesRead(t, n, func() error { return s.readOld(fwd) }); reads > 3 {
 		t.Errorf("the pass read %d pages for 500 new files behind emptied leaves, want a descent (3)", reads)
 	}

@@ -429,9 +429,8 @@ func checkKDRun(in *inst, run *pendingRun) error {
 // edit per (run, file), sorted, with its key in one arena, and the index
 // keys the commit builds in another.
 type commitScratch struct {
-	ops  []fwdOp
-	keys [][]byte // forward edit keys, in ops order
-	fwd  []byte   // the bytes of keys
+	ops []fwdOp
+	fwd []byte // the ops' forward keys, each at fwd[op.lo:op.hi]
 	// olds holds, in ops order, the committed key each edit replaces (nil:
 	// none): a sub-slice of an immutable page image, so it stays valid
 	// while the commit rewrites the tree.
@@ -512,10 +511,13 @@ func (s *commitScratch) stage(runs []*pendingRun, ins []*inst) {
 		}
 		return cmp.Compare(a.ord, b.ord)
 	})
-	s.keys, s.main = slices.Grow(s.keys[:0], count), s.main[:0]
-	for _, op := range s.ops {
-		s.keys = append(s.keys, s.fwd[op.lo:op.hi])
-	}
+	s.main = s.main[:0]
+}
+
+// key returns forward edit i's key.
+func (s *commitScratch) key(i int) []byte {
+	op := &s.ops[i]
+	return s.fwd[op.lo:op.hi]
 }
 
 // readOld finds the committed key each forward edit replaces, the one
@@ -523,9 +525,9 @@ func (s *commitScratch) stage(runs []*pendingRun, ins []*inst) {
 // them off the leaves left to right, each leaf about once.
 func (s *commitScratch) readOld(fwd *index.BTree) error {
 	s.cur.Reset(fwd)
-	s.olds = slices.Grow(s.olds[:0], len(s.keys))
-	for _, edit := range s.keys {
-		key, err := s.cur.SeekPrefix(edit[:fwdPrefixLen])
+	s.olds = slices.Grow(s.olds[:0], len(s.ops))
+	for i := range s.ops {
+		key, err := s.cur.SeekPrefix(s.key(i)[:fwdPrefixLen])
 		if err != nil {
 			return err
 		}
@@ -547,8 +549,8 @@ func (s *commitScratch) oldOf(i int) []byte {
 // are the same.
 func (s *commitScratch) applyForward(fwd *index.BTree) error {
 	s.del, s.ins = s.del[:0], s.ins[:0]
-	for i, key := range s.keys {
-		old := s.olds[i]
+	for i := range s.ops {
+		key, old := s.key(i), s.olds[i]
 		if bytes.Equal(old, key) {
 			continue
 		}
@@ -582,7 +584,7 @@ func (s *commitScratch) applyIndex(r int, in *inst, run *pendingRun) error {
 		if int(op.run) != r {
 			continue
 		}
-		payload := s.keys[i][fwdPrefixLen:]
+		payload := s.key(i)[fwdPrefixLen:]
 		deleted := len(payload) == 0
 		if old := s.oldOf(i); old != nil && (deleted || !bytes.Equal(old, payload)) {
 			if in.bt != nil {
@@ -644,7 +646,7 @@ func (s *commitScratch) compositeKey(enc []byte, f index.FileID) []byte {
 func (s *commitScratch) kdMoved(r int) bool {
 	for i := range s.ops {
 		op := &s.ops[i]
-		if int(op.run) == r && s.olds[i] != nil && !bytes.Equal(s.oldOf(i), s.keys[i][fwdPrefixLen:]) {
+		if int(op.run) == r && s.olds[i] != nil && !bytes.Equal(s.oldOf(i), s.key(i)[fwdPrefixLen:]) {
 			return true
 		}
 	}

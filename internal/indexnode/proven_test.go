@@ -33,10 +33,7 @@ var provenPool = []attr.Value{
 // provenKind stays zero, so every candidate takes the residual.
 func searchNoSkip(t *testing.T, n *Node, req proto.SearchReq, field string) proto.SearchResp {
 	t.Helper()
-	q, err := compileQuery(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := query.Query{Preds: req.Preds}
 	sc := acquireScanner(n, q, req)
 	defer sc.release()
 	sc.iv, sc.ivOK = q.FieldInterval(field)

@@ -82,7 +82,7 @@ func TestRaceMultiACGUpdateSearchTick(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		background(func() error {
 			_, err := n.Search(context.Background(), proto.SearchReq{
-				ACGs: allACGs, IndexName: "size", Query: "size>0",
+				ACGs: allACGs, IndexName: "size", Preds: textPreds("size>0"),
 			})
 			return err
 		})
@@ -118,7 +118,7 @@ func TestRaceMultiACGUpdateSearchTick(t *testing.T) {
 	}
 
 	// Every acknowledged update must be visible, exactly once.
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: allACGs, IndexName: "size", Query: "size>0"})
+	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: allACGs, IndexName: "size", Preds: textPreds("size>0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRaceMergeDoesNotLoseAcknowledgedUpdates(t *testing.T) {
 
 	// Every acknowledged update must be reachable through some live group,
 	// exactly once.
-	resp, err := m.search(ctx, n, proto.SearchReq{ACGs: []proto.ACGID{1, 2, 3, 4}, IndexName: "size", Query: "size>0"})
+	resp, err := m.search(ctx, n, proto.SearchReq{ACGs: []proto.ACGID{1, 2, 3, 4}, IndexName: "size", Preds: textPreds("size>0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestOrderedRunWritersSearchersAndTick(t *testing.T) {
 				i := int(entries[7].File) - w*perWriter
 				lo := max(latest[w][i], 0)
 				resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size",
-					Query: fmt.Sprintf("size>=%d & size<=%d", lo, lo)})
+					Preds: textPreds(fmt.Sprintf("size>=%d & size<=%d", lo, lo))})
 				if err != nil {
 					errCh <- err
 					return
@@ -323,7 +323,7 @@ func TestOrderedRunWritersSearchersAndTick(t *testing.T) {
 		background(func() error {
 			lo = (lo + 37*(r+1)) % space
 			req := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size",
-				Query: fmt.Sprintf("size>%d & size<%d", lo, lo+space/10), Limit: 5}
+				Preds: textPreds(fmt.Sprintf("size>%d & size<%d", lo, lo+space/10)), Limit: 5}
 			for {
 				resp, err := n.Search(ctx, req)
 				if err != nil || !resp.More {
@@ -374,7 +374,7 @@ func TestOrderedRunWritersSearchersAndTick(t *testing.T) {
 			}
 		}
 	}
-	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,13 +447,13 @@ func TestRaceSearchesFollowMerges(t *testing.T) {
 	// Paged and unlimited searches across every ACG.
 	background(func() error {
 		_, err := m.search(context.Background(), n, proto.SearchReq{
-			ACGs: allACGs, IndexName: "size", Query: "size>0", Limit: 16,
+			ACGs: allACGs, IndexName: "size", Preds: textPreds("size>0"), Limit: 16,
 		})
 		return err
 	})
 	background(func() error {
 		_, err := m.search(context.Background(), n, proto.SearchReq{
-			ACGs: allACGs, IndexName: "size", Query: "size=5",
+			ACGs: allACGs, IndexName: "size", Preds: textPreds("size=5"),
 		})
 		return err
 	})
@@ -485,7 +485,7 @@ func TestRaceSearchesFollowMerges(t *testing.T) {
 	}
 
 	// Every acknowledged update must be visible, exactly once.
-	resp, err := m.search(context.Background(), n, proto.SearchReq{ACGs: allACGs, IndexName: "size", Query: "size>0"})
+	resp, err := m.search(context.Background(), n, proto.SearchReq{ACGs: allACGs, IndexName: "size", Preds: textPreds("size>0")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -507,7 +507,7 @@ func TestStrictSearchesStopCommitting(t *testing.T) {
 			search := func(lo int64) {
 				t.Helper()
 				resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size",
-					Query: fmt.Sprintf("size>=%d & size<%d", lo, lo+100)})
+					Preds: textPreds(fmt.Sprintf("size>=%d & size<%d", lo, lo+100))})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -609,7 +609,7 @@ func TestSearchStartedGenerationsEndApart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.Search(ctx, proto.SearchReq{ACGs: ids, IndexName: "size", Query: "size>=0"}); err != nil {
+	if _, err := n.Search(ctx, proto.SearchReq{ACGs: ids, IndexName: "size", Preds: textPreds("size>=0")}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := n.NodeStats(ctx, proto.NodeStatsReq{})
@@ -689,7 +689,7 @@ func TestWarmReadThroughAllocatesNothing(t *testing.T) {
 	}
 	// A Strict search of the empty cache: the group is being read, so what
 	// the writers acknowledge next is kept in order.
-	if _, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size=0"}); err != nil {
+	if _, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size=0")}); err != nil {
 		t.Fatal(err)
 	}
 	// The cache: 4 096 files of each index re-indexed — into, out of and
@@ -721,12 +721,8 @@ func TestWarmReadThroughAllocatesNothing(t *testing.T) {
 				want++
 			}
 		}
-		req := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: tc.index, Query: tc.text, Limit: 200}
-		q, err := compileQuery(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := acquireScanner(n, q, req)
+		req := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: tc.index, Preds: textPreds(tc.text), Limit: 200}
+		sc := acquireScanner(n, query.Query{Preds: req.Preds}, req)
 		run := func() {
 			sc.col.reset(req)
 			if _, err := n.searchOneGroup(1, req, sc); err != nil {
@@ -791,7 +787,7 @@ func TestBulkLoadThenReadOnlyReadsCommitted(t *testing.T) {
 			return st
 		}
 		search := func(name string) int {
-			resp, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: name, Query: queries[name]})
+			resp, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: name, Preds: textPreds(queries[name])})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -896,13 +892,13 @@ func TestReadThroughWorkIndependentOfRunLength(t *testing.T) {
 	clear(pending["size"])
 	clear(pending["uid"])
 	// Reading the (empty) cache is what makes the writers keep it in order.
-	if _, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size=0"}); err != nil {
+	if _, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size=0")}); err != nil {
 		t.Fatal(err)
 	}
 	judged := func(name, text string) int64 {
 		t.Helper()
 		before := n.pendingJudged.Value()
-		if _, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: name, Query: text, Limit: 100}); err != nil {
+		if _, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: name, Preds: textPreds(text), Limit: 100}); err != nil {
 			t.Fatal(err)
 		}
 		return n.pendingJudged.Value() - before

@@ -68,7 +68,7 @@ func TestReplicateACGSeedsFollowerAndStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0",
+		ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0"),
 		Consistency: proto.ConsistencyLazy,
 	})
 	if err != nil {
@@ -117,7 +117,7 @@ func TestLogMirrorAndFollowerHoldTheWireBody(t *testing.T) {
 	primaryLen, followerLen := logLen(r.a), logLen(r.b)
 
 	req := proto.UpdateReq{
-		ACG: 1, IndexName: "size", Client: "tenant-3",
+		ACG: 1, IndexName: "size",
 		Entries: []proto.IndexEntry{{File: 70, Value: attr.Int(70)}, {File: 3, Delete: true}},
 	}
 	if _, err := r.a.Update(ctx, req); err != nil {
@@ -156,7 +156,7 @@ func TestFollowerRejectsDirectTrafficTyped(t *testing.T) {
 	// Strict searches bounce typed too (the follower may trail the
 	// primary's acknowledged set).
 	if _, err := r.b.Search(ctx, proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0",
+		ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0"),
 	}); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Errorf("strict search on follower = %v, want ErrStalePlacement", err)
 	}
@@ -291,7 +291,7 @@ func TestPromoteACGReconcilesAcknowledgedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0",
+		ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestFollowerCacheAndWALAreBounded(t *testing.T) {
 	// What the follower committed is what the primary acknowledged: all
 	// but its last 2 × limit entries at least.
 	lazy, err := r.b.Search(ctx, proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=" + strconv.Itoa(limit), Consistency: proto.ConsistencyLazy,
+		ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=" + strconv.Itoa(limit)), Consistency: proto.ConsistencyLazy,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"propeller/internal/attr"
 	"propeller/internal/index"
@@ -15,16 +14,6 @@ import (
 	"propeller/internal/proto"
 	"propeller/internal/query"
 )
-
-// compileQuery resolves a SearchReq's predicate: structured Preds when
-// present (no re-parse), otherwise the textual form. Parse failures carry
-// the ErrBadQuery taxonomy via query.ErrSyntax.
-func compileQuery(req proto.SearchReq) (query.Query, error) {
-	if len(req.Preds) > 0 {
-		return query.Query{Preds: req.Preds}, nil
-	}
-	return query.Parse(req.Query, time.Unix(0, req.NowUnixNano))
-}
 
 // Search answers a file-search request over the given groups. Consistency:
 // under the default strict mode results always reflect every acknowledged
@@ -51,13 +40,6 @@ func compileQuery(req proto.SearchReq) (query.Query, error) {
 // Cancellation: the context is checked between groups; an expired deadline
 // or cancelled caller aborts the pass without scanning further groups.
 func (n *Node) Search(ctx context.Context, req proto.SearchReq) (proto.SearchResp, error) {
-	// Admission runs before the query compiles: a shed search did no work
-	// and holds no collector memory.
-	if err := n.adm.acquire(req.Client); err != nil {
-		n.searchesShed.Inc()
-		return proto.SearchResp{}, fmt.Errorf("indexnode %s search: %w", n.cfg.ID, err)
-	}
-	defer n.adm.release(req.Client)
 	// Lease fence for strict reads: a strict read promises the result
 	// reflects every acknowledged update, but a fenced-off primary cannot
 	// know what a promoted successor has acknowledged since. Lazy reads
@@ -69,12 +51,11 @@ func (n *Node) Search(ctx context.Context, req proto.SearchReq) (proto.SearchRes
 			"indexnode %s: primary lease expired (node epoch %d): %w",
 			n.cfg.ID, n.placementEpoch.Load(), perr.ErrStalePlacement)
 	}
-	n.searchesServed.Inc()
-	q, err := compileQuery(req)
-	if err != nil {
-		return proto.SearchResp{}, err
+	if len(req.Preds) == 0 {
+		return proto.SearchResp{}, fmt.Errorf("indexnode %s search: no predicates: %w", n.cfg.ID, perr.ErrBadQuery)
 	}
-	return n.searchGroups(ctx, req, q)
+	n.searchesServed.Inc()
+	return n.searchGroups(ctx, req, query.Query{Preds: req.Preds})
 }
 
 // pageCollector accumulates matching FileIDs under a page budget: the

@@ -68,7 +68,7 @@ func TestSearchPageBudget(t *testing.T) {
 	n := newPagedNode(t, total, acgs)
 	ctx := context.Background()
 
-	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size>0", Limit: limit}
+	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Preds: textPreds("size>0"), Limit: limit}
 	seen := make(map[index.FileID]bool)
 	var last index.FileID
 	pages := 0
@@ -118,7 +118,7 @@ func TestSearchPageBudget(t *testing.T) {
 func TestSearchUnlimitedKeepsV1Semantics(t *testing.T) {
 	acgs := []proto.ACGID{1, 2}
 	n := newPagedNode(t, 500, acgs)
-	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size>0"})
+	resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: acgs, IndexName: "size", Preds: textPreds("size>0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,13 @@ func TestSearchUnlimitedKeepsV1Semantics(t *testing.T) {
 	}
 }
 
-// TestSearchStructuredPreds: a request carrying structured predicates
-// (the v2 wire form) must behave exactly like its textual equivalent.
+// TestSearchStructuredPreds: a request carrying hand-built predicates must
+// behave exactly like one carrying its text's parse.
 func TestSearchStructuredPreds(t *testing.T) {
 	acgs := []proto.ACGID{1}
 	n := newPagedNode(t, 100, acgs)
 	ctx := context.Background()
-	textual, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size>50"})
+	textual, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: "size", Preds: textPreds("size>50")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +151,6 @@ func TestSearchStructuredPreds(t *testing.T) {
 		if structured.Files[i] != textual.Files[i] {
 			t.Fatalf("result divergence at %d: %v vs %v", i, structured.Files, textual.Files)
 		}
-	}
-	// A bad textual query still reports the taxonomy.
-	if _, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "(size>1"}); !errors.Is(err, perr.ErrBadQuery) {
-		t.Errorf("bad query err = %v, want perr.ErrBadQuery", err)
 	}
 }
 
@@ -222,7 +218,7 @@ func TestSearchKDPageBudget(t *testing.T) {
 	n := newKDNode(t, total)
 	ctx := context.Background()
 
-	req := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "pt", Query: "x>=0 & y>=0", Limit: limit}
+	req := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "pt", Preds: textPreds("x>=0 & y>=0"), Limit: limit}
 	seen := make(map[index.FileID]bool)
 	for pages := 0; ; pages++ {
 		resp, err := n.Search(ctx, req)
@@ -265,7 +261,7 @@ func TestSearchKDOnlySkipsResidual(t *testing.T) {
 	// y >= 60 & y >= 80 (duplicate predicates intersect) -> x in (80... no:
 	// x in (50,120], y in [80,inf) -> diagonal points 80..120.
 	resp, err := n.Search(ctx, proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "pt", Query: "x>50 & x<=120 & y>=60 & y>=80",
+		ACGs: []proto.ACGID{1}, IndexName: "pt", Preds: textPreds("x>50 & x<=120 & y>=60 & y>=80"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +274,7 @@ func TestSearchKDOnlySkipsResidual(t *testing.T) {
 	// An uncovered field forces residual evaluation; no posting carries it,
 	// so nothing matches (and nothing must panic or mis-match).
 	resp, err = n.Search(ctx, proto.SearchReq{
-		ACGs: []proto.ACGID{1}, IndexName: "pt", Query: "x>=0 & uid=7",
+		ACGs: []proto.ACGID{1}, IndexName: "pt", Preds: textPreds("x>=0 & uid=7"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +323,7 @@ func TestSearchHashPageBudget(t *testing.T) {
 	n := newHashNode(t, dup, 100)
 	ctx := context.Background()
 
-	req := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: "tag=7", Limit: limit}
+	req := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Preds: textPreds("tag=7"), Limit: limit}
 	seen := make(map[index.FileID]bool)
 	for pages := 0; ; pages++ {
 		resp, err := n.Search(ctx, req)
@@ -377,11 +373,11 @@ func TestSearchHashScanFallbackCounted(t *testing.T) {
 		t.Fatalf("the load left %d commits and %d cached entries; the searches below must scan the index", stats.Commits, stats.CachedOps)
 	}
 	// A point query does not count.
-	if _, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: "tag=7"}); err != nil {
+	if _, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Preds: textPreds("tag=7")}); err != nil {
 		t.Fatal(err)
 	}
 	// A range query cannot be served point-wise: full-table scan, counted.
-	rangeReq := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: "tag>5"}
+	rangeReq := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Preds: textPreds("tag>5")}
 	resp, err := n.Search(ctx, rangeReq)
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +438,7 @@ func TestSearchLazyConsistencySkipsCommit(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	lazyReq := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0", Consistency: proto.ConsistencyLazy}
+	lazyReq := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>0"), Consistency: proto.ConsistencyLazy}
 	lazy := func() []index.FileID {
 		t.Helper()
 		resp, err := n.Search(ctx, lazyReq)
@@ -457,7 +453,7 @@ func TestSearchLazyConsistencySkipsCommit(t *testing.T) {
 	if files := lazy(); len(files) != 0 {
 		t.Errorf("lazy search saw uncommitted cache: %v", files)
 	}
-	strict, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0"})
+	strict, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,14 +486,14 @@ func TestSearchCancelledContext(t *testing.T) {
 	n := newPagedNode(t, 100, acgs)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size>0"})
+	_, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: "size", Preds: textPreds("size>0")})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled search err = %v, want context.Canceled", err)
 	}
 	// An expired deadline maps to the timeout taxonomy.
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	_, err = n.Search(expired, proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size>0"})
+	_, err = n.Search(expired, proto.SearchReq{ACGs: acgs, IndexName: "size", Preds: textPreds("size>0")})
 	if !errors.Is(err, perr.ErrTimeout) {
 		t.Errorf("expired search err = %v, want perr.ErrTimeout", err)
 	}
@@ -511,7 +507,7 @@ func TestSearchFanoutCancelledContext(t *testing.T) {
 	n, _ := newTestNode(t, func(c *Config) { c.CacheLimit = 1 << 30 })
 	n.DeclareIndex(sizeSpec)
 	loadDuplicateHeavy(t, n, acgs, 10, 10)
-	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size>0"}
+	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Preds: textPreds("size>0")}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := n.Search(ctx, req); !errors.Is(err, context.Canceled) {
@@ -563,7 +559,7 @@ func TestSearchStringPrefixBoundOnBTree(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "kw", Query: "kw=ab"})
+	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "kw", Preds: textPreds("kw=ab")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +574,7 @@ func TestSearchStringPrefixBoundOnBTree(t *testing.T) {
 func TestSearchHashContradictionDoesNotScan(t *testing.T) {
 	n := newHashNode(t, 10, 10)
 	ctx := context.Background()
-	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: "tag=5 & tag=7"})
+	resp, err := n.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Preds: textPreds("tag=5 & tag=7")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +635,7 @@ func TestSearchPageReadsIndependentOfDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size=7", Limit: limit}
+	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Preds: textPreds("size=7"), Limit: limit}
 	if _, err := n.Search(context.Background(), req); err != nil { // commit both groups
 		t.Fatal(err)
 	}
@@ -665,7 +661,7 @@ func TestSearchPageReadsIndependentOfDepth(t *testing.T) {
 	}
 
 	h := newHashNode(t, 2000, 500)
-	hreq := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: "tag=7", Limit: limit}
+	hreq := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Preds: textPreds("tag=7"), Limit: limit}
 	if _, err := h.Search(context.Background(), hreq); err != nil { // commit
 		t.Fatal(err)
 	}
@@ -712,7 +708,7 @@ func TestSearchPagedEqualitySeekEquivalence(t *testing.T) {
 	loadDuplicateHeavy(t, n, acgs, 20, 200) // value 7 carries 200 postings
 	ctx := context.Background()
 
-	full, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size=7"})
+	full, err := n.Search(ctx, proto.SearchReq{ACGs: acgs, IndexName: "size", Preds: textPreds("size=7")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +717,7 @@ func TestSearchPagedEqualitySeekEquivalence(t *testing.T) {
 	}
 
 	const limit = 16
-	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Query: "size=7", Limit: limit}
+	req := proto.SearchReq{ACGs: acgs, IndexName: "size", Preds: textPreds("size=7"), Limit: limit}
 	var paged []index.FileID
 	for pages := 0; ; pages++ {
 		resp, err := n.Search(ctx, req)

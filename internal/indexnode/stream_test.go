@@ -91,7 +91,7 @@ func TestStalledFollowerDoesNotBlockStrictSearch(t *testing.T) {
 			time.Sleep(stall)
 			return r.b.FollowerAppend(ctx, req)
 		})
-	search := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"}
+	search := proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")}
 	var took []time.Duration
 	for i := 0; i < 3; i++ { // the first attempt under a millisecond passes
 		done := make(chan error, 1)
@@ -455,9 +455,9 @@ func streamProperty(t *testing.T, seed int64) {
 			}
 		}
 		for _, q := range []string{"size>=0", "size<3000000", "size>=2000010"} {
-			want := searchFiles(t, promoted, proto.SearchReq{ACGs: []proto.ACGID{acg}, IndexName: "size", Query: q})
+			want := searchFiles(t, promoted, proto.SearchReq{ACGs: []proto.ACGID{acg}, IndexName: "size", Preds: textPreds(q)})
 			got := searchFiles(t, f, proto.SearchReq{
-				ACGs: []proto.ACGID{acg}, IndexName: "size", Query: q, Consistency: proto.ConsistencyLazy,
+				ACGs: []proto.ACGID{acg}, IndexName: "size", Preds: textPreds(q), Consistency: proto.ConsistencyLazy,
 			})
 			if !sameFiles(got, want) {
 				t.Errorf("query %q: follower %s reads %v, the primary %v", q, id, got, want)

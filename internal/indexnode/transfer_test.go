@@ -131,7 +131,7 @@ func TestTransferACGMovesGroupAndTombstonesSource(t *testing.T) {
 	seedTransferGroup(t, r.a, 1, 20)
 	// Half committed (via a strict search), half still pending after more
 	// updates — the transfer must carry both.
-	if _, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"}); err != nil {
+	if _, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 20; i < 30; i++ {
@@ -153,7 +153,7 @@ func TestTransferACGMovesGroupAndTombstonesSource(t *testing.T) {
 	}
 
 	// The destination serves every acknowledged update.
-	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestTransferACGMovesGroupAndTombstonesSource(t *testing.T) {
 	}); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Fatalf("stale update err = %v, want ErrStalePlacement", err)
 	}
-	if _, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"}); !errors.Is(err, perr.ErrStalePlacement) {
+	if _, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")}); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Fatalf("stale search err = %v, want ErrStalePlacement", err)
 	}
 	st, err := r.a.NodeStats(ctx, proto.NodeStatsReq{})
@@ -222,7 +222,7 @@ func TestRecoverFromSharedRestoresCheckpointAndWAL(t *testing.T) {
 	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestRecoverDoesNotClobberFresherLocalState(t *testing.T) {
 	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>150"})
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>150")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestRecoverOrderMakesFollowerCopyPrimary(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("update after the recover order = %v, want it accepted", err)
 	}
-	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestReleaseACGTombstoneAndReadoption(t *testing.T) {
 	if err := r.a.RecoverFromShared(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	resp, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestSplitFencesMovedFiles(t *testing.T) {
 		t.Fatal("split moved nothing")
 	}
 	// Identify a moved file: one no longer served by the old group.
-	resp, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>0"})
+	resp, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,10 +431,10 @@ func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 	// the Master will hand the split (it counts from 1).
 	const src, ballast proto.ACGID = 50, 51
 	searches := []proto.SearchReq{
-		{IndexName: "size", Query: "size>0", Limit: 3},
-		{IndexName: "size", Query: "size>0"},
-		{IndexName: "uid", Query: "uid=7"},
-		{IndexName: "loc", Query: "x>=0 & x<=100 & y<=0", Limit: 4},
+		{IndexName: "size", Preds: textPreds("size>0"), Limit: 3},
+		{IndexName: "size", Preds: textPreds("size>0")},
+		{IndexName: "uid", Preds: textPreds("uid=7")},
+		{IndexName: "loc", Preds: textPreds("x>=0 & x<=100 & y<=0"), Limit: 4},
 	}
 	run := func(sameNode bool) (int, []proto.SearchResp) {
 		r := newTransferRig(t)
@@ -629,7 +629,7 @@ func TestTransferCutMidwayFreesReceiver(t *testing.T) {
 		t.Fatalf("the receiver still holds the partial group (%d files) the cut transfer created", len(g.files))
 	}
 	inTime(t, "Heartbeat on the receiver", func() error { return r.b.Heartbeat(ctx) })
-	resp, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Query: `tag>=""`})
+	resp, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Preds: textPreds(`tag>=""`)})
 	if err != nil || len(resp.Files) != 12*256 {
 		t.Fatalf("source after the failed transfer = %d files, %v; want %d", len(resp.Files), err, 12*256)
 	}
@@ -659,7 +659,7 @@ func TestTransferChunkEpochsAndOffsets(t *testing.T) {
 		t.Helper()
 		var n int
 		inTime(t, "search on the receiver", func() error {
-			resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+			resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 			n = len(resp.Files)
 			return err
 		})
@@ -760,7 +760,7 @@ func TestTransferOpenBetweenChunksBlocksNoOtherTraffic(t *testing.T) {
 		return err
 	})
 	inTime(t, "Search on another group of the receiver", func() error {
-		resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Query: "size>=0"})
+		resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{2}, IndexName: "size", Preds: textPreds("size>=0")})
 		if err == nil && len(resp.Files) != 6 {
 			err = fmt.Errorf("%d files, want 6", len(resp.Files))
 		}
@@ -784,7 +784,7 @@ func TestTransferOpenBetweenChunksBlocksNoOtherTraffic(t *testing.T) {
 	if err := chunk(half, len(raw), true); err != nil {
 		t.Fatalf("the transfer's last chunk = %v, want the transfer still open", err)
 	}
-	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 	if err != nil || len(resp.Files) != 20 {
 		t.Fatalf("transferred group on the receiver = %d files, %v; want 20", len(resp.Files), err)
 	}
@@ -825,7 +825,7 @@ func TestTransferConcurrentSendersSettle(t *testing.T) {
 		t.Errorf("the newest sender (epoch %d) was refused: %v", senders, errs[senders])
 	}
 	inTime(t, "search after the senders settled", func() error {
-		resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
+		resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
 		if err == nil && len(resp.Files) != 20 {
 			err = fmt.Errorf("%d files, want 20", len(resp.Files))
 		}

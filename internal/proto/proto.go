@@ -126,8 +126,8 @@ type ACGMeta struct {
 type HeartbeatReq struct {
 	Node NodeID
 	ACGs []ACGMeta
-	// QueueDepth is the number of requests in the node's admission queue
-	// (in-flight Update/Search handlers) at heartbeat time — the load
+	// QueueDepth is the number of client Update/Search calls the node
+	// holds, from frame read to reply written, at heartbeat time — the load
 	// signal the rebalancer uses to move groups off queue-hot nodes even
 	// when file counts look balanced.
 	QueueDepth int
@@ -439,9 +439,6 @@ type UpdateReq struct {
 	ACG       ACGID
 	IndexName string
 	Entries   []IndexEntry
-	// Client identifies the submitting tenant for per-client fairness in
-	// the node's admission queue (empty = anonymous, pooled as one tenant).
-	Client string
 }
 
 // UpdateResp acknowledges the update.
@@ -484,10 +481,9 @@ func (c Consistency) String() string {
 }
 
 // SearchReq queries the named index on a set of ACGs held by this node.
-// The predicate arrives either structured in Preds (preferred: no re-parse,
-// no string-escaping pitfalls) or textual in Query (package query syntax;
-// used when Preds is empty). NowUnixNano anchors relative mtime predicates
-// in the textual form.
+// The predicate arrives parsed, as the conjunction Preds: the client parses
+// a query's text once, against its own reference time, and a node never
+// parses. A request with no predicates is refused with perr.ErrBadQuery.
 //
 // Pagination: when Limit > 0 the node returns at most Limit files, the
 // smallest matching FileIDs first. When AfterSet, only files with
@@ -495,11 +491,9 @@ func (c Consistency) String() string {
 // FileID of one page is the resume cursor for the next, and the same cursor
 // value is valid on every node of the fan-out.
 type SearchReq struct {
-	ACGs        []ACGID
-	IndexName   string
-	Query       string
-	Preds       []query.Predicate
-	NowUnixNano int64
+	ACGs      []ACGID
+	IndexName string
+	Preds     []query.Predicate
 	// Limit bounds the response size (0 = unlimited, the v1 behavior).
 	Limit int
 	// After / AfterSet form the resume cursor (exclusive lower bound).
@@ -508,9 +502,6 @@ type SearchReq struct {
 	// Consistency selects strict (read through the lazy cache) or lazy
 	// (committed indices only) reads.
 	Consistency Consistency
-	// Client identifies the submitting tenant for per-client fairness in
-	// the node's admission queue (empty = anonymous, pooled as one tenant).
-	Client string
 }
 
 // SearchResp returns matching files in ascending FileID order.
@@ -663,15 +654,15 @@ type NodeStatsResp struct {
 	// GroupsRecovered counts groups this node adopted from shared storage
 	// after their previous owner died.
 	GroupsRecovered int64
-	// QueueDepth is the current admission-queue depth (in-flight
-	// Update/Search handlers).
+	// QueueDepth is the number of client Update/Search calls the node holds
+	// now, counted from frame read to reply written.
 	QueueDepth int
 	// UpdatesShed / SearchesShed count requests rejected with
 	// ErrOverloaded because the node was at its admission limit.
 	UpdatesShed  int64
 	SearchesShed int64
 	// FairnessSheds counts the subset of sheds issued below the hard limit
-	// because one tenant exceeded its fair share of the queue.
+	// because one tenant (client connection) exceeded its fair share.
 	FairnessSheds int64
 	// FollowerGroups is the number of groups this node currently holds as a
 	// follower replica.

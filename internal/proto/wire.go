@@ -236,7 +236,6 @@ func (r *UpdateReq) MarshalWire(dst []byte) []byte {
 	dst = append(dst, wireV1)
 	dst = binary.AppendUvarint(dst, uint64(r.ACG))
 	dst = appendString(dst, r.IndexName)
-	dst = appendString(dst, r.Client)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Entries)))
 	for _, e := range r.Entries {
 		dst = e.AppendWire(dst)
@@ -248,7 +247,7 @@ func (r *UpdateReq) MarshalWire(dst []byte) []byte {
 // record can be marshalled into a buffer of its final size (the Index Node
 // marshals each update straight into its WAL frame).
 func (r *UpdateReq) WireLen() int {
-	n := 1 + uvarintLen(uint64(r.ACG)) + stringLen(r.IndexName) + stringLen(r.Client) + uvarintLen(uint64(len(r.Entries)))
+	n := 1 + uvarintLen(uint64(r.ACG)) + stringLen(r.IndexName) + uvarintLen(uint64(len(r.Entries)))
 	for _, e := range r.Entries {
 		v := e.Value.EncodedLen() // 1 for the zero Value, as appendValue writes it
 		n += uvarintLen(uint64(e.File)) + 1 + uvarintLen(uint64(v)) + v
@@ -278,9 +277,6 @@ func (r *UpdateReq) UnmarshalWire(data []byte) error {
 	}
 	r.ACG = ACGID(acg)
 	if r.IndexName, b, err = getString(b); err != nil {
-		return err
-	}
-	if r.Client, b, err = getString(b); err != nil {
 		return err
 	}
 	n, b, err := getUvarint(b)
@@ -344,23 +340,19 @@ func (r *SearchReq) MarshalWire(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, uint64(g))
 	}
 	dst = appendString(dst, r.IndexName)
-	dst = appendString(dst, r.Query)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Preds)))
 	for _, p := range r.Preds {
 		dst = appendString(dst, p.Field)
 		dst = append(dst, byte(p.Op))
 		dst = appendValue(dst, p.Value)
 	}
-	dst = binary.AppendVarint(dst, r.NowUnixNano)
 	dst = binary.AppendVarint(dst, int64(r.Limit))
 	dst = binary.AppendUvarint(dst, uint64(r.After))
 	var flags byte
 	if r.AfterSet {
 		flags |= searchAfterSet
 	}
-	dst = append(dst, flags, byte(r.Consistency))
-	dst = appendString(dst, r.Client)
-	return dst
+	return append(dst, flags, byte(r.Consistency))
 }
 
 // UnmarshalWire implements rpc.WireUnmarshaler.
@@ -390,9 +382,6 @@ func (r *SearchReq) UnmarshalWire(data []byte) error {
 	if r.IndexName, b, err = getString(b); err != nil {
 		return err
 	}
-	if r.Query, b, err = getString(b); err != nil {
-		return err
-	}
 	if n, b, err = getUvarint(b); err != nil {
 		return err
 	}
@@ -417,9 +406,6 @@ func (r *SearchReq) UnmarshalWire(data []byte) error {
 			r.Preds = append(r.Preds, p)
 		}
 	}
-	if r.NowUnixNano, b, err = getVarint(b); err != nil {
-		return err
-	}
 	var limit int64
 	if limit, b, err = getVarint(b); err != nil {
 		return err
@@ -435,9 +421,6 @@ func (r *SearchReq) UnmarshalWire(data []byte) error {
 	}
 	r.AfterSet = b[0]&searchAfterSet != 0
 	r.Consistency = Consistency(b[1])
-	if r.Client, _, err = getString(b[2:]); err != nil {
-		return err
-	}
 	return nil
 }
 

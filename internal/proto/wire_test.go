@@ -27,7 +27,7 @@ type wireMsg interface {
 func wireFixtures() map[string]wireMsg {
 	return map[string]wireMsg{
 		"UpdateReq": &UpdateReq{
-			ACG: 42, IndexName: "size", Client: "tenant-7",
+			ACG: 42, IndexName: "size",
 			Entries: []IndexEntry{
 				{File: 1, Value: attr.Int(-9)},
 				{File: 9, Value: attr.Str("x/y z")},
@@ -42,7 +42,7 @@ func wireFixtures() map[string]wireMsg {
 		// byte, the record the Index Node's log, mirror and follower stream
 		// hold, so the log's decoder is fuzzed from a real record.
 		"UpdateReq/ingest": &UpdateReq{
-			ACG: 7, IndexName: "size", Client: "c0",
+			ACG: 7, IndexName: "size",
 			Entries: []IndexEntry{
 				{File: 100000, Value: attr.Int(4096)}, {File: 100001, Value: attr.Int(1 << 20)},
 				{File: 100002, Value: attr.Int(0)}, {File: 100003, Value: attr.Int(77)},
@@ -53,14 +53,13 @@ func wireFixtures() map[string]wireMsg {
 		"UpdateResp": &UpdateResp{Cached: -3, Epoch: 77},
 		"SearchReq": &SearchReq{
 			ACGs: []ACGID{1, 5, 1 << 40}, IndexName: "inode",
-			Query: "size>8m & mtime<1week",
 			Preds: []query.Predicate{
 				{Field: "size", Op: query.OpGt, Value: attr.Int(8 << 20)},
 				{Field: "name", Op: query.OpEq, Value: attr.Str("a.log")},
 				{Field: "bad", Op: query.OpLe}, // zero Value survives
 			},
-			NowUnixNano: -1234567, Limit: 128, After: 77, AfterSet: true,
-			Consistency: ConsistencyStrict, Client: "t9",
+			Limit: 128, After: 77, AfterSet: true,
+			Consistency: ConsistencyStrict,
 		},
 		"SearchReq/empty": &SearchReq{},
 		"SearchResp": &SearchResp{
@@ -197,7 +196,7 @@ func TestUpdateReqWireLen(t *testing.T) {
 			reqs = append(reqs, u)
 		}
 	}
-	big := &UpdateReq{ACG: 1 << 35, IndexName: string(make([]byte, 200)), Client: "c"}
+	big := &UpdateReq{ACG: 1 << 35, IndexName: string(make([]byte, 200))}
 	for i := range 130 {
 		big.Entries = append(big.Entries, IndexEntry{File: index.FileID(1) << (i % 64), Value: attr.Str(string(make([]byte, i*3)))})
 	}

@@ -175,55 +175,50 @@ func (p NetProfile) cost(n int) time.Duration {
 }
 
 // handler serves one request: it decodes the codec-tagged body, runs the
-// method and answers request id on sc itself (respond), so the messages it
-// decodes into and marshals from are done with once it returns. The context
-// carries the calling side's deadline (when one was set).
+// method, answers request id on sc itself (respond), so the messages it
+// decodes into and marshals from are done with once it returns, and then
+// tells sc's admitter the call is done. The context carries the calling
+// side's deadline (when one was set).
 type handler func(ctx context.Context, sc *serverConn, id uint64, body []byte)
 
 // Server dispatches incoming frames to registered handlers.
 type Server struct {
-	// sem, when non-nil, bounds the handler goroutines running at once
-	// across every connection (see WithMaxConcurrent). Immutable after
-	// NewServer.
-	sem chan struct{}
-
 	mu       sync.Mutex
 	handlers map[string]handler
+	adm      Admitter
 	lns      []net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
 }
 
-// ServerOption configures a Server.
-type ServerOption func(*Server)
-
-// WithMaxConcurrent bounds the handler goroutines a server runs at once
-// across all its connections. An arriving frame that finds the limit
-// exhausted is answered immediately with perr.ErrOverloaded instead of
-// spawning a handler — the transport-level backstop under application
-// admission control (which sheds with context about queues and tenants;
-// this guard only stops a flood of frames from exhausting goroutines and
-// memory before the application ever sees them). n <= 0 leaves the server
-// unbounded (the default).
-func WithMaxConcurrent(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.sem = make(chan struct{}, n)
-		}
-	}
+// Admitter decides, on a connection's reader, which requests run. It is
+// asked once per request frame, before a handler is spawned or the body
+// decoded, so what it refuses costs the server one reply and nothing else.
+type Admitter interface {
+	// Admit reports whether the call of method that arrived on conn runs.
+	// A non-nil error refuses it: the caller receives that error, typed
+	// across the wire, and no handler runs.
+	Admit(conn net.Conn, method string) error
+	// Done is told, for each admitted call, once its handler has written
+	// the reply.
+	Done(conn net.Conn, method string)
 }
 
 // NewServer returns an empty server.
-func NewServer(opts ...ServerOption) *Server {
-	s := &Server{
+func NewServer() *Server {
+	return &Server{
 		handlers: make(map[string]handler),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+}
+
+// SetAdmitter installs a as the server's one admission decision for the
+// connections it serves from then on (nil admits every call).
+func (s *Server) SetAdmitter(a Admitter) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.adm = a
 }
 
 // HandleTyped registers a handler with typed request/response. Messages
@@ -252,6 +247,9 @@ func HandleTyped[Req, Resp any](s *Server, method string, fn func(context.Contex
 			b.resp, err = fn(ctx, b.req)
 		}
 		sc.respond(id, &b.resp, err)
+		if sc.adm != nil {
+			sc.adm.Done(sc.conn, method)
+		}
 	}
 }
 
@@ -305,11 +303,12 @@ func (s *Server) trackConn(conn net.Conn) {
 }
 
 // serverConn is the per-connection state the reader loop shares with
-// handler goroutines: the write lock serializing response and shed frames,
-// and the handler goroutines the reader joins before the connection closes.
+// handler goroutines: the write lock serializing responses, the admitter
+// the connection was served under, and the handler goroutines the reader
+// joins before the connection closes.
 type serverConn struct {
-	srv  *Server
 	conn net.Conn
+	adm  Admitter
 
 	writeMu sync.Mutex
 
@@ -342,9 +341,6 @@ func (sc *serverConn) respond(id uint64, msg any, err error) {
 // remaining budget when the request carries one.
 func (sc *serverConn) serve(h handler, id uint64, timeoutNanos int64, body []byte) {
 	defer sc.handlers.Done()
-	if sem := sc.srv.sem; sem != nil {
-		defer func() { <-sem }()
-	}
 	ctx := context.Background()
 	if timeoutNanos > 0 {
 		var cancel context.CancelFunc
@@ -354,16 +350,10 @@ func (sc *serverConn) serve(h handler, id uint64, timeoutNanos int64, body []byt
 	h(ctx, sc, id, body)
 }
 
-// shed answers a frame with the typed overload error without spawning a
-// handler. The typed code crosses the wire, so clients treat it exactly
-// like an application shed: retry after backoff, never a placement fault.
-func (sc *serverConn) shed(id uint64) {
-	sc.respond(id, nil, fmt.Errorf("rpc: server at concurrency limit %d: %w",
-		cap(sc.srv.sem), perr.ErrOverloaded))
-}
-
 func (s *Server) connLoop(conn net.Conn) {
-	sc := &serverConn{srv: s, conn: conn}
+	s.mu.Lock()
+	sc := &serverConn{conn: conn, adm: s.adm}
+	s.mu.Unlock()
 	defer sc.handlers.Wait()
 	for {
 		f, err := readFrame(conn)
@@ -382,13 +372,9 @@ func (s *Server) connLoop(conn net.Conn) {
 			sc.respond(f.ID, nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, f.Method))
 			continue
 		}
-		if s.sem != nil {
-			select {
-			case s.sem <- struct{}{}:
-			default:
-				// Concurrency limit exhausted: shed on the reader goroutine
-				// without spawning a handler.
-				sc.shed(f.ID)
+		if sc.adm != nil {
+			if err := sc.adm.Admit(conn, f.Method); err != nil {
+				sc.respond(f.ID, nil, err)
 				continue
 			}
 		}

@@ -331,62 +331,72 @@ func TestServerDoubleCloseAndLateConn(t *testing.T) {
 	_ = cc.Close()
 }
 
-// TestServerOverloadConcurrencyLimit proves the transport backstop: with
-// WithMaxConcurrent(n), frame n+1 is shed with a typed ErrOverloaded that
-// survives the wire, and capacity freed by a finishing handler re-admits.
-func TestServerOverloadConcurrencyLimit(t *testing.T) {
-	s := NewServer(WithMaxConcurrent(2))
-	release := make(chan struct{})
-	started := make(chan struct{}, 4)
-	HandleTyped(s, "hold", func(ctx context.Context, req echoReq) (echoResp, error) {
-		started <- struct{}{}
-		<-release
-		return echoResp{Msg: req.Msg}, nil
-	})
+// classAdmitter refuses every call of one method and records the calls it
+// admits and is told are done, with the connection each arrived on.
+type classAdmitter struct {
+	refuse string
+	mu     sync.Mutex
+	conns  map[net.Conn]int // admitted calls not yet done, per connection
+	done   chan string
+}
+
+func (a *classAdmitter) Admit(conn net.Conn, method string) error {
+	if method == a.refuse {
+		return fmt.Errorf("refused %s: %w", method, perr.ErrOverloaded)
+	}
+	a.mu.Lock()
+	a.conns[conn]++
+	a.mu.Unlock()
+	return nil
+}
+
+func (a *classAdmitter) Done(conn net.Conn, method string) {
+	a.mu.Lock()
+	a.conns[conn]--
+	a.mu.Unlock()
+	a.done <- method
+}
+
+// TestServerAdmitterDecidesOnTheReader: an installed admitter is asked for
+// every request frame. A refusal reaches the caller as its typed error and
+// no handler runs; an admitted call runs, and the admitter hears it is done
+// on the connection it was admitted on.
+func TestServerAdmitterDecidesOnTheReader(t *testing.T) {
+	s := NewServer()
+	var ran atomic.Int32
+	for _, m := range []string{"run", "shed"} {
+		HandleTyped(s, m, func(_ context.Context, r echoReq) (echoResp, error) {
+			ran.Add(1)
+			return echoResp{Msg: r.Msg}, nil
+		})
+	}
+	adm := &classAdmitter{refuse: "shed", conns: make(map[net.Conn]int), done: make(chan string, 1)}
+	s.SetAdmitter(adm)
 	c := startPipeServer(t, s)
+	ctx := context.Background()
 
-	type result struct {
-		resp echoResp
-		err  error
+	_, err := Call[echoReq, echoResp](ctx, c, "shed", echoReq{Msg: "x"})
+	if !errors.Is(err, perr.ErrOverloaded) || !Answered(err) {
+		t.Fatalf("refused call = %v, want an answered ErrOverloaded", err)
 	}
-	results := make(chan result, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			r, err := Call[echoReq, echoResp](context.Background(), c, "hold", echoReq{Msg: "slow"})
-			results <- result{r, err}
-		}(i)
+	if ran.Load() != 0 {
+		t.Fatal("a refused call ran its handler")
 	}
-	<-started
-	<-started // both slots held
-
-	// The third frame finds the limit exhausted and is shed immediately —
-	// no handler runs, and the error is errors.Is-stable across the wire.
-	_, err := Call[echoReq, echoResp](context.Background(), c, "hold", echoReq{Msg: "shed"})
-	if !errors.Is(err, perr.ErrOverloaded) {
-		t.Fatalf("call over limit = %v, want ErrOverloaded", err)
+	if resp, err := Call[echoReq, echoResp](ctx, c, "run", echoReq{Msg: "y"}); err != nil || resp.Msg != "y" {
+		t.Fatalf("admitted call = %+v, %v", resp, err)
 	}
-	if errors.Is(err, perr.ErrStalePlacement) {
-		t.Error("overload must not alias stale placement")
+	if m := <-adm.done; m != "run" {
+		t.Fatalf("done for %q, want run", m)
 	}
-
-	close(release)
-	for i := 0; i < 2; i++ {
-		if r := <-results; r.err != nil {
-			t.Fatalf("held call failed: %v", r.err)
+	adm.mu.Lock()
+	defer adm.mu.Unlock()
+	if len(adm.conns) != 1 || ran.Load() != 1 {
+		t.Fatalf("admitted on %d connections, %d handlers ran; want 1 and 1", len(adm.conns), ran.Load())
+	}
+	for _, n := range adm.conns {
+		if n != 0 {
+			t.Fatalf("%d admitted calls never done", n)
 		}
-	}
-	// Freed capacity re-admits. The slot is released just after the held
-	// response is written, so allow the tiny race a few retries — which is
-	// exactly the client contract for ErrOverloaded anyway.
-	for i := 0; ; i++ {
-		_, err := Call[echoReq, echoResp](context.Background(), c, "hold", echoReq{Msg: "again"})
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, perr.ErrOverloaded) || i > 100 {
-			t.Fatalf("call after drain: %v", err)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -40,7 +40,7 @@ func Run() (Result, error) {
 	ctx := context.Background()
 	h, err := NewHarness(ctx, HarnessConfig{
 		IndexNodes:  2,
-		MaxInflight: 8,
+		MaxInflight: 32,
 		Tenants:     4,
 		Files:       256,
 	})
@@ -77,7 +77,7 @@ func Run() (Result, error) {
 	// cluster so the gated run's state cannot leak into the yardstick.
 	hu, err := NewHarness(ctx, HarnessConfig{
 		IndexNodes:  2,
-		MaxInflight: -1, // explicit: no admission, no transport backstop
+		MaxInflight: -1, // explicit: no admission
 		Tenants:     4,
 		Files:       256,
 	})

@@ -80,7 +80,7 @@ type GenConfig struct {
 	// ZipfS is the Zipf skew exponent over the key space; values ≤ 1 select
 	// a uniform draw (default 1.2 — a hot head, a long tail).
 	ZipfS float64
-	// Tenants is the number of distinct client identities (default 1).
+	// Tenants is the number of distinct clients (default 1).
 	Tenants int
 	// HotTenantShare is the probability an op belongs to tenant 0; the
 	// remainder spreads uniformly over the others. 0 means uniform across

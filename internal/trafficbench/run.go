@@ -20,12 +20,13 @@ import (
 type HarnessConfig struct {
 	// IndexNodes is the cluster width (default 2).
 	IndexNodes int
-	// MaxInflight is each node's admission-queue bound (default 8; this is
+	// MaxInflight is each node's admission bound (default 32; this is
 	// the knob the overload trials exist to exercise). Negative disables
 	// admission entirely — the unbounded control clusters use it.
 	MaxInflight int
-	// Tenants is how many distinct client identities to wire (default 1).
-	// Trial clients disable overload retries so every shed is observed.
+	// Tenants is how many clients to wire (default 1). Each has its own
+	// connections, so each is a tenant with its own fair share. Trial
+	// clients disable overload retries so every shed is observed.
 	Tenants int
 	// Files preloads the key space so trials run over warm placements.
 	Files int
@@ -44,7 +45,7 @@ func (c HarnessConfig) withDefaults() HarnessConfig {
 		c.IndexNodes = 2
 	}
 	if c.MaxInflight == 0 {
-		c.MaxInflight = 8
+		c.MaxInflight = 32
 	}
 	if c.Tenants <= 0 {
 		c.Tenants = 1
@@ -96,7 +97,7 @@ func NewHarness(ctx context.Context, cfg HarnessConfig) (*Harness, error) {
 		return nil, err
 	}
 	h := &Harness{cfg: cfg, Cluster: cl}
-	first, err := cl.NewClientWith(client.Config{ID: "t0", OverloadRetries: -1})
+	first, err := cl.NewClientWith(client.Config{OverloadRetries: -1})
 	if err != nil {
 		h.Close()
 		return nil, err
@@ -109,9 +110,7 @@ func NewHarness(ctx context.Context, cfg HarnessConfig) (*Harness, error) {
 		return nil, err
 	}
 	for t := 1; t < cfg.Tenants; t++ {
-		c, err := cl.NewClientWith(client.Config{
-			ID: fmt.Sprintf("t%d", t), OverloadRetries: -1,
-		})
+		c, err := cl.NewClientWith(client.Config{OverloadRetries: -1})
 		if err != nil {
 			h.Close()
 			return nil, err
@@ -289,7 +288,7 @@ func (h *Harness) audit(ctx context.Context, acked map[index.FileID]bool) (int, 
 	if len(acked) == 0 {
 		return 0, nil
 	}
-	auditor, err := h.Cluster.NewClientWith(client.Config{ID: "audit", OverloadRetries: 10})
+	auditor, err := h.Cluster.NewClientWith(client.Config{OverloadRetries: 10})
 	if err != nil {
 		return 0, err
 	}

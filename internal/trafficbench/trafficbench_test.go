@@ -112,7 +112,7 @@ func TestGenOpsBurstCompressesArrivals(t *testing.T) {
 func TestTrafficOverloadGraceful(t *testing.T) {
 	ctx := context.Background()
 	h, err := NewHarness(ctx, HarnessConfig{
-		IndexNodes: 2, MaxInflight: 4, Tenants: 2, Files: 64,
+		IndexNodes: 2, MaxInflight: 16, Tenants: 2, Files: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestTrafficOverloadGraceful(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Shed == 0 {
-		t.Error("a 20× burst over a 4-deep queue must shed")
+		t.Error("a 20× burst over a 16-deep queue must shed")
 	}
 	if r.Completed == 0 {
 		t.Error("overload must degrade, not halt: zero ops completed")
@@ -149,7 +149,7 @@ func TestTrafficOverloadGraceful(t *testing.T) {
 func TestTrafficFairnessProtectsLightTenant(t *testing.T) {
 	ctx := context.Background()
 	h, err := NewHarness(ctx, HarnessConfig{
-		IndexNodes: 1, MaxInflight: 8, Tenants: 3, Files: 64,
+		IndexNodes: 1, MaxInflight: 32, Tenants: 3, Files: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,13 +179,12 @@ func TestTrafficFairnessProtectsLightTenant(t *testing.T) {
 		if cold.Completed == 0 {
 			t.Errorf("light tenant %d completed nothing while the flooder completed %d", i+1, hot.Completed)
 		}
-		// Application admission sheds the flooder preferentially; the
-		// transport backstop is tenant-blind, so allow sampling noise
-		// around equality — the invariant is the light tenant is never
-		// shed *harder*. Under the race detector the host is starved
-		// enough that the blind backstop does most of the shedding and
-		// the ratio is unobservable (the queue-level fairness tests in
-		// internal/indexnode cover the mechanism under race instead).
+		// Admission sheds the flooder preferentially only while the
+		// queue is congested below its hard limit; at the limit every
+		// connection is shed alike, so allow sampling noise around
+		// equality — the invariant is the light tenant is never shed
+		// *harder*. Skipped under the race detector (race_on_test.go
+		// says why).
 		if raceEnabled {
 			continue
 		}
@@ -200,7 +199,7 @@ func TestTrafficFairnessProtectsLightTenant(t *testing.T) {
 func TestTrafficFixedLoadCompletes(t *testing.T) {
 	ctx := context.Background()
 	h, err := NewHarness(ctx, HarnessConfig{
-		IndexNodes: 2, MaxInflight: 32, Tenants: 1, Files: 64,
+		IndexNodes: 2, MaxInflight: 128, Tenants: 1, Files: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

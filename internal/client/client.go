@@ -823,7 +823,8 @@ type SearchResult struct {
 	Nodes int
 	// CommitLatency is the summed virtual commit cost reported by the
 	// nodes: non-zero only when a strict search had to commit a group
-	// before reading it (a cache longer than the node reads through).
+	// before reading it (a cache no writer kept in key order; see
+	// proto.SearchResp.CommitLatencyNanos).
 	CommitLatency time.Duration
 	// More reports that matches beyond this page exist.
 	More bool

@@ -41,8 +41,10 @@ func TestAdmissionFloodNeverCutsFollowers(t *testing.T) {
 	if err := cl.Index(ctx, "size", load); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Heartbeat(ctx); err != nil { // seeds every group's follower
-		t.Fatal(err)
+	for range 2 { // seeds every group's follower, then proves the copies
+		if err := c.Heartbeat(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	stats, err := cl.ClusterStats(ctx)
 	if err != nil {

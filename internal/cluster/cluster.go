@@ -353,9 +353,10 @@ func (c *Cluster) KillNode(i int) error {
 // the same node id: new disk and store (its RAM and local state are gone —
 // only the cluster's shared store survives a crash), a new RPC server
 // exposed under its old name, and a re-registration with the Master. The
-// restarted node rejoins heartbeat/tick rounds immediately; it repopulates
-// through recover orders, replica seedings, and new traffic. No-op if the
-// node was never killed.
+// restarted node rejoins heartbeat/tick rounds immediately; its
+// registration places its copies again, so it repopulates through
+// recoveries, replica seedings, and new traffic. No-op if the node was
+// never killed.
 func (c *Cluster) RestartNode(i int) error {
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("cluster: no node %d", i)
@@ -387,9 +388,9 @@ func (c *Cluster) alive(i int) bool {
 	return !c.killed[i]
 }
 
-// ForceMigrate orders one group moved to the dest node and runs a
-// heartbeat round so the order is delivered and executed (migration orders
-// ride heartbeat replies, like split orders).
+// ForceMigrate plans one group's migration to the dest node and runs a
+// heartbeat round so the owner's reply carries the move and the owner runs
+// it (moves ride heartbeat replies, like splits).
 func (c *Cluster) ForceMigrate(ctx context.Context, id proto.ACGID, dest int) error {
 	if dest < 0 || dest >= len(c.nodes) {
 		return fmt.Errorf("cluster: no node %d", dest)
@@ -414,12 +415,12 @@ func (c *Cluster) Tick() error {
 }
 
 // Heartbeat runs one heartbeat round: every live node reports to the
-// master and executes the orders the reply carries (splits, migrations,
-// recoveries, drops). With failover enabled this round is also the failure
-// detector — the first surviving reporter triggers the sweep that
-// re-places a dead node's groups, and later reporters in the same round
-// pick up their recover orders. A node the Master no longer knows (it
-// restarted from a snapshot) registers again and heartbeats once more.
+// master and converges to the plan its reply holds (recoveries, drops,
+// seedings, splits, migrations). With failover enabled this round is also
+// the failure detector — the first surviving reporter triggers the sweep
+// that re-places a dead node's groups, and later reporters in the same
+// round adopt them. A node the Master no longer knows (it restarted from
+// a snapshot) registers again and heartbeats once more.
 func (c *Cluster) Heartbeat(ctx context.Context) error {
 	for i, n := range c.nodes {
 		if !c.alive(i) {

@@ -121,7 +121,7 @@ func TestIndexNodeCrashRecovery(t *testing.T) {
 	// Replacement node on fresh hardware; only shared storage survives.
 	node2 := newNode("in-b")
 	node2.DeclareIndex(spec)
-	if err := node2.RecoverFromShared(ctx, 1); err != nil {
+	if err := node2.RecoverFromShared(ctx, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	st, err = node2.NodeStats(ctx, proto.NodeStatsReq{})
@@ -149,7 +149,7 @@ func TestIndexNodeCrashRecovery(t *testing.T) {
 // stale-placement error, the client re-resolves and the write lands in the
 // surviving group, where a Strict search finds it. Without the tombstone
 // the write recreates the source, is acknowledged there, and no search
-// sees it — and the next heartbeat's drop order deletes it.
+// sees it — and the next heartbeat's reply drops it.
 func TestMergeTombstoneReroutesWarmClientWrite(t *testing.T) {
 	c, cl := bootCluster(t, Config{IndexNodes: 1})
 	ctx := context.Background()

@@ -52,8 +52,22 @@ func TestReplicationSeedsFollowers(t *testing.T) {
 	if err := cl.Index(ctx, "size", updates); err != nil {
 		t.Fatal(err)
 	}
-	// The heartbeat round delivers replicate orders to the primaries, which
-	// seed their followers and report back within the round.
+	// One heartbeat round lists each primary's follower, and the primary
+	// seeds it; the next round's reports prove the copies to the Master.
+	if err := c.Heartbeat(ctx); err != nil {
+		t.Fatal(err)
+	}
+	seeded := 0
+	for _, n := range c.Nodes() {
+		st, err := n.NodeStats(ctx, proto.NodeStatsReq{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeded += st.FollowerGroups
+	}
+	if seeded != 3 {
+		t.Fatalf("follower copies after one round = %d, want 3", seeded)
+	}
 	if err := c.Heartbeat(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -537,12 +551,15 @@ func TestRestartNodeRejoinsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Restart the dead node: it comes back empty and becomes the follower
-	// for the promoted group on its next heartbeat rounds.
+	// for the promoted group on its next heartbeat rounds — seeded in the
+	// first, proven to the Master in the second.
 	if err := c.RestartNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Heartbeat(ctx); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := c.Heartbeat(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>0"})
 	if err != nil {

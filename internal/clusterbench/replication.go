@@ -145,11 +145,11 @@ func runReplicationFaults(r *ReplicationResult) error {
 
 	for u := 0; u < replWorkload; u++ {
 		// Live heartbeat cadence: every few updates a round runs, keeping
-		// liveness fresh and delivering any pending re-seed orders (a
-		// group whose follower died stays follower-less until a round
-		// hands its primary a new replicate order). Tolerated: rounds
-		// overlapping a failover surface transient errors and the Master
-		// re-issues the orders.
+		// liveness fresh and converging every node to the plan (a group
+		// whose follower died stays follower-less until a round lists a
+		// new follower for its primary to seed). Tolerated: rounds
+		// overlapping a failover surface transient errors, and the next
+		// reply holds what is still different.
 		if u%5 == 0 {
 			c.Clock().Advance(heartbeatPace)
 			_ = c.Heartbeat(ctx)
@@ -164,10 +164,10 @@ func runReplicationFaults(r *ReplicationResult) error {
 			}
 			// Let the Master detect the death and promote: one round at
 			// live cadence (the victim just misses it), then the round
-			// that sweeps and issues the promote order. The first such
-			// round is the committed promotion cost. Transient errors are
-			// tolerated — orders toward the dying node fail until the
-			// sweep, and the Master re-issues them.
+			// that sweeps and places the group on a follower. The first
+			// such round is the committed promotion cost. Transient errors
+			// are tolerated — seedings toward the dying node fail until the
+			// sweep, and the next reply lists what is still different.
 			c.Clock().Advance(heartbeatPace)
 			_ = c.Heartbeat(ctx)
 			c.Clock().Advance(heartbeatPace)

@@ -70,7 +70,7 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 		t.Fatalf("image starts with 0x%02x, want magic 0x%02x", raw[0], imageMagic)
 	}
 
-	dst, _, err := r.b.lockOrCreateGroup(2)
+	dst, err := r.b.lockOrCreateGroup(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestImageApplierRejectsTornStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst, _, err := r.b.lockOrCreateGroup(3)
+	dst, err := r.b.lockOrCreateGroup(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestImageWithoutMagicIsRefused(t *testing.T) {
 	}
 	r.shared.Checkpoint(1, []byte("\x0Fnot a group image"))
 
-	if err := r.b.RecoverFromShared(ctx, 1); err == nil || !strings.Contains(err.Error(), "bad magic") {
+	if err := r.b.RecoverFromShared(ctx, 1, 0); err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("recover from a magic-less image = %v, want a bad-magic error", err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
@@ -180,7 +180,7 @@ func TestImageWithoutMagicIsRefused(t *testing.T) {
 	}
 
 	r.shared.TamperCheckpoint(1, func(raw []byte) []byte { return raw[:len(raw)-1] })
-	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
+	if err := r.b.RecoverFromShared(ctx, 1, 0); err != nil {
 		t.Fatalf("recover through the previous generation: %v", err)
 	}
 	if r.shared.FallbackLoads() == 0 {
@@ -222,7 +222,7 @@ func TestTransferReceiverMemoryBounded(t *testing.T) {
 		b = b[n:]
 	}
 
-	if err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
+	if err := r.a.TransferACG(ctx, r.orderMigration(t, r.a, 1, "in-b")); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Preds: textPreds(`tag>=""`)})

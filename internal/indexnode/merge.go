@@ -14,7 +14,7 @@ import (
 // reported to the Master, so file mappings rebind, before anything
 // changes: a refused or lost report leaves both groups as they were. A
 // src still here after the Master applied the report (its reply was lost,
-// or the fold failed) is in the next heartbeat, and the reply orders the
+// or the fold failed) is in the next heartbeat, and the reply asks for the
 // merge again.
 // Postings, causality edges and membership all move: dst adopts src's
 // image as an arrival adopts a shipped one, and src leaves behind a
@@ -40,7 +40,7 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 	}
 	if gs == nil {
 		if _, gone := n.releasedEpoch(src); gone {
-			return nil // folded (or moved away) already: a repeated order is done
+			return nil // folded (or moved away) already: a repeated merge is done
 		}
 		return fmt.Errorf("acg %d: %w", src, ErrUnknownACG)
 	}
@@ -73,7 +73,7 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		unlock()
 		return err
 	}
-	if _, err := n.report(ctx, proto.Order{Kind: proto.OrderMerge, ACG: src, Into: dst}, nil); err != nil {
+	if err := n.report(ctx, proto.ReportReq{Node: n.cfg.ID, Order: proto.Order{Kind: proto.OrderMerge, ACG: src, Into: dst}}); err != nil {
 		unlock()
 		return err
 	}

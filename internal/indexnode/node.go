@@ -208,6 +208,16 @@ type group struct {
 	// updates and strict searches with perr.ErrStalePlacement, and never
 	// writes the shared-store mirror. Cleared by a promotion or recovery.
 	follower bool
+	// epoch is the epoch the copy arrived at: that of the move whose
+	// transfer, recovery or promotion placed it here, 0 for a copy its
+	// first write created. A drop takes only a copy no newer than the
+	// epoch it names, and a transfer no newer than the copy is refused.
+	epoch proto.Epoch
+	// doubt is the report of a move this copy's node carried out and got
+	// no acknowledgement for (transfer.go): the Master may have applied
+	// it. Until the next heartbeat settles it, the group acks no write the
+	// move covers — none after a migration, none to a split's moved files.
+	doubt *proto.ReportReq
 	// replSeq is the replication stream position: on a primary it numbers
 	// the frames Update appends (bumped whether or not followers exist, so
 	// a later replica seeding starts from a true position) — the last one
@@ -219,9 +229,9 @@ type group struct {
 	// per follower, each queueing the frames Update enqueues under mu and
 	// confirming them off it. A failed append cuts the follower; the
 	// Master notices it missing from the next heartbeat's Followers list
-	// and re-seeds it. The slice is replaced, never edited in place, so an
-	// Update may range over its own copy after releasing mu. Empty on
-	// followers.
+	// and places it again, and the reply has this primary re-seed it. The
+	// slice is replaced, never edited in place, so an Update may range
+	// over its own copy after releasing mu. Empty on followers.
 	reps []*replica
 	// commitQueued says a follower copy's due commit waits for its
 	// goroutine (commitFollowerLocked).
@@ -467,31 +477,30 @@ func (n *Node) lockGroup(id proto.ACGID) *group {
 }
 
 // getOrCreateGroup returns the group, creating it on demand (groups are
-// provisioned lazily on first contact, the Master having routed here), and
-// whether it did. A
+// provisioned lazily on first contact, the Master having routed here). A
 // released (tombstoned) id is refused with perr.ErrStalePlacement: traffic
 // routed by a stale placement cache must not resurrect a group this node
 // no longer owns. The tombstone check shares the registry write lock with
 // creation, so a concurrent release can never interleave with it.
-func (n *Node) getOrCreateGroup(id proto.ACGID) (*group, bool, error) {
+func (n *Node) getOrCreateGroup(id proto.ACGID) (*group, error) {
 	n.mu.RLock()
 	g := n.groups[id]
 	n.mu.RUnlock()
 	if g != nil {
-		return g, false, nil
+		return g, nil
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if g = n.groups[id]; g != nil {
-		return g, false, nil
+		return g, nil
 	}
 	if ep, ok := n.released[id]; ok {
 		n.staleRejects.Inc()
-		return nil, false, n.staleErr(id, ep)
+		return nil, n.staleErr(id, ep)
 	}
 	g = n.newGroupLocked(id)
 	n.groups[id] = g
-	return g, true, nil
+	return g, nil
 }
 
 // staleErr is the typed stale-placement rejection, carrying the epoch of
@@ -530,18 +539,17 @@ func (n *Node) noteEpoch(e proto.Epoch) {
 // epoch returns the node's placement-epoch watermark.
 func (n *Node) epoch() proto.Epoch { return proto.Epoch(n.placementEpoch.Load()) }
 
-// lockOrCreateGroup returns the group locked, creating it if absent, and
-// whether it did. The retry loop covers a concurrent merge deleting the
-// group between lookup and lock. Released ids yield
-// perr.ErrStalePlacement.
-func (n *Node) lockOrCreateGroup(id proto.ACGID) (*group, bool, error) {
+// lockOrCreateGroup returns the group locked, creating it if absent. The
+// retry loop covers a concurrent merge deleting the group between lookup
+// and lock. Released ids yield perr.ErrStalePlacement.
+func (n *Node) lockOrCreateGroup(id proto.ACGID) (*group, error) {
 	for {
-		g, created, err := n.getOrCreateGroup(id)
+		g, err := n.getOrCreateGroup(id)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if g.lockLive() {
-			return g, created, nil
+			return g, nil
 		}
 	}
 }
@@ -677,7 +685,7 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 	framed := wal.SealFrame(req.MarshalWire(wal.NewFrame(req.WireLen())))
 	keys := prepareEntryKeys(spec, req.Entries)
 
-	g, _, err := n.lockOrCreateGroup(req.ACG)
+	g, err := n.lockOrCreateGroup(req.ACG)
 	if err != nil {
 		return proto.UpdateResp{}, err
 	}
@@ -697,14 +705,11 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 // sequence and the ack set the frame was enqueued on. Caller holds g.mu.
 func (n *Node) updateLocked(g *group, req proto.UpdateReq, framed []byte, keys [][]byte) (
 	resp proto.UpdateResp, seq uint64, reps []*replica, err error) {
-	if g.follower {
+	if err := n.fencedLocked(g); err != nil {
 		// Follower copies accept only the primary's replication stream; a
 		// direct update here is a client routed by a stale (or replica)
-		// target.
-		n.staleRejects.Inc()
-		return resp, 0, nil, fmt.Errorf(
-			"indexnode %s: acg %d is a follower replica (node epoch %d): %w",
-			n.cfg.ID, req.ACG, n.placementEpoch.Load(), perr.ErrStalePlacement)
+		// target. A migration in doubt may have moved the group.
+		return resp, 0, nil, err
 	}
 	if g.movedOut != nil {
 		for _, e := range req.Entries {
@@ -753,7 +758,7 @@ func (n *Node) updateLocked(g *group, req proto.UpdateReq, framed []byte, keys [
 // a recovery restores must include them (the paper stores ACGs as regular
 // files in the shared file system).
 func (n *Node) FlushACG(_ context.Context, req proto.FlushACGReq) (proto.FlushACGResp, error) {
-	g, _, err := n.lockOrCreateGroup(req.ACG)
+	g, err := n.lockOrCreateGroup(req.ACG)
 	if err != nil {
 		return proto.FlushACGResp{}, err
 	}
@@ -880,9 +885,25 @@ func (n *Node) leaseExpired() bool {
 	return int64(n.cfg.Clock.Now())-n.leaseGranted.Load() >= d
 }
 
-// Heartbeat sends one heartbeat to the Master and executes the orders the
-// reply carries, in the reply's sequence (proto.OrderKind). They are the
-// Master's only way to act on a node — it never dials.
+// fencedLocked refuses a client's update or Strict search with
+// perr.ErrStalePlacement when the copy cannot take it: a follower copy
+// serves only its stream and Lazy reads, and a migration in doubt may have
+// moved the group. Caller holds g.mu.
+func (n *Node) fencedLocked(g *group) error {
+	if !g.follower && (g.doubt == nil || g.doubt.Order.Kind != proto.OrderMigrate) {
+		return nil
+	}
+	n.staleRejects.Inc()
+	return fmt.Errorf("indexnode %s: acg %d is a follower replica or migrating (node epoch %d): %w",
+		n.cfg.ID, g.id, n.placementEpoch.Load(), perr.ErrStalePlacement)
+}
+
+// Heartbeat sends one heartbeat to the Master and converges the node to
+// the plan the reply holds for it: each target first (converge), then each
+// move — the Master's only way to act on a node, since it never dials.
+// Before it reports, it settles the moves in doubt (settleDoubtLocked). A
+// failed step skips nothing else: the next reply holds whatever still
+// differs from the plan.
 func (n *Node) Heartbeat(ctx context.Context) error {
 	if n.cfg.Master == nil {
 		return ErrNoMaster
@@ -895,14 +916,19 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 		if !g.lockLive() {
 			continue
 		}
-		am := proto.ACGMeta{ACG: g.id, Files: int64(len(g.files)), Follower: g.follower, ReplSeq: g.replSeq}
+		n.settleDoubtLocked(ctx, g)
+		if g.dead {
+			g.mu.Unlock()
+			continue
+		}
+		am := proto.ACGMeta{ACG: g.id, Files: int64(len(g.files)), Follower: g.follower, ReplSeq: g.replSeq, Epoch: g.epoch}
 		if !g.follower {
 			// The primary's ack set doubles as the Master's cut detector: a
-			// registered replica missing here was cut (or never inherited
-			// after a migration) and gets unseeded and re-seeded.
+			// planned follower missing here was cut (or never inherited
+			// after a migration) and is placed again and re-seeded.
 			g.pruneRepsLocked()
 			for _, r := range g.reps {
-				am.Followers = append(am.Followers, r.ref.Node)
+				am.Followers = append(am.Followers, proto.Copy{Node: r.ref.Node, Epoch: r.epoch})
 			}
 		}
 		req.ACGs = append(req.ACGs, am)
@@ -921,41 +947,54 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 		n.leaseGranted.Store(int64(n.cfg.Clock.Now()))
 		n.leaseDuration.Store(resp.LeaseNanos)
 	}
-	// A failed recovery or promotion must not abort its sibling orders: the
-	// Master re-issues both every heartbeat until the owner's report proves
-	// the adoption, so the right behavior is to keep going and surface the
-	// joined errors. A failed split, migration, seeding or merge skips the
-	// later orders of its own kind in this reply; the Master re-issues them.
 	var errs []error
-	var failed uint32 // bit k: an order of kind k failed
-	for _, o := range resp.Orders {
-		if failed&(1<<o.Kind) != 0 {
-			continue
+	for _, t := range resp.Targets {
+		if err := n.converge(ctx, t); err != nil {
+			errs = append(errs, fmt.Errorf("indexnode acg %d to %+v: %w", t.ACG, t, err))
 		}
-		var err error
+	}
+	for _, o := range resp.Moves {
 		switch o.Kind {
-		case proto.OrderRecover:
-			err = n.RecoverFromShared(ctx, o.ACG)
-		case proto.OrderDrop:
-			n.ReleaseACG(o.ACG, resp.Epoch)
-		case proto.OrderPromote:
-			err = n.PromoteACG(ctx, o)
 		case proto.OrderSplit:
 			_, err = n.SplitACG(ctx, o)
 		case proto.OrderMigrate:
 			err = n.TransferACG(ctx, o)
-		case proto.OrderReplicate:
-			err = n.ReplicateACG(ctx, o)
 		case proto.OrderMerge:
 			err = n.MergeACGs(ctx, o.Into, o.ACG)
 		default:
-			err = errors.New("unknown order kind")
+			err = errors.New("unknown move")
 		}
 		if err != nil {
-			errs = append(errs, fmt.Errorf("indexnode %v order %d: %w", o.Kind, o.ACG, err))
-			if o.Kind >= proto.OrderSplit {
-				failed |= 1 << o.Kind
-			}
+			errs = append(errs, fmt.Errorf("indexnode %v of acg %d: %w", o.Kind, o.ACG, err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// converge brings this node's copy of one group to the plan's target: it
+// drops a copy the target condemns, or adopts the group as its primary
+// (PromoteACG) unless it serves the copy the plan names already, and then
+// seeds each of the plan's followers (ReplicateACG is a no-op for one it
+// streams to at its epoch already).
+func (n *Node) converge(ctx context.Context, t proto.Target) error {
+	if t.Role == proto.RoleNone {
+		n.ReleaseACG(t.ACG, t.Epoch)
+		return nil
+	}
+	adopted := false
+	if g := n.lockGroup(t.ACG); g != nil {
+		adopted = !g.follower && g.epoch == t.Epoch
+		g.mu.Unlock()
+	}
+	if !adopted {
+		if err := n.PromoteACG(ctx, t); err != nil {
+			return err
+		}
+	}
+	var errs []error
+	for _, f := range t.Followers {
+		if f.Addr != "" {
+			errs = append(errs, n.ReplicateACG(ctx, t.ACG, f))
 		}
 	}
 	return errors.Join(errs...)

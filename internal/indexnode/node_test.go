@@ -371,7 +371,7 @@ func TestSearchBadQuery(t *testing.T) {
 // the node's one replay loop and returns the number of entries restored.
 func replayLog(t testing.TB, n *Node, id proto.ACGID, img []byte) int {
 	t.Helper()
-	g, _, err := n.lockOrCreateGroup(id)
+	g, err := n.lockOrCreateGroup(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func recoverFromShared(t *testing.T, shared *sharedstore.Store) (*Node, int64) {
 	t.Helper()
 	n, _ := newTestNode(t, func(c *Config) { c.Shared = shared })
 	n.DeclareIndex(sizeSpec)
-	if err := n.RecoverFromShared(context.Background(), 1); err != nil {
+	if err := n.RecoverFromShared(context.Background(), 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	st, err := n.NodeStats(context.Background(), proto.NodeStatsReq{})

@@ -16,31 +16,35 @@ import (
 )
 
 // TestHeartbeatRunsOrdersInSequence pins the heartbeat contract from the
-// node's side. One reply from a scripted Master carries every order kind in
-// the documented sequence, each kind after the kinds it may depend on: a
-// split of the group a recovery brings, a migration of a group a drop
-// already released, a seeding of the copy a promotion makes primary. The
-// node runs them in that sequence, and a failed migration skips the later
-// migrations of the reply and nothing else.
+// node's side. One reply from a scripted Master holds every kind of target
+// and move: the node converges each target first — a recovery, a drop, a
+// drop a newer copy outlives, a promotion, the seeding of a follower its
+// ack set lacks — and then runs each move: a split of the group the
+// recovery brought, a migration of a group the drop released, and
+// migrations of which one fails. A failed step skips nothing else.
 func TestHeartbeatRunsOrdersInSequence(t *testing.T) {
 	r := newTransferRig(t)
 	ctx := context.Background()
 	b := proto.ReplicaRef{Node: r.b.cfg.ID, Addr: "pipe:in-b"}
-	reply := proto.HeartbeatResp{Orders: []proto.Order{
-		{Kind: proto.OrderRecover, ACG: 5},
-		{Kind: proto.OrderDrop, ACG: 6},
-		{Kind: proto.OrderPromote, ACG: 7},
-		{Kind: proto.OrderSplit, ACG: 5, Into: 20, Dest: proto.ReplicaRef{Node: "in-s"}},
-		{Kind: proto.OrderMigrate, ACG: 6, Dest: b},
-		{Kind: proto.OrderMigrate, ACG: 8, Dest: b},
-		{Kind: proto.OrderMigrate, ACG: 2, Dest: proto.ReplicaRef{Node: "in-x", Addr: "pipe:in-x"}},
-		{Kind: proto.OrderMigrate, ACG: 3, Dest: b},
-		{Kind: proto.OrderReplicate, ACG: 4, Dest: b},
-		{Kind: proto.OrderReplicate, ACG: 7, Dest: b},
-	}}
+	reply := proto.HeartbeatResp{
+		Targets: []proto.Target{
+			{ACG: 4, Role: proto.RolePrimary, Followers: []proto.Copy{{Node: b.Node, Addr: b.Addr, Epoch: 7}}},
+			{ACG: 5, Role: proto.RolePrimary, Epoch: 3},
+			{ACG: 6, Role: proto.RoleNone, Epoch: 4},
+			{ACG: 7, Role: proto.RolePrimary, Epoch: 5},
+			{ACG: 9, Role: proto.RoleNone, Epoch: 2},
+		},
+		Moves: []proto.Order{
+			{Kind: proto.OrderMigrate, ACG: 2, Dest: proto.ReplicaRef{Node: "in-x", Addr: "pipe:in-x"}, Epoch: 8},
+			{Kind: proto.OrderMigrate, ACG: 3, Dest: b, Epoch: 9},
+			{Kind: proto.OrderSplit, ACG: 5, Into: 20, Dest: proto.ReplicaRef{Node: "in-s"}, Epoch: 10},
+			{Kind: proto.OrderMigrate, ACG: 6, Dest: b, Epoch: 11},
+			{Kind: proto.OrderMigrate, ACG: 8, Dest: b, Epoch: 12},
+		},
+	}
 
 	// The scripted Master answers the heartbeat with reply and logs the
-	// reports the orders send back, in arrival order.
+	// reports the moves send back, in arrival order.
 	var mu sync.Mutex
 	var reports []string
 	script := rpc.NewServer()
@@ -76,19 +80,22 @@ func TestHeartbeatRunsOrdersInSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []proto.ACGID{2, 3, 4, 6, 7, 8} {
+	for _, id := range []proto.ACGID{2, 3, 4, 6, 7, 8, 9} {
 		seedTransferGroup(t, n, id, 6)
 	}
 	g := n.lockGroup(7)
 	g.follower = true
 	g.mu.Unlock()
+	g = n.lockGroup(9)
+	g.epoch = 8 // a move landed it after the reply was computed
+	g.mu.Unlock()
 	seedTransferGroup(t, r.b, 5, 6) // group 5 reaches the shared store only
 
 	err = n.Heartbeat(ctx)
-	if err == nil || !strings.Contains(err.Error(), "migrate order 2") || strings.Count(err.Error(), " order ") != 1 {
-		t.Fatalf("heartbeat = %v, want the one failure of migrate order 2", err)
+	if err == nil || !strings.Contains(err.Error(), "migrate of acg 2") || strings.Count(err.Error(), "\n") != 0 {
+		t.Fatalf("heartbeat = %v, want the one failure of the migration of acg 2", err)
 	}
-	if want := []string{"split 5", "migrate 8", "replicate 4", "replicate 7"}; !slices.Equal(reports, want) {
+	if want := []string{"migrate 3", "split 5", "migrate 8"}; !slices.Equal(reports, want) {
 		t.Errorf("reports in arrival order = %q, want %q", reports, want)
 	}
 	for _, c := range []struct {
@@ -96,14 +103,16 @@ func TestHeartbeatRunsOrdersInSequence(t *testing.T) {
 		id       proto.ACGID
 		held     bool
 		follower bool
+		epoch    proto.Epoch
 	}{
-		{n, 5, true, false}, {n, 20, true, false}, // recovered, then split here
-		{n, 6, false, false},                      // dropped; its migration found it gone
-		{n, 7, true, false}, {r.b, 7, true, true}, // promoted, then seeded
-		{n, 8, false, false}, {r.b, 8, true, false}, // migrated
-		{n, 2, true, false},                         // its migration failed
-		{n, 3, true, false}, {r.b, 3, false, false}, // skipped after the failure
-		{n, 4, true, false}, {r.b, 4, true, true}, // seeded despite the failed migration
+		{n, 5, true, false, 3}, {n, 20, true, false, 10}, // recovered, then split here
+		{n, 6, false, false, 0},                         // dropped; its migration found it gone
+		{n, 9, true, false, 8},                          // newer than the drop
+		{n, 7, true, false, 5},                          // promoted
+		{n, 4, true, false, 0}, {r.b, 4, true, true, 7}, // seeded
+		{n, 2, true, false, 0},                            // its migration failed
+		{n, 3, false, false, 0}, {r.b, 3, true, false, 9}, // migrated after the failure
+		{n, 8, false, false, 0}, {r.b, 8, true, false, 12}, // migrated
 	} {
 		g := c.node.lockGroup(c.id)
 		if g == nil {
@@ -112,9 +121,9 @@ func TestHeartbeatRunsOrdersInSequence(t *testing.T) {
 			}
 			continue
 		}
-		if !c.held || g.follower != c.follower {
-			t.Errorf("%s holds acg %d (follower %v), want held %v follower %v",
-				c.node.cfg.ID, c.id, g.follower, c.held, c.follower)
+		if !c.held || g.follower != c.follower || g.epoch != c.epoch {
+			t.Errorf("%s holds acg %d (follower %v, epoch %d), want held %v follower %v epoch %d",
+				c.node.cfg.ID, c.id, g.follower, g.epoch, c.held, c.follower, c.epoch)
 		}
 		g.mu.Unlock()
 	}

@@ -216,7 +216,7 @@ func TestProvenPredicateSkipEquivalence(t *testing.T) {
 			g := r.a.lockGroup(g2)
 			seq := g.replSeq
 			g.mu.Unlock()
-			if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: g2, Seq: seq}); err != nil {
+			if err := r.b.PromoteACG(ctx, proto.Target{ACG: g2, Role: proto.RolePrimary, Seq: seq}); err != nil {
 				t.Fatal(err)
 			}
 			for range 60 {

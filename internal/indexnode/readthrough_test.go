@@ -420,7 +420,7 @@ func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
 				g := r.a.lockGroup(g2)
 				seq := g.replSeq
 				g.mu.Unlock()
-				if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: g2, Seq: seq}); err != nil {
+				if err := r.b.PromoteACG(ctx, proto.Target{ACG: g2, Role: proto.RolePrimary, Seq: seq}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -849,7 +849,7 @@ func TestBulkLoadThenReadOnlyReadsCommitted(t *testing.T) {
 		if st, _ := r.b.NodeStats(ctx, proto.NodeStatsReq{}); st.CachedOps == 0 {
 			t.Fatal("the follower's cache is empty; the stream did not reach it")
 		}
-		if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: acg, Seq: seq}); err != nil {
+		if err := r.b.PromoteACG(ctx, proto.Target{ACG: acg, Role: proto.RolePrimary, Seq: seq}); err != nil {
 			t.Fatal(err)
 		}
 		readOnly(t, r.b, []proto.ACGID{acg}, 0) // the promotion's checkpoint committed the stream

@@ -16,12 +16,13 @@ import (
 // This file implements the node side of k-way ACG replication: a primary
 // streams every acknowledged WAL frame to its follower replicas
 // (ReplicateACG seeds a copy, a replica's sender keeps it caught up,
-// FollowerAppend is the receiving half), and a Master promote order turns
-// a follower into the primary in place, reconciling only the tail it
-// missed (PromoteACG). Acknowledged durability for a replicated group is
-// primary WAL append + shared-store mirror + follower appends; a follower
-// whose append fails is cut from the ack set and re-seeded by the Master,
-// with the shared mirror covering the gap.
+// FollowerAppend is the receiving half), and a heartbeat reply that places
+// the group's primary on a follower copy turns it into the primary in
+// place, reconciling only the tail it missed (PromoteACG). Acknowledged
+// durability for a replicated group is primary WAL append + shared-store
+// mirror + follower appends; a follower whose append fails is cut from the
+// ack set, and the Master places it again for its primary to re-seed, with
+// the shared mirror covering the gap.
 //
 // The stream runs off the group lock. Update appends, mirrors, numbers the
 // frame and enqueues it on every replica under g.mu, then releases the
@@ -40,6 +41,9 @@ import (
 type replica struct {
 	ref proto.ReplicaRef
 	acg proto.ACGID
+	// epoch is the epoch the follower's placement names: its copy arrived
+	// at it, and the primary reports it with the follower.
+	epoch proto.Epoch
 
 	mu sync.Mutex
 	// queued holds the frames enqueued since the call in flight began:
@@ -71,10 +75,10 @@ type replica struct {
 	watchdog *time.Timer
 }
 
-// newReplica is the stream to a follower whose copy holds every frame up to
-// seq.
-func newReplica(ref proto.ReplicaRef, acg proto.ACGID, seq uint64) *replica {
-	r := &replica{ref: ref, acg: acg, acked: seq, last: seq}
+// newReplica is the stream to follower f, whose copy holds every frame up
+// to seq.
+func newReplica(f proto.Copy, acg proto.ACGID, seq uint64) *replica {
+	r := &replica{ref: proto.ReplicaRef{Node: f.Node, Addr: f.Addr}, acg: acg, epoch: f.Epoch, acked: seq, last: seq}
 	r.moved.L = &r.mu
 	return r
 }
@@ -211,6 +215,13 @@ func (r *replica) isCut() bool {
 	return r.cut
 }
 
+// cutOut takes the follower out of the ack set (cutLocked).
+func (r *replica) cutOut() {
+	r.mu.Lock()
+	r.cutLocked()
+	r.mu.Unlock()
+}
+
 // pruneRepsLocked drops cut replicas from the group's ack set before it is
 // reported or extended; until then a cut replica takes no frames and holds
 // up no ack. g.reps is replaced, never edited in place: an Update past the
@@ -227,9 +238,7 @@ func (g *group) pruneRepsLocked() {
 // holds g.mu.
 func (g *group) cutStreamLocked() {
 	for _, r := range g.reps {
-		r.mu.Lock()
-		r.cutLocked()
-		r.mu.Unlock()
+		r.cutOut()
 	}
 	g.reps = nil
 }
@@ -320,92 +329,83 @@ func (n *Node) commitFollowerLocked(g *group) error {
 	return nil
 }
 
-// ReplicateACG executes one Master replicate order: commit the group, ship
-// its image to the destination as a follower copy (the same chunk calls
-// migrations use, with the Follower flag set), report the
-// seeding, and add the destination to the streaming ack set. The whole
-// sequence holds the group lock, so no acknowledged frame can slip between
-// the image and the start of the stream. Duplicate orders (the Master
-// re-issues until the follower confirms) are no-ops once the destination
-// is in the ack set; a follower cut from it is forgotten first, so its
-// order re-seeds it.
-func (n *Node) ReplicateACG(ctx context.Context, o proto.Order) error {
-	if o.Dest.Node == n.cfg.ID {
-		return nil // a group never follows itself
-	}
-	g, err := n.lockOrdered(o.ACG)
+// ReplicateACG seeds follower f of a group this node serves: commit the
+// group, ship its image to f as a follower copy placed at f.Epoch (the
+// same chunk calls migrations use, with the Follower flag set), and add f
+// to the streaming ack set, replacing an entry for an older placement. The
+// whole sequence holds the group lock, so no acknowledged frame can slip
+// between the image and the start of the stream. A follower already in the
+// ack set at f.Epoch is done; a copy that is not the primary seeds nothing.
+func (n *Node) ReplicateACG(ctx context.Context, id proto.ACGID, f proto.Copy) error {
+	g := n.lockGroup(id)
 	if g == nil {
-		return err
+		return nil
 	}
 	defer g.mu.Unlock()
 	if g.follower {
-		return nil // only primaries seed; a stale order raced a promotion
+		return nil // only primaries seed; a stale target raced a promotion
 	}
 	g.pruneRepsLocked()
-	for _, r := range g.reps {
-		if r.ref.Node == o.Dest.Node {
-			return nil // already streaming (duplicate order)
-		}
+	if slices.ContainsFunc(g.reps, func(r *replica) bool { return r.ref.Node == f.Node && r.epoch == f.Epoch }) {
+		return nil
 	}
 	if err := n.commitGroupLocked(g); err != nil {
 		return err
 	}
-	peer, err := n.peerConn(ctx, o.Dest.Addr)
-	if err != nil {
-		return fmt.Errorf("indexnode replicate dial %s: %w", o.Dest.Addr, err)
+	meta := proto.ReceiveACGMeta{ACG: g.id, Epoch: f.Epoch, Follower: true, ReplSeq: g.replSeq}
+	if err := n.shipGroupLocked(ctx, proto.ReplicaRef{Node: f.Node, Addr: f.Addr}, g, nil, meta); err != nil {
+		return err
 	}
-	meta := proto.ReceiveACGMeta{
-		ACG: g.id, Epoch: n.epoch(), Follower: true, ReplSeq: g.replSeq,
+	reps := make([]*replica, 0, len(g.reps)+1)
+	for _, r := range g.reps {
+		if r.ref.Node == f.Node {
+			r.cutOut()
+		} else {
+			reps = append(reps, r)
+		}
 	}
-	if err := n.shipGroupLocked(ctx, peer, g, nil, meta); err != nil {
-		n.dropPeer(o.Dest.Addr, err)
-		return fmt.Errorf("indexnode replicate acg %d to %s: %w", o.ACG, o.Dest.Node, err)
-	}
-	// Best-effort: a lost report just delays the seeded mark until the
-	// follower's own heartbeat proves the copy.
-	_, _ = n.report(ctx, o, nil)
-	g.reps = append(g.reps[:len(g.reps):len(g.reps)], newReplica(o.Dest, g.id, g.replSeq))
+	g.reps = append(reps, newReplica(f, g.id, g.replSeq))
 	return nil
 }
 
-// PromoteACG executes one Master promote order: this node's follower copy
-// of the group becomes the primary in place — no replay into an empty
-// group on this path. The surviving replica set rides the order and
-// becomes the new ack set; any stream this copy still held from an earlier
-// term as primary is cut first, and a copy that already serves (a
-// re-issued order) keeps its stream. Before serving, the copy reconciles the
-// acknowledged tail it may have missed (frames acked after it was cut, or
-// after the dead primary's last heartbeat, exist in the shared mirror but
-// possibly nowhere else alive): it enters as any arrival does, and the
-// known-pairs skip makes that an incremental catch-up over the copy's own
-// state. Its closing checkpoint takes over the shared mirror: from here
-// this node's acks write it. Idempotent: the Master re-issues the order
-// until this node's heartbeat reports the group as primary.
-func (n *Node) PromoteACG(ctx context.Context, o proto.Order) error {
+// PromoteACG adopts the group as the primary the target places here at
+// t.Epoch. A follower copy is promoted in place — no replay into an empty
+// group on this path — and the target's followers, the ones that hold
+// their copies, become its ack set; any other copy, or none, is recovered
+// (RecoverFromShared). Before serving, the copy reconciles what shared
+// storage holds that it may have missed (frames acked after a follower was
+// cut, or after the dead primary's last heartbeat, exist in the shared
+// mirror but possibly nowhere else alive): it enters as any arrival does,
+// and the known-pairs skip makes that an incremental catch-up over the
+// copy's own state. Its closing checkpoint takes over the shared mirror:
+// from here this node's acks write it. Idempotent.
+func (n *Node) PromoteACG(ctx context.Context, t proto.Target) error {
 	var checkpoint, walBytes []byte
 	if n.cfg.Shared != nil {
-		checkpoint, walBytes, _ = n.cfg.Shared.Load(o.ACG)
+		checkpoint, walBytes, _ = n.cfg.Shared.Load(t.ACG)
 	}
 	wasFollower := false
 	promote := func(g *group) {
 		wasFollower = g.follower
-		g.replSeq = max(g.replSeq, o.Seq)
+		g.replSeq = max(g.replSeq, t.Seq)
 		if !g.follower {
-			return // a re-issued order: the copy serves, streaming already
+			return // it serves already, streaming
 		}
 		g.follower = false
 		g.cutStreamLocked()
-		for _, r := range o.Followers {
-			if r.Node != n.cfg.ID {
-				g.reps = append(g.reps, newReplica(r, g.id, g.replSeq))
+		for _, f := range t.Followers {
+			if f.Addr != "" {
+				g.reps = append(g.reps, newReplica(f, g.id, g.replSeq))
 			}
 		}
 	}
-	if err := n.enter(ctx, o.ACG, 0, promote, storedImage(checkpoint), walBytes); err != nil {
-		return fmt.Errorf("indexnode promote acg %d: %w", o.ACG, err)
+	if err := n.enter(ctx, t.ACG, t.Epoch, promote, storedImage(checkpoint), walBytes); err != nil {
+		return fmt.Errorf("indexnode adopt acg %d: %w", t.ACG, err)
 	}
 	if wasFollower {
 		n.promotions.Inc()
+	} else {
+		n.groupsRecovered.Inc()
 	}
 	return nil
 }

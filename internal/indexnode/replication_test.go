@@ -16,13 +16,11 @@ import (
 	"propeller/internal/wal"
 )
 
-// seedFollower makes node b a streaming follower of a's group: the same
-// ReplicateACG order the Master's heartbeat reply would carry.
+// seedFollower makes node b a streaming follower of a's group, as a
+// primary does for a follower its heartbeat reply lists.
 func seedFollower(t *testing.T, r *transferRig, acg proto.ACGID) {
 	t.Helper()
-	if err := r.a.ReplicateACG(context.Background(), proto.Order{
-		Kind: proto.OrderReplicate, ACG: acg, Dest: proto.ReplicaRef{Node: r.b.cfg.ID, Addr: "pipe:in-b"},
-	}); err != nil {
+	if err := r.a.ReplicateACG(context.Background(), acg, proto.Copy{Node: r.b.cfg.ID, Addr: "pipe:in-b", Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -78,13 +76,14 @@ func TestReplicateACGSeedsFollowerAndStreams(t *testing.T) {
 		t.Errorf("lazy search on follower = %d files, want 30", len(resp.Files))
 	}
 
-	// A duplicate replicate order is a no-op, not a re-seed.
+	// Seeding a follower the ack set holds at its epoch is a no-op, not a
+	// re-seed.
 	seedFollower(t, r, 1)
 	g := r.a.lockGroup(1)
 	reps := len(g.reps)
 	g.mu.Unlock()
 	if reps != 1 {
-		t.Errorf("duplicate replicate order grew the ack set to %d", reps)
+		t.Errorf("a duplicate seeding grew the ack set to %d", reps)
 	}
 }
 
@@ -162,7 +161,7 @@ func TestFollowerRejectsDirectTrafficTyped(t *testing.T) {
 	}
 	// And a stale primary's stream is refused typed once the copy is no
 	// longer a follower (zombie-primary fencing).
-	if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: 1, Seq: 5}); err != nil {
+	if err := r.b.PromoteACG(ctx, proto.Target{ACG: 1, Role: proto.RolePrimary, Seq: 5}); err != nil {
 		t.Fatal(err)
 	}
 	stale := proto.UpdateReq{
@@ -287,7 +286,7 @@ func TestPromoteACGReconcilesAcknowledgedTail(t *testing.T) {
 
 	// The primary dies; the Master promotes the (cut) follower with the
 	// primary's last *reported* position — which predates the cut tail.
-	if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: 1, Seq: seq}); err != nil {
+	if err := r.b.PromoteACG(ctx, proto.Target{ACG: 1, Role: proto.RolePrimary, Seq: seq}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{

@@ -222,14 +222,13 @@ func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScan
 	}
 	defer g.mu.Unlock()
 	strict := req.Consistency != proto.ConsistencyLazy
-	if g.follower && strict {
+	if strict {
 		// Strict reads stay primary-only: a follower serves its replication
 		// stream's view, which can trail the primary's acknowledged set.
 		// Lazy reads accept that staleness by definition and are served.
-		n.staleRejects.Inc()
-		return 0, fmt.Errorf(
-			"indexnode %s: acg %d is a follower replica (node epoch %d): %w",
-			n.cfg.ID, id, n.placementEpoch.Load(), perr.ErrStalePlacement)
+		if err := n.fencedLocked(g); err != nil {
+			return 0, err
+		}
 	}
 	readThrough := false
 	switch {

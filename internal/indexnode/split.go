@@ -10,13 +10,15 @@ import (
 	"propeller/internal/proto"
 )
 
-// SplitACG executes one split order: it background-partitions an oversized
-// group into two balanced sub-graphs with minimal cut (§III), ships the
-// moved half to o.Dest as group o.Into, reports the split to the Master,
-// and only then removes the half locally. A failed ship or a refused
-// report leaves the group whole and the Master still routing its files
-// here. It returns the number of files moved; a group that already left
-// this node moves none.
+// SplitACG runs one split: it background-partitions an oversized group
+// into two balanced sub-graphs with minimal cut (§III), ships the moved
+// half to o.Dest as group o.Into at the move's epoch, reports the split to
+// the Master, and only then removes the half locally. A failed ship or a
+// refused report leaves the group whole and the Master still routing its
+// files here. A report that gets no acknowledgement leaves the split in
+// doubt: the moved files take no write, and keep their postings, until
+// settleDoubtLocked learns whether the Master applied it. It returns the
+// number of files moved; a group that already left this node moves none.
 func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err error) {
 	if n.cfg.Master == nil {
 		return 0, ErrNoMaster
@@ -24,9 +26,9 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 	// Commit so postings reflect every acknowledged update before they
 	// migrate. Only this group is locked: the background split leaves
 	// traffic on every other ACG untouched.
-	g, err := n.lockOrdered(o.ACG)
+	g := n.lockGroup(o.ACG)
 	if g == nil {
-		return 0, err
+		return 0, nil
 	}
 	if err := n.commitGroupLocked(g); err != nil {
 		g.mu.Unlock()
@@ -58,7 +60,7 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 	// a shipped image. o.Dest may be this very node (least-loaded); then
 	// the image streams straight into the new group instead of through
 	// self-dialed calls, and that is the only difference.
-	meta := proto.ReceiveACGMeta{ACG: o.Into, Epoch: n.epoch(), ReplSeq: g.replSeq}
+	meta := proto.ReceiveACGMeta{ACG: o.Into, Epoch: o.Epoch, ReplSeq: g.replSeq}
 	if o.Dest.Node == n.cfg.ID {
 		half := func(feed func([]byte) error) error {
 			return n.streamImageLocked(g, filter, meta, feed)
@@ -66,26 +68,33 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 		if err := n.enter(ctx, meta.ACG, meta.Epoch, shippedRole(meta), half, nil); err != nil {
 			return 0, err
 		}
-	} else {
-		peer, err := n.peerConn(ctx, o.Dest.Addr)
-		if err != nil {
-			return 0, fmt.Errorf("indexnode split dial %s: %w", o.Dest.Addr, err)
-		}
-		if err := n.shipGroupLocked(ctx, peer, g, filter, meta); err != nil {
-			n.dropPeer(o.Dest.Addr, err)
-			return 0, fmt.Errorf("indexnode split acg %d to %s: %w", o.ACG, o.Dest.Node, err)
-		}
-	}
-	if _, err := n.report(ctx, o, sideB); err != nil {
+	} else if err := n.shipGroupLocked(ctx, o.Dest, g, filter, meta); err != nil {
 		return 0, err
 	}
+	if err := n.reportLocked(ctx, g, proto.ReportReq{Node: n.cfg.ID, Order: o, Files: sideB}); err != nil {
+		if g.movedOut == nil {
+			g.movedOut = make(map[index.FileID]bool, len(moveSet))
+		}
+		for f := range moveSet {
+			g.movedOut[f] = true
+		}
+		return 0, err
+	}
+	if err := n.trimLocked(g, sideB); err != nil {
+		return 0, err
+	}
+	return len(sideB), nil
+}
 
-	// Remove the moved postings through the commit engine's bulk apply: a
-	// run of delete entries per index gets the same sorted B-tree /
-	// chain-batched hash removals, the single KD rebuild, and the
-	// forward-advances-only-after-index-success retry contract as any
-	// commit — one copy of the invariant. A delete of a file an index has
-	// no posting for is no edit.
+// trimLocked is a split's last step, once the Master applied it: the moved
+// files leave the group. Their postings go through the commit engine's
+// bulk apply: a run of delete entries per index gets the same sorted
+// B-tree / chain-batched hash removals, the single KD rebuild, and the
+// forward-advances-only-after-index-success retry contract as any commit
+// — one copy of the invariant. A delete of a file an index has no posting
+// for is no edit. Each moved file stays fenced, and the shrunk group is
+// checkpointed. Caller holds g.mu.
+func (n *Node) trimLocked(g *group, moved []index.FileID) error {
 	names := make([]string, 0, len(g.indexes))
 	for name := range g.indexes {
 		names = append(names, name)
@@ -93,20 +102,20 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 	sort.Strings(names)
 	runs := make([]*pendingRun, 0, len(names))
 	for _, name := range names {
-		run := make(map[index.FileID]pendingEntry, len(moveSet))
-		for f := range moveSet {
+		run := make(map[index.FileID]pendingEntry, len(moved))
+		for _, f := range moved {
 			run[f] = pendingEntry{e: proto.IndexEntry{File: f, Delete: true}}
 		}
 		runs = append(runs, &pendingRun{name: name, byFile: run})
 	}
 	if err := n.applyRunsLocked(g, runs); err != nil {
-		return 0, err
+		return err
 	}
 	if g.movedOut == nil {
-		g.movedOut = make(map[index.FileID]bool, len(moveSet))
+		g.movedOut = make(map[index.FileID]bool, len(moved))
 	}
-	g.graph.Remove(sideB)
-	for f := range moveSet {
+	g.graph.Remove(moved)
+	for _, f := range moved {
 		delete(g.files, f)
 		// Fence the moved file: a warm client's pre-split mapping must get
 		// ErrStalePlacement here, not a silently accepted write the new
@@ -116,8 +125,5 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 	// Refresh the shrunk group's shared-storage image: a recovery replaying
 	// the pre-split state would resurrect the moved files into this group,
 	// forking ownership with the new ACG.
-	if err := n.checkpointLocked(g); err != nil {
-		return 0, err
-	}
-	return len(sideB), nil
+	return n.checkpointLocked(g)
 }

@@ -42,7 +42,7 @@ func TestFollowerRefusalKeepsPeerConnection(t *testing.T) {
 	seedTransferGroup(t, r.a, 2, 5)
 	seedFollower(t, r, 1)
 	seedFollower(t, r, 2)
-	if err := r.b.PromoteACG(ctx, proto.Order{Kind: proto.OrderPromote, ACG: 1, Seq: 5}); err != nil {
+	if err := r.b.PromoteACG(ctx, proto.Target{ACG: 1, Role: proto.RolePrimary, Seq: 5}); err != nil {
 		t.Fatal(err)
 	}
 	update := func(acg proto.ACGID, f index.FileID) {
@@ -123,8 +123,8 @@ func TestStalledFollowerDoesNotBlockStrictSearch(t *testing.T) {
 }
 
 // streamRig wires k index nodes over pipes, sharing one shared store and
-// one virtual clock, with no Master: the test plays it, issuing the
-// replicate, release and promote orders itself.
+// one virtual clock, with no Master: the test plays it, seeding, releasing
+// and promoting copies itself.
 type streamRig struct {
 	nodes   []*Node
 	servers map[string]*rpc.Server
@@ -168,8 +168,14 @@ func newStreamRig(t *testing.T, k, cacheLimit int) *streamRig {
 
 func (r *streamRig) addr(n *Node) string { return "pipe:" + string(n.cfg.ID) }
 
-func (r *streamRig) ref(n *Node) proto.ReplicaRef {
-	return proto.ReplicaRef{Node: n.cfg.ID, Addr: r.addr(n)}
+// ref names n's seeded copy of acg, at the epoch it arrived at.
+func (r *streamRig) ref(n *Node, acg proto.ACGID) proto.Copy {
+	c := proto.Copy{Node: n.cfg.ID, Addr: r.addr(n)}
+	if g := n.lockGroup(acg); g != nil {
+		c.Epoch = g.epoch
+		g.mu.Unlock()
+	}
+	return c
 }
 
 // ackSet returns the followers a primary's group still streams to.
@@ -284,15 +290,17 @@ func streamProperty(t *testing.T, seed int64) {
 		defer primaryMu.Unlock()
 		return primary
 	}
-	// reseedOne plays the Master's replicate order for node i: its copy, if
-	// any, is dropped and p seeds it afresh; what it applied restarts from
-	// the image.
+	// reseedOne plays the Master placing node i again: its copy, if any, is
+	// dropped and p seeds it afresh at a new epoch; what it applied
+	// restarts from the image.
+	var epoch atomic.Uint64
 	reseedOne := func(p *Node, i int) {
 		n := r.nodes[i]
 		nodeMu[i].Lock()
 		defer nodeMu[i].Unlock()
-		n.ReleaseACG(acg, 0)
-		if err := p.ReplicateACG(ctx, proto.Order{Kind: proto.OrderReplicate, ACG: acg, Dest: r.ref(n)}); err != nil {
+		e := proto.Epoch(epoch.Add(2))
+		n.ReleaseACG(acg, e-1)
+		if err := p.ReplicateACG(ctx, acg, proto.Copy{Node: n.cfg.ID, Addr: r.addr(n), Epoch: e}); err != nil {
 			t.Errorf("seed %s: %v", n.cfg.ID, err)
 			return
 		}
@@ -410,14 +418,14 @@ func streamProperty(t *testing.T, seed int64) {
 	old := primary
 	live := ackSet(old, acg)
 	pick := live[roll(len(live))]
-	var o = proto.Order{Kind: proto.OrderPromote, ACG: acg, Seq: replSeqOf(old, acg)}
+	var o = proto.Target{ACG: acg, Role: proto.RolePrimary, Epoch: proto.Epoch(epoch.Add(2)), Seq: replSeqOf(old, acg)}
 	var promoted *Node
 	for _, n := range r.nodes {
 		switch {
 		case n.cfg.ID == pick:
 			promoted = n
 		case slices.Contains(live, n.cfg.ID):
-			o.Followers = append(o.Followers, r.ref(n))
+			o.Followers = append(o.Followers, r.ref(n, acg))
 		}
 	}
 	if err := promoted.PromoteACG(ctx, o); err != nil {

@@ -22,14 +22,17 @@ import (
 //     enter when the half stays here), recovery from shared storage
 //     (RecoverFromShared) and a promotion (PromoteACG). MergeACGs, which
 //     already holds the destination's lock, runs the same adopt step on
-//     it.
+//     it. An arrival stamps the copy with the epoch of the move that
+//     placed it.
 //   - leave is every departure: a migration's source once the Master has
-//     rebound the group (TransferACG), a drop order (ReleaseACG) and a
-//     merge's source (MergeACGs). It always tombstones the id.
+//     rebound the group (TransferACG), a drop (ReleaseACG) and a merge's
+//     source (MergeACGs). It always tombstones the id.
 //
-// Every order that moves data follows one rule: ship, then report, then
-// change local state. report is the one call to the Master; a refused or
-// lost report leaves nothing to undo.
+// Every move that carries data follows one rule: ship, then report, then
+// change local state. report is the one call to the Master. A refused
+// report leaves nothing to undo; one that gets no acknowledgement leaves
+// the move in doubt, and the group acks no write the move covers until
+// the next heartbeat settles it (settleDoubtLocked).
 //
 // The image that moves is the record stream checkpointed to the shared
 // store (see image.go). There is one image format and one log-record
@@ -77,14 +80,24 @@ func (n *Node) writeCheckpointLocked(g *group) error {
 }
 
 // shipGroupLocked ships the group's image (filtered to files accepted by
-// filter; nil = all) to peer as a sequence of MethodReceiveACGChunk calls
+// filter; nil = all) to dest as a sequence of MethodReceiveACGChunk calls
 // of one imageChunk each. One call is in flight at a time, so the chunks
 // reach the receiver in order, and each waits until the next is cut so
 // that the last one carries Done. Each call waits at most transferIdle:
 // a receiver that stops answering frees this group too. The group stays
 // locked — quiesced — for the duration. Caller holds g.mu.
-func (n *Node) shipGroupLocked(ctx context.Context, peer *rpc.Client, g *group,
-	filter func(index.FileID) bool, meta proto.ReceiveACGMeta) error {
+func (n *Node) shipGroupLocked(ctx context.Context, dest proto.ReplicaRef, g *group,
+	filter func(index.FileID) bool, meta proto.ReceiveACGMeta) (err error) {
+	defer func() {
+		if err != nil {
+			n.dropPeer(dest.Addr, err)
+			err = fmt.Errorf("indexnode ship acg %d to %s: %w", meta.ACG, dest.Node, err)
+		}
+	}()
+	peer, err := n.peerConn(ctx, dest.Addr)
+	if err != nil {
+		return err
+	}
 	req := proto.ReceiveACGChunkReq{Meta: meta}
 	send := func(done bool) error {
 		cctx, cancel := context.WithTimeout(ctx, transferIdle)
@@ -94,7 +107,7 @@ func (n *Node) shipGroupLocked(ctx context.Context, peer *rpc.Client, g *group,
 		req.Offset += uint64(len(req.Data))
 		return err
 	}
-	err := n.streamImageLocked(g, filter, meta, func(chunk []byte) error {
+	err = n.streamImageLocked(g, filter, meta, func(chunk []byte) error {
 		if req.Data != nil {
 			if err := send(false); err != nil {
 				return err
@@ -133,33 +146,34 @@ func shippedRole(meta proto.ReceiveACGMeta) func(*group) {
 	}
 }
 
-// arrive is the first half of every arrival. The order is explicit, so it
-// clears any tombstone on the id; it notes the order's epoch (0 for orders
-// that carry none), locks the group or creates it, lets setRole set the
-// copy's role the order names, and starts the applier the image feeds,
-// snapshotting the pairs the group already holds. The group stays locked
-// until the arrival ends; created says the arrival made it.
-func (n *Node) arrive(id proto.ACGID, epoch proto.Epoch, setRole func(*group)) (a *imageApplier, created bool, err error) {
+// arrive is the first half of every arrival. The plan placed the copy, so
+// it clears any tombstone on the id; it notes the placement's epoch, locks
+// the group or creates it, lets setRole set the copy's role, stamps the
+// copy with the epoch, and starts the applier the image feeds, snapshotting
+// the pairs the group already holds. The group stays locked until the
+// arrival ends.
+func (n *Node) arrive(id proto.ACGID, epoch proto.Epoch, setRole func(*group)) (a *imageApplier, err error) {
 	n.clearReleased(id)
 	n.noteEpoch(epoch)
-	g, created, err := n.lockOrCreateGroup(id)
+	g, err := n.lockOrCreateGroup(id)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	setRole(g)
+	g.epoch = epoch
 	if a, err = n.newImageApplier(g); err != nil {
 		g.mu.Unlock()
-		return nil, false, err
+		return nil, err
 	}
-	return a, created, nil
+	return a, nil
 }
 
 // enter is an arrival run in one go: a recovery, a promotion or a
 // same-node split's new half. It arrives, feeds the image in and adopts
 // it with walBytes. A failed enter keeps the group and what it applied;
-// the Master re-issues the order.
+// the next heartbeat reply asks for the copy again.
 func (n *Node) enter(ctx context.Context, id proto.ACGID, epoch proto.Epoch, setRole func(*group), image imageSource, walBytes []byte) error {
-	a, _, err := n.arrive(id, epoch, setRole)
+	a, err := n.arrive(id, epoch, setRole)
 	if err != nil {
 		return err
 	}
@@ -211,15 +225,13 @@ var transferIdle = 5 * time.Second
 // whose group it holds locked from the first chunk to the last.
 type transferIn struct {
 	// mu serializes the transfer's chunks, its end and its idle timer.
-	mu sync.Mutex
-	a  *imageApplier // nil once the transfer ended
-	// created says the transfer made the group, so one that fails drops it.
-	created bool
-	id      proto.ACGID
-	epoch   proto.Epoch
-	next    uint64 // the offset the next chunk must start at
-	last    time.Time
-	idle    *time.Timer
+	mu    sync.Mutex
+	a     *imageApplier // nil once the transfer ended
+	id    proto.ACGID
+	epoch proto.Epoch
+	next  uint64 // the offset the next chunk must start at
+	last  time.Time
+	idle  *time.Timer
 }
 
 // receiveACGChunk is the handler of MethodReceiveACGChunk: one call of a
@@ -258,7 +270,7 @@ func (n *Node) receiveACGChunk(ctx context.Context, req proto.ReceiveACGChunkReq
 // Offset 0 opens one (openTransfer). Any other chunk must carry the next
 // byte of the open transfer at its epoch; it is refused otherwise, and a
 // wrong offset at that epoch ends the transfer, whose sender restarts
-// from zero when the Master re-issues the order.
+// from zero when the next heartbeat reply asks for the move again.
 func (n *Node) transferFor(req proto.ReceiveACGChunkReq) (*transferIn, error) {
 	if req.Offset == 0 {
 		return n.openTransfer(req.Meta)
@@ -286,7 +298,8 @@ func (n *Node) transferFor(req proto.ReceiveACGChunkReq) (*transferIn, error) {
 // openTransfer begins a transfer at meta's epoch, returned locked. It
 // supersedes an open transfer of the same group at the same or an older
 // epoch (a sender whose earlier attempt was cut restarts from zero) and is
-// refused beside a newer one.
+// refused beside a newer one, or where the node holds a newer copy
+// (makeRoom).
 func (n *Node) openTransfer(meta proto.ReceiveACGMeta) (*transferIn, error) {
 	n.xferMu.Lock()
 	old := n.xfers[meta.ACG]
@@ -306,15 +319,42 @@ func (n *Node) openTransfer(meta proto.ReceiveACGMeta) (*transferIn, error) {
 		}
 		old.mu.Unlock()
 	}
-	a, created, err := n.arrive(meta.ACG, meta.Epoch, shippedRole(meta))
+	err := n.makeRoom(meta)
+	var a *imageApplier
+	if err == nil {
+		a, err = n.arrive(meta.ACG, meta.Epoch, shippedRole(meta))
+	}
 	if err != nil {
 		n.endTransfer(t, err)
 		t.mu.Unlock()
 		return nil, err
 	}
-	t.a, t.created, t.last = a, created, time.Now()
+	t.a, t.last = a, time.Now()
 	t.idle = time.AfterFunc(transferIdle, func() { n.expireTransfer(t) })
 	return t, nil
+}
+
+// makeRoom readies the node for a copy shipped as meta names it. A copy
+// here that arrived later makes the shipped one stale, and it is refused:
+// a move that lands late never clobbers what a newer move placed. Nor
+// does a seeding replace a primary copy: the plan drops that copy first.
+// An older copy leaves, so the image installs into nothing stale; a copy
+// of the same move takes the image in.
+func (n *Node) makeRoom(meta proto.ReceiveACGMeta) error {
+	g := n.lockGroup(meta.ACG)
+	if g == nil {
+		return nil
+	}
+	defer g.mu.Unlock()
+	switch {
+	case g.epoch > meta.Epoch || meta.Follower && !g.follower:
+		n.staleRejects.Inc()
+		return fmt.Errorf("indexnode %s: acg %d shipped at epoch %d, but a copy arrived at epoch %d: %w",
+			n.cfg.ID, meta.ACG, meta.Epoch, g.epoch, perr.ErrStalePlacement)
+	case g.epoch < meta.Epoch:
+		n.leave(meta.ACG, g, g.epoch)
+	}
+	return nil
 }
 
 // expireTransfer ends t if no chunk reached it for transferIdle.
@@ -328,10 +368,10 @@ func (n *Node) expireTransfer(t *transferIn) {
 
 // endTransfer ends t the one way, whatever ends it — its last chunk, a
 // refusal, a newer transfer or the idle timer: t leaves the table, and the
-// group it holds, if it began, is unlocked. On a failure (err set)
-// a group the transfer created leaves again, so no partial copy stays
-// registered; a group that was here keeps what it had and what the
-// transfer applied. Caller holds t.mu.
+// group it holds, if it began, is unlocked. On a failure (err set) the
+// group leaves again, so no partial copy stays registered: it is new, or
+// a copy of the same move (makeRoom), which its sender ships again.
+// Caller holds t.mu.
 func (n *Node) endTransfer(t *transferIn, err error) {
 	n.xferMu.Lock()
 	if n.xfers[t.id] == t {
@@ -344,7 +384,7 @@ func (n *Node) endTransfer(t *transferIn, err error) {
 	}
 	t.a = nil
 	t.idle.Stop()
-	if err != nil && t.created {
+	if err != nil {
 		n.leave(t.id, a.g, t.epoch)
 	}
 	a.g.mu.Unlock()
@@ -371,21 +411,6 @@ func (n *Node) leave(id proto.ACGID, g *group, epoch proto.Epoch) {
 		return
 	}
 	n.released[id] = epoch
-}
-
-// lockOrdered starts every order that acts on a group already here —
-// migrate, replicate, split and drop: it returns the group locked, or nil
-// and no error when the id is tombstoned — the group left this node, so the
-// order is done (a duplicate, or made moot by a later move). A group the
-// node neither holds nor released is ErrUnknownACG.
-func (n *Node) lockOrdered(id proto.ACGID) (*group, error) {
-	if g := n.lockGroup(id); g != nil {
-		return g, nil
-	}
-	if _, gone := n.releasedEpoch(id); gone {
-		return nil, nil
-	}
-	return nil, fmt.Errorf("acg %d: %w", id, ErrUnknownACG)
 }
 
 // knownPairsLocked snapshots the (index, file) pairs this group already has
@@ -450,16 +475,18 @@ func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[i
 	return restored, nil
 }
 
-// TransferACG executes one migration order: quiesce the group under its own
-// lock (updates and searches on it block, traffic on every other ACG is
+// TransferACG runs one migration: quiesce the group under its own lock
+// (updates and searches on it block, traffic on every other ACG is
 // untouched), commit so the image is complete, ship the image to the
-// destination — whose arrival ends in its own checkpoint of the shared
-// store before the ship returns — report the move to the Master, and only
-// then leave. Any failure before the Master's rebind leaves this node the
-// owner, with its mirror holding every acknowledged update (the
-// destination's orphan copy is reconciled away by the double-ownership
-// guard). The group's follower stream runs on until leave cuts it: the
-// image already holds every frame the stream carries.
+// destination at the move's epoch — whose arrival ends in its own
+// checkpoint of the shared store before the ship returns — report the
+// move to the Master, and only then leave. Any failure before the report
+// leaves this node the owner, with its mirror holding every acknowledged
+// update (the plan drops the destination's orphan copy). A report that
+// gets no acknowledgement leaves the move in doubt: the group acks no
+// write until settleDoubtLocked learns whether the Master applied it. The
+// group's follower stream runs on until leave cuts it: the image already
+// holds every frame the stream carries.
 func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
 	if o.Dest.Node == n.cfg.ID {
 		return nil // already home
@@ -467,81 +494,116 @@ func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
 	if n.cfg.Master == nil {
 		return ErrNoMaster
 	}
-	g, err := n.lockOrdered(o.ACG)
+	g := n.lockGroup(o.ACG)
 	if g == nil {
-		return err
+		return nil // it left this node: a later move made this one moot
 	}
 	defer g.mu.Unlock()
+	if g.follower {
+		return fmt.Errorf("indexnode %s: acg %d is a follower copy here: only its primary moves it", n.cfg.ID, o.ACG)
+	}
 	if err := n.commitGroupLocked(g); err != nil {
 		return err
 	}
-	peer, err := n.peerConn(ctx, o.Dest.Addr)
-	if err != nil {
-		return fmt.Errorf("indexnode transfer dial %s: %w", o.Dest.Addr, err)
-	}
-	meta := proto.ReceiveACGMeta{ACG: g.id, Epoch: n.epoch(), ReplSeq: g.replSeq}
-	if err := n.shipGroupLocked(ctx, peer, g, nil, meta); err != nil {
-		n.dropPeer(o.Dest.Addr, err)
-		return fmt.Errorf("indexnode transfer acg %d to %s: %w", o.ACG, o.Dest.Node, err)
-	}
-	epoch, err := n.report(ctx, o, nil)
-	if err != nil {
+	meta := proto.ReceiveACGMeta{ACG: g.id, Epoch: o.Epoch, ReplSeq: g.replSeq}
+	if err := n.shipGroupLocked(ctx, o.Dest, g, nil, meta); err != nil {
 		return err
 	}
-	n.leave(o.ACG, g, epoch)
-	n.groupsMigrated.Inc()
+	if err := n.reportLocked(ctx, g, proto.ReportReq{Node: n.cfg.ID, Order: o}); err != nil {
+		return err
+	}
+	n.migratedLocked(g, o)
 	return nil
 }
 
-// report tells the Master this node carried out o (files: a split's moved
-// half) and notes and returns the reply's epoch. A node without a Master
-// has nobody to tell.
-func (n *Node) report(ctx context.Context, o proto.Order, files []index.FileID) (proto.Epoch, error) {
-	if n.cfg.Master == nil {
-		return n.epoch(), nil
-	}
-	rep, err := rpc.Call[proto.ReportReq, proto.ReportResp](ctx, n.cfg.Master, proto.MethodReport,
-		proto.ReportReq{Node: n.cfg.ID, Order: o, Files: files})
-	if err != nil {
-		return 0, fmt.Errorf("indexnode %v report for acg %d: %w", o.Kind, o.ACG, err)
-	}
-	n.noteEpoch(rep.Epoch)
-	return rep.Epoch, nil
+// migratedLocked is a migration's last step, once the Master applied it:
+// the source leaves. Caller holds g.mu.
+func (n *Node) migratedLocked(g *group, o proto.Order) {
+	n.leave(o.ACG, g, o.Epoch)
+	n.groupsMigrated.Inc()
 }
 
-// ReleaseACG drops the node's copy of a group it no longer owns (a Master
-// drop order: the group was migrated or recovered elsewhere while this node
-// was silent) and tombstones the id at the given epoch, even with no copy
-// here. Idempotent.
+// reportLocked reports a move of g (report); without an acknowledgement
+// the move is in doubt until settleDoubtLocked settles it. Caller holds
+// g.mu.
+func (n *Node) reportLocked(ctx context.Context, g *group, req proto.ReportReq) error {
+	err := n.report(ctx, req)
+	if err != nil {
+		g.doubt = &req
+	}
+	return err
+}
+
+// report tells the Master this node carried out a move and notes the
+// reply's epoch. A node without a Master has nobody to tell.
+func (n *Node) report(ctx context.Context, req proto.ReportReq) error {
+	if n.cfg.Master == nil {
+		return nil
+	}
+	rep, err := rpc.Call[proto.ReportReq, proto.ReportResp](ctx, n.cfg.Master, proto.MethodReport, req)
+	if err != nil {
+		return fmt.Errorf("indexnode %v report for acg %d: %w", req.Order.Kind, req.Order.ACG, err)
+	}
+	n.noteEpoch(rep.Epoch)
+	return nil
+}
+
+// settleDoubtLocked sends the report of g's move in doubt again. The
+// Master acknowledges a move it applied again, and the node finishes it;
+// a refusal means the move never happened, and the fence lifts. Without
+// an answer the move stays in doubt. Caller holds g.mu.
+func (n *Node) settleDoubtLocked(ctx context.Context, g *group) {
+	req := g.doubt
+	if req == nil {
+		return
+	}
+	err := n.report(ctx, *req)
+	if err != nil && !rpc.Answered(err) {
+		return
+	}
+	g.doubt = nil
+	switch {
+	case req.Order.Kind == proto.OrderMigrate:
+		if err == nil {
+			n.migratedLocked(g, req.Order)
+		}
+	case err != nil: // a split that never happened: its files are the group's
+		for _, f := range req.Files {
+			delete(g.movedOut, f)
+		}
+	default:
+		// A trim that fails leaves the moved files fenced, and the group's
+		// next split ships them again.
+		_ = n.trimLocked(g, req.Files)
+	}
+}
+
+// ReleaseACG drops the node's copy of a group the plan no longer places
+// here, if the copy arrived at or before epoch — a newer copy is a move
+// that landed since the plan was read, and stays — and tombstones the id
+// at epoch, even with no copy here. Idempotent.
 func (n *Node) ReleaseACG(id proto.ACGID, epoch proto.Epoch) {
 	n.noteEpoch(epoch)
-	g, err := n.lockOrdered(id)
-	switch {
-	case g != nil:
+	g := n.lockGroup(id)
+	if g != nil {
 		defer g.mu.Unlock()
-	case err == nil:
-		return // already released
+		if g.epoch > epoch {
+			return
+		}
 	}
 	n.leave(id, g, epoch)
 }
 
-// RecoverFromShared adopts a group from shared storage (a Master recover
-// order after the previous owner died): the checkpoint image is installed,
+// RecoverFromShared adopts a group from shared storage as its primary,
+// placed here at epoch (PromoteACG): the checkpoint image is installed,
 // the mirrored WAL is replayed into the lazy cache — restoring every
 // acknowledged-but-uncommitted update, the paper's recovery guarantee —
 // and the group is re-checkpointed so a second failure recovers from a
-// compact image. The copy serves as the primary, even one that was a
-// follower here. A group with nothing durable existed in metadata only (no
+// compact image. A group with nothing durable existed in metadata only (no
 // acknowledged updates); owning it empty is correct.
-func (n *Node) RecoverFromShared(ctx context.Context, id proto.ACGID) error {
+func (n *Node) RecoverFromShared(ctx context.Context, id proto.ACGID, epoch proto.Epoch) error {
 	if n.cfg.Shared == nil {
 		return fmt.Errorf("indexnode %s: no shared store to recover acg %d from", n.cfg.ID, id)
 	}
-	checkpoint, walBytes, _ := n.cfg.Shared.Load(id)
-	primary := func(g *group) { g.follower = false }
-	if err := n.enter(ctx, id, 0, primary, storedImage(checkpoint), walBytes); err != nil {
-		return fmt.Errorf("indexnode recover acg %d: %w", id, err)
-	}
-	n.groupsRecovered.Inc()
-	return nil
+	return n.PromoteACG(ctx, proto.Target{ACG: id, Role: proto.RolePrimary, Epoch: epoch})
 }

@@ -103,12 +103,33 @@ func (r *transferRig) orderSplit(t *testing.T, owner *Node, acg proto.ACGID) pro
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range hb.Orders {
+	for _, o := range hb.Moves {
 		if o.Kind == proto.OrderSplit && o.ACG == acg {
 			return o
 		}
 	}
-	t.Fatalf("no split order for acg %d in %+v", acg, hb.Orders)
+	t.Fatalf("no split move for acg %d in %+v", acg, hb.Moves)
+	return proto.Order{}
+}
+
+// orderMigration has the rig's Master plan acg's migration from owner to
+// dest and returns the move as the owner's heartbeat reply carries it.
+func (r *transferRig) orderMigration(t *testing.T, owner *Node, acg proto.ACGID, dest proto.NodeID) proto.Order {
+	t.Helper()
+	if err := r.m.OrderMigration(acg, dest); err != nil {
+		t.Fatal(err)
+	}
+	hb, err := r.m.Heartbeat(context.Background(), proto.HeartbeatReq{
+		Node: owner.cfg.ID, ACGs: []proto.ACGMeta{{ACG: acg, Files: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range hb.Moves {
+		if o.Kind == proto.OrderMigrate && o.ACG == acg {
+			return o
+		}
+	}
+	t.Fatalf("no migration of acg %d in %+v", acg, hb.Moves)
 	return proto.Order{}
 }
 
@@ -148,7 +169,8 @@ func TestTransferACGMovesGroupAndTombstonesSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
+	move := r.orderMigration(t, r.a, 1, "in-b")
+	if err := r.a.TransferACG(ctx, move); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,9 +215,9 @@ func TestTransferACGMovesGroupAndTombstonesSource(t *testing.T) {
 		}
 	}
 
-	// A duplicate order is idempotent.
-	if err := r.a.TransferACG(ctx, proto.Order{Kind: proto.OrderMigrate, ACG: 1, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
-		t.Fatalf("duplicate transfer order = %v, want nil", err)
+	// A duplicate move is idempotent.
+	if err := r.a.TransferACG(ctx, move); err != nil {
+		t.Fatalf("duplicate migration = %v, want nil", err)
 	}
 }
 
@@ -219,7 +241,7 @@ func TestRecoverFromSharedRestoresCheckpointAndWAL(t *testing.T) {
 
 	// Node A "dies"; B adopts the group from shared storage alone.
 	r.b.DeclareIndex(proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"})
-	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
+	if err := r.b.RecoverFromShared(ctx, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
@@ -249,8 +271,8 @@ func TestRecoverDoesNotClobberFresherLocalState(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// A client re-routed to B ahead of the recover order writes a newer
-	// value there.
+	// A client re-routed to B ahead of its recovery writes a newer value
+	// there.
 	r.b.DeclareIndex(proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"})
 	if _, err := r.b.Update(ctx, proto.UpdateReq{
 		ACG: 1, IndexName: "size",
@@ -258,7 +280,7 @@ func TestRecoverDoesNotClobberFresherLocalState(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
+	if err := r.b.RecoverFromShared(ctx, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>150")})
@@ -270,22 +292,21 @@ func TestRecoverDoesNotClobberFresherLocalState(t *testing.T) {
 	}
 }
 
-// TestRecoverOrderMakesFollowerCopyPrimary: a recover order landing on a
-// node that holds a follower copy of the group turns that copy into the
+// TestRecoverOrderMakesFollowerCopyPrimary: a recovery landing on a node
+// that holds a follower copy of the group turns that copy into the
 // primary. The Master has re-placed the group there, so the next Update
-// must be accepted — not refused as addressed to a follower until a later
-// promote order arrives.
+// must be accepted — not refused as addressed to a follower.
 func TestRecoverOrderMakesFollowerCopyPrimary(t *testing.T) {
 	r := newTransferRig(t)
 	ctx := context.Background()
 	seedTransferGroup(t, r.a, 1, 5)
-	if err := r.a.ReplicateACG(ctx, proto.Order{Kind: proto.OrderReplicate, ACG: 1, Dest: proto.ReplicaRef{Node: r.b.cfg.ID, Addr: "pipe:in-b"}}); err != nil {
+	if err := r.a.ReplicateACG(ctx, 1, proto.Copy{Node: r.b.cfg.ID, Addr: "pipe:in-b", Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Node A "dies"; the Master orders B, which holds the follower copy,
 	// to recover the group.
-	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
+	if err := r.b.RecoverFromShared(ctx, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.b.Update(ctx, proto.UpdateReq{
@@ -327,7 +348,7 @@ func TestReleaseACGTombstoneAndReadoption(t *testing.T) {
 	}
 	// An explicit recovery order re-adopts past the tombstone — and the
 	// shared store still holds the released group's acknowledged updates.
-	if err := r.a.RecoverFromShared(ctx, 1); err != nil {
+	if err := r.a.RecoverFromShared(ctx, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")})
@@ -638,8 +659,9 @@ func TestTransferCutMidwayFreesReceiver(t *testing.T) {
 // TestTransferChunkEpochsAndOffsets drives the chunk calls by hand: a
 // stale-epoch Offset 0 is refused beside an open transfer; a newer epoch
 // supersedes it, installs, and the superseded transfer's next chunk is
-// refused; a wrong offset ends its transfer, so even the right next chunk
-// is then refused, and the group that was already here keeps what it had.
+// refused. A newer transfer replaces the copy here; a wrong offset ends
+// it, so even the right next chunk is then refused, and the node holds no
+// copy until the sender's retry installs one.
 func TestTransferChunkEpochsAndOffsets(t *testing.T) {
 	r := newTransferRig(t)
 	ctx := context.Background()
@@ -691,8 +713,14 @@ func TestTransferChunkEpochsAndOffsets(t *testing.T) {
 	if err := chunk(7, half, len(raw), true); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Fatalf("the next chunk of a transfer a wrong offset ended = %v, want ErrStalePlacement", err)
 	}
+	if _, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Preds: textPreds("size>=0")}); !errors.Is(err, perr.ErrStalePlacement) {
+		t.Fatalf("search after the ended transfer = %v, want ErrStalePlacement: the copy it replaced is gone", err)
+	}
+	if err := chunk(7, 0, len(raw), true); err != nil {
+		t.Fatalf("the retry of the ended transfer = %v, want it to install", err)
+	}
 	if n := search(); n != 20 {
-		t.Fatalf("receiver serves %d files after the ended transfer, want the 20 it had", n)
+		t.Fatalf("receiver serves %d files after the retry, want 20", n)
 	}
 }
 
@@ -736,7 +764,7 @@ func TestTransferOpenBetweenChunksBlocksNoOtherTraffic(t *testing.T) {
 	seedTransferGroup(t, r.a, 1, 20)
 	seedTransferGroup(t, r.a, 3, 5)
 	seedTransferGroup(t, r.b, 2, 5)
-	if err := r.a.ReplicateACG(ctx, proto.Order{Kind: proto.OrderReplicate, ACG: 3, Dest: proto.ReplicaRef{Node: "in-b", Addr: "pipe:in-b"}}); err != nil {
+	if err := r.a.ReplicateACG(ctx, 3, proto.Copy{Node: "in-b", Addr: "pipe:in-b", Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	raw := groupImage(t, r.a, 1)

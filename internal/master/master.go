@@ -1,7 +1,7 @@
 // Package master implements Propeller's Master Node (§IV): the central
 // index-metadata and coordination server. It owns the file→ACG mapping and
 // ACG→Index-Node placement, routes client indexing/search requests, tracks
-// node liveness through heartbeats, orders splits of oversized groups, and
+// node liveness through heartbeats, plans splits of oversized groups, and
 // periodically snapshots its metadata to shared storage.
 //
 // The Master serves routing decisions only — never file I/O or index
@@ -12,17 +12,18 @@
 // reply, letting clients cache placement and detect staleness without
 // polling.
 //
-// The control plane is heartbeat-driven, never Master-initiated: the Master
-// cannot dial nodes, so every order — split, migrate, recover, drop — rides
-// the reply of a node's own heartbeat. With EnableFailover, each heartbeat
+// The control plane is level-triggered: the Master keeps a plan, and every
+// heartbeat reply is the difference between the plan and the reporting
+// node's copies, which the node converges to. The Master cannot dial
+// nodes, so nothing else reaches them. With EnableFailover, each heartbeat
 // also runs the liveness sweep: nodes silent past HeartbeatTimeout are
-// marked dead and their groups re-placed onto alive nodes, which adopt them
-// from shared storage (checkpoint + WAL replay) on their next heartbeat.
-// With RebalanceRatio set, an overloaded reporting node is ordered to
-// migrate its hottest group to the least-loaded peer.
+// marked dead and their groups placed on alive nodes, which adopt them on
+// their next heartbeat. With RebalanceRatio set, the plan moves an
+// overloaded node's hottest group to the least-loaded peer.
 //
 // The Master's durable state is one value with one record per group: its
-// primary, replica set, and at most one order in flight. A node's groups
+// primary and follower set, each stamped with the epoch of the move that
+// put it there, and at most one planned move of its data. A node's groups
 // are derived from those records, and the metadata snapshot is the state
 // value itself.
 package master
@@ -61,7 +62,7 @@ var (
 
 // Config tunes the Master.
 type Config struct {
-	// SplitThreshold is the group size past which the Master orders a
+	// SplitThreshold is the group size past which the Master plans a
 	// split (paper: 50,000 files).
 	SplitThreshold int64
 	// Clock provides virtual time for heartbeat staleness (optional).
@@ -82,10 +83,10 @@ type Config struct {
 	// ReplicationFactor is the total number of copies each group should
 	// have (primary + followers). Values <= 1 disable replication (the
 	// single-owner behavior). With k > 1 the Master tops every group up to
-	// k-1 followers on distinct alive nodes, seeds them through the owning
-	// primary (replicate orders ride its heartbeats), and on primary death
-	// promotes the most-caught-up seeded follower in one epoch bump instead
-	// of replaying shared storage.
+	// k-1 followers on distinct alive nodes, which the owning primary seeds
+	// once its heartbeat reply lists them, and on primary death promotes
+	// the most-caught-up seeded follower in one epoch bump instead of
+	// replaying shared storage.
 	ReplicationFactor int
 }
 
@@ -117,8 +118,8 @@ type nodeInfo struct {
 	// arrival pressure even when file counts look balanced.
 	queueDepth int
 	// dead marks a node the liveness sweep declared failed; its groups were
-	// re-placed. A heartbeat or re-registration revives it (its stale group
-	// copies are reconciled away by drop orders).
+	// re-placed. A heartbeat or re-registration revives it (the plan places
+	// none of its stale copies, so its next reply drops them).
 	dead bool
 	// promotions counts follower→primary promotions performed onto this
 	// node (surfaced in ClusterStats).
@@ -128,11 +129,16 @@ type nodeInfo struct {
 // replicaInfo tracks one follower copy of a group.
 type replicaInfo struct {
 	Node proto.NodeID
-	// Seeded means the copy provably exists: the primary reported the ship
-	// done (Report) or the follower itself heartbeat-reported the
-	// group. Only seeded followers appear in routes and promotion picks; a
-	// follower the primary cut from its ack set flips back to unseeded and
-	// is re-seeded on a later heartbeat.
+	// Epoch is the epoch of the placement that put the follower here: its
+	// seeding ships at it, and the follower reports its copy at it.
+	Epoch proto.Epoch
+	// Seeded means the copy provably exists: the follower reported it at
+	// Epoch, or the primary reported streaming to it at Epoch (it adds a
+	// follower to its ack set once the seeding shipped). Only seeded
+	// followers appear in routes and promotion picks. A follower whose copy
+	// is lost — the primary cut it from its ack set, the follower reports
+	// none, or its node restarted — is placed again at a new epoch,
+	// unseeded, and re-seeded.
 	Seeded bool
 	// Seq is the follower's last heartbeat-reported replication position.
 	Seq uint64
@@ -141,8 +147,10 @@ type replicaInfo struct {
 // acgInfo is the Master's one record of a group.
 type acgInfo struct {
 	ID proto.ACGID
-	// Node is the group's primary.
+	// Node is the group's primary, placed there at Epoch: the epoch of the
+	// move that put it there, 0 for a group its first write creates.
 	Node  proto.NodeID
+	Epoch proto.Epoch
 	Files int64
 	// Replicas is the group's follower set in placement order. It never
 	// names the primary: a group never follows itself.
@@ -151,20 +159,13 @@ type acgInfo struct {
 	// the watermark a promoted follower must reach (reconciling the
 	// shared-store tail if behind) before serving as primary.
 	Seq uint64
-	// Pending is the one order the group has in flight (Kind 0: none), as
-	// the primary's heartbeat reply carries it. A recover or promote order
-	// rides every heartbeat of the primary until its report proves the
-	// adoption; both are idempotent. A migration or a split, its Dest
-	// address filled in at delivery, rides one (Delivered) and ends with
-	// the primary's Report; the primary reporting the group on a later
-	// heartbeat first proves the order failed, and the group re-arms. Every
-	// move of a group replaces its order.
-	Pending   proto.Order
-	Delivered bool
+	// Move is where the plan wants the group's data next (Kind 0: nowhere
+	// else): a migration to Move.Dest, or a split of its moved half into
+	// group Move.Into on Move.Dest, planned at Move.Epoch. The copy it
+	// ships arrives at that epoch; a report applies it, and a move of the
+	// primary replaces it.
+	Move proto.Order
 }
-
-// setPending replaces the group's order in flight.
-func (a *acgInfo) setPending(o proto.Order) { a.Pending, a.Delivered = o, false }
 
 // replicaOn returns the group's replica entry for the given node, nil if
 // the node is not a registered follower.
@@ -251,7 +252,11 @@ func (m *Master) RegisterRPC(s *rpc.Server) {
 	rpc.HandleTyped(s, proto.MethodClusterStats, m.ClusterStats)
 }
 
-// RegisterNode adds (or refreshes) an Index Node.
+// RegisterNode adds (or refreshes) an Index Node. A node that registers
+// while the Master knows its address has restarted, and its copies are
+// unknown: every copy the plan puts on it is placed again, so its next
+// heartbeat reply makes it recover its groups and its primaries' replies
+// make them re-seed it.
 func (m *Master) RegisterNode(_ context.Context, req proto.RegisterNodeReq) (proto.RegisterNodeResp, error) {
 	if req.Node == "" {
 		return proto.RegisterNodeResp{}, errors.New("master: empty node id")
@@ -259,19 +264,30 @@ func (m *Master) RegisterNode(_ context.Context, req proto.RegisterNodeReq) (pro
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := m.expectLocked(req.Node)
+	if n.addr != "" {
+		for _, id := range slices.Sorted(maps.Keys(m.ACGs)) {
+			info := m.ACGs[id]
+			if info.Node == n.id {
+				m.Epoch++
+				info.Epoch = m.Epoch
+			} else if rep := info.replicaOn(n.id); rep != nil {
+				m.placeAgainLocked(rep)
+			}
+		}
+	}
 	n.addr = req.Addr
 	n.lastSeen = m.cfg.Clock.Now()
 	n.dead = false
 	return proto.RegisterNodeResp{OK: true}, nil
 }
 
-// Heartbeat refreshes node status and returns the Master's orders for the
-// reporting node as one list: drops of stale copies, seedings of missing
-// followers and merges left unfolded, derived from the report, and the
-// order each of its groups has in flight, an oversized group's split among
-// them. Each heartbeat also drives the liveness sweep, so failure detection
-// needs no separate timer — any surviving node's heartbeat notices the
-// silent ones.
+// Heartbeat refreshes node status and answers with the plan's difference
+// from the node's report. It takes the report's facts into the records
+// (observeLocked), lets the planner act on them (planLocked), and derives
+// the reply from the plan and the report alone (diffLocked), so a reply
+// lost or repeated changes nothing. Each heartbeat also drives the
+// liveness sweep, so failure detection needs no separate timer — any
+// surviving node's heartbeat notices the silent ones.
 func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.HeartbeatResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -283,156 +299,13 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 	n.dead = false
 	n.queueDepth = req.QueueDepth
 	m.sweepLocked()
-	var resp proto.HeartbeatResp
-	order := func(kind proto.OrderKind, id proto.ACGID) {
-		resp.Orders = append(resp.Orders, proto.Order{Kind: kind, ACG: id})
+	byACG := func(a, b proto.ACGMeta) int { return cmp.Compare(a.ACG, b.ACG) }
+	if !slices.IsSortedFunc(req.ACGs, byACG) { // a node reports its groups in order
+		req.ACGs = slices.SortedFunc(slices.Values(req.ACGs), byACG)
 	}
-	var total int64
-	var oversized []*acgInfo
-	for _, am := range req.ACGs {
-		info := m.ACGs[am.ACG]
-		switch {
-		case info == nil && (am.Follower || am.ACG < m.NextACG):
-			if !am.Follower && m.splittingIntoLocked(am.ACG, req.Node) {
-				continue // a split's destination; the source's report places it
-			}
-			if into := m.ACGs[m.Merged[am.ACG]]; into != nil && into.Node == req.Node && !am.Follower {
-				// A retired merge source its node still holds (the reply was
-				// lost, or the fold failed after it): the node finishes it.
-				resp.Orders = append(resp.Orders, proto.Order{Kind: proto.OrderMerge, ACG: am.ACG, Into: into.ID})
-				continue
-			}
-			// A follower copy of a group the Master does not track, or a
-			// copy of a group it allocated and has since retired (merged
-			// away) or never placed (a failed split's half): drop it.
-			// Follower copies are never adopted as primaries, and a
-			// retired group never comes back.
-			order(proto.OrderDrop, am.ACG)
-			continue
-		case info == nil:
-			// A group the Master has never placed (a standalone node
-			// joining with local groups): adopt it. Adoption is a placement
-			// change — cached search fan-outs are missing this group and
-			// must learn to refetch.
-			info = &acgInfo{ID: am.ACG, Node: req.Node}
-			m.ACGs[am.ACG] = info
-			m.Epoch++
-		case am.Follower:
-			if rep := info.replicaOn(req.Node); rep != nil {
-				// A registered follower confirms its copy: the seeding is
-				// proven durable and the replica joins Lazy routes.
-				if !rep.Seeded {
-					rep.Seeded = true
-					m.Epoch++
-				}
-				rep.Seq = am.ReplSeq
-			} else if info.Node != req.Node {
-				// A follower copy the Master no longer wants (replica set
-				// shrank or moved): drop it.
-				order(proto.OrderDrop, am.ACG)
-			} else if info.Pending.Kind != proto.OrderPromote {
-				// The primary holds only a follower copy: a recovery, or a
-				// deposed primary's late seeding, landed on one. A promote
-				// order makes it serve — it reconciles from shared storage
-				// as a recovery would. (With a promotion already pending,
-				// the node has not executed it yet; it re-rides this reply.)
-				info.setPending(m.promotionLocked(info))
-			}
-			continue
-		case info.Node != req.Node:
-			if p := info.Pending; p.Kind == proto.OrderMigrate && p.Dest.Node == req.Node {
-				// The reporter is the in-flight *destination* of this very
-				// group: it installed the image and the source's rebind
-				// report is still on its way. Dropping here would tombstone
-				// the group on its legitimate new owner the moment the
-				// rebind lands — leave it alone; the report resolves it.
-				continue
-			}
-			// Double-ownership guard: the group is placed elsewhere — it
-			// was migrated or recovered away while this node was silent.
-			// Never silently re-home it to the reporter (that would fork
-			// ownership); order the stale copy dropped instead. The current
-			// owner keeps serving. A reporter claiming primacy while
-			// registered as a follower lost a placement race — strip its
-			// replica entry along with the drop.
-			if info.removeReplica(req.Node) {
-				m.Epoch++
-			}
-			order(proto.OrderDrop, am.ACG)
-			continue
-		}
-		// The rightful owner reports the group: a pending recovery or
-		// promotion is proven complete, and a delivered migration or split
-		// is proven failed, so the group re-arms for future moves.
-		if !deliveredOnce(info.Pending.Kind) || info.Delivered {
-			info.setPending(proto.Order{})
-		}
-		info.Files = am.Files
-		info.Seq = am.ReplSeq
-		// Reconcile the ack set: a seeded follower absent from the
-		// primary's streaming list was cut after a failed append (or the
-		// primary changed without inheriting it) — it is stale until
-		// re-seeded, so pull it out of routes and promotion picks.
-		for _, rep := range info.Replicas {
-			if rep.Seeded && !slices.Contains(am.Followers, rep.Node) {
-				rep.Seeded = false
-				m.Epoch++
-			}
-		}
-		m.ensureReplicasLocked(info)
-		for _, rep := range info.Replicas {
-			if d := m.liveLocked(rep.Node); d != nil && !rep.Seeded {
-				resp.Orders = append(resp.Orders, proto.Order{Kind: proto.OrderReplicate, ACG: am.ACG,
-					Dest: proto.ReplicaRef{Node: rep.Node, Addr: d.addr}})
-			}
-		}
-		total += am.Files
-		if am.Files > m.cfg.SplitThreshold && info.Pending.Kind == 0 {
-			oversized = append(oversized, info)
-		}
-	}
-	n.files = total
-	// The primary of the group merged into proves the fold by reporting
-	// without the source.
-	for src, id := range m.Merged {
-		if into := m.ACGs[id]; into == nil || into.Node == req.Node &&
-			!slices.ContainsFunc(req.ACGs, func(am proto.ACGMeta) bool { return am.ACG == src && !am.Follower }) {
-			delete(m.Merged, src)
-		}
-	}
-	// An oversized group splits onto the least-loaded node, counting this
-	// report, as a new group whose id is reserved now.
-	for _, info := range oversized {
-		if dest := m.leastLoadedLocked(); dest != nil {
-			info.setPending(proto.Order{Kind: proto.OrderSplit, ACG: info.ID,
-				Into: m.newIDLocked(), Dest: proto.ReplicaRef{Node: dest.id}})
-		}
-	}
-	m.rebalanceLocked(n)
-	// Deliver the orders pending on this node's groups, by group id.
-	for _, info := range m.groupsOnLocked(req.Node) {
-		o := info.Pending
-		switch {
-		case o.Kind == 0:
-			continue
-		case deliveredOnce(o.Kind):
-			if info.Delivered {
-				continue
-			}
-			d := m.liveLocked(o.Dest.Node)
-			if d == nil {
-				info.setPending(proto.Order{}) // the destination died first: the move is moot
-				continue
-			}
-			o.Dest.Addr = d.addr
-			info.Delivered = true
-		}
-		resp.Orders = append(resp.Orders, o)
-	}
-	// The node runs the list in order: by kind, each kind in the order it
-	// was added.
-	slices.SortStableFunc(resp.Orders, func(a, b proto.Order) int { return cmp.Compare(a.Kind, b.Kind) })
-	resp.Epoch = m.Epoch
+	m.planLocked(n, m.observeLocked(n, req.ACGs))
+	resp := proto.HeartbeatResp{Epoch: m.Epoch}
+	resp.Targets, resp.Moves = m.diffLocked(n.id, req.ACGs)
 	if m.cfg.EnableFailover {
 		// Grant a primary lease exactly as long as the failure-detection
 		// timeout: the node self-fences at >= lease while the sweep
@@ -443,21 +316,209 @@ func (m *Master) Heartbeat(_ context.Context, req proto.HeartbeatReq) (proto.Hea
 	return resp, nil
 }
 
-// deliveredOnce reports whether a pending order of this kind rides one
-// reply and ends with a Report, rather than riding every reply.
-func deliveredOnce(k proto.OrderKind) bool {
-	return k == proto.OrderSplit || k == proto.OrderMigrate
-}
-
-// splittingIntoLocked reports whether node is the destination of a
-// delivered split whose moved half becomes group id. Caller holds m.mu.
-func (m *Master) splittingIntoLocked(id proto.ACGID, node proto.NodeID) bool {
-	for _, info := range m.ACGs {
-		if p := info.Pending; p.Kind == proto.OrderSplit && info.Delivered && p.Into == id && p.Dest.Node == node {
-			return true
+// observeLocked takes the facts of a node's report, sorted by group, into
+// the records and returns the groups the node serves as planned. A planned
+// primary's copy at its epoch gives its group's size and stream position,
+// and its ack set proves which followers hold their copies; so does a
+// follower's own copy at its placement's epoch (proveLocked). A primary
+// copy of a group the Master never allocated (a standalone node joining
+// with local groups) is adopted where it is, and the primary of a merge's
+// destination proves the fold by reporting without the source. Caller
+// holds m.mu.
+func (m *Master) observeLocked(n *nodeInfo, acgs []proto.ACGMeta) (served []*acgInfo) {
+	n.files = 0
+	for _, am := range acgs {
+		info := m.ACGs[am.ACG]
+		if info == nil && !am.Follower && am.ACG >= m.NextACG {
+			// Adoption is a placement change — cached search fan-outs are
+			// missing this group and must learn to refetch.
+			info = &acgInfo{ID: am.ACG, Node: n.id, Epoch: am.Epoch}
+			m.ACGs[am.ACG] = info
+			m.Epoch++
+		}
+		if info == nil {
+			continue
+		}
+		if info.Node == n.id && !am.Follower && am.Epoch == info.Epoch {
+			info.Files, info.Seq = am.Files, am.ReplSeq
+			n.files += am.Files
+			served = append(served, info)
+			for _, rep := range info.Replicas {
+				m.proveLocked(rep, slices.Contains(am.Followers, proto.Copy{Node: rep.Node, Epoch: rep.Epoch}))
+			}
+		} else if rep := info.replicaOn(n.id); rep != nil && m.proveLocked(rep, am.Follower && am.Epoch == rep.Epoch) {
+			rep.Seq = am.ReplSeq
 		}
 	}
-	return false
+	var lost []proto.ACGID // followers here whose copy the report omits
+	for id, info := range m.ACGs {
+		if _, ok := reported(acgs, id); !ok && info.replicaOn(n.id) != nil {
+			lost = append(lost, id)
+		}
+	}
+	slices.Sort(lost)
+	for _, id := range lost {
+		m.proveLocked(m.ACGs[id].replicaOn(n.id), false)
+	}
+	for src, id := range m.Merged {
+		if am, ok := reported(acgs, src); m.ACGs[id] == nil || m.ACGs[id].Node == n.id && (!ok || am.Follower) {
+			delete(m.Merged, src)
+		}
+	}
+	return served
+}
+
+// reported returns the copy of group id a report, sorted by group, lists.
+func reported(acgs []proto.ACGMeta, id proto.ACGID) (proto.ACGMeta, bool) {
+	i, ok := slices.BinarySearchFunc(acgs, id, func(am proto.ACGMeta, id proto.ACGID) int { return cmp.Compare(am.ACG, id) })
+	if !ok {
+		return proto.ACGMeta{}, false
+	}
+	return acgs[i], true
+}
+
+// proveLocked takes a report's word on a follower's copy: held makes it
+// seeded; a seeded follower reported without it lost it, and is placed
+// again at a new epoch, unseeded, for its primary to re-seed. It returns
+// held. Caller holds m.mu.
+func (m *Master) proveLocked(rep *replicaInfo, held bool) bool {
+	switch {
+	case held && !rep.Seeded:
+		rep.Seeded = true
+		m.Epoch++
+	case !held && rep.Seeded:
+		m.placeAgainLocked(rep)
+	}
+	return held
+}
+
+// placeAgainLocked places a follower anew: unseeded, at a new epoch, so
+// the primary's next reply makes it re-seed the follower, and a copy the
+// follower still holds is older than its placement. Caller holds m.mu.
+func (m *Master) placeAgainLocked(rep *replicaInfo) {
+	m.Epoch++
+	rep.Seeded, rep.Epoch = false, m.Epoch
+}
+
+// planLocked is the planner, run on the groups a heartbeating node serves:
+// it tops each up to its follower count, drops a planned move whose
+// destination is gone, plans a split of each oversized group onto the
+// least-loaded node, and lets the rebalancer plan a migration off the
+// node. Caller holds m.mu.
+func (m *Master) planLocked(n *nodeInfo, served []*acgInfo) {
+	var oversized []*acgInfo
+	for _, info := range served {
+		m.ensureReplicasLocked(info)
+		if info.Move.Kind != 0 && m.liveLocked(info.Move.Dest.Node) == nil {
+			info.Move = proto.Order{}
+		}
+		if info.Files > m.cfg.SplitThreshold && info.Move.Kind == 0 {
+			oversized = append(oversized, info)
+		}
+	}
+	// An oversized group splits onto the least-loaded node, counting this
+	// report, as a new group whose id is reserved now.
+	for _, info := range oversized {
+		if dest := m.leastLoadedLocked(); dest != nil {
+			m.planMoveLocked(info, proto.Order{Kind: proto.OrderSplit, Into: m.newIDLocked(), Dest: proto.ReplicaRef{Node: dest.id}})
+		}
+	}
+	m.rebalanceLocked(n)
+}
+
+// planMoveLocked plans a move of the group's data at a new epoch. A
+// migration's destination stops being a follower: a node holds one copy
+// of a group, and the one the plan wants there now is the migration's.
+// Caller holds m.mu.
+func (m *Master) planMoveLocked(info *acgInfo, o proto.Order) {
+	if o.Kind == proto.OrderMigrate {
+		info.removeReplica(o.Dest.Node)
+	}
+	m.Epoch++
+	o.ACG, o.Epoch = info.ID, m.Epoch
+	info.Move = o
+}
+
+// diffLocked is a heartbeat's reply: for each group where the node's
+// report differs from the plan, the target the plan holds for the group
+// on the node, and the moves the plan wants of the node's groups. A copy
+// the plan does not place on the node is stale by the current epoch,
+// unless the plan ships a copy there — a follower's seeding or a planned
+// move: then only a copy older than that one is. diffLocked changes
+// nothing. Caller holds m.mu.
+func (m *Master) diffLocked(node proto.NodeID, acgs []proto.ACGMeta) (targets []proto.Target, moves []proto.Order) {
+	var incoming map[proto.ACGID]proto.Epoch
+	for _, info := range m.ACGs {
+		if o := info.Move; o.Kind != 0 && o.Dest.Node == node {
+			if incoming == nil {
+				incoming = make(map[proto.ACGID]proto.Epoch)
+			}
+			incoming[cmp.Or(o.Into, o.ACG)] = o.Epoch
+		}
+	}
+	for _, am := range acgs {
+		info := m.ACGs[am.ACG]
+		var rep *replicaInfo
+		if info != nil {
+			if info.Node == node {
+				continue // the primary's target follows
+			}
+			rep = info.replicaOn(node)
+		}
+		into := m.ACGs[m.Merged[am.ACG]]
+		e, shipping := incoming[am.ACG]
+		switch {
+		case rep != nil && am.Follower && am.Epoch == rep.Epoch, shipping && am.Epoch >= e:
+			// The copy the plan places here.
+		case info == nil && into != nil && into.Node == node && !am.Follower:
+			// A retired merge source its node still holds (the reply was
+			// lost, or the fold failed after it): the node finishes it.
+			moves = append(moves, proto.Order{Kind: proto.OrderMerge, ACG: am.ACG, Into: into.ID})
+		case rep != nil:
+			targets = append(targets, proto.Target{ACG: am.ACG, Epoch: rep.Epoch - 1})
+		case shipping:
+			targets = append(targets, proto.Target{ACG: am.ACG, Epoch: e - 1})
+		default:
+			targets = append(targets, proto.Target{ACG: am.ACG, Epoch: m.Epoch})
+		}
+	}
+	for _, info := range m.groupsOnLocked(node) {
+		am, ok := reported(acgs, info.ID)
+		adopted := ok && !am.Follower && am.Epoch == info.Epoch
+		switch {
+		case !ok && info.Epoch == 0:
+			continue // its first write creates it
+		case !adopted || !m.streamsAsPlannedLocked(info, am.Followers):
+			// Until the primary has adopted the group, the target names
+			// only the followers that hold their copies — a promoted copy
+			// streams to them — and seeding new ones waits for the
+			// adoption.
+			targets = append(targets, proto.Target{ACG: info.ID, Role: proto.RolePrimary, Epoch: info.Epoch,
+				Seq: info.Seq, Followers: m.copiesLocked(info, !adopted)})
+		}
+		if o := info.Move; o.Kind != 0 {
+			if d := m.liveLocked(o.Dest.Node); d != nil {
+				o.Dest.Addr = d.addr
+				moves = append(moves, o)
+			}
+		}
+	}
+	slices.SortFunc(targets, func(a, b proto.Target) int { return cmp.Compare(a.ACG, b.ACG) })
+	slices.SortFunc(moves, func(a, b proto.Order) int { return cmp.Compare(a.ACG, b.ACG) })
+	return targets, moves
+}
+
+// streamsAsPlannedLocked reports whether a primary's ack set holds every
+// follower of the group the plan places and the Master can route to, at
+// its epoch. A stream to a copy the plan dropped ends by itself: the
+// copy's node drops it, and the next append is refused. Caller holds m.mu.
+func (m *Master) streamsAsPlannedLocked(info *acgInfo, acks []proto.Copy) bool {
+	for _, r := range info.Replicas {
+		if m.liveLocked(r.Node) != nil && !slices.Contains(acks, proto.Copy{Node: r.Node, Epoch: r.Epoch}) {
+			return false
+		}
+	}
+	return true
 }
 
 // liveLocked returns the named node if it is registered and alive, else
@@ -507,23 +568,36 @@ func (m *Master) followersLocked(info *acgInfo) []proto.ReplicaRef {
 	return out
 }
 
-// promotionLocked is the order that makes a group's primary serve from its
-// follower copy: the stream position it must reach, and its live seeded
-// followers as the new ack set. Caller holds m.mu.
-func (m *Master) promotionLocked(info *acgInfo) proto.Order {
-	return proto.Order{Kind: proto.OrderPromote, ACG: info.ID, Seq: info.Seq, Followers: m.followersLocked(info)}
+// copiesLocked is a group's follower set as a primary's target lists it:
+// every follower (only the seeded ones, if seededOnly) at its placement's
+// epoch, with its address if the Master can route to it. Caller holds
+// m.mu.
+func (m *Master) copiesLocked(info *acgInfo, seededOnly bool) []proto.Copy {
+	var out []proto.Copy
+	for _, r := range info.Replicas {
+		if seededOnly && !r.Seeded {
+			continue
+		}
+		c := proto.Copy{Node: r.Node, Epoch: r.Epoch}
+		if d := m.liveLocked(r.Node); d != nil {
+			c.Addr = d.addr
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // ensureReplicasLocked tops a group's follower set up to ReplicationFactor-1
 // replicas on distinct alive nodes (fewest files first, ids break ties).
-// New entries start unseeded; the owning primary's next heartbeat carries
-// the replicate order that ships the copy. Caller holds m.mu.
+// New entries start unseeded, each placed at a new epoch; the owning
+// primary seeds them once its heartbeat reply lists them. Caller holds
+// m.mu.
 func (m *Master) ensureReplicasLocked(info *acgInfo) {
 	for len(info.Replicas) < m.cfg.ReplicationFactor-1 {
 		var best *nodeInfo
 		for _, id := range slices.Sorted(maps.Keys(m.nodes)) {
 			cand := m.liveLocked(id)
-			if cand == nil || id == info.Node || info.replicaOn(id) != nil {
+			if cand == nil || id == info.Node || info.replicaOn(id) != nil || id == info.Move.Dest.Node && info.Move.Kind == proto.OrderMigrate {
 				continue
 			}
 			if best == nil || cand.files < best.files {
@@ -533,7 +607,8 @@ func (m *Master) ensureReplicasLocked(info *acgInfo) {
 		if best == nil {
 			return // not enough alive nodes; topped up when one joins
 		}
-		info.Replicas = append(info.Replicas, &replicaInfo{Node: best.id})
+		m.Epoch++
+		info.Replicas = append(info.Replicas, &replicaInfo{Node: best.id, Epoch: m.Epoch})
 	}
 }
 
@@ -555,41 +630,23 @@ func (m *Master) bestFollowerLocked(info *acgInfo) *replicaInfo {
 	return best
 }
 
-// moveLocked is the one step that moves a group to a new primary: the load
-// moves with it, the new primary leaves the replica set, p replaces
-// whatever order was in flight, and the epoch is bumped. Caller holds m.mu.
-func (m *Master) moveLocked(info *acgInfo, dest *nodeInfo, p proto.Order) {
+// moveLocked is the one step that moves a group to a new primary, placed
+// there at epoch: the load moves with it, the new primary leaves the
+// replica set, the planned move is done or moot, and the epoch is bumped.
+// Caller holds m.mu.
+func (m *Master) moveLocked(info *acgInfo, dest *nodeInfo, epoch proto.Epoch) {
 	m.nodes[info.Node].files -= info.Files
 	dest.files += info.Files
-	info.Node = dest.id
+	info.Node, info.Epoch = dest.id, epoch
 	info.removeReplica(dest.id)
-	info.setPending(p)
+	info.Move = proto.Order{}
 	m.Epoch++
 }
 
-// promoteLocked fails a group over to one of its seeded followers in a
-// single epoch bump: the follower becomes the primary, the surviving
-// replica set rides the promote order as the new ack set, and the order is
-// re-issued on the new primary's heartbeats until its report proves the
-// adoption. No shared-store replay happens on this path — the order
-// carries the dead primary's last reported stream position, and the new
-// primary reconciles only the acknowledged tail it may have missed.
-// Caller holds m.mu.
-func (m *Master) promoteLocked(info *acgInfo, chosen *replicaInfo) {
-	dest := m.nodes[chosen.Node]
-	m.moveLocked(info, dest, proto.Order{})
-	info.setPending(m.promotionLocked(info))
-	dest.promotions++
-	m.promotions++
-	// Top the follower set back up; the replacement seeds from the new
-	// primary once it has adopted the group.
-	m.ensureReplicasLocked(info)
-}
-
 // sweepLocked is the liveness sweep: nodes silent past HeartbeatTimeout are
-// marked dead and every group they held is re-placed onto an alive node via
-// reassignLocked (the new owner adopts it from shared storage when its next
-// heartbeat delivers the recover order). Caller holds m.mu.
+// marked dead and every group they held is placed on an alive node via
+// reassignLocked (the new owner adopts it when its next heartbeat reply
+// lists it). Caller holds m.mu.
 func (m *Master) sweepLocked() {
 	if !m.cfg.EnableFailover {
 		return
@@ -618,24 +675,34 @@ func (m *Master) sweepLocked() {
 	}
 }
 
-// reassignLocked fails one group over after its owner died. With a live
-// seeded follower the failover is a promotion — one epoch bump, no
-// shared-store replay. Only when every replica is gone does it fall back
-// to re-placing the group on the least-loaded alive node with a recover
-// order (the new owner restores the group from shared storage — the
-// last-resort replay path). Either way the move replaces any order in
-// flight. Caller holds m.mu.
+// reassignLocked fails one group over after its owner died, at a new
+// epoch; the new primary's heartbeat replies list the group until it
+// reports its copy at that epoch. With a live seeded follower the failover
+// is a promotion — one epoch bump, no shared-store replay: the target
+// carries the dead primary's last reported stream position, the follower
+// reconciles only the acknowledged tail it may have missed, and the
+// surviving seeded followers become its ack set. Only when every replica
+// is gone does it fall back to the least-loaded alive node, which holds no
+// copy and so restores the group from shared storage — the last-resort
+// replay path. Either way the move replaces any planned move. Caller holds
+// m.mu.
 func (m *Master) reassignLocked(info *acgInfo) error {
-	if rep := m.bestFollowerLocked(info); rep != nil {
-		m.promoteLocked(info, rep)
+	rep := m.bestFollowerLocked(info)
+	if rep == nil {
+		dest := m.leastLoadedLocked()
+		if dest == nil {
+			return ErrNoNodes
+		}
+		m.moveLocked(info, dest, m.Epoch+1)
+		m.recoveries++
 		return nil
 	}
-	dest := m.leastLoadedLocked()
-	if dest == nil {
-		return ErrNoNodes
-	}
-	m.moveLocked(info, dest, proto.Order{Kind: proto.OrderRecover, ACG: info.ID})
-	m.recoveries++
+	m.moveLocked(info, m.nodes[rep.Node], m.Epoch+1)
+	m.nodes[rep.Node].promotions++
+	m.promotions++
+	// Top the follower set back up; the replacement seeds from the new
+	// primary once it has adopted the group.
+	m.ensureReplicasLocked(info)
 	return nil
 }
 
@@ -644,7 +711,7 @@ func (m *Master) reassignLocked(info *acgInfo) error {
 // not sustained overload worth moving a group for.
 const minRebalanceQueueDepth = 4
 
-// rebalanceLocked orders one of the reporting node's groups migrated to a
+// rebalanceLocked plans one of the reporting node's groups migrated to a
 // less-loaded alive peer when the node is hot on either signal:
 //
 //   - files: its file count exceeds RebalanceRatio times the alive mean
@@ -657,7 +724,7 @@ const minRebalanceQueueDepth = 4
 //     shallowest-queue peer, and the file-gap constraint is waived: the
 //     point is to shift request load even when file counts are balanced.
 //
-// At most one order per heartbeat, so load drains without thrashing; it
+// At most one move per heartbeat, so load drains without thrashing; it
 // rides this heartbeat's reply. Caller holds m.mu.
 func (m *Master) rebalanceLocked(n *nodeInfo) {
 	if m.cfg.RebalanceRatio <= 0 || n.dead {
@@ -704,10 +771,14 @@ func (m *Master) rebalanceLocked(n *nodeInfo) {
 	// Hottest movable group; ties break on the smaller id for determinism.
 	// A file-driven move must strictly improve file balance; a queue-driven
 	// move only needs a non-empty group to carry load to the quiet peer. A
-	// group with an order in flight (a split among them) stays put.
+	// group with a move planned (a split among them) stays put, and while
+	// a migration off the node is planned, the node waits for it.
 	var pick *acgInfo
 	for _, info := range m.groupsOnLocked(n.id) {
-		if info.Files <= 0 || (fileHot && info.Files >= gap) || info.Pending.Kind != 0 {
+		if info.Move.Kind == proto.OrderMigrate {
+			return
+		}
+		if info.Files <= 0 || (fileHot && info.Files >= gap) || info.Move.Kind != 0 {
 			continue
 		}
 		if pick == nil || info.Files > pick.Files {
@@ -717,7 +788,7 @@ func (m *Master) rebalanceLocked(n *nodeInfo) {
 	if pick == nil {
 		return
 	}
-	pick.setPending(migration(pick.ID, dest.id))
+	m.planMoveLocked(pick, proto.Order{Kind: proto.OrderMigrate, Dest: proto.ReplicaRef{Node: dest.id}})
 	m.migrationsOrdered++
 }
 
@@ -726,8 +797,8 @@ func (m *Master) rebalanceLocked(n *nodeInfo) {
 // Files sharing a non-zero GroupHint land in the same group.
 //
 // A mapping pointing at an unregistered or dead node is repaired inline:
-// the group is re-placed onto an alive node (with a recover order so the
-// new owner restores it from shared storage) instead of failing the
+// the group is placed on an alive node (which restores it from shared
+// storage once its heartbeat reply lists it) instead of failing the
 // client's request — stale metadata triggers recovery, never an error,
 // unless the cluster has no nodes at all.
 func (m *Master) LookupFiles(_ context.Context, req proto.LookupFilesReq) (proto.LookupFilesResp, error) {
@@ -779,7 +850,7 @@ func (m *Master) assignLocked(f index.FileID, hint uint64) (proto.ACGID, error) 
 	if node == nil {
 		return 0, ErrNoNodes
 	}
-	info := m.placeLocked(node, m.newIDLocked(), 1)
+	info := m.placeLocked(node, m.newIDLocked(), 1, 0)
 	m.FileToACG[f] = info.ID
 	if hint != 0 {
 		m.HintToACG[hint] = info.ID
@@ -800,12 +871,12 @@ func (m *Master) newIDLocked() proto.ACGID {
 	return m.NextACG - 1
 }
 
-// placeLocked records a new group of the given id and size on node and
-// reserves its follower slots now; the primary's next heartbeat carries
-// the replicate orders that seed them. The caller bumps the epoch. Caller
+// placeLocked records a new group of the given id and size on node, placed
+// at epoch, and reserves its follower slots now; the primary's next
+// heartbeat reply lists them to seed. The caller bumps the epoch. Caller
 // holds m.mu.
-func (m *Master) placeLocked(node *nodeInfo, id proto.ACGID, files int64) *acgInfo {
-	info := &acgInfo{ID: id, Node: node.id, Files: files}
+func (m *Master) placeLocked(node *nodeInfo, id proto.ACGID, files int64, epoch proto.Epoch) *acgInfo {
+	info := &acgInfo{ID: id, Node: node.id, Files: files, Epoch: epoch}
 	m.ACGs[id] = info
 	node.files += files
 	m.ensureReplicasLocked(info)
@@ -871,68 +942,70 @@ func (m *Master) CreateIndex(_ context.Context, req proto.CreateIndexReq) (proto
 	return proto.CreateIndexResp{OK: true}, nil
 }
 
-// Report applies an order a node carried out; the node changes its own
-// state only once this returns. A migration rebinds the group to Dest
-// (the remaining followers re-seed from the new primary: its first
-// heartbeat omits them from its ack set). A seeding marks the follower
-// seeded a round before its own heartbeat would. A split places its moved
-// half on Dest as group Into and rebinds the moved files. A merge rebinds
-// every file of ACG to Into and retires ACG with any order it had in
-// flight; its follower copies report as unknown and get drop orders. Until
-// the fold is proven, the merge is accepted again (its reply was lost) and
-// Into neither moves nor merges away. A report from a node that does not
-// own the group, or of a split that is not the order in flight, is
-// refused, and the reporter keeps its state.
+// Report applies a move a node carried out; the node changes its own state
+// only once this returns. A migration moves the group to Dest at the
+// move's epoch (the remaining followers re-seed from the new primary: its
+// first heartbeat omits them from its ack set). A split places its moved
+// half on Dest as group Into, at the move's epoch, and rebinds the moved
+// files. Either must be the move the plan holds, reported by the group's
+// primary. A merge rebinds every file of ACG to Into and retires ACG with
+// any move it had planned; the plan no longer places its follower copies,
+// so their nodes drop them. Until the fold is proven, Into neither moves
+// nor merges away.
+//
+// A report is idempotent: one whose reply was lost comes again, and a move
+// already applied is acknowledged again — a migration once the group has
+// left the reporter (by this move or a later one, the reporter's copy is
+// no longer the group's), a split once its files no longer map to the
+// source, a merge until its fold is proven. Any other report is refused,
+// and the reporter keeps its state.
 func (m *Master) Report(_ context.Context, req proto.ReportReq) (proto.ReportResp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	o := req.Order
 	info := m.ACGs[o.ACG]
-	if into := m.ACGs[m.Merged[o.ACG]]; o.Kind == proto.OrderMerge && into != nil && into.ID == o.Into && into.Node == req.Node {
+	into := m.ACGs[o.Into]
+	var movedTo proto.ACGID // where a split's first file maps now
+	if len(req.Files) > 0 {
+		movedTo = m.FileToACG[req.Files[0]]
+	}
+	switch {
+	case o.Kind == proto.OrderMerge && m.Merged[o.ACG] == o.Into && into != nil && into.Node == req.Node,
+		o.Kind == proto.OrderMigrate && info != nil && info.Node != req.Node,
+		o.Kind == proto.OrderSplit && info != nil && movedTo != 0 && movedTo != o.ACG:
 		return proto.ReportResp{Epoch: m.Epoch}, nil
-	}
-	if info == nil {
+	case info == nil:
 		return proto.ReportResp{}, fmt.Errorf("acg %d: %w", o.ACG, ErrUnknownACG)
-	}
-	if info.Node != req.Node {
+	case info.Node != req.Node:
 		return proto.ReportResp{}, fmt.Errorf(
 			"master: %v report for acg %d from %s, but %s owns it", o.Kind, o.ACG, req.Node, info.Node)
-	}
-	if o.Kind != proto.OrderReplicate && slices.Contains(slices.Collect(maps.Values(m.Merged)), o.ACG) {
+	case slices.Contains(slices.Collect(maps.Values(m.Merged)), o.ACG):
 		return proto.ReportResp{}, fmt.Errorf("master: acg %d cannot %v before a merge into it is folded", o.ACG, o.Kind)
 	}
-	dest := m.liveLocked(o.Dest.Node)
 	switch o.Kind {
-	case proto.OrderMigrate:
+	case proto.OrderMigrate, proto.OrderSplit:
+		if p := info.Move; p.Kind != o.Kind || p.Into != o.Into || p.Dest.Node != o.Dest.Node || p.Epoch != o.Epoch {
+			return proto.ReportResp{}, fmt.Errorf("master: %v of acg %d to %s at epoch %d is not the move planned (%+v)",
+				o.Kind, o.ACG, o.Dest.Node, o.Epoch, p)
+		}
+		dest := m.liveLocked(o.Dest.Node)
 		if dest == nil {
-			return proto.ReportResp{}, fmt.Errorf("master: migrate destination %s is not alive", o.Dest.Node)
+			return proto.ReportResp{}, fmt.Errorf("master: %v destination %s is not alive", o.Kind, o.Dest.Node)
 		}
-		m.moveLocked(info, dest, proto.Order{})
-	case proto.OrderReplicate:
-		if rep := info.replicaOn(o.Dest.Node); rep != nil && !rep.Seeded {
-			rep.Seeded = true
-			rep.Seq = info.Seq
-			m.Epoch++
-		}
-	case proto.OrderSplit:
-		if p := info.Pending; p.Kind != proto.OrderSplit || p.Into != o.Into || p.Dest.Node != o.Dest.Node {
-			return proto.ReportResp{}, fmt.Errorf("master: split of acg %d into %d on %s is not the order in flight (%+v)",
-				o.ACG, o.Into, o.Dest.Node, p)
-		}
-		if dest == nil {
-			return proto.ReportResp{}, fmt.Errorf("master: split destination %s is not alive", o.Dest.Node)
+		if o.Kind == proto.OrderMigrate {
+			m.moveLocked(info, dest, o.Epoch)
+			break
 		}
 		moved := int64(len(req.Files))
-		m.placeLocked(dest, o.Into, moved)
+		m.placeLocked(dest, o.Into, moved, o.Epoch)
 		for _, f := range req.Files {
 			m.FileToACG[f] = o.Into
 		}
 		info.Files -= moved
 		m.nodes[info.Node].files -= moved
-		info.setPending(proto.Order{})
+		info.Move = proto.Order{}
 		m.Epoch++
 	case proto.OrderMerge:
-		into := m.ACGs[o.Into]
 		if into == nil {
 			return proto.ReportResp{}, fmt.Errorf("acg %d: %w", o.Into, ErrUnknownACG)
 		}
@@ -956,15 +1029,15 @@ func (m *Master) Report(_ context.Context, req proto.ReportReq) (proto.ReportRes
 		m.Merged[o.ACG] = o.Into
 		m.Epoch++
 	default:
-		return proto.ReportResp{}, fmt.Errorf("master: a node cannot report a %v order", o.Kind)
+		return proto.ReportResp{}, fmt.Errorf("master: a node cannot report a %v move", o.Kind)
 	}
 	return proto.ReportResp{Epoch: m.Epoch}, nil
 }
 
-// OrderMigration queues a migration of one group to the named destination;
-// the order rides the owning node's next heartbeat reply. Used by operators
-// and tests to force a move outside the rebalancer's policy. A group with
-// an order already in flight is refused.
+// OrderMigration plans a migration of one group to the named destination;
+// it rides the owning node's heartbeat replies until its report applies
+// it. Used by operators and tests to force a move outside the
+// rebalancer's policy. A group with a move already planned is refused.
 func (m *Master) OrderMigration(id proto.ACGID, dest proto.NodeID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -978,18 +1051,12 @@ func (m *Master) OrderMigration(id proto.ACGID, dest proto.NodeID) error {
 	if info.Node == dest {
 		return nil // already home
 	}
-	if p := info.Pending; p.Kind != 0 {
-		return fmt.Errorf("master: acg %d has a %v order in flight: %+v", id, p.Kind, p)
+	if p := info.Move; p.Kind != 0 {
+		return fmt.Errorf("master: acg %d has a %v planned: %+v", id, p.Kind, p)
 	}
-	info.setPending(migration(id, dest))
+	m.planMoveLocked(info, proto.Order{Kind: proto.OrderMigrate, Dest: proto.ReplicaRef{Node: dest}})
 	m.migrationsOrdered++
 	return nil
-}
-
-// migration is the pending order that moves a group to dest; the
-// destination's address is filled in when the order is delivered.
-func migration(id proto.ACGID, dest proto.NodeID) proto.Order {
-	return proto.Order{Kind: proto.OrderMigrate, ACG: id, Dest: proto.ReplicaRef{Node: dest}}
 }
 
 // ClusterStats summarizes the cluster.
@@ -1050,7 +1117,7 @@ func (m *Master) PlacementEpoch() proto.Epoch {
 }
 
 // SnapshotMetadata serializes the durable metadata — the state value
-// itself, file→group map, placements, replica sets, pending orders and
+// itself, file→group map, placements, replica sets, planned moves and
 // epoch (the paper flushes the file-to-ACG mappings to shared storage
 // periodically to survive crashes).
 func (m *Master) SnapshotMetadata() ([]byte, error) {

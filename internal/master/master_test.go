@@ -23,19 +23,31 @@ func newTestMaster(t *testing.T, nodes ...string) *Master {
 	return m
 }
 
-// report is how the tests hand the Master a node's report of an order it
+// report is how the tests hand the Master a node's report of a move it
 // carried out (files: a split's moved half).
 func report(m *Master, node proto.NodeID, o proto.Order, files ...index.FileID) (proto.ReportResp, error) {
 	return m.Report(context.Background(), proto.ReportReq{Node: node, Order: o, Files: files})
 }
 
-// ordersOf is how the tests read a heartbeat reply: its orders of one
-// kind, in reply order.
-func ordersOf(hb proto.HeartbeatResp, kind proto.OrderKind) []proto.Order {
+// movesOf is how the tests read a heartbeat reply's moves of one kind, in
+// reply order.
+func movesOf(hb proto.HeartbeatResp, kind proto.OrderKind) []proto.Order {
 	var out []proto.Order
-	for _, o := range hb.Orders {
+	for _, o := range hb.Moves {
 		if o.Kind == kind {
 			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// targetsOf is how the tests read a heartbeat reply's targets of one role,
+// in reply order.
+func targetsOf(hb proto.HeartbeatResp, role proto.Role) []proto.Target {
+	var out []proto.Target
+	for _, t := range hb.Targets {
+		if t.Role == role {
+			out = append(out, t)
 		}
 	}
 	return out
@@ -153,22 +165,21 @@ func TestHeartbeatOrdersSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderSplit)) != 1 || ordersOf(hb, proto.OrderSplit)[0].ACG != 1 {
-		t.Fatalf("split orders = %v, want [1]", ordersOf(hb, proto.OrderSplit))
+	if len(movesOf(hb, proto.OrderSplit)) != 1 || movesOf(hb, proto.OrderSplit)[0].ACG != 1 {
+		t.Fatalf("split moves = %v, want [1]", movesOf(hb, proto.OrderSplit))
 	}
-	split := ordersOf(hb, proto.OrderSplit)[0]
-	if split.Into <= 1 || split.Dest != (proto.ReplicaRef{Node: "a", Addr: "pipe:a"}) {
-		t.Errorf("split order = %+v, want a fresh Into shipped to a", split)
+	split := movesOf(hb, proto.OrderSplit)[0]
+	if split.Into <= 1 || split.Dest != (proto.ReplicaRef{Node: "a", Addr: "pipe:a"}) || split.Epoch == 0 {
+		t.Errorf("split move = %+v, want a fresh Into shipped to a at its own epoch", split)
 	}
-	// The split is delivered once. The owner reporting the group again
-	// without having reported the split proves it failed: the group
-	// re-arms, and a new split names a new id.
+	// The split is part of the plan until a report applies it: every reply
+	// of the owner repeats it, into the same id at the same epoch.
 	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "a", ACGs: []proto.ACGMeta{{ACG: 1, Files: 500}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := ordersOf(hb, proto.OrderSplit); len(again) != 1 || again[0].Into == split.Into {
-		t.Errorf("re-armed split orders = %+v, want one into a new id", again)
+	if again := movesOf(hb, proto.OrderSplit); len(again) != 1 || again[0] != split {
+		t.Errorf("split moves on the next reply = %+v, want %+v again", again, split)
 	}
 	if _, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "ghost"}); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("ghost heartbeat = %v", err)
@@ -188,11 +199,11 @@ func TestReportSplitRebindsFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderSplit)) != 1 {
-		t.Fatalf("split orders = %+v, want 1", ordersOf(hb, proto.OrderSplit))
+	if len(movesOf(hb, proto.OrderSplit)) != 1 {
+		t.Fatalf("split moves = %+v, want 1", movesOf(hb, proto.OrderSplit))
 	}
-	split := ordersOf(hb, proto.OrderSplit)[0]
-	// A report that does not match the order in flight is refused.
+	split := movesOf(hb, proto.OrderSplit)[0]
+	// A report that does not match the planned move is refused.
 	wrong := split
 	wrong.Into++
 	if _, err := report(m, owner, wrong, 3, 4); err == nil {
@@ -215,8 +226,13 @@ func TestReportSplitRebindsFiles(t *testing.T) {
 	if after.Epoch != rep.Epoch {
 		t.Errorf("report epoch %d, lookup epoch %d", rep.Epoch, after.Epoch)
 	}
-	if _, err := report(m, owner, split, 3, 4); err == nil {
-		t.Error("a split reported twice was accepted twice")
+	// A report sent again after a lost reply is acknowledged, and applies
+	// nothing twice.
+	if again, err := report(m, owner, split, 3, 4); err != nil || again.Epoch != rep.Epoch {
+		t.Errorf("split reported again = %+v, %v; want acknowledged at epoch %d", again, err, rep.Epoch)
+	}
+	if m.ACGs[oldACG].Files != 498 || m.ACGs[split.Into].Files != 2 {
+		t.Errorf("after the report sent again: %d and %d files, want 498 and 2", m.ACGs[oldACG].Files, m.ACGs[split.Into].Files)
 	}
 	if _, err := report(m, owner, proto.Order{Kind: proto.OrderSplit, ACG: 9999}); !errors.Is(err, ErrUnknownACG) {
 		t.Errorf("bogus split = %v", err)
@@ -336,7 +352,7 @@ func TestReportMerge(t *testing.T) {
 // TestReportMergeLostReplyOrdersFold: the Master applied a merge, but the
 // node never saw the reply (or its fold failed afterwards) and still holds
 // the source. A second report of the merge is accepted, the node's
-// heartbeat that lists the source gets the merge back as an order instead
+// heartbeat that lists the source gets the merge back as a move instead
 // of a drop, and the group merged into does not move until a heartbeat
 // without the source proves the fold done.
 func TestReportMergeLostReplyOrdersFold(t *testing.T) {
@@ -374,18 +390,18 @@ func TestReportMergeLostReplyOrdersFold(t *testing.T) {
 		return hb
 	}
 	hb := heartbeat(dst, src)
-	if got := ordersOf(hb, proto.OrderMerge); len(got) != 1 || got[0].ACG != src || got[0].Into != dst || len(ordersOf(hb, proto.OrderDrop)) != 0 {
-		t.Fatalf("heartbeat still holding the source: orders %+v, want the merge and no drop", hb.Orders)
+	if got := movesOf(hb, proto.OrderMerge); len(got) != 1 || got[0].ACG != src || got[0].Into != dst || len(targetsOf(hb, proto.RoleNone)) != 0 {
+		t.Fatalf("heartbeat still holding the source: reply %+v, want the merge and no drop", hb)
 	}
 	hb = heartbeat(dst)
-	if len(hb.Orders) != 0 {
-		t.Errorf("heartbeat after the fold: orders %+v, want none", hb.Orders)
+	if len(hb.Targets)+len(hb.Moves) != 0 {
+		t.Errorf("heartbeat after the fold: reply %+v, want an empty one", hb)
 	}
 	if _, err := report(m, "a", merge); err == nil {
 		t.Error("the merge reported again after the fold was proven")
 	}
-	if hb = heartbeat(dst, src); len(ordersOf(hb, proto.OrderDrop)) != 1 {
-		t.Errorf("a source reported after its fold was proven: orders %+v, want a drop", hb.Orders)
+	if hb = heartbeat(dst, src); len(targetsOf(hb, proto.RoleNone)) != 1 {
+		t.Errorf("a source reported after its fold was proven: reply %+v, want a drop", hb)
 	}
 }
 
@@ -411,8 +427,8 @@ func TestReportMergeAcrossNodesRejected(t *testing.T) {
 func TestLookupFilesReassignsFromUnregisteredNode(t *testing.T) {
 	// Satellite fix: a mapping pointing at a node the Master no longer
 	// knows (e.g. after a metadata restore before every node re-registered)
-	// triggers reassignment + a recover order — never a client-visible
-	// error while an alive node exists.
+	// triggers reassignment, which the new owner's reply lists as a primary
+	// to recover — never a client-visible error while an alive node exists.
 	m := newTestMaster(t, "a")
 	if _, err := m.LookupFiles(context.Background(), proto.LookupFilesReq{
 		Files: []index.FileID{1, 2}, GroupHints: []uint64{5, 5}, Allocate: true}); err != nil {
@@ -438,13 +454,14 @@ func TestLookupFilesReassignsFromUnregisteredNode(t *testing.T) {
 	if m2.PlacementEpoch() <= epochBefore {
 		t.Error("reassignment must bump the placement epoch")
 	}
-	// The new owner's next heartbeat carries the recover order.
+	// The new owner's next reply places the group on it: it holds no copy,
+	// so it recovers one.
 	hb, err := m2.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != resp.Mappings[0].ACG {
-		t.Fatalf("recover orders = %v, want [%d]", ordersOf(hb, proto.OrderRecover), resp.Mappings[0].ACG)
+	if len(targetsOf(hb, proto.RolePrimary)) != 1 || targetsOf(hb, proto.RolePrimary)[0].ACG != resp.Mappings[0].ACG {
+		t.Fatalf("primary targets = %v, want [%d]", targetsOf(hb, proto.RolePrimary), resp.Mappings[0].ACG)
 	}
 	st, err := m2.ClusterStats(context.Background(), proto.ClusterStatsReq{})
 	if err != nil {
@@ -465,8 +482,8 @@ func TestLookupFilesReassignsFromUnregisteredNode(t *testing.T) {
 
 func TestHeartbeatRejectsDoubleOwnership(t *testing.T) {
 	// Satellite fix: a node reporting a group the Master placed elsewhere
-	// must not silently re-home it; the reporter is ordered to drop its
-	// stale copy.
+	// must not silently re-home it; the reply tells the reporter to drop
+	// its stale copy.
 	m := newTestMaster(t, "a", "b")
 	resp, err := m.LookupFiles(context.Background(), proto.LookupFilesReq{
 		Files: []index.FileID{1}, GroupHints: []uint64{3}, Allocate: true})
@@ -484,11 +501,11 @@ func TestHeartbeatRejectsDoubleOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderDrop)) != 1 || ordersOf(hb, proto.OrderDrop)[0].ACG != acg {
-		t.Fatalf("drop orders = %v, want [%d]", ordersOf(hb, proto.OrderDrop), acg)
+	if len(targetsOf(hb, proto.RoleNone)) != 1 || targetsOf(hb, proto.RoleNone)[0].ACG != acg {
+		t.Fatalf("drop targets = %v, want [%d]", targetsOf(hb, proto.RoleNone), acg)
 	}
-	if len(ordersOf(hb, proto.OrderSplit)) != 0 {
-		t.Error("a disowned report must not trigger split orders")
+	if len(movesOf(hb, proto.OrderSplit)) != 0 {
+		t.Error("a disowned report must not trigger split moves")
 	}
 	after, err := m.LookupFiles(context.Background(), proto.LookupFilesReq{Files: []index.FileID{1}})
 	if err != nil {
@@ -530,8 +547,8 @@ func TestSweepReassignsDeadNodesGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderRecover)) != len(onA) {
-		t.Fatalf("recover orders = %v, want %v", ordersOf(hb, proto.OrderRecover), onA)
+	if len(targetsOf(hb, proto.RolePrimary)) != len(onA) {
+		t.Fatalf("primary targets = %v, want %v", targetsOf(hb, proto.RolePrimary), onA)
 	}
 	st, err := m.ClusterStats(context.Background(), proto.ClusterStatsReq{})
 	if err != nil {
@@ -560,8 +577,8 @@ func TestSweepReassignsDeadNodesGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(back, proto.OrderDrop)) != 1 || ordersOf(back, proto.OrderDrop)[0].ACG != onA[0] {
-		t.Errorf("returning node drop orders = %v, want [%d]", ordersOf(back, proto.OrderDrop), onA[0])
+	if len(targetsOf(back, proto.RoleNone)) != 1 || targetsOf(back, proto.RoleNone)[0].ACG != onA[0] {
+		t.Errorf("returning node drop targets = %v, want [%d]", targetsOf(back, proto.RoleNone), onA[0])
 	}
 }
 
@@ -593,15 +610,15 @@ func TestRebalancerOrdersHottestGroupOffOverloadedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Groups 2 was placed on b by alternating least-loaded placement; the
-	// heartbeat report from a for a group owned by b yields a drop order
-	// instead. Assert on whatever migration order came back: it must move
-	// a group a owns to b and improve balance.
-	if len(ordersOf(hb, proto.OrderMigrate)) != 1 {
-		t.Fatalf("migrate orders = %+v, want exactly 1", ordersOf(hb, proto.OrderMigrate))
+	// heartbeat report from a for a group owned by b yields a drop target
+	// instead. Assert on whatever migration came back: it must move a group
+	// a owns to b and improve balance.
+	if len(movesOf(hb, proto.OrderMigrate)) != 1 {
+		t.Fatalf("migrate moves = %+v, want exactly 1", movesOf(hb, proto.OrderMigrate))
 	}
-	ord := ordersOf(hb, proto.OrderMigrate)[0]
+	ord := movesOf(hb, proto.OrderMigrate)[0]
 	if ord.Dest.Node != "b" {
-		t.Errorf("order dest = %s, want b", ord.Dest.Node)
+		t.Errorf("move dest = %s, want b", ord.Dest.Node)
 	}
 	st, err := m.ClusterStats(context.Background(), proto.ClusterStatsReq{})
 	if err != nil {
@@ -610,21 +627,19 @@ func TestRebalancerOrdersHottestGroupOffOverloadedNode(t *testing.T) {
 	if st.MigrationsOrdered != 1 {
 		t.Errorf("MigrationsOrdered = %d, want 1", st.MigrationsOrdered)
 	}
-	// The source heartbeating while still owning the delivered order's
-	// group proves the transfer failed (nodes execute orders before their
-	// next heartbeat): the group re-arms and is re-ordered — a lost or
-	// failed transfer can never permanently exclude a group from
-	// rebalancing.
+	// The migration is part of the plan until its report applies it: a
+	// lost reply or a failed transfer is followed by the same move on the
+	// next reply, and the rebalancer plans no second one.
 	hb2, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{
 		Node: "a", ACGs: []proto.ACGMeta{{ACG: 1, Files: 50}, {ACG: 2, Files: 200}, {ACG: 3, Files: 400}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb2, proto.OrderMigrate)) != 1 || ordersOf(hb2, proto.OrderMigrate)[0].ACG != ord.ACG {
-		t.Errorf("failed transfer should re-arm and re-order %d, got %+v", ord.ACG, ordersOf(hb2, proto.OrderMigrate))
+	if got := movesOf(hb2, proto.OrderMigrate); len(got) != 1 || got[0] != ord {
+		t.Errorf("the next reply's migrations = %+v, want %+v again", got, ord)
 	}
-	// The migration's report rebinds and clears the in-flight mark.
+	// The migration's report moves the group and ends the move.
 	epochBefore := m.PlacementEpoch()
 	rep, err := report(m, "a", ord)
 	if err != nil {
@@ -633,9 +648,13 @@ func TestRebalancerOrdersHottestGroupOffOverloadedNode(t *testing.T) {
 	if rep.Epoch <= epochBefore {
 		t.Error("migrate report must bump the epoch")
 	}
-	// A report from a non-owner is rejected.
-	if _, err := report(m, "a", ord); err == nil {
-		t.Error("migrate report from non-owner should fail")
+	// The report sent again after a lost reply is acknowledged: the group
+	// has left the reporter.
+	if again, err := report(m, "a", ord); err != nil || again.Epoch != rep.Epoch {
+		t.Errorf("migrate report sent again = %+v, %v; want acknowledged at epoch %d", again, err, rep.Epoch)
+	}
+	if got := m.ACGs[ord.ACG]; got.Node != "b" || got.Epoch != ord.Epoch {
+		t.Errorf("migrated group on %s at epoch %d, want b at %d", got.Node, got.Epoch, ord.Epoch)
 	}
 }
 
@@ -664,10 +683,12 @@ func TestSnapshotPreservesEpoch(t *testing.T) {
 
 func TestMigrationDestHeartbeatNotDropped(t *testing.T) {
 	// Mid-migration race: the destination installed the group and
-	// heartbeats before the source's report lands. The
-	// double-ownership guard must NOT order the legitimate new owner to
-	// drop it — that would tombstone the group the moment the rebind
-	// arrives, wedging it in a permanent stale-placement loop.
+	// heartbeats before the source's report lands. The copy arrived at the
+	// move's epoch, so it is the copy the plan ships there: the reply must
+	// NOT drop it — that would tombstone the group the moment the rebind
+	// arrives, wedging it in a permanent stale-placement loop. A copy
+	// there older than the move is stale, and the drop names the epoch
+	// before the move's, so the move's own copy outlives it.
 	m := newTestMaster(t, "a", "b")
 	if _, err := m.LookupFiles(context.Background(), proto.LookupFilesReq{
 		Files: []index.FileID{1}, GroupHints: []uint64{1}, Allocate: true}); err != nil {
@@ -685,33 +706,41 @@ func TestMigrationDestHeartbeatNotDropped(t *testing.T) {
 	if err := m.OrderMigration(acg, dest); err != nil {
 		t.Fatal(err)
 	}
-	// Deliver the order to the source.
+	// Deliver the move to the source.
 	srcHB, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{
 		Node: src, ACGs: []proto.ACGMeta{{ACG: acg, Files: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	move := movesOf(srcHB, proto.OrderMigrate)[0]
 	// The destination reports the group it just received, pre-rebind.
 	hb, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{
+		Node: dest, ACGs: []proto.ACGMeta{{ACG: acg, Files: 1, Epoch: move.Epoch}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hb.Targets) != 0 {
+		t.Fatalf("in-flight migration destination told %+v about the group it just received", hb.Targets)
+	}
+	stale, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{
 		Node: dest, ACGs: []proto.ACGMeta{{ACG: acg, Files: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range ordersOf(hb, proto.OrderDrop) {
-		if d.ACG == acg {
-			t.Fatal("in-flight migration destination ordered to drop the group it just received")
-		}
+	if d := targetsOf(stale, proto.RoleNone); len(d) != 1 || d[0].Epoch != move.Epoch-1 {
+		t.Fatalf("a copy older than the move: drops %+v, want one at epoch %d", d, move.Epoch-1)
 	}
 	// The rebind still lands cleanly.
-	if _, err := report(m, src, ordersOf(srcHB, proto.OrderMigrate)[0]); err != nil {
+	if _, err := report(m, src, move); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRecoverOrdersReissuedUntilReported(t *testing.T) {
-	// At-least-once recovery: the order is re-issued every heartbeat until
-	// the new owner's report proves the adoption, so a lost reply or a
-	// failed recovery attempt cannot strand a group empty.
+	// Recovery is level-triggered: every reply of the new owner lists the
+	// group as its primary until the owner reports a copy at the epoch of
+	// the move, so a lost reply or a failed recovery attempt cannot strand
+	// a group empty.
 	m := New(Config{SplitThreshold: 100, HeartbeatTimeout: 30 * time.Second, EnableFailover: true})
 	for _, n := range []string{"a", "b"} {
 		if _, err := m.RegisterNode(context.Background(), proto.RegisterNodeReq{
@@ -730,32 +759,43 @@ func TestRecoverOrdersReissuedUntilReported(t *testing.T) {
 		survivor = "b"
 	}
 	m.cfg.Clock.Advance(60 * time.Second)
-	// Two heartbeats without reporting the group: both must carry the
-	// recover order (the first recovery attempt may have failed).
+	// Two heartbeats without reporting the group: both must list it (the
+	// first recovery attempt may have failed).
 	for round := 0; round < 2; round++ {
 		hb, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: survivor})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != acg {
-			t.Fatalf("round %d recover orders = %v, want [%d]", round, ordersOf(hb, proto.OrderRecover), acg)
+		if len(targetsOf(hb, proto.RolePrimary)) != 1 || targetsOf(hb, proto.RolePrimary)[0].ACG != acg {
+			t.Fatalf("round %d primary targets = %v, want [%d]", round, targetsOf(hb, proto.RolePrimary), acg)
 		}
 	}
-	// The owner's report confirms the adoption; no further orders.
+	// A copy older than the move is not the placement: it is listed too.
+	epoch := m.ACGs[acg].Epoch
 	hb, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{
 		Node: survivor, ACGs: []proto.ACGMeta{{ACG: acg, Files: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderRecover)) != 0 {
-		t.Fatalf("post-report recover orders = %v, want none", ordersOf(hb, proto.OrderRecover))
+	if got := targetsOf(hb, proto.RolePrimary); len(got) != 1 || got[0].Epoch != epoch {
+		t.Fatalf("primary targets for a stale copy = %v, want one at epoch %d", got, epoch)
+	}
+	// The owner's report of a copy at the move's epoch confirms the
+	// adoption: the reply is empty.
+	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{
+		Node: survivor, ACGs: []proto.ACGMeta{{ACG: acg, Files: 1, Epoch: epoch}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hb.Targets)+len(hb.Moves) != 0 {
+		t.Fatalf("post-report reply = %+v, want an empty one", hb)
 	}
 }
 
 func TestPendingRecoverSurvivesSnapshot(t *testing.T) {
 	// A Master restart between the reassignment and the new owner's
-	// adoption must not strand the group: the pending-recover mark rides
-	// the metadata snapshot.
+	// adoption must not strand the group: the placement and its epoch ride
+	// the metadata snapshot, and so the reply that lists the group.
 	m := New(Config{SplitThreshold: 100, HeartbeatTimeout: 30 * time.Second, EnableFailover: true})
 	for _, n := range []string{"a", "b"} {
 		if _, err := m.RegisterNode(context.Background(), proto.RegisterNodeReq{
@@ -793,15 +833,15 @@ func TestPendingRecoverSurvivesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != acg {
-		t.Fatalf("restored master recover orders = %v, want [%d]", ordersOf(hb, proto.OrderRecover), acg)
+	if len(targetsOf(hb, proto.RolePrimary)) != 1 || targetsOf(hb, proto.RolePrimary)[0].ACG != acg {
+		t.Fatalf("restored master primary targets = %v, want [%d]", targetsOf(hb, proto.RolePrimary), acg)
 	}
 }
 
 // TestRebalancerOverloadReactsToQueueDepth proves the load-signal half of
 // the rebalancer: two nodes with identical file counts (so the capacity
 // trigger stays quiet) but one drowning in admission-queue depth gets a
-// migration order toward the shallow peer — the heartbeat's QueueDepth
+// migration toward the shallow peer — the heartbeat's QueueDepth
 // field is what makes the Master react to arrival pressure, not just
 // group counts.
 func TestRebalancerOverloadReactsToQueueDepth(t *testing.T) {
@@ -844,26 +884,26 @@ func TestRebalancerOverloadReactsToQueueDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderMigrate)) != 0 {
-		t.Fatalf("balanced b heartbeat ordered %+v", ordersOf(hb, proto.OrderMigrate))
+	if len(movesOf(hb, proto.OrderMigrate)) != 0 {
+		t.Fatalf("balanced b heartbeat ordered %+v", movesOf(hb, proto.OrderMigrate))
 	}
 	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "a", ACGs: aOwned})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderMigrate)) != 0 {
-		t.Fatalf("file-balanced, queue-quiet heartbeat ordered %+v", ordersOf(hb, proto.OrderMigrate))
+	if len(movesOf(hb, proto.OrderMigrate)) != 0 {
+		t.Fatalf("file-balanced, queue-quiet heartbeat ordered %+v", movesOf(hb, proto.OrderMigrate))
 	}
 	// Same file counts, but now a reports a deep admission queue.
 	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: "a", ACGs: aOwned, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderMigrate)) != 1 {
-		t.Fatalf("queue-hot heartbeat orders = %+v, want exactly 1", ordersOf(hb, proto.OrderMigrate))
+	if len(movesOf(hb, proto.OrderMigrate)) != 1 {
+		t.Fatalf("queue-hot heartbeat moves = %+v, want exactly 1", movesOf(hb, proto.OrderMigrate))
 	}
-	if ordersOf(hb, proto.OrderMigrate)[0].Dest.Node != "b" {
-		t.Errorf("queue-driven order dest = %s, want the shallow peer b", ordersOf(hb, proto.OrderMigrate)[0].Dest.Node)
+	if movesOf(hb, proto.OrderMigrate)[0].Dest.Node != "b" {
+		t.Errorf("queue-driven move dest = %s, want the shallow peer b", movesOf(hb, proto.OrderMigrate)[0].Dest.Node)
 	}
 	st, err := m.ClusterStats(context.Background(), proto.ClusterStatsReq{})
 	if err != nil {
@@ -904,8 +944,8 @@ func TestRebalancerOverloadIgnoresShallowQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderMigrate)) != 0 {
+	if len(movesOf(hb, proto.OrderMigrate)) != 0 {
 		t.Errorf("shallow queue (depth %d) ordered a migration: %+v",
-			minRebalanceQueueDepth-1, ordersOf(hb, proto.OrderMigrate))
+			minRebalanceQueueDepth-1, movesOf(hb, proto.OrderMigrate))
 	}
 }

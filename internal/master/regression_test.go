@@ -15,8 +15,8 @@ import (
 // TestPromotionFallsBackToReplayWhenNoFollower's setup: with k=2 on a and
 // b, the group placed on a reserves an unseeded follower slot on b, and a
 // dies before seeding it, so the replay path makes b the primary. b must
-// leave the replica set: no reply may tell b to replicate to itself, and
-// once a is back, b's next heartbeat orders a replicate to a.
+// leave the follower set: no reply may tell b to seed itself, and once a
+// is back, b's next reply lists a as the follower to seed.
 func TestReplayedGroupIsReplicatedAgain(t *testing.T) {
 	m := newReplicatedMaster(t, 2, "a", "b")
 	id, owner := placeGroup(t, m, 1, 1)
@@ -29,33 +29,26 @@ func TestReplayedGroupIsReplicatedAgain(t *testing.T) {
 		other = "a"
 	}
 	m.cfg.Clock.Advance(60 * time.Second)
-	beats := []proto.HeartbeatReq{
-		{Node: other}, // sweeps owner: replay onto other
-		{Node: other, ACGs: []proto.ACGMeta{{ACG: id, Files: 1}}}, // other adopts the group
+	hb, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: other}) // sweeps owner: replay onto other
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, req := range beats {
-		hb, err := m.Heartbeat(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 && (len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != id) {
-			t.Fatalf("recover orders = %v, want [%d]", ordersOf(hb, proto.OrderRecover), id)
-		}
-		for _, o := range ordersOf(hb, proto.OrderReplicate) {
-			if o.Dest.Node == other {
-				t.Fatalf("heartbeat %d tells primary %s to replicate acg %d to itself", i, other, o.ACG)
-			}
-		}
+	recovered := targetsOf(hb, proto.RolePrimary)
+	if len(recovered) != 1 || recovered[0].ACG != id || len(recovered[0].Followers) != 0 {
+		t.Fatalf("primary targets = %+v, want [%d] with no follower to seed", recovered, id)
+	}
+	adopted := proto.HeartbeatReq{Node: other, ACGs: []proto.ACGMeta{{ACG: id, Files: 1, Epoch: recovered[0].Epoch}}}
+	if hb, err = m.Heartbeat(ctx, adopted); err != nil || len(hb.Targets)+len(hb.Moves) != 0 {
+		t.Fatalf("reply to the adopted group = %+v, %v; want an empty one", hb, err)
 	}
 	if _, err := m.RegisterNode(ctx, proto.RegisterNodeReq{Node: owner, Addr: "pipe:" + string(owner)}); err != nil {
 		t.Fatal(err)
 	}
-	hb, err := m.Heartbeat(ctx, beats[1])
-	if err != nil {
+	if hb, err = m.Heartbeat(ctx, adopted); err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderReplicate)) != 1 || ordersOf(hb, proto.OrderReplicate)[0].Dest.Node != owner {
-		t.Fatalf("replicate orders after %s returned = %+v, want one to %s", owner, ordersOf(hb, proto.OrderReplicate), owner)
+	if got := targetsOf(hb, proto.RolePrimary); len(got) != 1 || len(got[0].Followers) != 1 || got[0].Followers[0].Node != owner {
+		t.Fatalf("primary targets after %s returned = %+v, want one seeding %s", owner, got, owner)
 	}
 }
 

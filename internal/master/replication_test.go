@@ -42,9 +42,46 @@ func placeGroup(t *testing.T, m *Master, f index.FileID, hint uint64) (proto.ACG
 	return resp.Mappings[0].ACG, resp.Mappings[0].Node
 }
 
-// TestHeartbeatOrdersReplication: a primary's heartbeat gets replicate
-// orders up to k-1 distinct followers; a replicate report marks the replica
-// seeded with an epoch bump, and the seeded follower appears in Routes.
+// toSeed returns the followers a primary's reply lists for group id that
+// its ack set lacks, failing the test unless the reply targets the group.
+func toSeed(t *testing.T, hb proto.HeartbeatResp, id proto.ACGID) []proto.Copy {
+	t.Helper()
+	for _, tg := range targetsOf(hb, proto.RolePrimary) {
+		if tg.ACG == id {
+			return tg.Followers
+		}
+	}
+	t.Fatalf("reply %+v does not target acg %d as a primary", hb, id)
+	return nil
+}
+
+// seedOn reports follower copy f of group id from f's node, at stream
+// position seq, as the follower's heartbeat would once its primary seeded
+// it.
+func seedOn(t *testing.T, m *Master, id proto.ACGID, f proto.Copy, seq uint64) proto.HeartbeatResp {
+	t.Helper()
+	hb, err := m.Heartbeat(context.Background(), proto.HeartbeatReq{Node: f.Node, ACGs: []proto.ACGMeta{
+		{ACG: id, Follower: true, ReplSeq: seq, Epoch: f.Epoch}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hb
+}
+
+// acks is a primary's reported ack set of the given followers.
+func acks(fs ...proto.Copy) []proto.Copy {
+	var out []proto.Copy
+	for _, f := range fs {
+		out = append(out, proto.Copy{Node: f.Node, Epoch: f.Epoch})
+	}
+	return out
+}
+
+// TestHeartbeatOrdersReplication: a primary's heartbeat reply lists k-1
+// distinct followers to seed, each placed at its own epoch; the follower
+// reporting its copy at that epoch makes it seeded with an epoch bump, and
+// the seeded follower appears in Routes. Once the primary streams to it,
+// the reply is empty.
 func TestHeartbeatOrdersReplication(t *testing.T) {
 	m := newReplicatedMaster(t, 2, "a", "b", "c")
 	id, owner := placeGroup(t, m, 1, 1)
@@ -58,15 +95,16 @@ func TestHeartbeatOrdersReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderReplicate)) != 1 {
-		t.Fatalf("replicate orders = %v, want exactly one (k=2)", ordersOf(hb, proto.OrderReplicate))
+	fs := toSeed(t, hb, id)
+	if len(fs) != 1 {
+		t.Fatalf("followers to seed = %v, want exactly one (k=2)", fs)
 	}
-	ord := ordersOf(hb, proto.OrderReplicate)[0]
-	if ord.ACG != id || ord.Dest.Node == owner {
-		t.Fatalf("bad replicate order %+v (owner %s)", ord, owner)
+	f := fs[0]
+	if f.Node == owner || f.Addr == "" || f.Epoch == 0 {
+		t.Fatalf("bad follower %+v (owner %s)", f, owner)
 	}
 
-	// Before the seeding is reported, the replica is not in routes.
+	// Before the follower reports its copy, it is not in routes.
 	look, err := m.LookupIndex(context.Background(), proto.LookupIndexReq{IndexName: "size"})
 	if err != nil {
 		t.Fatal(err)
@@ -78,12 +116,11 @@ func TestHeartbeatOrdersReplication(t *testing.T) {
 	}
 
 	epochBefore := look.Epoch
-	rep, err := report(m, owner, ord)
-	if err != nil {
-		t.Fatal(err)
+	if got := seedOn(t, m, id, f, 0); len(got.Targets)+len(got.Moves) != 0 {
+		t.Errorf("reply to the seeded follower = %+v, want an empty one", got)
 	}
-	if rep.Epoch <= epochBefore {
-		t.Errorf("seeding a replica is a placement change; epoch %d → %d", epochBefore, rep.Epoch)
+	if m.PlacementEpoch() <= epochBefore {
+		t.Errorf("seeding a replica is a placement change; epoch %d → %d", epochBefore, m.PlacementEpoch())
 	}
 	look, err = m.LookupIndex(context.Background(), proto.LookupIndexReq{IndexName: "size"})
 	if err != nil {
@@ -92,8 +129,8 @@ func TestHeartbeatOrdersReplication(t *testing.T) {
 	seeded := false
 	for _, rt := range look.Routes {
 		if rt.ACG == id {
-			for _, f := range rt.Followers {
-				if f.Node == ord.Dest.Node {
+			for _, r := range rt.Followers {
+				if r.Node == f.Node {
 					seeded = true
 				}
 			}
@@ -103,21 +140,32 @@ func TestHeartbeatOrdersReplication(t *testing.T) {
 		t.Error("seeded follower missing from Routes")
 	}
 
-	// The order is not re-issued once the replica is registered and seeded.
+	// A primary streaming to its follower at its epoch is told nothing.
 	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{
-		Node: owner, ACGs: []proto.ACGMeta{{ACG: id, Files: 1, Followers: []proto.NodeID{ord.Dest.Node}}}})
+		Node: owner, ACGs: []proto.ACGMeta{{ACG: id, Files: 1, Followers: acks(f)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderReplicate)) != 0 {
-		t.Errorf("seeded replica re-ordered: %v", ordersOf(hb, proto.OrderReplicate))
+	if len(hb.Targets)+len(hb.Moves) != 0 {
+		t.Errorf("steady-state reply = %+v, want an empty one", hb)
+	}
+	// An ack-set entry older than the follower's placement is re-seeded.
+	stale := f
+	stale.Epoch--
+	hb, err = m.Heartbeat(context.Background(), proto.HeartbeatReq{
+		Node: owner, ACGs: []proto.ACGMeta{{ACG: id, Files: 1, Followers: acks(stale)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := toSeed(t, hb, id); len(got) != 1 || got[0].Node != f.Node || got[0].Epoch <= stale.Epoch {
+		t.Errorf("followers for a stale ack set = %+v, want %s at a newer epoch than %d", got, f.Node, stale.Epoch)
 	}
 }
 
 // TestPromotionPicksMostCaughtUpFollower: with two seeded followers at
 // different stream positions, the sweep promotes the one with the higher
-// position, in one epoch bump, and delivers the promote order on that
-// node's heartbeat only.
+// position, in one epoch bump, and only that node's reply places the
+// group on it.
 func TestPromotionPicksMostCaughtUpFollower(t *testing.T) {
 	m := newReplicatedMaster(t, 3, "a", "b", "c")
 	id, owner := placeGroup(t, m, 1, 1)
@@ -126,31 +174,25 @@ func TestPromotionPicksMostCaughtUpFollower(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Primary reports; replicate orders go to b and c; both report seeded.
+	// The primary's reply lists b and c to seed; both report seeded.
 	hb, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "a", ACGs: []proto.ACGMeta{{ACG: id, Files: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderReplicate)) != 2 {
-		t.Fatalf("replicate orders = %v, want two (k=3)", ordersOf(hb, proto.OrderReplicate))
-	}
-	for _, ord := range ordersOf(hb, proto.OrderReplicate) {
-		if _, err := report(m, "a", ord); err != nil {
-			t.Fatal(err)
-		}
+	fs := toSeed(t, hb, id)
+	if len(fs) != 2 {
+		t.Fatalf("followers to seed = %v, want two (k=3)", fs)
 	}
 	// The primary is at position 10; b confirms at 5, c at 9.
 	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "a", ACGs: []proto.ACGMeta{
-		{ACG: id, Files: 1, ReplSeq: 10, Followers: []proto.NodeID{"b", "c"}}}}); err != nil {
+		{ACG: id, Files: 1, ReplSeq: 10, Followers: acks(fs...)}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "b", ACGs: []proto.ACGMeta{
-		{ACG: id, Follower: true, ReplSeq: 5}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "c", ACGs: []proto.ACGMeta{
-		{ACG: id, Follower: true, ReplSeq: 9}}}); err != nil {
-		t.Fatal(err)
+	seqs := map[proto.NodeID]uint64{"b": 5, "c": 9}
+	follower := map[proto.NodeID]proto.Copy{}
+	for _, f := range fs {
+		follower[f.Node] = f
+		seedOn(t, m, id, f, seqs[f.Node])
 	}
 
 	stBefore, err := m.ClusterStats(ctx, proto.ClusterStatsReq{})
@@ -161,46 +203,35 @@ func TestPromotionPicksMostCaughtUpFollower(t *testing.T) {
 	// a dies; the followers keep heartbeating so only a's silence ages past
 	// the timeout, and b's second beat runs the sweep that declares a dead.
 	m.cfg.Clock.Advance(20 * time.Second)
-	for _, f := range []proto.NodeID{"b", "c"} {
-		seq := uint64(5)
-		if f == "c" {
-			seq = 9
-		}
-		if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: f, ACGs: []proto.ACGMeta{
-			{ACG: id, Follower: true, ReplSeq: seq}}}); err != nil {
-			t.Fatal(err)
-		}
+	for _, n := range []proto.NodeID{"b", "c"} {
+		seedOn(t, m, id, follower[n], seqs[n])
 	}
 	m.cfg.Clock.Advance(20 * time.Second)
-	hbB, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "b", ACGs: []proto.ACGMeta{
-		{ACG: id, Follower: true, ReplSeq: 5}}})
-	if err != nil {
-		t.Fatal(err)
+	hbB := seedOn(t, m, id, follower["b"], 5)
+	if got := targetsOf(hbB, proto.RolePrimary); len(got) != 0 {
+		t.Errorf("the group went to the lagging follower b: %+v", got)
 	}
-	if len(ordersOf(hbB, proto.OrderPromote)) != 0 {
-		t.Errorf("promotion went to the lagging follower b: %+v", ordersOf(hbB, proto.OrderPromote))
+	hbC := seedOn(t, m, id, follower["c"], 9)
+	promoted := targetsOf(hbC, proto.RolePrimary)
+	if len(promoted) != 1 {
+		t.Fatalf("most-caught-up follower c got %d primary targets, want 1", len(promoted))
 	}
-	if len(ordersOf(hbB, proto.OrderRecover)) != 0 {
-		t.Errorf("recover orders issued despite a live follower: %v", ordersOf(hbB, proto.OrderRecover))
+	tg := promoted[0]
+	if tg.ACG != id {
+		t.Errorf("primary target for acg %d, want %d", tg.ACG, id)
 	}
-	hbC, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "c", ACGs: []proto.ACGMeta{
-		{ACG: id, Follower: true, ReplSeq: 9}}})
-	if err != nil {
-		t.Fatal(err)
+	if tg.Seq != 10 {
+		t.Errorf("primary target Seq = %d, want the primary's last position 10", tg.Seq)
 	}
-	if len(ordersOf(hbC, proto.OrderPromote)) != 1 {
-		t.Fatalf("most-caught-up follower c got %d promote orders, want 1", len(ordersOf(hbC, proto.OrderPromote)))
+	if tg.Epoch <= follower["c"].Epoch {
+		t.Errorf("promotion placed c at epoch %d, not after its follower copy's %d", tg.Epoch, follower["c"].Epoch)
 	}
-	ord := ordersOf(hbC, proto.OrderPromote)[0]
-	if ord.ACG != id {
-		t.Errorf("promote order for acg %d, want %d", ord.ACG, id)
-	}
-	if ord.Seq != 10 {
-		t.Errorf("promote order Seq = %d, want the primary's last position 10", ord.Seq)
-	}
-	for _, f := range ord.Followers {
+	for _, f := range tg.Followers {
 		if f.Node == "c" || f.Node == "a" {
-			t.Errorf("promote order followers include %s: %+v", f.Node, ord.Followers)
+			t.Errorf("primary target followers include %s: %+v", f.Node, tg.Followers)
+		}
+		if f.Node == "b" && f.Epoch != follower["b"].Epoch {
+			t.Errorf("surviving follower b = %+v, want it at epoch %d", f, follower["b"].Epoch)
 		}
 	}
 
@@ -219,22 +250,19 @@ func TestPromotionPicksMostCaughtUpFollower(t *testing.T) {
 		t.Error("promotion should bump the placement epoch")
 	}
 
-	// The order is re-issued until c's report proves adoption, then stops.
-	hbC2, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "c", ACGs: []proto.ACGMeta{
-		{ACG: id, Follower: true, ReplSeq: 9}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ordersOf(hbC2, proto.OrderPromote)) != 1 {
-		t.Errorf("unadopted promote order not re-issued: %v", ordersOf(hbC2, proto.OrderPromote))
+	// The reply lists c as the primary until c reports its copy at the
+	// promotion's epoch, then stops.
+	hbC2 := seedOn(t, m, id, follower["c"], 9)
+	if len(targetsOf(hbC2, proto.RolePrimary)) != 1 {
+		t.Errorf("unadopted promotion not listed again: %+v", hbC2)
 	}
 	hbC3, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: "c", ACGs: []proto.ACGMeta{
-		{ACG: id, Files: 1, ReplSeq: 10}}})
+		{ACG: id, Files: 1, ReplSeq: 10, Epoch: tg.Epoch, Followers: acks(tg.Followers...)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hbC3, proto.OrderPromote)) != 0 {
-		t.Errorf("adopted promote order still re-issued: %v", ordersOf(hbC3, proto.OrderPromote))
+	if len(hbC3.Targets)+len(hbC3.Moves) != 0 {
+		t.Errorf("adopted promotion still listed: %+v", hbC3)
 	}
 	// Mappings resolve to the promoted primary.
 	look, err := m.LookupFiles(ctx, proto.LookupFilesReq{Files: []index.FileID{1}})
@@ -253,7 +281,7 @@ func TestPromotionFallsBackToReplayWhenNoFollower(t *testing.T) {
 	id, owner := placeGroup(t, m, 1, 1)
 	ctx := context.Background()
 	// The primary heartbeats but the replica never seeds (the follower
-	// node never confirms, no replicate report arrives).
+	// node never reports a copy).
 	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: owner, ACGs: []proto.ACGMeta{{ACG: id, Files: 1}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +294,8 @@ func TestPromotionFallsBackToReplayWhenNoFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordersOf(hb, proto.OrderPromote)) != 0 {
-		t.Errorf("promotion ordered with no seeded follower: %+v", ordersOf(hb, proto.OrderPromote))
-	}
-	if len(ordersOf(hb, proto.OrderRecover)) != 1 || ordersOf(hb, proto.OrderRecover)[0].ACG != id {
-		t.Errorf("recover orders = %v, want [%d]", ordersOf(hb, proto.OrderRecover), id)
+	if got := targetsOf(hb, proto.RolePrimary); len(got) != 1 || got[0].ACG != id {
+		t.Errorf("primary targets = %v, want [%d]", got, id)
 	}
 	st, err := m.ClusterStats(ctx, proto.ClusterStatsReq{})
 	if err != nil {
@@ -282,8 +307,8 @@ func TestPromotionFallsBackToReplayWhenNoFollower(t *testing.T) {
 }
 
 // TestCutFollowerUnseededAndReseeded: a seeded follower missing from the
-// primary's streaming ack set is unseeded (epoch bump, out of routes) and
-// the replicate order is re-issued.
+// primary's streaming ack set is placed again — unseeded, at a new epoch
+// (a bump, out of routes) — and the primary's reply lists it to re-seed.
 func TestCutFollowerUnseededAndReseeded(t *testing.T) {
 	m := newReplicatedMaster(t, 2, "a", "b", "c")
 	id, owner := placeGroup(t, m, 1, 1)
@@ -292,11 +317,8 @@ func TestCutFollowerUnseededAndReseeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ord := ordersOf(hb, proto.OrderReplicate)[0]
-	dest := ord.Dest.Node
-	if _, err := report(m, owner, ord); err != nil {
-		t.Fatal(err)
-	}
+	f := toSeed(t, hb, id)[0]
+	seedOn(t, m, id, f, 0)
 	st, err := m.ClusterStats(ctx, proto.ClusterStatsReq{})
 	if err != nil {
 		t.Fatal(err)
@@ -322,13 +344,18 @@ func TestCutFollowerUnseededAndReseeded(t *testing.T) {
 	if st.PlacementEpoch <= epochBefore {
 		t.Error("unseeding a cut follower should bump the epoch")
 	}
-	if len(ordersOf(hb, proto.OrderReplicate)) != 1 || ordersOf(hb, proto.OrderReplicate)[0].Dest.Node != dest {
-		t.Errorf("cut follower not re-ordered for seeding: %v", ordersOf(hb, proto.OrderReplicate))
+	if got := toSeed(t, hb, id); len(got) != 1 || got[0].Node != f.Node || got[0].Epoch <= f.Epoch {
+		t.Errorf("cut follower not listed again to seed at a newer epoch than %d: %+v", f.Epoch, got)
+	}
+	// Its old copy no longer counts: the follower's reply drops it, up to
+	// the epoch before its new placement.
+	if got := targetsOf(seedOn(t, m, id, f, 4), proto.RoleNone); len(got) != 1 || got[0].Epoch < f.Epoch {
+		t.Errorf("drops for the cut follower's old copy = %+v, want one at or after epoch %d", got, f.Epoch)
 	}
 }
 
 // TestReplicationSnapshotRoundTrip: replica sets, stream positions, and a
-// pending promotion survive SnapshotMetadata/LoadMetadata.
+// promotion not yet adopted survive SnapshotMetadata/LoadMetadata.
 func TestReplicationSnapshotRoundTrip(t *testing.T) {
 	m := newReplicatedMaster(t, 2, "a", "b", "c")
 	id, owner := placeGroup(t, m, 1, 1)
@@ -337,25 +364,16 @@ func TestReplicationSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ord := ordersOf(hb, proto.OrderReplicate)[0]
-	dest := ord.Dest.Node
-	if _, err := report(m, owner, ord); err != nil {
-		t.Fatal(err)
-	}
+	f := toSeed(t, hb, id)[0]
 	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: owner, ACGs: []proto.ACGMeta{
-		{ACG: id, Files: 1, ReplSeq: 7, Followers: []proto.NodeID{dest}}}}); err != nil {
+		{ACG: id, Files: 1, ReplSeq: 7, Followers: acks(f)}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: dest, ACGs: []proto.ACGMeta{
-		{ACG: id, Follower: true, ReplSeq: 7}}}); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the primary so a promotion is pending at snapshot time.
+	seedOn(t, m, id, f, 7)
+	// Kill the primary so the promotion is not yet adopted at snapshot
+	// time.
 	m.cfg.Clock.Advance(60 * time.Second)
-	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: dest, ACGs: []proto.ACGMeta{
-		{ACG: id, Follower: true, ReplSeq: 7}}}); err != nil {
-		t.Fatal(err)
-	}
+	seedOn(t, m, id, f, 7)
 
 	img, err := m.SnapshotMetadata()
 	if err != nil {
@@ -365,33 +383,20 @@ func TestReplicationSnapshotRoundTrip(t *testing.T) {
 	if err := m2.LoadMetadata(img); err != nil {
 		t.Fatal(err)
 	}
-	// The restored master re-issues the pending promote order to the same
-	// node with the same stream position.
-	hb2, err := m2.Heartbeat(ctx, proto.HeartbeatReq{Node: dest, ACGs: []proto.ACGMeta{
-		{ACG: id, Follower: true, ReplSeq: 7}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ordersOf(hb2, proto.OrderPromote)) != 1 || ordersOf(hb2, proto.OrderPromote)[0].ACG != id || ordersOf(hb2, proto.OrderPromote)[0].Seq != 7 {
-		t.Fatalf("restored master promote orders = %+v, want acg %d seq 7", ordersOf(hb2, proto.OrderPromote), id)
-	}
-	st, err := m2.ClusterStats(ctx, proto.ClusterStatsReq{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ns := range st.Nodes {
-		if ns.Node == dest && ns.FollowerGroups != 0 {
-			// After the pending promotion the replica entry moved with the
-			// accounting; the exact follower count here pins the snapshot
-			// restoring replicas rather than dropping them.
-			t.Logf("note: follower accounting after restore: %+v", ns)
-		}
+	// The restored master places the group on the same node with the same
+	// stream position.
+	got := targetsOf(seedOn(t, m2, id, f, 7), proto.RolePrimary)
+	if len(got) != 1 || got[0].ACG != id || got[0].Seq != 7 {
+		t.Fatalf("restored master primary targets = %+v, want acg %d seq 7", got, id)
 	}
 }
 
-// TestMigrationRefusedDuringPendingPromotion: a group awaiting promotion
-// cannot be ordered to migrate out from under the failover.
-func TestMigrationRefusedDuringPendingPromotion(t *testing.T) {
+// TestMigrationPlannedBesidePendingPromotion: a failover and a planned
+// migration do not wait on each other. A group whose promotion its new
+// primary has not adopted yet can be ordered to migrate, and the
+// promoted node's reply lists the promotion before the move that ships
+// the promoted copy.
+func TestMigrationPlannedBesidePendingPromotion(t *testing.T) {
 	m := newReplicatedMaster(t, 2, "a", "b", "c")
 	id, owner := placeGroup(t, m, 1, 1)
 	ctx := context.Background()
@@ -399,21 +404,25 @@ func TestMigrationRefusedDuringPendingPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ord := ordersOf(hb, proto.OrderReplicate)[0]
-	dest := ord.Dest.Node
-	if _, err := report(m, owner, ord); err != nil {
-		t.Fatal(err)
-	}
-	m.cfg.Clock.Advance(60 * time.Second)
-	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: dest, ACGs: []proto.ACGMeta{
-		{ACG: id, Follower: true}}}); err != nil {
-		t.Fatal(err)
-	}
+	f := toSeed(t, hb, id)[0]
+	seedOn(t, m, id, f, 0)
 	third := proto.NodeID("c")
-	if dest == "c" {
+	if f.Node == "c" {
 		third = "b"
 	}
+	m.cfg.Clock.Advance(60 * time.Second)
+	seedOn(t, m, id, f, 0)
+	if _, err := m.Heartbeat(ctx, proto.HeartbeatReq{Node: third}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.OrderMigration(id, third); err != nil {
+		t.Fatalf("migration of a group awaiting promotion: %v", err)
+	}
 	if err := m.OrderMigration(id, third); err == nil {
-		t.Error("migration of a group awaiting promotion should be refused")
+		t.Error("a second migration was planned beside the first")
+	}
+	hb = seedOn(t, m, id, f, 0)
+	if p, mv := targetsOf(hb, proto.RolePrimary), movesOf(hb, proto.OrderMigrate); len(p) != 1 || len(mv) != 1 || mv[0].Dest.Node != third {
+		t.Errorf("reply to the promoted node = %+v, want its promotion and the migration to %s", hb, third)
 	}
 }

@@ -26,24 +26,31 @@ var schedules = flag.String("schedules", "",
 
 // TestPlacementSchedules is the control plane's property test. Each seeded
 // schedule drives the Master through its own methods on a virtual clock,
-// against a small model of the Index Nodes that holds primary and follower
-// copies and executes every order a heartbeat reply carries. Orders fail at
-// random and replies are lost at random. Between the orders, clients
-// allocate files, nodes go silent past the timeout and come back or
-// re-register, operators force migrations, nodes merge their groups, and
-// the Master restarts from its own snapshot.
+// against a small model of the Index Nodes that hold primary and follower
+// copies, each at the epoch it arrived at, and converge to the plan each
+// heartbeat reply holds for them: they drop the copies it omits, adopt
+// the ones it places, seed the followers it lists and run the moves it
+// asks for. A node runs a reply later, as other events interleave:
+// transfers from peers land on it in between. Actions fail at random,
+// replies are lost at random, and a move whose report goes unanswered is
+// in doubt until the node's next heartbeat. Between the heartbeats,
+// clients allocate files, nodes go silent past the timeout and come back
+// or re-register, operators force migrations, nodes merge their groups,
+// and the Master restarts from its own snapshot.
 //
 // After every step: epochs never go back, and one epoch names one
 // placement (a group's primary and seeded followers), so a move without a
 // bump fails; no node is a group's primary and its follower at once; no
-// heartbeat reply tells a primary to replicate to itself; every rebalance
-// strictly narrows the gap it acts on; a merged-away group never comes back;
-// and a restored Master holds the same file→group map, placements, replica
-// sets, pending orders and epoch as the Master it replaced. Once the
-// faults stop and heartbeats settle, every group sits on a live primary
-// holding its copy, has no order left in flight, and has min(k−1, alive−1)
-// seeded followers that hold theirs, and no live node keeps a copy the
-// Master does not place there.
+// primary's target lists the primary among its followers; a reply lists
+// its targets and moves by group; every rebalance strictly narrows the gap
+// it acts on; no reply condemns a merge source its node has not folded; a
+// merged-away group never comes back; and a restored Master holds the same
+// file→group map, placements, planned moves and epoch as the Master it
+// replaced. Once the faults stop and heartbeats settle, every reply is
+// empty, every group sits on a live primary holding its copy at the
+// group's epoch with no move planned, has min(k−1, alive−1) seeded
+// followers holding theirs at their epochs, no node keeps a move in
+// doubt, and no live node keeps a copy the Master does not place there.
 func TestPlacementSchedules(t *testing.T) {
 	n, first := 200, int64(1)
 	if *schedules != "" {
@@ -70,25 +77,29 @@ func TestPlacementSchedules(t *testing.T) {
 
 // simNode is the model of one Index Node. A node that is not up is silent
 // to the Master — it neither heartbeats nor reaches it — but keeps its
-// copies, executes orders it already holds and accepts peers' transfers.
+// copies, runs a reply it already holds and accepts peers' transfers.
 type simNode struct {
 	id     proto.NodeID
 	up     bool
 	copies map[proto.ACGID]*simCopy
-	// released tombstones the groups the node dropped or migrated away: a
-	// client write there bounces instead of creating the group afresh.
-	released map[proto.ACGID]bool
-	// inbox is a heartbeat reply whose orders the node has not executed
-	// yet: other events interleave, but the node runs them before its next
-	// heartbeat, as a real node does.
+	// released tombstones the groups the node dropped or moved away, at the
+	// epoch they left by: a client write there bounces instead of creating
+	// the group afresh.
+	released map[proto.ACGID]proto.Epoch
+	// inbox is a heartbeat reply the node has not run yet: other events
+	// interleave, transfers from peers among them, but the node runs it
+	// before its next heartbeat, as a real node does.
 	inbox *proto.HeartbeatResp
-	// busy is set while the node runs a reply's orders: one loop sends its
-	// heartbeats and runs their orders, so it sends none meanwhile.
+	// busy is set while the node runs a reply: one loop sends its
+	// heartbeats and runs their replies, so it sends none meanwhile.
 	busy bool
 	// unfolded maps each source whose merge the Master applied but the node
 	// has not folded (the reply was lost) to the group it folds into, while
 	// the node still owns that group. Its acked updates live only here.
 	unfolded map[proto.ACGID]proto.ACGID
+	// doubt holds the report of each move the node carried out and got no
+	// acknowledgement for. A migration in doubt acks no write.
+	doubt map[proto.ACGID]proto.ReportReq
 }
 
 func (n *simNode) install(id proto.ACGID, c *simCopy) {
@@ -96,17 +107,20 @@ func (n *simNode) install(id proto.ACGID, c *simCopy) {
 	delete(n.released, id)
 }
 
-func (n *simNode) release(id proto.ACGID) {
+func (n *simNode) release(id proto.ACGID, epoch proto.Epoch) {
 	delete(n.copies, id)
 	delete(n.unfolded, id)
-	n.released[id] = true
+	delete(n.doubt, id)
+	n.released[id] = epoch
 }
 
 // simCopy is one node's copy of a group.
 type simCopy struct {
 	follower bool
 	seq      uint64
-	reps     []proto.NodeID // a primary's streaming ack set
+	// epoch is the epoch the copy arrived at (0: its first write made it).
+	epoch proto.Epoch
+	reps  []proto.Copy // a primary's streaming ack set
 }
 
 type violation string
@@ -121,8 +135,12 @@ type world struct {
 	// nextFile is the next never-allocated file id.
 	nextFile index.FileID
 	// forced maps a group to the destination an OrderMigration call gave
-	// it; that order is exempt from the rebalance check when delivered.
+	// it; that migration is exempt from the rebalance check.
 	forced map[proto.ACGID]proto.NodeID
+	// checked maps a group to the destination of the planned migration the
+	// rebalance check saw: the migration rides every reply until the plan
+	// drops it.
+	checked map[proto.ACGID]proto.NodeID
 	// retired holds the groups merged away.
 	retired map[proto.ACGID]bool
 	// last is the Master's state after the previous step.
@@ -135,7 +153,7 @@ func runSchedule(seed int64) (err error) {
 	rng := rand.New(rand.NewSource(seed))
 	w := &world{
 		rng: rng, clock: vclock.New(), faults: true,
-		forced: map[proto.ACGID]proto.NodeID{}, retired: map[proto.ACGID]bool{},
+		forced: map[proto.ACGID]proto.NodeID{}, checked: map[proto.ACGID]proto.NodeID{}, retired: map[proto.ACGID]bool{},
 	}
 	w.cfg = Config{
 		SplitThreshold:    int64(6 + rng.Intn(10)),
@@ -150,8 +168,8 @@ func runSchedule(seed int64) (err error) {
 	for i := range 2 + rng.Intn(3) {
 		w.nodes = append(w.nodes, &simNode{
 			id: proto.NodeID(fmt.Sprintf("n%d", i)), up: true,
-			copies: map[proto.ACGID]*simCopy{}, released: map[proto.ACGID]bool{},
-			unfolded: map[proto.ACGID]proto.ACGID{},
+			copies: map[proto.ACGID]*simCopy{}, released: map[proto.ACGID]proto.Epoch{},
+			unfolded: map[proto.ACGID]proto.ACGID{}, doubt: map[proto.ACGID]proto.ReportReq{},
 		})
 	}
 	w.m = New(w.cfg)
@@ -196,7 +214,7 @@ func (w *world) node(id proto.NodeID) *simNode {
 			return n
 		}
 	}
-	w.failf("order names unknown node %q", id)
+	w.failf("reply names unknown node %q", id)
 	return nil
 }
 
@@ -249,11 +267,15 @@ func (w *world) register(m *Master, n *simNode) {
 	}
 }
 
-// heartbeat runs the node's held orders, then reports every copy it holds
-// and keeps the reply's orders for later. The model keeps no file data: a
-// copy reports its group's size as the Master maps it.
+// heartbeat runs the node's held reply, sends again the report of each
+// move in doubt, then reports every copy the node holds and keeps the
+// reply for later. The model keeps no file data: a copy reports its
+// group's size as the Master maps it.
 func (w *world) heartbeat(n *simNode) {
 	w.execute(n)
+	for _, id := range slices.Sorted(maps.Keys(n.doubt)) {
+		w.settleDoubt(n, id)
+	}
 	v := viewOf(w.m)
 	sizes := map[proto.ACGID]int64{}
 	for _, a := range v.files {
@@ -262,7 +284,7 @@ func (w *world) heartbeat(n *simNode) {
 	req := proto.HeartbeatReq{Node: n.id}
 	for _, id := range slices.Sorted(maps.Keys(n.copies)) {
 		c := n.copies[id]
-		am := proto.ACGMeta{ACG: id, Files: sizes[id], Follower: c.follower, ReplSeq: c.seq}
+		am := proto.ACGMeta{ACG: id, Files: sizes[id], Follower: c.follower, ReplSeq: c.seq, Epoch: c.epoch}
 		if !c.follower {
 			am.Followers = slices.Clone(c.reps)
 		}
@@ -280,33 +302,33 @@ func (w *world) heartbeat(n *simNode) {
 		w.logf("heartbeat %s: %v", n.id, err)
 		return
 	}
-	w.logf("heartbeat %s %v → orders %v epoch %d", n.id, req.ACGs, resp.Orders, resp.Epoch)
-	if !slices.IsSortedFunc(resp.Orders, func(a, b proto.Order) int { return cmp.Compare(a.Kind, b.Kind) }) {
-		w.failf("heartbeat reply to %s lists its orders out of execution sequence: %v", n.id, resp.Orders)
+	w.logf("heartbeat %s %v → targets %v moves %v epoch %d", n.id, req.ACGs, resp.Targets, resp.Moves, resp.Epoch)
+	if !slices.IsSortedFunc(resp.Targets, func(a, b proto.Target) int { return cmp.Compare(a.ACG, b.ACG) }) ||
+		!slices.IsSortedFunc(resp.Moves, func(a, b proto.Order) int { return cmp.Compare(a.ACG, b.ACG) }) {
+		w.failf("heartbeat reply to %s does not list its targets and moves by group: %v %v", n.id, resp.Targets, resp.Moves)
 	}
 	v = viewOf(w.m)
-	for _, o := range resp.Orders {
-		switch dest := o.Dest.Node; o.Kind {
-		case proto.OrderDrop:
-			// A stale seeding that turned the source into a follower copy is
-			// an open hazard (a late transfer-in), not checked here.
-			if into, ok := n.unfolded[o.ACG]; ok && v.groups[into].primary == n.id && n.copies[o.ACG] != nil && !n.copies[o.ACG].follower {
-				w.failf("heartbeat reply tells %s to drop acg %d, merged into its acg %d but not folded", n.id, o.ACG, into)
-			}
-		case proto.OrderReplicate:
-			if dest == n.id {
-				w.failf("heartbeat reply tells %s, the primary of acg %d, to replicate to itself", n.id, o.ACG)
-			}
-		case proto.OrderMigrate:
-			if forced, ok := w.forced[o.ACG]; ok && forced == dest {
-				delete(w.forced, o.ACG)
-				continue
-			}
-			gap, files := v.load[n.id]-v.load[dest], v.groups[o.ACG].files
-			if files <= 0 || files >= gap {
-				w.failf("rebalance moves acg %d (%d files) %s → %s across a gap of %d: it does not narrow",
-					o.ACG, files, n.id, dest, gap)
-			}
+	for _, t := range resp.Targets {
+		if t.Role == proto.RolePrimary && slices.ContainsFunc(t.Followers, func(c proto.Copy) bool { return c.Node == n.id }) {
+			w.failf("heartbeat reply tells %s, the primary of acg %d, to seed itself: %+v", n.id, t.ACG, t)
+		}
+		if into, ok := n.unfolded[t.ACG]; ok && t.Role == proto.RoleNone && v.groups[into].primary == n.id {
+			w.failf("heartbeat reply tells %s to drop acg %d, merged into its acg %d but not folded", n.id, t.ACG, into)
+		}
+	}
+	for _, o := range resp.Moves {
+		if o.Kind != proto.OrderMigrate || w.checked[o.ACG] == o.Dest.Node {
+			continue
+		}
+		w.checked[o.ACG] = o.Dest.Node
+		if forced, ok := w.forced[o.ACG]; ok && forced == o.Dest.Node {
+			delete(w.forced, o.ACG)
+			continue
+		}
+		gap, files := v.load[n.id]-v.load[o.Dest.Node], v.groups[o.ACG].files
+		if files <= 0 || files >= gap {
+			w.failf("rebalance moves acg %d (%d files) %s → %s across a gap of %d: it does not narrow",
+				o.ACG, files, n.id, o.Dest.Node, gap)
 		}
 	}
 	if w.fails() {
@@ -316,9 +338,9 @@ func (w *world) heartbeat(n *simNode) {
 	n.inbox = &resp
 }
 
-// execute runs the orders the node holds as a real node does: in the
-// reply's sequence, a failed recovery or promotion skipping nothing and a
-// failed split, migration or seeding skipping the later orders of its kind.
+// execute runs the reply the node holds as a real node does: it converges
+// each group the reply targets, then runs the reply's moves. A failed
+// action skips nothing else: the next reply holds what is still different.
 func (w *world) execute(n *simNode) {
 	resp := n.inbox
 	if resp == nil {
@@ -326,152 +348,191 @@ func (w *world) execute(n *simNode) {
 	}
 	n.inbox, n.busy = nil, true
 	defer func() { n.busy = false }()
-	failed := map[proto.OrderKind]bool{}
-	for _, o := range resp.Orders {
-		if failed[o.Kind] {
-			continue
-		}
-		ok := true
+	for _, t := range resp.Targets {
+		w.converge(n, t)
+	}
+	for _, o := range resp.Moves {
 		switch o.Kind {
-		case proto.OrderRecover:
-			if w.fails() {
-				w.logf("%s fails to recover acg %d", n.id, o.ACG)
-				continue
-			}
-			// The shared image installs into whatever copy the node holds.
-			if n.copies[o.ACG] == nil {
-				n.install(o.ACG, &simCopy{})
-			}
-		case proto.OrderDrop:
-			n.release(o.ACG)
-		case proto.OrderPromote:
-			if w.fails() {
-				w.logf("%s fails to promote acg %d", n.id, o.ACG)
-				continue
-			}
-			c := n.copies[o.ACG]
-			if c == nil {
-				c = &simCopy{}
-				n.install(o.ACG, c)
-			}
-			c.follower, c.reps, c.seq = false, nil, max(c.seq, o.Seq)
-			for _, r := range o.Followers {
-				if r.Node != n.id {
-					c.reps = append(c.reps, r.Node)
-				}
-			}
 		case proto.OrderSplit:
-			ok = w.split(n, o)
+			w.split(n, o)
 		case proto.OrderMigrate:
-			ok = w.migrate(n, o)
-		case proto.OrderReplicate:
-			ok = w.replicate(n, o)
+			w.migrate(n, o)
 		case proto.OrderMerge:
-			ok = w.fold(n, o)
+			w.fold(n, o)
 		default:
-			w.failf("%s holds an order of unknown kind: %+v", n.id, o)
+			w.failf("%s holds a move of unknown kind: %+v", n.id, o)
 		}
-		failed[o.Kind] = !ok
 	}
 }
 
-// transfer installs a copy a peer ships to n. A node runs a reply's orders
-// as soon as the reply arrives, so a transfer the Master ordered after that
-// reply finds them done.
-func (w *world) transfer(n *simNode, id proto.ACGID, c *simCopy) {
-	w.execute(n)
+// converge brings the node's copy of one group to the target: it drops a
+// copy no newer than a drop's epoch, and a primary adopts its copy — a
+// follower copy is promoted in place, any other recovered — then seeds
+// the followers its ack set lacks.
+func (w *world) converge(n *simNode, t proto.Target) {
+	c := n.copies[t.ACG]
+	if t.Role == proto.RoleNone {
+		if c != nil && c.epoch <= t.Epoch {
+			n.release(t.ACG, t.Epoch)
+		}
+		return
+	}
+	switch {
+	case c != nil && !c.follower && c.epoch == t.Epoch:
+	case w.fails():
+		w.logf("%s fails to adopt acg %d", n.id, t.ACG)
+		return
+	case c != nil && c.follower:
+		c.follower, c.reps, c.seq, c.epoch = false, nil, max(c.seq, t.Seq), t.Epoch
+		for _, f := range t.Followers {
+			if f.Addr != "" {
+				c.reps = append(c.reps, proto.Copy{Node: f.Node, Epoch: f.Epoch})
+			}
+		}
+	default:
+		// The shared image installs into whatever copy the node holds.
+		if c == nil {
+			c = &simCopy{}
+			n.install(t.ACG, c)
+		}
+		c.epoch = t.Epoch
+	}
+	for _, f := range t.Followers {
+		if f.Addr != "" && !slices.Contains(c.reps, proto.Copy{Node: f.Node, Epoch: f.Epoch}) {
+			w.replicate(n, t.ACG, c, f)
+		}
+	}
+}
+
+// transfer installs a copy a peer ships to n, as the receiver decides: a
+// copy that arrived later refuses it, and so does a primary copy a
+// seeding would replace; an older copy is replaced, and one of the same
+// move is shipped into.
+func (w *world) transfer(n *simNode, id proto.ACGID, c *simCopy) bool {
+	switch old := n.copies[id]; {
+	case old != nil && (old.epoch > c.epoch || c.follower && !old.follower):
+		w.logf("%s refuses acg %d at epoch %d: it holds %+v", n.id, id, c.epoch, old)
+		return false
+	case old != nil && old.epoch == c.epoch:
+		c.seq = max(c.seq, old.seq)
+	}
 	n.install(id, c)
+	return true
 }
 
 // reaches decides whether one of the node's calls to the Master gets
 // through.
 func (w *world) reaches(n *simNode) bool { return n.up && !w.fails() }
 
-// split ships the moved half of a group to the order's destination as
-// the order's new group, then reports; the group keeps every file until
-// the Master accepts.
-func (w *world) split(n *simNode, o proto.Order) bool {
-	c := n.copies[o.ACG]
-	if c == nil {
+// report sends a move's report and says whether it was acknowledged.
+// Without an acknowledgement — the call or its reply lost, or a refusal —
+// the move is in doubt until the node's next heartbeat.
+func (w *world) report(n *simNode, req proto.ReportReq) bool {
+	if !w.reaches(n) {
+		w.logf("%s: %v report for acg %d lost", n.id, req.Order.Kind, req.Order.ACG)
+		n.doubt[req.Order.ACG] = req
 		return false
 	}
+	_, err := w.m.Report(context.Background(), req)
+	w.logf("%s reports %v of acg %d to %s: %v", n.id, req.Order.Kind, req.Order.ACG, req.Order.Dest.Node, err)
+	if err != nil || w.fails() {
+		n.doubt[req.Order.ACG] = req
+		return false
+	}
+	return true
+}
+
+// settleDoubt sends a report in doubt again: acknowledged, the node
+// finishes the move; refused, the move never happened.
+func (w *world) settleDoubt(n *simNode, id proto.ACGID) {
+	req := n.doubt[id]
+	if !w.reaches(n) {
+		return
+	}
+	_, err := w.m.Report(context.Background(), req)
+	w.logf("%s reports %v of acg %d again: %v", n.id, req.Order.Kind, id, err)
+	if w.fails() {
+		return
+	}
+	delete(n.doubt, id)
+	if err == nil && req.Order.Kind == proto.OrderMigrate {
+		n.release(id, req.Order.Epoch)
+	}
+}
+
+// split ships the moved half of a group to the move's destination as the
+// move's new group, then reports; the group keeps every file until the
+// Master accepts.
+func (w *world) split(n *simNode, o proto.Order) {
+	c := n.copies[o.ACG]
+	if c == nil || c.follower {
+		return
+	}
 	var mine []index.FileID
-	v := viewOf(w.m)
-	for f, a := range v.files {
+	for f, a := range viewOf(w.m).files {
 		if a == o.ACG {
 			mine = append(mine, f)
 		}
 	}
 	if len(mine) < 2 {
-		return true
+		return
 	}
 	if w.fails() {
 		w.logf("%s fails to ship acg %d's half to %s", n.id, o.ACG, o.Dest.Node)
-		return false
+		return
 	}
 	slices.Sort(mine)
-	side := mine[len(mine)/2:]
 	dest := w.node(o.Dest.Node)
-	w.transfer(dest, o.Into, &simCopy{seq: c.seq})
+	if !w.transfer(dest, o.Into, &simCopy{seq: c.seq, epoch: o.Epoch}) {
+		return
+	}
 	if dest.up && !dest.busy && w.rng.Intn(2) == 0 {
 		w.heartbeat(dest) // the destination's heartbeat races the report
 	}
-	if !w.reaches(n) {
-		w.logf("%s: split report for acg %d lost", n.id, o.ACG)
-		return false
-	}
-	_, err := w.m.Report(context.Background(), proto.ReportReq{Node: n.id, Order: o, Files: side})
-	w.logf("%s splits acg %d: %d files → acg %d on %s (%v)", n.id, o.ACG, len(side), o.Into, dest.id, err)
-	return err == nil && !w.fails() // refused, or the reply was lost
+	w.report(n, proto.ReportReq{Node: n.id, Order: o, Files: mine[len(mine)/2:]})
 }
 
-func (w *world) migrate(n *simNode, o proto.Order) bool {
+// migrate ships the group to the move's destination, reports, and leaves
+// once the Master accepts.
+func (w *world) migrate(n *simNode, o proto.Order) {
 	c := n.copies[o.ACG]
-	if o.Dest.Node == n.id || c == nil {
-		return true
+	if o.Dest.Node == n.id || c == nil || c.follower {
+		return
 	}
 	if w.fails() {
 		w.logf("%s fails to ship acg %d to %s", n.id, o.ACG, o.Dest.Node)
-		return false
+		return
 	}
 	dest := w.node(o.Dest.Node)
-	w.transfer(dest, o.ACG, &simCopy{seq: c.seq})
+	if !w.transfer(dest, o.ACG, &simCopy{seq: c.seq, epoch: o.Epoch}) {
+		return
+	}
 	if dest.up && !dest.busy && w.rng.Intn(2) == 0 {
 		w.heartbeat(dest) // the destination's heartbeat races the report
 	}
-	if !w.reaches(n) {
-		w.logf("%s: migrate report for acg %d lost", n.id, o.ACG)
-		return false
-	}
-	_, err := w.m.Report(context.Background(), proto.ReportReq{Node: n.id, Order: o})
-	w.logf("%s migrates acg %d to %s (%v)", n.id, o.ACG, dest.id, err)
-	if err == nil && slices.Contains(slices.Collect(maps.Values(n.unfolded)), o.ACG) {
+	ok := w.report(n, proto.ReportReq{Node: n.id, Order: o})
+	if g := viewOf(w.m).groups[o.ACG]; g.primary == o.Dest.Node && g.epoch == o.Epoch &&
+		slices.Contains(slices.Collect(maps.Values(n.unfolded)), o.ACG) {
 		w.failf("acg %d migrated off %s before a merge into it was folded", o.ACG, n.id)
 	}
-	if err != nil || w.fails() {
-		return false // refused, or the reply was lost: the source keeps its copy
+	if ok {
+		n.release(o.ACG, o.Epoch)
 	}
-	n.release(o.ACG)
-	return true
 }
 
-func (w *world) replicate(n *simNode, o proto.Order) bool {
-	c, dest := n.copies[o.ACG], o.Dest.Node
-	if dest == n.id || c == nil || c.follower || slices.Contains(c.reps, dest) {
-		return true
-	}
+// replicate seeds follower f with primary copy c of the group and adds it
+// to c's ack set.
+func (w *world) replicate(n *simNode, id proto.ACGID, c *simCopy, f proto.Copy) {
 	if w.fails() {
-		w.logf("%s fails to seed acg %d on %s", n.id, o.ACG, dest)
-		return false
+		w.logf("%s fails to seed acg %d on %s", n.id, id, f.Node)
+		return
 	}
-	w.transfer(w.node(dest), o.ACG, &simCopy{follower: true, seq: c.seq})
-	if w.reaches(n) {
-		// Best effort: the follower's own heartbeat proves the copy too.
-		_, err := w.m.Report(context.Background(), proto.ReportReq{Node: n.id, Order: o})
-		w.logf("%s seeds acg %d on %s (%v)", n.id, o.ACG, dest, err)
+	if !w.transfer(w.node(f.Node), id, &simCopy{follower: true, seq: c.seq, epoch: f.Epoch}) {
+		return
 	}
-	c.reps = append(c.reps, dest)
-	return true
+	w.logf("%s seeds acg %d on %s at epoch %d", n.id, id, f.Node, f.Epoch)
+	c.reps = slices.DeleteFunc(c.reps, func(r proto.Copy) bool { return r.Node == f.Node })
+	c.reps = append(c.reps, proto.Copy{Node: f.Node, Epoch: f.Epoch})
 }
 
 // lookup allocates a few files, new or known, with group hints, and writes
@@ -503,18 +564,18 @@ func (w *world) lookup() {
 func (w *world) write(mp proto.FileMapping) {
 	n := w.node(mp.Node)
 	c := n.copies[mp.ACG]
-	if c == nil && !n.released[mp.ACG] {
+	if _, gone := n.released[mp.ACG]; c == nil && !gone {
 		c = &simCopy{} // a group's first write creates it
 		n.copies[mp.ACG] = c
 	}
-	if c == nil || c.follower {
+	if _, doubt := n.doubt[mp.ACG]; c == nil || c.follower || doubt && n.doubt[mp.ACG].Order.Kind == proto.OrderMigrate {
 		return // bounced: the client re-resolves
 	}
 	c.seq++
 	kept := c.reps[:0]
 	for _, r := range c.reps {
 		// A follower refuses a frame it cannot apply; the primary cuts it.
-		if f := w.node(r).copies[mp.ACG]; f != nil && f.follower && f.seq == c.seq-1 {
+		if f := w.node(r.Node).copies[mp.ACG]; f != nil && f.follower && f.seq == c.seq-1 {
 			f.seq = c.seq
 			kept = append(kept, r)
 		}
@@ -553,29 +614,28 @@ func (w *world) merge(n *simNode) {
 
 // fold reports a merge and, once the Master accepts it and the reply
 // arrives, removes the source. With the reply lost the source stays until
-// the Master orders the merge again.
-func (w *world) fold(n *simNode, o proto.Order) bool {
+// the Master asks for the merge again.
+func (w *world) fold(n *simNode, o proto.Order) {
 	if c := n.copies[o.ACG]; c == nil || c.follower {
-		return true
+		return
 	}
 	if !w.reaches(n) {
 		w.logf("%s: merge report for acg %d lost", n.id, o.ACG)
-		return false
+		return
 	}
 	_, err := w.m.Report(context.Background(), proto.ReportReq{Node: n.id, Order: o})
 	w.logf("%s merges acg %d into %d: %v", n.id, o.ACG, o.Into, err)
 	if err != nil {
-		return false
+		return
 	}
 	w.retired[o.ACG] = true
 	if w.fails() {
 		w.logf("%s: merge reply for acg %d lost", n.id, o.ACG)
 		n.unfolded[o.ACG] = o.Into
-		return false
+		return
 	}
 	delete(n.copies, o.ACG)
 	delete(n.unfolded, o.ACG)
-	return true
 }
 
 // restart snapshots the Master, boots a new one and loads the snapshot;
@@ -609,14 +669,18 @@ func (w *world) checkStep() {
 	for _, n := range w.nodes {
 		for src, into := range n.unfolded {
 			if v.groups[into].primary != n.id {
-				// The group failed over without the source's updates: the
-				// fold can no longer happen (an open hazard, not checked).
+				// The group failed over without the source's updates: they
+				// are in the source's shared-store log, which nothing folds
+				// (ROADMAP item 15), so the fold can no longer happen here.
 				w.logf("%s: acg %d left before acg %d folded into it", n.id, into, src)
 				delete(n.unfolded, src)
 			}
 		}
 	}
 	for id, g := range v.groups {
+		if g.move == "" {
+			delete(w.checked, id)
+		}
 		if w.retired[id] {
 			w.failf("merged-away acg %d is placed again: %+v", id, g)
 		}
@@ -633,8 +697,8 @@ func (w *world) checkStep() {
 
 // settle stops the faults; then each ten virtual seconds — long enough
 // for the silent nodes to be swept — clients write to every group and
-// every up node heartbeats, until a round passes with no order and no
-// placement change. Then it checks the end state.
+// every up node heartbeats, until a round passes with every reply empty
+// and no placement change. Then it checks the end state.
 func (w *world) settle() {
 	w.faults = false
 	w.logf("settle")
@@ -664,7 +728,7 @@ func (w *world) settle() {
 				continue
 			}
 			w.heartbeat(n)
-			if r := n.inbox; r != nil && len(r.Orders) > 0 {
+			if r := n.inbox; r != nil && len(r.Targets)+len(r.Moves) > 0 {
 				quiet = false
 			}
 			w.execute(n)
@@ -680,6 +744,9 @@ func (w *world) settle() {
 	for _, n := range w.nodes {
 		if n.up {
 			alive++
+			if len(n.doubt) > 0 {
+				w.failf("settled: %s keeps moves in doubt: %+v", n.id, n.doubt)
+			}
 		}
 	}
 	want := min(w.cfg.ReplicationFactor, alive) - 1
@@ -690,18 +757,18 @@ func (w *world) settle() {
 		switch {
 		case !p.up:
 			w.failf("settled: acg %d sits on silent %s", id, p.id)
-		case c == nil || c.follower:
-			w.failf("settled: primary %s of acg %d holds no primary copy (%+v)", p.id, id, c)
-		case g.pending != "":
-			w.failf("settled: acg %d still has a pending order %s", id, g.pending)
+		case c == nil || c.follower || c.epoch != g.epoch:
+			w.failf("settled: primary %s of acg %d holds no primary copy at epoch %d (%+v)", p.id, id, g.epoch, c)
+		case g.move != "":
+			w.failf("settled: acg %d still has a move planned: %s", id, g.move)
 		case len(g.replicas) != want:
 			w.failf("settled: acg %d has replicas %+v, want %d seeded", id, g.replicas, want)
 		}
 		for _, r := range g.replicas {
 			f := w.node(r.node).copies[id]
-			if !r.seeded || f == nil || !f.follower || !slices.Contains(c.reps, r.node) {
-				w.failf("settled: acg %d follower %s: seeded %v, copy %+v, primary streams to %v",
-					id, r.node, r.seeded, f, c.reps)
+			if !r.seeded || f == nil || !f.follower || f.epoch != r.epoch || !slices.Contains(c.reps, proto.Copy{Node: r.node, Epoch: r.epoch}) {
+				w.failf("settled: acg %d follower %s: seeded %v at epoch %d, copy %+v, primary streams to %v",
+					id, r.node, r.seeded, r.epoch, f, c.reps)
 			}
 		}
 	}
@@ -734,14 +801,16 @@ type view struct {
 
 type groupView struct {
 	primary  proto.NodeID
+	epoch    proto.Epoch
 	files    int64
 	seq      uint64
 	replicas []replicaView
-	pending  string // empty when no order is in flight
+	move     string // empty when no move is planned
 }
 
 type replicaView struct {
 	node   proto.NodeID
+	epoch  proto.Epoch
 	seeded bool
 	seq    uint64
 }
@@ -750,8 +819,8 @@ type replicaView struct {
 func (v view) sameState(o view) bool {
 	return v.epoch == o.epoch && v.next == o.next && maps.Equal(v.files, o.files) &&
 		maps.Equal(v.hints, o.hints) && maps.Equal(v.merged, o.merged) && maps.EqualFunc(v.groups, o.groups, func(a, b groupView) bool {
-		return a.primary == b.primary && a.files == b.files && a.seq == b.seq &&
-			slices.Equal(a.replicas, b.replicas) && a.pending == b.pending
+		return a.primary == b.primary && a.epoch == b.epoch && a.files == b.files && a.seq == b.seq &&
+			slices.Equal(a.replicas, b.replicas) && a.move == b.move
 	})
 }
 
@@ -781,12 +850,12 @@ func viewOf(m *Master) view {
 		groups: map[proto.ACGID]groupView{}, load: map[proto.NodeID]int64{},
 	}
 	for id, info := range m.ACGs {
-		g := groupView{primary: info.Node, files: info.Files, seq: info.Seq}
+		g := groupView{primary: info.Node, epoch: info.Epoch, files: info.Files, seq: info.Seq}
 		for _, r := range info.Replicas {
-			g.replicas = append(g.replicas, replicaView{node: r.Node, seeded: r.Seeded, seq: r.Seq})
+			g.replicas = append(g.replicas, replicaView{node: r.Node, epoch: r.Epoch, seeded: r.Seeded, seq: r.Seq})
 		}
-		if info.Pending.Kind != 0 {
-			g.pending = fmt.Sprintf("%+v delivered=%v", info.Pending, info.Delivered)
+		if info.Move.Kind != 0 {
+			g.move = fmt.Sprintf("%+v", info.Move)
 		}
 		v.groups[id] = g
 	}

@@ -9,9 +9,10 @@
 // K-D index over file attributes, and the request/response pairs cover the
 // three planes of the system — data (UpdateReq/SearchReq), causality
 // (FlushACGReq, ReceiveACGChunkReq) and control (HeartbeatReq, whose
-// reply carries the Master's Orders, ReportReq, which hands a carried-out
-// Order back, NodeStatsReq and friends). Method name
-// constants bind each pair to its rpc dispatch label.
+// reply is the plan's difference from the node's report — Targets and
+// Moves — ReportReq, which hands a carried-out move back, NodeStatsReq and
+// friends). Method name constants bind each pair to its rpc dispatch
+// label.
 //
 // Everything here is plain data: no methods with behaviour, no internal
 // state, so the package can be imported from every layer without cycles.

@@ -116,10 +116,13 @@ type ACGMeta struct {
 	// contiguously applied sequence. The Master promotes the most-caught-up
 	// follower by comparing these.
 	ReplSeq uint64
-	// Followers lists the follower nodes the primary is currently streaming
-	// to (its ack set). A registered replica absent from this list was cut
-	// after a failed append and needs re-seeding. Primary reports only.
-	Followers []NodeID
+	// Epoch is the epoch the copy arrived at: that of the move that placed
+	// it on the reporter (a transfer, a recovery, a promotion). A copy its
+	// first write created carries 0.
+	Epoch Epoch
+	// Followers is the primary's ack set: each follower it streams to, at
+	// the epoch its seeding was placed at. Primary reports only.
+	Followers []Copy
 }
 
 // HeartbeatReq is the Index Node's periodic status report.
@@ -133,12 +136,16 @@ type HeartbeatReq struct {
 	QueueDepth int
 }
 
-// HeartbeatResp carries Master instructions back to the node.
+// HeartbeatResp is the plan's difference from the node's report: a
+// Master that never dials a node acts on it only here.
 type HeartbeatResp struct {
-	// Orders is everything the Master wants of this node, in the sequence
-	// the node executes it: sorted by Kind, in the Master's order within a
-	// kind.
-	Orders []Order
+	// Targets lists, by group, the copy the plan places on the node, for
+	// every group where the node's report differs from the plan. A steady
+	// state lists none.
+	Targets []Target
+	// Moves lists, by group, the moves of data the plan wants of the
+	// node's groups. The node runs them after Targets.
+	Moves []Order
 	// Epoch is the Master's current placement epoch.
 	Epoch Epoch
 	// LeaseNanos is the primary lease the Master grants with this reply:
@@ -152,35 +159,67 @@ type HeartbeatResp struct {
 	LeaseNanos int64
 }
 
-// OrderKind names what an order tells a node to do. The kinds are numbered
-// in the sequence a node executes them: a group must exist before it can be
-// split, moved or copied, and a stale copy goes before anything ships.
+// Role is what the plan asks of a node for one group.
+type Role uint8
+
+// Roles. A node is never asked to hold a follower copy: the group's
+// primary ships it, and the node is told only to drop an older one.
+const (
+	// RoleNone: the node drops a copy that arrived at or before the
+	// target's Epoch; a newer copy is a move that landed after the reply
+	// was computed, and stays.
+	RoleNone Role = iota
+	// RolePrimary: the node serves the group from a copy placed at Epoch.
+	// Without one it adopts the group: a follower copy is promoted in
+	// place, any other recovered from shared storage. Then it seeds each
+	// of Followers its ack set lacks at the follower's epoch.
+	RolePrimary
+)
+
+// Target is what the plan holds for one group on the node a heartbeat
+// reply answers.
+type Target struct {
+	ACG  ACGID
+	Role Role
+	// Epoch is the epoch of the move that placed the copy (RoleNone: the
+	// last epoch at which the plan knows a copy here to be stale).
+	Epoch Epoch
+	// Seq (primary) is the last stream position the group's primary
+	// reported. A promoted follower behind it provably missed acknowledged
+	// frames and reconciles the shared-store WAL tail before serving.
+	Seq uint64
+	// Followers (primary) is the group's follower set; until the node has
+	// adopted the group, only the followers that hold their copies, which
+	// a promoted copy streams to at once.
+	Followers []Copy
+}
+
+// Copy names one node's copy of a group and the epoch of the move that
+// placed it there.
+type Copy struct {
+	Node NodeID
+	// Addr is where the node listens; empty in reports, and in a target
+	// for a node the Master cannot route to now (it is kept, not seeded).
+	Addr  string
+	Epoch Epoch
+}
+
+// OrderKind names a move of a group's data, the one kind of difference
+// between the plan and a node's report that a node cannot close alone. A
+// split or a migration is part of the group's placement, planned at its
+// own epoch, and rides every heartbeat reply of the group's primary until
+// a report applies it. A merge is the node's own move; the Master asks
+// for it again only while the node still reports a source it retired.
 type OrderKind uint8
 
 // Order kinds.
 const (
-	// OrderRecover: the Master re-placed the group onto this node after its
-	// previous owner died; the node adopts it from shared storage
-	// (checkpoint image + WAL replay), the paper's recovery path. Re-issued
-	// every heartbeat until the node reports the group as its primary.
-	OrderRecover OrderKind = iota + 1
-	// OrderDrop: the node reported a copy it no longer holds a place for —
-	// the group moved or was retired while the node was silent. The node
-	// releases the copy (the current owner has the data).
-	OrderDrop
-	// OrderPromote: the node's follower copy becomes the primary after the
-	// previous primary died. Re-issued like a recover order.
-	OrderPromote
 	// OrderSplit: the group grew past the split threshold; the node
 	// partitions it and ships the moved half to Dest as group Into.
-	OrderSplit
+	OrderSplit OrderKind = iota + 1
 	// OrderMigrate: the node ships the group to Dest and hands it over (load
 	// rebalancing or an operator's move).
 	OrderMigrate
-	// OrderReplicate: the node ships the group's image to Dest as a
-	// follower copy and then streams acknowledged WAL frames to it.
-	// Re-issued until the follower's own heartbeat confirms the copy.
-	OrderReplicate
 	// OrderMerge: the node folds group ACG into its group Into, and reports
 	// it. The Master sends it only to a node that still reports ACG after
 	// the Master applied the merge: the node finishes the fold.
@@ -190,18 +229,10 @@ const (
 // String implements fmt.Stringer.
 func (k OrderKind) String() string {
 	switch k {
-	case OrderRecover:
-		return "recover"
-	case OrderDrop:
-		return "drop"
-	case OrderPromote:
-		return "promote"
 	case OrderSplit:
 		return "split"
 	case OrderMigrate:
 		return "migrate"
-	case OrderReplicate:
-		return "replicate"
 	case OrderMerge:
 		return "merge"
 	default:
@@ -209,25 +240,20 @@ func (k OrderKind) String() string {
 	}
 }
 
-// Order is one instruction a heartbeat reply carries, and what a node
-// reports once it has carried one out.
+// Order is one move: what a heartbeat reply asks of a node, and what the
+// node's Report hands back once it has carried it out.
 type Order struct {
 	Kind OrderKind
 	ACG  ACGID
-	// Dest is where a migrate, replicate or split order ships the group (a
-	// split: its moved half).
+	// Dest is where a migration or a split ships the group (a split: its
+	// moved half).
 	Dest ReplicaRef
 	// Into is the group a split's moved half becomes, or the group a
 	// merge's source folds into.
 	Into ACGID
-	// Seq (promote) is the dead primary's last heartbeat-reported
-	// replication sequence. A promoting follower behind it provably missed
-	// acknowledged frames and reconciles the shared-store WAL tail before
-	// serving.
-	Seq uint64
-	// Followers (promote) is the surviving replica set: the new primary
-	// adopts it as its streaming ack set.
-	Followers []ReplicaRef
+	// Epoch is the epoch the Master planned the move at: the copy it ships
+	// arrives at it, and a report of it is acknowledged again once applied.
+	Epoch Epoch
 }
 
 // ReplicaRef names one replica holder of a group.
@@ -283,8 +309,7 @@ type LookupIndexResp struct {
 	Targets []IndexTarget
 	// Routes carries per-group replica routing (primary + seeded followers)
 	// so Lazy searches can spread across replicas. Targets stays
-	// primary-only: strict searches and older clients keep their exact
-	// fan-out.
+	// primary-only: a strict search's fan-out never reads a follower.
 	Routes []GroupRoute
 	// Epoch is the placement epoch the fan-out was resolved at.
 	Epoch Epoch
@@ -301,9 +326,11 @@ type CreateIndexResp struct {
 }
 
 // ReportReq tells the Master a node carried out Order: it shipped a
-// migration, a seeding or a split's moved half, or folded a merge's source
-// into Order.Into. The node changes its own state only once the Master
-// accepts, so a refused or lost report leaves nothing to undo.
+// migration or a split's moved half, or folded a merge's source into
+// Order.Into. The node changes its own state only once the Master
+// accepts. Until an answer comes the move is in doubt: the node acks no
+// write the move covers and sends the report again at its next heartbeat,
+// and the Master acknowledges a move it already applied again.
 type ReportReq struct {
 	Node  NodeID
 	Order Order
@@ -352,8 +379,8 @@ type ClusterStatsResp struct {
 	// MigrationsOrdered counts rebalance/forced migrations the Master has
 	// ordered since it started.
 	MigrationsOrdered int64
-	// Recoveries counts failure-driven group reassignments (each one rode a
-	// recover order to the new owner).
+	// Recoveries counts failure-driven group reassignments that found no
+	// follower to promote (the new owner recovers from shared storage).
 	Recoveries int64
 	// DeadNodes is the number of registered nodes currently considered
 	// failed by the liveness sweep.
@@ -458,8 +485,8 @@ const (
 	// ConsistencyStrict results reflect every acknowledged update (the
 	// paper's search-consistency rule): the node reads through each group's
 	// lazy cache, pending entries over committed postings, and commits
-	// first only when the cache is longer than it reads through. The
-	// default.
+	// first only when no writer kept the cache in key order (see
+	// SearchResp.CommitLatencyNanos). The default.
 	ConsistencyStrict Consistency = iota
 	// ConsistencyLazy queries the committed indices as they are: faster,
 	// but acknowledged-yet-uncommitted updates (up to one commit timeout
@@ -648,11 +675,10 @@ type NodeStatsResp struct {
 	// because they targeted a group this node released (migrated away or
 	// recovered elsewhere).
 	StalePlacementRejects int64
-	// GroupsMigratedOut counts groups this node transferred to peers under
-	// Master migration orders.
+	// GroupsMigratedOut counts groups this node migrated to peers.
 	GroupsMigratedOut int64
-	// GroupsRecovered counts groups this node adopted from shared storage
-	// after their previous owner died.
+	// GroupsRecovered counts groups this node adopted as primary without a
+	// follower copy to promote: from shared storage alone.
 	GroupsRecovered int64
 	// QueueDepth is the number of client Update/Search calls the node holds
 	// now, counted from frame read to reply written.
@@ -673,8 +699,7 @@ type NodeStatsResp struct {
 	// FollowerCuts counts followers this node (as primary) dropped from an
 	// ack set after a failed or refused stream append.
 	FollowerCuts int64
-	// Promotions counts follower groups this node promoted to primary under
-	// Master promote orders.
+	// Promotions counts follower copies this node promoted to primary.
 	Promotions int64
 	// SearchesServed counts search requests this node admitted and served —
 	// the per-replica load signal the follower-read scaling bench reads.

@@ -528,22 +528,23 @@ func (c *Client) cachedMapping(f index.FileID) (proto.FileMapping, bool) {
 	return proto.FileMapping{File: f, ACG: id, Node: rt.node, Addr: rt.addr, Epoch: rt.epoch}, ok
 }
 
-// resolveFiles returns one mapping per update, served from the placement
-// cache when possible; only the misses cost a Master lookup.
-func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate) ([]proto.FileMapping, error) {
-	out := make([]proto.FileMapping, len(ups))
+// resolveFiles returns one mapping per update, in out's storage, served
+// from the placement cache when possible; only the misses cost a Master
+// lookup.
+func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate, out []proto.FileMapping) ([]proto.FileMapping, error) {
+	out = out[:0]
 	var missIdx []int
 	var files []index.FileID
 	var hints []uint64
 	c.pmu.Lock()
 	for i, u := range ups {
-		if m, ok := c.cachedMapping(u.File); ok {
-			out[i] = m
-		} else {
+		m, ok := c.cachedMapping(u.File)
+		if !ok {
 			missIdx = append(missIdx, i)
 			files = append(files, u.File)
 			hints = append(hints, u.GroupHint)
 		}
+		out = append(out, m)
 	}
 	c.pmu.Unlock()
 	c.fileHits.Add(int64(len(ups) - len(missIdx)))
@@ -553,12 +554,45 @@ func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate) ([]proto.Fi
 	c.fileMisses.Add(int64(len(missIdx)))
 	mappings, err := c.lookupFiles(ctx, files, hints)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	for k, i := range missIdx {
 		out[i] = mappings[k]
 	}
 	return out, nil
+}
+
+// indexBatch is one group's share of an Index call: its request, the node
+// it goes to, its entry count and its outcome.
+type indexBatch struct {
+	addr string
+	req  proto.UpdateReq
+	n    int
+	err  error
+}
+
+// indexScratch is the storage an Index call builds its batches in, taken
+// from indexScratchPool and cleared before it goes back, so a warm call
+// allocates none of it and the pool pins none of the caller's values.
+type indexScratch struct {
+	mappings []proto.FileMapping
+	entries  []proto.IndexEntry
+	batches  []indexBatch
+}
+
+var indexScratchPool = sync.Pool{New: func() any { return new(indexScratch) }}
+
+// maxScratchEntries bounds the entries an indexScratch keeps room for.
+const maxScratchEntries = 64
+
+func (s *indexScratch) release() {
+	if cap(s.entries) > maxScratchEntries {
+		return
+	}
+	clear(s.mappings[:cap(s.mappings)])
+	clear(s.entries[:cap(s.entries)])
+	clear(s.batches[:cap(s.batches)])
+	indexScratchPool.Put(s)
 }
 
 // Index sends a batch of indexing requests for the named index. Mappings
@@ -572,22 +606,19 @@ func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate) ([]proto.Fi
 // acknowledged batch never is, and overload can never lose data: a shed
 // batch was never acknowledged, and an acknowledged batch is never shed.
 func (c *Client) Index(ctx context.Context, indexName string, updates []FileUpdate) error {
-	type batch struct {
-		addr string
-		req  proto.UpdateReq
-		n    int // entries
-		err  error
-	}
+	s := indexScratchPool.Get().(*indexScratch)
+	defer s.release()
 	pending := updates
 	a := c.newAttempts()
 	for len(pending) > 0 {
-		mappings, err := c.resolveFiles(ctx, pending)
+		mappings, err := c.resolveFiles(ctx, pending, s.mappings)
+		s.mappings = mappings
 		if err != nil {
 			return fmt.Errorf("client index: %w", err)
 		}
 		// One batch per group, kept in ACG order so the error reported when
 		// several fail does not depend on arrival order.
-		var batches []batch
+		batches := s.batches[:0]
 		find := func(id proto.ACGID) (int, bool) {
 			k := sort.Search(len(batches), func(k int) bool { return batches[k].req.ACG >= id })
 			return k, k < len(batches) && batches[k].req.ACG == id
@@ -595,14 +626,16 @@ func (c *Client) Index(ctx context.Context, indexName string, updates []FileUpda
 		for _, m := range mappings {
 			k, ok := find(m.ACG)
 			if !ok {
-				batches = slices.Insert(batches, k, batch{addr: m.Addr, req: proto.UpdateReq{
+				batches = slices.Insert(batches, k, indexBatch{addr: m.Addr, req: proto.UpdateReq{
 					ACG: m.ACG, IndexName: indexName,
 				}})
 			}
 			batches[k].n++
 		}
+		s.batches = batches
 		// Each batch's entries are its share of one array, sized up front.
-		entries := make([]proto.IndexEntry, len(mappings))
+		s.entries = slices.Grow(s.entries[:0], len(mappings))
+		entries := s.entries[:len(mappings)]
 		for k := range batches {
 			batches[k].req.Entries, entries = entries[:0:batches[k].n], entries[batches[k].n:]
 		}

@@ -4,6 +4,7 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"propeller/internal/attr"
@@ -71,7 +72,7 @@ func TestWarmPointLookupAllocs(t *testing.T) {
 // its batch buffer would add one. Not under the race detector, which
 // inflates allocation counts.
 func TestWarmReplicatedUpdateAllocs(t *testing.T) {
-	const budget = 36 // measured 36
+	const budget = 14 // measured 14
 	c, cl := bootCluster(t, Config{IndexNodes: 2, ReplicationFactor: 2, CacheLimit: 1 << 20})
 	ctx := context.Background()
 	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
@@ -99,5 +100,54 @@ func TestWarmReplicatedUpdateAllocs(t *testing.T) {
 	t.Logf("%.1f allocations a replicated update", allocs)
 	if allocs > budget {
 		t.Errorf("a warm replicated update allocates %.1f times, want at most %d", allocs, budget)
+	}
+}
+
+// TestWarmUpdateBytes pins the bytes a warm, unreplicated 8-entry update
+// allocates end to end — client, both rpc sides, the node's ack and its
+// share of the commits — averaged over 256 updates of one group at
+// CacheLimit 256, which commit eight times. Most of what is left is what
+// the node keeps: the cache entries, in the group's own storage, and the
+// pages the commits write; beside it each call's request and response
+// boxes, method name and handler goroutine. The budget is the measurement
+// plus a tenth. Not under the race detector, which inflates allocations.
+func TestWarmUpdateBytes(t *testing.T) {
+	const (
+		budget  = 3780 // bytes an update; measured 3 430
+		updates = 256
+		entries = 8
+		files   = 512
+	)
+	_, cl := bootCluster(t, Config{IndexNodes: 2, CacheLimit: 256})
+	ctx := context.Background()
+	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]client.FileUpdate, entries)
+	round := 0
+	update := func() {
+		for i := range batch {
+			f := (round*entries + i) % files
+			batch[i] = client.FileUpdate{File: index.FileID(f), Value: attr.Int(int64(round*7 + i)), GroupHint: 1}
+		}
+		round++
+		if err := cl.Index(ctx, "size", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range updates { // warm: placement cache, pools, the run's sizes
+		update()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range updates {
+		update()
+	}
+	runtime.ReadMemStats(&after)
+	perUpdate := float64(after.TotalAlloc-before.TotalAlloc) / updates
+	t.Logf("%.0f bytes an update", perUpdate)
+	if perUpdate > budget {
+		t.Errorf("a warm 8-entry update allocates %.0f bytes, want at most %d", perUpdate, budget)
 	}
 }

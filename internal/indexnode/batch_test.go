@@ -313,7 +313,7 @@ func TestTickContinuesPastWedgedGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.addPendingLocked(g, "pt", proto.IndexEntry{File: 1, KDCoords: []float64{1, 2, 3}}, nil)
+	n.addPendingLocked(g, "pt", proto.IndexEntry{File: 1, KDCoords: []float64{1, 2, 3}}, 0)
 	g.mu.Unlock()
 	// Group 2 is healthy.
 	if _, err := n.Update(context.Background(), proto.UpdateReq{

@@ -44,27 +44,25 @@ func appendFwdPayload(dst []byte, kd bool, e proto.IndexEntry) []byte {
 	return dst
 }
 
-// fwdPayloadLen is the length appendFwdPayload appends.
-func fwdPayloadLen(kd bool, e proto.IndexEntry) int {
-	if kd {
-		return 8 * len(e.KDCoords)
-	}
-	return e.Value.EncodedLen()
-}
-
 // kdCoord returns coordinate d of a KD payload.
 func kdCoord(payload []byte, d int) float64 {
 	return math.Float64frombits(binary.BigEndian.Uint64(payload[8*d:]))
+}
+
+// kdCoords decodes a KD payload into a new slice of coordinates.
+func kdCoords(payload []byte) []float64 {
+	coords := make([]float64, len(payload)/8)
+	for d := range coords {
+		coords[d] = kdCoord(payload, d)
+	}
+	return coords
 }
 
 // fwdEntry decodes a forward payload back into the posting it stores.
 func fwdEntry(kd bool, f index.FileID, payload []byte) (proto.IndexEntry, error) {
 	e := proto.IndexEntry{File: f}
 	if kd {
-		e.KDCoords = make([]float64, len(payload)/8)
-		for d := range e.KDCoords {
-			e.KDCoords[d] = kdCoord(payload, d)
-		}
+		e.KDCoords = kdCoords(payload)
 		return e, nil
 	}
 	if len(payload) == 1 && payload[0] == 0 {

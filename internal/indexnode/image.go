@@ -462,7 +462,7 @@ func (a *imageApplier) applyEntries(b []byte) error {
 	if count > uint64(len(b)) {
 		return errImageTruncated
 	}
-	run := make(map[index.FileID]pendingEntry, count)
+	run := &pendingRun{name: a.curName, lastFiles: int(count), lastBytes: len(b)}
 	for i := uint64(0); i < count; i++ {
 		var e proto.IndexEntry
 		if e, b, err = proto.DecodeIndexEntryWire(b); err != nil {
@@ -471,16 +471,16 @@ func (a *imageApplier) applyEntries(b []byte) error {
 		if a.known[a.curName][e.File] {
 			continue
 		}
-		run[e.File] = pendingEntry{e: e}
+		run.put(e, 0)
 	}
-	if len(run) == 0 {
+	if run.len() == 0 {
 		return nil
 	}
 	// The commit engine's bulk path — sorted index mutations, the forward
 	// index advancing only after index success — applies each completed
 	// record as it arrives, so a transfer's memory cost is one record, not
 	// the image.
-	return a.n.applyRunsLocked(a.g, []*pendingRun{{name: a.curName, byFile: run}})
+	return a.n.applyRunsLocked(a.g, []*pendingRun{run})
 }
 
 // finish completes the install: it rejects a torn image, one that began

@@ -630,18 +630,18 @@ func (n *Node) instFor(g *group, name string) (*inst, error) {
 // the target group is locked, so updates to different ACGs run in parallel
 // and their WAL appends group-commit into shared device writes.
 //
-// Everything a commit can precompute happens before the group mutex is
-// taken (off-lock prepare): the request's wire body — the log record, see
-// proto/wire.go — is marshalled once, straight into its CRC frame, and the
-// index keys the batch apply will sort on are encoded into one buffer.
-// That one frame is what the group
-// log, the shared-store mirror and the follower stream all append. The
-// critical section holds only the log append, the mirror, the frame's
-// enqueue on each follower's stream and the coalescing cache insert (in
-// key order when the group is being read, so its Strict searches can seek
-// the cache) — plus, every CacheLimit entries, the batch commit
-// (commitIfDueLocked). A replicated group's ack then waits, off the lock,
-// until every follower still in the ack set has confirmed the frame.
+// Before the group mutex is taken, the request's wire body — the log
+// record, see proto/wire.go — is marshalled once, straight into its CRC
+// frame, in a buffer reused from one update to the next. That one frame is
+// what the group log counts and the shared-store mirror and the follower
+// stream append a copy of. The critical section holds only the log append,
+// the mirror, the frame's enqueue on each follower's stream and the
+// coalescing cache insert, which copies each entry — and the index key the
+// batch apply will sort on — into the group's own storage (in key order
+// when the group is being read, so its Strict searches can seek the cache)
+// — plus, every CacheLimit entries, the batch commit (commitIfDueLocked).
+// A replicated group's ack then waits, off the lock, until every follower
+// still in the ack set has confirmed the frame.
 func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateResp, error) {
 	// Lease fence: an un-renewed primary lease means the Master may have
 	// promoted a successor — acking here could fork history (the dual-ack
@@ -682,14 +682,18 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 			}
 		}
 	}
-	framed := wal.SealFrame(req.MarshalWire(wal.NewFrame(req.WireLen())))
-	keys := prepareEntryKeys(spec, req.Entries)
+	fp := framePool.Get().(*[]byte)
+	defer framePool.Put(fp)
+	framed := wal.SealFrame(req.MarshalWire(wal.NewFrame(*fp, req.WireLen())))
+	if cap(framed) <= maxPooledFrame {
+		*fp = framed
+	}
 
 	g, err := n.lockOrCreateGroup(req.ACG)
 	if err != nil {
 		return proto.UpdateResp{}, err
 	}
-	resp, seq, reps, err := n.updateLocked(g, req, framed, keys)
+	resp, seq, reps, err := n.updateLocked(g, req, framed, spec.Type)
 	g.mu.Unlock()
 	if err != nil {
 		return proto.UpdateResp{}, err
@@ -701,9 +705,18 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 	return resp, nil
 }
 
+// framePool recycles the buffers Update frames its log record in. Nothing
+// keeps a frame once Update's critical section is over: the log counts it,
+// and the shared mirror and each follower's queue append a copy.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame bounds the frame buffer framePool keeps for the next
+// update.
+const maxPooledFrame = 4 << 10
+
 // updateLocked is Update's critical section. It returns the frame's stream
 // sequence and the ack set the frame was enqueued on. Caller holds g.mu.
-func (n *Node) updateLocked(g *group, req proto.UpdateReq, framed []byte, keys [][]byte) (
+func (n *Node) updateLocked(g *group, req proto.UpdateReq, framed []byte, typ proto.IndexType) (
 	resp proto.UpdateResp, seq uint64, reps []*replica, err error) {
 	if err := n.fencedLocked(g); err != nil {
 		// Follower copies accept only the primary's replication stream; a
@@ -738,13 +751,9 @@ func (n *Node) updateLocked(g *group, req proto.UpdateReq, framed []byte, keys [
 	for _, r := range g.reps {
 		n.enqueue(r, framed, g.replSeq)
 	}
-	for i, e := range req.Entries {
+	for _, e := range req.Entries {
 		g.files[e.File] = true
-		var key []byte
-		if keys != nil {
-			key = keys[i]
-		}
-		n.addPendingLocked(g, req.IndexName, e, key)
+		n.addPendingLocked(g, req.IndexName, e, typ)
 	}
 	if err := n.commitIfDueLocked(g); err != nil {
 		return resp, 0, nil, err

@@ -17,17 +17,6 @@ import (
 // The read side (a Strict search reading through the runs) is in search.go;
 // the order a run is kept in, in orderedrun.go.
 
-// pendingEntry is one coalesced, prepared lazy-cache entry: the latest
-// acknowledged update for its (index, file) pair, plus the index key the
-// commit will need — encoded outside the group lock at acknowledgement
-// time (composite key for B-tree postings, value encoding for hash
-// postings; nil for KD entries, deletes, and WAL-recovered entries,
-// which are keyed at commit).
-type pendingEntry struct {
-	e   proto.IndexEntry
-	key []byte
-}
-
 // cacheOrder says whether a group's current cache generation — all its
 // runs at once — is kept in key order, and on whose account. Kept in order
 // means every live B-tree and hash entry is in its run's orderedRun, put
@@ -61,23 +50,159 @@ const (
 // acknowledged since the last commit, coalesced by file, and — while the
 // group's cache is kept in order (group.cacheOrder) — the keys of the live
 // B-tree or hash entries among them, sorted. Deletes and KD entries have no
-// key and are in byFile only. A group keeps its runs from one cache
+// key and are in the records only. A group keeps its runs from one cache
 // generation to the next, emptied: a handful of words per index.
+// An entry is a record (pendingRec) in fixed-size chunks, found by file
+// through a map to its slot; a file written again keeps its slot.
 type pendingRun struct {
-	name   string
-	byFile map[index.FileID]pendingEntry // nil between generations
-	order  orderedRun
-	// lastFiles is how many files the last committed generation held: the
-	// size the next one's map starts at, so it is not regrown from nothing
-	// every generation. Only the number survives a commit — the map and the
-	// ordered chunks are garbage the moment they are applied, or every group
-	// copy on a node would pin a CacheLimit's worth of empty storage.
-	lastFiles int
+	name  string
+	slots map[index.FileID]int32 // file → record; nil between generations
+	recs  []*[recChunk]pendingRec
+	arena []byte // the arena's current chunk; records keep the earlier ones
+	bytes int    // arena bytes written this generation
+	order orderedRun
+	// lastFiles and lastBytes are how many files and arena bytes the last
+	// committed generation held: the sizes the next one's map and arena
+	// start at, so they are not regrown from nothing every generation. Only
+	// the numbers survive a commit — the map, records, arena and ordered
+	// chunks are garbage the moment they are applied, or every group copy
+	// on a node would pin a CacheLimit's worth of empty storage.
+	lastFiles, lastBytes int
 	// applied marks a run whose entries this commit has merged into the
 	// index while the commit itself has not finished (KD image persist and
 	// WAL truncate follow every run's apply, and either can fail): the retry
 	// must still persist the index's image though the run is empty by then.
 	applied bool
+}
+
+// pendingRec is one coalesced lazy-cache entry: the latest acknowledged
+// update for its (index, file) pair. data holds, in the run's arena, the
+// entry's value encoding (vlen bytes), its coordinates (8 bytes each, the
+// KD forward payload) and last, klen bytes long, the index key prepared
+// for it as it was acknowledged — the composite key of a B-tree posting,
+// the value encoding of a hash posting; none for KD entries, deletes and
+// WAL-recovered entries, which are keyed at commit. (Update refuses a key
+// that does not fit a page, so its length fits klen.)
+type pendingRec struct {
+	file index.FileID
+	data []byte
+	vlen uint32
+	klen uint16
+	del  bool
+}
+
+// payload returns the record's forward payload for a KD index (its
+// coordinates) or a B-tree or hash index (its value encoding).
+func (r *pendingRec) payload(kd bool) []byte {
+	if kd {
+		return r.data[r.vlen : len(r.data)-int(r.klen)]
+	}
+	return r.data[:r.vlen]
+}
+
+// key returns the prepared index key, nil when there is none.
+func (r *pendingRec) key() []byte {
+	if r.klen == 0 {
+		return nil
+	}
+	return r.data[len(r.data)-int(r.klen):]
+}
+
+// recChunk is the number of records in one chunk of a run: 32 records are
+// 1.25 KiB, so a short run costs little and a long one is a few arrays.
+const recChunk = 32
+
+// Arena chunk bounds: a generation's first chunk is sized to what the last
+// one wrote, and later chunks double, within these.
+const (
+	arenaMin = 256
+	arenaMax = 16 << 10
+)
+
+// len returns the number of files the run holds.
+func (r *pendingRun) len() int { return len(r.slots) }
+
+// rec returns the record in slot s.
+func (r *pendingRun) rec(s int) *pendingRec { return &r.recs[s/recChunk][s%recChunk] }
+
+// get returns f's record, if the run holds one. A nil run holds none.
+func (r *pendingRun) get(f index.FileID) (*pendingRec, bool) {
+	if r == nil {
+		return nil, false
+	}
+	s, ok := r.slots[f]
+	if !ok {
+		return nil, false
+	}
+	return r.rec(int(s)), true
+}
+
+// put makes e the file's entry, with the key of an index of type typ
+// prepared (see addPendingLocked), and returns its record, the key of the
+// entry it replaced (nil if none) and whether there was one. It copies
+// what it keeps.
+func (r *pendingRun) put(e proto.IndexEntry, typ proto.IndexType) (rec *pendingRec, oldKey []byte, had bool) {
+	if r.slots == nil {
+		r.slots = make(map[index.FileID]int32, r.lastFiles)
+		r.recs = make([]*[recChunk]pendingRec, 0, r.lastFiles/recChunk+1)
+	}
+	s, had := r.slots[e.File]
+	if !had {
+		s = int32(len(r.slots))
+		if int(s)%recChunk == 0 {
+			r.recs = append(r.recs, new([recChunk]pendingRec))
+		}
+		r.slots[e.File] = s
+	}
+	rec = r.rec(int(s))
+	if had {
+		oldKey = rec.key()
+	}
+	*rec = pendingRec{file: e.File, del: e.Delete}
+	if e.Delete {
+		return rec, oldKey, had
+	}
+	vlen, klen := e.Value.EncodedLen(), 0
+	switch typ {
+	case proto.IndexBTree:
+		klen = index.CompositeKeyLen(e.Value)
+	case proto.IndexHash:
+		klen = vlen
+	}
+	data := r.alloc(vlen + 8*len(e.KDCoords) + klen)
+	data = appendFwdPayload(data, false, e)
+	data = appendFwdPayload(data, true, e)
+	switch typ {
+	case proto.IndexBTree:
+		data = index.AppendCompositeKey(data, e.Value, e.File)
+	case proto.IndexHash:
+		data = e.Value.Encode(data)
+	}
+	rec.data, rec.vlen, rec.klen = data, uint32(vlen), uint16(klen)
+	return rec, oldKey, had
+}
+
+// alloc returns an empty slice with room for n bytes in the arena. The
+// arena never moves what it holds: a chunk that is full is left to the
+// records in it, and the next one is new.
+func (r *pendingRun) alloc(n int) []byte {
+	if cap(r.arena)-len(r.arena) < n {
+		size := 2 * cap(r.arena)
+		if r.arena == nil {
+			size = r.lastBytes
+		}
+		r.arena = make([]byte, 0, max(n, min(max(size, arenaMin), arenaMax)))
+	}
+	lo := len(r.arena)
+	r.arena = r.arena[:lo+n]
+	r.bytes += n
+	return r.arena[lo : lo : lo+n]
+}
+
+// reset drops the generation, keeping only its sizes for the next one.
+func (r *pendingRun) reset() {
+	r.lastFiles, r.lastBytes = r.len(), r.bytes
+	r.slots, r.recs, r.arena, r.bytes, r.order = nil, nil, nil, 0, orderedRun{}
 }
 
 // run returns the group's pending run for an index, nil if it has had none.
@@ -104,50 +229,16 @@ func (g *group) dropOrderLocked() {
 	}
 }
 
-// prepareEntryKeys encodes, outside any lock, the index keys a commit
-// will need for entries — and a cache kept in order sorts by: composite
-// (value, file) keys for B-tree postings, bare value encodings for hash
-// postings — into one buffer of their total size. Deletes keep a nil key —
-// they are keyed by the committed posting's old value, known only at
-// commit — and KD entries need none (the tree is built from points).
-func prepareEntryKeys(spec proto.IndexSpec, entries []proto.IndexEntry) [][]byte {
-	btree := spec.Type == proto.IndexBTree
-	if !btree && spec.Type != proto.IndexHash {
-		return nil
-	}
-	size := 0
-	for _, e := range entries {
-		switch {
-		case e.Delete:
-		case btree:
-			size += index.CompositeKeyLen(e.Value)
-		default:
-			size += e.Value.EncodedLen()
-		}
-	}
-	keys, arena := make([][]byte, len(entries)), make([]byte, 0, size)
-	for i, e := range entries {
-		if e.Delete {
-			continue
-		}
-		lo := len(arena)
-		if btree {
-			arena = index.AppendCompositeKey(arena, e.Value, e.File)
-		} else {
-			arena = e.Value.Encode(arena)
-		}
-		keys[i] = arena[lo:len(arena):len(arena)]
-	}
-	return keys
-}
-
 // addPendingLocked inserts one acknowledged entry into the group's
-// coalescing cache (last-write-wins per (index, file)). In a cache kept in
-// order the entry's key replaces the file's old one in the run's order;
-// only Update acknowledges into such a cache, and it prepares every B-tree
-// and hash key (whoever adds unkeyed entries calls dropOrderLocked first).
-// Caller holds g.mu.
-func (n *Node) addPendingLocked(g *group, name string, e proto.IndexEntry, key []byte) {
+// coalescing cache (last-write-wins per (index, file)), copying it. typ is
+// the type of the index whose key the cache prepares for e, ahead of the
+// commit that needs it: a B-tree's composite key, a hash index's value
+// encoding; anything else prepares none. In a cache kept in order the
+// entry's key replaces the file's old one in the run's order; only Update
+// acknowledges into such a cache, and it prepares every B-tree and hash
+// key (whoever adds unkeyed entries calls dropOrderLocked first). Caller
+// holds g.mu.
+func (n *Node) addPendingLocked(g *group, name string, e proto.IndexEntry, typ proto.IndexType) {
 	run := g.run(name)
 	if run == nil {
 		run = &pendingRun{name: name}
@@ -157,25 +248,21 @@ func (n *Node) addPendingLocked(g *group, name string, e proto.IndexEntry, key [
 		})
 		g.pending = slices.Insert(g.pending, at, run)
 	}
-	if run.byFile == nil {
-		run.byFile = make(map[index.FileID]pendingEntry, run.lastFiles)
-	}
-	old, had := run.byFile[e.File]
+	rec, oldKey, had := run.put(e, typ)
 	if had {
 		n.coalescedEntries.Inc()
 	}
 	if g.cacheOrder != unordered {
-		if old.key != nil {
-			run.order.remove(old.key, e.File)
+		if oldKey != nil {
+			run.order.remove(oldKey, e.File)
 		}
-		if key != nil {
+		if key := rec.key(); key != nil {
 			run.order.insert(key, e.File)
 		}
 		if g.cacheOrder == orderedOnCredit && len(run.order.chunks) > 1 {
 			g.dropOrderLocked()
 		}
 	}
-	run.byFile[e.File] = pendingEntry{e: e, key: key}
 	if g.pendingCount == 0 {
 		g.pendingSince = n.cfg.Clock.Now()
 	}
@@ -239,7 +326,7 @@ func (n *Node) commitPendingLocked(g *group) error {
 	committed := int64(g.pendingCount)
 	runs := make([]*pendingRun, 0, len(g.pending))
 	for _, run := range g.pending {
-		if len(run.byFile) > 0 {
+		if run.len() > 0 {
 			runs = append(runs, run)
 		}
 	}
@@ -247,8 +334,8 @@ func (n *Node) commitPendingLocked(g *group) error {
 		return err
 	}
 	for _, run := range runs {
-		run.lastFiles, run.applied = len(run.byFile), true
-		run.byFile, run.order = nil, orderedRun{}
+		run.reset()
+		run.applied = true
 	}
 	// KD indices persist their image once per commit (not per entry), and
 	// only when this commit applied a run to them.
@@ -396,7 +483,7 @@ func (n *Node) applyRunsLocked(g *group, runs []*pendingRun) error {
 			// run.
 			for i := range s.ops {
 				if op := &s.ops[i]; int(op.run) == r && s.olds[i] == nil && op.hi > op.lo+fwdPrefixLen {
-					if err := in.kd.Insert(index.Point{Coords: runs[r].byFile[op.file].e.KDCoords, File: op.file}); err != nil {
+					if err := in.kd.Insert(index.Point{Coords: kdCoords(s.key(i)[fwdPrefixLen:]), File: op.file}); err != nil {
 						return err
 					}
 				}
@@ -415,10 +502,10 @@ func checkKDRun(in *inst, run *pendingRun) error {
 		return nil
 	}
 	dims := in.spec.Dims()
-	for f, pe := range run.byFile {
-		if !pe.e.Delete && len(pe.e.KDCoords) != dims {
+	for i := range run.len() {
+		if rec := run.rec(i); !rec.del && len(rec.payload(true)) != 8*dims {
 			return fmt.Errorf("indexnode: kd %q file %d: point has %d coords, want %d",
-				run.name, f, len(pe.e.KDCoords), dims)
+				run.name, rec.file, len(rec.payload(true))/8, dims)
 		}
 	}
 	return nil
@@ -485,24 +572,19 @@ func (n *Node) keepScratch(s *commitScratch) {
 func (s *commitScratch) stage(runs []*pendingRun, ins []*inst) {
 	count, size := 0, 0
 	for r, run := range runs {
-		for _, pe := range run.byFile {
-			count++
-			size += fwdPrefixLen
-			if !pe.e.Delete {
-				size += fwdPayloadLen(ins[r].kd != nil, pe.e)
-			}
+		count += run.len()
+		for i := range run.len() {
+			size += fwdPrefixLen + len(run.rec(i).payload(ins[r].kd != nil))
 		}
 	}
 	s.ops, s.fwd = slices.Grow(s.ops[:0], count), slices.Grow(s.fwd[:0], size)
 	for r, run := range runs {
 		in := ins[r]
-		for f, pe := range run.byFile {
+		for i := range run.len() {
+			rec := run.rec(i)
 			lo := int32(len(s.fwd))
-			s.fwd = appendFwdPrefix(s.fwd, f, in.ord)
-			if !pe.e.Delete {
-				s.fwd = appendFwdPayload(s.fwd, in.kd != nil, pe.e)
-			}
-			s.ops = append(s.ops, fwdOp{file: f, prepared: pe.key, lo: lo, hi: int32(len(s.fwd)), ord: in.ord, run: uint16(r)})
+			s.fwd = append(appendFwdPrefix(s.fwd, rec.file, in.ord), rec.payload(in.kd != nil)...)
+			s.ops = append(s.ops, fwdOp{file: rec.file, prepared: rec.key(), lo: lo, hi: int32(len(s.fwd)), ord: in.ord, run: uint16(r)})
 		}
 	}
 	slices.SortFunc(s.ops, func(a, b fwdOp) int {
@@ -666,8 +748,7 @@ func (n *Node) rebuildKD(g *group, in *inst) error {
 	var pts []index.Point
 	err := scanForwardLocked(g, func(f index.FileID, ord uint16, payload []byte) bool {
 		if ord == in.ord {
-			e, _ := fwdEntry(true, f, payload)
-			pts = append(pts, index.Point{Coords: e.KDCoords, File: f})
+			pts = append(pts, index.Point{Coords: kdCoords(payload), File: f})
 		}
 		return true
 	})

@@ -3,10 +3,14 @@ package indexnode
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"propeller/internal/attr"
 	"propeller/internal/index"
@@ -14,6 +18,30 @@ import (
 	"propeller/internal/proto"
 	"propeller/internal/query"
 )
+
+var rtSeeds = flag.String("rtseeds", "",
+	`TestReadThroughEqualsCommitThenSearch: "N" runs N seeds from a fresh one, "N@SEED" runs N from SEED; empty runs the pinned four`)
+
+// rtSeedRange returns the seeds TestReadThroughEqualsCommitThenSearch runs:
+// the pinned 1–4, or what -rtseeds asks for.
+func rtSeedRange(t *testing.T) (first int64, n int) {
+	if *rtSeeds == "" {
+		return 1, 4
+	}
+	count, from, pinned := strings.Cut(*rtSeeds, "@")
+	n, err := strconv.Atoi(count)
+	if err != nil {
+		t.Fatalf("-rtseeds %q: %v", *rtSeeds, err)
+	}
+	first = time.Now().UnixNano()
+	if pinned {
+		if first, err = strconv.ParseInt(from, 10, 64); err != nil {
+			t.Fatalf("-rtseeds %q: %v", *rtSeeds, err)
+		}
+	}
+	t.Logf("%d seeds from seed %d", n, first)
+	return first, n
+}
 
 // rtSpecs are the indices of the read-through property test: a B-tree and
 // a hash index over one field (updates keep them in step, as a client
@@ -287,10 +315,18 @@ func (tw *rtTwins) traffic(steps int, nodes ...int) {
 // returns: same files, same More, same collector high-water mark. Both
 // ways a Strict search has of seeing the cache must have run: reading through a long run its writers
 // kept in order, and committing one nobody did — what a replay, a
-// promotion, a split and a merge leave behind.
+// promotion, a split and a merge leave behind. It runs the pinned seeds 1–4
+// unless -rtseeds asks for others; a failing seed prints its replay
+// command.
 func TestReadThroughEqualsCommitThenSearch(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	first, n := rtSeedRange(t)
+	for seed := first; seed < first+int64(n); seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			defer func() {
+				if t.Failed() {
+					t.Logf("replay: go test ./internal/indexnode -run TestReadThroughEqualsCommitThenSearch -rtseeds 1@%d", seed)
+				}
+			}()
 			ctx := context.Background()
 			const files, g1, g2, g3, g4 = 300, proto.ACGID(101), proto.ACGID(102), proto.ACGID(103), proto.ACGID(104)
 			tw := &rtTwins{t: t, rt: newTransferRig(t), ref: newTransferRig(t), rnd: rand.New(rand.NewSource(seed)),
@@ -701,9 +737,9 @@ func TestWarmReadThroughAllocatesNothing(t *testing.T) {
 	update("uid", 340, 340+runLen-40, func(f int) int64 { return int64(100 + f%50) })
 	g := n.lockGroup(1)
 	for _, name := range []string{"size", "uid"} {
-		if r := g.run(name); g.cacheOrder == unordered || r.order.len() != runLen || len(r.byFile) != runLen {
+		if r := g.run(name); g.cacheOrder == unordered || r.order.len() != runLen || r.len() != runLen {
 			t.Fatalf("index %s: ordered=%v, %d entries in order, %d by file; want a %d-entry run kept in order",
-				name, g.cacheOrder != unordered, r.order.len(), len(r.byFile), runLen)
+				name, g.cacheOrder != unordered, r.order.len(), r.len(), runLen)
 		}
 	}
 	g.mu.Unlock()

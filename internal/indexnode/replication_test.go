@@ -251,11 +251,7 @@ func TestFollowerAppendDuplicateAndGap(t *testing.T) {
 // pendingHas reports whether the group's cache holds an entry for file in
 // the named index. Caller holds g.mu.
 func (g *group) pendingHas(name string, file index.FileID) bool {
-	run := g.run(name)
-	if run == nil {
-		return false
-	}
-	_, ok := run.byFile[file]
+	_, ok := g.run(name).get(file)
 	return ok
 }
 

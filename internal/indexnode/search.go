@@ -356,41 +356,23 @@ type fieldSource struct {
 
 // postings is one index's postings of the current group as a search sees
 // them: the committed ones in the forward index under its ordinal, and on
-// a read-through the index's pending run over them (nil otherwise).
+// a read-through the index's pending run over them (nil otherwise). kd
+// says the index is a KD index, whose payloads are coordinates.
 type postings struct {
-	ord     uint16
-	pending map[index.FileID]pendingEntry
+	ord uint16
+	kd  bool
+	run *pendingRun
 }
 
-// posting is a file's merged posting in one index: a pending entry, or the
-// committed posting's forward payload (committed set, e zero).
-type posting struct {
-	e         proto.IndexEntry
-	payload   []byte
-	committed bool
-}
-
-// coord returns coordinate d of a KD posting, if the point has one.
-func (p posting) coord(d int) (float64, bool) {
-	switch {
-	case p.committed && d < len(p.payload)/8:
-		return kdCoord(p.payload, d), true
-	case !p.committed && d < len(p.e.KDCoords):
-		return p.e.KDCoords[d], true
+// of returns f's merged posting, as a forward payload: the pending entry's
+// when there is one — a pending delete making the file absent — else the
+// committed posting's. This is the posting the commit would leave, so
+// reading through the cache answers exactly as commit-then-search does.
+func (sc *groupScanner) of(p postings, f index.FileID) ([]byte, bool, error) {
+	if rec, ok := p.run.get(f); ok {
+		return rec.payload(p.kd), !rec.del, nil
 	}
-	return 0, false
-}
-
-// of returns f's merged posting: the pending entry when there is one — a
-// pending delete making the file absent — else the committed posting. This
-// is the posting the commit would leave, so reading through the cache
-// answers exactly as commit-then-search does.
-func (sc *groupScanner) of(p postings, f index.FileID) (posting, bool, error) {
-	if pe, ok := p.pending[f]; ok {
-		return posting{e: pe.e}, !pe.e.Delete, nil
-	}
-	payload, ok, err := sc.committed(f, p.ord)
-	return posting{payload: payload, committed: true}, ok, err
+	return sc.committed(f, p.ord)
 }
 
 var scannerPool = sync.Pool{New: func() any { return newGroupScanner() }}
@@ -486,25 +468,22 @@ func (sc *groupScanner) residual(f index.FileID) (bool, error) {
 func (sc *groupScanner) holds(i int, p query.Predicate, f index.FileID) (bool, error) {
 	src := &sc.fields[i]
 	if src.kdOK {
-		post, ok, err := sc.of(src.kd, f)
+		payload, ok, err := sc.of(src.kd, f)
 		if err != nil {
 			return false, err
 		}
-		if c, has := post.coord(src.kdDim); ok && has {
-			return p.Eval(attr.Float(c)), nil
+		if ok && src.kdDim < len(payload)/8 {
+			return p.Eval(attr.Float(kdCoord(payload, src.kdDim))), nil
 		}
 	}
 	for _, m := range src.maps {
-		post, ok, err := sc.of(m, f)
+		payload, ok, err := sc.of(m, f)
 		switch {
 		case err != nil:
 			return false, err
-		case !ok:
-			continue
-		case post.committed:
-			return sc.holdsEncoded(i, p, post.payload), nil
+		case ok:
+			return sc.holdsEncoded(i, p, payload), nil
 		}
-		return p.Eval(post.e.Value), nil
 	}
 	return false, nil
 }
@@ -569,25 +548,22 @@ func (sc *groupScanner) committed(f index.FileID, ord uint16) ([]byte, bool, err
 // the scan is where it is found, and the residual reads the other index's
 // pending entry (postings.of). Off a read-through this is one nil test.
 func (sc *groupScanner) pendingFile(f index.FileID) bool {
-	if sc.own == nil {
-		return false
-	}
-	_, ok := sc.own.byFile[f]
+	_, ok := sc.own.get(f)
 	return ok
 }
 
-// postingsOf returns the postings of the named index, of ordinal ord, in
-// the current group as this search sees them, and whether the group holds
-// any. Caller holds g.mu.
-func (sc *groupScanner) postingsOf(name string, ord uint16) (postings, bool) {
-	p := postings{ord: ord}
+// postingsOf returns the postings of the named index, of ordinal ord (kd:
+// a KD index), in the current group as this search sees them, and whether
+// the group holds any. Caller holds g.mu.
+func (sc *groupScanner) postingsOf(name string, ord uint16, kd bool) (postings, bool) {
+	p := postings{ord: ord, kd: kd}
 	if sc.reading {
-		if run := sc.g.run(name); run != nil {
-			p.pending = run.byFile
+		if run := sc.g.run(name); run != nil && run.len() > 0 {
+			p.run = run
 		}
 	}
 	_, committed := sc.g.indexes[name] // materialized by the commit that gave it postings
-	return p, committed || p.pending != nil
+	return p, committed || p.run != nil
 }
 
 // resolveFields works out, once per (request, group), which postings hold
@@ -603,7 +579,7 @@ func (sc *groupScanner) resolveFields() {
 		var src fieldSource
 		if sc.in.kd != nil {
 			if d := slices.Index(sc.in.spec.Fields, p.Field); d >= 0 {
-				src.kd, _ = sc.postingsOf(sc.name, sc.in.ord)
+				src.kd, _ = sc.postingsOf(sc.name, sc.in.ord, true)
 				src.kdOK, src.kdDim = true, d
 			}
 		}
@@ -612,7 +588,7 @@ func (sc *groupScanner) resolveFields() {
 			if spec.Field != p.Field || spec.Type == proto.IndexKD || !hasOrd {
 				continue
 			}
-			post, held := sc.postingsOf(name, ord)
+			post, held := sc.postingsOf(name, ord, false)
 			if !held {
 				continue // the group holds nothing for this index
 			}
@@ -648,7 +624,7 @@ func (sc *groupScanner) resolveFields() {
 func (sc *groupScanner) searchGroupLocked(g *group, indexName string, readThrough bool) error {
 	sc.reading, sc.own = readThrough, nil
 	if readThrough {
-		if run := g.run(indexName); run != nil && len(run.byFile) > 0 {
+		if run := g.run(indexName); run != nil && run.len() > 0 {
 			sc.own = run
 		}
 	}
@@ -757,10 +733,10 @@ func (sc *groupScanner) scanPending() (judged int, err error) {
 		}
 	default:
 		proven := sc.kdProves()
-		for f, pe := range sc.own.byFile {
+		for i := range sc.own.len() {
 			judged++
-			if !pe.e.Delete && inBox(pe.e.KDCoords, sc.kdLo, sc.kdHi) {
-				if err := sc.yield(f, proven); err != nil {
+			if rec := sc.own.rec(i); !rec.del && inBox(rec.payload(true), sc.kdLo, sc.kdHi) {
+				if err := sc.yield(rec.file, proven); err != nil {
 					return judged, err
 				}
 			}
@@ -769,16 +745,16 @@ func (sc *groupScanner) scanPending() (judged int, err error) {
 	return judged, nil
 }
 
-// inBox reports whether a KD point lies inside the inclusive box, by
+// inBox reports whether a KD payload's point lies inside the inclusive box, by
 // KDTree.RangeSearchFunc's own test (a NaN coordinate is outside nothing).
 // A point of the wrong dimensionality — one no commit could insert — is in
 // no box.
-func inBox(coords, lo, hi []float64) bool {
-	if len(coords) != len(lo) {
+func inBox(payload []byte, lo, hi []float64) bool {
+	if len(payload) != 8*len(lo) {
 		return false
 	}
-	for i, c := range coords {
-		if c < lo[i] || c > hi[i] {
+	for i := range lo {
+		if c := kdCoord(payload, i); c < lo[i] || c > hi[i] {
 			return false
 		}
 	}

@@ -102,11 +102,11 @@ func (n *Node) trimLocked(g *group, moved []index.FileID) error {
 	sort.Strings(names)
 	runs := make([]*pendingRun, 0, len(names))
 	for _, name := range names {
-		run := make(map[index.FileID]pendingEntry, len(moved))
+		run := &pendingRun{name: name, lastFiles: len(moved)}
 		for _, f := range moved {
-			run[f] = pendingEntry{e: proto.IndexEntry{File: f, Delete: true}}
+			run.put(proto.IndexEntry{File: f, Delete: true}, 0)
 		}
-		runs = append(runs, &pendingRun{name: name, byFile: run})
+		runs = append(runs, run)
 	}
 	if err := n.applyRunsLocked(g, runs); err != nil {
 		return err

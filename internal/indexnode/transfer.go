@@ -432,8 +432,8 @@ func (n *Node) knownPairsLocked(g *group) (map[string]map[index.FileID]bool, err
 		return true
 	})
 	for _, run := range g.pending {
-		for f := range run.byFile {
-			note(run.name, f)
+		for i := range run.len() {
+			note(run.name, run.rec(i).file)
 		}
 	}
 	return known, err
@@ -448,13 +448,17 @@ func (n *Node) knownPairsLocked(g *group) (map[string]map[index.FileID]bool, err
 // guarantee covers intact records only). Restored entries carry no
 // prepared key (the spec table may not be populated yet on a fresh node;
 // the commit encodes them on demand) — so a cache that was kept in order no
-// longer is, and its next Strict search commits it — and never alias
-// walBytes: UnmarshalWire copies every string and coordinate it returns.
-// Returns the number of entries restored. Caller holds g.mu.
+// longer is, and its next Strict search commits it. Each record decodes
+// into the storage of the last, pooled from one replay to the next, and the
+// cache copies what it keeps, so nothing restored aliases walBytes or the
+// decode. Returns the number of entries restored. Caller holds g.mu.
 func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[index.FileID]bool) (int, error) {
 	restored := 0
+	req := replayReqs.Get().(*proto.UpdateReq)
+	defer replayReqs.Put(req)
+	defer req.Recycle()
 	err := wal.ReplayBytes(walBytes, func(rec []byte) bool {
-		var req proto.UpdateReq
+		req.Recycle() // the cache copies what it keeps of the last record
 		if req.UnmarshalWire(rec) != nil {
 			return false
 		}
@@ -464,7 +468,7 @@ func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[i
 			}
 			g.files[e.File] = true
 			g.dropOrderLocked() // unkeyed entries: nobody sorts a replay
-			n.addPendingLocked(g, req.IndexName, e, nil)
+			n.addPendingLocked(g, req.IndexName, e, 0)
 			restored++
 		}
 		return true
@@ -474,6 +478,9 @@ func (n *Node) replayWALLocked(g *group, walBytes []byte, known map[string]map[i
 	}
 	return restored, nil
 }
+
+// replayReqs holds the requests replayWALLocked decodes records into.
+var replayReqs = sync.Pool{New: func() any { return new(proto.UpdateReq) }}
 
 // TransferACG runs one migration: quiesce the group under its own lock
 // (updates and searches on it block, traffic on every other ACG is

@@ -196,6 +196,12 @@ func (e IndexEntry) AppendWire(dst []byte) []byte {
 
 // DecodeIndexEntryWire parses one entry, returning the remaining buffer.
 func DecodeIndexEntryWire(b []byte) (IndexEntry, []byte, error) {
+	return decodeIndexEntry(b, nil)
+}
+
+// decodeIndexEntry parses one entry, its coordinates into coords when they
+// fit there.
+func decodeIndexEntry(b []byte, coords []float64) (IndexEntry, []byte, error) {
 	var e IndexEntry
 	f, b, err := getUvarint(b)
 	if err != nil {
@@ -219,7 +225,11 @@ func DecodeIndexEntryWire(b []byte) (IndexEntry, []byte, error) {
 		if n > uint64(len(rest)/8) {
 			return e, nil, wireErr("kd coord count exceeds buffer")
 		}
-		e.KDCoords = make([]float64, n)
+		if n <= uint64(cap(coords)) {
+			e.KDCoords = coords[:n]
+		} else {
+			e.KDCoords = make([]float64, n)
+		}
 		for i := range e.KDCoords {
 			e.KDCoords[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest))
 			rest = rest[8:]
@@ -264,8 +274,16 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // stringLen returns the bytes appendString spends on s.
 func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
-// UnmarshalWire implements rpc.WireUnmarshaler.
+// UnmarshalWire implements rpc.WireUnmarshaler. Into a request Recycle
+// emptied it decodes into the storage the earlier decode left: the entry
+// array and each entry's coordinates. Into any other it allocates what it
+// returns, so it never writes into what an earlier decode handed out.
+// Strings are copied, and nothing aliases data.
 func (r *UpdateReq) UnmarshalWire(data []byte) error {
+	var spare []IndexEntry
+	if len(r.Entries) == 0 {
+		spare = r.Entries[:cap(r.Entries)]
+	}
 	*r = UpdateReq{}
 	b, err := checkVersion(data)
 	if err != nil {
@@ -286,17 +304,35 @@ func (r *UpdateReq) UnmarshalWire(data []byte) error {
 	if err := countGuard(n, b, 3); err != nil {
 		return err
 	}
-	if n > 0 {
-		r.Entries = make([]IndexEntry, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var e IndexEntry
-			if e, b, err = DecodeIndexEntryWire(b); err != nil {
-				return err
-			}
-			r.Entries = append(r.Entries, e)
+	if n > uint64(len(spare)) {
+		spare = make([]IndexEntry, n)
+	}
+	entries := spare[:n]
+	for i := range entries {
+		if entries[i], b, err = decodeIndexEntry(b, entries[i].KDCoords[:0]); err != nil {
+			return err
 		}
 	}
+	r.Entries = entries
 	return nil
+}
+
+// maxRecycledEntries bounds the entry array a recycled request keeps, so a
+// pooled request does not pin the largest batch it ever decoded.
+const maxRecycledEntries = 64
+
+// Recycle empties r and keeps its entry array, and each entry's
+// coordinates, for the next UnmarshalWire into r (rpc.Recycler). Whatever
+// an earlier decode into r handed out must be out of use by then.
+func (r *UpdateReq) Recycle() {
+	entries := r.Entries
+	if cap(entries) > maxRecycledEntries {
+		entries = nil
+	}
+	for i := range entries {
+		entries[i] = IndexEntry{KDCoords: entries[i].KDCoords[:0]}
+	}
+	*r = UpdateReq{Entries: entries[:0]}
 }
 
 // MarshalWire implements rpc.WireMarshaler.
@@ -625,8 +661,8 @@ func (r *ReceiveACGChunkReq) MarshalWire(dst []byte) []byte {
 	return appendBytes(append(dst, flags), r.Data)
 }
 
-// UnmarshalWire implements rpc.WireUnmarshaler. Data aliases data: the rpc
-// layer reads every frame into a buffer of its own, and the receiver copies
+// UnmarshalWire implements rpc.WireUnmarshaler. Data aliases data, which
+// the rpc layer keeps until the handler has returned; the receiver copies
 // what it keeps of a chunk.
 func (r *ReceiveACGChunkReq) UnmarshalWire(data []byte) error {
 	*r = ReceiveACGChunkReq{}

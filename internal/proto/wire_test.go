@@ -243,7 +243,8 @@ func fuzzMsgFor(tag byte) wireMsg {
 // arbitrary input: never panic, and when input does decode, the decoded
 // message re-encodes canonically (marshal∘unmarshal is a fixpoint after
 // one round — byte comparison, so NaN floats and other DeepEqual hazards
-// don't matter).
+// don't matter). A decoder that reuses its destination's storage (a
+// recycler) is held to a third, checkReuse.
 func FuzzWireDecode(f *testing.F) {
 	tags := map[string]byte{
 		"UpdateReq": 0, "UpdateReq/empty": 0, "UpdateReq/ingest": 0, "UpdateResp": 1,
@@ -284,7 +285,65 @@ func FuzzWireDecode(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("re-marshal is not canonical\nfirst:  %x\nsecond: %x", first, second)
 		}
+		if _, ok := msg.(recycler); ok {
+			checkReuse(t, data[0], data[1:], first)
+		}
 	})
+}
+
+// recycler is a message whose decode reuses the storage Recycle hands back
+// (rpc.Recycler).
+type recycler interface {
+	wireMsg
+	Recycle()
+}
+
+// checkReuse holds a recycler's decode of input, whose canonical bytes are
+// canon, to the reuse contract against every fixture of its type, in both
+// orders: decoded into a message that holds another decode, or one
+// recycled since, the input gives canon; and a decode into a message that
+// holds another, not recycled, writes into nothing the earlier decode
+// handed out — a snapshot of the earlier result (its slices shared) still
+// marshals as a deep copy of it does.
+func checkReuse(t *testing.T, tag byte, input, canon []byte) {
+	for _, fixture := range wireFixtures() {
+		if reflect.TypeOf(fixture) != reflect.TypeOf(fuzzMsgFor(tag)) {
+			continue
+		}
+		other := fixture.MarshalWire(nil)
+		for _, order := range [][2][]byte{{other, input}, {input, other}} {
+			held := fuzzMsgFor(tag).(recycler)
+			if err := held.UnmarshalWire(order[0]); err != nil {
+				t.Fatalf("first decode: %v", err)
+			}
+			snapshot := reflect.New(reflect.TypeOf(held).Elem())
+			snapshot.Elem().Set(reflect.ValueOf(held).Elem())
+			deep := fuzzMsgFor(tag)
+			if err := deep.UnmarshalWire(held.MarshalWire(nil)); err != nil {
+				t.Fatalf("deep copy: %v", err)
+			}
+			if err := held.UnmarshalWire(order[1]); err != nil {
+				t.Fatalf("decode into a message holding another: %v", err)
+			}
+			fresh := fuzzMsgFor(tag)
+			if err := fresh.UnmarshalWire(order[1]); err != nil {
+				t.Fatalf("fresh decode: %v", err)
+			}
+			if got, want := held.MarshalWire(nil), fresh.MarshalWire(nil); !bytes.Equal(got, want) {
+				t.Fatalf("decode into a message holding another = %x, a fresh decode = %x", got, want)
+			}
+			if got, want := snapshot.Interface().(wireMsg).MarshalWire(nil), deep.MarshalWire(nil); !bytes.Equal(got, want) {
+				t.Fatalf("a second decode wrote into the first's storage: it now reads %x, was %x", got, want)
+			}
+			held.Recycle()
+			if err := held.UnmarshalWire(input); err != nil {
+				t.Fatalf("decode into a recycled message: %v", err)
+			}
+			if got := held.MarshalWire(nil); !bytes.Equal(got, canon) {
+				t.Fatalf("decode into a recycled message = %x, want %x", got, canon)
+			}
+		}
+	}
 }
 
 // TestReceiveACGChunkDataPastBody: a chunk whose Data length runs past the

@@ -57,9 +57,10 @@ func appendFrameBody(dst []byte, f *frame) (out []byte, bodyAt int, err error) {
 }
 
 // parseFrameBody decodes a frame body produced by appendFrameBody. The
-// returned frame's Body aliases b, which readFrame allocates per frame, so
-// no reuse hazard exists. An unknown kind byte parses to a frame with only
-// Kind and ID set; dispatch loops skip it.
+// returned frame's Body aliases b, the buffer readFrame read the frame
+// into, which goes back to its pool once the frame is done with. An unknown
+// kind byte parses to a frame with only Kind and ID set; dispatch loops
+// skip it.
 func parseFrameBody(b []byte) (frame, error) {
 	if len(b) == 0 {
 		return frame{}, fmt.Errorf("rpc decode: empty body: %w", errMalformedFrame)
@@ -142,7 +143,10 @@ type WireMarshaler interface {
 }
 
 // WireUnmarshaler is the decode side of WireMarshaler. UnmarshalWire must
-// tolerate arbitrary (fuzzer-shaped) input without panicking.
+// tolerate arbitrary (fuzzer-shaped) input without panicking. data is in a
+// pooled frame buffer: a response must not alias it, since Call reuses it
+// once the response is decoded; a request may alias it until its handler
+// returns.
 type WireUnmarshaler interface {
 	UnmarshalWire(data []byte) error
 }

@@ -24,14 +24,14 @@ func (m *counter) UnmarshalWire(b []byte) error {
 }
 
 // TestWarmCallAllocs pins what a warm call over net.Pipe allocates, on both
-// sides of the connection: each side's read buffer and frame header, the
-// request's method name, the handler goroutine, and the request and
-// response the client's Call hands the codec. The bodies encode into the
-// pooled frame buffer, the caller waits in a reused slot, and the handler
-// decodes into and answers from a pooled box. Not under the race detector,
-// which inflates allocation counts.
+// sides of the connection: the request's method name, the handler
+// goroutine, and the request and response the client's Call hands the
+// codec. The bodies encode into the pooled frame buffer and are read, one
+// read a frame, into pooled buffers; the caller waits in a reused slot, and
+// the handler decodes into and answers from a pooled box. Not under the
+// race detector, which inflates allocation counts.
 func TestWarmCallAllocs(t *testing.T) {
-	const budget = 10 // measured 8
+	const budget = 4 // measured 4
 	s := NewServer()
 	HandleTyped(s, "inc", func(_ context.Context, r counter) (counter, error) {
 		return counter{N: r.N + 1}, nil

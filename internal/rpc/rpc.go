@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -82,7 +84,28 @@ type frame struct {
 	// sends: writeFrame marshals it straight into the frame in
 	// place of Body, so a body is encoded once and never copied.
 	msg any
+	// buf is the pooled storage a read frame's Body is in (nil: none).
+	buf *[]byte
 }
+
+// bodyPool recycles the buffers readFrame reads frames into. A frame's
+// buffer goes back (putBody) once the message in it is done with: a
+// response once Call has decoded it, a request once its handler has
+// returned (a request may alias its body until then; see WireUnmarshaler).
+// Bodies past pooledBodyMax — a transfer chunk — are left to the collector.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const pooledBodyMax = 64 << 10
+
+func putBody(buf *[]byte) {
+	if buf != nil {
+		bodyPool.Put(buf)
+	}
+}
+
+// readBufSize is the reader each connection reads frames through: a small
+// frame arrives in one read. Every connection holds one, so it is small.
+const readBufSize = 4 << 10
 
 // frameBufPool recycles the scratch buffers writeFrame composes frames in.
 // Buffers that ballooned past pooledBufMax (a legacy oversized frame) are
@@ -124,9 +147,18 @@ func writeFrame(w io.Writer, f *frame) (int, error) {
 	return len(out) - bodyAt, err
 }
 
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame from r into a buffer from bodyPool, which the
+// returned frame holds (none if its body is past pooledBodyMax).
+func readFrame(r io.Reader) (f frame, err error) {
+	bp := bodyPool.Get().(*[]byte)
+	defer func() {
+		if f.buf == nil {
+			bodyPool.Put(bp)
+		}
+	}()
+	hdr := slices.Grow((*bp)[:0], frameHeader)[:frameHeader]
+	*bp = hdr
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return frame{}, err
 	}
 	// The length is verified before it is believed: nothing below waits
@@ -134,14 +166,20 @@ func readFrame(r io.Reader) (frame, error) {
 	if crc32.ChecksumIEEE(hdr[:4]) != binary.BigEndian.Uint32(hdr[4:]) {
 		return frame{}, fmt.Errorf("%w (length prefix)", ErrFrameCorrupt)
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	if n > maxFrame+payloadSum {
 		return frame{}, ErrFrameTooLarge
 	}
 	if n < payloadSum {
 		return frame{}, fmt.Errorf("%w (length %d holds no payload checksum)", ErrFrameCorrupt, n)
 	}
-	body := make([]byte, n)
+	var body []byte
+	if n <= pooledBodyMax {
+		body = slices.Grow(hdr[:0], n)[:n]
+		*bp = body
+	} else {
+		body = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		return frame{}, err
 	}
@@ -149,7 +187,10 @@ func readFrame(r io.Reader) (frame, error) {
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(body) {
 		return frame{}, ErrFrameCorrupt
 	}
-	return parseFrameBody(payload)
+	if f, err = parseFrameBody(payload); err == nil && n <= pooledBodyMax {
+		f.buf = bp
+	}
+	return f, err
 }
 
 // NetProfile models the cluster interconnect (the paper uses a NetGear
@@ -221,12 +262,23 @@ func (s *Server) SetAdmitter(a Admitter) {
 	s.adm = a
 }
 
+// Recycler is implemented by a request whose UnmarshalWire decodes into
+// the storage an earlier decode left in it once Recycle has handed that
+// storage back. HandleTyped recycles each request it decoded once the
+// handler has returned, so a handler must not keep a recycled request's
+// slices past its return; it copies what it keeps.
+type Recycler interface {
+	Recycle()
+}
+
 // HandleTyped registers a handler with typed request/response. Messages
 // implementing the wire codec travel hand-rolled binary; the rest gob.
 func HandleTyped[Req, Resp any](s *Server, method string, fn func(context.Context, Req) (Resp, error)) {
 	// A request is decoded into, and its response marshalled from, a box
 	// pooled per method: the codec reaches both through an interface, so a
-	// box of the handler's own would be allocated for every request.
+	// box of the handler's own would be allocated for every request. A
+	// request that is a Recycler keeps its storage in the box for the next
+	// decode; any other is dropped.
 	type box struct {
 		req  Req
 		resp Resp
@@ -237,7 +289,12 @@ func HandleTyped[Req, Resp any](s *Server, method string, fn func(context.Contex
 	s.handlers[method] = func(ctx context.Context, sc *serverConn, id uint64, body []byte) {
 		b := boxes.Get().(*box)
 		defer func() {
-			*b = box{}
+			if r, ok := any(&b.req).(Recycler); ok {
+				r.Recycle()
+			} else {
+				b.req = *new(Req)
+			}
+			b.resp = *new(Resp)
 			boxes.Put(b)
 		}()
 		var err error
@@ -338,9 +395,11 @@ func (sc *serverConn) respond(id uint64, msg any, err error) {
 }
 
 // serve is request id's handler goroutine: it runs h under the caller's
-// remaining budget when the request carries one.
-func (sc *serverConn) serve(h handler, id uint64, timeoutNanos int64, body []byte) {
+// remaining budget when the request carries one, and then hands the
+// request's buffer back.
+func (sc *serverConn) serve(h handler, id uint64, timeoutNanos int64, body []byte, buf *[]byte) {
 	defer sc.handlers.Done()
+	defer putBody(buf)
 	ctx := context.Background()
 	if timeoutNanos > 0 {
 		var cancel context.CancelFunc
@@ -355,31 +414,35 @@ func (s *Server) connLoop(conn net.Conn) {
 	sc := &serverConn{conn: conn, adm: s.adm}
 	s.mu.Unlock()
 	defer sc.handlers.Wait()
+	r := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		f, err := readFrame(conn)
+		f, err := readFrame(r)
 		if err != nil {
 			return
 		}
 		if f.Kind != kindRequest {
 			// A newer peer's frame type this build predates: skipping it
 			// keeps the conn alive.
+			putBody(f.buf)
 			continue
 		}
 		s.mu.Lock()
 		h, ok := s.handlers[f.Method]
 		s.mu.Unlock()
 		if !ok {
+			putBody(f.buf)
 			sc.respond(f.ID, nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, f.Method))
 			continue
 		}
 		if sc.adm != nil {
 			if err := sc.adm.Admit(conn, f.Method); err != nil {
+				putBody(f.buf)
 				sc.respond(f.ID, nil, err)
 				continue
 			}
 		}
 		sc.handlers.Add(1)
-		go sc.serve(h, f.ID, f.TimeoutNanos, f.Body)
+		go sc.serve(h, f.ID, f.TimeoutNanos, f.Body, f.buf)
 	}
 }
 
@@ -487,8 +550,9 @@ func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Clien
 
 func (c *Client) readLoop() {
 	defer close(c.done)
+	r := bufio.NewReaderSize(c.conn, readBufSize)
 	for {
-		f, err := readFrame(c.conn)
+		f, err := readFrame(r)
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
@@ -505,7 +569,8 @@ func (c *Client) readLoop() {
 			return
 		}
 		if f.Kind != kindResponse {
-			continue // a newer peer's frame type: skip it
+			putBody(f.buf) // a newer peer's frame type: skip it
+			continue
 		}
 		c.mu.Lock()
 		slot, ok := c.pending[f.ID]
@@ -513,6 +578,8 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		if ok {
 			slot <- f // 1-buffered, one response per id: never blocks
+		} else {
+			putBody(f.buf)
 		}
 	}
 }
@@ -549,18 +616,19 @@ func (c *Client) writeFrameCtx(ctx context.Context, f *frame) (int, error) {
 	return n, err
 }
 
-// call sends msg (a pointer) as a request and waits for the response body.
-// A cancelled or expired context abandons the in-flight call immediately
-// (the response, if it ever arrives, lands in a slot nobody reuses; a write
-// blocked on a stalled connection is unblocked via a write deadline).
-func (c *Client) call(ctx context.Context, method string, msg any) ([]byte, error) {
+// call sends msg (a pointer) as a request and waits for the response,
+// whose buffer the caller puts back once it has decoded the body. A
+// cancelled or expired context abandons the in-flight call immediately
+// (the response, if it ever arrives, lands in a slot nobody reuses; a
+// write blocked on a stalled connection is unblocked via a write deadline).
+func (c *Client) call(ctx context.Context, method string, msg any) (frame, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(err))
+		return frame{}, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(err))
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClientClosed
+		return frame{}, ErrClientClosed
 	}
 	c.nextID++
 	id := c.nextID
@@ -585,7 +653,7 @@ func (c *Client) call(ctx context.Context, method string, msg any) ([]byte, erro
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			err = perr.Ctx(ctxErr)
 		}
-		return nil, fmt.Errorf("rpc call %s: %w", method, err)
+		return frame{}, fmt.Errorf("rpc call %s: %w", method, err)
 	}
 	if c.clock != nil {
 		c.clock.Advance(c.profile.cost(n))
@@ -596,10 +664,10 @@ func (c *Client) call(ctx context.Context, method string, msg any) ([]byte, erro
 	case resp, ok = <-slot:
 	case <-ctx.Done():
 		c.abandon(id)
-		return nil, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(ctx.Err()))
+		return frame{}, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(ctx.Err()))
 	}
 	if !ok {
-		return nil, fmt.Errorf("rpc call %s: connection lost: %w", method, ErrClientClosed)
+		return frame{}, fmt.Errorf("rpc call %s: connection lost: %w", method, ErrClientClosed)
 	}
 	c.mu.Lock()
 	c.free = append(c.free, slot) // its own response received: empty, and nobody else's
@@ -608,9 +676,10 @@ func (c *Client) call(ctx context.Context, method string, msg any) ([]byte, erro
 		c.clock.Advance(c.profile.cost(len(resp.Body)))
 	}
 	if resp.ErrMsg != "" {
-		return nil, &remoteError{perr.FromWire(resp.ErrCode, resp.ErrMsg)}
+		putBody(resp.buf)
+		return frame{}, &remoteError{perr.FromWire(resp.ErrCode, resp.ErrMsg)}
 	}
-	return resp.Body, nil
+	return resp, nil
 }
 
 // remoteError is an error the peer sent as its reply: the call completed,
@@ -646,11 +715,13 @@ func (c *Client) abandon(id uint64) {
 // abandons the call.
 func Call[Req, Resp any](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
 	var resp Resp
-	out, err := c.call(ctx, method, &req)
+	f, err := c.call(ctx, method, &req)
 	if err != nil {
 		return resp, err
 	}
-	if err := decodeBody(out, &resp); err != nil {
+	err = decodeBody(f.Body, &resp)
+	putBody(f.buf)
+	if err != nil {
 		return resp, fmt.Errorf("rpc %s: decode response: %w", method, err)
 	}
 	return resp, nil

@@ -504,6 +504,49 @@ func TestReadFrameChecksum(t *testing.T) {
 }
 
 // TestWriteFrameTooLarge mirrors the read-side bound on the write side.
+// countingConn counts the reads of a connection that have returned.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.reads.Add(1)
+	return n, err
+}
+
+// TestOneReadPerFrame: both sides read frames through a buffered reader, so
+// a small frame's header and body come from one read of the connection —
+// N sequential calls cost each side at most N reads, not a read for the
+// header and another for the body.
+func TestOneReadPerFrame(t *testing.T) {
+	s := NewServer()
+	HandleTyped(s, "echo", func(_ context.Context, r echoReq) (echoResp, error) {
+		return echoResp{Msg: r.Msg, N: r.N}, nil
+	})
+	cc, sc := Pipe()
+	server, client := &countingConn{Conn: sc}, &countingConn{Conn: cc}
+	s.ServeConn(server)
+	c := NewClient(client)
+	t.Cleanup(func() {
+		_ = c.Close()
+		_ = s.Close()
+	})
+	const calls = 50
+	for i := range calls {
+		if resp, err := Call[echoReq, echoResp](context.Background(), c, "echo", echoReq{Msg: "x", N: i}); err != nil || resp.N != i {
+			t.Fatalf("call %d = %+v, %v", i, resp, err)
+		}
+	}
+	if got := server.reads.Load(); got > calls {
+		t.Errorf("the server read its connection %d times for %d requests, want at most one read a frame", got, calls)
+	}
+	if got := client.reads.Load(); got > calls {
+		t.Errorf("the client read its connection %d times for %d responses, want at most one read a frame", got, calls)
+	}
+}
+
 func TestWriteFrameTooLarge(t *testing.T) {
 	var sink strings.Builder
 	f := &frame{Method: "big", Body: make([]byte, maxFrame+1)}

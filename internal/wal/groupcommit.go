@@ -14,25 +14,30 @@ import (
 //
 // The protocol is leader/follower with per-batch leaders: the first caller
 // to stage into a batch is that batch's leader; everyone else staging into
-// it is a follower blocked on its notification channel. The leader waits
+// it is a follower waiting for the batch to be written. The leader waits
 // for the device (i.e. for the previous batch's write to finish), freezes
 // its batch, issues one sequential write for the whole batch, releases its
 // followers, and hands the device to the next batch's leader. Each append
 // therefore waits at most one in-flight write plus its own batch's write —
-// acknowledgement latency stays bounded under sustained load.
+// acknowledgement latency stays bounded under sustained load. All of them
+// wait on one condition variable, and a written batch goes back to the
+// committer once its last appender has read its outcome, so an append
+// allocates nothing.
 type GroupCommitter struct {
 	disk *simdisk.Disk
 	dev  appendDevice // the disk, or a test double
 
 	mu sync.Mutex
+	// cond is signalled, under mu, whenever a batch write finishes: it
+	// wakes that batch's followers and the next batch's leader.
+	cond sync.Cond
 	// cur is the forming batch; it is frozen (replaced) by its leader at
-	// the moment the leader takes the device.
-	cur *walBatch
-	// writing is true while a batch write is in flight; writerDone is
-	// closed when that write finishes, waking the next batch's leader.
-	writing    bool
-	writerDone chan struct{}
-	stats      GroupCommitStats
+	// the moment the leader takes the device. spare is a written batch
+	// every appender has left, kept for the next one to form.
+	cur, spare *walBatch
+	// writing is true while a batch write is in flight.
+	writing bool
+	stats   GroupCommitStats
 }
 
 // appendDevice is the slice of simdisk.Disk the committer drives (split out
@@ -56,18 +61,18 @@ type GroupCommitStats struct {
 
 // walBatch is one forming (or in-flight) group of staged appends.
 type walBatch struct {
-	done    chan struct{}
 	err     error
 	records int64
 	bytes   int64
+	written bool
+	left    int64 // appenders that have read err
 }
-
-func newWALBatch() *walBatch { return &walBatch{done: make(chan struct{})} }
 
 // NewGroupCommitter returns a committer charging batched appends to disk.
 // disk may be nil, in which case every charge is free (no latency model).
 func NewGroupCommitter(disk *simdisk.Disk) *GroupCommitter {
-	c := &GroupCommitter{disk: disk, cur: newWALBatch()}
+	c := newGroupCommitterDevice(nil)
+	c.disk = disk
 	if disk != nil {
 		c.dev = disk
 	}
@@ -77,7 +82,9 @@ func NewGroupCommitter(disk *simdisk.Disk) *GroupCommitter {
 // newGroupCommitterDevice is the test seam: batch against an arbitrary
 // device.
 func newGroupCommitterDevice(dev appendDevice) *GroupCommitter {
-	return &GroupCommitter{dev: dev, cur: newWALBatch()}
+	c := &GroupCommitter{dev: dev, cur: new(walBatch)}
+	c.cond.L = &c.mu
+	return c
 }
 
 // Disk returns the underlying device (nil when no latency model is attached).
@@ -96,26 +103,27 @@ func (c *GroupCommitter) Append(size int64) error {
 		return nil
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	b := c.cur
 	b.records++
 	b.bytes += size
 	if b.records > 1 {
 		// Follower: the batch's leader will write it.
-		c.mu.Unlock()
-		<-b.done
-		return b.err
+		for !b.written {
+			c.cond.Wait()
+		}
+		return c.leave(b)
 	}
 	// Leader of b: wait for the device, one in-flight write at a time.
 	for c.writing {
-		wait := c.writerDone
-		c.mu.Unlock()
-		<-wait
-		c.mu.Lock()
+		c.cond.Wait()
 	}
 	// Freeze b: from here no appender can stage into it.
-	c.cur = newWALBatch()
+	c.cur, c.spare = c.spare, nil
+	if c.cur == nil {
+		c.cur = new(walBatch)
+	}
 	c.writing = true
-	c.writerDone = make(chan struct{})
 	c.stats.Batches++
 	c.stats.Records += b.records
 	c.stats.Bytes += b.bytes
@@ -125,14 +133,23 @@ func (c *GroupCommitter) Append(size int64) error {
 	c.mu.Unlock()
 
 	_, err := c.dev.AppendLog(b.bytes)
-	b.err = err
-	close(b.done)
 
 	c.mu.Lock()
+	b.err, b.written = err, true
 	c.writing = false
-	close(c.writerDone)
-	c.mu.Unlock()
-	return b.err
+	c.cond.Broadcast()
+	return c.leave(b)
+}
+
+// leave reads a written batch's outcome for one of its appenders; the last
+// to leave hands the batch back for reuse. Caller holds c.mu.
+func (c *GroupCommitter) leave(b *walBatch) error {
+	err := b.err
+	if b.left++; b.left == b.records {
+		*b = walBatch{}
+		c.spare = b
+	}
+	return err
 }
 
 // Stats returns a snapshot of the batching counters.

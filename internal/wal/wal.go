@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync/atomic"
 )
 
@@ -43,16 +44,17 @@ const recordHeader = 4 + 4 // length + crc
 // an append entirely outside their own critical sections and hand the
 // frame to AppendFramed while locked.
 func FrameRecord(rec []byte) []byte {
-	return SealFrame(append(NewFrame(len(rec)), rec...))
+	return SealFrame(append(NewFrame(nil, len(rec)), rec...))
 }
 
-// NewFrame returns the start of a frame for a record of size bytes: the
-// header's room, reserved, and capacity for exactly the record behind it.
-// A caller that builds the record by appending it there (the Index Node
-// marshals each update straight into its frame) and then calls SealFrame
-// gets FrameRecord's frame without a copy of the record.
-func NewFrame(size int) []byte {
-	return make([]byte, recordHeader, recordHeader+size)
+// NewFrame returns the start of a frame for a record of size bytes in
+// buf's storage, grown if it is short: the header's room, reserved, and
+// capacity for the record behind it. A caller that builds the record by
+// appending it there (the Index Node marshals each update straight into
+// its frame, in a buffer it reuses) and then calls SealFrame gets
+// FrameRecord's frame without a copy of the record.
+func NewFrame(buf []byte, size int) []byte {
+	return slices.Grow(buf[:0], recordHeader+size)[:recordHeader]
 }
 
 // SealFrame fills in the header NewFrame reserved from the record appended

@@ -871,17 +871,18 @@ type SearchResult struct {
 	Anchor time.Time
 }
 
-// searchNode sends req to one target's groups: the one place a search
-// request is sent. It notes the placement epoch the node quotes.
-func (c *Client) searchNode(ctx context.Context, req proto.SearchReq, tgt proto.IndexTarget) (proto.SearchResp, error) {
+// searchNode sends req to one target's groups, decoding the answer into
+// *resp: the one place a search request is sent. It notes the placement
+// epoch the node quotes.
+func (c *Client) searchNode(ctx context.Context, req proto.SearchReq, tgt proto.IndexTarget, resp *proto.SearchResp) error {
 	conn, err := c.conn(ctx, tgt.Addr)
 	if err != nil {
-		return proto.SearchResp{}, err // a dead node: retried like a stale fan-out
+		return err // a dead node: retried like a stale fan-out
 	}
 	req.ACGs = tgt.ACGs
-	resp, err := rpc.Call[proto.SearchReq, proto.SearchResp](ctx, conn, proto.MethodSearch, req)
+	err = rpc.CallInto(ctx, conn, proto.MethodSearch, req, resp)
 	c.noteEpoch(resp.Epoch)
-	return resp, err
+	return err
 }
 
 // hedgedSearchNode is searchNode with a hedge: a leg that has not answered
@@ -889,7 +890,9 @@ func (c *Client) searchNode(ctx context.Context, req proto.SearchReq, tgt proto.
 // each of its groups' next replica; whichever side answers first wins, and a
 // side that errors is ignored when the other succeeds (the hedge survives a
 // slow primary's partition error). The alternate legs go through
-// searchTargets with no routes, so a hedge never hedges again.
+// searchTargets with no routes, so a hedge never hedges again. Each side
+// decodes into storage of its own, which the loser keeps until its call
+// returns.
 func (c *Client) hedgedSearchNode(ctx context.Context, req proto.SearchReq, tgt proto.IndexTarget, routes []proto.GroupRoute) (proto.SearchResp, error) {
 	type result struct {
 		resp proto.SearchResp
@@ -897,8 +900,9 @@ func (c *Client) hedgedSearchNode(ctx context.Context, req proto.SearchReq, tgt 
 	}
 	ch := make(chan result, 2) // one send per side: the loser never blocks
 	go func() {
-		resp, err := c.searchNode(ctx, req, tgt)
-		ch <- result{resp, err}
+		var r result
+		r.err = c.searchNode(ctx, req, tgt, &r.resp)
+		ch <- r
 	}()
 	timer := time.NewTimer(c.cfg.HedgeDelay)
 	defer timer.Stop()
@@ -926,27 +930,42 @@ func (c *Client) hedgedSearchNode(ctx context.Context, req proto.SearchReq, tgt 
 	return first.resp, first.err
 }
 
-// searchLeg is one target's answer in a fan-out.
+// searchLeg is one target's answer in a fan-out, and how far the merge has
+// read it.
 type searchLeg struct {
 	resp proto.SearchResp
 	err  error
+	next int
 }
 
+// legPool recycles the legs a fan-out decodes its answers into, each with
+// the file array its last decode left, which the next fan-out recycles
+// (proto.SearchResp.Recycle) before it decodes into it.
+var legPool = sync.Pool{New: func() any { return new([]searchLeg) }}
+
 // searchTargets sends req to every target in parallel and folds the
-// responses into one: files concatenated (unsorted) into one slice of the
-// exact size, More if any node has more, the newest placement epoch any
-// node quoted, commit costs summed. Routes arm hedging (lazy consistency
-// and Config.HedgeDelay > 0 permitting): the primary fan-out passes the
-// replica routes, a hedge's alternate legs none.
+// responses into one: files merged (mergeLegs), More if any node has more
+// or the merge stopped at the limit, the newest placement epoch any node
+// quoted, commit costs summed. The answers decode into pooled legs, and
+// the merged page is the one slice the fold allocates. Routes arm hedging
+// (lazy consistency and Config.HedgeDelay > 0 permitting): the primary
+// fan-out passes the replica routes, a hedge's alternate legs none.
 func (c *Client) searchTargets(ctx context.Context, req proto.SearchReq, targets []proto.IndexTarget, routes []proto.GroupRoute) (proto.SearchResp, error) {
 	hedged := c.cfg.HedgeDelay > 0 && req.Consistency == proto.ConsistencyLazy && len(routes) > 0
-	legs := make([]searchLeg, len(targets))
+	lp := legPool.Get().(*[]searchLeg)
+	legs := slices.Grow((*lp)[:0], len(targets))[:len(targets)]
+	*lp = legs[:0]
+	defer legPool.Put(lp)
+	for i := range legs {
+		legs[i].resp.Recycle()
+		legs[i].err, legs[i].next = nil, 0
+	}
 	fanOut(len(legs), func(i int) {
 		l := &legs[i]
 		if hedged {
 			l.resp, l.err = c.hedgedSearchNode(ctx, req, targets[i], routes)
 		} else {
-			l.resp, l.err = c.searchNode(ctx, req, targets[i])
+			l.err = c.searchNode(ctx, req, targets[i], &l.resp)
 		}
 	})
 	var out proto.SearchResp
@@ -960,11 +979,38 @@ func (c *Client) searchTargets(ctx context.Context, req proto.SearchReq, targets
 		out.Epoch = max(out.Epoch, l.resp.Epoch)
 		out.CommitLatencyNanos += l.resp.CommitLatencyNanos
 	}
-	out.Files = make([]index.FileID, 0, n)
-	for _, l := range legs {
-		out.Files = append(out.Files, l.resp.Files...)
+	if req.Limit > 0 {
+		n = min(n, req.Limit)
 	}
+	var cut bool
+	out.Files, cut = mergeLegs(make([]index.FileID, 0, n), legs, req.Limit)
+	out.More = out.More || cut
 	return out, nil
+}
+
+// mergeLegs appends the legs' files, each strictly ascending (the decode
+// refuses any other), to dst as one ascending, distinct list, and stops at
+// limit ids (limit <= 0: none): cut reports that a distinct id beyond them
+// exists. Nodes beyond the cut still have unconsumed matches; the cursor
+// re-covers them on the next page.
+func mergeLegs(dst []index.FileID, legs []searchLeg, limit int) (files []index.FileID, cut bool) {
+	for {
+		least, found := index.FileID(0), false
+		for i := range legs {
+			if l := &legs[i]; l.next < len(l.resp.Files) && (!found || l.resp.Files[l.next] < least) {
+				least, found = l.resp.Files[l.next], true
+			}
+		}
+		if !found || (limit > 0 && len(dst) == limit) {
+			return dst, found
+		}
+		dst = append(dst, least)
+		for i := range legs {
+			if l := &legs[i]; l.next < len(l.resp.Files) && l.resp.Files[l.next] == least {
+				l.next++
+			}
+		}
+	}
 }
 
 // Search runs a query: the fan-out targets come from the epoch-keyed
@@ -1013,17 +1059,11 @@ func (c *Client) Search(ctx context.Context, q Query) (SearchResult, error) {
 			continue
 		}
 		out := SearchResult{
-			Files:         index.SortDedup(resp.Files),
+			Files:         resp.Files,
 			Nodes:         len(t.targets),
 			CommitLatency: time.Duration(resp.CommitLatencyNanos),
 			More:          resp.More,
 			Anchor:        anchor,
-		}
-		if q.Limit > 0 && len(out.Files) > q.Limit {
-			// Nodes beyond the cut still have unconsumed matches; the
-			// cursor re-covers them on the next page.
-			out.Files = out.Files[:q.Limit]
-			out.More = true
 		}
 		if out.More && len(out.Files) > 0 {
 			out.Next, out.NextSet = out.Files[len(out.Files)-1], true
@@ -1098,7 +1138,8 @@ func (c *Client) SearchStream(ctx context.Context, q Query) (*Stream, error) {
 	s := &Stream{ch: make(chan streamItem, len(t.targets)), remaining: len(t.targets)}
 	for _, tgt := range t.targets {
 		go func() {
-			resp, err := c.searchNode(ctx, req, tgt)
+			var resp proto.SearchResp
+			err := c.searchNode(ctx, req, tgt, &resp)
 			if retryablePlacement(err) || resp.Epoch > t.epoch {
 				c.invalidateIndex(q.Index) // the next call re-resolves the fan-out
 			}

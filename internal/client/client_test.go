@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -368,5 +369,33 @@ func TestFlushACGRejectsFileMasterDidNotMap(t *testing.T) {
 	}
 	if len(r.dials) != 0 {
 		t.Errorf("flush dialed %q before rejecting the lookup", r.dials)
+	}
+}
+
+// TestLegMergeEqualsSortDedup merges k strictly ascending legs whose ids
+// overlap and holds the result to SortDedup of their concatenation, cut at
+// Limit, with More set exactly when a distinct id lies beyond the cut.
+func TestLegMergeEqualsSortDedup(t *testing.T) {
+	rnd := rand.New(rand.NewSource(45))
+	for trial := range 2000 {
+		legs := make([]searchLeg, rnd.Intn(5))
+		var all []index.FileID
+		for i := range legs {
+			var files []index.FileID
+			for range rnd.Intn(25) {
+				files = append(files, index.FileID(rnd.Intn(50)))
+			}
+			legs[i].resp.Files = index.SortDedup(files)
+			all = append(all, legs[i].resp.Files...)
+		}
+		limit := []int{0, 1, 1 + rnd.Intn(30)}[rnd.Intn(3)]
+		want, wantCut := index.SortDedup(all), false
+		if limit > 0 && len(want) > limit {
+			want, wantCut = want[:limit], true
+		}
+		got, cut := mergeLegs(nil, legs, limit)
+		if !slices.Equal(got, want) && len(got)+len(want) > 0 || cut != wantCut {
+			t.Fatalf("trial %d: limit %d, legs %v: merged %v cut=%v, want %v cut=%v", trial, limit, legs, got, cut, want, wantCut)
+		}
 	}
 }

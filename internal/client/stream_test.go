@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -166,6 +167,11 @@ func TestSearchStreamFirstBatchBeforeSlowest(t *testing.T) {
 	}
 	if len(first.Files)+len(second.Files) != 40 {
 		t.Errorf("streamed %d+%d files, want 40", len(first.Files), len(second.Files))
+	}
+	for _, b := range []Batch{first, second} {
+		if !slices.IsSorted(b.Files) || len(slices.Compact(slices.Clone(b.Files))) != len(b.Files) {
+			t.Errorf("batch of %s = %v, want ascending and distinct", b.Node, b.Files)
+		}
 	}
 	if _, ok := st.Next(); ok {
 		t.Error("stream should be exhausted after one batch per node")

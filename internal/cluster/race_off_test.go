@@ -16,13 +16,15 @@ import (
 // TestWarmPointLookupAllocs pins what a warm point lookup allocates end to
 // end, client and both Index Nodes together: a B-tree equality search of a
 // 2-node pipe cluster, 8 groups a node, each node scanning its groups in
-// one pass on the handler's goroutine. What is left is the query's parse
-// and predicate set, the two round trips (read buffers, each call's
-// request and response, the node's request decode and handler goroutine)
-// and the answer: each node's page, its decode, and the client's merge.
+// one pass on the handler's goroutine. Each node sends its scanner's page,
+// and the client decodes both legs into pooled storage. What is left is the
+// query's parse and predicate set, the fan-out (its leg closure and
+// goroutine), the two round trips (each call's boxed request, and on the
+// node its method name, the request's index and field names and the
+// handler goroutine) and the merged page the caller keeps.
 // Not under the race detector, which inflates allocation counts.
 func TestWarmPointLookupAllocs(t *testing.T) {
-	const budget = 36 // measured 34
+	const budget = 17 // measured 17
 	_, cl := bootCluster(t, Config{IndexNodes: 2})
 	ctx := context.Background()
 	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
@@ -149,5 +151,61 @@ func TestWarmUpdateBytes(t *testing.T) {
 	t.Logf("%.0f bytes an update", perUpdate)
 	if perUpdate > budget {
 		t.Errorf("a warm 8-entry update allocates %.0f bytes, want at most %d", perUpdate, budget)
+	}
+}
+
+// TestWarmRangePageBytes pins the bytes a warm 100-row page of a range
+// search allocates end to end — client and both Index Nodes of a 2-node
+// pipe cluster, 8 groups a node — averaged over 256 searches. Each node
+// sends its collector's page straight from the scanner, the client decodes
+// each leg into pooled storage and merges the legs into the one page the
+// caller keeps; what is left beside that page is the query's parse and
+// predicate set and the two round trips. The budget is the measurement
+// plus a tenth. Not under the race detector, which inflates allocations.
+func TestWarmRangePageBytes(t *testing.T) {
+	const (
+		budget   = 2150 // bytes a page; measured 1 900–1 990 (7 060–7 130 before the merge)
+		searches = 256
+	)
+	_, cl := bootCluster(t, Config{IndexNodes: 2})
+	ctx := context.Background()
+	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
+		t.Fatal(err)
+	}
+	// 16 groups of 50 files, value f mod 400: the window [100, 300)
+	// matches 400 files, 200 a node, so each node fills its page.
+	for g := 0; g < 16; g++ {
+		var updates []client.FileUpdate
+		for i := 0; i < 50; i++ {
+			f := g*50 + i
+			updates = append(updates, client.FileUpdate{
+				File: index.FileID(f), Value: attr.Int(int64(f % 400)), GroupHint: uint64(g) + 1,
+			})
+		}
+		if err := cl.Index(ctx, "size", updates); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := client.Query{Index: "size", Text: "size>=100 & size<300", Limit: 100}
+	search := func() {
+		res, err := cl.Search(ctx, q)
+		if err != nil || len(res.Files) != 100 || !res.More {
+			t.Fatalf("search = %d files, more %v, %v; want a full page and more", len(res.Files), res.More, err)
+		}
+	}
+	for range searches { // warm: placement cache, pools, scanners
+		search()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range searches {
+		search()
+	}
+	runtime.ReadMemStats(&after)
+	perPage := float64(after.TotalAlloc-before.TotalAlloc) / searches
+	t.Logf("%.0f bytes a page", perPage)
+	if perPage > budget {
+		t.Errorf("a warm 100-row range page allocates %.0f bytes, want at most %d", perPage, budget)
 	}
 }

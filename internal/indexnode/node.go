@@ -393,7 +393,7 @@ func (n *Node) RegisterRPC(s *rpc.Server) {
 		s.SetAdmitter(n.adm)
 	}
 	rpc.HandleTyped(s, proto.MethodUpdate, n.Update)
-	rpc.HandleTyped(s, proto.MethodSearch, n.Search)
+	rpc.HandleTyped(s, proto.MethodSearch, n.search)
 	rpc.HandleTyped(s, proto.MethodFlushACG, n.FlushACG)
 	rpc.HandleTyped(s, proto.MethodNodeStats, n.NodeStats)
 	rpc.HandleTyped(s, proto.MethodFollowerAppend, n.FollowerAppend)

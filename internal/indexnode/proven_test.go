@@ -46,9 +46,8 @@ func searchNoSkip(t *testing.T, n *Node, req proto.SearchReq, field string) prot
 	if sc.provenKind != 0 {
 		t.Fatal("the reference scan skipped the residual")
 	}
-	var resp proto.SearchResp
-	sc.col.fill(&resp)
-	return resp
+	files, more := sc.col.page()
+	return proto.SearchResp{Files: append([]index.FileID(nil), files...), More: more, MaxRetained: sc.col.maxRetained}
 }
 
 // provenRig drives randomised traffic at a two-node rig and compares every

@@ -39,7 +39,39 @@ import (
 //
 // Cancellation: the context is checked between groups; an expired deadline
 // or cancelled caller aborts the pass without scanning further groups.
+//
+// Ownership: the response's Files is the caller's own copy of the page.
+// The node's rpc handler sends the scanner's page itself instead (search).
 func (n *Node) Search(ctx context.Context, req proto.SearchReq) (proto.SearchResp, error) {
+	p, err := n.search(ctx, req)
+	if err != nil {
+		return proto.SearchResp{}, err
+	}
+	defer p.Recycle()
+	resp := p.SearchResp
+	resp.Files = append([]index.FileID(nil), p.Files...)
+	return resp, nil
+}
+
+// pageResp is a search's answer as the node's rpc handler sends it: Files
+// is the pooled scanner's own page, marshalled straight into the reply
+// frame, and Recycle, called once the frame is written (rpc.HandleTyped),
+// hands the scanner back to the pool.
+type pageResp struct {
+	proto.SearchResp
+	sc *groupScanner
+}
+
+// Recycle returns the page's scanner to the pool (rpc.Recycler).
+func (p *pageResp) Recycle() {
+	if p.sc != nil {
+		p.sc.release()
+	}
+	*p = pageResp{}
+}
+
+// search is Search with the page left in the scanner: the rpc handler.
+func (n *Node) search(ctx context.Context, req proto.SearchReq) (pageResp, error) {
 	// Lease fence for strict reads: a strict read promises the result
 	// reflects every acknowledged update, but a fenced-off primary cannot
 	// know what a promoted successor has acknowledged since. Lazy reads
@@ -47,149 +79,120 @@ func (n *Node) Search(ctx context.Context, req proto.SearchReq) (proto.SearchRes
 	// what keeps follower replicas and hedged reads useful mid-partition.
 	if req.Consistency != proto.ConsistencyLazy && n.leaseExpired() {
 		n.leaseRejects.Inc()
-		return proto.SearchResp{}, fmt.Errorf(
+		return pageResp{}, fmt.Errorf(
 			"indexnode %s: primary lease expired (node epoch %d): %w",
 			n.cfg.ID, n.placementEpoch.Load(), perr.ErrStalePlacement)
 	}
 	if len(req.Preds) == 0 {
-		return proto.SearchResp{}, fmt.Errorf("indexnode %s search: no predicates: %w", n.cfg.ID, perr.ErrBadQuery)
+		return pageResp{}, fmt.Errorf("indexnode %s search: no predicates: %w", n.cfg.ID, perr.ErrBadQuery)
 	}
 	n.searchesServed.Inc()
 	return n.searchGroups(ctx, req, query.Query{Preds: req.Preds})
 }
 
 // pageCollector accumulates matching FileIDs under a page budget: the
-// limit smallest ids above the cursor, tracked in a max-heap so one page
-// of postings is the most ever held. Cross-group duplicates are rejected
-// against the retained set (O(1) via a shadow membership map), so a
-// duplicate can never evict a genuine match. With limit <= 0 it degrades
-// to an unbounded accumulator (the v1 semantics). A collector lives inside
-// a pooled groupScanner; reset keeps its slice and membership map.
+// limit smallest ids above the cursor, kept as an ascending, distinct
+// array, so one page of postings is the most ever held and the page needs
+// no sort at the end. A candidate goes in by binary search: a cross-group
+// duplicate is found there and dropped, so it can never evict a genuine
+// match, and a smaller id entering a full page drops the page's maximum,
+// which becomes a beyond-page match (More). With limit <= 0 it degrades to
+// an unbounded accumulator (the v1 semantics). A collector lives inside a
+// pooled groupScanner; reset keeps its array.
 type pageCollector struct {
 	limit    int
 	after    index.FileID
 	afterSet bool
 
-	heap        []index.FileID        // max-heap of the page's candidates (limit <= 0: a plain list)
-	retained    map[index.FileID]bool // membership shadow of heap
-	overflow    bool                  // a match beyond the page was seen
+	files       []index.FileID // the page, ascending and distinct (limit <= 0: a plain list)
+	overflow    bool           // a match beyond the page was seen
 	maxRetained int
 }
 
-// reset empties the collector for a new request, keeping its buffers.
+// reset empties the collector for a new request, keeping its array.
 func (c *pageCollector) reset(req proto.SearchReq) {
-	if c.retained == nil {
-		c.retained = make(map[index.FileID]bool, max(req.Limit, 0))
+	*c = pageCollector{limit: req.Limit, after: req.After, afterSet: req.AfterSet, files: c.files[:0]}
+}
+
+// rejects reports that candidate f can change neither the page nor More:
+// it is at or below the cursor, or the page is full, its maximum is at or
+// below f and a match beyond the page is already known. The page only
+// shrinks its maximum once full and overflow never clears, so a candidate
+// rejected once is rejected for the rest of the request: the scans ask
+// before any work on a candidate (the read-through probe, the residual,
+// the map probe), and an ascending source may stop at the first one.
+func (c *pageCollector) rejects(f index.FileID) bool {
+	if c.afterSet && f <= c.after {
+		return true
 	}
-	clear(c.retained)
-	*c = pageCollector{limit: req.Limit, after: req.After, afterSet: req.AfterSet,
-		heap: c.heap[:0], retained: c.retained}
+	n := len(c.files)
+	return c.overflow && c.limit > 0 && n == c.limit && f >= c.files[n-1]
 }
 
 func (c *pageCollector) add(f index.FileID) {
-	if c.afterSet && f <= c.after {
+	if c.rejects(f) {
 		return
 	}
+	n := len(c.files)
 	switch {
-	case c.limit <= 0:
-		c.heap = append(c.heap, f)
-	case c.pageClosed(f):
-		// No probe of the retained set: the full page's maximum itself is
-		// a duplicate, anything above it a match beyond this page.
-		c.overflow = c.overflow || f > c.heap[0]
-	case c.retained[f]:
-		return // duplicate of a retained candidate (cross-group); drop
-	case len(c.heap) < c.limit:
-		c.heapPush(f)
-		c.retained[f] = true
+	case c.limit <= 0 || (n < c.limit && (n == 0 || f > c.files[n-1])):
+		c.files = append(c.files, f) // an ascending source lands here
+	case n == c.limit && f >= c.files[n-1]:
+		// The full page's maximum itself is a duplicate, anything above it
+		// a match beyond this page.
+		c.overflow = c.overflow || f > c.files[n-1]
 	default:
-		// Displaces the current page maximum, which becomes a beyond-page
-		// match.
-		c.overflow = true
-		delete(c.retained, c.heap[0])
-		c.heap[0] = f
-		c.retained[f] = true
-		c.siftDown(0)
+		i, found := slices.BinarySearch(c.files, f)
+		switch {
+		case found:
+			return // duplicate of a retained candidate (cross-group); drop
+		case n < c.limit:
+			c.files = slices.Insert(c.files, i, f)
+		default:
+			c.overflow = true // the maximum it drops is a beyond-page match
+			copy(c.files[i+1:], c.files[i:n-1])
+			c.files[i] = f
+		}
 	}
-	c.maxRetained = max(c.maxRetained, len(c.heap))
-}
-
-func (c *pageCollector) heapPush(f index.FileID) {
-	c.heap = append(c.heap, f)
-	i := len(c.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if c.heap[parent] >= c.heap[i] {
-			break
-		}
-		c.heap[parent], c.heap[i] = c.heap[i], c.heap[parent]
-		i = parent
-	}
-}
-
-func (c *pageCollector) siftDown(i int) {
-	for {
-		l, r, largest := 2*i+1, 2*i+2, i
-		if l < len(c.heap) && c.heap[l] > c.heap[largest] {
-			largest = l
-		}
-		if r < len(c.heap) && c.heap[r] > c.heap[largest] {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		c.heap[i], c.heap[largest] = c.heap[largest], c.heap[i]
-		i = largest
-	}
-}
-
-// pageClosed reports that f — and therefore any candidate at or above it —
-// can no longer enter the page (the page is full and f is at or beyond its
-// maximum). Sources that yield candidates in ascending file order may stop
-// once the page is closed and overflow has been recorded.
-func (c *pageCollector) pageClosed(f index.FileID) bool {
-	return c.limit > 0 && len(c.heap) == c.limit && f >= c.heap[0]
+	c.maxRetained = max(c.maxRetained, len(c.files))
 }
 
 // page returns the collected files ascending and de-duplicated, plus
-// whether matches beyond the page exist. (The limited path is already
-// duplicate-free via the retained set; unlimited mode can still see a
-// file surface from two groups around merges.) The slice is the
-// collector's own: a caller that outlives the collector copies it.
+// whether matches beyond the page exist. (The limited page is kept that
+// way; unlimited mode can still see a file surface from two groups around
+// merges.) The slice is the collector's own: a caller that outlives the
+// collector copies it.
 func (c *pageCollector) page() (files []index.FileID, more bool) {
-	return index.SortDedup(c.heap), c.overflow
+	if c.limit <= 0 {
+		c.files = index.SortDedup(c.files)
+	}
+	return c.files, c.overflow
 }
 
 // searchGroups runs one pass over the requested groups on the calling
 // goroutine: one pooled scanner visits them in request order, each under
 // its own lock (searchOneGroup), so a search holds at most one group lock
 // at a time. The commit windows of a Strict search's groups follow one
-// another on the virtual clock and sum.
-func (n *Node) searchGroups(ctx context.Context, req proto.SearchReq, q query.Query) (proto.SearchResp, error) {
+// another on the virtual clock and sum. The page stays in the scanner,
+// which the response carries back to the pool.
+func (n *Node) searchGroups(ctx context.Context, req proto.SearchReq, q query.Query) (pageResp, error) {
 	sc := acquireScanner(n, q, req)
-	defer sc.release()
-	var resp proto.SearchResp
+	p := pageResp{sc: sc}
 	for _, id := range req.ACGs {
 		if err := ctx.Err(); err != nil {
-			return proto.SearchResp{}, fmt.Errorf("indexnode search acg %d: %w", id, perr.Ctx(err))
+			p.Recycle()
+			return pageResp{}, fmt.Errorf("indexnode search acg %d: %w", id, perr.Ctx(err))
 		}
 		nanos, err := n.searchOneGroup(id, req, sc)
 		if err != nil {
-			return proto.SearchResp{}, err
+			p.Recycle()
+			return pageResp{}, err
 		}
-		resp.CommitLatencyNanos += nanos
+		p.CommitLatencyNanos += nanos
 	}
-	sc.col.fill(&resp)
-	resp.Epoch = n.epoch()
-	return resp, nil
-}
-
-// fill copies the collected page into resp (the collector goes back to the
-// pool; the response must not alias it).
-func (c *pageCollector) fill(resp *proto.SearchResp) {
-	files, more := c.page()
-	resp.Files, resp.More, resp.MaxRetained = append([]index.FileID(nil), files...), more, c.maxRetained
+	p.Files, p.More = sc.col.page()
+	p.MaxRetained, p.Epoch = sc.col.maxRetained, n.epoch()
+	return p, nil
 }
 
 // searchOneGroup queries one group as a single critical section under the
@@ -399,7 +402,7 @@ func (sc *groupScanner) release() {
 func newGroupScanner() *groupScanner {
 	sc := &groupScanner{}
 	sc.emit = func(f index.FileID) bool {
-		if !sc.pendingFile(f) {
+		if !sc.col.rejects(f) && !sc.pendingFile(f) {
 			sc.emitErr = sc.yield(f, sc.skipResidual)
 		}
 		return sc.emitErr == nil
@@ -408,10 +411,11 @@ func newGroupScanner() *groupScanner {
 	return sc
 }
 
-// yield passes one candidate of the running access path to the collector:
-// as it is when the path proves the whole query for it, through the
-// residual predicates otherwise — which waits in the batch until it is
-// full or the group's scan ends (judgeBatch).
+// yield passes one candidate of the running access path, one the
+// collector's gate let through, to the collector: as it is when the path
+// proves the whole query for it, through the residual predicates otherwise
+// — which waits in the batch until it is full or the group's scan ends
+// (judgeBatch).
 func (sc *groupScanner) yield(f index.FileID, proven bool) error {
 	if proven {
 		sc.col.add(f)
@@ -426,7 +430,9 @@ func (sc *groupScanner) yield(f index.FileID, proven bool) error {
 
 // judgeBatch runs the residual over the waiting candidates in file order,
 // the forward index's, and passes the matches to the collector. The order
-// the collector sees its candidates in does not change the page it keeps.
+// the collector sees its candidates in does not change the page it keeps;
+// a candidate the gate has come to reject since it was batched is not
+// judged.
 func (sc *groupScanner) judgeBatch() error {
 	if len(sc.batch) == 0 {
 		return nil
@@ -435,6 +441,9 @@ func (sc *groupScanner) judgeBatch() error {
 	sc.fwd.Reset(sc.g.fwd) // the batch's first seek descends
 	sc.fwdRead = false
 	for _, f := range sc.batch {
+		if sc.col.rejects(f) {
+			break // and so is every larger one
+		}
 		ok, err := sc.residual(f)
 		if err != nil {
 			return err
@@ -704,6 +713,9 @@ func (sc *groupScanner) scanPending() (judged int, err error) {
 						return judged, nil // the run is sorted; nothing further is inside
 					}
 				}
+				if sc.col.rejects(k.file) {
+					continue
+				}
 				if err := sc.yield(k.file, valKey[0] == sc.provenKind); err != nil {
 					return judged, err
 				}
@@ -726,6 +738,9 @@ func (sc *groupScanner) scanPending() (judged int, err error) {
 				}
 				// A posting of the point's value is proven as a hit of the
 				// lookup is; the full-table scan proves nothing.
+				if sc.col.rejects(k.file) {
+					continue
+				}
 				if err := sc.yield(k.file, point != nil && sc.provenKind != 0); err != nil {
 					return judged, err
 				}
@@ -735,7 +750,7 @@ func (sc *groupScanner) scanPending() (judged int, err error) {
 		proven := sc.kdProves()
 		for i := range sc.own.len() {
 			judged++
-			if rec := sc.own.rec(i); !rec.del && inBox(rec.payload(true), sc.kdLo, sc.kdHi) {
+			if rec := sc.own.rec(i); !rec.del && !sc.col.rejects(rec.file) && inBox(rec.payload(true), sc.kdLo, sc.kdHi) {
 				if err := sc.yield(rec.file, proven); err != nil {
 					return judged, err
 				}
@@ -852,6 +867,7 @@ func (sc *groupScanner) scanBTree() error {
 		}
 		prevSkip, skipRun = nil, 0
 		switch {
+		case sc.col.rejects(f): // can change neither the page nor More
 		case sc.pendingFile(f): // scanPending judges it, on its merged postings
 		case valEnc[0] == sc.provenKind:
 			sc.col.add(f) // inside the bounds, of the bounds' kind: proven
@@ -862,18 +878,17 @@ func (sc *groupScanner) scanBTree() error {
 			// An equality scan judges as soon as its waiting candidates
 			// could fill what is left of the page, so the stop below comes
 			// as early as it would one candidate at a time.
-			if eqScan && sc.col.limit > 0 && len(sc.batch) > sc.col.limit-len(sc.col.heap) {
+			if eqScan && sc.col.limit > 0 && len(sc.batch) > sc.col.limit-len(sc.col.files) {
 				if err := sc.judgeBatch(); err != nil {
 					return err
 				}
 			}
 		}
-		// Equality runs yield ascending file ids, so once the page is full,
-		// the current id is at or beyond the page maximum and a beyond-page
-		// match is recorded (More stays truthful), nothing later in this
-		// group can change the page — the candidates still waiting for the
-		// residual sort below the current one and only shrink the page.
-		if eqScan && sc.col.overflow && sc.col.pageClosed(f) {
+		// Equality runs yield ascending file ids, so once the gate rejects
+		// the current one it rejects everything later in this group — the
+		// candidates still waiting for the residual sort below the current
+		// one and only shrink the page.
+		if eqScan && sc.col.rejects(f) {
 			return nil
 		}
 	}

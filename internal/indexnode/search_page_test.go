@@ -3,6 +3,8 @@ package indexnode
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,6 +181,80 @@ func TestPageCollectorDuplicateBelowRoot(t *testing.T) {
 	files, more = col2.page()
 	if len(files) != 2 || files[0] != 2 || files[1] != 4 || !more {
 		t.Fatalf("page = %v more=%v, want [2 4] true", files, more)
+	}
+}
+
+// TestPageCollectorProperty feeds random candidate streams — cross-group
+// duplicates, a cursor or none, Limit 0, 1 and k, in ascending, descending
+// and shuffled order — to the collector and holds it to an oracle: the
+// page is the Limit smallest distinct ids above the cursor, More is exact
+// and at most Limit postings are ever retained. At every step a candidate
+// the gate rejects leaves the page and More unchanged when added, and
+// every candidate rejected once is still rejected at the end.
+func TestPageCollectorProperty(t *testing.T) {
+	rnd := rand.New(rand.NewSource(45))
+	for trial := range 2000 {
+		// A stream: a few groups' ascending matches, ids drawn from a small
+		// range so groups overlap.
+		var stream []index.FileID
+		for range 1 + rnd.Intn(4) {
+			for range rnd.Intn(30) {
+				stream = append(stream, index.FileID(rnd.Intn(60)))
+			}
+		}
+		switch rnd.Intn(3) {
+		case 0:
+			slices.Sort(stream)
+		case 1:
+			slices.Sort(stream)
+			slices.Reverse(stream)
+		default:
+			rnd.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+		}
+		req := proto.SearchReq{Limit: []int{0, 1, 1 + rnd.Intn(20)}[rnd.Intn(3)]}
+		if rnd.Intn(2) == 0 {
+			req.After, req.AfterSet = index.FileID(rnd.Intn(60)), true
+		}
+
+		var want []index.FileID
+		for _, f := range index.SortDedup(slices.Clone(stream)) {
+			if !req.AfterSet || f > req.After {
+				want = append(want, f)
+			}
+		}
+		wantMore := false
+		if req.Limit > 0 && len(want) > req.Limit {
+			want, wantMore = want[:req.Limit], true
+		}
+
+		var col pageCollector
+		col.reset(req)
+		var rejected []index.FileID
+		for _, f := range stream {
+			if !col.rejects(f) {
+				col.add(f)
+				continue
+			}
+			rejected = append(rejected, f)
+			before, more := slices.Clone(col.files), col.overflow
+			col.add(f)
+			if !slices.Equal(col.files, before) || col.overflow != more {
+				t.Fatalf("trial %d (%+v, stream %v): rejected %d changed the page %v more=%v to %v more=%v",
+					trial, req, stream, f, before, more, col.files, col.overflow)
+			}
+		}
+		for _, f := range rejected {
+			if !col.rejects(f) {
+				t.Fatalf("trial %d (%+v, stream %v): %d was rejected, and is admitted later", trial, req, stream, f)
+			}
+		}
+		got, more := col.page()
+		if !slices.Equal(got, want) && len(got)+len(want) > 0 || more != wantMore {
+			t.Fatalf("trial %d (%+v, stream %v): page %v more=%v, want %v more=%v", trial, req, stream, got, more, want, wantMore)
+		}
+		if req.Limit > 0 && col.maxRetained > req.Limit {
+			t.Fatalf("trial %d: retained %d postings, limit %d", trial, col.maxRetained, req.Limit)
+		}
 	}
 }
 

@@ -531,7 +531,7 @@ type SearchReq struct {
 	Consistency Consistency
 }
 
-// SearchResp returns matching files in ascending FileID order.
+// SearchResp returns matching files in strictly ascending FileID order.
 type SearchResp struct {
 	Files []index.FileID
 	// CommitLatencyNanos reports the virtual time spent committing cached

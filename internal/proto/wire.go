@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"propeller/internal/attr"
 	"propeller/internal/index"
@@ -391,8 +392,15 @@ func (r *SearchReq) MarshalWire(dst []byte) []byte {
 	return append(dst, flags, byte(r.Consistency))
 }
 
-// UnmarshalWire implements rpc.WireUnmarshaler.
+// UnmarshalWire implements rpc.WireUnmarshaler. Into a request Recycle
+// emptied it decodes into the group and predicate arrays the earlier
+// decode left; into any other it allocates what it returns. Nothing
+// aliases data.
 func (r *SearchReq) UnmarshalWire(data []byte) error {
+	acgs, preds := r.ACGs[:0], r.Preds[:0]
+	if len(r.ACGs)+len(r.Preds) > 0 {
+		acgs, preds = nil, nil // not recycled: allocate afresh
+	}
 	*r = SearchReq{}
 	b, err := checkVersion(data)
 	if err != nil {
@@ -406,7 +414,7 @@ func (r *SearchReq) UnmarshalWire(data []byte) error {
 		return err
 	}
 	if n > 0 {
-		r.ACGs = make([]ACGID, 0, n)
+		r.ACGs = slices.Grow(acgs, int(n))
 		for i := uint64(0); i < n; i++ {
 			var g uint64
 			if g, b, err = getUvarint(b); err != nil {
@@ -425,7 +433,7 @@ func (r *SearchReq) UnmarshalWire(data []byte) error {
 		return err
 	}
 	if n > 0 {
-		r.Preds = make([]query.Predicate, 0, n)
+		r.Preds = slices.Grow(preds, int(n))
 		for i := uint64(0); i < n; i++ {
 			var p query.Predicate
 			if p.Field, b, err = getString(b); err != nil {
@@ -460,13 +468,28 @@ func (r *SearchReq) UnmarshalWire(data []byte) error {
 	return nil
 }
 
+// Recycle empties r and keeps its arrays for the next UnmarshalWire into r
+// (rpc.Recycler). Whatever an earlier decode into r handed out must be out
+// of use by then.
+func (r *SearchReq) Recycle() {
+	*r = SearchReq{ACGs: recycled(r.ACGs), Preds: recycled(r.Preds)}
+}
+
+// recycled returns s emptied, or nil once its array is past 1 024
+// elements, so pooled storage does not pin the largest list it decoded.
+func recycled[T any](s []T) []T {
+	if cap(s) > 1024 {
+		return nil
+	}
+	return s[:0]
+}
+
 // Response flag bits.
 const searchMore byte = 1 << 0
 
-// MarshalWire implements rpc.WireMarshaler. Files arrive in ascending
-// FileID order (the SearchResp contract), so ids are delta-coded; the
-// zigzag form stays correct even for an out-of-order producer, it just
-// stops being small.
+// MarshalWire implements rpc.WireMarshaler. Files are in strictly
+// ascending FileID order (the SearchResp contract, which UnmarshalWire
+// enforces), so ids are delta-coded.
 func (r *SearchResp) MarshalWire(dst []byte) []byte {
 	dst = append(dst, wireV1)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Files)))
@@ -486,8 +509,16 @@ func (r *SearchResp) MarshalWire(dst []byte) []byte {
 	return dst
 }
 
-// UnmarshalWire implements rpc.WireUnmarshaler.
+// UnmarshalWire implements rpc.WireUnmarshaler. It refuses Files that
+// are not strictly ascending: the client merges the legs of a fan-out in
+// that order without sorting them. Into a response Recycle emptied it
+// decodes into the file array the earlier decode left; into any other it
+// allocates what it returns.
 func (r *SearchResp) UnmarshalWire(data []byte) error {
+	var files []index.FileID
+	if len(r.Files) == 0 {
+		files = r.Files[:0]
+	}
 	*r = SearchResp{}
 	b, err := checkVersion(data)
 	if err != nil {
@@ -501,7 +532,7 @@ func (r *SearchResp) UnmarshalWire(data []byte) error {
 		return err
 	}
 	if n > 0 {
-		r.Files = make([]index.FileID, 0, n)
+		files = slices.Grow(files, int(n))
 		prev := int64(0)
 		for i := uint64(0); i < n; i++ {
 			var d int64
@@ -509,8 +540,13 @@ func (r *SearchResp) UnmarshalWire(data []byte) error {
 				return err
 			}
 			prev += d
-			r.Files = append(r.Files, index.FileID(prev))
+			f := index.FileID(prev)
+			if i > 0 && f <= files[i-1] {
+				return wireErr("search files not ascending")
+			}
+			files = append(files, f)
 		}
+		r.Files = files
 	}
 	if r.CommitLatencyNanos, b, err = getVarint(b); err != nil {
 		return err
@@ -531,6 +567,13 @@ func (r *SearchResp) UnmarshalWire(data []byte) error {
 	}
 	r.Epoch = Epoch(epoch)
 	return nil
+}
+
+// Recycle empties r and keeps its file array for the next UnmarshalWire
+// into r (rpc.Recycler). Whatever an earlier decode into r handed out must
+// be out of use by then.
+func (r *SearchResp) Recycle() {
+	*r = SearchResp{Files: recycled(r.Files)}
 }
 
 // --- FollowerAppendReq / FollowerAppendResp ----------------------------

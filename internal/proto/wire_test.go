@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -261,6 +262,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	f.Add(append([]byte{3}, (&SearchResp{Files: []index.FileID{9, 4, 4}}).MarshalWire(nil)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -272,6 +274,9 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if err := msg.UnmarshalWire(data[1:]); err != nil {
 			return
+		}
+		if r, ok := msg.(*SearchResp); ok && !strictlyAscending(r.Files) {
+			t.Fatalf("decoded search files %v, which are not strictly ascending", r.Files)
 		}
 		first := msg.MarshalWire(nil)
 		if u, ok := msg.(*UpdateReq); ok && u.WireLen() != len(first) {
@@ -342,6 +347,33 @@ func checkReuse(t *testing.T, tag byte, input, canon []byte) {
 			if got := held.MarshalWire(nil); !bytes.Equal(got, canon) {
 				t.Fatalf("decode into a recycled message = %x, want %x", got, canon)
 			}
+		}
+	}
+}
+
+func strictlyAscending(files []index.FileID) bool {
+	for i := 1; i < len(files); i++ {
+		if files[i] <= files[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSearchRespRejectsUnsortedFiles: the client merges legs in the order
+// they arrive, so a response whose files repeat or descend is a wire error;
+// an ascending list decodes whatever its gaps, past 2^63 included.
+func TestSearchRespRejectsUnsortedFiles(t *testing.T) {
+	for _, files := range [][]index.FileID{{4, 4}, {9, 4}, {1, 2, 3, 2}, {math.MaxUint64, 0}} {
+		var r SearchResp
+		if err := r.UnmarshalWire((&SearchResp{Files: files}).MarshalWire(nil)); !errors.Is(err, ErrWire) {
+			t.Errorf("decode of files %v = %v (%v), want ErrWire", files, r.Files, err)
+		}
+	}
+	for _, files := range [][]index.FileID{{0}, {0, 1 << 63, math.MaxUint64}, {7, 1 << 40}} {
+		var r SearchResp
+		if err := r.UnmarshalWire((&SearchResp{Files: files}).MarshalWire(nil)); err != nil || !reflect.DeepEqual(r.Files, files) {
+			t.Errorf("decode of files %v = %v, %v", files, r.Files, err)
 		}
 	}
 }

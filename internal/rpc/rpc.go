@@ -262,11 +262,14 @@ func (s *Server) SetAdmitter(a Admitter) {
 	s.adm = a
 }
 
-// Recycler is implemented by a request whose UnmarshalWire decodes into
-// the storage an earlier decode left in it once Recycle has handed that
-// storage back. HandleTyped recycles each request it decoded once the
-// handler has returned, so a handler must not keep a recycled request's
-// slices past its return; it copies what it keeps.
+// Recycler is implemented by a message whose storage can be handed back.
+// A request's UnmarshalWire decodes into the storage an earlier decode left
+// in it once Recycle has handed that storage back. HandleTyped recycles
+// each request it decoded once the handler has returned, so a handler must
+// not keep a recycled request's slices past its return; it copies what it
+// keeps. A response that is a Recycler is recycled once its reply frame is
+// written, so a handler may answer with storage it lends the response
+// until then.
 type Recycler interface {
 	Recycle()
 }
@@ -278,7 +281,8 @@ func HandleTyped[Req, Resp any](s *Server, method string, fn func(context.Contex
 	// pooled per method: the codec reaches both through an interface, so a
 	// box of the handler's own would be allocated for every request. A
 	// request that is a Recycler keeps its storage in the box for the next
-	// decode; any other is dropped.
+	// decode; any other is dropped. A response that is a Recycler hands its
+	// storage back once the reply is written.
 	type box struct {
 		req  Req
 		resp Resp
@@ -294,7 +298,11 @@ func HandleTyped[Req, Resp any](s *Server, method string, fn func(context.Contex
 			} else {
 				b.req = *new(Req)
 			}
-			b.resp = *new(Resp)
+			if r, ok := any(&b.resp).(Recycler); ok {
+				r.Recycle()
+			} else {
+				b.resp = *new(Resp)
+			}
 			boxes.Put(b)
 		}()
 		var err error
@@ -712,19 +720,26 @@ func (c *Client) abandon(id uint64) {
 // anything else gob — the codec byte in the body keeps both decodable on
 // the same connection. The request is marshalled straight into its frame.
 // The context's deadline travels with the request and its cancellation
-// abandons the call.
+// abandons the call. It is CallInto with a response of its own.
 func Call[Req, Resp any](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
 	var resp Resp
+	err := CallInto(ctx, c, method, req, &resp)
+	return resp, err
+}
+
+// CallInto is Call decoding the response into *resp, so a caller that
+// recycles a response (Recycler) decodes into the storage it kept.
+func CallInto[Req, Resp any](ctx context.Context, c *Client, method string, req Req, resp *Resp) error {
 	f, err := c.call(ctx, method, &req)
 	if err != nil {
-		return resp, err
+		return err
 	}
-	err = decodeBody(f.Body, &resp)
+	err = decodeBody(f.Body, resp)
 	putBody(f.buf)
 	if err != nil {
-		return resp, fmt.Errorf("rpc %s: decode response: %w", method, err)
+		return fmt.Errorf("rpc %s: decode response: %w", method, err)
 	}
-	return resp, nil
+	return nil
 }
 
 // Closed reports whether the client can no longer issue calls — torn down

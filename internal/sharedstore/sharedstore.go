@@ -15,6 +15,7 @@ package sharedstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,8 +50,8 @@ type Store struct {
 // reconstructing the exact state the corrupt image held.
 type state struct {
 	mu         sync.Mutex
-	checkpoint []byte // CRC-framed image (nil = never checkpointed)
-	wal        []byte
+	checkpoint []byte   // CRC-framed image (nil = never checkpointed)
+	wal        [][]byte // WAL span since the checkpoint (appendChunked)
 	// walRecords counts the framed appends since the checkpoint (the
 	// commit path's compaction trigger; replay is driven by the bytes).
 	walRecords int
@@ -58,7 +59,28 @@ type state struct {
 	// WAL span between the two checkpoints, so prevCheckpoint + prevWal +
 	// wal reconstructs everything the current checkpoint + wal holds.
 	prevCheckpoint []byte
-	prevWal        []byte
+	prevWal        [][]byte
+}
+
+// walChunk is the size a mirrored WAL grows by once its first chunk is
+// full: a WAL span is a list of chunks whose concatenation is its bytes, so
+// an append copies its record once and never moves what the span already
+// holds. The first chunk grows from empty by append, so a group that logs
+// little holds little.
+const walChunk = 64 << 10
+
+// appendChunked adds b to the end of the WAL span w.
+func appendChunked(w [][]byte, b []byte) [][]byte {
+	n := len(w)
+	if n == 0 || (cap(w[n-1]) >= walChunk && len(w[n-1])+len(b) > cap(w[n-1])) {
+		var c []byte
+		if n > 0 {
+			c = make([]byte, 0, max(walChunk, len(b)))
+		}
+		w, n = append(w, c), n+1
+	}
+	w[n-1] = append(w[n-1], b...)
+	return w
 }
 
 // New returns an empty store.
@@ -85,7 +107,7 @@ func (s *Store) AppendWAL(id proto.ACGID, framed []byte) {
 	st := s.get(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.wal = append(st.wal, framed...)
+	st.wal = appendChunked(st.wal, framed)
 	st.walRecords++
 }
 
@@ -139,9 +161,7 @@ func (s *Store) Load(id proto.ACGID) (checkpoint, walBytes []byte, ok bool) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.wal != nil {
-		walBytes = append([]byte(nil), st.wal...)
-	}
+	walBytes = slices.Concat(st.wal...)
 	if st.checkpoint == nil {
 		return nil, walBytes, true
 	}
@@ -150,7 +170,7 @@ func (s *Store) Load(id proto.ACGID) (checkpoint, walBytes []byte, ok bool) {
 	}
 	// Newest checkpoint corrupt: fall back one generation.
 	s.fallbackLoads.Add(1)
-	walBytes = append(append([]byte(nil), st.prevWal...), st.wal...)
+	walBytes = slices.Concat(slices.Concat(st.prevWal, st.wal)...)
 	if st.prevCheckpoint != nil {
 		if img, err := decodeCheckpoint(st.prevCheckpoint); err == nil {
 			return img, walBytes, true

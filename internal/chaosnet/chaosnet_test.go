@@ -3,6 +3,7 @@ package chaosnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -15,6 +16,21 @@ import (
 
 type pingReq struct{ N int }
 type pingResp struct{ N int }
+
+func (m *pingReq) MarshalWire(dst []byte) []byte { return binary.AppendVarint(dst, int64(m.N)) }
+
+func (m *pingReq) UnmarshalWire(b []byte) error {
+	v, n := binary.Varint(b)
+	if n <= 0 {
+		return errors.New("ping: bad varint")
+	}
+	m.N = int(v)
+	return nil
+}
+
+func (m *pingResp) MarshalWire(dst []byte) []byte { return (*pingReq)(m).MarshalWire(dst) }
+
+func (m *pingResp) UnmarshalWire(b []byte) error { return (*pingReq)(m).UnmarshalWire(b) }
 
 // startPair wires an rpc client to an in-process server through the
 // chaos network under the given link identity.

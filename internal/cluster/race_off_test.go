@@ -20,11 +20,11 @@ import (
 // and the client decodes both legs into pooled storage. What is left is the
 // query's parse and predicate set, the fan-out (its leg closure and
 // goroutine), the two round trips (each call's boxed request, and on the
-// node its method name, the request's index and field names and the
-// handler goroutine) and the merged page the caller keeps.
+// node the request's index and field names and the handler goroutine) and
+// the merged page the caller keeps.
 // Not under the race detector, which inflates allocation counts.
 func TestWarmPointLookupAllocs(t *testing.T) {
-	const budget = 17 // measured 17
+	const budget = 15 // measured 15
 	_, cl := bootCluster(t, Config{IndexNodes: 2})
 	ctx := context.Background()
 	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
@@ -74,7 +74,7 @@ func TestWarmPointLookupAllocs(t *testing.T) {
 // its batch buffer would add one. Not under the race detector, which
 // inflates allocation counts.
 func TestWarmReplicatedUpdateAllocs(t *testing.T) {
-	const budget = 14 // measured 14
+	const budget = 12 // measured 12
 	c, cl := bootCluster(t, Config{IndexNodes: 2, ReplicationFactor: 2, CacheLimit: 1 << 20})
 	ctx := context.Background()
 	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
@@ -111,7 +111,7 @@ func TestWarmReplicatedUpdateAllocs(t *testing.T) {
 // CacheLimit 256, which commit eight times. Most of what is left is what
 // the node keeps: the cache entries, in the group's own storage, and the
 // pages the commits write; beside it each call's request and response
-// boxes, method name and handler goroutine. The budget is the measurement
+// boxes and handler goroutine. The budget is the measurement
 // plus a tenth. Not under the race detector, which inflates allocations.
 func TestWarmUpdateBytes(t *testing.T) {
 	const (

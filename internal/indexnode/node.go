@@ -786,7 +786,7 @@ func (n *Node) FlushACG(_ context.Context, req proto.FlushACGReq) (proto.FlushAC
 	if err := n.checkpointLocked(g); err != nil {
 		return proto.FlushACGResp{}, err
 	}
-	return proto.FlushACGResp{OK: true}, nil
+	return proto.FlushACGResp{}, nil
 }
 
 // DropCaches models a cold start: the buffer pool is emptied and KD images

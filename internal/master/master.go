@@ -29,10 +29,9 @@
 package master
 
 import (
-	"bytes"
 	"cmp"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -45,6 +44,7 @@ import (
 	"propeller/internal/proto"
 	"propeller/internal/rpc"
 	"propeller/internal/vclock"
+	"propeller/internal/wal"
 )
 
 // Errors returned by the Master.
@@ -190,9 +190,9 @@ func (a *acgInfo) removeReplica(node proto.NodeID) bool {
 	return false
 }
 
-// state is the Master's durable metadata and, gob-encoded as it is, its
-// snapshot. Node load and liveness are not in it: they are rebuilt from
-// the records, re-registrations and heartbeats.
+// state is the Master's durable metadata and, encoded as it is (appendWire),
+// its snapshot. Node load and liveness are not in it: they are rebuilt
+// from the records, re-registrations and heartbeats.
 type state struct {
 	FileToACG map[index.FileID]proto.ACGID
 	HintToACG map[uint64]proto.ACGID
@@ -278,7 +278,7 @@ func (m *Master) RegisterNode(_ context.Context, req proto.RegisterNodeReq) (pro
 	n.addr = req.Addr
 	n.lastSeen = m.cfg.Clock.Now()
 	n.dead = false
-	return proto.RegisterNodeResp{OK: true}, nil
+	return proto.RegisterNodeResp{}, nil
 }
 
 // Heartbeat refreshes node status and answers with the plan's difference
@@ -939,7 +939,7 @@ func (m *Master) CreateIndex(_ context.Context, req proto.CreateIndexReq) (proto
 		return proto.CreateIndexResp{}, fmt.Errorf("%q: %w", req.Spec.Name, ErrIndexExists)
 	}
 	m.Specs[req.Spec.Name] = req.Spec
-	return proto.CreateIndexResp{OK: true}, nil
+	return proto.CreateIndexResp{}, nil
 }
 
 // Report applies a move a node carried out; the node changes its own state
@@ -1119,23 +1119,32 @@ func (m *Master) PlacementEpoch() proto.Epoch {
 // SnapshotMetadata serializes the durable metadata — the state value
 // itself, file→group map, placements, replica sets, planned moves and
 // epoch (the paper flushes the file-to-ACG mappings to shared storage
-// periodically to survive crashes).
+// periodically to survive crashes) — as one wal frame, whose checksum
+// refuses a damaged image.
 func (m *Master) SnapshotMetadata() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&m.state); err != nil {
-		return nil, fmt.Errorf("master snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return wal.SealFrame(m.state.appendWire(wal.NewFrame(nil, 0))), nil
 }
 
 // LoadMetadata restores a snapshot (crash recovery) and rebuilds what is
 // volatile from it. Index Nodes must re-register afterwards; their
 // heartbeats repopulate liveness.
 func (m *Master) LoadMetadata(img []byte) error {
-	s := newState()
-	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&s); err != nil {
+	var rec []byte
+	n := 0
+	err := wal.ReplayBytes(img, func(r []byte) bool {
+		rec, n = r, n+1
+		return true
+	})
+	if err == nil && n != 1 {
+		err = fmt.Errorf("image holds %d records, want 1", n)
+	}
+	var s state
+	if err == nil {
+		s, err = readState(rec)
+	}
+	if err != nil {
 		return fmt.Errorf("master load: %w", err)
 	}
 	for f, id := range s.FileToACG {
@@ -1162,4 +1171,62 @@ func (m *Master) LoadMetadata(img []byte) error {
 		}
 	}
 	return nil
+}
+
+// appendWire appends the state's encoding, field by field with proto's
+// helpers, maps in key order.
+func (s *state) appendWire(dst []byte) []byte {
+	dst = binary.AppendUvarint(proto.AppendVersion(dst), uint64(s.NextACG))
+	dst = binary.AppendUvarint(dst, uint64(s.Epoch))
+	dst = proto.AppendMap(dst, s.FileToACG, appendPair)
+	dst = proto.AppendMap(dst, s.HintToACG, appendPair)
+	dst = proto.AppendMap(dst, s.Merged, appendPair)
+	dst = proto.AppendMap(dst, s.Specs, func(dst []byte, _ string, spec proto.IndexSpec) []byte {
+		return proto.AppendSpec(dst, spec)
+	})
+	return proto.AppendMap(dst, s.ACGs, appendACG)
+}
+
+// readState decodes what appendWire wrote.
+func readState(rec []byte) (state, error) {
+	rd := proto.NewWireReader(rec)
+	s := state{NextACG: proto.ACGID(rd.Uvarint()), Epoch: proto.Epoch(rd.Uvarint()),
+		FileToACG: proto.ReadMap(&rd, 2, readPair[index.FileID, proto.ACGID]),
+		HintToACG: proto.ReadMap(&rd, 2, readPair[uint64, proto.ACGID]),
+		Merged:    proto.ReadMap(&rd, 2, readPair[proto.ACGID, proto.ACGID]),
+		Specs: proto.ReadMap(&rd, 4, func(r *proto.WireReader) (string, proto.IndexSpec) {
+			spec := proto.ReadSpec(r)
+			return spec.Name, spec
+		}),
+		ACGs: proto.ReadMap(&rd, 12, readACG),
+	}
+	return s, rd.Err()
+}
+
+func appendPair[K, V ~uint64](dst []byte, k K, v V) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(dst, uint64(k)), uint64(v))
+}
+
+func readPair[K, V ~uint64](r *proto.WireReader) (K, V) { return K(r.Uvarint()), V(r.Uvarint()) }
+
+func appendACG(dst []byte, _ proto.ACGID, a *acgInfo) []byte {
+	dst = binary.AppendUvarint(dst, uint64(a.ID))
+	dst = binary.AppendUvarint(proto.AppendString(dst, string(a.Node)), uint64(a.Epoch))
+	dst = proto.AppendList(binary.AppendVarint(dst, a.Files), a.Replicas, appendReplica)
+	return proto.AppendOrder(binary.AppendUvarint(dst, a.Seq), a.Move)
+}
+
+func readACG(r *proto.WireReader) (proto.ACGID, *acgInfo) {
+	a := &acgInfo{ID: proto.ACGID(r.Uvarint()), Node: proto.NodeID(r.Str()), Epoch: proto.Epoch(r.Uvarint()),
+		Files: r.Varint(), Replicas: proto.ReadList(r, 4, readReplica), Seq: r.Uvarint(), Move: proto.ReadOrder(r)}
+	return a.ID, a
+}
+
+func appendReplica(dst []byte, r *replicaInfo) []byte {
+	dst = binary.AppendUvarint(proto.AppendString(dst, string(r.Node)), uint64(r.Epoch))
+	return binary.AppendUvarint(proto.AppendBool(dst, r.Seeded), r.Seq)
+}
+
+func readReplica(r *proto.WireReader) *replicaInfo {
+	return &replicaInfo{Node: proto.NodeID(r.Str()), Epoch: proto.Epoch(r.Uvarint()), Seeded: r.Bool(), Seq: r.Uvarint()}
 }

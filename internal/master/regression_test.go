@@ -1,14 +1,14 @@
 package master
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"reflect"
 	"testing"
 	"time"
 
 	"propeller/internal/index"
 	"propeller/internal/proto"
+	"propeller/internal/wal"
 )
 
 // TestReplayedGroupIsReplicatedAgain extends
@@ -77,13 +77,74 @@ func TestReportMergeFromNonOwnerRefused(t *testing.T) {
 // records were the snapshot — fails the load instead of restoring a Master
 // that panics on the first lookup.
 func TestLoadMetadataRefusesDanglingMappings(t *testing.T) {
-	var img bytes.Buffer
-	if err := gob.NewEncoder(&img).Encode(struct {
-		FileToACG map[index.FileID]proto.ACGID
-	}{map[index.FileID]proto.ACGID{1: 7}}); err != nil {
+	s := newState()
+	s.FileToACG[1] = 7
+	img := wal.FrameRecord(s.appendWire(nil))
+	if err := New(Config{}).LoadMetadata(img); err == nil {
+		t.Fatal("image mapping a file to a group without a record loaded")
+	}
+}
+
+// TestSnapshotRefusesEveryBitFlip: the image is one checksummed frame, so
+// a snapshot with any bit of any byte flipped, cut short or run on fails
+// to load instead of restoring a different Master.
+func TestSnapshotRefusesEveryBitFlip(t *testing.T) {
+	m := newTestMaster(t, "a")
+	ctx := context.Background()
+	if _, err := m.CreateIndex(ctx, proto.CreateIndexReq{Spec: proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := New(Config{}).LoadMetadata(img.Bytes()); err == nil {
-		t.Fatal("image mapping a file to a group without a record loaded")
+	if _, err := m.LookupFiles(ctx, proto.LookupFilesReq{Files: []index.FileID{1, 2}, GroupHints: []uint64{3, 3}, Allocate: true}); err != nil {
+		t.Fatal(err)
+	}
+	img, err := m.SnapshotMetadata()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(Config{}).LoadMetadata(img); err != nil {
+		t.Fatalf("pristine image: %v", err)
+	}
+	for bit := range len(img) * 8 {
+		flipped := append([]byte(nil), img...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if err := New(Config{}).LoadMetadata(flipped); err == nil {
+			t.Fatalf("image with bit %d of %d bytes flipped loaded", bit, len(img))
+		}
+	}
+	for cut := range len(img) {
+		if err := New(Config{}).LoadMetadata(img[:cut]); err == nil {
+			t.Fatalf("image cut to %d of %d bytes loaded", cut, len(img))
+		}
+	}
+	if err := New(Config{}).LoadMetadata(append(img, img...)); err == nil {
+		t.Fatal("two images back to back loaded")
+	}
+}
+
+// TestStateWireRoundTrip: the snapshot's encoding restores an equal state,
+// populated or empty, and fails on every strict prefix of its bytes.
+func TestStateWireRoundTrip(t *testing.T) {
+	full := newState()
+	full.FileToACG[1], full.FileToACG[1<<50], full.FileToACG[3] = 4, 4, 9
+	full.HintToACG[7] = 4
+	full.Merged[9] = 4
+	full.Specs["size"] = proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}
+	full.Specs["pos"] = proto.IndexSpec{Name: "pos", Type: proto.IndexKD, Fields: []string{"x", "y"}}
+	full.ACGs[4] = &acgInfo{ID: 4, Node: "a", Epoch: 3, Files: 120, Seq: 88,
+		Replicas: []*replicaInfo{{Node: "b", Epoch: 3, Seeded: true, Seq: 80}, {Node: "c", Epoch: 5}},
+		Move:     proto.Order{Kind: proto.OrderSplit, ACG: 4, Dest: proto.ReplicaRef{Node: "b", Addr: "pipe:b"}, Into: 10, Epoch: 6}}
+	full.ACGs[9] = &acgInfo{ID: 9, Node: "b", Files: -1}
+	full.NextACG, full.Epoch = 11, 6
+	for name, s := range map[string]state{"populated": full, "empty": newState()} {
+		raw := s.appendWire(nil)
+		got, err := readState(raw)
+		if err != nil || !reflect.DeepEqual(got, s) {
+			t.Errorf("%s: round trip = %+v, %v; want %+v", name, got, err, s)
+		}
+		for cut := range len(raw) {
+			if _, err := readState(raw[:cut]); err == nil {
+				t.Errorf("%s: a %d-byte prefix of %d decoded", name, cut, len(raw))
+			}
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package proto defines the wire types exchanged between Propeller's
 // client, Master Node and Index Nodes (Figure 6), carried by package rpc.
-// The data-plane messages have a hand-rolled binary form (wire.go) — for
-// UpdateReq that form is also the Index Node's log record; the cold
-// control-plane messages are plain gob-encodable structs.
+// Every message has one hand-rolled binary form (wire.go): for UpdateReq
+// that form is also the Index Node's log record, and the Master's snapshot
+// is built from the same exported helpers.
 //
 // The vocabulary mirrors the paper: an ACGID names one Access-Causality
 // Group (an index partition), an IndexSpec declares a named B-tree, hash or
@@ -14,6 +14,6 @@
 // friends). Method name constants bind each pair to its rpc dispatch
 // label.
 //
-// Everything here is plain data: no methods with behaviour, no internal
-// state, so the package can be imported from every layer without cycles.
+// Everything here is plain data and its encoding: no internal state, so
+// the package can be imported from every layer without cycles.
 package proto

@@ -98,10 +98,12 @@ type RegisterNodeReq struct {
 	CapacityFiles int64
 }
 
+// Empty is a message with no fields: a request without parameters, or an
+// acknowledgement that carries nothing.
+type Empty struct{}
+
 // RegisterNodeResp acknowledges registration.
-type RegisterNodeResp struct {
-	OK bool
-}
+type RegisterNodeResp = Empty
 
 // ACGMeta is per-ACG metadata reported in heartbeats.
 type ACGMeta struct {
@@ -321,9 +323,7 @@ type CreateIndexReq struct {
 }
 
 // CreateIndexResp acknowledges creation.
-type CreateIndexResp struct {
-	OK bool
-}
+type CreateIndexResp = Empty
 
 // ReportReq tells the Master a node carried out Order: it shipped a
 // migration or a split's moved half, or folded a merge's source into
@@ -346,7 +346,7 @@ type ReportResp struct {
 }
 
 // ClusterStatsReq asks for a cluster summary.
-type ClusterStatsReq struct{}
+type ClusterStatsReq = Empty
 
 // NodeStats summarizes one Index Node from the Master's view.
 type NodeStats struct {
@@ -423,8 +423,8 @@ type ReceiveACGChunkReq struct {
 	Done   bool
 }
 
-// ReceiveACGChunkResp acknowledges one chunk; it carries nothing.
-type ReceiveACGChunkResp struct{}
+// ReceiveACGChunkResp acknowledges one chunk.
+type ReceiveACGChunkResp = Empty
 
 // ReceiveACGMeta names an ACG transfer — the destination of a background
 // split, of a live migration (TransferACG) or of a replica seeding — and is
@@ -574,9 +574,7 @@ type FlushACGReq struct {
 }
 
 // FlushACGResp acknowledges the merge.
-type FlushACGResp struct {
-	OK bool
-}
+type FlushACGResp = Empty
 
 // FollowerAppendReq streams a run of WAL frames from a group's primary to
 // one follower: every frame that queued on the (group, follower) stream
@@ -609,7 +607,7 @@ type FollowerAppendResp struct {
 }
 
 // NodeStatsReq asks an Index Node for its local stats.
-type NodeStatsReq struct{}
+type NodeStatsReq = Empty
 
 // NodeStatsResp summarizes an Index Node.
 type NodeStatsResp struct {

@@ -1,23 +1,6 @@
 package proto
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-)
-
-func roundTrip[T any](t *testing.T, in T) T {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var out T
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	return out
-}
+import "testing"
 
 func TestIndexTypeString(t *testing.T) {
 	tests := []struct {
@@ -48,16 +31,20 @@ func TestIndexSpecDims(t *testing.T) {
 }
 
 // TestSearchAndLookupGobRoundTrip covers the control-plane half of a
-// search: the LookupIndex reply that names the fan-out targets travels gob.
-// (The data-plane messages — UpdateReq, SearchReq and the rest of wire.go —
-// have no gob form; TestWireRoundTrip is their round trip.)
+// search: the LookupIndex reply that names the fan-out targets. The name is
+// kept from when that reply travelled gob; it now has a wire codec like every
+// other message, and this checks that codec keeps the spec and the targets.
 func TestSearchAndLookupGobRoundTrip(t *testing.T) {
-	lr := roundTrip(t, LookupIndexResp{
+	in := LookupIndexResp{
 		Spec: IndexSpec{Name: "size", Type: IndexBTree, Field: "size"},
 		Targets: []IndexTarget{
 			{Node: "in-00", Addr: "pipe:in-00", ACGs: []ACGID{1, 2}},
 		},
-	})
+	}
+	var lr LookupIndexResp
+	if err := lr.UnmarshalWire(in.MarshalWire(nil)); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
 	if lr.Spec.Name != "size" || len(lr.Targets) != 1 || len(lr.Targets[0].ACGs) != 2 {
 		t.Errorf("lookup resp = %+v", lr)
 	}

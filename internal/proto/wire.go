@@ -1,10 +1,11 @@
-// Hand-rolled binary wire codec for the hot-path messages. Every request
-// the data plane sends millions of times — updates, searches, follower
-// appends, and the file lookups a client makes for every new file it
-// indexes — implements rpc's MarshalWire/UnmarshalWire pair here, so the
-// transport picks the binary form automatically; the cold control plane
-// (registration, heartbeats, index placement) stays on gob, which costs
-// those ~25 rarely-sent messages no code at all.
+// Hand-rolled binary wire codec: every request and response the system
+// sends implements rpc's MarshalWire/UnmarshalWire pair here, and the rpc
+// layer carries nothing else. The data plane's codecs — updates, searches,
+// follower appends, file lookups — are written for speed (recycled
+// storage, delta-coded ids, routes sent once); the control plane's and the
+// transfer chunk's are written for brevity, one line a field on each side
+// through AppendList, ReadList and the sticky-error WireReader. The
+// Master's snapshot is built from the same helpers.
 //
 // The UpdateReq encoding is more than a transport form: it is the Index
 // Node's log record. Node.Update frames MarshalWire's output once and that
@@ -15,10 +16,12 @@
 // stops at a record whose version it does not know, as at a torn tail).
 //
 // Layout conventions: each message starts with a version byte (wireV1);
-// unsigned integers are uvarints, signed ones zigzag varints; strings and
-// byte slices carry a uvarint length prefix; attr.Values are their
-// order-preserving Encode bytes behind a uvarint length (they are not
-// self-delimiting — a string value runs to the end of its buffer);
+// unsigned integers are uvarints, signed ones zigzag varints, booleans
+// and enums one byte; strings and byte slices carry a uvarint length
+// prefix, lists a uvarint count; maps are lists of pairs in ascending key
+// order; attr.Values are their order-preserving Encode bytes behind a
+// uvarint length (they are not self-delimiting — a string value runs to
+// the end of its buffer);
 // ascending FileID lists (search results) are delta-coded so dense result
 // pages cost ~1 byte per id. Decoders must survive arbitrary bytes without
 // panicking — FuzzWireDecode holds them to that — so every read is
@@ -27,9 +30,11 @@
 package proto
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -70,7 +75,8 @@ func getVarint(b []byte) (int64, []byte, error) {
 	return v, b[n:], nil
 }
 
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s behind its uvarint length.
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -164,6 +170,132 @@ func checkVersion(b []byte) ([]byte, error) {
 	return b[1:], nil
 }
 
+// AppendVersion starts a message: it appends the version byte a
+// WireReader checks.
+func AppendVersion(dst []byte) []byte { return append(dst, wireV1) }
+
+// AppendBool appends b as one byte.
+func AppendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// AppendList appends s's length and then each element, written by elem.
+func AppendList[T any](dst []byte, s []T, elem func([]byte, T) []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	for _, v := range s {
+		dst = elem(dst, v)
+	}
+	return dst
+}
+
+// AppendMap appends m's size and then its pairs in ascending key order,
+// each written by elem, so equal maps encode to equal bytes.
+func AppendMap[K cmp.Ordered, V any](dst []byte, m map[K]V, elem func([]byte, K, V) []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m)))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		dst = elem(dst, k, m[k])
+	}
+	return dst
+}
+
+// WireReader reads a message field by field. Its first error sticks: every
+// later read returns a zero value and Err reports it, so a decoder reads
+// each field in one line and checks once. Nothing its methods return
+// aliases the message's bytes.
+type WireReader struct {
+	b   []byte
+	err error
+}
+
+// NewWireReader starts reading data, whose version byte (AppendVersion) it
+// checks.
+func NewWireReader(data []byte) WireReader {
+	b, err := checkVersion(data)
+	return WireReader{b: b, err: err}
+}
+
+// Err returns the first error a read met, nil if none did.
+func (r *WireReader) Err() error { return r.err }
+
+// Uvarint reads an unsigned integer.
+func (r *WireReader) Uvarint() uint64 { return read(r, getUvarint) }
+
+// Varint reads a signed integer.
+func (r *WireReader) Varint() int64 { return read(r, getVarint) }
+
+// Int reads a signed integer into an int.
+func (r *WireReader) Int() int { return int(r.Varint()) }
+
+// Str reads a length-prefixed string.
+func (r *WireReader) Str() string { return read(r, getString) }
+
+// Byte reads one byte: an enum's.
+func (r *WireReader) Byte() byte { return read(r, getByte) }
+
+// Bool reads a boolean AppendBool wrote.
+func (r *WireReader) Bool() bool { return r.Byte() != 0 }
+
+// read takes one field off r with get, unless an earlier read failed.
+func read[T any](r *WireReader, get func([]byte) (T, []byte, error)) (v T) {
+	if r.err == nil {
+		var err error
+		if v, r.b, err = get(r.b); err != nil {
+			r.err = err
+		}
+	}
+	return v
+}
+
+func getByte(b []byte) (byte, []byte, error) {
+	if len(b) == 0 {
+		return 0, nil, wireErr("truncated message")
+	}
+	return b[0], b[1:], nil
+}
+
+// count reads an element count, refusing one the bytes left cannot hold
+// at min bytes an element (0 once a read failed).
+func (r *WireReader) count(min int) int {
+	n := r.Uvarint()
+	if err := countGuard(n, r.b, min); r.err == nil && err != nil {
+		r.err = err
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// ReadList reads a list AppendList wrote whose elements take at least min
+// bytes each, each read by elem; nil when it is empty. A count the bytes
+// left cannot hold fails before anything is allocated.
+func ReadList[T any](r *WireReader, min int, elem func(*WireReader) T) []T {
+	n := r.count(min)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = elem(r)
+	}
+	return out
+}
+
+// ReadMap reads a map AppendMap wrote whose pairs take at least min bytes
+// each, each read by elem. The map is never nil.
+func ReadMap[K comparable, V any](r *WireReader, min int, elem func(*WireReader) (K, V)) map[K]V {
+	n := r.count(min)
+	m := make(map[K]V, n)
+	for range n {
+		k, v := elem(r)
+		m[k] = v
+	}
+	return m
+}
+
 // --- IndexEntry --------------------------------------------------------
 
 // Entry flag bits.
@@ -246,7 +378,7 @@ func decodeIndexEntry(b []byte, coords []float64) (IndexEntry, []byte, error) {
 func (r *UpdateReq) MarshalWire(dst []byte) []byte {
 	dst = append(dst, wireV1)
 	dst = binary.AppendUvarint(dst, uint64(r.ACG))
-	dst = appendString(dst, r.IndexName)
+	dst = AppendString(dst, r.IndexName)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Entries)))
 	for _, e := range r.Entries {
 		dst = e.AppendWire(dst)
@@ -376,10 +508,10 @@ func (r *SearchReq) MarshalWire(dst []byte) []byte {
 	for _, g := range r.ACGs {
 		dst = binary.AppendUvarint(dst, uint64(g))
 	}
-	dst = appendString(dst, r.IndexName)
+	dst = AppendString(dst, r.IndexName)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Preds)))
 	for _, p := range r.Preds {
-		dst = appendString(dst, p.Field)
+		dst = AppendString(dst, p.Field)
 		dst = append(dst, byte(p.Op))
 		dst = appendValue(dst, p.Value)
 	}
@@ -640,103 +772,53 @@ func (r *FollowerAppendResp) UnmarshalWire(data []byte) error {
 	return nil
 }
 
-// --- ReceiveACGMeta ----------------------------------------------
+// --- ReceiveACGMeta / ReceiveACGChunkReq -------------------------------
+
+// A transfer sends one chunk call per 256 KiB of image, so these codecs
+// are written like the control plane's.
+
+func appendMeta(dst []byte, m ReceiveACGMeta) []byte {
+	dst = appendUint(appendUint(dst, m.ACG), m.Epoch)
+	return binary.AppendUvarint(AppendBool(dst, m.Follower), m.ReplSeq)
+}
+
+func readMeta(r *WireReader) ReceiveACGMeta {
+	return ReceiveACGMeta{ACG: readUint[ACGID](r), Epoch: readUint[Epoch](r), Follower: r.Bool(), ReplSeq: r.Uvarint()}
+}
 
 // MarshalWire implements rpc.WireMarshaler.
-func (r *ReceiveACGMeta) MarshalWire(dst []byte) []byte {
-	return r.appendFields(append(dst, wireV1))
-}
-
-func (r *ReceiveACGMeta) appendFields(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(r.ACG))
-	dst = binary.AppendUvarint(dst, uint64(r.Epoch))
-	var flags byte
-	if r.Follower {
-		flags |= 1
-	}
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, r.ReplSeq)
-	return dst
-}
+func (r *ReceiveACGMeta) MarshalWire(dst []byte) []byte { return appendMeta(AppendVersion(dst), *r) }
 
 // UnmarshalWire implements rpc.WireUnmarshaler.
 func (r *ReceiveACGMeta) UnmarshalWire(data []byte) error {
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
-	}
-	_, err = r.parseFields(b)
-	return err
+	rd := NewWireReader(data)
+	*r = readMeta(&rd)
+	return rd.Err()
 }
-
-// parseFields decodes what appendFields wrote and returns the bytes after
-// it.
-func (r *ReceiveACGMeta) parseFields(b []byte) ([]byte, error) {
-	*r = ReceiveACGMeta{}
-	acg, b, err := getUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	r.ACG = ACGID(acg)
-	var epoch uint64
-	if epoch, b, err = getUvarint(b); err != nil {
-		return nil, err
-	}
-	r.Epoch = Epoch(epoch)
-	if len(b) == 0 {
-		return nil, wireErr("truncated transfer meta flags")
-	}
-	r.Follower = b[0]&1 != 0
-	r.ReplSeq, b, err = getUvarint(b[1:])
-	return b, err
-}
-
-// --- ReceiveACGChunkReq / ReceiveACGChunkResp ---------------------------
 
 // MarshalWire implements rpc.WireMarshaler.
 func (r *ReceiveACGChunkReq) MarshalWire(dst []byte) []byte {
-	dst = r.Meta.appendFields(append(dst, wireV1))
-	dst = binary.AppendUvarint(dst, r.Offset)
-	var flags byte
-	if r.Done {
-		flags |= 1
-	}
-	return appendBytes(append(dst, flags), r.Data)
+	dst = binary.AppendUvarint(appendMeta(AppendVersion(dst), r.Meta), r.Offset)
+	return appendBytes(AppendBool(dst, r.Done), r.Data)
 }
 
 // UnmarshalWire implements rpc.WireUnmarshaler. Data aliases data, which
 // the rpc layer keeps until the handler has returned; the receiver copies
 // what it keeps of a chunk.
 func (r *ReceiveACGChunkReq) UnmarshalWire(data []byte) error {
-	*r = ReceiveACGChunkReq{}
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
-	}
-	if b, err = r.Meta.parseFields(b); err != nil {
-		return err
-	}
-	if r.Offset, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	if len(b) == 0 {
-		return wireErr("truncated chunk flags")
-	}
-	r.Done = b[0]&1 != 0
-	if r.Data, _, err = getBytesRef(b[1:]); err != nil {
-		return err
-	}
+	rd := NewWireReader(data)
+	*r = ReceiveACGChunkReq{Meta: readMeta(&rd), Offset: rd.Uvarint(), Done: rd.Bool(), Data: read(&rd, getBytesRef)}
 	if len(r.Data) == 0 {
 		r.Data = nil
 	}
-	return nil
+	return rd.Err()
 }
 
 // MarshalWire implements rpc.WireMarshaler.
-func (r *ReceiveACGChunkResp) MarshalWire(dst []byte) []byte { return append(dst, wireV1) }
+func (*Empty) MarshalWire(dst []byte) []byte { return AppendVersion(dst) }
 
 // UnmarshalWire implements rpc.WireUnmarshaler.
-func (r *ReceiveACGChunkResp) UnmarshalWire(data []byte) error {
+func (*Empty) UnmarshalWire(data []byte) error {
 	_, err := checkVersion(data)
 	return err
 }
@@ -834,8 +916,8 @@ func (r *LookupFilesResp) MarshalWire(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(routes)))
 	for _, rt := range routes {
 		dst = binary.AppendUvarint(dst, uint64(rt.acg))
-		dst = appendString(dst, rt.node)
-		dst = appendString(dst, rt.addr)
+		dst = AppendString(dst, rt.node)
+		dst = AppendString(dst, rt.addr)
 		dst = binary.AppendUvarint(dst, uint64(rt.epoch))
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.Mappings)))
@@ -911,3 +993,266 @@ func (r *LookupFilesResp) UnmarshalWire(data []byte) error {
 	}
 	return nil
 }
+
+// --- control plane ------------------------------------------------------
+
+// The control plane's messages are sent once per heartbeat, registration
+// or cache miss, so their codecs spend no code on speed: each field is one
+// line a side, and a decode allocates what it returns. Every message type
+// below implements rpc.WireMarshaler and rpc.WireUnmarshaler.
+
+func appendUint[T ~uint64](dst []byte, v T) []byte { return binary.AppendUvarint(dst, uint64(v)) }
+func readUint[T ~uint64](r *WireReader) T          { return T(r.Uvarint()) }
+
+// AppendSpec appends an IndexSpec.
+func AppendSpec(dst []byte, s IndexSpec) []byte {
+	dst = append(AppendString(dst, s.Name), byte(s.Type))
+	return AppendList(AppendString(dst, s.Field), s.Fields, AppendString)
+}
+
+// ReadSpec reads an IndexSpec AppendSpec wrote.
+func ReadSpec(r *WireReader) IndexSpec {
+	return IndexSpec{Name: r.Str(), Type: IndexType(r.Byte()), Field: r.Str(), Fields: ReadList(r, 1, (*WireReader).Str)}
+}
+
+// AppendOrder appends an Order.
+func AppendOrder(dst []byte, o Order) []byte {
+	dst = appendUint(append(dst, byte(o.Kind)), o.ACG)
+	dst = appendUint(appendRef(dst, o.Dest), o.Into)
+	return appendUint(dst, o.Epoch)
+}
+
+// ReadOrder reads an Order AppendOrder wrote.
+func ReadOrder(r *WireReader) Order {
+	return Order{Kind: OrderKind(r.Byte()), ACG: readUint[ACGID](r), Dest: readRef(r), Into: readUint[ACGID](r), Epoch: readUint[Epoch](r)}
+}
+
+func appendRef(dst []byte, ref ReplicaRef) []byte {
+	return AppendString(AppendString(dst, string(ref.Node)), ref.Addr)
+}
+func readRef(r *WireReader) ReplicaRef { return ReplicaRef{Node: NodeID(r.Str()), Addr: r.Str()} }
+
+func appendCopy(dst []byte, c Copy) []byte {
+	return appendUint(appendRef(dst, ReplicaRef{c.Node, c.Addr}), c.Epoch)
+}
+func readCopy(r *WireReader) Copy {
+	return Copy{Node: NodeID(r.Str()), Addr: r.Str(), Epoch: readUint[Epoch](r)}
+}
+
+func (r *RegisterNodeReq) MarshalWire(dst []byte) []byte {
+	dst = appendRef(AppendVersion(dst), ReplicaRef{r.Node, r.Addr})
+	return binary.AppendVarint(dst, r.CapacityFiles)
+}
+
+func (r *RegisterNodeReq) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = RegisterNodeReq{Node: NodeID(rd.Str()), Addr: rd.Str(), CapacityFiles: rd.Varint()}
+	return rd.Err()
+}
+
+func appendACGMeta(dst []byte, m ACGMeta) []byte {
+	dst = binary.AppendVarint(appendUint(dst, m.ACG), m.Files)
+	dst = binary.AppendUvarint(AppendBool(dst, m.Follower), m.ReplSeq)
+	return AppendList(appendUint(dst, m.Epoch), m.Followers, appendCopy)
+}
+
+func readACGMeta(r *WireReader) ACGMeta {
+	return ACGMeta{ACG: readUint[ACGID](r), Files: r.Varint(), Follower: r.Bool(), ReplSeq: r.Uvarint(),
+		Epoch: readUint[Epoch](r), Followers: ReadList(r, 3, readCopy)}
+}
+
+func (r *HeartbeatReq) MarshalWire(dst []byte) []byte {
+	dst = AppendString(AppendVersion(dst), string(r.Node))
+	dst = AppendList(dst, r.ACGs, appendACGMeta)
+	return binary.AppendVarint(dst, int64(r.QueueDepth))
+}
+
+func (r *HeartbeatReq) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = HeartbeatReq{Node: NodeID(rd.Str()), ACGs: ReadList(&rd, 6, readACGMeta), QueueDepth: rd.Int()}
+	return rd.Err()
+}
+
+func appendTarget(dst []byte, t Target) []byte {
+	dst = append(appendUint(dst, t.ACG), byte(t.Role))
+	dst = binary.AppendUvarint(appendUint(dst, t.Epoch), t.Seq)
+	return AppendList(dst, t.Followers, appendCopy)
+}
+
+func readTarget(r *WireReader) Target {
+	return Target{ACG: readUint[ACGID](r), Role: Role(r.Byte()), Epoch: readUint[Epoch](r), Seq: r.Uvarint(),
+		Followers: ReadList(r, 3, readCopy)}
+}
+
+func (r *HeartbeatResp) MarshalWire(dst []byte) []byte {
+	dst = AppendList(AppendVersion(dst), r.Targets, appendTarget)
+	dst = AppendList(dst, r.Moves, AppendOrder)
+	return binary.AppendVarint(appendUint(dst, r.Epoch), r.LeaseNanos)
+}
+
+func (r *HeartbeatResp) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = HeartbeatResp{Targets: ReadList(&rd, 5, readTarget), Moves: ReadList(&rd, 6, ReadOrder),
+		Epoch: readUint[Epoch](&rd), LeaseNanos: rd.Varint()}
+	return rd.Err()
+}
+
+func (r *LookupIndexReq) MarshalWire(dst []byte) []byte {
+	return AppendString(AppendVersion(dst), r.IndexName)
+}
+
+func (r *LookupIndexReq) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = LookupIndexReq{IndexName: rd.Str()}
+	return rd.Err()
+}
+
+func appendIndexTarget(dst []byte, t IndexTarget) []byte {
+	return AppendList(appendRef(dst, ReplicaRef{t.Node, t.Addr}), t.ACGs, appendUint[ACGID])
+}
+
+func readIndexTarget(r *WireReader) IndexTarget {
+	return IndexTarget{Node: NodeID(r.Str()), Addr: r.Str(), ACGs: ReadList(r, 1, readUint[ACGID])}
+}
+
+func appendRoute(dst []byte, g GroupRoute) []byte {
+	return AppendList(appendRef(appendUint(dst, g.ACG), g.Primary), g.Followers, appendRef)
+}
+
+func readRoute(r *WireReader) GroupRoute {
+	return GroupRoute{ACG: readUint[ACGID](r), Primary: readRef(r), Followers: ReadList(r, 2, readRef)}
+}
+
+func (r *LookupIndexResp) MarshalWire(dst []byte) []byte {
+	dst = AppendSpec(AppendVersion(dst), r.Spec)
+	dst = AppendList(dst, r.Targets, appendIndexTarget)
+	return appendUint(AppendList(dst, r.Routes, appendRoute), r.Epoch)
+}
+
+func (r *LookupIndexResp) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = LookupIndexResp{Spec: ReadSpec(&rd), Targets: ReadList(&rd, 3, readIndexTarget),
+		Routes: ReadList(&rd, 4, readRoute), Epoch: readUint[Epoch](&rd)}
+	return rd.Err()
+}
+
+func (r *CreateIndexReq) MarshalWire(dst []byte) []byte {
+	return AppendSpec(AppendVersion(dst), r.Spec)
+}
+
+func (r *CreateIndexReq) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = CreateIndexReq{Spec: ReadSpec(&rd)}
+	return rd.Err()
+}
+
+func (r *ReportReq) MarshalWire(dst []byte) []byte {
+	dst = AppendString(AppendVersion(dst), string(r.Node))
+	return AppendList(AppendOrder(dst, r.Order), r.Files, appendUint[index.FileID])
+}
+
+func (r *ReportReq) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = ReportReq{Node: NodeID(rd.Str()), Order: ReadOrder(&rd), Files: ReadList(&rd, 1, readUint[index.FileID])}
+	return rd.Err()
+}
+
+func (r *ReportResp) MarshalWire(dst []byte) []byte {
+	return appendUint(AppendVersion(dst), r.Epoch)
+}
+
+func (r *ReportResp) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = ReportResp{Epoch: readUint[Epoch](&rd)}
+	return rd.Err()
+}
+
+// appendVarints appends each of vs, a counter a field.
+func appendVarints(dst []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		dst = binary.AppendVarint(dst, v)
+	}
+	return dst
+}
+
+func appendNodeStats(dst []byte, s NodeStats) []byte {
+	return appendVarints(appendRef(dst, ReplicaRef{s.Node, s.Addr}),
+		int64(s.ACGs), s.Files, int64(s.QueueDepth), int64(s.FollowerGroups), s.ReplicaLagFrames, s.Promotions)
+}
+
+func readNodeStats(r *WireReader) NodeStats {
+	return NodeStats{Node: NodeID(r.Str()), Addr: r.Str(), ACGs: r.Int(), Files: r.Varint(), QueueDepth: r.Int(),
+		FollowerGroups: r.Int(), ReplicaLagFrames: r.Varint(), Promotions: r.Varint()}
+}
+
+func (r *ClusterStatsResp) MarshalWire(dst []byte) []byte {
+	dst = AppendList(AppendVersion(dst), r.Nodes, appendNodeStats)
+	dst = AppendList(appendVarints(dst, r.Files, int64(r.ACGs)), r.Indexes, AppendSpec)
+	dst = appendUint(dst, r.PlacementEpoch)
+	return appendVarints(dst, r.MigrationsOrdered, r.Recoveries, int64(r.DeadNodes), int64(r.ReplicatedGroups), r.Promotions)
+}
+
+func (r *ClusterStatsResp) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = ClusterStatsResp{Nodes: ReadList(&rd, 8, readNodeStats), Files: rd.Varint(), ACGs: rd.Int(),
+		Indexes: ReadList(&rd, 4, ReadSpec), PlacementEpoch: readUint[Epoch](&rd), MigrationsOrdered: rd.Varint(),
+		Recoveries: rd.Varint(), DeadNodes: rd.Int(), ReplicatedGroups: rd.Int(), Promotions: rd.Varint()}
+	return rd.Err()
+}
+
+func appendEdge(dst []byte, e ACGEdge) []byte {
+	return binary.AppendVarint(appendUint(appendUint(dst, e.Src), e.Dst), e.Weight)
+}
+
+func readEdge(r *WireReader) ACGEdge {
+	return ACGEdge{Src: readUint[index.FileID](r), Dst: readUint[index.FileID](r), Weight: r.Varint()}
+}
+
+func (r *FlushACGReq) MarshalWire(dst []byte) []byte {
+	dst = appendUint(AppendVersion(dst), r.ACG)
+	dst = AppendList(dst, r.Edges, appendEdge)
+	return AppendList(dst, r.Vertices, appendUint[index.FileID])
+}
+
+func (r *FlushACGReq) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = FlushACGReq{ACG: readUint[ACGID](&rd), Edges: ReadList(&rd, 3, readEdge), Vertices: ReadList(&rd, 1, readUint[index.FileID])}
+	return rd.Err()
+}
+
+// MarshalWire sends the node's counters in field order.
+func (r *NodeStatsResp) MarshalWire(dst []byte) []byte {
+	dst = appendVarints(AppendString(AppendVersion(dst), string(r.Node)),
+		int64(r.ACGs), r.Files, int64(r.CachedOps), int64(r.WALRecords), r.PoolHits, r.PoolMisses)
+	dst = AppendList(dst, r.IndexSpecs, AppendSpec)
+	dst = appendVarints(dst, r.Commits, r.CommitEntries, r.CommitFailures, r.KDRebuilds, r.CoalescedEntries,
+		r.HashScanFallbacks, r.StrictReadThroughs, r.StrictCommitsFirst)
+	dst = AppendMap(dst, r.PerACGCommits, func(dst []byte, g ACGID, n int64) []byte {
+		return binary.AppendVarint(appendUint(dst, g), n)
+	})
+	dst = appendUint(dst, r.PlacementEpoch)
+	return appendVarints(dst, r.WALBatches, r.WALBatchedRecords, r.MaxWALBatch,
+		r.StalePlacementRejects, r.GroupsMigratedOut, r.GroupsRecovered, int64(r.QueueDepth), r.UpdatesShed,
+		r.SearchesShed, r.FairnessSheds, int64(r.FollowerGroups), r.FollowerAppends, r.FollowerCuts, r.Promotions,
+		r.SearchesServed, r.LeaseRejects, r.PeerConnEvictions)
+}
+
+func (r *NodeStatsResp) UnmarshalWire(data []byte) error {
+	rd := NewWireReader(data)
+	*r = NodeStatsResp{Node: NodeID(rd.Str()), ACGs: rd.Int(), Files: rd.Varint(), CachedOps: rd.Int(),
+		WALRecords: rd.Int(), PoolHits: rd.Varint(), PoolMisses: rd.Varint(), IndexSpecs: ReadList(&rd, 4, ReadSpec),
+		Commits: rd.Varint(), CommitEntries: rd.Varint(), CommitFailures: rd.Varint(), KDRebuilds: rd.Varint(),
+		CoalescedEntries: rd.Varint(), HashScanFallbacks: rd.Varint(), StrictReadThroughs: rd.Varint(),
+		StrictCommitsFirst: rd.Varint(), PerACGCommits: ReadMap(&rd, 2, readACGCount),
+		PlacementEpoch: readUint[Epoch](&rd), WALBatches: rd.Varint(), WALBatchedRecords: rd.Varint(),
+		MaxWALBatch: rd.Varint(), StalePlacementRejects: rd.Varint(), GroupsMigratedOut: rd.Varint(),
+		GroupsRecovered: rd.Varint(), QueueDepth: rd.Int(), UpdatesShed: rd.Varint(), SearchesShed: rd.Varint(),
+		FairnessSheds: rd.Varint(), FollowerGroups: rd.Int(), FollowerAppends: rd.Varint(), FollowerCuts: rd.Varint(),
+		Promotions: rd.Varint(), SearchesServed: rd.Varint(), LeaseRejects: rd.Varint(), PeerConnEvictions: rd.Varint()}
+	if len(r.PerACGCommits) == 0 {
+		r.PerACGCommits = nil // as a node with no commits reports it
+	}
+	return rd.Err()
+}
+
+func readACGCount(r *WireReader) (ACGID, int64) { return readUint[ACGID](r), r.Varint() }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -14,7 +15,7 @@ import (
 	"propeller/internal/query"
 )
 
-// wireMsg is the marshal/unmarshal pair every hot-path message implements
+// wireMsg is the marshal/unmarshal pair every message implements
 // (rpc.WireMarshaler + rpc.WireUnmarshaler, restated locally to keep the
 // proto tests free of an rpc import).
 type wireMsg interface {
@@ -22,9 +23,9 @@ type wireMsg interface {
 	UnmarshalWire(data []byte) error
 }
 
-// wireFixtures returns one populated value per binary message type. Slices
-// left empty are nil (UnmarshalWire's convention), so DeepEqual round-trips
-// exactly.
+// wireFixtures returns a populated and an empty value of every message
+// type. Slices and maps left empty are nil (UnmarshalWire's convention), so
+// DeepEqual round-trips exactly.
 func wireFixtures() map[string]wireMsg {
 	return map[string]wireMsg{
 		"UpdateReq": &UpdateReq{
@@ -51,7 +52,8 @@ func wireFixtures() map[string]wireMsg {
 				{File: 100006, Value: attr.Int(9)}, {File: 100007, Value: attr.Int(123456789)},
 			},
 		},
-		"UpdateResp": &UpdateResp{Cached: -3, Epoch: 77},
+		"UpdateResp":       &UpdateResp{Cached: -3, Epoch: 77},
+		"UpdateResp/empty": &UpdateResp{},
 		"SearchReq": &SearchReq{
 			ACGs: []ACGID{1, 5, 1 << 40}, IndexName: "inode",
 			Preds: []query.Predicate{
@@ -67,18 +69,21 @@ func wireFixtures() map[string]wireMsg {
 			Files:              []index.FileID{3, 4, 9, 1000, 1 << 50},
 			CommitLatencyNanos: 12345, More: true, MaxRetained: -1, Epoch: 8,
 		},
-		"SearchResp/empty":   &SearchResp{},
-		"FollowerAppendReq":  &FollowerAppendReq{ACG: 6, Seq: 19, Epoch: 2, Frames: []byte{0, 1, 2, 0xFF}},
-		"FollowerAppendResp": &FollowerAppendResp{Seq: 20, Epoch: 3},
+		"SearchResp/empty":         &SearchResp{},
+		"FollowerAppendReq":        &FollowerAppendReq{ACG: 6, Seq: 19, Epoch: 2, Frames: []byte{0, 1, 2, 0xFF}},
+		"FollowerAppendReq/empty":  &FollowerAppendReq{},
+		"FollowerAppendResp":       &FollowerAppendResp{Seq: 20, Epoch: 3},
+		"FollowerAppendResp/empty": &FollowerAppendResp{},
 		"ReceiveACGMeta": &ReceiveACGMeta{
 			ACG: 11, Epoch: 4, Follower: true, ReplSeq: 999,
 		},
+		"ReceiveACGMeta/empty": &ReceiveACGMeta{},
 		"ReceiveACGChunkReq": &ReceiveACGChunkReq{
 			Meta:   ReceiveACGMeta{ACG: 12, Epoch: 5, ReplSeq: 40},
 			Offset: 256 << 10, Data: []byte{0xA7, 1, 3, 0, 0xFF}, Done: true,
 		},
 		"ReceiveACGChunkReq/empty": &ReceiveACGChunkReq{},
-		"ReceiveACGChunkResp":      &ReceiveACGChunkResp{},
+		"Empty":                    &Empty{},
 		"LookupFilesReq": &LookupFilesReq{
 			Files: []index.FileID{1 << 30, 7, 8}, GroupHints: []uint64{3, 0, 3}, Allocate: true,
 		},
@@ -96,6 +101,114 @@ func wireFixtures() map[string]wireMsg {
 			},
 		},
 		"LookupFilesResp/empty": &LookupFilesResp{},
+		"RegisterNodeReq":       &RegisterNodeReq{Node: "in-07", Addr: "10.0.0.7:7171", CapacityFiles: 1 << 40},
+		"RegisterNodeReq/empty": &RegisterNodeReq{},
+		"HeartbeatReq": &HeartbeatReq{
+			Node: "in-01", QueueDepth: 17,
+			ACGs: []ACGMeta{
+				{ACG: 3, Files: 5000, ReplSeq: 88, Epoch: 6, Followers: []Copy{{Node: "in-02", Epoch: 6}, {Node: "in-03", Epoch: 9}}},
+				{ACG: 1 << 40, Files: -1, Follower: true, ReplSeq: 1 << 62},
+			},
+		},
+		"HeartbeatReq/empty": &HeartbeatReq{},
+		"HeartbeatReq/16":    heartbeat16(),
+		"HeartbeatResp": &HeartbeatResp{
+			Targets: []Target{
+				{ACG: 4, Role: RolePrimary, Epoch: 10, Seq: 77, Followers: []Copy{{Node: "in-02", Addr: "10.0.0.2:7171", Epoch: 10}, {Node: "in-05", Epoch: 3}}},
+				{ACG: 5, Role: RoleNone, Epoch: 9},
+			},
+			Moves: []Order{
+				{Kind: OrderSplit, ACG: 4, Dest: ReplicaRef{Node: "in-03", Addr: "10.0.0.3:7171"}, Into: 12, Epoch: 11},
+				{Kind: OrderMigrate, ACG: 6, Dest: ReplicaRef{Node: "in-04", Addr: "10.0.0.4:7171"}, Epoch: 12},
+				{Kind: OrderMerge, ACG: 7, Into: 4},
+			},
+			Epoch: 12, LeaseNanos: 3e9,
+		},
+		"HeartbeatResp/empty":  &HeartbeatResp{},
+		"LookupIndexReq":       &LookupIndexReq{IndexName: "size"},
+		"LookupIndexReq/empty": &LookupIndexReq{},
+		"LookupIndexResp": &LookupIndexResp{
+			Spec: IndexSpec{Name: "pos", Type: IndexKD, Fields: []string{"x", "y"}},
+			Targets: []IndexTarget{
+				{Node: "in-00", Addr: "pipe:in-00", ACGs: []ACGID{1, 2}},
+				{Node: "in-01", Addr: "pipe:in-01"},
+			},
+			Routes: []GroupRoute{
+				{ACG: 1, Primary: ReplicaRef{Node: "in-00", Addr: "pipe:in-00"}, Followers: []ReplicaRef{{Node: "in-01", Addr: "pipe:in-01"}}},
+				{ACG: 2, Primary: ReplicaRef{Node: "in-00", Addr: "pipe:in-00"}},
+			},
+			Epoch: 5,
+		},
+		"LookupIndexResp/empty": &LookupIndexResp{},
+		"CreateIndexReq":        &CreateIndexReq{Spec: IndexSpec{Name: "size", Type: IndexBTree, Field: "size"}},
+		"CreateIndexReq/empty":  &CreateIndexReq{},
+		"ReportReq": &ReportReq{
+			Node:  "in-02",
+			Order: Order{Kind: OrderSplit, ACG: 9, Dest: ReplicaRef{Node: "in-03", Addr: "10.0.0.3:7171"}, Into: 10, Epoch: 4},
+			Files: []index.FileID{5, 1 << 50, 6},
+		},
+		"ReportReq/empty":  &ReportReq{},
+		"ReportResp":       &ReportResp{Epoch: 31},
+		"ReportResp/empty": &ReportResp{},
+		"ClusterStatsResp": &ClusterStatsResp{
+			Nodes: []NodeStats{
+				{Node: "in-00", Addr: "10.0.0.1:7171", ACGs: 3, Files: 9000, QueueDepth: 2, FollowerGroups: 1, ReplicaLagFrames: 4, Promotions: 1},
+				{Node: "in-01"},
+			},
+			Files: 9000, ACGs: 3,
+			Indexes:        []IndexSpec{{Name: "size", Type: IndexBTree, Field: "size"}, {Name: "uid", Type: IndexHash, Field: "uid"}},
+			PlacementEpoch: 14, MigrationsOrdered: 2, Recoveries: 1, DeadNodes: 1, ReplicatedGroups: 3, Promotions: -1,
+		},
+		"ClusterStatsResp/empty": &ClusterStatsResp{},
+		"FlushACGReq": &FlushACGReq{
+			ACG:      8,
+			Edges:    []ACGEdge{{Src: 1, Dst: 2, Weight: 5}, {Src: 2, Dst: 1 << 45, Weight: -1}},
+			Vertices: []index.FileID{7, 3},
+		},
+		"FlushACGReq/empty": &FlushACGReq{},
+		"NodeStatsResp": &NodeStatsResp{
+			Node: "in-03", ACGs: 4, Files: 12000, CachedOps: 31, WALRecords: 31, PoolHits: 900, PoolMisses: 12,
+			IndexSpecs: []IndexSpec{{Name: "size", Type: IndexBTree, Field: "size"}},
+			Commits:    40, CommitEntries: 4000, CommitFailures: 1, KDRebuilds: 2, CoalescedEntries: 30,
+			HashScanFallbacks: 3, StrictReadThroughs: 50, StrictCommitsFirst: 4,
+			PerACGCommits:  map[ACGID]int64{1: 30, 9: 10, 1 << 33: 0},
+			PlacementEpoch: 8, WALBatches: 20, WALBatchedRecords: 31, MaxWALBatch: 5, StalePlacementRejects: 6,
+			GroupsMigratedOut: 1, GroupsRecovered: 2, QueueDepth: 3, UpdatesShed: 4, SearchesShed: 5, FairnessSheds: 6,
+			FollowerGroups: 2, FollowerAppends: 70, FollowerCuts: 1, Promotions: 1, SearchesServed: 99,
+			LeaseRejects: 2, PeerConnEvictions: -7,
+		},
+		"NodeStatsResp/empty": &NodeStatsResp{},
+	}
+}
+
+// heartbeat16 is a node's heartbeat for 16 replicated groups: the report
+// every node sends every interval.
+func heartbeat16() *HeartbeatReq {
+	req := &HeartbeatReq{Node: "in-00", QueueDepth: 3}
+	for i := range 16 {
+		req.ACGs = append(req.ACGs, ACGMeta{
+			ACG: ACGID(i + 1), Files: int64(3000 + 17*i), ReplSeq: uint64(1000 + i), Epoch: Epoch(i % 3),
+			Followers: []Copy{{Node: "in-01", Epoch: 4}},
+		})
+	}
+	return req
+}
+
+// TestControlPlaneBytes pins two heartbeat messages at their encoded size,
+// so a codec that sends type descriptions with each message cannot creep
+// back in.
+func TestControlPlaneBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		msg  wireMsg
+		want int
+	}{
+		{"a heartbeat reply that changes nothing", &HeartbeatResp{Epoch: 1}, 5},
+		{"a 16-group heartbeat report", heartbeat16(), 265},
+	} {
+		if got := len(tc.msg.MarshalWire(nil)); got != tc.want {
+			t.Errorf("%s: %d bytes, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -124,7 +237,13 @@ func TestLookupFilesRespSendsEachRouteOnce(t *testing.T) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	for name, msg := range wireFixtures() {
+	fixtures := wireFixtures()
+	for _, k := range fuzzKinds {
+		if _, ok := fixtures[strings.TrimPrefix(reflect.TypeOf(k).String(), "*proto.")]; !ok {
+			t.Errorf("%T has no fixture", k)
+		}
+	}
+	for name, msg := range fixtures {
 		raw := msg.MarshalWire(nil)
 		got := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wireMsg)
 		if err := got.UnmarshalWire(raw); err != nil {
@@ -209,35 +328,33 @@ func TestUpdateReqWireLen(t *testing.T) {
 	}
 }
 
-// fuzzTags maps a leading tag byte to a fresh message of each binary type,
-// so one fuzz corpus covers every decoder.
+// fuzzKinds holds a message of each type; a fuzz input's first byte is
+// the index of the type its decoder is. New types go at the end, so the
+// committed corpus keeps its meaning.
+var fuzzKinds = []wireMsg{
+	&UpdateReq{}, &UpdateResp{}, &SearchReq{}, &SearchResp{}, &FollowerAppendReq{}, &FollowerAppendResp{},
+	&ReceiveACGMeta{}, &LookupFilesReq{}, &LookupFilesResp{}, &ReceiveACGChunkReq{}, &Empty{},
+	&RegisterNodeReq{}, &HeartbeatReq{}, &HeartbeatResp{}, &LookupIndexReq{}, &LookupIndexResp{},
+	&CreateIndexReq{}, &ReportReq{}, &ReportResp{}, &ClusterStatsResp{}, &FlushACGReq{}, &NodeStatsResp{},
+}
+
+// fuzzMsgFor returns a fresh message of the type tag names, nil for none.
 func fuzzMsgFor(tag byte) wireMsg {
-	switch tag {
-	case 0:
-		return &UpdateReq{}
-	case 1:
-		return &UpdateResp{}
-	case 2:
-		return &SearchReq{}
-	case 3:
-		return &SearchResp{}
-	case 4:
-		return &FollowerAppendReq{}
-	case 5:
-		return &FollowerAppendResp{}
-	case 6:
-		return &ReceiveACGMeta{}
-	case 7:
-		return &LookupFilesReq{}
-	case 8:
-		return &LookupFilesResp{}
-	case 9:
-		return &ReceiveACGChunkReq{}
-	case 10:
-		return &ReceiveACGChunkResp{}
-	default:
+	if int(tag) >= len(fuzzKinds) {
 		return nil
 	}
+	return reflect.New(reflect.TypeOf(fuzzKinds[tag]).Elem()).Interface().(wireMsg)
+}
+
+// fuzzTag returns the tag of msg's type.
+func fuzzTag(t testing.TB, msg wireMsg) byte {
+	for i, k := range fuzzKinds {
+		if reflect.TypeOf(k) == reflect.TypeOf(msg) {
+			return byte(i)
+		}
+	}
+	t.Fatalf("%T has no fuzz tag", msg)
+	return 0
 }
 
 // FuzzWireDecode holds every binary decoder to two properties under
@@ -247,18 +364,8 @@ func fuzzMsgFor(tag byte) wireMsg {
 // don't matter). A decoder that reuses its destination's storage (a
 // recycler) is held to a third, checkReuse.
 func FuzzWireDecode(f *testing.F) {
-	tags := map[string]byte{
-		"UpdateReq": 0, "UpdateReq/empty": 0, "UpdateReq/ingest": 0, "UpdateResp": 1,
-		"SearchReq": 2, "SearchReq/empty": 2, "SearchResp": 3,
-		"SearchResp/empty": 3, "FollowerAppendReq": 4,
-		"FollowerAppendResp": 5, "ReceiveACGMeta": 6,
-		"LookupFilesReq": 7, "LookupFilesReq/empty": 7,
-		"LookupFilesResp": 8, "LookupFilesResp/empty": 8,
-		"ReceiveACGChunkReq": 9, "ReceiveACGChunkReq/empty": 9,
-		"ReceiveACGChunkResp": 10,
-	}
-	for name, msg := range wireFixtures() {
-		f.Add(append([]byte{tags[name]}, msg.MarshalWire(nil)...))
+	for _, msg := range wireFixtures() {
+		f.Add(append([]byte{fuzzTag(f, msg)}, msg.MarshalWire(nil)...))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})

@@ -1,13 +1,10 @@
 package rpc
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Frame kinds. The kind byte is the first byte inside the CRC envelope and
@@ -31,7 +28,7 @@ var errMalformedFrame = errors.New("rpc: malformed frame")
 // kind-specific fields, in place of Body. A zero Kind encodes as kindRequest
 // so construction sites — and tests — that build request frames
 // field-by-field keep working.
-func appendFrameBody(dst []byte, f *frame) (out []byte, bodyAt int, err error) {
+func appendFrameBody(dst []byte, f *frame) (out []byte, bodyAt int) {
 	k := f.Kind
 	if k == 0 {
 		k = kindRequest
@@ -50,17 +47,16 @@ func appendFrameBody(dst []byte, f *frame) (out []byte, bodyAt int, err error) {
 	}
 	bodyAt = len(dst)
 	if f.msg != nil {
-		dst, err = appendBody(dst, f.msg)
-		return dst, bodyAt, err
+		return f.msg.MarshalWire(dst), bodyAt
 	}
-	return append(dst, f.Body...), bodyAt, nil
+	return append(dst, f.Body...), bodyAt
 }
 
 // parseFrameBody decodes a frame body produced by appendFrameBody. The
-// returned frame's Body aliases b, the buffer readFrame read the frame
-// into, which goes back to its pool once the frame is done with. An unknown
-// kind byte parses to a frame with only Kind and ID set; dispatch loops
-// skip it.
+// returned frame's Name and Body alias b, the buffer readFrame read the
+// frame into, which goes back to its pool once the frame is done with. An
+// unknown kind byte parses to a frame with only Kind and ID set; dispatch
+// loops skip it.
 func parseFrameBody(b []byte) (frame, error) {
 	if len(b) == 0 {
 		return frame{}, fmt.Errorf("rpc decode: empty body: %w", errMalformedFrame)
@@ -73,11 +69,9 @@ func parseFrameBody(b []byte) (frame, error) {
 	}
 	switch f.Kind {
 	case kindRequest:
-		var m []byte
-		if m, b, err = getPrefixed(b); err != nil {
+		if f.Name, b, err = getPrefixed(b); err != nil {
 			return frame{}, err
 		}
-		f.Method = string(m)
 		var t uint64
 		if t, b, err = getUvarint(b); err != nil {
 			return frame{}, err
@@ -121,23 +115,9 @@ func getPrefixed(b []byte) ([]byte, []byte, error) {
 	return rest[:n], rest[n:], nil
 }
 
-// Body codec tags. Every typed body begins with one codec byte so both
-// encodings coexist on one connection. The sender selects by something the
-// code observes, not by an option: a message that implements the
-// WireMarshaler/WireUnmarshaler pair — the data plane — travels hand-rolled
-// binary; everything else — the cold control plane, ~25 message types sent
-// once per heartbeat or per cache miss — travels gob, which gives each a
-// codec for zero lines. This file and the Master snapshot are the only
-// places gob still encodes anything the system runs on (CI holds the
-// import allow-list); logs, images and every data-plane frame are binary.
-const (
-	codecGob    byte = 0x01
-	codecBinary byte = 0x02
-)
-
-// WireMarshaler is implemented by messages with a hand-rolled binary
-// encoding. MarshalWire appends the encoding to dst and returns the
-// extended slice.
+// WireMarshaler is what every message implements: a frame's body is its
+// MarshalWire encoding and nothing else. MarshalWire appends the encoding
+// to dst and returns the extended slice.
 type WireMarshaler interface {
 	MarshalWire(dst []byte) []byte
 }
@@ -149,56 +129,4 @@ type WireMarshaler interface {
 // returns.
 type WireUnmarshaler interface {
 	UnmarshalWire(data []byte) error
-}
-
-// gobRdrPool recycles the readers the gob cold path decodes through. A
-// gob.Encoder/Decoder pair is deliberately rebuilt per message because gob
-// streams are stateful — an encoder sends each type's descriptor once per
-// *stream*, so an encoder reused across independent frames would omit
-// descriptors the remote frame-scoped decoder has never seen. Encoding needs
-// no pool: it appends to the frame's own pooled buffer.
-var gobRdrPool = sync.Pool{New: func() any { return bytes.NewReader(nil) }}
-
-// appendBody appends the codec-tagged encoding of v (a pointer) to dst.
-func appendBody(dst []byte, v any) ([]byte, error) {
-	if m, ok := v.(WireMarshaler); ok {
-		return m.MarshalWire(append(dst, codecBinary)), nil
-	}
-	w := appendWriter{append(dst, codecGob)}
-	if err := gob.NewEncoder(&w).Encode(v); err != nil {
-		return dst, fmt.Errorf("rpc: encode %T: %w", v, err)
-	}
-	return w.b, nil
-}
-
-// appendWriter is the io.Writer gob encodes through: it appends to b.
-type appendWriter struct{ b []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// decodeBody deserializes a codec-tagged body into v (a pointer).
-func decodeBody(data []byte, v any) error {
-	if len(data) == 0 {
-		return fmt.Errorf("rpc: empty typed body: %w", errMalformedFrame)
-	}
-	switch data[0] {
-	case codecBinary:
-		u, ok := v.(WireUnmarshaler)
-		if !ok {
-			return fmt.Errorf("rpc: binary-coded body for %T, which has no UnmarshalWire", v)
-		}
-		return u.UnmarshalWire(data[1:])
-	case codecGob:
-		r := gobRdrPool.Get().(*bytes.Reader)
-		r.Reset(data[1:])
-		err := gob.NewDecoder(r).Decode(v)
-		r.Reset(nil)
-		gobRdrPool.Put(r)
-		return err
-	default:
-		return fmt.Errorf("rpc: unknown body codec 0x%02x: %w", data[0], errMalformedFrame)
-	}
 }

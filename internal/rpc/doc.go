@@ -1,7 +1,7 @@
 // Package rpc is the message layer of the Propeller cluster: a minimal
-// method-dispatch RPC over net.Conn with codec-tagged bodies (hand-rolled
-// binary for messages that implement WireMarshaler, gob for the rest — see
-// codec.go).
+// method-dispatch RPC over net.Conn whose bodies are the messages' own
+// binary encoding (WireMarshaler / WireUnmarshaler, which every message
+// implements — see codec.go).
 //
 // It supports both real transports (TCP via net.Listen, in-process via
 // net.Pipe) and an optional virtual network cost model so cluster
@@ -17,7 +17,8 @@
 // comment in rpc.go says why the length needs its own).
 //
 // Servers register handlers with HandleTyped (a generic adapter that
-// decodes the request and encodes the response); clients invoke them
+// decodes the request and encodes the response, accepting only
+// wire-coded messages); clients invoke them
 // with the generic Call, matching requests to responses by sequence number
 // so many goroutines can share one connection. A call is the only shape: a
 // payload too large for one frame (an ACG image) moves as a sequence of

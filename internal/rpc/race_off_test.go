@@ -8,8 +8,7 @@ import (
 	"testing"
 )
 
-// counter is a message with a hand-rolled encoding, the codec every
-// data-plane message uses.
+// counter is a message with a hand-rolled encoding, as every message has.
 type counter struct{ N uint64 }
 
 func (m *counter) MarshalWire(dst []byte) []byte { return binary.AppendUvarint(dst, m.N) }
@@ -24,14 +23,14 @@ func (m *counter) UnmarshalWire(b []byte) error {
 }
 
 // TestWarmCallAllocs pins what a warm call over net.Pipe allocates, on both
-// sides of the connection: the request's method name, the handler
-// goroutine, and the request and response the client's Call hands the
-// codec. The bodies encode into the pooled frame buffer and are read, one
+// sides of the connection: the handler goroutine, and the request and
+// response the client's Call hands the codec. The server finds the
+// handler by the request's method name where the frame was read into. The bodies encode into the pooled frame buffer and are read, one
 // read a frame, into pooled buffers; the caller waits in a reused slot, and
 // the handler decodes into and answers from a pooled box. Not under the
 // race detector, which inflates allocation counts.
 func TestWarmCallAllocs(t *testing.T) {
-	const budget = 4 // measured 4
+	const budget = 3 // measured 3
 	s := NewServer()
 	HandleTyped(s, "inc", func(_ context.Context, r counter) (counter, error) {
 		return counter{N: r.N + 1}, nil

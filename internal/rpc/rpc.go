@@ -25,9 +25,9 @@ var (
 	ErrFrameCorrupt  = errors.New("rpc: frame checksum mismatch")
 )
 
-// errUnsent marks a frame that could not be composed — over maxFrame, or a
-// message its codec refuses. writeFrame reports it before writing a byte, so
-// the connection is intact and the peer saw nothing.
+// errUnsent marks a frame that could not be composed: one over maxFrame.
+// writeFrame reports it before writing a byte, so the connection is intact
+// and the peer saw nothing.
 var errUnsent = errors.New("rpc: frame not sent")
 
 // maxFrame bounds a single message (16 MiB). Large transfers — ACG
@@ -54,17 +54,19 @@ const (
 	payloadSum  = 4 // crc32(payload), the first bytes len counts
 )
 
-// frame is one wire message. Inside the CRC envelope the body is the
-// hand-rolled binary layout of appendFrameBody — a kind byte, a uvarint
-// request id, then kind-specific fields — not gob: frame overhead is
-// paid on every message, so it is the first thing the binary codec
-// replaced.
+// frame is one wire message. Inside the CRC envelope it is the binary
+// layout of appendFrameBody: a kind byte, a uvarint request id, then
+// kind-specific fields and the message's MarshalWire encoding.
 type frame struct {
 	// Kind selects the layout (kindRequest, kindResponse). Zero encodes as
 	// kindRequest.
-	Kind   uint8
-	ID     uint64
+	Kind uint8
+	ID   uint64
+	// Method is the method a request sends; Name is the one a read request
+	// names, which aliases buf, so that looking its handler up allocates
+	// nothing.
 	Method string
+	Name   []byte
 	ErrMsg string
 	// ErrCode is the perr taxonomy code of ErrMsg, so errors.Is keeps
 	// working across the wire.
@@ -77,13 +79,13 @@ type frame struct {
 	// ignores the request's own transit time, erring longer, and the
 	// caller still enforces its exact deadline locally).
 	TimeoutNanos int64
-	// Body is the codec-tagged body: what a parsed frame carries, and what
-	// a raw frame (a test's hand-built request) sends.
+	// Body is the message's encoding: what a parsed frame carries, and
+	// what a raw frame (a test's hand-built request) sends.
 	Body []byte
-	// msg, when set, is the message (a pointer) a typed call or response
-	// sends: writeFrame marshals it straight into the frame in
-	// place of Body, so a body is encoded once and never copied.
-	msg any
+	// msg, when set, is the message a typed call or response sends:
+	// writeFrame marshals it straight into the frame in place of Body, so
+	// a body is encoded once and never copied.
+	msg WireMarshaler
 	// buf is the pooled storage a read frame's Body is in (nil: none).
 	buf *[]byte
 }
@@ -126,16 +128,13 @@ func writeFrame(w io.Writer, f *frame) (int, error) {
 	// conn boundary: fault-injecting wrappers (chaosnet) see whole frames
 	// and a partial header can never interleave with another writer's view.
 	bp := frameBufPool.Get().(*[]byte)
-	out, bodyAt, err := appendFrameBody(append((*bp)[:0], make([]byte, frameHeader+payloadSum)...), f)
+	out, bodyAt := appendFrameBody(append((*bp)[:0], make([]byte, frameHeader+payloadSum)...), f)
 	defer func() {
 		if cap(out) <= pooledBufMax {
 			*bp = out[:0]
 		}
 		frameBufPool.Put(bp)
 	}()
-	if err != nil {
-		return 0, fmt.Errorf("%w: %w", errUnsent, err)
-	}
 	payload := out[frameHeader+payloadSum:]
 	if len(payload) > maxFrame {
 		return 0, fmt.Errorf("%w: %w", errUnsent, ErrFrameTooLarge)
@@ -143,7 +142,7 @@ func writeFrame(w io.Writer, f *frame) (int, error) {
 	binary.BigEndian.PutUint32(out[:4], uint32(payloadSum+len(payload)))
 	binary.BigEndian.PutUint32(out[4:frameHeader], crc32.ChecksumIEEE(out[:4]))
 	binary.BigEndian.PutUint32(out[frameHeader:], crc32.ChecksumIEEE(payload))
-	_, err = w.Write(out)
+	_, err := w.Write(out)
 	return len(out) - bodyAt, err
 }
 
@@ -215,7 +214,7 @@ func (p NetProfile) cost(n int) time.Duration {
 	return d
 }
 
-// handler serves one request: it decodes the codec-tagged body, runs the
+// handler serves one request: it decodes the body, runs the
 // method, answers request id on sc itself (respond), so the messages it
 // decodes into and marshals from are done with once it returns, and then
 // tells sc's admitter the call is done. The context carries the calling
@@ -225,7 +224,7 @@ type handler func(ctx context.Context, sc *serverConn, id uint64, body []byte)
 // Server dispatches incoming frames to registered handlers.
 type Server struct {
 	mu       sync.Mutex
-	handlers map[string]handler
+	handlers map[string]method
 	adm      Admitter
 	lns      []net.Listener
 	conns    map[net.Conn]struct{}
@@ -246,10 +245,17 @@ type Admitter interface {
 	Done(conn net.Conn, method string)
 }
 
+// method is a registered method: its name, which the admitter and a
+// refusal quote, and its handler.
+type method struct {
+	name  string
+	serve handler
+}
+
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
-		handlers: make(map[string]handler),
+		handlers: make(map[string]method),
 		conns:    make(map[net.Conn]struct{}),
 	}
 }
@@ -274,9 +280,23 @@ type Recycler interface {
 	Recycle()
 }
 
-// HandleTyped registers a handler with typed request/response. Messages
-// implementing the wire codec travel hand-rolled binary; the rest gob.
-func HandleTyped[Req, Resp any](s *Server, method string, fn func(context.Context, Req) (Resp, error)) {
+// decodes is the constraint a message type T meets when *T decodes it.
+type decodes[T any] interface {
+	*T
+	WireUnmarshaler
+}
+
+// encodes is the constraint a message type T meets when *T encodes it.
+type encodes[T any] interface {
+	*T
+	WireMarshaler
+}
+
+// HandleTyped registers a handler with typed request/response: the request
+// decodes with its UnmarshalWire and the response encodes with its
+// MarshalWire, both declared on the pointer (PReq and PResp, inferred from
+// fn), so a message without a codec does not compile.
+func HandleTyped[Req, Resp any, PReq decodes[Req], PResp encodes[Resp]](s *Server, name string, fn func(context.Context, Req) (Resp, error)) {
 	// A request is decoded into, and its response marshalled from, a box
 	// pooled per method: the codec reaches both through an interface, so a
 	// box of the handler's own would be allocated for every request. A
@@ -290,7 +310,7 @@ func HandleTyped[Req, Resp any](s *Server, method string, fn func(context.Contex
 	boxes := sync.Pool{New: func() any { return new(box) }}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[method] = func(ctx context.Context, sc *serverConn, id uint64, body []byte) {
+	s.handlers[name] = method{name: name, serve: func(ctx context.Context, sc *serverConn, id uint64, body []byte) {
 		b := boxes.Get().(*box)
 		defer func() {
 			if r, ok := any(&b.req).(Recycler); ok {
@@ -306,16 +326,16 @@ func HandleTyped[Req, Resp any](s *Server, method string, fn func(context.Contex
 			boxes.Put(b)
 		}()
 		var err error
-		if err = decodeBody(body, &b.req); err != nil {
-			err = fmt.Errorf("rpc %s: decode request: %w", method, err)
+		if err = PReq(&b.req).UnmarshalWire(body); err != nil {
+			err = fmt.Errorf("rpc %s: decode request: %w", name, err)
 		} else {
 			b.resp, err = fn(ctx, b.req)
 		}
-		sc.respond(id, &b.resp, err)
+		sc.respond(id, PResp(&b.resp), err)
 		if sc.adm != nil {
-			sc.adm.Done(sc.conn, method)
+			sc.adm.Done(sc.conn, name)
 		}
-	}
+	}}
 }
 
 // Serve accepts connections from ln until the server or listener closes.
@@ -389,11 +409,10 @@ func (sc *serverConn) write(f *frame) error {
 
 // respond answers request id: with msg when err is nil, else with
 // err's message and taxonomy code. A response that cannot be framed — over
-// maxFrame, or a message its codec refuses — is answered with that failure
-// and its code instead, so the caller never waits out its deadline for a
-// reply that was never sent. A failed write is a dead connection, which
-// the caller's reader reports.
-func (sc *serverConn) respond(id uint64, msg any, err error) {
+// maxFrame — is answered with that failure and its code instead, so the
+// caller never waits out its deadline for a reply that was never sent. A
+// failed write is a dead connection, which the caller's reader reports.
+func (sc *serverConn) respond(id uint64, msg WireMarshaler, err error) {
 	if err == nil {
 		if err = sc.write(&frame{Kind: kindResponse, ID: id, msg: msg}); !errors.Is(err, errUnsent) {
 			return
@@ -435,22 +454,23 @@ func (s *Server) connLoop(conn net.Conn) {
 			continue
 		}
 		s.mu.Lock()
-		h, ok := s.handlers[f.Method]
+		m, ok := s.handlers[string(f.Name)]
 		s.mu.Unlock()
 		if !ok {
+			err := fmt.Errorf("%w: %s", ErrNoSuchMethod, f.Name)
 			putBody(f.buf)
-			sc.respond(f.ID, nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, f.Method))
+			sc.respond(f.ID, nil, err)
 			continue
 		}
 		if sc.adm != nil {
-			if err := sc.adm.Admit(conn, f.Method); err != nil {
+			if err := sc.adm.Admit(conn, m.name); err != nil {
 				putBody(f.buf)
 				sc.respond(f.ID, nil, err)
 				continue
 			}
 		}
 		sc.handlers.Add(1)
-		go sc.serve(h, f.ID, f.TimeoutNanos, f.Body, f.buf)
+		go sc.serve(m.serve, f.ID, f.TimeoutNanos, f.Body, f.buf)
 	}
 }
 
@@ -624,12 +644,12 @@ func (c *Client) writeFrameCtx(ctx context.Context, f *frame) (int, error) {
 	return n, err
 }
 
-// call sends msg (a pointer) as a request and waits for the response,
+// call sends msg as a request and waits for the response,
 // whose buffer the caller puts back once it has decoded the body. A
 // cancelled or expired context abandons the in-flight call immediately
 // (the response, if it ever arrives, lands in a slot nobody reuses; a
 // write blocked on a stalled connection is unblocked via a write deadline).
-func (c *Client) call(ctx context.Context, method string, msg any) (frame, error) {
+func (c *Client) call(ctx context.Context, method string, msg WireMarshaler) (frame, error) {
 	if err := ctx.Err(); err != nil {
 		return frame{}, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(err))
 	}
@@ -715,26 +735,26 @@ func (c *Client) abandon(id uint64) {
 	c.mu.Unlock()
 }
 
-// Call performs a typed request/response exchange: messages implementing
-// the wire codec (MarshalWire/UnmarshalWire) travel hand-rolled binary,
-// anything else gob — the codec byte in the body keeps both decodable on
-// the same connection. The request is marshalled straight into its frame.
-// The context's deadline travels with the request and its cancellation
-// abandons the call. It is CallInto with a response of its own.
-func Call[Req, Resp any](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
+// Call performs a typed request/response exchange: the request is
+// marshalled straight into its frame with its MarshalWire and the response
+// decoded with its UnmarshalWire, both declared on the pointer (PReq and
+// PResp, inferred from Req and Resp). The context's deadline travels with
+// the request and its cancellation abandons the call. It is CallInto with
+// a response of its own.
+func Call[Req, Resp any, PReq encodes[Req], PResp decodes[Resp]](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
 	var resp Resp
-	err := CallInto(ctx, c, method, req, &resp)
+	err := CallInto[Req, Resp, PReq, PResp](ctx, c, method, req, &resp)
 	return resp, err
 }
 
 // CallInto is Call decoding the response into *resp, so a caller that
 // recycles a response (Recycler) decodes into the storage it kept.
-func CallInto[Req, Resp any](ctx context.Context, c *Client, method string, req Req, resp *Resp) error {
-	f, err := c.call(ctx, method, &req)
+func CallInto[Req, Resp any, PReq encodes[Req], PResp decodes[Resp]](ctx context.Context, c *Client, method string, req Req, resp *Resp) error {
+	f, err := c.call(ctx, method, PReq(&req))
 	if err != nil {
 		return err
 	}
-	err = decodeBody(f.Body, resp)
+	err = PResp(resp).UnmarshalWire(f.Body)
 	putBody(f.buf)
 	if err != nil {
 		return fmt.Errorf("rpc %s: decode response: %w", method, err)

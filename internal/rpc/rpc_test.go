@@ -29,6 +29,39 @@ type echoResp struct {
 	N   int
 }
 
+func (m *echoReq) MarshalWire(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m.Msg)))
+	return binary.AppendVarint(append(dst, m.Msg...), int64(m.N))
+}
+
+func (m *echoReq) UnmarshalWire(b []byte) error {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return errMalformedFrame
+	}
+	m.Msg, b = string(b[k:k+int(n)]), b[k+int(n):]
+	v, k := binary.Varint(b)
+	if k <= 0 {
+		return errMalformedFrame
+	}
+	m.N = int(v)
+	return nil
+}
+
+func (m *echoResp) MarshalWire(dst []byte) []byte { return (*echoReq)(m).MarshalWire(dst) }
+
+func (m *echoResp) UnmarshalWire(b []byte) error { return (*echoReq)(m).UnmarshalWire(b) }
+
+// blob is a response that is its bytes.
+type blob []byte
+
+func (m *blob) MarshalWire(dst []byte) []byte { return append(dst, *m...) }
+
+func (m *blob) UnmarshalWire(b []byte) error {
+	*m = append((*m)[:0], b...)
+	return nil
+}
+
 func startPipeServer(t *testing.T, s *Server) *Client {
 	t.Helper()
 	cc, sc := Pipe()
@@ -498,7 +531,7 @@ func TestReadFrameChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ID != 7 || f.Method != "m" || string(f.Body) != "payload" {
+	if f.ID != 7 || string(f.Name) != "m" || string(f.Body) != "payload" {
 		t.Fatalf("round-trip = %+v", f)
 	}
 }
@@ -555,22 +588,14 @@ func TestWriteFrameTooLarge(t *testing.T) {
 	}
 }
 
-// unencodable is a response gob refuses: it skips a func field, and a
-// struct with nothing else has no fields to send.
-type unencodable struct{ F func() }
-
-// TestFrameResponseTooLargeAnswers: a response that cannot be framed — over
-// maxFrame, or a message its codec refuses — is answered with that failure
-// at once instead of being dropped to leave the caller waiting out its
-// deadline; the connection then serves the
-// next call.
+// TestFrameResponseTooLargeAnswers: a response that cannot be framed —
+// over maxFrame — is answered with that failure at once instead of being
+// dropped to leave the caller waiting out its deadline; the connection
+// then serves the next call.
 func TestFrameResponseTooLargeAnswers(t *testing.T) {
 	s := NewServer()
-	HandleTyped(s, "big", func(context.Context, echoReq) ([]byte, error) {
-		return make([]byte, maxFrame), nil
-	})
-	HandleTyped(s, "unencodable", func(context.Context, echoReq) (unencodable, error) {
-		return unencodable{F: func() {}}, nil
+	HandleTyped(s, "big", func(context.Context, echoReq) (blob, error) {
+		return make(blob, maxFrame), nil
 	})
 	HandleTyped(s, "echo", func(_ context.Context, r echoReq) (echoResp, error) {
 		return echoResp(r), nil
@@ -581,11 +606,7 @@ func TestFrameResponseTooLargeAnswers(t *testing.T) {
 		call       func(ctx context.Context) error
 	}{
 		{"over maxFrame", ErrFrameTooLarge.Error(), func(ctx context.Context) error {
-			_, err := Call[echoReq, []byte](ctx, c, "big", echoReq{})
-			return err
-		}},
-		{"refused by gob", "no exported fields", func(ctx context.Context) error {
-			_, err := Call[echoReq, unencodable](ctx, c, "unencodable", echoReq{})
+			_, err := Call[echoReq, blob](ctx, c, "big", echoReq{})
 			return err
 		}},
 	}
@@ -739,7 +760,7 @@ func TestFrameBinaryLayoutRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("readFrame kind %d: %v", want.Kind, err)
 		}
-		if got.Kind != want.Kind || got.ID != want.ID || got.Method != want.Method ||
+		if got.Kind != want.Kind || got.ID != want.ID || string(got.Name) != want.Method ||
 			got.ErrMsg != want.ErrMsg || got.ErrCode != want.ErrCode ||
 			got.TimeoutNanos != want.TimeoutNanos || !bytes.Equal(got.Body, want.Body) {
 			t.Fatalf("kind %d round trip: got %+v, want %+v", want.Kind, got, want)
@@ -751,7 +772,7 @@ func TestFrameBinaryLayoutRoundTrip(t *testing.T) {
 // future and checks the connection survives to serve the next request.
 func TestFrameUnknownKindSkipped(t *testing.T) {
 	srv := NewServer()
-	HandleTyped(srv, "t.echo", func(_ context.Context, s string) (string, error) { return s, nil })
+	HandleTyped(srv, "t.echo", func(_ context.Context, r echoReq) (echoResp, error) { return echoResp(r), nil })
 	cc, sc := Pipe()
 	srv.ServeConn(sc)
 	defer srv.Close()
@@ -767,8 +788,8 @@ func TestFrameUnknownKindSkipped(t *testing.T) {
 	}(); err != nil {
 		t.Fatalf("write unknown-kind frame: %v", err)
 	}
-	got, err := Call[string, string](context.Background(), c, "t.echo", "still-alive")
-	if err != nil || got != "still-alive" {
-		t.Fatalf("call after unknown frame: got %q, err %v", got, err)
+	got, err := Call[echoReq, echoResp](context.Background(), c, "t.echo", echoReq{Msg: "still-alive"})
+	if err != nil || got.Msg != "still-alive" {
+		t.Fatalf("call after unknown frame: got %q, err %v", got.Msg, err)
 	}
 }

@@ -259,24 +259,6 @@ func (c *Client) spend(ctx context.Context, a *attempts) error {
 	return nil
 }
 
-// fanOut runs leg(0) … leg(n-1) concurrently and returns when all have:
-// legs 0 … n-2 on goroutines and the last on the caller's, so a request with
-// one leg — every warm single-group Index call — spawns nothing.
-func fanOut(n int, leg func(i int)) {
-	var wg sync.WaitGroup
-	for i := 0; i < n-1; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			leg(i)
-		}()
-	}
-	if n > 0 {
-		leg(n - 1)
-	}
-	wg.Wait()
-}
-
 // backoff pauses before an overload retry: the injected Config.Backoff if
 // set, else an exponential 1ms << attempt capped at 64ms with full jitter
 // on the upper half — concurrent retriers that shed together desynchronize
@@ -375,6 +357,18 @@ func (c *Client) conn(ctx context.Context, addr string) (*rpc.Client, error) {
 		return nil, fmt.Errorf("client dial %s: %w", addr, err)
 	}
 	return conn, nil
+}
+
+// dialCall is one call of method to addr, dialling the connection first
+// when it is not cached: a fan-out's leg whose connection must be dialed
+// runs it on a goroutine of its own. A dead node's dial failure retries
+// like a stale leg.
+func (c *Client) dialCall(ctx context.Context, addr, method string, req rpc.WireMarshaler, resp rpc.WireUnmarshaler) error {
+	conn, err := c.conn(ctx, addr)
+	if err != nil {
+		return err
+	}
+	return rpc.CallInto(ctx, conn, method, req, resp)
 }
 
 // --- File Access Management (ACG capture) ---
@@ -562,22 +556,27 @@ func (c *Client) resolveFiles(ctx context.Context, ups []FileUpdate, out []proto
 	return out, nil
 }
 
-// indexBatch is one group's share of an Index call: its request, the node
-// it goes to, its entry count and its outcome.
+// indexBatch is one group's share of an Index call: its request and
+// response, the node it goes to, its entry count, its call while in flight
+// and its outcome.
 type indexBatch struct {
 	addr string
 	req  proto.UpdateReq
+	resp proto.UpdateResp
 	n    int
+	call rpc.Pending
 	err  error
 }
 
 // indexScratch is the storage an Index call builds its batches in, taken
 // from indexScratchPool and cleared before it goes back, so a warm call
-// allocates none of it and the pool pins none of the caller's values.
+// allocates none of it and the pool pins none of the caller's values. dials
+// joins the batches whose connection had to be dialed.
 type indexScratch struct {
 	mappings []proto.FileMapping
 	entries  []proto.IndexEntry
 	batches  []indexBatch
+	dials    sync.WaitGroup
 }
 
 var indexScratchPool = sync.Pool{New: func() any { return new(indexScratch) }}
@@ -646,16 +645,29 @@ func (c *Client) Index(ctx context.Context, indexName string, updates []FileUpda
 				File: u.File, Value: u.Value, KDCoords: u.KDCoords, Delete: u.Delete,
 			})
 		}
-		fanOut(len(batches), func(k int) {
+		// Every batch is sent before any is waited for; one whose connection
+		// must be dialed goes on a goroutine of its own, so a dial holds
+		// back no other batch.
+		for k := range batches {
 			b := &batches[k]
-			conn, err := c.conn(ctx, b.addr)
-			if err == nil { // a dead node's dial failure retries like a stale batch
-				var resp proto.UpdateResp
-				resp, err = rpc.Call[proto.UpdateReq, proto.UpdateResp](ctx, conn, proto.MethodUpdate, b.req)
-				c.noteEpoch(resp.Epoch)
+			if conn := c.conns.Cached(b.addr); conn != nil {
+				b.call, b.err = conn.Send(ctx, proto.MethodUpdate, &b.req)
+				continue
 			}
-			b.err = err
-		})
+			s.dials.Add(1)
+			go func() {
+				defer s.dials.Done()
+				b.err = c.dialCall(ctx, b.addr, proto.MethodUpdate, &b.req, &b.resp)
+				c.noteEpoch(b.resp.Epoch)
+			}()
+		}
+		for k := range batches {
+			if b := &batches[k]; b.call.Sent() {
+				b.err = b.call.Wait(ctx, &b.resp)
+				c.noteEpoch(b.resp.Epoch)
+			}
+		}
+		s.dials.Wait()
 
 		failed := false
 		for _, b := range batches {
@@ -875,12 +887,8 @@ type SearchResult struct {
 // *resp: the one place a search request is sent. It notes the placement
 // epoch the node quotes.
 func (c *Client) searchNode(ctx context.Context, req proto.SearchReq, tgt proto.IndexTarget, resp *proto.SearchResp) error {
-	conn, err := c.conn(ctx, tgt.Addr)
-	if err != nil {
-		return err // a dead node: retried like a stale fan-out
-	}
 	req.ACGs = tgt.ACGs
-	err = rpc.CallInto(ctx, conn, proto.MethodSearch, req, resp)
+	err := c.dialCall(ctx, tgt.Addr, proto.MethodSearch, &req, resp)
 	c.noteEpoch(resp.Epoch)
 	return err
 }
@@ -930,44 +938,74 @@ func (c *Client) hedgedSearchNode(ctx context.Context, req proto.SearchReq, tgt 
 	return first.resp, first.err
 }
 
-// searchLeg is one target's answer in a fan-out, and how far the merge has
-// read it.
+// searchLeg is one target's request and answer in a fan-out, its call
+// while in flight, and how far the merge has read the answer.
 type searchLeg struct {
+	req  proto.SearchReq
 	resp proto.SearchResp
+	call rpc.Pending
 	err  error
 	next int
 }
 
-// legPool recycles the legs a fan-out decodes its answers into, each with
-// the file array its last decode left, which the next fan-out recycles
+// searchFan is a fan-out's storage: its legs, and the goroutines of the
+// legs that hedge or dial. It is pooled with the file array each leg's
+// last decode left, which the next fan-out recycles
 // (proto.SearchResp.Recycle) before it decodes into it.
-var legPool = sync.Pool{New: func() any { return new([]searchLeg) }}
+type searchFan struct {
+	legs  []searchLeg
+	async sync.WaitGroup
+}
 
-// searchTargets sends req to every target in parallel and folds the
-// responses into one: files merged (mergeLegs), More if any node has more
-// or the merge stopped at the limit, the newest placement epoch any node
-// quoted, commit costs summed. The answers decode into pooled legs, and
-// the merged page is the one slice the fold allocates. Routes arm hedging
-// (lazy consistency and Config.HedgeDelay > 0 permitting): the primary
-// fan-out passes the replica routes, a hedge's alternate legs none.
+var fanPool = sync.Pool{New: func() any { return new(searchFan) }}
+
+// searchTargets sends req to every target and folds the responses into
+// one: files merged (mergeLegs), More if any node has more or the merge
+// stopped at the limit, the newest placement epoch any node quoted, commit
+// costs summed. Every leg is sent before any is waited for, from the
+// leg's own request in pooled storage, and the answers decode into the
+// legs, so the merged page is the one slice the fan-out allocates. A leg
+// whose connection must be dialed, or that hedges, runs on a goroutine of
+// its own, so it holds back no other leg. Routes arm hedging (lazy
+// consistency and Config.HedgeDelay > 0 permitting): the primary fan-out
+// passes the replica routes, a hedge's alternate legs none.
 func (c *Client) searchTargets(ctx context.Context, req proto.SearchReq, targets []proto.IndexTarget, routes []proto.GroupRoute) (proto.SearchResp, error) {
 	hedged := c.cfg.HedgeDelay > 0 && req.Consistency == proto.ConsistencyLazy && len(routes) > 0
-	lp := legPool.Get().(*[]searchLeg)
-	legs := slices.Grow((*lp)[:0], len(targets))[:len(targets)]
-	*lp = legs[:0]
-	defer legPool.Put(lp)
-	for i := range legs {
-		legs[i].resp.Recycle()
-		legs[i].err, legs[i].next = nil, 0
-	}
-	fanOut(len(legs), func(i int) {
+	f := fanPool.Get().(*searchFan)
+	defer fanPool.Put(f)
+	legs := slices.Grow(f.legs[:0], len(targets))[:len(targets)]
+	f.legs = legs
+	for i, tgt := range targets {
 		l := &legs[i]
-		if hedged {
-			l.resp, l.err = c.hedgedSearchNode(ctx, req, targets[i], routes)
-		} else {
-			l.err = c.searchNode(ctx, req, targets[i], &l.resp)
+		l.resp.Recycle()
+		l.req = req
+		l.req.ACGs = tgt.ACGs
+		l.call, l.err, l.next = rpc.Pending{}, nil, 0
+		conn := c.conns.Cached(tgt.Addr)
+		if !hedged && conn != nil {
+			l.call, l.err = conn.Send(ctx, proto.MethodSearch, &l.req)
+			continue
 		}
-	})
+		f.async.Add(1)
+		go func() {
+			defer f.async.Done()
+			if hedged {
+				l.resp, l.err = c.hedgedSearchNode(ctx, req, tgt, routes)
+			} else {
+				l.err = c.searchNode(ctx, req, tgt, &l.resp)
+			}
+		}()
+	}
+	for i := range legs {
+		if l := &legs[i]; l.call.Sent() {
+			l.err = l.call.Wait(ctx, &l.resp)
+			c.noteEpoch(l.resp.Epoch)
+		}
+	}
+	f.async.Wait()
+	for i := range legs {
+		legs[i].req = proto.SearchReq{} // the pool pins none of the caller's values
+	}
 	var out proto.SearchResp
 	n := 0
 	for i, l := range legs {

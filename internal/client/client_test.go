@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -257,6 +258,62 @@ func TestConnCaching(t *testing.T) {
 	}
 	if c3.Closed() {
 		t.Error("redialed connection should be live")
+	}
+}
+
+// TestMuxAbandonedSearchLeavesNothingBehind: a two-leg Search whose second
+// node never answers is cancelled. It returns the context's error, typed;
+// no connection keeps the abandoned leg's call in flight; and once the
+// node's late reply has arrived, the goroutine count is back where it was
+// before the search, on the client and on both nodes.
+func TestMuxAbandonedSearchLeavesNothingBehind(t *testing.T) {
+	r := newFlakyRig(t, Config{})
+	r.warm(t, 2)
+	q := Query{Index: "size", Text: "size>=0"}
+	if _, err := r.cl.Search(context.Background(), q); err != nil { // handlers parked on both nodes
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	held := r.nodes[1]
+	held.mu.Lock()
+	held.release = make(chan struct{})
+	held.mu.Unlock()
+	held.setScript(outcomeHold)
+	before := held.snapshot().calls
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.cl.Search(ctx, q)
+		done <- err
+	}()
+	for held.snapshot().calls == before {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled search = %v, want context.Canceled", err)
+	}
+	r.mu.Lock()
+	for addr, conns := range r.dialed {
+		for _, c := range conns {
+			if n := c.InFlight(); n != 0 {
+				t.Errorf("connection to %s keeps %d calls in flight after the search returned", addr, n)
+			}
+		}
+	}
+	r.mu.Unlock()
+
+	close(held.release)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the late reply, %d before the search", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := r.cl.Search(context.Background(), q); err != nil {
+		t.Fatalf("search after the late reply: %v", err)
 	}
 }
 

@@ -32,6 +32,10 @@ const (
 	// outcomeNewerEpoch answers a Search successfully but quotes a placement
 	// epoch newer than any the Master has handed out (an Update answers OK).
 	outcomeNewerEpoch
+	// outcomeHold answers a Search successfully once the node's release
+	// channel is closed: a node that stops answering, whose reply comes
+	// late (an Update answers OK).
+	outcomeHold
 )
 
 // flakyNode serves a scripted sequence of outcomes per Update / Search call
@@ -51,7 +55,8 @@ type flakyNode struct {
 	servedOverload int
 	servedStale    int // stale rejections and torn connections
 	servedNewer    int
-	conns          []net.Conn // server ends of the pipes dialed to this node
+	conns          []net.Conn    // server ends of the pipes dialed to this node
+	release        chan struct{} // what an outcomeHold search waits for
 }
 
 // next pops the script and does the accounting every handler shares. For a
@@ -101,6 +106,12 @@ func (n *flakyNode) register(srv *rpc.Server) {
 		out, err := n.next()
 		if err != nil {
 			return proto.SearchResp{}, err
+		}
+		if out == outcomeHold {
+			n.mu.Lock()
+			release := n.release
+			n.mu.Unlock()
+			<-release
 		}
 		resp := proto.SearchResp{Files: n.files}
 		if out == outcomeNewerEpoch {

@@ -16,15 +16,15 @@ import (
 // TestWarmPointLookupAllocs pins what a warm point lookup allocates end to
 // end, client and both Index Nodes together: a B-tree equality search of a
 // 2-node pipe cluster, 8 groups a node, each node scanning its groups in
-// one pass on the handler's goroutine. Each node sends its scanner's page,
-// and the client decodes both legs into pooled storage. What is left is the
-// query's parse and predicate set, the fan-out (its leg closure and
-// goroutine), the two round trips (each call's boxed request, and on the
-// node the request's index and field names and the handler goroutine) and
-// the merged page the caller keeps.
+// one pass on the handler's goroutine. The client sends both legs from
+// their pooled requests before it waits for either, on its own goroutine,
+// each node's parked handler serves its leg and sends its scanner's page,
+// and the client decodes both answers into the pooled legs. What is left
+// is the query's parse and predicate set, the node's copies of the
+// request's index and field names, and the merged page the caller keeps.
 // Not under the race detector, which inflates allocation counts.
 func TestWarmPointLookupAllocs(t *testing.T) {
-	const budget = 15 // measured 15
+	const budget = 8 // measured 8 (15 before calls split into send and wait)
 	_, cl := bootCluster(t, Config{IndexNodes: 2})
 	ctx := context.Background()
 	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
@@ -69,12 +69,16 @@ func TestWarmPointLookupAllocs(t *testing.T) {
 // TestWarmReplicatedUpdateAllocs pins what a warm update of a 2-way
 // replicated group allocates end to end: the client's call, the primary's
 // ack — frame, WAL append, mirror, cache insert — the follower stream's one
-// call (its sender, request and reply; the batch buffer is reused) and the
-// follower's apply. The pin has no slack: a sender that stopped reusing
-// its batch buffer would add one. Not under the race detector, which
-// inflates allocation counts.
+// call and the follower's apply. The calls send from and decode into
+// storage their callers keep (the batch, the sender's request, reply and
+// buffer) and are served by parked handlers, so what is left is the
+// follower stream's sender goroutine, the follower's copy of the frames
+// and the node's copy of the request's index name.
+// The pin has no slack: a sender that stopped reusing its batch buffer
+// would add one. Not under the race detector, which inflates allocation
+// counts.
 func TestWarmReplicatedUpdateAllocs(t *testing.T) {
-	const budget = 12 // measured 12
+	const budget = 4 // measured 4 (12 before calls split into send and wait)
 	c, cl := bootCluster(t, Config{IndexNodes: 2, ReplicationFactor: 2, CacheLimit: 1 << 20})
 	ctx := context.Background()
 	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
@@ -108,14 +112,14 @@ func TestWarmReplicatedUpdateAllocs(t *testing.T) {
 // TestWarmUpdateBytes pins the bytes a warm, unreplicated 8-entry update
 // allocates end to end — client, both rpc sides, the node's ack and its
 // share of the commits — averaged over 256 updates of one group at
-// CacheLimit 256, which commit eight times. Most of what is left is what
-// the node keeps: the cache entries, in the group's own storage, and the
-// pages the commits write; beside it each call's request and response
-// boxes and handler goroutine. The budget is the measurement
-// plus a tenth. Not under the race detector, which inflates allocations.
+// CacheLimit 256, which commit eight times. What is left is what the node
+// keeps: the cache entries, in the group's own storage, and the pages the
+// commits write; the calls allocate nothing. The budget is the
+// measurement plus a tenth. Not under the race detector, which inflates
+// allocations.
 func TestWarmUpdateBytes(t *testing.T) {
 	const (
-		budget  = 3780 // bytes an update; measured 3 430
+		budget  = 3540 // bytes an update; measured 3 160–3 220 (3 430 before calls split into send and wait)
 		updates = 256
 		entries = 8
 		files   = 512

@@ -54,6 +54,10 @@ type replica struct {
 	// spare is the buffer of the call in flight, which the next call's
 	// queue reuses.
 	spare []byte
+	// req and resp are the call in flight's request and reply, reused by
+	// every call of the sender.
+	req  proto.FollowerAppendReq
+	resp proto.FollowerAppendResp
 	// acked is the follower's confirmed watermark: every frame up to it is
 	// in its WAL and cache.
 	acked uint64
@@ -150,16 +154,15 @@ func (n *Node) followerAppend(r *replica, frames []byte, first, last uint64) err
 	if err != nil {
 		return err
 	}
-	resp, err := rpc.Call[proto.FollowerAppendReq, proto.FollowerAppendResp](
-		context.Background(), peer, proto.MethodFollowerAppend,
-		proto.FollowerAppendReq{ACG: r.acg, Frames: frames, Seq: first, Epoch: n.epoch()})
+	r.req = proto.FollowerAppendReq{ACG: r.acg, Frames: frames, Seq: first, Epoch: n.epoch()}
+	err = rpc.CallInto(context.Background(), peer, proto.MethodFollowerAppend, &r.req, &r.resp)
 	if err != nil {
 		n.dropPeer(r.ref.Addr, err)
 		return err
 	}
-	if resp.Seq < last {
+	if r.resp.Seq < last {
 		return fmt.Errorf("indexnode %s: follower %s of acg %d at %d after a batch ending at %d",
-			n.cfg.ID, r.ref.Node, r.acg, resp.Seq, last)
+			n.cfg.ID, r.ref.Node, r.acg, r.resp.Seq, last)
 	}
 	return nil
 }

@@ -545,15 +545,13 @@ func (r *SearchReq) UnmarshalWire(data []byte) error {
 	if err := countGuard(n, b, 1); err != nil {
 		return err
 	}
-	if n > 0 {
-		r.ACGs = slices.Grow(acgs, int(n))
-		for i := uint64(0); i < n; i++ {
-			var g uint64
-			if g, b, err = getUvarint(b); err != nil {
-				return err
-			}
-			r.ACGs = append(r.ACGs, ACGID(g))
+	r.ACGs = slices.Grow(acgs, int(n))
+	for i := uint64(0); i < n; i++ {
+		var g uint64
+		if g, b, err = getUvarint(b); err != nil {
+			return err
 		}
+		r.ACGs = append(r.ACGs, ACGID(g))
 	}
 	if r.IndexName, b, err = getString(b); err != nil {
 		return err
@@ -564,23 +562,21 @@ func (r *SearchReq) UnmarshalWire(data []byte) error {
 	if err := countGuard(n, b, 4); err != nil {
 		return err
 	}
-	if n > 0 {
-		r.Preds = slices.Grow(preds, int(n))
-		for i := uint64(0); i < n; i++ {
-			var p query.Predicate
-			if p.Field, b, err = getString(b); err != nil {
-				return err
-			}
-			if len(b) == 0 {
-				return wireErr("truncated predicate op")
-			}
-			p.Op = query.Op(b[0])
-			b = b[1:]
-			if p.Value, b, err = getValue(b); err != nil {
-				return err
-			}
-			r.Preds = append(r.Preds, p)
+	r.Preds = slices.Grow(preds, int(n))
+	for i := uint64(0); i < n; i++ {
+		var p query.Predicate
+		if p.Field, b, err = getString(b); err != nil {
+			return err
 		}
+		if len(b) == 0 {
+			return wireErr("truncated predicate op")
+		}
+		p.Op = query.Op(b[0])
+		b = b[1:]
+		if p.Value, b, err = getValue(b); err != nil {
+			return err
+		}
+		r.Preds = append(r.Preds, p)
 	}
 	var limit int64
 	if limit, b, err = getVarint(b); err != nil {
@@ -663,23 +659,21 @@ func (r *SearchResp) UnmarshalWire(data []byte) error {
 	if err := countGuard(n, b, 1); err != nil {
 		return err
 	}
-	if n > 0 {
-		files = slices.Grow(files, int(n))
-		prev := int64(0)
-		for i := uint64(0); i < n; i++ {
-			var d int64
-			if d, b, err = getVarint(b); err != nil {
-				return err
-			}
-			prev += d
-			f := index.FileID(prev)
-			if i > 0 && f <= files[i-1] {
-				return wireErr("search files not ascending")
-			}
-			files = append(files, f)
+	files = slices.Grow(files, int(n))
+	prev := int64(0)
+	for i := uint64(0); i < n; i++ {
+		var d int64
+		if d, b, err = getVarint(b); err != nil {
+			return err
 		}
-		r.Files = files
+		prev += d
+		f := index.FileID(prev)
+		if i > 0 && f <= files[i-1] {
+			return wireErr("search files not ascending")
+		}
+		files = append(files, f)
 	}
+	r.Files = files
 	if r.CommitLatencyNanos, b, err = getVarint(b); err != nil {
 		return err
 	}

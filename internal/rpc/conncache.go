@@ -42,13 +42,18 @@ type cachedConn struct {
 	lastUse uint64
 }
 
+// Cached returns the live cached connection to addr, or nil when a call
+// to addr must dial first.
+func (cc *ConnCache) Cached(addr string) *Client {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.liveLocked(addr)
+}
+
 // Get returns the live cached connection to addr, dialling it with dial on
 // a miss. An error is dial's, unwrapped.
 func (cc *ConnCache) Get(ctx context.Context, addr string, dial func(context.Context, string) (*Client, error)) (*Client, error) {
-	cc.mu.Lock()
-	c := cc.liveLocked(addr)
-	cc.mu.Unlock()
-	if c != nil {
+	if c := cc.Cached(addr); c != nil {
 		return c, nil
 	}
 	dialed, err := dial(ctx, addr)
@@ -56,11 +61,12 @@ func (cc *ConnCache) Get(ctx context.Context, addr string, dial func(context.Con
 		return nil, err
 	}
 	cc.mu.Lock()
-	if c = cc.liveLocked(addr); c != nil {
+	if c := cc.liveLocked(addr); c != nil {
 		cc.mu.Unlock()
 		dialed.Close() //nolint:errcheck // the race's loser carried no call
 		return c, nil
 	}
+	var evicted *Client
 	if _, stale := cc.conns[addr]; !stale && len(cc.conns) >= ConnCacheSize {
 		var victim string
 		var oldest *cachedConn
@@ -69,7 +75,7 @@ func (cc *ConnCache) Get(ctx context.Context, addr string, dial func(context.Con
 				victim, oldest = a, e
 			}
 		}
-		c = oldest.c
+		evicted = oldest.c
 		delete(cc.conns, victim)
 		cc.evictions.Add(1)
 	}
@@ -79,8 +85,8 @@ func (cc *ConnCache) Get(ctx context.Context, addr string, dial func(context.Con
 	cc.useTick++
 	cc.conns[addr] = &cachedConn{c: dialed, lastUse: cc.useTick}
 	cc.mu.Unlock()
-	if c != nil {
-		c.Close() //nolint:errcheck // the evicted connection's best-effort teardown
+	if evicted != nil {
+		evicted.Close() //nolint:errcheck // the evicted connection's best-effort teardown
 	}
 	return dialed, nil
 }

@@ -8,9 +8,12 @@
 // experiments charge GbE-like latency to the simulated clock regardless of
 // the physical transport.
 //
-// The layer is deliberately small: length-prefixed frames, one goroutine per
-// server connection, a multiplexing client safe for concurrent Call use —
-// the shape of the paper's "local RPC service" and node-to-node messaging.
+// The layer is deliberately small: length-prefixed frames, one reader per
+// connection, a multiplexing client safe for concurrent use — the shape of
+// the paper's "local RPC service" and node-to-node messaging. A server
+// connection's reader hands each request to a handler goroutine parked on
+// the connection, or starts one when none is parked, so handlers on one
+// connection never wait on each other, and a warm call starts none.
 //
 // A frame is len | crc32(len) | crc32(payload) | payload; a mismatch of
 // either checksum tears the connection with ErrFrameCorrupt (the layout
@@ -18,9 +21,12 @@
 //
 // Servers register handlers with HandleTyped (a generic adapter that
 // decodes the request and encodes the response, accepting only
-// wire-coded messages); clients invoke them
-// with the generic Call, matching requests to responses by sequence number
-// so many goroutines can share one connection. A call is the only shape: a
+// wire-coded messages). A client call is two halves: Client.Send writes the
+// request and Pending.Wait decodes the reply, matched by sequence number so
+// many goroutines can share one connection. CallInto is the two back to
+// back, from request and response storage its caller keeps; a fan-out
+// sends every leg before it waits for any. The generic Call is CallInto
+// with messages of its own, for cold calls. A call is the only shape: a
 // payload too large for one frame (an ACG image) moves as a sequence of
 // calls, one bounded chunk each.
 package rpc

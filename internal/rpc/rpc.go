@@ -11,6 +11,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"propeller/internal/perr"
@@ -233,8 +234,9 @@ type Server struct {
 }
 
 // Admitter decides, on a connection's reader, which requests run. It is
-// asked once per request frame, before a handler is spawned or the body
-// decoded, so what it refuses costs the server one reply and nothing else.
+// asked once per request frame, before the request is handed to a handler
+// or its body decoded, so what it refuses costs the server one reply and
+// nothing else.
 type Admitter interface {
 	// Admit reports whether the call of method that arrived on conn runs.
 	// A non-nil error refuses it: the caller receives that error, typed
@@ -389,15 +391,35 @@ func (s *Server) trackConn(conn net.Conn) {
 
 // serverConn is the per-connection state the reader loop shares with
 // handler goroutines: the write lock serializing responses, the admitter
-// the connection was served under, and the handler goroutines the reader
-// joins before the connection closes.
+// the connection was served under, the hand-off to a parked handler, and
+// the handler goroutines the reader joins before the connection closes.
 type serverConn struct {
 	conn net.Conn
 	adm  Admitter
 
 	writeMu sync.Mutex
 
+	// work hands an admitted request to a parked handler goroutine; the
+	// reader closes it when the connection ends. parked counts the
+	// handlers waiting on it.
+	work     chan request
+	parked   atomic.Int32
 	handlers sync.WaitGroup
+}
+
+// maxParked bounds the handler goroutines a connection keeps parked
+// between requests: a burst's extra handlers exit once they are done.
+const maxParked = 1
+
+// request is an admitted request frame, as the reader hands it to a
+// handler goroutine: the handler, the id it answers, the caller's
+// remaining budget, and the body in its pooled buffer.
+type request struct {
+	serve        handler
+	id           uint64
+	timeoutNanos int64
+	body         []byte
+	buf          *[]byte
 }
 
 func (sc *serverConn) write(f *frame) error {
@@ -421,26 +443,44 @@ func (sc *serverConn) respond(id uint64, msg WireMarshaler, err error) {
 	_ = sc.write(&frame{Kind: kindResponse, ID: id, ErrMsg: err.Error(), ErrCode: perr.CodeOf(err)})
 }
 
-// serve is request id's handler goroutine: it runs h under the caller's
-// remaining budget when the request carries one, and then hands the
-// request's buffer back.
-func (sc *serverConn) serve(h handler, id uint64, timeoutNanos int64, body []byte, buf *[]byte) {
+// handle is a handler goroutine: it serves r, then parks for the next
+// request the reader hands over, and exits when another handler is parked
+// already or the connection has ended. The reader never runs a handler
+// itself, so handlers on one connection never wait on each other.
+func (sc *serverConn) handle(r request) {
 	defer sc.handlers.Done()
-	defer putBody(buf)
+	for ok := true; ok; {
+		sc.serve(r)
+		if sc.parked.Add(1) > maxParked {
+			sc.parked.Add(-1)
+			return
+		}
+		r, ok = <-sc.work
+		sc.parked.Add(-1)
+	}
+}
+
+// serve runs r's handler under the caller's remaining budget when the
+// request carries one, and then hands the request's buffer back.
+func (sc *serverConn) serve(r request) {
+	defer putBody(r.buf)
 	ctx := context.Background()
-	if timeoutNanos > 0 {
+	if r.timeoutNanos > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutNanos))
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(r.timeoutNanos))
 		defer cancel()
 	}
-	h(ctx, sc, id, body)
+	r.serve(ctx, sc, r.id, r.body)
 }
 
 func (s *Server) connLoop(conn net.Conn) {
 	s.mu.Lock()
-	sc := &serverConn{conn: conn, adm: s.adm}
+	sc := &serverConn{conn: conn, adm: s.adm, work: make(chan request)}
 	s.mu.Unlock()
-	defer sc.handlers.Wait()
+	defer func() {
+		close(sc.work)
+		sc.handlers.Wait()
+	}()
 	r := bufio.NewReaderSize(conn, readBufSize)
 	for {
 		f, err := readFrame(r)
@@ -469,8 +509,13 @@ func (s *Server) connLoop(conn net.Conn) {
 				continue
 			}
 		}
-		sc.handlers.Add(1)
-		go sc.serve(m.serve, f.ID, f.TimeoutNanos, f.Body, f.buf)
+		r := request{serve: m.serve, id: f.ID, timeoutNanos: f.TimeoutNanos, body: f.Body, buf: f.buf}
+		select {
+		case sc.work <- r:
+		default: // no handler parked
+			sc.handlers.Add(1)
+			go sc.handle(r)
+		}
 	}
 }
 
@@ -644,70 +689,98 @@ func (c *Client) writeFrameCtx(ctx context.Context, f *frame) (int, error) {
 	return n, err
 }
 
-// call sends msg as a request and waits for the response,
-// whose buffer the caller puts back once it has decoded the body. A
-// cancelled or expired context abandons the in-flight call immediately
-// (the response, if it ever arrives, lands in a slot nobody reuses; a
-// write blocked on a stalled connection is unblocked via a write deadline).
-func (c *Client) call(ctx context.Context, method string, msg WireMarshaler) (frame, error) {
+// Pending is a call that was sent and whose reply is still to come. Its
+// sender waits for the reply with Wait, once; until then the call holds its
+// id and slot on the client.
+type Pending struct {
+	c      *Client
+	method string
+	id     uint64
+	slot   chan frame
+}
+
+// Sent reports whether p is a call Send returned, as opposed to the zero
+// Pending.
+func (p Pending) Sent() bool { return p.c != nil }
+
+// Send is the first half of a call: it registers a call of method in a
+// response slot and writes req, which is marshalled straight into the
+// frame, so req may live in storage its caller reuses once the call has
+// been waited for. The context's deadline travels with the request; a
+// context that ends during the write abandons the call (a write blocked on
+// a stalled connection is unblocked via a write deadline). A sent call is
+// waited for with Wait.
+func (c *Client) Send(ctx context.Context, method string, req WireMarshaler) (Pending, error) {
 	if err := ctx.Err(); err != nil {
-		return frame{}, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(err))
+		return Pending{}, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(err))
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return frame{}, ErrClientClosed
+		return Pending{}, ErrClientClosed
 	}
 	c.nextID++
-	id := c.nextID
-	var slot chan frame
+	p := Pending{c: c, method: method, id: c.nextID}
 	if n := len(c.free); n > 0 {
-		slot, c.free = c.free[n-1], c.free[:n-1]
+		p.slot, c.free = c.free[n-1], c.free[:n-1]
 	} else {
-		slot = make(chan frame, 1)
+		p.slot = make(chan frame, 1)
 	}
-	c.pending[id] = slot
+	c.pending[p.id] = p.slot
 	c.mu.Unlock()
 
-	req := frame{Kind: kindRequest, ID: id, Method: method, msg: msg}
+	f := frame{Kind: kindRequest, ID: p.id, Method: method, msg: req}
 	if dl, ok := ctx.Deadline(); ok {
 		if remaining := time.Until(dl); remaining > 0 {
-			req.TimeoutNanos = int64(remaining)
+			f.TimeoutNanos = int64(remaining)
 		}
 	}
-	n, err := c.writeFrameCtx(ctx, &req)
+	n, err := c.writeFrameCtx(ctx, &f)
 	if err != nil {
-		c.abandon(id)
+		c.abandon(p.id)
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			err = perr.Ctx(ctxErr)
 		}
-		return frame{}, fmt.Errorf("rpc call %s: %w", method, err)
+		return Pending{}, fmt.Errorf("rpc call %s: %w", method, err)
 	}
 	if c.clock != nil {
 		c.clock.Advance(c.profile.cost(n))
 	}
-	var resp frame
+	return p, nil
+}
+
+// Wait is the second half of a call: it waits for p's reply and decodes
+// it into resp with its UnmarshalWire, so a caller that recycles a
+// response (Recycler) decodes into the storage it kept. A cancelled or
+// expired context abandons the call at once: its reply, if it ever
+// arrives, lands in a slot nobody reuses.
+func (p Pending) Wait(ctx context.Context, resp WireUnmarshaler) error {
+	c := p.c
+	var f frame
 	var ok bool
 	select {
-	case resp, ok = <-slot:
+	case f, ok = <-p.slot:
 	case <-ctx.Done():
-		c.abandon(id)
-		return frame{}, fmt.Errorf("rpc call %s: %w", method, perr.Ctx(ctx.Err()))
+		c.abandon(p.id)
+		return fmt.Errorf("rpc call %s: %w", p.method, perr.Ctx(ctx.Err()))
 	}
 	if !ok {
-		return frame{}, fmt.Errorf("rpc call %s: connection lost: %w", method, ErrClientClosed)
+		return fmt.Errorf("rpc call %s: connection lost: %w", p.method, ErrClientClosed)
 	}
 	c.mu.Lock()
-	c.free = append(c.free, slot) // its own response received: empty, and nobody else's
+	c.free = append(c.free, p.slot) // its own response received: empty, and nobody else's
 	c.mu.Unlock()
 	if c.clock != nil {
-		c.clock.Advance(c.profile.cost(len(resp.Body)))
+		c.clock.Advance(c.profile.cost(len(f.Body)))
 	}
-	if resp.ErrMsg != "" {
-		putBody(resp.buf)
-		return frame{}, &remoteError{perr.FromWire(resp.ErrCode, resp.ErrMsg)}
+	defer putBody(f.buf)
+	if f.ErrMsg != "" {
+		return &remoteError{perr.FromWire(f.ErrCode, f.ErrMsg)}
 	}
-	return resp, nil
+	if err := resp.UnmarshalWire(f.Body); err != nil {
+		return fmt.Errorf("rpc %s: decode response: %w", p.method, err)
+	}
+	return nil
 }
 
 // remoteError is an error the peer sent as its reply: the call completed,
@@ -740,26 +813,22 @@ func (c *Client) abandon(id uint64) {
 // decoded with its UnmarshalWire, both declared on the pointer (PReq and
 // PResp, inferred from Req and Resp). The context's deadline travels with
 // the request and its cancellation abandons the call. It is CallInto with
-// a response of its own.
+// a request and a response of its own, which it allocates; a hot path
+// calls CallInto from storage it keeps.
 func Call[Req, Resp any, PReq encodes[Req], PResp decodes[Resp]](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
 	var resp Resp
-	err := CallInto[Req, Resp, PReq, PResp](ctx, c, method, req, &resp)
+	err := CallInto(ctx, c, method, PReq(&req), PResp(&resp))
 	return resp, err
 }
 
-// CallInto is Call decoding the response into *resp, so a caller that
-// recycles a response (Recycler) decodes into the storage it kept.
-func CallInto[Req, Resp any, PReq encodes[Req], PResp decodes[Resp]](ctx context.Context, c *Client, method string, req Req, resp *Resp) error {
-	f, err := c.call(ctx, method, PReq(&req))
+// CallInto is a call whose request and response live in its caller's
+// storage: Send and Wait back to back.
+func CallInto(ctx context.Context, c *Client, method string, req WireMarshaler, resp WireUnmarshaler) error {
+	p, err := c.Send(ctx, method, req)
 	if err != nil {
 		return err
 	}
-	err = PResp(resp).UnmarshalWire(f.Body)
-	putBody(f.buf)
-	if err != nil {
-		return fmt.Errorf("rpc %s: decode response: %w", method, err)
-	}
-	return nil
+	return p.Wait(ctx, resp)
 }
 
 // Closed reports whether the client can no longer issue calls — torn down
@@ -770,6 +839,14 @@ func (c *Client) Closed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.closed
+}
+
+// InFlight reports the calls sent on c whose reply has neither arrived nor
+// been abandoned.
+func (c *Client) InFlight() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
 }
 
 // Close tears the client down and waits for the reader to exit.

@@ -688,6 +688,50 @@ func TestMuxAbandonedCallSlot(t *testing.T) {
 	}
 }
 
+// TestMuxHandlersNeverWaitOnEachOther: handlers on one connection run
+// side by side, however the reader hands requests out. Call A's handler
+// blocks until call B's handler has run, and B is sent after A on the same
+// connection, so a reader that ran a handler itself, or queued B behind A,
+// would never read B. Each round starts with a handler parked from the
+// round before, so A takes the parked one and B needs another.
+func TestMuxHandlersNeverWaitOnEachOther(t *testing.T) {
+	var bRan atomic.Pointer[chan struct{}]
+	s := NewServer()
+	HandleTyped(s, "a", func(ctx context.Context, r echoReq) (echoResp, error) {
+		select {
+		case <-*bRan.Load():
+			return echoResp(r), nil
+		case <-ctx.Done():
+			return echoResp{}, errors.New("handler B never ran")
+		}
+	})
+	HandleTyped(s, "b", func(_ context.Context, r echoReq) (echoResp, error) {
+		close(*bRan.Load())
+		return echoResp(r), nil
+	})
+	c := startPipeServer(t, s)
+	for i := 0; i < 200; i++ {
+		ch := make(chan struct{})
+		bRan.Store(&ch)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		reqA, reqB := echoReq{Msg: "A", N: i}, echoReq{Msg: "B", N: i}
+		var respA, respB echoResp
+		a, err := c.Send(ctx, "a", &reqA)
+		if err != nil {
+			t.Fatalf("round %d: send A: %v", i, err)
+		}
+		b, err := c.Send(ctx, "b", &reqB)
+		if err != nil {
+			t.Fatalf("round %d: send B: %v", i, err)
+		}
+		errA, errB := a.Wait(ctx, &respA), b.Wait(ctx, &respB)
+		cancel()
+		if errA != nil || errB != nil || respA.Msg != "A" || respB.Msg != "B" {
+			t.Fatalf("round %d: A = %+v, %v; B = %+v, %v", i, respA, errA, respB, errB)
+		}
+	}
+}
+
 // TestDialContextCancelled asserts a dial honors an already-expired
 // context instead of attempting connection establishment.
 func TestDialContextCancelled(t *testing.T) {

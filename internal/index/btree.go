@@ -854,17 +854,127 @@ func (c *Cursor) NextKey() (key []byte, ok bool, err error) {
 			c.idx++
 			return k, true, nil
 		}
-		// Leaf exhausted (possibly empty after lazy deletions): follow the
-		// sibling chain. Past the rightmost leaf the cursor stays on it, so
-		// a SeekAhead past the last key searches it instead of descending.
-		if c.v.next == noPage {
-			break
-		}
-		c.on, c.descended = false, false
-		if err := c.t.view(&c.v, pagestore.PageID(c.v.next)); err != nil {
+		if more, err := c.hop(); !more {
 			return nil, false, err
 		}
-		c.on, c.idx, c.from = true, 0, 0
 	}
 	return nil, false, nil
+}
+
+// NextLeaf returns the postings left on the leaf under the cursor as one
+// run and moves the cursor past them; a leaf with none left (possibly
+// empty after lazy deletions) is hopped over. ok is false when the scan is
+// exhausted. A scan reading a leaf at a time bounds it with one cut and
+// reads its file ids in one pass (LeafRun), where Next costs a call and a
+// key split per posting. The run reads the leaf's page image, which never
+// changes, so it stays valid however the cursor moves on.
+func (c *Cursor) NextLeaf() (run LeafRun, ok bool, err error) {
+	for c.on {
+		if n := c.v.len(); c.idx < n {
+			run = LeafRun{s: c.v.slots, from: c.idx}
+			c.idx = n
+			return run, true, nil
+		}
+		if more, err := c.hop(); !more {
+			return LeafRun{}, false, err
+		}
+	}
+	return LeafRun{}, false, nil
+}
+
+// hop moves an exhausted cursor to the next leaf along the sibling chain;
+// more is false past the rightmost leaf, where the cursor stays, so a
+// SeekAhead past the last key searches it instead of descending.
+func (c *Cursor) hop() (more bool, err error) {
+	if c.v.next == noPage {
+		return false, nil
+	}
+	c.on, c.descended = false, false
+	if err := c.t.view(&c.v, pagestore.PageID(c.v.next)); err != nil {
+		return false, err
+	}
+	c.on, c.idx, c.from = true, 0, 0
+	return true, nil
+}
+
+// LeafRun is the postings a cursor handed out from one leaf (NextLeaf),
+// read in place from the leaf's page image; position 0 is the first
+// posting after the cursor. Its accessors check each slot they read
+// against the header and the directory, so a damaged page gives
+// ErrCorrupt, never a panic.
+type LeafRun struct {
+	s    slots
+	from int // the leaf entry at position 0
+}
+
+// Len returns the number of postings in the run.
+func (r *LeafRun) Len() int { return r.s.len() - r.from }
+
+// Cut returns how many of the run's leading postings sort below key: a
+// bound the scan built from a value key (see AppendPastValue), or any key.
+// It compares the first posting first, so a run wholly past the bound
+// costs one compare, then the last, so a run wholly inside costs two, and
+// otherwise gallops from the front (slots.seek): a cut d postings in costs
+// O(log d) compares.
+func (r *LeafRun) Cut(key []byte) (int, error) {
+	n := r.Len()
+	if n == 0 {
+		return 0, nil
+	}
+	first, err := r.s.body(r.from)
+	if err != nil || bytes.Compare(first, key) >= 0 {
+		return 0, err
+	}
+	last, err := r.s.body(r.s.len() - 1)
+	if err != nil || bytes.Compare(last, key) < 0 {
+		return n, err
+	}
+	pos, _, err := r.s.seek(r.from+1, key)
+	return pos - r.from, err
+}
+
+// Posting returns the run's i-th posting (0 <= i < Len()) as (value key,
+// file id), the value key a sub-slice of the page as Next's is.
+func (r *LeafRun) Posting(i int) (valKey []byte, f FileID, err error) {
+	k, err := r.s.body(r.from + i)
+	if err != nil {
+		return nil, 0, err
+	}
+	return splitComposite(k)
+}
+
+// Files returns a walk over the file ids of the run's first n postings
+// (n <= Len()).
+func (r *LeafRun) Files(n int) RunFiles {
+	w := RunFiles{page: r.s.page, dir: r.s.dir(), at: r.s.start(r.from), i: r.from, end: r.from + n}
+	if w.at < r.s.hdr {
+		w.at = w.dir // a start inside the header: the first Next reports it
+	}
+	return w
+}
+
+// RunFiles reads a run's file ids straight off the slot directory, in one
+// pass: a posting's id is the eight bytes its slot ends, and each slot is
+// checked against the one before it (the entry between them must be as
+// long as the shortest posting) and against the directory.
+type RunFiles struct {
+	page   []byte
+	dir    int
+	at     int // where the next posting starts
+	i, end int // the next leaf entry, and the one the walk stops at
+}
+
+// Next returns the next posting's file id; ok is false once the walk is
+// done.
+func (w *RunFiles) Next() (f FileID, ok bool, err error) {
+	if w.i >= w.end {
+		return 0, false, nil
+	}
+	end := int(binary.BigEndian.Uint16(w.page[len(w.page)-2*(w.i+1):]))
+	if end-w.at < minPostingLen || end > w.dir {
+		return 0, false, ErrCorrupt
+	}
+	w.at = end
+	w.i++
+	return FileID(binary.BigEndian.Uint64(w.page[end-8:])), true, nil
 }

@@ -141,10 +141,24 @@ func decodeValueKey(key []byte) (attr.Value, error) {
 	return attr.Decode(raw)
 }
 
+// minPostingLen is the shortest composite key: a one-byte value key with
+// its terminator, then the file id.
+const minPostingLen = valueKeyTermLen + 1 + 8
+
+// AppendPastValue appends to a value key the nine bytes — the largest file
+// id, then a zero — that make it the smallest key above every posting of
+// its value. Value keys are prefix-free, so a posting of another value
+// sorts on the same side of it as of the bare value key, and no posting
+// equals either. A scan bounds its postings with these keys: the bare
+// value key sorts below the value's postings, the extended one above them.
+func AppendPastValue(valKey []byte) []byte {
+	return append(valKey, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0)
+}
+
 // splitComposite recovers the value key (still escaped and terminated —
 // the form scans compare) and the file id from a composite key.
 func splitComposite(k []byte) (valKey []byte, f FileID, err error) {
-	if len(k) < valueKeyTermLen+1+8 {
+	if len(k) < minPostingLen {
 		return nil, 0, ErrCorrupt
 	}
 	cut := len(k) - 8

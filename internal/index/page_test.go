@@ -141,6 +141,86 @@ func pokeSlots(t *testing.T, s *slots, probes [][]byte) {
 	}
 }
 
+// pokeRun drives a leaf run's accessors over an open leaf, from its first
+// entry and from its middle: each returns ErrCorrupt or the decoder's
+// answer (want, nil when the decoder refused the page), and none panics.
+// Where the decoder accepts the page, the one-pass file ids are its keys'
+// tails, unless a key is shorter than a posting, which they report; where
+// it refuses it, the walk from the first entry reads the slot it refused.
+func pokeRun(t *testing.T, s slots, want *oraclePage, probes [][]byte) {
+	t.Helper()
+	corrupt := func(what string, err error) {
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v, want nil or ErrCorrupt", what, err)
+		}
+	}
+	for _, from := range []int{0, s.len() / 2} {
+		r := LeafRun{s: s, from: from}
+		var keys [][]byte // the decoder's keys in the run
+		if want != nil {
+			keys = want.entries[from:]
+		}
+		for _, k := range probes {
+			n, err := r.Cut(k)
+			corrupt("Cut", err)
+			if err == nil && (n < 0 || n > r.Len()) {
+				t.Fatalf("Cut(%x) from %d = %d of %d postings", k, from, n, r.Len())
+			}
+			if want != nil && slices.IsSortedFunc(keys, bytes.Compare) {
+				below, _ := slices.BinarySearchFunc(keys, k, bytes.Compare)
+				if err != nil || n != below {
+					t.Fatalf("Cut(%x) from %d = %d, %v on a sound sorted page; %d keys sort below", k, from, n, err, below)
+				}
+			}
+		}
+		short := false
+		for i := range r.Len() {
+			valKey, f, err := r.Posting(i)
+			corrupt("Posting", err)
+			if want == nil {
+				continue
+			}
+			if len(keys[i]) < minPostingLen {
+				short = true
+				if err == nil {
+					t.Fatalf("Posting(%d) from %d read a %d-byte key", i, from, len(keys[i]))
+				}
+			} else if err != nil || !bytes.Equal(binary.BigEndian.AppendUint64(slices.Clone(valKey), uint64(f)), keys[i]) {
+				t.Fatalf("Posting(%d) from %d = (%x, %d, %v), key %x", i, from, valKey, f, err, keys[i])
+			}
+		}
+		var files []FileID
+		var err error
+		for w := r.Files(r.Len()); ; {
+			var f FileID
+			var ok bool
+			if f, ok, err = w.Next(); err != nil || !ok {
+				break
+			}
+			files = append(files, f)
+		}
+		corrupt("Files", err)
+		switch {
+		case want == nil:
+			if from == 0 && err == nil {
+				t.Fatalf("the file walk read %d ids of a page the decoder refuses", len(files))
+			}
+		case short:
+			if err == nil {
+				t.Fatal("the file walk read a key shorter than a posting")
+			}
+		default:
+			tails := make([]FileID, 0, len(keys))
+			for _, k := range keys {
+				tails = append(tails, FileID(binary.BigEndian.Uint64(k[len(k)-8:])))
+			}
+			if err != nil || !slices.Equal(files, tails) {
+				t.Fatalf("file walk from %d = %d, %v; the keys' tails are %d", from, files, err, tails)
+			}
+		}
+	}
+}
+
 func FuzzNodeView(f *testing.F) {
 	k1, k2 := compositeKey(attr.Int(7), 1), compositeKey(attr.Str("a\x00b"), 2)
 	keys := [][]byte{k1, k2}
@@ -202,6 +282,10 @@ func FuzzNodeView(f *testing.F) {
 		}
 		if v.leaf {
 			pokeSlots(t, &v.slots, probes)
+			if err != nil {
+				want = nil
+			}
+			pokeRun(t, v.slots, want, probes)
 		}
 	})
 }

@@ -255,12 +255,6 @@ func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScan
 	return commitNanos, sc.searchGroupLocked(g, req.IndexName, readThrough)
 }
 
-// seekRunThreshold is how many consecutive same-value postings a B-tree
-// scan skips linearly (cursor-filtered or lo-excluded) before issuing a
-// tree seek past the run. Short runs stay on the cheap sibling walk; long
-// duplicate runs cost one O(height) descent instead of O(run).
-const seekRunThreshold = 8
-
 // groupScanner executes one compiled query against successive groups,
 // feeding its own collector. Scanners are pooled: closures, the collector's
 // buffers, the B-tree cursor (with its page view) and the encoded bounds
@@ -290,13 +284,12 @@ type groupScanner struct {
 	emit     func(index.FileID) bool
 	scanEmit func(attr.Value, index.FileID) bool
 
-	// Reused scratch: B-tree cursor and encoded bounds, KD box.
+	// Reused scratch: B-tree cursor and bound keys (scanBTree), KD box.
 	cur          index.Cursor
 	loBuf, hiBuf []byte
 	kdLo, kdHi   []float64
 
-	// seekBuf holds the key a read-through seeks the pending run to, or
-	// the forward index to.
+	// seekBuf holds the key the residual seeks the forward index to.
 	seekBuf []byte
 }
 
@@ -684,39 +677,36 @@ func (sc *groupScanner) searchGroupLocked(g *group, indexName string, readThroug
 // the hash lookup's encoded value, inside the KD box — are candidates,
 // proven or sent through the residual exactly as scanned candidates are.
 // B-tree and hash runs are in key order and are sought, so the work is the
-// entries inside the bounds and one beyond, whatever the run's length
-// — the count it returns, kept in n.pendingJudged; a KD run is walked, which
-// costs less than the tree rebuild its commit would. Caller holds g.mu; the
-// access path has run, so the bounds it cached (sc.iv with loBuf/hiBuf, the
-// KD box) are set.
+// entries inside the bounds (a hash point's, and one beyond), whatever the
+// run's length — the count it returns, kept in n.pendingJudged; a KD run is
+// walked, which costs less than the tree rebuild its commit would. Caller
+// holds g.mu; the access path has run, so the bounds it cached (sc.iv with
+// the bound keys in loBuf/hiBuf, the KD box) are set.
 func (sc *groupScanner) scanPending() (judged int, err error) {
 	order := &sc.own.order
 	switch {
 	case sc.in.bt != nil:
-		// Composite keys are (value key || file), and value keys are
-		// prefix-free: every key of the value lo sorts above lo's bare value
-		// key and below that key followed by nine bytes no file id spells.
+		// The run holds composite keys in order, so the entries in bounds
+		// lie between the seeks of scanBTree's bound keys.
 		ci, i := 0, 0
 		if sc.iv.Lo != nil {
-			sc.seekBuf = append(sc.seekBuf[:0], sc.loBuf...)
-			if !sc.iv.IncLo {
-				sc.seekBuf = append(sc.seekBuf, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0)
-			}
-			ci, i = order.seek(sc.seekBuf, 0)
+			ci, i = order.seek(sc.loBuf, 0)
 		}
-		for ; ci < len(order.chunks); ci, i = ci+1, 0 {
-			for _, k := range order.chunks[ci][i:] {
+		endC, endI := len(order.chunks), 0
+		if sc.iv.Hi != nil {
+			endC, endI = order.seek(sc.hiBuf, 0)
+		}
+		for ; ci < endC || ci == endC && i < endI; ci, i = ci+1, 0 {
+			chunk := order.chunks[ci]
+			if ci == endC {
+				chunk = chunk[:endI]
+			}
+			for _, k := range chunk[i:] {
 				judged++
-				valKey := k.key[:len(k.key)-8]
-				if sc.iv.Hi != nil {
-					if c := bytes.Compare(valKey, sc.hiBuf); c > 0 || (c == 0 && !sc.iv.IncHi) {
-						return judged, nil // the run is sorted; nothing further is inside
-					}
-				}
 				if sc.col.rejects(k.file) {
 					continue
 				}
-				if err := sc.yield(k.file, valKey[0] == sc.provenKind); err != nil {
+				if err := sc.yield(k.file, k.key[0] == sc.provenKind); err != nil {
 					return judged, err
 				}
 			}
@@ -776,122 +766,154 @@ func inBox(payload []byte, lo, hi []float64) bool {
 	return true
 }
 
-// scanBTree streams the index's postings in key order through the cursor.
-// Pagination resumes by seek instead of scan-and-discard: an inclusive
-// lower bound starts directly at (lo, After+1), and inside the scan a run
-// of same-value postings at or below the cursor is skipped with one
-// descent once it exceeds seekRunThreshold. Equality scans additionally
-// stop early: their postings arrive in ascending file order, so once the
-// page is full and overflow is recorded nothing later can matter.
+// scanBTree streams the index's postings in key order through the cursor,
+// a leaf at a time. The bounds are keys (index.AppendPastValue): the scan
+// seeks the lo key, and an inclusive lo with a page cursor starts directly
+// at (lo, After+1), so nothing is checked against lo afterwards. Each leaf
+// is cut at the hi key once (LeafRun.Cut); a leaf whose in-bound postings
+// are all one value at or below the cursor is skipped with one seek to
+// (value, After+1); the rest pay, a posting each, the file id, the gate, the
+// read-through probe and the add. Equality scans additionally stop early:
+// their postings arrive in ascending file order, so once the page is full
+// and overflow is recorded nothing later can matter.
 func (sc *groupScanner) scanBTree() error {
 	iv, ok := sc.fieldInterval()
 	if !ok {
 		iv = query.Interval{IncLo: true, IncHi: true} // full scan
 	}
-	var loEnc, hiEnc []byte
+	// A posting is in bounds when its key is at or above lo and below hi
+	// (nil: unbounded); scanPending bounds the pending run by the same keys.
+	var lo, hi []byte
+	eqScan := false
 	if iv.Lo != nil {
 		sc.loBuf = index.AppendValueKey(sc.loBuf[:0], *iv.Lo)
-		loEnc = sc.loBuf
+		if !iv.IncLo {
+			sc.loBuf = index.AppendPastValue(sc.loBuf)
+		}
+		lo = sc.loBuf
 	}
 	if iv.Hi != nil {
 		sc.hiBuf = index.AppendValueKey(sc.hiBuf[:0], *iv.Hi)
-		hiEnc = sc.hiBuf
+		eqScan = iv.IncLo && iv.IncHi && bytes.Equal(lo, sc.hiBuf)
+		if iv.IncHi {
+			sc.hiBuf = index.AppendPastValue(sc.hiBuf)
+		}
+		hi = sc.hiBuf
 	}
 	if sc.afterSet && sc.after == math.MaxUint64 {
 		return nil // no file id can exceed the cursor
 	}
-	eqScan := loEnc != nil && hiEnc != nil && iv.IncLo && iv.IncHi && bytes.Equal(loEnc, hiEnc)
 
 	cur := &sc.cur
 	cur.Reset(sc.in.bt)
 	var err error
-	switch {
-	case loEnc != nil && iv.IncLo && sc.afterSet:
+	if lo != nil && iv.IncLo && sc.afterSet {
 		// Postings of the lo value at or below the cursor are inadmissible;
 		// resume exactly where the previous page left off.
-		err = cur.SeekEncodedComposite(loEnc, sc.after+1)
-	case loEnc != nil:
-		err = cur.Seek(loEnc)
-	default:
-		err = cur.SeekFirst()
+		err = cur.SeekEncodedComposite(lo, sc.after+1)
+	} else {
+		err = cur.Seek(lo) // a nil key seeks the first posting
 	}
 	if err != nil {
 		return err
 	}
-
-	var prevSkip []byte
-	skipRun := 0
 	for {
-		valEnc, f, ok, err := cur.Next()
+		run, ok, err := cur.NextLeaf()
 		if err != nil || !ok {
 			return err
 		}
-		if loEnc != nil {
-			switch c := bytes.Compare(valEnc, loEnc); {
-			case c < 0:
-				continue // unreachable after the seek; cheap invariant guard
-			case c == 0 && !iv.IncLo:
-				// Exclusive lower bound: hop past the lo run once it proves
-				// long.
-				skipRun++
-				if skipRun == seekRunThreshold {
-					if err := cur.SeekEncodedComposite(valEnc, math.MaxUint64); err != nil {
-						return err
-					}
-					skipRun = 0
-				}
-				continue
+		end := run.Len()
+		if hi != nil {
+			if end, err = run.Cut(hi); err != nil || end == 0 {
+				return err // keys are sorted; nothing further is in bounds
 			}
 		}
-		if hiEnc != nil {
-			c := bytes.Compare(valEnc, hiEnc)
-			if c > 0 || (c == 0 && !iv.IncHi) {
-				return nil // keys are sorted; nothing further matches
-			}
+		first, _, err := run.Posting(0)
+		if err != nil {
+			return err
 		}
-		if sc.afterSet && f <= sc.after {
-			// Below the page cursor. Runs of one value carry ascending file
-			// ids, so the rest of a long run is skippable in one seek.
-			if prevSkip != nil && bytes.Equal(prevSkip, valEnc) {
-				skipRun++
-			} else {
-				prevSkip, skipRun = valEnc, 1
+		last, lastFile, err := run.Posting(end - 1)
+		if err != nil {
+			return err
+		}
+		cut := end < run.Len() // the hi bound ends the scan in this leaf
+		if end > 1 && sc.afterSet && lastFile <= sc.after && bytes.Equal(first, last) {
+			// One value, whose file ids ascend: every posting here is at or
+			// below the cursor, and so is its run's rest up to (value,
+			// After+1). (A lone posting is left to the gate: the seek costs
+			// a descent where walking on costs a hop.)
+			if cut {
+				return nil
 			}
-			if skipRun == seekRunThreshold {
-				if err := cur.SeekEncodedComposite(valEnc, sc.after+1); err != nil {
-					return err
-				}
-				prevSkip, skipRun = nil, 0
+			if err := cur.SeekEncodedComposite(last, sc.after+1); err != nil {
+				return err
 			}
 			continue
 		}
-		prevSkip, skipRun = nil, 0
-		switch {
-		case sc.col.rejects(f): // can change neither the page nor More
-		case sc.pendingFile(f): // scanPending judges it, on its merged postings
-		case valEnc[0] == sc.provenKind:
-			sc.col.add(f) // inside the bounds, of the bounds' kind: proven
-		default:
-			if err := sc.yield(f, false); err != nil {
+		provenFrom, provenTo, err := sc.provenSpan(&run, first, last, end)
+		if err != nil {
+			return err
+		}
+		files := run.Files(end)
+		for i := 0; ; i++ {
+			f, ok, err := files.Next()
+			if err != nil {
 				return err
 			}
-			// An equality scan judges as soon as its waiting candidates
-			// could fill what is left of the page, so the stop below comes
-			// as early as it would one candidate at a time.
-			if eqScan && sc.col.limit > 0 && len(sc.batch) > sc.col.limit-len(sc.col.files) {
-				if err := sc.judgeBatch(); err != nil {
+			if !ok {
+				break
+			}
+			switch {
+			case sc.col.rejects(f): // can change neither the page nor More
+			case sc.pendingFile(f): // scanPending judges it, on its merged postings
+			case provenFrom <= i && i < provenTo:
+				sc.col.add(f) // inside the bounds, of the bounds' kind: proven
+			default:
+				if err := sc.yield(f, false); err != nil {
 					return err
 				}
+				// An equality scan judges as soon as its waiting candidates
+				// could fill what is left of the page, so the stop below comes
+				// as early as it would one candidate at a time.
+				if eqScan && sc.col.limit > 0 && len(sc.batch) > sc.col.limit-len(sc.col.files) {
+					if err := sc.judgeBatch(); err != nil {
+						return err
+					}
+				}
+			}
+			// Equality runs yield ascending file ids, so once the gate rejects
+			// the current one it rejects everything later in this group — the
+			// candidates still waiting for the residual sort below the current
+			// one and only shrink the page.
+			if eqScan && sc.col.rejects(f) {
+				return nil
 			}
 		}
-		// Equality runs yield ascending file ids, so once the gate rejects
-		// the current one it rejects everything later in this group — the
-		// candidates still waiting for the residual sort below the current
-		// one and only shrink the page.
-		if eqScan && sc.col.rejects(f) {
+		if cut {
 			return nil
 		}
 	}
+}
+
+// provenSpan returns the run's postings [from, to), among its first end —
+// first and last the value keys of the end ones' first and last — whose
+// kind is the proven one (provenKind; none when it is 0). Keys sort by
+// their kind tag first, so when first and last have the proven kind so does
+// every posting between them, and otherwise the kind's postings are the
+// ones a cut at the tag and a cut past it enclose.
+func (sc *groupScanner) provenSpan(run *index.LeafRun, first, last []byte, end int) (from, to int, err error) {
+	k := sc.provenKind
+	switch {
+	case k == 0 || first[0] > k || last[0] < k:
+		return 0, 0, nil
+	case first[0] == k && last[0] == k:
+		return 0, end, nil
+	}
+	if from, err = run.Cut([]byte{k}); err != nil {
+		return 0, 0, err
+	}
+	to, err = run.Cut([]byte{k + 1})
+	return from, min(to, end), err
 }
 
 // scanHash serves point queries through the streaming LookupEach. Anything

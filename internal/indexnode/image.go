@@ -33,8 +33,14 @@ import (
 //	recHeader  proto.ReceiveACGMeta wire body (acg, epoch, follower, replSeq)
 //	recFiles   count, then delta-coded sorted file ids
 //	recEdges   count, then (src, dst, weight) uvarint triples
-//	recIndex   index spec; subsequent recEntries belong to it
+//	recIndex   index spec (proto.AppendSpec); subsequent recEntries belong to it
 //	recEntries count, then proto.IndexEntry wire encodings
+//
+// The magic byte versions the image once: a record body is proto's wire
+// encoding without a version byte of its own (the header's is a whole
+// message, version and all). Bodies are read with proto.WireReader, and
+// each record is parsed whole before it changes the group, so a record
+// that does not parse applies nothing.
 const (
 	imageMagic = 0xA7
 
@@ -95,22 +101,6 @@ func (w *imageWriter) flush() error {
 	err := w.emit(w.buf)
 	w.buf = w.buf[:0]
 	return err
-}
-
-func appendImageString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendImageSpec(dst []byte, spec proto.IndexSpec) []byte {
-	dst = appendImageString(dst, spec.Name)
-	dst = append(dst, byte(spec.Type))
-	dst = appendImageString(dst, spec.Field)
-	dst = binary.AppendUvarint(dst, uint64(len(spec.Fields)))
-	for _, f := range spec.Fields {
-		dst = appendImageString(dst, f)
-	}
-	return dst
 }
 
 // streamImageLocked serializes the group's durable state — membership,
@@ -218,7 +208,7 @@ func (w *imageWriter) postings(g *group, in *inst, filter func(index.FileID) boo
 			return false
 		}
 		if !started {
-			if err = w.record(recIndex, appendImageSpec(nil, in.spec)); err != nil {
+			if err = w.record(recIndex, proto.AppendSpec(nil, in.spec)); err != nil {
 				return false
 			}
 			started = true
@@ -357,37 +347,14 @@ func (a *imageApplier) applyOne(b []byte) (rest []byte, done bool, err error) {
 	return rest, false, err
 }
 
-func imageUvarint(b []byte) (uint64, []byte, error) {
-	v, k := binary.Uvarint(b)
-	if k <= 0 {
-		return 0, nil, errImageTruncated
-	}
-	return v, b[k:], nil
-}
-
-func imageString(b []byte) (string, []byte, error) {
-	ln, b, err := imageUvarint(b)
-	if err != nil || ln > uint64(len(b)) {
-		return "", nil, errImageTruncated
-	}
-	return string(b[:ln]), b[ln:], nil
-}
-
-func (a *imageApplier) applyFiles(b []byte) error {
-	count, b, err := imageUvarint(b)
-	if err != nil {
-		return err
-	}
-	if count > uint64(len(b)) { // ≥1 byte per delta
-		return errImageTruncated
+func (a *imageApplier) applyFiles(body []byte) error {
+	rd := proto.NewBodyReader(body)
+	deltas := proto.ReadList(&rd, 1, (*proto.WireReader).Uvarint)
+	if err := rd.Err(); err != nil {
+		return imageErr(err)
 	}
 	f := index.FileID(0)
-	for i := uint64(0); i < count; i++ {
-		d, rest, err := imageUvarint(b)
-		if err != nil {
-			return err
-		}
-		b = rest
+	for _, d := range deltas {
 		f += index.FileID(d)
 		a.g.files[f] = true
 		delete(a.g.movedOut, f) // an authoritative install re-homes the file
@@ -395,53 +362,25 @@ func (a *imageApplier) applyFiles(b []byte) error {
 	return nil
 }
 
-func (a *imageApplier) applyEdges(b []byte) error {
-	count, b, err := imageUvarint(b)
-	if err != nil {
-		return err
+func (a *imageApplier) applyEdges(body []byte) error {
+	rd := proto.NewBodyReader(body)
+	edges := proto.ReadList(&rd, 3, func(r *proto.WireReader) proto.ACGEdge {
+		return proto.ACGEdge{Src: index.FileID(r.Uvarint()), Dst: index.FileID(r.Uvarint()), Weight: int64(r.Uvarint())}
+	})
+	if err := rd.Err(); err != nil {
+		return imageErr(err)
 	}
-	if count > uint64(len(b)) {
-		return errImageTruncated
-	}
-	for i := uint64(0); i < count; i++ {
-		var src, dst, w uint64
-		if src, b, err = imageUvarint(b); err != nil {
-			return err
-		}
-		if dst, b, err = imageUvarint(b); err != nil {
-			return err
-		}
-		if w, b, err = imageUvarint(b); err != nil {
-			return err
-		}
-		a.g.graph.AddEdge(index.FileID(src), index.FileID(dst), int64(w))
+	for _, e := range edges {
+		a.g.graph.AddEdge(e.Src, e.Dst, e.Weight)
 	}
 	return nil
 }
 
-func (a *imageApplier) applyIndex(b []byte) error {
-	var spec proto.IndexSpec
-	var err error
-	if spec.Name, b, err = imageString(b); err != nil {
-		return err
-	}
-	if len(b) == 0 {
-		return errImageTruncated
-	}
-	spec.Type = proto.IndexType(b[0])
-	if spec.Field, b, err = imageString(b[1:]); err != nil {
-		return err
-	}
-	nf, b, err := imageUvarint(b)
-	if err != nil || nf > uint64(len(b)) {
-		return errImageTruncated
-	}
-	for i := uint64(0); i < nf; i++ {
-		var f string
-		if f, b, err = imageString(b); err != nil {
-			return err
-		}
-		spec.Fields = append(spec.Fields, f)
+func (a *imageApplier) applyIndex(body []byte) error {
+	rd := proto.NewBodyReader(body)
+	spec := proto.ReadSpec(&rd)
+	if err := rd.Err(); err != nil {
+		return imageErr(err)
 	}
 	a.n.DeclareIndex(spec)
 	if _, err := a.n.instFor(a.g, spec.Name); err != nil {
@@ -451,27 +390,25 @@ func (a *imageApplier) applyIndex(b []byte) error {
 	return nil
 }
 
-func (a *imageApplier) applyEntries(b []byte) error {
+func (a *imageApplier) applyEntries(body []byte) error {
 	if !a.haveSpec {
 		return errors.New("indexnode: group image: entries before index spec")
 	}
-	count, b, err := imageUvarint(b)
-	if err != nil {
-		return err
-	}
-	if count > uint64(len(b)) {
-		return errImageTruncated
-	}
-	run := &pendingRun{name: a.curName, lastFiles: int(count), lastBytes: len(b)}
-	for i := uint64(0); i < count; i++ {
-		var e proto.IndexEntry
-		if e, b, err = proto.DecodeIndexEntryWire(b); err != nil {
-			return fmt.Errorf("indexnode: group image: %w", err)
+	// The record parses into a run of its own, which applies only once the
+	// whole record parsed. put copies each entry, coordinates too, so one
+	// entry holds each decoded entry in turn.
+	rd := proto.NewBodyReader(body)
+	n := rd.Count(3)
+	run := &pendingRun{name: a.curName, lastFiles: n, lastBytes: len(body)}
+	var e proto.IndexEntry
+	for range n {
+		rd.Entry(&e)
+		if !a.known[a.curName][e.File] {
+			run.put(e, 0)
 		}
-		if a.known[a.curName][e.File] {
-			continue
-		}
-		run.put(e, 0)
+	}
+	if err := rd.Err(); err != nil {
+		return imageErr(err)
 	}
 	if run.len() == 0 {
 		return nil
@@ -482,6 +419,8 @@ func (a *imageApplier) applyEntries(b []byte) error {
 	// the image.
 	return a.n.applyRunsLocked(a.g, []*pendingRun{run})
 }
+
+func imageErr(err error) error { return fmt.Errorf("indexnode: group image: %w", err) }
 
 // finish completes the install: it rejects a torn image, one that began
 // but never opened or that ends inside a record. An applier never fed — an

@@ -1,19 +1,23 @@
 // Hand-rolled binary wire codec: every request and response the system
 // sends implements rpc's MarshalWire/UnmarshalWire pair here, and the rpc
-// layer carries nothing else. The data plane's codecs — updates, searches,
-// follower appends, file lookups — are written for speed (recycled
-// storage, delta-coded ids, routes sent once); the control plane's and the
-// transfer chunk's are written for brevity, one line a field on each side
-// through AppendList, ReadList and the sticky-error WireReader. The
-// Master's snapshot is built from the same helpers.
+// layer carries nothing else. Every decoder reads through WireReader,
+// whose first error sticks, so a field is one read and a message is
+// checked once; the Master's snapshot and the Index Node's group image
+// read through it too. What makes the data plane's decoders — updates,
+// searches, follower appends, file lookups — fast is what they decode
+// into and what they send, not how they fail: recycled entry, group,
+// predicate and file arrays (Recycle), delta-coded search ids, and a
+// lookup's routes sent once. The control plane's codecs are one line a
+// field on each side through AppendList and ReadList.
 //
 // The UpdateReq encoding is more than a transport form: it is the Index
 // Node's log record. Node.Update frames MarshalWire's output once and that
 // frame is what the shared-store mirror holds and the follower stream
 // carries (a group's mirrored WAL travels beside its image, not inside
-// it); every replay decodes it with UnmarshalWire. Changing UpdateReq's layout therefore changes the
-// durable format — bump wireV1 rather than reinterpret bytes (a replay
-// stops at a record whose version it does not know, as at a torn tail).
+// it); every replay decodes it with UnmarshalWire. Changing UpdateReq's
+// layout therefore changes the durable format — bump wireV1 rather than
+// reinterpret bytes (a replay stops at a record whose version it does not
+// know, as at a torn tail).
 //
 // Layout conventions: each message starts with a version byte (wireV1);
 // unsigned integers are uvarints, signed ones zigzag varints, booleans
@@ -25,8 +29,9 @@
 // ascending FileID lists (search results) are delta-coded so dense result
 // pages cost ~1 byte per id. Decoders must survive arbitrary bytes without
 // panicking — FuzzWireDecode holds them to that — so every read is
-// bounds-checked and every claimed element count is validated against the
-// remaining buffer before allocation.
+// bounds-checked, and a claimed element count is refused before anything
+// is allocated for it when the bytes left cannot hold that many of the
+// element's smallest encoding.
 package proto
 
 import (
@@ -59,10 +64,20 @@ func wireErr(what string) error {
 
 // --- primitive helpers -------------------------------------------------
 
+// The get functions read one field off the front of a buffer; WireReader
+// calls them and keeps the first error. Their own errors are made once: a
+// decode that fails on one allocates nothing for it, and getByte, read for
+// every entry's flags, is small enough to inline.
+var (
+	errUvarint   = wireErr("bad uvarint")
+	errVarint    = wireErr("bad varint")
+	errTruncated = wireErr("truncated message")
+)
+
 func getUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
-		return 0, nil, wireErr("bad uvarint")
+		return 0, nil, errUvarint
 	}
 	return v, b[n:], nil
 }
@@ -70,7 +85,7 @@ func getUvarint(b []byte) (uint64, []byte, error) {
 func getVarint(b []byte) (int64, []byte, error) {
 	v, n := binary.Varint(b)
 	if n <= 0 {
-		return 0, nil, wireErr("bad varint")
+		return 0, nil, errVarint
 	}
 	return v, b[n:], nil
 }
@@ -109,29 +124,17 @@ func getBytesRef(b []byte) ([]byte, []byte, error) {
 
 func getBytes(b []byte) ([]byte, []byte, error) {
 	raw, rest, err := getBytesRef(b)
-	if err != nil {
-		return nil, nil, err
+	if err != nil || len(raw) == 0 {
+		return nil, rest, err
 	}
-	if len(raw) == 0 {
-		return nil, rest, nil
-	}
-	out := make([]byte, len(raw))
-	copy(out, raw)
-	return out, rest, nil
+	return slices.Clone(raw), rest, nil
 }
 
-// countGuard validates a claimed element count against the bytes left:
-// every element costs at least min bytes, so a count the buffer cannot
-// possibly hold is rejected before any allocation (a fuzzer's favorite
-// way to ask for a 2^60-element slice).
-func countGuard(n uint64, b []byte, min int) error {
-	if min < 1 {
-		min = 1
+func getByte(b []byte) (byte, []byte, error) {
+	if len(b) == 0 {
+		return 0, nil, errTruncated
 	}
-	if n > uint64(len(b)/min)+1 && n > uint64(len(b)) {
-		return wireErr("element count exceeds buffer")
-	}
-	return nil
+	return b[0], b[1:], nil
 }
 
 // appendValue encodes an attr.Value behind a uvarint length. The zero
@@ -158,16 +161,6 @@ func getValue(b []byte) (attr.Value, []byte, error) {
 		return attr.Value{}, nil, fmt.Errorf("%w: %v", ErrWire, err)
 	}
 	return v, rest, nil
-}
-
-func checkVersion(b []byte) ([]byte, error) {
-	if len(b) == 0 {
-		return nil, wireErr("empty message")
-	}
-	if b[0] != wireV1 {
-		return nil, wireErr(fmt.Sprintf("unknown message version %d", b[0]))
-	}
-	return b[1:], nil
 }
 
 // AppendVersion starts a message: it appends the version byte a
@@ -210,15 +203,32 @@ type WireReader struct {
 	err error
 }
 
-// NewWireReader starts reading data, whose version byte (AppendVersion) it
-// checks.
+// NewWireReader starts reading a message, whose version byte
+// (AppendVersion) it checks.
 func NewWireReader(data []byte) WireReader {
-	b, err := checkVersion(data)
-	return WireReader{b: b, err: err}
+	if len(data) == 0 {
+		return WireReader{err: wireErr("empty message")}
+	}
+	if data[0] != wireV1 {
+		return WireReader{err: wireErr(fmt.Sprintf("unknown message version %d", data[0]))}
+	}
+	return WireReader{b: data[1:]}
 }
+
+// NewBodyReader starts reading body, which has no version byte of its
+// own: a record in a container versioned as a whole, as a group image is
+// by its magic byte.
+func NewBodyReader(body []byte) WireReader { return WireReader{b: body} }
 
 // Err returns the first error a read met, nil if none did.
 func (r *WireReader) Err() error { return r.err }
+
+// fail records a malformed message unless an earlier read failed.
+func (r *WireReader) fail(what string) {
+	if r.err == nil {
+		r.err = wireErr(what)
+	}
+}
 
 // Uvarint reads an unsigned integer.
 func (r *WireReader) Uvarint() uint64 { return read(r, getUvarint) }
@@ -238,30 +248,25 @@ func (r *WireReader) Byte() byte { return read(r, getByte) }
 // Bool reads a boolean AppendBool wrote.
 func (r *WireReader) Bool() bool { return r.Byte() != 0 }
 
+// Value reads an attr.Value appendValue wrote.
+func (r *WireReader) Value() attr.Value { return read(r, getValue) }
+
 // read takes one field off r with get, unless an earlier read failed.
 func read[T any](r *WireReader, get func([]byte) (T, []byte, error)) (v T) {
 	if r.err == nil {
-		var err error
-		if v, r.b, err = get(r.b); err != nil {
-			r.err = err
-		}
+		v, r.b, r.err = get(r.b)
 	}
 	return v
 }
 
-func getByte(b []byte) (byte, []byte, error) {
-	if len(b) == 0 {
-		return 0, nil, wireErr("truncated message")
-	}
-	return b[0], b[1:], nil
-}
-
-// count reads an element count, refusing one the bytes left cannot hold
-// at min bytes an element (0 once a read failed).
-func (r *WireReader) count(min int) int {
+// Count reads a list's element count, refusing one the bytes left cannot
+// hold at min bytes an element — before anything is allocated for it, so
+// a claimed 2^60-element list costs nothing — and returns 0 once a read
+// failed. min must not exceed the element's smallest encoding.
+func (r *WireReader) Count(min int) int {
 	n := r.Uvarint()
-	if err := countGuard(n, r.b, min); r.err == nil && err != nil {
-		r.err = err
+	if n > uint64(len(r.b)/max(min, 1)) {
+		r.fail("element count exceeds buffer")
 	}
 	if r.err != nil {
 		return 0
@@ -269,11 +274,12 @@ func (r *WireReader) count(min int) int {
 	return int(n)
 }
 
-// ReadList reads a list AppendList wrote whose elements take at least min
-// bytes each, each read by elem; nil when it is empty. A count the bytes
-// left cannot hold fails before anything is allocated.
+// ReadList reads a list AppendList wrote, each element read by elem; nil
+// when it is empty. min is the fewest bytes an element encodes to: a count
+// the bytes left cannot hold at that size fails before anything is
+// allocated.
 func ReadList[T any](r *WireReader, min int, elem func(*WireReader) T) []T {
-	n := r.count(min)
+	n := r.Count(min)
 	if n == 0 {
 		return nil
 	}
@@ -284,10 +290,25 @@ func ReadList[T any](r *WireReader, min int, elem func(*WireReader) T) []T {
 	return out
 }
 
-// ReadMap reads a map AppendMap wrote whose pairs take at least min bytes
-// each, each read by elem. The map is never nil.
+// readUints reads a list of unsigned integers; nil when it is empty. It
+// is ReadList's, without the call through a function value that moves a
+// reader to the heap.
+func readUints[T ~uint64](r *WireReader) []T {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(r.Uvarint())
+	}
+	return out
+}
+
+// ReadMap reads a map AppendMap wrote, each pair read by elem, its count
+// held to min bytes a pair as ReadList's is. The map is never nil.
 func ReadMap[K comparable, V any](r *WireReader, min int, elem func(*WireReader) (K, V)) map[K]V {
-	n := r.count(min)
+	n := r.Count(min)
 	m := make(map[K]V, n)
 	for range n {
 		k, v := elem(r)
@@ -327,49 +348,25 @@ func (e IndexEntry) AppendWire(dst []byte) []byte {
 	return dst
 }
 
-// DecodeIndexEntryWire parses one entry, returning the remaining buffer.
-func DecodeIndexEntryWire(b []byte) (IndexEntry, []byte, error) {
-	return decodeIndexEntry(b, nil)
-}
-
-// decodeIndexEntry parses one entry, its coordinates into coords when they
-// fit there.
-func decodeIndexEntry(b []byte, coords []float64) (IndexEntry, []byte, error) {
-	var e IndexEntry
-	f, b, err := getUvarint(b)
-	if err != nil {
-		return e, nil, err
-	}
-	e.File = index.FileID(f)
-	if len(b) == 0 {
-		return e, nil, wireErr("truncated entry flags")
-	}
-	flags := b[0]
-	b = b[1:]
-	e.Delete = flags&entryDelete != 0
-	if e.Value, b, err = getValue(b); err != nil {
-		return e, nil, err
-	}
+// Entry decodes an IndexEntry AppendWire wrote into e, its coordinates into
+// the array e.KDCoords holds when they fit there.
+func (r *WireReader) Entry(e *IndexEntry) {
+	e.File = readUint[index.FileID](r)
+	flags := r.Byte()
+	e.Delete, e.Value = flags&entryDelete != 0, r.Value()
+	coords := e.KDCoords[:0]
 	if flags&entryHasKD != 0 {
-		n, rest, err := getUvarint(b)
-		if err != nil {
-			return e, nil, err
+		n := r.Count(8) // the coordinates' bytes are there: no read below fails
+		if n > cap(coords) {
+			coords = make([]float64, n)
 		}
-		if n > uint64(len(rest)/8) {
-			return e, nil, wireErr("kd coord count exceeds buffer")
+		coords = coords[:n]
+		for i := range coords {
+			coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
 		}
-		if n <= uint64(cap(coords)) {
-			e.KDCoords = coords[:n]
-		} else {
-			e.KDCoords = make([]float64, n)
-		}
-		for i := range e.KDCoords {
-			e.KDCoords[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-			rest = rest[8:]
-		}
-		b = rest
+		r.b = r.b[8*n:]
 	}
-	return e, b, nil
+	e.KDCoords = coords
 }
 
 // --- UpdateReq / UpdateResp --------------------------------------------
@@ -417,37 +414,17 @@ func (r *UpdateReq) UnmarshalWire(data []byte) error {
 	if len(r.Entries) == 0 {
 		spare = r.Entries[:cap(r.Entries)]
 	}
-	*r = UpdateReq{}
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
-	}
-	var acg uint64
-	if acg, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	r.ACG = ACGID(acg)
-	if r.IndexName, b, err = getString(b); err != nil {
-		return err
-	}
-	n, b, err := getUvarint(b)
-	if err != nil {
-		return err
-	}
-	if err := countGuard(n, b, 3); err != nil {
-		return err
-	}
-	if n > uint64(len(spare)) {
+	rd := NewWireReader(data)
+	*r = UpdateReq{ACG: readUint[ACGID](&rd), IndexName: rd.Str()}
+	n := rd.Count(3)
+	if n > len(spare) {
 		spare = make([]IndexEntry, n)
 	}
-	entries := spare[:n]
-	for i := range entries {
-		if entries[i], b, err = decodeIndexEntry(b, entries[i].KDCoords[:0]); err != nil {
-			return err
-		}
+	r.Entries = spare[:n]
+	for i := range r.Entries {
+		rd.Entry(&r.Entries[i])
 	}
-	r.Entries = entries
-	return nil
+	return rd.Err()
 }
 
 // maxRecycledEntries bounds the entry array a recycled request keeps, so a
@@ -478,22 +455,9 @@ func (r *UpdateResp) MarshalWire(dst []byte) []byte {
 
 // UnmarshalWire implements rpc.WireUnmarshaler.
 func (r *UpdateResp) UnmarshalWire(data []byte) error {
-	*r = UpdateResp{}
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
-	}
-	var cached int64
-	if cached, b, err = getVarint(b); err != nil {
-		return err
-	}
-	r.Cached = int(cached)
-	var epoch uint64
-	if epoch, _, err = getUvarint(b); err != nil {
-		return err
-	}
-	r.Epoch = Epoch(epoch)
-	return nil
+	rd := NewWireReader(data)
+	*r = UpdateResp{Cached: rd.Int(), Epoch: readUint[Epoch](&rd)}
+	return rd.Err()
 }
 
 // --- SearchReq / SearchResp --------------------------------------------
@@ -533,67 +497,21 @@ func (r *SearchReq) UnmarshalWire(data []byte) error {
 	if len(r.ACGs)+len(r.Preds) > 0 {
 		acgs, preds = nil, nil // not recycled: allocate afresh
 	}
-	*r = SearchReq{}
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
+	rd := NewWireReader(data)
+	n := rd.Count(1)
+	acgs = slices.Grow(acgs, n)
+	for range n {
+		acgs = append(acgs, readUint[ACGID](&rd))
 	}
-	n, b, err := getUvarint(b)
-	if err != nil {
-		return err
+	name := rd.Str()
+	n = rd.Count(4)
+	preds = slices.Grow(preds, n)
+	for range n {
+		preds = append(preds, query.Predicate{Field: rd.Str(), Op: query.Op(rd.Byte()), Value: rd.Value()})
 	}
-	if err := countGuard(n, b, 1); err != nil {
-		return err
-	}
-	r.ACGs = slices.Grow(acgs, int(n))
-	for i := uint64(0); i < n; i++ {
-		var g uint64
-		if g, b, err = getUvarint(b); err != nil {
-			return err
-		}
-		r.ACGs = append(r.ACGs, ACGID(g))
-	}
-	if r.IndexName, b, err = getString(b); err != nil {
-		return err
-	}
-	if n, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	if err := countGuard(n, b, 4); err != nil {
-		return err
-	}
-	r.Preds = slices.Grow(preds, int(n))
-	for i := uint64(0); i < n; i++ {
-		var p query.Predicate
-		if p.Field, b, err = getString(b); err != nil {
-			return err
-		}
-		if len(b) == 0 {
-			return wireErr("truncated predicate op")
-		}
-		p.Op = query.Op(b[0])
-		b = b[1:]
-		if p.Value, b, err = getValue(b); err != nil {
-			return err
-		}
-		r.Preds = append(r.Preds, p)
-	}
-	var limit int64
-	if limit, b, err = getVarint(b); err != nil {
-		return err
-	}
-	r.Limit = int(limit)
-	var after uint64
-	if after, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	r.After = index.FileID(after)
-	if len(b) < 2 {
-		return wireErr("truncated search flags")
-	}
-	r.AfterSet = b[0]&searchAfterSet != 0
-	r.Consistency = Consistency(b[1])
-	return nil
+	*r = SearchReq{ACGs: acgs, IndexName: name, Preds: preds, Limit: rd.Int(), After: readUint[index.FileID](&rd),
+		AfterSet: rd.Byte()&searchAfterSet != 0, Consistency: Consistency(rd.Byte())}
+	return rd.Err()
 }
 
 // Recycle empties r and keeps its arrays for the next UnmarshalWire into r
@@ -647,52 +565,22 @@ func (r *SearchResp) UnmarshalWire(data []byte) error {
 	if len(r.Files) == 0 {
 		files = r.Files[:0]
 	}
-	*r = SearchResp{}
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
-	}
-	n, b, err := getUvarint(b)
-	if err != nil {
-		return err
-	}
-	if err := countGuard(n, b, 1); err != nil {
-		return err
-	}
-	files = slices.Grow(files, int(n))
+	rd := NewWireReader(data)
+	n := rd.Count(1)
+	files = slices.Grow(files, n)
 	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		var d int64
-		if d, b, err = getVarint(b); err != nil {
-			return err
-		}
-		prev += d
+	for i := range n {
+		prev += rd.Varint()
 		f := index.FileID(prev)
 		if i > 0 && f <= files[i-1] {
-			return wireErr("search files not ascending")
+			rd.fail("search files not ascending")
+			break
 		}
 		files = append(files, f)
 	}
-	r.Files = files
-	if r.CommitLatencyNanos, b, err = getVarint(b); err != nil {
-		return err
-	}
-	if len(b) == 0 {
-		return wireErr("truncated response flags")
-	}
-	r.More = b[0]&searchMore != 0
-	b = b[1:]
-	var retained int64
-	if retained, b, err = getVarint(b); err != nil {
-		return err
-	}
-	r.MaxRetained = int(retained)
-	var epoch uint64
-	if epoch, _, err = getUvarint(b); err != nil {
-		return err
-	}
-	r.Epoch = Epoch(epoch)
-	return nil
+	*r = SearchResp{Files: files, CommitLatencyNanos: rd.Varint(), More: rd.Byte()&searchMore != 0,
+		MaxRetained: rd.Int(), Epoch: readUint[Epoch](&rd)}
+	return rd.Err()
 }
 
 // Recycle empties r and keeps its file array for the next UnmarshalWire
@@ -714,30 +602,11 @@ func (r *FollowerAppendReq) MarshalWire(dst []byte) []byte {
 	return dst
 }
 
-// UnmarshalWire implements rpc.WireUnmarshaler.
+// UnmarshalWire implements rpc.WireUnmarshaler. Frames is a copy.
 func (r *FollowerAppendReq) UnmarshalWire(data []byte) error {
-	*r = FollowerAppendReq{}
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
-	}
-	var acg uint64
-	if acg, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	r.ACG = ACGID(acg)
-	if r.Seq, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	var epoch uint64
-	if epoch, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	r.Epoch = Epoch(epoch)
-	if r.Frames, _, err = getBytes(b); err != nil {
-		return err
-	}
-	return nil
+	rd := NewWireReader(data)
+	*r = FollowerAppendReq{ACG: readUint[ACGID](&rd), Seq: rd.Uvarint(), Epoch: readUint[Epoch](&rd), Frames: read(&rd, getBytes)}
+	return rd.Err()
 }
 
 // MarshalWire implements rpc.WireMarshaler.
@@ -750,20 +619,9 @@ func (r *FollowerAppendResp) MarshalWire(dst []byte) []byte {
 
 // UnmarshalWire implements rpc.WireUnmarshaler.
 func (r *FollowerAppendResp) UnmarshalWire(data []byte) error {
-	*r = FollowerAppendResp{}
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
-	}
-	if r.Seq, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	var epoch uint64
-	if epoch, _, err = getUvarint(b); err != nil {
-		return err
-	}
-	r.Epoch = Epoch(epoch)
-	return nil
+	rd := NewWireReader(data)
+	*r = FollowerAppendResp{Seq: rd.Uvarint(), Epoch: readUint[Epoch](&rd)}
+	return rd.Err()
 }
 
 // --- ReceiveACGMeta / ReceiveACGChunkReq -------------------------------
@@ -813,8 +671,8 @@ func (*Empty) MarshalWire(dst []byte) []byte { return AppendVersion(dst) }
 
 // UnmarshalWire implements rpc.WireUnmarshaler.
 func (*Empty) UnmarshalWire(data []byte) error {
-	_, err := checkVersion(data)
-	return err
+	rd := NewWireReader(data)
+	return rd.Err()
 }
 
 // --- LookupFilesReq / LookupFilesResp ----------------------------------
@@ -842,45 +700,10 @@ func (r *LookupFilesReq) MarshalWire(dst []byte) []byte {
 
 // UnmarshalWire implements rpc.WireUnmarshaler.
 func (r *LookupFilesReq) UnmarshalWire(data []byte) error {
-	*r = LookupFilesReq{}
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
-	}
-	if r.Files, b, err = getUvarints[index.FileID](b); err != nil {
-		return err
-	}
-	if r.GroupHints, b, err = getUvarints[uint64](b); err != nil {
-		return err
-	}
-	if len(b) == 0 {
-		return wireErr("truncated lookup flags")
-	}
-	r.Allocate = b[0]&lookupAllocate != 0
-	return nil
-}
-
-// getUvarints reads a count-prefixed uvarint list (nil when empty).
-func getUvarints[T ~uint64](b []byte) ([]T, []byte, error) {
-	n, b, err := getUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := countGuard(n, b, 1); err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	out := make([]T, n)
-	for i := range out {
-		var v uint64
-		if v, b, err = getUvarint(b); err != nil {
-			return nil, nil, err
-		}
-		out[i] = T(v)
-	}
-	return out, b, nil
+	rd := NewWireReader(data)
+	*r = LookupFilesReq{Files: readUints[index.FileID](&rd), GroupHints: readUints[uint64](&rd),
+		Allocate: rd.Byte()&lookupAllocate != 0}
+	return rd.Err()
 }
 
 // MarshalWire implements rpc.WireMarshaler. The files of a lookup share a
@@ -925,67 +748,31 @@ func (r *LookupFilesResp) MarshalWire(dst []byte) []byte {
 // UnmarshalWire implements rpc.WireUnmarshaler. Mappings of one route share
 // its strings.
 func (r *LookupFilesResp) UnmarshalWire(data []byte) error {
-	*r = LookupFilesResp{}
-	b, err := checkVersion(data)
-	if err != nil {
-		return err
-	}
-	var v uint64
-	if v, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	r.Epoch = Epoch(v)
-	var n uint64
-	if n, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	if err := countGuard(n, b, 4); err != nil {
-		return err
-	}
-	routes := make([]FileMapping, n)
+	rd := NewWireReader(data)
+	*r = LookupFilesResp{Epoch: readUint[Epoch](&rd)}
+	routes := make([]FileMapping, rd.Count(4))
 	for i := range routes {
-		rt := &routes[i]
-		if v, b, err = getUvarint(b); err != nil {
-			return err
-		}
-		rt.ACG = ACGID(v)
-		var node string
-		if node, b, err = getString(b); err != nil {
-			return err
-		}
-		rt.Node = NodeID(node)
-		if rt.Addr, b, err = getString(b); err != nil {
-			return err
-		}
-		if v, b, err = getUvarint(b); err != nil {
-			return err
-		}
-		rt.Epoch = Epoch(v)
+		routes[i] = readFileRoute(&rd)
 	}
-	if n, b, err = getUvarint(b); err != nil {
-		return err
-	}
-	if err := countGuard(n, b, 2); err != nil {
-		return err
-	}
-	if n > 0 {
+	if n := rd.Count(2); n > 0 {
 		r.Mappings = make([]FileMapping, n)
 	}
 	for i := range r.Mappings {
-		var f, k uint64
-		if f, b, err = getUvarint(b); err != nil {
-			return err
-		}
-		if k, b, err = getUvarint(b); err != nil {
-			return err
-		}
+		f, k := readUint[index.FileID](&rd), rd.Uvarint()
 		if k >= uint64(len(routes)) {
-			return wireErr("mapping names a route past the list")
+			rd.fail("mapping names a route past the list")
+			break
 		}
 		r.Mappings[i] = routes[k]
-		r.Mappings[i].File = index.FileID(f)
+		r.Mappings[i].File = f
 	}
-	return nil
+	return rd.Err()
+}
+
+// readFileRoute reads one route of a LookupFilesResp: a mapping without
+// its file.
+func readFileRoute(r *WireReader) FileMapping {
+	return FileMapping{ACG: readUint[ACGID](r), Node: NodeID(r.Str()), Addr: r.Str(), Epoch: readUint[Epoch](r)}
 }
 
 // --- control plane ------------------------------------------------------
@@ -1106,7 +893,7 @@ func appendIndexTarget(dst []byte, t IndexTarget) []byte {
 }
 
 func readIndexTarget(r *WireReader) IndexTarget {
-	return IndexTarget{Node: NodeID(r.Str()), Addr: r.Str(), ACGs: ReadList(r, 1, readUint[ACGID])}
+	return IndexTarget{Node: NodeID(r.Str()), Addr: r.Str(), ACGs: readUints[ACGID](r)}
 }
 
 func appendRoute(dst []byte, g GroupRoute) []byte {
@@ -1147,7 +934,7 @@ func (r *ReportReq) MarshalWire(dst []byte) []byte {
 
 func (r *ReportReq) UnmarshalWire(data []byte) error {
 	rd := NewWireReader(data)
-	*r = ReportReq{Node: NodeID(rd.Str()), Order: ReadOrder(&rd), Files: ReadList(&rd, 1, readUint[index.FileID])}
+	*r = ReportReq{Node: NodeID(rd.Str()), Order: ReadOrder(&rd), Files: readUints[index.FileID](&rd)}
 	return rd.Err()
 }
 
@@ -1210,7 +997,7 @@ func (r *FlushACGReq) MarshalWire(dst []byte) []byte {
 
 func (r *FlushACGReq) UnmarshalWire(data []byte) error {
 	rd := NewWireReader(data)
-	*r = FlushACGReq{ACG: readUint[ACGID](&rd), Edges: ReadList(&rd, 3, readEdge), Vertices: ReadList(&rd, 1, readUint[index.FileID])}
+	*r = FlushACGReq{ACG: readUint[ACGID](&rd), Edges: ReadList(&rd, 3, readEdge), Vertices: readUints[index.FileID](&rd)}
 	return rd.Err()
 }
 

@@ -2,9 +2,11 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -24,8 +26,9 @@ type wireMsg interface {
 }
 
 // wireFixtures returns a populated and an empty value of every message
-// type. Slices and maps left empty are nil (UnmarshalWire's convention), so
-// DeepEqual round-trips exactly.
+// type, and for each type that carries a list a value whose lists hold
+// their smallest elements. Slices and maps left empty are nil
+// (UnmarshalWire's convention), so DeepEqual round-trips exactly.
 func wireFixtures() map[string]wireMsg {
 	return map[string]wireMsg{
 		"UpdateReq": &UpdateReq{
@@ -178,7 +181,63 @@ func wireFixtures() map[string]wireMsg {
 			LeaseRejects: 2, PeerConnEvictions: -7,
 		},
 		"NodeStatsResp/empty": &NodeStatsResp{},
+
+		// Lists of zero-valued elements, each the smallest its type
+		// encodes to, more of them than there are bytes after any list: a
+		// count's minimum element size (ReadList's min) larger than the
+		// element's smallest encoding refuses one of these.
+		"UpdateReq/zeros":        &UpdateReq{Entries: make([]IndexEntry, zeros)},
+		"SearchReq/zeros":        &SearchReq{ACGs: make([]ACGID, zeros), Preds: make([]query.Predicate, zeros)},
+		"SearchResp/zeros":       &SearchResp{Files: firstIDs(zeros)},
+		"LookupFilesReq/zeros":   &LookupFilesReq{Files: make([]index.FileID, zeros), GroupHints: make([]uint64, zeros)},
+		"LookupFilesResp/zeros":  &LookupFilesResp{Mappings: oneFilePerRoute(zeros)},
+		"HeartbeatReq/zeros":     &HeartbeatReq{ACGs: append(make([]ACGMeta, zeros), ACGMeta{Followers: make([]Copy, zeros)})},
+		"HeartbeatResp/zeros":    &HeartbeatResp{Targets: append(make([]Target, zeros), Target{Followers: make([]Copy, zeros)}), Moves: make([]Order, zeros)},
+		"CreateIndexReq/zeros":   &CreateIndexReq{Spec: zeroSpec()},
+		"ReportReq/zeros":        &ReportReq{Files: make([]index.FileID, zeros)},
+		"FlushACGReq/zeros":      &FlushACGReq{Edges: make([]ACGEdge, zeros), Vertices: make([]index.FileID, zeros)},
+		"ClusterStatsResp/zeros": &ClusterStatsResp{Nodes: make([]NodeStats, zeros), Indexes: append(make([]IndexSpec, zeros), zeroSpec())},
+		"LookupIndexResp/zeros": &LookupIndexResp{Spec: zeroSpec(),
+			Targets: append(make([]IndexTarget, zeros), IndexTarget{ACGs: make([]ACGID, zeros)}),
+			Routes:  append(make([]GroupRoute, zeros), GroupRoute{Followers: make([]ReplicaRef, zeros)})},
+		"NodeStatsResp/zeros": &NodeStatsResp{IndexSpecs: append(make([]IndexSpec, zeros), zeroSpec()),
+			PerACGCommits: zeroCounts(zeros)},
 	}
+}
+
+// zeros is the length of a fixture's list of zero-valued elements.
+const zeros = 64
+
+// zeroSpec is an IndexSpec whose Fields are zeros empty names.
+func zeroSpec() IndexSpec { return IndexSpec{Fields: make([]string, zeros)} }
+
+// firstIDs returns the ids 0 to n-1: the smallest ascending search page.
+func firstIDs(n int) []index.FileID {
+	ids := make([]index.FileID, n)
+	for i := range ids {
+		ids[i] = index.FileID(i)
+	}
+	return ids
+}
+
+// oneFilePerRoute returns n mappings of file 0, each to its own group on a
+// node with no name: n routes of the smallest encoding.
+func oneFilePerRoute(n int) []FileMapping {
+	m := make([]FileMapping, n)
+	for i := range m {
+		m[i].ACG = ACGID(i)
+	}
+	return m
+}
+
+// zeroCounts maps the groups 0 to n-1 to 0: the smallest pairs a map of
+// distinct keys holds.
+func zeroCounts(n int) map[ACGID]int64 {
+	m := make(map[ACGID]int64, n)
+	for g := range ACGID(n) {
+		m[g] = 0
+	}
+	return m
 }
 
 // heartbeat16 is a node's heartbeat for 16 replicated groups: the report
@@ -262,16 +321,48 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 // TestWireTruncationNeverPanics feeds every strict prefix of each encoded
-// message to its decoder: errors are expected, panics and hangs are not.
+// message to its decoder. Every field is read, the last included, so every
+// strict prefix is refused with ErrWire, and none panics.
 func TestWireTruncationNeverPanics(t *testing.T) {
 	for name, msg := range wireFixtures() {
 		raw := msg.MarshalWire(nil)
-		for cut := 0; cut < len(raw); cut++ {
+		for cut := range len(raw) {
 			got := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wireMsg)
-			_ = got.UnmarshalWire(raw[:cut]) // must simply not panic
+			if err := got.UnmarshalWire(raw[:cut]); !errors.Is(err, ErrWire) {
+				t.Errorf("%s: its first %d of %d bytes decode with %v, want ErrWire", name, cut, len(raw), err)
+				break
+			}
 		}
-		if name == "" {
-			t.Fatal("unreachable")
+	}
+}
+
+// TestClaimedCountHeldToElementSize: a list's count is refused when the
+// bytes left cannot hold that many of its element's smallest encoding, and
+// before anything is allocated. A 1 MiB body whose count claims an update
+// entry, or a search predicate, per byte fails with ErrWire and allocates
+// less than its own length.
+func TestClaimedCountHeldToElementSize(t *testing.T) {
+	const size = 1 << 20
+	withCount := func(head ...byte) []byte {
+		return append(binary.AppendUvarint(head, size), make([]byte, size)...)
+	}
+	for _, tc := range []struct {
+		msg wireMsg
+		raw []byte
+	}{
+		{&UpdateReq{}, withCount(wireV1, 1, 0)},    // group 1, no index name, the entries
+		{&SearchReq{}, withCount(wireV1, 0, 0)},    // no groups, no index name, the predicates
+		{&LookupFilesResp{}, withCount(wireV1, 0)}, // epoch 0, the routes
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.msg.UnmarshalWire(tc.raw)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrWire) {
+			t.Errorf("%T: decode = %v, want ErrWire", tc.msg, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(tc.raw)) {
+			t.Errorf("%T: a %d-byte body allocated %d bytes before it failed", tc.msg, len(tc.raw), alloc)
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"net"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -738,14 +739,15 @@ func (c *Client) compile(q Query) (proto.SearchReq, time.Time, error) {
 	if anchor.IsZero() {
 		anchor = c.cfg.Now()
 	}
-	preds := make([]query.Predicate, 0, len(q.Preds)+2)
+	// One slice, sized for every predicate: the structured ones, a term
+	// between each '&' of the text, and the path scope's two.
+	preds := make([]query.Predicate, 0, len(q.Preds)+strings.Count(q.Text, "&")+1+2)
 	preds = append(preds, q.Preds...)
 	if q.Text != "" {
-		parsed, err := query.Parse(q.Text, anchor)
-		if err != nil {
+		var err error
+		if preds, err = query.AppendParse(preds, q.Text, anchor); err != nil {
 			return proto.SearchReq{}, anchor, err
 		}
-		preds = append(preds, parsed.Preds...)
 	}
 	if len(preds) == 0 {
 		return proto.SearchReq{}, anchor, fmt.Errorf("%w: query has no predicates", query.ErrSyntax)

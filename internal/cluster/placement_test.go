@@ -114,6 +114,92 @@ func TestFollowerRestartedEmptyIsReseeded(t *testing.T) {
 	}
 }
 
+// TestStrictSearchAfterRestartSeesEveryAckedFile: a node that restarts
+// empty inside the heartbeat timeout does not know which groups it lost
+// until it applies a heartbeat reply, so until then it refuses to search a
+// group it does not hold, and a Strict search answers every acknowledged
+// file or fails as a stale placement — never half of them without an error.
+// The heartbeat round that follows recovers the lost groups. (RestartNode
+// registers the new process, as the binary does when it starts, and the
+// binary's first heartbeat comes a tick later, as the test's round does.)
+func TestStrictSearchAfterRestartSeesEveryAckedFile(t *testing.T) {
+	c, cl := bootCluster(t, Config{IndexNodes: 2, HeartbeatTimeout: 10 * time.Second})
+	ctx := context.Background()
+	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {
+		t.Fatal(err)
+	}
+	const groups, perGroup = 4, 10
+	var updates []client.FileUpdate
+	for f := range groups * perGroup {
+		updates = append(updates, client.FileUpdate{File: index.FileID(f), Value: attr.Int(int64(f)), GroupHint: uint64(f/perGroup) + 1})
+	}
+	if err := cl.Index(ctx, "size", updates); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Heartbeat(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Search(ctx, client.Query{Index: "size", Text: "size>=0"})
+	switch {
+	case err != nil && !errors.Is(err, perr.ErrStalePlacement):
+		t.Fatalf("Strict search before the restarted node's heartbeat: %v, want every file or a stale placement", err)
+	case err == nil && len(res.Files) != groups*perGroup:
+		t.Fatalf("Strict search before the restarted node's heartbeat found %d of %d acked files and no error",
+			len(res.Files), groups*perGroup)
+	}
+	if err := c.Heartbeat(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := strictCount(t, c, "size>=0"); n != groups*perGroup {
+		t.Errorf("Strict search after the heartbeat found %d files, want %d", n, groups*perGroup)
+	}
+}
+
+// TestLazySearchOfRestartedFollowerIsRefused: a follower that restarts
+// empty is still a route in a warm client's placement cache. Until it
+// applies a heartbeat reply it refuses to search the group it lost, so a
+// Lazy search through that cache answers every file or fails as a stale
+// placement (and re-resolves); it never reads the empty node as zero
+// matches.
+func TestLazySearchOfRestartedFollowerIsRefused(t *testing.T) {
+	c, cl := bootCluster(t, Config{
+		IndexNodes: 2, HeartbeatTimeout: 30 * time.Second, ReplicationFactor: 2, CacheLimit: 1 << 20,
+	})
+	ctx := context.Background()
+	_, primary := indexGroup(t, c, cl, 20, 1)
+	for range 2 { // seeds the follower, then proves its copy
+		if err := c.Heartbeat(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := client.Query{Index: "size", Text: "size>0", Consistency: proto.ConsistencyLazy}
+	if res, err := cl.Search(ctx, q); err != nil || len(res.Files) != 20 { // caches the routes, the follower's too
+		t.Fatalf("Lazy search before the restart = %d files, %v; want 20", len(res.Files), err)
+	}
+	follower := 1 - primary
+	if err := c.KillNode(follower); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartNode(follower); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 10 {
+		res, err := cl.Search(ctx, q)
+		switch {
+		case err != nil && !errors.Is(err, perr.ErrStalePlacement):
+			t.Fatalf("Lazy search %d: %v, want every file or a stale placement", i, err)
+		case err == nil && len(res.Files) != 20:
+			t.Fatalf("Lazy search %d found %d of 20 files and no error", i, len(res.Files))
+		}
+	}
+}
+
 // TestMigrationReportReplyLostFencesSource: the Master applies a
 // migration's report but the source never gets the reply. The source
 // cannot tell whether the group moved, so it acks no write for it until

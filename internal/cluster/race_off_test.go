@@ -20,11 +20,12 @@ import (
 // their pooled requests before it waits for either, on its own goroutine,
 // each node's parked handler serves its leg and sends its scanner's page,
 // and the client decodes both answers into the pooled legs. What is left
-// is the query's parse and predicate set, the node's copies of the
-// request's index and field names, and the merged page the caller keeps.
+// is the request's predicate set, which the query text parses into, the
+// node's copies of the request's index and field names, and the merged page
+// the caller keeps.
 // Not under the race detector, which inflates allocation counts.
 func TestWarmPointLookupAllocs(t *testing.T) {
-	const budget = 8 // measured 8 (15 before calls split into send and wait)
+	const budget = 6 // measured 6 (8 before the query parsed into the request's own slice, 15 before calls split into send and wait)
 	_, cl := bootCluster(t, Config{IndexNodes: 2})
 	ctx := context.Background()
 	if err := cl.CreateIndex(ctx, proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"}); err != nil {

@@ -616,6 +616,24 @@ func (h *HashIndex) DeleteBatch(ops []HashOp) (int, error) {
 // Scan streams every posting to fn (order unspecified); fn returns false to
 // stop early.
 func (h *HashIndex) Scan(fn func(attr.Value, FileID) bool) error {
+	var err error
+	scanErr := h.ScanEncoded(func(valEnc []byte, f FileID) bool {
+		var v attr.Value
+		if v, err = attr.Decode(valEnc); err != nil {
+			return false
+		}
+		return fn(v, f)
+	})
+	if scanErr != nil {
+		return scanErr
+	}
+	return err
+}
+
+// ScanEncoded streams every posting to fn as its value encoding, a
+// sub-slice of the page, chain by chain (order otherwise unspecified); fn
+// returns false to stop early.
+func (h *HashIndex) ScanEncoded(fn func(valEnc []byte, f FileID) bool) error {
 	for _, head := range h.buckets {
 		for id := head; ; {
 			if err := h.view(&h.rd, id); err != nil {
@@ -626,11 +644,7 @@ func (h *HashIndex) Scan(fn func(attr.Value, FileID) bool) error {
 				if err != nil {
 					return err
 				}
-				v, err := attr.Decode(valEnc)
-				if err != nil {
-					return err
-				}
-				if !fn(v, f) {
+				if !fn(valEnc, f) {
 					return nil
 				}
 			}

@@ -349,13 +349,16 @@ func (a *imageApplier) applyOne(b []byte) (rest []byte, done bool, err error) {
 
 func (a *imageApplier) applyFiles(body []byte) error {
 	rd := proto.NewBodyReader(body)
-	deltas := proto.ReadList(&rd, 1, (*proto.WireReader).Uvarint)
+	deltas := proto.MakeList[index.FileID](&rd, 1)
+	for i := range deltas {
+		deltas[i] = index.FileID(rd.Uvarint())
+	}
 	if err := rd.Err(); err != nil {
 		return imageErr(err)
 	}
 	f := index.FileID(0)
 	for _, d := range deltas {
-		f += index.FileID(d)
+		f += d
 		a.g.files[f] = true
 		delete(a.g.movedOut, f) // an authoritative install re-homes the file
 	}
@@ -364,9 +367,10 @@ func (a *imageApplier) applyFiles(body []byte) error {
 
 func (a *imageApplier) applyEdges(body []byte) error {
 	rd := proto.NewBodyReader(body)
-	edges := proto.ReadList(&rd, 3, func(r *proto.WireReader) proto.ACGEdge {
-		return proto.ACGEdge{Src: index.FileID(r.Uvarint()), Dst: index.FileID(r.Uvarint()), Weight: int64(r.Uvarint())}
-	})
+	edges := proto.MakeList[proto.ACGEdge](&rd, 3)
+	for i := range edges {
+		edges[i] = proto.ACGEdge{Src: index.FileID(rd.Uvarint()), Dst: index.FileID(rd.Uvarint()), Weight: int64(rd.Uvarint())}
+	}
 	if err := rd.Err(); err != nil {
 		return imageErr(err)
 	}

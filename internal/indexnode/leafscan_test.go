@@ -357,3 +357,46 @@ func BenchmarkSearchPointEq(b *testing.B) {
 		b.Fatalf("%d lookups found %d files; each value has one at least", b.N, found)
 	}
 }
+
+// BenchmarkSearchHashEq prices a point_lookup op's uid half on one node: a
+// hash lookup of uid=<id> over 8 groups, Limit 100, the ids drawn uniformly
+// over Zipf-sized posting lists (2 000 ids, s = 1.1), as the benchmark's
+// are: a lookup matches a few dozen files at the median, and many ids are
+// absent from most groups.
+func BenchmarkSearchHashEq(b *testing.B) {
+	const groups, files, uids = 8, 12500, 2000
+	n, clk := newTestNode(b)
+	n.DeclareIndex(proto.IndexSpec{Name: "uid", Type: proto.IndexHash, Field: "uid"})
+	rnd := rand.New(rand.NewSource(1))
+	z := rand.NewZipf(rnd, 1.1, 1, uids-1)
+	var acgs []proto.ACGID
+	for g := range groups {
+		id := proto.ACGID(g + 1)
+		acgs = append(acgs, id)
+		entries := make([]proto.IndexEntry, 0, files)
+		for f := range files {
+			entries = append(entries, proto.IndexEntry{File: index.FileID(g*files + f), Value: attr.Int(int64(z.Uint64()))})
+		}
+		if _, err := n.Update(context.Background(), proto.UpdateReq{ACG: id, IndexName: "uid", Entries: entries}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	clk.Advance(n.cfg.CommitTimeout)
+	if err := n.Tick(); err != nil {
+		b.Fatal(err)
+	}
+	found := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: acgs, IndexName: "uid", Limit: 100,
+			Preds: []query.Predicate{{Field: "uid", Op: query.OpEq, Value: attr.Int(int64(rnd.Intn(uids)))}}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		found += len(resp.Files)
+	}
+	if found == 0 {
+		b.Fatal("no lookup found a file")
+	}
+}

@@ -144,6 +144,10 @@ type inst struct {
 	// kdStale marks a KD tree a failed commit may have left behind the
 	// forward index: the next commit of the index rebuilds it from there.
 	kdStale bool
+	// filter holds the values of a B-tree's or hash index's postings, so
+	// an equality lookup of a value it does not hold reads nothing
+	// (valuefilter.go).
+	filter valueFilter
 }
 
 // group is one ACG partition and its indices. Every field below mu is
@@ -255,6 +259,12 @@ type Node struct {
 	// perr.ErrStalePlacement instead of silently recreating the group —
 	// the split-brain guard's node-side half. Guarded by mu.
 	released map[proto.ACGID]proto.Epoch
+
+	// planned says the node has applied a heartbeat reply since it booted:
+	// from then on every group the plan puts on it is one it holds or
+	// recovers, so a group it does not hold is one nobody wrote
+	// (searchOneGroup).
+	planned atomic.Bool
 
 	// placementEpoch is the newest placement epoch this node has seen
 	// (heartbeat replies, split/merge/migrate reports, received groups);
@@ -962,6 +972,7 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 			errs = append(errs, fmt.Errorf("indexnode acg %d to %+v: %w", t.ACG, t, err))
 		}
 	}
+	n.planned.Store(true)
 	for _, o := range resp.Moves {
 		switch o.Kind {
 		case proto.OrderSplit:

@@ -527,6 +527,7 @@ type commitScratch struct {
 
 	del, ins       [][]byte // one B-tree run's removals and insertions, then the forward index's
 	delOps, insOps []index.HashOp
+	hashes         []uint64 // a filter rebuild's value hashes (rebuildFilter)
 }
 
 // fwdOp is one forward edit: run's entry for file, its key at fwd[lo:hi]
@@ -650,7 +651,9 @@ func (s *commitScratch) applyForward(fwd *index.BTree) error {
 // applyIndex applies run r's share of the edits to its B-tree or hash
 // index: a removal of the replaced posting when the entry deletes or moves
 // it, and an insertion of every live entry — both in one pass over the
-// index, which rebuilds each page they touch once.
+// index, which rebuilds each page they touch once. The index's value filter
+// takes every inserted value first, and is rebuilt from the written index
+// once it is full.
 func (s *commitScratch) applyIndex(r int, in *inst, run *pendingRun) error {
 	inOrder := run.order.len() > 0
 	s.del, s.ins, s.delOps, s.insOps = s.del[:0], s.ins[:0], s.delOps[:0], s.insOps[:0]
@@ -687,15 +690,20 @@ func (s *commitScratch) applyIndex(r int, in *inst, run *pendingRun) error {
 		}
 		s.stageIndexKey(in, false, key, op.file)
 	}
+	in.filter.addInserts(s.ins, s.insOps) // before the write: a failed one leaves an extra bit, never a missing one
+	var err error
 	if in.bt != nil {
 		sortKeys(s.del)
 		if !inOrder {
 			sortKeys(s.ins)
 		}
-		_, _, err := in.bt.ApplySorted(s.del, s.ins)
-		return err
+		_, _, err = in.bt.ApplySorted(s.del, s.ins)
+	} else {
+		_, _, err = in.ht.ApplyBatch(s.delOps, s.insOps)
 	}
-	_, _, err := in.ht.ApplyBatch(s.delOps, s.insOps)
+	if err == nil && in.filter.full() {
+		err = s.rebuildFilter(in)
+	}
 	return err
 }
 

@@ -215,11 +215,20 @@ func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScan
 		// A released group means the caller's fan-out predates a migration
 		// or recovery: silently returning nothing would hide the moved
 		// group's matches, so reject with the typed stale-placement error
-		// and let the client refetch. A group this node simply never saw
-		// stays an empty contribution (routing slop is benign).
+		// and let the client refetch. So does any group a node with a Master
+		// does not hold before it has applied its first heartbeat reply: it
+		// may have restarted empty, and until the plan tells it which groups
+		// to recover it cannot tell a lost copy from one never written.
+		// Afterwards a group this node simply never saw stays an empty
+		// contribution (routing slop is benign).
 		if ep, gone := n.releasedEpoch(id); gone {
 			n.staleRejects.Inc()
 			return 0, n.staleErr(id, ep)
+		}
+		if n.cfg.Master != nil && !n.planned.Load() {
+			n.staleRejects.Inc()
+			return 0, fmt.Errorf("indexnode %s: acg %d not held, and no heartbeat reply applied since boot: %w",
+				n.cfg.ID, id, perr.ErrStalePlacement)
 		}
 		return 0, nil
 	}
@@ -775,7 +784,9 @@ func inBox(payload []byte, lo, hi []float64) bool {
 // (value, After+1); the rest pay, a posting each, the file id, the gate, the
 // read-through probe and the add. Equality scans additionally stop early:
 // their postings arrive in ascending file order, so once the page is full
-// and overflow is recorded nothing later can matter.
+// and overflow is recorded nothing later can matter. An equality scan of a
+// value the index's filter does not hold reads nothing (valueFilter); the
+// bounds are built first, because scanPending reads them.
 func (sc *groupScanner) scanBTree() error {
 	iv, ok := sc.fieldInterval()
 	if !ok {
@@ -799,6 +810,9 @@ func (sc *groupScanner) scanBTree() error {
 			sc.hiBuf = index.AppendPastValue(sc.hiBuf)
 		}
 		hi = sc.hiBuf
+	}
+	if eqScan && !sc.in.filter.holds(lo) {
+		return nil // the value has no posting here
 	}
 	if sc.afterSet && sc.after == math.MaxUint64 {
 		return nil // no file id can exceed the cursor
@@ -916,7 +930,8 @@ func (sc *groupScanner) provenSpan(run *index.LeafRun, first, last []byte, end i
 	return from, min(to, end), err
 }
 
-// scanHash serves point queries through the streaming LookupEach. Anything
+// scanHash serves point queries through the streaming LookupEach, or not at
+// all when the index's filter does not hold the value. Anything
 // else a hash index cannot answer — it degrades to a full-table scan,
 // counted in NodeStats.HashScanFallbacks so the degradation is observable
 // (the planner picked the wrong index, or the index should be a B-tree).
@@ -929,6 +944,9 @@ func (sc *groupScanner) scanHash() error {
 		// A hit's value bytes equal the bound's encoding, kind tag
 		// included, so under the proven-predicate rule it is the query.
 		sc.loBuf = point.Encode(sc.loBuf[:0]) // scanPending compares against it
+		if !sc.in.filter.holds(sc.loBuf) {
+			return nil // the value has no posting here
+		}
 		sc.skipResidual = sc.provenKind != 0
 		err := sc.in.ht.LookupEach(*point, sc.emit)
 		sc.skipResidual = false

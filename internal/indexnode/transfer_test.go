@@ -85,6 +85,12 @@ func newTransferRig(t *testing.T) *transferRig {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		// Until it applies a heartbeat reply a node refuses to search a
+		// group it does not hold (it may have restarted empty); the rig's
+		// nodes learn their (empty) plan before anything is asked of them.
+		if err := n.Heartbeat(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		return n
 	}
 	r.a, r.b = mkNode("in-a"), mkNode("in-b")

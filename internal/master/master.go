@@ -1191,14 +1191,21 @@ func (s *state) appendWire(dst []byte) []byte {
 func readState(rec []byte) (state, error) {
 	rd := proto.NewWireReader(rec)
 	s := state{NextACG: proto.ACGID(rd.Uvarint()), Epoch: proto.Epoch(rd.Uvarint()),
-		FileToACG: proto.ReadMap(&rd, 2, readPair[index.FileID, proto.ACGID]),
-		HintToACG: proto.ReadMap(&rd, 2, readPair[uint64, proto.ACGID]),
-		Merged:    proto.ReadMap(&rd, 2, readPair[proto.ACGID, proto.ACGID]),
-		Specs: proto.ReadMap(&rd, 4, func(r *proto.WireReader) (string, proto.IndexSpec) {
-			spec := proto.ReadSpec(r)
-			return spec.Name, spec
-		}),
-		ACGs: proto.ReadMap(&rd, 12, readACG),
+		FileToACG: readPairs[index.FileID, proto.ACGID](&rd),
+		HintToACG: readPairs[uint64, proto.ACGID](&rd),
+		Merged:    readPairs[proto.ACGID, proto.ACGID](&rd),
+	}
+	n := rd.Count(4)
+	s.Specs = make(map[string]proto.IndexSpec, n)
+	for range n {
+		spec := proto.ReadSpec(&rd)
+		s.Specs[spec.Name] = spec
+	}
+	n = rd.Count(12)
+	s.ACGs = make(map[proto.ACGID]*acgInfo, n)
+	for range n {
+		a := readACG(&rd)
+		s.ACGs[a.ID] = a
 	}
 	return s, rd.Err()
 }
@@ -1207,7 +1214,15 @@ func appendPair[K, V ~uint64](dst []byte, k K, v V) []byte {
 	return binary.AppendUvarint(binary.AppendUvarint(dst, uint64(k)), uint64(v))
 }
 
-func readPair[K, V ~uint64](r *proto.WireReader) (K, V) { return K(r.Uvarint()), V(r.Uvarint()) }
+// readPairs reads a map of unsigned integers appendPair wrote.
+func readPairs[K, V ~uint64](r *proto.WireReader) map[K]V {
+	n := r.Count(2)
+	m := make(map[K]V, n)
+	for range n {
+		m[K(r.Uvarint())] = V(r.Uvarint())
+	}
+	return m
+}
 
 func appendACG(dst []byte, _ proto.ACGID, a *acgInfo) []byte {
 	dst = binary.AppendUvarint(dst, uint64(a.ID))
@@ -1216,10 +1231,14 @@ func appendACG(dst []byte, _ proto.ACGID, a *acgInfo) []byte {
 	return proto.AppendOrder(binary.AppendUvarint(dst, a.Seq), a.Move)
 }
 
-func readACG(r *proto.WireReader) (proto.ACGID, *acgInfo) {
+func readACG(r *proto.WireReader) *acgInfo {
 	a := &acgInfo{ID: proto.ACGID(r.Uvarint()), Node: proto.NodeID(r.Str()), Epoch: proto.Epoch(r.Uvarint()),
-		Files: r.Varint(), Replicas: proto.ReadList(r, 4, readReplica), Seq: r.Uvarint(), Move: proto.ReadOrder(r)}
-	return a.ID, a
+		Files: r.Varint(), Replicas: proto.MakeList[*replicaInfo](r, 4)}
+	for i := range a.Replicas {
+		a.Replicas[i] = readReplica(r)
+	}
+	a.Seq, a.Move = r.Uvarint(), proto.ReadOrder(r)
+	return a
 }
 
 func appendReplica(dst []byte, r *replicaInfo) []byte {

@@ -55,3 +55,32 @@ func TestRecycledDecodeKeepsItsArrays(t *testing.T) {
 		}
 	}
 }
+
+// TestHeartbeatRespDecodeAllocs pins what decoding a heartbeat reply
+// allocates: its lists and their strings, nothing for the reader. Each
+// list is read in a plain loop (MakeList), so the reader stays on the
+// decoder's stack; one read through a function value moved it to the heap
+// (9 allocations before). Not under the race detector, which inflates
+// allocation counts.
+func TestHeartbeatRespDecodeAllocs(t *testing.T) {
+	const budget = 8 // targets, moves, two follower lists, four strings
+	resp := &HeartbeatResp{
+		Targets: []Target{
+			{ACG: 1, Role: RolePrimary, Epoch: 3, Followers: []Copy{{Node: "in-01", Addr: "pipe:in-01", Epoch: 3}}},
+			{ACG: 2, Role: RolePrimary, Epoch: 4, Followers: []Copy{{Node: "in-00", Addr: "pipe:in-00", Epoch: 4}}},
+		},
+		Moves: []Order{{Kind: OrderSplit, ACG: 1, Into: 5, Epoch: 6}},
+		Epoch: 6, LeaseNanos: 1e9,
+	}
+	b := resp.MarshalWire(nil)
+	var got HeartbeatResp
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := got.UnmarshalWire(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations a decode", allocs)
+	if allocs > budget {
+		t.Errorf("decoding a heartbeat reply allocates %.1f times, want at most %d", allocs, budget)
+	}
+}

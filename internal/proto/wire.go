@@ -8,7 +8,8 @@
 // into and what they send, not how they fail: recycled entry, group,
 // predicate and file arrays (Recycle), delta-coded search ids, and a
 // lookup's routes sent once. The control plane's codecs are one line a
-// field on each side through AppendList and ReadList.
+// field on each side, a list written through AppendList and read back in a
+// plain loop over MakeList's slice.
 //
 // The UpdateReq encoding is more than a transport form: it is the Index
 // Node's log record. Node.Update frames MarshalWire's output once and that
@@ -274,47 +275,55 @@ func (r *WireReader) Count(min int) int {
 	return int(n)
 }
 
-// ReadList reads a list AppendList wrote, each element read by elem; nil
-// when it is empty. min is the fewest bytes an element encodes to: a count
-// the bytes left cannot hold at that size fails before anything is
-// allocated.
-func ReadList[T any](r *WireReader, min int, elem func(*WireReader) T) []T {
+// MakeList reads the count of a list AppendList wrote and returns a slice
+// of that length, nil when it is empty, for the caller to fill element by
+// element straight away, in a plain loop. min is the fewest bytes an
+// element encodes to: a count the bytes left cannot hold at that size
+// fails before anything is allocated. (A reader that took each element's
+// decoder as a function value would move every reader it is handed to the
+// heap: the call through the value hides what the decoder does with it.)
+func MakeList[T any](r *WireReader, min int) []T {
 	n := r.Count(min)
 	if n == 0 {
 		return nil
 	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = elem(r)
-	}
-	return out
+	return make([]T, n)
 }
 
-// readUints reads a list of unsigned integers; nil when it is empty. It
-// is ReadList's, without the call through a function value that moves a
-// reader to the heap.
+// readUints reads a list of unsigned integers; nil when it is empty.
 func readUints[T ~uint64](r *WireReader) []T {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, n)
+	out := MakeList[T](r, 1)
 	for i := range out {
-		out[i] = T(r.Uvarint())
+		out[i] = readUint[T](r)
 	}
 	return out
 }
 
-// ReadMap reads a map AppendMap wrote, each pair read by elem, its count
-// held to min bytes a pair as ReadList's is. The map is never nil.
-func ReadMap[K comparable, V any](r *WireReader, min int, elem func(*WireReader) (K, V)) map[K]V {
-	n := r.Count(min)
-	m := make(map[K]V, n)
-	for range n {
-		k, v := elem(r)
-		m[k] = v
+// readStrs reads a list of strings; nil when it is empty.
+func readStrs(r *WireReader) []string {
+	out := MakeList[string](r, 1)
+	for i := range out {
+		out[i] = r.Str()
 	}
-	return m
+	return out
+}
+
+// readCopies reads a list of Copy; nil when it is empty.
+func readCopies(r *WireReader) []Copy {
+	out := MakeList[Copy](r, 3)
+	for i := range out {
+		out[i] = readCopy(r)
+	}
+	return out
+}
+
+// readSpecs reads a list of IndexSpec; nil when it is empty.
+func readSpecs(r *WireReader) []IndexSpec {
+	out := MakeList[IndexSpec](r, 4)
+	for i := range out {
+		out[i] = ReadSpec(r)
+	}
+	return out
 }
 
 // --- IndexEntry --------------------------------------------------------
@@ -793,7 +802,7 @@ func AppendSpec(dst []byte, s IndexSpec) []byte {
 
 // ReadSpec reads an IndexSpec AppendSpec wrote.
 func ReadSpec(r *WireReader) IndexSpec {
-	return IndexSpec{Name: r.Str(), Type: IndexType(r.Byte()), Field: r.Str(), Fields: ReadList(r, 1, (*WireReader).Str)}
+	return IndexSpec{Name: r.Str(), Type: IndexType(r.Byte()), Field: r.Str(), Fields: readStrs(r)}
 }
 
 // AppendOrder appends an Order.
@@ -839,7 +848,7 @@ func appendACGMeta(dst []byte, m ACGMeta) []byte {
 
 func readACGMeta(r *WireReader) ACGMeta {
 	return ACGMeta{ACG: readUint[ACGID](r), Files: r.Varint(), Follower: r.Bool(), ReplSeq: r.Uvarint(),
-		Epoch: readUint[Epoch](r), Followers: ReadList(r, 3, readCopy)}
+		Epoch: readUint[Epoch](r), Followers: readCopies(r)}
 }
 
 func (r *HeartbeatReq) MarshalWire(dst []byte) []byte {
@@ -850,7 +859,11 @@ func (r *HeartbeatReq) MarshalWire(dst []byte) []byte {
 
 func (r *HeartbeatReq) UnmarshalWire(data []byte) error {
 	rd := NewWireReader(data)
-	*r = HeartbeatReq{Node: NodeID(rd.Str()), ACGs: ReadList(&rd, 6, readACGMeta), QueueDepth: rd.Int()}
+	*r = HeartbeatReq{Node: NodeID(rd.Str()), ACGs: MakeList[ACGMeta](&rd, 6)}
+	for i := range r.ACGs {
+		r.ACGs[i] = readACGMeta(&rd)
+	}
+	r.QueueDepth = rd.Int()
 	return rd.Err()
 }
 
@@ -862,7 +875,7 @@ func appendTarget(dst []byte, t Target) []byte {
 
 func readTarget(r *WireReader) Target {
 	return Target{ACG: readUint[ACGID](r), Role: Role(r.Byte()), Epoch: readUint[Epoch](r), Seq: r.Uvarint(),
-		Followers: ReadList(r, 3, readCopy)}
+		Followers: readCopies(r)}
 }
 
 func (r *HeartbeatResp) MarshalWire(dst []byte) []byte {
@@ -873,8 +886,15 @@ func (r *HeartbeatResp) MarshalWire(dst []byte) []byte {
 
 func (r *HeartbeatResp) UnmarshalWire(data []byte) error {
 	rd := NewWireReader(data)
-	*r = HeartbeatResp{Targets: ReadList(&rd, 5, readTarget), Moves: ReadList(&rd, 6, ReadOrder),
-		Epoch: readUint[Epoch](&rd), LeaseNanos: rd.Varint()}
+	*r = HeartbeatResp{Targets: MakeList[Target](&rd, 5)}
+	for i := range r.Targets {
+		r.Targets[i] = readTarget(&rd)
+	}
+	r.Moves = MakeList[Order](&rd, 6)
+	for i := range r.Moves {
+		r.Moves[i] = ReadOrder(&rd)
+	}
+	r.Epoch, r.LeaseNanos = readUint[Epoch](&rd), rd.Varint()
 	return rd.Err()
 }
 
@@ -901,7 +921,11 @@ func appendRoute(dst []byte, g GroupRoute) []byte {
 }
 
 func readRoute(r *WireReader) GroupRoute {
-	return GroupRoute{ACG: readUint[ACGID](r), Primary: readRef(r), Followers: ReadList(r, 2, readRef)}
+	g := GroupRoute{ACG: readUint[ACGID](r), Primary: readRef(r), Followers: MakeList[ReplicaRef](r, 2)}
+	for i := range g.Followers {
+		g.Followers[i] = readRef(r)
+	}
+	return g
 }
 
 func (r *LookupIndexResp) MarshalWire(dst []byte) []byte {
@@ -912,8 +936,15 @@ func (r *LookupIndexResp) MarshalWire(dst []byte) []byte {
 
 func (r *LookupIndexResp) UnmarshalWire(data []byte) error {
 	rd := NewWireReader(data)
-	*r = LookupIndexResp{Spec: ReadSpec(&rd), Targets: ReadList(&rd, 3, readIndexTarget),
-		Routes: ReadList(&rd, 4, readRoute), Epoch: readUint[Epoch](&rd)}
+	*r = LookupIndexResp{Spec: ReadSpec(&rd), Targets: MakeList[IndexTarget](&rd, 3)}
+	for i := range r.Targets {
+		r.Targets[i] = readIndexTarget(&rd)
+	}
+	r.Routes = MakeList[GroupRoute](&rd, 4)
+	for i := range r.Routes {
+		r.Routes[i] = readRoute(&rd)
+	}
+	r.Epoch = readUint[Epoch](&rd)
 	return rd.Err()
 }
 
@@ -975,9 +1006,13 @@ func (r *ClusterStatsResp) MarshalWire(dst []byte) []byte {
 
 func (r *ClusterStatsResp) UnmarshalWire(data []byte) error {
 	rd := NewWireReader(data)
-	*r = ClusterStatsResp{Nodes: ReadList(&rd, 8, readNodeStats), Files: rd.Varint(), ACGs: rd.Int(),
-		Indexes: ReadList(&rd, 4, ReadSpec), PlacementEpoch: readUint[Epoch](&rd), MigrationsOrdered: rd.Varint(),
-		Recoveries: rd.Varint(), DeadNodes: rd.Int(), ReplicatedGroups: rd.Int(), Promotions: rd.Varint()}
+	*r = ClusterStatsResp{Nodes: MakeList[NodeStats](&rd, 8)}
+	for i := range r.Nodes {
+		r.Nodes[i] = readNodeStats(&rd)
+	}
+	r.Files, r.ACGs, r.Indexes, r.PlacementEpoch = rd.Varint(), rd.Int(), readSpecs(&rd), readUint[Epoch](&rd)
+	r.MigrationsOrdered, r.Recoveries, r.DeadNodes = rd.Varint(), rd.Varint(), rd.Int()
+	r.ReplicatedGroups, r.Promotions = rd.Int(), rd.Varint()
 	return rd.Err()
 }
 
@@ -997,7 +1032,11 @@ func (r *FlushACGReq) MarshalWire(dst []byte) []byte {
 
 func (r *FlushACGReq) UnmarshalWire(data []byte) error {
 	rd := NewWireReader(data)
-	*r = FlushACGReq{ACG: readUint[ACGID](&rd), Edges: ReadList(&rd, 3, readEdge), Vertices: readUints[index.FileID](&rd)}
+	*r = FlushACGReq{ACG: readUint[ACGID](&rd), Edges: MakeList[ACGEdge](&rd, 3)}
+	for i := range r.Edges {
+		r.Edges[i] = readEdge(&rd)
+	}
+	r.Vertices = readUints[index.FileID](&rd)
 	return rd.Err()
 }
 
@@ -1021,19 +1060,28 @@ func (r *NodeStatsResp) MarshalWire(dst []byte) []byte {
 func (r *NodeStatsResp) UnmarshalWire(data []byte) error {
 	rd := NewWireReader(data)
 	*r = NodeStatsResp{Node: NodeID(rd.Str()), ACGs: rd.Int(), Files: rd.Varint(), CachedOps: rd.Int(),
-		WALRecords: rd.Int(), PoolHits: rd.Varint(), PoolMisses: rd.Varint(), IndexSpecs: ReadList(&rd, 4, ReadSpec),
+		WALRecords: rd.Int(), PoolHits: rd.Varint(), PoolMisses: rd.Varint(), IndexSpecs: readSpecs(&rd),
 		Commits: rd.Varint(), CommitEntries: rd.Varint(), CommitFailures: rd.Varint(), KDRebuilds: rd.Varint(),
 		CoalescedEntries: rd.Varint(), HashScanFallbacks: rd.Varint(), StrictReadThroughs: rd.Varint(),
-		StrictCommitsFirst: rd.Varint(), PerACGCommits: ReadMap(&rd, 2, readACGCount),
+		StrictCommitsFirst: rd.Varint(), PerACGCommits: readACGCounts(&rd),
 		PlacementEpoch: readUint[Epoch](&rd), WALBatches: rd.Varint(), WALBatchedRecords: rd.Varint(),
 		MaxWALBatch: rd.Varint(), StalePlacementRejects: rd.Varint(), GroupsMigratedOut: rd.Varint(),
 		GroupsRecovered: rd.Varint(), QueueDepth: rd.Int(), UpdatesShed: rd.Varint(), SearchesShed: rd.Varint(),
 		FairnessSheds: rd.Varint(), FollowerGroups: rd.Int(), FollowerAppends: rd.Varint(), FollowerCuts: rd.Varint(),
 		Promotions: rd.Varint(), SearchesServed: rd.Varint(), LeaseRejects: rd.Varint(), PeerConnEvictions: rd.Varint()}
-	if len(r.PerACGCommits) == 0 {
-		r.PerACGCommits = nil // as a node with no commits reports it
-	}
 	return rd.Err()
 }
 
-func readACGCount(r *WireReader) (ACGID, int64) { return readUint[ACGID](r), r.Varint() }
+// readACGCounts reads the per-group commit counts; nil when there are none,
+// as a node with no commits reports them.
+func readACGCounts(r *WireReader) map[ACGID]int64 {
+	n := r.Count(2)
+	if n == 0 {
+		return nil
+	}
+	m := make(map[ACGID]int64, n)
+	for range n {
+		m[readUint[ACGID](r)] = r.Varint()
+	}
+	return m
+}

@@ -184,7 +184,7 @@ func wireFixtures() map[string]wireMsg {
 
 		// Lists of zero-valued elements, each the smallest its type
 		// encodes to, more of them than there are bytes after any list: a
-		// count's minimum element size (ReadList's min) larger than the
+		// count's minimum element size (MakeList's min) larger than the
 		// element's smallest encoding refuses one of these.
 		"UpdateReq/zeros":        &UpdateReq{Entries: make([]IndexEntry, zeros)},
 		"SearchReq/zeros":        &SearchReq{ACGs: make([]ACGID, zeros), Preds: make([]query.Predicate, zeros)},

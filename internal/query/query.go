@@ -70,22 +70,36 @@ var ErrSyntax = fmt.Errorf("query: syntax error (%w)", perr.ErrBadQuery)
 
 // Parse parses a query string. now anchors relative mtime ages.
 func Parse(s string, now time.Time) (Query, error) {
-	var q Query
-	for _, rawTerm := range strings.Split(s, "&") {
-		term := strings.TrimSpace(rawTerm)
-		if term == "" {
-			continue
-		}
-		p, err := parseTerm(term, now)
-		if err != nil {
-			return Query{}, err
-		}
-		q.Preds = append(q.Preds, p)
+	preds, err := AppendParse(nil, s, now)
+	if err != nil {
+		return Query{}, err
 	}
-	if len(q.Preds) == 0 {
-		return Query{}, fmt.Errorf("%w: empty query %q", ErrSyntax, s)
+	return Query{Preds: preds}, nil
+}
+
+// AppendParse parses a query string as Parse does and appends its
+// predicates to dst, walking the '&' terms in place. On an error dst is
+// returned as it was passed.
+func AppendParse(dst []Predicate, s string, now time.Time) ([]Predicate, error) {
+	n := len(dst)
+	for rest := s; ; {
+		rawTerm, tail, more := strings.Cut(rest, "&")
+		if term := strings.TrimSpace(rawTerm); term != "" {
+			p, err := parseTerm(term, now)
+			if err != nil {
+				return dst[:n], err
+			}
+			dst = append(dst, p)
+		}
+		if !more {
+			break
+		}
+		rest = tail
 	}
-	return q, nil
+	if len(dst) == n {
+		return dst, fmt.Errorf("%w: empty query %q", ErrSyntax, s)
+	}
+	return dst, nil
 }
 
 // validField reports whether s is a legal attribute name: a non-empty run

@@ -309,7 +309,7 @@ func TestTickContinuesPastWedgedGroup(t *testing.T) {
 	// dimensionality fails at apply time. Update rejects such entries at
 	// ack time, so inject it straight into the pending cache — the shape
 	// of a corrupt entry arriving via WAL recovery.
-	g, err := n.lockOrCreateGroup(1)
+	g, err := n.acquire(1, opUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}

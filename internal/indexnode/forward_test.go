@@ -197,7 +197,7 @@ func (fr *fwdRig) checkAll(when string, full bool) {
 			t.Fatal(err)
 		}
 		fresh, _ := newTestNode(t)
-		fg, err := fresh.lockOrCreateGroup(acg)
+		fg, err := fresh.acquire(acg, opUpdate)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func imageOf(t testing.TB, n *Node, acg proto.ACGID, filter func(index.FileID) b
 // up, all of raw at once when it is empty), finishes the install and
 // returns the header the image carried.
 func installImage(n *Node, acg proto.ACGID, raw, cuts []byte) (proto.ReceiveACGMeta, error) {
-	g, err := n.lockOrCreateGroup(acg)
+	g, err := n.acquire(acg, opUpdate)
 	if err != nil {
 		return proto.ReceiveACGMeta{}, err
 	}

@@ -70,7 +70,7 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 		t.Fatalf("image starts with 0x%02x, want magic 0x%02x", raw[0], imageMagic)
 	}
 
-	dst, err := r.b.lockOrCreateGroup(2)
+	dst, err := r.b.acquire(2, opUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestImageApplierRejectsTornStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst, err := r.b.lockOrCreateGroup(3)
+	dst, err := r.b.acquire(3, opUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}

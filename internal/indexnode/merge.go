@@ -17,32 +17,27 @@ import (
 // or the fold failed) is in the next heartbeat, and the reply asks for the
 // merge again.
 // Postings, causality edges and membership all move: dst adopts src's
-// image as an arrival adopts a shipped one, and src leaves behind a
-// tombstone, so a client whose cache predates the merge gets
-// perr.ErrStalePlacement and re-resolves instead of recreating src.
+// image as an arrival adopts a shipped one, and src's copy is released, so
+// a client whose cache predates the merge gets perr.ErrStalePlacement and
+// re-resolves instead of recreating src. A src already released is folded
+// (or moved away) already: the merge is done.
 //
 // Locking: this is the only path that holds two group locks at once
 // (ascending ACGID order; n.mergeMu serializes merges so that cannot
-// deadlock). The registry lock is held only for the lookup and the final
-// leave, so traffic on unrelated ACGs never waits out a merge's commits
-// and posting moves.
+// deadlock). The registry lock is held only for the lookups, so traffic on
+// unrelated ACGs never waits out a merge's commits and posting moves.
 func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 	if dst == src {
 		return fmt.Errorf("indexnode: merge group %d into itself", dst)
 	}
 	n.mergeMu.Lock()
 	defer n.mergeMu.Unlock()
-	n.mu.RLock()
-	gd, gs := n.groups[dst], n.groups[src]
-	n.mu.RUnlock()
-	if gd == nil {
-		return fmt.Errorf("acg %d: %w", dst, ErrUnknownACG)
-	}
-	if gs == nil {
-		if _, gone := n.releasedEpoch(src); gone {
-			return nil // folded (or moved away) already: a repeated merge is done
-		}
-		return fmt.Errorf("acg %d: %w", src, ErrUnknownACG)
+	gd, gs := n.entry(dst, false), n.entry(src, false)
+	switch {
+	case gd == nil:
+		return n.refusal(dst, copyAbsent, 0, opMergeDst)
+	case gs == nil:
+		return n.refusal(src, copyAbsent, 0, opMergeSrc)
 	}
 	first, second := gd, gs
 	if second.id < first.id {
@@ -54,15 +49,17 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 		second.mu.Unlock()
 		first.mu.Unlock()
 	}
-	if gd.dead || gs.dead { // left this node between the lookup and the lock
-		unlock()
-		return fmt.Errorf("acg %d or %d: %w", dst, src, ErrUnknownACG)
+	// The table answers dst as an unknown group first, then src unless it
+	// admits the merge — nil for a src released already — then dst. A
+	// follower copy is not this node's to fold: its primary serves the group
+	// elsewhere, and the merge would drop that primary's mirror.
+	err := n.refusal(dst, gd.state, gd.epoch, opMergeDst)
+	if admits[gd.state][opMergeDst] != unknown && !gs.takes(opMergeSrc) {
+		err = n.refusal(src, gs.state, gs.epoch, opMergeSrc)
 	}
-	if gd.follower || gs.follower {
-		// A follower copy is not this node's to fold: its primary serves the
-		// group elsewhere, and the merge would drop that primary's mirror.
+	if err != nil || !gs.takes(opMergeSrc) {
 		unlock()
-		return fmt.Errorf("indexnode: merge acg %d into %d: only primary copies merge", src, dst)
+		return err
 	}
 	// Commit both: an image carries committed postings only.
 	if err := n.commitGroupLocked(gd); err != nil {
@@ -104,7 +101,7 @@ func (n *Node) MergeACGs(ctx context.Context, dst, src proto.ACGID) error {
 	if n.cfg.Shared != nil {
 		n.cfg.Shared.Drop(src)
 	}
-	n.leave(src, gs, n.epoch())
+	n.leave(gs, n.epoch())
 	// Fold src's per-ACG counter into dst so the per-group breakdown keeps
 	// summing to the node total and the retired label is reclaimed (gd's
 	// cached handle stays valid: Fold reuses dst's counter object).
@@ -123,15 +120,11 @@ func (n *Node) CompactGroups(ctx context.Context, minFiles int) (int, error) {
 	merges := 0
 	for {
 		var small []proto.ACGID
-		for _, g := range n.groupsSnapshot() {
-			if !g.lockLive() {
-				continue
-			}
-			if !g.follower && len(g.files) < minFiles {
+		n.eachHeld(func(g *group) {
+			if g.takes(opMergeSrc) && len(g.files) < minFiles {
 				small = append(small, g.id)
 			}
-			g.mu.Unlock()
-		}
+		})
 		if len(small) < 2 {
 			return merges, nil
 		}

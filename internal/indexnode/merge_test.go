@@ -27,14 +27,11 @@ type mergeMap struct {
 func (m *mergeMap) compact(ctx context.Context, n *Node, minFiles int) error {
 	for {
 		var small []proto.ACGID
-		for _, g := range n.groupsSnapshot() {
-			if g.lockLive() {
-				if len(g.files) < minFiles {
-					small = append(small, g.id)
-				}
-				g.mu.Unlock()
+		n.eachHeld(func(g *group) {
+			if len(g.files) < minFiles {
+				small = append(small, g.id)
 			}
-		}
+		})
 		if len(small) < 2 {
 			return nil
 		}
@@ -213,8 +210,8 @@ func TestMergeRefusesFollowerCopies(t *testing.T) {
 		if g == nil {
 			t.Fatalf("acg %d left node b", id)
 		}
-		if g.follower != follower || len(g.files) != 5 {
-			t.Errorf("acg %d on b: follower %v with %d files, want %v with 5", id, g.follower, len(g.files), follower)
+		if (g.state == copyFollower) != follower || len(g.files) != 5 {
+			t.Errorf("acg %d on b: %v with %d files, want follower %v with 5", id, g.state, len(g.files), follower)
 		}
 		g.mu.Unlock()
 	}
@@ -263,14 +260,12 @@ func TestCompactGroups(t *testing.T) {
 		t.Errorf("files = %d, want 20", st.Files)
 	}
 	// At most one group below the floor may remain.
-	n.mu.Lock()
 	below := 0
-	for _, g := range n.groups {
+	n.eachHeld(func(g *group) {
 		if len(g.files) < 10 {
 			below++
 		}
-	}
-	n.mu.Unlock()
+	})
 	if below > 1 {
 		t.Errorf("%d groups below the floor after compaction", below)
 	}

@@ -27,8 +27,9 @@
 //     order). The only other holder of two is a same-node split, whose new
 //     half no other path can name before the split reports it.
 //  2. n.mu (registry) is held only for map access — never while acquiring
-//     a group lock. Because of that, leave may take n.mu while its caller
-//     holds group locks (a merge holds two) without deadlock.
+//     a group lock. Because of that, a path holding a group lock may take
+//     n.mu (a same-node split makes its new half's entry) without
+//     deadlock.
 //  3. group.mu before n.specMu. Never acquire a group lock while holding
 //     the spec table lock.
 //  4. An inbound transfer's own lock before the lock of the group it
@@ -39,9 +40,9 @@
 //     follower: Update waits for its followers' watermark after releasing
 //     the group.
 //
-// A group removed from the registry (leave) is marked dead under its
-// lock; lockLive/lockGroup/lockOrCreateGroup encapsulate the re-resolve
-// protocol so no caller ever mutates an orphaned group.
+// A group's registry entry outlives its copy. Its state (state.go) says
+// what the node holds of the group; one function changes it, and one table
+// says what each state admits.
 package indexnode
 
 import (
@@ -150,24 +151,32 @@ type inst struct {
 	filter valueFilter
 }
 
-// group is one ACG partition and its indices. Every field below mu is
-// protected by it; a group is only ever mutated by the goroutine holding
-// its lock, so operations on different ACGs never contend.
+// group is one ACG partition's registry entry on this node and the copy it
+// holds. Every field below mu is protected by it; a group is only ever
+// mutated by the goroutine holding its lock, so operations on different
+// ACGs never contend.
 type group struct {
 	id proto.ACGID
 
+	mu sync.Mutex
+	// state is where the copy is in its life here (state.go); epoch is the
+	// epoch of the move that placed it (0 for a copy its first write
+	// created) or, released, the one it left at; gen counts departures.
+	// Only transition writes them.
+	state copyState
+	epoch proto.Epoch
+	gen   uint32
+	copyData
+}
+
+// copyData is what a held copy holds: an arrival starts it empty, and a
+// departure drops it (transition).
+type copyData struct {
 	// acgCommits is this group's per-ACG counter handle, resolved once at
-	// creation so the commit path does no label formatting or counter-set
-	// lookups. Immutable after creation.
+	// arrival so the commit path does no label formatting or counter-set
+	// lookups.
 	acgCommits *metrics.Counter
 
-	mu sync.Mutex
-	// dead marks a group that left this node (leave): a migration, a drop
-	// order or a merge removed it from the registry. A caller that
-	// resolved the pointer before and locked it after must not mutate the
-	// orphan: check dead (lockLive) first and re-resolve through the
-	// registry.
-	dead  bool
 	files map[index.FileID]bool
 	// movedOut fences files a split migrated to another group: the Master
 	// rebound their mappings, but this group stays alive, so without the
@@ -207,20 +216,11 @@ type group struct {
 	fwd *index.BTree
 	log *wal.Log
 
-	// follower marks this copy of the group as a replica: it accepts only
-	// the primary's replication stream (FollowerAppend), rejects direct
-	// updates and strict searches with perr.ErrStalePlacement, and never
-	// writes the shared-store mirror. Cleared by a promotion or recovery.
-	follower bool
-	// epoch is the epoch the copy arrived at: that of the move whose
-	// transfer, recovery or promotion placed it here, 0 for a copy its
-	// first write created. A drop takes only a copy no newer than the
-	// epoch it names, and a transfer no newer than the copy is refused.
-	epoch proto.Epoch
 	// doubt is the report of a move this copy's node carried out and got
 	// no acknowledgement for (transfer.go): the Master may have applied
 	// it. Until the next heartbeat settles it, the group acks no write the
-	// move covers — none after a migration, none to a split's moved files.
+	// move covers — none after a migration (copyInDoubt), none to a
+	// split's moved files (movedOut).
 	doubt *proto.ReportReq
 	// replSeq is the replication stream position: on a primary it numbers
 	// the frames Update appends (bumped whether or not followers exist, so
@@ -249,16 +249,11 @@ type Node struct {
 	// into shared sequential device writes (group commit).
 	walGC *wal.GroupCommitter
 
-	// mu guards only the group registry; per-group state is behind each
-	// group's own lock (see the package comment for the lock ordering).
+	// mu guards only the group registry, one entry per id (state.go);
+	// per-group state is behind each group's own lock (see the package
+	// comment for the lock ordering).
 	mu     sync.RWMutex
 	groups map[proto.ACGID]*group
-	// released are placement tombstones: groups that left this node
-	// (leave), keyed to the epoch of the move. Traffic
-	// routed here by a stale placement cache is rejected with
-	// perr.ErrStalePlacement instead of silently recreating the group —
-	// the split-brain guard's node-side half. Guarded by mu.
-	released map[proto.ACGID]proto.Epoch
 
 	// planned says the node has applied a heartbeat reply since it booted:
 	// from then on every group the plan puts on it is one it holds or
@@ -314,8 +309,10 @@ type Node struct {
 	strictReadThroughs metrics.Counter
 	strictCommitsFirst metrics.Counter
 	pendingJudged      metrics.Counter
-	// staleRejects counts requests refused because they targeted a
-	// released (tombstoned) group.
+	// staleRejects counts requests refused with perr.ErrStalePlacement
+	// because of where their group is on this node: released, a follower
+	// copy, a migration in doubt, a file split away, or not held before
+	// the node applied a plan.
 	staleRejects metrics.Counter
 	// groupsMigrated counts groups transferred to peers; groupsRecovered
 	// counts groups adopted from shared storage after an owner died.
@@ -374,13 +371,12 @@ func New(cfg Config) (*Node, error) {
 		return nil, errors.New("indexnode: Store is required")
 	}
 	n := &Node{
-		cfg:      cfg,
-		walGC:    wal.NewGroupCommitter(cfg.Disk),
-		groups:   make(map[proto.ACGID]*group),
-		released: make(map[proto.ACGID]proto.Epoch),
-		specs:    make(map[string]proto.IndexSpec),
-		ords:     make(map[string]uint16),
-		xfers:    make(map[proto.ACGID]*transferIn),
+		cfg:    cfg,
+		walGC:  wal.NewGroupCommitter(cfg.Disk),
+		groups: make(map[proto.ACGID]*group),
+		specs:  make(map[string]proto.IndexSpec),
+		ords:   make(map[string]uint16),
+		xfers:  make(map[proto.ACGID]*transferIn),
 	}
 	n.nextOff.Store(1 << 40) // KD images live past the page region
 	if cfg.MaxInflight > 0 {
@@ -451,91 +447,6 @@ func (n *Node) ensureSpec(ctx context.Context, name string) error {
 	return nil
 }
 
-// lockLive locks g and reports whether it is still a registered group. On
-// false the lock has been released and the caller must re-resolve the id
-// through the registry (the group was merged away between lookup and lock).
-func (g *group) lockLive() bool {
-	g.mu.Lock()
-	if g.dead {
-		g.mu.Unlock()
-		return false
-	}
-	return true
-}
-
-// getGroup returns the group if present (nil otherwise). The caller locks
-// the group before touching its state (via lockLive, re-resolving on
-// failure).
-func (n *Node) getGroup(id proto.ACGID) *group {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.groups[id]
-}
-
-// lockGroup returns the group locked, or nil if the node has no such
-// group.
-func (n *Node) lockGroup(id proto.ACGID) *group {
-	for {
-		g := n.getGroup(id)
-		if g == nil {
-			return nil
-		}
-		if g.lockLive() {
-			return g
-		}
-	}
-}
-
-// getOrCreateGroup returns the group, creating it on demand (groups are
-// provisioned lazily on first contact, the Master having routed here). A
-// released (tombstoned) id is refused with perr.ErrStalePlacement: traffic
-// routed by a stale placement cache must not resurrect a group this node
-// no longer owns. The tombstone check shares the registry write lock with
-// creation, so a concurrent release can never interleave with it.
-func (n *Node) getOrCreateGroup(id proto.ACGID) (*group, error) {
-	n.mu.RLock()
-	g := n.groups[id]
-	n.mu.RUnlock()
-	if g != nil {
-		return g, nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if g = n.groups[id]; g != nil {
-		return g, nil
-	}
-	if ep, ok := n.released[id]; ok {
-		n.staleRejects.Inc()
-		return nil, n.staleErr(id, ep)
-	}
-	g = n.newGroupLocked(id)
-	n.groups[id] = g
-	return g, nil
-}
-
-// staleErr is the typed stale-placement rejection, carrying the epoch of
-// the move that released the group and the node's current epoch.
-func (n *Node) staleErr(id proto.ACGID, released proto.Epoch) error {
-	return fmt.Errorf("indexnode %s: acg %d released at epoch %d (node epoch %d): %w",
-		n.cfg.ID, id, released, n.placementEpoch.Load(), perr.ErrStalePlacement)
-}
-
-// releasedEpoch reports whether id is tombstoned and at which epoch.
-func (n *Node) releasedEpoch(id proto.ACGID) (proto.Epoch, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	ep, ok := n.released[id]
-	return ep, ok
-}
-
-// clearReleased removes id's tombstone: the group is entering this node
-// under an explicit order (enter).
-func (n *Node) clearReleased(id proto.ACGID) {
-	n.mu.Lock()
-	delete(n.released, id)
-	n.mu.Unlock()
-}
-
 // noteEpoch advances the node's placement-epoch watermark (monotonic).
 func (n *Node) noteEpoch(e proto.Epoch) {
 	for {
@@ -549,51 +460,8 @@ func (n *Node) noteEpoch(e proto.Epoch) {
 // epoch returns the node's placement-epoch watermark.
 func (n *Node) epoch() proto.Epoch { return proto.Epoch(n.placementEpoch.Load()) }
 
-// lockOrCreateGroup returns the group locked, creating it if absent. The
-// retry loop covers a concurrent merge deleting the group between lookup
-// and lock. Released ids yield perr.ErrStalePlacement.
-func (n *Node) lockOrCreateGroup(id proto.ACGID) (*group, error) {
-	for {
-		g, err := n.getOrCreateGroup(id)
-		if err != nil {
-			return nil, err
-		}
-		if g.lockLive() {
-			return g, nil
-		}
-	}
-}
-
 // acgLabel is the metrics label for a group.
 func acgLabel(id proto.ACGID) string { return strconv.FormatUint(uint64(id), 10) }
-
-// newGroupLocked builds an empty group. Caller holds n.mu. The per-ACG
-// counter handle is resolved here, once, so commits never format labels
-// or take the counter-set lock.
-func (n *Node) newGroupLocked(id proto.ACGID) *group {
-	return &group{
-		id:         id,
-		acgCommits: n.acgCommits.Get(acgLabel(id)),
-		files:      make(map[index.FileID]bool),
-		graph:      acg.NewGraph(),
-		indexes:    make(map[string]*inst),
-		log:        wal.NewGroupCommit(n.walGC),
-		cacheOrder: orderedOnCredit,
-	}
-}
-
-// groupsSnapshot returns the current groups sorted by id. The registry lock
-// is released before return; callers lock each group as they visit it.
-func (n *Node) groupsSnapshot() []*group {
-	n.mu.RLock()
-	out := make([]*group, 0, len(n.groups))
-	for _, g := range n.groups {
-		out = append(out, g)
-	}
-	n.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
 
 // instFor returns the group's index instance, materializing it from the
 // node's spec table on first use. Caller holds g.mu.
@@ -699,8 +567,8 @@ func (n *Node) Update(ctx context.Context, req proto.UpdateReq) (proto.UpdateRes
 		*fp = framed
 	}
 
-	g, err := n.lockOrCreateGroup(req.ACG)
-	if err != nil {
+	g, err := n.acquire(req.ACG, opUpdate)
+	if g == nil {
 		return proto.UpdateResp{}, err
 	}
 	resp, seq, reps, err := n.updateLocked(g, req, framed, spec.Type)
@@ -728,12 +596,6 @@ const maxPooledFrame = 4 << 10
 // sequence and the ack set the frame was enqueued on. Caller holds g.mu.
 func (n *Node) updateLocked(g *group, req proto.UpdateReq, framed []byte, typ proto.IndexType) (
 	resp proto.UpdateResp, seq uint64, reps []*replica, err error) {
-	if err := n.fencedLocked(g); err != nil {
-		// Follower copies accept only the primary's replication stream; a
-		// direct update here is a client routed by a stale (or replica)
-		// target. A migration in doubt may have moved the group.
-		return resp, 0, nil, err
-	}
 	if g.movedOut != nil {
 		for _, e := range req.Entries {
 			if g.movedOut[e.File] {
@@ -777,8 +639,8 @@ func (n *Node) updateLocked(g *group, req proto.UpdateReq, framed []byte, typ pr
 // a recovery restores must include them (the paper stores ACGs as regular
 // files in the shared file system).
 func (n *Node) FlushACG(_ context.Context, req proto.FlushACGReq) (proto.FlushACGResp, error) {
-	g, err := n.lockOrCreateGroup(req.ACG)
-	if err != nil {
+	g, err := n.acquire(req.ACG, opFlush)
+	if g == nil {
 		return proto.FlushACGResp{}, err
 	}
 	defer g.mu.Unlock()
@@ -805,37 +667,28 @@ func (n *Node) DropCaches() error {
 	if err := n.cfg.Store.DropCache(); err != nil {
 		return err
 	}
-	for _, g := range n.groupsSnapshot() {
-		if !g.lockLive() {
-			continue
-		}
+	n.eachHeld(func(g *group) {
 		for _, in := range g.indexes {
 			if in.kd != nil {
 				in.kdResident = false
 			}
 		}
-		g.mu.Unlock()
-	}
+	})
 	return nil
 }
 
 // NodeStats reports local statistics.
 func (n *Node) NodeStats(_ context.Context, _ proto.NodeStatsReq) (proto.NodeStatsResp, error) {
-	groups := n.groupsSnapshot()
-	resp := proto.NodeStatsResp{Node: n.cfg.ID, ACGs: len(groups)}
-	for _, g := range groups {
-		if !g.lockLive() {
-			resp.ACGs--
-			continue
-		}
+	resp := proto.NodeStatsResp{Node: n.cfg.ID}
+	n.eachHeld(func(g *group) {
+		resp.ACGs++
 		resp.Files += int64(len(g.files))
 		resp.CachedOps += g.pendingCount
 		resp.WALRecords += g.log.Len()
-		if g.follower {
+		if g.state == copyFollower {
 			resp.FollowerGroups++
 		}
-		g.mu.Unlock()
-	}
+	})
 	// Per-ACG commit counters come from the counter set, not the live
 	// groups: merged-away groups' counts were folded into their merge
 	// destination, so the breakdown always sums to Commits.
@@ -904,19 +757,6 @@ func (n *Node) leaseExpired() bool {
 	return int64(n.cfg.Clock.Now())-n.leaseGranted.Load() >= d
 }
 
-// fencedLocked refuses a client's update or Strict search with
-// perr.ErrStalePlacement when the copy cannot take it: a follower copy
-// serves only its stream and Lazy reads, and a migration in doubt may have
-// moved the group. Caller holds g.mu.
-func (n *Node) fencedLocked(g *group) error {
-	if !g.follower && (g.doubt == nil || g.doubt.Order.Kind != proto.OrderMigrate) {
-		return nil
-	}
-	n.staleRejects.Inc()
-	return fmt.Errorf("indexnode %s: acg %d is a follower replica or migrating (node epoch %d): %w",
-		n.cfg.ID, g.id, n.placementEpoch.Load(), perr.ErrStalePlacement)
-}
-
 // Heartbeat sends one heartbeat to the Master and converges the node to
 // the plan the reply holds for it: each target first (converge), then each
 // move — the Master's only way to act on a node, since it never dials.
@@ -931,17 +771,14 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 		Node:       n.cfg.ID,
 		QueueDepth: n.adm.depth(),
 	}
-	for _, g := range n.groupsSnapshot() {
-		if !g.lockLive() {
-			continue
-		}
+	n.eachHeld(func(g *group) {
 		n.settleDoubtLocked(ctx, g)
-		if g.dead {
-			g.mu.Unlock()
-			continue
+		if !g.state.held() {
+			return // the settled move took it away
 		}
-		am := proto.ACGMeta{ACG: g.id, Files: int64(len(g.files)), Follower: g.follower, ReplSeq: g.replSeq, Epoch: g.epoch}
-		if !g.follower {
+		follower := g.state == copyFollower
+		am := proto.ACGMeta{ACG: g.id, Files: int64(len(g.files)), Follower: follower, ReplSeq: g.replSeq, Epoch: g.epoch}
+		if !follower {
 			// The primary's ack set doubles as the Master's cut detector: a
 			// planned follower missing here was cut (or never inherited
 			// after a migration) and is placed again and re-seeded.
@@ -951,9 +788,7 @@ func (n *Node) Heartbeat(ctx context.Context) error {
 			}
 		}
 		req.ACGs = append(req.ACGs, am)
-		g.mu.Unlock()
-	}
-
+	})
 	resp, err := rpc.Call[proto.HeartbeatReq, proto.HeartbeatResp](ctx, n.cfg.Master, proto.MethodHeartbeat, req)
 	if err != nil {
 		return fmt.Errorf("indexnode heartbeat: %w", err)
@@ -1001,11 +836,9 @@ func (n *Node) converge(ctx context.Context, t proto.Target) error {
 		n.ReleaseACG(t.ACG, t.Epoch)
 		return nil
 	}
-	adopted := false
-	if g := n.lockGroup(t.ACG); g != nil {
-		adopted = !g.follower && g.epoch == t.Epoch
-		g.mu.Unlock()
-	}
+	g, _ := n.acquire(t.ACG, opArrive) // every state admits an arrival
+	adopted := (g.state == copyPrimary || g.state == copyInDoubt) && g.epoch == t.Epoch
+	g.mu.Unlock()
 	if !adopted {
 		if err := n.PromoteACG(ctx, t); err != nil {
 			return err

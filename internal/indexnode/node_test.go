@@ -371,7 +371,7 @@ func TestSearchBadQuery(t *testing.T) {
 // the node's one replay loop and returns the number of entries restored.
 func replayLog(t testing.TB, n *Node, id proto.ACGID, img []byte) int {
 	t.Helper()
-	g, err := n.lockOrCreateGroup(id)
+	g, err := n.acquire(id, opUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,10 +84,10 @@ func TestHeartbeatRunsOrdersInSequence(t *testing.T) {
 		seedTransferGroup(t, n, id, 6)
 	}
 	g := n.lockGroup(7)
-	g.follower = true
+	n.transition(g, copyFollower, g.epoch)
 	g.mu.Unlock()
 	g = n.lockGroup(9)
-	g.epoch = 8 // a move landed it after the reply was computed
+	n.transition(g, g.state, 8) // a move landed it after the reply was computed
 	g.mu.Unlock()
 	seedTransferGroup(t, r.b, 5, 6) // group 5 reaches the shared store only
 
@@ -121,9 +121,9 @@ func TestHeartbeatRunsOrdersInSequence(t *testing.T) {
 			}
 			continue
 		}
-		if !c.held || g.follower != c.follower || g.epoch != c.epoch {
+		if follower := g.state == copyFollower; !c.held || follower != c.follower || g.epoch != c.epoch {
 			t.Errorf("%s holds acg %d (follower %v, epoch %d), want held %v follower %v epoch %d",
-				c.node.cfg.ID, c.id, g.follower, g.epoch, c.held, c.follower, c.epoch)
+				c.node.cfg.ID, c.id, follower, g.epoch, c.held, c.follower, c.epoch)
 		}
 		g.mu.Unlock()
 	}

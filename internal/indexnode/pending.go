@@ -292,17 +292,13 @@ func (n *Node) commitIfDueLocked(g *group) error {
 func (n *Node) Tick() error {
 	now := n.cfg.Clock.Now()
 	var errs []error
-	for _, g := range n.groupsSnapshot() {
-		if !g.lockLive() {
-			continue
-		}
-		if g.pendingCount > 0 && now-g.pendingSince >= n.cfg.CommitTimeout {
+	n.eachHeld(func(g *group) {
+		if g.takes(opCommit) && g.pendingCount > 0 && now-g.pendingSince >= n.cfg.CommitTimeout {
 			if err := n.commitGroupLocked(g); err != nil {
 				errs = append(errs, fmt.Errorf("indexnode tick acg %d: %w", g.id, err))
 			}
 		}
-		g.mu.Unlock()
-	}
+	})
 	return errors.Join(errs...)
 }
 
@@ -380,7 +376,7 @@ func (n *Node) commitPendingLocked(g *group) error {
 	// of acknowledged records, never paid per commit. Followers never
 	// touch the mirror — the primary owns it; a follower checkpointing
 	// would race the primary's appends.
-	if n.cfg.Shared != nil && !g.follower && n.cfg.Shared.WALRecords(g.id) >= sharedWALCheckpointRecords {
+	if n.cfg.Shared != nil && g.takes(opCheckpoint) && n.cfg.Shared.WALRecords(g.id) >= sharedWALCheckpointRecords {
 		if err := n.writeCheckpointLocked(g); err != nil {
 			return err
 		}
@@ -527,7 +523,7 @@ type commitScratch struct {
 
 	del, ins       [][]byte // one B-tree run's removals and insertions, then the forward index's
 	delOps, insOps []index.HashOp
-	hashes         []uint64 // a filter rebuild's value hashes (rebuildFilter)
+	hashes         []uint64 // a filter build's value hashes (addInserts, rebuildFilter)
 }
 
 // fwdOp is one forward edit: run's entry for file, its key at fwd[lo:hi]
@@ -690,7 +686,7 @@ func (s *commitScratch) applyIndex(r int, in *inst, run *pendingRun) error {
 		}
 		s.stageIndexKey(in, false, key, op.file)
 	}
-	in.filter.addInserts(s.ins, s.insOps) // before the write: a failed one leaves an extra bit, never a missing one
+	s.addInserts(in) // before the write: a failed one leaves an extra bit, never a missing one
 	var err error
 	if in.bt != nil {
 		sortKeys(s.del)

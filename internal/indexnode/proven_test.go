@@ -108,16 +108,12 @@ func (p *provenRig) preds(field string) []query.Predicate {
 func (p *provenRig) compare(n *Node) {
 	t := p.t
 	var primaries, all []proto.ACGID
-	for _, g := range n.groupsSnapshot() {
-		if !g.lockLive() {
-			continue
-		}
+	n.eachHeld(func(g *group) {
 		all = append(all, g.id)
-		if !g.follower {
+		if g.state != copyFollower {
 			primaries = append(primaries, g.id)
 		}
-		g.mu.Unlock()
-	}
+	})
 	spec := provenSpecs[p.rnd.Intn(2)] // "v" or "h"
 	req := proto.SearchReq{ACGs: primaries, IndexName: spec.Name, Preds: p.preds(spec.Field),
 		Limit: []int{0, 1, 3, 16}[p.rnd.Intn(4)]}

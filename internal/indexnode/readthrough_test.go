@@ -145,10 +145,7 @@ func (tw *rtTwins) update(acg proto.ACGID, maxEntries int) {
 func (tw *rtTwins) onePostingPerFile(where string) {
 	tw.both(func(r *transferRig) {
 		for _, n := range []*Node{r.a, r.b} {
-			for _, g := range n.groupsSnapshot() {
-				if !g.lockLive() {
-					continue
-				}
+			n.eachHeld(func(g *group) {
 				for name, in := range g.indexes {
 					if in.bt == nil {
 						continue
@@ -166,8 +163,7 @@ func (tw *rtTwins) onePostingPerFile(where string) {
 						tw.t.Error(err)
 					}
 				}
-				g.mu.Unlock()
-			}
+			})
 		}
 	})
 	if tw.t.Failed() {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"propeller/internal/perr"
 	"propeller/internal/proto"
 	"propeller/internal/rpc"
 	"propeller/internal/wal"
@@ -256,25 +255,14 @@ func (g *group) cutStreamLocked() {
 // for a commit (commitFollowerLocked).
 func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) (proto.FollowerAppendResp, error) {
 	n.noteEpoch(req.Epoch)
-	g := n.lockGroup(req.ACG)
+	// A copy that is not a follower here — promoted, or owning the group
+	// outright — answers a stale primary typed, so it cuts us and its own
+	// next heartbeat reconciles it against the new placement.
+	g, err := n.acquire(req.ACG, opAppend)
 	if g == nil {
-		if ep, gone := n.releasedEpoch(req.ACG); gone {
-			n.staleRejects.Inc()
-			return proto.FollowerAppendResp{}, n.staleErr(req.ACG, ep)
-		}
-		return proto.FollowerAppendResp{}, fmt.Errorf(
-			"indexnode %s follower append: acg %d not seeded: %w", n.cfg.ID, req.ACG, ErrUnknownACG)
+		return proto.FollowerAppendResp{}, err
 	}
 	defer g.mu.Unlock()
-	if !g.follower {
-		// This copy was promoted (or owns the group outright): the sender
-		// is a stale primary. Refuse typed so it cuts us and its own next
-		// heartbeat reconciles it against the new placement.
-		n.staleRejects.Inc()
-		return proto.FollowerAppendResp{}, fmt.Errorf(
-			"indexnode %s: acg %d is not a follower here (node epoch %d): %w",
-			n.cfg.ID, req.ACG, n.placementEpoch.Load(), perr.ErrStalePlacement)
-	}
 	if req.Seq > g.replSeq+1 {
 		return proto.FollowerAppendResp{}, fmt.Errorf(
 			"indexnode %s follower append acg %d: stream gap (applied %d, got %d)",
@@ -320,9 +308,10 @@ func (n *Node) commitFollowerLocked(g *group) error {
 	}
 	if g.pendingCount >= n.cfg.CacheLimit-g.early && !g.commitQueued {
 		g.commitQueued = true
+		gen := g.gen
 		go func() {
-			if !g.lockLive() {
-				return
+			if !g.relock(gen) {
+				return // the copy left: it has nothing to commit
 			}
 			defer g.mu.Unlock()
 			g.commitQueued = false
@@ -340,14 +329,11 @@ func (n *Node) commitFollowerLocked(g *group) error {
 // between the image and the start of the stream. A follower already in the
 // ack set at f.Epoch is done; a copy that is not the primary seeds nothing.
 func (n *Node) ReplicateACG(ctx context.Context, id proto.ACGID, f proto.Copy) error {
-	g := n.lockGroup(id)
+	g, err := n.acquire(id, opSeed) // only primaries seed; a stale target raced a promotion
 	if g == nil {
-		return nil
+		return err
 	}
 	defer g.mu.Unlock()
-	if g.follower {
-		return nil // only primaries seed; a stale target raced a promotion
-	}
 	g.pruneRepsLocked()
 	if slices.ContainsFunc(g.reps, func(r *replica) bool { return r.ref.Node == f.Node && r.epoch == f.Epoch }) {
 		return nil
@@ -387,25 +373,11 @@ func (n *Node) PromoteACG(ctx context.Context, t proto.Target) error {
 	if n.cfg.Shared != nil {
 		checkpoint, walBytes, _ = n.cfg.Shared.Load(t.ACG)
 	}
-	wasFollower := false
-	promote := func(g *group) {
-		wasFollower = g.follower
-		g.replSeq = max(g.replSeq, t.Seq)
-		if !g.follower {
-			return // it serves already, streaming
-		}
-		g.follower = false
-		g.cutStreamLocked()
-		for _, f := range t.Followers {
-			if f.Addr != "" {
-				g.reps = append(g.reps, newReplica(f, g.id, g.replSeq))
-			}
-		}
-	}
-	if err := n.enter(ctx, t.ACG, t.Epoch, promote, storedImage(checkpoint), walBytes); err != nil {
+	was, err := n.enter(ctx, t, storedImage(checkpoint), walBytes)
+	if err != nil {
 		return fmt.Errorf("indexnode adopt acg %d: %w", t.ACG, err)
 	}
-	if wasFollower {
+	if was == copyFollower {
 		n.promotions.Inc()
 	} else {
 		n.groupsRecovered.Inc()

@@ -210,38 +210,22 @@ func (n *Node) searchGroups(ctx context.Context, req proto.SearchReq, q query.Qu
 // groups do not commit in step afterwards (startReadGenerationLocked). With
 // nothing pending the search itself is the Lazy path.
 func (n *Node) searchOneGroup(id proto.ACGID, req proto.SearchReq, sc *groupScanner) (commitNanos int64, err error) {
-	g := n.lockGroup(id)
+	// The table refuses, typed, what the node does not serve: a released
+	// group (the fan-out predates a move, and an empty answer would hide
+	// its matches); a Strict read of a follower, whose stream can trail the
+	// primary's acks, or of a migration in doubt; and, until the node has
+	// applied its first plan, a group it does not hold, since it may have
+	// restarted empty. After that such a group is an empty contribution.
+	strict := req.Consistency != proto.ConsistencyLazy
+	o := opLazy
+	if strict {
+		o = opStrict
+	}
+	g, err := n.acquire(id, o)
 	if g == nil {
-		// A released group means the caller's fan-out predates a migration
-		// or recovery: silently returning nothing would hide the moved
-		// group's matches, so reject with the typed stale-placement error
-		// and let the client refetch. So does any group a node with a Master
-		// does not hold before it has applied its first heartbeat reply: it
-		// may have restarted empty, and until the plan tells it which groups
-		// to recover it cannot tell a lost copy from one never written.
-		// Afterwards a group this node simply never saw stays an empty
-		// contribution (routing slop is benign).
-		if ep, gone := n.releasedEpoch(id); gone {
-			n.staleRejects.Inc()
-			return 0, n.staleErr(id, ep)
-		}
-		if n.cfg.Master != nil && !n.planned.Load() {
-			n.staleRejects.Inc()
-			return 0, fmt.Errorf("indexnode %s: acg %d not held, and no heartbeat reply applied since boot: %w",
-				n.cfg.ID, id, perr.ErrStalePlacement)
-		}
-		return 0, nil
+		return 0, err
 	}
 	defer g.mu.Unlock()
-	strict := req.Consistency != proto.ConsistencyLazy
-	if strict {
-		// Strict reads stay primary-only: a follower serves its replication
-		// stream's view, which can trail the primary's acknowledged set.
-		// Lazy reads accept that staleness by definition and are served.
-		if err := n.fencedLocked(g); err != nil {
-			return 0, err
-		}
-	}
 	readThrough := false
 	switch {
 	case !strict:

@@ -26,28 +26,29 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 	// Commit so postings reflect every acknowledged update before they
 	// migrate. Only this group is locked: the background split leaves
 	// traffic on every other ACG untouched.
-	g := n.lockGroup(o.ACG)
+	g, err := n.acquire(o.ACG, opSplit)
 	if g == nil {
-		return 0, nil
+		return 0, err
 	}
 	if err := n.commitGroupLocked(g); err != nil {
 		g.mu.Unlock()
 		return 0, err
 	}
-	view := g.graph.Undirected(g.groupFilesSorted())
+	view, gen := g.graph.Undirected(g.groupFilesSorted()), g.gen
 	g.mu.Unlock()
 
-	res, err := partition.Bisect(view, partition.Options{Seed: int64(o.ACG)})
+	res, err := bisect(view, partition.Options{Seed: int64(o.ACG)})
 	if err != nil {
 		return 0, fmt.Errorf("indexnode split %d: %w", o.ACG, err)
 	}
 	sideB := res.B // ascending
 
 	// The group stays locked from the image to the trim, or an update
-	// landing between them would be trimmed unshipped. It may have been
-	// merged away while the partitioner ran outside the lock.
-	if !g.lockLive() {
-		return 0, fmt.Errorf("acg %d merged during split: %w", o.ACG, ErrUnknownACG)
+	// landing between them would be trimmed unshipped. Its copy may have
+	// left — merged away, dropped, and perhaps come back — while the
+	// partitioner ran outside the lock.
+	if !g.relock(gen) {
+		return 0, fmt.Errorf("acg %d left during split: %w", o.ACG, ErrUnknownACG)
 	}
 	defer g.mu.Unlock()
 	moveSet := make(map[index.FileID]bool, len(sideB))
@@ -65,7 +66,7 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 		half := func(feed func([]byte) error) error {
 			return n.streamImageLocked(g, filter, meta, feed)
 		}
-		if err := n.enter(ctx, meta.ACG, meta.Epoch, shippedRole(meta), half, nil); err != nil {
+		if _, err := n.enter(ctx, proto.Target{ACG: meta.ACG, Epoch: meta.Epoch, Seq: meta.ReplSeq}, half, nil); err != nil {
 			return 0, err
 		}
 	} else if err := n.shipGroupLocked(ctx, o.Dest, g, filter, meta); err != nil {
@@ -85,6 +86,9 @@ func (n *Node) SplitACG(ctx context.Context, o proto.Order) (moved int, err erro
 	}
 	return len(sideB), nil
 }
+
+// bisect is the partitioner a split runs outside the group's lock.
+var bisect = partition.Bisect
 
 // trimLocked is a split's last step, once the Master applied it: the moved
 // files leave the group. Their postings go through the commit engine's

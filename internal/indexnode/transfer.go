@@ -15,18 +15,19 @@ import (
 )
 
 // This file implements the node side of the placement control plane. A
-// group enters a node one way and leaves it one way:
+// group enters a node one way and leaves it one way, each a transition of
+// its copy's state (state.go):
 //
 //   - arrive and adoptLocked are every arrival: a transfer-in, a replica
 //     seeding, a split's new half (receiveACGChunk, one chunk a call, or
 //     enter when the half stays here), recovery from shared storage
-//     (RecoverFromShared) and a promotion (PromoteACG). MergeACGs, which
-//     already holds the destination's lock, runs the same adopt step on
-//     it. An arrival stamps the copy with the epoch of the move that
-//     placed it.
-//   - leave is every departure: a migration's source once the Master has
-//     rebound the group (TransferACG), a drop (ReleaseACG) and a merge's
-//     source (MergeACGs). It always tombstones the id.
+//     (RecoverFromShared) and a promotion (PromoteACG), from any state to
+//     the role the plan names at the move's epoch. MergeACGs runs the same
+//     adopt step on the destination it holds locked.
+//   - leave is every departure, releasing the copy at an epoch: a
+//     migration's source once the Master has rebound the group
+//     (TransferACG), a drop (ReleaseACG), a merge's source (MergeACGs) and
+//     a failed transfer.
 //
 // Every move that carries data follows one rule: ship, then report, then
 // change local state. report is the one call to the Master. A refused
@@ -58,7 +59,7 @@ func (n *Node) checkpointLocked(g *group) error {
 	// Follower copies commit locally but never write the mirror: the
 	// primary owns it, and a follower's checkpoint would truncate mirrored
 	// WAL records the follower may not even hold.
-	if g.follower {
+	if !g.takes(opCheckpoint) {
 		return nil
 	}
 	return n.writeCheckpointLocked(g)
@@ -136,54 +137,50 @@ func storedImage(raw []byte) imageSource {
 	return func(feed func([]byte) error) error { return feed(raw) }
 }
 
-// shippedRole is the role a shipped image names: a replica seeding's copy
-// serves as a follower (stream-fed, mirror-untouched) from its replicated
-// stream position onward, any other copy as the primary.
-func shippedRole(meta proto.ReceiveACGMeta) func(*group) {
-	return func(g *group) {
-		g.follower = meta.Follower
-		g.replSeq = max(g.replSeq, meta.ReplSeq)
+// arrive is the first half of every arrival: the copy t places here, in
+// role. It notes the placement's epoch, locks the id's entry, whatever its
+// state — the plan placed the copy — and moves it to role at t.Epoch (a
+// primary whose migration is in doubt stays in doubt until the move is
+// settled). The copy's stream position is at least t.Seq, and a follower
+// promoted in place streams to t.Followers, the ones that hold their
+// copies. Then the applier the image feeds starts, snapshotting the pairs
+// the group already holds. It returns the state the copy came from; the
+// group stays locked until the arrival ends.
+func (n *Node) arrive(t proto.Target, role copyState) (a *imageApplier, was copyState, err error) {
+	n.noteEpoch(t.Epoch)
+	g, _ := n.acquire(t.ACG, opArrive) // every state admits an arrival
+	if was = g.state; role == copyPrimary && was == copyInDoubt {
+		role = copyInDoubt
 	}
-}
-
-// arrive is the first half of every arrival. The plan placed the copy, so
-// it clears any tombstone on the id; it notes the placement's epoch, locks
-// the group or creates it, lets setRole set the copy's role, stamps the
-// copy with the epoch, and starts the applier the image feeds, snapshotting
-// the pairs the group already holds. The group stays locked until the
-// arrival ends.
-func (n *Node) arrive(id proto.ACGID, epoch proto.Epoch, setRole func(*group)) (a *imageApplier, err error) {
-	n.clearReleased(id)
-	n.noteEpoch(epoch)
-	g, err := n.lockOrCreateGroup(id)
-	if err != nil {
-		return nil, err
+	n.transition(g, role, t.Epoch)
+	g.replSeq = max(g.replSeq, t.Seq)
+	for _, f := range t.Followers {
+		if was == copyFollower && f.Addr != "" {
+			g.reps = append(g.reps, newReplica(f, g.id, g.replSeq))
+		}
 	}
-	setRole(g)
-	g.epoch = epoch
 	if a, err = n.newImageApplier(g); err != nil {
 		g.mu.Unlock()
-		return nil, err
 	}
-	return a, nil
+	return a, was, err
 }
 
-// enter is an arrival run in one go: a recovery, a promotion or a
-// same-node split's new half. It arrives, feeds the image in and adopts
-// it with walBytes. A failed enter keeps the group and what it applied;
-// the next heartbeat reply asks for the copy again.
-func (n *Node) enter(ctx context.Context, id proto.ACGID, epoch proto.Epoch, setRole func(*group), image imageSource, walBytes []byte) error {
-	a, err := n.arrive(id, epoch, setRole)
+// enter is an arrival of a primary run in one go: a recovery, a promotion
+// or a same-node split's new half. It arrives, feeds the image in and
+// adopts it with walBytes. A failed enter keeps the group and what it
+// applied; the next heartbeat reply asks for the copy again.
+func (n *Node) enter(ctx context.Context, t proto.Target, image imageSource, walBytes []byte) (was copyState, err error) {
+	a, was, err := n.arrive(t, copyPrimary)
 	if err != nil {
-		return err
+		return was, err
 	}
 	defer a.g.mu.Unlock()
 	if image != nil {
 		if err := image(a.feed); err != nil {
-			return err
+			return was, err
 		}
 	}
-	return n.adoptLocked(ctx, a, walBytes)
+	return was, n.adoptLocked(ctx, a, walBytes)
 }
 
 // adoptLocked completes what an arriving group brings into a.g once a has
@@ -319,10 +316,17 @@ func (n *Node) openTransfer(meta proto.ReceiveACGMeta) (*transferIn, error) {
 		}
 		old.mu.Unlock()
 	}
+	// A replica seeding's copy serves as a follower (stream-fed,
+	// mirror-untouched) from its replicated stream position onward, any
+	// other copy as the primary.
 	err := n.makeRoom(meta)
 	var a *imageApplier
 	if err == nil {
-		a, err = n.arrive(meta.ACG, meta.Epoch, shippedRole(meta))
+		role := copyPrimary
+		if meta.Follower {
+			role = copyFollower
+		}
+		a, _, err = n.arrive(proto.Target{ACG: meta.ACG, Epoch: meta.Epoch, Seq: meta.ReplSeq}, role)
 	}
 	if err != nil {
 		n.endTransfer(t, err)
@@ -341,18 +345,16 @@ func (n *Node) openTransfer(meta proto.ReceiveACGMeta) (*transferIn, error) {
 // An older copy leaves, so the image installs into nothing stale; a copy
 // of the same move takes the image in.
 func (n *Node) makeRoom(meta proto.ReceiveACGMeta) error {
-	g := n.lockGroup(meta.ACG)
-	if g == nil {
-		return nil
-	}
+	g, _ := n.acquire(meta.ACG, opArrive) // every state admits an arrival
 	defer g.mu.Unlock()
 	switch {
-	case g.epoch > meta.Epoch || meta.Follower && !g.follower:
+	case !g.state.held():
+	case g.epoch > meta.Epoch || meta.Follower && g.state != copyFollower:
 		n.staleRejects.Inc()
 		return fmt.Errorf("indexnode %s: acg %d shipped at epoch %d, but a copy arrived at epoch %d: %w",
 			n.cfg.ID, meta.ACG, meta.Epoch, g.epoch, perr.ErrStalePlacement)
 	case g.epoch < meta.Epoch:
-		n.leave(meta.ACG, g, g.epoch)
+		n.leave(g, g.epoch)
 	}
 	return nil
 }
@@ -369,8 +371,8 @@ func (n *Node) expireTransfer(t *transferIn) {
 // endTransfer ends t the one way, whatever ends it — its last chunk, a
 // refusal, a newer transfer or the idle timer: t leaves the table, and the
 // group it holds, if it began, is unlocked. On a failure (err set) the
-// group leaves again, so no partial copy stays registered: it is new, or
-// a copy of the same move (makeRoom), which its sender ships again.
+// copy leaves again, so no partial copy stays held: it is new, or a copy
+// of the same move (makeRoom), which its sender ships again.
 // Caller holds t.mu.
 func (n *Node) endTransfer(t *transferIn, err error) {
 	n.xferMu.Lock()
@@ -385,32 +387,9 @@ func (n *Node) endTransfer(t *transferIn, err error) {
 	t.a = nil
 	t.idle.Stop()
 	if err != nil {
-		n.leave(t.id, a.g, t.epoch)
+		n.leave(a.g, t.epoch)
 	}
 	a.g.mu.Unlock()
-}
-
-// leave is the one way a group leaves this node. Under one registry hold it
-// marks the group dead (a caller blocked on its lock re-resolves instead of
-// mutating the orphan), removes it from the registry and tombstones the id
-// at epoch, so traffic routed here by a stale placement cache gets
-// perr.ErrStalePlacement and never recreates the group. The group's
-// follower stream is cut: a departed copy streams nothing. g is the group,
-// locked by the caller, or nil when the node holds no copy; then only the
-// tombstone is written, unless a copy arrived meanwhile.
-func (n *Node) leave(id proto.ACGID, g *group, epoch proto.Epoch) {
-	if g != nil {
-		g.cutStreamLocked()
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if g != nil {
-		g.dead = true
-		delete(n.groups, id)
-	} else if n.groups[id] != nil {
-		return
-	}
-	n.released[id] = epoch
 }
 
 // knownPairsLocked snapshots the (index, file) pairs this group already has
@@ -501,14 +480,11 @@ func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
 	if n.cfg.Master == nil {
 		return ErrNoMaster
 	}
-	g := n.lockGroup(o.ACG)
+	g, err := n.acquire(o.ACG, opMigrate)
 	if g == nil {
-		return nil // it left this node: a later move made this one moot
+		return err // nil where it left this node: a later move made this one moot
 	}
 	defer g.mu.Unlock()
-	if g.follower {
-		return fmt.Errorf("indexnode %s: acg %d is a follower copy here: only its primary moves it", n.cfg.ID, o.ACG)
-	}
 	if err := n.commitGroupLocked(g); err != nil {
 		return err
 	}
@@ -519,24 +495,24 @@ func (n *Node) TransferACG(ctx context.Context, o proto.Order) error {
 	if err := n.reportLocked(ctx, g, proto.ReportReq{Node: n.cfg.ID, Order: o}); err != nil {
 		return err
 	}
-	n.migratedLocked(g, o)
+	n.leave(g, o.Epoch)
+	n.groupsMigrated.Inc()
 	return nil
 }
 
-// migratedLocked is a migration's last step, once the Master applied it:
-// the source leaves. Caller holds g.mu.
-func (n *Node) migratedLocked(g *group, o proto.Order) {
-	n.leave(o.ACG, g, o.Epoch)
-	n.groupsMigrated.Inc()
-}
-
 // reportLocked reports a move of g (report); without an acknowledgement
-// the move is in doubt until settleDoubtLocked settles it. Caller holds
-// g.mu.
+// the move is in doubt until settleDoubtLocked settles it, and a migration
+// in doubt puts the copy in copyInDoubt. Caller holds g.mu.
 func (n *Node) reportLocked(ctx context.Context, g *group, req proto.ReportReq) error {
 	err := n.report(ctx, req)
 	if err != nil {
 		g.doubt = &req
+		switch {
+		case req.Order.Kind == proto.OrderMigrate:
+			n.transition(g, copyInDoubt, g.epoch)
+		case g.state == copyInDoubt: // a migration's report replaced, and with it its fence
+			n.transition(g, copyPrimary, g.epoch)
+		}
 	}
 	return err
 }
@@ -570,10 +546,11 @@ func (n *Node) settleDoubtLocked(ctx context.Context, g *group) {
 	}
 	g.doubt = nil
 	switch {
-	case req.Order.Kind == proto.OrderMigrate:
-		if err == nil {
-			n.migratedLocked(g, req.Order)
-		}
+	case req.Order.Kind == proto.OrderMigrate && err == nil: // the source leaves
+		n.leave(g, req.Order.Epoch)
+		n.groupsMigrated.Inc()
+	case req.Order.Kind == proto.OrderMigrate: // a migration that never happened
+		n.transition(g, copyPrimary, g.epoch)
 	case err != nil: // a split that never happened: its files are the group's
 		for _, f := range req.Files {
 			delete(g.movedOut, f)
@@ -587,18 +564,16 @@ func (n *Node) settleDoubtLocked(ctx context.Context, g *group) {
 
 // ReleaseACG drops the node's copy of a group the plan no longer places
 // here, if the copy arrived at or before epoch — a newer copy is a move
-// that landed since the plan was read, and stays — and tombstones the id
-// at epoch, even with no copy here. Idempotent.
+// that landed since the plan was read, and stays — and marks the id
+// released at epoch, even with no copy here. Idempotent.
 func (n *Node) ReleaseACG(id proto.ACGID, epoch proto.Epoch) {
 	n.noteEpoch(epoch)
-	g := n.lockGroup(id)
-	if g != nil {
-		defer g.mu.Unlock()
-		if g.epoch > epoch {
-			return
-		}
+	g := n.entry(id, true)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.state.held() || g.epoch <= epoch {
+		n.leave(g, epoch)
 	}
-	n.leave(id, g, epoch)
 }
 
 // RecoverFromShared adopts a group from shared storage as its primary,

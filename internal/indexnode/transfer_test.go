@@ -518,7 +518,7 @@ func TestSameNodeSplitMatchesRemoteSplit(t *testing.T) {
 		if sameNode {
 			dest = r.a
 		}
-		if newACG == src || dest.getGroup(newACG) == nil {
+		if newACG == src || !dest.holds(newACG) {
 			t.Fatalf("sameNode=%v: new acg %d did not land on %s", sameNode, newACG, dest.cfg.ID)
 		}
 		var out []proto.SearchResp
@@ -593,6 +593,15 @@ func groupImage(t *testing.T, n *Node, acg proto.ACGID) []byte {
 	return raw
 }
 
+// holds reports whether n holds a copy of acg.
+func (n *Node) holds(acg proto.ACGID) bool {
+	g := n.lockGroup(acg)
+	if g != nil {
+		g.mu.Unlock()
+	}
+	return g != nil
+}
+
 // inTime runs fn and fails the test unless it returns, without error,
 // within five seconds.
 func inTime(t *testing.T, what string, fn func() error) {
@@ -652,8 +661,8 @@ func TestTransferCutMidwayFreesReceiver(t *testing.T) {
 	}
 	inTime(t, "Tick on the receiver", r.b.Tick)
 	// Checked before the heartbeat, whose reply would drop an orphan copy.
-	if g := r.b.getGroup(1); g != nil {
-		t.Fatalf("the receiver still holds the partial group (%d files) the cut transfer created", len(g.files))
+	if r.b.holds(1) {
+		t.Fatal("the receiver still holds the partial group the cut transfer created")
 	}
 	inTime(t, "Heartbeat on the receiver", func() error { return r.b.Heartbeat(ctx) })
 	resp, err := r.a.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "tag", Preds: textPreds(`tag>=""`)})

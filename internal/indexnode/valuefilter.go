@@ -38,12 +38,9 @@ const (
 	filterMinValues = 64 // the capacity of the smallest filter (64 bytes)
 )
 
-// newValueFilter returns an empty filter for twice the given number of
-// distinct values: 8 bits a value at capacity.
-func newValueFilter(values int) valueFilter { return newValueFilterIn(nil, values) }
-
-// newValueFilterIn is newValueFilter in words, cleared, when they are the
-// size it needs.
+// newValueFilterIn returns an empty filter for twice the given number of
+// distinct values — 8 bits a value at capacity — in words, cleared, when
+// they are the size it needs.
 func newValueFilterIn(words []uint64, values int) valueFilter {
 	limit := max(2*values, filterMinValues)
 	if n := (limit + 7) / 8; len(words) == n {
@@ -107,20 +104,41 @@ func (f *valueFilter) add(h uint64) {
 	}
 }
 
-// addInserts records the values of the insertions a commit is about to
+// addInserts records the values of the insertions the commit is about to
 // write to in: the composite keys' value keys for a B-tree, the value
-// encodings for a hash index. The first commit of an index sizes the filter
-// for what it inserts.
-func (f *valueFilter) addInserts(keys [][]byte, ops []index.HashOp) {
-	if len(f.words) == 0 {
-		*f = newValueFilter(len(keys) + len(ops))
+// encodings for a hash index. The first commit of an index builds its
+// filter from them, sized by the distinct values among them; a later one
+// only adds.
+func (s *commitScratch) addInserts(in *inst) {
+	hs := s.hashes[:0]
+	for _, k := range s.ins {
+		hs = append(hs, filterHash(k[:len(k)-8]))
 	}
-	for _, k := range keys {
-		f.add(filterHash(k[:len(k)-8]))
+	for _, op := range s.insOps {
+		hs = append(hs, filterHash(op.ValEnc))
 	}
-	for _, op := range ops {
-		f.add(filterHash(op.ValEnc))
+	s.hashes = hs
+	if len(in.filter.words) == 0 {
+		s.buildFilter(in, hs)
+		return
 	}
+	for _, h := range hs {
+		in.filter.add(h)
+	}
+}
+
+// buildFilter is the one sizing step: it replaces in's filter with one
+// holding the values hashed in hs — sorted and compacted here, so each
+// distinct value counts once — sized for twice their number. The old
+// filter's words are reused when they are the size the new one needs.
+func (s *commitScratch) buildFilter(in *inst, hs []uint64) {
+	slices.Sort(hs)
+	hs = slices.Compact(hs)
+	f := newValueFilterIn(in.filter.words, len(hs))
+	for _, h := range hs {
+		f.add(h)
+	}
+	in.filter = f
 }
 
 // full reports whether the values added since the last build have passed
@@ -128,14 +146,12 @@ func (f *valueFilter) addInserts(keys [][]byte, ops []index.HashOp) {
 func (f *valueFilter) full() bool { return f.n > f.limit }
 
 // rebuildFilter replaces in's filter with one built from the index as
-// written: every distinct value it holds, in a filter sized for twice their
-// number. It reads the whole index — a B-tree leaf by leaf, a hash index
-// bucket by bucket — which a commit does only when the filter is full, so
-// once per doubling of the values. The values' hashes are gathered in the
-// commit's scratch and the old filter's words are reused when they are the
-// size the new one needs, so a rebuild under steady churn allocates
-// nothing. On a read error the old filter, which still holds every value,
-// stays. Caller holds g.mu.
+// written: every distinct value it holds (buildFilter). It reads the whole
+// index — a B-tree leaf by leaf, a hash index bucket by bucket — which a
+// commit does only when the filter is full, so once per doubling of the
+// values. The values' hashes are gathered in the commit's scratch, so a
+// rebuild under steady churn allocates nothing. On a read error the old
+// filter, which still holds every value, stays. Caller holds g.mu.
 func (s *commitScratch) rebuildFilter(in *inst) error {
 	hs := s.hashes[:0]
 	if in.bt != nil {
@@ -174,14 +190,8 @@ func (s *commitScratch) rebuildFilter(in *inst) error {
 		if err != nil {
 			return err
 		}
-		slices.Sort(hs)
-		hs = slices.Compact(hs) // a value's postings may span a chain's pages
 	}
 	s.hashes = hs
-	f := newValueFilterIn(in.filter.words, len(hs))
-	for _, h := range hs {
-		f.add(h)
-	}
-	in.filter = f
+	s.buildFilter(in, hs)
 	return nil
 }

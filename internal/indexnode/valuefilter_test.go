@@ -472,3 +472,49 @@ func TestValueFilterFalsePositiveRate(t *testing.T) {
 		}
 	}
 }
+
+// newValueFilter returns an empty filter for twice the given number of
+// distinct values.
+func newValueFilter(values int) valueFilter { return newValueFilterIn(nil, values) }
+
+// TestValueFilterFirstBuildSizedByDistinctValues: an index's first commit
+// sizes its filter by the distinct values it inserts, not by its postings.
+// A hash index of 300 uids whose first commit is an 8192-entry preload
+// keeps 75 words (twice 300 values at a byte each), not the 2048 its
+// postings would size it for; a B-tree of the same values likewise.
+func TestValueFilterFirstBuildSizedByDistinctValues(t *testing.T) {
+	n, _ := newTestNode(t)
+	specs := []proto.IndexSpec{
+		{Name: "uid", Type: proto.IndexHash, Field: "uid"},
+		{Name: "uidb", Type: proto.IndexBTree, Field: "uid"},
+	}
+	entries := make([]proto.IndexEntry, 8192)
+	for f := range entries {
+		entries[f] = proto.IndexEntry{File: index.FileID(f), Value: attr.Int(int64(1000 + f%300))}
+	}
+	for _, spec := range specs {
+		n.DeclareIndex(spec)
+		if _, err := n.Update(context.Background(), proto.UpdateReq{ACG: 1, IndexName: spec.Name, Entries: entries}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := n.lockGroup(1)
+	if err := n.commitGroupLocked(g); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		if f := g.indexes[spec.Name].filter; len(f.words) != 75 || f.full() {
+			t.Errorf("%s: first filter has %d words (full %v), want 75 (not full)", spec.Name, len(f.words), f.full())
+		}
+	}
+	g.mu.Unlock()
+	for _, spec := range specs {
+		for _, v := range []int64{1000, 1150, 1299} {
+			resp, err := n.Search(context.Background(), proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: spec.Name,
+				Preds: []query.Predicate{{Field: "uid", Op: query.OpEq, Value: attr.Int(v)}}})
+			if err != nil || len(resp.Files) == 0 {
+				t.Errorf("%s = %d: %d files, %v; the filter hid the value", spec.Name, v, len(resp.Files), err)
+			}
+		}
+	}
+}
